@@ -727,6 +727,7 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
     """``repro bench sim``: the whole-trace incremental-vs-cold suite."""
     from repro.perf.bench import (
         SIM_PROFILES,
+        carves_per_move,
         check_sim_regression,
         load_bench,
         run_sim_suite,
@@ -747,7 +748,7 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
         # additionally allowed through when asked for by name (the CI
         # scale smoke), at a single repeat — its gates are byte-identity
         # under a wall-clock budget plus the deterministic
-        # rescore-carves-per-move ceiling, not a timing ratio.
+        # total-carves-per-move ceiling, not a timing ratio.
         quick_set = ("sim-small", "sim-matrix")
         quick_allowed = quick_set + ("sim-xl",)
         dropped = [p for p in profiles if p not in quick_allowed]
@@ -774,8 +775,7 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
     for name in profiles:
         record = payload["sim"][name]
         obs = record.get("obs") or {}
-        solver = record["incremental"].get("solver") or {}
-        carves_per_move = solver.get("rescore_carves_per_move")
+        per_move = carves_per_move(record["incremental"])
         rows.append([
             name,
             record["gpus"],
@@ -786,7 +786,7 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
             round(record["speedup"], 2) if record["speedup"] else "-",
             round(record["incremental"]["events_per_sec"], 1),
             record["incremental"]["rho_probes"],
-            round(carves_per_move, 2) if carves_per_move is not None else "-",
+            round(per_move, 2) if per_move is not None else "-",
             record["identical_results"],
             round(obs["trace_overhead"], 3) if obs.get("trace_overhead") else "-",
             obs.get("events", "-"),

@@ -46,10 +46,10 @@ class ArbiterConfig:
     noise_theta: float = 0.0
     hidden_payments: bool = True
     leftover_allocation: bool = True
-    #: Post-move re-scoring mode of the auction solver: "gated"
-    #: (bound-gated memo skips + vectorized batch prime, the default)
-    #: or "eager" (the plain precise re-score loop, kept as the oracle
-    #: of the equivalence suite).  Byte-identical either way.
+    #: Row/column scoring mode of the auction solver: "gated"
+    #: (bound-gated memo skips + one score per machine class, the
+    #: default) or "eager" (the plain per-machine loop, kept as the
+    #: oracle of the equivalence suites).  Byte-identical either way.
     rescore: str = "gated"
 
     def __post_init__(self) -> None:
@@ -72,11 +72,11 @@ class RoundStats:
     (valuation-cache misses) the round's bids performed.
 
     The ``rescore_*`` trio breaks down the post-move re-scoring wall
-    (see :class:`~repro.core.auction.AuctionSolveStats`): scalar kernel
-    carves the re-scores still performed, pair scores the bound-gated
-    memo skipped whole, and carves the vectorized post-move prime did
-    instead of the scalar loop.  Unlike the warm counters these are
-    live in cold mode too — the gated re-score is mode-independent.
+    (see :class:`~repro.core.auction.AuctionSolveStats`): kernel carves
+    the re-scores performed, pair scores the bound-gated memo skipped
+    whole, and ``rescore_batched``, always 0 and kept for readers of
+    ``round_stats``.  Unlike the warm counters these are live in cold
+    mode too — the gated re-score is mode-independent.
     """
 
     now: float

@@ -52,19 +52,19 @@ without relying on submodularity of the marginal gains.  Per-solve cost
 drops to ``O(A x M)`` initial scores plus ``O(G/chunk x (A + M))``
 maintenance.
 
-Bound-gated, vector-batched re-scoring (``rescore="gated"``)
-------------------------------------------------------------
+Bound-gated, symmetry-reduced re-scoring (``rescore="gated"``)
+--------------------------------------------------------------
 
-The ``O(A + M)`` post-move re-scores are *precise* scalar valuation
-probes over trajectory-dependent compound bundles — identical work in
+The ``O(A + M)`` post-move re-scores are *precise* valuation probes
+over trajectory-dependent compound bundles — identical work in
 incremental and cold modes, unprimeable by any cross-round cache, and
-the dominant cost at ``sim-xl`` scale.  Plain lazy-CELF stale-heap
+the dominant cost on wide pools.  Plain lazy-CELF stale-heap
 re-validation is NOT exact here: Themis marginal gains are non-monotone
 (a shrinking machine can *raise* a pair's normalized gain — see
 tests/test_rescore_exactness.py for a pinned counterexample), so the
 default ``"gated"`` mode instead applies two *provably exact*
-reductions; ``rescore="eager"`` keeps the plain re-score loop as the
-oracle the equivalence suite compares against.
+reductions; ``rescore="eager"`` keeps the plain per-machine re-score
+loop as the oracle the equivalence suites compare against.
 
 **Skip rule (the invalidation algebra).**  :meth:`_score_pair`'s result
 is a pure function of a key narrower than its argument list:
@@ -77,8 +77,7 @@ is a pure function of a key narrower than its argument list:
   the score is pure in ``(machine_id, current_key, chunk)``.  A column
   shrink that leaves ``min(chunk_size, free, headroom)`` unchanged
   therefore *cannot* have changed the score and is served from the
-  memo (the pre-PR-10 memo keyed on raw ``free`` and missed on every
-  shrink);
+  memo;
 * on the rescue path (``current_value <= 0`` — itself pure in
   ``current_key``) the step is always 1 and ``new_value`` is pure in
   ``(machine_id, current_key)``; only the tie-break term
@@ -86,16 +85,37 @@ is a pure function of a key narrower than its argument list:
   and rebuilds the heap key from the live ``free`` with the identical
   float expression.
 
-**Batch rule.**  The candidates a move by ``(A, Q)`` forces — row
-``A x remaining`` and column ``apps x Q``, minus the memo/value-cache
-hits — are all known the moment the move applies.  The re-score pass
-scores cache-warm pairs immediately and *parks* the rest, keying each
-pair exactly once; the parked pairs' missing bundles run through
-:meth:`FairnessEstimator.batch_prime` in one pass (same IEEE-754 op
-sequence as the scalar kernel, so the floats are byte-identical;
-scalar fallback under ``REPRO_NO_NUMPY``), and the finish pass scores
-them against the warm caches.  Both reductions change *where* a float
-is computed, never *which* float.
+**Shape symmetry (one score per machine class).**  A row is one app
+against every remaining machine, and on a wide pool most of those
+machines are indistinguishable to it.  By the shape lemma
+(:func:`repro.core.fairness.bundle_shape`) a noise-free valuation reads
+a bundle only through its *shape* — per machine, in id order: rack
+label by first appearance, speeds, count — so within one row two
+machines that extend the app's total key (holdings + bundle so far) to
+equal shapes score identically up to the ``machine_id`` in the last key
+slot.  The class of a machine is therefore:
+
+* a machine already in the total key — its own class (the step lands on
+  an existing entry);
+* otherwise ``(insertion position among the total key's ids, index of
+  its rack among the total key's racks or "new", speeds, chunk)`` with
+  ``chunk = min(chunk_size, free, headroom)`` — or raw ``free`` on the
+  rescue path, whose tie-break term reads it.  The *position* is part
+  of the class because the carve breaks effective-compute ties toward
+  lower ids: a free machine of the same rack and speed sorts before or
+  after the holdings and can change which rack a job drains first
+  (tests/test_shape_symmetry.py pins a 4.0-vs-5.2 counterexample).
+
+The row pass scores **one** representative per class through
+:meth:`_score_pair` and stamps the other members' heap entries from it
+with their own ``machine_id`` — every machine still owns a heap entry,
+so tie-breaks, version tokens and the move sequence are untouched.
+With ``bid.noise_theta > 0`` the noise hash reads the id key, the class
+degenerates to the machine, and the row is scored per machine; pools
+under :data:`_CLASS_MIN_POOL` machines take that path too (nothing to
+group).  Columns (every app against the moved machine) stay per pair.
+Both reductions change *how often* a float is computed, never *which*
+float.
 
 Payment re-solves are warm-started: the greedy state of the
 ``without_i`` market evolves identically to the full market until the
@@ -114,7 +134,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from repro.core.bids import Bid
@@ -198,25 +219,21 @@ class AuctionSolveStats:
     exists to minimise; ``replayed_moves`` counts warm-start moves the
     payment re-solves applied without any scoring at all.
 
-    When warm starts are enabled, ``warm_hits`` counts candidate work
-    satisfied from warm state (pair-score memo hits plus initial-heap
-    bundles already in the kernel caches) and ``warm_misses`` the
-    candidates that had to be computed fresh (memo misses plus batch
-    carves).  Both stay zero on the cold path.
+    When warm starts are enabled, ``warm_hits`` counts pair scores
+    served from the pair-score memo and ``warm_misses`` the ones that
+    had to be probed fresh.  Both stay zero on the cold path.
 
     The ``rescore_*`` trio instruments the post-move re-scoring wall
     (active in *both* incremental and cold modes): ``rescore_carves``
-    counts precise scalar kernel carves the row/column re-scores after
-    applied moves still performed — the quantity the gated mode exists
-    to minimise, and what the ``sim-xl`` CI gate holds a per-move
-    ceiling on; ``rescore_skipped`` counts post-move pair scores served
-    whole from the bound-gated memo (no probe at all); and
-    ``rescore_batched`` counts kernel carves the vectorized post-move
-    prime performed instead of the scalar loop.  Under
-    ``rescore="eager"`` no batch prime runs (``rescore_batched`` is
-    zero; ``rescore_skipped`` only counts the warm-start memo's hits)
-    and ``rescore_carves`` reports the full eager-invalidation cost,
-    so the two modes' counters are directly comparable.
+    counts kernel carves the row/column re-scores after applied moves
+    performed; ``rescore_skipped`` counts post-move pair scores served
+    whole from the bound-gated memo (no probe at all).  Under
+    ``rescore="eager"`` ``rescore_skipped`` only counts the warm-start
+    memo's hits.  ``rescore_batched`` is always 0: it counted carves of
+    a vectorized post-move prime that the per-class row pass made
+    unreachable; the field stays because ``repro bench`` and
+    ``benchmarks/e2e`` read it.  Total work is
+    ``estimator.carve_count`` — what the CI ceiling gates.
     """
 
     solves: int = 0
@@ -236,24 +253,11 @@ _Move = tuple[str, int, int, float]
 #: Sentinel distinguishing "memoised as None" from "not memoised".
 _MEMO_MISS = object()
 
-#: Sentinel returned by :meth:`PartialAllocationAuction._score_pair`
-#: when a ``defer`` list was supplied and the pair's probe bundles are
-#: not all cache-warm: the pair is parked for the post-prime finish
-#: pass instead of carving on demand.
-_DEFERRED = object()
-
-#: Smallest candidate batch worth sending to the vector carve kernel
-#: from the heap warm start.  Below this the per-call numpy overhead
-#: loses to the scalar on-demand path, so the prime skips the carve
-#: entirely (the candidates stay byte-identical either way — they are
-#: simply computed lazily instead of eagerly).
-_HEAP_PRIME_MIN = 64
-
-#: Smallest post-move missing-bundle batch worth one prime pass.
-#: Below this the deferred pairs' finish pass simply carves on demand
-#: (counted in ``rescore_carves``), byte-identically — like
-#: :data:`_HEAP_PRIME_MIN` this is purely a perf knob.
-_RESCORE_BATCH_MIN = 16
+#: Narrowest pool whose rows are scored per machine class; below it
+#: (the median round is a 1-2 machine renewal pool) there is nothing to
+#: group and the per-machine path skips the row context.  Purely a perf
+#: knob — both paths push identical heap entries.
+_CLASS_MIN_POOL = 4
 
 
 class PartialAllocationAuction:
@@ -269,12 +273,13 @@ class PartialAllocationAuction:
     (see the module docstring); ``"rescan"`` exists for equivalence
     tests and as the ``repro bench`` reference.
 
-    ``rescore`` selects how the lazy solver re-scores the row/column a
-    move invalidates: ``"gated"`` (default) applies the bound-gated
-    memo skips and the vectorized post-move batch prime (module
-    docstring, "Bound-gated, vector-batched re-scoring"), ``"eager"``
-    the plain precise re-score loop.  Both are byte-identical — eager
-    is the oracle tests/test_rescore_exactness.py sweeps against.
+    ``rescore`` selects how the lazy solver scores rows and re-scores
+    the row/column a move invalidates: ``"gated"`` (default) applies
+    the bound-gated memo skips and scores one representative per
+    machine class (module docstring, "Bound-gated, symmetry-reduced
+    re-scoring"), ``"eager"`` the plain per-machine loop.  Both are
+    byte-identical — eager is the oracle tests/test_rescore_exactness.py
+    and tests/test_shape_symmetry.py sweep against.
     """
 
     def __init__(
@@ -295,14 +300,12 @@ class PartialAllocationAuction:
         #: Warm starts (set by the scheduler at bind time alongside the
         #: incremental valuation pipeline).  Raw heap entries cannot
         #: survive a round — scores embed elapsed-dependent values — but
-        #: two elapsed-invariant layers can: (1) the initial heap
-        #: build's candidate bundles are batch-primed through
-        #: ``estimator.batch_prime`` (one vectorized carve; bundles a
-        #: previous round already carved are free), and (2) each bid
-        #: memoises whole scored pairs, so every re-solve of the round
-        #: (one per winner for hidden payments) rebuilds its heap from
-        #: dict hits instead of re-probing valuations.  Both layers
-        #: reproduce the cold path byte-identically.
+        #: each bid memoises whole scored pairs, so every re-solve of
+        #: the round (one per winner for hidden payments) rebuilds its
+        #: heap from dict hits instead of re-probing valuations,
+        #: byte-identically to the cold path.  Under ``rescore="gated"``
+        #: the memo is on regardless; this flag then only switches the
+        #: ``warm_hits``/``warm_misses`` accounting on.
         self.warm_enabled = False
         self.estimator = None
 
@@ -355,8 +358,6 @@ class PartialAllocationAuction:
         headroom: int,
         stats: Optional[AuctionSolveStats] = None,
         rescore: bool = False,
-        defer: Optional[list] = None,
-        prime: Optional[list] = None,
     ) -> Optional[tuple[tuple, _Move]]:
         """Best (key, move) for one (app, machine) pair, or ``None``.
 
@@ -386,15 +387,6 @@ class PartialAllocationAuction:
         modes; ``rescore="eager"`` preserves the earlier behaviour of
         memoising only when warm starts are on.  ``rescore=True`` marks
         a post-move re-score call (counter attribution only).
-
-        With ``defer``/``prime`` lists supplied (the gated re-score's
-        batched pass), a pair whose probe bundles are not all warm in
-        the bid's value/rho caches is *parked*: its missing kernel
-        bundles go on ``prime``, its already-derived keys go on
-        ``defer``, and :data:`_DEFERRED` is returned.  After one
-        vectorized ``batch_prime`` the caller finishes the parked pairs
-        via :meth:`_finish_deferred` — the same
-        :meth:`_score_probes` floats, each pair keyed exactly once.
         """
         rescue = current_value <= 0.0
         memo: Optional[dict[tuple, object]] = None
@@ -441,55 +433,9 @@ class PartialAllocationAuction:
         else:
             chunk = min(self.chunk_size, free, headroom)
             step_sizes = (1,) if chunk <= 1 else (1, chunk)
-        probes = tuple(
-            (step, _merged_key(current_key, machine_id, step))
-            for step in step_sizes
-        )
-        if defer is not None:
-            value_cache = bid._value_cache
-            rho_cache = bid._rho_cache
-            missing = [
-                extra
-                for _step, extra in probes
-                if extra not in value_cache and extra not in rho_cache
-            ]
-            if missing:
-                for extra in missing:
-                    prime.append((bid.state, bid.total_key_of(extra)))
-                defer.append(
-                    (bid, app_id, machine_id, free, current_value,
-                     rescue, memo, memo_key, probes)
-                )
-                return _DEFERRED  # type: ignore[return-value]
-        best = self._score_probes(
-            bid, app_id, machine_id, free, current_value, rescue, probes
-        )
-        if memo is not None:
-            if rescue:
-                memo[memo_key] = None if best is None else best[1][3]
-            else:
-                memo[memo_key] = best
-        return best
-
-    def _score_probes(
-        self,
-        bid: Bid,
-        app_id: str,
-        machine_id: int,
-        free: int,
-        current_value: float,
-        rescue: bool,
-        probes: tuple[tuple[int, _BundleKey], ...],
-    ) -> Optional[tuple[tuple, _Move]]:
-        """Score pre-keyed ``(step, extra_key)`` probes for one pair.
-
-        The single scoring loop shared by the on-demand path and the
-        deferred finish pass — both produce their floats here, so
-        batching changes *when* a bundle is carved, never the score.
-        """
         best: Optional[tuple[tuple, _Move]] = None
-        for step, extra in probes:
-            new_value = bid.value_from_key(extra)
+        for step in step_sizes:
+            new_value = bid.value_from_key(_merged_key(current_key, machine_id, step))
             if new_value <= current_value:
                 continue
             move = (app_id, machine_id, step, new_value)
@@ -511,24 +457,6 @@ class PartialAllocationAuction:
                 key = (1, -gain, step, app_id, machine_id)
             if best is None or key < best[0]:
                 best = (key, move)
-        return best
-
-    def _finish_deferred(
-        self, record: tuple
-    ) -> Optional[tuple[tuple, _Move]]:
-        """Finish one pair parked by :meth:`_score_pair`'s defer path.
-
-        Runs after the batch prime warmed the missing bundles: the
-        probes (already keyed once) now resolve from caches, and the
-        memo store mirrors the on-demand path exactly.  No memo lookup
-        happens here — the defer path already took (and counted) the
-        miss.
-        """
-        (bid, app_id, machine_id, free, current_value,
-         rescue, memo, memo_key, probes) = record
-        best = self._score_probes(
-            bid, app_id, machine_id, free, current_value, rescue, probes
-        )
         if memo is not None:
             if rescue:
                 memo[memo_key] = None if best is None else best[1][3]
@@ -569,22 +497,16 @@ class PartialAllocationAuction:
         app_version = {a: 0 for a in apps}
         machine_version = {m: 0 for m in remaining}
         heap: list[tuple] = []
-        gated = self.rescore == "gated"
-        # Carve accounting (and the gated batch prime) need the shared
-        # estimator; the scheduler binds it on the auction, ad-hoc
-        # callers reach it through any bid (all of an auction's bids
-        # share one).  Purely instrumentation + perf — never values.
+        grouped = self.rescore == "gated"
+        # Carve accounting needs the shared estimator; the scheduler
+        # binds it on the auction, ad-hoc callers reach it through any
+        # bid (all of an auction's bids share one).  Instrumentation
+        # only — never values.
         estimator = self.estimator
         if estimator is None and bids:
             estimator = next(iter(bids.values()))._estimator
 
-        def push_pair(
-            app_id: str,
-            machine_id: int,
-            rescore: bool = False,
-            defer: Optional[list] = None,
-            prime: Optional[list] = None,
-        ) -> None:
+        def push_pair(app_id: str, machine_id: int, rescore: bool = False) -> None:
             free = remaining.get(machine_id, 0)
             if free <= 0:
                 return
@@ -604,71 +526,96 @@ class PartialAllocationAuction:
                 headroom,
                 stats,
                 rescore,
-                defer,
-                prime,
             )
-            if scored is None or scored is _DEFERRED:
+            if scored is None:
                 return
             key, move = scored
             token = (app_version[app_id], machine_version[machine_id])
             heapq.heappush(heap, (key, app_id, machine_id, token, move))
 
-        def rescore_after_move(app_id: str, machine_id: int) -> None:
-            """Re-score row ``app_id`` and column ``machine_id``.
+        def push_row(app_id: str, rescore: bool = False) -> None:
+            """Score ``app_id`` against every remaining machine.
 
-            Under ``"gated"`` this is a three-pass flow: pairs whose
-            probe bundles are cache-warm score immediately, the rest
-            park on a pending list (each pair keyed exactly once) while
-            their missing kernel bundles collect for one vectorized
-            ``batch_prime``; the finish pass then scores the parked
-            pairs against warm caches.  Under ``"eager"`` every pair
-            carves on demand.  Either way every float comes from the
-            same kernel on the same bundle — byte-identical.
+            One :meth:`_score_pair` per machine *class* (module
+            docstring, "Shape symmetry"); the other members' entries
+            are stamped from it with their own ``machine_id``, so every
+            machine still owns a heap entry, key and version token.
+            Assumes the arbiter's contract that each bid was offered the
+            pool being solved: ``Bid.rho_from_key``'s offer check runs
+            on the representatives only.
             """
+            bid = bids[app_id]
+            headroom = bid.demand - granted[app_id]
+            if headroom <= 0:
+                return
+            if not grouped or len(remaining) < _CLASS_MIN_POOL or bid.noise_theta > 0.0:
+                for machine_id in remaining:
+                    push_pair(app_id, machine_id, rescore)
+                return
+            current_key = bundle_keys[app_id]
+            current_value = values[app_id]
+            rescue = current_value <= 0.0
+            chunk_size = self.chunk_size
+            version = app_version[app_id]
+            reads = bid.state.machine_reads
+            held = [machine for machine, _count in bid.total_key_of(current_key)]
+            rack_index: dict[int, int] = {}
+            for machine in held:
+                rack_index.setdefault(reads[machine][0], len(rack_index))
+            scored_classes: dict[tuple, object] = {}
+            for machine_id, free in remaining.items():
+                position = bisect_left(held, machine_id)
+                if position < len(held) and held[position] == machine_id:
+                    push_pair(app_id, machine_id, rescore)
+                    continue
+                rack_id, speeds = reads[machine_id]
+                machine_class = (
+                    position,
+                    rack_index.get(rack_id, -1),
+                    speeds,
+                    free if rescue else min(chunk_size, free, headroom),
+                )
+                scored = scored_classes.get(machine_class, _MEMO_MISS)
+                if scored is _MEMO_MISS:
+                    if stats is not None:
+                        stats.pair_scores += 1
+                    scored = scored_classes[machine_class] = self._score_pair(
+                        bid,
+                        app_id,
+                        machine_id,
+                        free,
+                        current_key,
+                        current_value,
+                        headroom,
+                        stats,
+                        rescore,
+                    )
+                if scored is None:
+                    continue
+                key, move = scored  # type: ignore[misc]
+                if move[1] != machine_id:
+                    key = key[:-1] + (machine_id,)
+                    move = (app_id, machine_id, move[2], move[3])
+                token = (version, machine_version[machine_id])
+                heapq.heappush(heap, (key, app_id, machine_id, token, move))
+
+        def rescore_after_move(app_id: str, machine_id: int) -> None:
+            """Re-score column ``machine_id`` and row ``app_id``."""
             carves_before = (
                 estimator.carve_count
                 if stats is not None and estimator is not None
                 else 0
             )
-            batched = 0
-            if gated and estimator is not None:
-                pending: list = []
-                prime: list = []
-                if machine_id in remaining:
-                    for other_app in apps:
-                        if other_app != app_id:
-                            push_pair(other_app, machine_id, True, pending, prime)
-                for other_machine in remaining:
-                    push_pair(app_id, other_machine, True, pending, prime)
-                if len(prime) >= _RESCORE_BATCH_MIN:
-                    batched, _hits = estimator.batch_prime(prime)
-                    if stats is not None:
-                        stats.rescore_batched += batched
-                for record in pending:
-                    scored = self._finish_deferred(record)
-                    if scored is None:
-                        continue
-                    key, move = scored
-                    rec_app, rec_machine = record[1], record[2]
-                    token = (app_version[rec_app], machine_version[rec_machine])
-                    heapq.heappush(
-                        heap, (key, rec_app, rec_machine, token, move)
-                    )
-            else:
-                if machine_id in remaining:
-                    for other_app in apps:
-                        if other_app != app_id:
-                            push_pair(other_app, machine_id, True)
-                for other_machine in remaining:
-                    push_pair(app_id, other_machine, True)
+            if machine_id in remaining:
+                for other_app in apps:
+                    if other_app != app_id:
+                        push_pair(other_app, machine_id, True)
+            push_row(app_id, True)
             if stats is not None and estimator is not None:
-                stats.rescore_carves += (
-                    estimator.carve_count - carves_before - batched
-                )
+                stats.rescore_carves += estimator.carve_count - carves_before
 
         for app_id in apps:
-            for machine_id in remaining:
-                push_pair(app_id, machine_id)
+            push_row(app_id)
 
         profiler = self.profiler
         while heap:
@@ -697,62 +644,6 @@ class PartialAllocationAuction:
             else:
                 rescore_after_move(app_id, machine_id)
         return assignment, moves
-
-    def _prime_heap(
-        self,
-        pool: Mapping[int, int],
-        bids: Mapping[str, Bid],
-        stats: Optional[AuctionSolveStats],
-    ) -> None:
-        """Batch-prime the kernel caches for the initial heap build.
-
-        Enumerates the single-machine candidate bundles the round's
-        solves will probe and carves their total keys in one vectorized
-        pass.  For each pool machine every step up to
-        ``min(chunk_size, free, headroom)`` is covered — free counts
-        only drain during a solve, so this closes over the initial heap
-        build *and* every later re-score and payment-re-solve rebuild
-        at smaller frees.  (Compound bundles — an app extending a
-        multi-machine holding mid-solve — are trajectory-dependent and
-        stay on the scalar path.)
-
-        Two gates keep the prime from ever costing more than it saves
-        (both are pure perf knobs — priming never changes a value):
-
-        * only bids whose kernel caches were invalidated since their
-          last prime are enumerated (``cache_generation`` vs
-          ``primed_generation``) — a stable starved app re-bidding the
-          same book round after round costs one integer compare;
-        * the batch is only carved when it is large enough for the
-          vector kernel to beat the scalar path
-          (:data:`_HEAP_PRIME_MIN`); a trickle of candidates falls
-          through to on-demand scalar carves, byte-identically.  Small
-          clusters rarely clear the bar; ``sim-xl``-sized pools do.
-        """
-        estimator = self.estimator
-        if estimator is None:
-            return
-        pairs = []
-        for app_id in sorted(bids):
-            bid = bids[app_id]
-            headroom = bid.demand
-            if headroom <= 0:
-                continue
-            state = bid.state
-            if state.primed_generation == state.cache_generation:
-                continue
-            state.primed_generation = state.cache_generation
-            max_step = self.chunk_size if bid.value_from_key(()) > 0.0 else 1
-            for machine_id, free in pool.items():
-                top = min(max_step, free, headroom)
-                for step in range(1, top + 1):
-                    pairs.append((state, bid.total_key_of(((machine_id, step),))))
-        if len(pairs) < _HEAP_PRIME_MIN:
-            return
-        carves, hits = estimator.batch_prime(pairs)
-        if stats is not None:
-            stats.warm_misses += carves
-            stats.warm_hits += hits
 
     # ------------------------------------------------------------------
     # Stage 2: hidden payments
@@ -860,9 +751,6 @@ class PartialAllocationAuction:
                 leftover=dict(pool),
                 participants=participants,
             )
-        if self.warm_enabled:
-            with self.profiler.phase("heap_warm_start"):
-                self._prime_heap(pool, bids, stats)
         with self.profiler.phase("auction_solve"):
             pf_allocation, full_moves = self._solve(pool, bids, stats=stats)
         payments: dict[str, float] = {}

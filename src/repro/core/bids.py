@@ -129,11 +129,13 @@ class Bid:
         # ``new_value`` (see PartialAllocationAuction._score_pair for
         # the proof sketch).  Keying on the effective step bound instead
         # of raw ``free`` means a column shrink that leaves the bound
-        # unchanged is a guaranteed hit: the payment re-solves rebuild
-        # their heaps from dict lookups, and the post-move re-scores of
-        # ``rescore="gated"`` skip every pair a move provably could not
-        # have changed — in cold mode too.  Like the rho cache it dies
-        # with the bid — scores embed clock-dependent values.
+        # unchanged is a guaranteed hit.  Under ``rescore="gated"`` a
+        # row holds one entry per machine *class* (the representative
+        # the solver scored; the other members' heap entries are
+        # stamped from it and never reach the memo), so the payment
+        # re-solves rebuild their heaps from a handful of dict lookups
+        # per row.  Like the rho cache it dies with the bid — scores
+        # embed clock-dependent values.
         self._pair_memo: dict[tuple, object] = {}
         self.rho_probes = 0
         self.rho_lookups = 0

@@ -545,6 +545,61 @@ def _carve_reference(
     return out, index + 1
 
 
+#: What the carve kernels read about one machine besides its id order:
+#: ``(rack_id, speeds)`` — see :meth:`FairnessEstimator.machine_reads`.
+_MachineReads = Mapping[int, tuple[int, object]]
+
+
+def bundle_shape(
+    total_key: tuple[tuple[int, int], ...], reads: _MachineReads
+) -> tuple[tuple[int, object, int], ...]:
+    """Shape of a canonical bundle: all a carve can tell about it.
+
+    The tuple, in ascending machine-id order (the canonical key order),
+    of ``(rack label by first appearance, speeds, count)``.
+
+    **Lemma (shape symmetry).**  For a fixed job-tuple sequence the
+    allotments of :func:`_carve_fast`, :func:`_carve_fast_family`,
+    :func:`_carve_batch`, :func:`_carve_batch_numpy` and
+    :func:`_carve_reference` are a pure function of the bundle's shape;
+    two bundles with equal shapes carve to bit-identical floats.
+
+    *Proof.*  Each kernel touches a machine through four reads only.
+    (1) Its *id*, solely inside ``eff == best_eff and mid < best_mid``
+    (the heap oracle's ``(-eff, machine_id, ...)`` entries, the numpy
+    kernel's first-maximum ``argmax`` over id-ordered columns): an
+    order comparison, so the winner of every tie is fixed by the
+    machines' relative id order — the order the shape lists them in.
+    (2) Its *rack id*, solely inside ``rids[i] in used_racks`` /
+    ``rack_id not in used_racks`` / ``len(racks) == 1``: equality
+    tests, invariant under any relabelling that keeps the equality
+    pattern — which first-appearance labels capture exactly.  (3) Its
+    *speed* under the scalar map or under the current job's family
+    row, entering ``count * speed`` and ``grab * speed`` — carried
+    verbatim in ``speeds``.  (4) Its *count* — carried verbatim.  No
+    id, rack id or map key is ever emitted: an allotment is ``(job,
+    gpus, level, rate, effective)``.  By induction over grabs, two
+    equal-shape bundles present the same comparison operands in the
+    same positions, pick the machine at the same position, and
+    accumulate the same floats in the same order.  ∎
+
+    Order position matters: with racks ``{1: A, 4: B, 6: A, 9: A}``
+    the bundles ``{1:2, 4:2, 6:2}`` and ``{4:2, 6:2, 9:2}`` differ only
+    in a free rack-A machine absent from ``{4:2, 6:2}``, yet the
+    lower-id tie-break drains rack A first in one and rack B first in
+    the other (tests/test_shape_symmetry.py pins 4.0 vs 5.2).
+    """
+    if len(total_key) == 1:
+        ((machine_id, count),) = total_key
+        return ((0, reads[machine_id][1], count),)
+    labels: dict[int, int] = {}
+    shape = []
+    for machine_id, count in total_key:
+        rack_id, speeds = reads[machine_id]
+        shape.append((labels.setdefault(rack_id, len(labels)), speeds, count))
+    return tuple(shape)
+
+
 #: One batch-carve instance: (job_tuples, canonical counts key).
 _CarveInstance = tuple[Sequence[_JobTuple], tuple[tuple[int, int], ...]]
 
@@ -964,6 +1019,7 @@ class FairnessEstimator:
         )
         #: Shared ClusterCapacity (scalar) or per-family PerfCapacity.
         self.capacity = self.perf_model.capacity_for(cluster)
+        self._reads_by_families: dict[Optional[tuple[str, ...]], _MachineReads] = {}
         #: Carve computations performed through this estimator — the
         #: honest "rho probe" count the sim macro-benchmark reports
         #: (cache hits in :class:`AppValuationState` don't increment it).
@@ -987,6 +1043,31 @@ class FairnessEstimator:
     def family_speed_fn(self) -> FamilySpeedFn:
         """Per-family machine-speed lookup (``None`` = scalar model)."""
         return self._family_speed_fn
+
+    def machine_reads(self, job_tuples: Sequence[_JobTuple]) -> _MachineReads:
+        """``machine_id -> (rack_id, speeds)`` for an app with these jobs.
+
+        ``speeds`` is every speed a valuation of the app can read for
+        the machine — the scalar speed, plus (under a throughput
+        matrix) the machine's speed in each of the jobs' family rows —
+        and nothing else: two machines of differently *named* but
+        equally fast GPU types read the same.  :func:`bundle_shape` and
+        the auction's machine classes are built from it.
+        """
+        families = None
+        if self._family_speed_fn is not None:
+            families = tuple(sorted({job[4] for job in job_tuples}))
+        reads = self._reads_by_families.get(families)
+        if reads is None:
+            rows = [self._family_speed_fn(family) for family in families or ()]
+            reads = {}
+            for machine_id, rack_id in self._rack_of.items():
+                speed = self._speed_of.get(machine_id, 1.0)
+                if families is not None:
+                    speed = (speed, *[row.get(machine_id, 1.0) for row in rows])
+                reads[machine_id] = (rack_id, speed)
+            self._reads_by_families[families] = reads
+        return reads
 
     def machine_speed(self, machine_id: int) -> float:
         """Scalar speed factor of one machine's GPUs (1.0 when unknown)."""
@@ -1087,44 +1168,43 @@ class FairnessEstimator:
         """Pre-fill many states' kernel caches in one vectorized carve.
 
         ``pairs`` holds ``(state, canonical_total_key)`` bundles about to
-        be probed — round-start base rhos, the auction's initial heap
-        candidates, and the solver's post-move re-score candidates
-        (arbitrary *compound* multi-machine bundles: each key is a full
-        trajectory-dependent holding plus a step extension, not just a
-        single-machine probe).  Bundles already cached are skipped; the
-        misses run
-        through :func:`_carve_batch` in one numpy pass and land in the
-        exact cache slot :meth:`AppValuationState.delta_of` would have
-        filled scalar-ly — same floats, same ``carve_count`` accounting —
-        so every later probe is a pure cache hit.  Returns
-        ``(carves, cache_hits)``: bundles carved fresh versus bundles
-        already warm from an earlier round (or earlier in this batch).
+        be probed — the arbiter's round-start base rhos; any compound
+        multi-machine bundle is accepted.  Bundles whose *shape*
+        (:func:`bundle_shape`) is already cached — or appears earlier in
+        this batch — are skipped; the misses run through
+        :func:`_carve_batch` in one numpy pass and land in the shape
+        slot :meth:`AppValuationState.delta_of` would have filled
+        scalar-ly — same floats, same ``carve_count`` accounting — so
+        every later probe of any bundle of that shape is a pure cache
+        hit.  Returns ``(carves, cache_hits)``: shapes carved fresh
+        versus bundles already warm.
         """
         first_winner = self.semantics is CompletionSemantics.FIRST_WINNER
-        todo: list[tuple[AppValuationState, tuple[tuple[int, int], ...], AppSnapshot]] = []
+        todo: list[tuple[AppValuationState, tuple[tuple[int, int], ...], tuple]] = []
         seen: set[tuple[int, tuple]] = set()
         hits = 0
         for state, key in pairs:
             snap = state.snapshot
             if snap is None or not key or not snap.job_tuples:
                 continue
+            shape = bundle_shape(key, state.machine_reads)
             if first_winner:
-                if key in state._fw_pair_cache or key in state._delta_cache:
+                if shape in state._fw_pair_cache or shape in state._delta_cache:
                     hits += 1
                     continue
             else:
-                if snap.total_remaining <= 0 or key in state._rate_cache:
+                if snap.total_remaining <= 0 or shape in state._rate_cache:
                     hits += 1
                     continue
-            handle = (id(state), key)
+            handle = (id(state), shape)
             if handle in seen:
                 hits += 1
                 continue
             seen.add(handle)
-            todo.append((state, key, snap))
+            todo.append((state, key, shape))
         if not todo:
             return 0, hits
-        instances = [(snap.job_tuples, key) for _state, key, snap in todo]
+        instances = [(state.snapshot.job_tuples, key) for state, key, _shape in todo]
         if self.profiler.enabled:
             with self.profiler.phase("batch_carve"):
                 carved_all = _carve_batch(
@@ -1143,7 +1223,7 @@ class FairnessEstimator:
                 self._family_speed_fn,
             )
         self.carve_count += len(todo)
-        for (state, key, _snap), (carved, _next_index) in zip(todo, carved_all):
+        for (state, _key, shape), (carved, _next_index) in zip(todo, carved_all):
             if first_winner:
                 fw_pairs = tuple(
                     (job[3], rate)
@@ -1152,12 +1232,12 @@ class FairnessEstimator:
                 )
                 if len(state._fw_pair_cache) >= _DELTA_CACHE_LIMIT:
                     state._fw_pair_cache.clear()
-                state._fw_pair_cache[key] = fw_pairs
+                state._fw_pair_cache[shape] = fw_pairs
             else:
                 aggregate = sum(rate for *_, rate, _effective in carved)
                 if len(state._rate_cache) >= _DELTA_CACHE_LIMIT:
                     state._rate_cache.clear()
-                state._rate_cache[key] = aggregate
+                state._rate_cache[shape] = aggregate
         return len(todo), hits
 
     def shared_delta_from_snapshot(
@@ -1279,8 +1359,10 @@ class AppValuationState:
     """Cross-round valuation cache for one app (the incremental pipeline).
 
     Holds the app's frozen :class:`AppSnapshot`, its base per-machine
-    counts, and two caches of elapsed-independent valuation kernels
-    keyed by canonical total-counts bundles.  :meth:`refresh` applies
+    counts, and the caches of elapsed-independent valuation kernels,
+    keyed by bundle *shape* (:func:`bundle_shape` — a bundle is carved
+    once per shape, not once per machine-id key; any noise is applied
+    above this layer, in ``Bid.rho_from_key``).  :meth:`refresh` applies
     the dirty-tracking contract at two levels:
 
     * **snapshot reuse** — while the app's epoch is unchanged *and* it
@@ -1316,6 +1398,7 @@ class AppValuationState:
         "base_key",
         "rebuilds",
         "rate_signature",
+        "machine_reads",
         "_rate_cache",
         "_delta_cache",
         "_fw_pair_cache",
@@ -1326,7 +1409,6 @@ class AppValuationState:
         "_refresh_token",
         "_sorted_jobs",
         "cache_generation",
-        "primed_generation",
         "base_primed",
     )
 
@@ -1342,13 +1424,14 @@ class AppValuationState:
         self.base_key: tuple[tuple[int, int], ...] = ()
         self.rebuilds = 0
         self.rate_signature: Optional[tuple] = None
-        self._rate_cache: dict[tuple[tuple[int, int], ...], float] = {}
-        self._delta_cache: dict[tuple[tuple[int, int], ...], float] = {}
-        #: FIRST_WINNER kernel cache: bundle -> ((job_id, rate), ...)
+        #: ``estimator.machine_reads`` of the current snapshot's jobs;
+        #: rebuilt with the kernel caches (it depends on their families).
+        self.machine_reads: _MachineReads = {}
+        self._rate_cache: dict[tuple, float] = {}
+        self._delta_cache: dict[tuple, float] = {}
+        #: FIRST_WINNER kernel cache: shape -> ((job_id, rate), ...)
         #: pairs, valid while the rate signature is (like _rate_cache).
-        self._fw_pair_cache: dict[
-            tuple[tuple[int, int], ...], tuple[tuple[str, float], ...]
-        ] = {}
+        self._fw_pair_cache: dict[tuple, tuple[tuple[str, float], ...]] = {}
         #: job_id -> remaining work of the current snapshot (FIRST_WINNER
         #: deltas divide cached rates by *current* work).
         self._remaining_by_id: dict[str, float] = {}
@@ -1364,15 +1447,11 @@ class AppValuationState:
         #: fast path re-reads each job's remaining work along this order.
         self._sorted_jobs: Optional[list[Job]] = None
         #: Bumped whenever the kernel caches are invalidated (rate
-        #: signature change).  The auction's heap warm start compares it
-        #: against ``primed_generation`` to prime a state's candidate
-        #: bundles exactly once per cache lifetime instead of
-        #: re-enumerating them every round.  ``base_primed`` plays the
-        #: same role for the arbiter's round-start base-bundle prime:
-        #: the ``(generation, base_key)`` pair last submitted, so an
-        #: app whose holdings and rates are unchanged is not re-probed.
+        #: signature change).  ``base_primed`` is the ``(generation,
+        #: base_key)`` pair the arbiter's round-start base-bundle prime
+        #: last submitted, so an app whose holdings and rates are
+        #: unchanged is not re-probed.
         self.cache_generation = 0
-        self.primed_generation = -1
         self.base_primed: Optional[tuple] = None
 
     def refresh(self, token: Optional[int] = None) -> AppSnapshot:
@@ -1402,6 +1481,7 @@ class AppValuationState:
             self.base_key = tuple(
                 sorted((m, c) for m, c in self.base_counts.items() if c > 0)
             )
+            self.machine_reads = self.estimator.machine_reads(snap.job_tuples)
             self._rate_cache = {}
             self._delta_cache = {}
             self._fw_pair_cache = {}
@@ -1532,6 +1612,7 @@ class AppValuationState:
         signature = tuple(item[1:] for item in tuples)
         if signature != self.rate_signature:
             self.rate_signature = signature
+            self.machine_reads = self.estimator.machine_reads(tuples)
             self._rate_cache = {}
             self._fw_pair_cache = {}
             self.cache_generation += 1
@@ -1559,27 +1640,30 @@ class AppValuationState:
         and the counts mapping is only materialised on a cache miss.
         Mirrors :meth:`FairnessEstimator.shared_delta_from_snapshot`
         exactly, with the carve kernel served from the cross-round
-        caches: the aggregate rate under ``ALL_JOBS``, the per-job
-        ``(job_id, rate)`` pairs under ``FIRST_WINNER`` (both survive
-        work drains; only a reorder or epoch bump rebuilds them).
+        caches under the bundle's shape (exact by the lemma of
+        :func:`bundle_shape`): the aggregate rate under ``ALL_JOBS``,
+        the per-job ``(job_id, rate)`` pairs under ``FIRST_WINNER``
+        (both survive work drains; only a reorder or epoch bump
+        rebuilds them).
         """
         snap = self.snapshot
         assert snap is not None, "refresh() before delta_of()"
         estimator = self.estimator
         if estimator.semantics is CompletionSemantics.FIRST_WINNER:
-            cached = self._delta_cache.get(total_key)
-            if cached is not None:
-                return cached
             if not snap.job_tuples:
                 return 0.0
             if not total_key:
                 return math.inf
-            pairs = self._fw_pair_cache.get(total_key)
+            shape = bundle_shape(total_key, self.machine_reads)
+            cached = self._delta_cache.get(shape)
+            if cached is not None:
+                return cached
+            pairs = self._fw_pair_cache.get(shape)
             if pairs is None:
                 pairs = estimator.carve_pairs_from_snapshot(snap, dict(total_key))
                 if len(self._fw_pair_cache) >= _DELTA_CACHE_LIMIT:
                     self._fw_pair_cache.clear()
-                self._fw_pair_cache[total_key] = pairs
+                self._fw_pair_cache[shape] = pairs
             remaining = self._remaining_by_id
             delta = math.inf
             for job_id, rate in pairs:
@@ -1588,16 +1672,17 @@ class AppValuationState:
                     delta = per_job
             if len(self._delta_cache) >= _DELTA_CACHE_LIMIT:
                 self._delta_cache.clear()
-            self._delta_cache[total_key] = delta
+            self._delta_cache[shape] = delta
             return delta
         if not snap.job_tuples or snap.total_remaining <= 0:
             return 0.0
-        rate = self._rate_cache.get(total_key)
+        shape = bundle_shape(total_key, self.machine_reads)
+        rate = self._rate_cache.get(shape)
         if rate is None:
             rate = estimator.aggregate_rate_from_snapshot(snap, dict(total_key))
             if len(self._rate_cache) >= _DELTA_CACHE_LIMIT:
                 self._rate_cache.clear()
-            self._rate_cache[total_key] = rate
+            self._rate_cache[shape] = rate
         if rate <= 0:
             return math.inf
         return snap.total_remaining / rate

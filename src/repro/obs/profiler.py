@@ -24,7 +24,6 @@ KNOWN_PHASES = (
     "valuation",
     "carve",
     "batch_carve",
-    "heap_warm_start",
     "auction_solve",
     "rescore",
     "payment_resolves",

@@ -591,20 +591,16 @@ def run_sim_bench(profile: SimBenchProfile, repeats: int = 1) -> dict:
         seconds = best["seconds"]
         result = best["result"]
         # Post-move re-scoring accounting (deterministic per profile
-        # and mode, so machine-independently gateable): scalar carves
-        # the re-scores still did, memo skips, batched carves, and the
-        # headline carves-per-move ratio the sim-xl CI gate holds a
-        # ceiling on.
+        # and mode): carves the re-scores did, memo skips, and the
+        # always-zero batched category.  The CI ceiling is on *total*
+        # carves per move (:func:`carves_per_move`), not on any of
+        # these categories.
         totals = (result.round_stats or {}).get("totals", {})
-        moves = totals.get("solver_moves", 0)
         solver = {
-            "moves": moves,
+            "moves": totals.get("solver_moves", 0),
             "rescore_carves": totals.get("rescore_carves", 0),
             "rescore_skipped": totals.get("rescore_skipped", 0),
             "rescore_batched": totals.get("rescore_batched", 0),
-            "rescore_carves_per_move": (
-                totals.get("rescore_carves", 0) / moves if moves else None
-            ),
         }
         return {
             "seconds": seconds,
@@ -685,6 +681,20 @@ def run_sim_suite(
     return payload
 
 
+def carves_per_move(side: Mapping) -> Optional[float]:
+    """Total precise carves per applied solver move of one bench side.
+
+    ``estimator.carve_count / moves`` over the whole replay — on-demand
+    probes, batch primes and round-start base primes alike — so work
+    that moves between categories cannot hide from the ceiling.
+    Deterministic per profile and mode; derived from fields every
+    committed record already carries.
+    """
+    moves = (side.get("solver") or {}).get("moves")
+    probes = side.get("rho_probes")
+    return probes / moves if moves and probes is not None else None
+
+
 def check_sim_regression(
     current: Mapping,
     baseline: Mapping,
@@ -701,11 +711,12 @@ def check_sim_regression(
     traced-over-untraced overhead ratio (same machine, same process)
     must stay below ``baseline * max_slowdown``.
 
-    Profiles whose baseline carries the solver re-score accounting are
-    additionally held to a ``rescore_carves_per_move`` ceiling — the
+    Every gated profile is additionally held to a ceiling on *total*
+    precise carves per solver move (:func:`carves_per_move`) — the
     counter is *deterministic* per profile and mode (no timing noise at
     all), so this is the perf gate of choice for ``sim-xl``, where the
-    timing ratio is structurally ~1 and deliberately not gated.
+    timing ratio is structurally ~1 and deliberately not gated.  The
+    ceiling is ``baseline * max_slowdown`` at any baseline value.
     Returns failure messages (empty = pass).
     """
     failures: list[str] = []
@@ -742,17 +753,13 @@ def check_sim_regression(
                     f"{name}: tracing overhead regressed — {cur_overhead:.2f}x "
                     f"vs baseline {base_overhead:.2f}x (ceiling {ceiling:.2f}x)"
                 )
-        cur_cpm = (cur.get("incremental", {}).get("solver") or {}).get(
-            "rescore_carves_per_move"
-        )
-        base_cpm = (base.get("incremental", {}).get("solver") or {}).get(
-            "rescore_carves_per_move"
-        )
-        if cur_cpm is not None and base_cpm is not None and base_cpm > 0:
+        cur_cpm = carves_per_move(cur.get("incremental", {}))
+        base_cpm = carves_per_move(base.get("incremental", {}))
+        if cur_cpm is not None and base_cpm is not None:
             cpm_ceiling = base_cpm * max_slowdown
             if cur_cpm > cpm_ceiling:
                 failures.append(
-                    f"{name}: post-move re-scoring regressed — "
+                    f"{name}: valuation work regressed — "
                     f"{cur_cpm:.2f} precise carves/move vs baseline "
                     f"{base_cpm:.2f} (ceiling {cpm_ceiling:.2f})"
                 )
@@ -883,11 +890,9 @@ def sim_trajectory_entry(payload: Mapping, at: Optional[str] = None) -> dict:
             "speedup": record["speedup"],
             "identical_results": record["identical_results"],
         }
-        carves_per_move = (record["incremental"].get("solver") or {}).get(
-            "rescore_carves_per_move"
-        )
-        if carves_per_move is not None:
-            entry["rescore_carves_per_move"] = carves_per_move
+        per_move = carves_per_move(record["incremental"])
+        if per_move is not None:
+            entry["carves_per_move"] = per_move
         profiles[name] = entry
     return {"at": at, "profiles": profiles}
 

@@ -15,6 +15,7 @@ import json
 from repro.perf.bench import (
     SIM_PROFILES,
     SIM_TRAJECTORY_LIMIT,
+    check_sim_regression,
     load_bench,
     run_sim_suite,
     sim_trajectory_entry,
@@ -45,6 +46,34 @@ def test_trajectory_entry_summarises_profiles():
     assert row["incremental_seconds"] == 0.4
     assert row["cold_seconds"] == 1.0
     assert row["repeats"] == 3
+
+
+def test_sim_gate_holds_total_carves_per_move_at_any_baseline():
+    """The ceiling is on all carves, so re-filed work cannot slip by.
+
+    The committed sim-xl baseline once read 0.0 on-demand re-score
+    carves per move (the work had moved into a batched category) and
+    the gate skipped itself on a zero baseline; total carves per move
+    has no such blind spot.
+    """
+
+    def payload(probes: int) -> dict:
+        run = fake_payload(2.0)
+        run["sim"]["sim-small"]["incremental"].update(
+            rho_probes=probes, solver={"moves": 100, "rescore_carves": 0}
+        )
+        return run
+
+    gate = ("sim-small",)
+    baseline = payload(1000)
+    entry = sim_trajectory_entry(baseline, at="t")
+    assert entry["profiles"]["sim-small"]["carves_per_move"] == 10.0
+    assert check_sim_regression(payload(1250), baseline, gate_profiles=gate) == []
+    (failure,) = check_sim_regression(payload(1400), baseline, gate_profiles=gate)
+    assert "14.00 precise carves/move vs baseline 10.00" in failure
+    # A zero baseline is a ceiling of zero, not a skipped check.
+    assert check_sim_regression(payload(0), payload(0), gate_profiles=gate) == []
+    assert check_sim_regression(payload(1), payload(0), gate_profiles=gate)
 
 
 def test_write_sim_bench_appends_across_runs(tmp_path):

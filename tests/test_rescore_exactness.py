@@ -1,9 +1,9 @@
-"""The bound-gated, vector-batched post-move re-scoring is exact.
+"""The bound-gated, symmetry-reduced post-move re-scoring is exact.
 
 The lazy solver's post-move invalidation re-scores its full row and
-column with precise scalar carves after every applied move — the
-``sim-xl`` wall.  ``rescore="gated"`` (the default) attacks it two
-ways, and this suite holds both to the eager oracle byte-for-byte:
+column after every applied move — the wide-pool wall.
+``rescore="gated"`` (the default) attacks it two ways, and this suite
+holds both to the per-machine eager oracle byte-for-byte:
 
 * **bound-gated skips** — :meth:`PartialAllocationAuction._score_pair`
   memoises under the exact purity key of the score (gain path:
@@ -11,10 +11,10 @@ ways, and this suite holds both to the eager oracle byte-for-byte:
   ``(machine, current_key)`` with the free-dependent tie-break rebuilt
   from the live ``free``), so a column shrink that leaves the step
   bound unchanged re-uses the memoised score;
-* **vector-batched re-scoring** — the row/column candidates a move
-  forces are batch-primed through ``FairnessEstimator.batch_prime``
-  (compound multi-machine bundles, one lockstep numpy pass) before the
-  scalar loop runs, so the loop hits warm kernel caches.
+* **one score per machine class** — a row scores one representative
+  per class of machines the app cannot tell apart and stamps the rest
+  (pools of 4+ machines; tests/test_shape_symmetry.py holds the lemma
+  and the wide-market sweep).
 
 The sweep covers 200+ seeded markets x homogeneous / heterogeneous
 fleets x scalar / throughput-matrix perf models x warm (incremental)
@@ -23,8 +23,7 @@ the gated solver equal ``rescore="eager"``'s.  The adversarial test
 pins the non-monotone-gain counterexample (a shrinking machine RAISES
 a pair's normalized gain) that rules out plain lazy-CELF stale-heap
 re-validation and motivates proven skips instead.  The fallback test
-re-runs the sweep core with numpy gated off (the batched re-score
-degrades to the scalar kernel, results identical).
+re-runs the sweep core with numpy gated off (results identical).
 """
 
 from __future__ import annotations
@@ -283,7 +282,7 @@ class LegacyMemoAuction(PartialAllocationAuction):
 
     def _score_pair(
         self, bid, app_id, machine_id, free, current_key, current_value,
-        headroom, stats=None, rescore=False, defer=None, prime=None,
+        headroom, stats=None, rescore=False,
     ):
         memo = None
         if self.warm_enabled:
@@ -365,10 +364,10 @@ def test_refined_memo_key_strictly_improves_hit_rate():
 
 
 # ----------------------------------------------------------------------
-# numpy-free degradation of the batched re-score
+# numpy-free leg
 # ----------------------------------------------------------------------
 def test_gated_matches_eager_without_numpy(monkeypatch):
-    """The post-move batch prime falls back to the scalar kernel."""
+    """Same equivalence with every carve on the scalar kernel."""
     monkeypatch.setattr(fairness, "_np", None)
     monkeypatch.setattr(fairness, "_batch_fallback_warned", True)
     rng = random.Random(1337)
@@ -415,6 +414,8 @@ def test_rescore_counters_reach_round_stats():
         # mode-independent, which is exactly why it needed its own
         # treatment beyond the cross-round caches.
         assert totals["rescore_skipped"] > 0
+        # Kept for readers of round_stats; nothing files work there.
+        assert totals["rescore_batched"] == 0
 
 
 def test_sim_level_gated_matches_eager():
