@@ -46,19 +46,12 @@ class ArbiterConfig:
     noise_theta: float = 0.0
     hidden_payments: bool = True
     leftover_allocation: bool = True
-    #: Row/column scoring mode of the auction solver: "gated"
-    #: (bound-gated memo skips + one score per machine class, the
-    #: default) or "eager" (the plain per-machine loop, kept as the
-    #: oracle of the equivalence suites).  Byte-identical either way.
-    rescore: str = "gated"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fairness_knob <= 1.0:
             raise ValueError(f"fairness_knob must be in [0, 1], got {self.fairness_knob}")
         if not 0.0 <= self.noise_theta < 1.0:
             raise ValueError(f"noise_theta must be in [0, 1), got {self.noise_theta}")
-        if self.rescore not in ("gated", "eager"):
-            raise ValueError(f"rescore must be 'gated' or 'eager', got {self.rescore!r}")
 
 
 @dataclass
@@ -71,12 +64,10 @@ class RoundStats:
     replayed for free, and the number of distinct rho computations
     (valuation-cache misses) the round's bids performed.
 
-    The ``rescore_*`` trio breaks down the post-move re-scoring wall
+    The ``rescore_*`` pair breaks down the post-move re-scoring wall
     (see :class:`~repro.core.auction.AuctionSolveStats`): kernel carves
-    the re-scores performed, pair scores the bound-gated memo skipped
-    whole, and ``rescore_batched``, always 0 and kept for readers of
-    ``round_stats``.  Unlike the warm counters these are live in cold
-    mode too — the gated re-score is mode-independent.
+    the re-scores performed and pair scores the bound-gated memo
+    skipped whole.
     """
 
     now: float
@@ -93,7 +84,6 @@ class RoundStats:
     heap_warm_misses: int = 0
     rescore_carves: int = 0
     rescore_skipped: int = 0
-    rescore_batched: int = 0
 
 
 class Arbiter:
@@ -109,9 +99,7 @@ class Arbiter:
         self.config = config or ArbiterConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._speed_of = cluster.machine_speeds()
-        self.auction = PartialAllocationAuction(
-            chunk_size=self.config.chunk_size, rescore=self.config.rescore
-        )
+        self.auction = PartialAllocationAuction(chunk_size=self.config.chunk_size)
         self.rounds = 0
         self.last_outcome: Optional[AuctionOutcome] = None
         self.history: list[RoundStats] = []
@@ -119,11 +107,8 @@ class Arbiter:
         self.tracer = NULL_TRACER
         self.profiler = NULL_PROFILER
         #: Set by the scheduler at bind time when the incremental
-        #: valuation pipeline is on: enables the per-round refresh token
-        #: and the batched round-start rho priming.  ``estimator`` is the
-        #: shared FairnessEstimator the batch prime runs through.
+        #: valuation pipeline is on: enables the per-round refresh token.
         self.incremental = False
-        self.estimator = None
         self._refresh_token = 0
 
     # ------------------------------------------------------------------
@@ -169,24 +154,12 @@ class Arbiter:
         # Step 1: probe all apps for rho; only apps that still want GPUs
         # are eligible bidders.  Under the incremental pipeline the
         # round is stamped with a refresh token (repeat refreshes within
-        # it are one comparison) and every agent's base-bundle carve is
-        # primed in a single batch before the scalar probes — which then
-        # all hit the kernel caches.
+        # it are one comparison).
         token: Optional[int] = None
         with self.profiler.phase("valuation"):
-            if self.incremental and self.estimator is not None:
+            if self.incremental:
                 self._refresh_token += 1
                 token = self._refresh_token
-                prime = []
-                for agent in agents.values():
-                    state = agent.state
-                    state.refresh(token)
-                    marker = (state.cache_generation, state.base_key)
-                    if state.base_primed != marker:
-                        state.base_primed = marker
-                        prime.append((state, state.base_key))
-                if prime:
-                    self.estimator.batch_prime(prime)
             rhos = {
                 app_id: agent.report_rho(now, salt, token)
                 for app_id, agent in agents.items()
@@ -266,7 +239,6 @@ class Arbiter:
                 heap_warm_misses=solve_stats.warm_misses,
                 rescore_carves=solve_stats.rescore_carves,
                 rescore_skipped=solve_stats.rescore_skipped,
-                rescore_batched=solve_stats.rescore_batched,
             )
         )
         return concretise(assignments, pool_by_machine)

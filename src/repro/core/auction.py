@@ -52,8 +52,8 @@ without relying on submodularity of the marginal gains.  Per-solve cost
 drops to ``O(A x M)`` initial scores plus ``O(G/chunk x (A + M))``
 maintenance.
 
-Bound-gated, symmetry-reduced re-scoring (``rescore="gated"``)
---------------------------------------------------------------
+Bound-gated, symmetry-reduced re-scoring
+----------------------------------------
 
 The ``O(A + M)`` post-move re-scores are *precise* valuation probes
 over trajectory-dependent compound bundles — identical work in
@@ -62,9 +62,7 @@ the dominant cost on wide pools.  Plain lazy-CELF stale-heap
 re-validation is NOT exact here: Themis marginal gains are non-monotone
 (a shrinking machine can *raise* a pair's normalized gain — see
 tests/test_rescore_exactness.py for a pinned counterexample), so the
-default ``"gated"`` mode instead applies two *provably exact*
-reductions; ``rescore="eager"`` keeps the plain per-machine re-score
-loop as the oracle the equivalence suites compare against.
+lazy solver instead applies two *provably exact* reductions.
 
 **Skip rule (the invalidation algebra).**  :meth:`_score_pair`'s result
 is a pure function of a key narrower than its argument list:
@@ -219,21 +217,15 @@ class AuctionSolveStats:
     exists to minimise; ``replayed_moves`` counts warm-start moves the
     payment re-solves applied without any scoring at all.
 
-    When warm starts are enabled, ``warm_hits`` counts pair scores
-    served from the pair-score memo and ``warm_misses`` the ones that
-    had to be probed fresh.  Both stay zero on the cold path.
+    ``warm_hits`` counts pair scores served from the per-bid
+    pair-score memo and ``warm_misses`` the ones that had to be probed
+    fresh.
 
-    The ``rescore_*`` trio instruments the post-move re-scoring wall
-    (active in *both* incremental and cold modes): ``rescore_carves``
-    counts kernel carves the row/column re-scores after applied moves
-    performed; ``rescore_skipped`` counts post-move pair scores served
-    whole from the bound-gated memo (no probe at all).  Under
-    ``rescore="eager"`` ``rescore_skipped`` only counts the warm-start
-    memo's hits.  ``rescore_batched`` is always 0: it counted carves of
-    a vectorized post-move prime that the per-class row pass made
-    unreachable; the field stays because ``repro bench`` and
-    ``benchmarks/e2e`` read it.  Total work is
-    ``estimator.carve_count`` — what the CI ceiling gates.
+    The ``rescore_*`` pair instruments the post-move re-scoring wall:
+    ``rescore_carves`` counts kernel carves the row/column re-scores
+    after applied moves performed; ``rescore_skipped`` counts post-move
+    pair scores served whole from the memo (no probe at all).  Total
+    work is ``estimator.carve_count`` — what the CI ceiling gates.
     """
 
     solves: int = 0
@@ -244,7 +236,6 @@ class AuctionSolveStats:
     warm_misses: int = 0
     rescore_carves: int = 0
     rescore_skipped: int = 0
-    rescore_batched: int = 0
 
 
 #: One applied greedy move: (app_id, machine_id, step, value after move).
@@ -272,41 +263,20 @@ class PartialAllocationAuction:
     the pre-refactor full rescan.  Both produce identical assignments
     (see the module docstring); ``"rescan"`` exists for equivalence
     tests and as the ``repro bench`` reference.
-
-    ``rescore`` selects how the lazy solver scores rows and re-scores
-    the row/column a move invalidates: ``"gated"`` (default) applies
-    the bound-gated memo skips and scores one representative per
-    machine class (module docstring, "Bound-gated, symmetry-reduced
-    re-scoring"), ``"eager"`` the plain per-machine loop.  Both are
-    byte-identical — eager is the oracle tests/test_rescore_exactness.py
-    and tests/test_shape_symmetry.py sweep against.
     """
 
-    def __init__(
-        self, chunk_size: int = 4, solver: str = "lazy", rescore: str = "gated"
-    ) -> None:
+    def __init__(self, chunk_size: int = 4, solver: str = "lazy") -> None:
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
         if solver not in ("lazy", "rescan"):
             raise ValueError(f"solver must be 'lazy' or 'rescan', got {solver!r}")
-        if rescore not in ("gated", "eager"):
-            raise ValueError(f"rescore must be 'gated' or 'eager', got {rescore!r}")
         self.chunk_size = chunk_size
         self.solver = solver
-        self.rescore = rescore
         self.last_stats = AuctionSolveStats()
         # Observability hook; the simulator rewires this at bind time.
         self.profiler = NULL_PROFILER
-        #: Warm starts (set by the scheduler at bind time alongside the
-        #: incremental valuation pipeline).  Raw heap entries cannot
-        #: survive a round — scores embed elapsed-dependent values — but
-        #: each bid memoises whole scored pairs, so every re-solve of
-        #: the round (one per winner for hidden payments) rebuilds its
-        #: heap from dict hits instead of re-probing valuations,
-        #: byte-identically to the cold path.  Under ``rescore="gated"``
-        #: the memo is on regardless; this flag then only switches the
-        #: ``warm_hits``/``warm_misses`` accounting on.
-        self.warm_enabled = False
+        #: Shared FairnessEstimator for carve accounting; the scheduler
+        #: binds it, ad-hoc callers leave it and it is read off a bid.
         self.estimator = None
 
     # ------------------------------------------------------------------
@@ -382,48 +352,42 @@ class PartialAllocationAuction:
 
         Whether a pair *is* a rescue is pure in ``current_key`` (it is
         ``bid.value_from_key(current_key) <= 0``), and the two key
-        shapes differ in length, so the paths cannot collide.  The memo
-        is consulted under ``rescore="gated"`` in both warm and cold
-        modes; ``rescore="eager"`` preserves the earlier behaviour of
-        memoising only when warm starts are on.  ``rescore=True`` marks
-        a post-move re-score call (counter attribution only).
+        shapes differ in length, so the paths cannot collide.
+        ``rescore=True`` marks a post-move re-score call (counter
+        attribution only).
         """
         rescue = current_value <= 0.0
-        memo: Optional[dict[tuple, object]] = None
-        memo_key: Optional[tuple] = None
-        if self.warm_enabled or self.rescore == "gated":
-            memo = bid._pair_memo
-            if rescue:
-                memo_key: tuple = (machine_id, current_key)
-            else:
-                memo_key = (
-                    machine_id,
-                    current_key,
-                    min(self.chunk_size, free, headroom),
-                )
-            cached = memo.get(memo_key, _MEMO_MISS)
-            if cached is not _MEMO_MISS:
-                if stats is not None:
-                    if self.warm_enabled:
-                        stats.warm_hits += 1
-                    if rescore:
-                        stats.rescore_skipped += 1
-                if not rescue:
-                    return cached  # type: ignore[return-value]
-                if cached is None:
-                    return None
-                new_value: float = cached  # type: ignore[assignment]
-                key = (
-                    0,
-                    -new_value,
-                    1,
-                    -free * bid.machine_speed(machine_id),
-                    app_id,
-                    machine_id,
-                )
-                return (key, (app_id, machine_id, 1, new_value))
-            if stats is not None and self.warm_enabled:
-                stats.warm_misses += 1
+        memo = bid._pair_memo
+        if rescue:
+            memo_key: tuple = (machine_id, current_key)
+        else:
+            memo_key = (
+                machine_id,
+                current_key,
+                min(self.chunk_size, free, headroom),
+            )
+        cached = memo.get(memo_key, _MEMO_MISS)
+        if cached is not _MEMO_MISS:
+            if stats is not None:
+                stats.warm_hits += 1
+                if rescore:
+                    stats.rescore_skipped += 1
+            if not rescue:
+                return cached  # type: ignore[return-value]
+            if cached is None:
+                return None
+            new_value: float = cached  # type: ignore[assignment]
+            key = (
+                0,
+                -new_value,
+                1,
+                -free * bid.machine_speed(machine_id),
+                app_id,
+                machine_id,
+            )
+            return (key, (app_id, machine_id, 1, new_value))
+        if stats is not None:
+            stats.warm_misses += 1
         if rescue:
             # Rescue with the smallest possible grab: one GPU already
             # makes the app's value positive, and lexicographic
@@ -457,11 +421,10 @@ class PartialAllocationAuction:
                 key = (1, -gain, step, app_id, machine_id)
             if best is None or key < best[0]:
                 best = (key, move)
-        if memo is not None:
-            if rescue:
-                memo[memo_key] = None if best is None else best[1][3]
-            else:
-                memo[memo_key] = best
+        if rescue:
+            memo[memo_key] = None if best is None else best[1][3]
+        else:
+            memo[memo_key] = best
         return best
 
     def _solve_lazy(
@@ -497,7 +460,6 @@ class PartialAllocationAuction:
         app_version = {a: 0 for a in apps}
         machine_version = {m: 0 for m in remaining}
         heap: list[tuple] = []
-        grouped = self.rescore == "gated"
         # Carve accounting needs the shared estimator; the scheduler
         # binds it on the auction, ad-hoc callers reach it through any
         # bid (all of an auction's bids share one).  Instrumentation
@@ -548,7 +510,7 @@ class PartialAllocationAuction:
             headroom = bid.demand - granted[app_id]
             if headroom <= 0:
                 return
-            if not grouped or len(remaining) < _CLASS_MIN_POOL or bid.noise_theta > 0.0:
+            if len(remaining) < _CLASS_MIN_POOL or bid.noise_theta > 0.0:
                 for machine_id in remaining:
                     push_pair(app_id, machine_id, rescore)
                 return

@@ -129,13 +129,12 @@ class Bid:
         # ``new_value`` (see PartialAllocationAuction._score_pair for
         # the proof sketch).  Keying on the effective step bound instead
         # of raw ``free`` means a column shrink that leaves the bound
-        # unchanged is a guaranteed hit.  Under ``rescore="gated"`` a
-        # row holds one entry per machine *class* (the representative
-        # the solver scored; the other members' heap entries are
-        # stamped from it and never reach the memo), so the payment
-        # re-solves rebuild their heaps from a handful of dict lookups
-        # per row.  Like the rho cache it dies with the bid — scores
-        # embed clock-dependent values.
+        # unchanged is a guaranteed hit.  A row holds one entry per
+        # machine *class* (the representative the solver scored; the
+        # other members' heap entries are stamped from it and never
+        # reach the memo), so the payment re-solves rebuild their heaps
+        # from a handful of dict lookups per row.  Like the rho cache
+        # it dies with the bid — scores embed clock-dependent values.
         self._pair_memo: dict[tuple, object] = {}
         self.rho_probes = 0
         self.rho_lookups = 0
@@ -168,8 +167,8 @@ class Bid:
         """Canonical key of the app's holdings plus bundle ``key``.
 
         This is the key :meth:`rho_from_key` will probe the estimator
-        with — the auction's warm start uses it to batch-prime the
-        kernel caches before the heap build issues scalar probes.
+        with — the auction's row pass reads the held machine ids off it
+        to place each free machine in its class.
         """
         return _merge_keys(self._state.base_key, key)
 

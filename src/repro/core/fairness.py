@@ -30,19 +30,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
-
-try:  # pragma: no cover - exercised by the no-numpy CI leg
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 from repro.cluster.placement import LocalityLevel, SensitivityProfile
 from repro.cluster.topology import Cluster
@@ -559,15 +549,13 @@ def bundle_shape(
     of ``(rack label by first appearance, speeds, count)``.
 
     **Lemma (shape symmetry).**  For a fixed job-tuple sequence the
-    allotments of :func:`_carve_fast`, :func:`_carve_fast_family`,
-    :func:`_carve_batch`, :func:`_carve_batch_numpy` and
+    allotments of :func:`_carve_fast`, :func:`_carve_fast_family` and
     :func:`_carve_reference` are a pure function of the bundle's shape;
     two bundles with equal shapes carve to bit-identical floats.
 
     *Proof.*  Each kernel touches a machine through four reads only.
     (1) Its *id*, solely inside ``eff == best_eff and mid < best_mid``
-    (the heap oracle's ``(-eff, machine_id, ...)`` entries, the numpy
-    kernel's first-maximum ``argmax`` over id-ordered columns): an
+    (the heap oracle's ``(-eff, machine_id, ...)`` entries): an
     order comparison, so the winner of every tie is fixed by the
     machines' relative id order — the order the shape lists them in.
     (2) Its *rack id*, solely inside ``rids[i] in used_racks`` /
@@ -598,267 +586,6 @@ def bundle_shape(
         rack_id, speeds = reads[machine_id]
         shape.append((labels.setdefault(rack_id, len(labels)), speeds, count))
     return tuple(shape)
-
-
-#: One batch-carve instance: (job_tuples, canonical counts key).
-_CarveInstance = tuple[Sequence[_JobTuple], tuple[tuple[int, int], ...]]
-
-#: Below this many instances the per-call numpy overhead outweighs the
-#: vectorisation; the scalar kernel is run in a loop instead.  Purely a
-#: perf knob — both paths are byte-identical.
-_BATCH_MIN = 6
-
-#: Rows narrower than this many machines carve faster through the
-#: scalar kernel than through the lockstep pass (the masked argmax
-#: replaces a linear scan that short, while the per-iteration numpy
-#: overhead and the per-job transitions stay).  Purely a perf knob —
-#: both paths are byte-identical.
-_LOCKSTEP_MIN_WIDTH = 16
-
-_batch_fallback_warned = False
-
-
-def _carve_batch(
-    instances: Sequence[_CarveInstance],
-    rack_of: Mapping[int, int],
-    nvlink_group_size: int,
-    speed_of: Optional[Mapping[int, float]] = None,
-    family_speed_of: FamilySpeedFn = None,
-) -> list[tuple[list[_Carved], int]]:
-    """Carve many (job_tuples, counts-key) instances in one pass.
-
-    Returns one ``(allotments, next_index)`` per instance, byte-identical
-    to calling :func:`_carve_fast` on each (property-tested in
-    tests/test_batch_carve.py).  With numpy available and enough
-    instances, all rows advance in lockstep through a padded 2-D machine
-    layout — one masked argmax replaces the per-instance linear scans.
-    Without numpy the batch degrades to the scalar kernel with a
-    one-time warning.
-    """
-    global _batch_fallback_warned
-    if _np is None:
-        if not _batch_fallback_warned:
-            warnings.warn(
-                "numpy unavailable: batch carve falling back to the scalar "
-                "python kernel (results are identical, only slower)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _batch_fallback_warned = True
-    if _np is None or len(instances) < _BATCH_MIN:
-        return [
-            _carve_fast(
-                tuples,
-                dict(counts_key),
-                rack_of,
-                nvlink_group_size,
-                speed_of,
-                family_speed_of,
-            )
-            for tuples, counts_key in instances
-        ]
-    # Width routing: the lockstep pass replaces the scalar kernel's
-    # per-grab linear machine scan with one masked argmax, so it can
-    # only pay its per-iteration numpy overhead back on *wide* rows
-    # (many machines per bundle).  Narrow rows — the overwhelming case
-    # for post-move re-score candidates, whose bundles are one app's
-    # holdings plus a single-machine step — are measurably faster
-    # through the scalar kernel, so they are carved row-by-row here
-    # and only the wide tail goes lockstep.  Pure routing: both sides
-    # produce identical bytes for every instance.
-    narrow: list[int] = []
-    wide: list[int] = []
-    for i, (_tuples, counts_key) in enumerate(instances):
-        rowlen = sum(1 for _m, c in counts_key if c > 0)
-        (narrow if rowlen < _LOCKSTEP_MIN_WIDTH else wide).append(i)
-    results: list = [None] * len(instances)
-    for i in narrow:
-        tuples, counts_key = instances[i]
-        results[i] = _carve_fast(
-            tuples,
-            dict(counts_key),
-            rack_of,
-            nvlink_group_size,
-            speed_of,
-            family_speed_of,
-        )
-    if wide:
-        if len(wide) == len(instances):
-            wide_results = _carve_batch_numpy(
-                instances, rack_of, nvlink_group_size, speed_of, family_speed_of
-            )
-            return wide_results
-        wide_results = _carve_batch_numpy(
-            [instances[i] for i in wide],
-            rack_of,
-            nvlink_group_size,
-            speed_of,
-            family_speed_of,
-        )
-        for i, res in zip(wide, wide_results):
-            results[i] = res
-    return results
-
-
-def _carve_batch_numpy(
-    instances: Sequence[_CarveInstance],
-    rack_of: Mapping[int, int],
-    nvlink_group_size: int,
-    speed_of: Optional[Mapping[int, float]],
-    family_speed_of: FamilySpeedFn,
-) -> list[tuple[list[_Carved], int]]:
-    """Numpy lockstep edition of :func:`_carve_fast` over many instances.
-
-    Data layout: machines live in padded ``(B, Mmax)`` arrays (counts,
-    rack ids, per-row speeds), one row per instance, columns ordered by
-    machine id (the canonical key order) so ``argmax`` — which returns
-    the *first* maximum — reproduces the scalar kernel's lower-id
-    tie-break exactly.  Every float is produced by the same IEEE-754
-    operation sequence as the scalar kernel (``count * speed`` products,
-    one ``grab * speed`` accumulation per grab in grab order), so rates
-    are byte-identical, not merely close.  Job transitions (locality
-    classification, sensitivity lookup) stay in python — they touch
-    profile objects and happen once per *served job*, not per grab.
-    """
-    np = _np
-    num = len(instances)
-    rows: list[list[tuple[int, int]]] = [
-        [(m, c) for m, c in counts_key if c > 0] for _tuples, counts_key in instances
-    ]
-    width = max((len(row) for row in rows), default=0)
-    results: list[Optional[tuple[list[_Carved], int]]] = [None] * num
-    if width == 0:
-        for i, (tuples, _counts_key) in enumerate(instances):
-            results[i] = ([], 0 if tuples else 1)
-        return results  # type: ignore[return-value]
-    scalar_mode = family_speed_of is None
-    cnt = np.zeros((num, width), dtype=np.int64)
-    rid = np.full((num, width), -1, dtype=np.int64)
-    spd = np.ones((num, width), dtype=np.float64)
-    for i, row in enumerate(rows):
-        for j, (machine_id, count) in enumerate(row):
-            cnt[i, j] = count
-            rid[i, j] = rack_of[machine_id]
-            if scalar_mode and speed_of is not None:
-                spd[i, j] = speed_of.get(machine_id, 1.0)
-    fam_cache: list[dict[str, object]] = [{} for _ in range(num)]
-
-    need = np.zeros(num, dtype=np.int64)
-    effective = np.zeros(num, dtype=np.float64)
-    taken = np.zeros(num, dtype=np.int64)
-    first_cnt = np.zeros(num, dtype=np.int64)
-    nracks = np.zeros(num, dtype=np.int64)
-    rack_used = np.zeros((num, width), dtype=bool)
-    active = np.zeros(num, dtype=bool)
-    jidx = [0] * num
-    cap = [0] * num
-    out: list[list[_Carved]] = [[] for _ in range(num)]
-
-    def finalize(i: int) -> bool:
-        """Close out row ``i``'s current job; True if it got GPUs."""
-        total = cap[i] - int(need[i])
-        if total <= 0:
-            return False
-        job = instances[i][0][jidx[i]]
-        if int(taken[i]) == 1:
-            level = (
-                LocalityLevel.SLOT
-                if int(first_cnt[i]) <= nvlink_group_size
-                else LocalityLevel.MACHINE
-            )
-        elif int(nracks[i]) == 1:
-            level = LocalityLevel.RACK
-        else:
-            level = LocalityLevel.CLUSTER
-        eff = float(effective[i])
-        factor = 1.0 if total <= 1 else job[2].at(level)
-        out[i].append((job, total, level, eff * factor, eff))
-        return True
-
-    def setup(i: int) -> None:
-        """Start row ``i``'s next job, or record its final result."""
-        tuples = instances[i][0]
-        j = jidx[i]
-        if j >= len(tuples):
-            active[i] = False
-            results[i] = (out[i], len(tuples) if tuples else 1)
-            return
-        if not cnt[i].any():
-            active[i] = False
-            results[i] = (out[i], j)
-            return
-        job = tuples[j]
-        job_cap = job[1]
-        if job_cap <= 0:
-            active[i] = False
-            results[i] = (out[i], j)
-            return
-        cap[i] = job_cap
-        need[i] = job_cap
-        taken[i] = 0
-        first_cnt[i] = 0
-        effective[i] = 0.0
-        nracks[i] = 0
-        rack_used[i, :] = False
-        if not scalar_mode:
-            fam = job[4]
-            vec = fam_cache[i].get(fam)
-            if vec is None:
-                speed_map = family_speed_of(fam)
-                padded = [speed_map.get(m, 1.0) for m, _c in rows[i]]
-                padded.extend([1.0] * (width - len(padded)))
-                vec = np.asarray(padded, dtype=np.float64)
-                fam_cache[i][fam] = vec
-            spd[i] = vec
-        active[i] = True
-
-    def advance(i: int) -> None:
-        """Scalar-kernel job boundary: append, step, or stop the row."""
-        if finalize(i):
-            jidx[i] += 1
-            setup(i)
-        else:
-            active[i] = False
-            results[i] = (out[i], jidx[i])
-
-    for i in range(num):
-        setup(i)
-
-    while True:
-        act = np.nonzero(active)[0]
-        if act.size == 0:
-            break
-        sub_cnt = cnt[act]
-        eff = sub_cnt * spd[act]
-        valid = sub_cnt > 0
-        pref = valid & rack_used[act]
-        has_pref = pref.any(axis=1)
-        mask = np.where(has_pref[:, None], pref, valid)
-        eff = np.where(mask, eff, -1.0)
-        best = eff.argmax(axis=1)
-        lanes = np.arange(act.size)
-        grabbed = mask[lanes, best]
-        for i in act[~grabbed]:
-            # Pool drained mid-job: the scalar kernel breaks, closes the
-            # partial job, then stops at the next index.
-            advance(int(i))
-        if not grabbed.any():
-            continue
-        hit = act[grabbed]
-        col = best[grabbed]
-        grab = np.minimum(need[hit], cnt[hit, col])
-        cnt[hit, col] -= grab
-        effective[hit] += grab * spd[hit, col]
-        taken[hit] += 1
-        first = taken[hit] == 1
-        first_cnt[hit[first]] = grab[first]
-        grabbed_rack = rid[hit, col]
-        nracks[hit] += ~rack_used[hit, col]
-        rack_used[hit] = rack_used[hit] | (rid[hit] == grabbed_rack[:, None])
-        need[hit] -= grab
-        for i in hit[need[hit] == 0]:
-            advance(int(i))
-    return results  # type: ignore[return-value]
 
 
 def _job_tuples(jobs: Sequence[Job]) -> list[_JobTuple]:
@@ -1161,85 +888,6 @@ class FairnessEstimator:
             if rate > 0
         )
 
-    def batch_prime(
-        self,
-        pairs: Sequence[tuple["AppValuationState", tuple[tuple[int, int], ...]]],
-    ) -> tuple[int, int]:
-        """Pre-fill many states' kernel caches in one vectorized carve.
-
-        ``pairs`` holds ``(state, canonical_total_key)`` bundles about to
-        be probed — the arbiter's round-start base rhos; any compound
-        multi-machine bundle is accepted.  Bundles whose *shape*
-        (:func:`bundle_shape`) is already cached — or appears earlier in
-        this batch — are skipped; the misses run through
-        :func:`_carve_batch` in one numpy pass and land in the shape
-        slot :meth:`AppValuationState.delta_of` would have filled
-        scalar-ly — same floats, same ``carve_count`` accounting — so
-        every later probe of any bundle of that shape is a pure cache
-        hit.  Returns ``(carves, cache_hits)``: shapes carved fresh
-        versus bundles already warm.
-        """
-        first_winner = self.semantics is CompletionSemantics.FIRST_WINNER
-        todo: list[tuple[AppValuationState, tuple[tuple[int, int], ...], tuple]] = []
-        seen: set[tuple[int, tuple]] = set()
-        hits = 0
-        for state, key in pairs:
-            snap = state.snapshot
-            if snap is None or not key or not snap.job_tuples:
-                continue
-            shape = bundle_shape(key, state.machine_reads)
-            if first_winner:
-                if shape in state._fw_pair_cache or shape in state._delta_cache:
-                    hits += 1
-                    continue
-            else:
-                if snap.total_remaining <= 0 or shape in state._rate_cache:
-                    hits += 1
-                    continue
-            handle = (id(state), shape)
-            if handle in seen:
-                hits += 1
-                continue
-            seen.add(handle)
-            todo.append((state, key, shape))
-        if not todo:
-            return 0, hits
-        instances = [(state.snapshot.job_tuples, key) for state, key, _shape in todo]
-        if self.profiler.enabled:
-            with self.profiler.phase("batch_carve"):
-                carved_all = _carve_batch(
-                    instances,
-                    self._rack_of,
-                    self.nvlink_group_size,
-                    self._speed_of,
-                    self._family_speed_fn,
-                )
-        else:
-            carved_all = _carve_batch(
-                instances,
-                self._rack_of,
-                self.nvlink_group_size,
-                self._speed_of,
-                self._family_speed_fn,
-            )
-        self.carve_count += len(todo)
-        for (state, _key, shape), (carved, _next_index) in zip(todo, carved_all):
-            if first_winner:
-                fw_pairs = tuple(
-                    (job[3], rate)
-                    for job, _gpus, _level, rate, _effective in carved
-                    if rate > 0
-                )
-                if len(state._fw_pair_cache) >= _DELTA_CACHE_LIMIT:
-                    state._fw_pair_cache.clear()
-                state._fw_pair_cache[shape] = fw_pairs
-            else:
-                aggregate = sum(rate for *_, rate, _effective in carved)
-                if len(state._rate_cache) >= _DELTA_CACHE_LIMIT:
-                    state._rate_cache.clear()
-                state._rate_cache[shape] = aggregate
-        return len(todo), hits
-
     def shared_delta_from_snapshot(
         self, snap: AppSnapshot, machine_counts: Mapping[int, int]
     ) -> float:
@@ -1408,8 +1056,6 @@ class AppValuationState:
         "_base_alloc",
         "_refresh_token",
         "_sorted_jobs",
-        "cache_generation",
-        "base_primed",
     )
 
     def __init__(
@@ -1446,13 +1092,6 @@ class AppValuationState:
         #: Job objects aligned with ``snapshot.job_tuples`` — the drift
         #: fast path re-reads each job's remaining work along this order.
         self._sorted_jobs: Optional[list[Job]] = None
-        #: Bumped whenever the kernel caches are invalidated (rate
-        #: signature change).  ``base_primed`` is the ``(generation,
-        #: base_key)`` pair the arbiter's round-start base-bundle prime
-        #: last submitted, so an app whose holdings and rates are
-        #: unchanged is not re-probed.
-        self.cache_generation = 0
-        self.base_primed: Optional[tuple] = None
 
     def refresh(self, token: Optional[int] = None) -> AppSnapshot:
         """Rebuild the snapshot and caches when dirty; no-op when clean.
@@ -1615,7 +1254,6 @@ class AppValuationState:
             self.machine_reads = self.estimator.machine_reads(tuples)
             self._rate_cache = {}
             self._fw_pair_cache = {}
-            self.cache_generation += 1
         return AppSnapshot(
             app_id=app.app_id,
             arrival_time=app.arrival_time,

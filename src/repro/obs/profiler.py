@@ -23,7 +23,6 @@ KNOWN_PHASES = (
     "assign",
     "valuation",
     "carve",
-    "batch_carve",
     "auction_solve",
     "rescore",
     "payment_resolves",

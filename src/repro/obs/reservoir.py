@@ -1,12 +1,11 @@
 """Bounded append-only series: the streaming-metrics reservoir layer.
 
-:class:`ReservoirSeries` is the generalisation of the simulator's old
-``DownsampledSeries`` (which is now an alias of this class): an
-append-only series bounded to at most ``cap`` retained entries whose
-retained set is always "every ``stride``-th append".  Whenever the
-retained list would exceed ``cap``, every second retained entry is
-dropped and the stride doubles, so long traces keep an evenly thinned
-record instead of growing without bound (or truncating one end).
+:class:`ReservoirSeries` is an append-only series bounded to at most
+``cap`` retained entries whose retained set is always "every
+``stride``-th append".  Whenever the retained list would exceed
+``cap``, every second retained entry is dropped and the stride doubles,
+so long traces keep an evenly thinned record instead of growing without
+bound (or truncating one end).
 
 This is the storage substrate of :mod:`repro.obs.metrics` (per-round
 series, histogram reservoirs) and of the thinned ``per_round`` solver

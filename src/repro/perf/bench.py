@@ -591,16 +591,14 @@ def run_sim_bench(profile: SimBenchProfile, repeats: int = 1) -> dict:
         seconds = best["seconds"]
         result = best["result"]
         # Post-move re-scoring accounting (deterministic per profile
-        # and mode): carves the re-scores did, memo skips, and the
-        # always-zero batched category.  The CI ceiling is on *total*
-        # carves per move (:func:`carves_per_move`), not on any of
-        # these categories.
+        # and mode): carves the re-scores did and memo skips.  The CI
+        # ceiling is on *total* carves per move
+        # (:func:`carves_per_move`), not on either category.
         totals = (result.round_stats or {}).get("totals", {})
         solver = {
             "moves": totals.get("solver_moves", 0),
             "rescore_carves": totals.get("rescore_carves", 0),
             "rescore_skipped": totals.get("rescore_skipped", 0),
-            "rescore_batched": totals.get("rescore_batched", 0),
         }
         return {
             "seconds": seconds,
@@ -684,9 +682,9 @@ def run_sim_suite(
 def carves_per_move(side: Mapping) -> Optional[float]:
     """Total precise carves per applied solver move of one bench side.
 
-    ``estimator.carve_count / moves`` over the whole replay — on-demand
-    probes, batch primes and round-start base primes alike — so work
-    that moves between categories cannot hide from the ceiling.
+    ``estimator.carve_count / moves`` over the whole replay — rho
+    probes, bid preparation and solver re-scores alike — so work that
+    moves between categories cannot hide from the ceiling.
     Deterministic per profile and mode; derived from fields every
     committed record already carries.
     """

@@ -70,11 +70,7 @@ class ThemisScheduler(InterAppScheduler):
             config=self.config,
             rng=np.random.default_rng(self.seed),
         )
-        # The batch valuation engine and the auction warm starts ride on
-        # the incremental pipeline; the cold baseline runs neither.
         self.arbiter.incremental = self.incremental
-        self.arbiter.estimator = self.estimator
-        self.arbiter.auction.warm_enabled = self.incremental
         self.arbiter.auction.estimator = self.estimator
         obs = getattr(self.sim, "obs", None)
         if obs is not None:

@@ -64,6 +64,9 @@ logger = logging.getLogger("repro.service.api")
 #: find it from ``--dir`` alone.
 ENDPOINT_FILE = "service.json"
 
+#: Largest request body the handler reads; longer ones get a 413.
+MAX_BODY_BYTES = 1 << 20
+
 _STATUS_BY_REASON = {
     "max_queued_jobs": 429,
     "store_unavailable": 503,
@@ -75,6 +78,7 @@ _STATUS_BY_REASON = {
     "token_mismatch": 409,
     "already_redeemed": 409,
     "malformed_token": 400,
+    "body_too_large": 413,
 }
 
 #: Reasons the client rebuilds as :class:`TokenError` (fencing, not
@@ -314,7 +318,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(500, {"error": str(error), "reason": "internal"})
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        # Checked before reading: read(-1) would block this handler
+        # thread until the client hangs up, a huge length allocates it.
+        if not header.isdecimal():
+            raise ServiceError(
+                f"bad Content-Length {header!r}", reason="bad_content_length"
+            )
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise ServiceError(
+                f"request body over {MAX_BODY_BYTES} bytes", reason="body_too_large"
+            )
         if length == 0:
             return {}
         data = self.rfile.read(length)

@@ -42,11 +42,6 @@ from repro.workload.trace import Trace
 #: Work below this threshold counts as finished (floating-point dust).
 _WORK_EPSILON = 1e-6
 
-#: Backward-compatible name: the bounded series grew into the
-#: observability layer's generalised reservoir (merge support,
-#: histogram backing) and lives in :mod:`repro.obs.reservoir` now.
-DownsampledSeries = ReservoirSeries
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -366,9 +361,9 @@ class ClusterSimulator:
         self.peak_contention = 0.0
         cap = self.config.downsample
         self.contention_samples = (
-            DownsampledSeries(cap) if cap else []
+            ReservoirSeries(cap) if cap else []
         )  # type: ignore[assignment]
-        self.timeline = DownsampledSeries(cap) if cap else []  # type: ignore[assignment]
+        self.timeline = ReservoirSeries(cap) if cap else []  # type: ignore[assignment]
         #: Streaming metrics registry; owns the fragmentation and
         #: starvation per-round series (same downsample cap contract).
         self.metrics = MetricsRegistry(downsample=cap)
@@ -1152,7 +1147,6 @@ class ClusterSimulator:
             "heap_warm_misses": 0,
             "rescore_carves": 0,
             "rescore_skipped": 0,
-            "rescore_batched": 0,
         }
         for rs in history:
             for key in totals:

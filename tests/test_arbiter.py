@@ -111,6 +111,35 @@ def test_leftover_allocation_disabled(small_cluster, estimator):
     assert set(grants) <= {"a"}
 
 
+def test_unchanged_apps_pay_no_base_carve_in_the_next_round(
+    small_cluster, estimator, monkeypatch
+):
+    """Holdings and rate signatures unchanged: round two's rho probes
+    are pure shape-cache hits (no round-start prime needed for that)."""
+    arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=0.0))
+    arbiter.incremental = True
+    agents = agents_for(estimator, [("a", 2, 0.0), ("b", 2, 0.0)])
+    held = [small_cluster.machines[0].gpus[:2], small_cluster.machines[1].gpus[:1]]
+    for agent, gpus in zip(agents.values(), held):
+        agent.app.jobs[0].set_allocation(0.0, Allocation(gpus))
+    taken = {gpu.gpu_id for gpus in held for gpu in gpus}
+    pool = [gpu for gpu in small_cluster.gpus if gpu.gpu_id not in taken]
+    probe_carves = []
+    report_rho = Agent.report_rho
+
+    def counted(agent, *args):
+        before = estimator.carve_count
+        rho = report_rho(agent, *args)
+        probe_carves[-1] += estimator.carve_count - before
+        return rho
+
+    monkeypatch.setattr(Agent, "report_rho", counted)
+    for now in (10.0, 20.0):
+        probe_carves.append(0)
+        arbiter.offer_resources(now, pool, agents)
+    assert probe_carves == [2, 0]
+
+
 def test_round_stats_recorded(small_cluster, estimator):
     arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=0.5))
     agents = agents_for(estimator, [("a", 2, 10.0), ("b", 2, 5.0)])

@@ -4,12 +4,13 @@ import pytest
 
 from repro.experiments.config import tiny_scenario
 from repro.experiments.runner import run_scenario
-from repro.simulation.simulator import DownsampledSeries, SimulationConfig
+from repro.obs import ReservoirSeries
+from repro.simulation.simulator import SimulationConfig
 
 
 def test_series_respects_cap_at_any_length():
     for cap in (2, 3, 8, 50):
-        series = DownsampledSeries(cap)
+        series = ReservoirSeries(cap)
         for i in range(1000):
             series.append(i)
             assert len(series) <= cap
@@ -17,7 +18,7 @@ def test_series_respects_cap_at_any_length():
 
 
 def test_series_keeps_every_strideth_append():
-    series = DownsampledSeries(4)
+    series = ReservoirSeries(4)
     for i in range(16):
         series.append(i)
     items = list(series)
@@ -27,7 +28,7 @@ def test_series_keeps_every_strideth_append():
 
 
 def test_series_below_cap_keeps_everything():
-    series = DownsampledSeries(100)
+    series = ReservoirSeries(100)
     for i in range(50):
         series.append(i)
     assert list(series) == list(range(50))
@@ -35,7 +36,7 @@ def test_series_below_cap_keeps_everything():
 
 def test_series_rejects_degenerate_cap():
     with pytest.raises(ValueError):
-        DownsampledSeries(1)
+        ReservoirSeries(1)
 
 
 def test_config_validates_downsample():
@@ -67,7 +68,7 @@ def test_bounded_run_stays_within_cap_and_metrics_match():
 
 
 def test_series_stride_doubles_on_each_decimation():
-    series = DownsampledSeries(4)
+    series = ReservoirSeries(4)
     assert series._stride == 1
     for i in range(5):  # fifth append overflows the cap of 4
         series.append(i)
@@ -80,7 +81,7 @@ def test_series_stride_doubles_on_each_decimation():
 
 
 def test_series_len_and_iter_protocols():
-    series = DownsampledSeries(8)
+    series = ReservoirSeries(8)
     assert len(series) == 0
     assert list(series) == []
     for i in range(6):
@@ -92,7 +93,7 @@ def test_series_len_and_iter_protocols():
 
 def test_series_cap_invariant_under_many_appends():
     for cap in (2, 5, 16):
-        series = DownsampledSeries(cap)
+        series = ReservoirSeries(cap)
         for i in range(10_000):
             series.append((i, float(i)))  # tuple payloads survive intact
             assert len(series) <= cap

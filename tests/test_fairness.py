@@ -7,10 +7,12 @@ import pytest
 from repro.cluster.allocation import Allocation
 from repro.cluster.placement import LocalityLevel
 from repro.core.fairness import (
+    VALUE_CEILING,
     FairnessEstimator,
     carve_allotments,
     job_tuples_of,
     packing_utility,
+    value_from_rho,
 )
 from repro.workload.app import CompletionSemantics
 
@@ -169,3 +171,14 @@ def test_value_is_inverse_rho(small_cluster):
     app = make_app(num_jobs=1, max_parallelism=4)
     rho = estimator.rho(app, 0.0, {0: 4})
     assert estimator.value(app, 0.0, {0: 4}) == pytest.approx(1.0 / rho)
+
+
+def test_value_from_rho_clamps_degenerate_rho():
+    # rho <= 0 (estimated shared finish not ahead of now) must clamp to
+    # the finite ceiling, never inf — the solver's log-gain keys and
+    # nash_log_welfare stay totally ordered.
+    assert value_from_rho(0.0) == VALUE_CEILING
+    assert value_from_rho(-3.5) == VALUE_CEILING
+    assert value_from_rho(1e-15) == VALUE_CEILING
+    assert value_from_rho(float("inf")) == 0.0
+    assert value_from_rho(2.0) == 0.5

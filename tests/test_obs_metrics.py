@@ -1,10 +1,10 @@
 """Reservoir extraction and the streaming metrics registry.
 
-``ReservoirSeries`` replaced the simulator-private ``DownsampledSeries``
-(now an alias).  The extraction must be behaviour-preserving: the
-retention pattern is pinned against a verbatim copy of the seed
-implementation, and a downsampled simulation's contention/timeline
-output must equal the seed thinning of the full-resolution run.
+``ReservoirSeries`` replaced a simulator-private bounded series.  The
+extraction must be behaviour-preserving: the retention pattern is
+pinned against a verbatim copy of the seed implementation, and a
+downsampled simulation's contention/timeline output must equal the
+seed thinning of the full-resolution run.
 """
 
 import json
@@ -24,13 +24,13 @@ from repro.obs import (
 )
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.failures import FailureInjector, MachineFailure
-from repro.simulation.simulator import ClusterSimulator, DownsampledSeries
+from repro.simulation.simulator import ClusterSimulator
 
 
-class _SeedDownsampledSeries:
+class _SeedSeries:
     """The pre-extraction implementation, copied verbatim from the seed
-    ``repro.simulation.simulator.DownsampledSeries`` — the oracle the
-    extracted :class:`ReservoirSeries` must match append for append."""
+    simulator — the oracle the extracted :class:`ReservoirSeries` must
+    match append for append."""
 
     __slots__ = ("cap", "_stride", "_appends", "_items")
 
@@ -54,14 +54,10 @@ class _SeedDownsampledSeries:
 # ----------------------------------------------------------------------
 # Extraction equivalence
 # ----------------------------------------------------------------------
-def test_downsampled_series_is_the_reservoir():
-    assert DownsampledSeries is ReservoirSeries
-
-
 @pytest.mark.parametrize("cap", (2, 3, 5, 8, 64))
 @pytest.mark.parametrize("n", (0, 1, 7, 100, 1000))
 def test_retention_matches_the_seed_implementation(cap, n):
-    new, seed = ReservoirSeries(cap), _SeedDownsampledSeries(cap)
+    new, seed = ReservoirSeries(cap), _SeedSeries(cap)
     for item in range(n):
         new.append(item)
         seed.append(item)
@@ -106,7 +102,7 @@ def test_downsampled_run_equals_seed_thinning_of_full_run():
         (full.starvation_samples, capped.starvation_samples),
     ):
         assert len(full_seq) > 8, "scenario too small to exercise thinning"
-        oracle = _SeedDownsampledSeries(8)
+        oracle = _SeedSeries(8)
         for item in full_seq:
             oracle.append(item)
         assert json.dumps(capped_seq) == json.dumps(oracle._items)

@@ -1,9 +1,9 @@
 """The bound-gated, symmetry-reduced post-move re-scoring is exact.
 
 The lazy solver's post-move invalidation re-scores its full row and
-column after every applied move — the wide-pool wall.
-``rescore="gated"`` (the default) attacks it two ways, and this suite
-holds both to the per-machine eager oracle byte-for-byte:
+column after every applied move — the wide-pool wall.  It attacks it
+two ways, and this suite holds both to the full-rescan reference
+solver (``solver="rescan"``) byte-for-byte:
 
 * **bound-gated skips** — :meth:`PartialAllocationAuction._score_pair`
   memoises under the exact purity key of the score (gain path:
@@ -16,29 +16,27 @@ holds both to the per-machine eager oracle byte-for-byte:
   (pools of 4+ machines; tests/test_shape_symmetry.py holds the lemma
   and the wide-market sweep).
 
-The sweep covers 200+ seeded markets x homogeneous / heterogeneous
-fleets x scalar / throughput-matrix perf models x warm (incremental)
-and cold solves, asserting *move sequences* and full outcome digests of
-the gated solver equal ``rescore="eager"``'s.  The adversarial test
-pins the non-monotone-gain counterexample (a shrinking machine RAISES
-a pair's normalized gain) that rules out plain lazy-CELF stale-heap
-re-validation and motivates proven skips instead.  The fallback test
-re-runs the sweep core with numpy gated off (results identical).
+The sweep covers seeded markets x homogeneous / heterogeneous fleets x
+scalar / ``rate-inversion`` perf models x ``ALL_JOBS`` / ``FIRST_WINNER``
+x exact / noisy valuations, asserting the full ``run()`` outcome
+(proportional-fair assignment, payments, winners, leftovers, welfare)
+of the default solver equals the rescan reference's.  The adversarial
+test pins the non-monotone-gain counterexample (a shrinking machine
+RAISES a pair's normalized gain) that rules out plain lazy-CELF
+stale-heap re-validation and motivates proven skips instead.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
-import repro.core.fairness as fairness
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
-from repro.core.auction import _MEMO_MISS, PartialAllocationAuction, _merged_key
+from repro.core.auction import _MEMO_MISS, AuctionSolveStats, PartialAllocationAuction
 from repro.core.bids import build_bid
 from repro.core.fairness import FairnessEstimator
-from repro.perf.bench import _outcome_digest
+from repro.workload.app import CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
 
 from helpers import make_app
@@ -50,7 +48,13 @@ MODELS = ("resnet50", "vgg16", "transformer", "inceptionv3", "lstm-lm")
 # ----------------------------------------------------------------------
 # Market generator
 # ----------------------------------------------------------------------
-def random_market(rng: random.Random, hetero: bool, perf_matrix: bool):
+def random_market(
+    rng: random.Random,
+    hetero: bool,
+    perf_matrix: bool,
+    semantics: CompletionSemantics = CompletionSemantics.ALL_JOBS,
+    noise_theta: float = 0.0,
+):
     """One seeded (pool, bids-factory) market.
 
     Some apps already hold GPUs (gain-path scores over compound
@@ -84,7 +88,7 @@ def random_market(rng: random.Random, hetero: bool, perf_matrix: bool):
         if perf_matrix
         else None
     )
-    estimator = FairnessEstimator(cluster, perf_model=perf_model)
+    estimator = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
 
     num_apps = rng.randint(2, 6)
     apps = []
@@ -96,6 +100,7 @@ def random_market(rng: random.Random, hetero: bool, perf_matrix: bool):
                 model=rng.choice(MODELS),
                 serial_work=rng.uniform(20.0, 400.0),
                 max_parallelism=rng.randint(1, 4),
+                semantics=semantics,
             )
         )
     # Hand a random slice of the fleet to a random subset of apps, so
@@ -112,92 +117,83 @@ def random_market(rng: random.Random, hetero: bool, perf_matrix: bool):
         for machine in machines[len(held):]
     }
     now = rng.uniform(10.0, 200.0)
+    salt = rng.randint(0, 1 << 16)
 
     def bids_factory():
         return {
-            app.app_id: build_bid(app, estimator, now, pool)
+            app.app_id: build_bid(
+                app, estimator, now, pool, noise_theta=noise_theta, noise_salt=salt
+            )
             for app in apps
             if app.unmet_demand() > 0
         }
 
-    return pool, bids_factory, estimator
+    return pool, bids_factory
 
 
-def solve_both(pool, bids_factory, estimator, warm: bool, chunk_size: int = 4):
-    """(moves, digest, stats) for the gated solver and the eager oracle."""
-    results = {}
-    for mode in ("gated", "eager"):
-        auction = PartialAllocationAuction(chunk_size=chunk_size, rescore=mode)
-        if warm:
-            auction.warm_enabled = True
-            auction.estimator = estimator
-        bids = bids_factory()
-        if not bids:
-            return None
-        _assignment, moves = auction._solve(pool, bids, stats=auction.last_stats)
-        outcome = PartialAllocationAuction(
-            chunk_size=chunk_size, rescore=mode
-        ).run(pool, bids_factory(), apply_hidden_payments=True)
-        results[mode] = (moves, _outcome_digest(outcome), auction.last_stats)
-    return results
+def solve_both(pool, bids_factory, chunk_size: int = 4):
+    """(lazy outcome, rescan outcome, lazy stats), or None without bidders."""
+    if not bids_factory():
+        return None
+    lazy = PartialAllocationAuction(chunk_size=chunk_size)
+    rescan = PartialAllocationAuction(chunk_size=chunk_size, solver="rescan")
+    return (
+        lazy.run(pool, bids_factory()),
+        rescan.run(pool, bids_factory()),
+        lazy.last_stats,
+    )
 
 
 # ----------------------------------------------------------------------
-# The 200+ instance sweep: gated == eager, move-for-move
+# The sweep: default solver == rescan reference, whole outcome
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "hetero,perf_matrix,seed",
     [(False, False, 20260808), (True, False, 977), (True, True, 31415)],
-    ids=["homo", "hetero", "hetero-matrix"],
+    ids=["homo", "hetero", "rate-inversion"],
 )
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_gated_matches_eager_sweep(hetero, perf_matrix, seed, warm):
-    """>= 35 markets per config x 6 configs: 200+ instances in all."""
-    rng = random.Random(seed + int(warm))
+@pytest.mark.parametrize("semantics", list(CompletionSemantics), ids=lambda s: s.name)
+@pytest.mark.parametrize("noise_theta", [0.0, 0.2], ids=["exact", "noisy"])
+def test_lazy_matches_rescan_sweep(hetero, perf_matrix, seed, semantics, noise_theta):
+    """20 markets per config x 12 configs: 240 instances in all."""
+    rng = random.Random(seed)
     checked = 0
-    while checked < 35:
-        pool, bids_factory, estimator = random_market(rng, hetero, perf_matrix)
-        if not pool:
-            continue
-        results = solve_both(pool, bids_factory, estimator, warm)
-        if results is None:
+    while checked < 20:
+        pool, bids_factory = random_market(
+            rng, hetero, perf_matrix, semantics, noise_theta
+        )
+        solved = pool and solve_both(pool, bids_factory)
+        if not solved:
             continue
         checked += 1
-        gated_moves, gated_digest, gated_stats = results["gated"]
-        eager_moves, eager_digest, _eager_stats = results["eager"]
-        # Same greedy trajectory (every move, in order, including the
-        # float values), then same winners/payments/leftovers/welfare.
-        assert gated_moves == eager_moves
-        assert gated_digest == eager_digest
+        lazy, rescan, stats = solved
+        # AuctionOutcome equality: proportional_fair, payments, winners,
+        # leftover, participants and nash_log_welfare, floats included.
+        assert lazy == rescan
         # The gate actually engages: markets with enough moves see
         # memo skips during the post-move re-scores.
-        if gated_stats.moves > 10:
-            assert gated_stats.rescore_skipped > 0
+        if stats.moves > 10:
+            assert stats.rescore_skipped > 0
 
 
-def test_gated_matches_eager_small_chunks():
+def test_lazy_matches_rescan_small_chunks():
     """chunk_size=1 (every move is one GPU) and 2 stay byte-identical."""
     rng = random.Random(4242)
     for chunk_size in (1, 2):
         checked = 0
         while checked < 15:
-            pool, bids_factory, estimator = random_market(rng, False, False)
-            if not pool:
-                continue
-            results = solve_both(
-                pool, bids_factory, estimator, warm=True, chunk_size=chunk_size
-            )
-            if results is None:
+            pool, bids_factory = random_market(rng, False, False)
+            solved = pool and solve_both(pool, bids_factory, chunk_size)
+            if not solved:
                 continue
             checked += 1
-            assert results["gated"][0] == results["eager"][0]
-            assert results["gated"][1] == results["eager"][1]
+            assert solved[0] == solved[1]
 
 
 # ----------------------------------------------------------------------
 # The non-monotone counterexample (why stale-heap CELF is out)
 # ----------------------------------------------------------------------
-def test_shrinking_machine_raises_gain_yet_gated_stays_exact():
+def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
     """A column shrink RAISES a pair's best normalized gain.
 
     Three ALL_JOBS vgg16 jobs capped at ``max_parallelism=2``, each
@@ -229,14 +225,15 @@ def test_shrinking_machine_raises_gain_yet_gated_stays_exact():
     machine_id = cluster.machines[0].machine_id
     pool = {machine_id: 4}
     bid = build_bid(app, estimator, now=50.0, offered_counts=pool)
-    auction = PartialAllocationAuction(chunk_size=4, rescore="gated")
+    auction = PartialAllocationAuction(chunk_size=4)
     current_value = bid.value_from_key(())
     assert current_value > 0.0
+    stats = AuctionSolveStats()
 
     def score_at(free: int):
         return auction._score_pair(
             bid, app.app_id, machine_id, free, (), current_value,
-            headroom=bid.demand,
+            headroom=bid.demand, stats=stats, rescore=True,
         )
 
     wide = score_at(4)
@@ -253,135 +250,23 @@ def test_shrinking_machine_raises_gain_yet_gated_stays_exact():
     memo = bid._pair_memo
     assert memo.get((machine_id, (), 3), _MEMO_MISS) is not _MEMO_MISS
     assert memo.get((machine_id, (), 2), _MEMO_MISS) is not _MEMO_MISS
+    assert (stats.warm_misses, stats.rescore_skipped) == (2, 0)
+    # A column shrink that leaves min(chunk, free, headroom) unchanged
+    # (headroom is 3, so free 4 -> 3 keeps the bound at 3) cannot have
+    # changed the score: it is served from the memo, no probe at all.
+    probes = bid.rho_lookups
+    assert score_at(3) == wide
+    assert (stats.warm_misses, stats.rescore_skipped) == (2, 1)
+    assert bid.rho_lookups == probes
 
     # And a full market built around the same shape still solves
-    # byte-identically to the eager oracle.
+    # byte-identically to the rescan reference.
     rng = random.Random(8)
     for _ in range(10):
-        pool2, bids_factory, est2 = random_market(rng, False, False)
-        if not pool2:
-            continue
-        results = solve_both(pool2, bids_factory, est2, warm=False)
-        if results is None:
-            continue
-        assert results["gated"][0] == results["eager"][0]
-        assert results["gated"][1] == results["eager"][1]
-
-
-# ----------------------------------------------------------------------
-# Satellite: refined memo key strictly beats the raw-free key
-# ----------------------------------------------------------------------
-class LegacyMemoAuction(PartialAllocationAuction):
-    """The pre-PR-10 ``_score_pair``: memo keyed on raw ``free``.
-
-    Verbatim re-implementation of the old warm-start memo (key
-    ``(machine, current_key, free, min(headroom, chunk))``, whole
-    result stored, warm-gated) so the hit-rate comparison below runs
-    the refined and legacy keys over identical solves.
-    """
-
-    def _score_pair(
-        self, bid, app_id, machine_id, free, current_key, current_value,
-        headroom, stats=None, rescore=False,
-    ):
-        memo = None
-        if self.warm_enabled:
-            memo = bid._pair_memo
-            memo_key = (machine_id, current_key, free, min(headroom, self.chunk_size))
-            cached = memo.get(memo_key, _MEMO_MISS)
-            if cached is not _MEMO_MISS:
-                if stats is not None:
-                    stats.warm_hits += 1
-                return cached
-            if stats is not None:
-                stats.warm_misses += 1
-        if current_value <= 0.0:
-            step_sizes = (1,)
-        else:
-            chunk = min(self.chunk_size, free, headroom)
-            step_sizes = (1,) if chunk <= 1 else (1, chunk)
-        best = None
-        for step in step_sizes:
-            new_value = bid.value_from_key(_merged_key(current_key, machine_id, step))
-            if new_value <= current_value:
-                continue
-            move = (app_id, machine_id, step, new_value)
-            if current_value <= 0.0:
-                key = (
-                    0, -new_value, step,
-                    -free * bid.machine_speed(machine_id), app_id, machine_id,
-                )
-            else:
-                gain = (math.log(new_value) - math.log(current_value)) / step
-                key = (1, -gain, step, app_id, machine_id)
-            if best is None or key < best[0]:
-                best = (key, move)
-        if memo is not None:
-            memo[memo_key] = best
-        return best
-
-
-def test_refined_memo_key_strictly_improves_hit_rate():
-    """Same seeded solves, digests unchanged, hit-rate strictly up.
-
-    Both solvers run warm with ``rescore="eager"`` so the *only*
-    difference is the memo key: refined (effective step bound) vs
-    legacy (raw ``free``).  Every column shrink that leaves
-    ``min(chunk, free, headroom)`` unchanged is a refined-key hit the
-    legacy key misses.
-    """
-    rng = random.Random(20260808)
-    improved = 0
-    compared = 0
-    while compared < 12:
-        pool, bids_factory, estimator = random_market(rng, False, False)
-        if not pool:
-            continue
-        rates = {}
-        digests = {}
-        for cls in (PartialAllocationAuction, LegacyMemoAuction):
-            auction = cls(chunk_size=4, rescore="eager")
-            auction.warm_enabled = True
-            auction.estimator = estimator
-            outcome = auction.run(pool, bids_factory(), apply_hidden_payments=True)
-            stats = auction.last_stats
-            lookups = stats.warm_hits + stats.warm_misses
-            if lookups == 0:
-                rates[cls] = None
-            else:
-                rates[cls] = stats.warm_hits / lookups
-            digests[cls] = _outcome_digest(outcome)
-        if rates[PartialAllocationAuction] is None or rates[LegacyMemoAuction] is None:
-            continue
-        compared += 1
-        assert digests[PartialAllocationAuction] == digests[LegacyMemoAuction]
-        assert rates[PartialAllocationAuction] >= rates[LegacyMemoAuction]
-        if rates[PartialAllocationAuction] > rates[LegacyMemoAuction]:
-            improved += 1
-    # Strict improvement on the clear majority of seeded solves (ties
-    # possible only on degenerate tiny markets with no column shrinks).
-    assert improved >= compared * 0.75
-
-
-# ----------------------------------------------------------------------
-# numpy-free leg
-# ----------------------------------------------------------------------
-def test_gated_matches_eager_without_numpy(monkeypatch):
-    """Same equivalence with every carve on the scalar kernel."""
-    monkeypatch.setattr(fairness, "_np", None)
-    monkeypatch.setattr(fairness, "_batch_fallback_warned", True)
-    rng = random.Random(1337)
-    checked = 0
-    while checked < 10:
-        pool, bids_factory, estimator = random_market(rng, True, False)
-        if not pool:
-            continue
-        results = solve_both(pool, bids_factory, estimator, warm=True)
-        if results is None:
-            continue
-        checked += 1
-        assert results["gated"][0] == results["eager"][0]
-        assert results["gated"][1] == results["eager"][1]
+        pool2, bids_factory = random_market(rng, False, False)
+        solved = pool2 and solve_both(pool2, bids_factory)
+        if solved:
+            assert solved[0] == solved[1]
 
 
 # ----------------------------------------------------------------------
@@ -407,19 +292,17 @@ def test_rescore_counters_reach_round_stats():
     for run in (inc, cold):
         stats = run["result"].round_stats
         totals = stats["totals"]
-        for key in ("rescore_carves", "rescore_skipped", "rescore_batched"):
+        for key in ("rescore_carves", "rescore_skipped"):
             assert key in totals
             assert all(key in row for row in stats["per_round"])
         # The gate engages in BOTH modes — the re-score wall is
         # mode-independent, which is exactly why it needed its own
         # treatment beyond the cross-round caches.
         assert totals["rescore_skipped"] > 0
-        # Kept for readers of round_stats; nothing files work there.
-        assert totals["rescore_batched"] == 0
 
 
-def test_sim_level_gated_matches_eager():
-    """Whole trace replay with the solver flipped to the eager oracle."""
+def test_sim_level_lazy_matches_rescan():
+    """Whole trace replay with the solver flipped to the rescan reference."""
     from dataclasses import replace as dc_replace
 
     from repro.perf.bench import (
@@ -442,7 +325,7 @@ def test_sim_level_gated_matches_eager():
         jobs_per_app_max=6,
     )
 
-    def run(rescore: str) -> str:
+    def run(solver: str) -> str:
         scenario = sim_scenario_for(profile)
         scheduler = make_scheduler(profile.scheduler)
         simulator = ClusterSimulator(
@@ -453,16 +336,7 @@ def test_sim_level_gated_matches_eager():
             perf_model=scenario.build_perf_model(),
         )
         assert scheduler.arbiter is not None
-        scheduler.arbiter.auction.rescore = rescore
+        scheduler.arbiter.auction.solver = solver
         return canonical_result_json(simulator.run())
 
-    assert run("gated") == run("eager")
-
-
-def test_rescore_mode_validation():
-    with pytest.raises(ValueError, match="rescore"):
-        PartialAllocationAuction(rescore="stale-heap")
-    from repro.core.arbiter import ArbiterConfig
-
-    with pytest.raises(ValueError, match="rescore"):
-        ArbiterConfig(rescore="approximate")
+    assert run("lazy") == run("rescan")

@@ -1,9 +1,14 @@
 """Unit tests for the ControlPlane daemon: lifecycle, tokens, degradation."""
 
+import json
+import socket
+import threading
+
 import pytest
 
 from repro.obs.tracer import RingTracer
 from repro.service.admission import AdmissionController, TenantPolicy
+from repro.service.api import MAX_BODY_BYTES, ServiceServer
 from repro.service.chaos import FakeClock, FlakyStore, ScriptedExecutor
 from repro.service.daemon import ControlPlane, JobOutcome
 from repro.service.errors import (
@@ -350,3 +355,50 @@ def test_compaction_through_the_daemon(tmp_path):
         for index in range(4)
     )
     replayed.close()
+
+
+# ----------------------------------------------------------------------
+# HTTP request bodies are bounded before they are read
+# ----------------------------------------------------------------------
+@pytest.fixture
+def http_endpoint(tmp_path):
+    plane, _clock = make_plane(tmp_path, executor=ScriptedExecutor())
+    server = ServiceServer(plane)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.endpoint
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+        plane.close()
+    assert not thread.is_alive()
+
+
+def raw_post(endpoint, content_length, body=b""):
+    """Status code of one POST /submit with a hand-written length header."""
+    head = f"POST /submit HTTP/1.1\r\nHost: t\r\nContent-Length: {content_length}\r\n\r\n"
+    # A handler that trusted the header would sit in rfile.read() until
+    # this socket closes; the timeout turns that hang into a failure.
+    with socket.create_connection(endpoint, timeout=5.0) as sock:
+        sock.sendall(head.encode("ascii") + body)
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
+@pytest.mark.parametrize("content_length", ["-1", "abc", "1e3", "+5"])
+def test_http_rejects_malformed_content_length(http_endpoint, content_length):
+    assert raw_post(http_endpoint, content_length) == 400
+
+
+def test_http_rejects_oversized_body_without_reading_it(http_endpoint):
+    assert raw_post(http_endpoint, MAX_BODY_BYTES + 1) == 413
+    assert raw_post(http_endpoint, 1 << 40) == 413
+
+
+def test_http_accepts_body_at_the_limit(http_endpoint):
+    frame = len(json.dumps({"spec": {"pad": ""}}))
+    body = json.dumps({"spec": {"pad": "x" * (MAX_BODY_BYTES - frame)}}).encode()
+    assert len(body) == MAX_BODY_BYTES
+    assert raw_post(http_endpoint, len(body), body) == 200

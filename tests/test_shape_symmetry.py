@@ -2,7 +2,7 @@
 
 Three layers, matching where the symmetry is used:
 
-* **the lemma** (:func:`repro.core.fairness.bundle_shape`) — all five
+* **the lemma** (:func:`repro.core.fairness.bundle_shape`) — all three
   carve kernels read machine ids only for *order* and rack ids only for
   *equality*, so any order-preserving relabelling that keeps the rack
   equality pattern and every per-machine speed leaves the allotments
@@ -11,10 +11,9 @@ Three layers, matching where the symmetry is used:
   where two free machines of the same rack, speed and free count carve
   to 4.0 vs 5.2 because one sorts below the holdings and one above;
 * **the solver** — on markets with >= 32 interchangeable machines the
-  class-grouped row pass (``rescore="gated"``) replays the per-machine
-  ``rescore="eager"`` move sequence and the full-rescan solver's
-  outcome byte-for-byte, with and without valuation noise (noise keys
-  on machine ids, so the class must degenerate to the machine), under
+  class-grouped row pass replays the full-rescan solver's outcome
+  byte-for-byte, with and without valuation noise (noise keys on
+  machine ids, so the class must degenerate to the machine), under
   scalar and ``rate-inversion`` perf models, ``ALL_JOBS`` and
   ``FIRST_WINNER``.
 """
@@ -27,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.fairness as fairness
+import repro.core.auction as auction_module
 from repro.cluster.placement import SensitivityProfile
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
 from repro.core.auction import PartialAllocationAuction, rescan_fair_allocation
@@ -35,14 +34,11 @@ from repro.core.bids import build_bid
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
-    _carve_batch,
-    _carve_batch_numpy,
     _carve_fast,
     _carve_fast_family,
     _carve_reference,
     bundle_shape,
 )
-from repro.perf.bench import _outcome_digest
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
 
@@ -63,25 +59,14 @@ SPEEDS = (0.35, 0.6, 1.0)
 def all_kernels(tuples, key, rack_of, nvlink, speed_of, family_fn):
     """Every kernel's result for one bundle, scalar then per-family."""
     counts = dict(key)
-    instances = [(tuples, key)] * fairness._BATCH_MIN
-    results = {
+    return {
         "fast": _carve_fast(tuples, counts, rack_of, nvlink, speed_of),
         "reference": _carve_reference(tuples, counts, rack_of, nvlink, speed_of),
-        "batch": _carve_batch(instances, rack_of, nvlink, speed_of)[0],
         "fast_family": _carve_fast_family(tuples, counts, rack_of, nvlink, family_fn),
         "reference_family": _carve_reference(
             tuples, counts, rack_of, nvlink, None, family_fn
         ),
-        "batch_family": _carve_batch(instances, rack_of, nvlink, None, family_fn)[0],
     }
-    if fairness._np is not None:
-        results["numpy"] = _carve_batch_numpy(
-            instances, rack_of, nvlink, speed_of, None
-        )[0]
-        results["numpy_family"] = _carve_batch_numpy(
-            instances, rack_of, nvlink, None, family_fn
-        )[0]
-    return results
 
 
 @st.composite
@@ -227,12 +212,9 @@ def test_solver_separates_machines_that_differ_only_by_id_order():
     bid = bids()["a"]
     value = {m: bid.value_from_key(((m, 2),)) for m in pool}
     assert value[0] == value[2] < value[6]
-    solved = []
-    for mode in ("gated", "eager"):
-        auction = PartialAllocationAuction(rescore=mode)
-        solved.append(auction._solve(pool, bids(), stats=auction.last_stats))
-    assert solved[0] == solved[1]
-    assert solved[0][0]["a"] == {6: 2}
+    assignment = PartialAllocationAuction().proportional_fair_allocation(pool, bids())
+    assert assignment == rescan_fair_allocation(pool, bids())
+    assert assignment["a"] == {6: 2}
 
 
 # ----------------------------------------------------------------------
@@ -334,26 +316,32 @@ def wide_market(seed: int, perf_matrix: bool, semantics, noise_theta: float):
 @pytest.mark.parametrize("semantics", list(CompletionSemantics), ids=lambda s: s.name)
 @pytest.mark.parametrize("perf_matrix", [False, True], ids=["scalar", "rate-inversion"])
 @pytest.mark.parametrize("noise_theta", [0.0, 0.2], ids=["exact", "noisy"])
-def test_class_grouped_rows_match_eager_and_rescan(noise_theta, perf_matrix, semantics):
+def test_class_grouped_rows_match_rescan(
+    noise_theta, perf_matrix, semantics, monkeypatch
+):
     for seed in (11, 12, 13):
         pool, bids_factory = wide_market(seed, perf_matrix, semantics, noise_theta)
         assert len(pool) >= 32
-        solved = {}
-        for mode in ("gated", "eager"):
-            auction = PartialAllocationAuction(rescore=mode)
-            assignment, moves = auction._solve(
-                pool, bids_factory(), stats=auction.last_stats
-            )
-            outcome = PartialAllocationAuction(rescore=mode).run(pool, bids_factory())
-            solved[mode] = (moves, assignment, _outcome_digest(outcome))
-            solved[mode + "-scores"] = auction.last_stats.pair_scores
-        assert solved["gated"] == solved["eager"]
-        assert solved["gated"][1] == rescan_fair_allocation(pool, bids_factory())
+        # AuctionOutcome equality: proportional_fair, payments, winners,
+        # leftover, participants and nash_log_welfare, floats included.
+        outcome = PartialAllocationAuction().run(pool, bids_factory())
         rescan = PartialAllocationAuction(solver="rescan").run(pool, bids_factory())
-        assert solved["gated"][2] == _outcome_digest(rescan)
-        # The reduction engages exactly when it is sound: noise hashes
-        # the machine-id key, so a noisy row is scored per machine.
+        assert outcome == rescan
+        # The reduction engages exactly when it is sound: against the
+        # same solve with every pool counted as too narrow to group,
+        # same moves — from fewer scores, unless noise (which hashes
+        # the machine-id key) already forced the row per machine.
+        def solve():
+            auction = PartialAllocationAuction()
+            _, moves = auction._solve(pool, bids_factory(), stats=auction.last_stats)
+            return moves, auction.last_stats.pair_scores
+
+        moves, grouped_scores = solve()
+        with monkeypatch.context() as patch:
+            patch.setattr(auction_module, "_CLASS_MIN_POOL", len(pool) + 1)
+            per_machine_moves, per_machine_scores = solve()
+        assert moves == per_machine_moves
         if noise_theta > 0.0:
-            assert solved["gated-scores"] == solved["eager-scores"]
+            assert grouped_scores == per_machine_scores
         else:
-            assert solved["gated-scores"] < solved["eager-scores"]
+            assert grouped_scores < per_machine_scores
