@@ -730,6 +730,7 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
         carves_per_move,
         check_sim_regression,
         load_bench,
+        pushes_per_move,
         run_sim_suite,
         write_sim_bench,
     )
@@ -776,6 +777,7 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
         record = payload["sim"][name]
         obs = record.get("obs") or {}
         per_move = carves_per_move(record["incremental"])
+        pushes = pushes_per_move(record["incremental"])
         rows.append([
             name,
             record["gpus"],
@@ -787,13 +789,14 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
             round(record["incremental"]["events_per_sec"], 1),
             record["incremental"]["rho_probes"],
             round(per_move, 2) if per_move is not None else "-",
+            round(pushes, 2) if pushes is not None else "-",
             record["identical_results"],
             round(obs["trace_overhead"], 3) if obs.get("trace_overhead") else "-",
             obs.get("events", "-"),
         ])
     print(format_table(
         ["profile", "gpus", "contention", "rounds", "inc_s", "cold_s",
-         "speedup", "events/s", "probes", "carve/mv", "identical",
+         "speedup", "events/s", "probes", "carve/mv", "push/mv", "identical",
          "trace_ovh", "trace_ev"],
         rows,
     ))

@@ -61,8 +61,8 @@ class RoundStats:
     The ``solver_*`` fields expose the auction's winner-determination
     cost: greedy moves applied across all solves, candidate pairs
     scored by the lazy heap, warm-start moves the payment re-solves
-    replayed for free, and the number of distinct rho computations
-    (valuation-cache misses) the round's bids performed.
+    replayed for free, heap entries pushed, and the number of distinct
+    rho computations (valuation-cache misses) the round's bids performed.
 
     The ``rescore_*`` pair breaks down the post-move re-scoring wall
     (see :class:`~repro.core.auction.AuctionSolveStats`): kernel carves
@@ -79,6 +79,7 @@ class RoundStats:
     solver_moves: int = 0
     solver_pair_scores: int = 0
     solver_replayed_moves: int = 0
+    solver_heap_pushes: int = 0
     valuation_probes: int = 0
     heap_warm_hits: int = 0
     heap_warm_misses: int = 0
@@ -234,6 +235,7 @@ class Arbiter:
                 solver_moves=solve_stats.moves,
                 solver_pair_scores=solve_stats.pair_scores,
                 solver_replayed_moves=solve_stats.replayed_moves,
+                solver_heap_pushes=solve_stats.heap_pushes,
                 valuation_probes=sum(bid.rho_probes for bid in bids.values()),
                 heap_warm_hits=solve_stats.warm_hits,
                 heap_warm_misses=solve_stats.warm_misses,

@@ -44,8 +44,9 @@ pair.  The **staleness invariant** that makes the heap exact is:
     ``A`` and column ``Q``; every other cached score is still exact.
 
 After each applied move only the ``O(A + M)`` invalidated pairs are
-re-scored (version counters mark the remaining heap entries stale, and
-stale entries are discarded lazily on pop), so the heap minimum is
+re-scored (each entry records how many moves had been applied when it
+was built; one whose app or machine moved later is stale, and stale
+entries are discarded lazily on pop), so the heap minimum is
 always a freshly scored, exact argmin — the solver replays the full
 rescan's choice sequence *byte-identically*, including tie-breaks,
 without relying on submodularity of the marginal gains.  Per-solve cost
@@ -104,24 +105,42 @@ slot.  The class of a machine is therefore:
   after the holdings and can change which rack a job drains first
   (tests/test_shape_symmetry.py pins a 4.0-vs-5.2 counterexample).
 
-The row pass scores **one** representative per class through
-:meth:`_score_pair` and stamps the other members' heap entries from it
-with their own ``machine_id`` — every machine still owns a heap entry,
-so tie-breaks, version tokens and the move sequence are untouched.
+**One heap entry per class.**  The row pass walks the remaining machines
+in ascending id, scores the *lowest* member of each class through
+:meth:`_score_pair` — by shape: the machine's ``(rack, speeds, step)``
+entry spliced into the app's held entries, id counts materialised only
+if that shape was never carved — and pushes that one entry with the
+class's sorted member list.  Held machines and columns (every app
+against the moved machine) stay per pair.  An entry built after ``n``
+applied moves is *live* while neither its app nor its machine has moved
+since.  Popped with the app moved, it is discarded (the row was
+rebuilt); with only the machine moved (a competitor took from the
+representative), the next member untouched since the build is pushed
+with the same score under its own ``machine_id`` first.  Exact because:
+
+* every heap entry is still an exact per-pair entry under that test;
+* a pair without its own entry shares its key up to the final
+  ``machine_id`` with its class's entry and has a larger id, so it
+  cannot be the argmin while that entry lives;
+* a stale placeholder sorts *before* its successor, so it is popped —
+  and the successor pushed — before anything that could lose to the
+  successor is applied (the k-way-merge argument);
+* a member touched since the build got its own exact entry from the
+  column pass, and the walk skips it.
+
 With ``bid.noise_theta > 0`` the noise hash reads the id key, the class
 degenerates to the machine, and the row is scored per machine; pools
 under :data:`_CLASS_MIN_POOL` machines take that path too (nothing to
-group).  Columns (every app against the moved machine) stay per pair.
-Both reductions change *how often* a float is computed, never *which*
-float.
+group).  The reductions change *how often* a float is computed or an
+entry pushed, never *which* float or which move.
 
 Payment re-solves are warm-started: the greedy state of the
 ``without_i`` market evolves identically to the full market until the
 first move the full solve awarded to ``i`` (removing ``i``'s candidate
 entries cannot change any earlier argmin), so that move prefix is
 replayed without any probing and only the suffix is solved.  All
-solves share each :class:`~repro.core.bids.Bid`'s rho/valuation cache,
-so suffix probes of bundles already seen by the full solve are cache
+solves share each :class:`~repro.core.bids.Bid`'s pair memo and
+valuation caches, so suffix scores the full solve already computed are
 hits.  The pre-refactor full-rescan solver is kept as
 :func:`rescan_fair_allocation` — the reference implementation the
 equivalence tests and ``repro bench`` compare against.
@@ -132,11 +151,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from repro.core.bids import Bid
+from repro.core.fairness import shape_of_entries
 from repro.obs.profiler import NULL_PROFILER
 
 #: Floor used when taking logs of zero valuations in payment ratios.
@@ -225,7 +245,8 @@ class AuctionSolveStats:
     ``rescore_carves`` counts kernel carves the row/column re-scores
     after applied moves performed; ``rescore_skipped`` counts post-move
     pair scores served whole from the memo (no probe at all).  Total
-    work is ``estimator.carve_count`` — what the CI ceiling gates.
+    work is ``estimator.carve_count`` — what the CI ceiling gates —
+    and ``heap_pushes``: one per scored pair or class, one per successor.
     """
 
     solves: int = 0
@@ -236,10 +257,18 @@ class AuctionSolveStats:
     warm_misses: int = 0
     rescore_carves: int = 0
     rescore_skipped: int = 0
+    heap_pushes: int = 0
 
 
 #: One applied greedy move: (app_id, machine_id, step, value after move).
 _Move = tuple[str, int, int, float]
+
+
+def _stamped(key: tuple, move: _Move, machine_id: int) -> tuple[tuple, _Move]:
+    """The same score on another member of the class: only the
+    ``machine_id`` ending the key and naming the move's machine differs."""
+    return key[:-1] + (machine_id,), (move[0], machine_id, move[2], move[3])
+
 
 #: Sentinel distinguishing "memoised as None" from "not memoised".
 _MEMO_MISS = object()
@@ -247,7 +276,7 @@ _MEMO_MISS = object()
 #: Narrowest pool whose rows are scored per machine class; below it
 #: (the median round is a 1-2 machine renewal pool) there is nothing to
 #: group and the per-machine path skips the row context.  Purely a perf
-#: knob — both paths push identical heap entries.
+#: knob — both paths apply identical moves.
 _CLASS_MIN_POOL = 4
 
 
@@ -328,6 +357,8 @@ class PartialAllocationAuction:
         headroom: int,
         stats: Optional[AuctionSolveStats] = None,
         rescore: bool = False,
+        machine_class: Optional[tuple] = None,
+        context: Optional[tuple] = None,
     ) -> Optional[tuple[tuple, _Move]]:
         """Best (key, move) for one (app, machine) pair, or ``None``.
 
@@ -336,30 +367,30 @@ class PartialAllocationAuction:
         because they embed (step, app_id, machine_id).
 
         Results are memoised per bid under the *exact purity key* of
-        the score (module docstring, "Skip rule"):
+        the score (module docstring, "Skip rule"): ``(machine_id,
+        current_key, chunk)`` on the gain path, ``(machine_id,
+        current_key)`` on the rescue path, whose memo stores the
+        free-independent ``new_value`` (``None`` for "no improving
+        move") and rebuilds the key from the live ``free``.  Rescue-ness
+        is pure in ``current_key`` and the key shapes differ, so the
+        paths cannot collide.
 
-        * gain path — ``(machine_id, current_key, chunk)`` with
-          ``chunk = min(chunk_size, free, headroom)``: the probed
-          bundles and the heap key read ``free``/``headroom`` only
-          through ``chunk``, so a column shrink that leaves ``chunk``
-          unchanged is a guaranteed hit;
-        * rescue path — ``(machine_id, current_key)``: the single
-          step-1 probe never reads ``free``; only the heap key's
-          tie-break term does, so the memo stores ``new_value`` (or
-          ``None`` for "no improving move", equally free-independent)
-          and the key is rebuilt from the live ``free`` with the same
-          float expression the miss path uses.
-
-        Whether a pair *is* a rescue is pure in ``current_key`` (it is
-        ``bid.value_from_key(current_key) <= 0``), and the two key
-        shapes differ in length, so the paths cannot collide.
-        ``rescore=True`` marks a post-move re-score call (counter
-        attribution only).
+        With ``machine_class`` and ``context = bid.row_context(
+        current_key)`` the row pass scores a class representative: the
+        class replaces the machine in the memo key (minus the raw
+        ``free`` on the rescue path), a hit scored on another member is
+        restamped, and a miss probes by *shape*.  ``rescore=True`` marks
+        a post-move re-score call (counter attribution only).
         """
         rescue = current_value <= 0.0
         memo = bid._pair_memo
-        if rescue:
-            memo_key: tuple = (machine_id, current_key)
+        if machine_class is not None:
+            memo_key: tuple = (
+                current_key,
+                *(machine_class[:-1] if rescue else machine_class),
+            )
+        elif rescue:
+            memo_key = (machine_id, current_key)
         else:
             memo_key = (
                 machine_id,
@@ -372,10 +403,13 @@ class PartialAllocationAuction:
                 stats.warm_hits += 1
                 if rescore:
                     stats.rescore_skipped += 1
-            if not rescue:
-                return cached  # type: ignore[return-value]
             if cached is None:
                 return None
+            if not rescue:
+                key, move = cached  # type: ignore[misc]
+                if move[1] != machine_id:
+                    return _stamped(key, move, machine_id)
+                return cached  # type: ignore[return-value]
             new_value: float = cached  # type: ignore[assignment]
             key = (
                 0,
@@ -397,9 +431,27 @@ class PartialAllocationAuction:
         else:
             chunk = min(self.chunk_size, free, headroom)
             step_sizes = (1,) if chunk <= 1 else (1, chunk)
+        if machine_class is not None:
+            total_key, entries = context  # type: ignore[misc]
+            position = machine_class[0]
+            rack_id, speeds = bid.state.machine_reads[machine_id]
         best: Optional[tuple[tuple, _Move]] = None
         for step in step_sizes:
-            new_value = bid.value_from_key(_merged_key(current_key, machine_id, step))
+            if machine_class is None:
+                new_value = bid.value_from_key(
+                    _merged_key(current_key, machine_id, step)
+                )
+            else:
+                new_value = bid.value_from_shape(
+                    shape_of_entries(
+                        entries[:position]
+                        + [(rack_id, speeds, step)]
+                        + entries[position:]
+                    ),
+                    total_key[:position]
+                    + ((machine_id, step),)
+                    + total_key[position:],
+                )
             if new_value <= current_value:
                 continue
             move = (app_id, machine_id, step, new_value)
@@ -436,7 +488,8 @@ class PartialAllocationAuction:
         stats: Optional[AuctionSolveStats],
     ) -> tuple[dict[str, dict[int, int]], list[_Move]]:
         """Lazy-greedy solver (see module docstring for the invariant)."""
-        remaining = {m: c for m, c in pool.items() if c > 0}
+        # Ascending machine id: the order the row pass groups classes in.
+        remaining = {m: c for m, c in sorted(pool.items()) if c > 0}
         apps = [a for a in sorted(bids) if a != exclude]
         assignment: dict[str, dict[int, int]] = {a: {} for a in apps}
         bundle_keys: dict[str, _BundleKey] = {a: () for a in apps}
@@ -457,8 +510,10 @@ class PartialAllocationAuction:
         if stats is not None:
             stats.replayed_moves += len(prefix)
 
-        app_version = {a: 0 for a in apps}
-        machine_version = {m: 0 for m in remaining}
+        # An entry built after ``len(moves)`` applied moves is live while
+        # neither its app nor its machine has moved since.
+        app_moved_at = {a: 0 for a in apps}
+        machine_moved_at = {m: 0 for m in remaining}
         heap: list[tuple] = []
         # Carve accounting needs the shared estimator; the scheduler
         # binds it on the auction, ad-hoc callers reach it through any
@@ -467,6 +522,12 @@ class PartialAllocationAuction:
         estimator = self.estimator
         if estimator is None and bids:
             estimator = next(iter(bids.values()))._estimator
+
+        def push(scored, members: Sequence[int], index: int, built_at: int) -> None:
+            """Heap entry for ``members[index]``, standing for the rest."""
+            if stats is not None:
+                stats.heap_pushes += 1
+            heapq.heappush(heap, (*scored, built_at, members, index))
 
         def push_pair(app_id: str, machine_id: int, rescore: bool = False) -> None:
             free = remaining.get(machine_id, 0)
@@ -489,22 +550,19 @@ class PartialAllocationAuction:
                 stats,
                 rescore,
             )
-            if scored is None:
-                return
-            key, move = scored
-            token = (app_version[app_id], machine_version[machine_id])
-            heapq.heappush(heap, (key, app_id, machine_id, token, move))
+            if scored is not None:
+                push(scored, [machine_id], 0, len(moves))
 
         def push_row(app_id: str, rescore: bool = False) -> None:
             """Score ``app_id`` against every remaining machine.
 
-            One :meth:`_score_pair` per machine *class* (module
-            docstring, "Shape symmetry"); the other members' entries
-            are stamped from it with their own ``machine_id``, so every
-            machine still owns a heap entry, key and version token.
-            Assumes the arbiter's contract that each bid was offered the
-            pool being solved: ``Bid.rho_from_key``'s offer check runs
-            on the representatives only.
+            One :meth:`_score_pair` and one heap entry per machine
+            *class* (module docstring, "Shape symmetry"): the lowest
+            member is scored and pushed, carrying the sorted member
+            list for the pop loop to materialise successors from.
+            Machines the app already holds are their own class.
+            Assumes the arbiter's contract that each bid was offered
+            the pool being solved.
             """
             bid = bids[app_id]
             headroom = bid.demand - granted[app_id]
@@ -517,49 +575,55 @@ class PartialAllocationAuction:
             current_key = bundle_keys[app_id]
             current_value = values[app_id]
             rescue = current_value <= 0.0
-            chunk_size = self.chunk_size
-            version = app_version[app_id]
             reads = bid.state.machine_reads
-            held = [machine for machine, _count in bid.total_key_of(current_key)]
+            context = bid.row_context(current_key)
+            held = [machine for machine, _count in context[0]]
             rack_index: dict[int, int] = {}
-            for machine in held:
-                rack_index.setdefault(reads[machine][0], len(rack_index))
-            scored_classes: dict[tuple, object] = {}
+            for rack_id, _speeds, _count in context[1]:
+                rack_index.setdefault(rack_id, len(rack_index))
+            # Ascending ids: the position among the held ids only advances.
+            cap = min(self.chunk_size, headroom)
+            classes: dict[tuple, list[int]] = {}
+            position = 0
+            next_held = held[0] if held else math.inf
             for machine_id, free in remaining.items():
-                position = bisect_left(held, machine_id)
-                if position < len(held) and held[position] == machine_id:
-                    push_pair(app_id, machine_id, rescore)
-                    continue
+                if machine_id >= next_held:
+                    position = bisect_right(held, machine_id, position)
+                    next_held = held[position] if position < len(held) else math.inf
+                    if held[position - 1] == machine_id:
+                        push_pair(app_id, machine_id, rescore)
+                        continue
                 rack_id, speeds = reads[machine_id]
                 machine_class = (
                     position,
                     rack_index.get(rack_id, -1),
                     speeds,
-                    free if rescue else min(chunk_size, free, headroom),
+                    free if rescue or free < cap else cap,
                 )
-                scored = scored_classes.get(machine_class, _MEMO_MISS)
-                if scored is _MEMO_MISS:
-                    if stats is not None:
-                        stats.pair_scores += 1
-                    scored = scored_classes[machine_class] = self._score_pair(
-                        bid,
-                        app_id,
-                        machine_id,
-                        free,
-                        current_key,
-                        current_value,
-                        headroom,
-                        stats,
-                        rescore,
-                    )
-                if scored is None:
-                    continue
-                key, move = scored  # type: ignore[misc]
-                if move[1] != machine_id:
-                    key = key[:-1] + (machine_id,)
-                    move = (app_id, machine_id, move[2], move[3])
-                token = (version, machine_version[machine_id])
-                heapq.heappush(heap, (key, app_id, machine_id, token, move))
+                members = classes.get(machine_class)
+                if members is None:
+                    classes[machine_class] = [machine_id]
+                else:
+                    members.append(machine_id)
+            built_at = len(moves)
+            for machine_class, members in classes.items():
+                if stats is not None:
+                    stats.pair_scores += 1
+                scored = self._score_pair(
+                    bid,
+                    app_id,
+                    members[0],
+                    remaining[members[0]],
+                    current_key,
+                    current_value,
+                    headroom,
+                    stats,
+                    rescore,
+                    machine_class,
+                    context,
+                )
+                if scored is not None:
+                    push(scored, members, 0, built_at)
 
         def rescore_after_move(app_id: str, machine_id: int) -> None:
             """Re-score column ``machine_id`` and row ``app_id``."""
@@ -580,11 +644,22 @@ class PartialAllocationAuction:
             push_row(app_id)
 
         profiler = self.profiler
-        while heap:
-            key, app_id, machine_id, token, move = heapq.heappop(heap)
-            if token != (app_version[app_id], machine_version[machine_id]):
-                continue  # stale: a fresher entry for this pair was pushed
-            _, _, step, new_value = move
+        # Once the pool is placed no entry can be live: stop, don't drain.
+        while heap and remaining:
+            key, move, built_at, members, index = heapq.heappop(heap)
+            app_id, machine_id, step, new_value = move
+            if app_moved_at[app_id] > built_at:
+                continue  # stale: the app's row was rebuilt since
+            if machine_moved_at[machine_id] > built_at:
+                # A competitor took from the representative (its own
+                # exact entry came from the column pass): the next
+                # untouched member of the class now stands for it.
+                for successor in range(index + 1, len(members)):
+                    if machine_moved_at[members[successor]] <= built_at:
+                        scored = _stamped(key, move, members[successor])
+                        push(scored, members, successor, built_at)
+                        break
+                continue
             assignment[app_id] = _merge(assignment[app_id], machine_id, step)
             bundle_keys[app_id] = _merged_key(bundle_keys[app_id], machine_id, step)
             values[app_id] = new_value
@@ -598,8 +673,7 @@ class PartialAllocationAuction:
             # Precise invalidation: only row app_id and column machine_id
             # scores changed; re-score them now so every live heap entry
             # stays exact.
-            app_version[app_id] += 1
-            machine_version[machine_id] += 1
+            app_moved_at[app_id] = machine_moved_at[machine_id] = len(moves)
             if profiler.enabled:
                 with profiler.phase("rescore"):
                     rescore_after_move(app_id, machine_id)

@@ -123,18 +123,13 @@ class Bid:
         self._rho_cache: dict[tuple, float] = {}
         self._value_cache: dict[tuple, float] = {}
         # The solver's pair-score memo, keyed on the *exact purity key*
-        # of a scored (app, machine) pair — gain path
-        # ``(machine, current_key, min(chunk, free, headroom))``, rescue
-        # path ``(machine, current_key)`` storing the free-independent
-        # ``new_value`` (see PartialAllocationAuction._score_pair for
-        # the proof sketch).  Keying on the effective step bound instead
-        # of raw ``free`` means a column shrink that leaves the bound
-        # unchanged is a guaranteed hit.  A row holds one entry per
-        # machine *class* (the representative the solver scored; the
-        # other members' heap entries are stamped from it and never
-        # reach the memo), so the payment re-solves rebuild their heaps
-        # from a handful of dict lookups per row.  Like the rho cache
-        # it dies with the bid — scores embed clock-dependent values.
+        # of a score (PartialAllocationAuction._score_pair): a pair's
+        # ``(machine, current_key[, step bound])`` or, for a row's
+        # class representative, ``(current_key, *class)`` — so a column
+        # shrink that leaves the step bound unchanged, or a re-solve
+        # whose class has a new lowest member, is a hit.  Like the rho
+        # cache it dies with the bid: scores embed clock-dependent
+        # values.
         self._pair_memo: dict[tuple, object] = {}
         self.rho_probes = 0
         self.rho_lookups = 0
@@ -161,16 +156,19 @@ class Bid:
         """The cross-round valuation state backing this bid."""
         return self._state
 
-    def total_key_of(
+    def row_context(
         self, key: tuple[tuple[int, int], ...]
-    ) -> tuple[tuple[int, int], ...]:
-        """Canonical key of the app's holdings plus bundle ``key``.
+    ) -> tuple[tuple[tuple[int, int], ...], list[tuple[int, object, int]]]:
+        """What every probe of ``key`` plus one more machine shares.
 
-        This is the key :meth:`rho_from_key` will probe the estimator
-        with — the auction's row pass reads the held machine ids off it
-        to place each free machine in its class.
+        The canonical total key (holdings plus ``key``) and its
+        ``(rack_id, speeds, count)`` entries: the auction's row pass
+        places each free machine among the held ids and splices its
+        entry in to get the probed bundle's shape.
         """
-        return _merge_keys(self._state.base_key, key)
+        reads = self._state.machine_reads
+        total_key = _merge_keys(self._state.base_key, key)
+        return total_key, [(*reads[machine], count) for machine, count in total_key]
 
     # ------------------------------------------------------------------
     # Valuation queries
@@ -238,6 +236,26 @@ class Bid:
         value = value_from_rho(self.rho_from_key(key))
         self._value_cache[key] = value
         return value
+
+    def value_from_shape(
+        self,
+        shape: tuple[tuple[int, object, int], ...],
+        total_key: tuple[tuple[int, int], ...],
+    ) -> float:
+        """Noise-free valuation of ``total_key`` (holdings included) by shape.
+
+        The lazy solver's class probe: it builds the shape from
+        :meth:`row_context` and skips the bundle key, which only the
+        noise hash and the offer check read — noisy bids are probed
+        through :meth:`value_from_key`.
+        """
+        self.rho_lookups += 1
+        state = self._state
+        misses_before = state.estimator.carve_count
+        rho = state.rho_at(self.now, total_key, shape)
+        if state.estimator.carve_count != misses_before:
+            self.rho_probes += 1
+        return value_from_rho(rho)
 
     def bundle_size(self, extra_counts: Mapping[int, int]) -> int:
         """Total GPUs in a bundle."""

@@ -588,6 +588,27 @@ def bundle_shape(
     return tuple(shape)
 
 
+def shape_of_entries(
+    entries: Sequence[tuple[int, object, int]],
+) -> tuple[tuple[int, object, int], ...]:
+    """:func:`bundle_shape` over pre-read ``(rack_id, speeds, count)`` entries.
+
+    One entry per machine in ascending machine-id order.  The auction
+    splices a candidate machine's entry into an app's held entries and
+    gets the probed bundle's shape without building its id key.
+    """
+    if len(entries) == 1:
+        ((_rack_id, speeds, count),) = entries
+        return ((0, speeds, count),)
+    labels: dict[int, int] = {}
+    return tuple(
+        [
+            (labels.setdefault(rack_id, len(labels)), speeds, count)
+            for rack_id, speeds, count in entries
+        ]
+    )
+
+
 def _job_tuples(jobs: Sequence[Job]) -> list[_JobTuple]:
     """Sorted job descriptors for active jobs (shortest remaining first)."""
     tuples = []
@@ -1269,13 +1290,15 @@ class AppValuationState:
             self._fw_pair_cache
         )
 
-    def delta_of(self, total_key: tuple[tuple[int, int], ...]) -> float:
+    def delta_of(
+        self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
+    ) -> float:
         """Shared-time delta for a canonical total-counts bundle, memoised.
 
         ``total_key`` is the canonical sorted ``(machine, count)`` tuple
-        — the caller (:class:`~repro.core.bids.Bid`) maintains bundles
-        in that form, so no re-canonicalising happens on the hot path,
-        and the counts mapping is only materialised on a cache miss.
+        and ``shape`` its :func:`bundle_shape`, for a caller that built
+        the shape without the key's help (the auction's class probe);
+        the counts mapping is only materialised on a cache miss.
         Mirrors :meth:`FairnessEstimator.shared_delta_from_snapshot`
         exactly, with the carve kernel served from the cross-round
         caches under the bundle's shape (exact by the lemma of
@@ -1284,15 +1307,16 @@ class AppValuationState:
         (both survive work drains; only a reorder or epoch bump
         rebuilds them).
         """
+        if shape is None:
+            shape = bundle_shape(total_key, self.machine_reads)
         snap = self.snapshot
         assert snap is not None, "refresh() before delta_of()"
         estimator = self.estimator
         if estimator.semantics is CompletionSemantics.FIRST_WINNER:
             if not snap.job_tuples:
                 return 0.0
-            if not total_key:
+            if not shape:
                 return math.inf
-            shape = bundle_shape(total_key, self.machine_reads)
             cached = self._delta_cache.get(shape)
             if cached is not None:
                 return cached
@@ -1314,7 +1338,6 @@ class AppValuationState:
             return delta
         if not snap.job_tuples or snap.total_remaining <= 0:
             return 0.0
-        shape = bundle_shape(total_key, self.machine_reads)
         rate = self._rate_cache.get(shape)
         if rate is None:
             rate = estimator.aggregate_rate_from_snapshot(snap, dict(total_key))
@@ -1325,7 +1348,12 @@ class AppValuationState:
             return math.inf
         return snap.total_remaining / rate
 
-    def rho_at(self, now: float, total_key: tuple[tuple[int, int], ...]) -> float:
+    def rho_at(
+        self,
+        now: float,
+        total_key: tuple[tuple[int, int], ...],
+        shape: Optional[tuple] = None,
+    ) -> float:
         """Noise-free rho for a canonical total-counts bundle at ``now``."""
         snap = self.snapshot
         assert snap is not None, "refresh() before rho_at()"
@@ -1336,7 +1364,7 @@ class AppValuationState:
         elapsed = now - snap.arrival_time
         if elapsed < 0.0:
             elapsed = 0.0
-        return (elapsed + self.delta_of(total_key)) / snap.t_ideal
+        return (elapsed + self.delta_of(total_key, shape)) / snap.t_ideal
 
     def current_rho(self, now: float, token: Optional[int] = None) -> float:
         """rho with the allocation the app holds right now (cheap when clean)."""

@@ -599,6 +599,7 @@ def run_sim_bench(profile: SimBenchProfile, repeats: int = 1) -> dict:
             "moves": totals.get("solver_moves", 0),
             "rescore_carves": totals.get("rescore_carves", 0),
             "rescore_skipped": totals.get("rescore_skipped", 0),
+            "heap_pushes": totals.get("solver_heap_pushes", 0),
         }
         return {
             "seconds": seconds,
@@ -693,6 +694,14 @@ def carves_per_move(side: Mapping) -> Optional[float]:
     return probes / moves if moves and probes is not None else None
 
 
+def pushes_per_move(side: Mapping) -> Optional[float]:
+    """Solver heap pushes per applied move of one bench side (one per
+    machine *class* per row, not per machine); deterministic."""
+    solver = side.get("solver") or {}
+    moves, pushes = solver.get("moves"), solver.get("heap_pushes")
+    return pushes / moves if moves and pushes is not None else None
+
+
 def check_sim_regression(
     current: Mapping,
     baseline: Mapping,
@@ -710,11 +719,12 @@ def check_sim_regression(
     must stay below ``baseline * max_slowdown``.
 
     Every gated profile is additionally held to a ceiling on *total*
-    precise carves per solver move (:func:`carves_per_move`) — the
-    counter is *deterministic* per profile and mode (no timing noise at
-    all), so this is the perf gate of choice for ``sim-xl``, where the
-    timing ratio is structurally ~1 and deliberately not gated.  The
-    ceiling is ``baseline * max_slowdown`` at any baseline value.
+    precise carves per solver move (:func:`carves_per_move`) and on
+    heap pushes per move (:func:`pushes_per_move`) — both counters are
+    *deterministic* per profile and mode (no timing noise at all), so
+    they are the perf gates of choice for ``sim-xl``, where the timing
+    ratio is structurally ~1 and deliberately not gated.  Each ceiling
+    is ``baseline * max_slowdown`` at any baseline value.
     Returns failure messages (empty = pass).
     """
     failures: list[str] = []
@@ -751,15 +761,19 @@ def check_sim_regression(
                     f"{name}: tracing overhead regressed — {cur_overhead:.2f}x "
                     f"vs baseline {base_overhead:.2f}x (ceiling {ceiling:.2f}x)"
                 )
-        cur_cpm = carves_per_move(cur.get("incremental", {}))
-        base_cpm = carves_per_move(base.get("incremental", {}))
-        if cur_cpm is not None and base_cpm is not None:
-            cpm_ceiling = base_cpm * max_slowdown
-            if cur_cpm > cpm_ceiling:
+        for what, per_move in (
+            ("precise carves", carves_per_move),
+            ("heap pushes", pushes_per_move),
+        ):
+            cur_rate = per_move(cur.get("incremental", {}))
+            base_rate = per_move(base.get("incremental", {}))
+            if cur_rate is None or base_rate is None:
+                continue
+            ceiling = base_rate * max_slowdown
+            if cur_rate > ceiling:
                 failures.append(
-                    f"{name}: valuation work regressed — "
-                    f"{cur_cpm:.2f} precise carves/move vs baseline "
-                    f"{base_cpm:.2f} (ceiling {cpm_ceiling:.2f})"
+                    f"{name}: solver work regressed — {cur_rate:.2f} {what}/move "
+                    f"vs baseline {base_rate:.2f} (ceiling {ceiling:.2f})"
                 )
     return failures
 
@@ -888,9 +902,13 @@ def sim_trajectory_entry(payload: Mapping, at: Optional[str] = None) -> dict:
             "speedup": record["speedup"],
             "identical_results": record["identical_results"],
         }
-        per_move = carves_per_move(record["incremental"])
-        if per_move is not None:
-            entry["carves_per_move"] = per_move
+        for key, per_move in (
+            ("carves_per_move", carves_per_move),
+            ("pushes_per_move", pushes_per_move),
+        ):
+            rate = per_move(record["incremental"])
+            if rate is not None:
+                entry[key] = rate
         profiles[name] = entry
     return {"at": at, "profiles": profiles}
 

@@ -333,9 +333,13 @@ class _Handler(BaseHTTPRequestHandler):
         if length == 0:
             return {}
         data = self.rfile.read(length)
-        payload = json.loads(data.decode("utf-8"))
+        try:
+            # UnicodeDecodeError and JSONDecodeError are both ValueErrors.
+            payload = json.loads(data.decode("utf-8"))
+        except ValueError as error:
+            raise ServiceError(f"bad JSON body: {error}", reason="bad_json") from None
         if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
+            raise ServiceError("request body must be a JSON object", reason="bad_json")
         return payload
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API

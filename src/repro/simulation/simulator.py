@@ -1142,6 +1142,7 @@ class ClusterSimulator:
             "solver_moves": 0,
             "solver_pair_scores": 0,
             "solver_replayed_moves": 0,
+            "solver_heap_pushes": 0,
             "valuation_probes": 0,
             "heap_warm_hits": 0,
             "heap_warm_misses": 0,

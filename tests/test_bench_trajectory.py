@@ -76,6 +76,27 @@ def test_sim_gate_holds_total_carves_per_move_at_any_baseline():
     assert check_sim_regression(payload(1), payload(0), gate_profiles=gate)
 
 
+def test_sim_gate_holds_heap_pushes_per_move_to_the_same_ceiling():
+    def payload(pushes) -> dict:
+        run = fake_payload(2.0)
+        solver = {"moves": 100} if pushes is None else {"moves": 100, "heap_pushes": pushes}
+        run["sim"]["sim-small"]["incremental"].update(rho_probes=1000, solver=solver)
+        return run
+
+    gate = ("sim-small",)
+    baseline = payload(500)
+    entry = sim_trajectory_entry(baseline, at="t")
+    assert entry["profiles"]["sim-small"]["pushes_per_move"] == 5.0
+    assert check_sim_regression(payload(650), baseline, gate_profiles=gate) == []
+    (failure,) = check_sim_regression(payload(700), baseline, gate_profiles=gate)
+    assert "7.00 heap pushes/move vs baseline 5.00" in failure
+    # A baseline recorded before the counter existed gates nothing.
+    assert check_sim_regression(payload(700), payload(None), gate_profiles=gate) == []
+    assert "pushes_per_move" not in sim_trajectory_entry(payload(None), at="t")[
+        "profiles"
+    ]["sim-small"]
+
+
 def test_write_sim_bench_appends_across_runs(tmp_path):
     path = str(tmp_path / "BENCH_sim.json")
     write_sim_bench(fake_payload(2.0), path, at="t0")

@@ -11,10 +11,12 @@ solver (``solver="rescan"``) byte-for-byte:
   ``(machine, current_key)`` with the free-dependent tie-break rebuilt
   from the live ``free``), so a column shrink that leaves the step
   bound unchanged re-uses the memoised score;
-* **one score per machine class** — a row scores one representative
-  per class of machines the app cannot tell apart and stamps the rest
-  (pools of 4+ machines; tests/test_shape_symmetry.py holds the lemma
-  and the wide-market sweep).
+* **one score and one heap entry per machine class** — a row scores
+  the lowest member of each class of machines the app cannot tell
+  apart; the pop loop hands the score to the next member when a
+  competitor takes the representative (pools of 4+ machines;
+  tests/test_shape_symmetry.py holds the lemma, the successor markets
+  and the wide-market sweeps).
 
 The sweep covers seeded markets x homogeneous / heterogeneous fleets x
 scalar / ``rate-inversion`` perf models x ``ALL_JOBS`` / ``FIRST_WINNER``
@@ -292,13 +294,15 @@ def test_rescore_counters_reach_round_stats():
     for run in (inc, cold):
         stats = run["result"].round_stats
         totals = stats["totals"]
-        for key in ("rescore_carves", "rescore_skipped"):
+        for key in ("rescore_carves", "rescore_skipped", "solver_heap_pushes"):
             assert key in totals
             assert all(key in row for row in stats["per_round"])
         # The gate engages in BOTH modes — the re-score wall is
         # mode-independent, which is exactly why it needed its own
         # treatment beyond the cross-round caches.
         assert totals["rescore_skipped"] > 0
+        # Every applied move was popped off the heap, so pushed first.
+        assert totals["solver_heap_pushes"] >= totals["solver_moves"] > 0
 
 
 def test_sim_level_lazy_matches_rescan():

@@ -397,6 +397,16 @@ def test_http_rejects_oversized_body_without_reading_it(http_endpoint):
     assert raw_post(http_endpoint, 1 << 40) == 413
 
 
+@pytest.mark.parametrize(
+    "body",
+    [b'{"spec": {"kind"', b'{"tenant": "\xff\xfe"}', b'["spec", "noop"]'],
+    ids=["truncated-json", "invalid-utf8", "json-list"],
+)
+def test_http_answers_400_to_a_body_that_is_not_a_json_object(http_endpoint, body):
+    """The client's fault, so 400 ``bad_json`` — not 500 ``internal``."""
+    assert raw_post(http_endpoint, len(body), body) == 400
+
+
 def test_http_accepts_body_at_the_limit(http_endpoint):
     frame = len(json.dumps({"spec": {"pad": ""}}))
     body = json.dumps({"spec": {"pad": "x" * (MAX_BODY_BYTES - frame)}}).encode()

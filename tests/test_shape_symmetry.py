@@ -1,6 +1,6 @@
 """Shape symmetry: a bundle is carved per *shape*, a row scored per *class*.
 
-Three layers, matching where the symmetry is used:
+Four layers, matching where the symmetry is used:
 
 * **the lemma** (:func:`repro.core.fairness.bundle_shape`) — all three
   carve kernels read machine ids only for *order* and rack ids only for
@@ -15,7 +15,13 @@ Three layers, matching where the symmetry is used:
   byte-for-byte, with and without valuation noise (noise keys on
   machine ids, so the class must degenerate to the machine), under
   scalar and ``rate-inversion`` perf models, ``ALL_JOBS`` and
-  ``FIRST_WINNER``.
+  ``FIRST_WINNER``;
+* **class-native rows** — a class owns *one* heap entry: pinned markets
+  where a competitor consumes the representative (a successor must be
+  materialised) and where a member touched by a column event must be
+  skipped, a hypothesis sweep of whole outcomes against the rescan
+  reference, and bit-equality of the spliced-shape probe with the
+  id-key probe.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from repro.core.fairness import (
     _carve_fast_family,
     _carve_reference,
     bundle_shape,
+    shape_of_entries,
 )
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
@@ -345,3 +352,248 @@ def test_class_grouped_rows_match_rescan(
             assert grouped_scores == per_machine_scores
         else:
             assert grouped_scores < per_machine_scores
+
+
+# ----------------------------------------------------------------------
+# (d) class-native rows: one heap entry per class, successors on demand
+# ----------------------------------------------------------------------
+def one_rack_cluster(machines: int):
+    return build_cluster(
+        ClusterSpec(
+            machine_specs=(MachineSpec(count=machines, gpus_per_machine=4),),
+            num_racks=1,
+            name="class-rows",
+        )
+    )
+
+
+def solve_spying_on_successors(pool, bids, monkeypatch):
+    """One full-market solve from fresh bids; returns (assignment, stamps).
+
+    ``stamps`` lists ``(app, from_machine, to_machine)`` for every score
+    moved to another class member.  Within a single solve from fresh
+    bids a row is built once per ``current_key``, so the class memo
+    never restamps and each stamp is a successor materialised by the
+    pop loop.
+    """
+    stamps = []
+    stamped = auction_module._stamped
+
+    def spy(key, move, machine_id):
+        stamps.append((move[0], move[1], machine_id))
+        return stamped(key, move, machine_id)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(auction_module, "_stamped", spy)
+        assignment = PartialAllocationAuction().proportional_fair_allocation(pool, bids)
+    return assignment, stamps
+
+
+def test_successor_stands_in_when_a_competitor_takes_the_representative(monkeypatch):
+    """Five indistinguishable one-GPU machines, two apps on the gain path.
+
+    Both rows are one class ``{0, 1, 2, 3, 4}`` represented by machine
+    0.  ``a`` wins it; ``b``'s entry for machine 0 is now a placeholder
+    whose pop must materialise machine 1 — the only way ``b`` can reach
+    it, because an exhausted machine gets no column entry.  ``a``'s
+    rebuilt row is then represented by machine 1, which ``b`` takes, and
+    so on: every move but the first is won through a successor.
+    """
+    cluster = one_rack_cluster(6)
+    estimator = FairnessEstimator(cluster)
+    pool = {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
+
+    def bids():
+        a = make_app("a", num_jobs=2, serial_work=400.0, max_parallelism=3)
+        b = make_app("b", num_jobs=1, serial_work=100.0, max_parallelism=4)
+        for app, gpu in ((a, 0), (b, 1)):
+            job = app.jobs[0]
+            held = (cluster.machines[5].gpus[gpu],)
+            job.set_allocation(0.0, job.allocation.union(held), overhead=0.0)
+        return {
+            x.app_id: build_bid(x, estimator, now=30.0, offered_counts=pool)
+            for x in (a, b)
+        }
+
+    assignment, stamps = solve_spying_on_successors(pool, bids(), monkeypatch)
+    assert assignment == {"a": {0: 1, 2: 1, 3: 1}, "b": {1: 1, 4: 1}}
+    assert stamps[:2] == [("b", 0, 1), ("a", 1, 2)]
+    outcome = PartialAllocationAuction().run(pool, bids())
+    assert outcome == PartialAllocationAuction(solver="rescan").run(pool, bids())
+
+
+def test_member_touched_by_a_column_event_is_skipped_by_the_walk(monkeypatch):
+    """``b``'s class is ``{0, 1, 2, 3}`` (2 free each), represented by 0.
+
+    ``a`` takes both GPUs of machine 0 and one of machine 1 before
+    ``b``'s entry is popped.  Machine 1 was re-scored for ``b`` by the
+    column pass (one GPU left: another step bound, another score), so
+    the walk must pass over it and hand the class score to machine 2;
+    ``b`` then wins machine 1 through its own entry and machine 2
+    through the successor.
+    """
+    cluster = one_rack_cluster(7)
+    estimator = FairnessEstimator(cluster)
+    pool = {0: 2, 1: 2, 2: 2, 3: 2}
+
+    def bids():
+        a = make_app("a", num_jobs=1, serial_work=400.0, max_parallelism=4)
+        b = make_app("b", num_jobs=2, serial_work=100.0, max_parallelism=4)
+        for app, machine, count in ((a, 5, 1), (b, 6, 4)):
+            job = app.jobs[0]
+            held = cluster.machines[machine].gpus[:count]
+            job.set_allocation(0.0, job.allocation.union(held), overhead=0.0)
+        return {
+            x.app_id: build_bid(x, estimator, now=30.0, offered_counts=pool)
+            for x in (a, b)
+        }
+
+    assignment, stamps = solve_spying_on_successors(pool, bids(), monkeypatch)
+    assert assignment == {"a": {0: 2, 1: 1}, "b": {1: 1, 2: 2, 3: 1}}
+    assert ("b", 0, 2) in stamps
+    assert all(to_machine != 1 for _app, _from, to_machine in stamps)
+    outcome = PartialAllocationAuction().run(pool, bids())
+    assert outcome == PartialAllocationAuction(solver="rescan").run(pool, bids())
+
+
+def class_market(seed, fleet, semantics, noise_theta):
+    """Few racks, few free-count values, holdings that stay in the pool.
+
+    Every row has classes of several members, held machines with free
+    GPUs left (their own class, interleaved with the free ones in id
+    order) and competitors that consume representatives.
+    """
+    rng = random.Random(seed)
+    if fleet == "homogeneous":
+        specs = (MachineSpec(count=rng.randint(6, 14), gpus_per_machine=4),)
+    else:
+        specs = tuple(
+            MachineSpec(count=rng.randint(2, 5), gpus_per_machine=4, gpu_type=GPU_TYPES[kind])
+            for kind in ("v100", "p100", "k80")
+        )
+    cluster = build_cluster(
+        ClusterSpec(machine_specs=specs, num_racks=rng.randint(1, 3), name="classes")
+    )
+    perf_model = (
+        ThroughputMatrixModel(PERF_MATRIX_PRESETS["rate-inversion"])
+        if fleet == "rate-inversion"
+        else None
+    )
+    estimator = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
+    apps = [
+        make_app(
+            app_id=f"a{i}",
+            num_jobs=rng.randint(1, 3),
+            model=rng.choice(MODELS),
+            serial_work=rng.uniform(20.0, 400.0),
+            max_parallelism=rng.randint(1, 4),
+            semantics=semantics,
+        )
+        for i in range(rng.randint(2, 5))
+    ]
+    free_values = rng.sample((1, 2, 3, 4), rng.randint(1, 2))
+    pool = {}
+    for machine in cluster.machines:
+        taken = 0
+        if rng.random() < 0.3:
+            job = rng.choice(rng.choice(apps).jobs)
+            taken = rng.randint(1, 3)
+            held = machine.gpus[:taken]
+            job.set_allocation(0.0, job.allocation.union(held), overhead=0.0)
+        free = min(rng.choice(free_values), machine.num_gpus - taken)
+        if free > 0 and rng.random() < 0.9:
+            pool[machine.machine_id] = free
+    now = rng.uniform(10.0, 200.0)
+
+    def bids_factory():
+        return {
+            app.app_id: build_bid(
+                app, estimator, now, pool, noise_theta=noise_theta, noise_salt=seed
+            )
+            for app in apps
+            if app.unmet_demand() > 0
+        }
+
+    return pool, bids_factory
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 20),
+    fleet=st.sampled_from(("homogeneous", "hetero", "rate-inversion")),
+    semantics=st.sampled_from(list(CompletionSemantics)),
+    noise_theta=st.sampled_from((0.0, 0.2)),
+    chunk_size=st.integers(1, 4),
+)
+def test_class_rows_match_rescan_on_random_markets(
+    seed, fleet, semantics, noise_theta, chunk_size
+):
+    pool, bids_factory = class_market(seed, fleet, semantics, noise_theta)
+    if not pool or not bids_factory():
+        return
+    lazy = PartialAllocationAuction(chunk_size=chunk_size).run(pool, bids_factory())
+    rescan = PartialAllocationAuction(chunk_size=chunk_size, solver="rescan").run(
+        pool, bids_factory()
+    )
+    assert lazy == rescan
+
+
+@st.composite
+def spliced_probes(draw):
+    """An app with holdings, a bundle so far, and one more machine."""
+    perf_matrix = draw(st.booleans())
+    semantics = draw(st.sampled_from(list(CompletionSemantics)))
+    seed = draw(st.integers(0, 1 << 20))
+    rng = random.Random(seed)
+    cluster = wide_cluster(hetero=perf_matrix or rng.random() < 0.5)
+    perf_model = (
+        ThroughputMatrixModel(PERF_MATRIX_PRESETS["rate-inversion"])
+        if perf_matrix
+        else None
+    )
+    machines = [m.machine_id for m in cluster.machines]
+    ids = draw(st.lists(st.sampled_from(machines), min_size=1, max_size=6, unique=True))
+    return cluster, perf_model, semantics, seed, ids, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spliced_probes())
+def test_spliced_shape_probe_is_bit_equal_to_the_id_key_probe(case):
+    cluster, perf_model, semantics, seed, ids, step = case
+    rng = random.Random(seed)
+    *others, machine_id = ids
+    rng.shuffle(others)
+    held, bundle = others[: len(others) // 2], others[len(others) // 2 :]
+    pool = {m: 4 for m in [machine_id, *bundle]}
+    current_key = tuple(sorted((m, rng.randint(1, 3)) for m in bundle))
+
+    def fresh_bid():
+        """Own estimator and state, so nothing is shared between doors."""
+        estimator = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
+        app = make_app(
+            "a",
+            num_jobs=3,
+            model=MODELS[seed % len(MODELS)],
+            max_parallelism=4,
+            semantics=semantics,
+        )
+        for job, machine in zip(app.jobs * 2, held):
+            take = cluster.machines[machine].gpus[:1]
+            job.set_allocation(0.0, job.allocation.union(take), overhead=0.0)
+        return build_bid(app, estimator, now=40.0, offered_counts=pool)
+
+    by_shape, by_key = fresh_bid(), fresh_bid()
+    total_key, entries = by_shape.row_context(current_key)
+    position = sum(1 for machine, _count in total_key if machine < machine_id)
+    reads = by_shape.state.machine_reads
+    spliced_key = (
+        total_key[:position] + ((machine_id, step),) + total_key[position:]
+    )
+    shape = shape_of_entries(
+        entries[:position] + [(*reads[machine_id], step)] + entries[position:]
+    )
+    assert shape == bundle_shape(spliced_key, reads)
+    assert by_shape.state.delta_of(spliced_key, shape) == by_key.state.delta_of(spliced_key)
+    bundle_key = tuple(sorted(current_key + ((machine_id, step),)))
+    assert by_shape.value_from_shape(shape, spliced_key) == by_key.value_from_key(bundle_key)
+    assert by_shape.rho_probes == by_key.rho_probes
