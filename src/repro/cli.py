@@ -10,7 +10,6 @@ Examples::
         --seeds 1,2,3,4 --workers 4 --cache-dir .sweep-cache
     python -m repro sweep --cluster hetero --gpu-mix v100:0.5,p100:0.25,k80:0.25 \\
         --schedulers themis,tiresias --seeds 1,2
-    python -m repro bench --quick --check BENCH_auction.json
     python -m repro bench sim --check BENCH_sim.json --out BENCH_sim.json
     python -m repro cache prune --dir .sweep-cache --max-age-days 30
     python -m repro trace --apps 30 --out trace.jsonl
@@ -644,87 +643,7 @@ def _print_per_type_breakdown(tasks, report) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "sim":
-        return _cmd_bench_sim(args)
-    from repro.perf.bench import (
-        AUCTION_PROFILES,
-        E2E_PROFILES,
-        check_regression,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
-
-    profiles = list(args.profiles or AUCTION_PROFILES)
-    e2e = list(args.e2e)
-    repeats = args.repeats
-    if args.quick:
-        # CI smoke mode: one repeat, skip the (minutes-long) large
-        # auction profile and the medium end-to-end run.
-        profiles = [p for p in profiles if p != "large"]
-        e2e = [p for p in e2e if p == "e2e-small"]
-        repeats = 1
-    unknown = [p for p in profiles if p not in AUCTION_PROFILES] + [
-        p for p in e2e if p not in E2E_PROFILES
-    ]
-    if unknown:
-        print(
-            f"unknown bench profiles: {unknown}; known: "
-            f"{sorted(AUCTION_PROFILES)} + {sorted(E2E_PROFILES)}",
-            file=sys.stderr,
-        )
-        return 2
-    baseline = None
-    if args.check:
-        baseline = load_bench(args.check)
-    payload = run_bench(profiles=profiles, e2e_profiles=e2e, repeats=repeats)
-    rows = []
-    for name in profiles:
-        record = payload["auction"][name]
-        reference = record.get("reference", {})
-        rows.append([
-            name,
-            record["gpus"],
-            record["contention"],
-            record["apps"],
-            record["fast"]["seconds"],
-            reference.get("seconds", "-"),
-            record.get("speedup") or "-",
-            record["fast"]["rho_probes"],
-        ])
-    print(format_table(
-        ["profile", "gpus", "contention", "apps", "fast_s", "ref_s", "speedup", "probes"],
-        rows,
-    ))
-    for name in e2e:
-        record = payload["end_to_end"][name]
-        print(f"{name}: {record['seconds']:.2f}s wall, "
-              f"{record['num_rounds']} rounds, "
-              f"{record['events_processed']} events")
-    if args.out:
-        write_bench(payload, args.out)
-        print(f"wrote {args.out}")
-    if baseline is not None:
-        gate = tuple(
-            p for p in ("medium", "hetero-medium", "large") if p in profiles
-        )
-        if not gate:
-            print("regression check skipped: no gated profile "
-                  "(medium/hetero-medium/large) in this run")
-            return 0
-        failures = check_regression(
-            payload, baseline, max_slowdown=args.max_slowdown, gate_profiles=gate
-        )
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print("regression check passed vs", args.check)
-    return 0
-
-
-def _cmd_bench_sim(args: argparse.Namespace) -> int:
-    """``repro bench sim``: the whole-trace incremental-vs-cold suite."""
+    """``repro bench sim``: the whole-trace replay suite."""
     from repro.perf.bench import (
         SIM_PROFILES,
         carves_per_move,
@@ -735,21 +654,21 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
         write_sim_bench,
     )
 
-    # sim-xl is explicit-only: the scale gate costs minutes per mode,
-    # so a bare ``repro bench sim`` must not pick it up by default.
+    # sim-xl is explicit-only: a bare ``repro bench sim`` must not pick
+    # up the scale gate by default.
     default_profiles = [p for p in SIM_PROFILES if p != "sim-xl"]
     profiles = list(args.profiles or default_profiles)
     repeats = args.repeats
     if args.quick:
         # CI smoke mode: the two small profiles only — the scalar
         # baseline and the throughput-matrix variant, so the per-family
-        # carve kernel is gated from day one.  Two repeats per mode
-        # (min-of-N) so the gated speedup ratio is not a single
+        # carve kernel is gated from day one.  Two repeats per pass
+        # (min-of-N) so the gated tracing-overhead ratio is not a single
         # unaveraged timing pair on a noisy shared runner.  sim-xl is
         # additionally allowed through when asked for by name (the CI
-        # scale smoke), at a single repeat — its gates are byte-identity
+        # scale smoke), at a single repeat — its gates are the digest
         # under a wall-clock budget plus the deterministic
-        # total-carves-per-move ceiling, not a timing ratio.
+        # carves-per-move and pushes-per-move ceilings.
         quick_set = ("sim-small", "sim-matrix")
         quick_allowed = quick_set + ("sim-xl",)
         dropped = [p for p in profiles if p not in quick_allowed]
@@ -775,35 +694,34 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
     rows = []
     for name in profiles:
         record = payload["sim"][name]
-        obs = record.get("obs") or {}
-        per_move = carves_per_move(record["incremental"])
-        pushes = pushes_per_move(record["incremental"])
+        obs = record["obs"]
+        per_move = carves_per_move(record)
+        pushes = pushes_per_move(record)
         rows.append([
             name,
             record["gpus"],
             round(record["peak_contention"], 2),
             record["rounds"],
-            round(record["incremental"]["seconds"], 3),
-            round(record["cold"]["seconds"], 3),
-            round(record["speedup"], 2) if record["speedup"] else "-",
-            round(record["incremental"]["events_per_sec"], 1),
-            record["incremental"]["rho_probes"],
+            round(record["seconds"], 3),
+            round(record["events_per_sec"], 1),
+            record["rho_probes"],
             round(per_move, 2) if per_move is not None else "-",
             round(pushes, 2) if pushes is not None else "-",
-            record["identical_results"],
-            round(obs["trace_overhead"], 3) if obs.get("trace_overhead") else "-",
-            obs.get("events", "-"),
+            record["digest"][:12],
+            obs["identical_with_tracing"],
+            round(obs["trace_overhead"], 3) if obs["trace_overhead"] else "-",
+            obs["events"],
         ])
     print(format_table(
-        ["profile", "gpus", "contention", "rounds", "inc_s", "cold_s",
-         "speedup", "events/s", "probes", "carve/mv", "push/mv", "identical",
+        ["profile", "gpus", "contention", "rounds", "seconds", "events/s",
+         "probes", "carve/mv", "push/mv", "digest", "traced_same",
          "trace_ovh", "trace_ev"],
         rows,
     ))
     for name in profiles:
-        obs = payload["sim"][name].get("obs") or {}
-        if obs.get("profile"):
-            _print_profile(obs["profile"], title=f"\n{name} traced-run phase profile:")
+        profile = payload["sim"][name]["obs"]["profile"]
+        if profile:
+            _print_profile(profile, title=f"\n{name} traced-run phase profile:")
     if args.out:
         write_sim_bench(payload, args.out)
         print(f"wrote {args.out} (trajectory appended)")
@@ -1147,42 +1065,34 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.set_defaults(func=_cmd_sweep)
 
     bench_parser = sub.add_parser(
-        "bench", help="run the tracked auction/simulator benchmarks"
+        "bench", help="run the tracked simulator benchmark"
     )
     bench_parser.add_argument(
-        "suite", nargs="?", choices=("auction", "sim"), default="auction",
-        help="auction: PA-solver microbenchmarks (BENCH_auction.json); "
-             "sim: whole-trace incremental-vs-cold macro-benchmark "
-             "(BENCH_sim.json)",
+        "suite", choices=("sim",),
+        help="sim: whole-trace replay macro-benchmark (BENCH_sim.json)",
     )
     bench_parser.add_argument(
         "--profiles", type=lambda t: [p.strip() for p in t.split(",") if p.strip()],
         default=None,
-        help="comma-separated profiles; defaults to every profile of the "
-             "selected suite (auction: small,medium,hetero-medium,large; "
-             "sim: sim-small,sim-medium,sim-8x,sim-hetero,sim-failures,"
-             "sim-matrix,sim-migration; the sim-xl scale gate runs only "
-             "when named explicitly)",
-    )
-    bench_parser.add_argument(
-        "--e2e", type=lambda t: [p.strip() for p in t.split(",") if p.strip()],
-        default=["e2e-small", "e2e-medium"],
-        help="comma-separated end-to-end profiles",
+        help="comma-separated profiles; defaults to sim-small,sim-medium,"
+             "sim-8x,sim-hetero,sim-failures,sim-matrix,sim-migration (the "
+             "sim-xl scale gate runs only when named explicitly)",
     )
     bench_parser.add_argument("--repeats", type=_positive_int, default=3,
                               help="timing repeats per profile (min is reported)")
     bench_parser.add_argument("--quick", action="store_true",
-                              help="CI smoke mode: 1 repeat; auction suite skips "
-                                   "large/e2e-medium, sim suite runs "
-                                   "sim-small + sim-matrix only (plus sim-xl "
-                                   "when requested by name, at 1 repeat)")
+                              help="CI smoke mode: sim-small + sim-matrix only, "
+                                   "2 repeats (plus sim-xl when requested by "
+                                   "name, at 1 repeat)")
     bench_parser.add_argument("--out", default=None,
                               help="write the bench payload to this JSON path")
     bench_parser.add_argument("--check", default=None,
                               help="compare against a committed baseline JSON; "
-                                   "exit 1 on >max-slowdown regression")
+                                   "exit 1 on a moved digest or a ratio beyond "
+                                   "max-slowdown")
     bench_parser.add_argument("--max-slowdown", type=float, default=2.0,
-                              help="allowed speedup-ratio slack vs the baseline")
+                              help="allowed slack on the tracing-overhead and "
+                                   "work-per-move ceilings vs the baseline")
     bench_parser.set_defaults(func=_cmd_bench)
 
     cache_parser = sub.add_parser(

@@ -14,7 +14,7 @@ from collections import Counter
 from typing import Iterable, Iterator
 
 from repro.cluster.placement import LocalityLevel, placement_level, placement_score
-from repro.cluster.topology import Gpu
+from repro.cluster.topology import Gpu, ordered_sum
 
 
 class Allocation:
@@ -74,7 +74,7 @@ class Allocation:
         counts 1.0, an older generation counts its speed factor.
         """
         if self._effective is None:
-            self._effective = sum(gpu.speed for gpu in self._gpus)
+            self._effective = ordered_sum(gpu.speed for gpu in self._gpus)
         return self._effective
 
     def effective_size_weighted(self, weight_of) -> float:
@@ -86,7 +86,7 @@ class Allocation:
         matches :attr:`effective_size` exactly, so a weighting that
         degenerates to ``gpu.speed`` produces bit-identical floats.
         """
-        return sum(weight_of(gpu) for gpu in self._gpus)
+        return ordered_sum(weight_of(gpu) for gpu in self._gpus)
 
     def per_type_counts(self) -> dict[str, int]:
         """Map GPU-type name -> number of member GPUs of that generation."""

@@ -30,6 +30,21 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right ``0 + v1 + v2 + ...``.
+
+    The builtin ``sum`` of floats up to CPython 3.11; 3.12 made it a
+    compensated sum whose last bit can differ.  Float totals that can
+    reach a :class:`SimulationResult` use this, so replays and the
+    frozen digests are the same on every interpreter.  (Lives here:
+    this module is the root of the package's import graph.)
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class GpuType:
     """One GPU generation: a name and a relative speed factor.
@@ -469,9 +484,9 @@ def split_by_mix(count: int, mix: Sequence[tuple[str, float]]) -> list[tuple[Gpu
         raise ValueError("gpu mix needs at least one (type, fraction) entry")
     types = [resolve_gpu_type(name) for name, _ in mix]
     weights = [float(fraction) for _, fraction in mix]
-    if any(w < 0 for w in weights) or sum(weights) <= 0:
+    total_weight = ordered_sum(weights)
+    if any(w < 0 for w in weights) or total_weight <= 0:
         raise ValueError(f"gpu mix fractions must be >= 0 and sum > 0, got {weights}")
-    total_weight = sum(weights)
     quotas = [count * w / total_weight for w in weights]
     floors = [int(q) for q in quotas]
     remainder = count - sum(floors)

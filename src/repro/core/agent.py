@@ -34,8 +34,6 @@ class Agent:
     rho kernel and delta caches survive verbatim between scheduling
     rounds, so the many starved apps at high contention answer rho
     probes and rebuild bid tables without recomputing a single carve.
-    ``incremental=False`` rebuilds everything every round — the honest
-    cold baseline the sim macro-benchmark compares against.
     """
 
     def __init__(
@@ -43,14 +41,13 @@ class Agent:
         app: App,
         estimator: FairnessEstimator,
         noise_theta: float = 0.0,
-        incremental: bool = True,
     ) -> None:
         if not 0.0 <= noise_theta < 1.0:
             raise ValueError(f"noise_theta must be in [0, 1), got {noise_theta}")
         self.app = app
         self.estimator = estimator
         self.noise_theta = noise_theta
-        self.state = AppValuationState(app, estimator, reuse=incremental)
+        self.state = AppValuationState(app, estimator)
         self.bids_prepared = 0
         self.auctions_won = 0
 
@@ -67,7 +64,7 @@ class Agent:
         Starved apps report ``inf`` — the unbounded metric that keeps
         them in every subsequent auction until they win (Section 5.1).
         ``refresh_token`` stamps the scheduling round so repeat
-        refreshes within it are free (incremental pipeline only).
+        refreshes within it are free.
         """
         rho = self.state.current_rho(now, refresh_token)
         if math.isinf(rho):

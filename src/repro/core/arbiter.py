@@ -107,9 +107,8 @@ class Arbiter:
         # Observability hooks; the simulator rewires these at bind time.
         self.tracer = NULL_TRACER
         self.profiler = NULL_PROFILER
-        #: Set by the scheduler at bind time when the incremental
-        #: valuation pipeline is on: enables the per-round refresh token.
-        self.incremental = False
+        #: Stamps each round so an AGENT's repeat refreshes within it
+        #: (rho probe, then bid preparation) are one comparison.
         self._refresh_token = 0
 
     # ------------------------------------------------------------------
@@ -153,14 +152,10 @@ class Arbiter:
         pool_counts = {m: len(gpus) for m, gpus in pool_by_machine.items()}
 
         # Step 1: probe all apps for rho; only apps that still want GPUs
-        # are eligible bidders.  Under the incremental pipeline the
-        # round is stamped with a refresh token (repeat refreshes within
-        # it are one comparison).
-        token: Optional[int] = None
+        # are eligible bidders.
+        self._refresh_token += 1
+        token = self._refresh_token
         with self.profiler.phase("valuation"):
-            if self.incremental:
-                self._refresh_token += 1
-                token = self._refresh_token
             rhos = {
                 app_id: agent.report_rho(now, salt, token)
                 for app_id, agent in agents.items()

@@ -57,9 +57,8 @@ Bound-gated, symmetry-reduced re-scoring
 ----------------------------------------
 
 The ``O(A + M)`` post-move re-scores are *precise* valuation probes
-over trajectory-dependent compound bundles — identical work in
-incremental and cold modes, unprimeable by any cross-round cache, and
-the dominant cost on wide pools.  Plain lazy-CELF stale-heap
+over trajectory-dependent compound bundles — unprimeable by any
+cross-round cache, and the dominant cost on wide pools.  Plain lazy-CELF stale-heap
 re-validation is NOT exact here: Themis marginal gains are non-monotone
 (a shrinking machine can *raise* a pair's normalized gain — see
 tests/test_rescore_exactness.py for a pinned counterexample), so the
@@ -143,7 +142,7 @@ solves share each :class:`~repro.core.bids.Bid`'s pair memo and
 valuation caches, so suffix scores the full solve already computed are
 hits.  The pre-refactor full-rescan solver is kept as
 :func:`rescan_fair_allocation` — the reference implementation the
-equivalence tests and ``repro bench`` compare against.
+equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -155,6 +154,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from repro.cluster.topology import ordered_sum
 from repro.core.bids import Bid
 from repro.core.fairness import shape_of_entries
 from repro.obs.profiler import NULL_PROFILER
@@ -290,8 +290,8 @@ class PartialAllocationAuction:
     ``solver`` selects the winner-determination implementation:
     ``"lazy"`` (default) is the CELF-style heap solver, ``"rescan"``
     the pre-refactor full rescan.  Both produce identical assignments
-    (see the module docstring); ``"rescan"`` exists for equivalence
-    tests and as the ``repro bench`` reference.
+    (see the module docstring); ``"rescan"`` exists for the
+    equivalence tests.
     """
 
     def __init__(self, chunk_size: int = 4, solver: str = "lazy") -> None:
@@ -822,7 +822,7 @@ class PartialAllocationAuction:
         leftover = {m: c for m, c in leftover.items() if c > 0}
         if any(c < 0 for c in leftover.values()):
             raise RuntimeError("auction over-allocated a machine; invariant violated")
-        welfare = sum(
+        welfare = ordered_sum(
             self._log_value(bids[a].value_of(winners.get(a, {}))) for a in participants
         )
         return AuctionOutcome(
@@ -845,8 +845,7 @@ def rescan_fair_allocation(
 
     Every greedy step re-scores every ``(app, machine, step)`` move —
     ``O(apps x machines)`` valuation probes per applied move.  Kept
-    verbatim as the ground truth the lazy solver is tested against and
-    the baseline ``repro bench`` measures speedups over.
+    verbatim as the ground truth the lazy solver is tested against.
     """
     remaining = {m: c for m, c in pool.items() if c > 0}
     apps = [a for a in sorted(bids) if a != exclude]
@@ -961,7 +960,7 @@ def exhaustive_nash_allocation(
             continue
         values = [bids[a].value_of(assignment[a]) for a in apps]
         positive = sum(1 for v in values if v > 0)
-        log_product = sum(math.log(v) for v in values if v > 0)
+        log_product = ordered_sum(math.log(v) for v in values if v > 0)
         key = (positive, log_product)
         if best_key is None or key > best_key:
             best_key = key

@@ -140,7 +140,7 @@ class Bid:
         # starved app's bid table survives verbatim between rounds),
         # while ad-hoc callers get a fresh single-auction state.
         if state is None:
-            state = AppValuationState(app, estimator, reuse=False)
+            state = AppValuationState(app, estimator)
         snap = state.refresh(refresh_token)
         self._state = state
         # The app's (single) model family selects its throughput-matrix

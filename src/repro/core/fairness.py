@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.cluster.placement import LocalityLevel, SensitivityProfile
-from repro.cluster.topology import Cluster
+from repro.cluster.topology import Cluster, ordered_sum
 from repro.obs.profiler import NULL_PROFILER
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.job import Job
@@ -706,7 +706,7 @@ def packing_utility(
     carved, _ = _carve_fast(
         job_tuples, machine_counts, rack_of, nvlink_group_size, speed_of, family_speed_of
     )
-    return sum(
+    return ordered_sum(
         effective * PLACEMENT_SCORES[level]
         for _job, _gpus, level, _rate, effective in carved
     )
@@ -841,7 +841,7 @@ class FairnessEstimator:
             app_id=app.app_id,
             arrival_time=app.arrival_time,
             job_tuples=tuple(tuples),
-            total_remaining=sum(item[0] for item in tuples),
+            total_remaining=ordered_sum(item[0] for item in tuples),
             t_ideal=app.ideal_running_time(self.capacity),
         )
 
@@ -860,7 +860,7 @@ class FairnessEstimator:
         if not machine_counts:
             return 0.0
         carved = self._carved(snap, machine_counts)
-        return sum(rate for *_, rate, _effective in carved)
+        return ordered_sum(rate for *_, rate, _effective in carved)
 
     def _carved(
         self, snap: AppSnapshot, machine_counts: Mapping[int, int]
@@ -1025,7 +1025,7 @@ _DELTA_CACHE_LIMIT = 131072
 
 
 class AppValuationState:
-    """Cross-round valuation cache for one app (the incremental pipeline).
+    """Cross-round valuation cache for one app.
 
     Holds the app's frozen :class:`AppSnapshot`, its base per-machine
     counts, and the caches of elapsed-independent valuation kernels,
@@ -1051,16 +1051,14 @@ class AppValuationState:
 
     Any discrete change (allocation install, job finish/kill, tuner
     step, failure revocation) bumps the app epoch and invalidates both
-    levels.  With ``reuse=False`` every refresh rebuilds everything —
-    the cold path the ``repro bench sim`` macro-benchmark times and the
-    equivalence suite proves byte-identical.  Values are the same
-    either way: the caches store pure functions of (snapshot, counts).
+    levels.  Reuse never changes a value: the caches store pure
+    functions of (snapshot, counts), so a state answers exactly what a
+    freshly constructed one would.
     """
 
     __slots__ = (
         "app",
         "estimator",
-        "reuse",
         "epoch",
         "snapshot",
         "base_counts",
@@ -1079,12 +1077,9 @@ class AppValuationState:
         "_sorted_jobs",
     )
 
-    def __init__(
-        self, app: App, estimator: FairnessEstimator, reuse: bool = True
-    ) -> None:
+    def __init__(self, app: App, estimator: FairnessEstimator) -> None:
         self.app = app
         self.estimator = estimator
-        self.reuse = reuse
         self.epoch = -1
         self.snapshot: Optional[AppSnapshot] = None
         self.base_counts: dict[int, int] = {}
@@ -1120,33 +1115,15 @@ class AppValuationState:
         ``token`` identifies the scheduling round: within one round an
         app cannot drift (jobs advance, allocations install and tuners
         step strictly *between* rounds), so a repeat refresh under the
-        same token returns the snapshot outright.  Only honoured with
-        ``reuse=True`` — the cold baseline stays a full rebuild.
+        same token returns the snapshot outright.
         """
         app = self.app
         if (
             token is not None
-            and self.reuse
             and token == self._refresh_token
             and self.snapshot is not None
         ):
             return self.snapshot
-        if not self.reuse:
-            # Cold baseline: rebuild everything from the live app.
-            self.rebuilds += 1
-            self.epoch = app.epoch
-            snap = self.estimator.snapshot(app)
-            self.snapshot = snap
-            self.base_counts = dict(app.allocation().per_machine_counts())
-            self.base_key = tuple(
-                sorted((m, c) for m, c in self.base_counts.items() if c > 0)
-            )
-            self.machine_reads = self.estimator.machine_reads(snap.job_tuples)
-            self._rate_cache = {}
-            self._delta_cache = {}
-            self._fw_pair_cache = {}
-            self._refresh_remaining(snap)
-            return snap
         if self.snapshot is not None and self.epoch == app.epoch:
             if not self.base_counts:
                 self._refresh_token = token
@@ -1191,7 +1168,7 @@ class AppValuationState:
         the sequence is still sorted (the usual case — proportional
         drains rarely reorder), the snapshot is reused with a freshly
         summed ``total_remaining`` — summed along the *current* sorted
-        order, so the float matches a cold rebuild bit-for-bit.  The
+        order, so the float matches a full rebuild bit-for-bit.  The
         per-job magnitudes inside ``job_tuples`` are left stale: under
         ``ALL_JOBS`` semantics no consumer reads them (the carve uses
         caps, profiles and families; the delta divides the fresh total
@@ -1237,7 +1214,7 @@ class AppValuationState:
         moves; every other rebuild re-reads one float per job.  The sort
         key and the total-remaining summation order match
         :meth:`FairnessEstimator.snapshot` exactly, so the snapshots
-        are byte-identical to cold-built ones.
+        are byte-identical to ones built from scratch.
         """
         statics = self._job_statics
         if statics is None or self._statics_epoch != app.epoch:
@@ -1279,7 +1256,7 @@ class AppValuationState:
             app_id=app.app_id,
             arrival_time=app.arrival_time,
             job_tuples=tuple(tuples),
-            total_remaining=sum(item[0] for item in tuples),
+            total_remaining=ordered_sum(item[0] for item in tuples),
             t_ideal=app.ideal_running_time(self.estimator.capacity),
         )
 

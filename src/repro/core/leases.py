@@ -39,29 +39,34 @@ class Lease:
 
 
 class LeaseManager:
-    """Tracks the lease on every GPU in the cluster.
+    """Tracks the lease on every GPU of one cluster.
 
-    Calling :meth:`track` with the cluster's GPU set additionally
-    maintains the *complement* — the unleased GPUs — incrementally, so
-    :meth:`pool_for_auction` assembles the auction pool from the leases
-    and the free dict instead of rescanning every GPU in the cluster
-    each round.  Untracked managers (the default, and the cold baseline
-    of ``repro bench sim``) keep the original full-scan behaviour; both
-    produce the same sorted pool.
+    The *complement* — the unleased GPUs — is maintained alongside the
+    leases, so :meth:`pool_for_auction` and :meth:`free_gpus` read the
+    free dict instead of rescanning every GPU in the cluster each
+    round.  The cluster's GPU set is learnt from the first such query
+    (one manager serves one cluster); :meth:`unleased_gpus` and
+    :meth:`expired_gpus` remain the full rescans tests audit it with.
     """
 
     def __init__(self) -> None:
         self._leases: dict[int, Lease] = {}
-        self._free: Optional[dict[int, Gpu]] = None
+        #: Unleased GPUs: every released one, plus — once
+        #: :meth:`_free_of` has seen the cluster — the never-leased.
+        self._free: dict[int, Gpu] = {}
+        self._free_is_complete = False
         #: Forced-revocation tally by reason ("failure", "preemption",
         #: ...) — ordinary releases/renewals do not count.
         self.revocations: dict[str, int] = {}
 
-    def track(self, all_gpus: Iterable[Gpu]) -> None:
-        """Maintain the unleased-GPU set incrementally for ``all_gpus``."""
-        self._free = {
-            gpu.gpu_id: gpu for gpu in all_gpus if gpu.gpu_id not in self._leases
-        }
+    def _free_of(self, all_gpus: Iterable[Gpu]) -> dict[int, Gpu]:
+        """The free dict, completed from ``all_gpus`` on first use."""
+        if not self._free_is_complete:
+            for gpu in all_gpus:
+                if gpu.gpu_id not in self._leases:
+                    self._free[gpu.gpu_id] = gpu
+            self._free_is_complete = True
+        return self._free
 
     # ------------------------------------------------------------------
     # Mutation
@@ -76,14 +81,13 @@ class LeaseManager:
             raise ValueError(f"lease duration must be > 0, got {duration}")
         lease = Lease(gpu=gpu, app_id=app_id, job_id=job_id, start=now, expiry=now + duration)
         self._leases[gpu.gpu_id] = lease
-        if self._free is not None:
-            self._free.pop(gpu.gpu_id, None)
+        self._free.pop(gpu.gpu_id, None)
         return lease
 
     def release(self, gpu: Gpu) -> Optional[Lease]:
         """Drop the lease on ``gpu`` (no-op when unleased)."""
         lease = self._leases.pop(gpu.gpu_id, None)
-        if lease is not None and self._free is not None:
+        if lease is not None:
             self._free[gpu.gpu_id] = gpu
         return lease
 
@@ -139,20 +143,23 @@ class LeaseManager:
         ]
 
     def unleased_gpus(self, all_gpus: Iterable[Gpu]) -> list[Gpu]:
-        """GPUs from ``all_gpus`` that carry no lease at all."""
+        """GPUs from ``all_gpus`` that carry no lease at all (a rescan)."""
         return [gpu for gpu in all_gpus if gpu.gpu_id not in self._leases]
 
     def free_gpus(self, all_gpus: Iterable[Gpu]) -> Iterable[Gpu]:
-        """Unleased GPUs, served from the tracked free dict when available.
+        """Unleased GPUs, served from the free dict.
 
         Same set as :meth:`unleased_gpus`, but O(free) instead of
-        O(cluster) under :meth:`track` — the per-round metrics sampler's
-        hot path.  Iteration order is unspecified; callers needing
-        determinism must aggregate order-independently (or sort).
+        O(cluster) — the per-round metrics sampler's hot path.
+        Iteration order is unspecified; callers needing determinism
+        must aggregate order-independently (or sort).
+
+        Only the manager's *first* ``free_gpus`` /
+        :meth:`pool_for_auction` query reads ``all_gpus`` and fixes the
+        GPU set: every call must pass the same cluster's GPUs.  For a
+        subset use the :meth:`unleased_gpus` rescan.
         """
-        if self._free is not None:
-            return self._free.values()
-        return self.unleased_gpus(all_gpus)
+        return self._free_of(all_gpus).values()
 
     def next_expiry(self, now: float) -> Optional[float]:
         """Earliest future lease expiry strictly after ``now`` (None when idle)."""
@@ -162,22 +169,14 @@ class LeaseManager:
     def pool_for_auction(self, now: float, all_gpus: Iterable[Gpu]) -> list[Gpu]:
         """The auction pool: unleased GPUs plus GPUs with expired leases.
 
-        With :meth:`track` enabled the unleased side comes from the
-        incrementally-maintained free dict (``all_gpus`` is ignored —
-        it was captured at track time); otherwise every GPU is scanned.
-        Either way the pool is sorted by gpu_id, so downstream rounds
-        are identical.
+        Assembled from the free dict and the leases, sorted by gpu_id.
+        As in :meth:`free_gpus`, only the manager's first query reads
+        ``all_gpus``; later calls must pass the same GPUs.
         """
-        if self._free is not None:
-            pool = list(self._free.values())
-            pool.extend(
-                lease.gpu
-                for lease in self._leases.values()
-                if lease.is_expired(now)
-            )
-        else:
-            pool = self.unleased_gpus(all_gpus)
-            pool.extend(self.expired_gpus(now))
+        pool = list(self._free_of(all_gpus).values())
+        pool.extend(
+            lease.gpu for lease in self._leases.values() if lease.is_expired(now)
+        )
         return sorted(pool, key=lambda gpu: gpu.gpu_id)
 
     @property

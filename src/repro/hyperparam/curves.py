@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.cluster.topology import ordered_sum
+
 
 @dataclass(frozen=True)
 class LossCurve:
@@ -103,12 +105,12 @@ def fit_power_law(
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     n = len(points)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    var_x = sum((x - mean_x) ** 2 for x in xs)
+    mean_x = ordered_sum(xs) / n
+    mean_y = ordered_sum(ys) / n
+    var_x = ordered_sum((x - mean_x) ** 2 for x in xs)
     if var_x <= 1e-12:
         raise ValueError("all samples at the same iteration; cannot fit a slope")
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / var_x
+    slope = ordered_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / var_x
     intercept = mean_y - slope * mean_x
     alpha = max(1e-6, -slope)
     initial = floor + math.exp(intercept)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.cluster.topology import ordered_sum
+
 
 def max_fairness(rhos: Sequence[float]) -> float:
     """Worst (largest) finish-time fairness across apps."""
@@ -32,8 +34,8 @@ def jain_index(values: Sequence[float]) -> float:
         return 0.0
     if not finite:
         raise ValueError("jain_index needs at least one value")
-    total = sum(finite)
-    squares = sum(v * v for v in finite)
+    total = ordered_sum(finite)
+    squares = ordered_sum(v * v for v in finite)
     if squares == 0.0:
         return 1.0
     return (total * total) / (len(finite) * squares)

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import math
 
+from repro.cluster.topology import ordered_sum
 from repro.simulation.simulator import SimulationResult
 
 
 def _weighted_mean(pairs: list[tuple[float, float]]) -> float:
     """Weighted mean of (value, weight) pairs; ``nan`` with no weight."""
-    total_weight = sum(weight for _, weight in pairs)
+    total_weight = ordered_sum(weight for _, weight in pairs)
     if total_weight <= 0:
         return math.nan
-    return sum(value * weight for value, weight in pairs) / total_weight
+    return ordered_sum(value * weight for value, weight in pairs) / total_weight
 
 
 def per_type_rows(result: SimulationResult) -> list[dict]:
@@ -40,7 +41,7 @@ def per_type_rows(result: SimulationResult) -> list[dict]:
     type_names = sorted(
         set(result.cluster_gpus_by_type) | set(result.gpu_time_by_type)
     )
-    total_gpu_time = sum(result.gpu_time_by_type.values())
+    total_gpu_time = ordered_sum(result.gpu_time_by_type.values())
     rows: list[dict] = []
     for name in type_names:
         gpus = result.cluster_gpus_by_type.get(name, 0)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.cluster.topology import ordered_sum
+
 
 def cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     """Empirical CDF points ``(x, P[X <= x])`` in ascending x order."""
@@ -44,7 +46,7 @@ def average_jct(completion_times: Sequence[float]) -> float:
     """Mean app completion time."""
     if not completion_times:
         raise ValueError("average_jct needs at least one completion time")
-    return sum(completion_times) / len(completion_times)
+    return ordered_sum(completion_times) / len(completion_times)
 
 
 def jct_summary(completion_times: Sequence[float]) -> dict[str, float]:

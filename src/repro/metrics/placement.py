@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.cluster.topology import ordered_sum
 from repro.metrics.jct import cdf, percentile
 
 
@@ -27,7 +28,7 @@ def score_summary(scores: Sequence[float]) -> dict[str, float]:
     if not scores:
         raise ValueError("score_summary needs at least one score")
     return {
-        "mean": sum(scores) / len(scores),
+        "mean": ordered_sum(scores) / len(scores),
         "median": percentile(scores, 50.0),
         "p10": percentile(scores, 10.0),
     }

@@ -1,39 +1,22 @@
-"""Performance benchmarking: tracked microbenchmarks for the hot paths.
+"""Performance benchmarking: the ``repro bench sim`` macro-benchmark.
 
-:mod:`repro.perf.bench` times the partial-allocation auction (lazy
-solver vs. the full-rescan reference) and end-to-end simulation runs at
-small/medium/large contention, producing the ``BENCH_auction.json``
-payload the CI regression guard and ``repro bench`` consume, plus the
-``repro bench sim`` macro-benchmark that replays whole traces with the
-incremental valuation pipeline on and off, producing ``BENCH_sim.json``.
+:mod:`repro.perf.bench` replays whole traces untraced and traced and
+produces the ``BENCH_sim.json`` payload whose result digests, tracing
+overhead and per-move solver work the CI guard checks.
 """
 
 from repro.perf.bench import (
-    AUCTION_PROFILES,
-    E2E_PROFILES,
     SIM_PROFILES,
-    AuctionBenchProfile,
-    EndToEndProfile,
     SimBenchProfile,
-    build_auction_instance,
-    check_regression,
     check_sim_regression,
-    run_bench,
     run_sim_bench,
     run_sim_suite,
 )
 
 __all__ = [
-    "AUCTION_PROFILES",
-    "E2E_PROFILES",
     "SIM_PROFILES",
-    "AuctionBenchProfile",
-    "EndToEndProfile",
     "SimBenchProfile",
-    "build_auction_instance",
-    "check_regression",
     "check_sim_regression",
-    "run_bench",
     "run_sim_bench",
     "run_sim_suite",
 ]

@@ -1,164 +1,43 @@
-"""Benchmark harnesses: the PA-auction hot path and whole-trace runs.
+"""The sim macro-benchmark (``repro bench sim``): whole-trace replays.
 
-Each :class:`AuctionBenchProfile` describes one contended auction round
-— a cluster size, a contention factor (aggregate unmet demand over
-offered GPUs) and a bidder count — from which a deterministic instance
-is synthesised: apps hold a slice of the cluster already (so the greedy
-solver exercises the gain path, not just rescues), the rest of the
-GPUs form the offered pool, and every app bids through the real
-:class:`~repro.core.bids.Bid` / :class:`~repro.core.fairness.FairnessEstimator`
-machinery.
-
-For every profile the harness times :meth:`PartialAllocationAuction.run`
-with the default lazy solver and (optionally) with the pre-refactor
-full-rescan reference solver, asserts the two outcomes are identical,
-and reports wall-clock plus valuation-probe counts.  The *speedup*
-ratio (reference / lazy on the same machine, same instance) is the
-machine-independent number the CI regression guard tracks across
-commits; absolute seconds are recorded for context only.
-
-End-to-end profiles time a whole ``themis`` simulation through
-:func:`repro.experiments.runner.run_scenario`, covering the simulator's
-round loop (active-job index, batched lease expiries) as well as the
-auction.
-
-The **sim macro-benchmark** (``repro bench sim``) is the honest
-events-per-second number for full trace replays: every
-:class:`SimBenchProfile` runs one whole simulation twice — once with the
-cross-round incremental valuation pipeline
-(``SimulationConfig.incremental=True``, the default) and once with the
-cold rebuild-everything baseline — asserts the two
-``SimulationResult.to_json()`` payloads are byte-identical (modulo the
-``incremental`` flag itself), and reports wall seconds, events/sec,
-rounds/sec and carve ("rho probe") counts into ``BENCH_sim.json``.  The
-machine-independent *speedup* ratio (cold / incremental, same machine,
-same process) is what the CI smoke job gates on.
+Every :class:`SimBenchProfile` is one full simulation, replayed
+untraced and then again with full tracing plus the phase profiler
+attached.  What is gated against the committed ``BENCH_sim.json`` is
+deterministic: the sha256 of the canonical result JSON must equal the
+committed one, the traced replay must produce the same digest, and the
+replay's total carves and heap pushes per applied solver move must stay
+under a ceiling.  The one timing gate is the traced-over-untraced ratio
+(same machine, same process).  Wall seconds, events/sec and rounds/sec
+are recorded for context only — wall-clock claims are made with
+interleaved parent/change pairs of ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-import random
-import statistics
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Mapping, Optional, Sequence
-
-from repro.cluster.topology import (
-    Cluster,
-    ClusterSpec,
-    MachineSpec,
-    build_cluster,
-    split_by_mix,
-)
-from repro.core.auction import AuctionOutcome, PartialAllocationAuction
-from repro.core.bids import Bid, build_bid
-from repro.core.fairness import FairnessEstimator
-from repro.workload.app import App
-from repro.workload.job import Job, JobSpec
-
-#: Schema version of the BENCH_auction.json payload.
-BENCH_SCHEMA = 1
 
 #: Schema version of the BENCH_sim.json payload.
 #: 2: per-profile ``obs`` record (tracing-on overhead ratio, byte-
 #:    identity with tracing, event count, phase profile).
 #: 3: top-level ``trajectory`` list — one timestamped summary entry
 #:    appended per ``repro bench sim --out`` run, so the committed
-#:    baseline carries its own speedup history instead of silently
+#:    baseline carries its own history instead of silently
 #:    overwriting it.
-BENCH_SIM_SCHEMA = 3
-
-#: Models sampled for synthetic bench apps (mix of placement-sensitive
-#: and compute-bound profiles so valuations are not all alike).
-_BENCH_MODELS = ("resnet50", "vgg16", "transformer", "inceptionv3", "lstm-lm")
-
-
-@dataclass(frozen=True)
-class AuctionBenchProfile:
-    """One synthetic auction round to benchmark."""
-
-    name: str
-    gpus: int
-    contention: float  # aggregate unmet demand / offered GPUs
-    num_apps: int
-    gpus_per_machine: int = 4
-    held_fraction: float = 0.25  # slice of the cluster apps already hold
-    hidden_payments: bool = True
-    chunk_size: int = 4
-    seed: int = 0
-    #: Skip the (much slower) rescan reference by default for this
-    #: profile; the lazy solver is still timed.
-    reference: bool = True
-    #: Documented reason the rescan reference is skipped.  A *gated*
-    #: profile must either time the reference (tracked ``speedup``) or
-    #: carry this marker — ``check_regression`` fails on a silent
-    #: neither, and falls back to gating the profile's deterministic
-    #: probe counts instead of the timing ratio.
-    skip_reference_reason: Optional[str] = None
-    #: GPU-generation mixture, (type name, fraction) pairs; empty means
-    #: a homogeneous default-type cluster.  Machines are split across
-    #: generations by largest remainder, so the valuation path exercises
-    #: the speed-weighted carve and the speed-class tie-breaks.
-    gpu_mix: tuple[tuple[str, float], ...] = ()
-
-
-@dataclass(frozen=True)
-class EndToEndProfile:
-    """One whole-simulation run to benchmark."""
-
-    name: str
-    num_apps: int
-    seed: int = 42
-    duration_scale: float = 0.1
-    scheduler: str = "themis"
-
-
-#: The tracked auction profiles: 64–512 GPUs at 2x–8x contention.  The
-#: ``medium`` and ``hetero-medium`` profiles (128 GPUs, 4x contention,
-#: hidden payments on; the latter on a 50/25/25 V100/P100/K80 fleet)
-#: are the acceptance/CI gates.  ``large`` skips the rescan reference —
-#: at 512 GPUs the O(apps x machines)-per-move rescan needs minutes.
-AUCTION_PROFILES: dict[str, AuctionBenchProfile] = {
-    p.name: p
-    for p in (
-        AuctionBenchProfile(name="small", gpus=64, contention=2.0, num_apps=8),
-        AuctionBenchProfile(name="medium", gpus=128, contention=4.0, num_apps=16),
-        AuctionBenchProfile(
-            name="hetero-medium",
-            gpus=128,
-            contention=4.0,
-            num_apps=16,
-            gpu_mix=(("v100", 0.5), ("p100", 0.25), ("k80", 0.25)),
-        ),
-        AuctionBenchProfile(
-            name="large",
-            gpus=512,
-            contention=8.0,
-            num_apps=32,
-            reference=False,
-            skip_reference_reason=(
-                "the O(apps x machines)-per-move rescan reference needs "
-                "minutes per solve at 512 GPUs; the profile is gated on its "
-                "deterministic rho-probe and pair-score counts instead"
-            ),
-        ),
-    )
-}
-
-E2E_PROFILES: dict[str, EndToEndProfile] = {
-    p.name: p
-    for p in (
-        EndToEndProfile(name="e2e-small", num_apps=6, duration_scale=0.05),
-        EndToEndProfile(name="e2e-medium", num_apps=12, duration_scale=0.1),
-    )
-}
+#: 4: one replay mode — a record carries its result ``digest``,
+#:    ``seconds`` and work counts directly (no ``incremental`` /
+#:    ``cold`` sides, no ``speedup``); trajectory entries written
+#:    before 4 keep their old keys.
+BENCH_SIM_SCHEMA = 4
 
 
 @dataclass(frozen=True)
 class SimBenchProfile:
-    """One full trace replay, timed incremental vs cold-rebuild.
+    """One full trace replay.
 
     ``contention`` is the profile's target contention class (the knob
     compresses arrivals toward it); the *measured* peak contention is
@@ -192,8 +71,7 @@ class SimBenchProfile:
 
 #: The tracked sim profiles: 64-128 GPU traces at 2x/4x/8x contention
 #: classes, homogeneous + hetero fleets, with and without failure
-#: injection.  ``sim-medium`` (128 GPUs, 4x) is the acceptance gate
-#: (>= 2x incremental-over-cold); ``sim-small`` is the CI smoke gate.
+#: injection.  ``sim-small`` and ``sim-matrix`` are the CI smoke gates.
 SIM_PROFILES: dict[str, SimBenchProfile] = {
     p.name: p
     for p in (
@@ -261,17 +139,16 @@ SIM_PROFILES: dict[str, SimBenchProfile] = {
             migration=True,
         ),
         # The breadth/scale gate: 2048 GPUs (512 machines) x 512 apps.
-        # What it proves is byte-identity and CI-budget wall clock at an
-        # order of magnitude more machines than every other profile —
-        # NOT a speedup headline.  At this scale the dominant cost is
-        # the auction solver's exact re-scoring after each greedy move
-        # (trajectory-dependent compound bundle keys x 512 machines),
-        # which is identical work in incremental and cold modes, so the
-        # incremental-over-cold ratio is structurally small here.  Tiny
-        # short jobs + a long lease keep the round count tracking
-        # workload churn instead of lease churn, which is what keeps
-        # the whole replay inside the CI budget.  Not in the default
-        # suite — run it explicitly (CI does, under a hard timeout).
+        # What it proves is a stable digest, bounded solver work per
+        # move and CI-budget wall clock at an order of magnitude more
+        # machines than every other profile.  At this scale the
+        # dominant cost is the auction solver's exact re-scoring after
+        # each greedy move (trajectory-dependent compound bundle keys x
+        # 512 machines).  Tiny short jobs + a long lease keep the round
+        # count tracking workload churn instead of lease churn, which
+        # is what keeps the whole replay inside the CI budget.  Not in
+        # the default suite — run it explicitly (CI does, under a hard
+        # timeout).
         SimBenchProfile(
             name="sim-xl",
             gpus=2048,
@@ -285,198 +162,6 @@ SIM_PROFILES: dict[str, SimBenchProfile] = {
         ),
     )
 }
-
-
-# ----------------------------------------------------------------------
-# Instance synthesis
-# ----------------------------------------------------------------------
-def _bench_cluster(profile: AuctionBenchProfile) -> Cluster:
-    machines = max(1, profile.gpus // profile.gpus_per_machine)
-    if profile.gpu_mix:
-        specs = tuple(
-            MachineSpec(
-                count=count,
-                gpus_per_machine=profile.gpus_per_machine,
-                gpu_type=gpu_type,
-            )
-            for gpu_type, count in split_by_mix(machines, profile.gpu_mix)
-            if count > 0
-        )
-    else:
-        specs = (
-            MachineSpec(count=machines, gpus_per_machine=profile.gpus_per_machine),
-        )
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=specs,
-            num_racks=max(1, machines // 8),
-            name=f"bench-{profile.name}",
-        )
-    )
-
-
-def _bench_apps(
-    profile: AuctionBenchProfile, cluster: Cluster, rng: random.Random
-) -> list[App]:
-    """Apps whose aggregate demand hits ``contention x offered GPUs``."""
-    offered = int(round(profile.gpus * (1.0 - profile.held_fraction)))
-    target_demand = int(round(profile.contention * offered))
-    per_job = profile.gpus_per_machine
-    jobs_per_app = max(1, round(target_demand / (per_job * profile.num_apps)))
-    apps = []
-    for index in range(profile.num_apps):
-        jobs = [
-            Job(
-                spec=JobSpec(
-                    job_id=f"b{index}-j{j}",
-                    model=rng.choice(_BENCH_MODELS),
-                    serial_work=rng.uniform(50.0, 400.0),
-                    max_parallelism=per_job,
-                )
-            )
-            for j in range(jobs_per_app)
-        ]
-        apps.append(
-            App(app_id=f"b{index:03d}", arrival_time=rng.uniform(0.0, 120.0), jobs=jobs)
-        )
-    return apps
-
-
-def build_auction_instance(
-    profile: AuctionBenchProfile,
-) -> tuple[dict[int, int], dict[str, Bid]]:
-    """Deterministic (pool, bids) for one profile.
-
-    ``held_fraction`` of the machines are handed whole to apps
-    round-robin before bidding, so bids carry non-empty base
-    allocations and positive current values; the remaining machines
-    form the offered pool.  Fresh :class:`Bid` objects (cold valuation
-    caches) are returned on every call so repeated timings are honest.
-    """
-    rng = random.Random(profile.seed)
-    cluster = _bench_cluster(profile)
-    apps = _bench_apps(profile, cluster, rng)
-    machines = list(cluster.machines)
-    held = machines[: int(len(machines) * profile.held_fraction)]
-    for slot, machine in enumerate(held):
-        app = apps[slot % len(apps)]
-        job = app.jobs[(slot // len(apps)) % len(app.jobs)]
-        job.set_allocation(0.0, job.allocation.union(machine.gpus), overhead=0.0)
-    pool = {
-        machine.machine_id: machine.num_gpus
-        for machine in machines[len(held):]
-    }
-    estimator = FairnessEstimator(cluster)
-    now = 150.0
-    bids = {
-        app.app_id: build_bid(app, estimator, now, pool)
-        for app in apps
-        if app.unmet_demand() > 0
-    }
-    return pool, bids
-
-
-# ----------------------------------------------------------------------
-# Timing
-# ----------------------------------------------------------------------
-def _outcome_digest(outcome: AuctionOutcome) -> list:
-    """Canonical, JSON-stable digest of an auction outcome."""
-    return [
-        sorted(
-            (app_id, sorted(bundle.items()))
-            for app_id, bundle in outcome.winners.items()
-        ),
-        sorted(outcome.payments.items()),
-        sorted(outcome.leftover.items()),
-        outcome.nash_log_welfare,
-    ]
-
-
-def _time_solver(
-    profile: AuctionBenchProfile, solver: str, repeats: int
-) -> tuple[dict, list]:
-    """Time ``auction.run`` on fresh instances; returns (record, digest)."""
-    auction = PartialAllocationAuction(chunk_size=profile.chunk_size, solver=solver)
-    seconds: list[float] = []
-    digest: list = []
-    probes = lookups = moves = pair_scores = 0
-    for _ in range(max(1, repeats)):
-        pool, bids = build_auction_instance(profile)
-        start = time.perf_counter()
-        outcome = auction.run(
-            pool, bids, apply_hidden_payments=profile.hidden_payments
-        )
-        seconds.append(time.perf_counter() - start)
-        digest = _outcome_digest(outcome)
-        probes = sum(bid.rho_probes for bid in bids.values())
-        lookups = sum(bid.rho_lookups for bid in bids.values())
-        moves = auction.last_stats.moves
-        pair_scores = auction.last_stats.pair_scores
-    record = {
-        "seconds": min(seconds),
-        "seconds_mean": statistics.fmean(seconds),
-        "repeats": len(seconds),
-        "rho_probes": probes,
-        "rho_lookups": lookups,
-        "solver_moves": moves,
-        "solver_pair_scores": pair_scores,
-    }
-    return record, digest
-
-
-def run_auction_bench(
-    profile: AuctionBenchProfile,
-    repeats: int = 3,
-    include_reference: Optional[bool] = None,
-) -> dict:
-    """Benchmark one auction profile; returns its JSON record."""
-    if include_reference is None:
-        include_reference = profile.reference
-    fast, fast_digest = _time_solver(profile, "lazy", repeats)
-    record = {
-        "gpus": profile.gpus,
-        "contention": profile.contention,
-        "apps": profile.num_apps,
-        "hidden_payments": profile.hidden_payments,
-        "fast": fast,
-    }
-    if include_reference:
-        reference, ref_digest = _time_solver(profile, "rescan", repeats)
-        record["reference"] = reference
-        record["identical_outcomes"] = fast_digest == ref_digest
-        record["speedup"] = (
-            reference["seconds"] / fast["seconds"] if fast["seconds"] > 0 else None
-        )
-    elif profile.skip_reference_reason is not None:
-        record["skip_reference"] = profile.skip_reference_reason
-    return record
-
-
-def run_end_to_end_bench(profile: EndToEndProfile, repeats: int = 1) -> dict:
-    """Time a full simulation run (imports deferred: heavier module)."""
-    from repro.experiments.config import sim_scenario
-    from repro.experiments.runner import run_scenario
-
-    scenario = sim_scenario(
-        num_apps=profile.num_apps,
-        seed=profile.seed,
-        duration_scale=profile.duration_scale,
-    )
-    seconds = []
-    result = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = run_scenario(scenario, profile.scheduler)
-        seconds.append(time.perf_counter() - start)
-    return {
-        "apps": profile.num_apps,
-        "scheduler": profile.scheduler,
-        "seconds": min(seconds),
-        "repeats": len(seconds),
-        "makespan": result.makespan,
-        "num_rounds": result.num_rounds,
-        "events_processed": result.events_processed,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -511,29 +196,27 @@ def sim_scenario_for(profile: SimBenchProfile):
 def canonical_result_json(result) -> str:
     """Byte-stable JSON of a SimulationResult, instrumentation excluded.
 
-    The ``incremental`` flag is the experiment variable of the
-    incremental-vs-cold comparison; ``round_stats`` (solver work
-    counters legitimately differ between incremental and cold solves —
-    that difference *is* the optimisation) and ``profile`` (wall-clock
+    ``round_stats`` (solver work counters) and ``profile`` (wall-clock
     timings) are observability, not results.  Everything else must
-    match byte for byte.
+    match byte for byte between two replays of one trace.
     """
     payload = result.to_json()
-    payload["config"] = dict(payload["config"])
-    payload["config"].pop("incremental", None)
     payload.pop("round_stats", None)
     payload.pop("profile", None)
     return json.dumps(payload, sort_keys=True)
 
 
-def run_sim_once(profile: SimBenchProfile, incremental: bool, obs=None) -> dict:
-    """One full trace replay; returns timing + result + canonical digest.
+def result_digest(result) -> str:
+    """sha256 of :func:`canonical_result_json` — what ``BENCH_sim.json`` pins."""
+    return hashlib.sha256(canonical_result_json(result).encode("utf-8")).hexdigest()
+
+
+def run_sim_once(profile: SimBenchProfile, obs=None) -> dict:
+    """One full trace replay; returns timing + result + result digest.
 
     ``obs`` optionally attaches an :class:`~repro.obs.Observability`
     bundle (the tracing-overhead pass of :func:`run_sim_bench`).
     """
-    from dataclasses import replace as dc_replace
-
     from repro.schedulers.registry import make_scheduler
     from repro.simulation.failures import FailureInjector, MachineFailure
     from repro.simulation.simulator import ClusterSimulator
@@ -544,7 +227,7 @@ def run_sim_once(profile: SimBenchProfile, incremental: bool, obs=None) -> dict:
         cluster=scenario.build_cluster(),
         workload=scenario.build_trace(),
         scheduler=scheduler,
-        config=dc_replace(scenario.build_sim_config(), incremental=incremental),
+        config=scenario.build_sim_config(),
         perf_model=scenario.build_perf_model(),
         obs=obs,
     )
@@ -563,7 +246,7 @@ def run_sim_once(profile: SimBenchProfile, incremental: bool, obs=None) -> dict:
     return {
         "seconds": seconds,
         "result": result,
-        "digest": canonical_result_json(result),
+        "digest": result_digest(result),
         "rho_probes": getattr(estimator, "carve_count", 0),
     }
 
@@ -571,74 +254,38 @@ def run_sim_once(profile: SimBenchProfile, incremental: bool, obs=None) -> dict:
 def run_sim_bench(profile: SimBenchProfile, repeats: int = 1) -> dict:
     """Benchmark one sim profile; returns its record.
 
-    Three passes: incremental (the default pipeline), cold rebuild (the
-    speedup baseline), and incremental again with full tracing plus the
-    phase profiler attached.  The traced pass proves observability is
-    pay-for-what-you-use: its results must stay byte-identical and its
-    ``trace_overhead`` ratio (traced / untraced, same machine and
-    process) is the machine-independent number the CI guard gates.
+    Two passes of ``repeats`` replays each (the fastest is reported):
+    untraced, then with full tracing plus the phase profiler attached.
+    The traced pass proves observability is pay-for-what-you-use: its
+    digest must equal the untraced one and its ``trace_overhead`` ratio
+    (traced / untraced, same machine and process) is the one timing
+    number the CI guard gates.
     """
     from repro.obs import Observability, PhaseProfiler, RingTracer
 
-    def _timed(incremental: bool, make_obs=None) -> dict:
-        runs = []
-        for _ in range(max(1, repeats)):
-            obs = make_obs() if make_obs is not None else None
-            run = run_sim_once(profile, incremental, obs=obs)
-            run["_obs"] = obs
-            runs.append(run)
-        best = min(runs, key=lambda r: r["seconds"])
-        seconds = best["seconds"]
-        result = best["result"]
-        # Post-move re-scoring accounting (deterministic per profile
-        # and mode): carves the re-scores did and memo skips.  The CI
-        # ceiling is on *total* carves per move
-        # (:func:`carves_per_move`), not on either category.
-        totals = (result.round_stats or {}).get("totals", {})
-        solver = {
-            "moves": totals.get("solver_moves", 0),
-            "rescore_carves": totals.get("rescore_carves", 0),
-            "rescore_skipped": totals.get("rescore_skipped", 0),
-            "heap_pushes": totals.get("solver_heap_pushes", 0),
-        }
-        return {
-            "seconds": seconds,
-            "repeats": len(runs),
-            "events_per_sec": result.events_processed / seconds if seconds > 0 else None,
-            "rounds_per_sec": result.num_rounds / seconds if seconds > 0 else None,
-            "rho_probes": best["rho_probes"],
-            "solver": solver,
-            "_digest": best["digest"],
-            "_result": result,
-            "_obs": best["_obs"],
-        }
+    repeats = max(1, repeats)
 
-    fast = _timed(True)
-    cold = _timed(False)
-    traced = _timed(
-        True,
-        make_obs=lambda: Observability(
+    def fastest(make_obs=None) -> tuple[dict, object]:
+        best, best_obs = None, None
+        for _ in range(repeats):
+            obs = make_obs() if make_obs is not None else None
+            run = run_sim_once(profile, obs=obs)
+            if best is None or run["seconds"] < best["seconds"]:
+                best, best_obs = run, obs
+        return best, best_obs
+
+    plain, _ = fastest()
+    traced, traced_obs = fastest(
+        lambda: Observability(
             tracer=RingTracer(capacity=1 << 20), profiler=PhaseProfiler()
-        ),
+        )
     )
-    result = fast.pop("_result")
-    cold.pop("_result")
-    fast.pop("_obs")
-    cold.pop("_obs")
-    fast_digest = fast.pop("_digest")
-    cold_digest = cold.pop("_digest")
-    traced_obs = traced["_obs"]
-    traced_result = traced["_result"]
-    obs_record = {
-        "seconds": traced["seconds"],
-        "trace_overhead": (
-            traced["seconds"] / fast["seconds"] if fast["seconds"] > 0 else None
-        ),
-        "events": traced_obs.tracer.events_written,
-        "events_dropped": traced_obs.tracer.dropped,
-        "identical_with_tracing": traced["_digest"] == fast_digest,
-        "profile": traced_result.profile,
-    }
+    result = plain["result"]
+    seconds = plain["seconds"]
+    # Solver accounting, deterministic per profile.  The CI ceilings
+    # are on *total* carves per move (:func:`carves_per_move`) and heap
+    # pushes per move, not on either re-score category.
+    totals = (result.round_stats or {}).get("totals", {})
     return {
         "gpus": profile.gpus,
         "contention": profile.contention,
@@ -653,11 +300,26 @@ def run_sim_bench(profile: SimBenchProfile, repeats: int = 1) -> dict:
         "makespan": result.makespan,
         "rounds": result.num_rounds,
         "events": result.events_processed,
-        "incremental": fast,
-        "cold": cold,
-        "speedup": cold["seconds"] / fast["seconds"] if fast["seconds"] > 0 else None,
-        "identical_results": fast_digest == cold_digest,
-        "obs": obs_record,
+        "digest": plain["digest"],
+        "seconds": seconds,
+        "repeats": repeats,
+        "events_per_sec": result.events_processed / seconds if seconds > 0 else None,
+        "rounds_per_sec": result.num_rounds / seconds if seconds > 0 else None,
+        "rho_probes": plain["rho_probes"],
+        "solver": {
+            "moves": totals.get("solver_moves", 0),
+            "rescore_carves": totals.get("rescore_carves", 0),
+            "rescore_skipped": totals.get("rescore_skipped", 0),
+            "heap_pushes": totals.get("solver_heap_pushes", 0),
+        },
+        "obs": {
+            "seconds": traced["seconds"],
+            "trace_overhead": traced["seconds"] / seconds if seconds > 0 else None,
+            "events": traced_obs.tracer.events_written,
+            "events_dropped": traced_obs.tracer.dropped,
+            "identical_with_tracing": traced["digest"] == plain["digest"],
+            "profile": traced["result"].profile,
+        },
     }
 
 
@@ -680,24 +342,23 @@ def run_sim_suite(
     return payload
 
 
-def carves_per_move(side: Mapping) -> Optional[float]:
-    """Total precise carves per applied solver move of one bench side.
+def carves_per_move(record: Mapping) -> Optional[float]:
+    """Total precise carves per applied solver move of one bench record.
 
     ``estimator.carve_count / moves`` over the whole replay — rho
     probes, bid preparation and solver re-scores alike — so work that
     moves between categories cannot hide from the ceiling.
-    Deterministic per profile and mode; derived from fields every
-    committed record already carries.
+    Deterministic per profile.
     """
-    moves = (side.get("solver") or {}).get("moves")
-    probes = side.get("rho_probes")
+    moves = (record.get("solver") or {}).get("moves")
+    probes = record.get("rho_probes")
     return probes / moves if moves and probes is not None else None
 
 
-def pushes_per_move(side: Mapping) -> Optional[float]:
-    """Solver heap pushes per applied move of one bench side (one per
+def pushes_per_move(record: Mapping) -> Optional[float]:
+    """Solver heap pushes per applied move of one bench record (one per
     machine *class* per row, not per machine); deterministic."""
-    solver = side.get("solver") or {}
+    solver = record.get("solver") or {}
     moves, pushes = solver.get("moves"), solver.get("heap_pushes")
     return pushes / moves if moves and pushes is not None else None
 
@@ -710,21 +371,15 @@ def check_sim_regression(
 ) -> list[str]:
     """Compare a fresh sim bench run against the committed baseline.
 
-    Gates on the machine-independent incremental-over-cold *speedup*
-    ratio (fail when it falls below ``baseline / max_slowdown`` — the
-    default tolerates 30%) and on result divergence, which is always a
-    failure.  The observability record is gated too: a traced run whose
-    results diverge from the untraced run always fails, and the
-    traced-over-untraced overhead ratio (same machine, same process)
-    must stay below ``baseline * max_slowdown``.
-
-    Every gated profile is additionally held to a ceiling on *total*
-    precise carves per solver move (:func:`carves_per_move`) and on
-    heap pushes per move (:func:`pushes_per_move`) — both counters are
-    *deterministic* per profile and mode (no timing noise at all), so
-    they are the perf gates of choice for ``sim-xl``, where the timing
-    ratio is structurally ~1 and deliberately not gated.  Each ceiling
-    is ``baseline * max_slowdown`` at any baseline value.
+    Always a failure: a result digest that differs from the committed
+    one (the replay of a pinned trace changed), and a traced run whose
+    digest differs from the untraced run's.  Held to
+    ``baseline * max_slowdown``: the traced-over-untraced overhead
+    ratio (same machine, same process), *total* precise carves per
+    solver move (:func:`carves_per_move`) and heap pushes per move
+    (:func:`pushes_per_move`) — the two work counters are deterministic
+    per profile (no timing noise at all), and the ceiling holds at any
+    baseline value, zero included.
     Returns failure messages (empty = pass).
     """
     failures: list[str] = []
@@ -733,24 +388,16 @@ def check_sim_regression(
         if cur is None:
             failures.append(f"{name}: profile missing from current run")
             continue
-        if not cur.get("identical_results", False):
-            failures.append(f"{name}: incremental and cold results diverged")
         cur_obs = cur.get("obs") or {}
         if cur_obs and not cur_obs.get("identical_with_tracing", False):
             failures.append(f"{name}: tracing changed simulation results")
         base = baseline.get("sim", {}).get(name)
         if base is None:
             continue  # new profile: nothing to compare against yet
-        cur_speedup = cur.get("speedup")
-        base_speedup = base.get("speedup")
-        if cur_speedup is None or base_speedup is None:
-            continue
-        floor = base_speedup / max_slowdown
-        if cur_speedup < floor:
+        if cur.get("digest") != base.get("digest"):
             failures.append(
-                f"{name}: sim throughput regressed — incremental speedup "
-                f"{cur_speedup:.2f}x vs baseline {base_speedup:.2f}x "
-                f"(floor {floor:.2f}x)"
+                f"{name}: result digest {str(cur.get('digest'))[:12]} differs "
+                f"from the committed {str(base.get('digest'))[:12]}"
             )
         cur_overhead = cur_obs.get("trace_overhead")
         base_overhead = (base.get("obs") or {}).get("trace_overhead")
@@ -765,8 +412,8 @@ def check_sim_regression(
             ("precise carves", carves_per_move),
             ("heap pushes", pushes_per_move),
         ):
-            cur_rate = per_move(cur.get("incremental", {}))
-            base_rate = per_move(base.get("incremental", {}))
+            cur_rate = per_move(cur)
+            base_rate = per_move(base)
             if cur_rate is None or base_rate is None:
                 continue
             ceiling = base_rate * max_slowdown
@@ -778,105 +425,10 @@ def check_sim_regression(
     return failures
 
 
-def run_bench(
-    profiles: Sequence[str] = ("small", "medium", "hetero-medium", "large"),
-    e2e_profiles: Sequence[str] = ("e2e-small", "e2e-medium"),
-    repeats: int = 3,
-    include_reference: Optional[bool] = None,
-) -> dict:
-    """Run the selected profiles and assemble the BENCH payload."""
-    payload: dict = {"schema": BENCH_SCHEMA, "auction": {}, "end_to_end": {}}
-    for name in profiles:
-        payload["auction"][name] = run_auction_bench(
-            AUCTION_PROFILES[name], repeats=repeats, include_reference=include_reference
-        )
-    for name in e2e_profiles:
-        payload["end_to_end"][name] = run_end_to_end_bench(
-            E2E_PROFILES[name], repeats=repeats
-        )
-    return payload
-
-
-# ----------------------------------------------------------------------
-# Regression guard
-# ----------------------------------------------------------------------
-def check_regression(
-    current: Mapping,
-    baseline: Mapping,
-    max_slowdown: float = 2.0,
-    gate_profiles: Sequence[str] = ("medium", "hetero-medium", "large"),
-) -> list[str]:
-    """Compare a fresh bench run against a committed baseline.
-
-    The guarded metric is the *speedup ratio* (rescan reference over
-    lazy solver, measured on the same machine in the same process),
-    which is comparable across machines; a profile regresses when its
-    ratio falls below ``baseline / max_slowdown``.  Outcome divergence
-    between the two solvers is always a failure.  A gated profile with
-    no reference timing must carry an explicit ``skip_reference``
-    marker — it is then gated on its deterministic work counts
-    (rho probes / solver pair scores) instead of wall time; a gated
-    profile with neither fails outright, so nothing is silently
-    uncompared.  Returns a list of failure messages (empty = pass).
-    """
-    failures: list[str] = []
-    for name in gate_profiles:
-        cur = current.get("auction", {}).get(name)
-        base = baseline.get("auction", {}).get(name)
-        if cur is None:
-            failures.append(f"{name}: profile missing from current run")
-            continue
-        if cur.get("identical_outcomes") is False:
-            failures.append(f"{name}: lazy and rescan solvers diverged")
-        cur_speedup = cur.get("speedup")
-        if cur_speedup is None:
-            if "skip_reference" not in cur:
-                failures.append(
-                    f"{name}: gated profile has neither a reference timing "
-                    "nor a skip_reference marker"
-                )
-                continue
-            if base is None:
-                continue
-            # Reference-free gate: the lazy solver's work counts are
-            # deterministic per instance, so a large increase is a hot-
-            # path regression even without a timing ratio.
-            for counter in ("rho_probes", "solver_pair_scores"):
-                cur_count = cur.get("fast", {}).get(counter)
-                base_count = base.get("fast", {}).get(counter)
-                if not cur_count or not base_count:
-                    continue
-                if cur_count > base_count * max_slowdown:
-                    failures.append(
-                        f"{name}: {counter} grew {cur_count} vs baseline "
-                        f"{base_count} (allowed x{max_slowdown:g})"
-                    )
-            continue
-        if base is None:
-            continue  # new profile: nothing to compare against yet
-        base_speedup = base.get("speedup")
-        if base_speedup is None:
-            continue
-        floor = base_speedup / max_slowdown
-        if cur_speedup < floor:
-            failures.append(
-                f"{name}: auction solve regressed — speedup {cur_speedup:.2f}x "
-                f"vs baseline {base_speedup:.2f}x (floor {floor:.2f}x)"
-            )
-    return failures
-
-
 def load_bench(path: str) -> dict:
-    """Read a BENCH_auction.json payload."""
+    """Read a BENCH_sim.json payload."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def write_bench(payload: Mapping, path: str) -> None:
-    """Write a BENCH_auction.json payload (stable key order)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 #: Trajectory entries kept in BENCH_sim.json.  Old entries age out so
@@ -887,26 +439,24 @@ SIM_TRAJECTORY_LIMIT = 50
 def sim_trajectory_entry(payload: Mapping, at: Optional[str] = None) -> dict:
     """One timestamped summary row of a sim bench run.
 
-    Only the machine-comparable essentials per profile: the min-of-N
-    wall times, the incremental-over-cold speedup ratio, and the byte-
-    identity verdict.  ``at`` overrides the timestamp (tests).
+    Per profile: the result digest, the min-of-N wall time (context
+    only — this box drifts) and the two deterministic per-move work
+    rates.  ``at`` overrides the timestamp (tests).
     """
     if at is None:
         at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     profiles = {}
     for name, record in payload.get("sim", {}).items():
         entry = {
-            "incremental_seconds": record["incremental"]["seconds"],
-            "cold_seconds": record["cold"]["seconds"],
-            "repeats": record["incremental"]["repeats"],
-            "speedup": record["speedup"],
-            "identical_results": record["identical_results"],
+            "digest": record["digest"],
+            "seconds": record["seconds"],
+            "repeats": record["repeats"],
         }
         for key, per_move in (
             ("carves_per_move", carves_per_move),
             ("pushes_per_move", pushes_per_move),
         ):
-            rate = per_move(record["incremental"])
+            rate = per_move(record)
             if rate is not None:
                 entry[key] = rate
         profiles[name] = entry
@@ -914,10 +464,9 @@ def sim_trajectory_entry(payload: Mapping, at: Optional[str] = None) -> dict:
 
 
 def write_sim_bench(payload: Mapping, path: str, at: Optional[str] = None) -> dict:
-    """Write BENCH_sim.json, *appending* to its speedup trajectory.
+    """Write BENCH_sim.json, *appending* to its trajectory.
 
-    Unlike :func:`write_bench`, a prior payload at ``path`` is not
-    discarded wholesale:
+    A prior payload at ``path`` is not discarded wholesale:
 
     * per-profile records merge — profiles absent from this run keep
       their committed entries, so ``--profiles sim-8x --out`` refreshes
@@ -945,5 +494,7 @@ def write_sim_bench(payload: Mapping, path: str, at: Optional[str] = None) -> di
     merged = dict(payload)
     merged["sim"] = {**prior_sim, **payload.get("sim", {})}
     merged["trajectory"] = trajectory[-SIM_TRAJECTORY_LIMIT:]
-    write_bench(merged, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(merged, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return merged

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.cluster.topology import Gpu
+from repro.cluster.topology import Gpu, ordered_sum
 from repro.core.assignment import greedy_utility_assign, group_pool
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.tiresias import take_scattered
@@ -99,7 +99,7 @@ class SlaqScheduler(InterAppScheduler):
 
         def bundle_effective(app_id: str, bundle: dict[int, int]) -> float:
             speed_of = speed_maps[app_id]
-            return sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
+            return ordered_sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
 
         snapshots = {app.app_id: self._job_snapshot(app) for app in apps}
         held = {

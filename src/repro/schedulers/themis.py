@@ -52,10 +52,6 @@ class ThemisScheduler(InterAppScheduler):
         self.estimator: FairnessEstimator | None = None
         self.arbiter: Arbiter | None = None
         self.agents: dict[str, Agent] = {}
-        #: Whether AGENTs reuse valuation state across rounds; bound
-        #: from ``SimulationConfig.incremental`` (the cold-rebuild
-        #: baseline of ``repro bench sim`` sets it to False).
-        self.incremental = True
 
     def on_bind(self) -> None:
         assert self.sim is not None
@@ -64,13 +60,11 @@ class ThemisScheduler(InterAppScheduler):
             semantics=self.sim.config.semantics,
             perf_model=self.sim.perf_model,
         )
-        self.incremental = getattr(self.sim.config, "incremental", True)
         self.arbiter = Arbiter(
             self.sim.cluster,
             config=self.config,
             rng=np.random.default_rng(self.seed),
         )
-        self.arbiter.incremental = self.incremental
         self.arbiter.auction.estimator = self.estimator
         obs = getattr(self.sim, "obs", None)
         if obs is not None:
@@ -83,10 +77,7 @@ class ThemisScheduler(InterAppScheduler):
     def on_app_arrival(self, now: float, app: App) -> None:
         assert self.estimator is not None
         self.agents[app.app_id] = Agent(
-            app,
-            self.estimator,
-            noise_theta=self.config.noise_theta,
-            incremental=self.incremental,
+            app, self.estimator, noise_theta=self.config.noise_theta
         )
 
     def on_app_finish(self, now: float, app: App) -> None:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.cluster.allocation import Allocation
-from repro.cluster.topology import Cluster, Gpu
+from repro.cluster.topology import Cluster, Gpu, ordered_sum
 from repro.core.leases import LeaseManager
 from repro.obs import Observability, ObsConfig
 from repro.obs.metrics import MetricsRegistry, percentile_nearest_rank
@@ -55,12 +55,6 @@ class SimulationConfig:
     #: Cap on retained ``contention_samples`` / ``timeline`` entries
     #: (``None`` keeps every sample — unbounded on long traces).
     downsample: Optional[int] = None
-    #: Cross-round incremental fast paths: AGENT valuation-state reuse,
-    #: the tracked unleased-GPU pool, and the held-jobs-only advance
-    #: loop.  ``False`` rebuilds everything from scratch every round —
-    #: the cold baseline that ``repro bench sim`` times and that the
-    #: equivalence suite proves byte-identical.
-    incremental: bool = True
     #: Speed-aware job migration (off by default): after each round,
     #: jobs whose whole gang could run strictly faster on currently-free
     #: GPUs — as judged by the run's performance model, so a throughput
@@ -339,15 +333,11 @@ class ClusterSimulator:
         self.engine = SimulationEngine()
         self.leases = LeaseManager()
         self.active_apps: dict[str, App] = {}
-        #: Jobs of arrived apps still able to consume GPUs; kept so a
-        #: round advances O(active jobs) instead of rescanning every
-        #: app x job pair.  Inactive jobs are dropped lazily.
-        self._active_jobs: dict[str, Job] = {}
         #: Jobs currently holding GPUs — the only jobs whose state can
-        #: drift between events, so the incremental advance loop visits
-        #: just these.  (A zero-GPU job integrates to a no-op: progress,
-        #: GPU-time and overhead consumption are all linear in held
-        #: time, so deferring its ``advance_to`` is exact.)
+        #: drift between events, so the advance loop visits just these.
+        #: (A zero-GPU job integrates to a no-op: progress, GPU-time and
+        #: overhead consumption are all linear in held time, so
+        #: deferring its ``advance_to`` is exact.)
         self._held_jobs: dict[str, Job] = {}
         self._job_events: dict[str, Event] = {}
         self._job_owner: dict[str, App] = {}
@@ -375,15 +365,14 @@ class ClusterSimulator:
         self._starved_rounds_max: dict[str, int] = {}
         for app in self.apps:
             for job in app.jobs:
+                # Events, the held-jobs index and this map are keyed by
+                # bare job id; a shared id never finishes its second job.
+                if job.job_id in self._job_owner:
+                    raise ValueError(
+                        f"job id {job.job_id!r} appears in apps "
+                        f"{self._job_owner[job.job_id].app_id!r} and {app.app_id!r}"
+                    )
                 self._job_owner[job.job_id] = app
-        if self.config.incremental:
-            self.leases.track(self.cluster.gpus)
-        else:
-            # Cold baseline: every aggregate rescans the job list, every
-            # round rebuilds every snapshot — the pre-incremental
-            # behaviour `repro bench sim` compares against.
-            for app in self.apps:
-                app.set_cache_enabled(False)
         bind = getattr(scheduler, "bind", None)
         if callable(bind):
             bind(self)
@@ -426,8 +415,6 @@ class ClusterSimulator:
             self.active_apps[app.app_id] = app
             for job in app.jobs:
                 job.last_update = engine.now
-                if job.is_active:
-                    self._active_jobs[job.job_id] = job
             hook = getattr(self.scheduler, "on_app_arrival", None)
             if callable(hook):
                 hook(engine.now, app)
@@ -530,27 +517,17 @@ class ClusterSimulator:
             )
 
     def _advance_active_jobs(self, now: float) -> None:
-        if self.config.incremental:
-            # Only jobs holding GPUs accrue anything between events;
-            # zero-GPU jobs are advanced lazily right before their next
-            # state change, which integrates to the identical result.
-            stale: list[str] = []
-            for job_id, job in self._held_jobs.items():
-                if job.is_active:
-                    job.advance_to(now)
-                else:
-                    stale.append(job_id)
-            for job_id in stale:
-                del self._held_jobs[job_id]
-            return
-        stale = []
-        for job_id, job in self._active_jobs.items():
+        # Only jobs holding GPUs accrue anything between events;
+        # zero-GPU jobs are advanced lazily right before their next
+        # state change, which integrates to the identical result.
+        stale: list[str] = []
+        for job_id, job in self._held_jobs.items():
             if job.is_active:
                 job.advance_to(now)
             else:
                 stale.append(job_id)
         for job_id in stale:
-            del self._active_jobs[job_id]
+            del self._held_jobs[job_id]
 
     def _track_held_job(self, job: Job) -> None:
         """Keep :attr:`_held_jobs` in sync after an allocation change."""
@@ -604,8 +581,8 @@ class ClusterSimulator:
 
         Fragmentation: dispersion of free in-service GPUs across
         machines, ``1 - sum((free_m / free_total)^2)`` summed in
-        machine-id order so the float result is byte-stable across the
-        tracked and scanning lease modes.  Starvation: each active app's
+        machine-id order so the float result does not depend on the
+        free dict's iteration order.  Starvation: each active app's
         rounds-since-last-allocation (counted while it has unmet demand
         and zero GPUs); the series records the nearest-rank p99 across
         currently-waiting apps.  Both are O(free GPUs + active jobs).
@@ -725,7 +702,7 @@ class ClusterSimulator:
 
     def _install_app_allocation(self, now: float, app: App, granted: Allocation) -> None:
         """Distribute an app-level grant to jobs and refresh leases/events."""
-        if self.config.incremental and granted == app.allocation():
+        if granted == app.allocation():
             # Pure lease renewal: the grant is exactly what the app's
             # jobs already hold.  When every job is within its cap the
             # distributor would keep all bindings and have nothing left
@@ -1116,7 +1093,7 @@ class ClusterSimulator:
             timeline=list(self.timeline),
             num_rounds=self.num_rounds,
             events_processed=self.engine.events_processed,
-            total_gpu_time=sum(s.gpu_time for s in stats),
+            total_gpu_time=ordered_sum(s.gpu_time for s in stats),
             cluster_gpus_by_type=self.cluster.gpus_by_type(),
             gpu_time_by_type=dict(sorted(gpu_time_by_type.items())),
             num_migrations=self.num_migrations,

@@ -27,7 +27,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from repro.cluster.allocation import Allocation
-from repro.cluster.topology import CapacityLike, Gpu, as_capacity
+from repro.cluster.topology import CapacityLike, Gpu, as_capacity, ordered_sum
 from repro.workload.job import Job, JobState
 from repro.workload.perf import PerfCapacity
 
@@ -79,7 +79,6 @@ class App:
         #: (:class:`~repro.core.fairness.AppValuationState`) memoise on
         #: it instead of rescanning the job list every call.
         self._epoch = 0
-        self._cache_enabled = True
         self._alloc_cache: Optional[tuple[int, Allocation]] = None
         self._demand_cache: Optional[tuple[int, int, int]] = None
         self._ideal_epoch = -1
@@ -105,16 +104,6 @@ class App:
         the simulator honours after every tuner step.
         """
         self._epoch += 1
-
-    def set_cache_enabled(self, enabled: bool) -> None:
-        """Toggle epoch-memoised aggregates (cold baseline rescans every call).
-
-        Part of the incremental layer, so the ``repro bench sim`` cold
-        path can reproduce the rebuild-everything behaviour honestly;
-        results are identical either way because the caches only
-        memoise pure functions of job state.
-        """
-        self._cache_enabled = enabled
 
     # ------------------------------------------------------------------
     # Job views
@@ -143,7 +132,7 @@ class App:
         within one epoch is safe.
         """
         cached = self._alloc_cache
-        if cached is not None and cached[0] == self._epoch and self._cache_enabled:
+        if cached is not None and cached[0] == self._epoch:
             return cached[1]
         gpus: list[Gpu] = []
         for job in self.jobs:
@@ -165,7 +154,7 @@ class App:
     def _demand_pair(self) -> tuple[int, int]:
         """(total demand, held-toward-demand) memoised on the epoch."""
         cached = self._demand_cache
-        if cached is not None and cached[0] == self._epoch and self._cache_enabled:
+        if cached is not None and cached[0] == self._epoch:
             return cached[1], cached[2]
         demand = 0
         held = 0
@@ -180,15 +169,15 @@ class App:
 
     def total_work(self) -> float:
         """Sum of serial work across all jobs (the paper's W vector, aggregated)."""
-        return sum(job.spec.serial_work for job in self.jobs)
+        return ordered_sum(job.spec.serial_work for job in self.jobs)
 
     def remaining_work(self) -> float:
         """Serial work left across active jobs."""
-        return sum(job.remaining_work for job in self.active_jobs())
+        return ordered_sum(job.remaining_work for job in self.active_jobs())
 
     def gpu_time(self) -> float:
         """Total GPU-minutes consumed by all jobs so far (efficiency metric)."""
-        return sum(job.gpu_time for job in self.jobs)
+        return ordered_sum(job.gpu_time for job in self.jobs)
 
     def gpu_time_by_type(self) -> dict[str, float]:
         """GPU-minutes per GPU-generation name, aggregated over jobs."""
@@ -200,7 +189,7 @@ class App:
 
     def attained_service(self) -> float:
         """Total attained GPU service (Tiresias' LAS metric)."""
-        return sum(job.attained_service for job in self.jobs)
+        return ordered_sum(job.attained_service for job in self.jobs)
 
     def elapsed(self, now: float) -> float:
         """Wall-clock minutes since arrival."""
@@ -211,8 +200,8 @@ class App:
         scored = [job for job in self.jobs if job.allocated_time > 0.0]
         if not scored:
             return 0.0
-        total_time = sum(job.allocated_time for job in scored)
-        return sum(job.score_integral for job in scored) / total_time
+        total_time = ordered_sum(job.allocated_time for job in scored)
+        return ordered_sum(job.score_integral for job in scored) / total_time
 
     # ------------------------------------------------------------------
     # Completion
@@ -244,7 +233,7 @@ class App:
         if self._ideal_epoch != self._epoch:
             self._ideal_cache.clear()
             self._ideal_epoch = self._epoch
-        cached = self._ideal_cache.get(capacity) if self._cache_enabled else None
+        cached = self._ideal_cache.get(capacity)
         if cached is not None:
             return cached
         if isinstance(capacity, PerfCapacity):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.cluster.placement import SensitivityProfile, slowdown
-from repro.cluster.topology import Gpu
+from repro.cluster.topology import Gpu, ordered_sum
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def effective_gpus(gpus: Iterable[Gpu], cap: Optional[int] = None) -> float:
     if cap is not None and len(speeds) > cap:
         speeds.sort(reverse=True)
         speeds = speeds[: max(cap, 0)]
-    return sum(speeds)
+    return ordered_sum(speeds)
 
 
 def throughput(profile: ModelProfile, gpus: Iterable[Gpu]) -> float:

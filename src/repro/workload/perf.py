@@ -45,6 +45,7 @@ from repro.cluster.topology import (
     ClusterCapacity,
     Gpu,
     GpuType,
+    ordered_sum,
 )
 
 #: Canonical matrix form: sorted ((family, ((generation, speedup), ...)), ...).
@@ -200,7 +201,7 @@ class PerfModel(abc.ABC):
         if cap is not None and len(speeds) > cap:
             speeds.sort(reverse=True)
             speeds = speeds[: max(cap, 0)]
-        return sum(speeds)
+        return ordered_sum(speeds)
 
     def _per_cluster_memo(self, slot: str, cluster: Cluster, build):
         """Identity-keyed per-cluster memo for derived cluster views.

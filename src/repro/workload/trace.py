@@ -12,10 +12,12 @@ objects for simulation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+import math
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+from repro.cluster.topology import ordered_sum
 from repro.hyperparam.curves import LossCurve
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.job import Job, JobSpec
@@ -46,8 +48,11 @@ class TraceJob:
     gpu_type: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.duration_minutes <= 0:
-            raise ValueError(f"duration_minutes must be > 0, got {self.duration_minutes}")
+        # ``nan <= 0`` is False, and json.loads reads a literal NaN.
+        if not math.isfinite(self.duration_minutes) or self.duration_minutes <= 0:
+            raise ValueError(
+                f"duration_minutes must be finite and > 0, got {self.duration_minutes}"
+            )
         if self.max_parallelism <= 0:
             raise ValueError(f"max_parallelism must be > 0, got {self.max_parallelism}")
         if self.gpu_type is not None and not self.gpu_type:
@@ -91,8 +96,10 @@ class TraceApp:
     jobs: tuple[TraceJob, ...]
 
     def __post_init__(self) -> None:
-        if self.arrival_minutes < 0:
-            raise ValueError(f"arrival_minutes must be >= 0, got {self.arrival_minutes}")
+        if not math.isfinite(self.arrival_minutes) or self.arrival_minutes < 0:
+            raise ValueError(
+                f"arrival_minutes must be finite and >= 0, got {self.arrival_minutes}"
+            )
         if not self.jobs:
             raise ValueError(f"trace app {self.app_id!r} has no jobs")
 
@@ -130,6 +137,16 @@ class Trace:
         ids = [app.app_id for app in self.apps]
         if len(set(ids)) != len(ids):
             raise ValueError("trace contains duplicate app ids")
+        # The simulator keys job events and ownership by bare job id.
+        owner: dict[str, str] = {}
+        for app in self.apps:
+            for job in app.jobs:
+                if job.job_id in owner:
+                    raise ValueError(
+                        f"trace contains duplicate job id {job.job_id!r} "
+                        f"(apps {owner[job.job_id]!r} and {app.app_id!r})"
+                    )
+                owner[job.job_id] = app.app_id
         if self.perf_matrix:
             from repro.workload.perf import canonical_matrix
 
@@ -164,7 +181,7 @@ class Trace:
 
     def total_serial_work(self) -> float:
         """Total serial GPU-minutes in the trace."""
-        return sum(job.serial_work for app in self.apps for job in app.jobs)
+        return ordered_sum(job.serial_work for app in self.apps for job in app.jobs)
 
     def peak_gpu_demand(self) -> int:
         """Sum of max parallelism over all jobs (upper bound on demand)."""
@@ -234,44 +251,52 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, path: Union[str, Path]) -> "Trace":
-        """Read a trace previously written with :meth:`to_jsonl`."""
+        """Read a trace previously written with :meth:`to_jsonl`.
+
+        A malformed row raises ``ValueError`` prefixed ``<path>:<line>:``.
+        """
         path = Path(path)
         name = "unnamed"
         seed: Optional[int] = None
         metadata: dict = {}
         perf_matrix: tuple = ()
         apps: list[TraceApp] = []
+        # Tolerate unknown keys written by newer builds (the same
+        # forward-compatibility rule the result cache uses).
+        known = {f.name for f in dataclass_fields(TraceJob)}
         with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
-                if "trace_header" in record:
-                    header = record["trace_header"]
-                    name = header.get("name", name)
-                    seed = header.get("seed")
-                    metadata = header.get("metadata", {})
-                    raw_matrix = header.get("perf_matrix")
-                    if raw_matrix:
-                        from repro.workload.perf import canonical_matrix
+                try:
+                    record = json.loads(line)
+                    if "trace_header" in record:
+                        header = record["trace_header"]
+                        name = header.get("name", name)
+                        seed = header.get("seed")
+                        metadata = header.get("metadata", {})
+                        raw_matrix = header.get("perf_matrix")
+                        if raw_matrix:
+                            from repro.workload.perf import canonical_matrix
 
-                        perf_matrix = canonical_matrix(raw_matrix)
-                    continue
-                # Tolerate unknown keys written by newer builds (the
-                # same forward-compatibility rule the result cache uses).
-                known = {f.name for f in dataclass_fields(TraceJob)}
-                jobs = tuple(
-                    TraceJob(**{k: v for k, v in job.items() if k in known})
-                    for job in record["jobs"]
-                )
-                apps.append(
-                    TraceApp(
-                        app_id=record["app_id"],
-                        arrival_minutes=record["arrival_minutes"],
-                        jobs=jobs,
+                            perf_matrix = canonical_matrix(raw_matrix)
+                        continue
+                    jobs = tuple(
+                        TraceJob(**{k: v for k, v in job.items() if k in known})
+                        for job in record["jobs"]
                     )
-                )
+                    apps.append(
+                        TraceApp(
+                            app_id=record["app_id"],
+                            arrival_minutes=record["arrival_minutes"],
+                            jobs=jobs,
+                        )
+                    )
+                except KeyError as exc:
+                    raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
+                except (ValueError, TypeError, AttributeError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
         return cls(
             apps=tuple(apps),
             name=name,
@@ -284,7 +309,8 @@ class Trace:
 def merge_traces(traces: Iterable[Trace], name: str = "merged") -> Trace:
     """Concatenate several traces into one workload.
 
-    App ids are prefixed with the source trace name when collisions
+    App ids — and job ids, which must be unique across the whole
+    workload — are prefixed with the source trace name when collisions
     would otherwise occur.
     """
     traces = list(traces)
@@ -299,18 +325,32 @@ def merge_traces(traces: Iterable[Trace], name: str = "merged") -> Trace:
             "matrix-less scalar traces mixed with matrix-carrying ones); "
             "rebase them onto one measured matrix first"
         )
-    seen: set[str] = set()
+    seen_apps: set[str] = set()
+    seen_jobs: set[str] = set()
+
+    def unique(ident: str, seen: set[str], source: str, what: str) -> str:
+        if ident in seen:
+            ident = f"{source}:{ident}"
+        if ident in seen:
+            raise ValueError(f"cannot disambiguate duplicate {what} id {ident!r}")
+        seen.add(ident)
+        return ident
+
     apps: list[TraceApp] = []
     for trace in traces:
         for app in trace.apps:
-            app_id = app.app_id
-            if app_id in seen:
-                app_id = f"{trace.name}:{app.app_id}"
-            if app_id in seen:
-                raise ValueError(f"cannot disambiguate duplicate app id {app.app_id!r}")
-            seen.add(app_id)
             apps.append(
-                TraceApp(app_id=app_id, arrival_minutes=app.arrival_minutes, jobs=app.jobs)
+                TraceApp(
+                    app_id=unique(app.app_id, seen_apps, trace.name, "app"),
+                    arrival_minutes=app.arrival_minutes,
+                    jobs=tuple(
+                        replace(
+                            job,
+                            job_id=unique(job.job_id, seen_jobs, trace.name, "job"),
+                        )
+                        for job in app.jobs
+                    ),
+                )
             )
     return Trace(
         apps=tuple(apps),

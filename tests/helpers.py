@@ -9,7 +9,13 @@ suite failed to import.  A plain module has an unambiguous name.
 
 from __future__ import annotations
 
+import copy
+import json
+from pathlib import Path
+
+from repro.core.fairness import AppValuationState, FairnessEstimator
 from repro.hyperparam.curves import LossCurve
+from repro.perf.bench import result_digest
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.job import Job, JobSpec
 
@@ -50,3 +56,104 @@ def make_app(
         for i in range(num_jobs)
     ]
     return App(app_id=app_id, arrival_time=arrival, jobs=jobs, semantics=semantics)
+
+
+# ----------------------------------------------------------------------
+# Frozen simulation digests
+# ----------------------------------------------------------------------
+#: ``perf.bench.result_digest`` per replay cell, plus exact
+#: whole-replay carve counts, frozen at e0dc2ec — the last commit that
+#: still had the rebuild-everything simulator mode, where every cell's
+#: digest was checked equal with the mode on and off.  A deliberate
+#: behaviour change re-freezes them: ``PYTHONPATH=src python tests/refreeze_golden.py``.
+GOLDEN_PATH = Path(__file__).with_name("golden_sim.json")
+GOLDEN: dict = json.loads(GOLDEN_PATH.read_text())
+
+
+def assert_golden(cell: str, result) -> None:
+    """``result`` replays byte-identically to the frozen digest of ``cell``."""
+    assert result_digest(result) == GOLDEN["digests"][cell], f"{cell}: result digest moved"
+
+
+def assert_golden_carves(cell: str, carves: int) -> None:
+    """A replay's total carve count (``estimator.carve_count``) is frozen too."""
+    assert carves == GOLDEN["carves"][cell], f"{cell}: carve count moved"
+
+
+# ----------------------------------------------------------------------
+# Per-round freshness audit
+# ----------------------------------------------------------------------
+def audit_freshness(sim) -> list[float]:
+    """Check every dirty-tracked cache of ``sim`` against a recompute, each round.
+
+    Wraps the bound scheduler's ``assign`` (the one call every round
+    makes after jobs advanced and tuners stepped) and asserts that
+
+    * the lease manager's tracked pool equals the rescan
+      (``unleased_gpus`` + ``expired_gpus``), and ``free_gpus`` the
+      unleased set;
+    * ``_held_jobs`` is exactly the active jobs holding GPUs;
+    * each active app's epoch-memoised aggregates equal those of a
+      shadow ``App`` built from copies of its jobs (no cache survives
+      the copy);
+    * after the round's auction, each AGENT's persistent valuation
+      state reports the rho a fresh ``AppValuationState`` over the
+      shadow app and a fresh estimator reports.
+
+    A failure names the round, the app and the stale cache.  Returns
+    the list the audited round times are appended to.
+    """
+    scheduler = sim.scheduler
+    inner = scheduler.assign
+    gpus = sim.cluster.gpus
+    estimator = FairnessEstimator(
+        sim.cluster, semantics=sim.config.semantics, perf_model=sim.perf_model
+    )
+    audited: list[float] = []
+
+    def ids(pool) -> list[int]:
+        return [gpu.gpu_id for gpu in pool]
+
+    def assign(now, pool):
+        where = f"round {sim.num_rounds} t={now:.3f}"
+        leases = sim.leases
+        rescan = sorted(ids(leases.unleased_gpus(gpus)) + ids(leases.expired_gpus(now)))
+        assert ids(leases.pool_for_auction(now, gpus)) == rescan, f"{where}: pool"
+        assert sorted(ids(leases.free_gpus(gpus))) == ids(
+            leases.unleased_gpus(gpus)
+        ), f"{where}: free_gpus"
+        holding = {
+            job.job_id
+            for app in sim.apps
+            for job in app.jobs
+            if job.is_active and job.allocation.size > 0
+        }
+        assert set(sim._held_jobs) == holding, f"{where}: _held_jobs"
+        shadows = {}
+        for app_id, app in sim.active_apps.items():
+            shadow = App(
+                app_id, app.arrival_time, [copy.copy(j) for j in app.jobs], app.semantics
+            )
+            shadows[app_id] = shadow
+            for name in ("allocation", "demand", "unmet_demand"):
+                assert getattr(app, name)() == getattr(shadow, name)(), (
+                    f"{where}: {app_id}.{name}() is stale"
+                )
+            assert app.ideal_running_time(sim.capacity) == shadow.ideal_running_time(
+                sim.capacity
+            ), f"{where}: {app_id}.ideal_running_time() is stale"
+        assignment = inner(now, pool)
+        for app_id, agent in getattr(scheduler, "agents", {}).items():
+            if app_id not in shadows:
+                continue
+            reported = agent.state.rho_at(now, agent.state.base_key)
+            fresh = AppValuationState(shadows[app_id], estimator).current_rho(now)
+            assert reported == fresh, (
+                f"{where}: {app_id} valuation state reports rho {reported}, "
+                f"a fresh one {fresh}"
+            )
+        audited.append(now)
+        return assignment
+
+    scheduler.assign = assign
+    return audited

@@ -152,3 +152,12 @@ def test_ideal_time_invalid_cluster():
     app = make_app()
     with pytest.raises(ValueError):
         app.ideal_running_time(0)
+
+
+def test_ideal_running_time_follows_a_cap_change():
+    """T_id is memoised per epoch: a lowered cap plus ``invalidate()`` moves it."""
+    app = make_app(num_jobs=1, serial_work=100.0, max_parallelism=4)
+    assert app.ideal_running_time(8) == pytest.approx(25.0)
+    app.jobs[0].parallelism_limit = 2
+    app.invalidate()
+    assert app.ideal_running_time(8) == pytest.approx(50.0)

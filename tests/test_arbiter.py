@@ -117,7 +117,6 @@ def test_unchanged_apps_pay_no_base_carve_in_the_next_round(
     """Holdings and rate signatures unchanged: round two's rho probes
     are pure shape-cache hits (no round-start prime needed for that)."""
     arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=0.0))
-    arbiter.incremental = True
     agents = agents_for(estimator, [("a", 2, 0.0), ("b", 2, 0.0)])
     held = [small_cluster.machines[0].gpus[:2], small_cluster.machines[1].gpus[:1]]
     for agent, gpus in zip(agents.values(), held):

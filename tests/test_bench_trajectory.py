@@ -1,11 +1,13 @@
-"""BENCH_sim.json trajectory: `--out` appends history, never erases it.
+"""BENCH_sim.json: the `--check` gates, and `--out` appending history.
 
-:func:`~repro.perf.bench.write_sim_bench` replaces the old overwrite
-semantics for the sim suite: the committed baseline carries a
-``trajectory`` list — one timestamped per-profile summary appended per
-run, capped at :data:`~repro.perf.bench.SIM_TRAJECTORY_LIMIT` — so the
-speedup history survives baseline refreshes.  The sim-xl scale profile
-is registered but explicit-only.
+:func:`~repro.perf.bench.check_sim_regression` fails on a moved result
+digest and on per-move solver work above the ceiling.
+:func:`~repro.perf.bench.write_sim_bench` never erases: the committed
+baseline carries a ``trajectory`` list — one timestamped per-profile
+summary appended per run, capped at
+:data:`~repro.perf.bench.SIM_TRAJECTORY_LIMIT` — so the history
+survives baseline refreshes.  The sim-xl scale profile is registered
+but explicit-only.
 """
 
 from __future__ import annotations
@@ -23,29 +25,39 @@ from repro.perf.bench import (
 )
 
 
-def fake_payload(speedup: float) -> dict:
+def fake_payload(seconds: float, digest: str = "d" * 64) -> dict:
     return {
-        "schema": 3,
-        "sim": {
-            "sim-small": {
-                "incremental": {"seconds": 1.0 / speedup, "repeats": 3},
-                "cold": {"seconds": 1.0, "repeats": 3},
-                "speedup": speedup,
-                "identical_results": True,
-            }
-        },
+        "schema": 4,
+        "sim": {"sim-small": {"digest": digest, "seconds": seconds, "repeats": 3}},
     }
 
 
 def test_trajectory_entry_summarises_profiles():
-    entry = sim_trajectory_entry(fake_payload(2.5), at="2026-08-08T00:00:00+00:00")
+    entry = sim_trajectory_entry(fake_payload(0.4), at="2026-08-08T00:00:00+00:00")
     assert entry["at"] == "2026-08-08T00:00:00+00:00"
-    row = entry["profiles"]["sim-small"]
-    assert row["speedup"] == 2.5
-    assert row["identical_results"] is True
-    assert row["incremental_seconds"] == 0.4
-    assert row["cold_seconds"] == 1.0
-    assert row["repeats"] == 3
+    assert entry["profiles"]["sim-small"] == {
+        "digest": "d" * 64, "seconds": 0.4, "repeats": 3,
+    }
+
+
+def test_sim_gate_fails_on_a_moved_digest_or_a_traced_divergence():
+    gate = ("sim-small",)
+    baseline = fake_payload(1.0)
+    assert check_sim_regression(fake_payload(9.0), baseline, gate_profiles=gate) == []
+    (failure,) = check_sim_regression(
+        fake_payload(1.0, digest="e" * 64), baseline, gate_profiles=gate
+    )
+    assert "result digest eeeeeeeeeeee differs from the committed dddddddddddd" in failure
+    # A baseline written before records carried a digest proves nothing.
+    stale = {"sim": {"sim-small": {"speedup": 2.0}}}
+    assert check_sim_regression(baseline, stale, gate_profiles=gate)
+    diverged = fake_payload(1.0)
+    diverged["sim"]["sim-small"]["obs"] = {"identical_with_tracing": False}
+    (failure,) = check_sim_regression(diverged, baseline, gate_profiles=gate)
+    assert "tracing changed simulation results" in failure
+    assert check_sim_regression({"sim": {}}, baseline, gate_profiles=gate) == [
+        "sim-small: profile missing from current run"
+    ]
 
 
 def test_sim_gate_holds_total_carves_per_move_at_any_baseline():
@@ -59,7 +71,7 @@ def test_sim_gate_holds_total_carves_per_move_at_any_baseline():
 
     def payload(probes: int) -> dict:
         run = fake_payload(2.0)
-        run["sim"]["sim-small"]["incremental"].update(
+        run["sim"]["sim-small"].update(
             rho_probes=probes, solver={"moves": 100, "rescore_carves": 0}
         )
         return run
@@ -80,7 +92,7 @@ def test_sim_gate_holds_heap_pushes_per_move_to_the_same_ceiling():
     def payload(pushes) -> dict:
         run = fake_payload(2.0)
         solver = {"moves": 100} if pushes is None else {"moves": 100, "heap_pushes": pushes}
-        run["sim"]["sim-small"]["incremental"].update(rho_probes=1000, solver=solver)
+        run["sim"]["sim-small"].update(rho_probes=1000, solver=solver)
         return run
 
     gate = ("sim-small",)
@@ -103,9 +115,22 @@ def test_write_sim_bench_appends_across_runs(tmp_path):
     write_sim_bench(fake_payload(3.0), path, at="t1")
     payload = load_bench(path)
     # The latest run's results win; the history keeps both runs.
-    assert payload["sim"]["sim-small"]["speedup"] == 3.0
+    assert payload["sim"]["sim-small"]["seconds"] == 3.0
     assert [e["at"] for e in payload["trajectory"]] == ["t0", "t1"]
-    assert payload["trajectory"][0]["profiles"]["sim-small"]["speedup"] == 2.0
+    assert payload["trajectory"][0]["profiles"]["sim-small"]["seconds"] == 2.0
+
+
+def test_write_sim_bench_carries_old_schema_trajectory_entries(tmp_path):
+    """Entries appended before schema 4 keep their keys, untouched."""
+    path = tmp_path / "BENCH_sim.json"
+    old_entry = {
+        "at": "2026-09-01T00:00:00+00:00",
+        "profiles": {"sim-small": {"speedup": 2.1, "incremental_seconds": 0.3}},
+    }
+    path.write_text(json.dumps({"schema": 3, "sim": {}, "trajectory": [old_entry]}))
+    written = write_sim_bench(fake_payload(2.0), str(path), at="t1")
+    assert written["trajectory"][0] == old_entry
+    assert written["trajectory"][1]["at"] == "t1"
 
 
 def test_write_sim_bench_merges_profiles_not_rerun(tmp_path):
@@ -116,8 +141,8 @@ def test_write_sim_bench_merges_profiles_not_rerun(tmp_path):
     write_sim_bench(xl_only, path, at="t1")
     payload = load_bench(path)
     # A partial run refreshes its own profiles and keeps the rest.
-    assert payload["sim"]["sim-small"]["speedup"] == 2.0
-    assert payload["sim"]["sim-xl"]["speedup"] == 1.1
+    assert payload["sim"]["sim-small"]["seconds"] == 2.0
+    assert payload["sim"]["sim-xl"]["seconds"] == 1.1
     # Each trajectory entry covers only the profiles actually run.
     assert list(payload["trajectory"][1]["profiles"]) == ["sim-xl"]
 
@@ -139,7 +164,7 @@ def test_write_sim_bench_tolerates_corrupt_prior_file(tmp_path):
     path.write_text("{not json")
     written = write_sim_bench(fake_payload(2.0), str(path), at="t0")
     assert [e["at"] for e in written["trajectory"]] == ["t0"]
-    assert json.loads(path.read_text())["sim"]["sim-small"]["speedup"] == 2.0
+    assert json.loads(path.read_text())["sim"]["sim-small"]["seconds"] == 2.0
 
 
 def test_sim_xl_profile_registered_but_not_default():
@@ -163,6 +188,6 @@ def test_cli_bench_sim_out_appends_trajectory(tmp_path, capsys):
         assert code == 0
         assert "trajectory appended" in out
         payload = json.loads(out_path.read_text())
-        assert payload["sim"]["sim-small"]["identical_results"] is True
+        assert payload["sim"]["sim-small"]["obs"]["identical_with_tracing"] is True
         assert len(payload["trajectory"]) == expected_entries
         assert "sim-small" in payload["trajectory"][-1]["profiles"]

@@ -72,3 +72,39 @@ def test_simulation_result_tolerates_old_and_new_payloads(result):
     restored = SimulationResult.from_json(future)
     assert restored.config == result.config
     assert restored.stats_by_app().keys() == result.stats_by_app().keys()
+
+
+def test_parent_payloads_carrying_the_incremental_flag_still_load(result, tmp_path):
+    """``SimulationConfig.incremental`` is gone; what was written with it loads.
+
+    The field was never part of ``ScenarioConfig``, so cache keys did
+    not move and the sweep cache schema version did not need a bump:
+    a warm cache written by the previous build stays warm.
+    """
+    import json
+
+    from repro.sweep import ResultCache, SweepTask
+    from repro.sweep.cache import SCHEMA_VERSION
+
+    payload = result.to_json()
+    payload["config"]["incremental"] = True  # as written at e0dc2ec
+    restored = SimulationResult.from_json(payload)
+    assert restored.config == result.config
+    assert "incremental" not in restored.to_json()["config"]
+
+    task = SweepTask(
+        tiny_scenario(num_apps=2, seed=9), "themis", (("fairness_knob", 0.5),)
+    )
+    # fingerprint() of this very task, computed at e0dc2ec.
+    assert task.fingerprint() == (
+        "1c40e9370ca7ce16644d9372992003b1c658265739e727715750607cca2f5c2a"
+    )
+    assert SCHEMA_VERSION == 4
+    cache = ResultCache(tmp_path)
+    path = cache.store(task, result)
+    entry = json.loads(path.read_text())
+    entry["result"]["config"]["incremental"] = True
+    path.write_text(json.dumps(entry))
+    loaded = cache.load(task)
+    assert loaded is not None and cache.hits == 1
+    assert loaded.to_json() == result.to_json()

@@ -32,6 +32,8 @@ from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 from repro.workload.generator import GeneratorConfig, generate_trace
 from repro.workload.perf import ThroughputMatrixModel, known_families
 
+from helpers import assert_golden
+
 #: Machine shapes of the 50-GPU testbed, reused for both builds.
 _SHAPES = ((4, 4), (3, 2), (3, 1))  # (count, gpus_per_machine)
 
@@ -125,12 +127,12 @@ def _degenerate_matrix(speeds: dict[str, float]) -> ThroughputMatrixModel:
     )
 
 
-def _run_with_model(cluster, seed: int, scheduler: str, perf_model, incremental: bool):
+def _run_with_model(cluster, seed: int, scheduler: str, perf_model):
     sim = ClusterSimulator(
         cluster=cluster,
         workload=_trace(seed),
         scheduler=make_scheduler(scheduler),
-        config=SimulationConfig(lease_minutes=10.0, incremental=incremental),
+        config=SimulationConfig(lease_minutes=10.0),
         perf_model=perf_model,
     )
     return sim.run()
@@ -145,25 +147,26 @@ def test_all_scalar_matrix_is_byte_identical_to_scalar_model(scheduler, seed):
     generation speeds must reproduce the scalar model **byte for byte**
     (full ``to_json`` payload, by-type fields included — the clusters
     are identical here, unlike the speed-1.0 labelling test above) for
-    every scheduler, on homogeneous and mixed-speed fleets, with the
-    incremental pipeline on and off.
+    every scheduler, on homogeneous and mixed-speed fleets; the scalar
+    run's digest is frozen besides (tests/golden_sim.json).
     """
-    homo_speeds = {"v100": 1.0, "p100": 1.0, "k80": 1.0}
-    hetero_speeds = {"v100": 1.0, "p100": 0.6, "k80": 0.35}
-    for speeds in (homo_speeds, hetero_speeds):
+    fleets = {
+        "homo": {"v100": 1.0, "p100": 1.0, "k80": 1.0},
+        "hetero": {"v100": 1.0, "p100": 0.6, "k80": 0.35},
+    }
+    for fleet, speeds in fleets.items():
         cluster = _cluster(
             speed_labels=True,
             speeds=(speeds["v100"], speeds["p100"], speeds["k80"]),
         )
-        matrix = _degenerate_matrix(speeds)
-        for incremental in (True, False):
-            scalar = _run_with_model(cluster, seed, scheduler, None, incremental)
-            degenerate = _run_with_model(
-                cluster, seed, scheduler, matrix, incremental
-            )
-            assert json.dumps(scalar.to_json(), sort_keys=True) == json.dumps(
-                degenerate.to_json(), sort_keys=True
-            ), f"{scheduler}/seed={seed}/incremental={incremental}/{speeds}"
+        scalar = _run_with_model(cluster, seed, scheduler, None)
+        degenerate = _run_with_model(
+            cluster, seed, scheduler, _degenerate_matrix(speeds)
+        )
+        assert json.dumps(scalar.to_json(), sort_keys=True) == json.dumps(
+            degenerate.to_json(), sort_keys=True
+        ), f"{scheduler}/seed={seed}/{speeds}"
+        assert_golden(f"scalar-matrix/{fleet}/{scheduler}/seed{seed}", scalar)
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
@@ -180,8 +183,8 @@ def test_rate_inversion_matrix_changes_results(scheduler):
         }
     )
     seed = SEEDS[2]
-    scalar = _run_with_model(cluster, seed, scheduler, None, True)
-    matrix = _run_with_model(cluster, seed, scheduler, inversion, True)
+    scalar = _run_with_model(cluster, seed, scheduler, None)
+    matrix = _run_with_model(cluster, seed, scheduler, inversion)
     assert matrix.completed
     assert json.dumps(scalar.to_json(), sort_keys=True) != json.dumps(
         matrix.to_json(), sort_keys=True

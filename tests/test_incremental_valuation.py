@@ -9,7 +9,7 @@ Two layers of guarantees:
   dirty-tracking contract — verbatim reuse only while the app is clean
   and unallocated, rate-cache retention across drains that preserve the
   carve order, invalidation on every discrete state change — and always
-  returns exactly what a cold rebuild returns.
+  returns exactly what a freshly constructed state returns.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def test_state_reuses_snapshot_while_clean_and_unallocated():
     cluster = small_cluster()
     estimator = FairnessEstimator(cluster)
     app = make_app("a0", num_jobs=2)
-    state = AppValuationState(app, estimator, reuse=True)
+    state = AppValuationState(app, estimator)
     first = state.refresh()
     assert state.rebuilds == 1
     assert state.refresh() is first  # verbatim reuse
@@ -160,7 +160,7 @@ def test_state_rebuilds_on_epoch_bump():
     cluster = small_cluster()
     estimator = FairnessEstimator(cluster)
     app = make_app("a0", num_jobs=2)
-    state = AppValuationState(app, estimator, reuse=True)
+    state = AppValuationState(app, estimator)
     state.refresh()
     app.invalidate()
     snap = state.refresh()
@@ -178,7 +178,7 @@ def test_state_drift_path_skips_rebuild_while_holding_gpus():
     app = make_app("a0", num_jobs=1)
     job = app.jobs[0]
     job.set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
-    state = AppValuationState(app, estimator, reuse=True)
+    state = AppValuationState(app, estimator)
     first = state.refresh()
     assert state.refresh() is first  # nothing drained: verbatim reuse
     assert state.rebuilds == 1
@@ -189,18 +189,17 @@ def test_state_drift_path_skips_rebuild_while_holding_gpus():
     assert state.rebuilds == 1  # ...but no full rebuild
 
 
-def test_state_matches_cold_rebuild_values_everywhere():
+def test_state_matches_a_fresh_state_everywhere():
     cluster = small_cluster(machines=4, racks=2)
     estimator = FairnessEstimator(cluster)
     app = make_app("a0", num_jobs=3, max_parallelism=3)
     app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
-    warm = AppValuationState(app, estimator, reuse=True)
-    cold = AppValuationState(app, estimator, reuse=False)
+    warm = AppValuationState(app, estimator)
     rng = random.Random(7)
     for round_index in range(30):
         now = 5.0 * round_index
         warm.refresh()
-        cold.refresh()
+        cold = AppValuationState(app, estimator)  # nothing to reuse
         assert warm.current_rho(now) == cold.current_rho(now)
         bundle = tuple(
             sorted(
@@ -221,7 +220,7 @@ def test_state_rate_cache_survives_order_preserving_drain():
     estimator = FairnessEstimator(cluster)
     app = make_app("a0", num_jobs=2)
     app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:1]))
-    state = AppValuationState(app, estimator, reuse=True)
+    state = AppValuationState(app, estimator)
     state.refresh()
     bundle = ((1, 2),)
     state.rho_at(10.0, bundle)
@@ -239,7 +238,7 @@ def test_state_rate_cache_invalidated_when_job_order_flips():
     app = make_app("a0", num_jobs=2)
     jobs = sorted(app.jobs, key=lambda j: j.job_id)
     jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:1]))
-    state = AppValuationState(app, estimator, reuse=True)
+    state = AppValuationState(app, estimator)
     state.refresh()
     bundle = ((1, 2),)
     state.rho_at(10.0, bundle)
@@ -255,7 +254,7 @@ def test_starved_app_pays_one_carve_across_rounds():
     cluster = small_cluster()
     estimator = FairnessEstimator(cluster)
     app = make_app("a0", num_jobs=2)  # holds nothing
-    state = AppValuationState(app, estimator, reuse=True)
+    state = AppValuationState(app, estimator)
     state.refresh()
     bundle = ((0, 2), (1, 1))
     state.rho_at(10.0, bundle)
@@ -267,14 +266,37 @@ def test_starved_app_pays_one_carve_across_rounds():
     assert estimator.carve_count == carves
 
 
-def test_cold_state_never_reuses():
+def test_refresh_token_skips_the_walk_only_within_one_round():
     cluster = small_cluster()
     estimator = FairnessEstimator(cluster)
-    app = make_app("a0", num_jobs=2)
-    state = AppValuationState(app, estimator, reuse=False)
+    app = make_app("a0", num_jobs=1)
+    job = app.jobs[0]
+    job.set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
+    state = AppValuationState(app, estimator)
+    first = state.refresh(1)
+    job.remaining_work -= 7.0
+    # Same round: jobs cannot have advanced, so the snapshot is served
+    # without looking; the next round's token sees the drain.
+    assert state.refresh(1) is first
+    assert state.refresh(2).total_remaining == job.remaining_work
+
+
+def test_first_winner_delta_cache_dropped_on_rebuild():
+    """A FIRST_WINNER delta embeds remaining work: it dies with the snapshot."""
+    from repro.workload.app import CompletionSemantics
+
+    cluster = small_cluster()
+    estimator = FairnessEstimator(cluster, semantics=CompletionSemantics.FIRST_WINNER)
+    app = first_winner_app()
+    state = AppValuationState(app, estimator)
     state.refresh()
+    bundle = ((1, 2),)
+    before = state.delta_of(bundle)
+    for job in app.jobs:
+        job.remaining_work /= 2.0
+    app.invalidate()
     state.refresh()
-    assert state.rebuilds == 2
+    assert state.delta_of(bundle) == before / 2.0
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +326,7 @@ def test_first_winner_pair_cache_survives_order_preserving_drain():
     )
     app = first_winner_app()
     app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:1]))
-    state = AppValuationState(app, estimator, reuse=True)
+    state = AppValuationState(app, estimator)
     state.refresh()
     bundle = ((1, 2),)
     first = state.rho_at(10.0, bundle)
@@ -327,7 +349,7 @@ def test_first_winner_pair_cache_invalidated_on_reorder():
     )
     app = first_winner_app()
     app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:1]))
-    state = AppValuationState(app, estimator, reuse=True)
+    state = AppValuationState(app, estimator)
     state.refresh()
     bundle = ((1, 2),)
     state.rho_at(10.0, bundle)
@@ -340,7 +362,7 @@ def test_first_winner_pair_cache_invalidated_on_reorder():
     assert estimator.carve_count == carves + 1
 
 
-def test_first_winner_state_matches_cold_everywhere():
+def test_first_winner_state_matches_a_fresh_state_everywhere():
     from repro.workload.app import CompletionSemantics
 
     cluster = small_cluster(machines=4, racks=2)
@@ -349,13 +371,12 @@ def test_first_winner_state_matches_cold_everywhere():
     )
     app = first_winner_app(serial_works=(60.0, 90.0, 150.0))
     app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
-    warm = AppValuationState(app, estimator, reuse=True)
-    cold = AppValuationState(app, estimator, reuse=False)
+    warm = AppValuationState(app, estimator)
     rng = random.Random(13)
     for round_index in range(30):
         now = 5.0 * round_index
         warm.refresh()
-        cold.refresh()
+        cold = AppValuationState(app, estimator)  # nothing to reuse
         assert warm.current_rho(now) == cold.current_rho(now)
         bundle = tuple(
             sorted(

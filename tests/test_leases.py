@@ -98,26 +98,30 @@ def test_release_all(small_cluster):
     assert manager.active_lease_count == 0
 
 
-def test_tracked_pool_matches_untracked(small_cluster):
-    """track() maintains the free set incrementally; pools stay identical."""
-    tracked = LeaseManager()
-    tracked.track(small_cluster.gpus)
-    plain = LeaseManager()
-    for manager in (tracked, plain):
-        manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)   # will expire
-        manager.grant(small_cluster.gpu(1), "a", "j", 0.0, 30.0)   # stays live
-        manager.grant(small_cluster.gpu(2), "b", "k", 0.0, 30.0)
-        manager.release(small_cluster.gpu(2))                       # back to free
-        manager.release(small_cluster.gpu(3))                       # no-op: unleased
-    for now in (0.0, 15.0, 40.0):
-        tracked_pool = [g.gpu_id for g in tracked.pool_for_auction(now, small_cluster.gpus)]
-        plain_pool = [g.gpu_id for g in plain.pool_for_auction(now, small_cluster.gpus)]
-        assert tracked_pool == plain_pool
-
-
-def test_tracked_pool_after_regrant_transfer(small_cluster):
+@pytest.mark.parametrize("query_first", (False, True))
+def test_free_dict_pool_matches_the_rescan(small_cluster, query_first):
+    """The maintained free dict and a full rescan give the same pool,
+    whether the cluster was first seen before or after the mutations."""
+    gpus = small_cluster.gpus
     manager = LeaseManager()
-    manager.track(small_cluster.gpus)
+    if query_first:
+        assert len(manager.pool_for_auction(0.0, gpus)) == len(gpus)
+    manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)   # will expire
+    manager.grant(small_cluster.gpu(1), "a", "j", 0.0, 30.0)   # stays live
+    manager.grant(small_cluster.gpu(2), "b", "k", 0.0, 30.0)
+    manager.release(small_cluster.gpu(2))                       # back to free
+    manager.release(small_cluster.gpu(3))                       # no-op: unleased
+    for now in (0.0, 15.0, 40.0):
+        pool = [g.gpu_id for g in manager.pool_for_auction(now, gpus)]
+        rescan = manager.unleased_gpus(gpus) + manager.expired_gpus(now)
+        assert pool == sorted(g.gpu_id for g in rescan)
+        assert sorted(g.gpu_id for g in manager.free_gpus(gpus)) == [
+            g.gpu_id for g in manager.unleased_gpus(gpus)
+        ]
+
+
+def test_pool_after_regrant_transfer(small_cluster):
+    manager = LeaseManager()
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)
     manager.grant(small_cluster.gpu(0), "b", "k", 5.0, 10.0)  # ownership transfer
     pool = manager.pool_for_auction(now=5.0, all_gpus=small_cluster.gpus)

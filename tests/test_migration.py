@@ -7,7 +7,7 @@ Three layers:
   holding app+job, released GPUs unleased), charge the restart
   overhead, and split ``gpu_time_by_type`` honestly across the swap;
 * **failure injection** — fast GPUs going down mid-run must not break
-  the accounting or the incremental/cold byte-equality;
+  the accounting or move the frozen result digest;
 * **the acceptance scenario** — on a rate-inversion workload (two model
   families preferring different GPU generations), migration-on must
   beat migration-off on mean JCT while the Themis max finish-time
@@ -17,20 +17,18 @@ Three layers:
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.topology import ClusterSpec, GpuType, MachineSpec, build_cluster
-from repro.perf.bench import canonical_result_json
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.failures import FailureInjector, MachineFailure
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 from repro.workload.app import App, AppState
 from repro.workload.perf import ThroughputMatrixModel
 
-from helpers import make_job
+from helpers import assert_golden, audit_freshness, make_job
 
 #: Rate inversion: vgg wants v100 (4x faster than p100), gan wants p100.
 INVERSION = ThroughputMatrixModel(
@@ -70,10 +68,8 @@ def scenario_apps():
     return [a, b, c]
 
 
-def run_scenario(scheduler_name: str, migration: bool, incremental: bool = True):
-    config = SimulationConfig(
-        lease_minutes=10.0, migration=migration, incremental=incremental
-    )
+def run_scenario(scheduler_name: str, migration: bool):
+    config = SimulationConfig(lease_minutes=10.0, migration=migration)
     sim = ClusterSimulator(
         cluster=two_generation_cluster(),
         workload=scenario_apps(),
@@ -297,39 +293,32 @@ def test_scenario_actually_inverts_rates():
     assert INVERSION.speedup("gan", p100) > INVERSION.speedup("gan", v100)
 
 
-def test_migration_byte_identical_incremental_vs_cold():
-    """The migration pass is orthogonal to the incremental fast paths."""
+def test_migration_golden_digests():
+    """The migration pass is orthogonal to the cross-round caches."""
     for migration in (False, True):
-        warm = run_scenario("themis", migration=migration, incremental=True)
-        cold = run_scenario("themis", migration=migration, incremental=False)
-        # canonical_result_json drops the incremental flag and the
-        # round_stats/profile instrumentation (solver counters
-        # legitimately differ between warm and cold solves).
-        assert canonical_result_json(warm) == canonical_result_json(cold)
+        result = run_scenario("themis", migration=migration)
+        assert_golden(f"migration/{'on' if migration else 'off'}/themis", result)
 
 
 def test_migration_under_failure_injection_full_run():
     """Fast GPUs marked down mid-run: completion + honest accounting."""
-    config = SimulationConfig(lease_minutes=10.0, migration=True)
-    results = {}
-    for incremental in (True, False):
-        sim = ClusterSimulator(
-            cluster=two_generation_cluster(),
-            workload=scenario_apps(),
-            scheduler=make_scheduler("themis"),
-            config=replace(config, incremental=incremental),
-            perf_model=INVERSION,
+    sim = ClusterSimulator(
+        cluster=two_generation_cluster(),
+        workload=scenario_apps(),
+        scheduler=make_scheduler("themis"),
+        config=SimulationConfig(lease_minutes=10.0, migration=True),
+        perf_model=INVERSION,
+    )
+    # The v100 machine (m0) fails at t=45 — right after the
+    # migration window opens — and comes back at t=75.
+    FailureInjector([MachineFailure(machine_id=0, at=45.0, duration=30.0)]).install(
+        sim
+    )
+    audited = audit_freshness(sim)
+    result = sim.run()
+    assert result.completed and audited
+    for stats in result.app_stats:
+        assert sum(stats.gpu_time_by_type.values()) == pytest.approx(
+            stats.gpu_time
         )
-        # The v100 machine (m0) fails at t=45 — right after the
-        # migration window opens — and comes back at t=75.
-        FailureInjector([MachineFailure(machine_id=0, at=45.0, duration=30.0)]).install(
-            sim
-        )
-        result = sim.run()
-        assert result.completed
-        for stats in result.app_stats:
-            assert sum(stats.gpu_time_by_type.values()) == pytest.approx(
-                stats.gpu_time
-            )
-        results[incremental] = canonical_result_json(result)
-    assert results[True] == results[False]
+    assert_golden("migration/on+failure/themis", result)

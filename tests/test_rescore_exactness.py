@@ -271,44 +271,8 @@ def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
             assert solved[0] == solved[1]
 
 
-# ----------------------------------------------------------------------
-# Counters thread through RoundStats into serialized round_stats
-# ----------------------------------------------------------------------
-def test_rescore_counters_reach_round_stats():
-    from repro.perf.bench import SimBenchProfile, run_sim_once
-
-    profile = SimBenchProfile(
-        name="t-rescore-xs",
-        gpus=16,
-        contention=4.0,
-        num_apps=10,
-        duration_scale=0.15,
-        interarrival_minutes=3.0,
-        downsample=64,
-        jobs_per_app_median=3.0,
-        jobs_per_app_max=6,
-    )
-    inc = run_sim_once(profile, incremental=True)
-    cold = run_sim_once(profile, incremental=False)
-    assert inc["digest"] == cold["digest"]
-    for run in (inc, cold):
-        stats = run["result"].round_stats
-        totals = stats["totals"]
-        for key in ("rescore_carves", "rescore_skipped", "solver_heap_pushes"):
-            assert key in totals
-            assert all(key in row for row in stats["per_round"])
-        # The gate engages in BOTH modes — the re-score wall is
-        # mode-independent, which is exactly why it needed its own
-        # treatment beyond the cross-round caches.
-        assert totals["rescore_skipped"] > 0
-        # Every applied move was popped off the heap, so pushed first.
-        assert totals["solver_heap_pushes"] >= totals["solver_moves"] > 0
-
-
 def test_sim_level_lazy_matches_rescan():
     """Whole trace replay with the solver flipped to the rescan reference."""
-    from dataclasses import replace as dc_replace
-
     from repro.perf.bench import (
         SimBenchProfile,
         canonical_result_json,
@@ -336,7 +300,7 @@ def test_sim_level_lazy_matches_rescan():
             cluster=scenario.build_cluster(),
             workload=scenario.build_trace(),
             scheduler=scheduler,
-            config=dc_replace(scenario.build_sim_config(), incremental=True),
+            config=scenario.build_sim_config(),
             perf_model=scenario.build_perf_model(),
         )
         assert scheduler.arbiter is not None

@@ -1,49 +1,72 @@
-"""Incremental-vs-cold equivalence: the dirty-tracking correctness suite.
+"""Dirty-tracking correctness: frozen digests plus a per-round audit.
 
-The cross-round incremental valuation pipeline (AGENT snapshot reuse,
+The simulator keeps state across rounds — AGENT valuation snapshots and
 rate-signature caches, the tracked lease pool, the held-jobs advance
-loop, epoch-memoised app aggregates) is pure reuse: with
-``SimulationConfig.incremental`` on or off, a simulation must produce a
-byte-identical ``SimulationResult.to_json()`` — the only permitted
-difference is the ``incremental`` flag inside the serialised config.
-These tests prove that for **every registered scheduler** across
-multiple seeds, on homogeneous and mixed-generation clusters, and under
-failure injection — the same oracle style as
-``tests/test_auction_equivalence.py`` uses for the auction solver.
+loop, epoch-memoised app aggregates.  All of it is reuse of pure
+functions, so a replay must produce exactly what a simulator that
+rebuilt everything each round would.  Two oracles hold it to that:
+
+* **frozen digests** (``tests/golden_sim.json``, see
+  :func:`helpers.assert_golden`) — for **every registered scheduler**
+  across seeds, on homogeneous and mixed-generation clusters, under
+  failure injection and ``FIRST_WINNER`` semantics.  They were taken at
+  the last commit that had the rebuild-everything mode, where each cell
+  was checked byte-identical with the mode on and off;
+* **the freshness audit** (:func:`helpers.audit_freshness`) — every
+  round, every cache against a recompute.  Unlike a digest it survives
+  a deliberate re-freeze and names the round and the cache that went
+  stale.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro.experiments.config import hetero_scenario, tiny_scenario
-from repro.perf.bench import SimBenchProfile, canonical_result_json, run_sim_once
+from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
+from repro.hyperparam.hyperband import HyperBand
+from repro.hyperparam.hyperdrive import HyperDrive
+from repro.perf.bench import SimBenchProfile, canonical_result_json, sim_scenario_for
 from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
 from repro.simulation.failures import FailureInjector, MachineFailure
-from repro.simulation.simulator import ClusterSimulator
+from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 from repro.workload.app import CompletionSemantics
+from repro.workload.trace import Trace, TraceApp, TraceJob
+
+from helpers import assert_golden, assert_golden_carves, audit_freshness
 
 SEEDS = (0, 1, 2)
 
+#: Contended enough that auctions see several bidders (the hidden-
+#: payment re-solves then rebuild their heaps from each bid's memo).
+CONTENDED_XS = SimBenchProfile(
+    name="t-contended-xs",
+    gpus=16,
+    contention=4.0,
+    num_apps=10,
+    duration_scale=0.15,
+    interarrival_minutes=3.0,
+    downsample=64,
+    jobs_per_app_median=3.0,
+    jobs_per_app_max=6,
+)
 
-def _run(scenario, scheduler_name, incremental, failures=()):
-    scheduler = make_scheduler(scheduler_name)
+
+def _simulator(scenario, scheduler_name, failures=()):
     simulator = ClusterSimulator(
         cluster=scenario.build_cluster(),
         workload=scenario.build_trace(),
-        scheduler=scheduler,
-        config=replace(scenario.build_sim_config(), incremental=incremental),
+        scheduler=make_scheduler(scheduler_name),
+        config=scenario.build_sim_config(),
+        perf_model=scenario.build_perf_model(),
     )
     if failures:
-        injector = FailureInjector(
+        FailureInjector(
             [MachineFailure(machine_id=m, at=at, duration=d) for m, at, d in failures]
-        )
-        injector.install(simulator)
-    result = simulator.run()
-    return canonical_result_json(result), scheduler
+        ).install(simulator)
+    return simulator
 
 
 def _tiny(seed):
@@ -56,128 +79,227 @@ def _tiny_hetero(seed):
     ).replace(cluster_scale=0.25, lease_minutes=10.0)
 
 
+def _first_winner(seed, num_apps=3):
+    return tiny_scenario(num_apps=num_apps, seed=seed).replace(
+        semantics=CompletionSemantics.FIRST_WINNER
+    )
+
+
+# ----------------------------------------------------------------------
+# Frozen digests
+# ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheduler_name", SCHEDULER_NAMES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_byte_identical_results_homogeneous(scheduler_name, seed):
-    scenario = _tiny(seed)
-    incremental, _ = _run(scenario, scheduler_name, True)
-    cold, _ = _run(scenario, scheduler_name, False)
-    assert incremental == cold
+def test_golden_homogeneous(scheduler_name, seed):
+    result = _simulator(_tiny(seed), scheduler_name).run()
+    assert_golden(f"homo/{scheduler_name}/seed{seed}", result)
 
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULER_NAMES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_byte_identical_results_hetero(scheduler_name, seed):
-    scenario = _tiny_hetero(seed)
-    incremental, _ = _run(scenario, scheduler_name, True)
-    cold, _ = _run(scenario, scheduler_name, False)
-    assert incremental == cold
+def test_golden_hetero(scheduler_name, seed):
+    result = _simulator(_tiny_hetero(seed), scheduler_name).run()
+    assert_golden(f"hetero/{scheduler_name}/seed{seed}", result)
+
+
+FAILURES = ((0, 20.0, 30.0), (3, 45.0, 60.0))
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_byte_identical_under_failures(seed):
-    scenario = _tiny(seed)
-    failures = ((0, 20.0, 30.0), (3, 45.0, 60.0))
-    incremental, _ = _run(scenario, "themis", True, failures)
-    cold, _ = _run(scenario, "themis", False, failures)
-    assert incremental == cold
+def test_golden_under_failures(seed):
+    result = _simulator(_tiny(seed), "themis", FAILURES).run()
+    assert_golden(f"failures/themis/seed{seed}", result)
 
 
 @pytest.mark.parametrize("seed", (5,) + SEEDS)
-def test_byte_identical_first_winner_semantics(seed):
-    scenario = _tiny(seed).replace(semantics=CompletionSemantics.FIRST_WINNER)
-    incremental, _ = _run(scenario, "themis", True)
-    cold, _ = _run(scenario, "themis", False)
-    assert incremental == cold
+def test_golden_first_winner_semantics(seed):
+    result = _simulator(_first_winner(seed), "themis").run()
+    assert_golden(f"first-winner/themis/seed{seed}", result)
 
 
+# ----------------------------------------------------------------------
+# Reuse engages: exact carve counts
+# ----------------------------------------------------------------------
 def test_first_winner_reuses_pair_kernels():
     """The FIRST_WINNER rate-signature cache must engage end to end.
 
     FIRST_WINNER apps are short-lived (the first finishing job ends the
     app, killing the rest), so cross-round reuse windows are narrower
-    than under ALL_JOBS — the carve saving is small but must be real;
-    the per-bundle reuse properties themselves are pinned in
+    than under ALL_JOBS — the carve saving is small but must be real
+    (193 carves on this cell; rebuilding every round took 203); the
+    per-bundle reuse properties themselves are pinned in
     tests/test_incremental_valuation.py.
     """
-    scenario = tiny_scenario(num_apps=10, seed=7).replace(
-        semantics=CompletionSemantics.FIRST_WINNER
+    simulator = _simulator(_first_winner(7, num_apps=10), "themis")
+    assert_golden("first-winner/themis/seed7x10", simulator.run())
+    assert_golden_carves(
+        "first-winner/themis/seed7x10", simulator.scheduler.estimator.carve_count
     )
-    _, warm_sched = _run(scenario, "themis", True)
-    _, cold_sched = _run(scenario, "themis", False)
-    assert warm_sched.estimator.carve_count > 0
-    assert warm_sched.estimator.carve_count < cold_sched.estimator.carve_count
 
 
-def test_incremental_actually_reuses_valuation_state():
-    """The fast path must engage: fewer carves, same answers."""
-    scenario = _tiny(7)
-    _, warm_sched = _run(scenario, "themis", True)
-    _, cold_sched = _run(scenario, "themis", False)
-    assert warm_sched.estimator.carve_count > 0
-    assert warm_sched.estimator.carve_count < cold_sched.estimator.carve_count
+def test_valuation_state_is_reused_across_rounds():
+    """305 carves where rebuilding every round took 322, same answers."""
+    simulator = _simulator(_tiny(7), "themis")
+    assert_golden("homo/themis/seed7", simulator.run())
+    assert_golden_carves("homo/themis/seed7", simulator.scheduler.estimator.carve_count)
 
 
-def test_pair_memo_and_probe_accounting_are_mode_independent():
-    """Contended replay, incremental vs cold: same bytes, same solver work.
-
-    Contended enough that auctions see several bidders — the hidden-
-    payment re-solves then rebuild their heaps from each bid's pair
-    memo, in both modes alike: the memo dies with the bid, so nothing
-    about it (or about any other solver counter) can depend on what the
-    valuation caches kept across rounds.  Only the carves differ.
-    """
-    profile = SimBenchProfile(
-        name="t-memo-xs",
-        gpus=16,
-        contention=4.0,
-        num_apps=10,
-        duration_scale=0.15,
-        interarrival_minutes=3.0,
-        downsample=64,
-        jobs_per_app_median=3.0,
-        jobs_per_app_max=6,
-    )
-    inc = run_sim_once(profile, incremental=True)
-    cold = run_sim_once(profile, incremental=False)
-    assert inc["digest"] == cold["digest"]
-    inc_stats = inc["result"].round_stats
-    cold_stats = cold["result"].round_stats
-    assert inc_stats["rounds"] == cold_stats["rounds"] > 0
-    assert all(
-        "heap_warm_hits" in row and "heap_warm_misses" in row
-        for row in inc_stats["per_round"]
-    )
-    assert inc_stats["totals"]["heap_warm_hits"] > 0
-    carve_keys = ("valuation_probes", "rescore_carves")
-    solver_keys = [k for k in inc_stats["totals"] if k not in carve_keys]
-    assert {k: inc_stats["totals"][k] for k in solver_keys} == {
-        k: cold_stats["totals"][k] for k in solver_keys
-    }
+def test_pair_memo_and_probe_accounting_on_a_contended_replay():
+    """Several bidders per auction: the pair memo engages, probes add up
+    (130 carves; rebuilding every round took 346)."""
+    simulator = _simulator(sim_scenario_for(CONTENDED_XS), "themis")
+    result = simulator.run()
+    assert_golden("contended-xs/themis", result)
+    carves = simulator.scheduler.estimator.carve_count
+    assert_golden_carves("contended-xs/themis", carves)
+    stats = result.round_stats
+    totals = stats["totals"]
+    assert stats["rounds"] > 0
+    counters = ("heap_warm_hits", "heap_warm_misses", "rescore_carves",
+                "rescore_skipped", "solver_heap_pushes")
+    assert all(key in row for row in stats["per_round"] for key in counters)
+    assert totals["heap_warm_hits"] > 0
+    assert totals["rescore_skipped"] > 0
+    # Every applied move was popped off the heap, so pushed first.
+    assert totals["solver_heap_pushes"] >= totals["solver_moves"] > 0
     # Probe accounting stays honest: every carve the bids observed is a
     # real kernel cache miss of the shared estimator.
-    for run in (inc, cold):
-        probes = run["result"].round_stats["totals"]["valuation_probes"]
-        assert 0 < probes <= run["rho_probes"]
-    assert inc["rho_probes"] < cold["rho_probes"]
+    assert 0 < totals["valuation_probes"] <= carves
 
 
-def test_config_flag_is_the_only_config_difference():
-    scenario = _tiny(3)
-    scheduler = make_scheduler("fifo")
-    simulator = ClusterSimulator(
-        cluster=scenario.build_cluster(),
-        workload=scenario.build_trace(),
-        scheduler=scheduler,
-        config=replace(scenario.build_sim_config(), incremental=False),
-    )
-    result = simulator.run()
+def test_canonical_json_strips_only_instrumentation():
+    result = _simulator(_tiny(3), "fifo").run()
     payload = result.to_json()
-    assert payload["config"]["incremental"] is False
-    # canonical_result_json strips exactly that config key (plus the
-    # top-level round_stats/profile instrumentation) and nothing else.
     canon = json.loads(canonical_result_json(result))
-    assert "incremental" not in canon["config"]
     assert "round_stats" not in canon and "profile" not in canon
-    payload["config"].pop("incremental")
-    assert canon["config"] == payload["config"]
+    payload.pop("round_stats")
+    payload.pop("profile")
+    assert canon == json.loads(json.dumps(payload))
+
+
+# ----------------------------------------------------------------------
+# Per-round freshness audit
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "cell, build",
+    [
+        ("homo/themis/seed0", lambda: _simulator(_tiny(0), "themis")),
+        ("hetero/themis/seed1", lambda: _simulator(_tiny_hetero(1), "themis")),
+        ("failures/themis/seed0", lambda: _simulator(_tiny(0), "themis", FAILURES)),
+        ("first-winner/themis/seed5", lambda: _simulator(_first_winner(5), "themis")),
+        (
+            "contended-xs/themis",
+            lambda: _simulator(sim_scenario_for(CONTENDED_XS), "themis"),
+        ),
+        ("homo/tiresias/seed2", lambda: _simulator(_tiny(2), "tiresias")),
+    ],
+)
+def test_every_cache_is_fresh_every_round(cell, build):
+    simulator = build()
+    audited = audit_freshness(simulator)
+    result = simulator.run()
+    assert len(audited) == result.num_rounds > 0
+    # The audit only reads: the audited replay is the frozen one.
+    assert_golden(cell, result)
+
+
+def _tuned_sweeps(parallelism, hd0_alphas, hd1_alphas):
+    """Two hyper-parameter sweeps (second arrives late) on 12 GPUs, Themis."""
+
+    def sweep(app_id, arrival, alphas):
+        jobs = tuple(
+            TraceJob(
+                job_id=f"{app_id}-lr{i}",
+                model="vgg16",
+                duration_minutes=60.0,
+                max_parallelism=parallelism,
+                total_iterations=600,
+                loss_initial=5.0,
+                loss_alpha=alpha,
+            )
+            for i, alpha in enumerate(alphas)
+        )
+        return TraceApp(app_id=app_id, arrival_minutes=arrival, jobs=jobs)
+
+    return ClusterSimulator(
+        cluster=build_cluster(
+            ClusterSpec(
+                machine_specs=(MachineSpec(count=3, gpus_per_machine=4),),
+                num_racks=1,
+                name="sweeps",
+            )
+        ),
+        workload=Trace(
+            apps=(sweep("hd0", 0.0, hd0_alphas), sweep("hd1", 12.0, hd1_alphas)),
+            name="sweeps",
+        ),
+        scheduler=make_scheduler("themis"),
+        config=SimulationConfig(
+            lease_minutes=5.0, semantics=CompletionSemantics.FIRST_WINNER
+        ),
+    )
+
+
+def test_audit_under_a_hyperband_trace():
+    """HyperBand prunes rungs while the app runs on, audited every round.
+
+    Two-GPU trials all fit, so every trial reaches a rung together and
+    the worst half is killed mid-app (not by the completion sweep).
+    """
+    simulator = _tuned_sweeps(2, (0.3, 0.5, 0.7, 0.9), (0.4, 0.6, 0.8, 1.0))
+    for app in simulator.apps:
+        app.tuner = HyperBand(app, min_iterations=50.0, eta=2.0)
+        # Nothing in the simulator reads an app between its tuner-step
+        # ``invalidate()`` and the kills that follow, so a ``Job.kill``
+        # that forgot ``on_mutate`` would go unseen.  Read there, as a
+        # future tracer or metric might: the kill must bump the epoch
+        # again or the audit finds the aggregates stale.
+        app.invalidate = lambda app=app, bump=app.invalidate: (
+            bump(), app.demand(), app.allocation()
+        )
+    audited = audit_freshness(simulator)
+    result = simulator.run()
+    assert result.completed and len(audited) == result.num_rounds
+    for app in result.apps:
+        assert any(
+            job.state.value == "killed" and job.finished_at < app.finished_at
+            for job in app.jobs
+        ), f"{app.app_id}: no rung kill before the app finished"
+
+
+def test_audit_under_hyperdrive_cap_rewrites():
+    """HyperDrive rewrites ``parallelism_limit`` behind the Job mutators.
+
+    Nothing fires ``on_mutate`` for it, so the simulator must invalidate
+    on the tuner's behalf after every step; the audit sees a stale
+    ``demand()`` the round that is forgotten.  An allocation install or
+    a kill in between bumps the epoch anyway and hides the omission, so
+    the trace is shaped (warm-up past the first renewals, a late second
+    arrival) to rewrite a cap after a round that left the app alone —
+    ``quiet`` below proves it still does.
+    """
+    simulator = _tuned_sweeps(4, (0.3, 0.5, 0.7, 0.9), (0.4, 0.8, 1.0))
+    quiet: list[str] = []
+
+    def watch(app):
+        step, last_epoch = app.tuner.step, [None]
+
+        def watched(now):
+            caps = [job.parallelism_limit for job in app.jobs]
+            # +1 is the simulator's own invalidate() after the last step.
+            undisturbed = last_epoch[0] is not None and app.epoch == last_epoch[0] + 1
+            victims = step(now)
+            if undisturbed and caps != [job.parallelism_limit for job in app.jobs]:
+                quiet.append(app.app_id)
+            last_epoch[0] = app.epoch
+            return victims
+
+        app.tuner.step = watched
+
+    for app in simulator.apps:
+        app.tuner = HyperDrive(app, target_loss=0.5, warmup_iterations=60.0)
+        watch(app)
+    audited = audit_freshness(simulator)
+    result = simulator.run()
+    assert result.completed and len(audited) == result.num_rounds
+    assert quiet, "no cap rewrite landed after an undisturbed round"

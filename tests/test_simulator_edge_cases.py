@@ -208,3 +208,42 @@ def test_app_arriving_after_everything_finished():
     stats = result.stats_by_app()
     # The straggler had the idle cluster to itself: rho ~= 1.
     assert stats["straggler"].rho < 1.3
+
+
+def test_lowered_cap_is_applied_at_lease_renewal():
+    """A renewal to the same GPUs is not seamless for a job over its cap.
+
+    The tuner halves the job's parallelism mid-lease; at the next
+    expiry the grant equals the app's holdings, but the job must shed
+    down to its new cap instead of renewing all four leases.
+    """
+
+    class HalveAt:
+        def __init__(self, app, at):
+            self.app, self.at = app, at
+
+        def step(self, now):
+            if now >= self.at:
+                self.app.jobs[0].parallelism_limit = 2
+            return []
+
+    app = make_app("a0", num_jobs=1, serial_work=400.0, max_parallelism=4)
+    sim = ClusterSimulator(
+        cluster=build_cluster(
+            ClusterSpec(
+                machine_specs=(MachineSpec(count=1, gpus_per_machine=4),),
+                num_racks=1,
+                name="one",
+            )
+        ),
+        workload=[app],
+        scheduler=make_scheduler("fifo"),
+        config=SimulationConfig(lease_minutes=10.0, record_timeline=True),
+    )
+    app.tuner = HalveAt(app, at=5.0)
+    result = sim.run()
+    assert result.completed
+    sizes = [(time, size) for time, _app, size in result.timeline]
+    assert sizes[0] == (0.0, 4)
+    assert (10.0, 2) in sizes
+    assert all(size <= 2 for time, size in sizes if time >= 10.0)

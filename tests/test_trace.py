@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workload.app import CompletionSemantics
+from repro.workload.app import App, CompletionSemantics
 from repro.workload.trace import Trace, TraceApp, TraceJob, merge_traces
 
 
@@ -115,3 +115,63 @@ def test_merge_traces_disambiguates():
     merged = merge_traces([t1, t2], name="both")
     assert merged.num_apps == 4
     assert len({a.app_id for a in merged.apps}) == 4
+    # Job ids are simulator-wide keys: the renamed copies get their own.
+    job_ids = [job.job_id for app in merged.apps for job in app.jobs]
+    assert len(set(job_ids)) == len(job_ids) == 8
+
+
+# ----------------------------------------------------------------------
+# Hostile input: rejected with ValueError, loader errors carry a position
+# ----------------------------------------------------------------------
+def test_duplicate_job_id_across_apps_rejected():
+    """Accepted before; the simulator then never finished the second job."""
+    apps = tuple(
+        TraceApp(app_id=f"a{i}", arrival_minutes=0.0, jobs=(make_trace_job("shared"),))
+        for i in range(2)
+    )
+    with pytest.raises(ValueError, match="duplicate job id 'shared'.*'a0' and 'a1'"):
+        Trace(apps=apps)
+
+
+def test_simulator_rejects_app_lists_sharing_a_job_id(one_machine_cluster):
+    from repro.schedulers.registry import make_scheduler
+    from repro.simulation.simulator import ClusterSimulator
+
+    from helpers import make_job
+
+    apps = [App(f"a{i}", 0.0, [make_job("shared")]) for i in range(2)]
+    with pytest.raises(ValueError, match="job id 'shared'"):
+        ClusterSimulator(one_machine_cluster, apps, make_scheduler("fifo"))
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1.0, 0.0))
+def test_non_finite_or_non_positive_duration_rejected(bad):
+    with pytest.raises(ValueError, match="duration_minutes"):
+        make_trace_job(minutes=bad)
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1.0))
+def test_non_finite_or_negative_arrival_rejected(bad):
+    with pytest.raises(ValueError, match="arrival_minutes"):
+        TraceApp(app_id="a", arrival_minutes=bad, jobs=(make_trace_job(),))
+
+
+@pytest.mark.parametrize(
+    "row, complaint",
+    [
+        ('{"app_id": "a9", "arrival_minutes": 1.0}', "missing key 'jobs'"),
+        ('{"app_id": "a9", "arrival_minutes": 1.0, "jobs": [', "Expecting value"),
+        ('{"app_id": "a9", "arrival_minutes": NaN, "jobs": [%s]}', "arrival_minutes"),
+        ('{"app_id": "a9", "arrival_minutes": 1.0, "jobs": [7]}', "items"),
+        ('[1, 2]', "list indices"),
+    ],
+)
+def test_loader_errors_name_the_file_and_line(tmp_path, row, complaint):
+    path = tmp_path / "trace.jsonl"
+    make_trace().to_jsonl(path)
+    good_job = path.read_text().splitlines()[1].split('"jobs": [')[1].split("}")[0] + "}"
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write("\n" + (row % good_job if "%s" in row else row) + "\n")
+    # Header, two apps, one blank line: the bad row is line 5.
+    with pytest.raises(ValueError, match=rf"trace\.jsonl:5: .*{complaint}"):
+        Trace.from_jsonl(path)
