@@ -92,11 +92,11 @@ def main() -> None:
               f"starvation p99 peaks at "
               f"{max(v for _, v in result.starvation_samples)} rounds")
 
-    print("\nphase profile (inclusive wall time):")
-    total = sum(rec["seconds"] for rec in result.profile.values()) or 1.0
+    print("\nphase profile (inclusive wall time, self time and its share):")
+    total = sum(rec["self_seconds"] for rec in result.profile.values()) or 1.0
     for name, rec in result.profile.items():
-        print(f"  {name:<16} {rec['seconds']:8.4f}s  {rec['calls']:>6} calls  "
-              f"{100.0 * rec['seconds'] / total:5.1f}%")
+        print(f"  {name:<16} {rec['seconds']:8.4f}s  {rec['self_seconds']:8.4f}s  "
+              f"{rec['calls']:>6} calls  {100.0 * rec['self_seconds'] / total:5.1f}%")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ Examples::
         --seeds 1,2,3,4 --workers 4 --cache-dir .sweep-cache
     python -m repro sweep --cluster hetero --gpu-mix v100:0.5,p100:0.25,k80:0.25 \\
         --schedulers themis,tiresias --seeds 1,2
-    python -m repro bench sim --check BENCH_sim.json --out BENCH_sim.json
     python -m repro cache prune --dir .sweep-cache --max-age-days 30
     python -m repro trace --apps 30 --out trace.jsonl
     python -m repro serve --dir .service --idle-exit 5 &
@@ -303,19 +302,22 @@ def _obs_from_args(args: argparse.Namespace, trace_path=None) -> Optional[ObsCon
     )
 
 
-def _print_profile(profile: dict, title: str = "\nphase profile:") -> None:
-    """Render a ``SimulationResult.profile`` snapshot as a table."""
+def _print_profile(profile: dict) -> None:
+    """Render a ``SimulationResult.profile`` snapshot as a table.
+
+    ``seconds`` is inclusive; ``self`` excludes nested phases, so the
+    share column (of the summed self time) adds up to 100 %.
+    """
     if not profile:
         return
-    total = sum(rec["seconds"] for rec in profile.values())
+    total = sum(rec["self_seconds"] for rec in profile.values())
     rows = [
-        [name, round(rec["seconds"], 4), rec["calls"],
-         f"{100.0 * rec['seconds'] / total:.1f}%" if total > 0 else "-"]
+        [name, round(rec["seconds"], 4), round(rec["self_seconds"], 4), rec["calls"],
+         f"{100.0 * rec['self_seconds'] / total:.1f}%" if total > 0 else "-"]
         for name, rec in profile.items()
     ]
-    if title:
-        print(title)
-    print(format_table(["phase", "seconds", "calls", "share"], rows))
+    print("\nphase profile:")
+    print(format_table(["phase", "seconds", "self", "calls", "share"], rows))
 
 
 def _parse_schedulers(text: str) -> Optional[list[str]]:
@@ -642,110 +644,6 @@ def _print_per_type_breakdown(tasks, report) -> None:
         ))
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench sim``: the whole-trace replay suite."""
-    from repro.perf.bench import (
-        SIM_PROFILES,
-        carves_per_move,
-        check_sim_regression,
-        load_bench,
-        pushes_per_move,
-        run_sim_suite,
-        write_sim_bench,
-    )
-
-    # sim-xl is explicit-only: a bare ``repro bench sim`` must not pick
-    # up the scale gate by default.
-    default_profiles = [p for p in SIM_PROFILES if p != "sim-xl"]
-    profiles = list(args.profiles or default_profiles)
-    repeats = args.repeats
-    if args.quick:
-        # CI smoke mode: the two small profiles only — the scalar
-        # baseline and the throughput-matrix variant, so the per-family
-        # carve kernel is gated from day one.  Two repeats per pass
-        # (min-of-N) so the gated tracing-overhead ratio is not a single
-        # unaveraged timing pair on a noisy shared runner.  sim-xl is
-        # additionally allowed through when asked for by name (the CI
-        # scale smoke), at a single repeat — its gates are the digest
-        # under a wall-clock budget plus the deterministic
-        # carves-per-move and pushes-per-move ceilings.
-        quick_set = ("sim-small", "sim-matrix")
-        quick_allowed = quick_set + ("sim-xl",)
-        dropped = [p for p in profiles if p not in quick_allowed]
-        if args.profiles and dropped:
-            logger.warning(
-                "--quick runs only %s; dropping explicitly requested "
-                "profiles %s", list(quick_allowed), dropped,
-            )
-        profiles = [p for p in profiles if p in quick_allowed] or list(quick_set)
-        if "sim-xl" in profiles:
-            repeats = 1
-        else:
-            repeats = min(repeats, 2) if repeats else 2
-    unknown = [p for p in profiles if p not in SIM_PROFILES]
-    if unknown:
-        print(
-            f"unknown sim bench profiles: {unknown}; known: {sorted(SIM_PROFILES)}",
-            file=sys.stderr,
-        )
-        return 2
-    baseline = load_bench(args.check) if args.check else None
-    payload = run_sim_suite(profiles=profiles, repeats=repeats)
-    rows = []
-    for name in profiles:
-        record = payload["sim"][name]
-        obs = record["obs"]
-        per_move = carves_per_move(record)
-        pushes = pushes_per_move(record)
-        rows.append([
-            name,
-            record["gpus"],
-            round(record["peak_contention"], 2),
-            record["rounds"],
-            round(record["seconds"], 3),
-            round(record["events_per_sec"], 1),
-            record["rho_probes"],
-            round(per_move, 2) if per_move is not None else "-",
-            round(pushes, 2) if pushes is not None else "-",
-            record["digest"][:12],
-            obs["identical_with_tracing"],
-            round(obs["trace_overhead"], 3) if obs["trace_overhead"] else "-",
-            obs["events"],
-        ])
-    print(format_table(
-        ["profile", "gpus", "contention", "rounds", "seconds", "events/s",
-         "probes", "carve/mv", "push/mv", "digest", "traced_same",
-         "trace_ovh", "trace_ev"],
-        rows,
-    ))
-    for name in profiles:
-        profile = payload["sim"][name]["obs"]["profile"]
-        if profile:
-            _print_profile(profile, title=f"\n{name} traced-run phase profile:")
-    if args.out:
-        write_sim_bench(payload, args.out)
-        print(f"wrote {args.out} (trajectory appended)")
-    if baseline is not None:
-        gate = tuple(
-            p
-            for p in ("sim-small", "sim-medium", "sim-matrix", "sim-xl")
-            if p in profiles
-        )
-        if not gate:
-            print("regression check skipped: no gated profile "
-                  "(sim-small/sim-medium/sim-matrix/sim-xl) in this run")
-            return 0
-        failures = check_sim_regression(
-            payload, baseline, max_slowdown=args.max_slowdown, gate_profiles=gate
-        )
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print("regression check passed vs", args.check)
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -1063,37 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "cells produce no trace)")
     _add_exec_args(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep)
-
-    bench_parser = sub.add_parser(
-        "bench", help="run the tracked simulator benchmark"
-    )
-    bench_parser.add_argument(
-        "suite", choices=("sim",),
-        help="sim: whole-trace replay macro-benchmark (BENCH_sim.json)",
-    )
-    bench_parser.add_argument(
-        "--profiles", type=lambda t: [p.strip() for p in t.split(",") if p.strip()],
-        default=None,
-        help="comma-separated profiles; defaults to sim-small,sim-medium,"
-             "sim-8x,sim-hetero,sim-failures,sim-matrix,sim-migration (the "
-             "sim-xl scale gate runs only when named explicitly)",
-    )
-    bench_parser.add_argument("--repeats", type=_positive_int, default=3,
-                              help="timing repeats per profile (min is reported)")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="CI smoke mode: sim-small + sim-matrix only, "
-                                   "2 repeats (plus sim-xl when requested by "
-                                   "name, at 1 repeat)")
-    bench_parser.add_argument("--out", default=None,
-                              help="write the bench payload to this JSON path")
-    bench_parser.add_argument("--check", default=None,
-                              help="compare against a committed baseline JSON; "
-                                   "exit 1 on a moved digest or a ratio beyond "
-                                   "max-slowdown")
-    bench_parser.add_argument("--max-slowdown", type=float, default=2.0,
-                              help="allowed slack on the tracing-overhead and "
-                                   "work-per-move ceilings vs the baseline")
-    bench_parser.set_defaults(func=_cmd_bench)
 
     cache_parser = sub.add_parser(
         "cache", help="inspect or prune a sweep result-cache directory"

@@ -768,9 +768,10 @@ class FairnessEstimator:
         #: Shared ClusterCapacity (scalar) or per-family PerfCapacity.
         self.capacity = self.perf_model.capacity_for(cluster)
         self._reads_by_families: dict[Optional[tuple[str, ...]], _MachineReads] = {}
-        #: Carve computations performed through this estimator — the
-        #: honest "rho probe" count the sim macro-benchmark reports
-        #: (cache hits in :class:`AppValuationState` don't increment it).
+        #: Carve computations performed through this estimator (cache
+        #: hits in :class:`AppValuationState` don't increment it); its
+        #: whole-replay total is frozen per cell under ``carves`` in
+        #: ``tests/golden_sim.json``.
         self.carve_count = 0
         #: Observability hook; the simulator rewires this at bind time.
         #: Guarded on ``enabled`` so the carve hot path pays nothing by

@@ -6,10 +6,11 @@ leases, migration and every baseline:
 * **structured event tracing** (:mod:`repro.obs.tracer`) — typed,
   schema-versioned decision events into a ring buffer or a JSONL file;
   the default :class:`~repro.obs.tracer.NullTracer` is proven
-  zero-overhead (byte-identical results, bench-guarded),
+  zero-overhead (traced and untraced replays share one result digest,
+  ``tests/test_replay_gates.py``),
 * a **phase profiler** (:mod:`repro.obs.profiler`) — context-manager
-  wall timers whose per-phase breakdown lands in
-  ``SimulationResult.profile`` and ``repro bench sim`` output,
+  wall timers whose per-phase breakdown (inclusive and self time)
+  lands in ``SimulationResult.profile``,
 * a **streaming metrics registry** (:mod:`repro.obs.metrics`) —
   counters/gauges/histograms/series on the bounded
   :class:`~repro.obs.reservoir.ReservoirSeries` layer; fragmentation

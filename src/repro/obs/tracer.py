@@ -6,7 +6,8 @@ changes — can be captured as a typed event.  Three sinks:
 
 * :class:`NullTracer` — the default; ``enabled`` is False and every
   emit site guards on it, so an untraced run does zero extra work and
-  produces byte-identical results (bench-guarded).
+  produces byte-identical results (``tests/test_replay_gates.py``
+  holds traced and untraced replays to one digest).
 * :class:`RingTracer` — last-N events in a bounded in-memory ring.
 * :class:`JsonlTracer` — one JSON object per line in a file, preceded
   by a schema-versioned header line; ``repro trace <file>`` filters,

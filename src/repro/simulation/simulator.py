@@ -23,6 +23,8 @@ works; see :mod:`repro.schedulers.base`.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Optional, Sequence, Union
@@ -169,8 +171,9 @@ class SimulationResult:
     #: p99 over active apps' rounds-since-last-allocation (apps with
     #: unmet demand and zero GPUs).  Recorded for every scheduler.
     starvation_samples: list = field(default_factory=list)
-    #: Per-phase ``{name: {"seconds", "calls"}}`` wall breakdown; empty
-    #: unless the run was profiled (``--profile`` / PhaseProfiler).
+    #: Per-phase ``{name: {"seconds", "self_seconds", "calls"}}`` wall
+    #: breakdown (payloads older than the self-time column lack that
+    #: key); empty unless the run was profiled (``--profile``).
     profile: dict = field(default_factory=dict)
     #: Serialised ARBITER ``RoundStats`` instrumentation (solver moves,
     #: pair scores, replayed warm-start moves, valuation probes):
@@ -241,6 +244,19 @@ class SimulationResult:
             "profile": dict(self.profile),
             "round_stats": dict(self.round_stats),
         }
+
+    def digest(self) -> str:
+        """sha256 of the byte-stable result JSON, instrumentation excluded.
+
+        ``round_stats`` (solver work counters) and ``profile``
+        (wall-clock timings) are observability, not results; everything
+        else must match byte for byte between two replays of one trace.
+        This is what ``tests/golden_sim.json`` pins per replay cell.
+        """
+        payload = self.to_json()
+        del payload["round_stats"], payload["profile"]
+        canonical = json.dumps(payload, sort_keys=True)
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SimulationResult":

@@ -11,9 +11,20 @@ import pytest
 
 from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
 
+import helpers
 from helpers import make_app, make_job  # noqa: F401 — re-exported for tests
 
 __all__ = ["make_app", "make_job"]
+
+
+def pytest_collection_modifyitems(items):
+    """``test_golden_coverage`` reads what every other test pinned: it runs last."""
+    items.sort(key=lambda item: item.path.name == "test_golden_coverage.py")
+
+
+def pytest_deselected(items):
+    """``-k`` / ``-m`` / ``--lf`` dropped collected tests: not a whole-suite run."""
+    helpers.SUITE_NARROWED = True
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from repro.core.fairness import AppValuationState, FairnessEstimator
 from repro.hyperparam.curves import LossCurve
-from repro.perf.bench import result_digest
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.job import Job, JobSpec
 
@@ -59,25 +58,54 @@ def make_app(
 
 
 # ----------------------------------------------------------------------
-# Frozen simulation digests
+# Frozen replays: the one committed contract for deterministic gates
 # ----------------------------------------------------------------------
-#: ``perf.bench.result_digest`` per replay cell, plus exact
-#: whole-replay carve counts, frozen at e0dc2ec — the last commit that
-#: still had the rebuild-everything simulator mode, where every cell's
-#: digest was checked equal with the mode on and off.  A deliberate
-#: behaviour change re-freezes them: ``PYTHONPATH=src python tests/refreeze_golden.py``.
+#: Per replay cell, three kinds of frozen value: ``digests``
+#: (``SimulationResult.digest()``), ``carves`` (the whole replay's
+#: ``estimator.carve_count``) and ``counts`` (other exact work counters
+#: of the four ``sim-*`` profiles, see tests/test_replay_gates.py).
+#: The 108 digests and 3 carve counts of the small cells were frozen at
+#: e0dc2ec — the last commit that still had the rebuild-everything
+#: simulator mode, where every cell's digest was checked equal with the
+#: mode on and off; the ``sim-*`` cells are, byte for byte, the values
+#: the ``repro bench`` baseline file carried until it was folded in
+#: here.  A deliberate behaviour change re-freezes them:
+#: ``PYTHONPATH=src python tests/refreeze_golden.py``.
 GOLDEN_PATH = Path(__file__).with_name("golden_sim.json")
 GOLDEN: dict = json.loads(GOLDEN_PATH.read_text())
+
+#: What this session's tests computed, same layout as :data:`GOLDEN`.
+#: ``refreeze_golden.py`` writes it out; tests/test_golden_coverage.py
+#: checks that no committed cell is missing from it.
+SEEN: dict = {kind: {} for kind in ("digests", "carves", "counts")}
+#: Set by ``conftest.py`` when a selection option deselected tests.
+SUITE_NARROWED = False
+
+
+def _pin(kind: str, cell: str, value) -> None:
+    """Record ``value`` for the cell, then hold it to the frozen one.
+
+    In that order: ``refreeze_golden.py`` makes :data:`GOLDEN` the very
+    dict recorded into, which turns the comparison into ``value == value``.
+    """
+    SEEN[kind][cell] = value
+    frozen = GOLDEN[kind][cell]
+    assert value == frozen, f"{cell}: {kind} moved — got {value!r}, frozen {frozen!r}"
 
 
 def assert_golden(cell: str, result) -> None:
     """``result`` replays byte-identically to the frozen digest of ``cell``."""
-    assert result_digest(result) == GOLDEN["digests"][cell], f"{cell}: result digest moved"
+    _pin("digests", cell, result.digest())
 
 
 def assert_golden_carves(cell: str, carves: int) -> None:
     """A replay's total carve count (``estimator.carve_count``) is frozen too."""
-    assert carves == GOLDEN["carves"][cell], f"{cell}: carve count moved"
+    _pin("carves", cell, carves)
+
+
+def assert_golden_counts(cell: str, counts: dict) -> None:
+    """Exact integer work counters of a replay, by name."""
+    _pin("counts", cell, counts)
 
 
 # ----------------------------------------------------------------------

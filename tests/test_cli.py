@@ -135,49 +135,11 @@ def test_compare_with_workers_and_cache(tmp_path, capsys):
     assert "fifo" in out and "tiresias" in out
 
 
-def test_bench_unknown_profile(capsys):
-    code, _, err = run_cli(capsys, "bench", "sim", "--profiles", "bogus")
-    assert code == 2
-    assert "bogus" in err
-
-
-def test_bench_sim_check_gates_digest_and_work_per_move(capsys, tmp_path):
-    import json
-
-    baseline = tmp_path / "BENCH_sim.json"
-    bench = ("bench", "sim", "--profiles", "sim-small", "--repeats", "1")
-    code, out, _ = run_cli(capsys, *bench, "--out", str(baseline))
-    assert code == 0 and "digest" in out
-    committed = json.loads(baseline.read_text())
-    record = committed["sim"]["sim-small"]
-    assert len(record["digest"]) == 64 and record["seconds"] > 0
-    assert record["obs"]["identical_with_tracing"] is True
-    # Timing ratios are not what this test is about: leave them slack.
-    check = (*bench, "--max-slowdown", "100", "--check")
-
-    code, out, _ = run_cli(capsys, *check, str(baseline))
-    assert code == 0 and "regression check passed" in out
-
-    def tampered(**changes) -> str:
-        path = tmp_path / "tampered.json"
-        payload = json.loads(baseline.read_text())
-        payload["sim"]["sim-small"].update(changes)
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    # A committed digest this tree does not reproduce.
-    code, _, err = run_cli(capsys, *check, tampered(digest="0" * 64))
-    assert code == 1 and "REGRESSION sim-small: result digest" in err
-    # A committed carve count so low that this run sits above any ceiling.
-    code, _, err = run_cli(capsys, *check, tampered(rho_probes=1))
-    assert code == 1 and "precise carves/move" in err
-
-
-def test_bench_auction_suite_and_e2e_flag_are_gone(capsys):
-    assert parse_error("bench", "auction") == 2
+def test_bench_verb_is_gone(capsys):
+    """Replay counts are gated by tests/golden_sim.json, time by benchmarks/e2e."""
     assert parse_error("bench") == 2
-    assert parse_error("bench", "sim", "--e2e", "e2e-small") == 2
-    capsys.readouterr()
+    assert parse_error("bench", "sim") == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tracer sinks, trace-file round trips, and stream validation.
 
 The zero-overhead contract (NullTracer leaves results byte-identical)
-is pinned here at the unit level; ``repro bench sim`` guards the same
-property with the ``identical_with_tracing`` record in CI.
+is pinned here at the unit level; ``tests/test_replay_gates.py`` holds
+whole traced replays, up to 2048 GPUs, to the untraced digest.
 """
 
 import json

@@ -273,29 +273,20 @@ def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
 
 def test_sim_level_lazy_matches_rescan():
     """Whole trace replay with the solver flipped to the rescan reference."""
-    from repro.perf.bench import (
-        SimBenchProfile,
-        canonical_result_json,
-        sim_scenario_for,
-    )
+    from repro.experiments.config import sim_scenario
     from repro.schedulers.registry import make_scheduler
     from repro.simulation.simulator import ClusterSimulator
 
-    profile = SimBenchProfile(
-        name="t-rescore-sim",
-        gpus=16,
-        contention=4.0,
-        num_apps=8,
-        duration_scale=0.12,
-        interarrival_minutes=3.0,
-        downsample=64,
-        jobs_per_app_median=3.0,
-        jobs_per_app_max=6,
+    scenario = (
+        sim_scenario(num_apps=8, seed=11, duration_scale=0.12)
+        .replace(cluster_scale=16 / 256.0, downsample=64)
+        .with_generator(
+            mean_interarrival_minutes=3.0, jobs_per_app_median=3.0, jobs_per_app_max=6
+        )
     )
 
     def run(solver: str) -> str:
-        scenario = sim_scenario_for(profile)
-        scheduler = make_scheduler(profile.scheduler)
+        scheduler = make_scheduler("themis")
         simulator = ClusterSimulator(
             cluster=scenario.build_cluster(),
             workload=scenario.build_trace(),
@@ -305,6 +296,6 @@ def test_sim_level_lazy_matches_rescan():
         )
         assert scheduler.arbiter is not None
         scheduler.arbiter.auction.solver = solver
-        return canonical_result_json(simulator.run())
+        return simulator.run().digest()
 
     assert run("lazy") == run("rescan")

@@ -20,15 +20,15 @@ rebuilt everything each round would.  Two oracles hold it to that:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from repro.experiments.config import hetero_scenario, tiny_scenario
+from repro.experiments.config import hetero_scenario, sim_scenario, tiny_scenario
 from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
 from repro.hyperparam.hyperband import HyperBand
 from repro.hyperparam.hyperdrive import HyperDrive
-from repro.perf.bench import SimBenchProfile, canonical_result_json, sim_scenario_for
 from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
 from repro.simulation.failures import FailureInjector, MachineFailure
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
@@ -41,16 +41,12 @@ SEEDS = (0, 1, 2)
 
 #: Contended enough that auctions see several bidders (the hidden-
 #: payment re-solves then rebuild their heaps from each bid's memo).
-CONTENDED_XS = SimBenchProfile(
-    name="t-contended-xs",
-    gpus=16,
-    contention=4.0,
-    num_apps=10,
-    duration_scale=0.15,
-    interarrival_minutes=3.0,
-    downsample=64,
-    jobs_per_app_median=3.0,
-    jobs_per_app_max=6,
+CONTENDED_XS = (
+    sim_scenario(num_apps=10, seed=11, duration_scale=0.15)
+    .replace(cluster_scale=16 / 256.0, downsample=64)
+    .with_generator(
+        mean_interarrival_minutes=3.0, jobs_per_app_median=3.0, jobs_per_app_max=6
+    )
 )
 
 
@@ -147,7 +143,7 @@ def test_valuation_state_is_reused_across_rounds():
 def test_pair_memo_and_probe_accounting_on_a_contended_replay():
     """Several bidders per auction: the pair memo engages, probes add up
     (130 carves; rebuilding every round took 346)."""
-    simulator = _simulator(sim_scenario_for(CONTENDED_XS), "themis")
+    simulator = _simulator(CONTENDED_XS, "themis")
     result = simulator.run()
     assert_golden("contended-xs/themis", result)
     carves = simulator.scheduler.estimator.carve_count
@@ -168,13 +164,19 @@ def test_pair_memo_and_probe_accounting_on_a_contended_replay():
 
 
 def test_canonical_json_strips_only_instrumentation():
-    result = _simulator(_tiny(3), "fifo").run()
+    result = _simulator(_tiny(3), "themis").run()
     payload = result.to_json()
-    canon = json.loads(canonical_result_json(result))
-    assert "round_stats" not in canon and "profile" not in canon
-    payload.pop("round_stats")
+    assert payload.pop("round_stats")
     payload.pop("profile")
-    assert canon == json.loads(json.dumps(payload))
+    canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
+    digest = hashlib.sha256(canonical).hexdigest()
+    assert result.digest() == digest
+    # Instrumentation moves nothing; any result field does.
+    result.profile = {"assign": {"seconds": 1.0, "self_seconds": 1.0, "calls": 1}}
+    result.round_stats = {}
+    assert result.digest() == digest
+    result.num_rounds += 1
+    assert result.digest() != digest
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +191,7 @@ def test_canonical_json_strips_only_instrumentation():
         ("first-winner/themis/seed5", lambda: _simulator(_first_winner(5), "themis")),
         (
             "contended-xs/themis",
-            lambda: _simulator(sim_scenario_for(CONTENDED_XS), "themis"),
+            lambda: _simulator(CONTENDED_XS, "themis"),
         ),
         ("homo/tiresias/seed2", lambda: _simulator(_tiny(2), "tiresias")),
     ],
