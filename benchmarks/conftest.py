@@ -1,11 +1,14 @@
 """Shared benchmark fixtures and result recording.
 
-Every figure benchmark renders its regenerated table with
-:func:`repro.experiments.report.format_figure` and records it under
-``benchmarks/results/<figure_id>.txt`` so the reproduced numbers are
-inspectable after a ``pytest benchmarks/ --benchmark-only`` run (pytest
-captures stdout; the files are the canonical output).  EXPERIMENTS.md
-summarises paper-vs-measured values from these tables.
+Every figure benchmark replays its entry of
+:data:`repro.experiments.figures.FIGURES` — scenario, grid and
+schedulers all come from the registry, none is defined here — renders
+the table with :func:`repro.experiments.report.format_figure` and
+records it under ``benchmarks/results/<figure_id>.txt`` so the
+reproduced numbers are inspectable after a ``pytest benchmarks/
+--ignore=benchmarks/e2e`` run (pytest captures stdout; the files are
+the canonical output).  What the paper reports for each figure is the
+registry entry's ``claim``; the assertions here check that shape.
 """
 
 from __future__ import annotations
@@ -14,40 +17,23 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import ScenarioConfig, sim_scenario, testbed_scenario
-from repro.experiments.figures import FigureResult
+from repro.experiments.figures import FigureResult, run_figure
 from repro.experiments.report import format_figure
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-@pytest.fixture(scope="session")
-def record_figure():
-    """Write a FigureResult's rendered table to benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+@pytest.fixture
+def replay_figure(benchmark):
+    """Replay a registry figure exactly once under pytest-benchmark and
+    write its rendered table to benchmarks/results/."""
 
-    def _record(figure: FigureResult, suffix: str = "") -> str:
+    def _replay(figure_id: str) -> FigureResult:
+        figure = benchmark.pedantic(run_figure, args=(figure_id,), rounds=1, iterations=1)
         text = format_figure(figure)
-        name = figure.figure_id + (f"-{suffix}" if suffix else "")
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{figure_id}.txt").write_text(text + "\n", encoding="utf-8")
         print(f"\n{text}\n")
-        return text
+        return figure
 
-    return _record
-
-
-@pytest.fixture(scope="session")
-def bench_sim_scenario() -> ScenarioConfig:
-    """256-GPU simulation scenario sized for benchmark wall-clock."""
-    return sim_scenario(num_apps=20, seed=42, duration_scale=0.4)
-
-
-@pytest.fixture(scope="session")
-def bench_testbed_scenario() -> ScenarioConfig:
-    """50-GPU testbed scenario (fast; used by the macrobenchmark)."""
-    return testbed_scenario(num_apps=25, seed=42)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an expensive experiment exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    return _replay

@@ -7,43 +7,9 @@
 * **fairness metric vs instantaneous fairness** — Themis vs DRF.
 """
 
-import pytest
 
-from conftest import run_once
-
-from repro.experiments.config import testbed_scenario as _testbed_scenario
-from repro.experiments.figures import FigureResult
-from repro.experiments.runner import run_scenario
-from repro.metrics.fairness import jain_index, max_fairness
-from repro.metrics.jct import average_jct
-
-_SCENARIO = _testbed_scenario(num_apps=20, seed=42)
-
-
-def _summarise(result):
-    rhos = result.rhos()
-    return {
-        "max_fairness": max_fairness(rhos),
-        "jain_index": jain_index(rhos),
-        "avg_jct": average_jct(result.completion_times()),
-        "gpu_time": result.total_gpu_time,
-    }
-
-
-def test_ablation_strawman_vs_auction(benchmark, record_figure):
-    def run():
-        rows = []
-        for name in ("themis", "strawman"):
-            summary = _summarise(run_scenario(_SCENARIO, name))
-            rows.append({"scheduler": name, **summary})
-        return FigureResult(
-            figure_id="ablation-strawman",
-            title="Auction (Themis) vs Section-4 strawman",
-            rows=rows,
-        )
-
-    figure = run_once(benchmark, run)
-    record_figure(figure)
+def test_ablation_strawman_vs_auction(replay_figure):
+    figure = replay_figure("ablation-strawman")
     rows = {row["scheduler"]: row for row in figure.rows}
     # The strawman is pure greedy max-min on rho, so it can undercut the
     # auction on raw max fairness in small settings; its documented
@@ -55,65 +21,22 @@ def test_ablation_strawman_vs_auction(benchmark, record_figure):
     assert rows["themis"]["avg_jct"] <= rows["strawman"]["avg_jct"] * 1.15
 
 
-def test_ablation_hidden_payments(benchmark, record_figure):
-    def run():
-        rows = []
-        for enabled in (True, False):
-            result = run_scenario(
-                _SCENARIO, "themis", {"hidden_payments": enabled}
-            )
-            rows.append({"hidden_payments": enabled, **_summarise(result)})
-        return FigureResult(
-            figure_id="ablation-hidden-payments",
-            title="Hidden payments (truth-telling incentive) on vs off",
-            rows=rows,
-        )
-
-    figure = run_once(benchmark, run)
-    record_figure(figure)
-    on, off = figure.rows
+def test_ablation_hidden_payments(replay_figure):
+    on, off = replay_figure("ablation-hidden-payments").rows
     # Truthfulness protection should be cheap (paper keeps it always on).
     assert on["max_fairness"] <= off["max_fairness"] * 1.3
     assert on["gpu_time"] <= off["gpu_time"] * 1.15
 
 
-def test_ablation_leftover_allocation(benchmark, record_figure):
-    def run():
-        rows = []
-        for enabled in (True, False):
-            result = run_scenario(
-                _SCENARIO, "themis", {"leftover_allocation": enabled}
-            )
-            rows.append({"leftover_allocation": enabled, **_summarise(result)})
-        return FigureResult(
-            figure_id="ablation-leftover",
-            title="Work-conserving leftover allocation on vs off",
-            rows=rows,
-        )
-
-    figure = run_once(benchmark, run)
-    record_figure(figure)
-    on, off = figure.rows
+def test_ablation_leftover_allocation(replay_figure):
+    on, off = replay_figure("ablation-leftover").rows
     # Work conservation should help (or at least not hurt) completion times.
     assert on["avg_jct"] <= off["avg_jct"] * 1.10
 
 
-def test_ablation_vs_instantaneous_fairness(benchmark, record_figure):
+def test_ablation_vs_instantaneous_fairness(replay_figure):
     """Section 2.2's motivation: finish-time fairness vs DRF."""
-
-    def run():
-        rows = []
-        for name in ("themis", "drf", "fifo"):
-            summary = _summarise(run_scenario(_SCENARIO, name))
-            rows.append({"scheduler": name, **summary})
-        return FigureResult(
-            figure_id="ablation-drf",
-            title="Finish-time fairness vs instantaneous fairness (DRF) vs FIFO",
-            rows=rows,
-        )
-
-    figure = run_once(benchmark, run)
-    record_figure(figure)
+    figure = replay_figure("ablation-drf")
     rows = {row["scheduler"]: row for row in figure.rows}
     # FIFO ignores fairness entirely; Themis should beat it on max rho.
     assert rows["themis"]["max_fairness"] <= rows["fifo"]["max_fairness"]

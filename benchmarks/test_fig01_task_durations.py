@@ -1,15 +1,8 @@
 """Figure 1: distribution of task durations in the replayed trace."""
 
-from conftest import run_once
 
-from repro.experiments.config import sim_scenario
-from repro.experiments.figures import fig01_task_duration_cdf
-
-
-def test_fig01_task_duration_cdf(benchmark, record_figure):
-    scenario = sim_scenario(num_apps=120, seed=42)
-    figure = run_once(benchmark, fig01_task_duration_cdf, scenario)
-    record_figure(figure)
+def test_fig01_task_duration_cdf(replay_figure):
+    figure = replay_figure("fig01")
     rows = {row["percentile"]: row["duration_minutes"] for row in figure.rows}
     # Paper shape: mostly short tasks (median tens of minutes) with a
     # long tail below ~1000 minutes.

@@ -1,13 +1,8 @@
 """Figure 2: throughput vs GPU placement for five architectures."""
 
-from conftest import run_once
 
-from repro.experiments.figures import fig02_placement_throughput
-
-
-def test_fig02_placement_throughput(benchmark, record_figure):
-    figure = run_once(benchmark, fig02_placement_throughput)
-    record_figure(figure)
+def test_fig02_placement_throughput(replay_figure):
+    figure = replay_figure("fig02")
     rows = {row["model"]: row for row in figure.rows}
     # Paper shape: VGG-family halves when split 2x2, ResNet family and
     # Inception barely move.

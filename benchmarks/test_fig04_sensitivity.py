@@ -1,18 +1,8 @@
 """Figures 4a/4b/4c: sensitivity to the fairness knob and lease time."""
 
-from conftest import run_once
 
-from repro.experiments.config import sim_scenario
-from repro.experiments.figures import fig04_knob_sweep, fig04c_lease_sweep
-
-_SCENARIO = sim_scenario(num_apps=14, seed=42, duration_scale=0.35)
-
-
-def test_fig04ab_fairness_knob_sweep(benchmark, record_figure):
-    figure = run_once(
-        benchmark, fig04_knob_sweep, _SCENARIO, knobs=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    )
-    record_figure(figure)
+def test_fig04ab_fairness_knob_sweep(replay_figure):
+    figure = replay_figure("fig04ab")
     by_knob = {row["fairness_knob"]: row for row in figure.rows}
     # Paper shape (4a): strong fairness (f >= 0.8) keeps max rho at or
     # below the efficiency extreme (f = 0); diminishing returns after 0.8.
@@ -27,12 +17,8 @@ def test_fig04ab_fairness_knob_sweep(benchmark, record_figure):
     assert max(gpu_times) / min(gpu_times) < 1.6
 
 
-def test_fig04c_lease_time_sweep(benchmark, record_figure):
-    figure = run_once(
-        benchmark, fig04c_lease_sweep, _SCENARIO, leases=(5.0, 10.0, 20.0, 30.0, 40.0)
-    )
-    record_figure(figure)
-    rows = figure.rows
+def test_fig04c_lease_time_sweep(replay_figure):
+    rows = replay_figure("fig04c").rows
     # Shorter leases reallocate more often...
     assert rows[0]["rounds"] > rows[-1]["rounds"]
     # ...and are no less fair than the longest lease (paper: fairness

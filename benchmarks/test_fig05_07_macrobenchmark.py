@@ -5,18 +5,9 @@ One comparison run yields all four figures: max finish-time fairness
 placement-score CDF (7).
 """
 
-from conftest import run_once
 
-from repro.experiments.figures import fig05_to_07_macrobenchmark
-
-_SCHEDULERS = ("themis", "gandiva", "slaq", "tiresias")
-
-
-def test_fig05_to_07_macrobenchmark(benchmark, record_figure, bench_testbed_scenario):
-    figure = run_once(
-        benchmark, fig05_to_07_macrobenchmark, bench_testbed_scenario, _SCHEDULERS
-    )
-    record_figure(figure)
+def test_fig05_07_macrobenchmark(replay_figure):
+    figure = replay_figure("fig05-07")
     rows = {row["scheduler"]: row for row in figure.rows}
 
     # Figure 5a shape: Themis has the best (lowest) max fairness of the

@@ -1,14 +1,10 @@
 """Figure 8: GPU allocation timeline for a short and a long app."""
 
-from conftest import run_once
-
-from repro.experiments.figures import fig08_timeline
 from repro.metrics.timeline import sample_series
 
 
-def test_fig08_timeline(benchmark, record_figure):
-    figure = run_once(benchmark, fig08_timeline)
-    record_figure(figure)
+def test_fig08_timeline(replay_figure):
+    figure = replay_figure("fig08")
     rows = {row["app"]: row for row in figure.rows}
     # The short app is preferentially completed...
     assert rows["short-app"]["finished_at"] < rows["long-app"]["finished_at"]

@@ -1,23 +1,10 @@
 """Figures 9a/9b: impact of the network-intensive app fraction."""
 
-from conftest import run_once
-
-from repro.experiments.config import sim_scenario
-from repro.experiments.figures import fig09_network_sweep
-
-_SCENARIO = sim_scenario(num_apps=14, seed=42, duration_scale=0.35)
-_FRACTIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+from repro.experiments.figures import PAPER_SCHEDULERS
 
 
-def test_fig09_network_intensive_sweep(benchmark, record_figure):
-    figure = run_once(
-        benchmark,
-        fig09_network_sweep,
-        _SCENARIO,
-        fractions=_FRACTIONS,
-        schedulers=("themis", "gandiva", "slaq", "tiresias"),
-    )
-    record_figure(figure)
+def test_fig09_network_intensive_sweep(replay_figure):
+    figure = replay_figure("fig09")
     rows = {row["network_intensive_fraction"]: row for row in figure.rows}
 
     # 9a shape: placement awareness matters more as the workload gets
@@ -33,11 +20,8 @@ def test_fig09_network_intensive_sweep(benchmark, record_figure):
     # 9b shape: with only compute-bound apps all schedulers burn about
     # the same GPU time; at 100% network-intensive the placement-blind
     # schedulers inflate GPU time over Themis.
-    base = rows[0.0]
-    spread_at_zero = max(
-        base[f"gpu_time:{s}"] for s in ("themis", "gandiva", "slaq", "tiresias")
-    ) / min(base[f"gpu_time:{s}"] for s in ("themis", "gandiva", "slaq", "tiresias"))
-    assert spread_at_zero < 1.2
+    at_zero = [rows[0.0][f"gpu_time:{s}"] for s in PAPER_SCHEDULERS]
+    assert max(at_zero) / min(at_zero) < 1.2
     heavy = rows[1.0]
     assert heavy["gpu_time:tiresias"] > heavy["gpu_time:themis"]
     assert heavy["gpu_time:slaq"] > heavy["gpu_time:themis"]

@@ -1,22 +1,8 @@
 """Figure 10: Jain's fairness index under growing cluster contention."""
 
-from conftest import run_once
 
-from repro.experiments.config import sim_scenario
-from repro.experiments.figures import fig10_contention_sweep
-
-_SCENARIO = sim_scenario(num_apps=14, seed=42, duration_scale=0.35)
-
-
-def test_fig10_contention_sweep(benchmark, record_figure):
-    figure = run_once(
-        benchmark,
-        fig10_contention_sweep,
-        _SCENARIO,
-        factors=(1.0, 2.0, 4.0),
-        schedulers=("themis", "tiresias"),
-    )
-    record_figure(figure)
+def test_fig10_contention(replay_figure):
+    figure = replay_figure("fig10")
     rows = {row["contention_factor"]: row for row in figure.rows}
 
     # Paper shape: at every contention level Themis' Jain index is at

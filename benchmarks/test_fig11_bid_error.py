@@ -1,24 +1,15 @@
 """Figure 11: robustness of max fairness to bid-valuation errors."""
 
-from conftest import run_once
 
-from repro.experiments.config import sim_scenario
-from repro.experiments.figures import fig11_bid_error_sweep
-
-_SCENARIO = sim_scenario(num_apps=14, seed=42, duration_scale=0.35)
-
-
-def test_fig11_bid_error_sweep(benchmark, record_figure):
-    figure = run_once(
-        benchmark, fig11_bid_error_sweep, _SCENARIO, thetas=(0.0, 0.05, 0.10, 0.20)
-    )
-    record_figure(figure)
+def test_fig11_bid_error(replay_figure):
+    figure = replay_figure("fig11")
     rows = {row["theta"]: row for row in figure.rows}
     exact = rows[0.0]["max_rho"]
-    # Paper shape: "Even with theta = 0.2 the change in max finish-time
-    # fairness is not significant."  At 5-10% error we match that; at
-    # 20% our small-sample (14-app) max statistic is swingier than the
-    # paper's larger simulation, so allow up to 2x (see EXPERIMENTS.md).
+    # Paper shape (the registry's claim for fig11): "Even with theta =
+    # 0.2 the change in max finish-time fairness is not significant."
+    # At 5-10% error we match that; at 20% our small-sample (14-app) max
+    # statistic is swingier than the paper's larger simulation, so allow
+    # up to 2x (benchmarks/results/fig11.txt has the measured values).
     for theta in (0.05, 0.10):
         assert rows[theta]["max_rho"] <= exact * 1.35, theta
     assert rows[0.20]["max_rho"] <= exact * 2.0

@@ -10,16 +10,15 @@ Run:  python examples/scheduler_comparison.py
 """
 
 from repro.experiments.config import testbed_scenario
-from repro.experiments.figures import fig05_to_07_macrobenchmark
+from repro.experiments.figures import PAPER_SCHEDULERS, run_figure
 from repro.experiments.report import format_figure
 
 
 def main() -> None:
     scenario = testbed_scenario(num_apps=16, seed=3)
     print(f"scenario: {scenario.name} on a 50-GPU testbed cluster\n")
-    figure = fig05_to_07_macrobenchmark(
-        scenario,
-        schedulers=("themis", "gandiva", "slaq", "tiresias", "strawman"),
+    figure = run_figure(
+        "fig05-07", scenario, schedulers=(*PAPER_SCHEDULERS, "strawman")
     )
     print(format_figure(figure))
     print(

@@ -5,10 +5,15 @@ Reproducing a figure of the paper means running the same trace under
 many schedulers and knob settings.  This study concatenates two
 matrices — a 2-scheduler x 3-seed comparison and a Themis-only
 fairness-knob sweep (12 cells total) — executes them across a worker
-pool with a warm content-addressed cache, and aggregates max
-finish-time fairness per cell.  (Two matrices because ``fairness_knob``
-is a Themis-specific kwarg: expanded task lists are plain lists, so
-heterogeneous studies are just concatenation.)
+pool with a warm content-addressed cache, and reads two columns of the
+shared metric table (``repro.metrics.METRICS``) per cell.  (Two
+matrices because ``fairness_knob`` is a Themis-specific kwarg: expanded
+task lists are plain lists, so heterogeneous studies are just
+concatenation.)
+
+The figure registry (``repro.experiments.figures.FIGURES``) is this
+same machinery with the paper's own matrices written down; a bare
+``SweepMatrix`` like here is for studies the paper does not have.
 
 Run:  python examples/sweep_study.py
 
@@ -17,7 +22,7 @@ from ``.sweep-cache/`` (delete the directory to recompute).
 """
 
 from repro.experiments.config import testbed_scenario
-from repro.metrics.fairness import jain_index, max_fairness
+from repro.metrics import metric_values
 from repro.sweep import SweepMatrix, run_sweep
 
 CACHE_DIR = ".sweep-cache"
@@ -45,9 +50,8 @@ def main() -> None:
     print()
     print(f"{'cell':<50} {'max_rho':>8} {'jain':>6}")
     for task in tasks:
-        result = report.result_for(task.task_id)
-        rhos = result.rhos()
-        print(f"{task.task_id:<50} {max_fairness(rhos):>8.3f} {jain_index(rhos):>6.3f}")
+        row = metric_values(report.result_for(task.task_id), ("max_rho", "jain"))
+        print(f"{task.task_id:<50} {row['max_rho']:>8.3f} {row['jain']:>6.3f}")
 
     print()
     print(report.summary())

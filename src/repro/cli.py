@@ -5,7 +5,7 @@ Examples::
     python -m repro run --scheduler themis --apps 12 --seed 1
     python -m repro compare --schedulers themis,tiresias --apps 10 --workers 4
     python -m repro figure fig02
-    python -m repro figure fig09 --workers 4 --cache-dir .sweep-cache
+    python -m repro figure fig09 --apps 6 --workers 4 --cache-dir .sweep-cache
     python -m repro sweep --schedulers themis,tiresias,gandiva \\
         --seeds 1,2,3,4 --workers 4 --cache-dir .sweep-cache
     python -m repro sweep --cluster hetero --gpu-mix v100:0.5,p100:0.25,k80:0.25 \\
@@ -38,23 +38,11 @@ from repro.experiments.config import (
     sim_scenario,
     testbed_scenario,
 )
-from repro.experiments.figures import (
-    fig01_task_duration_cdf,
-    fig02_placement_throughput,
-    fig04_knob_sweep,
-    fig04c_lease_sweep,
-    fig05_to_07_macrobenchmark,
-    fig08_timeline,
-    fig09_network_sweep,
-    fig10_contention_sweep,
-    fig11_bid_error_sweep,
-)
+from repro.experiments.figures import FIGURES, compare_schedulers, run_figure
 from repro.experiments.report import format_figure, format_table
-from repro.experiments.runner import compare_schedulers, run_scenario
-from repro.metrics.fairness import jain_index, max_fairness
+from repro.experiments.runner import run_scenario
 from repro.metrics.hetero import is_heterogeneous, per_type_rows
-from repro.metrics.jct import average_jct
-from repro.metrics.placement import score_summary
+from repro.metrics.summary import metric_values
 from repro.obs import (
     EVENT_KINDS,
     ObsConfig,
@@ -70,34 +58,6 @@ from repro.sweep import SweepMatrix, run_sweep
 from repro.workload.generator import GeneratorConfig, generate_trace
 
 logger = logging.getLogger("repro.cli")
-
-#: Figure name -> callable of (scenario, workers, cache_dir); figures
-#: without a sweep shape ignore the execution arguments.
-_FIGURES = {
-    "fig01": lambda s, w, c: fig01_task_duration_cdf(s),
-    "fig02": lambda s, w, c: fig02_placement_throughput(),
-    "fig04ab": lambda s, w, c: fig04_knob_sweep(
-        s, knobs=(0.0, 0.4, 0.8, 1.0), workers=w, cache_dir=c
-    ),
-    "fig04c": lambda s, w, c: fig04c_lease_sweep(
-        s, leases=(10.0, 20.0, 40.0), workers=w, cache_dir=c
-    ),
-    "fig05-07": lambda s, w, c: fig05_to_07_macrobenchmark(
-        s, workers=w, cache_dir=c
-    ),
-    "fig08": lambda s, w, c: fig08_timeline(),
-    "fig09": lambda s, w, c: fig09_network_sweep(
-        s, fractions=(0.0, 0.5, 1.0), schedulers=("themis", "tiresias"),
-        workers=w, cache_dir=c,
-    ),
-    "fig10": lambda s, w, c: fig10_contention_sweep(
-        s, factors=(1.0, 2.0), workers=w, cache_dir=c
-    ),
-    "fig11": lambda s, w, c: fig11_bid_error_sweep(
-        s, thetas=(0.0, 0.2), workers=w, cache_dir=c
-    ),
-}
-
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
@@ -379,7 +339,9 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser, default_apps: int) -> None:
+def _add_scenario_args(
+    parser: argparse.ArgumentParser, default_apps: Optional[int]
+) -> None:
     parser.add_argument("--cluster", choices=("sim", "testbed", "hetero"),
                         default="testbed",
                         help="256-GPU simulated cluster, 50-GPU testbed, or the "
@@ -423,23 +385,15 @@ def _fill_duration_default(args: argparse.Namespace) -> None:
         args.duration_scale = 0.4 if args.cluster in ("sim", "hetero") else 0.08
 
 
+#: :data:`repro.metrics.METRICS` names of the run/compare/sweep table.
+_SUMMARY_METRICS = (
+    "max_rho", "jain", "avg_jct", "placement", "gpu_time", "peak_contention",
+)
+_SUMMARY_HEADERS = ["scheduler", *_SUMMARY_METRICS]
+
+
 def _summary_row(name: str, result) -> list:
-    rhos = result.rhos()
-    return [
-        name,
-        max_fairness(rhos),
-        jain_index(rhos),
-        average_jct(result.completion_times()),
-        score_summary(result.placement_scores())["mean"],
-        result.total_gpu_time,
-        result.peak_contention,
-    ]
-
-
-_SUMMARY_HEADERS = [
-    "scheduler", "max_rho", "jain", "avg_jct",
-    "placement", "gpu_time", "contention",
-]
+    return [name, *metric_values(result, _SUMMARY_METRICS).values()]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -474,14 +428,48 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+#: The ``figure`` verb's scenario flags, each defaulting to "not given".
+_FIGURE_SCENARIO_FLAGS = (
+    "cluster", "apps", "seed", "duration_scale", "lease", "perf_matrix",
+    "migration",
+)
+
+
+def _figure_scenario(args: argparse.Namespace) -> Optional[ScenarioConfig]:
+    """The scenario ``repro figure`` replays: the registry's, verbatim,
+    unless scenario flags were given — then the preset rebuilt with the
+    flags over the registry scenario's own cluster / apps / seed /
+    duration scale / lease."""
+    registered = FIGURES[args.name].scenario
+    if registered is None or all(
+        getattr(args, flag) is None for flag in _FIGURE_SCENARIO_FLAGS
+    ):
+        return registered
+    if args.duration_scale is None and args.cluster in (None, registered.cluster_kind):
+        args.duration_scale = registered.generator.duration_scale
+    for flag, value in (
+        ("cluster", registered.cluster_kind),
+        ("apps", registered.generator.num_apps),
+        ("seed", registered.generator.seed),
+        ("lease", registered.lease_minutes),
+    ):
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
     _fill_duration_default(args)
-    if args.name not in _FIGURES:
-        print(f"unknown figure {args.name!r}; known: {sorted(_FIGURES)}",
+    return _scenario_from_args(args)
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    if args.name not in FIGURES:
+        print(f"unknown figure {args.name!r}; known: {sorted(FIGURES)}",
               file=sys.stderr)
         return 2
-    scenario = _scenario_from_args(args)
-    figure = _FIGURES[args.name](scenario, args.workers, args.cache_dir)
+    figure = run_figure(
+        args.name,
+        scenario=_figure_scenario(args),
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+    )
     print(format_figure(figure))
     return 0
 
@@ -501,10 +489,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _scenario_from_args(args)
     generator_axes = {}
     if args.contention:
-        generator_axes["mean_interarrival_minutes"] = tuple(
-            base.generator.mean_interarrival_minutes / factor
-            for factor in args.contention
-        )
+        try:
+            generator_axes["mean_interarrival_minutes"] = tuple(
+                base.generator.with_contention(factor).mean_interarrival_minutes
+                for factor in args.contention
+            )
+        except ValueError as error:
+            print(f"--contention: {error}", file=sys.stderr)
+            return 2
     # fairness_knob is a themis-only kwarg: give themis the knob axis
     # and run the other schedulers without it, in one task list.
     matrix = SweepMatrix(
@@ -925,8 +917,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.set_defaults(func=_cmd_compare)
 
     figure_parser = sub.add_parser("figure", help="regenerate a paper figure")
-    figure_parser.add_argument("name", help=f"one of {sorted(_FIGURES)}")
-    _add_scenario_args(figure_parser, default_apps=8)
+    figure_parser.add_argument("name", help=f"one of {sorted(FIGURES)}")
+    _add_scenario_args(figure_parser, default_apps=None)
+    # No scenario flag = replay the registry's scenario for the figure;
+    # a flag that is given overrides that scenario's value.
+    figure_parser.set_defaults(**dict.fromkeys(_FIGURE_SCENARIO_FLAGS))
     _add_exec_args(figure_parser)
     figure_parser.set_defaults(func=_cmd_figure)
 

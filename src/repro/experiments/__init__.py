@@ -1,12 +1,17 @@
-"""Experiment harness: one entry point per figure of the evaluation.
+"""Experiment harness: scenarios, single runs, and the figure registry.
 
-:mod:`repro.experiments.config` defines the two scenario presets the
-paper evaluates on (the 256-GPU simulated cluster and the 50-GPU
-testbed, Section 8.1), :mod:`repro.experiments.runner` executes
-scenarios, and :mod:`repro.experiments.figures` contains one function
-per paper figure returning a :class:`FigureResult` with the same
-rows/series the paper plots.  :mod:`repro.experiments.report` renders
-results as text tables (the benchmark suite prints these).
+Two layers, split by the sweep subsystem they sandwich:
+
+* below :mod:`repro.sweep` — :mod:`repro.experiments.config` (the two
+  scenario presets the paper evaluates on, the 256-GPU simulated
+  cluster and the 50-GPU testbed of Section 8.1) and
+  :mod:`repro.experiments.runner` (:func:`run_scenario`, what a sweep
+  worker executes).  These are what this package exports.
+* above it — :mod:`repro.experiments.figures` (the :data:`FIGURES`
+  registry, :func:`run_figure`, :func:`compare_schedulers`) and
+  :mod:`repro.experiments.report` (text tables).  Import those by
+  their full module name; importing them here would make
+  ``import repro.sweep`` circular.
 """
 
 from repro.experiments.config import (
@@ -15,36 +20,10 @@ from repro.experiments.config import (
     sim_scenario,
     testbed_scenario,
 )
-from repro.experiments.runner import compare_schedulers, run_scenario
-from repro.experiments.figures import (
-    FigureResult,
-    fig01_task_duration_cdf,
-    fig02_placement_throughput,
-    fig04_knob_sweep,
-    fig04c_lease_sweep,
-    fig05_to_07_macrobenchmark,
-    fig08_timeline,
-    fig09_network_sweep,
-    fig10_contention_sweep,
-    fig11_bid_error_sweep,
-)
-from repro.experiments.report import format_figure, format_table
+from repro.experiments.runner import run_scenario
 
 __all__ = [
-    "FigureResult",
     "ScenarioConfig",
-    "compare_schedulers",
-    "fig01_task_duration_cdf",
-    "fig02_placement_throughput",
-    "fig04_knob_sweep",
-    "fig04c_lease_sweep",
-    "fig05_to_07_macrobenchmark",
-    "fig08_timeline",
-    "fig09_network_sweep",
-    "fig10_contention_sweep",
-    "fig11_bid_error_sweep",
-    "format_figure",
-    "format_table",
     "hetero_scenario",
     "run_scenario",
     "sim_scenario",

@@ -10,8 +10,10 @@
   footnote 3 of Section 8.3 describes.
 
 Both return a :class:`ScenarioConfig`, a declarative bundle of trace
-generator + cluster + simulator knobs; every figure function accepts a
-scenario so tests can shrink them and benchmarks can grow them.
+generator + cluster + simulator knobs.  The figure registry
+(:mod:`repro.experiments.figures`) holds the paper-scale instance each
+figure replays; ``run_figure`` accepts any other scenario in its place,
+which is how tests shrink a figure.
 """
 
 from __future__ import annotations

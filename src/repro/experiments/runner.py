@@ -1,21 +1,14 @@
-"""Scenario execution: one scheduler or a whole comparison.
+"""Scenario execution: one scheduler over one scenario.
 
-Every scheduler in a comparison replays the *same* trace instance
-(regenerated fresh per run so job state never leaks between runs) on
-the same cluster topology — the apples-to-apples setup the paper's
-macrobenchmark uses.
-
-:func:`run_scenario` stays a pure single-run primitive (it is what the
-sweep subsystem's workers execute); :func:`compare_schedulers` routes
-through :mod:`repro.sweep`, so comparisons fan out across worker
-processes with ``workers > 1`` and reuse cached cells when given a
-``cache_dir``.
+:func:`run_scenario` is the pure single-run primitive — what the sweep
+subsystem's workers execute, and therefore below :mod:`repro.sweep` in
+the import order.  Comparisons and figures, which *use* the sweep
+subsystem, live above it in :mod:`repro.experiments.figures`.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from repro.experiments.config import ScenarioConfig
 from repro.obs import Observability, ObsConfig
@@ -47,38 +40,3 @@ def run_scenario(
         return simulator.run()
     finally:
         simulator.obs.close()
-
-
-def compare_schedulers(
-    scenario: ScenarioConfig,
-    schedulers: Sequence[str] = ("themis", "gandiva", "slaq", "tiresias"),
-    scheduler_kwargs: Optional[Mapping[str, Mapping]] = None,
-    workers: int = 1,
-    cache_dir: Union[str, Path, None] = None,
-) -> dict[str, SimulationResult]:
-    """Run several schedulers over identical workloads; keyed by name.
-
-    ``workers`` sizes the sweep worker pool (1 = serial in-process);
-    ``cache_dir`` enables the content-addressed result cache.  A
-    failing run raises :class:`repro.sweep.SweepError` with the
-    worker's traceback.
-    """
-    # Imported here: repro.sweep executes tasks via run_scenario above,
-    # so a module-level import would be circular.
-    from repro.sweep import SweepTask, run_sweep
-
-    kwargs = scheduler_kwargs or {}
-    names = list(dict.fromkeys(schedulers))  # dedupe, keep first occurrence
-    tasks = [
-        SweepTask(
-            scenario=scenario,
-            scheduler=name,
-            scheduler_kwargs=tuple(sorted(dict(kwargs.get(name) or {}).items())),
-        )
-        for name in names
-    ]
-    report = run_sweep(tasks, workers=workers, cache=cache_dir)
-    report.raise_on_failure()
-    return {
-        name: report.result_for(task.task_id) for name, task in zip(names, tasks)
-    }

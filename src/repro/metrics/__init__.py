@@ -6,7 +6,10 @@
 * **Placement Score** — the 4-level locality score CDF,
 * **GPU Time** — total GPU-minutes consumed (lower = more efficient),
 * app completion time statistics and CDFs,
-* per-app GPU allocation timelines (Figure 8).
+* per-app GPU allocation timelines (Figure 8),
+* :data:`METRICS` — the one by-name table of the per-run summaries
+  above that figure rows, the CLI, sweep aggregation and the service
+  all read (:mod:`repro.metrics.summary`).
 """
 
 from repro.metrics.fairness import (
@@ -23,10 +26,12 @@ from repro.metrics.sharing import (
     violators,
     worst_violation,
 )
+from repro.metrics.summary import METRICS, metric_values, multi_bidder_auctions
 from repro.metrics.timeline import allocation_series, sample_series
 from repro.metrics.utilization import gpu_time_total, utilization
 
 __all__ = [
+    "METRICS",
     "allocation_series",
     "average_jct",
     "cdf",
@@ -36,6 +41,8 @@ __all__ = [
     "jain_index",
     "jct_summary",
     "max_fairness",
+    "metric_values",
+    "multi_bidder_auctions",
     "per_type_rows",
     "percentile",
     "placement_cdf",

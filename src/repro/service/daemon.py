@@ -176,8 +176,7 @@ class SpecExecutor(Executor):
     def _run_simulation(self, record: JobRecord) -> JobOutcome:
         from repro.experiments.config import sim_scenario, testbed_scenario
         from repro.experiments.runner import run_scenario
-        from repro.metrics.fairness import max_fairness
-        from repro.metrics.jct import average_jct
+        from repro.metrics.summary import metric_values
 
         spec = record.spec
         builder = (
@@ -190,17 +189,11 @@ class SpecExecutor(Executor):
             duration_scale=float(spec.get("duration_scale", 0.05)),
         )
         result = run_scenario(scenario, str(spec.get("scheduler", "themis")))
-        rhos = result.rhos()
         return JobOutcome.success(
             result={
                 "completed": result.completed,
                 "num_apps": len(result.app_stats),
-                "max_rho": max_fairness(rhos) if rhos else None,
-                "avg_jct": (
-                    average_jct(result.completion_times())
-                    if result.completion_times()
-                    else None
-                ),
+                **metric_values(result, ("max_rho", "avg_jct")),
                 "total_gpu_time": result.total_gpu_time,
             }
         )

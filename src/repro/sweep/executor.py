@@ -37,6 +37,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.experiments.runner import run_scenario
 from repro.service.retry import FailureKind, RetryPolicy
 from repro.simulation.rng import derive_seed
 from repro.simulation.simulator import SimulationResult
@@ -73,8 +74,6 @@ def _seed_globals(task: SweepTask) -> None:
 
 def execute_task(task: SweepTask) -> tuple[Optional[SimulationResult], Optional[str], float]:
     """Run one cell in-process; returns (result, traceback, seconds)."""
-    from repro.experiments.runner import run_scenario
-
     start = time.perf_counter()
     try:
         _seed_globals(task)

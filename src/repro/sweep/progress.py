@@ -14,6 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
+from repro.metrics.summary import METRICS
 from repro.simulation.simulator import SimulationResult
 
 logger = logging.getLogger("repro.sweep.progress")
@@ -22,18 +23,9 @@ logger = logging.getLogger("repro.sweep.progress")
 #: :meth:`SweepReport.aggregate`'s ``*_ci95`` columns.
 _Z_95 = 1.96
 
-
-def _default_metrics() -> dict[str, Callable[[SimulationResult], float]]:
-    """Headline metrics for cross-seed aggregation (local import: the
-    metrics package imports this module's SimulationResult dependency)."""
-    from repro.metrics.fairness import jain_index, max_fairness
-    from repro.metrics.jct import average_jct
-
-    return {
-        "max_rho": lambda result: max_fairness(result.rhos()),
-        "jain": lambda result: jain_index(result.rhos()),
-        "avg_jct": lambda result: average_jct(result.completion_times()),
-    }
+#: :data:`~repro.metrics.summary.METRICS` names
+#: :meth:`SweepReport.aggregate` reports when given no ``metrics``.
+_AGGREGATE_METRICS = ("max_rho", "jain", "avg_jct")
 
 #: Task terminal states.
 STATUS_OK = "ok"  # executed and produced a result
@@ -159,7 +151,11 @@ class SweepReport:
         prefixes to callables on :class:`SimulationResult`; the default
         covers max rho, Jain's index and average JCT.
         """
-        metric_fns = dict(metrics) if metrics is not None else _default_metrics()
+        metric_fns = (
+            dict(metrics)
+            if metrics is not None
+            else {name: METRICS[name] for name in _AGGREGATE_METRICS}
+        )
         groups: dict[tuple, tuple[dict, list[SimulationResult]]] = {}
         for task in tasks:
             result = self.results.get(task.task_id)

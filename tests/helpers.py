@@ -10,6 +10,7 @@ suite failed to import.  A plain module has an unambiguous name.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -69,7 +70,10 @@ def make_app(
 #: simulator mode, where every cell's digest was checked equal with the
 #: mode on and off; the ``sim-*`` cells are, byte for byte, the values
 #: the ``repro bench`` baseline file carried until it was folded in
-#: here.  A deliberate behaviour change re-freezes them:
+#: here; the 13 ``figure/<id>`` digests (a registry figure's ``rows`` on
+#: a small cell, tests/test_experiments.py) were frozen at eb86818 from
+#: the per-figure functions the registry replaced.  A deliberate
+#: behaviour change re-freezes them:
 #: ``PYTHONPATH=src python tests/refreeze_golden.py``.
 GOLDEN_PATH = Path(__file__).with_name("golden_sim.json")
 GOLDEN: dict = json.loads(GOLDEN_PATH.read_text())
@@ -96,6 +100,11 @@ def _pin(kind: str, cell: str, value) -> None:
 def assert_golden(cell: str, result) -> None:
     """``result`` replays byte-identically to the frozen digest of ``cell``."""
     _pin("digests", cell, result.digest())
+
+
+def assert_golden_rows(cell: str, rows: list) -> None:
+    """A figure's ``rows`` — values, column names and column order — as one digest."""
+    _pin("digests", cell, hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest())
 
 
 def assert_golden_carves(cell: str, carves: int) -> None:

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _figure_scenario, build_parser, main
+from repro.experiments.config import sim_scenario
+from repro.experiments.config import testbed_scenario as _testbed_scenario
+from repro.experiments.figures import FIGURES
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +61,39 @@ def test_figure_fig02(capsys):
     assert "vgg16" in out
 
 
+@pytest.mark.parametrize("figure_id", sorted(FIGURES))
+def test_figure_runs_every_registry_id_on_a_shrunk_scenario(capsys, figure_id):
+    code, out, _ = run_cli(
+        capsys, "figure", figure_id, "--cluster", "testbed", "--apps", "2",
+        "--duration-scale", "0.05",
+    )
+    assert code == 0
+    assert f"== {figure_id}: {FIGURES[figure_id].title} ==" in out
+
+
+@pytest.mark.parametrize("figure_id", sorted(FIGURES))
+def test_figure_without_scenario_flags_replays_the_registry_scenario(figure_id):
+    args = build_parser().parse_args(["figure", figure_id, "--workers", "2"])
+    assert _figure_scenario(args) is FIGURES[figure_id].scenario
+
+
+def test_figure_scenario_flags_override_the_registry_scenario():
+    def scenario(*flags):
+        return _figure_scenario(build_parser().parse_args(["figure", *flags]))
+
+    # fig09 replays sim256 / 14 apps / seed 42 / scale 0.35; fig05-07 the testbed.
+    assert scenario("fig09", "--apps", "3") == sim_scenario(3, 42, 0.35)
+    assert scenario("fig09", "--seed", "7", "--lease", "10") == sim_scenario(
+        14, 7, 0.35, lease_minutes=10.0
+    )
+    assert scenario("fig05-07", "--duration-scale", "0.02") == _testbed_scenario(25, 42, 0.02)
+    # Another cluster brings that cluster's own default duration scale.
+    assert scenario("fig09", "--cluster", "testbed") == _testbed_scenario(14, 42)
+    assert scenario("fig09", "--migration").migration is True
+    # Fixed-setup figures have no scenario to override.
+    assert scenario("fig08", "--apps", "3") is None
+
+
 def test_figure_unknown(capsys):
     code, _, err = run_cli(capsys, "figure", "nope")
     assert code == 2
@@ -98,6 +134,12 @@ def test_sweep_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert "0 ok, 4 cached, 0 failed" in out
+
+
+def test_sweep_contention_axis_rejects_a_non_positive_factor(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--apps", "2", "--contention", "2,0")
+    assert code == 2
+    assert "--contention: contention factor must be > 0" in err
 
 
 def test_sweep_unknown_scheduler(capsys):

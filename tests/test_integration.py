@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments.config import tiny_scenario
-from repro.experiments.runner import compare_schedulers, run_scenario
+from repro.experiments.figures import compare_schedulers
+from repro.experiments.runner import run_scenario
 from repro.metrics.fairness import jain_index, max_fairness
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig

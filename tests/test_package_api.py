@@ -1,5 +1,10 @@
 """Tests for the top-level package API."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -54,3 +59,26 @@ def test_metrics_package_exports():
 
     for name in metrics.__all__:
         assert hasattr(metrics, name), name
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro", "repro.cluster", "repro.core", "repro.experiments",
+        "repro.hyperparam", "repro.metrics", "repro.obs", "repro.schedulers",
+        "repro.service", "repro.simulation", "repro.sweep", "repro.workload",
+        "repro.cli",
+    ],
+)
+def test_every_public_package_imports_cold(module):
+    """In a fresh interpreter, so an import cycle cannot hide behind
+    whichever package another test happened to import first."""
+    src = Path(repro.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

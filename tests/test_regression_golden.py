@@ -11,7 +11,8 @@ while catching accidental nondeterminism or drastic behaviour drift.
 import pytest
 
 from repro.experiments.config import tiny_scenario
-from repro.experiments.runner import compare_schedulers, run_scenario
+from repro.experiments.figures import compare_schedulers
+from repro.experiments.runner import run_scenario
 from repro.metrics.fairness import jain_index, max_fairness
 
 

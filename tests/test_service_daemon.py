@@ -59,6 +59,28 @@ def test_submit_tick_finish(tmp_path):
     plane.close()
 
 
+def test_sim_job_result_carries_the_metric_table_values(tmp_path):
+    from repro.experiments.config import testbed_scenario
+    from repro.experiments.runner import run_scenario
+    from repro.metrics import METRICS
+
+    plane, clock = make_plane(tmp_path)  # the default SpecExecutor
+    spec = {"kind": "sim", "scheduler": "fifo", "apps": 2, "seed": 3, "duration_scale": 0.05}
+    job_id = plane.submit(spec)
+    drain(plane, clock)
+    record = plane.status(job_id)
+    assert record["state"] == "finished"
+    direct = run_scenario(testbed_scenario(num_apps=2, seed=3, duration_scale=0.05), "fifo")
+    assert record["result"] == {
+        "completed": True,
+        "num_apps": 2,
+        "max_rho": METRICS["max_rho"](direct),
+        "avg_jct": METRICS["avg_jct"](direct),
+        "total_gpu_time": direct.total_gpu_time,
+    }
+    plane.close()
+
+
 def test_transient_failure_retries_then_succeeds(tmp_path):
     script = {
         "j": [

@@ -6,7 +6,7 @@ import signal
 import pytest
 
 from repro.experiments.config import tiny_scenario
-from repro.experiments.runner import compare_schedulers
+from repro.experiments.figures import compare_schedulers
 from repro.service.retry import FailureKind, RetryPolicy
 from repro.sweep import (
     classify_traceback,
