@@ -271,6 +271,19 @@ class ClusterCapacity:
         """Summed speed factors of the ``n`` fastest GPUs (clamped)."""
         return self._prefix[min(max(n, 0), self.num_gpus)]
 
+    def view(self, family: str) -> "ClusterCapacity":
+        """The capacity one model family sees: scalar speeds ignore it.
+
+        With :meth:`best_total`, the two calls a per-family
+        :class:`~repro.workload.perf.PerfCapacity` also answers, so
+        ``App.ideal_running_time`` reads either the same way.
+        """
+        return self
+
+    def best_total(self, families: Iterable[str]) -> float:
+        """Aggregate compute available to any set of families: :attr:`total`."""
+        return self.total
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClusterCapacity(gpus={self.num_gpus}, total={self.total:g})"
 
@@ -279,10 +292,13 @@ CapacityLike = Union[int, ClusterCapacity]
 
 
 def as_capacity(capacity: CapacityLike) -> ClusterCapacity:
-    """Coerce a legacy GPU count into a uniform :class:`ClusterCapacity`."""
-    if isinstance(capacity, ClusterCapacity):
-        return capacity
-    return ClusterCapacity.uniform(capacity)
+    """Coerce a legacy GPU count into a uniform :class:`ClusterCapacity`.
+
+    Capacity objects (scalar or per-family) pass through unchanged.
+    """
+    if isinstance(capacity, int):
+        return ClusterCapacity.uniform(capacity)
+    return capacity
 
 
 class Cluster:

@@ -32,7 +32,7 @@ valuation probes per applied move and ``O(G/chunk x A x M)`` per solve
 hidden payments on, the market is re-solved once per winner, so one
 auction round cost ``O(A)`` solves — ``O(G/chunk x A^2 x M)`` probes.
 
-The default solver (:meth:`PartialAllocationAuction._solve_lazy`) is a
+The solver (:meth:`PartialAllocationAuction._solve`) is a
 CELF-style lazy-greedy over a max-heap of candidate moves.  Each heap
 entry caches the score of the best move for one ``(app, machine)``
 pair.  The **staleness invariant** that makes the heap exact is:
@@ -142,7 +142,10 @@ solves share each :class:`~repro.core.bids.Bid`'s pair memo and
 valuation caches, so suffix scores the full solve already computed are
 hits.  The pre-refactor full-rescan solver is kept as
 :func:`rescan_fair_allocation` — the reference implementation the
-equivalence tests compare against.
+equivalence tests compare against.  Nothing in ``src/`` calls it and
+the auction has no solver option: the suites run the whole mechanism
+on it through ``tests/helpers.py::rescan_auction``, a subclass whose
+``_solve`` is the reference.
 """
 
 from __future__ import annotations
@@ -287,20 +290,14 @@ class PartialAllocationAuction:
     may hand to one app (defaults to 4 — one typical gang of the
     trace); smaller steps trade solve time for solution quality.
 
-    ``solver`` selects the winner-determination implementation:
-    ``"lazy"`` (default) is the CELF-style heap solver, ``"rescan"``
-    the pre-refactor full rescan.  Both produce identical assignments
-    (see the module docstring); ``"rescan"`` exists for the
-    equivalence tests.
+    Winner determination is the CELF-style lazy heap solver of the
+    module docstring (:meth:`_solve`).
     """
 
-    def __init__(self, chunk_size: int = 4, solver: str = "lazy") -> None:
+    def __init__(self, chunk_size: int = 4) -> None:
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
-        if solver not in ("lazy", "rescan"):
-            raise ValueError(f"solver must be 'lazy' or 'rescan', got {solver!r}")
         self.chunk_size = chunk_size
-        self.solver = solver
         self.last_stats = AuctionSolveStats()
         # Observability hook; the simulator rewires this at bind time.
         self.profiler = NULL_PROFILER
@@ -327,24 +324,6 @@ class PartialAllocationAuction:
         """
         assignment, _ = self._solve(pool, bids, exclude=exclude)
         return assignment
-
-    def _solve(
-        self,
-        pool: Mapping[int, int],
-        bids: Mapping[str, Bid],
-        exclude: Optional[str] = None,
-        prefix: Sequence[_Move] = (),
-        stats: Optional[AuctionSolveStats] = None,
-    ) -> tuple[dict[str, dict[int, int]], list[_Move]]:
-        """Dispatch to the configured solver; returns (assignment, moves)."""
-        if stats is not None:
-            stats.solves += 1
-        if self.solver == "rescan":
-            assignment = rescan_fair_allocation(
-                pool, bids, chunk_size=self.chunk_size, exclude=exclude
-            )
-            return assignment, []
-        return self._solve_lazy(pool, bids, exclude, prefix, stats)
 
     def _score_pair(
         self,
@@ -479,15 +458,20 @@ class PartialAllocationAuction:
             memo[memo_key] = best
         return best
 
-    def _solve_lazy(
+    def _solve(
         self,
         pool: Mapping[int, int],
         bids: Mapping[str, Bid],
-        exclude: Optional[str],
-        prefix: Sequence[_Move],
-        stats: Optional[AuctionSolveStats],
+        exclude: Optional[str] = None,
+        prefix: Sequence[_Move] = (),
+        stats: Optional[AuctionSolveStats] = None,
     ) -> tuple[dict[str, dict[int, int]], list[_Move]]:
-        """Lazy-greedy solver (see module docstring for the invariant)."""
+        """Lazy-greedy solver (see module docstring for the invariant).
+
+        Returns ``(assignment, moves)``.
+        """
+        if stats is not None:
+            stats.solves += 1
         # Ascending machine id: the order the row pass groups classes in.
         remaining = {m: c for m, c in sorted(pool.items()) if c > 0}
         apps = [a for a in sorted(bids) if a != exclude]

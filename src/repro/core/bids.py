@@ -145,9 +145,12 @@ class Bid:
         self._state = state
         # The app's (single) model family selects its throughput-matrix
         # row for speed-class tie-breaks; mixed-family apps fall back to
-        # the scalar generation speeds.  Memoised on the snapshot — a
-        # starved app's snapshot survives many rounds of bids.
-        self._family = snap.family
+        # the scalar generation speeds.  The family is memoised on the
+        # snapshot — a starved app's snapshot survives many rounds of
+        # bids — and the map it sees on the perf model.
+        self._speed_of = estimator.perf_model.machine_speeds_for(
+            estimator.cluster, snap.family
+        )
         self.demand = app.unmet_demand()
         self.current_rho = self.rho_of({})
 
@@ -271,7 +274,7 @@ class Bid:
         family — two bidders can disagree about which machine is the
         prize, which is exactly the rate-inversion the matrix encodes.
         """
-        return self._estimator.machine_speed_for(self._family, machine_id)
+        return self._speed_of.get(machine_id, 1.0)
 
     # ------------------------------------------------------------------
     # The explicit table (Figure 3b)

@@ -20,10 +20,18 @@ built for that hot path:
 * :class:`AppSnapshot` freezes an app's job list (sorted once) for the
   duration of an auction,
 * the carve loop stops as soon as the count pool drains, so the cost is
-  bounded by the GPUs offered, not the (much larger) job count.
+  bounded by the GPUs offered, not the (much larger) job count,
+* there is one carve kernel, :func:`_carve_fast`: machine speeds come
+  from the cluster's scalar map, or — under a per-family throughput
+  matrix — from the current job's family row; which it is, is decided
+  by :class:`~repro.workload.perf.PerfModel` and reaches the kernel as
+  ``family_speed_of is None`` or not.  :func:`_carve_reference` (with
+  its :class:`_CountPool`) is the oracle the equivalence suites hold
+  the kernel to; nothing in ``src/`` calls it.
 
 :func:`carve_allotments` is the public, fully-annotated version used by
-Gandiva's packing utility and by tests.
+tests; Gandiva's packing utility (:func:`packing_utility`) runs the
+same kernel.
 """
 
 from __future__ import annotations
@@ -49,8 +57,8 @@ from repro.workload.perf import DEFAULT_PERF_MODEL, PerfModel
 _JobTuple = tuple[float, int, SensitivityProfile, str, str]
 
 #: Per-family machine speed lookup: family -> {machine_id: speedup}.
-#: ``None`` means the scalar model — the carve keeps its single shared
-#: speed map and the original fast path.
+#: ``None`` means the scalar model — the carve reads its single shared
+#: speed map once.
 FamilySpeedFn = Optional[Callable[[str], Mapping[int, float]]]
 
 #: Ceiling on valuations when rho is (degenerately) zero or negative.
@@ -220,50 +228,46 @@ def _carve_fast(
     are assumed sorted by remaining work ascending, mirroring the
     intra-app distributor.
 
-    The machine pool lives in parallel flat lists (ids, counts,
-    effective-compute, racks, speeds) instead of the heap-backed
+    The machine pool lives in parallel flat lists (ids, counts, racks,
+    speeds, effective compute) instead of the heap-backed
     :class:`_CountPool`: a valuation probe carves a *bundle* — a
     handful of machines — and at that size the heap entries, the
     per-job ``taken`` dict and the pool object itself dominated the
-    cost (~113k probes on the ``large`` bench profile).  A linear
-    argmax over the flat arrays performs the exact comparisons the heap
-    made — most effective free compute first, lower machine id on ties,
-    racks already used by the job preferred — so the carve order, and
-    therefore every downstream rho, is byte-identical to
-    :func:`_carve_reference` (property-tested in tests/test_fairness.py).
+    cost.  A linear argmax over the flat arrays performs the exact
+    comparisons the heap made — most effective free compute first,
+    lower machine id on ties, racks already used by the job preferred —
+    so the carve order, and therefore every downstream rho, is
+    byte-identical to :func:`_carve_reference` (property-tested in
+    tests/test_fairness.py).
 
-    ``family_speed_of`` switches to the per-family kernel
-    (:func:`_carve_fast_family`): machine speeds then depend on the
-    *current job's* model family, so a bundle can be "fast" for one job
-    and "slow" for the next.  The scalar path below is untouched — a
-    scalar perf model never pays for family dispatch.
+    The setup pass reads the speeds from ``speed_of``, and under the
+    scalar model (``family_speed_of is None``) that is all.  Under a
+    throughput matrix "effective" is measured with the *current job's*
+    family row — a bundle can be fast for one job and slow for the
+    next, inverting which machines drain first — so ``spds`` and
+    ``effs`` are rebuilt from the live counts whenever the next job's
+    row is a different map than the one they were last built from:
+    once per family change.  Either way ``effs[i]`` always holds the
+    product ``cnts[i] * spds[i]``, so a matrix whose rows all equal the
+    scalar speeds presents the same comparison floats as the scalar
+    setup, hence byte-identical carves (pinned by
+    tests/test_hetero_equivalence.py).
     """
-    if family_speed_of is not None:
-        return _carve_fast_family(
-            job_tuples, machine_counts, rack_of, nvlink_group_size, family_speed_of
-        )
+    #: The speed map ``spds`` / ``effs`` were last built from.
+    row: Mapping[int, float] = speed_of if speed_of is not None else {}
     mids: list[int] = []
     cnts: list[int] = []
-    effs: list[float] = []
     rids: list[int] = []
     spds: list[float] = []
-    if speed_of is None:
-        for machine_id, count in machine_counts.items():
-            if count > 0:
-                mids.append(machine_id)
-                cnts.append(count)
-                spds.append(1.0)
-                effs.append(count * 1.0)
-                rids.append(rack_of[machine_id])
-    else:
-        for machine_id, count in machine_counts.items():
-            if count > 0:
-                speed = speed_of.get(machine_id, 1.0)
-                mids.append(machine_id)
-                cnts.append(count)
-                spds.append(speed)
-                effs.append(count * speed)
-                rids.append(rack_of[machine_id])
+    effs: list[float] = []
+    for machine_id, count in machine_counts.items():
+        if count > 0:
+            speed = row.get(machine_id, 1.0)
+            mids.append(machine_id)
+            cnts.append(count)
+            rids.append(rack_of[machine_id])
+            spds.append(speed)
+            effs.append(count * speed)
     live = len(mids)
     num_machines = live
     out: list[_Carved] = []
@@ -271,6 +275,13 @@ def _carve_fast(
     for index, job in enumerate(job_tuples):
         if not live:
             return out, index
+        if family_speed_of is not None:
+            job_row = family_speed_of(job[4])
+            if job_row is not row:
+                row = job_row
+                for i in range(num_machines):
+                    spds[i] = speed = row.get(mids[i], 1.0)
+                    effs[i] = cnts[i] * speed
         need = job[1]
         taken_machines = 0
         first_count = 0
@@ -307,112 +318,6 @@ def _carve_fast(
             if remaining:
                 effs[best] = remaining * spds[best]
             else:
-                live -= 1
-            taken_machines += 1
-            if taken_machines == 1:
-                first_count = grab
-            effective += grab * spds[best]
-            rack_id = rids[best]
-            if rack_id not in used_racks:
-                used_racks.append(rack_id)
-            need -= grab
-        total = job[1] - need
-        if total <= 0:
-            return out, index
-        if taken_machines == 1:
-            level = (
-                LocalityLevel.SLOT
-                if first_count <= nvlink_group_size
-                else LocalityLevel.MACHINE
-            )
-        elif len(used_racks) == 1:
-            level = LocalityLevel.RACK
-        else:
-            level = LocalityLevel.CLUSTER
-        factor = 1.0 if total <= 1 else job[2].at(level)
-        out.append((job, total, level, effective * factor, effective))
-    return out, index + 1
-
-
-def _carve_fast_family(
-    job_tuples: Sequence[_JobTuple],
-    machine_counts: Mapping[int, int],
-    rack_of: Mapping[int, int],
-    nvlink_group_size: int,
-    family_speed_of: Callable[[str], Mapping[int, float]],
-) -> tuple[list[_Carved], int]:
-    """Flat-array carve with per-job family-specific machine speeds.
-
-    Identical argmax rule to :func:`_carve_fast` — most effective free
-    compute first, lower machine id on ties, used racks preferred — but
-    "effective" is measured with the current job's family row, so a
-    throughput matrix can invert which machines drain first between two
-    jobs of different families.  A matrix whose rows all equal the
-    scalar speeds produces the same comparison floats as the scalar
-    kernel, hence byte-identical carves (pinned by
-    tests/test_hetero_equivalence.py).
-
-    Per-family flat speed arrays are cached for the duration of one
-    carve; effective compute is recomputed as ``count * speed`` inside
-    the scan instead of being maintained incrementally, because the
-    speeds change with every job's family.
-    """
-    mids: list[int] = []
-    cnts: list[int] = []
-    rids: list[int] = []
-    for machine_id, count in machine_counts.items():
-        if count > 0:
-            mids.append(machine_id)
-            cnts.append(count)
-            rids.append(rack_of[machine_id])
-    live = len(mids)
-    num_machines = live
-    fam_speeds: dict[str, list[float]] = {}
-    out: list[_Carved] = []
-    index = 0
-    for index, job in enumerate(job_tuples):
-        if not live:
-            return out, index
-        family = job[4]
-        spds = fam_speeds.get(family)
-        if spds is None:
-            speed_map = family_speed_of(family)
-            spds = [speed_map.get(machine_id, 1.0) for machine_id in mids]
-            fam_speeds[family] = spds
-        need = job[1]
-        taken_machines = 0
-        first_count = 0
-        effective = 0.0
-        used_racks: list[int] = []
-        while need > 0 and live:
-            best = -1
-            best_eff = -1.0
-            best_mid = -1
-            if used_racks:
-                for i in range(num_machines):
-                    if cnts[i] and rids[i] in used_racks:
-                        eff = cnts[i] * spds[i]
-                        mid = mids[i]
-                        if eff > best_eff or (eff == best_eff and mid < best_mid):
-                            best = i
-                            best_eff = eff
-                            best_mid = mid
-            if best < 0:
-                for i in range(num_machines):
-                    if cnts[i]:
-                        eff = cnts[i] * spds[i]
-                        mid = mids[i]
-                        if eff > best_eff or (eff == best_eff and mid < best_mid):
-                            best = i
-                            best_eff = eff
-                            best_mid = mid
-            if best < 0:
-                break
-            count = cnts[best]
-            grab = need if need < count else count
-            remaining = count - grab
-            cnts[best] = remaining
-            if not remaining:
                 live -= 1
             taken_machines += 1
             if taken_machines == 1:
@@ -549,7 +454,7 @@ def bundle_shape(
     of ``(rack label by first appearance, speeds, count)``.
 
     **Lemma (shape symmetry).**  For a fixed job-tuple sequence the
-    allotments of :func:`_carve_fast`, :func:`_carve_fast_family` and
+    allotments of :func:`_carve_fast` (under either speed setup) and
     :func:`_carve_reference` are a pure function of the bundle's shape;
     two bundles with equal shapes carve to bit-identical floats.
 
@@ -759,7 +664,7 @@ class FairnessEstimator:
         self._rack_of = {
             machine.machine_id: machine.rack_id for machine in cluster.machines
         }
-        self._speed_of = cluster.machine_speeds()
+        self._speed_of = self.perf_model.machine_speeds_for(cluster, None)
         #: Per-family machine speed lookup, or ``None`` under the scalar
         #: model (the carve then keeps its single shared speed map).
         self._family_speed_fn: FamilySpeedFn = self.perf_model.machine_speed_index(
@@ -782,16 +687,6 @@ class FairnessEstimator:
     def rack_map(self) -> dict[int, int]:
         """Cached machine id -> rack id mapping for carve calls."""
         return self._rack_of
-
-    @property
-    def speed_map(self) -> dict[int, float]:
-        """Cached machine id -> GPU speed factor mapping for carve calls."""
-        return self._speed_of
-
-    @property
-    def family_speed_fn(self) -> FamilySpeedFn:
-        """Per-family machine-speed lookup (``None`` = scalar model)."""
-        return self._family_speed_fn
 
     def machine_reads(self, job_tuples: Sequence[_JobTuple]) -> _MachineReads:
         """``machine_id -> (rack_id, speeds)`` for an app with these jobs.
@@ -817,20 +712,6 @@ class FairnessEstimator:
                 reads[machine_id] = (rack_id, speed)
             self._reads_by_families[families] = reads
         return reads
-
-    def machine_speed(self, machine_id: int) -> float:
-        """Scalar speed factor of one machine's GPUs (1.0 when unknown)."""
-        return self._speed_of.get(machine_id, 1.0)
-
-    def machine_speed_for(self, family: Optional[str], machine_id: int) -> float:
-        """Speed of one machine as seen by one model family.
-
-        Falls back to the scalar speed under a scalar model or when the
-        caller has no single family (mixed-family apps).
-        """
-        if family is None or self._family_speed_fn is None:
-            return self._speed_of.get(machine_id, 1.0)
-        return self._family_speed_fn(family).get(machine_id, 1.0)
 
     # ------------------------------------------------------------------
     # Snapshots (hot path)
@@ -866,29 +747,18 @@ class FairnessEstimator:
     def _carved(
         self, snap: AppSnapshot, machine_counts: Mapping[int, int]
     ) -> list[_Carved]:
-        """One counted, profiled carve — the single ``.enabled`` guard
-        shared by both valuation kernels (the obs overhead gate asserts
-        the disabled-profiler path costs nothing)."""
+        """One counted, profiled carve, shared by both valuation kernels
+        (a disabled profiler's ``phase`` is one shared no-op)."""
         self.carve_count += 1
-        if self.profiler.enabled:
-            with self.profiler.phase("carve"):
-                carved, _ = _carve_fast(
-                    snap.job_tuples,
-                    machine_counts,
-                    self._rack_of,
-                    self.nvlink_group_size,
-                    self._speed_of,
-                    self._family_speed_fn,
-                )
-            return carved
-        carved, _ = _carve_fast(
-            snap.job_tuples,
-            machine_counts,
-            self._rack_of,
-            self.nvlink_group_size,
-            self._speed_of,
-            self._family_speed_fn,
-        )
+        with self.profiler.phase("carve"):
+            carved, _ = _carve_fast(
+                snap.job_tuples,
+                machine_counts,
+                self._rack_of,
+                self.nvlink_group_size,
+                self._speed_of,
+                self._family_speed_fn,
+            )
         return carved
 
     def carve_pairs_from_snapshot(

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from repro.cluster.topology import Gpu
 from repro.workload.app import App
+from repro.workload.perf import app_family
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.simulator import ClusterSimulator
@@ -27,7 +28,6 @@ class InterAppScheduler(abc.ABC):
 
     def __init__(self) -> None:
         self.sim: Optional["ClusterSimulator"] = None
-        self._scalar_speed_map: Optional[dict[int, float]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -35,7 +35,6 @@ class InterAppScheduler(abc.ABC):
     def bind(self, simulator: "ClusterSimulator") -> None:
         """Attach to a simulator before the run starts."""
         self.sim = simulator
-        self._scalar_speed_map = None
         self.on_bind()
 
     def on_bind(self) -> None:
@@ -77,12 +76,6 @@ class InterAppScheduler(abc.ABC):
             if app.unmet_demand() > 0
         ]
 
-    def machine_speeds(self) -> dict[int, float]:
-        """machine_id -> GPU speed class of the bound cluster (scalar)."""
-        if self.sim is None:
-            raise RuntimeError(f"{type(self).__name__} is not bound to a simulator")
-        return self.sim.cluster.machine_speeds()
-
     def perf_model(self):
         """The bound run's performance model (scalar when unbound)."""
         if self.sim is None:
@@ -95,23 +88,18 @@ class InterAppScheduler(abc.ABC):
         Under the scalar model (or for mixed-family apps) this is the
         scalar speed map; under a throughput matrix each app sees its
         own family's row, so baseline fills drain the machines that are
-        fast *for that app* first.  The returned mapping is shared and
-        cached (one per family per run, one scalar map per bind) — it
+        fast *for that app* first.  The returned mapping is the perf
+        model's shared one (:meth:`PerfModel.machine_speeds_for`) — it
         is called once per app per round on baseline hot paths, so
         callers must treat it as read-only.
         """
         if self.sim is None:
             raise RuntimeError(f"{type(self).__name__} is not bound to a simulator")
-        family_fn = self.sim.family_speed_index
-        if family_fn is not None:
-            from repro.workload.perf import app_family
-
-            family = app_family(app)
-            if family is not None:
-                return family_fn(family)
-        if self._scalar_speed_map is None:
-            self._scalar_speed_map = self.sim.cluster.machine_speeds()
-        return self._scalar_speed_map
+        model = self.sim.perf_model
+        # A scalar model ignores the family, so skip the walk over the
+        # app's jobs that finds it.
+        family = None if model.is_scalar else app_family(app)
+        return model.machine_speeds_for(self.sim.cluster, family)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

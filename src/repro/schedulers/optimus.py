@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.cluster.topology import Gpu, ordered_sum
-from repro.core.assignment import greedy_utility_assign, group_pool
+from repro.cluster.topology import Gpu
 from repro.schedulers.base import InterAppScheduler
-from repro.schedulers.tiresias import take_scattered
+from repro.schedulers.slaq import EffectiveUtility, assign_by_effective_utility
 from repro.workload.app import App
-from repro.workload.perf import app_effective_compute, app_family
 
 
 class OptimusScheduler(InterAppScheduler):
@@ -79,49 +77,8 @@ class OptimusScheduler(InterAppScheduler):
         return max(0.0, base - improved)
 
     def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
-        apps = self.apps_with_demand()
-        if not apps:
-            return {}
-        pool_by_machine = group_pool(pool)
-        counts = {m: len(g) for m, g in pool_by_machine.items()}
-        model = self.perf_model()
-        # Effective units are family-relative under a throughput matrix:
-        # each app prices an offered machine by its own row.  One unit
-        # per app — mixed-family apps fall back to scalar speeds for
-        # *both* held compute and bundle increments, so the marginal
-        # comparison never mixes incommensurable units.
-        speed_maps = {app.app_id: self.machine_speeds_for(app) for app in apps}
-        families = {app.app_id: app_family(app) for app in apps}
+        def time_reduction(app: App) -> EffectiveUtility:
+            snapshot = self._job_snapshot(app)
+            return lambda held, extra: self._time_reduction(snapshot, held, extra)
 
-        def bundle_effective(app_id: str, bundle: dict[int, int]) -> float:
-            speed_of = speed_maps[app_id]
-            return ordered_sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
-
-        snapshots = {app.app_id: self._job_snapshot(app) for app in apps}
-        held = {
-            app.app_id: (
-                app_effective_compute(app, model)
-                if families[app.app_id] is not None
-                else app.allocation().effective_size
-            )
-            for app in apps
-        }
-        utilities = {
-            app.app_id: (
-                lambda bundle, app_id=app.app_id: self._time_reduction(
-                    snapshots[app_id], held[app_id], bundle_effective(app_id, bundle)
-                )
-            )
-            for app in apps
-        }
-        caps = {app.app_id: app.unmet_demand() for app in apps}
-        assignment = greedy_utility_assign(
-            counts, utilities, caps, chunk_size=self.chunk_size
-        )
-        result: dict[str, list[Gpu]] = {}
-        for app_id in sorted(assignment, key=lambda a: (-sum(assignment[a].values()), a)):
-            want = sum(assignment[app_id].values())
-            taken = take_scattered(pool_by_machine, want)
-            if taken:
-                result[app_id] = taken
-        return result
+        return assign_by_effective_utility(self, pool, time_reduction, self.chunk_size)

@@ -14,7 +14,7 @@ old, slowly-converging jobs (poor fairness, Figure 5).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.cluster.topology import Gpu, ordered_sum
 from repro.core.assignment import greedy_utility_assign, group_pool
@@ -22,6 +22,72 @@ from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.tiresias import take_scattered
 from repro.workload.app import App
 from repro.workload.perf import app_effective_compute, app_family
+
+
+#: An app's utility of ``(held, extra)`` compute, both in its own
+#: effective units (see :func:`assign_by_effective_utility`).
+EffectiveUtility = Callable[[float, float], float]
+
+
+def assign_by_effective_utility(
+    scheduler: InterAppScheduler,
+    pool: Sequence[Gpu],
+    utility_of: Callable[[App], EffectiveUtility],
+    chunk_size: int,
+) -> dict[str, list[Gpu]]:
+    """Greedy marginal-utility split of the pool, drawn placement-blind.
+
+    The allocation SLAQ and Optimus share: both price a bundle by the
+    throughput it adds and never by where its GPUs sit, so each policy
+    supplies only ``utility_of(app)`` — its utility of the app's held
+    compute plus a bundle's — and the bundles are concretised
+    round-robin, largest grant first.
+
+    Compute is measured in family-relative *effective* units: under a
+    throughput matrix each app prices an offered machine by its own
+    row, since work rate per GPU depends on the app's model family.
+    One unit per app — mixed-family apps fall back to scalar speeds for
+    *both* held compute and bundle increments, so the marginal
+    comparison never mixes incommensurable units.
+    """
+    apps = scheduler.apps_with_demand()
+    if not apps:
+        return {}
+    pool_by_machine = group_pool(pool)
+    counts = {m: len(g) for m, g in pool_by_machine.items()}
+    model = scheduler.perf_model()
+    cluster = scheduler.sim.cluster
+    utilities = {}
+    for app in apps:
+        family = app_family(app)
+        held = (
+            app_effective_compute(app, model)
+            if family is not None
+            else app.allocation().effective_size
+        )
+        utilities[app.app_id] = _bundle_utility(
+            utility_of(app), held, model.machine_speeds_for(cluster, family)
+        )
+    caps = {app.app_id: app.unmet_demand() for app in apps}
+    assignment = greedy_utility_assign(counts, utilities, caps, chunk_size=chunk_size)
+    # Placement-blind concretisation: neither policy reasons about
+    # which machines the GPUs came from.
+    result: dict[str, list[Gpu]] = {}
+    for app_id in sorted(assignment, key=lambda a: (-sum(assignment[a].values()), a)):
+        want = sum(assignment[app_id].values())
+        taken = take_scattered(pool_by_machine, want)
+        if taken:
+            result[app_id] = taken
+    return result
+
+
+def _bundle_utility(
+    utility: EffectiveUtility, held: float, speed_of: Mapping[int, float]
+) -> Callable[[dict[int, int]], float]:
+    """``utility`` of a per-machine count bundle on top of ``held``."""
+    return lambda bundle: utility(
+        held, ordered_sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
+    )
 
 
 class SlaqScheduler(InterAppScheduler):
@@ -82,55 +148,12 @@ class SlaqScheduler(InterAppScheduler):
         return reduction
 
     def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
-        apps = self.apps_with_demand()
-        if not apps:
-            return {}
-        pool_by_machine = group_pool(pool)
-        counts = {m: len(g) for m, g in pool_by_machine.items()}
         window = self.sim.config.lease_minutes if self.sim else 20.0
-        model = self.perf_model()
-        # Family-relative effective units, like Optimus: SLAQ predicts
-        # loss reduction from work done, and work rate per GPU depends
-        # on the app's model family under a throughput matrix.  Held
-        # compute and bundle increments must share one unit per app, so
-        # mixed-family apps use scalar speeds for both.
-        speed_maps = {app.app_id: self.machine_speeds_for(app) for app in apps}
-        families = {app.app_id: app_family(app) for app in apps}
 
-        def bundle_effective(app_id: str, bundle: dict[int, int]) -> float:
-            speed_of = speed_maps[app_id]
-            return ordered_sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
+        def loss_reduction(app: App) -> EffectiveUtility:
+            snapshot = self._job_snapshot(app)
+            return lambda held, extra: self._loss_reduction(
+                snapshot, held, window, extra
+            )
 
-        snapshots = {app.app_id: self._job_snapshot(app) for app in apps}
-        held = {
-            app.app_id: (
-                app_effective_compute(app, model)
-                if families[app.app_id] is not None
-                else app.allocation().effective_size
-            )
-            for app in apps
-        }
-        utilities = {
-            app.app_id: (
-                lambda bundle, app_id=app.app_id: self._loss_reduction(
-                    snapshots[app_id],
-                    held[app_id],
-                    window,
-                    bundle_effective(app_id, bundle),
-                )
-            )
-            for app in apps
-        }
-        caps = {app.app_id: app.unmet_demand() for app in apps}
-        assignment = greedy_utility_assign(
-            counts, utilities, caps, chunk_size=self.chunk_size
-        )
-        # Placement-blind concretisation: SLAQ never reasons about which
-        # machines the GPUs came from.
-        result: dict[str, list[Gpu]] = {}
-        for app_id in sorted(assignment, key=lambda a: (-sum(assignment[a].values()), a)):
-            want = sum(assignment[app_id].values())
-            taken = take_scattered(pool_by_machine, want)
-            if taken:
-                result[app_id] = taken
-        return result
+        return assign_by_effective_utility(self, pool, loss_reduction, self.chunk_size)

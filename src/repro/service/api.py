@@ -44,7 +44,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Union
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, urlencode, urlparse
 
 from repro.service.daemon import ControlPlane, JobOutcome
 from repro.service.errors import (
@@ -273,15 +273,15 @@ class ServiceClient:
         )
 
     def status(self, job_id: str) -> dict:
-        return self._request("GET", f"/status?job={job_id}")
+        return self._request("GET", "/status?" + urlencode({"job": job_id}))
 
     def jobs(self, tenant: Optional[str] = None, state: Optional[str] = None) -> list:
-        query = []
+        query = {}
         if tenant:
-            query.append(f"tenant={tenant}")
+            query["tenant"] = tenant
         if state:
-            query.append(f"state={state}")
-        suffix = "?" + "&".join(query) if query else ""
+            query["state"] = state
+        suffix = "?" + urlencode(query) if query else ""
         return self._request("GET", f"/jobs{suffix}")["jobs"]
 
     def health(self) -> dict:

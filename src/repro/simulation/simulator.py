@@ -334,7 +334,6 @@ class ClusterSimulator:
         #: model); shared with the schedulers via
         #: :attr:`family_speed_index`.
         self._family_speed_fn = self.perf_model.machine_speed_index(cluster)
-        self._machine_type = {m.machine_id: m.gpu_type for m in cluster.machines}
         if isinstance(workload, Trace):
             self.apps = workload.instantiate(self.config.semantics)
         else:
@@ -899,13 +898,6 @@ class ClusterSimulator:
             if gpu.gpu_id not in down
         }
 
-    def _family_machine_speed(self, family: str, machine_id: int) -> float:
-        """One machine's speedup for one model family (scalar fallback)."""
-        if self._family_speed_fn is not None:
-            return self._family_speed_fn(family).get(machine_id, 1.0)
-        gpu_type = self._machine_type.get(machine_id)
-        return gpu_type.speed if gpu_type is not None else 1.0
-
     def _best_free_gang(self, job: Job, free: Mapping[int, Gpu]):
         """Best whole-gang replacement drawable from the free pool.
 
@@ -921,13 +913,10 @@ class ClusterSimulator:
         by_machine: dict[int, list[Gpu]] = {}
         for gpu in free.values():
             by_machine.setdefault(gpu.machine_id, []).append(gpu)
-        family = job.family
+        speed_of = self.perf_model.machine_speeds_for(self.cluster, job.family)
         order = sorted(
             by_machine,
-            key=lambda m: (
-                -len(by_machine[m]) * self._family_machine_speed(family, m),
-                m,
-            ),
+            key=lambda m: (-len(by_machine[m]) * speed_of.get(m, 1.0), m),
         )
         cap = job.max_parallelism
         taken: list[Gpu] = []

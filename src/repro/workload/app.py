@@ -29,7 +29,6 @@ from typing import Iterable, Optional, Sequence
 from repro.cluster.allocation import Allocation
 from repro.cluster.topology import CapacityLike, Gpu, as_capacity, ordered_sum
 from repro.workload.job import Job, JobState
-from repro.workload.perf import PerfCapacity
 
 
 class AppState(enum.Enum):
@@ -236,24 +235,17 @@ class App:
         cached = self._ideal_cache.get(capacity)
         if cached is not None:
             return cached
-        if isinstance(capacity, PerfCapacity):
-            views = [capacity.view(job.family) for job in self.jobs]
-        else:
-            cap = as_capacity(capacity)
-            views = [cap] * len(self.jobs)
+        cap = as_capacity(capacity)
+        # ``fastest`` clamps to the GPUs the view has.
         per_job = [
-            job.spec.serial_work
-            / view.fastest(min(job.max_parallelism, view.num_gpus))
-            for job, view in zip(self.jobs, views)
+            job.spec.serial_work / cap.view(job.family).fastest(job.max_parallelism)
+            for job in self.jobs
         ]
         if self.semantics is CompletionSemantics.FIRST_WINNER:
             result = min(per_job)
         else:
             bound_job = max(per_job)
-            if isinstance(capacity, PerfCapacity):
-                total = capacity.best_total(job.family for job in self.jobs)
-            else:
-                total = views[0].total
+            total = cap.best_total(job.family for job in self.jobs)
             bound_capacity = self.total_work() / total
             result = max(bound_job, bound_capacity)
         self._ideal_cache[capacity] = result

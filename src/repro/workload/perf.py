@@ -278,6 +278,24 @@ class PerfModel(abc.ABC):
 
         return self._per_cluster_memo("_speed_index_memo", cluster, build)
 
+    def machine_speeds_for(
+        self, cluster: Cluster, family: Optional[str]
+    ) -> Mapping[int, float]:
+        """The ``machine_id -> speed`` map one model family sees (read-only).
+
+        The one spelling of the scalar fallback: that family's row of
+        :meth:`machine_speed_index` under a family-dependent model, and
+        the cluster's scalar speed map when the model is scalar or the
+        caller has no single family (``None`` — a mixed-family app).
+        Both are shared per (model, cluster), so callers must not
+        mutate them.
+        """
+        if family is not None and not self.is_scalar:
+            return self.machine_speed_index(cluster)(family)
+        return self._per_cluster_memo(
+            "_scalar_speeds_memo", cluster, cluster.machine_speeds
+        )
+
     def to_json(self) -> dict:
         """JSON-safe description (see :func:`perf_model_from_json`)."""
         return {"kind": self.name}

@@ -14,6 +14,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.core.auction import PartialAllocationAuction, rescan_fair_allocation
 from repro.core.fairness import AppValuationState, FairnessEstimator
 from repro.hyperparam.curves import LossCurve
 from repro.workload.app import App, CompletionSemantics
@@ -56,6 +57,28 @@ def make_app(
         for i in range(num_jobs)
     ]
     return App(app_id=app_id, arrival_time=arrival, jobs=jobs, semantics=semantics)
+
+
+class _RescanAuction(PartialAllocationAuction):
+    """The whole PA mechanism with winner determination on the reference."""
+
+    def _solve(self, pool, bids, exclude=None, prefix=(), stats=None):
+        if stats is not None:
+            stats.solves += 1
+        assignment = rescan_fair_allocation(
+            pool, bids, chunk_size=self.chunk_size, exclude=exclude
+        )
+        return assignment, []
+
+
+def rescan_auction(chunk_size: int = 4) -> PartialAllocationAuction:
+    """An auction whose every solve is ``rescan_fair_allocation``.
+
+    What the equivalence suites compare the production (lazy) solver
+    against — payments, leftovers and stats included.  The reference
+    records no move sequence, so payment re-solves start cold.
+    """
+    return _RescanAuction(chunk_size=chunk_size)
 
 
 # ----------------------------------------------------------------------

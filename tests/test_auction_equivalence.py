@@ -26,7 +26,7 @@ from repro.core.auction import (
 from repro.core.bids import build_bid
 from repro.core.fairness import FairnessEstimator
 
-from helpers import make_app
+from helpers import make_app, rescan_auction
 
 
 def random_instance(rng: random.Random, max_machines: int = 6, max_apps: int = 5):
@@ -85,12 +85,10 @@ def test_lazy_matches_rescan_on_many_instances(chunk_size):
         pool, bids_factory = random_instance(rng)
         if not pool:
             continue
-        fast = PartialAllocationAuction(chunk_size=chunk_size, solver="lazy").run(
+        fast = PartialAllocationAuction(chunk_size=chunk_size).run(
             pool, bids_factory()
         )
-        reference = PartialAllocationAuction(
-            chunk_size=chunk_size, solver="rescan"
-        ).run(pool, bids_factory())
+        reference = rescan_auction(chunk_size=chunk_size).run(pool, bids_factory())
         assert fast.winners == reference.winners
         assert fast.proportional_fair == reference.proportional_fair
         assert fast.payments == reference.payments
@@ -104,10 +102,10 @@ def test_lazy_matches_rescan_without_hidden_payments():
         pool, bids_factory = random_instance(rng)
         if not pool:
             continue
-        fast = PartialAllocationAuction(solver="lazy").run(
+        fast = PartialAllocationAuction().run(
             pool, bids_factory(), apply_hidden_payments=False
         )
-        reference = PartialAllocationAuction(solver="rescan").run(
+        reference = rescan_auction().run(
             pool, bids_factory(), apply_hidden_payments=False
         )
         assert fast.winners == reference.winners
@@ -121,7 +119,7 @@ def test_lazy_pf_assignment_matches_rescan_function():
         pool, bids_factory = random_instance(rng)
         if not pool:
             continue
-        lazy = PartialAllocationAuction(solver="lazy").proportional_fair_allocation(
+        lazy = PartialAllocationAuction().proportional_fair_allocation(
             pool, bids_factory()
         )
         rescan = rescan_fair_allocation(pool, bids_factory())
@@ -156,9 +154,7 @@ def test_lazy_matches_exhaustive_on_small_instances():
             exact = exhaustive_nash_allocation(pool, bids, max_states=50_000)
         except ValueError:
             continue
-        greedy = PartialAllocationAuction(
-            chunk_size=2, solver="lazy"
-        ).proportional_fair_allocation(pool, bids)
+        greedy = PartialAllocationAuction(chunk_size=2).proportional_fair_allocation(pool, bids)
         g_pos, g_log = _welfare_key(bids, greedy)
         e_pos, e_log = _welfare_key(bids, exact)
         assert g_pos == e_pos
@@ -173,7 +169,7 @@ def test_warm_start_prefix_is_validated_against_cold_resolve():
         pool, bids_factory = random_instance(rng)
         if not pool:
             continue
-        auction = PartialAllocationAuction(solver="lazy")
+        auction = PartialAllocationAuction()
         bids = bids_factory()
         pf, full_moves = auction._solve(pool, bids)
         for app_id in sorted(bids):

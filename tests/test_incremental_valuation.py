@@ -107,6 +107,24 @@ def test_family_carve_matches_reference_on_random_instances():
         fast = _carve_fast(tuples, counts, rack_of, nvlink, None, family_fn)
         reference = _carve_reference(tuples, counts, rack_of, nvlink, None, family_fn)
         assert fast == reference
+    # Directed: three jobs alternating two families with inverted rows.
+    # The first leaves machine 0 partially drained, so each family change
+    # rebuilds the effective-compute array from the *live* counts.
+    rows = {"vgg": {0: 1.0, 1: 0.25}, "gan": {0: 0.3, 1: 1.0}}
+    profile = make_job().model_profile.sensitivity
+    tuples = [
+        (10.0, 3, profile, "j0", "vgg"),
+        (20.0, 2, profile, "j1", "gan"),
+        (30.0, 4, profile, "j2", "vgg"),
+    ]
+    args = (tuples, {0: 4, 1: 4}, {0: 0, 1: 0}, 2, None, rows.__getitem__)
+    carved, next_index = _carve_fast(*args)
+    assert (carved, next_index) == _carve_reference(*args)
+    assert [(gpus, effective) for _job, gpus, _level, _rate, effective in carved] == [
+        (3, 3.0),  # machine 0 (4.0 vs 1.0 for vgg), one GPU left on it
+        (2, 2.0),  # machine 1 (4.0 vs 0.3 for gan), two left
+        (3, 1.5),  # the last of machine 0 (1.0), then machine 1 (2 x 0.25)
+    ]
 
 
 def test_degenerate_family_carve_equals_scalar_carve():

@@ -1,5 +1,6 @@
 """Tests for the top-level package API."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -82,3 +83,29 @@ def test_every_public_package_imports_cold(module):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+#: Oracles the equivalence suites compare production code against.
+REFERENCES = {
+    "rescan_fair_allocation", "exhaustive_nash_allocation",
+    "_carve_reference", "_CountPool",
+}
+
+
+def test_no_production_code_runs_a_reference():
+    """The references are reached from ``tests/`` only (read as AST, no
+    import): under ``src/`` the one thing that may call or construct a
+    reference is another reference (``_carve_reference`` builds its
+    ``_CountPool``)."""
+    offenders = []
+    for path in sorted(Path(repro.__file__).resolve().parent.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if getattr(top, "name", None) in REFERENCES:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if called in REFERENCES:
+                        offenders.append(f"{path.name}:{node.lineno} {called}")
+    assert offenders == []

@@ -3,7 +3,7 @@
 The lazy solver's post-move invalidation re-scores its full row and
 column after every applied move — the wide-pool wall.  It attacks it
 two ways, and this suite holds both to the full-rescan reference
-solver (``solver="rescan"``) byte-for-byte:
+solver (``helpers.rescan_auction``) byte-for-byte:
 
 * **bound-gated skips** — :meth:`PartialAllocationAuction._score_pair`
   memoises under the exact purity key of the score (gain path:
@@ -41,7 +41,7 @@ from repro.core.fairness import FairnessEstimator
 from repro.workload.app import CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
 
-from helpers import make_app
+from helpers import make_app, rescan_auction
 
 #: Mixed model families so valuations (and matrix speed rows) differ.
 MODELS = ("resnet50", "vgg16", "transformer", "inceptionv3", "lstm-lm")
@@ -138,7 +138,7 @@ def solve_both(pool, bids_factory, chunk_size: int = 4):
     if not bids_factory():
         return None
     lazy = PartialAllocationAuction(chunk_size=chunk_size)
-    rescan = PartialAllocationAuction(chunk_size=chunk_size, solver="rescan")
+    rescan = rescan_auction(chunk_size=chunk_size)
     return (
         lazy.run(pool, bids_factory()),
         rescan.run(pool, bids_factory()),
@@ -285,7 +285,7 @@ def test_sim_level_lazy_matches_rescan():
         )
     )
 
-    def run(solver: str) -> str:
+    def run(rescan: bool) -> str:
         scheduler = make_scheduler("themis")
         simulator = ClusterSimulator(
             cluster=scenario.build_cluster(),
@@ -295,7 +295,10 @@ def test_sim_level_lazy_matches_rescan():
             perf_model=scenario.build_perf_model(),
         )
         assert scheduler.arbiter is not None
-        scheduler.arbiter.auction.solver = solver
+        if rescan:
+            bound = scheduler.arbiter.auction
+            scheduler.arbiter.auction = rescan_auction(bound.chunk_size)
+            scheduler.arbiter.auction.estimator = bound.estimator
         return simulator.run().digest()
 
-    assert run("lazy") == run("rescan")
+    assert run(rescan=False) == run(rescan=True)

@@ -102,7 +102,7 @@ def service(tmp_path):
         plane.close()
 
 
-def test_http_submit_status_cancel_round_trip(service, tmp_path):
+def test_http_submit_status_cancel_round_trip(service, tmp_path, capsys):
     plane, server, client = service
     job_id = client.submit({"kind": "noop"}, tenant="acme", gpus=2)
     assert client.status(job_id)["state"] == "queued"
@@ -117,6 +117,15 @@ def test_http_submit_status_cancel_round_trip(service, tmp_path):
     assert health["jobs"] == {"finished": 1}
     assert [j["job_id"] for j in client.jobs(tenant="acme")] == [job_id]
     assert client.jobs(state="queued") == []
+    # Ids and tenants travel percent-encoded in the query string.
+    for odd in ("a b", "a&b=c", "a#frag"):
+        assert client.submit({}, tenant="t&x=1", job_id=odd) == odd
+        assert client.status(odd)["job_id"] == odd
+    assert sorted(j["job_id"] for j in client.jobs(tenant="t&x=1")) == [
+        "a b", "a#frag", "a&b=c",
+    ]
+    assert main(["status", "--dir", str(tmp_path), "a b"]) == 0
+    assert json.loads(capsys.readouterr().out)["job_id"] == "a b"
 
 
 def test_http_error_mapping(service):

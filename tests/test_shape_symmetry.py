@@ -41,7 +41,6 @@ from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
     _carve_fast,
-    _carve_fast_family,
     _carve_reference,
     bundle_shape,
     shape_of_entries,
@@ -49,7 +48,7 @@ from repro.core.fairness import (
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
 
-from helpers import make_app, make_job
+from helpers import make_app, make_job, rescan_auction
 
 FAMILIES = ("cnn", "rnn", "attention")
 PROFILES = (
@@ -64,12 +63,12 @@ SPEEDS = (0.35, 0.6, 1.0)
 # (a) the lemma, on every kernel
 # ----------------------------------------------------------------------
 def all_kernels(tuples, key, rack_of, nvlink, speed_of, family_fn):
-    """Every kernel's result for one bundle, scalar then per-family."""
+    """Both kernels' results for one bundle, scalar setup then per-family."""
     counts = dict(key)
     return {
         "fast": _carve_fast(tuples, counts, rack_of, nvlink, speed_of),
         "reference": _carve_reference(tuples, counts, rack_of, nvlink, speed_of),
-        "fast_family": _carve_fast_family(tuples, counts, rack_of, nvlink, family_fn),
+        "fast_family": _carve_fast(tuples, counts, rack_of, nvlink, None, family_fn),
         "reference_family": _carve_reference(
             tuples, counts, rack_of, nvlink, None, family_fn
         ),
@@ -332,7 +331,7 @@ def test_class_grouped_rows_match_rescan(
         # AuctionOutcome equality: proportional_fair, payments, winners,
         # leftover, participants and nash_log_welfare, floats included.
         outcome = PartialAllocationAuction().run(pool, bids_factory())
-        rescan = PartialAllocationAuction(solver="rescan").run(pool, bids_factory())
+        rescan = rescan_auction().run(pool, bids_factory())
         assert outcome == rescan
         # The reduction engages exactly when it is sound: against the
         # same solve with every pool counted as too narrow to group,
@@ -419,7 +418,7 @@ def test_successor_stands_in_when_a_competitor_takes_the_representative(monkeypa
     assert assignment == {"a": {0: 1, 2: 1, 3: 1}, "b": {1: 1, 4: 1}}
     assert stamps[:2] == [("b", 0, 1), ("a", 1, 2)]
     outcome = PartialAllocationAuction().run(pool, bids())
-    assert outcome == PartialAllocationAuction(solver="rescan").run(pool, bids())
+    assert outcome == rescan_auction().run(pool, bids())
 
 
 def test_member_touched_by_a_column_event_is_skipped_by_the_walk(monkeypatch):
@@ -453,7 +452,7 @@ def test_member_touched_by_a_column_event_is_skipped_by_the_walk(monkeypatch):
     assert ("b", 0, 2) in stamps
     assert all(to_machine != 1 for _app, _from, to_machine in stamps)
     outcome = PartialAllocationAuction().run(pool, bids())
-    assert outcome == PartialAllocationAuction(solver="rescan").run(pool, bids())
+    assert outcome == rescan_auction().run(pool, bids())
 
 
 def class_market(seed, fleet, semantics, noise_theta):
@@ -532,7 +531,7 @@ def test_class_rows_match_rescan_on_random_markets(
     if not pool or not bids_factory():
         return
     lazy = PartialAllocationAuction(chunk_size=chunk_size).run(pool, bids_factory())
-    rescan = PartialAllocationAuction(chunk_size=chunk_size, solver="rescan").run(
+    rescan = rescan_auction(chunk_size=chunk_size).run(
         pool, bids_factory()
     )
     assert lazy == rescan
