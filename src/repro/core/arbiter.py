@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cluster.topology import Cluster, Gpu
 from repro.core.agent import Agent
-from repro.core.assignment import concretise, group_pool
+from repro.core.assignment import check_chunk_size, concretise, group_pool
 from repro.core.auction import AuctionOutcome, PartialAllocationAuction
 from repro.obs import NULL_PROFILER, NULL_TRACER
 
@@ -52,6 +52,7 @@ class ArbiterConfig:
             raise ValueError(f"fairness_knob must be in [0, 1], got {self.fairness_knob}")
         if not 0.0 <= self.noise_theta < 1.0:
             raise ValueError(f"noise_theta must be in [0, 1), got {self.noise_theta}")
+        check_chunk_size(self.chunk_size)
 
 
 @dataclass

@@ -10,7 +10,16 @@ counts and need the same two conversions:
 
 :func:`greedy_utility_assign` is the additive-utility counterpart of
 the auction's Nash-welfare solver, used by baselines that maximise a
-sum (placement score for Gandiva, loss reduction for SLAQ).
+sum (placement score for Gandiva, loss reduction for SLAQ, completion
+time for Optimus).  Like that solver it is incremental by row/column
+invalidation: a move by app a* on machine m* changes a*'s bundle,
+current utility and headroom (its row) and m*'s free count (its
+column) and nothing else, so only those pairs are re-scored and every
+other pair's key is, bit for bit, what a rescan of the whole apps x
+machines x {1, chunk} table would recompute.  The argument needs the
+``utilities`` to be pure while a call runs; all three callers pass
+closures over frozen per-round snapshots.  The rescan itself lives on
+as the tests' reference (``tests/helpers.py::rescan_utility_assign``).
 """
 
 from __future__ import annotations
@@ -72,6 +81,17 @@ def concretise(
     return result
 
 
+def check_chunk_size(chunk_size: int) -> int:
+    """``chunk_size`` if it can bound a greedy step, else ``ValueError``.
+
+    Every scheduler that takes a ``chunk_size`` calls this where the
+    value enters, so a bad one fails the constructor and not round 1.
+    """
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
+    return chunk_size
+
+
 def greedy_utility_assign(
     pool: Mapping[int, int],
     utilities: Mapping[str, Callable[[Mapping[int, int]], float]],
@@ -81,56 +101,93 @@ def greedy_utility_assign(
     """Greedy maximisation of an *additive* social objective.
 
     Repeatedly applies the single (app, machine, step) move with the
-    largest marginal utility per GPU until no move improves.  Utilities
-    are absolute (utility of the app's cumulative bundle); marginal
-    gain is the difference.  Deterministic via sorted tie-breaks.
+    largest marginal utility per GPU until no move improves, ``step``
+    being 1 or ``min(chunk_size, free on the machine, app's headroom)``.
+    Utilities are absolute (utility of the app's cumulative bundle);
+    marginal gain is the difference.  Moves are ordered by the key
+    ``(-gain, step, app_id, machine_id)``, a strict total order, so the
+    result does not depend on iteration order.
+
+    Incremental, and exact: each (app, machine) pair keeps its best key,
+    and the move (a*, m*, step) re-scores row a* (its bundle, current
+    utility and headroom changed) and column m* (its free count changed,
+    or it left the pool).  Every other pair's bundle, current utility and
+    step set are what they were, so its key is the float a full rescan
+    would recompute and the minimum over the same keys is the same move.
+    That needs ``utilities`` to be pure for the duration of the call —
+    the callers pass closures over per-round snapshots.  A bundle is
+    evaluated at most once: a pair remembers the values it has seen by
+    its count on the machine, and forgets them only when the app grows
+    on a *different* machine (which changes every such bundle).
     """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
+    check_chunk_size(chunk_size)
     remaining = {m: c for m, c in pool.items() if c > 0}
     assignment: dict[str, dict[int, int]] = {a: {} for a in utilities}
-    granted = {a: 0 for a in utilities}
-    cache: dict[tuple, float] = {}
+    headroom = {a: caps.get(a, 0) for a in utilities}
+    current: dict[str, float] = {}
+    # app -> machine -> (-gain, step, app, machine, value): the pair's
+    # best move (absent when none improves).  (step, app, machine) is
+    # unique, so comparing entries never reaches the value.
+    rows: dict[str, dict[int, tuple]] = {}
+    # app -> machine -> {count on that machine: utility of the bundle}.
+    seen: dict[str, dict[int, dict[int, float]]] = {}
 
-    def evaluate(app_id: str, bundle: Mapping[int, int]) -> float:
-        # Only one app's bundle grows per move, so most probes repeat
-        # across iterations; memoise on (app, canonical bundle).
-        key = (app_id, tuple(sorted(bundle.items())))
-        if key not in cache:
-            cache[key] = utilities[app_id](bundle)
-        return cache[key]
+    def score(app_id: str, machine_id: int) -> None:
+        held = assignment[app_id]
+        values = seen[app_id].setdefault(machine_id, {})
+        base = current[app_id]
+        count = held.get(machine_id, 0)
+        chunk = min(chunk_size, remaining[machine_id], headroom[app_id])
+        best = None
+        for step in (1, chunk) if chunk > 1 else (1,):
+            value = values.get(count + step)
+            if value is None:
+                bundle = dict(held)
+                bundle[machine_id] = count + step
+                value = values[count + step] = utilities[app_id](bundle)
+            gain = (value - base) / step
+            if gain > 1e-12 and (best is None or -gain < best[0]):
+                best = (-gain, step, app_id, machine_id, value)
+        if best is None:
+            rows[app_id].pop(machine_id, None)
+        else:
+            rows[app_id][machine_id] = best
 
-    current = {a: evaluate(a, {}) for a in utilities}
-    while remaining:
-        best_key = None
-        best_move = None
-        for app_id in sorted(utilities):
-            headroom = caps.get(app_id, 0) - granted[app_id]
-            if headroom <= 0:
-                continue
-            for machine_id in sorted(remaining):
-                free = remaining[machine_id]
-                for step in sorted({1, min(chunk_size, free, headroom)}):
-                    if step <= 0:
-                        continue
-                    bundle = dict(assignment[app_id])
-                    bundle[machine_id] = bundle.get(machine_id, 0) + step
-                    gain = (evaluate(app_id, bundle) - current[app_id]) / step
-                    if gain <= 1e-12:
-                        continue
-                    key = (-gain, step, app_id, machine_id)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_move = (app_id, machine_id, step, bundle)
-        if best_move is None:
+    for app_id in utilities:
+        if headroom[app_id] > 0 and remaining:
+            current[app_id] = utilities[app_id]({})
+            rows[app_id], seen[app_id] = {}, {}
+            for machine_id in remaining:
+                score(app_id, machine_id)
+    while True:
+        move = min((e for row in rows.values() for e in row.values()), default=None)
+        if move is None:
             break
-        app_id, machine_id, step, bundle = best_move
-        assignment[app_id] = bundle
-        granted[app_id] += step
-        current[app_id] = evaluate(app_id, bundle)
+        _, step, app_id, machine_id, value = move
+        held = assignment[app_id]
+        held[machine_id] = held.get(machine_id, 0) + step
+        current[app_id] = value
+        headroom[app_id] -= step
         remaining[machine_id] -= step
         if remaining[machine_id] <= 0:
             del remaining[machine_id]
+            for row in rows.values():
+                row.pop(machine_id, None)
+        if headroom[app_id] <= 0:
+            del rows[app_id], seen[app_id]
+        else:
+            # Row: every bundle of the app changed, except in its count
+            # on the machine it just grew on.
+            seen[app_id] = {machine_id: seen[app_id][machine_id]}
+            for other in remaining:
+                score(app_id, other)
+        if machine_id in remaining:
+            # Column: a pair changes only if the machine can no longer
+            # fill the chunk step it offered (its step-1 probe is the same).
+            free = remaining[machine_id]
+            for other in rows:
+                if other != app_id and free < min(chunk_size, headroom[other]):
+                    score(other, machine_id)
     return {a: b for a, b in assignment.items() if b}
 
 
@@ -151,12 +208,13 @@ def take_packed(
     """
     taken: list[Gpu] = []
     preferred = [m for m in preferred_machines if pool_by_machine.get(m)]
+    preferred_set = set(preferred)
     weight = (lambda m: speed_of.get(m, 1.0)) if speed_of else (lambda m: 1.0)
     rest = sorted(
-        (m for m in pool_by_machine if m not in set(preferred)),
+        (m for m in pool_by_machine if m not in preferred_set),
         key=lambda m: (-len(pool_by_machine[m]) * weight(m), m),
     )
-    for machine_id in list(preferred) + rest:
+    for machine_id in preferred + rest:
         if count <= 0:
             break
         gpus = pool_by_machine.get(machine_id)

@@ -93,13 +93,18 @@ class InterAppScheduler(abc.ABC):
         is called once per app per round on baseline hot paths, so
         callers must treat it as read-only.
         """
-        if self.sim is None:
-            raise RuntimeError(f"{type(self).__name__} is not bound to a simulator")
-        model = self.sim.perf_model
-        # A scalar model ignores the family, so skip the walk over the
-        # app's jobs that finds it.
-        family = None if model.is_scalar else app_family(app)
-        return model.machine_speeds_for(self.sim.cluster, family)
+        return self.perf_model().machine_speeds_for(
+            self.sim.cluster, self.family_of(app)
+        )
+
+    def family_of(self, app: App) -> Optional[str]:
+        """The app's model family where the run's perf model reads one.
+
+        ``None`` for mixed-family apps and under a scalar model — which
+        ignores the family, so the walk over the app's jobs that finds
+        it is skipped.
+        """
+        return None if self.perf_model().is_scalar else app_family(app)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -18,7 +18,7 @@ from typing import Sequence
 from repro.cluster.topology import Gpu
 from repro.core.assignment import group_pool, take_packed
 from repro.schedulers.base import InterAppScheduler
-from repro.workload.perf import app_effective_compute, app_family
+from repro.workload.perf import app_effective_compute
 
 
 class DrfScheduler(InterAppScheduler):
@@ -40,7 +40,7 @@ class DrfScheduler(InterAppScheduler):
             return {}
         model = self.perf_model()
         speed_maps = {app.app_id: self.machine_speeds_for(app) for app in apps}
-        families = {app.app_id: app_family(app) for app in apps}
+        families = {app.app_id: self.family_of(app) for app in apps}
         # One unit per app for the whole round: the family row for
         # single-family apps, the scalar speeds otherwise — holdings and
         # per-grant increments must never mix the two, or the max-min
@@ -73,7 +73,7 @@ class DrfScheduler(InterAppScheduler):
             gpu = taken[0]
             result[chosen].append(gpu)
             family = families[chosen]
-            if model.is_scalar or family is None:
+            if family is None:
                 holdings[chosen] += gpu.speed
             else:
                 holdings[chosen] += model.speedup(family, gpu.gpu_type)

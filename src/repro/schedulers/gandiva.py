@@ -16,7 +16,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.cluster.topology import Gpu
-from repro.core.assignment import concretise, greedy_utility_assign, group_pool
+from repro.core.assignment import (
+    check_chunk_size,
+    concretise,
+    greedy_utility_assign,
+    group_pool,
+)
 from repro.core.fairness import job_tuples_of, packing_utility
 from repro.schedulers.base import InterAppScheduler
 
@@ -28,7 +33,7 @@ class GandivaScheduler(InterAppScheduler):
 
     def __init__(self, chunk_size: int = 4) -> None:
         super().__init__()
-        self.chunk_size = chunk_size
+        self.chunk_size = check_chunk_size(chunk_size)
         self._rack_of: dict[int, int] = {}
         self._speed_of: dict[int, float] = {}
         self._family_speed_fn = None
@@ -51,8 +56,9 @@ class GandivaScheduler(InterAppScheduler):
             return {}
         pool_by_machine = group_pool(pool)
         counts = {m: len(g) for m, g in pool_by_machine.items()}
-        # Snapshot each app's job descriptors and current holdings once;
-        # the greedy allocator probes utilities many times per round.
+        # Snapshot each app's job descriptors and current holdings once:
+        # the greedy allocator evaluates many bundles per round, and
+        # needs each utility to be a pure function of the bundle.
         snapshots = {
             app.app_id: (
                 job_tuples_of(app.jobs),

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.cluster.topology import Gpu
+from repro.core.assignment import check_chunk_size
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.slaq import EffectiveUtility, assign_by_effective_utility
 from repro.workload.app import App
@@ -30,7 +31,7 @@ class OptimusScheduler(InterAppScheduler):
 
     def __init__(self, chunk_size: int = 4) -> None:
         super().__init__()
-        self.chunk_size = chunk_size
+        self.chunk_size = check_chunk_size(chunk_size)
 
     @staticmethod
     def _job_snapshot(app: App) -> list[tuple[float, int]]:

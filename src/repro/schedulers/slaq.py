@@ -17,11 +17,11 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from repro.cluster.topology import Gpu, ordered_sum
-from repro.core.assignment import greedy_utility_assign, group_pool
+from repro.core.assignment import check_chunk_size, greedy_utility_assign, group_pool
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.tiresias import take_scattered
 from repro.workload.app import App
-from repro.workload.perf import app_effective_compute, app_family
+from repro.workload.perf import app_effective_compute
 
 
 #: An app's utility of ``(held, extra)`` compute, both in its own
@@ -40,7 +40,8 @@ def assign_by_effective_utility(
     The allocation SLAQ and Optimus share: both price a bundle by the
     throughput it adds and never by where its GPUs sit, so each policy
     supplies only ``utility_of(app)`` — its utility of the app's held
-    compute plus a bundle's — and the bundles are concretised
+    compute plus a bundle's, evaluated once per distinct compute per
+    round (:func:`_bundle_utility`) — and the bundles are concretised
     round-robin, largest grant first.
 
     Compute is measured in family-relative *effective* units: under a
@@ -59,7 +60,7 @@ def assign_by_effective_utility(
     cluster = scheduler.sim.cluster
     utilities = {}
     for app in apps:
-        family = app_family(app)
+        family = scheduler.family_of(app)
         held = (
             app_effective_compute(app, model)
             if family is not None
@@ -83,11 +84,25 @@ def assign_by_effective_utility(
 
 def _bundle_utility(
     utility: EffectiveUtility, held: float, speed_of: Mapping[int, float]
-) -> Callable[[dict[int, int]], float]:
-    """``utility`` of a per-machine count bundle on top of ``held``."""
-    return lambda bundle: utility(
-        held, ordered_sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
-    )
+) -> Callable[[Mapping[int, int]], float]:
+    """``utility`` of a per-machine count bundle on top of ``held``.
+
+    Neither policy looks past a bundle's effective compute, so the
+    value is memoised on the very float ``extra`` the utility would be
+    called with — exact on any fleet; on a homogeneous one every
+    machine of a row asks the same one or two questions.  One closure
+    per app per round: ``utility`` must be pure over its lifetime.
+    """
+    values: dict[float, float] = {}
+
+    def of_bundle(bundle: Mapping[int, int]) -> float:
+        extra = ordered_sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
+        value = values.get(extra)
+        if value is None:
+            value = values[extra] = utility(held, extra)
+        return value
+
+    return of_bundle
 
 
 class SlaqScheduler(InterAppScheduler):
@@ -97,7 +112,7 @@ class SlaqScheduler(InterAppScheduler):
 
     def __init__(self, chunk_size: int = 4) -> None:
         super().__init__()
-        self.chunk_size = chunk_size
+        self.chunk_size = check_chunk_size(chunk_size)
 
     @staticmethod
     def _job_snapshot(app: App) -> list[tuple]:
@@ -148,10 +163,9 @@ class SlaqScheduler(InterAppScheduler):
         return reduction
 
     def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
-        window = self.sim.config.lease_minutes if self.sim else 20.0
-
         def loss_reduction(app: App) -> EffectiveUtility:
             snapshot = self._job_snapshot(app)
+            window = self.sim.config.lease_minutes
             return lambda held, extra: self._loss_reduction(
                 snapshot, held, window, extra
             )

@@ -81,6 +81,63 @@ def rescan_auction(chunk_size: int = 4) -> PartialAllocationAuction:
     return _RescanAuction(chunk_size=chunk_size)
 
 
+def rescan_utility_assign(pool, utilities, caps, chunk_size=4):
+    """``greedy_utility_assign`` as a full rescan after every move.
+
+    The loop ``core/assignment.py`` ran until it went incremental,
+    verbatim: what tests/test_assignment.py compares the production
+    solver against, and whose per-call memo sets the evaluation count
+    the production solver must not exceed.
+    """
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
+    remaining = {m: c for m, c in pool.items() if c > 0}
+    assignment: dict[str, dict[int, int]] = {a: {} for a in utilities}
+    granted = {a: 0 for a in utilities}
+    cache: dict[tuple, float] = {}
+
+    def evaluate(app_id, bundle) -> float:
+        # Only one app's bundle grows per move, so most probes repeat
+        # across iterations; memoise on (app, canonical bundle).
+        key = (app_id, tuple(sorted(bundle.items())))
+        if key not in cache:
+            cache[key] = utilities[app_id](bundle)
+        return cache[key]
+
+    current = {a: evaluate(a, {}) for a in utilities}
+    while remaining:
+        best_key = None
+        best_move = None
+        for app_id in sorted(utilities):
+            headroom = caps.get(app_id, 0) - granted[app_id]
+            if headroom <= 0:
+                continue
+            for machine_id in sorted(remaining):
+                free = remaining[machine_id]
+                for step in sorted({1, min(chunk_size, free, headroom)}):
+                    if step <= 0:
+                        continue
+                    bundle = dict(assignment[app_id])
+                    bundle[machine_id] = bundle.get(machine_id, 0) + step
+                    gain = (evaluate(app_id, bundle) - current[app_id]) / step
+                    if gain <= 1e-12:
+                        continue
+                    key = (-gain, step, app_id, machine_id)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best_move = (app_id, machine_id, step, bundle)
+        if best_move is None:
+            break
+        app_id, machine_id, step, bundle = best_move
+        assignment[app_id] = bundle
+        granted[app_id] += step
+        current[app_id] = evaluate(app_id, bundle)
+        remaining[machine_id] -= step
+        if remaining[machine_id] <= 0:
+            del remaining[machine_id]
+    return {a: b for a, b in assignment.items() if b}
+
+
 # ----------------------------------------------------------------------
 # Frozen replays: the one committed contract for deterministic gates
 # ----------------------------------------------------------------------

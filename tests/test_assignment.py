@@ -1,7 +1,12 @@
 """Unit tests for shared assignment helpers."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import rescan_utility_assign
 from repro.core.assignment import (
     concretise,
     greedy_utility_assign,
@@ -80,6 +85,155 @@ def test_greedy_utility_stops_at_zero_marginal():
 def test_greedy_utility_chunk_validation():
     with pytest.raises(ValueError):
         greedy_utility_assign({0: 1}, {}, {}, chunk_size=0)
+
+
+# ----------------------------------------------------------------------
+# The incremental solver against the full-rescan reference
+# ----------------------------------------------------------------------
+def _additive(weights):
+    return lambda b: math.fsum(weights[m % len(weights)] * c for m, c in b.items())
+
+
+def _concave(weights):
+    # Diminishing in the total, with a fixed cost per machine touched
+    # (so a chunk on a new machine can beat a single GPU there).
+    return lambda b: weights[0] * math.sqrt(sum(b.values())) - 0.125 * weights[1] * len(b)
+
+
+def _non_monotone(weights):
+    # Packing pays (convex per machine, so the chunk step beats step 1
+    # and apps race for a machine's last GPUs), every GPU costs more
+    # than the last: a lone GPU can lose where a chunk gains, and
+    # growth stops short of the cap.
+    return lambda b: (
+        sum(c * c for c in b.values()) - 0.25 * weights[0] * sum(b.values()) ** 1.5
+    )
+
+
+def _integer_valued(weights):
+    # Small integer values: whole groups of moves tie on gain exactly,
+    # so the (step, app_id, machine_id) tie-break decides.
+    return lambda b: float(sum((1 + (m + int(weights[0])) % 2) * c for m, c in b.items()))
+
+
+_FAMILIES = (_additive, _concave, _non_monotone, _integer_valued)
+_weights = st.lists(
+    st.integers(min_value=0, max_value=12).map(lambda n: n / 4), min_size=2, max_size=3
+)
+
+
+@st.composite
+def markets(draw):
+    pool = draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=6),
+        )
+    )
+    app_ids = draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=6))
+    utilities = {
+        a: draw(st.sampled_from(_FAMILIES))(draw(_weights)) for a in app_ids
+    }
+    # Caps of 0, missing, and beyond the whole supply.
+    caps = {
+        a: draw(st.integers(min_value=0, max_value=sum(pool.values()) + 2))
+        for a in app_ids
+        if draw(st.integers(min_value=0, max_value=5))
+    }
+    return pool, utilities, caps, draw(st.integers(min_value=1, max_value=4))
+
+
+def _ordered(assignment):
+    """The result with its dict orders, which ``concretise`` walks."""
+    return [(a, list(bundle.items())) for a, bundle in assignment.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(markets())
+# The column re-score on its own: "a" takes 3 of machine 0's 5 GPUs, so
+# "b"'s chunk there shrinks from 3 to 2 — a stale entry overdraws the pool.
+@example(
+    ({0: 5}, {"a": _non_monotone([0.0]), "b": _non_monotone([1.0])}, {"a": 3, "b": 3}, 3)
+)
+def test_incremental_greedy_matches_rescan(market):
+    pool, utilities, caps, chunk_size = market
+    assert _ordered(greedy_utility_assign(pool, utilities, caps, chunk_size)) == _ordered(
+        rescan_utility_assign(pool, utilities, caps, chunk_size)
+    )
+
+
+def _logged(calls, app_id, utility):
+    def wrapped(bundle):
+        calls.append((app_id, tuple(sorted(bundle.items()))))
+        return utility(bundle)
+
+    return wrapped
+
+
+@settings(max_examples=200, deadline=None)
+@given(markets())
+def test_incremental_greedy_evaluates_no_bundle_twice(market):
+    """Nor any bundle the rescan (whose memo spans the call) would not."""
+    pool, utilities, caps, chunk_size = market
+    calls, reference_calls = [], []
+    for log, solve in (
+        (calls, greedy_utility_assign),
+        (reference_calls, rescan_utility_assign),
+    ):
+        solve(pool, {a: _logged(log, a, u) for a, u in utilities.items()}, caps, chunk_size)
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= set(reference_calls)
+
+
+def test_incremental_greedy_evaluation_count_is_pinned():
+    """Three apps on four machines, one of them at cap 0.
+
+    Each distinct bundle once, as the rescan's memo did, minus the
+    ``{}`` probe of the app that cannot move — the rescan makes 33.
+    """
+    calls = []
+    utilities = {
+        "a": _logged(calls, "a", _concave([4.0, 2.0])),
+        "b": _logged(calls, "b", _additive([1.0, 0.75])),
+        "c": _logged(calls, "c", _non_monotone([2.0])),
+    }
+    result = greedy_utility_assign(
+        {0: 4, 1: 2, 2: 3, 3: 1}, utilities, {"a": 6, "b": 0, "c": 4}, chunk_size=3
+    )
+    assert result == {"a": {0: 1, 1: 2, 2: 3}, "c": {0: 3}}
+    assert len(calls) == len(set(calls)) == 32
+
+
+def test_incremental_greedy_leaves_untouched_pairs_alone():
+    """A move costs evaluations on its own row and column only.
+
+    ``a`` (worth 5 a GPU, cap 2) takes machine 0 one GPU at a time —
+    exact ties go to the smaller step — then ``b`` fills in behind it.
+    """
+    calls = []
+    utilities = {
+        "a": _logged(calls, "a", lambda b: 5.0 * sum(b.values())),
+        "b": _logged(calls, "b", lambda b: 1.0 * sum(b.values())),
+    }
+    result = greedy_utility_assign({0: 4, 1: 3}, utilities, {"a": 2, "b": 4}, chunk_size=2)
+    assert result == {"a": {0: 2}, "b": {0: 2, 1: 2}}
+    first_scan = [
+        (app_id, bundle)
+        for app_id in "ab"
+        for bundle in ((), ((0, 1),), ((0, 2),), ((1, 1),), ((1, 2),))
+    ]
+    assert calls[:10] == first_scan
+    assert sorted(calls[10:]) == [
+        # a's row after its first GPU: {0: 2} is remembered from the scan.
+        # b is not asked again while a moves: its bundle is unchanged and
+        # machine 0 still has its chunk of 2 free.
+        ("a", ((0, 1), (1, 1))),
+        # b's own moves, {0: 2} remembered likewise.
+        ("b", ((0, 1), (1, 1))),
+        ("b", ((0, 1), (1, 2))),
+        ("b", ((0, 2), (1, 1))),
+        ("b", ((0, 2), (1, 2))),
+    ]
 
 
 def test_take_packed_prefers_preferred_machines(small_cluster):

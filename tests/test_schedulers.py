@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
+from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster, ordered_sum
 from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
+from repro.schedulers.slaq import _bundle_utility
 from repro.schedulers.tiresias import take_scattered
 from repro.core.assignment import group_pool
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
@@ -130,6 +131,37 @@ def test_drf_waterfills_equally():
     stats = result.stats_by_app()
     assert stats["early"].gpu_time > 0
     assert stats["late"].gpu_time > 0
+
+
+@pytest.mark.parametrize("name", ["gandiva", "slaq", "optimus", "themis"])
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_bad_chunk_size_fails_the_constructor(name, chunk_size):
+    """Not round 1 of the replay, after the trace has been generated."""
+    with pytest.raises(ValueError, match="chunk_size must be > 0"):
+        make_scheduler(name, chunk_size=chunk_size)
+
+
+def test_bundle_utility_evaluates_each_effective_compute_once():
+    """Two-speed fleet: machines 0-1 run at 1.0, machines 2-3 at 0.5."""
+    calls = []
+
+    def utility(held, extra):
+        calls.append(extra)
+        return (held + extra) ** 0.5
+
+    speed_of = {0: 1.0, 1: 1.0, 2: 0.5, 3: 0.5}
+    of_bundle = _bundle_utility(utility, 1.5, speed_of)
+    # One fast GPU, either fast machine, or two slow ones: 1.0 each way.
+    equal = [{0: 1}, {1: 1}, {2: 2}, {2: 1, 3: 1}]
+    values = [of_bundle(bundle) for bundle in equal]
+    assert calls == [1.0]
+    assert len(set(values)) == 1
+    assert of_bundle({0: 1, 2: 1}) != values[0]
+    assert calls == [1.0, 1.5]
+    # Bit for bit what the unmemoised closure returns.
+    for bundle in equal + [{0: 1, 2: 1}, {0: 3, 3: 1}, {}]:
+        extra = ordered_sum(count * speed_of[m] for m, count in bundle.items())
+        assert of_bundle(bundle) == (1.5 + extra) ** 0.5
 
 
 def test_themis_kwargs_forwarded():
