@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from repro.service.admission import AdmissionController
 from repro.service.daemon import ControlPlane, Executor, JobOutcome
@@ -100,10 +100,10 @@ class FlakyStore(DurableStore):
             raise StoreUnavailable("flaky store is switched off")
         return super().append(kind, **fields)
 
-    def maybe_compact(self, state: dict) -> bool:
+    def maybe_compact(self, build_state: Callable[[], dict]) -> bool:
         if not self.available:
             return False
-        return super().maybe_compact(state)
+        return super().maybe_compact(build_state)
 
 
 def garble_wal_tail(

@@ -39,6 +39,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
 
@@ -247,7 +248,19 @@ class ControlPlane:
         self.retry = retry
         self.clock = clock
         self.tracer = tracer
+        #: Every job ever accepted, in ``order`` order (finished ones stay
+        #: for ``status``); only ``job_list`` and the snapshot walk it.
         self.jobs: dict[str, JobRecord] = {}
+        #: The non-terminal subset of ``jobs``, also in ``order`` order:
+        #: what ``submit``, ``tick``, ``claim`` and ``stats`` read, so one
+        #: decision costs O(live jobs), not O(jobs ever seen).  ``submit``
+        #: and ``_recover`` add; ``_move`` removes a job the moment it
+        #: turns terminal and counts it in ``_terminal_counts``.
+        self._live: dict[str, JobRecord] = {}
+        self._terminal_counts: Counter[str] = Counter()
+        #: ``to_json()`` of terminal jobs, built once at the first snapshot
+        #: after they finish — a terminal record can never change again.
+        self._terminal_payloads: dict[str, dict] = {}
         self.workers = WorkerRegistry(ttl=worker_ttl)
         #: Seconds a claimed job may sit DISPATCHED before the daemon
         #: decides the worker stalled and re-queues it (fencing the
@@ -255,7 +268,7 @@ class ControlPlane:
         #: but never make progress, which the lease alone cannot.
         self.dispatch_timeout = float(dispatch_timeout)
         self.degraded = False
-        self._pending: list[_Pending] = []
+        self._pending: deque[_Pending] = deque()
         self._order = 0
         #: Serialises every public entry point: HTTP handler threads
         #: (heartbeats, claims, reports) interleave with the tick loop.
@@ -327,6 +340,16 @@ class ControlPlane:
                 "recovered %s: dropped %d torn WAL tail line(s)",
                 self.store.root, image.dropped_tail,
             )
+        # Submissions arrive in ``order`` order and snapshots are written
+        # in it; the sort only moves anything for a hand-edited store.
+        self.jobs = dict(
+            sorted(self.jobs.items(), key=lambda item: item[1].order)
+        )
+        for job in self.jobs.values():
+            if job.is_terminal:
+                self._terminal_counts[job.state.value] += 1
+            else:
+                self._live[job.job_id] = job
         self._order = max(
             (job.order for job in self.jobs.values()), default=0
         )
@@ -360,7 +383,7 @@ class ControlPlane:
         their leases and tokens belong to the dead epoch; survivors
         simply re-register against the new one.
         """
-        for job in self._jobs_in_order():
+        for job in self._live.values():
             if job.state in (JobState.DISPATCHED, JobState.RUNNING):
                 self._requeue_lost(
                     job, now,
@@ -380,8 +403,7 @@ class ControlPlane:
         job.not_before = now + delay
         job.token = None
         self._detach_worker(job)
-        transition(job, JobState.RETRYING, now, detail=detail)
-        self._append_transition(job, at=now)
+        self._move(job, JobState.RETRYING, now, detail=detail)
         self.counters["requeued_lost"] += 1
 
     def _detach_worker(self, job: JobRecord) -> None:
@@ -417,12 +439,21 @@ class ControlPlane:
             self.degraded = True
             self._pending.append(_Pending(kind, fields))
 
-    def _append_transition(self, job: JobRecord, at: float) -> None:
+    def _move(
+        self, job: JobRecord, target: JobState, now: float, detail: str = ""
+    ) -> None:
+        """The one way a job changes state after recovery: the checked
+        transition, the live index (a job that turns terminal leaves it
+        for the tally) and the WAL record, in that order."""
+        transition(job, target, now, detail=detail)
+        if job.is_terminal:
+            del self._live[job.job_id]
+            self._terminal_counts[job.state.value] += 1
         self._append(
             "transition",
             job=job.job_id,
             state=job.state.value,
-            at=at,
+            at=now,
             attempts=job.attempts,
             dispatches=job.dispatches,
             not_before=job.not_before,
@@ -445,16 +476,26 @@ class ControlPlane:
                 self.store.append(entry.kind, **entry.fields)
             except StoreUnavailable:
                 return flushed
-            self._pending.pop(0)
+            self._pending.popleft()
             flushed += 1
         self.degraded = False
         logger.info("store recovered; flushed %d buffered record(s)", flushed)
         return flushed
 
     def _snapshot_state(self) -> dict:
+        """The compaction payload; built only when compaction is due."""
+        frozen = self._terminal_payloads
+        jobs = []
+        for job_id, job in self.jobs.items():
+            payload = frozen.get(job_id)
+            if payload is None:
+                payload = job.to_json()
+                if job.is_terminal:
+                    frozen[job_id] = payload
+            jobs.append(payload)
         return {
             "epoch": self.epoch,
-            "jobs": [job.to_json() for job in self._jobs_in_order()],
+            "jobs": jobs,
             "workers": self.workers.to_json(),
         }
 
@@ -503,7 +544,7 @@ class ControlPlane:
             )
         queued = sum(
             1
-            for job in self.jobs.values()
+            for job in self._live.values()
             if job.tenant == tenant
             and job.state in (JobState.QUEUED, JobState.ADMITTED, JobState.RETRYING)
         )
@@ -545,6 +586,7 @@ class ControlPlane:
                 reason="store_unavailable",
             )
         self.jobs[job_id] = record
+        self._live[job_id] = record
         return job_id
 
     def cancel(self, job_id: str) -> JobState:
@@ -556,8 +598,7 @@ class ControlPlane:
             now = self.clock()
             job.token = None  # fences any in-flight worker's late report
             self._detach_worker(job)
-            transition(job, JobState.CANCELLED, now, detail="cancelled by user")
-            self._append_transition(job, at=now)
+            self._move(job, JobState.CANCELLED, now, detail="cancelled by user")
             return job.state
 
     def status(self, job_id: str) -> dict:
@@ -573,7 +614,7 @@ class ControlPlane:
         wanted = JobState(state) if state is not None else None
         return [
             job.to_json()
-            for job in self._jobs_in_order()
+            for job in self.jobs.values()
             if (tenant is None or job.tenant == tenant)
             and (wanted is None or job.state is wanted)
         ]
@@ -581,9 +622,9 @@ class ControlPlane:
     def stats(self) -> dict:
         """Service-level health: epoch, degradation, per-state counts."""
         with self._lock:
-            by_state: dict[str, int] = {}
-            for job in self.jobs.values():
-                by_state[job.state.value] = by_state.get(job.state.value, 0) + 1
+            by_state = self._terminal_counts + Counter(
+                job.state.value for job in self._live.values()
+            )
             return {
                 "epoch": self.epoch,
                 "degraded": self.degraded,
@@ -597,7 +638,7 @@ class ControlPlane:
     @property
     def active_jobs(self) -> int:
         """Jobs not yet in a terminal state."""
-        return sum(1 for job in self.jobs.values() if not job.is_terminal)
+        return len(self._live)
 
     # ------------------------------------------------------------------
     # Worker-facing: the pull protocol
@@ -675,10 +716,10 @@ class ControlPlane:
             budget = min(int(max_jobs), worker.free_slots)
             if budget <= 0:
                 return granted
-            usage = in_flight_gpus(self.jobs.values())
+            usage = in_flight_gpus(self._live.values())
             admitted = [
                 job
-                for job in self.jobs.values()
+                for job in self._live.values()
                 if job.state is JobState.ADMITTED
             ]
             for job in self._priority_order(admitted):
@@ -782,8 +823,7 @@ class ControlPlane:
             self.counters["starts"] += 1
             self._emit_token(now, token, accepted=True, reason="ok")
             job.started_at = now
-            transition(job, JobState.RUNNING, now)
-            self._append_transition(job, at=now)
+            self._move(job, JobState.RUNNING, now)
             return job
 
     def _emit_token(
@@ -827,7 +867,7 @@ class ControlPlane:
                 # the WAL already holds every record the snapshot would.
                 try:
                     stats.compacted = self.store.maybe_compact(
-                        self._snapshot_state()
+                        self._snapshot_state
                     )
                 except StoreUnavailable as error:
                     logger.error(
@@ -836,30 +876,25 @@ class ControlPlane:
                     self.degraded = True
             return stats
 
-    def _jobs_in_order(self) -> list[JobRecord]:
-        return sorted(self.jobs.values(), key=lambda job: job.order)
-
     def _priority_order(self, records: list[JobRecord]) -> list[JobRecord]:
         return sorted(records, key=lambda job: (-job.priority, job.order))
 
     def _promote_retries(self, now: float, stats: TickStats) -> None:
         due = [
             job
-            for job in self._jobs_in_order()
+            for job in self._live.values()
             if job.state is JobState.RETRYING and job.not_before <= now
         ]
         for job in self._priority_order(due):
-            transition(job, JobState.ADMITTED, now)
-            self._append_transition(job, at=now)
+            self._move(job, JobState.ADMITTED, now)
             stats.admitted += 1
 
     def _admit_queued(self, now: float, stats: TickStats) -> None:
         queued = [
-            job for job in self.jobs.values() if job.state is JobState.QUEUED
+            job for job in self._live.values() if job.state is JobState.QUEUED
         ]
         for job in self._priority_order(queued):
-            transition(job, JobState.ADMITTED, now)
-            self._append_transition(job, at=now)
+            self._move(job, JobState.ADMITTED, now)
             stats.admitted += 1
 
     def _issue(
@@ -881,16 +916,15 @@ class ControlPlane:
         if worker is not None:
             job.worker = worker.worker_id
             worker.jobs.add(job.job_id)
-        transition(job, JobState.DISPATCHED, now)
-        self._append_transition(job, at=now)
+        self._move(job, JobState.DISPATCHED, now)
         return token
 
     def _self_execute(self, now: float, stats: TickStats) -> None:
         """The synchronous single-node plane: with no live workers the
         daemon dispatches to itself and runs jobs inline."""
-        usage = in_flight_gpus(self.jobs.values())
+        usage = in_flight_gpus(self._live.values())
         admitted = [
-            job for job in self.jobs.values() if job.state is JobState.ADMITTED
+            job for job in self._live.values() if job.state is JobState.ADMITTED
         ]
         for job in self._priority_order(admitted):
             if not self.admission.may_admit(job, usage):
@@ -935,7 +969,7 @@ class ControlPlane:
         re-queued; clearing the token fences the stalled worker's
         eventual late ``start``.
         """
-        for job in self._jobs_in_order():
+        for job in self._live.values():
             if (
                 job.state is JobState.DISPATCHED
                 and job.worker is not None
@@ -960,7 +994,9 @@ class ControlPlane:
         retry policy (as a transient failure).  :meth:`_complete` clears
         the token, fencing the hung worker's eventual report.
         """
-        for job in self._jobs_in_order():
+        # A copy: a deadline that exhausts the attempts fails the job for
+        # good, which takes it out of the index mid-walk.
+        for job in list(self._live.values()):
             if job.state is not JobState.RUNNING or job.max_runtime_s is None:
                 continue
             # updated_at of the RUNNING transition doubles as the start
@@ -1005,8 +1041,7 @@ class ControlPlane:
         job.token = None
         if outcome.ok:
             job.result = outcome.result
-            transition(job, JobState.FINISHED, now)
-            self._append_transition(job, at=now)
+            self._move(job, JobState.FINISHED, now)
             stats.finished += 1
             return
         job.attempts += 1
@@ -1014,11 +1049,10 @@ class ControlPlane:
         if self.retry.should_retry(kind, job.attempts):
             delay = self.retry.delay(job.attempts, key=job.job_id)
             job.not_before = now + delay
-            transition(
+            self._move(
                 job, JobState.RETRYING, now,
                 detail=outcome.detail or f"{kind.value} failure",
             )
-            self._append_transition(job, at=now)
             stats.retried += 1
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -1030,12 +1064,11 @@ class ControlPlane:
                     delay=delay,
                 )
             return
-        transition(
+        self._move(
             job, JobState.FAILED, now,
             detail=outcome.detail
             or f"{kind.value} failure, attempts exhausted",
         )
-        self._append_transition(job, at=now)
         stats.failed += 1
 
     # ------------------------------------------------------------------

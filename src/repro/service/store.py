@@ -9,7 +9,10 @@ Stdlib-only crash safety:
 * a *snapshot* (``snapshot.json``) is written atomically
   (tmp + ``os.replace``) every ``compact_every`` records and the WAL
   is then reset, so recovery cost is O(recent records), not
-  O(history),
+  O(history) — the price is that each snapshot rewrites the whole job
+  table, so *compaction* is O(jobs ever accepted) once per
+  ``compact_every`` records (one C-encoder ``json.dumps``; a segmented
+  snapshot would need a schema bump),
 * every record carries a monotonically increasing ``seq`` that
   survives compaction, so a crash between the snapshot rename and the
   WAL reset replays no record twice — records at or below the
@@ -28,7 +31,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Callable, Optional, Union
 
 from repro.service.errors import ServiceError
 
@@ -242,11 +245,19 @@ class DurableStore:
         }
         tmp = self.snapshot_path.with_suffix(".json.tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.snapshot_path)
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    # dumps, not dump: the same bytes, from the C encoder
+                    # (dump streams through the pure-Python iterencode).
+                    fh.write(json.dumps(payload, sort_keys=True))
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, self.snapshot_path)
+            except OSError:
+                # A half-written snapshot (disk full) must not sit beside
+                # the good one; the old snapshot + WAL still recover.
+                tmp.unlink(missing_ok=True)
+                raise
             if self._fh is not None:
                 # Null the handle before the WAL rewrite: if the rewrite
                 # fails we must not keep a closed file object around
@@ -264,11 +275,15 @@ class DurableStore:
             raise StoreUnavailable(f"compaction failed: {error}")
         self._since_snapshot = 0
 
-    def maybe_compact(self, state: dict) -> bool:
-        """Compact when the WAL has grown past ``compact_every`` records."""
+    def maybe_compact(self, build_state: Callable[[], dict]) -> bool:
+        """Compact when the WAL has grown past ``compact_every`` records.
+
+        ``build_state`` is called only then: building the state is
+        O(history), and most calls find compaction not yet due.
+        """
         if self._since_snapshot < self.compact_every:
             return False
-        self.compact(state)
+        self.compact(build_state())
         return True
 
     def close(self) -> None:

@@ -307,6 +307,63 @@ def test_compaction_failure_degrades_instead_of_crashing(tmp_path):
     plane.close()
 
 
+def test_disk_full_mid_snapshot_leaves_no_tmp_and_recovers(tmp_path, monkeypatch):
+    """ENOSPC while the snapshot is being written: the half-written
+    ``snapshot.json.tmp`` is removed, the old snapshot + WAL still
+    recover to the live table, the WAL handle keeps appending, the plane
+    degrades for one tick and compacts on a later one."""
+    import errno
+    import shutil
+
+    from repro.service import store as store_module
+
+    store = DurableStore(tmp_path / "store", compact_every=8)
+    plane, clock = make_plane(tmp_path, store=store, executor=ScriptedExecutor())
+    for index in range(3):
+        plane.submit({}, job_id=f"old-{index}")
+    assert plane.tick().compacted  # the snapshot a failed rewrite must not harm
+    old_snapshot = store.snapshot_path.read_bytes()
+    for index in range(2):
+        plane.submit({}, job_id=f"new-{index}")
+
+    def disk_full(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module.os, "fsync", disk_full)
+        stats = plane.tick()  # runs new-0/new-1, then compaction hits ENOSPC
+    assert plane.degraded and not stats.compacted
+    assert not store.snapshot_path.with_suffix(".json.tmp").exists()
+    assert store.snapshot_path.read_bytes() == old_snapshot
+    assert store.records_since_snapshot >= store.compact_every
+
+    def recovered_table():
+        shutil.rmtree(tmp_path / "copy", ignore_errors=True)
+        shutil.copytree(tmp_path / "store", tmp_path / "copy")
+        replayed = ControlPlane(
+            DurableStore(tmp_path / "copy"), executor=ScriptedExecutor(),
+            retry=NO_JITTER, clock=FakeClock(),
+        )
+        table = replayed.job_list()
+        replayed.close()
+        return table
+
+    assert recovered_table() == plane.job_list()
+
+    # The WAL handle was never closed, so it still appends: the next
+    # submission finds nothing buffered, clears the flag and lands.
+    appends = store.appends
+    plane.submit({}, job_id="late")
+    assert store.appends == appends + 1
+
+    stats = plane.tick()
+    assert stats.compacted and not plane.degraded
+    assert store.records_since_snapshot == 0
+    assert plane.status("late")["state"] == "finished"
+    assert recovered_table() == plane.job_list()
+    plane.close()
+
+
 def test_duplicate_job_id_does_not_leak_order(tmp_path):
     """A rejected duplicate submission leaves no gap in generated ids."""
     plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())

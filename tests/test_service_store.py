@@ -55,7 +55,7 @@ def test_compaction_folds_wal_into_snapshot(tmp_path):
     for index in range(3):
         store.append("submit", job={"job_id": f"job-{index}"})
         state["jobs"].append({"job_id": f"job-{index}"})
-    assert store.maybe_compact(state)
+    assert store.maybe_compact(lambda: state)
     # Post-compaction appends replay on top of the snapshot.
     store.append("transition", job="job-0", state="admitted")
     store.close()
@@ -71,7 +71,7 @@ def test_compaction_folds_wal_into_snapshot(tmp_path):
 def test_maybe_compact_respects_threshold(tmp_path):
     store = open_store(tmp_path, compact_every=10)
     store.append("submit")
-    assert not store.maybe_compact({})
+    assert not store.maybe_compact(dict)
     assert store.records_since_snapshot == 1
     store.close()
 
