@@ -78,7 +78,21 @@ _STATUS_BY_REASON = {
     "token_mismatch": 409,
     "already_redeemed": 409,
     "malformed_token": 400,
+    "bad_request": 400,
     "body_too_large": 413,
+}
+
+#: ``POST /submit`` fields: the Python types of the JSON each accepts,
+#: and how to name them in the 400.  ``bool`` is an ``int`` to Python,
+#: so it is refused separately.
+_SUBMIT_FIELDS = {
+    "spec": ((dict,), "a JSON object"),
+    "tenant": ((str,), "a string"),
+    "gpus": ((int,), "an integer"),
+    "pool": ((str,), "a string"),
+    "priority": ((int,), "an integer"),
+    "job_id": ((str,), "a string"),
+    "max_runtime_s": ((int, float), "a number"),
 }
 
 #: Reasons the client rebuilds as :class:`TokenError` (fencing, not
@@ -288,6 +302,29 @@ class ServiceClient:
         return self._request("GET", "/health")
 
 
+def _submit_arguments(payload: dict) -> dict:
+    """The ``/submit`` body as :meth:`ControlPlane.submit` keywords.
+
+    Every field is type-checked, not coerced: a JSON ``7`` must not
+    become job id ``7`` (which ``/status?job=7`` can never find), nor a
+    list of pairs a spec.  Absent and ``null`` fields take the plane's
+    defaults.
+    """
+    arguments = {}
+    for name, (types, expected) in _SUBMIT_FIELDS.items():
+        value = payload.get(name)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ServiceError(
+                f"/submit field {name!r} must be {expected}, got "
+                f"{json.dumps(value)[:40]}",
+                reason="bad_request",
+            )
+        arguments[name] = value
+    return arguments
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP verbs onto the shared, lock-guarded control plane."""
 
@@ -348,19 +385,15 @@ class _Handler(BaseHTTPRequestHandler):
             payload = self._body()
             with self.server.lock:
                 if path == "/submit":
-                    max_runtime = payload.get("max_runtime_s")
-                    job_id = self.server.plane.submit(
-                        payload.get("spec") or {},
-                        tenant=str(payload.get("tenant", "default")),
-                        gpus=int(payload.get("gpus", 1)),
-                        pool=str(payload.get("pool", "default")),
-                        priority=int(payload.get("priority", 0)),
-                        job_id=payload.get("job_id"),
-                        max_runtime_s=(
-                            float(max_runtime)
-                            if max_runtime is not None else None
-                        ),
-                    )
+                    arguments = _submit_arguments(payload)
+                    try:
+                        job_id = self.server.plane.submit(**arguments)
+                    except ValueError as error:
+                        # JobRecord's own checks (gpus >= 1, a finite
+                        # deadline > 0) are the client's fault too.
+                        raise ServiceError(
+                            str(error), reason="bad_request"
+                        ) from None
                     self._reply(200, {"job_id": job_id})
                 elif path == "/cancel":
                     job_id = str(payload.get("job_id", ""))

@@ -100,10 +100,10 @@ class FlakyStore(DurableStore):
             raise StoreUnavailable("flaky store is switched off")
         return super().append(kind, **fields)
 
-    def maybe_compact(self, build_state: Callable[[], dict]) -> bool:
+    def maybe_compact(self, build: Callable[[], tuple]) -> bool:
         if not self.available:
             return False
-        return super().maybe_compact(build_state)
+        return super().maybe_compact(build)
 
 
 def garble_wal_tail(

@@ -249,18 +249,20 @@ class ControlPlane:
         self.clock = clock
         self.tracer = tracer
         #: Every job ever accepted, in ``order`` order (finished ones stay
-        #: for ``status``); only ``job_list`` and the snapshot walk it.
+        #: for ``status``); only ``job_list`` walks it.
         self.jobs: dict[str, JobRecord] = {}
         #: The non-terminal subset of ``jobs``, also in ``order`` order:
-        #: what ``submit``, ``tick``, ``claim`` and ``stats`` read, so one
-        #: decision costs O(live jobs), not O(jobs ever seen).  ``submit``
-        #: and ``_recover`` add; ``_move`` removes a job the moment it
-        #: turns terminal and counts it in ``_terminal_counts``.
+        #: what ``submit``, ``tick``, ``claim``, ``stats`` and the snapshot
+        #: read, so one decision costs O(live jobs), not O(jobs ever
+        #: seen).  ``submit`` and ``_recover`` add; ``_move`` removes a job
+        #: the moment it turns terminal and counts it in
+        #: ``_terminal_counts``.
         self._live: dict[str, JobRecord] = {}
         self._terminal_counts: Counter[str] = Counter()
-        #: ``to_json()`` of terminal jobs, built once at the first snapshot
-        #: after they finish — a terminal record can never change again.
-        self._terminal_payloads: dict[str, dict] = {}
+        #: Jobs that turned terminal since the last successful compaction:
+        #: the next one seals them into the store's archive, once — a
+        #: terminal record can never change again.
+        self._unsealed: list[JobRecord] = []
         self.workers = WorkerRegistry(ttl=worker_ttl)
         #: Seconds a claimed job may sit DISPATCHED before the daemon
         #: decides the worker stalled and re-queues it (fencing the
@@ -297,9 +299,13 @@ class ControlPlane:
     # Recovery
     # ------------------------------------------------------------------
     def _recover(self, now: float) -> int:
-        """Replay snapshot + WAL; returns the highest epoch seen."""
+        """Replay archive + snapshot + WAL; returns the highest epoch seen."""
         image = self.store.recover()
         epoch = 0
+        for payload in image.sealed:
+            record = JobRecord.from_json(payload)
+            self.jobs[record.job_id] = record
+        archived = set(self.jobs)
         if image.snapshot:
             epoch = int(image.snapshot.get("epoch", 0))
             for payload in image.snapshot.get("jobs", ()):
@@ -340,14 +346,18 @@ class ControlPlane:
                 "recovered %s: dropped %d torn WAL tail line(s)",
                 self.store.root, image.dropped_tail,
             )
-        # Submissions arrive in ``order`` order and snapshots are written
-        # in it; the sort only moves anything for a hand-edited store.
+        # The archive is in sealing order, the snapshot and WAL in
+        # ``order`` order; one sort interleaves them.
         self.jobs = dict(
             sorted(self.jobs.items(), key=lambda item: item[1].order)
         )
         for job in self.jobs.values():
             if job.is_terminal:
                 self._terminal_counts[job.state.value] += 1
+                if job.job_id not in archived:
+                    # Finished in the WAL, or held by a schema-1 snapshot:
+                    # the next compaction seals it (a v1 store's migration).
+                    self._unsealed.append(job)
             else:
                 self._live[job.job_id] = job
         self._order = max(
@@ -444,11 +454,13 @@ class ControlPlane:
     ) -> None:
         """The one way a job changes state after recovery: the checked
         transition, the live index (a job that turns terminal leaves it
-        for the tally) and the WAL record, in that order."""
+        for the tally and the next sealing batch) and the WAL record, in
+        that order."""
         transition(job, target, now, detail=detail)
         if job.is_terminal:
             del self._live[job.job_id]
             self._terminal_counts[job.state.value] += 1
+            self._unsealed.append(job)
         self._append(
             "transition",
             job=job.job_id,
@@ -482,22 +494,16 @@ class ControlPlane:
         logger.info("store recovered; flushed %d buffered record(s)", flushed)
         return flushed
 
-    def _snapshot_state(self) -> dict:
-        """The compaction payload; built only when compaction is due."""
-        frozen = self._terminal_payloads
-        jobs = []
-        for job_id, job in self.jobs.items():
-            payload = frozen.get(job_id)
-            if payload is None:
-                payload = job.to_json()
-                if job.is_terminal:
-                    frozen[job_id] = payload
-            jobs.append(payload)
-        return {
+    def _snapshot_state(self) -> tuple[dict, list[dict]]:
+        """The compaction payload — the live state, and the jobs finished
+        since the last compaction as the batch to seal; built only when
+        compaction is due."""
+        state = {
             "epoch": self.epoch,
-            "jobs": jobs,
+            "jobs": [job.to_json() for job in self._live.values()],
             "workers": self.workers.to_json(),
         }
+        return state, [job.to_json() for job in self._unsealed]
 
     # ------------------------------------------------------------------
     # Public API (shared by in-process callers, HTTP and the CLI)
@@ -549,11 +555,12 @@ class ControlPlane:
             and job.state in (JobState.QUEUED, JobState.ADMITTED, JobState.RETRYING)
         )
         self.admission.check_submit(tenant, queued)
-        self._order += 1
+        # ``_order`` moves only once the job is accepted: rejected
+        # submissions must not leave id gaps.
+        order = self._order + 1
         if job_id is None:
-            job_id = f"job-{self._order:05d}"
+            job_id = f"job-{order:05d}"
         if job_id in self.jobs:
-            self._order -= 1  # rejected submissions must not leave id gaps
             raise ServiceError(
                 f"job id {job_id!r} already exists", reason="duplicate_job"
             )
@@ -567,7 +574,7 @@ class ControlPlane:
             priority=self.admission.effective_priority(tenant, priority),
             submitted_at=now,
             updated_at=now,
-            order=self._order,
+            order=order,
             max_runtime_s=(
                 float(max_runtime_s) if max_runtime_s is not None else None
             ),
@@ -580,11 +587,11 @@ class ControlPlane:
             self.store.append("submit", job=record.to_json())
         except StoreUnavailable as error:
             self.degraded = True
-            self._order -= 1
             raise ServiceUnavailable(
                 f"durable store is unavailable ({error}); submission shed",
                 reason="store_unavailable",
             )
+        self._order = order
         self.jobs[job_id] = record
         self._live[job_id] = record
         return job_id
@@ -865,6 +872,7 @@ class ControlPlane:
             if not self.degraded:
                 # Compaction failing must degrade, not kill, the service —
                 # the WAL already holds every record the snapshot would.
+                committed = self.store.sealed_bytes
                 try:
                     stats.compacted = self.store.maybe_compact(
                         self._snapshot_state
@@ -874,6 +882,11 @@ class ControlPlane:
                         "store unavailable during compaction: %s", error
                     )
                     self.degraded = True
+                if self.store.sealed_bytes != committed:
+                    # A snapshot committed the batch (even if the WAL reset
+                    # after it failed).  A compaction that failed before
+                    # that keeps it: the store truncates the partial append.
+                    self._unsealed.clear()
             return stats
 
     def _priority_order(self, records: list[JobRecord]) -> list[JobRecord]:

@@ -18,6 +18,7 @@ daemon, the chaos harness and the tests all go through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping, Optional
@@ -112,9 +113,13 @@ class JobRecord:
             raise ValueError("job needs a non-empty job_id")
         if self.gpus < 1:
             raise ValueError(f"job gpus must be >= 1, got {self.gpus}")
-        if self.max_runtime_s is not None and self.max_runtime_s <= 0:
+        if self.max_runtime_s is not None and not (
+            0 < self.max_runtime_s < math.inf
+        ):
+            # NaN and inf would reach the WAL as bare ``NaN``/``Infinity``
+            # (not JSON), and a NaN deadline never fires.
             raise ValueError(
-                f"max_runtime_s must be > 0, got {self.max_runtime_s}"
+                f"max_runtime_s must be finite and > 0, got {self.max_runtime_s}"
             )
         if isinstance(self.state, str) and not isinstance(self.state, JobState):
             self.state = JobState(self.state)
@@ -139,6 +144,11 @@ class JobRecord:
         """Rebuild a record, ignoring unknown keys (forward compatible)."""
         known = {spec_field.name for spec_field in fields(cls)}
         kwargs = {key: value for key, value in payload.items() if key in known}
+        deadline = kwargs.get("max_runtime_s")
+        if isinstance(deadline, float) and not deadline < math.inf:
+            # NaN or +inf, logged before non-finite deadlines were
+            # rejected: it never fired, which is what no deadline means.
+            kwargs["max_runtime_s"] = None
         return cls(**kwargs)
 
 

@@ -1,22 +1,34 @@
-"""The durable store: append-only JSONL WAL + compacted snapshots.
+"""The durable store: append-only JSONL WAL, compacted snapshots and a
+sealed archive.
 
-Stdlib-only crash safety:
+Stdlib-only crash safety over three files:
 
 * every state change is one JSON line appended to ``wal.jsonl`` (an
   optional ``fsync`` per append for real durability; tests exercise
   crash points at record granularity, so buffered writes keep the same
   semantics),
-* a *snapshot* (``snapshot.json``) is written atomically
-  (tmp + ``os.replace``) every ``compact_every`` records and the WAL
-  is then reset, so recovery cost is O(recent records), not
-  O(history) — the price is that each snapshot rewrites the whole job
-  table, so *compaction* is O(jobs ever accepted) once per
-  ``compact_every`` records (one C-encoder ``json.dumps``; a segmented
-  snapshot would need a schema bump),
+* every ``compact_every`` records, :meth:`DurableStore.compact` first
+  appends the records that can never change again (the plane's jobs
+  that turned terminal since the last compaction) to ``sealed.jsonl``,
+  one line each, then fsyncs it; next it writes a *snapshot*
+  (``snapshot.json``) of everything else atomically (tmp +
+  ``os.replace``) and resets the WAL.  So recovery cost is O(recent
+  records) and *compaction* is O(live state + records sealed since the
+  last one), not O(history): a finished job is encoded once, ever,
+* the snapshot carries ``sealed_bytes``, the archive's committed
+  length.  Bytes past it belong to a compaction that died before its
+  snapshot rename; recovery truncates them (the old snapshot + WAL
+  still hold those records) and so does the next compaction before it
+  appends.  An archive shorter than ``sealed_bytes``, or garbage inside
+  it, is :class:`StoreCorruption`,
 * every record carries a monotonically increasing ``seq`` that
   survives compaction, so a crash between the snapshot rename and the
   WAL reset replays no record twice — records at or below the
   snapshot's ``last_seq`` are skipped.
+
+Schema 1 (no archive) reads as schema 2 with ``sealed_bytes`` = 0; a
+reader that only knows schema 1 refuses a schema-2 store instead of
+silently dropping its archive.
 
 Recovery tolerates a *torn tail*: a partial or garbled final line
 (the classic ``kill -9`` mid-write artifact) is dropped and the file
@@ -31,12 +43,15 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Optional, Union
+from typing import IO, Callable, Iterable, Optional, Union
 
 from repro.service.errors import ServiceError
 
-#: Version of the on-disk WAL/snapshot layout.
-STORE_SCHEMA_VERSION = 1
+#: Version of the on-disk WAL/snapshot/archive layout.
+STORE_SCHEMA_VERSION = 2
+
+#: Layouts recovery reads: 1 is 2 without an archive.
+READABLE_SCHEMAS = frozenset({1, STORE_SCHEMA_VERSION})
 
 #: ``kind`` of the header record opening every WAL file.
 WAL_HEADER_KIND = "wal_header"
@@ -65,10 +80,11 @@ class StoreUnavailable(StoreError):
 
 @dataclass
 class StoreImage:
-    """What recovery reconstructed: snapshot state + WAL records."""
+    """What recovery reconstructed: archive + snapshot state + WAL records."""
 
     snapshot: Optional[dict] = None
     records: list = field(default_factory=list)
+    sealed: list = field(default_factory=list)  # committed archive records
     last_seq: int = 0
     dropped_tail: int = 0  # torn-tail lines discarded during repair
 
@@ -89,21 +105,25 @@ class DurableStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.wal_path = self.root / "wal.jsonl"
         self.snapshot_path = self.root / "snapshot.json"
+        self.sealed_path = self.root / "sealed.jsonl"
         self.fsync = bool(fsync)
         self.compact_every = int(compact_every)
         self._fh: Optional[IO[str]] = None
         self._seq = 0
         self._since_snapshot = 0
+        self._sealed_bytes = 0  # the archive's committed length
         self.appends = 0  # lifetime append count (chaos crash points key on it)
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
     def recover(self) -> StoreImage:
-        """Load snapshot + WAL, repair a torn tail, open for append."""
+        """Load archive + snapshot + WAL, repair a torn tail and an
+        uncommitted archive tail, open for append."""
         image = self._load()
         if image.dropped_tail:
             self._rewrite_valid_prefix(image)
+        self._truncate_uncommitted_seal()
         self._seq = image.last_seq
         self._since_snapshot = len(image.records)
         self._open_append(write_header=not self.wal_path.exists())
@@ -111,6 +131,7 @@ class DurableStore:
 
     def _load(self) -> StoreImage:
         image = StoreImage()
+        self._sealed_bytes = 0
         if self.snapshot_path.exists():
             try:
                 with open(self.snapshot_path, "r", encoding="utf-8") as fh:
@@ -119,13 +140,21 @@ class DurableStore:
                 raise StoreCorruption(
                     f"snapshot {self.snapshot_path} is unreadable: {error}"
                 )
-            if snapshot.get("schema") != STORE_SCHEMA_VERSION:
+            if snapshot.get("schema") not in READABLE_SCHEMAS:
                 raise StoreCorruption(
-                    f"snapshot schema {snapshot.get('schema')!r} is not "
-                    f"{STORE_SCHEMA_VERSION}"
+                    f"snapshot schema {snapshot.get('schema')!r} is not one "
+                    f"of {sorted(READABLE_SCHEMAS)}"
+                )
+            sealed_bytes = snapshot.get("sealed_bytes", 0)
+            if type(sealed_bytes) is not int or sealed_bytes < 0:
+                raise StoreCorruption(
+                    f"snapshot sealed_bytes {sealed_bytes!r} is not a length"
                 )
             image.snapshot = snapshot.get("state") or {}
             image.last_seq = int(snapshot.get("last_seq", 0))
+            if sealed_bytes:
+                image.sealed = self._load_sealed(sealed_bytes)
+            self._sealed_bytes = sealed_bytes
         if not self.wal_path.exists():
             return image
         # errors="replace": a torn tail can contain arbitrary bytes; the
@@ -160,10 +189,10 @@ class DurableStore:
         image.dropped_tail = len(parsed) - (last_valid + 1)
         for record in parsed[: last_valid + 1]:
             if record.get("kind") == WAL_HEADER_KIND:
-                if record.get("schema") != STORE_SCHEMA_VERSION:
+                if record.get("schema") not in READABLE_SCHEMAS:
                     raise StoreCorruption(
-                        f"{self.wal_path}: WAL schema "
-                        f"{record.get('schema')!r} is not {STORE_SCHEMA_VERSION}"
+                        f"{self.wal_path}: WAL schema {record.get('schema')!r} "
+                        f"is not one of {sorted(READABLE_SCHEMAS)}"
                     )
                 continue
             seq = int(record.get("seq", 0))
@@ -172,6 +201,65 @@ class DurableStore:
             image.records.append(record)
             image.last_seq = max(image.last_seq, seq)
         return image
+
+    def _load_sealed(self, committed: int) -> list:
+        """The archive's first ``committed`` bytes, one record per line.
+
+        Unlike the WAL there is no torn tail to forgive inside the
+        committed prefix: the snapshot that names its length was renamed
+        only after the archive was fsynced.
+        """
+        try:
+            with open(self.sealed_path, "rb") as fh:
+                data = fh.read(committed)
+        except OSError as error:
+            raise StoreCorruption(
+                f"archive {self.sealed_path} is unreadable: {error}"
+            )
+        if len(data) < committed or not data.endswith(b"\n"):
+            raise StoreCorruption(
+                f"archive {self.sealed_path} does not hold the {committed} "
+                f"whole lines' bytes its snapshot committed ({len(data)} read)"
+            )
+        lines = data.count(b"\n")
+        # One document, not one ``json.loads`` per line: the decoder then
+        # shares each key string across all records (per-line parses
+        # would give every record its own ~20 keys).  Encoded JSON holds
+        # no raw newline, so the line breaks become the list's commas.
+        # Each copy is dropped before the next is made: this parse is the
+        # memory peak of a recovery.
+        try:
+            text = data.decode("utf-8")
+            del data
+            document = "[" + text[:-1].replace("\n", ",") + "]"
+            del text
+            records = json.loads(document)
+        except ValueError as error:  # UnicodeDecodeError included
+            raise StoreCorruption(
+                f"archive {self.sealed_path}: invalid record inside the "
+                f"committed length: {error}"
+            )
+        if len(records) != lines or not all(
+            isinstance(record, dict) for record in records
+        ):
+            raise StoreCorruption(
+                f"archive {self.sealed_path}: a committed line is not one "
+                "JSON object"
+            )
+        return records
+
+    def _truncate_uncommitted_seal(self) -> None:
+        """Drop archive bytes no snapshot committed (a compaction that
+        died between its archive fsync and its snapshot rename)."""
+        try:
+            if self.sealed_path.stat().st_size > self._sealed_bytes:
+                os.truncate(self.sealed_path, self._sealed_bytes)
+        except FileNotFoundError:
+            pass
+        except OSError as error:
+            raise StoreUnavailable(
+                f"cannot truncate archive {self.sealed_path}: {error}"
+            )
 
     def _rewrite_valid_prefix(self, image: StoreImage) -> None:
         """Atomically rewrite the WAL without its torn tail."""
@@ -230,21 +318,32 @@ class DurableStore:
         """WAL records not yet folded into a snapshot."""
         return self._since_snapshot
 
-    def compact(self, state: dict) -> None:
-        """Write an atomic snapshot of ``state`` and reset the WAL.
+    @property
+    def sealed_bytes(self) -> int:
+        """The archive's length as committed by the current snapshot."""
+        return self._sealed_bytes
 
-        Crash-safe ordering: the snapshot lands via ``os.replace``
-        first; only then is the WAL truncated.  A crash in between
-        leaves old records in the WAL, but their ``seq`` values are at
-        or below the snapshot's ``last_seq`` and recovery skips them.
+    def compact(self, state: dict, sealed: Iterable[dict] = ()) -> None:
+        """Seal ``sealed`` into the archive, write an atomic snapshot of
+        ``state`` and reset the WAL.
+
+        Crash-safe ordering: the archive is appended and fsynced first,
+        but it only counts once the snapshot naming its new length lands
+        via ``os.replace``; only then is the WAL truncated.  A crash
+        before the rename leaves the old snapshot + WAL in charge and an
+        uncommitted archive tail that recovery truncates.  A crash after
+        it leaves old records in the WAL, but their ``seq`` values are
+        at or below the snapshot's ``last_seq`` and recovery skips them.
         """
-        payload = {
-            "schema": STORE_SCHEMA_VERSION,
-            "last_seq": self._seq,
-            "state": state,
-        }
         tmp = self.snapshot_path.with_suffix(".json.tmp")
         try:
+            sealed_bytes = self._append_sealed(sealed)
+            payload = {
+                "schema": STORE_SCHEMA_VERSION,
+                "last_seq": self._seq,
+                "sealed_bytes": sealed_bytes,
+                "state": state,
+            }
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     # dumps, not dump: the same bytes, from the C encoder
@@ -258,6 +357,7 @@ class DurableStore:
                 # the good one; the old snapshot + WAL still recover.
                 tmp.unlink(missing_ok=True)
                 raise
+            self._sealed_bytes = sealed_bytes
             if self._fh is not None:
                 # Null the handle before the WAL rewrite: if the rewrite
                 # fails we must not keep a closed file object around
@@ -275,15 +375,39 @@ class DurableStore:
             raise StoreUnavailable(f"compaction failed: {error}")
         self._since_snapshot = 0
 
-    def maybe_compact(self, build_state: Callable[[], dict]) -> bool:
+    def _append_sealed(self, sealed: Iterable[dict]) -> int:
+        """Append ``sealed`` after the committed archive, fsync, and
+        return the length the next snapshot commits.
+
+        Bytes past the committed length (a compaction that failed before
+        its rename) are truncated first, so a retried batch lands once.
+        """
+        data = "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in sealed
+        ).encode("utf-8")
+        if not data:
+            return self._sealed_bytes
+        with open(self.sealed_path, "ab") as fh:
+            if fh.tell() != self._sealed_bytes:
+                fh.truncate(self._sealed_bytes)
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        return self._sealed_bytes + len(data)
+
+    def maybe_compact(
+        self, build: Callable[[], tuple[dict, Iterable[dict]]]
+    ) -> bool:
         """Compact when the WAL has grown past ``compact_every`` records.
 
-        ``build_state`` is called only then: building the state is
-        O(history), and most calls find compaction not yet due.
+        ``build`` returns ``(state, sealed)`` — the snapshot state and the
+        records to seal — and is called only then: most calls find
+        compaction not yet due.
         """
         if self._since_snapshot < self.compact_every:
             return False
-        self.compact(build_state())
+        state, sealed = build()
+        self.compact(state, sealed)
         return True
 
     def close(self) -> None:

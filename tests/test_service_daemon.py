@@ -375,6 +375,30 @@ def test_duplicate_job_id_does_not_leak_order(tmp_path):
     plane.close()
 
 
+@pytest.mark.parametrize(
+    "spec, kwargs",
+    [
+        ({}, {"gpus": 0}),
+        ({}, {"max_runtime_s": -1.0}),
+        ({}, {"max_runtime_s": float("nan")}),
+        ([1, 2], {}),  # not something dict() can take
+        ({}, {"job_id": ["unhashable"]}),
+    ],
+    ids=["gpus-0", "negative-deadline", "nan-deadline", "bad-spec", "unhashable-id"],
+)
+def test_rejected_submission_leaves_no_id_gap(tmp_path, spec, kwargs):
+    """The record is built and validated before the id counter moves."""
+    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+    assert plane.submit({}) == "job-00001"
+    appends = plane.store.appends
+    for _ in range(4):
+        with pytest.raises((ValueError, TypeError)):
+            plane.submit(spec, **kwargs)
+    assert plane.store.appends == appends
+    assert plane.submit({}) == "job-00002"
+    plane.close()
+
+
 def test_tracer_events_for_retry_and_token(tmp_path):
     tracer = RingTracer()
     script = {

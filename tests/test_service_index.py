@@ -5,17 +5,26 @@ Count-based, so nothing here can flake on a slow box:
 * behind 2,000 FINISHED jobs, ``submit`` / ``tick`` / ``claim`` /
   ``stats`` read no terminal record and a tick whose compaction is not
   due encodes none;
+* compaction pays for what changed: over many compactions every
+  terminal job is encoded for the archive exactly once, and each
+  compaction only appends to the archive;
 * the index is an optimisation, not a behaviour: a scripted 300-job run
   (both execution planes, retries, fatal failures, cancels, a killed
   worker, a deadline, a restart mid-flight) appends the record sequence
   frozen from the commit before the index existed, and its
-  ``snapshot.json`` holds the bytes ``json.dumps(..., sort_keys=True)``
-  gives for the state a recovery reads back.
+  ``snapshot.json`` and ``sealed.jsonl`` hold the bytes
+  ``json.dumps(..., sort_keys=True)`` gives for what a recovery reads
+  back.
 """
 
 import hashlib
 import json
+import os
+from collections import Counter
 
+import pytest
+
+from repro.service import store as store_module
 from repro.service.chaos import FakeClock, ScriptedExecutor, SimWorker
 from repro.service.daemon import ControlPlane, JobOutcome, NoopExecutor
 from repro.service.retry import FailureKind, RetryPolicy
@@ -24,16 +33,22 @@ from repro.service.store import STORE_SCHEMA_VERSION, DurableStore
 
 NO_JITTER = RetryPolicy(base_delay=0.5, jitter=0.0)
 
-#: sha256 over the scripted run's appended records / final snapshot
-#: bytes, frozen at e5e3387 (every entry point still scanned ``jobs``).
-#: Re-derive with ``PYTHONPATH=<that checkout>/src python
-#: tests/test_service_index.py``.
+#: sha256 over the scripted run's appended records, frozen at e5e3387
+#: (every entry point still scanned ``jobs``) — the behaviour oracle.
+#: The final ``snapshot.json`` / ``sealed.jsonl`` digests are from the
+#: store's schema 2: the snapshot holds the one job still live at the
+#: last compaction, byte-equal to its entry in the schema-1 snapshot,
+#: and the archive the other 289 entries of that snapshot, once each.
+#: Re-derive with ``PYTHONPATH=src python tests/test_service_index.py``.
 SCRIPTED_APPENDS = 1714
 SCRIPTED_WAL_SHA256 = (
     "99a047387d8c4d3dd9e8c78aacd20084b126920c06db3ece56fd680c84f4e8f5"
 )
 SCRIPTED_SNAPSHOT_SHA256 = (
-    "f1cfb20e992875ecc9f9266457b827e001fb806ed218964a5bc705b6bdf4a8fb"
+    "2550b16cba13e12684f42539b6acc7ff14d4a70527aa3d17eccc3d77c7f79934"
+)
+SCRIPTED_SEALED_SHA256 = (
+    "e3bf87e8c6d370e62483914e3f3511f63b7860fdc442a0925db87fe94fdb6dc3"
 )
 
 
@@ -105,42 +120,116 @@ def test_entry_points_visit_no_terminal_record(tmp_path, monkeypatch):
     plane.close()
 
 
-def test_terminal_payload_is_built_once(tmp_path, monkeypatch):
-    plane, clock, _worker = _plane_behind_history(tmp_path, finished=200)
-    calls = []
+def _archived_ids(store) -> list:
+    return [
+        json.loads(line)["job_id"]
+        for line in store.sealed_path.read_bytes().splitlines()
+    ]
+
+
+def test_each_terminal_job_is_sealed_once(tmp_path, monkeypatch):
+    """Over a lifetime of compactions a terminal job is encoded exactly
+    once — by the compaction that seals it — and the archive only grows
+    at its end."""
+    plane, clock, worker = _plane_behind_history(tmp_path, finished=200)
+    terminal_encodes = Counter()
+    live_encodes = []
     real_to_json = JobRecord.to_json
-    monkeypatch.setattr(
-        JobRecord, "to_json",
-        lambda self: calls.append(self.job_id) or real_to_json(self),
-    )
+
+    def counting_to_json(self):
+        if self.is_terminal:
+            terminal_encodes[self.job_id] += 1
+        else:
+            live_encodes.append(self.job_id)
+        return real_to_json(self)
+
+    monkeypatch.setattr(JobRecord, "to_json", counting_to_json)
     plane.store.compact_every = 1
-    assert plane.tick().compacted
-    assert len(calls) == 208  # first snapshot: every job once
-    first = plane.store.snapshot_path.read_bytes()
+    archives = []
 
-    del calls[:]
+    def compact():
+        assert plane.tick().compacted
+        archives.append(plane.store.sealed_path.read_bytes())
+
+    compact()  # the 200 finished behind the 8 live
+    assert sorted(terminal_encodes) == [f"job-{n:05d}" for n in range(1, 201)]
+    assert len(live_encodes) == 8
+
+    del live_encodes[:]
     plane.cancel("job-00201")
-    assert plane.tick().compacted
-    # 7 still live + the one that just turned terminal; none of the 200.
-    assert sorted(calls) == [f"job-{n:05d}" for n in range(201, 209)]
-    del calls[:]
+    compact()
+    assert terminal_encodes["job-00201"] == 1
+    assert len(live_encodes) == 7  # the snapshot holds only live jobs
     assert plane.tick().compacted is False  # nothing appended since
-    plane.register_worker(name="late")
-    assert plane.tick().compacted
-    assert sorted(calls) == [f"job-{n:05d}" for n in range(202, 209)]
 
-    # The cached payloads are the bytes a cold encode gives.
-    second = json.loads(plane.store.snapshot_path.read_bytes())
-    assert second["state"]["jobs"][:200] == json.loads(first)["state"]["jobs"][:200]
+    for round_ in range(40):
+        if round_ < 8:
+            for _ in range(3):
+                plane.submit({"kind": "noop"}, tenant=f"t{round_ % 4}")
+        if round_ == 4:
+            plane.cancel(f"job-{len(plane.jobs):05d}")
+        worker.step()
+        clock.advance(1.0)
+        compact()
+        if plane.active_jobs == 0:
+            break
+    assert plane.active_jobs == 0 and len(archives) >= 5
+
+    for before, after in zip(archives, archives[1:]):
+        assert after.startswith(before)
+    assert sorted(_archived_ids(plane.store)) == sorted(plane.jobs)
+    assert sorted(terminal_encodes) == sorted(plane.jobs)
+    assert set(terminal_encodes.values()) == {1}
+
     plane.close()
     recovered = ControlPlane(
         DurableStore(tmp_path / "store"), executor=NoopExecutor(),
         retry=NO_JITTER, clock=clock,
     )
-    # (the 7 jobs that were in flight come back re-queued; 201 are settled)
-    assert recovered.job_list()[:201] == [
-        real_to_json(job) for job in list(plane.jobs.values())[:201]
+    assert recovered.job_list() == [
+        real_to_json(job) for job in plane.jobs.values()
     ]
+    recovered.close()
+
+
+@pytest.mark.parametrize("fail_on", ["snapshot.json", "wal.jsonl"])
+def test_failed_compaction_seals_its_batch_once(tmp_path, monkeypatch, fail_on):
+    """A compaction that dies before its snapshot rename keeps its batch
+    (the store truncates the partial append and the retry re-seals it);
+    one that dies after the rename, resetting the WAL, has committed the
+    batch, and the plane does not seal it again."""
+    plane = ControlPlane(
+        DurableStore(tmp_path / "store", compact_every=4),
+        executor=NoopExecutor(), retry=NO_JITTER, clock=FakeClock(),
+    )
+    for _ in range(3):
+        plane.submit({"kind": "noop"})
+    assert plane.tick().compacted
+    for _ in range(3):
+        plane.submit({"kind": "noop"})
+
+    real_replace = os.replace
+
+    def flaky_replace(src, dst, *args, **kwargs):
+        if str(dst).endswith(fail_on):
+            raise OSError("disk full")
+        return real_replace(src, dst, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module.os, "replace", flaky_replace)
+        stats = plane.tick()
+    assert plane.degraded and not stats.compacted
+    assert plane.tick().compacted and not plane.degraded  # the retry
+    plane.submit({"kind": "noop"})
+    assert plane.tick().compacted
+
+    assert _archived_ids(plane.store) == [f"job-{n:05d}" for n in range(1, 8)]
+    plane.close()
+    recovered = ControlPlane(
+        DurableStore(tmp_path / "store"), executor=NoopExecutor(),
+        retry=NO_JITTER, clock=FakeClock(),
+    )
+    assert recovered.job_list() == plane.job_list()
     recovered.close()
 
 
@@ -271,8 +360,10 @@ def test_scripted_run_appends_the_parents_records(tmp_path):
     assert _sha256("\n".join(log)) == SCRIPTED_WAL_SHA256
     snapshot = (root / "snapshot.json").read_bytes()
     assert _sha256(snapshot) == SCRIPTED_SNAPSHOT_SHA256
+    sealed = (root / "sealed.jsonl").read_bytes()
+    assert _sha256(sealed) == SCRIPTED_SEALED_SHA256
 
-    # The file is the C encoder's canonical form of what recovery reads.
+    # The files are the C encoder's canonical form of what recovery reads.
     store = DurableStore(root)
     image = store.recover()
     store.close()
@@ -281,11 +372,15 @@ def test_scripted_run_appends_the_parents_records(tmp_path):
         {
             "schema": STORE_SCHEMA_VERSION,
             "last_seq": wal_seqs[0] - 1 if wal_seqs else image.last_seq,
+            "sealed_bytes": len(sealed),
             "state": image.snapshot,
         },
         sort_keys=True,
     )
     assert snapshot == expected.encode("utf-8")
+    assert sealed == "".join(
+        json.dumps(record, sort_keys=True) + "\n" for record in image.sealed
+    ).encode("utf-8")
     assert not (root / "snapshot.json.tmp").exists()
 
 
@@ -296,5 +391,7 @@ if __name__ == "__main__":  # prints the constants above
         records = scripted_run(f"{scratch}/store")
         print("SCRIPTED_APPENDS =", len(records))
         print("SCRIPTED_WAL_SHA256 =", _sha256("\n".join(records)))
-        with open(f"{scratch}/store/snapshot.json", "rb") as fh:
-            print("SCRIPTED_SNAPSHOT_SHA256 =", _sha256(fh.read()))
+        for name in ("snapshot.json", "sealed.jsonl"):
+            with open(f"{scratch}/store/{name}", "rb") as fh:
+                constant = name.split(".")[0].upper()
+                print(f"SCRIPTED_{constant}_SHA256 =", _sha256(fh.read()))

@@ -117,3 +117,18 @@ def test_record_validation():
         JobRecord(job_id="")
     with pytest.raises(ValueError):
         JobRecord(job_id="j1", gpus=0)
+
+
+@pytest.mark.parametrize("deadline", [0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_deadline_must_be_finite_and_positive(deadline):
+    with pytest.raises(ValueError):
+        JobRecord(job_id="j1", max_runtime_s=deadline)
+
+
+@pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+def test_a_logged_non_finite_deadline_recovers_as_none(deadline):
+    """Older logs may hold one; it never fired, so it reads back as no
+    deadline rather than failing recovery."""
+    payload = JobRecord(job_id="j1").to_json()
+    payload["max_runtime_s"] = deadline
+    assert JobRecord.from_json(payload).max_runtime_s is None

@@ -1,10 +1,15 @@
-"""Unit tests for the durable WAL + snapshot store."""
+"""Unit tests for the durable WAL + snapshot + sealed-archive store."""
 
 import json
+import os
 
 import pytest
 
+from repro.service import store as store_module
+from repro.service.chaos import FakeClock
+from repro.service.daemon import ControlPlane, NoopExecutor
 from repro.service.store import (
+    STORE_SCHEMA_VERSION,
     DurableStore,
     StoreCorruption,
     StoreUnavailable,
@@ -55,7 +60,7 @@ def test_compaction_folds_wal_into_snapshot(tmp_path):
     for index in range(3):
         store.append("submit", job={"job_id": f"job-{index}"})
         state["jobs"].append({"job_id": f"job-{index}"})
-    assert store.maybe_compact(lambda: state)
+    assert store.maybe_compact(lambda: (state, ()))
     # Post-compaction appends replay on top of the snapshot.
     store.append("transition", job="job-0", state="admitted")
     store.close()
@@ -198,3 +203,198 @@ def test_close_is_idempotent(tmp_path):
     store = open_store(tmp_path)
     store.close()
     store.close()
+
+
+# ----------------------------------------------------------------------
+# The sealed archive
+# ----------------------------------------------------------------------
+def test_no_archive_until_something_is_sealed(tmp_path):
+    store = open_store(tmp_path)
+    store.append("submit", job={"job_id": "a"})
+    store.compact({"jobs": [{"job_id": "a"}]})
+    store.close()
+    assert not store.sealed_path.exists()
+    snapshot = json.loads(store.snapshot_path.read_text(encoding="utf-8"))
+    assert snapshot["schema"] == STORE_SCHEMA_VERSION == 2
+    assert snapshot["sealed_bytes"] == 0
+
+
+def test_sealed_records_are_written_once_and_recovered(tmp_path):
+    store = open_store(tmp_path)
+    store.compact({"jobs": []}, sealed=[{"job_id": "a"}, {"job_id": "b"}])
+    first = store.sealed_path.read_bytes()
+    store.compact({"jobs": []})  # nothing new: the archive is untouched
+    store.compact({"jobs": []}, sealed=[{"job_id": "c"}])
+    store.close()
+    archive = store.sealed_path.read_bytes()
+    assert archive.startswith(first)
+    assert archive.count(b"\n") == 3
+
+    reopened = DurableStore(tmp_path / "store")
+    image = reopened.recover()
+    assert image.sealed == [{"job_id": "a"}, {"job_id": "b"}, {"job_id": "c"}]
+    assert reopened.sealed_bytes == len(archive)
+    reopened.close()
+
+
+def test_crash_before_snapshot_rename_truncates_the_archive(tmp_path, monkeypatch):
+    """The archive append landed but the snapshot rename did not: the
+    old snapshot + WAL are what recovery returns, the uncommitted
+    archive tail is truncated, and the next compaction appends cleanly."""
+    store = open_store(tmp_path)
+    store.append("submit", job={"job_id": "a"})
+    store.compact({"jobs": []}, sealed=[{"job_id": "a"}])
+    committed = store.sealed_path.read_bytes()
+    store.append("submit", job={"job_id": "b"})
+    store.append("transition", job="b", state="finished")
+    real_replace = os.replace
+
+    def flaky_replace(src, dst, *args, **kwargs):
+        if str(dst).endswith("snapshot.json"):
+            raise OSError("disk full")
+        return real_replace(src, dst, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module.os, "replace", flaky_replace)
+        with pytest.raises(StoreUnavailable):
+            store.compact({"jobs": []}, sealed=[{"job_id": "b"}])
+    assert len(store.sealed_path.read_bytes()) > len(committed)
+    store.close()  # the crash: nothing more reaches the disk
+
+    reopened = DurableStore(tmp_path / "store")
+    image = reopened.recover()
+    assert image.sealed == [{"job_id": "a"}]
+    assert image.snapshot == {"jobs": []}
+    assert [r["kind"] for r in image.records] == ["submit", "transition"]
+    assert reopened.sealed_path.read_bytes() == committed
+    reopened.compact({"jobs": []}, sealed=[{"job_id": "b"}])
+    reopened.close()
+
+    final = DurableStore(tmp_path / "store")
+    assert final.recover().sealed == [{"job_id": "a"}, {"job_id": "b"}]
+    final.close()
+
+
+def _raise_disk_full(*args, **kwargs):
+    raise OSError("disk full")
+
+
+def test_failed_compaction_retried_in_process_seals_once(tmp_path, monkeypatch):
+    store = open_store(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module.os, "replace", _raise_disk_full)
+        with pytest.raises(StoreUnavailable):
+            store.compact({"jobs": []}, sealed=[{"job_id": "a"}])
+    store.compact({"jobs": []}, sealed=[{"job_id": "a"}])
+    store.close()
+    assert store.sealed_path.read_bytes().count(b"\n") == 1
+
+
+def _sealed_store(tmp_path):
+    store = open_store(tmp_path)
+    store.compact({"jobs": []}, sealed=[{"job_id": "a"}, {"job_id": "b"}])
+    store.close()
+    return store
+
+
+def test_archive_shorter_than_committed_raises(tmp_path):
+    store = _sealed_store(tmp_path)
+    data = store.sealed_path.read_bytes()
+    store.sealed_path.write_bytes(data[:-5])
+    with pytest.raises(StoreCorruption):
+        DurableStore(tmp_path / "store").recover()
+    store.sealed_path.unlink()
+    with pytest.raises(StoreCorruption):
+        DurableStore(tmp_path / "store").recover()
+
+
+@pytest.mark.parametrize("filler", [b"#", b"\xff", b" "], ids=["text", "not-utf8", "blank"])
+def test_garbage_inside_committed_archive_raises(tmp_path, filler):
+    store = _sealed_store(tmp_path)
+    first, second = store.sealed_path.read_bytes().splitlines(keepends=True)
+    garbage = filler * (len(first) - 1) + b"\n"
+    store.sealed_path.write_bytes(garbage + second)
+    with pytest.raises(StoreCorruption):
+        DurableStore(tmp_path / "store").recover()
+
+
+@pytest.mark.parametrize("where", ["snapshot", "wal"])
+def test_unknown_schema_raises(tmp_path, where):
+    store = open_store(tmp_path)
+    store.compact({"jobs": []})
+    store.close()
+    if where == "snapshot":
+        payload = json.loads(store.snapshot_path.read_text(encoding="utf-8"))
+        payload["schema"] = 3
+        store.snapshot_path.write_text(json.dumps(payload), encoding="utf-8")
+    else:
+        store.wal_path.write_text(
+            json.dumps({"kind": "wal_header", "schema": 3}) + "\n",
+            encoding="utf-8",
+        )
+    with pytest.raises(StoreCorruption):
+        DurableStore(tmp_path / "store").recover()
+
+
+def _job(number, state):
+    return {
+        "job_id": f"job-{number:05d}", "order": number, "state": state,
+        "spec": {"kind": "noop"}, "tenant": "t",
+    }
+
+
+def test_schema_1_store_recovers_and_its_first_compaction_seals_once(tmp_path):
+    """A hand-written schema-1 store (whole job table in the snapshot, no
+    archive) recovers every job; the first compaction seals each of its
+    terminal jobs exactly once, then the snapshot holds none."""
+    root = tmp_path / "store"
+    root.mkdir()
+    (root / "snapshot.json").write_text(json.dumps({
+        "schema": 1,
+        "last_seq": 3,
+        "state": {
+            "epoch": 1,
+            "jobs": [
+                _job(1, "finished"), _job(2, "running"), _job(3, "cancelled"),
+            ],
+            "workers": [],
+        },
+    }), encoding="utf-8")
+    wal = [
+        {"kind": "wal_header", "schema": 1},
+        {"seq": 4, "kind": "submit", "job": _job(4, "queued")},
+        {"seq": 5, "kind": "transition", "job": "job-00002",
+         "state": "failed", "at": 1.0},
+        {"seq": 6, "kind": "submit", "job": _job(5, "queued")},
+    ]
+    (root / "wal.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in wal), encoding="utf-8"
+    )
+
+    clock = FakeClock(now=10.0)
+    plane = ControlPlane(
+        DurableStore(root, compact_every=1), executor=NoopExecutor(), clock=clock,
+    )
+    assert {job["job_id"]: job["state"] for job in plane.job_list()} == {
+        "job-00001": "finished", "job-00002": "failed",
+        "job-00003": "cancelled", "job-00004": "queued",
+        "job-00005": "queued",
+    }
+    assert plane.tick().compacted  # runs job-4 and job-5, then compacts
+    archived = [
+        json.loads(line)["job_id"]
+        for line in (root / "sealed.jsonl").read_bytes().splitlines()
+    ]
+    assert sorted(archived) == [f"job-{n:05d}" for n in range(1, 6)]
+    snapshot = json.loads((root / "snapshot.json").read_text(encoding="utf-8"))
+    assert snapshot["schema"] == 2 and snapshot["state"]["jobs"] == []
+
+    plane.register_worker(name="late")
+    assert plane.tick().compacted
+    assert (root / "sealed.jsonl").read_bytes().count(b"\n") == 5
+    table = plane.job_list()
+    plane.close()
+
+    recovered = ControlPlane(DurableStore(root), executor=NoopExecutor(), clock=clock)
+    assert recovered.job_list() == table
+    recovered.close()
