@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from repro.cluster.topology import Gpu
@@ -62,6 +63,11 @@ class SensitivityProfile:
                 "slowdowns must be monotonically non-increasing with spread: "
                 f"machine={self.machine} rack={self.rack} cluster={self.cluster}"
             )
+
+    @cached_property
+    def by_level(self) -> tuple[float, ...]:
+        """:meth:`at` for every level, indexed by :class:`LocalityLevel`."""
+        return tuple(map(self.at, LocalityLevel))
 
     def at(self, level: LocalityLevel) -> float:
         """Slowdown factor for GPUs spanning at most ``level``."""

@@ -29,7 +29,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.cluster.allocation import Allocation
+from repro.cluster.allocation import EMPTY_ALLOCATION, Allocation
 from repro.cluster.topology import Cluster, Gpu, ordered_sum
 from repro.core.leases import LeaseManager
 from repro.obs import Observability, ObsConfig
@@ -735,7 +735,7 @@ class ClusterSimulator:
         job_allocs = app.distribute(granted)
         used_ids: set[int] = set()
         for job in app.active_jobs():
-            target = job_allocs.get(job.job_id, Allocation())
+            target = job_allocs.get(job.job_id, EMPTY_ALLOCATION)
             used_ids.update(target.gpu_ids)
             if target == job.allocation:
                 self._refresh_leases(now, app, job, target)

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cluster.allocation import Allocation
+from repro.cluster.placement import LocalityLevel, placement_level
 from repro.cluster.topology import CapacityLike, Gpu, as_capacity, ordered_sum
 from repro.workload.job import Job, JobState
 
@@ -79,6 +80,7 @@ class App:
         #: it instead of rescanning the job list every call.
         self._epoch = 0
         self._alloc_cache: Optional[tuple[int, Allocation]] = None
+        self._active_cache: Optional[tuple[int, tuple[Job, ...]]] = None
         self._demand_cache: Optional[tuple[int, int, int]] = None
         self._ideal_epoch = -1
         self._ideal_cache: dict = {}
@@ -112,8 +114,16 @@ class App:
         return self._jobs_by_id[job_id]
 
     def active_jobs(self) -> list[Job]:
-        """Jobs still able to consume GPUs, in submission order."""
-        return [job for job in self.jobs if job.is_active]
+        """Jobs still able to consume GPUs, in submission order.
+
+        A fresh list over a tuple memoised on the epoch: a job stops
+        being active only through ``finish`` / ``kill``, which bump it.
+        """
+        cached = self._active_cache
+        if cached is None or cached[0] != self._epoch:
+            active = tuple(job for job in self.jobs if job.is_active)
+            cached = self._active_cache = (self._epoch, active)
+        return list(cached[1])
 
     @property
     def num_jobs(self) -> int:
@@ -270,97 +280,123 @@ class App:
 
         The distribution keeps existing job->GPU bindings whenever the
         GPU is still granted (minimising checkpoint churn), caps each
-        job at its ``max_parallelism`` and assigns the remaining GPUs
-        greedily to the job whose placement-adjusted rate ``G * S``
-        improves the most.  A GPU that would *slow* every job down
-        (e.g. a cross-rack straggler joining an NVLink pair of a
-        placement-sensitive model) is declined — a rational app
-        scheduler never accepts an allocation that hurts it, which is
-        precisely the placement sensitivity the paper's bids express.
+        job at its ``max_parallelism`` and hands each remaining GPU to
+        the best claim among jobs whose placement-adjusted rate ``G * S``
+        it raises (see :meth:`_JobFill.probe`).  A GPU that would *slow*
+        every job down (e.g. a cross-rack straggler joining an NVLink
+        pair of a placement-sensitive model) is declined — a rational
+        app scheduler never accepts an allocation that hurts it, which
+        is precisely the placement sensitivity the paper's bids express.
         Declined GPUs are absent from the returned mapping and should
-        be released by the caller.
+        be released by the caller.  A job kept whole that gained
+        nothing gets its own ``Allocation`` back.
         """
-        active = self.active_jobs()
-        assigned: dict[str, list[Gpu]] = {job.job_id: [] for job in active}
         granted_ids = granted.gpu_ids
+        kept_by_job: list[tuple[Job, list[Gpu], bool]] = []
+        headroom: list[tuple[Job, list[Gpu], int]] = []
         taken: set[int] = set()
-        for job in active:
-            for gpu in job.allocation:
-                if gpu.gpu_id in granted_ids and len(assigned[job.job_id]) < job.max_parallelism:
-                    assigned[job.job_id].append(gpu)
-                    taken.add(gpu.gpu_id)
-        pool = [gpu for gpu in granted if gpu.gpu_id not in taken]
-        # Group the pool machine-by-machine so gang-scheduled jobs pick up
-        # co-located GPUs; iterate machines with the most *effective*
-        # compute first (count x speed — machines are internally
-        # homogeneous), so faster generations are handed out before
-        # slower ones of equal size.
+        for job in self.active_jobs():
+            cap = job.max_parallelism
+            kept = [gpu for gpu in job.allocation if gpu.gpu_id in granted_ids][:cap]
+            taken.update(gpu.gpu_id for gpu in kept)
+            kept_by_job.append((job, kept, len(kept) == job.allocation.size))
+            if len(kept) < cap:
+                headroom.append((job, kept, cap))
+        # Group the pool (in gpu_id order) by machine so gangs pick up
+        # co-located GPUs; machines with the most *effective* compute
+        # (count x speed — machines are internally homogeneous) first,
+        # so faster generations go before slower ones of equal size.
         by_machine: dict[int, list[Gpu]] = {}
-        for gpu in pool:
-            by_machine.setdefault(gpu.machine_id, []).append(gpu)
+        for gpu in granted:
+            if gpu.gpu_id not in taken:
+                by_machine.setdefault(gpu.machine_id, []).append(gpu)
         machine_order = sorted(
             by_machine,
             key=lambda m: (-len(by_machine[m]) * by_machine[m][0].speed, m),
         )
+        # Only jobs with headroom can take a GPU, and only if there is one.
+        fills = [_JobFill(*entry) for entry in headroom] if by_machine else []
         for machine_id in machine_order:
-            for gpu in sorted(by_machine[machine_id], key=lambda g: g.gpu_id):
-                best_job = self._pick_job_for_gpu(active, assigned, gpu)
-                if best_job is not None:
-                    assigned[best_job].append(gpu)
-        return {job_id: Allocation(gpus) for job_id, gpus in assigned.items()}
-
-    @staticmethod
-    def _rate_of(job: Job, gpus: list[Gpu]) -> float:
-        """Placement-adjusted progress rate of a hypothetical GPU set.
-
-        Delegates to the job's perf-model-aware rate kernel with the
-        runtime parallelism cap, so distribution decisions and actual
-        progress always agree about generation speedups.
-        """
-        return job.rate_of(gpus, cap=job.max_parallelism)
-
-    @classmethod
-    def _pick_job_for_gpu(
-        cls,
-        active: Iterable[Job],
-        assigned: dict[str, list[Gpu]],
-        gpu: Gpu,
-    ) -> Optional[str]:
-        """Choose the job that should absorb one more GPU.
-
-        Jobs whose rate would *drop* are filtered out (the decline);
-        among the rest, jobs whose GPU-type affinity matches this GPU's
-        generation win, then machine-local fills, then rack-local, then
-        the emptiest job — which reassembles whole-machine gangs from
-        machine-grouped grants instead of interleaving slot pairs.
-        Returns ``None`` when every job declines.
-        """
-        best_key = None
-        best_job = None
-        for job in active:
-            current = assigned[job.job_id]
-            if len(current) >= job.max_parallelism:
-                continue
-            gain = cls._rate_of(job, current + [gpu]) - cls._rate_of(job, current)
-            if gain <= 1e-12:
-                continue
-            affinity = job.spec.gpu_type
-            mismatch = 0 if affinity is None or gpu.gpu_type.name == affinity else 1
-            same_machine = any(g.machine_id == gpu.machine_id for g in current)
-            same_rack = any(g.rack_id == gpu.rack_id for g in current)
-            key = (
-                mismatch,
-                0 if same_machine else (1 if same_rack else 2),
-                len(current),
-                job.job_id,
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best_job = job.job_id
-        return best_job
+            for gpu in by_machine[machine_id]:
+                if not fills:
+                    break
+                best_key = best = None
+                for fill in fills:
+                    key = fill.probe(gpu)
+                    if key is not None and (best_key is None or key < best_key):
+                        best_key, best = key, fill
+                if best is not None and best.absorb(gpu):
+                    fills.remove(best)
+        return {
+            job.job_id: job.allocation if whole and len(gpus) == len(job.allocation)
+            else Allocation(gpus)
+            for job, gpus, whole in kept_by_job
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"App({self.app_id}, {self.state.value}, jobs={self.num_jobs}, "
             f"arrived={self.arrival_time:.1f})"
         )
+
+
+class _JobFill:
+    """One job's running fill state while :meth:`App.distribute` hands out GPUs.
+
+    Keeps what ``job.rate_of(gpus + [gpu], cap=job.max_parallelism)``
+    reads — the left-to-right effective sum, the rate, the racks /
+    machines / ``(machine, slot)`` pairs spanned — so a probe is O(1)
+    and bit-identical to that call: the set stays below the cap, so
+    nothing is truncated and the new sum is ``eff + w``, the float
+    ``ordered_sum`` yields; one more GPU moves the placement level to
+    the worse of the current level and the boundary that GPU crosses.
+    """
+
+    def __init__(self, job: Job, gpus: list[Gpu], cap: int) -> None:
+        self.job_id = job.job_id
+        self.gpus = gpus  # the job's assignment list, appended to in place
+        self.cap = cap
+        self.speed_of = job.speed_of()
+        self.slowdowns = job.model_profile.sensitivity.by_level
+        self.affinity = job.spec.gpu_type
+        self.eff = ordered_sum(map(self.speed_of, gpus))
+        self.level = placement_level(gpus)
+        self.rate = self.eff * self.slowdowns[self.level] if gpus else 0.0
+        self.racks = {gpu.rack_id for gpu in gpus}
+        self.machines = {gpu.machine_id for gpu in gpus}
+        self.slots = {(gpu.machine_id, gpu.slot_id) for gpu in gpus}
+
+    def probe(self, gpu: Gpu) -> Optional[tuple]:
+        """The job's claim on one more GPU; ``None`` (a decline) unless its rate rises.
+
+        Claims order by GPU-type affinity match, then machine-local,
+        rack-local, the emptiest job — which reassembles whole-machine
+        gangs from machine-grouped grants instead of interleaving slot
+        pairs — and the job id.
+        """
+        eff = self.eff + self.speed_of(gpu)
+        if not self.gpus:
+            level, locality = LocalityLevel.SLOT, 2
+        elif gpu.rack_id not in self.racks:
+            level, locality = LocalityLevel.CLUSTER, 2
+        elif gpu.machine_id not in self.machines:
+            level, locality = max(self.level, LocalityLevel.RACK), 1
+        elif (gpu.machine_id, gpu.slot_id) not in self.slots:
+            level, locality = max(self.level, LocalityLevel.MACHINE), 0
+        else:
+            level, locality = self.level, 0
+        rate = eff * self.slowdowns[level]
+        if rate - self.rate <= 1e-12:
+            return None
+        self._next = (eff, rate, level)
+        mismatch = self.affinity is not None and gpu.gpu_type.name != self.affinity
+        return (mismatch, locality, len(self.gpus), self.job_id)
+
+    def absorb(self, gpu: Gpu) -> bool:
+        """Take the GPU just probed; True when the job reached its cap."""
+        self.eff, self.rate, self.level = self._next
+        self.gpus.append(gpu)
+        self.racks.add(gpu.rack_id)
+        self.machines.add(gpu.machine_id)
+        self.slots.add((gpu.machine_id, gpu.slot_id))
+        return len(self.gpus) >= self.cap

@@ -22,12 +22,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.placement import slowdown
+from repro.cluster.topology import Gpu
 from repro.hyperparam.curves import LossCurve
-from repro.workload.models import ModelProfile, effective_gpus, get_model
+from repro.workload.models import ModelProfile, effective_gpus, get_model, gpu_speed
 
 
 class JobState(enum.Enum):
@@ -186,25 +188,34 @@ class Job:
         self._rate_memo = (allocation, self.parallelism_limit, rate)
         return rate
 
+    def speed_of(self) -> Callable[[Gpu], float]:
+        """The per-GPU throughput factor this job sees, as a lookup.
+
+        ``gpu.speed`` under a scalar model, the job's family row under a
+        matrix: the one spelling :meth:`rate_of` and the intra-app
+        distributor's fill state share.
+        """
+        model = self.perf_model
+        if model is None or model.is_scalar:
+            return gpu_speed
+        return partial(model.gpu_speedup, self.family)
+
     def rate_of(self, gpus, cap: Optional[int] = None) -> float:
         """Progress rate of a hypothetical GPU set (pure, unmemoised).
 
         The single rate kernel shared by :meth:`rate` (``cap=None`` —
-        the spec's parallelism), the intra-app distributor's
-        marginal-gain probes and the migration policy's candidate
-        scoring (both pass the runtime :attr:`max_parallelism`), so all
-        three always agree on what the perf model says.
+        the spec's parallelism) and the migration policy's candidate
+        scoring (the runtime :attr:`max_parallelism`); the intra-app
+        distributor keeps the same sum running per job (see
+        :meth:`speed_of`), so all three agree on what the perf model
+        says.
         """
         gpus = list(gpus)
         if not gpus:
             return 0.0
         if cap is None:
             cap = self.spec.max_parallelism
-        model = self.perf_model
-        if model is None or model.is_scalar:
-            effective = effective_gpus(gpus, cap=cap)
-        else:
-            effective = model.effective_gpus(self.family, gpus, cap=cap)
+        effective = effective_gpus(gpus, cap=cap, speed_of=self.speed_of())
         if effective <= 0.0:
             return 0.0
         return effective * slowdown(self.model_profile.sensitivity, gpus)

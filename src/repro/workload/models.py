@@ -18,7 +18,8 @@ that is what drives every placement-related result in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Optional
 
 from repro.cluster.placement import SensitivityProfile, slowdown
 from repro.cluster.topology import Gpu, ordered_sum
@@ -136,14 +137,19 @@ def family_of(model_name: str) -> str:
     return get_model(model_name).family
 
 
-def effective_gpus(gpus: Iterable[Gpu], cap: Optional[int] = None) -> float:
+#: ``gpu.speed`` as a lookup: every family's per-GPU weight under a scalar model.
+gpu_speed: Callable[[Gpu], float] = attrgetter("gpu_type.speed")
+
+
+def effective_gpus(gpus: Iterable[Gpu], cap: Optional[int] = None, speed_of=gpu_speed) -> float:
     """Speed-weighted GPU count of an allocation, optionally capped.
 
     With a ``cap`` (a job's max parallelism) only the fastest ``cap``
     GPUs count — a rational gang drops its slowest stragglers first.
     On an all-speed-1.0 cluster this is exactly ``min(len(gpus), cap)``.
+    ``speed_of`` weighs each GPU (see :meth:`~repro.workload.job.Job.speed_of`).
     """
-    speeds = [gpu.speed for gpu in gpus]
+    speeds = list(map(speed_of, gpus))
     if cap is not None and len(speeds) > cap:
         speeds.sort(reverse=True)
         speeds = speeds[: max(cap, 0)]

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import math
+from functools import partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.cluster.topology import (
@@ -45,8 +46,8 @@ from repro.cluster.topology import (
     ClusterCapacity,
     Gpu,
     GpuType,
-    ordered_sum,
 )
+from repro.workload.models import effective_gpus
 
 #: Canonical matrix form: sorted ((family, ((generation, speedup), ...)), ...).
 MatrixTuple = tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
@@ -197,11 +198,7 @@ class PerfModel(abc.ABC):
         the ``cap`` fastest-for-this-family GPUs count (a rational gang
         drops its slowest stragglers first).
         """
-        speeds = [self.speedup(family, gpu.gpu_type) for gpu in gpus]
-        if cap is not None and len(speeds) > cap:
-            speeds.sort(reverse=True)
-            speeds = speeds[: max(cap, 0)]
-        return ordered_sum(speeds)
+        return effective_gpus(gpus, cap, partial(self.gpu_speedup, family))
 
     def _per_cluster_memo(self, slot: str, cluster: Cluster, build):
         """Identity-keyed per-cluster memo for derived cluster views.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -53,8 +54,17 @@ class TraceJob:
             raise ValueError(
                 f"duration_minutes must be finite and > 0, got {self.duration_minutes}"
             )
-        if self.max_parallelism <= 0:
-            raise ValueError(f"max_parallelism must be > 0, got {self.max_parallelism}")
+        # Here, not at ``to_job``, so ``from_jsonl`` names the line: a
+        # float or bool count would load and only crash mid-replay.
+        for name in ("max_parallelism", "total_iterations"):
+            value = getattr(self, name)
+            try:
+                number = 0 if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                number = 0
+            if number <= 0:
+                raise ValueError(f"{name} must be an integer > 0, got {value!r}")
+            object.__setattr__(self, name, number)
         if self.gpu_type is not None and not self.gpu_type:
             raise ValueError("gpu_type affinity must be None or a non-empty name")
         get_model(self.model)  # validate the model exists

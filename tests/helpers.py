@@ -14,6 +14,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.cluster.allocation import Allocation
 from repro.core.auction import PartialAllocationAuction, rescan_fair_allocation
 from repro.core.fairness import AppValuationState, FairnessEstimator
 from repro.hyperparam.curves import LossCurve
@@ -138,6 +139,69 @@ def rescan_utility_assign(pool, utilities, caps, chunk_size=4):
     return {a: b for a, b in assignment.items() if b}
 
 
+def rescan_distribute(app, granted):
+    """``App.distribute`` re-rating every job from scratch for every GPU.
+
+    The distributor ``workload/app.py`` ran until it kept per-job fill
+    state, verbatim: every pool GPU probes every active job with two
+    full ``Job.rate_of`` calls, and every job gets a fresh
+    ``Allocation``.  What tests/test_distribute_equivalence.py compares
+    the production distributor against.
+    """
+
+    def rate_of(job, gpus):
+        return job.rate_of(gpus, cap=job.max_parallelism)
+
+    def pick_job_for_gpu(active, assigned, gpu):
+        best_key = None
+        best_job = None
+        for job in active:
+            current = assigned[job.job_id]
+            if len(current) >= job.max_parallelism:
+                continue
+            gain = rate_of(job, current + [gpu]) - rate_of(job, current)
+            if gain <= 1e-12:
+                continue
+            affinity = job.spec.gpu_type
+            mismatch = 0 if affinity is None or gpu.gpu_type.name == affinity else 1
+            same_machine = any(g.machine_id == gpu.machine_id for g in current)
+            same_rack = any(g.rack_id == gpu.rack_id for g in current)
+            key = (
+                mismatch,
+                0 if same_machine else (1 if same_rack else 2),
+                len(current),
+                job.job_id,
+            )
+            if best_key is None or key < best_key:
+                best_key = key
+                best_job = job.job_id
+        return best_job
+
+    active = app.active_jobs()
+    assigned = {job.job_id: [] for job in active}
+    granted_ids = granted.gpu_ids
+    taken = set()
+    for job in active:
+        for gpu in job.allocation:
+            if gpu.gpu_id in granted_ids and len(assigned[job.job_id]) < job.max_parallelism:
+                assigned[job.job_id].append(gpu)
+                taken.add(gpu.gpu_id)
+    pool = [gpu for gpu in granted if gpu.gpu_id not in taken]
+    by_machine = {}
+    for gpu in pool:
+        by_machine.setdefault(gpu.machine_id, []).append(gpu)
+    machine_order = sorted(
+        by_machine,
+        key=lambda m: (-len(by_machine[m]) * by_machine[m][0].speed, m),
+    )
+    for machine_id in machine_order:
+        for gpu in sorted(by_machine[machine_id], key=lambda g: g.gpu_id):
+            best_job = pick_job_for_gpu(active, assigned, gpu)
+            if best_job is not None:
+                assigned[best_job].append(gpu)
+    return {job_id: Allocation(gpus) for job_id, gpus in assigned.items()}
+
+
 # ----------------------------------------------------------------------
 # Frozen replays: the one committed contract for deterministic gates
 # ----------------------------------------------------------------------
@@ -256,6 +320,9 @@ def audit_freshness(sim) -> list[float]:
                 assert getattr(app, name)() == getattr(shadow, name)(), (
                     f"{where}: {app_id}.{name}() is stale"
                 )
+            assert [job.job_id for job in app.active_jobs()] == [
+                job.job_id for job in shadow.active_jobs()
+            ], f"{where}: {app_id}.active_jobs() is stale"
             assert app.ideal_running_time(sim.capacity) == shadow.ideal_running_time(
                 sim.capacity
             ), f"{where}: {app_id}.ideal_running_time() is stale"

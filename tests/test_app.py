@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.allocation import Allocation
 from repro.workload.app import App, AppState, CompletionSemantics
+from repro.workload.job import JobState
 
 from helpers import make_app, make_job
 
@@ -161,3 +162,44 @@ def test_ideal_running_time_follows_a_cap_change():
     app.jobs[0].parallelism_limit = 2
     app.invalidate()
     assert app.ideal_running_time(8) == pytest.approx(50.0)
+
+
+def _ids(jobs):
+    return [job.job_id for job in jobs]
+
+
+def test_active_jobs_memo_follows_the_dirty_tracking_contract():
+    """``finish``, ``kill`` and ``invalidate()`` each refresh the memoised view."""
+    app = make_app(num_jobs=4)
+    a, b, c, d = app.jobs
+    assert _ids(app.active_jobs()) == _ids([a, b, c, d])
+    a.remaining_work = 0.0
+    a.finish(1.0)
+    assert _ids(app.active_jobs()) == _ids([b, c, d])
+    b.kill(2.0)
+    assert _ids(app.active_jobs()) == _ids([c, d])
+    # A writer outside the Job mutators (a tuner) calls invalidate().
+    c.state = JobState.KILLED
+    app.invalidate()
+    assert _ids(app.active_jobs()) == _ids([d])
+
+
+def test_active_jobs_returns_a_fresh_list():
+    app = make_app(num_jobs=2)
+    first = app.active_jobs()
+    first.clear()
+    first.append(make_job("stranger"))
+    assert _ids(app.active_jobs()) == _ids(app.jobs)
+    assert app.active_jobs() is not app.active_jobs()
+
+
+def test_distribute_returns_unchanged_jobs_their_own_allocation(small_cluster):
+    app = make_app(num_jobs=3, max_parallelism=2)
+    kept, shrunk, idle = app.jobs
+    kept.set_allocation(0.0, Allocation(small_cluster.gpus[:2]))
+    shrunk.set_allocation(0.0, Allocation(small_cluster.gpus[2:4]))
+    result = app.distribute(Allocation(small_cluster.gpus[:3]))
+    assert result[kept.job_id] is kept.allocation
+    assert result[shrunk.job_id] == Allocation(small_cluster.gpus[2:3])
+    assert result[idle.job_id] is idle.allocation
+    assert not result[idle.job_id]

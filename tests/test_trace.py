@@ -175,3 +175,31 @@ def test_loader_errors_name_the_file_and_line(tmp_path, row, complaint):
     # Header, two apps, one blank line: the bad row is line 5.
     with pytest.raises(ValueError, match=rf"trace\.jsonl:5: .*{complaint}"):
         Trace.from_jsonl(path)
+
+
+@pytest.mark.parametrize("field", ("max_parallelism", "total_iterations"))
+@pytest.mark.parametrize("bad", (2.5, 2.0, True, False, "4", 0, -3))
+def test_loader_rejects_non_integer_or_non_positive_counts(tmp_path, field, bad):
+    """A fractional or boolean count used to load and crash mid-replay."""
+    import json
+
+    path = tmp_path / "trace.jsonl"
+    make_trace().to_jsonl(path)
+    row = json.loads(path.read_text().splitlines()[1])
+    row["jobs"][0][field] = bad
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(row | {"app_id": "a9"}) + "\n")
+    # Header, two apps: the bad row is line 4.
+    with pytest.raises(ValueError, match=rf"trace\.jsonl:4: {field} must be"):
+        Trace.from_jsonl(path)
+
+
+def test_int_like_counts_are_accepted_as_int():
+    np = pytest.importorskip("numpy")
+    job = TraceJob(
+        job_id="x", model="vgg16", duration_minutes=10.0,
+        max_parallelism=np.int64(4), total_iterations=np.int32(50),
+    )
+    assert type(job.max_parallelism) is int and job.max_parallelism == 4
+    assert type(job.total_iterations) is int and job.total_iterations == 50
+    assert job.to_job().max_parallelism == 4
