@@ -30,8 +30,10 @@ built for that hot path:
   the kernel to; nothing in ``src/`` calls it.
 
 :func:`carve_allotments` is the public, fully-annotated version used by
-tests; Gandiva's packing utility (:func:`packing_utility`) runs the
-same kernel.
+tests.  Every policy that carves — Themis' valuations, Gandiva's
+packing utility, the strawman's rho ranking — carves through
+:meth:`FairnessEstimator._carved` behind one
+:class:`AppValuationState` per app, so ``carve_count`` counts them all.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
-from repro.cluster.placement import LocalityLevel, SensitivityProfile
+from repro.cluster.placement import PLACEMENT_SCORES, LocalityLevel, SensitivityProfile
 from repro.cluster.topology import Cluster, ordered_sum
 from repro.obs.profiler import NULL_PROFILER
 from repro.workload.app import App, CompletionSemantics
@@ -581,13 +583,12 @@ def carve_allotments(
     return allotments
 
 
-def job_tuples_of(jobs: Sequence[Job]) -> list[_JobTuple]:
-    """Public accessor for the sorted job descriptors used by carves.
-
-    Baseline schedulers (Gandiva) snapshot these once per scheduling
-    round instead of re-deriving them on every utility probe.
-    """
-    return _job_tuples(jobs)
+def _packing_score(carved: Sequence[_Carved]) -> float:
+    """Effective compute of a carve weighted by each job's placement score."""
+    return ordered_sum(
+        effective * PLACEMENT_SCORES[level]
+        for _job, _gpus, level, _rate, effective in carved
+    )
 
 
 def packing_utility(
@@ -605,16 +606,13 @@ def packing_utility(
     spread, weighted by the speed of the GPUs packed — family-relative
     under a throughput matrix — the quantity Gandiva's introspective
     migration maximises (``gpus * score`` on a homogeneous cluster).
+    Gandiva itself reads it through :meth:`AppValuationState.packing_of`;
+    this uncached form is the oracle the tests hold that cache to.
     """
-    from repro.cluster.placement import PLACEMENT_SCORES
-
     carved, _ = _carve_fast(
         job_tuples, machine_counts, rack_of, nvlink_group_size, speed_of, family_speed_of
     )
-    return ordered_sum(
-        effective * PLACEMENT_SCORES[level]
-        for _job, _gpus, level, _rate, effective in carved
-    )
+    return _packing_score(carved)
 
 
 @dataclass(frozen=True)
@@ -744,10 +742,23 @@ class FairnessEstimator:
         carved = self._carved(snap, machine_counts)
         return ordered_sum(rate for *_, rate, _effective in carved)
 
+    def packing_from_snapshot(
+        self, snap: AppSnapshot, machine_counts: Mapping[int, int]
+    ) -> float:
+        """Gandiva's kernel: :func:`packing_utility` of the carved counts.
+
+        Like the aggregate rate it reads the job order, never the
+        remaining-work magnitudes, so :class:`AppValuationState` caches
+        it across rounds under the same rate signature.
+        """
+        if not machine_counts:
+            return 0.0
+        return _packing_score(self._carved(snap, machine_counts))
+
     def _carved(
         self, snap: AppSnapshot, machine_counts: Mapping[int, int]
     ) -> list[_Carved]:
-        """One counted, profiled carve, shared by both valuation kernels
+        """One counted, profiled carve, shared by every valuation kernel
         (a disabled profiler's ``phase`` is one shared no-op)."""
         self.carve_count += 1
         with self.profiler.phase("carve"):
@@ -918,7 +929,8 @@ class AppValuationState:
       ``ALL_JOBS`` each bundle's aggregate carve rate (delta is one
       division), under ``FIRST_WINNER`` each bundle's per-job
       ``(job_id, rate)`` pairs (delta is a min over one division per
-      served job against the *current* remaining work).
+      served job against the *current* remaining work), and for Gandiva
+      each bundle's packing utility (:meth:`packing_of`).
 
     Any discrete change (allocation install, job finish/kill, tuner
     step, failure revocation) bumps the app epoch and invalidates both
@@ -940,6 +952,7 @@ class AppValuationState:
         "_rate_cache",
         "_delta_cache",
         "_fw_pair_cache",
+        "_packing_cache",
         "_remaining_by_id",
         "_statics_epoch",
         "_job_statics",
@@ -965,6 +978,9 @@ class AppValuationState:
         #: FIRST_WINNER kernel cache: shape -> ((job_id, rate), ...)
         #: pairs, valid while the rate signature is (like _rate_cache).
         self._fw_pair_cache: dict[tuple, tuple[tuple[str, float], ...]] = {}
+        #: Gandiva's kernel cache: shape -> packing utility, valid while
+        #: the rate signature is (like _rate_cache).
+        self._packing_cache: dict[tuple, float] = {}
         #: job_id -> remaining work of the current snapshot (FIRST_WINNER
         #: deltas divide cached rates by *current* work).
         self._remaining_by_id: dict[str, float] = {}
@@ -1123,6 +1139,7 @@ class AppValuationState:
             self.machine_reads = self.estimator.machine_reads(tuples)
             self._rate_cache = {}
             self._fw_pair_cache = {}
+            self._packing_cache = {}
         return AppSnapshot(
             app_id=app.app_id,
             arrival_time=app.arrival_time,
@@ -1134,8 +1151,11 @@ class AppValuationState:
     @property
     def cached_deltas(self) -> int:
         """Number of bundle kernels currently memoised (introspection)."""
-        return len(self._rate_cache) + len(self._delta_cache) + len(
-            self._fw_pair_cache
+        return (
+            len(self._rate_cache)
+            + len(self._delta_cache)
+            + len(self._fw_pair_cache)
+            + len(self._packing_cache)
         )
 
     def delta_of(
@@ -1195,6 +1215,25 @@ class AppValuationState:
         if rate <= 0:
             return math.inf
         return snap.total_remaining / rate
+
+    def packing_of(self, total_key: tuple[tuple[int, int], ...]) -> float:
+        """Gandiva's packing utility of a canonical total-counts bundle, memoised.
+
+        Bit for bit :func:`packing_utility` over the app's sorted jobs:
+        a carve reads the job order, never the remaining work, so the
+        value is cached by :func:`bundle_shape` across rounds until the
+        rate signature changes.
+        """
+        shape = bundle_shape(total_key, self.machine_reads)
+        packing = self._packing_cache.get(shape)
+        if packing is None:
+            snap = self.snapshot
+            assert snap is not None, "refresh() before packing_of()"
+            packing = self.estimator.packing_from_snapshot(snap, dict(total_key))
+            if len(self._packing_cache) >= _DELTA_CACHE_LIMIT:
+                self._packing_cache.clear()
+            self._packing_cache[shape] = packing
+        return packing
 
     def rho_at(
         self,

@@ -13,6 +13,7 @@ import abc
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from repro.cluster.topology import Gpu
+from repro.core.fairness import AppValuationState, FairnessEstimator
 from repro.workload.app import App
 from repro.workload.perf import app_family
 
@@ -108,3 +109,37 @@ class InterAppScheduler(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+class CarvingScheduler(InterAppScheduler):
+    """A baseline that prices bundles by carving them across an app's jobs.
+
+    Keeps one cross-round :class:`~repro.core.fairness.AppValuationState`
+    per active app — created on arrival, dropped on finish, the way
+    Themis' AGENTs hold theirs — over one estimator wired to the run's
+    profiler, so a bundle is carved once per (job order, shape) and
+    every carve shows in ``estimator.carve_count`` and the ``carve``
+    phase.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.estimator: Optional[FairnessEstimator] = None
+        self.states: dict[str, AppValuationState] = {}
+
+    def on_bind(self) -> None:
+        assert self.sim is not None
+        self.estimator = FairnessEstimator(
+            self.sim.cluster,
+            semantics=self.sim.config.semantics,
+            perf_model=self.sim.perf_model,
+        )
+        self.estimator.profiler = self.sim.profiler
+        self.states = {}
+
+    def on_app_arrival(self, now: float, app: App) -> None:
+        assert self.estimator is not None
+        self.states[app.app_id] = AppValuationState(app, self.estimator)
+
+    def on_app_finish(self, now: float, app: App) -> None:
+        self.states.pop(app.app_id, None)

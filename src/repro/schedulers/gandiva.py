@@ -22,11 +22,29 @@ from repro.core.assignment import (
     greedy_utility_assign,
     group_pool,
 )
-from repro.core.fairness import job_tuples_of, packing_utility
-from repro.schedulers.base import InterAppScheduler
+from repro.core.fairness import AppValuationState
+from repro.schedulers.base import CarvingScheduler
 
 
-class GandivaScheduler(InterAppScheduler):
+def _packing_utility(state: AppValuationState):
+    """The app's placement-score utility of a bundle on top of its holdings.
+
+    Pure while the round runs (the state is refreshed before the greedy
+    starts), as :func:`greedy_utility_assign` needs; each value comes
+    from the state's cross-round packing cache.
+    """
+    base_key = state.base_key
+
+    def utility(bundle: dict[int, int]) -> float:
+        merged = dict(base_key)
+        for machine_id, count in bundle.items():
+            merged[machine_id] = merged.get(machine_id, 0) + count
+        return state.packing_of(tuple(sorted(merged.items())))
+
+    return utility
+
+
+class GandivaScheduler(CarvingScheduler):
     """Greedy aggregate placement-score maximisation."""
 
     name = "gandiva"
@@ -34,21 +52,6 @@ class GandivaScheduler(InterAppScheduler):
     def __init__(self, chunk_size: int = 4) -> None:
         super().__init__()
         self.chunk_size = check_chunk_size(chunk_size)
-        self._rack_of: dict[int, int] = {}
-        self._speed_of: dict[int, float] = {}
-        self._family_speed_fn = None
-
-    def on_bind(self) -> None:
-        assert self.sim is not None
-        self._rack_of = {
-            machine.machine_id: machine.rack_id
-            for machine in self.sim.cluster.machines
-        }
-        self._speed_of = self.sim.cluster.machine_speeds()
-        # Per-family machine speeds under a throughput matrix (None =
-        # scalar): packing quality then weighs each job's GPUs by how
-        # fast *that job's* family runs on them.
-        self._family_speed_fn = self.sim.family_speed_index
 
     def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
         apps = self.apps_with_demand()
@@ -56,35 +59,11 @@ class GandivaScheduler(InterAppScheduler):
             return {}
         pool_by_machine = group_pool(pool)
         counts = {m: len(g) for m, g in pool_by_machine.items()}
-        # Snapshot each app's job descriptors and current holdings once:
-        # the greedy allocator evaluates many bundles per round, and
-        # needs each utility to be a pure function of the bundle.
-        snapshots = {
-            app.app_id: (
-                job_tuples_of(app.jobs),
-                dict(app.allocation().per_machine_counts()),
-            )
-            for app in apps
-        }
-
-        def utility_for(app_id: str):
-            tuples, base_counts = snapshots[app_id]
-
-            def utility(bundle: dict[int, int]) -> float:
-                merged = dict(base_counts)
-                for machine_id, count in bundle.items():
-                    merged[machine_id] = merged.get(machine_id, 0) + count
-                return packing_utility(
-                    tuples,
-                    merged,
-                    self._rack_of,
-                    speed_of=self._speed_of,
-                    family_speed_of=self._family_speed_fn,
-                )
-
-            return utility
-
-        utilities = {app.app_id: utility_for(app.app_id) for app in apps}
+        utilities = {}
+        for app in apps:
+            state = self.states[app.app_id]
+            state.refresh()
+            utilities[app.app_id] = _packing_utility(state)
         caps = {app.app_id: app.unmet_demand() for app in apps}
         assignment = greedy_utility_assign(
             counts, utilities, caps, chunk_size=self.chunk_size

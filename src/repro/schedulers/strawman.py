@@ -16,29 +16,15 @@ from typing import Sequence
 
 from repro.cluster.topology import Gpu
 from repro.core.assignment import group_pool, take_packed
-from repro.core.fairness import FairnessEstimator
-from repro.schedulers.base import InterAppScheduler
+from repro.schedulers.base import CarvingScheduler
 
 
-class StrawmanScheduler(InterAppScheduler):
+class StrawmanScheduler(CarvingScheduler):
     """Greedy max-min on finish-time fairness, one app at a time."""
 
     name = "strawman"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.estimator: FairnessEstimator | None = None
-
-    def on_bind(self) -> None:
-        assert self.sim is not None
-        self.estimator = FairnessEstimator(
-            self.sim.cluster,
-            semantics=self.sim.config.semantics,
-            perf_model=self.sim.perf_model,
-        )
-
     def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
-        assert self.estimator is not None
         apps = self.apps_with_demand()
         if not apps:
             return {}
@@ -46,9 +32,10 @@ class StrawmanScheduler(InterAppScheduler):
         # The strawman reallocates to *the* app with the worst rho —
         # exactly one winner per round; whatever it cannot absorb stays
         # where it is until the next round.
+        states = self.states
         worst = min(
             apps,
-            key=lambda app: (-self.estimator.rho_current(app, now), app.app_id),
+            key=lambda app: (-states[app.app_id].current_rho(now), app.app_id),
         )
         taken = take_packed(
             pool_by_machine,

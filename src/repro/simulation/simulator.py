@@ -330,10 +330,6 @@ class ClusterSimulator:
         #: Per-family (or shared scalar) fastest-N capacity views —
         #: what T_id and the final rho report divide by.
         self.capacity = self.perf_model.capacity_for(cluster)
-        #: Per-family machine-speed lookup (``None`` under the scalar
-        #: model); shared with the schedulers via
-        #: :attr:`family_speed_index`.
-        self._family_speed_fn = self.perf_model.machine_speed_index(cluster)
         if isinstance(workload, Trace):
             self.apps = workload.instantiate(self.config.semantics)
         else:
@@ -395,11 +391,6 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    @property
-    def family_speed_index(self):
-        """Per-family machine-speed lookup, or ``None`` (scalar model)."""
-        return self._family_speed_fn
-
     def run(self) -> SimulationResult:
         """Execute the whole trace and collect results."""
         if self.tracer.enabled:
@@ -1134,10 +1125,12 @@ class ClusterSimulator:
         for rs in history:
             for key in totals:
                 totals[key] += getattr(rs, key, 0)
-        rows = [asdict(rs) for rs in history]
+        # Thin first, then convert only the kept rows: the reservoir keeps
+        # rows by append index, so the result is the same either way.
+        kept = history
         cap = self.config.downsample
-        if cap is not None and len(rows) > cap:
-            thinned = ReservoirSeries(cap)
-            thinned.extend(rows)
-            rows = list(thinned)
+        if cap is not None and len(history) > cap:
+            kept = ReservoirSeries(cap)
+            kept.extend(history)
+        rows = [asdict(rs) for rs in kept]
         return {"rounds": len(history), "totals": totals, "per_round": rows}

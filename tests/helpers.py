@@ -279,7 +279,10 @@ def audit_freshness(sim) -> list[float]:
       the copy);
     * after the round's auction, each AGENT's persistent valuation
       state reports the rho a fresh ``AppValuationState`` over the
-      shadow app and a fresh estimator reports.
+      shadow app and a fresh estimator reports;
+    * a carving baseline (Gandiva, the strawman) holds a state for
+      exactly the active apps, and each one, refreshed, reports the
+      rho and base packing utility a fresh state reports.
 
     A failure names the round, the app and the stale cache.  Returns
     the list the audited round times are appended to.
@@ -336,6 +339,17 @@ def audit_freshness(sim) -> list[float]:
                 f"{where}: {app_id} valuation state reports rho {reported}, "
                 f"a fresh one {fresh}"
             )
+        states = getattr(scheduler, "states", None)
+        if states is not None:
+            assert set(states) == set(shadows), f"{where}: states {sorted(states)}"
+            for app_id, state in states.items():
+                fresh = AppValuationState(shadows[app_id], estimator)
+                assert state.current_rho(now) == fresh.current_rho(now), (
+                    f"{where}: {app_id} state's rho is stale"
+                )
+                assert state.packing_of(state.base_key) == fresh.packing_of(
+                    fresh.base_key
+                ), f"{where}: {app_id} state's packing utility is stale"
         audited.append(now)
         return assignment
 

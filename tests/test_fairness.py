@@ -10,7 +10,6 @@ from repro.core.fairness import (
     VALUE_CEILING,
     FairnessEstimator,
     carve_allotments,
-    job_tuples_of,
     packing_utility,
     value_from_rho,
 )
@@ -159,7 +158,7 @@ def test_rho_negative_extra_counts_raise(small_cluster):
 
 def test_packing_utility_prefers_packed(small_cluster):
     app = make_app(num_jobs=1, max_parallelism=4)
-    tuples = job_tuples_of(app.jobs)
+    tuples = FairnessEstimator(small_cluster).snapshot(app).job_tuples
     racks = rack_map(small_cluster)
     packed = packing_utility(tuples, {0: 4}, racks)
     spread = packing_utility(tuples, {0: 1, 1: 1, 2: 1, 3: 1}, racks)

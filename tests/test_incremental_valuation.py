@@ -9,7 +9,13 @@ Two layers of guarantees:
   dirty-tracking contract — verbatim reuse only while the app is clean
   and unallocated, rate-cache retention across drains that preserve the
   carve order, invalidation on every discrete state change — and always
-  returns exactly what a freshly constructed state returns.
+  returns exactly what a freshly constructed state returns;
+* the two baselines that read valuations through the state — Gandiva's
+  :meth:`~repro.core.fairness.AppValuationState.packing_of` and the
+  strawman's ``current_rho`` — answer, round after round, bit for bit
+  what the uncached :func:`~repro.core.fairness.packing_utility` and
+  :meth:`~repro.core.fairness.FairnessEstimator.rho_current` answer,
+  and a baseline holds a state only while its app is active.
 """
 
 from __future__ import annotations
@@ -17,15 +23,31 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cluster.allocation import Allocation
-from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
+from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
     _carve_fast,
     _carve_reference,
+    _job_tuples,
+    bundle_shape,
+    packing_utility,
 )
+from repro.experiments.config import tiny_scenario
+from repro.schedulers.registry import make_scheduler
+from repro.simulation.simulator import ClusterSimulator
+from repro.workload.app import App, CompletionSemantics
 from repro.workload.job import Job, JobSpec
+from repro.workload.perf import (
+    DEFAULT_PERF_MODEL,
+    PERF_MATRIX_PRESETS,
+    ThroughputMatrixModel,
+)
 
 from helpers import make_app, make_job
 
@@ -409,3 +431,153 @@ def test_first_winner_state_matches_a_fresh_state_everywhere():
             )
         if round_index % 11 == 6:
             app.invalidate()
+
+
+# ----------------------------------------------------------------------
+# The carving baselines' reads, over many rounds
+# ----------------------------------------------------------------------
+def baseline_world(rng: random.Random, fleet: str, semantics: CompletionSemantics):
+    """A small fleet and one mixed-model app on it."""
+    if fleet == "homogeneous":
+        specs = (MachineSpec(count=rng.randint(4, 8), gpus_per_machine=4),)
+    else:
+        specs = tuple(
+            MachineSpec(count=rng.randint(2, 4), gpus_per_machine=4, gpu_type=GPU_TYPES[kind])
+            for kind in ("v100", "p100", "k80")
+        )
+    cluster = build_cluster(
+        ClusterSpec(machine_specs=specs, num_racks=rng.randint(1, 3), name="rounds")
+    )
+    perf_model = (
+        ThroughputMatrixModel(PERF_MATRIX_PRESETS["rate-inversion"])
+        if fleet == "rate-inversion"
+        else DEFAULT_PERF_MODEL
+    )
+    jobs = [
+        make_job(
+            f"b-j{i}",
+            model=rng.choice(MODELS),
+            serial_work=rng.uniform(20.0, 400.0),
+            max_parallelism=rng.randint(1, 4),
+        )
+        for i in range(rng.randint(1, 4))
+    ]
+    return cluster, perf_model, App("b", 0.0, jobs, semantics)
+
+
+def step_app(rng: random.Random, app: App, cluster, now: float) -> None:
+    """One thing that happens to an app between two scheduling rounds."""
+    active = app.active_jobs()
+    held = [job for job in active if job.allocation.size]
+    taken = {gpu.gpu_id for job in app.jobs for gpu in job.allocation.gpus}
+    free = [gpu for gpu in cluster.gpus if gpu.gpu_id not in taken]
+    op = rng.choice(("drain", "drain", "reorder", "grant", "revoke", "finish",
+                     "kill", "cap", "idle"))
+    if op == "drain" and held:
+        # Work drains only on jobs that hold GPUs, and bumps no epoch.
+        for job in held:
+            job.remaining_work *= rng.uniform(0.5, 1.0)
+    elif op == "reorder" and held and len(active) > 1:
+        job = rng.choice(held)
+        job.remaining_work = min(j.remaining_work for j in active) * rng.uniform(0.3, 0.9)
+    elif op == "grant" and free:
+        job = rng.choice(active)
+        gpus = rng.sample(free, rng.randint(1, min(4, len(free))))
+        job.set_allocation(0.0, job.allocation.union(gpus))
+    elif op == "revoke" and held:
+        rng.choice(held).set_allocation(0.0, Allocation())
+    elif op == "finish":
+        job = rng.choice(active)
+        job.remaining_work = 0.0
+        job.finish(now)
+    elif op == "kill":
+        rng.choice(active).kill(now)
+    elif op == "cap":
+        job = rng.choice(active)
+        job.parallelism_limit = rng.randint(1, job.spec.max_parallelism)
+        app.invalidate()  # the contract for writes behind the mutators
+
+
+def random_key(rng: random.Random, machines: list[int]) -> tuple:
+    chosen = rng.sample(machines, rng.randint(0, min(4, len(machines))))
+    return tuple(sorted((m, rng.randint(1, 4)) for m in chosen))
+
+
+def equal_shape_twin(key: tuple, reads, num_machines: int):
+    """The same bundle shifted onto other machine ids, if its shape survives."""
+    for shift in range(1, num_machines if key else 0):
+        twin = tuple((m + shift, c) for m, c in key)
+        if twin[-1][0] < num_machines and bundle_shape(twin, reads) == bundle_shape(
+            key, reads
+        ):
+            return twin
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 20),
+    fleet=st.sampled_from(("homogeneous", "hetero", "rate-inversion")),
+    semantics=st.sampled_from(list(CompletionSemantics)),
+)
+def test_baseline_reads_equal_the_uncached_oracles_every_round(seed, fleet, semantics):
+    rng = random.Random(seed)
+    cluster, perf_model, app = baseline_world(rng, fleet, semantics)
+    estimator = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
+    oracle = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
+    state = AppValuationState(app, estimator)
+    rack_of = {machine.machine_id: machine.rack_id for machine in cluster.machines}
+    speed_of = cluster.machine_speeds()
+    family_fn = perf_model.machine_speed_index(cluster)
+    machines = sorted(rack_of)
+    seen: list[tuple] = []
+    signature = None
+    for round_index in range(10):
+        now = 10.0 * round_index + rng.random()
+        if round_index:
+            step_app(rng, app, cluster, now)
+        if not app.active_jobs():
+            break
+        state.refresh()
+        carves = estimator.carve_count
+        if state.rate_signature == signature:
+            # Job order unchanged since the last round: no seen bundle
+            # is carved again, whatever drained or moved in between.
+            for key in seen:
+                state.packing_of(key)
+            assert estimator.carve_count == carves
+        else:
+            seen = []
+        signature = state.rate_signature
+        # The strawman's read.
+        assert state.current_rho(now) == oracle.rho_current(app, now)
+        # Gandiva's reads: the holdings alone and merged with a bundle.
+        tuples = _job_tuples(app.jobs)
+        keys = [state.base_key] + [random_key(rng, machines) for _ in range(4)]
+        for key in keys:
+            expected = packing_utility(
+                tuples, dict(key), rack_of, speed_of=speed_of, family_speed_of=family_fn
+            )
+            assert state.packing_of(key) == expected
+            twin = equal_shape_twin(key, state.machine_reads, len(machines))
+            if twin is not None:
+                carves = estimator.carve_count
+                assert state.packing_of(twin) == packing_utility(
+                    tuples, dict(twin), rack_of, speed_of=speed_of, family_speed_of=family_fn
+                ) == expected
+                assert estimator.carve_count == carves  # served by shape
+        seen += keys
+
+
+@pytest.mark.parametrize("name", ["gandiva", "strawman"])
+def test_carving_baseline_drops_a_finished_apps_state(name):
+    """A state lives while its app is active (``audit_freshness`` checks
+    that every round); after the last finish there is none left."""
+    scenario = tiny_scenario(num_apps=3, seed=4)
+    simulator = ClusterSimulator(
+        cluster=scenario.build_cluster(),
+        workload=scenario.build_trace(),
+        scheduler=make_scheduler(name),
+    )
+    assert simulator.run().completed
+    assert simulator.scheduler.states == {}

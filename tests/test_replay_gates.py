@@ -18,6 +18,12 @@ trace, so any move is a reviewed one-line diff of that file):
 
 The traced replay must also produce the untraced digest: observability
 never changes results.
+
+The two baselines that carve (Gandiva's packing utility, the strawman's
+rho ranking) replay ``sim-small`` under ``sim-small/<policy>`` with
+their digest and carve count: their carves go through the same
+estimator and cross-round cache as Themis', so the count moves if the
+cache stops engaging.
 """
 
 from __future__ import annotations
@@ -66,11 +72,11 @@ PROFILES = {
 }
 
 
-def _replay(scenario, obs=None):
+def _replay(scenario, obs=None, scheduler="themis"):
     simulator = ClusterSimulator(
         cluster=scenario.build_cluster(),
         workload=scenario.build_trace(),
-        scheduler=make_scheduler("themis"),
+        scheduler=make_scheduler(scheduler),
         config=scenario.build_sim_config(),
         perf_model=scenario.build_perf_model(),
         obs=obs,
@@ -99,3 +105,11 @@ def test_replay_gate(name):
             "trace_events": tracer.events_written,
         },
     )
+
+
+@pytest.mark.parametrize("scheduler", ["gandiva", "strawman"])
+def test_carving_baseline_gate(scheduler):
+    cell = f"sim-small/{scheduler}"
+    simulator, result = _replay(PROFILES["sim-small"], scheduler=scheduler)
+    assert_golden(cell, result)
+    assert_golden_carves(cell, simulator.scheduler.estimator.carve_count)

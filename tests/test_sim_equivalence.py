@@ -194,6 +194,8 @@ def test_canonical_json_strips_only_instrumentation():
             lambda: _simulator(CONTENDED_XS, "themis"),
         ),
         ("homo/tiresias/seed2", lambda: _simulator(_tiny(2), "tiresias")),
+        ("hetero/gandiva/seed1", lambda: _simulator(_tiny_hetero(1), "gandiva")),
+        ("homo/strawman/seed2", lambda: _simulator(_tiny(2), "strawman")),
     ],
 )
 def test_every_cache_is_fresh_every_round(cell, build):
