@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
@@ -219,7 +220,7 @@ def _carve_fast(
     speed_of: Optional[Mapping[int, float]] = None,
     family_speed_of: FamilySpeedFn = None,
 ) -> tuple[list[_Carved], int]:
-    """Core carve loop over pre-sorted job tuples — flat-array edition.
+    """Core carve loop over pre-sorted job tuples — sorted-order edition.
 
     Returns ``(allotments, next_index)`` where ``allotments`` holds one
     ``(job_tuple, gpus, level, rate, effective)`` entry per job that
@@ -230,102 +231,87 @@ def _carve_fast(
     are assumed sorted by remaining work ascending, mirroring the
     intra-app distributor.
 
-    The machine pool lives in parallel flat lists (ids, counts, racks,
-    speeds, effective compute) instead of the heap-backed
-    :class:`_CountPool`: a valuation probe carves a *bundle* — a
-    handful of machines — and at that size the heap entries, the
-    per-job ``taken`` dict and the pool object itself dominated the
-    cost.  A linear argmax over the flat arrays performs the exact
-    comparisons the heap made — most effective free compute first,
-    lower machine id on ties, racks already used by the job preferred —
-    so the carve order, and therefore every downstream rho, is
-    byte-identical to :func:`_carve_reference` (property-tested in
-    tests/test_fairness.py).
+    The live machines sit in one list ``order`` of ``(-(count * speed),
+    machine_id, count, speed, rack_id)`` entries, kept sorted: the rule
+    "most effective free compute first, lower machine id on ties" is
+    exactly "smallest ``(-(count * speed), machine_id)`` first", so the
+    unrestricted pick is ``order[0]`` and the racks-already-used pick is
+    the first entry whose rack the job already uses (else ``order[0]``).
+    A partial grab re-inserts its machine with :func:`bisect.insort`
+    (machine ids are unique, so no comparison reaches the trailing
+    fields); a drained machine is deleted.  Negation is exact, so every
+    comparison the heap of :func:`_carve_reference` makes is made here
+    on the same floats: the carve order, every grab and every
+    downstream rho are byte-identical to the oracle (property-tested in
+    tests/test_incremental_valuation.py).
 
-    The setup pass reads the speeds from ``speed_of``, and under the
-    scalar model (``family_speed_of is None``) that is all.  Under a
-    throughput matrix "effective" is measured with the *current job's*
-    family row — a bundle can be fast for one job and slow for the
-    next, inverting which machines drain first — so ``spds`` and
-    ``effs`` are rebuilt from the live counts whenever the next job's
-    row is a different map than the one they were last built from:
-    once per family change.  Either way ``effs[i]`` always holds the
-    product ``cnts[i] * spds[i]``, so a matrix whose rows all equal the
-    scalar speeds presents the same comparison floats as the scalar
-    setup, hence byte-identical carves (pinned by
-    tests/test_hetero_equivalence.py).
+    The setup pass reads the speeds from ``speed_of`` — or, under a
+    throughput matrix (``family_speed_of`` set), from the first job's
+    family row.  Under a matrix "effective" is measured with the
+    *current job's* row — a bundle can be fast for one job and slow for
+    the next, inverting which machines drain first — so ``order`` is
+    re-keyed from the live counts and re-sorted whenever the next job's
+    row is a different map than the one it was last keyed from: once per
+    family change.  Either way every key holds the product ``count *
+    speed``, so a matrix whose rows all equal the scalar speeds presents
+    the same comparison floats as the scalar setup, hence byte-identical
+    carves (pinned by tests/test_hetero_equivalence.py).
     """
-    #: The speed map ``spds`` / ``effs`` were last built from.
-    row: Mapping[int, float] = speed_of if speed_of is not None else {}
-    mids: list[int] = []
-    cnts: list[int] = []
-    rids: list[int] = []
-    spds: list[float] = []
-    effs: list[float] = []
+    #: The speed map ``order`` was last keyed from.
+    if family_speed_of is not None and job_tuples:
+        row: Mapping[int, float] = family_speed_of(job_tuples[0][4])
+    else:
+        row = speed_of if speed_of is not None else {}
+    order: list[tuple[float, int, int, float, int]] = []
     for machine_id, count in machine_counts.items():
         if count > 0:
             speed = row.get(machine_id, 1.0)
-            mids.append(machine_id)
-            cnts.append(count)
-            rids.append(rack_of[machine_id])
-            spds.append(speed)
-            effs.append(count * speed)
-    live = len(mids)
-    num_machines = live
+            order.append((-(count * speed), machine_id, count, speed, rack_of[machine_id]))
+    order.sort()
     out: list[_Carved] = []
     index = 0
     for index, job in enumerate(job_tuples):
-        if not live:
+        if not order:
             return out, index
         if family_speed_of is not None:
             job_row = family_speed_of(job[4])
             if job_row is not row:
                 row = job_row
-                for i in range(num_machines):
-                    spds[i] = speed = row.get(mids[i], 1.0)
-                    effs[i] = cnts[i] * speed
+                rekeyed = []
+                for _key, machine_id, count, _speed, rack_id in order:
+                    speed = row.get(machine_id, 1.0)
+                    rekeyed.append((-(count * speed), machine_id, count, speed, rack_id))
+                rekeyed.sort()
+                order = rekeyed
         need = job[1]
         taken_machines = 0
         first_count = 0
         effective = 0.0
         used_racks: list[int] = []
-        while need > 0 and live:
-            best = -1
-            best_eff = -1.0
-            best_mid = -1
+        while need > 0 and order:
+            pick = 0
             if used_racks:
-                for i in range(num_machines):
-                    if cnts[i] and rids[i] in used_racks:
-                        eff = effs[i]
-                        mid = mids[i]
-                        if eff > best_eff or (eff == best_eff and mid < best_mid):
-                            best = i
-                            best_eff = eff
-                            best_mid = mid
-            if best < 0:
-                for i in range(num_machines):
-                    if cnts[i]:
-                        eff = effs[i]
-                        mid = mids[i]
-                        if eff > best_eff or (eff == best_eff and mid < best_mid):
-                            best = i
-                            best_eff = eff
-                            best_mid = mid
-            if best < 0:
-                break
-            count = cnts[best]
-            grab = need if need < count else count
-            remaining = count - grab
-            cnts[best] = remaining
-            if remaining:
-                effs[best] = remaining * spds[best]
+                for position, entry in enumerate(order):
+                    if entry[4] in used_racks:
+                        pick = position
+                        break
+            _key, machine_id, count, speed, rack_id = order[pick]
+            del order[pick]
+            if need < count:
+                grab = need
+                remaining = count - grab
+                # Less compute left: the entry can only move right.
+                insort(
+                    order,
+                    (-(remaining * speed), machine_id, remaining, speed, rack_id),
+                    pick,
+                )
             else:
-                live -= 1
+                grab = count
             taken_machines += 1
             if taken_machines == 1:
                 first_count = grab
-            effective += grab * spds[best]
-            rack_id = rids[best]
+            effective += grab * speed
             if rack_id not in used_racks:
                 used_racks.append(rack_id)
             need -= grab
@@ -461,11 +447,11 @@ def bundle_shape(
     two bundles with equal shapes carve to bit-identical floats.
 
     *Proof.*  Each kernel touches a machine through four reads only.
-    (1) Its *id*, solely inside ``eff == best_eff and mid < best_mid``
-    (the heap oracle's ``(-eff, machine_id, ...)`` entries): an
-    order comparison, so the winner of every tie is fixed by the
-    machines' relative id order — the order the shape lists them in.
-    (2) Its *rack id*, solely inside ``rids[i] in used_racks`` /
+    (1) Its *id*, solely as the tie-break of the sort key ``(-(count *
+    speed), machine_id)`` (the heap oracle's ``(-eff, machine_id, ...)``
+    entries): an order comparison, so the winner of every tie is fixed
+    by the machines' relative id order — the order the shape lists them
+    in.  (2) Its *rack id*, solely inside ``entry[4] in used_racks`` /
     ``rack_id not in used_racks`` / ``len(racks) == 1``: equality
     tests, invariant under any relabelling that keeps the equality
     pattern — which first-appearance labels capture exactly.  (3) Its
@@ -946,6 +932,7 @@ class AppValuationState:
         "snapshot",
         "base_counts",
         "base_key",
+        "_base_shape",
         "rebuilds",
         "rate_signature",
         "machine_reads",
@@ -968,6 +955,9 @@ class AppValuationState:
         self.snapshot: Optional[AppSnapshot] = None
         self.base_counts: dict[int, int] = {}
         self.base_key: tuple[tuple[int, int], ...] = ()
+        #: ``bundle_shape(base_key, machine_reads)``, built on first use
+        #: and dropped whenever either operand is replaced.
+        self._base_shape: Optional[tuple] = None
         self.rebuilds = 0
         self.rate_signature: Optional[tuple] = None
         #: ``estimator.machine_reads`` of the current snapshot's jobs;
@@ -1042,6 +1032,7 @@ class AppValuationState:
             self.base_key = tuple(
                 sorted((m, c) for m, c in self.base_counts.items() if c > 0)
             )
+            self._base_shape = None
         if self._delta_cache:
             self._delta_cache = {}
         self._refresh_remaining(snap)
@@ -1137,6 +1128,7 @@ class AppValuationState:
         if signature != self.rate_signature:
             self.rate_signature = signature
             self.machine_reads = self.estimator.machine_reads(tuples)
+            self._base_shape = None
             self._rate_cache = {}
             self._fw_pair_cache = {}
             self._packing_cache = {}
@@ -1256,4 +1248,7 @@ class AppValuationState:
     def current_rho(self, now: float, token: Optional[int] = None) -> float:
         """rho with the allocation the app holds right now (cheap when clean)."""
         self.refresh(token)
-        return self.rho_at(now, self.base_key)
+        shape = self._base_shape
+        if shape is None:
+            shape = self._base_shape = bundle_shape(self.base_key, self.machine_reads)
+        return self.rho_at(now, self.base_key, shape)

@@ -942,6 +942,11 @@ class ClusterSimulator:
         job trades *toward its own family's* fast generation — possibly
         onto a smaller gang, when fewer fast GPUs out-run more slow
         ones.
+
+        :meth:`_best_free_gang` reads only the free pool, the job's
+        model (its family row and sensitivity) and its cap, so its
+        answer is memoised per ``(model, cap)`` until a migration
+        changes the pool.
         """
         free = self._free_gpus()
         if not free:
@@ -949,6 +954,7 @@ class ClusterSimulator:
         overhead = self.config.restart_overhead_minutes
         min_gain = self.config.migration_min_gain
         migrated = False
+        gangs: dict[tuple[str, int], tuple[Optional[list[Gpu]], float]] = {}
         for job_id in sorted(self._held_jobs):
             job = self._held_jobs.get(job_id)
             if job is None or not job.is_active or job.allocation.size == 0:
@@ -956,7 +962,11 @@ class ClusterSimulator:
             current_rate = job.rate()
             if current_rate <= 0.0:
                 continue
-            candidate, candidate_rate = self._best_free_gang(job, free)
+            gang_key = (job.spec.model, job.max_parallelism)
+            gang = gangs.get(gang_key)
+            if gang is None:
+                gang = gangs[gang_key] = self._best_free_gang(job, free)
+            candidate, candidate_rate = gang
             if candidate is None or candidate_rate < current_rate * min_gain:
                 continue
             # The rate gain must also *repay the overhead*: a nearly
@@ -992,6 +1002,7 @@ class ClusterSimulator:
                 del free[gpu.gpu_id]
             for gpu in released:
                 free[gpu.gpu_id] = gpu
+            gangs.clear()
             self.num_migrations += 1
             migrated = True
             if self.config.record_timeline:

@@ -117,11 +117,10 @@ class Job:
     #: :class:`~repro.workload.perf.ThroughputMatrixModel` makes the
     #: rate depend on the job's model *family* x GPU generation.
     perf_model: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Memoised (allocation, parallelism_limit, rate) triple — the rate
-    #: is a pure function of the (immutable) allocation, the cap and the
-    #: (run-constant) perf model, and it is re-read every simulated
-    #: round the job holds GPUs.
-    _rate_memo: Optional[tuple] = field(default=None, repr=False, compare=False)
+    #: The held allocation's accrual constants, bound once per allocation
+    #: object: ``(allocation, held, effective_size, score,
+    #: type_count_items, rate)`` — see :meth:`_accrual`.
+    _accrual_memo: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.remaining_work == 0.0:
@@ -174,19 +173,36 @@ class Job:
         matrix the per-GPU weights come from the job's *family* row, so
         two jobs holding the same GPUs can progress at different rates.
         """
+        return self._accrual()[5]
+
+    def _accrual(self) -> tuple:
+        """``(allocation, held, effective_size, score, type_count_items, rate)``.
+
+        Every field is a pure function of the (immutable) allocation,
+        the spec cap (:meth:`rate_of` never reads
+        :attr:`parallelism_limit`) and the run-constant perf model, so
+        the tuple is rebuilt only when :attr:`allocation` is a different
+        object; :meth:`advance_to` reads it every simulated event the
+        job holds GPUs.
+        """
         allocation = self.allocation
-        if allocation.size == 0:
-            return 0.0
-        memo = self._rate_memo
-        if (
-            memo is not None
-            and memo[0] is allocation
-            and memo[1] == self.parallelism_limit
-        ):
-            return memo[2]
-        rate = self.rate_of(allocation.gpus)
-        self._rate_memo = (allocation, self.parallelism_limit, rate)
-        return rate
+        memo = self._accrual_memo
+        if memo is not None and memo[0] is allocation:
+            return memo
+        held = allocation.size
+        if held:
+            memo = (
+                allocation,
+                held,
+                allocation.effective_size,
+                allocation.score(),
+                allocation.type_count_items(),
+                self.rate_of(allocation.gpus),
+            )
+        else:
+            memo = (allocation, 0, 0.0, 0.0, (), 0.0)
+        self._accrual_memo = memo
+        return memo
 
     def speed_of(self) -> Callable[[Gpu], float]:
         """The per-GPU throughput factor this job sees, as a lookup.
@@ -241,18 +257,17 @@ class Job:
         self.last_update = now
         if dt == 0.0 or self.state not in (JobState.PENDING, JobState.RUNNING):
             return
-        allocation = self.allocation
-        held = allocation.size
+        _allocation, held, effective_size, score, type_items, rate = self._accrual()
         if held > 0:
             self.gpu_time += held * dt
             # Attained service is measured in *effective* compute so the
             # LAS baseline (Tiresias) ranks a K80-hour below a V100-hour;
             # identical to held * dt on homogeneous clusters.
-            self.attained_service += allocation.effective_size * dt
-            self.score_integral += allocation.score() * dt
+            self.attained_service += effective_size * dt
+            self.score_integral += score * dt
             self.allocated_time += dt
             by_type = self.gpu_time_by_type
-            for type_name, count in allocation.type_count_items():
+            for type_name, count in type_items:
                 by_type[type_name] = by_type.get(type_name, 0.0) + count * dt
         productive = dt
         if self.overhead_remaining > 0.0:
@@ -260,7 +275,7 @@ class Job:
             self.overhead_remaining -= consumed
             productive -= consumed
         if productive > 0.0 and held > 0:
-            self.remaining_work = max(0.0, self.remaining_work - self.rate() * productive)
+            self.remaining_work = max(0.0, self.remaining_work - rate * productive)
 
     def set_allocation(self, now: float, allocation: Allocation, overhead: float = 0.0) -> None:
         """Replace the GPU set; caller must have advanced the job to ``now``.

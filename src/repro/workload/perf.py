@@ -307,7 +307,7 @@ class ScalarSpeedModel(PerfModel):
     This *is* the PR 3 behaviour — the model exists so the rate path has
     one seam, not so scalar clusters change.  Every scalar fast path
     (shared machine-speed map, ``Allocation.effective_size`` memos, the
-    flat-array carve) runs unchanged under it.
+    scalar carve setup) runs unchanged under it.
     """
 
     name = "scalar"

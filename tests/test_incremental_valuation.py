@@ -2,9 +2,10 @@
 
 Two layers of guarantees:
 
-* the flat-array :func:`~repro.core.fairness._carve_fast` replays the
+* the sorted-order :func:`~repro.core.fairness._carve_fast` replays the
   pre-refactor heap-backed :func:`~repro.core.fairness._carve_reference`
-  byte-for-byte on randomised instances (homogeneous and speed-weighted);
+  byte-for-byte on randomised instances (homogeneous and speed-weighted,
+  narrow and up to 104 machines wide);
 * :class:`~repro.core.fairness.AppValuationState` honours the
   dirty-tracking contract — verbatim reuse only while the app is clean
   and unallocated, rate-cache retention across drains that preserve the
@@ -28,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.allocation import Allocation
+from repro.cluster.placement import LocalityLevel
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
 from repro.core.fairness import (
     AppValuationState,
@@ -68,9 +70,21 @@ def small_cluster(machines=3, gpus=4, racks=1):
 # Carve oracle
 # ----------------------------------------------------------------------
 def random_carve_instance(rng: random.Random):
-    num_machines = rng.randint(1, 8)
-    rack_of = {m: rng.randint(0, 2) for m in range(num_machines)}
-    counts = {m: rng.randint(0, 6) for m in range(num_machines)}
+    """A random carve: narrow (≤ 8 machines, 3 racks) or, one time in
+    three, wide (≤ 104 machines over 8 racks, ≤ 40 jobs, counts in
+    {1, 2, 4} so ties in effective compute are common)."""
+    if rng.random() < 1 / 3:
+        num_machines = rng.randint(9, 104)
+        rack_of = {m: rng.randint(0, 7) for m in range(num_machines)}
+        counts = {m: rng.choice((1, 2, 4)) for m in range(num_machines)}
+        num_jobs = rng.randint(1, 40)
+        max_cap = 12
+    else:
+        num_machines = rng.randint(1, 8)
+        rack_of = {m: rng.randint(0, 2) for m in range(num_machines)}
+        counts = {m: rng.randint(0, 6) for m in range(num_machines)}
+        num_jobs = rng.randint(1, 6)
+        max_cap = 6
     speed_of = None
     if rng.random() < 0.5:
         speed_of = {m: rng.choice((0.33, 0.66, 1.0)) for m in range(num_machines)}
@@ -80,10 +94,10 @@ def random_carve_instance(rng: random.Random):
                 job_id=f"j{i}",
                 model=rng.choice(MODELS),
                 serial_work=rng.uniform(1.0, 300.0),
-                max_parallelism=rng.randint(1, 6),
+                max_parallelism=rng.randint(1, max_cap),
             )
         )
-        for i in range(rng.randint(1, 6))
+        for i in range(num_jobs)
     ]
     tuples = [
         (
@@ -180,6 +194,31 @@ def test_carve_fast_matches_reference_multi_rack_spill():
     fast = _carve_fast(tuples, counts, rack_of, 2)
     reference = _carve_reference(tuples, counts, rack_of, 2)
     assert fast == reference
+
+
+def test_carve_falls_back_to_global_head_when_used_racks_drain():
+    # Effective compute: m0 4.0 and m1 1.0 on rack 0; m2 3.0 and m3
+    # 8 x 0.5 = 4.0 on rack 1.  Job a (cap 7) drains m0, then its rack's
+    # last machine m1, then falls back to the global head m3 (4.0 beats
+    # m2's 3.0, and m2 has the lower id) for its last 2 GPUs.
+    # Job b (cap 3) then sees m2 and m3 tied at 3.0 and takes the lower
+    # id, m2.
+    rack_of = {0: 0, 1: 0, 2: 1, 3: 1}
+    counts = {0: 4, 1: 1, 2: 3, 3: 8}
+    speed_of = {0: 1.0, 1: 1.0, 2: 1.0, 3: 0.5}
+    profile = make_job().model_profile.sensitivity
+    tuples = [(10.0, 7, profile, "a", "resnet"), (20.0, 3, profile, "b", "resnet")]
+    for args in (
+        (tuples, counts, rack_of, 2, speed_of),
+        (tuples, counts, rack_of, 2, None, lambda family: speed_of),
+    ):
+        carved, next_index = _carve_fast(*args)
+        assert (carved, next_index) == _carve_reference(*args)
+        assert [(gpus, level, effective) for _job, gpus, level, _rate, effective in carved] == [
+            (7, LocalityLevel.CLUSTER, 4.0 + 1.0 + 2 * 0.5),
+            (3, LocalityLevel.MACHINE, 3.0),
+        ]
+        assert next_index == 2
 
 
 # ----------------------------------------------------------------------

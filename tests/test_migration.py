@@ -230,31 +230,48 @@ def test_fast_gpus_down_after_migration_keeps_accounting_honest():
     assert_lease_invariants(sim, app, job)  # vacuously: nothing held
 
 
-def test_migration_prefers_smaller_faster_gang():
-    # Only 2 v100s free: 2 x 1.0 x 0.9(machine) = 1.8 beats 4 p100s at
-    # 0.9 — the "possibly smaller" trade of the ROADMAP follow-on.
-    cluster = two_generation_cluster()
-    blocker = make_job("blk-j0", model="vgg16", serial_work=500.0)
-    blocker_app = App("blk", 0.0, [blocker])
-    job = make_job("u-j0", model="vgg16", serial_work=500.0)
-    app = App("u-app", 0.0, [job])
+def held_jobs_sim(cluster, placements):
+    """A migration-on simulator whose vgg16 jobs already hold GPUs.
+
+    ``placements`` maps a job id to the GPUs it holds at t=0; each job
+    runs in its own app.  Returns the simulator and the jobs by id.
+    """
+    jobs = {
+        job_id: make_job(job_id, model="vgg16", serial_work=500.0)
+        for job_id in placements
+    }
+    apps = {job_id: App(f"{job_id}-app", 0.0, [job]) for job_id, job in jobs.items()}
     sim = ClusterSimulator(
         cluster=cluster,
-        workload=[blocker_app, app],
+        workload=list(apps.values()),
         scheduler=make_scheduler("fifo"),
         config=SimulationConfig(lease_minutes=20.0, migration=True),
         perf_model=INVERSION,
     )
-    for an_app, a_job, gpus in (
-        (blocker_app, blocker, list(cluster.machines[0].gpus[:2])),
-        (app, job, list(cluster.machines[1].gpus)),
-    ):
-        an_app.state = AppState.RUNNING
-        sim.active_apps[an_app.app_id] = an_app
-        a_job.last_update = 0.0
-        a_job.set_allocation(0.0, Allocation(gpus), overhead=0.0)
-        sim._track_held_job(a_job)
-        sim._refresh_leases(0.0, an_app, a_job, a_job.allocation)
+    for job_id, gpus in placements.items():
+        app, job = apps[job_id], jobs[job_id]
+        app.state = AppState.RUNNING
+        sim.active_apps[app.app_id] = app
+        job.last_update = 0.0
+        job.set_allocation(0.0, Allocation(gpus), overhead=0.0)
+        sim._track_held_job(job)
+        sim._refresh_leases(0.0, app, job, job.allocation)
+    return sim, jobs
+
+
+def test_migration_prefers_smaller_faster_gang():
+    # Only 2 v100s free: 2 x 1.0 x 0.9(machine) = 1.8 beats 4 p100s at
+    # 0.9 — the "possibly smaller" trade of the ROADMAP follow-on.
+    cluster = two_generation_cluster()
+    sim, jobs = held_jobs_sim(
+        cluster,
+        {
+            "blk-j0": list(cluster.machines[0].gpus[:2]),
+            "u-j0": list(cluster.machines[1].gpus),
+        },
+    )
+    blocker, job = jobs["blk-j0"], jobs["u-j0"]
+    app = sim.active_apps["u-j0-app"]
     sim._migration_pass(0.0)
     # blk holds 2 v100 (rate 1.8) and won't move to 4 p100 (rate 0.9);
     # u-j0 trades 4 p100 (0.9) for the 2 free v100s (1.8 = 2x gain).
@@ -263,6 +280,58 @@ def test_migration_prefers_smaller_faster_gang():
     assert job.allocation.size == 2
     assert sim.num_migrations == 1
     assert_lease_invariants(sim, app, job)
+
+
+def test_migration_memo_forgets_the_gang_a_migration_took():
+    # Two vgg16 jobs of one cap on p100 machines, one free v100 machine.
+    # The sweep prices the free gang once for both; the lower job id
+    # takes it, so the other must re-price the pool (its own kind of
+    # p100s now: no gain) instead of reusing the stale v100 answer.
+    cluster = build_cluster(
+        ClusterSpec(
+            machine_specs=(
+                MachineSpec(count=1, gpus_per_machine=4, gpu_type=GpuType("v100", 1.0)),
+                MachineSpec(count=2, gpus_per_machine=4, gpu_type=GpuType("p100", 0.6)),
+            ),
+            num_racks=1,
+            name="one-fast",
+        )
+    )
+    sim, jobs = held_jobs_sim(
+        cluster,
+        {"a-j0": list(cluster.machines[1].gpus), "b-j0": list(cluster.machines[2].gpus)},
+    )
+    sim._migration_pass(0.0)
+    assert sim.num_migrations == 1
+    assert {gpu.machine_id for gpu in jobs["a-j0"].allocation} == {0}
+    assert {gpu.machine_id for gpu in jobs["b-j0"].allocation} == {2}
+    for job in jobs.values():
+        assert_lease_invariants(sim, sim._job_owner[job.job_id], job)
+
+
+def test_migration_memo_keys_on_the_runtime_cap():
+    # One model, two caps: the tuner holds "lim-j0" to one GPU, which it
+    # already has on the v100 machine (no gain from one more v100), while
+    # "u-j0" trades its four p100s (0.9) for the three free v100s (2.7).
+    # Pricing u-j0 with lim-j0's one-GPU answer (1.0 < 1.25 x 0.9) would
+    # keep it on the p100s.
+    cluster = two_generation_cluster()
+    sim, jobs = held_jobs_sim(
+        cluster,
+        {
+            "lim-j0": list(cluster.machines[0].gpus[:1]),
+            "u-j0": list(cluster.machines[1].gpus),
+        },
+    )
+    limited, job = jobs["lim-j0"], jobs["u-j0"]
+    limited.parallelism_limit = 1
+    assert limited.max_parallelism != job.max_parallelism
+    sim._migration_pass(0.0)
+    assert sim.num_migrations == 1
+    assert [gpu.gpu_id for gpu in limited.allocation] == [cluster.machines[0].gpus[0].gpu_id]
+    assert {gpu.gpu_id for gpu in job.allocation} == {
+        gpu.gpu_id for gpu in cluster.machines[0].gpus[1:]
+    }
 
 
 # ----------------------------------------------------------------------
