@@ -382,10 +382,6 @@ class Cluster:
         """
         return dict(self._machine_speeds)
 
-    def speed_of_machine(self, machine_id: int) -> float:
-        """Speed factor of one machine's GPUs."""
-        return self._machine_speeds[machine_id]
-
     def gpus_by_type(self) -> dict[str, int]:
         """GPU counts per generation name, sorted by name."""
         return dict(self._gpus_by_type)

@@ -61,7 +61,7 @@ over trajectory-dependent compound bundles — unprimeable by any
 cross-round cache, and the dominant cost on wide pools.  Plain lazy-CELF stale-heap
 re-validation is NOT exact here: Themis marginal gains are non-monotone
 (a shrinking machine can *raise* a pair's normalized gain — see
-tests/test_rescore_exactness.py for a pinned counterexample), so the
+tests/test_auction_equivalence.py for a pinned counterexample), so the
 lazy solver instead applies two *provably exact* reductions.
 
 **Skip rule (the invalidation algebra).**  :meth:`_score_pair`'s result
@@ -143,9 +143,10 @@ valuation caches, so suffix scores the full solve already computed are
 hits.  The pre-refactor full-rescan solver is kept as
 :func:`rescan_fair_allocation` — the reference implementation the
 equivalence tests compare against.  Nothing in ``src/`` calls it and
-the auction has no solver option: the suites run the whole mechanism
-on it through ``tests/helpers.py::rescan_auction``, a subclass whose
-``_solve`` is the reference.
+the auction has no solver option: one property test runs the whole
+mechanism on it through ``tests/helpers.py::rescan_auction``, a
+subclass whose ``_solve`` is the reference, over the markets of
+``tests/helpers.py::markets``.
 """
 
 from __future__ import annotations

@@ -260,10 +260,6 @@ class Bid:
             self.rho_probes += 1
         return value_from_rho(rho)
 
-    def bundle_size(self, extra_counts: Mapping[int, int]) -> int:
-        """Total GPUs in a bundle."""
-        return sum(c for c in extra_counts.values() if c > 0)
-
     def machine_speed(self, machine_id: int) -> float:
         """Speed class of one offered machine's GPUs, for *this* app.
 
@@ -298,9 +294,7 @@ class Bid:
                 return
             seen.add(key)
             rho = self.rho_of(dict(key))
-            entries.append(
-                BidEntry(bundle=key, rho=rho, value=0.0 if math.isinf(rho) else 1.0 / rho)
-            )
+            entries.append(BidEntry(bundle=key, rho=rho, value=value_from_rho(rho)))
 
         add({})
         # Per-machine fractions: 1/n, 2/n, ..., n/n of each machine's offer.

@@ -25,9 +25,9 @@ built for that hot path:
   from the cluster's scalar map, or — under a per-family throughput
   matrix — from the current job's family row; which it is, is decided
   by :class:`~repro.workload.perf.PerfModel` and reaches the kernel as
-  ``family_speed_of is None`` or not.  :func:`_carve_reference` (with
-  its :class:`_CountPool`) is the oracle the equivalence suites hold
-  the kernel to; nothing in ``src/`` calls it.
+  ``family_speed_of is None`` or not.  :func:`_carve_reference` (a
+  from-scratch dict scan per grab) is the oracle the equivalence
+  suites hold the kernel to; nothing in ``src/`` calls it.
 
 :func:`carve_allotments` is the public, fully-annotated version used by
 tests.  Every policy that carves — Themis' valuations, Gandiva's
@@ -38,7 +38,6 @@ packing utility, the strawman's rho ranking — carves through
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import insort
 from dataclasses import dataclass
@@ -104,95 +103,6 @@ class JobAllotment:
     effective: float = 0.0
 
 
-#: Heap entry: (negated effective free compute, machine_id, count-at-push).
-_PoolEntry = tuple[float, int, int]
-
-
-class _CountPool:
-    """Per-machine free-GPU counts with lazy-heap best-machine queries.
-
-    ``best(racks)`` returns the machine with the most *effective* free
-    compute (count x speed factor; machines are internally homogeneous)
-    among the given racks — or globally when ``racks`` is empty —
-    preferring lower machine ids on ties.  With all speeds 1.0 this is
-    exactly the original most-free-GPUs rule, tie-breaks included.
-    Counts only decrease, so stale heap entries are discarded lazily.
-    """
-
-    __slots__ = ("counts", "rack_of", "speed_of", "_global_heap", "_rack_heaps")
-
-    def __init__(
-        self,
-        counts: Mapping[int, int],
-        rack_of: Mapping[int, int],
-        speed_of: Optional[Mapping[int, float]] = None,
-    ) -> None:
-        self.counts = {m: c for m, c in counts.items() if c > 0}
-        self.rack_of = rack_of
-        self.speed_of = speed_of
-        self._global_heap: list[_PoolEntry] = [
-            (-c * self._speed(m), m, c) for m, c in self.counts.items()
-        ]
-        heapq.heapify(self._global_heap)
-        self._rack_heaps: dict[int, list[_PoolEntry]] = {}
-        for machine_id, count in self.counts.items():
-            self._rack_heaps.setdefault(rack_of[machine_id], []).append(
-                (-count * self._speed(machine_id), machine_id, count)
-            )
-        for heap in self._rack_heaps.values():
-            heapq.heapify(heap)
-
-    def _speed(self, machine_id: int) -> float:
-        if self.speed_of is None:
-            return 1.0
-        return self.speed_of.get(machine_id, 1.0)
-
-    def __bool__(self) -> bool:
-        return bool(self.counts)
-
-    def _peek(self, heap: list[_PoolEntry]) -> Optional[_PoolEntry]:
-        """Valid top entry of a heap, discarding stale entries."""
-        counts = self.counts
-        while heap:
-            entry = heap[0]
-            if counts.get(entry[1], 0) == entry[2]:
-                return entry
-            heapq.heappop(heap)
-        return None
-
-    def best(self, racks: Sequence[int]) -> Optional[int]:
-        """Best machine within ``racks``, or globally when none match."""
-        if racks:
-            top: Optional[_PoolEntry] = None
-            for rack_id in racks:
-                heap = self._rack_heaps.get(rack_id)
-                if not heap:
-                    continue
-                candidate = self._peek(heap)
-                if candidate is not None and (top is None or candidate < top):
-                    top = candidate
-            if top is not None:
-                return top[1]
-        candidate = self._peek(self._global_heap)
-        return candidate[1] if candidate else None
-
-    def take(self, machine_id: int, amount: int) -> int:
-        """Remove up to ``amount`` GPUs from ``machine_id``; returns taken."""
-        available = self.counts.get(machine_id, 0)
-        grab = min(amount, available)
-        if grab <= 0:
-            return 0
-        remaining = available - grab
-        if remaining > 0:
-            self.counts[machine_id] = remaining
-            entry = (-remaining * self._speed(machine_id), machine_id, remaining)
-            heapq.heappush(self._global_heap, entry)
-            heapq.heappush(self._rack_heaps[self.rack_of[machine_id]], entry)
-        else:
-            del self.counts[machine_id]
-        return grab
-
-
 def _classify_taken(
     taken: dict[int, int], rack_of: Mapping[int, int], nvlink_group_size: int
 ) -> LocalityLevel:
@@ -239,11 +149,12 @@ def _carve_fast(
     the first entry whose rack the job already uses (else ``order[0]``).
     A partial grab re-inserts its machine with :func:`bisect.insort`
     (machine ids are unique, so no comparison reaches the trailing
-    fields); a drained machine is deleted.  Negation is exact, so every
-    comparison the heap of :func:`_carve_reference` makes is made here
-    on the same floats: the carve order, every grab and every
-    downstream rho are byte-identical to the oracle (property-tested in
-    tests/test_incremental_valuation.py).
+    fields); a drained machine is deleted.  Negation is exact, so each
+    pick is the minimum of the ``(-(count * speed), machine_id)`` keys
+    the dict scan of :func:`_carve_reference` minimises, on the same
+    floats: the carve order, every grab and every downstream rho are
+    byte-identical to the oracle (property-tested over
+    ``helpers.carve_instances`` in tests/test_incremental_valuation.py).
 
     The setup pass reads the speeds from ``speed_of`` — or, under a
     throughput matrix (``family_speed_of`` set), from the first job's
@@ -341,80 +252,50 @@ def _carve_reference(
     speed_of: Optional[Mapping[int, float]] = None,
     family_speed_of: FamilySpeedFn = None,
 ) -> tuple[list[_Carved], int]:
-    """Pre-refactor heap-backed carve, kept as the equivalence oracle.
+    """Dict-scan carve, kept as the equivalence oracle.
 
-    Identical contract to :func:`_carve_fast`; the property suite
-    asserts both return byte-identical allotments on randomized
-    instances (the same role :func:`~repro.core.auction.rescan_fair_allocation`
-    plays for the auction solver).  With ``family_speed_of`` the
-    heap-backed pool (whose ordering is fixed at build time) cannot be
-    used — the per-family oracle is an independent dict-scan instead,
-    re-finding the best machine from scratch for every grab.
+    Identical contract to :func:`_carve_fast`, with nothing kept sorted:
+    every grab re-finds the best machine from scratch over the live
+    counts, reading the current job's family row under a matrix and the
+    scalar map otherwise.  The property suite asserts both return
+    byte-identical allotments on randomized instances (the same role
+    :func:`~repro.core.auction.rescan_fair_allocation` plays for the
+    auction solver).
     """
-    if family_speed_of is not None:
-        counts = {m: c for m, c in machine_counts.items() if c > 0}
-        out = []
-        index = 0
-        for index, job in enumerate(job_tuples):
-            if not counts:
-                return out, index
-            speed_map = family_speed_of(job[4])
-            need = job[1]
-            taken: dict[int, int] = {}
-            effective = 0.0
-            used_racks: list[int] = []
-            while need > 0 and counts:
-                best_key = None
-                machine_id = None
-                pool_ids = (
-                    [m for m in counts if rack_of[m] in used_racks]
-                    if used_racks
-                    else []
-                ) or list(counts)
-                for candidate in pool_ids:
-                    key = (-counts[candidate] * speed_map.get(candidate, 1.0), candidate)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        machine_id = candidate
-                if machine_id is None:
-                    break
-                grab = min(need, counts[machine_id])
-                if counts[machine_id] - grab > 0:
-                    counts[machine_id] -= grab
-                else:
-                    del counts[machine_id]
-                taken[machine_id] = taken.get(machine_id, 0) + grab
-                effective += grab * speed_map.get(machine_id, 1.0)
-                rack_id = rack_of[machine_id]
-                if rack_id not in used_racks:
-                    used_racks.append(rack_id)
-                need -= grab
-            total = job[1] - need
-            if total <= 0:
-                return out, index
-            level = _classify_taken(taken, rack_of, nvlink_group_size)
-            factor = 1.0 if total <= 1 else job[2].at(level)
-            out.append((job, total, level, effective * factor, effective))
-        return out, index + 1
-    pool = _CountPool(machine_counts, rack_of, speed_of)
+    counts = {m: c for m, c in machine_counts.items() if c > 0}
     out = []
     index = 0
     for index, job in enumerate(job_tuples):
-        if not pool:
+        if not counts:
             return out, index
+        if family_speed_of is not None:
+            speed_map = family_speed_of(job[4])
+        else:
+            speed_map = speed_of or {}
         need = job[1]
-        taken = {}
+        taken: dict[int, int] = {}
         effective = 0.0
-        used_racks = []
-        while need > 0 and pool:
-            machine_id = pool.best(used_racks)
-            if machine_id is None:
-                break
-            grab = pool.take(machine_id, need)
-            if grab <= 0:
-                break
+        used_racks: list[int] = []
+        while need > 0 and counts:
+            best_key = None
+            machine_id = None
+            pool_ids = (
+                [m for m in counts if rack_of[m] in used_racks]
+                if used_racks
+                else []
+            ) or list(counts)
+            for candidate in pool_ids:
+                key = (-counts[candidate] * speed_map.get(candidate, 1.0), candidate)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    machine_id = candidate
+            grab = min(need, counts[machine_id])
+            if counts[machine_id] - grab > 0:
+                counts[machine_id] -= grab
+            else:
+                del counts[machine_id]
             taken[machine_id] = taken.get(machine_id, 0) + grab
-            effective += grab * pool._speed(machine_id)
+            effective += grab * speed_map.get(machine_id, 1.0)
             rack_id = rack_of[machine_id]
             if rack_id not in used_racks:
                 used_racks.append(rack_id)
@@ -448,8 +329,8 @@ def bundle_shape(
 
     *Proof.*  Each kernel touches a machine through four reads only.
     (1) Its *id*, solely as the tie-break of the sort key ``(-(count *
-    speed), machine_id)`` (the heap oracle's ``(-eff, machine_id, ...)``
-    entries): an order comparison, so the winner of every tie is fixed
+    speed), machine_id)`` (the key the reference's dict scan
+    minimises): an order comparison, so the winner of every tie is fixed
     by the machines' relative id order — the order the shape lists them
     in.  (2) Its *rack id*, solely inside ``entry[4] in used_racks`` /
     ``rack_id not in used_racks`` / ``len(racks) == 1``: equality
@@ -1138,16 +1019,6 @@ class AppValuationState:
             job_tuples=tuple(tuples),
             total_remaining=ordered_sum(item[0] for item in tuples),
             t_ideal=app.ideal_running_time(self.estimator.capacity),
-        )
-
-    @property
-    def cached_deltas(self) -> int:
-        """Number of bundle kernels currently memoised (introspection)."""
-        return (
-            len(self._rate_cache)
-            + len(self._delta_cache)
-            + len(self._fw_pair_cache)
-            + len(self._packing_cache)
         )
 
     def delta_of(

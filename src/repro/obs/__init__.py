@@ -134,10 +134,6 @@ class ObsConfig:
         if self.trace_path is not None and self.ring_capacity is not None:
             raise ValueError("choose one trace sink: trace_path or ring_capacity")
 
-    @property
-    def wants_anything(self) -> bool:
-        return bool(self.trace_path or self.ring_capacity or self.profile)
-
     def build(self) -> Observability:
         """Materialise the live bundle (opens the trace file, if any)."""
         kinds = self.trace_events or None

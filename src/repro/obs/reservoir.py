@@ -61,10 +61,6 @@ class ReservoirSeries:
         """Current thinning stride (doubles as the series fills)."""
         return self._stride
 
-    def to_list(self) -> list:
-        """The retained entries as a fresh list."""
-        return list(self._items)
-
     @classmethod
     def merge(
         cls,

@@ -65,10 +65,6 @@ class TokenIssuer:
         self._next_seq += 1
         return token
 
-    def restore_seq(self, seq: int) -> None:
-        """Advance the sequence past tokens recovered from the WAL."""
-        self._next_seq = max(self._next_seq, seq + 1)
-
     def redeem(self, token: DispatchToken, expected: Optional[Mapping]) -> None:
         """Validate one start attempt; raises :class:`TokenError`.
 

@@ -236,10 +236,6 @@ class Job:
             return 0.0
         return effective * slowdown(self.model_profile.sensitivity, gpus)
 
-    def current_slowdown(self) -> float:
-        """Slowdown factor S of the current allocation (1.0 when idle)."""
-        return slowdown(self.model_profile.sensitivity, self.allocation.gpus)
-
     def advance_to(self, now: float) -> None:
         """Integrate progress, GPU-time and score from ``last_update`` to ``now``.
 

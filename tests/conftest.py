@@ -7,9 +7,12 @@ and older imports keep working.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
+from repro.service.api import ServiceServer
 
 import helpers
 from helpers import make_app, make_job  # noqa: F401 — re-exported for tests
@@ -57,3 +60,31 @@ def one_machine_cluster():
 @pytest.fixture
 def simple_app():
     return make_app()
+
+
+@pytest.fixture
+def serve():
+    """``serve(plane)`` puts a plane behind a live HTTP ``ServiceServer``.
+
+    The server polls for shutdown every 50 ms instead of the default
+    500 ms, which every teardown would otherwise wait out.  Teardown
+    stops the server, joins its thread and closes the plane.
+    """
+    running = []
+
+    def start(plane) -> ServiceServer:
+        server = ServiceServer(plane)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        running.append((server, thread, plane))
+        return server
+
+    yield start
+    for server, thread, plane in running:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+        plane.close()
+        assert not thread.is_alive()

@@ -12,14 +12,24 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import random
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
+
+from hypothesis import event
+from hypothesis import strategies as st
 
 from repro.cluster.allocation import Allocation
+from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
 from repro.core.auction import PartialAllocationAuction, rescan_fair_allocation
-from repro.core.fairness import AppValuationState, FairnessEstimator
+from repro.core.bids import Bid, build_bid
+from repro.core.fairness import AppValuationState, FairnessEstimator, _job_tuples
 from repro.hyperparam.curves import LossCurve
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.job import Job, JobSpec
+from repro.workload.models import MODEL_FAMILIES
+from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
 
 
 def make_job(
@@ -80,6 +90,194 @@ def rescan_auction(chunk_size: int = 4) -> PartialAllocationAuction:
     records no move sequence, so payment re-solves start cold.
     """
     return _RescanAuction(chunk_size=chunk_size)
+
+
+# ----------------------------------------------------------------------
+# The two kernels' random inputs: one generator each
+# ----------------------------------------------------------------------
+#: Model mix of the generated inputs, so valuations, sensitivity
+#: profiles and matrix rows differ between jobs.
+MODELS = ("resnet50", "vgg16", "transformer", "inceptionv3", "lstm-lm")
+FLEETS = ("homogeneous", "hetero", "rate-inversion")
+#: Machines offered, by pool width: below the auction's
+#: ``_CLASS_MIN_POOL`` (rows scored per machine), just above it, and a
+#: wide pool of many interchangeable machines (rows scored per class).
+POOL_WIDTHS = {"narrow": (1, 3), "mid": (4, 12), "wide": (32, 36)}
+
+
+@dataclass
+class Market:
+    """One auction input: the pool, the apps that may bid, the knobs."""
+
+    pool: dict[int, int]
+    apps: list[App]
+    estimator: FairnessEstimator
+    now: float
+    noise_theta: float
+    salt: int
+    hidden_payments: bool
+
+    def bids(self) -> dict[str, Bid]:
+        """Fresh bids of every app with unmet demand, so two solvers
+        under comparison never share warmed valuation caches."""
+        return {
+            app.app_id: build_bid(
+                app, self.estimator, self.now, self.pool,
+                noise_theta=self.noise_theta, noise_salt=self.salt,
+            )
+            for app in self.apps
+            if app.unmet_demand() > 0
+        }
+
+
+@st.composite
+def markets(draw):
+    """Auction markets: the suites' one market generator.
+
+    Fleets are homogeneous, three GPU generations, or three generations
+    under the ``rate-inversion`` matrix; the pool has a width from
+    :data:`POOL_WIDTHS` over 1-3 racks, with one or two free counts, so
+    a row's machine classes have several members.  Some machines are
+    partly held by the apps (holdings that stay in the pool interleave
+    with free machines in id order), some wholly held and not offered;
+    a machine not offered may still be listed with a count of 0.
+    Semantics, valuation noise and hidden payments vary too; the chunk
+    size is the test's to choose.  Each drawn dimension is recorded as
+    a test event.
+
+    The market is built from one drawn ``Random``: a wide one is
+    hundreds of draws, which would cost Hypothesis more than the solve.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    fleet = rng.choice(FLEETS)
+    width = rng.choice(tuple(POOL_WIDTHS))
+    semantics = rng.choice(list(CompletionSemantics))
+    noise_theta = rng.choice((0.0, 0.2))
+    hidden_payments = rng.random() < 0.5
+    offered = rng.randint(*POOL_WIDTHS[width])
+    num_machines = offered + rng.randint(0, 2)
+    gpus_per = rng.randint(2, 6)
+    if fleet == "homogeneous":
+        specs = (MachineSpec(count=num_machines, gpus_per_machine=gpus_per),)
+    else:
+        split = [num_machines // 3 + (kind < num_machines % 3) for kind in range(3)]
+        specs = tuple(
+            MachineSpec(count=count, gpus_per_machine=gpus_per, gpu_type=GPU_TYPES[kind])
+            for kind, count in zip(("v100", "p100", "k80"), split)
+            if count
+        )
+    cluster = build_cluster(
+        ClusterSpec(machine_specs=specs, num_racks=rng.randint(1, 3), name="market")
+    )
+    perf_model = None
+    if fleet == "rate-inversion":
+        perf_model = ThroughputMatrixModel(PERF_MATRIX_PRESETS["rate-inversion"])
+    apps = [
+        make_app(
+            app_id=f"a{i}",
+            arrival=rng.uniform(0.0, 60.0),
+            num_jobs=rng.randint(1, 4),
+            model=rng.choice(MODELS),
+            serial_work=rng.uniform(20.0, 400.0),
+            max_parallelism=rng.randint(1, 4),
+            semantics=semantics,
+        )
+        for i in range(rng.randint(1, 5))
+    ]
+    free_counts = (rng.randint(1, gpus_per), rng.randint(1, gpus_per))
+    machines = list(cluster.machines)
+    rng.shuffle(machines)
+    labels = [
+        fleet, width, semantics.name, f"noise={noise_theta}",
+        f"hidden payments {'on' if hidden_payments else 'off'}",
+    ]
+    pool = {}
+    for index, machine in enumerate(machines):
+        is_offered = index < offered
+        held = 0
+        if rng.random() < 0.3:
+            held = rng.randint(1, gpus_per - 1 if is_offered else gpus_per)
+            job = rng.choice(rng.choice(apps).jobs)
+            job.set_allocation(0.0, job.allocation.union(machine.gpus[:held]), overhead=0.0)
+        if is_offered:
+            pool[machine.machine_id] = min(rng.choice(free_counts), gpus_per - held)
+            if held:
+                labels.append("an app holds GPUs on a pool machine")
+        elif rng.random() < 0.3:
+            pool[machine.machine_id] = 0
+            labels.append("a machine listed with no free GPU")
+    for label in dict.fromkeys(labels):
+        event(label)
+    return Market(
+        pool=dict(sorted(pool.items())),
+        apps=apps,
+        estimator=FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model),
+        now=rng.uniform(60.0, 200.0),
+        noise_theta=noise_theta,
+        salt=rng.randint(0, 1 << 16),
+        hidden_payments=hidden_payments,
+    )
+
+
+@dataclass
+class CarveInstance:
+    """One carve input, readable under every speed setup."""
+
+    jobs: list[Job]
+    counts: dict[int, int]
+    rack_of: dict[int, int]
+    nvlink: int
+    #: The scalar speed map; ``None`` is the homogeneous model.
+    speed_of: Optional[dict[int, float]]
+    #: family -> machine -> speed: a throughput matrix's rows.
+    family_rows: dict[str, dict[int, float]]
+
+    def args(self, setup: str) -> tuple:
+        """``_carve_fast`` / ``_carve_reference`` arguments for one setup:
+        ``scalar``, ``family`` (the matrix rows), or ``degenerate`` (a
+        matrix whose every row is the scalar map)."""
+        head = (_job_tuples(self.jobs), self.counts, self.rack_of, self.nvlink)
+        if setup == "scalar":
+            return (*head, self.speed_of)
+        if setup == "family":
+            return (*head, None, self.family_rows.__getitem__)
+        row = self.speed_of or {m: 1.0 for m in self.rack_of}
+        return (*head, None, lambda family: row)
+
+
+@st.composite
+def carve_instances(draw):
+    """Carve inputs: narrow (<= 8 machines over 3 racks, counts 0-6,
+    <= 6 jobs) or wide (<= 104 machines over 8 racks, counts in {1, 2,
+    4} so effective-compute ties are common, <= 40 jobs of cap <= 12).
+
+    The bulk of an instance comes from a drawn seed: a wide one is ~1,000
+    draws, which would cost Hypothesis far more than the carve."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        num_machines = rng.randint(9, 104)
+        rack_of = {m: rng.randint(0, 7) for m in range(num_machines)}
+        counts = {m: rng.choice((1, 2, 4)) for m in range(num_machines)}
+        num_jobs, max_cap = rng.randint(1, 40), 12
+    else:
+        num_machines = rng.randint(1, 8)
+        rack_of = {m: rng.randint(0, 2) for m in range(num_machines)}
+        counts = {m: rng.randint(0, 6) for m in range(num_machines)}
+        num_jobs, max_cap = rng.randint(1, 6), 6
+    speed_of = None
+    if rng.random() < 0.5:
+        speed_of = {m: rng.choice((0.33, 0.66, 1.0)) for m in range(num_machines)}
+    jobs = [
+        make_job(f"j{i}", rng.choice(MODELS), rng.uniform(1.0, 300.0), rng.randint(1, max_cap))
+        for i in range(num_jobs)
+    ]
+    family_rows = {
+        family: {m: rng.choice((0.2, 0.5, 0.8, 1.0)) for m in range(num_machines)}
+        for family in MODEL_FAMILIES
+    }
+    return CarveInstance(
+        jobs, counts, rack_of, rng.choice((1, 2, 4)), speed_of, family_rows
+    )
 
 
 def rescan_utility_assign(pool, utilities, caps, chunk_size=4):

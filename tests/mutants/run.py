@@ -1,0 +1,276 @@
+"""Mutation runner: which hand-written mutants of ``src/repro`` does the suite kill?
+
+Run from anywhere; the repo is the one this file sits in::
+
+    python tests/mutants/run.py                       # run all, print the kill table
+    python tests/mutants/run.py --check --jobs 2
+    python tests/mutants/run.py --only auction-payment-ratio
+
+A mutant is ``(id, path, old, new)``: ``path`` is relative to
+``src/repro`` and ``old`` must occur exactly once in that file.  Each
+mutant is applied to a temporary copy of ``src/`` and ``tests/`` — never
+to the working tree — and then ``pytest -x`` runs over the test files
+that import the mutated module (those naming it as ``repro.core.auction``
+and so on), with a fixed Hypothesis seed so a kill table is
+reproducible.  A failing, erroring or timed-out run kills the mutant.
+
+The run prints one row per mutant (the first test that failed on it)
+and the score per module.  ``--check`` exits 1 when any mutant
+survives, so deleting the only test that caught one fails.  Mutants
+listed in :data:`EQUIVALENT` cannot change behaviour and are not run;
+the row carries the reason.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: ``(id, path under src/repro, old, new)``; production lines only,
+#: never a reference implementation the tests compare against.
+MUTANTS = [
+    # core/auction.py: the lazy solver's keys, rows and memo; the payments
+    ("auction-gain-tiebreak-step", "core/auction.py", "= (1, -gain, step,", "= (1, -gain, -step,"),
+    ("auction-gain-tiebreak-ids", "core/auction.py",
+     "step, app_id, machine_id)\n            if best",
+     "step, machine_id, app_id)\n            if best"),
+    ("auction-rescue-tiebreak-free", "core/auction.py",
+     "step,\n                    -free *", "step,\n                    free *"),
+    ("auction-rescue-memo-tiebreak-free", "core/auction.py",
+     "1,\n                -free *", "1,\n                free *"),
+    ("auction-rescue-largest-value", "core/auction.py",
+     "0,\n                    -new_value,", "0,\n                    new_value,"),
+    ("auction-gain-steps", "core/auction.py", "(1,) if chunk <= 1 else (1, chunk)", "(1,)"),
+    ("auction-payment-ratio", "core/auction.py",
+     "math.log(v_with) - math.log(v_without)", "math.log(v_without) - math.log(v_with)"),
+    ("auction-payment-keep-floor", "core/auction.py", "math.floor(fraction", "math.ceil(fraction"),
+    ("auction-shrink-order", "core/auction.py", "(shrunk[m], m)", "(-shrunk[m], m)"),
+    ("auction-warm-prefix", "core/auction.py", "[:first_win]", "[:first_win + 1]"),
+    ("auction-class-position", "core/auction.py",
+     "position,\n                    rack_index", "0,\n                    rack_index"),
+    ("auction-class-rescue-free", "core/auction.py", "if rescue or free < cap", "if free < cap"),
+    ("auction-memo-chunk", "core/auction.py",
+     "current_key,\n                min(self.chunk_size, free,",
+     "current_key,\n                min(self.chunk_size,"),
+    ("auction-noisy-rows-grouped", "core/auction.py", " or bid.noise_theta > 0.0:", ":"),
+    ("auction-successor-skips-touched", "core/auction.py",
+     "if machine_moved_at[members[successor]] <= built_at:", "if True:"),
+    ("auction-stale-row", "core/auction.py",
+     "app_moved_at[app_id] > built_at", "app_moved_at[app_id] >= built_at"),
+    ("auction-merged-key-order", "core/auction.py", "machine > machine_id", "machine < machine_id"),
+    # core/fairness.py: the carve kernel and the valuation cache
+    ("fairness-carve-rack-preference", "core/fairness.py",
+     "if entry[4] in used_racks:", "if entry[4] not in used_racks:"),
+    ("fairness-carve-insort-start", "core/fairness.py",
+     "                    pick,\n", "                    pick + 1,\n"),
+    ("fairness-carve-slot-level", "core/fairness.py",
+     "first_count <= nvlink", "first_count < nvlink"),
+    ("fairness-carve-rack-level", "core/fairness.py",
+     "elif len(used_racks) == 1:", "elif len(used_racks) == 2:"),
+    ("fairness-carve-single-gpu-factor", "core/fairness.py",
+     "CLUSTER\n        factor = 1.0 if total <= 1", "CLUSTER\n        factor = 1.0 if total <= 0"),
+    ("fairness-carve-family-rekey", "core/fairness.py", "if job_row is not row:", "if False:"),
+    ("fairness-value-ceiling", "core/fairness.py",
+     "return VALUE_CEILING\n    return", "return 0.0\n    return"),
+    ("fairness-rate-signature", "core/fairness.py",
+     "if signature != self.rate_signature:", "if self.rate_signature is None:"),
+    ("fairness-drift-tie", "core/fairness.py",
+     " or (work == prev_work and job.job_id < prev_id)", ""),
+    ("fairness-drift-total", "core/fairness.py", "if total != snap.total_remaining:", "if False:"),
+    ("fairness-held-app-reuse", "core/fairness.py", "if not self.base_counts:", "if True:"),
+    ("fairness-first-winner-min", "core/fairness.py",
+     "if per_job < delta:", "if per_job > delta:"),
+    # README M11: the FIRST_WINNER delta cache survives a rebuild.
+    ("M11-delta-cache-kept", "core/fairness.py", "if self._delta_cache:", "if False:"),
+    # core/arbiter.py: the 1 - f filter and the leftovers
+    ("arbiter-filter-count", "core/arbiter.py", "max(1, math.ceil(", "max(1, math.floor("),
+    ("arbiter-filter-order", "core/arbiter.py", "(-rhos[a], a)", "(rhos[a], a)"),
+    ("arbiter-leftover-colocated", "core/arbiter.py",
+     "machine_id in machines_of", "machine_id not in machines_of"),
+    ("arbiter-leftover-non-participants", "core/arbiter.py",
+     "not in participant_set", "in participant_set"),
+    ("arbiter-leftover-fastest-first", "core/arbiter.py",
+     "(-self._speed_of.get(m, 1.0), m)", "(self._speed_of.get(m, 1.0), m)"),
+    # README M8: the round's refresh token is never bumped.
+    ("M8-refresh-token-frozen", "core/arbiter.py", "self._refresh_token += 1", "pass"),
+    # core/bids.py: the key merge, the offer check and the noise
+    ("bids-merge-sum", "core/bids.py", "count_a + count_b", "count_a"),
+    ("bids-merge-order", "core/bids.py", "machine_a < machine_b", "machine_a > machine_b"),
+    ("bids-offer-check", "core/bids.py",
+     "self.offered_counts.get(machine_id, 0):", "self.offered_counts.get(machine_id, 0) + 1:"),
+    ("bids-noise-range", "core/bids.py", "(2.0 * fraction - 1.0)", "fraction"),
+    # core/leases.py; README M4: a release does not refill the free dict.
+    ("M4-release-keeps-free", "core/leases.py",
+     "None:\n            self._free[gpu.gpu_id] = gpu", "None:\n            pass"),
+    ("leases-grant-keeps-free", "core/leases.py", "self._free.pop(gpu.gpu_id, None)", "pass"),
+    ("leases-expiry-edge", "core/leases.py", "now >= self.expiry - 1e-9", "now > self.expiry"),
+    ("leases-revocation-tally", "core/leases.py", "get(reason, 0) + 1", "get(reason, 0) or 1"),
+    ("leases-next-expiry", "core/leases.py", "expiry > now + 1e-9", "expiry > now - 1e-9"),
+    # core/assignment.py: concretise, the greedy fill, take_packed
+    ("assignment-concretise-largest-first", "core/assignment.py",
+     "(-item[1], item[0])", "(item[1], item[0])"),
+    ("assignment-greedy-column", "core/assignment.py",
+     "free < min(chunk_size, headroom[other])", "free > min(chunk_size, headroom[other])"),
+    ("assignment-greedy-forgets", "core/assignment.py",
+     "{machine_id: seen[app_id][machine_id]}", "seen[app_id]"),
+    ("assignment-greedy-steps", "core/assignment.py", "(1, chunk) if chunk > 1 else", ""),
+    ("assignment-packed-preferred-first", "core/assignment.py",
+     "preferred + rest:", "rest + preferred:"),
+    # README's dirty-tracking mutants outside core/
+    ("M1-tuner-step-without-invalidate", "simulation/simulator.py",
+     "app.invalidate()\n            for job in victims:", "for job in victims:"),
+    ("M2-renewal-ignores-lowered-cap", "simulation/simulator.py",
+     "if all(job.allocation.size <= job.max_parallelism for job in jobs):", "if True:"),
+    ("M3-failure-path-untracked", "simulation/simulator.py",
+     "overhead=0.0)\n                self._track_held_job(job)", "overhead=0.0)"),
+    ("M5-allocation-ignores-epoch", "workload/app.py",
+     "_alloc_cache\n        if cached is not None and cached[0] == self._epoch:",
+     "_alloc_cache\n        if cached is not None:"),
+    ("M6-demand-ignores-epoch", "workload/app.py",
+     "_demand_cache\n        if cached is not None and cached[0] == self._epoch:",
+     "_demand_cache\n        if cached is not None:"),
+    ("M7-kill-without-on-mutate", "workload/job.py",
+     "            self.on_mutate()\n\n    # ---", "            pass\n\n    # ---"),
+    ("M9-install-untracked", "simulation/simulator.py",
+     "self._track_held_job(job)\n            self._emit_job_state", "self._emit_job_state"),
+    ("M10-ideal-cache-kept", "workload/app.py", "self._ideal_cache.clear()", "pass"),
+]
+
+#: Mutants that cannot change any observable behaviour, with the reason.
+EQUIVALENT = {
+    "fairness-carve-single-gpu-factor": (
+        "a one-GPU allotment sits on one machine inside one NVLink group "
+        "(group size >= 1), whose SLOT factor is 1.0 for every profile"
+    ),
+}
+
+#: Seconds one mutant's pytest run may take before it counts as a hang.
+DEFAULT_TIMEOUT = 600
+
+
+def importers(path: str, tests: Path) -> list[str]:
+    """Test files naming the module (``core/auction.py`` -> ``repro.core.auction``),
+    the ones named after it first."""
+    module = "repro." + path[: -len(".py")].replace("/", ".")
+    pattern = re.compile(rf"\b{re.escape(module)}\b")
+    found = [f.name for f in sorted(tests.glob("test_*.py")) if pattern.search(f.read_text())]
+    return sorted(found, key=lambda name: Path(path).stem not in name)
+
+
+def check_mutants(src: Path) -> None:
+    """Every mutant's ``old`` occurs exactly once; ids are unique."""
+    ids = [mutant[0] for mutant in MUTANTS]
+    if len(set(ids)) != len(ids):
+        raise SystemExit("duplicate mutant ids")
+    for mutant_id, path, old, _new in MUTANTS:
+        count = (src / "repro" / path).read_text().count(old)
+        if count != 1:
+            raise SystemExit(f"{mutant_id}: 'old' occurs {count} times in {path}")
+
+
+def make_workdir() -> Path:
+    """A scratch copy of ``src/``, ``tests/`` and ``pyproject.toml``."""
+    workdir = Path(tempfile.mkdtemp(prefix="repro-mutant-"))
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.pyc")
+    shutil.copytree(ROOT / "src", workdir / "src", ignore=ignore)
+    shutil.copytree(ROOT / "tests", workdir / "tests", ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", workdir / "pyproject.toml")
+    return workdir
+
+
+def run_mutant(mutant, workdir: Path, timeout: float) -> dict:
+    """Apply one mutant in ``workdir``, run its tests, restore the file."""
+    mutant_id, path, old, new = mutant
+    row: dict = {"module": path}
+    if mutant_id in EQUIVALENT:
+        return {**row, "status": "equivalent", "reason": EQUIVALENT[mutant_id]}
+    files = importers(path, workdir / "tests")
+    if not files:
+        return {**row, "status": "survived", "by": "no test file imports the module"}
+    target = workdir / "src" / "repro" / path
+    original = target.read_text()
+    target.write_text(original.replace(old, new, 1))
+    command = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        "--hypothesis-seed=0", *[f"tests/{name}" for name in files],
+    ]
+    # No bytecode: a mutant and its restore can land in one second with
+    # one size, which a timestamp-checked .pyc would not notice.
+    env = {**os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        done = subprocess.run(
+            command, cwd=workdir, env=env, capture_output=True, text=True, timeout=timeout
+        )
+    except subprocess.TimeoutExpired:
+        return {**row, "status": "killed", "by": f"timeout after {timeout:g} s"}
+    finally:
+        target.write_text(original)
+    if done.returncode == 0:
+        return {**row, "status": "survived", "by": None}
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    return {**row, "status": "killed", "by": failed.group(1) if failed else done.stdout[-200:]}
+
+
+def run_all(mutants, jobs: int, timeout: float) -> dict[str, dict]:
+    """Kill table, in mutant order; ``jobs`` scratch copies run side by side."""
+
+    def run_share(share) -> dict[str, dict]:
+        workdir = make_workdir()
+        rows = {}
+        try:
+            for mutant in share:
+                rows[mutant[0]] = row = run_mutant(mutant, workdir, timeout)
+                print(f"{mutant[0]:40s} {row['status']:10s} {row.get('by') or row.get('reason', '')}", flush=True)
+            return rows
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    table: dict[str, dict] = {}
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for part in pool.map(run_share, [mutants[i::jobs] for i in range(jobs)]):
+            table.update(part)
+    return {mutant[0]: table[mutant[0]] for mutant in mutants}
+
+
+def print_scores(table: dict[str, dict]) -> None:
+    """``killed/killable`` per module (equivalent mutants excluded)."""
+    per_module: dict[str, list[int]] = {}
+    for row in table.values():
+        if row["status"] == "equivalent":
+            continue
+        tally = per_module.setdefault(row["module"], [0, 0])
+        tally[0] += row["status"] == "killed"
+        tally[1] += 1
+    for module, (killed, total) in sorted(per_module.items()):
+        print(f"{module:40s} {killed}/{total}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", nargs="+", metavar="ID", help="run just these mutants")
+    parser.add_argument("--jobs", type=int, default=1, help="mutants run side by side")
+    parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
+    parser.add_argument("--check", action="store_true", help="exit 1 if any mutant survives")
+    args = parser.parse_args(argv)
+    check_mutants(ROOT / "src")
+    mutants = [m for m in MUTANTS if not args.only or m[0] in args.only]
+    table = run_all(mutants, max(1, args.jobs), args.timeout)
+    print_scores(table)
+    survivors = [mutant_id for mutant_id, row in table.items() if row["status"] == "survived"]
+    if args.check and survivors:
+        print(f"surviving: {', '.join(survivors)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,5 @@
 """Unit tests for App aggregation, distribution and completion."""
 
-import math
-
 import pytest
 
 from repro.cluster.allocation import Allocation

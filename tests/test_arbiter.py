@@ -42,6 +42,13 @@ def test_select_participants_worst_rho_first(small_cluster):
     assert chosen == ["d", "b"]
 
 
+def test_select_participants_rounds_the_share_up(small_cluster):
+    arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=0.8))
+    rhos = {app_id: float(rank) for rank, app_id in enumerate("abcdefg")}
+    # ceil((1 - 0.8) * 7) = ceil(1.4): the two worst apps.
+    assert arbiter.select_participants(rhos, list(rhos)) == ["g", "f"]
+
+
 def test_select_participants_at_least_one(small_cluster):
     arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=1.0))
     chosen = arbiter.select_participants({"a": 1.0, "b": 2.0}, ["a", "b"])
@@ -137,6 +144,22 @@ def test_unchanged_apps_pay_no_base_carve_in_the_next_round(
         probe_carves.append(0)
         arbiter.offer_resources(now, pool, agents)
     assert probe_carves == [2, 0]
+
+
+def test_each_round_refreshes_what_changed_since_the_last(small_cluster, estimator):
+    """The round token is per round: a repeat refresh is free within a
+    round, but the next round sees the holdings that moved in between."""
+    arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=1.0))
+    agents = agents_for(estimator, [("a", 2, 0.0), ("b", 1, 0.0)])
+    held = Allocation(small_cluster.machines[0].gpus[:2])
+    agents["b"].app.jobs[0].set_allocation(0.0, held)
+    pool = list(small_cluster.machines[1].gpus)
+    arbiter.offer_resources(10.0, pool, agents)
+    assert arbiter.last_outcome.participants == ("a",)  # starved: rho = inf
+    agents["b"].app.jobs[0].set_allocation(0.0, Allocation())
+    agents["a"].app.jobs[0].set_allocation(0.0, held)
+    arbiter.offer_resources(20.0, pool, agents)
+    assert arbiter.last_outcome.participants == ("b",)
 
 
 def test_round_stats_recorded(small_cluster, estimator):

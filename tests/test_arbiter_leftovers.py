@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.allocation import Allocation
+from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
 from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
 from repro.core.fairness import FairnessEstimator
@@ -82,3 +83,24 @@ def test_unwanted_leftovers_stay_free(small_cluster, estimator):
     grants = arbiter.offer_resources(30.0, list(small_cluster.gpus), agents)
     granted = sum(len(g) for g in grants.values())
     assert granted == 2
+
+
+def test_leftovers_drain_the_fastest_generation_first():
+    """One GPU wanted, one left on a k80 machine and one on a v100
+    machine: the v100 GPU is handed out, the k80 one stays free."""
+    cluster = build_cluster(
+        ClusterSpec(
+            machine_specs=tuple(
+                MachineSpec(count=1, gpus_per_machine=2, gpu_type=GPU_TYPES[kind])
+                for kind in ("k80", "v100")
+            ),
+            num_racks=1,
+            name="mixed",
+        )
+    )
+    arbiter = Arbiter(cluster, ArbiterConfig(fairness_knob=1.0))
+    app = make_app("wants-one", num_jobs=1, max_parallelism=1)
+    agents = {"wants-one": Agent(app, FairnessEstimator(cluster))}
+    assignments: dict = {}
+    assert arbiter._assign_leftovers({0: 1, 1: 1}, [], agents, assignments) == 1
+    assert assignments == {"wants-one": {1: 1}}

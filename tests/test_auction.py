@@ -170,3 +170,32 @@ def test_shrink_bundle_noop_when_keep_covers():
 def test_chunk_size_validation():
     with pytest.raises(ValueError):
         PartialAllocationAuction(chunk_size=0)
+
+
+class TableBid:
+    """A bid priced from a table: values no carve produces, to pin the
+    solver's tie-breaks on exact ties."""
+
+    noise_theta = 0.0
+    _estimator = None
+
+    def __init__(self, demand, values):
+        self.demand = demand
+        self.values = values
+        self._pair_memo = {}
+
+    def value_from_key(self, key):
+        return self.values[key]
+
+    def value_of(self, bundle):
+        return self.values[tuple(sorted(bundle.items()))]
+
+
+def test_an_exact_gain_tie_goes_to_the_smaller_step():
+    """(log 4 - log 1) / 2 == log 2 - log 1 in floating point, so one
+    and two GPUs of machine 0 tie on log gain per GPU; like the rescan
+    solver's key, the lazy solver's takes the smaller step."""
+    assert (math.log(4.0) - math.log(1.0)) / 2 == math.log(2.0) - math.log(1.0)
+    bids = {"a": TableBid(2, {(): 1.0, ((0, 1),): 2.0, ((0, 2),): 4.0})}
+    _, moves = PartialAllocationAuction(chunk_size=2)._solve({0: 2}, bids)
+    assert moves == [("a", 0, 1, 2.0), ("a", 0, 1, 4.0)]

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.core.bids import Bid, BidEntry, build_bid
+from repro.cluster.allocation import Allocation
+from repro.core.bids import BidEntry, build_bid
 from repro.core.fairness import FairnessEstimator
 
 from helpers import make_app
@@ -97,6 +98,29 @@ def test_noise_zero_means_exact(estimator):
     assert abs(rho_noisy - rho_exact) / rho_exact <= 0.2 + 1e-9
 
 
+def test_noise_errs_both_ways_within_theta(estimator):
+    app = make_app(num_jobs=2, max_parallelism=4)
+    offer = {0: 4, 1: 4, 2: 2, 3: 2}
+    exact = build_bid(app, estimator, now=5.0, offered_counts=offer)
+    noisy = build_bid(
+        app, estimator, now=5.0, offered_counts=offer, noise_theta=0.2, noise_salt=3
+    )
+    bundles = [{m: c} for m, free in offer.items() for c in range(1, free + 1)]
+    factors = [noisy.rho_of(bundle) / exact.rho_of(bundle) for bundle in bundles]
+    assert min(factors) < 1.0 < max(factors)
+    assert all(0.8 - 1e-9 <= factor <= 1.2 + 1e-9 for factor in factors)
+
+
+def test_bundles_on_held_machines_add_to_the_holdings(small_cluster, estimator):
+    """A bid prices holdings plus bundle, summed per machine, exactly
+    as the estimator's own merge does."""
+    app = make_app(num_jobs=2, max_parallelism=4)
+    app.jobs[0].set_allocation(0.0, Allocation(small_cluster.machines[0].gpus[:1]))
+    bid = build_bid(app, estimator, now=5.0, offered_counts={0: 3, 2: 2})
+    for bundle in ({0: 2}, {0: 3, 2: 1}):
+        assert bid.rho_of(bundle) == estimator.rho(app, 5.0, bundle)
+
+
 def test_noise_deterministic_within_auction(estimator):
     app = make_app(num_jobs=2, max_parallelism=2)
     a = build_bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.1, noise_salt=7)
@@ -131,6 +155,20 @@ def test_zero_rho_value_clamped_to_finite_ceiling(estimator):
     assert value == VALUE_CEILING
     assert math.isfinite(value)
     assert math.isfinite(math.log(value))
+
+
+def test_table_values_come_from_the_one_conversion(estimator):
+    """The table prices a rho-0 row like ``value_of`` does, not ``1/0``:
+    an app whose only job was killed at its arrival instant."""
+    from repro.core.fairness import VALUE_CEILING
+
+    app = make_app(num_jobs=1)
+    app.jobs[0].kill(0.0)
+    bid = build_bid(app, estimator, now=0.0, offered_counts={0: 4})
+    table = bid.table()
+    assert [entry.rho for entry in table] == [0.0, 0.0]
+    assert [entry.value for entry in table] == [VALUE_CEILING, VALUE_CEILING]
+    assert all(entry.value == bid.value_of(dict(entry.bundle)) for entry in table)
 
 
 def test_injected_zero_rho_bundle_clamped(estimator):

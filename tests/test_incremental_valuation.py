@@ -3,9 +3,10 @@
 Two layers of guarantees:
 
 * the sorted-order :func:`~repro.core.fairness._carve_fast` replays the
-  pre-refactor heap-backed :func:`~repro.core.fairness._carve_reference`
-  byte-for-byte on randomised instances (homogeneous and speed-weighted,
-  narrow and up to 104 machines wide);
+  dict-scan :func:`~repro.core.fairness._carve_reference` byte-for-byte
+  under scalar and per-family speeds, over ``helpers.carve_instances``
+  (homogeneous and speed-weighted, narrow and up to 104 machines wide),
+  and conserves GPUs;
 * :class:`~repro.core.fairness.AppValuationState` honours the
   dirty-tracking contract — verbatim reuse only while the app is clean
   and unallocated, rate-cache retention across drains that preserve the
@@ -38,22 +39,20 @@ from repro.core.fairness import (
     _carve_reference,
     _job_tuples,
     bundle_shape,
+    carve_allotments,
     packing_utility,
 )
 from repro.experiments.config import tiny_scenario
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.simulator import ClusterSimulator
 from repro.workload.app import App, CompletionSemantics
-from repro.workload.job import Job, JobSpec
 from repro.workload.perf import (
     DEFAULT_PERF_MODEL,
     PERF_MATRIX_PRESETS,
     ThroughputMatrixModel,
 )
 
-from helpers import make_app, make_job
-
-MODELS = ("resnet50", "vgg16", "transformer", "inceptionv3", "lstm-lm")
+from helpers import MODELS, carve_instances, make_app, make_job
 
 
 def small_cluster(machines=3, gpus=4, racks=1):
@@ -69,83 +68,35 @@ def small_cluster(machines=3, gpus=4, racks=1):
 # ----------------------------------------------------------------------
 # Carve oracle
 # ----------------------------------------------------------------------
-def random_carve_instance(rng: random.Random):
-    """A random carve: narrow (≤ 8 machines, 3 racks) or, one time in
-    three, wide (≤ 104 machines over 8 racks, ≤ 40 jobs, counts in
-    {1, 2, 4} so ties in effective compute are common)."""
-    if rng.random() < 1 / 3:
-        num_machines = rng.randint(9, 104)
-        rack_of = {m: rng.randint(0, 7) for m in range(num_machines)}
-        counts = {m: rng.choice((1, 2, 4)) for m in range(num_machines)}
-        num_jobs = rng.randint(1, 40)
-        max_cap = 12
-    else:
-        num_machines = rng.randint(1, 8)
-        rack_of = {m: rng.randint(0, 2) for m in range(num_machines)}
-        counts = {m: rng.randint(0, 6) for m in range(num_machines)}
-        num_jobs = rng.randint(1, 6)
-        max_cap = 6
-    speed_of = None
-    if rng.random() < 0.5:
-        speed_of = {m: rng.choice((0.33, 0.66, 1.0)) for m in range(num_machines)}
-    jobs = [
-        Job(
-            spec=JobSpec(
-                job_id=f"j{i}",
-                model=rng.choice(MODELS),
-                serial_work=rng.uniform(1.0, 300.0),
-                max_parallelism=rng.randint(1, max_cap),
-            )
-        )
-        for i in range(num_jobs)
-    ]
-    tuples = [
-        (
-            job.remaining_work,
-            job.max_parallelism,
-            job.model_profile.sensitivity,
-            job.job_id,
-            job.model_profile.family,
-        )
-        for job in jobs
-    ]
-    tuples.sort(key=lambda item: (item[0], item[3]))
-    nvlink = rng.choice((1, 2, 4))
-    return tuples, counts, rack_of, nvlink, speed_of
+@settings(max_examples=500, deadline=None)
+@given(carve_instances())
+def test_carve_fast_matches_reference_on_random_instances(case):
+    for setup in ("scalar", "family"):
+        args = case.args(setup)
+        assert _carve_fast(*args) == _carve_reference(*args)
+    # A matrix whose every row is the scalar map carves like the scalar setup.
+    assert _carve_fast(*case.args("degenerate")) == _carve_fast(*case.args("scalar"))
+    # Conservation: one allotment per job, each within its cap, and the
+    # carve hands out min(sum of caps, pool) GPUs, so adding GPUs never
+    # hands out fewer.  Speeds are <= 1, so rate <= effective <= gpus.
+    allotments = carve_allotments(
+        case.jobs, case.counts, case.rack_of, case.nvlink, case.speed_of
+    )
+    caps = {job.job_id: job.max_parallelism for job in case.jobs}
+    assert sorted(a.job_id for a in allotments) == sorted(caps)
+    assert sum(a.gpus for a in allotments) == min(
+        sum(caps.values()), sum(case.counts.values())
+    )
+    for item in allotments:
+        assert 0 <= item.gpus <= caps[item.job_id]
+        assert 0.0 <= item.slowdown <= 1.0
+        assert item.rate <= item.effective <= item.gpus
 
 
-def test_carve_fast_matches_reference_on_random_instances():
-    rng = random.Random(1234)
-    for _ in range(400):
-        tuples, counts, rack_of, nvlink, speed_of = random_carve_instance(rng)
-        fast = _carve_fast(tuples, counts, rack_of, nvlink, speed_of)
-        reference = _carve_reference(tuples, counts, rack_of, nvlink, speed_of)
-        assert fast == reference
-
-
-def random_family_speeds(rng: random.Random, machines):
-    """A per-family machine-speed index over random families."""
-    from repro.workload.models import MODEL_FAMILIES
-
-    table = {
-        family: {m: rng.choice((0.2, 0.5, 0.8, 1.0)) for m in machines}
-        for family in MODEL_FAMILIES
-    }
-    return lambda family: table[family]
-
-
-def test_family_carve_matches_reference_on_random_instances():
-    """The per-family kernel against the independent dict-scan oracle."""
-    rng = random.Random(4321)
-    for _ in range(400):
-        tuples, counts, rack_of, nvlink, _speed_of = random_carve_instance(rng)
-        family_fn = random_family_speeds(rng, list(rack_of))
-        fast = _carve_fast(tuples, counts, rack_of, nvlink, None, family_fn)
-        reference = _carve_reference(tuples, counts, rack_of, nvlink, None, family_fn)
-        assert fast == reference
-    # Directed: three jobs alternating two families with inverted rows.
-    # The first leaves machine 0 partially drained, so each family change
-    # rebuilds the effective-compute array from the *live* counts.
+def test_family_change_rekeys_from_the_live_counts():
+    """Three jobs alternating two families with inverted rows.  The
+    first leaves machine 0 partially drained, so each family change
+    rebuilds the effective-compute order from the *live* counts."""
     rows = {"vgg": {0: 1.0, 1: 0.25}, "gan": {0: 0.3, 1: 1.0}}
     profile = make_job().model_profile.sensitivity
     tuples = [
@@ -163,34 +114,11 @@ def test_family_carve_matches_reference_on_random_instances():
     ]
 
 
-def test_degenerate_family_carve_equals_scalar_carve():
-    """Family speeds that ignore the family reproduce the scalar kernel."""
-    rng = random.Random(99)
-    for _ in range(200):
-        tuples, counts, rack_of, nvlink, speed_of = random_carve_instance(rng)
-        if speed_of is None:
-            speed_of = {m: 1.0 for m in rack_of}
-        family_fn = lambda family, table=speed_of: table  # noqa: E731
-        scalar = _carve_fast(tuples, counts, rack_of, nvlink, speed_of)
-        family = _carve_fast(tuples, counts, rack_of, nvlink, None, family_fn)
-        assert scalar == family
-
-
 def test_carve_fast_matches_reference_multi_rack_spill():
     # Deterministic case exercising the racks-already-used preference.
     rack_of = {0: 0, 1: 0, 2: 1, 3: 1}
     counts = {0: 2, 1: 1, 2: 3, 3: 1}
-    jobs = [make_job("a", max_parallelism=5), make_job("b", max_parallelism=4)]
-    tuples = [
-        (
-            j.remaining_work,
-            j.max_parallelism,
-            j.model_profile.sensitivity,
-            j.job_id,
-            j.model_profile.family,
-        )
-        for j in jobs
-    ]
+    tuples = _job_tuples([make_job("a", max_parallelism=5), make_job("b", max_parallelism=4)])
     fast = _carve_fast(tuples, counts, rack_of, 2)
     reference = _carve_reference(tuples, counts, rack_of, 2)
     assert fast == reference
@@ -266,6 +194,24 @@ def test_state_drift_path_skips_rebuild_while_holding_gpus():
     assert drifted is not first  # total re-summed into a fresh snapshot
     assert drifted.total_remaining == job.remaining_work
     assert state.rebuilds == 1  # ...but no full rebuild
+
+
+def test_state_drift_path_rebuilds_when_a_work_tie_reorders_the_jobs():
+    """Jobs sort by (remaining work, id): a drain that only *ties* the
+    work of two jobs still puts the lower id first, and the carve gives
+    that job its GPUs first — so the drift path must rebuild."""
+    cluster = small_cluster()
+    estimator = FairnessEstimator(cluster)
+    jobs = [
+        make_job("j0", serial_work=200.0, max_parallelism=1),
+        make_job("j1", serial_work=100.0, max_parallelism=4),
+    ]
+    app = App("a0", 0.0, jobs)
+    jobs[1].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:3]))
+    state = AppValuationState(app, estimator)
+    state.refresh()
+    jobs[0].remaining_work = jobs[1].remaining_work
+    assert state.current_rho(10.0) == AppValuationState(app, estimator).current_rho(10.0)
 
 
 def test_state_matches_a_fresh_state_everywhere():

@@ -1,7 +1,5 @@
 """Cross-module integration tests: the paper's headline claims in miniature."""
 
-import pytest
-
 from repro.experiments.config import tiny_scenario
 from repro.experiments.figures import compare_schedulers
 from repro.experiments.runner import run_scenario

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.cluster.allocation import Allocation
-from repro.workload.job import Job, JobSpec, JobState
+from repro.workload.job import JobSpec, JobState
 
 from helpers import make_job
 

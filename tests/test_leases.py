@@ -76,6 +76,7 @@ def test_next_expiry(small_cluster):
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)
     manager.grant(small_cluster.gpu(1), "a", "j", 0.0, 25.0)
     assert manager.next_expiry(0.0) == 10.0
+    assert manager.next_expiry(10.0) == 25.0  # strictly after now
     assert manager.next_expiry(12.0) == 25.0
     assert manager.next_expiry(30.0) is None
 
@@ -142,6 +143,9 @@ def test_revoke_counts_by_reason(small_cluster):
     manager.grant(gpu, "b", "k", 0.0, 10.0)
     manager.revoke(gpu)  # default reason
     assert manager.revocations == {"failure": 1, "forced": 1}
+    manager.grant(gpu, "c", "l", 0.0, 10.0)
+    manager.revoke(gpu, reason="failure")
+    assert manager.revocations == {"failure": 2, "forced": 1}
 
 
 def test_revoke_unleased_is_noop(small_cluster):

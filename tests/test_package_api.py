@@ -86,17 +86,13 @@ def test_every_public_package_imports_cold(module):
 
 
 #: Oracles the equivalence suites compare production code against.
-REFERENCES = {
-    "rescan_fair_allocation", "exhaustive_nash_allocation",
-    "_carve_reference", "_CountPool",
-}
+REFERENCES = {"rescan_fair_allocation", "exhaustive_nash_allocation", "_carve_reference"}
 
 
 def test_no_production_code_runs_a_reference():
     """The references are reached from ``tests/`` only (read as AST, no
-    import): under ``src/`` the one thing that may call or construct a
-    reference is another reference (``_carve_reference`` builds its
-    ``_CountPool``)."""
+    import): under ``src/`` nothing outside a reference's own body may
+    call one."""
     offenders = []
     for path in sorted(Path(repro.__file__).resolve().parent.rglob("*.py")):
         for top in ast.parse(path.read_text()).body:

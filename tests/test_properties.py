@@ -1,21 +1,22 @@
-"""Property-based tests (hypothesis) on core invariants."""
+"""Property-based tests (hypothesis) on core invariants.
+
+The carve's conservation bounds and the auction's §5.1 invariants are
+asserted with their oracles, over the shared generators of
+``tests/helpers.py``: tests/test_incremental_valuation.py and
+tests/test_auction_equivalence.py.
+"""
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
-from repro.core.auction import PartialAllocationAuction
-from repro.core.bids import build_bid
-from repro.core.fairness import FairnessEstimator, carve_allotments
 from repro.hyperparam.curves import LossCurve
 from repro.metrics.fairness import jain_index
 from repro.metrics.jct import cdf, percentile
 from repro.simulation.engine import SimulationEngine
-from repro.workload.app import App
-from repro.workload.job import Job, JobSpec
 
 CLUSTER = build_cluster(
     ClusterSpec(
@@ -27,7 +28,6 @@ CLUSTER = build_cluster(
         name="prop",
     )
 )
-RACK_OF = {m.machine_id: m.rack_id for m in CLUSTER.machines}
 
 gpu_indices = st.lists(
     st.integers(min_value=0, max_value=CLUSTER.num_gpus - 1), max_size=10
@@ -59,118 +59,6 @@ def test_allocation_score_in_range(ids):
     alloc = Allocation(CLUSTER.gpu(i) for i in ids)
     score = alloc.score()
     assert score == 0.0 if not alloc else 0.25 <= score <= 1.0
-
-
-# ----------------------------------------------------------------------
-# Carve conservation
-# ----------------------------------------------------------------------
-job_counts = st.integers(min_value=1, max_value=6)
-machine_pools = st.dictionaries(
-    st.integers(min_value=0, max_value=CLUSTER.num_machines - 1),
-    st.integers(min_value=0, max_value=4),
-    max_size=CLUSTER.num_machines,
-)
-
-
-def _make_jobs(n):
-    return [
-        Job(
-            spec=JobSpec(
-                job_id=f"p{i}",
-                model="vgg16" if i % 2 else "resnet50",
-                serial_work=10.0 * (i + 1),
-                max_parallelism=(i % 4) + 1,
-            )
-        )
-        for i in range(n)
-    ]
-
-
-@given(job_counts, machine_pools)
-def test_carve_never_exceeds_pool_or_caps(n, pool):
-    jobs = _make_jobs(n)
-    allotments = carve_allotments(jobs, pool, RACK_OF)
-    assert len(allotments) == n
-    assert sum(a.gpus for a in allotments) <= sum(pool.values())
-    by_id = {a.job_id: a for a in allotments}
-    for job in jobs:
-        item = by_id[job.job_id]
-        assert 0 <= item.gpus <= job.max_parallelism
-        assert 0.0 <= item.slowdown <= 1.0
-        assert item.rate <= item.gpus
-
-
-@given(job_counts, machine_pools)
-def test_carve_gpus_assigned_monotone_in_pool(n, pool):
-    """Adding GPUs to the pool never reduces the GPUs handed out.
-
-    (The aggregate *rate* is not monotone — the greedy carve may pack
-    differently with a larger pool — but the GPU count is: the carve
-    always hands out min(sum of caps, pool size) GPUs.)
-    """
-    jobs = _make_jobs(n)
-    base = sum(a.gpus for a in carve_allotments(jobs, pool, RACK_OF))
-    caps = sum(job.max_parallelism for job in jobs)
-    assert base == min(caps, sum(pool.values()))
-    bigger = dict(pool)
-    bigger[0] = bigger.get(0, 0) + 2
-    grown = sum(a.gpus for a in carve_allotments(jobs, bigger, RACK_OF))
-    assert grown >= base
-
-
-# ----------------------------------------------------------------------
-# Auction invariants under random market conditions
-# ----------------------------------------------------------------------
-market = st.lists(
-    st.tuples(
-        st.integers(min_value=1, max_value=3),  # jobs per app
-        st.floats(min_value=0.0, max_value=100.0),  # elapsed wait
-    ),
-    min_size=1,
-    max_size=4,
-)
-
-
-@given(market, machine_pools)
-@settings(max_examples=40, deadline=None)
-def test_auction_disjoint_and_bounded(specs, pool):
-    estimator = FairnessEstimator(CLUSTER)
-    bids = {}
-    for index, (num_jobs, elapsed) in enumerate(specs):
-        jobs = [
-            Job(
-                spec=JobSpec(
-                    job_id=f"a{index}-j{j}",
-                    model="resnet50",
-                    serial_work=50.0,
-                    max_parallelism=2,
-                )
-            )
-            for j in range(num_jobs)
-        ]
-        app = App(f"a{index}", 0.0, jobs)
-        bids[app.app_id] = build_bid(
-            app, estimator, now=elapsed, offered_counts=pool
-        )
-    outcome = PartialAllocationAuction().run(pool, bids)
-    # Invariant 1: never allocate more than the pool, per machine.
-    used: dict[int, int] = {}
-    for bundle in outcome.winners.values():
-        for machine_id, count in bundle.items():
-            used[machine_id] = used.get(machine_id, 0) + count
-            assert count >= 0
-    for machine_id, count in used.items():
-        assert count <= pool.get(machine_id, 0)
-    # Invariant 2: winners + leftover == pool.
-    assert outcome.total_allocated + outcome.total_leftover == sum(
-        max(0, c) for c in pool.values()
-    )
-    # Invariant 3: hidden payments are fractions.
-    for c in outcome.payments.values():
-        assert 0.0 <= c <= 1.0
-    # Invariant 4: nobody exceeds their demand.
-    for app_id, bundle in outcome.winners.items():
-        assert sum(bundle.values()) <= bids[app_id].demand
 
 
 # ----------------------------------------------------------------------

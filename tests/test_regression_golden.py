@@ -8,8 +8,6 @@ legitimate algorithmic tuning (they assert ranges, not exact floats)
 while catching accidental nondeterminism or drastic behaviour drift.
 """
 
-import pytest
-
 from repro.experiments.config import tiny_scenario
 from repro.experiments.figures import compare_schedulers
 from repro.experiments.runner import run_scenario

@@ -3,35 +3,24 @@
 counter."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.service.api import ServiceServer
 from repro.service.chaos import FakeClock, ScriptedExecutor
 from repro.service.daemon import ControlPlane
 from repro.service.store import DurableStore
 
 
 @pytest.fixture
-def service(tmp_path):
+def service(tmp_path, serve):
     plane = ControlPlane(
         DurableStore(tmp_path / "store"), executor=ScriptedExecutor(),
         clock=FakeClock(),
     )
-    server = ServiceServer(plane)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.endpoint
-    try:
-        yield plane, f"http://{host}:{port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
-        plane.close()
+    host, port = serve(plane).endpoint
+    return plane, f"http://{host}:{port}"
 
 
 def post_submit(url, body: str):

@@ -1,7 +1,6 @@
 """Tests for the service CLI verbs and the HTTP API layer."""
 
 import json
-import threading
 
 import pytest
 
@@ -80,7 +79,7 @@ def test_client_without_endpoint_file(tmp_path):
 # HTTP round trip (in-process server, manual ticks)
 # ----------------------------------------------------------------------
 @pytest.fixture()
-def service(tmp_path):
+def service(tmp_path, serve):
     admission = AdmissionController()
     admission.set_policy(TenantPolicy(tenant="limited", max_queued_jobs=1))
     plane = ControlPlane(
@@ -90,16 +89,9 @@ def service(tmp_path):
         retry=RetryPolicy(base_delay=0.5, jitter=0.0),
         clock=FakeClock(),
     )
-    server = ServiceServer(plane)
+    server = serve(plane)
     server.write_endpoint_file(tmp_path)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServiceClient.from_dir(tmp_path)
-    try:
-        yield plane, server, client
-    finally:
-        server.shutdown()
-        plane.close()
+    return plane, server, ServiceClient.from_dir(tmp_path)
 
 
 def test_http_submit_status_cancel_round_trip(service, tmp_path, capsys):

@@ -2,13 +2,12 @@
 
 import json
 import socket
-import threading
 
 import pytest
 
 from repro.obs.tracer import RingTracer
 from repro.service.admission import AdmissionController, TenantPolicy
-from repro.service.api import MAX_BODY_BYTES, ServiceServer
+from repro.service.api import MAX_BODY_BYTES
 from repro.service.chaos import FakeClock, FlakyStore, ScriptedExecutor
 from repro.service.daemon import ControlPlane, JobOutcome
 from repro.service.errors import (
@@ -464,19 +463,9 @@ def test_compaction_through_the_daemon(tmp_path):
 # HTTP request bodies are bounded before they are read
 # ----------------------------------------------------------------------
 @pytest.fixture
-def http_endpoint(tmp_path):
+def http_endpoint(tmp_path, serve):
     plane, _clock = make_plane(tmp_path, executor=ScriptedExecutor())
-    server = ServiceServer(plane)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server.endpoint
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
-        plane.close()
-    assert not thread.is_alive()
+    return serve(plane).endpoint
 
 
 def raw_post(endpoint, content_length, body=b""):

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.service.api import ServiceClient, ServiceServer
+from repro.service.api import ServiceClient
 from repro.service.chaos import (
     FakeClock,
     ScriptedExecutor,
@@ -37,7 +37,6 @@ from repro.service.errors import (
 from repro.service.retry import FailureKind, RetryPolicy
 from repro.service.state import JobRecord, JobState
 from repro.service.store import DurableStore
-from repro.service.tokens import DispatchToken
 from repro.service.worker import SubprocessExecutor, WorkerLoop, run_child
 
 NO_JITTER = RetryPolicy(base_delay=0.5, jitter=0.0)
@@ -443,24 +442,15 @@ def test_client_gives_up_after_max_attempts():
 # The real transport: WorkerLoop over HTTP, subprocess children
 # ----------------------------------------------------------------------
 @pytest.fixture()
-def live_service(tmp_path):
+def live_service(tmp_path, serve):
     plane = ControlPlane(
         DurableStore(tmp_path / "svc"),
         executor=ScriptedExecutor(),
         retry=NO_JITTER,
         worker_ttl=5.0,
     )
-    server = ServiceServer(plane)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.endpoint
-    client = ServiceClient(f"http://{host}:{port}", timeout=5.0)
-    try:
-        yield plane, client
-    finally:
-        server.shutdown()
-        thread.join(timeout=5.0)
-        plane.close()
+    host, port = serve(plane).endpoint
+    return plane, ServiceClient(f"http://{host}:{port}", timeout=5.0)
 
 
 def test_worker_loop_drains_jobs_over_http(live_service):

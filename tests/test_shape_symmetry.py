@@ -1,27 +1,22 @@
 """Shape symmetry: a bundle is carved per *shape*, a row scored per *class*.
 
-Four layers, matching where the symmetry is used:
+Three layers, matching where the symmetry is used:
 
-* **the lemma** (:func:`repro.core.fairness.bundle_shape`) — all three
-  carve kernels read machine ids only for *order* and rack ids only for
-  *equality*, so any order-preserving relabelling that keeps the rack
-  equality pattern and every per-machine speed leaves the allotments
-  bit-identical (hypothesis property, scalar and per-family speeds);
+* **the lemma** (:func:`repro.core.fairness.bundle_shape`) — the carve
+  kernel and its reference read machine ids only for *order* and rack
+  ids only for *equality*, so any order-preserving relabelling that
+  keeps the rack equality pattern and every per-machine speed leaves
+  the allotments bit-identical (hypothesis property over
+  ``helpers.carve_instances``, every speed setup);
 * **why order position is in the class** — the pinned counterexample
   where two free machines of the same rack, speed and free count carve
   to 4.0 vs 5.2 because one sorts below the holdings and one above;
-* **the solver** — on markets with >= 32 interchangeable machines the
-  class-grouped row pass replays the full-rescan solver's outcome
-  byte-for-byte, with and without valuation noise (noise keys on
-  machine ids, so the class must degenerate to the machine), under
-  scalar and ``rate-inversion`` perf models, ``ALL_JOBS`` and
-  ``FIRST_WINNER``;
 * **class-native rows** — a class owns *one* heap entry: pinned markets
   where a competitor consumes the representative (a successor must be
   materialised) and where a member touched by a column event must be
-  skipped, a hypothesis sweep of whole outcomes against the rescan
-  reference, and bit-equality of the spliced-shape probe with the
-  id-key probe.
+  skipped, and bit-equality of the spliced-shape probe with the id-key
+  probe.  Whole outcomes on wide markets against the rescan reference
+  are the market property of tests/test_auction_equivalence.py.
 """
 
 from __future__ import annotations
@@ -48,108 +43,58 @@ from repro.core.fairness import (
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
 
-from helpers import make_app, make_job, rescan_auction
-
-FAMILIES = ("cnn", "rnn", "attention")
-PROFILES = (
-    SensitivityProfile(machine=0.9, rack=0.8, cluster=0.5),
-    SensitivityProfile(machine=1.0, rack=0.95, cluster=0.9),
-    SensitivityProfile(machine=0.7, rack=0.4, cluster=0.2),
-)
-SPEEDS = (0.35, 0.6, 1.0)
+from helpers import MODELS, CarveInstance, carve_instances, make_app, make_job, rescan_auction
 
 
 # ----------------------------------------------------------------------
-# (a) the lemma, on every kernel
+# (a) the lemma, on the kernel and its reference
 # ----------------------------------------------------------------------
-def all_kernels(tuples, key, rack_of, nvlink, speed_of, family_fn):
-    """Both kernels' results for one bundle, scalar setup then per-family."""
-    counts = dict(key)
-    return {
-        "fast": _carve_fast(tuples, counts, rack_of, nvlink, speed_of),
-        "reference": _carve_reference(tuples, counts, rack_of, nvlink, speed_of),
-        "fast_family": _carve_fast(tuples, counts, rack_of, nvlink, None, family_fn),
-        "reference_family": _carve_reference(
-            tuples, counts, rack_of, nvlink, None, family_fn
-        ),
-    }
-
-
 @st.composite
-def relabelled_bundles(draw):
-    """A bundle and an order-preserving relabelling of it."""
-    size = draw(st.integers(1, 6))
-    ids_a = sorted(draw(st.sets(st.integers(0, 40), min_size=size, max_size=size)))
-    ids_b = sorted(draw(st.sets(st.integers(0, 40), min_size=size, max_size=size)))
-    racks = [draw(st.integers(0, 2)) for _ in range(size)]
-    # Rack ids are relabelled by an injective map: equality pattern kept.
-    rack_map = dict(zip((0, 1, 2), draw(st.permutations((7, 8, 9)))))
-    counts = [draw(st.integers(1, 4)) for _ in range(size)]
-    speeds = [draw(st.sampled_from(SPEEDS)) for _ in range(size)]
-    family_speeds = [
-        {family: draw(st.sampled_from(SPEEDS)) for family in FAMILIES}
-        for _ in range(size)
-    ]
-    jobs = []
-    for index in range(draw(st.integers(1, 4))):
-        jobs.append(
-            (
-                float(index + 1),
-                draw(st.integers(1, 6)),
-                draw(st.sampled_from(PROFILES)),
-                f"j{index}",
-                draw(st.sampled_from(FAMILIES)),
-            )
-        )
-    nvlink = draw(st.sampled_from((1, 2, 4)))
+def relabelled_carves(draw):
+    """A carve instance and an order-preserving relabelling of it: new
+    machine ids in the same order, rack ids under an injective map."""
+    case = draw(carve_instances())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    machines = sorted(case.rack_of)
+    new_id = dict(zip(machines, sorted(rng.sample(range(4 * len(machines)), len(machines)))))
+    racks = sorted(set(case.rack_of.values()))
+    new_rack = dict(zip(racks, rng.sample(range(100, 200), len(racks))))
 
-    def world(ids, rack_ids):
-        by_family = {
-            family: {m: row[family] for m, row in zip(ids, family_speeds)}
-            for family in FAMILIES
-        }
-        return {
-            "key": tuple(zip(ids, counts)),
-            "rack_of": dict(zip(ids, rack_ids)),
-            "speed_of": dict(zip(ids, speeds)),
-            "family_fn": by_family.__getitem__,
-        }
+    def move(speeds):
+        return {new_id[m]: speed for m, speed in speeds.items()}
 
+    twin = CarveInstance(
+        case.jobs,
+        move(case.counts),
+        {new_id[m]: new_rack[r] for m, r in case.rack_of.items()},
+        case.nvlink,
+        None if case.speed_of is None else move(case.speed_of),
+        {family: move(row) for family, row in case.family_rows.items()},
+    )
+    return case, twin
+
+
+def shapes(case):
+    """The bundle's shape under the scalar reads and the family reads."""
+    key = tuple((m, c) for m, c in sorted(case.counts.items()) if c > 0)
+    scalar = case.speed_of or {}
+    rows = list(case.family_rows.values())
     return (
-        tuple(jobs),
-        nvlink,
-        world(ids_a, racks),
-        world(ids_b, [rack_map[r] for r in racks]),
+        bundle_shape(key, {m: (r, scalar.get(m, 1.0)) for m, r in case.rack_of.items()}),
+        bundle_shape(
+            key, {m: (r, tuple(row[m] for row in rows)) for m, r in case.rack_of.items()}
+        ),
     )
 
 
 @settings(max_examples=150, deadline=None)
-@given(relabelled_bundles())
-def test_all_kernels_are_pure_in_the_bundle_shape(case):
-    tuples, nvlink, first, second = case
-    shapes = []
-    for world in (first, second):
-        for speeds in (
-            world["speed_of"],
-            {
-                m: tuple(world["family_fn"](family)[m] for family in FAMILIES)
-                for m in world["rack_of"]
-            },
-        ):
-            reads = {m: (world["rack_of"][m], speeds[m]) for m in world["rack_of"]}
-            shapes.append(bundle_shape(world["key"], reads))
-    assert shapes[0] == shapes[2] and shapes[1] == shapes[3]
-    got = [
-        all_kernels(
-            tuples, w["key"], w["rack_of"], nvlink, w["speed_of"], w["family_fn"]
-        )
-        for w in (first, second)
-    ]
-    assert got[0] == got[1]
-    # And the kernels agree with each other, so "the carve" is one function.
-    for suffix in ("", "_family"):
-        names = [n for n in got[0] if n.endswith("_family") == bool(suffix)]
-        assert all(got[0][name] == got[0][names[0]] for name in names)
+@given(relabelled_carves())
+def test_all_kernels_are_pure_in_the_bundle_shape(pair):
+    case, twin = pair
+    assert shapes(case) == shapes(twin)
+    for setup in ("scalar", "family", "degenerate"):
+        for kernel in (_carve_fast, _carve_reference):
+            assert kernel(*case.args(setup)) == kernel(*twin.args(setup))
 
 
 # ----------------------------------------------------------------------
@@ -268,93 +213,7 @@ def test_state_carves_once_per_shape(semantics):
 
 
 # ----------------------------------------------------------------------
-# (c) the solver on wide, symmetric markets
-# ----------------------------------------------------------------------
-MODELS = ("resnet50", "vgg16", "transformer", "inceptionv3", "lstm-lm")
-
-
-def wide_market(seed: int, perf_matrix: bool, semantics, noise_theta: float):
-    """36 machines in 3 racks, a few apps, some already holding GPUs."""
-    rng = random.Random(seed)
-    cluster = wide_cluster(hetero=perf_matrix or rng.random() < 0.5)
-    perf_model = (
-        ThroughputMatrixModel(PERF_MATRIX_PRESETS["rate-inversion"])
-        if perf_matrix
-        else None
-    )
-    estimator = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
-    apps = [
-        make_app(
-            app_id=f"a{i}",
-            num_jobs=rng.randint(1, 3),
-            model=rng.choice(MODELS),
-            serial_work=rng.uniform(20.0, 400.0),
-            max_parallelism=rng.randint(2, 4),
-            semantics=semantics,
-        )
-        for i in range(rng.randint(3, 5))
-    ]
-    machines = list(cluster.machines)
-    rng.shuffle(machines)
-    held = machines[: rng.randint(0, 4)]
-    for slot, machine in enumerate(held):
-        job = apps[slot % len(apps)].jobs[0]
-        take = machine.gpus[: rng.randint(1, 2)]
-        job.set_allocation(0.0, job.allocation.union(take), overhead=0.0)
-    pool = {
-        machine.machine_id: rng.randint(1, machine.num_gpus)
-        for machine in machines[len(held):]
-    }
-    now = rng.uniform(10.0, 200.0)
-
-    def bids_factory():
-        return {
-            app.app_id: build_bid(
-                app, estimator, now, pool, noise_theta=noise_theta, noise_salt=seed
-            )
-            for app in apps
-            if app.unmet_demand() > 0
-        }
-
-    return pool, bids_factory
-
-
-@pytest.mark.parametrize("semantics", list(CompletionSemantics), ids=lambda s: s.name)
-@pytest.mark.parametrize("perf_matrix", [False, True], ids=["scalar", "rate-inversion"])
-@pytest.mark.parametrize("noise_theta", [0.0, 0.2], ids=["exact", "noisy"])
-def test_class_grouped_rows_match_rescan(
-    noise_theta, perf_matrix, semantics, monkeypatch
-):
-    for seed in (11, 12, 13):
-        pool, bids_factory = wide_market(seed, perf_matrix, semantics, noise_theta)
-        assert len(pool) >= 32
-        # AuctionOutcome equality: proportional_fair, payments, winners,
-        # leftover, participants and nash_log_welfare, floats included.
-        outcome = PartialAllocationAuction().run(pool, bids_factory())
-        rescan = rescan_auction().run(pool, bids_factory())
-        assert outcome == rescan
-        # The reduction engages exactly when it is sound: against the
-        # same solve with every pool counted as too narrow to group,
-        # same moves — from fewer scores, unless noise (which hashes
-        # the machine-id key) already forced the row per machine.
-        def solve():
-            auction = PartialAllocationAuction()
-            _, moves = auction._solve(pool, bids_factory(), stats=auction.last_stats)
-            return moves, auction.last_stats.pair_scores
-
-        moves, grouped_scores = solve()
-        with monkeypatch.context() as patch:
-            patch.setattr(auction_module, "_CLASS_MIN_POOL", len(pool) + 1)
-            per_machine_moves, per_machine_scores = solve()
-        assert moves == per_machine_moves
-        if noise_theta > 0.0:
-            assert grouped_scores == per_machine_scores
-        else:
-            assert grouped_scores < per_machine_scores
-
-
-# ----------------------------------------------------------------------
-# (d) class-native rows: one heap entry per class, successors on demand
+# (c) class-native rows: one heap entry per class, successors on demand
 # ----------------------------------------------------------------------
 def one_rack_cluster(machines: int):
     return build_cluster(
@@ -453,88 +312,6 @@ def test_member_touched_by_a_column_event_is_skipped_by_the_walk(monkeypatch):
     assert all(to_machine != 1 for _app, _from, to_machine in stamps)
     outcome = PartialAllocationAuction().run(pool, bids())
     assert outcome == rescan_auction().run(pool, bids())
-
-
-def class_market(seed, fleet, semantics, noise_theta):
-    """Few racks, few free-count values, holdings that stay in the pool.
-
-    Every row has classes of several members, held machines with free
-    GPUs left (their own class, interleaved with the free ones in id
-    order) and competitors that consume representatives.
-    """
-    rng = random.Random(seed)
-    if fleet == "homogeneous":
-        specs = (MachineSpec(count=rng.randint(6, 14), gpus_per_machine=4),)
-    else:
-        specs = tuple(
-            MachineSpec(count=rng.randint(2, 5), gpus_per_machine=4, gpu_type=GPU_TYPES[kind])
-            for kind in ("v100", "p100", "k80")
-        )
-    cluster = build_cluster(
-        ClusterSpec(machine_specs=specs, num_racks=rng.randint(1, 3), name="classes")
-    )
-    perf_model = (
-        ThroughputMatrixModel(PERF_MATRIX_PRESETS["rate-inversion"])
-        if fleet == "rate-inversion"
-        else None
-    )
-    estimator = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
-    apps = [
-        make_app(
-            app_id=f"a{i}",
-            num_jobs=rng.randint(1, 3),
-            model=rng.choice(MODELS),
-            serial_work=rng.uniform(20.0, 400.0),
-            max_parallelism=rng.randint(1, 4),
-            semantics=semantics,
-        )
-        for i in range(rng.randint(2, 5))
-    ]
-    free_values = rng.sample((1, 2, 3, 4), rng.randint(1, 2))
-    pool = {}
-    for machine in cluster.machines:
-        taken = 0
-        if rng.random() < 0.3:
-            job = rng.choice(rng.choice(apps).jobs)
-            taken = rng.randint(1, 3)
-            held = machine.gpus[:taken]
-            job.set_allocation(0.0, job.allocation.union(held), overhead=0.0)
-        free = min(rng.choice(free_values), machine.num_gpus - taken)
-        if free > 0 and rng.random() < 0.9:
-            pool[machine.machine_id] = free
-    now = rng.uniform(10.0, 200.0)
-
-    def bids_factory():
-        return {
-            app.app_id: build_bid(
-                app, estimator, now, pool, noise_theta=noise_theta, noise_salt=seed
-            )
-            for app in apps
-            if app.unmet_demand() > 0
-        }
-
-    return pool, bids_factory
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    seed=st.integers(0, 1 << 20),
-    fleet=st.sampled_from(("homogeneous", "hetero", "rate-inversion")),
-    semantics=st.sampled_from(list(CompletionSemantics)),
-    noise_theta=st.sampled_from((0.0, 0.2)),
-    chunk_size=st.integers(1, 4),
-)
-def test_class_rows_match_rescan_on_random_markets(
-    seed, fleet, semantics, noise_theta, chunk_size
-):
-    pool, bids_factory = class_market(seed, fleet, semantics, noise_theta)
-    if not pool or not bids_factory():
-        return
-    lazy = PartialAllocationAuction(chunk_size=chunk_size).run(pool, bids_factory())
-    rescan = rescan_auction(chunk_size=chunk_size).run(
-        pool, bids_factory()
-    )
-    assert lazy == rescan
 
 
 @st.composite

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.topology import Cluster, ClusterSpec, Machine, MachineSpec
-from repro.cluster.topology import build_cluster as _build_cluster
 from repro.cluster.topology import testbed_cluster as _testbed_cluster
 from repro.cluster.topology import themis_sim_cluster as _themis_sim_cluster
 
