@@ -64,8 +64,14 @@ def multi_bidder_auctions(result: SimulationResult) -> tuple[int, int]:
     A lone bidder keeps its whole bundle and no hidden payment is ever
     computed, so a Themis replay whose first number is 0 exercised none
     of the auction mechanism.  Read from the arbiter's per-round
-    instrumentation the result already carries; ``(0, 0)`` for
-    schedulers without an arbiter.
+    instrumentation the result already carries, counted over every
+    round whatever ``downsample`` thinned; ``(0, 0)`` for schedulers
+    without an arbiter.
     """
-    rounds = result.round_stats.get("per_round", ())
-    return sum(1 for row in rounds if row["num_participants"] >= 2), len(rounds)
+    stats = result.round_stats
+    if "multi_bidder_rounds" not in stats:
+        # No arbiter, or a payload cached before the count was kept:
+        # its ``per_round`` rows are complete unless it downsampled.
+        rows = stats.get("per_round", ())
+        return sum(1 for row in rows if row["num_participants"] >= 2), len(rows)
+    return stats["multi_bidder_rounds"], stats["rounds"]

@@ -1,6 +1,6 @@
 """repro.obs — observability for the whole engine.
 
-Three instruments, threaded through simulator, arbiter, auction,
+Two instruments, threaded through simulator, arbiter, auction,
 leases, migration and every baseline:
 
 * **structured event tracing** (:mod:`repro.obs.tracer`) — typed,
@@ -10,11 +10,13 @@ leases, migration and every baseline:
   ``tests/test_replay_gates.py``),
 * a **phase profiler** (:mod:`repro.obs.profiler`) — context-manager
   wall timers whose per-phase breakdown (inclusive and self time)
-  lands in ``SimulationResult.profile``,
-* a **streaming metrics registry** (:mod:`repro.obs.metrics`) —
-  counters/gauges/histograms/series on the bounded
-  :class:`~repro.obs.reservoir.ReservoirSeries` layer; fragmentation
-  and starvation ship as first-class per-round series.
+  lands in ``SimulationResult.profile``.
+
+Beside them, :mod:`repro.obs.metrics` defines the two per-round
+series every run records — fragmentation and starvation — and
+:mod:`repro.obs.reservoir` the bounded
+:class:`~repro.obs.reservoir.ReservoirSeries` every per-round record
+is kept in.
 
 :class:`Observability` bundles a tracer and a profiler for one run;
 :class:`ObsConfig` is its picklable description, so sweep workers can
@@ -26,14 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    fragmentation_index,
-    percentile_nearest_rank,
-)
+from repro.obs.metrics import fragmentation_index, percentile_nearest_rank
 from repro.obs.profiler import NULL_PROFILER, NullProfiler, PhaseProfiler
 from repro.obs.reservoir import ReservoirSeries
 from repro.obs.tracer import (
@@ -53,13 +48,9 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "Counter",
     "EVENT_KINDS",
     "EVENT_SCHEMA",
-    "Gauge",
-    "Histogram",
     "JsonlTracer",
-    "MetricsRegistry",
     "NULL_PROFILER",
     "NULL_TRACER",
     "NullProfiler",
@@ -98,15 +89,6 @@ class Observability:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.profiler = profiler if profiler is not None else NULL_PROFILER
 
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """The all-null bundle (what an unobserved run uses)."""
-        return cls()
-
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled or self.profiler.enabled
-
     def close(self) -> None:
         self.tracer.close()
 
@@ -127,20 +109,11 @@ class ObsConfig:
     trace_events: tuple[str, ...] = ()
     #: Collect the per-phase profile into ``SimulationResult.profile``.
     profile: bool = False
-    #: Trace into an in-memory ring of this size instead of a file.
-    ring_capacity: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.trace_path is not None and self.ring_capacity is not None:
-            raise ValueError("choose one trace sink: trace_path or ring_capacity")
 
     def build(self) -> Observability:
         """Materialise the live bundle (opens the trace file, if any)."""
-        kinds = self.trace_events or None
         tracer: Optional[Tracer] = None
         if self.trace_path is not None:
-            tracer = JsonlTracer(self.trace_path, events=kinds)
-        elif self.ring_capacity is not None:
-            tracer = RingTracer(self.ring_capacity, events=kinds)
+            tracer = JsonlTracer(self.trace_path, events=self.trace_events or None)
         profiler = PhaseProfiler() if self.profile else None
         return Observability(tracer=tracer, profiler=profiler)

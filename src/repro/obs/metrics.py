@@ -1,10 +1,8 @@
-"""Streaming metrics registry: counters, gauges, histograms, series.
+"""The two per-round metrics every ``SimulationResult`` carries.
 
-Built on the :class:`~repro.obs.reservoir.ReservoirSeries` layer so
-every instrument is bounded-memory: a series or histogram never retains
-more than its cap, no matter how long the trace runs.  The simulator
-owns one :class:`MetricsRegistry` per run and records the new
-first-class per-round series through it:
+The simulator samples both once per scheduling round into a
+:class:`~repro.obs.reservoir.ReservoirSeries` (bounded by
+``SimulationConfig.downsample``):
 
 * **fragmentation** — dispersion of free in-service GPUs across
   machines, ``1 - sum((free_m / free_total)^2)`` (one minus the
@@ -19,9 +17,7 @@ first-class per-round series through it:
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
-
-from repro.obs.reservoir import ReservoirSeries
+from typing import Sequence
 
 
 def percentile_nearest_rank(values: Sequence[float], q: float) -> float:
@@ -33,129 +29,6 @@ def percentile_nearest_rank(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(q * len(ordered)))
     return ordered[rank - 1]
-
-
-class Counter:
-    """Monotonic event count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-
-class Gauge:
-    """Last-written scalar."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
-class Histogram:
-    """Streaming distribution: exact count/sum/min/max plus a bounded
-    reservoir of observations for percentile estimates."""
-
-    __slots__ = ("name", "count", "sum", "min", "max", "_reservoir")
-
-    def __init__(self, name: str, cap: int = 512) -> None:
-        self.name = name
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._reservoir = ReservoirSeries(cap)
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self._reservoir.append(value)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile over the retained reservoir."""
-        return percentile_nearest_rank(list(self._reservoir), q)
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "mean": self.sum / self.count if self.count else None,
-            "p50": self.percentile(0.5) if self.count else None,
-            "p99": self.percentile(0.99) if self.count else None,
-        }
-
-
-#: A per-round series is a reservoir when a cap is set, else a plain
-#: list — the exact convention the simulator's contention samples and
-#: timeline already follow.
-SeriesLike = Union[ReservoirSeries, list]
-
-
-class MetricsRegistry:
-    """Names and owns a run's instruments; O(instruments) memory.
-
-    ``downsample`` caps every :meth:`series` (None keeps every sample,
-    matching ``SimulationConfig.downsample`` semantics).
-    """
-
-    def __init__(self, downsample: Optional[int] = None) -> None:
-        if downsample is not None and downsample < 2:
-            raise ValueError(f"downsample must be >= 2, got {downsample}")
-        self.downsample = downsample
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._series: dict[str, SeriesLike] = {}
-
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
-
-    def histogram(self, name: str, cap: int = 512) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, cap=cap)
-        return self._histograms[name]
-
-    def series(self, name: str) -> SeriesLike:
-        if name not in self._series:
-            self._series[name] = (
-                ReservoirSeries(self.downsample) if self.downsample else []
-            )
-        return self._series[name]
-
-    def snapshot(self) -> dict:
-        """JSON-safe dump of every instrument (series as lists)."""
-        return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: h.snapshot() for n, h in sorted(self._histograms.items())
-            },
-            "series": {n: list(s) for n, s in sorted(self._series.items())},
-        }
 
 
 def fragmentation_index(free_per_machine: Sequence[int]) -> float:

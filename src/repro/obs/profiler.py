@@ -8,9 +8,10 @@ inclusive minus the phases opened inside it — and the self times
 partition the profiled wall clock.
 
 The default :class:`NullProfiler` hands out one shared no-op context
-manager, so unprofiled hot paths pay two cheap calls per phase — and
-the innermost kernels (the carve) additionally guard on
-:attr:`PhaseProfiler.enabled` to skip even that.
+manager, so unprofiled hot paths pay two cheap calls per phase; the
+carve enters its phase unconditionally.  Only the auction's per-move
+``rescore`` phase guards on :attr:`PhaseProfiler.enabled` to skip even
+that.
 """
 
 from __future__ import annotations
@@ -98,10 +99,6 @@ class PhaseProfiler:
             )
         }
 
-    def total_seconds(self) -> float:
-        """Wall time spent inside any phase: the sum of the self times."""
-        return sum(self._self_seconds.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PhaseProfiler(phases={len(self._seconds)})"
 
@@ -116,9 +113,6 @@ class NullProfiler:
 
     def snapshot(self) -> dict:
         return {}
-
-    def total_seconds(self) -> float:
-        return 0.0
 
 
 #: Shared do-nothing profiler instance (stateless, safe to share).

@@ -1,21 +1,23 @@
-"""Bounded append-only series: the streaming-metrics reservoir layer.
+"""Bounded append-only series: the one series type of the simulator.
 
 :class:`ReservoirSeries` is an append-only series bounded to at most
 ``cap`` retained entries whose retained set is always "every
 ``stride``-th append".  Whenever the retained list would exceed
 ``cap``, every second retained entry is dropped and the stride doubles,
 so long traces keep an evenly thinned record instead of growing without
-bound (or truncating one end).
+bound (or truncating one end).  ``cap=None`` keeps every append.
 
-This is the storage substrate of :mod:`repro.obs.metrics` (per-round
-series, histogram reservoirs) and of the thinned ``per_round`` solver
-stats in :class:`~repro.simulation.simulator.SimulationResult` —
-every consumer gets the same bounded-memory, deterministic thinning.
+Every per-round record of
+:class:`~repro.simulation.simulator.SimulationResult` goes through it —
+contention samples, the timeline, the fragmentation and starvation
+series, and the ``per_round`` solver stats — with
+``SimulationConfig.downsample`` as the cap, so every consumer gets the
+same bounded-memory, deterministic thinning.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 
 class ReservoirSeries:
@@ -23,14 +25,15 @@ class ReservoirSeries:
 
     Accepts every ``stride``-th appended item; whenever the retained
     list would exceed ``cap``, every second retained entry is dropped
-    and the stride doubles.  Deterministic: the retained set depends
-    only on the append sequence, never on time or randomness.
+    and the stride doubles.  ``cap=None`` keeps every item (the stride
+    stays 1).  Deterministic: the retained set depends only on the
+    append sequence, never on time or randomness.
     """
 
     __slots__ = ("cap", "_stride", "_appends", "_items")
 
-    def __init__(self, cap: int) -> None:
-        if cap < 2:
+    def __init__(self, cap: Optional[int]) -> None:
+        if cap is not None and cap < 2:
             raise ValueError(f"downsample cap must be >= 2, got {cap}")
         self.cap = cap
         self._stride = 1
@@ -41,7 +44,7 @@ class ReservoirSeries:
         """Record ``item`` if it falls on the current stride."""
         if self._appends % self._stride == 0:
             self._items.append(item)
-            if len(self._items) > self.cap:
+            if self.cap is not None and len(self._items) > self.cap:
                 self._items = self._items[::2]
                 self._stride *= 2
         self._appends += 1
@@ -60,32 +63,6 @@ class ReservoirSeries:
     def stride(self) -> int:
         """Current thinning stride (doubles as the series fills)."""
         return self._stride
-
-    @classmethod
-    def merge(
-        cls,
-        series: Iterable["ReservoirSeries"],
-        cap: Optional[int] = None,
-        key: Optional[Callable] = None,
-    ) -> "ReservoirSeries":
-        """Combine several series into one bounded series.
-
-        Retained entries of all inputs are interleaved in ``key`` order
-        (identity by default — ``(timestamp, value)`` tuples sort by
-        time) and re-appended through a fresh reservoir, so the merged
-        series obeys the same cap/stride contract.  ``cap`` defaults to
-        the smallest input cap.
-        """
-        inputs = list(series)
-        if not inputs:
-            raise ValueError("merge needs at least one series")
-        merged = cls(cap if cap is not None else min(s.cap for s in inputs))
-        items: list = []
-        for s in inputs:
-            items.extend(s._items)
-        items.sort(key=key) if key is not None else items.sort()
-        merged.extend(items)
-        return merged
 
     def __len__(self) -> int:
         return len(self._items)

@@ -33,7 +33,7 @@ from repro.cluster.allocation import EMPTY_ALLOCATION, Allocation
 from repro.cluster.topology import Cluster, Gpu, ordered_sum
 from repro.core.leases import LeaseManager
 from repro.obs import Observability, ObsConfig
-from repro.obs.metrics import MetricsRegistry, percentile_nearest_rank
+from repro.obs.metrics import fragmentation_index, percentile_nearest_rank
 from repro.obs.reservoir import ReservoirSeries
 from repro.simulation.engine import Event, EventKind, SimulationEngine, SimulationError
 from repro.workload.app import App, AppState, CompletionSemantics
@@ -54,8 +54,9 @@ class SimulationConfig:
     semantics: CompletionSemantics = CompletionSemantics.ALL_JOBS
     max_minutes: Optional[float] = None
     record_timeline: bool = False
-    #: Cap on retained ``contention_samples`` / ``timeline`` entries
-    #: (``None`` keeps every sample — unbounded on long traces).
+    #: Cap on the retained entries of every per-round record (contention,
+    #: timeline, fragmentation, starvation, ``per_round`` solver stats);
+    #: ``None`` keeps every sample — unbounded on long traces.
     downsample: Optional[int] = None
     #: Speed-aware job migration (off by default): after each round,
     #: jobs whose whole gang could run strictly faster on currently-free
@@ -177,8 +178,9 @@ class SimulationResult:
     profile: dict = field(default_factory=dict)
     #: Serialised ARBITER ``RoundStats`` instrumentation (solver moves,
     #: pair scores, replayed warm-start moves, valuation probes):
-    #: ``{"rounds", "totals", "per_round"}``; empty for schedulers
-    #: without an arbiter.  ``per_round`` is downsample-thinned.
+    #: ``{"rounds", "multi_bidder_rounds", "totals", "per_round"}``;
+    #: empty for schedulers without an arbiter.  Only ``per_round`` is
+    #: downsample-thinned.
     round_stats: dict = field(default_factory=dict)
 
     def stats_by_app(self) -> dict[str, AppStats]:
@@ -310,7 +312,7 @@ class ClusterSimulator:
         self.config = config or SimulationConfig()
         self.scheduler = scheduler
         if obs is None:
-            obs = Observability.disabled()
+            obs = Observability()
         elif isinstance(obs, ObsConfig):
             obs = obs.build()
         #: Live observability bundle; schedulers read it at bind time
@@ -360,16 +362,12 @@ class ClusterSimulator:
         self._expiry_times_scheduled: set[float] = set()
         self.num_rounds = 0
         self.peak_contention = 0.0
+        #: Per-round records, each thinned to ``downsample`` entries.
         cap = self.config.downsample
-        self.contention_samples = (
-            ReservoirSeries(cap) if cap else []
-        )  # type: ignore[assignment]
-        self.timeline = ReservoirSeries(cap) if cap else []  # type: ignore[assignment]
-        #: Streaming metrics registry; owns the fragmentation and
-        #: starvation per-round series (same downsample cap contract).
-        self.metrics = MetricsRegistry(downsample=cap)
-        self._frag_series = self.metrics.series("fragmentation")
-        self._starv_series = self.metrics.series("starvation_p99")
+        self.contention_samples = ReservoirSeries(cap)
+        self.timeline = ReservoirSeries(cap)
+        self._frag_series = ReservoirSeries(cap)
+        self._starv_series = ReservoirSeries(cap)
         #: Rounds since each active app last held a GPU while wanting
         #: one; pruned on app completion, so O(active apps) memory.
         self._rounds_since_alloc: dict[str, int] = {}
@@ -585,33 +583,23 @@ class ClusterSimulator:
     def _record_round_metrics(self, now: float) -> None:
         """Per-round fragmentation and starvation samples (every scheduler).
 
-        Fragmentation: dispersion of free in-service GPUs across
-        machines, ``1 - sum((free_m / free_total)^2)`` summed in
-        machine-id order so the float result does not depend on the
-        free dict's iteration order.  Starvation: each active app's
+        Fragmentation: :func:`~repro.obs.metrics.fragmentation_index`
+        of the free in-service GPUs per machine, in machine-id order so
+        the float result does not depend on the free dict's iteration
+        order.  Starvation: each active app's
         rounds-since-last-allocation (counted while it has unmet demand
         and zero GPUs); the series records the nearest-rank p99 across
         currently-waiting apps.  Both are O(free GPUs + active jobs).
         """
         down = self._down_gpu_ids
-        free_total = 0
         free_by_machine: dict[int, int] = {}
         for gpu in self.leases.free_gpus(self.cluster.gpus):
-            if gpu.gpu_id in down:
-                continue
-            free_total += 1
-            free_by_machine[gpu.machine_id] = (
-                free_by_machine.get(gpu.machine_id, 0) + 1
-            )
-        if free_total > 0:
-            acc = 0.0
-            for machine_id in sorted(free_by_machine):
-                share = free_by_machine[machine_id] / free_total
-                acc += share * share
-            frag = 1.0 - acc
-        else:
-            frag = 0.0
-        self._frag_series.append((now, frag))
+            if gpu.gpu_id not in down:
+                free_by_machine[gpu.machine_id] = (
+                    free_by_machine.get(gpu.machine_id, 0) + 1
+                )
+        counts = [free_by_machine[m] for m in sorted(free_by_machine)]
+        self._frag_series.append((now, fragmentation_index(counts)))
 
         waiting: list[int] = []
         since = self._rounds_since_alloc
@@ -885,7 +873,7 @@ class ClusterSimulator:
         down = self._down_gpu_ids
         return {
             gpu.gpu_id: gpu
-            for gpu in self.leases.unleased_gpus(self.cluster.gpus)
+            for gpu in self.leases.free_gpus(self.cluster.gpus)
             if gpu.gpu_id not in down
         }
 
@@ -1106,7 +1094,7 @@ class ClusterSimulator:
             num_migrations=self.num_migrations,
             fragmentation_samples=list(self._frag_series),
             starvation_samples=list(self._starv_series),
-            profile=self.profiler.snapshot() if self.profiler.enabled else {},
+            profile=self.profiler.snapshot(),
             round_stats=self._round_stats_payload(),
         )
 
@@ -1114,34 +1102,29 @@ class ClusterSimulator:
         """Serialise the arbiter's per-round solver instrumentation.
 
         Schedulers without an arbiter (every baseline except themis)
-        yield ``{}``.  ``per_round`` rows go through the same reservoir
-        policy as the other series so a week-long trace cannot bloat
-        the result JSON.
+        yield ``{}``.  ``totals`` sums every ``RoundStats`` counter (the
+        fields that default to 0) and ``multi_bidder_rounds`` counts the
+        rounds with >= 2 participants, both over the whole history.
+        ``per_round`` rows go through the same reservoir policy as the
+        other series so a week-long trace cannot bloat the result JSON.
         """
         arbiter = getattr(self.scheduler, "arbiter", None)
         history = getattr(arbiter, "history", None)
         if not history:
             return {}
-        totals = {
-            "solver_moves": 0,
-            "solver_pair_scores": 0,
-            "solver_replayed_moves": 0,
-            "solver_heap_pushes": 0,
-            "valuation_probes": 0,
-            "heap_warm_hits": 0,
-            "heap_warm_misses": 0,
-            "rescore_carves": 0,
-            "rescore_skipped": 0,
-        }
+        totals = {f.name: 0 for f in fields(history[0]) if f.default == 0}
         for rs in history:
             for key in totals:
-                totals[key] += getattr(rs, key, 0)
+                totals[key] += getattr(rs, key)
         # Thin first, then convert only the kept rows: the reservoir keeps
         # rows by append index, so the result is the same either way.
-        kept = history
-        cap = self.config.downsample
-        if cap is not None and len(history) > cap:
-            kept = ReservoirSeries(cap)
-            kept.extend(history)
-        rows = [asdict(rs) for rs in kept]
-        return {"rounds": len(history), "totals": totals, "per_round": rows}
+        kept = ReservoirSeries(self.config.downsample)
+        kept.extend(history)
+        return {
+            "rounds": len(history),
+            "multi_bidder_rounds": sum(
+                1 for rs in history if rs.num_participants >= 2
+            ),
+            "totals": totals,
+            "per_round": [asdict(rs) for rs in kept],
+        }

@@ -143,6 +143,14 @@ MUTANTS = [
     ("M9-install-untracked", "simulation/simulator.py",
      "self._track_held_job(job)\n            self._emit_job_state", "self._emit_job_state"),
     ("M10-ideal-cache-kept", "workload/app.py", "self._ideal_cache.clear()", "pass"),
+    # obs/: the bounded series and the two per-round metrics
+    ("reservoir-thin-keeps-odd", "obs/reservoir.py", "self._items[::2]", "self._items[1::2]"),
+    ("reservoir-cap-check", "obs/reservoir.py",
+     "len(self._items) > self.cap", "len(self._items) >= self.cap"),
+    ("metrics-fragmentation-square", "obs/metrics.py", "acc += share * share", "acc += share"),
+    ("metrics-percentile-rank", "obs/metrics.py", "math.ceil(q", "math.floor(q"),
+    ("simulator-starvation-count", "simulation/simulator.py",
+     "rounds = since.get(app_id, 0) + 1", "rounds = since.get(app_id, 0)"),
 ]
 
 #: Mutants that cannot change any observable behaviour, with the reason.

@@ -1,10 +1,12 @@
-"""Bounded contention/timeline recording (the ``downsample`` knob)."""
+"""Bounded per-round recording (the ``downsample`` knob)."""
 
 import pytest
 
+from repro.experiments.config import testbed_scenario as _testbed_scenario
 from repro.experiments.config import tiny_scenario
 from repro.experiments.runner import run_scenario
-from repro.obs import ReservoirSeries
+from repro.metrics import multi_bidder_auctions
+from repro.obs.reservoir import ReservoirSeries
 from repro.simulation.simulator import SimulationConfig
 
 
@@ -65,6 +67,25 @@ def test_bounded_run_stays_within_cap_and_metrics_match():
     # Retained samples are a subsequence of the unbounded record.
     it = iter(unbounded.contention_samples)
     assert all(sample in it for sample in bounded.contention_samples)
+
+
+@pytest.mark.parametrize(
+    "apps, interarrival, expected",
+    [(12, 1.0, (0, 39)), (20, 0.5, (33, 56))],
+)
+def test_multi_bidder_count_ignores_downsample(apps, interarrival, expected):
+    """The count reads every auction, not the thinned ``per_round`` rows."""
+    scenario = _testbed_scenario(
+        num_apps=apps, seed=3, duration_scale=0.05
+    ).with_generator(
+        mean_interarrival_minutes=interarrival,
+        jobs_per_app_median=2,
+        jobs_per_app_max=4,
+    )
+    full = run_scenario(scenario, "themis")
+    thinned = run_scenario(scenario.replace(downsample=8), "themis")
+    assert len(thinned.round_stats["per_round"]) <= 8
+    assert multi_bidder_auctions(full) == multi_bidder_auctions(thinned) == expected
 
 
 def test_series_stride_doubles_on_each_decimation():

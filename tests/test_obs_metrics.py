@@ -1,10 +1,10 @@
-"""Reservoir extraction and the streaming metrics registry.
+"""The bounded series and the two per-round metrics.
 
 ``ReservoirSeries`` replaced a simulator-private bounded series.  The
 extraction must be behaviour-preserving: the retention pattern is
-pinned against a verbatim copy of the seed implementation, and a
-downsampled simulation's contention/timeline output must equal the
-seed thinning of the full-resolution run.
+pinned against a verbatim copy of the seed implementation (``cap=None``
+against a plain list), and a downsampled simulation's per-round series
+must equal the seed thinning of the full-resolution run.
 """
 
 import json
@@ -13,15 +13,8 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.config import tiny_scenario
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ReservoirSeries,
-    fragmentation_index,
-    percentile_nearest_rank,
-)
+from repro.obs.metrics import fragmentation_index, percentile_nearest_rank
+from repro.obs.reservoir import ReservoirSeries
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.failures import FailureInjector, MachineFailure
 from repro.simulation.simulator import ClusterSimulator
@@ -54,17 +47,22 @@ class _SeedSeries:
 # ----------------------------------------------------------------------
 # Extraction equivalence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cap", (2, 3, 5, 8, 64))
+@pytest.mark.parametrize("cap", (None, 2, 3, 5, 8, 64))
 @pytest.mark.parametrize("n", (0, 1, 7, 100, 1000))
 def test_retention_matches_the_seed_implementation(cap, n):
-    new, seed = ReservoirSeries(cap), _SeedSeries(cap)
-    for item in range(n):
-        new.append(item)
-        seed.append(item)
-    assert list(new) == seed._items
-    assert new.stride == seed._stride
-    assert new.total_appends == seed._appends == n
-    assert len(new) <= cap
+    new = ReservoirSeries(cap)
+    new.extend(range(n))
+    if cap is None:  # the seed kept a plain list when nothing capped it
+        expected, stride = list(range(n)), 1
+    else:
+        seed = _SeedSeries(cap)
+        for item in range(n):
+            seed.append(item)
+        expected, stride = seed._items, seed._stride
+        assert len(new) <= cap
+    assert list(new) == expected
+    assert new.stride == stride
+    assert new.total_appends == n
 
 
 def test_rejects_degenerate_cap():
@@ -123,37 +121,7 @@ def test_stride_grows_under_failure_injection():
 
 
 # ----------------------------------------------------------------------
-# merge()
-# ----------------------------------------------------------------------
-def test_merge_interleaves_two_series_by_time():
-    left, right = ReservoirSeries(64), ReservoirSeries(32)
-    left.extend((float(t), "L") for t in range(0, 20, 2))
-    right.extend((float(t), "R") for t in range(1, 20, 2))
-    merged = ReservoirSeries.merge([left, right])
-    assert merged.cap == 32  # defaults to the smallest input cap
-    times = [t for t, _ in merged]
-    assert times == sorted(times)
-    assert list(merged) == sorted(list(left) + list(right))
-
-
-def test_merge_respects_explicit_cap_and_key():
-    a, b = ReservoirSeries(100), ReservoirSeries(100)
-    a.extend({"t": float(t)} for t in range(0, 50, 2))
-    b.extend({"t": float(t)} for t in range(1, 50, 2))
-    merged = ReservoirSeries.merge([a, b], cap=8, key=lambda item: item["t"])
-    assert merged.cap == 8 and len(merged) <= 8
-    assert merged.total_appends == len(a) + len(b)
-    times = [item["t"] for item in merged]
-    assert times == sorted(times)
-
-
-def test_merge_of_nothing_raises():
-    with pytest.raises(ValueError):
-        ReservoirSeries.merge([])
-
-
-# ----------------------------------------------------------------------
-# Instruments
+# The per-round metrics
 # ----------------------------------------------------------------------
 def test_percentile_nearest_rank():
     assert percentile_nearest_rank([], 0.99) == 0.0
@@ -162,56 +130,11 @@ def test_percentile_nearest_rank():
     assert percentile_nearest_rank(values, 0.50) == 50
     assert percentile_nearest_rank(values, 0.99) == 99
     assert percentile_nearest_rank(values, 1.0) == 100
+    # The rank rounds up: the median of three is the second value.
+    assert percentile_nearest_rank([3.0, 1.0, 2.0], 0.5) == 2.0
+    assert percentile_nearest_rank([1.0, 2.0, 3.0], 0.99) == 3.0
     with pytest.raises(ValueError):
         percentile_nearest_rank(values, 1.5)
-
-
-def test_counter_and_gauge():
-    counter = Counter("rounds")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-    gauge = Gauge("pool")
-    gauge.set(3.5)
-    assert gauge.value == 3.5
-
-
-def test_histogram_snapshot():
-    histogram = Histogram("latency", cap=16)
-    assert histogram.snapshot()["count"] == 0
-    assert histogram.snapshot()["p99"] is None
-    for value in range(1, 11):
-        histogram.observe(float(value))
-    snapshot = histogram.snapshot()
-    assert snapshot["count"] == 10
-    assert snapshot["min"] == 1.0 and snapshot["max"] == 10.0
-    assert snapshot["mean"] == pytest.approx(5.5)
-    assert snapshot["p50"] == 5.0
-    assert histogram.percentile(1.0) == 10.0
-
-
-def test_registry_names_and_bounds_instruments():
-    registry = MetricsRegistry(downsample=4)
-    assert registry.counter("x") is registry.counter("x")
-    assert registry.gauge("y") is registry.gauge("y")
-    assert registry.histogram("z") is registry.histogram("z")
-    series = registry.series("s")
-    assert isinstance(series, ReservoirSeries)
-    series.extend(range(100))
-    assert len(series) <= 4
-
-    unbounded = MetricsRegistry(downsample=None).series("s")
-    assert isinstance(unbounded, list)
-
-    with pytest.raises(ValueError):
-        MetricsRegistry(downsample=1)
-
-    registry.counter("x").inc()
-    registry.histogram("z").observe(1.0)
-    json.dumps(registry.snapshot())  # snapshot must be pure JSON
-    assert registry.snapshot()["counters"] == {"x": 1}
 
 
 def test_fragmentation_index():

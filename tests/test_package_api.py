@@ -85,8 +85,12 @@ def test_every_public_package_imports_cold(module):
     assert done.returncode == 0, done.stderr
 
 
-#: Oracles the equivalence suites compare production code against.
-REFERENCES = {"rescan_fair_allocation", "exhaustive_nash_allocation", "_carve_reference"}
+#: Oracles the equivalence suites compare production code against, and
+#: the lease rescans the audits recount the incremental free pool with.
+REFERENCES = {
+    "rescan_fair_allocation", "exhaustive_nash_allocation", "_carve_reference",
+    "unleased_gpus", "expired_gpus",
+}
 
 
 def test_no_production_code_runs_a_reference():
