@@ -30,8 +30,8 @@ class Agent:
 
     The AGENT owns its app's cross-round
     :class:`~repro.core.fairness.AppValuationState`: as long as the app
-    is dirty-free (epoch unchanged, nothing allocated) the snapshot,
-    rho kernel and delta caches survive verbatim between scheduling
+    is dirty-free (epoch unchanged, nothing allocated) the snapshot
+    and the rho kernel caches survive verbatim between scheduling
     rounds, so the many starved apps at high contention answer rho
     probes and rebuild bid tables without recomputing a single carve.
     """
@@ -56,17 +56,13 @@ class Agent:
         """The wrapped app's identifier."""
         return self.app.app_id
 
-    def report_rho(
-        self, now: float, salt: int = 0, refresh_token: int | None = None
-    ) -> float:
+    def report_rho(self, now: float, salt: int = 0) -> float:
         """Answer the ARBITER's probe with the current (noisy) rho estimate.
 
         Starved apps report ``inf`` — the unbounded metric that keeps
         them in every subsequent auction until they win (Section 5.1).
-        ``refresh_token`` stamps the scheduling round so repeat
-        refreshes within it are free.
         """
-        rho = self.state.current_rho(now, refresh_token)
+        rho = self.state.current_rho(now)
         if math.isinf(rho):
             return rho
         return rho * _noise_factor(salt, self.app_id, ("probe",), self.noise_theta)
@@ -76,7 +72,6 @@ class Agent:
         now: float,
         offered_counts: dict[int, int],
         salt: int = 0,
-        refresh_token: int | None = None,
     ) -> Bid:
         """Turn a resource offer into a bid (PREPAREBIDS of Pseudocode 1)."""
         self.bids_prepared += 1
@@ -88,7 +83,6 @@ class Agent:
             noise_theta=self.noise_theta,
             noise_salt=salt,
             state=self.state,
-            refresh_token=refresh_token,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -108,9 +108,6 @@ class Arbiter:
         # Observability hooks; the simulator rewires these at bind time.
         self.tracer = NULL_TRACER
         self.profiler = NULL_PROFILER
-        #: Stamps each round so an AGENT's repeat refreshes within it
-        #: (rho probe, then bid preparation) are one comparison.
-        self._refresh_token = 0
 
     # ------------------------------------------------------------------
     # Participant selection (fairness knob)
@@ -154,12 +151,9 @@ class Arbiter:
 
         # Step 1: probe all apps for rho; only apps that still want GPUs
         # are eligible bidders.
-        self._refresh_token += 1
-        token = self._refresh_token
         with self.profiler.phase("valuation"):
             rhos = {
-                app_id: agent.report_rho(now, salt, token)
-                for app_id, agent in agents.items()
+                app_id: agent.report_rho(now, salt) for app_id, agent in agents.items()
             }
         eligible = [
             app_id for app_id, agent in agents.items() if agent.app.unmet_demand() > 0
@@ -183,7 +177,7 @@ class Arbiter:
             # ``Bid.__init__`` copies (and >0-filters) the offer counts,
             # so the shared dict can be passed as-is.
             bids = {
-                app_id: agents[app_id].prepare_bid(now, pool_counts, salt, token)
+                app_id: agents[app_id].prepare_bid(now, pool_counts, salt)
                 for app_id in participants
             }
         if self.tracer.enabled:

@@ -64,24 +64,19 @@ re-validation is NOT exact here: Themis marginal gains are non-monotone
 tests/test_auction_equivalence.py for a pinned counterexample), so the
 lazy solver instead applies two *provably exact* reductions.
 
-**Skip rule (the invalidation algebra).**  :meth:`_score_pair`'s result
-is a pure function of a key narrower than its argument list:
-
-* on the gain path (``current_value > 0``) the probed bundles are
-  ``current_key + {machine: step}`` for ``step in {1, chunk}`` with
-  ``chunk = min(chunk_size, free, headroom)``; ``current_value`` is
-  itself ``bid.value_from_key(current_key)`` and the heap key
-  ``(1, -gain, step, app_id, machine_id)`` never reads ``free`` — so
-  the score is pure in ``(machine_id, current_key, chunk)``.  A column
-  shrink that leaves ``min(chunk_size, free, headroom)`` unchanged
-  therefore *cannot* have changed the score and is served from the
-  memo;
-* on the rescue path (``current_value <= 0`` — itself pure in
-  ``current_key``) the step is always 1 and ``new_value`` is pure in
-  ``(machine_id, current_key)``; only the tie-break term
-  ``-free * speed`` reads ``free``, so the memo stores ``new_value``
-  and rebuilds the heap key from the live ``free`` with the identical
-  float expression.
+**Skip rule (the invalidation algebra).**  On the gain path
+(``current_value > 0``) :meth:`_score_pair`'s result is a pure function
+of a key narrower than its argument list: the probed bundles are
+``current_key + {machine: step}`` for ``step in {1, chunk}`` with
+``chunk = min(chunk_size, free, headroom)``; ``current_value`` is
+itself ``bid.value_from_key(current_key)`` and the heap key
+``(1, -gain, step, app_id, machine_id)`` never reads ``free`` — so the
+score is pure in ``(machine_id, current_key, chunk)``.  A column shrink
+that leaves ``min(chunk_size, free, headroom)`` unchanged therefore
+*cannot* have changed the score and is served from the per-bid memo.
+Rescue scores (``current_value <= 0``) read the live ``free`` in their
+tie-break term and are not memoised: the ablation table in README
+measured no loss without that memo.
 
 **Shape symmetry (one score per machine class).**  A row is one app
 against every remaining machine, and on a wide pool most of those
@@ -242,13 +237,14 @@ class AuctionSolveStats:
     payment re-solves applied without any scoring at all.
 
     ``warm_hits`` counts pair scores served from the per-bid
-    pair-score memo and ``warm_misses`` the ones that had to be probed
-    fresh.
+    pair-score memo, which holds gain-path scores only (module
+    docstring, "Skip rule"), and ``warm_misses`` the ones that had to
+    be probed fresh, every rescue score among them.
 
     The ``rescore_*`` pair instruments the post-move re-scoring wall:
     ``rescore_carves`` counts kernel carves the row/column re-scores
     after applied moves performed; ``rescore_skipped`` counts post-move
-    pair scores served whole from the memo (no probe at all).  Total
+    gain-path scores served whole from the memo (no probe at all).  Total
     work is ``estimator.carve_count`` — what the CI ceiling gates —
     and ``heap_pushes``: one per scored pair or class, one per successor.
     """
@@ -346,60 +342,42 @@ class PartialAllocationAuction:
         rescan solver's tie-breaks exactly; they are unique per entry
         because they embed (step, app_id, machine_id).
 
-        Results are memoised per bid under the *exact purity key* of
-        the score (module docstring, "Skip rule"): ``(machine_id,
-        current_key, chunk)`` on the gain path, ``(machine_id,
-        current_key)`` on the rescue path, whose memo stores the
-        free-independent ``new_value`` (``None`` for "no improving
-        move") and rebuilds the key from the live ``free``.  Rescue-ness
-        is pure in ``current_key`` and the key shapes differ, so the
-        paths cannot collide.
+        Gain-path results are memoised per bid under the *exact purity
+        key* of the score (module docstring, "Skip rule"):
+        ``(machine_id, current_key, chunk)``.  Rescue scores are probed
+        every time; their valuations are still served by the bid's and
+        the app state's caches.
 
         With ``machine_class`` and ``context = bid.row_context(
         current_key)`` the row pass scores a class representative: the
-        class replaces the machine in the memo key (minus the raw
-        ``free`` on the rescue path), a hit scored on another member is
-        restamped, and a miss probes by *shape*.  ``rescore=True`` marks
-        a post-move re-score call (counter attribution only).
+        class replaces the machine in the memo key, a hit scored on
+        another member is restamped, and a miss probes by *shape*.
+        ``rescore=True`` marks a post-move re-score call (counter
+        attribution only).
         """
         rescue = current_value <= 0.0
         memo = bid._pair_memo
-        if machine_class is not None:
-            memo_key: tuple = (
-                current_key,
-                *(machine_class[:-1] if rescue else machine_class),
-            )
-        elif rescue:
-            memo_key = (machine_id, current_key)
-        else:
-            memo_key = (
-                machine_id,
-                current_key,
-                min(self.chunk_size, free, headroom),
-            )
-        cached = memo.get(memo_key, _MEMO_MISS)
-        if cached is not _MEMO_MISS:
-            if stats is not None:
-                stats.warm_hits += 1
-                if rescore:
-                    stats.rescore_skipped += 1
-            if cached is None:
-                return None
-            if not rescue:
+        if not rescue:
+            if machine_class is not None:
+                memo_key: tuple = (current_key, *machine_class)
+            else:
+                memo_key = (
+                    machine_id,
+                    current_key,
+                    min(self.chunk_size, free, headroom),
+                )
+            cached = memo.get(memo_key, _MEMO_MISS)
+            if cached is not _MEMO_MISS:
+                if stats is not None:
+                    stats.warm_hits += 1
+                    if rescore:
+                        stats.rescore_skipped += 1
+                if cached is None:
+                    return None
                 key, move = cached  # type: ignore[misc]
                 if move[1] != machine_id:
                     return _stamped(key, move, machine_id)
                 return cached  # type: ignore[return-value]
-            new_value: float = cached  # type: ignore[assignment]
-            key = (
-                0,
-                -new_value,
-                1,
-                -free * bid.machine_speed(machine_id),
-                app_id,
-                machine_id,
-            )
-            return (key, (app_id, machine_id, 1, new_value))
         if stats is not None:
             stats.warm_misses += 1
         if rescue:
@@ -453,9 +431,7 @@ class PartialAllocationAuction:
                 key = (1, -gain, step, app_id, machine_id)
             if best is None or key < best[0]:
                 best = (key, move)
-        if rescue:
-            memo[memo_key] = None if best is None else best[1][3]
-        else:
+        if not rescue:
             memo[memo_key] = best
         return best
 

@@ -104,7 +104,6 @@ class Bid:
         noise_theta: float = 0.0,
         noise_salt: int = 0,
         state: AppValuationState | None = None,
-        refresh_token: int | None = None,
     ) -> None:
         self.app = app
         self.app_id = app.app_id
@@ -113,18 +112,17 @@ class Bid:
         self.noise_theta = noise_theta
         self.noise_salt = noise_salt
         self._estimator = estimator
-        # One rho/value cache per bid, shared across the auction's full
-        # solve and every ``without_i`` payment re-solve (the solver
-        # probes the same bundles in all of them).  These are noisy and
+        # One rho cache per bid, shared across the auction's full solve
+        # and every ``without_i`` payment re-solve (the solver probes the
+        # same bundles in all of them).  Rhos are noisy and
         # clock-dependent, so they live and die with the bid;
         # ``rho_probes`` counts actual carve computations (cross-round
-        # delta-cache misses) and ``rho_lookups`` all queries; the perf
+        # kernel-cache misses) and ``rho_lookups`` all queries; the perf
         # harness reports both.
         self._rho_cache: dict[tuple, float] = {}
-        self._value_cache: dict[tuple, float] = {}
-        # The solver's pair-score memo, keyed on the *exact purity key*
-        # of a score (PartialAllocationAuction._score_pair): a pair's
-        # ``(machine, current_key[, step bound])`` or, for a row's
+        # The solver's gain-path pair-score memo, keyed on the *exact
+        # purity key* of a score (PartialAllocationAuction._score_pair):
+        # a pair's ``(machine, current_key, step bound)`` or, for a row's
         # class representative, ``(current_key, *class)`` — so a column
         # shrink that leaves the step bound unchanged, or a re-solve
         # whose class has a new lowest member, is a hit.  Like the rho
@@ -136,12 +134,12 @@ class Bid:
         # The app's holdings and job states are fixed for the duration
         # of the auction.  The cross-round :class:`AppValuationState`
         # carries the frozen snapshot plus the elapsed-independent
-        # delta cache; an AGENT passes its persistent instance in (so a
+        # kernel caches; an AGENT passes its persistent instance in (so a
         # starved app's bid table survives verbatim between rounds),
         # while ad-hoc callers get a fresh single-auction state.
         if state is None:
             state = AppValuationState(app, estimator)
-        snap = state.refresh(refresh_token)
+        snap = state.refresh()
         self._state = state
         # The app's (single) model family selects its throughput-matrix
         # row for speed-class tie-breaks; mixed-family apps fall back to
@@ -233,12 +231,7 @@ class Bid:
 
     def value_from_key(self, key: tuple[tuple[int, int], ...]) -> float:
         """``value_of`` for a pre-canonicalised bundle key (hot path)."""
-        cached = self._value_cache.get(key)
-        if cached is not None:
-            return cached
-        value = value_from_rho(self.rho_from_key(key))
-        self._value_cache[key] = value
-        return value
+        return value_from_rho(self.rho_from_key(key))
 
     def value_from_shape(
         self,

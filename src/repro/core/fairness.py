@@ -511,8 +511,10 @@ class AppSnapshot:
 class FairnessEstimator:
     """Computes ``rho`` for current and hypothetical allocations.
 
-    One estimator is shared per simulation; it is stateless apart from
-    the cluster topology and the app-completion semantics it mirrors.
+    One estimator is shared per simulation.  Besides the cluster
+    topology and the app-completion semantics it mirrors, it carries
+    two pieces of state: :attr:`carve_count` and the
+    :meth:`machine_reads` memo, one entry per set of model families.
     """
 
     def __init__(
@@ -544,8 +546,8 @@ class FairnessEstimator:
         #: ``tests/golden_sim.json``.
         self.carve_count = 0
         #: Observability hook; the simulator rewires this at bind time.
-        #: Guarded on ``enabled`` so the carve hot path pays nothing by
-        #: default.
+        #: :meth:`_carved` enters its ``carve`` phase unconditionally: a
+        #: disabled profiler's ``phase`` is one shared no-op.
         self.profiler = NULL_PROFILER
 
     @property
@@ -767,10 +769,10 @@ class FairnessEstimator:
         return value_from_rho(self.rho(app, now, extra_counts))
 
 
-#: Entries kept in one app's cross-round delta cache before it is
-#: dropped wholesale.  Purely a memory bound: cache contents never
+#: Entries kept in one of an app's cross-round kernel caches before it
+#: is dropped wholesale.  Purely a memory bound: cache contents never
 #: change computed values, so the clear is invisible to results.
-_DELTA_CACHE_LIMIT = 131072
+_KERNEL_CACHE_LIMIT = 131072
 
 
 class AppValuationState:
@@ -818,14 +820,10 @@ class AppValuationState:
         "rate_signature",
         "machine_reads",
         "_rate_cache",
-        "_delta_cache",
         "_fw_pair_cache",
         "_packing_cache",
         "_remaining_by_id",
-        "_statics_epoch",
-        "_job_statics",
         "_base_alloc",
-        "_refresh_token",
         "_sorted_jobs",
     )
 
@@ -845,7 +843,6 @@ class AppValuationState:
         #: rebuilt with the kernel caches (it depends on their families).
         self.machine_reads: _MachineReads = {}
         self._rate_cache: dict[tuple, float] = {}
-        self._delta_cache: dict[tuple, float] = {}
         #: FIRST_WINNER kernel cache: shape -> ((job_id, rate), ...)
         #: pairs, valid while the rate signature is (like _rate_cache).
         self._fw_pair_cache: dict[tuple, tuple[tuple[str, float], ...]] = {}
@@ -855,36 +852,16 @@ class AppValuationState:
         #: job_id -> remaining work of the current snapshot (FIRST_WINNER
         #: deltas divide cached rates by *current* work).
         self._remaining_by_id: dict[str, float] = {}
-        self._statics_epoch = -1
-        self._job_statics: Optional[list] = None
         self._base_alloc = None
-        #: Round token of the last refresh — the ARBITER stamps each
-        #: scheduling round so the repeated refreshes within one round
-        #: (rho probe, then bid preparation, then auction probes) cost
-        #: one comparison instead of a snapshot walk.
-        self._refresh_token: Optional[int] = None
         #: Job objects aligned with ``snapshot.job_tuples`` — the drift
         #: fast path re-reads each job's remaining work along this order.
         self._sorted_jobs: Optional[list[Job]] = None
 
-    def refresh(self, token: Optional[int] = None) -> AppSnapshot:
-        """Rebuild the snapshot and caches when dirty; no-op when clean.
-
-        ``token`` identifies the scheduling round: within one round an
-        app cannot drift (jobs advance, allocations install and tuners
-        step strictly *between* rounds), so a repeat refresh under the
-        same token returns the snapshot outright.
-        """
+    def refresh(self) -> AppSnapshot:
+        """Rebuild the snapshot and caches when dirty; no-op when clean."""
         app = self.app
-        if (
-            token is not None
-            and token == self._refresh_token
-            and self.snapshot is not None
-        ):
-            return self.snapshot
         if self.snapshot is not None and self.epoch == app.epoch:
             if not self.base_counts:
-                self._refresh_token = token
                 return self.snapshot
             # Held app, clean epoch: only remaining work has drained
             # (every discrete change bumps the epoch).  While the drain
@@ -897,7 +874,6 @@ class AppValuationState:
             ):
                 drifted = self._refresh_drift()
                 if drifted is not None:
-                    self._refresh_token = token
                     return drifted
         self.rebuilds += 1
         self.epoch = app.epoch
@@ -914,10 +890,7 @@ class AppValuationState:
                 sorted((m, c) for m, c in self.base_counts.items() if c > 0)
             )
             self._base_shape = None
-        if self._delta_cache:
-            self._delta_cache = {}
         self._refresh_remaining(snap)
-        self._refresh_token = token
         return snap
 
     def _refresh_drift(self) -> Optional[AppSnapshot]:
@@ -964,38 +937,28 @@ class AppValuationState:
             self._remaining_by_id = {job[3]: job[0] for job in snap.job_tuples}
 
     def _rebuild_snapshot(self, app: App) -> AppSnapshot:
-        """Snapshot rebuild reusing per-job statics across rounds.
+        """Snapshot rebuild that invalidates the kernel caches on a reorder.
 
-        Only ``remaining_work`` drifts between epochs (active set,
-        parallelism caps and sensitivity profiles change exclusively on
-        epoch bumps), so the per-job static triples are cached — and the
-        rate cache invalidated on signature change — only when the epoch
-        moves; every other rebuild re-reads one float per job.  The sort
-        key and the total-remaining summation order match
+        The sort key and the total-remaining summation order match
         :meth:`FairnessEstimator.snapshot` exactly, so the snapshots
         are byte-identical to ones built from scratch.
         """
-        statics = self._job_statics
-        if statics is None or self._statics_epoch != app.epoch:
-            statics = []
-            for job in app.jobs:
-                if job.is_active:
-                    profile = job.model_profile
-                    statics.append(
+        decorated = []
+        for job in app.jobs:
+            if job.is_active:
+                profile = job.model_profile
+                decorated.append(
+                    (
                         (
-                            job,
+                            job.remaining_work,
                             job.max_parallelism,
                             profile.sensitivity,
                             job.job_id,
                             profile.family,
-                        )
+                        ),
+                        job,
                     )
-            self._job_statics = statics
-            self._statics_epoch = app.epoch
-        decorated = [
-            ((job.remaining_work, cap, profile, job_id, family), job)
-            for job, cap, profile, job_id, family in statics
-        ]
+                )
         decorated.sort(key=lambda item: (item[0][0], item[0][3]))
         tuples = [item[0] for item in decorated]
         # Aligned Job objects let the drift fast path re-read remaining
@@ -1048,13 +1011,10 @@ class AppValuationState:
                 return 0.0
             if not shape:
                 return math.inf
-            cached = self._delta_cache.get(shape)
-            if cached is not None:
-                return cached
             pairs = self._fw_pair_cache.get(shape)
             if pairs is None:
                 pairs = estimator.carve_pairs_from_snapshot(snap, dict(total_key))
-                if len(self._fw_pair_cache) >= _DELTA_CACHE_LIMIT:
+                if len(self._fw_pair_cache) >= _KERNEL_CACHE_LIMIT:
                     self._fw_pair_cache.clear()
                 self._fw_pair_cache[shape] = pairs
             remaining = self._remaining_by_id
@@ -1063,16 +1023,13 @@ class AppValuationState:
                 per_job = remaining[job_id] / rate
                 if per_job < delta:
                     delta = per_job
-            if len(self._delta_cache) >= _DELTA_CACHE_LIMIT:
-                self._delta_cache.clear()
-            self._delta_cache[shape] = delta
             return delta
         if not snap.job_tuples or snap.total_remaining <= 0:
             return 0.0
         rate = self._rate_cache.get(shape)
         if rate is None:
             rate = estimator.aggregate_rate_from_snapshot(snap, dict(total_key))
-            if len(self._rate_cache) >= _DELTA_CACHE_LIMIT:
+            if len(self._rate_cache) >= _KERNEL_CACHE_LIMIT:
                 self._rate_cache.clear()
             self._rate_cache[shape] = rate
         if rate <= 0:
@@ -1093,7 +1050,7 @@ class AppValuationState:
             snap = self.snapshot
             assert snap is not None, "refresh() before packing_of()"
             packing = self.estimator.packing_from_snapshot(snap, dict(total_key))
-            if len(self._packing_cache) >= _DELTA_CACHE_LIMIT:
+            if len(self._packing_cache) >= _KERNEL_CACHE_LIMIT:
                 self._packing_cache.clear()
             self._packing_cache[shape] = packing
         return packing
@@ -1116,9 +1073,9 @@ class AppValuationState:
             elapsed = 0.0
         return (elapsed + self.delta_of(total_key, shape)) / snap.t_ideal
 
-    def current_rho(self, now: float, token: Optional[int] = None) -> float:
+    def current_rho(self, now: float) -> float:
         """rho with the allocation the app holds right now (cheap when clean)."""
-        self.refresh(token)
+        self.refresh()
         shape = self._base_shape
         if shape is None:
             shape = self._base_shape = bundle_shape(self.base_key, self.machine_reads)

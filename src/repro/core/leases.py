@@ -41,32 +41,21 @@ class Lease:
 class LeaseManager:
     """Tracks the lease on every GPU of one cluster.
 
-    The *complement* — the unleased GPUs — is maintained alongside the
-    leases, so :meth:`pool_for_auction` and :meth:`free_gpus` read the
-    free dict instead of rescanning every GPU in the cluster each
-    round.  The cluster's GPU set is learnt from the first such query
-    (one manager serves one cluster); :meth:`unleased_gpus` and
-    :meth:`expired_gpus` remain the full rescans tests audit it with.
+    The manager is built over the cluster's GPUs.  Their *complement*
+    — the unleased GPUs — is maintained alongside the leases, so
+    :meth:`pool_for_auction` and :meth:`free_gpus` read the free dict
+    instead of rescanning every GPU in the cluster each round;
+    :meth:`unleased_gpus` and :meth:`expired_gpus` remain the full
+    rescans tests audit it with.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, gpus: Iterable[Gpu]) -> None:
         self._leases: dict[int, Lease] = {}
-        #: Unleased GPUs: every released one, plus — once
-        #: :meth:`_free_of` has seen the cluster — the never-leased.
-        self._free: dict[int, Gpu] = {}
-        self._free_is_complete = False
+        #: Unleased GPUs, kept in step by every grant and release.
+        self._free: dict[int, Gpu] = {gpu.gpu_id: gpu for gpu in gpus}
         #: Forced-revocation tally by reason ("failure", "preemption",
         #: ...) — ordinary releases/renewals do not count.
         self.revocations: dict[str, int] = {}
-
-    def _free_of(self, all_gpus: Iterable[Gpu]) -> dict[int, Gpu]:
-        """The free dict, completed from ``all_gpus`` on first use."""
-        if not self._free_is_complete:
-            for gpu in all_gpus:
-                if gpu.gpu_id not in self._leases:
-                    self._free[gpu.gpu_id] = gpu
-            self._free_is_complete = True
-        return self._free
 
     # ------------------------------------------------------------------
     # Mutation
@@ -146,34 +135,27 @@ class LeaseManager:
         """GPUs from ``all_gpus`` that carry no lease at all (a rescan)."""
         return [gpu for gpu in all_gpus if gpu.gpu_id not in self._leases]
 
-    def free_gpus(self, all_gpus: Iterable[Gpu]) -> Iterable[Gpu]:
+    def free_gpus(self) -> Iterable[Gpu]:
         """Unleased GPUs, served from the free dict.
 
         Same set as :meth:`unleased_gpus`, but O(free) instead of
         O(cluster) — the per-round metrics sampler's hot path.
         Iteration order is unspecified; callers needing determinism
         must aggregate order-independently (or sort).
-
-        Only the manager's *first* ``free_gpus`` /
-        :meth:`pool_for_auction` query reads ``all_gpus`` and fixes the
-        GPU set: every call must pass the same cluster's GPUs.  For a
-        subset use the :meth:`unleased_gpus` rescan.
         """
-        return self._free_of(all_gpus).values()
+        return self._free.values()
 
     def next_expiry(self, now: float) -> Optional[float]:
         """Earliest future lease expiry strictly after ``now`` (None when idle)."""
         future = [lease.expiry for lease in self._leases.values() if lease.expiry > now + 1e-9]
         return min(future) if future else None
 
-    def pool_for_auction(self, now: float, all_gpus: Iterable[Gpu]) -> list[Gpu]:
+    def pool_for_auction(self, now: float) -> list[Gpu]:
         """The auction pool: unleased GPUs plus GPUs with expired leases.
 
         Assembled from the free dict and the leases, sorted by gpu_id.
-        As in :meth:`free_gpus`, only the manager's first query reads
-        ``all_gpus``; later calls must pass the same GPUs.
         """
-        pool = list(self._free_of(all_gpus).values())
+        pool = list(self._free.values())
         pool.extend(
             lease.gpu for lease in self._leases.values() if lease.is_expired(now)
         )

@@ -8,19 +8,14 @@ sensitivity, and per-job maximum parallelism.
 
 :class:`AppSchedulerBase` is that narrow API.  The simulator calls
 :meth:`step` at every scheduling round; the returned jobs are killed
-(their GPUs return to the pool).  Work-left estimates default to the
-curve-fitting estimator of Section 7's profiler, with the clairvoyant
-ground truth as fallback — both paths are exercised by tests.
+(their GPUs return to the pool).
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-import math
-from typing import TYPE_CHECKING, Optional
-
-from repro.hyperparam.curves import fit_power_law
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workload -> curves)
     from repro.workload.app import App
@@ -66,31 +61,6 @@ class AppSchedulerBase(abc.ABC):
     # ------------------------------------------------------------------
     # The AGENT-facing API (Section 5.2, "ML App Scheduler to Agent API")
     # ------------------------------------------------------------------
-    def work_left(self, job: Job, target_loss: Optional[float] = None) -> float:
-        """Estimated serial GPU-minutes left for ``job``.
-
-        With a ``target_loss`` and at least two loss observations, fits
-        the observed curve and converts projected iterations into work
-        ("we minimally modify these schedulers to report their
-        internally-tracked projected iterations to completion").
-        Otherwise falls back to the clairvoyant remaining work.
-        """
-        samples = self._samples[job.job_id]
-        if target_loss is not None and len(samples) >= 2:
-            try:
-                curve = fit_power_law(
-                    [s[0] for s in samples], [s[1] for s in samples]
-                )
-            except ValueError:
-                return job.remaining_work
-            projected = curve.iterations_to(target_loss)
-            if math.isinf(projected):
-                return math.inf
-            left_iterations = max(0.0, projected - job.iterations_done)
-            minutes_per_iteration = job.spec.serial_work / job.spec.total_iterations
-            return left_iterations * minutes_per_iteration
-        return job.remaining_work
-
     def max_parallelism(self, job: Job) -> int:
         """Current parallelism bound for ``job`` (priority mechanism)."""
         return job.max_parallelism

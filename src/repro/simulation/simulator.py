@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from repro.cluster.allocation import EMPTY_ALLOCATION, Allocation
 from repro.cluster.topology import Cluster, Gpu, ordered_sum
@@ -344,7 +344,7 @@ class ClusterSimulator:
         self.num_migrations = 0
         self._apps_by_id = {app.app_id: app for app in self.apps}
         self.engine = SimulationEngine()
-        self.leases = LeaseManager()
+        self.leases = LeaseManager(self.cluster.gpus)
         self.active_apps: dict[str, App] = {}
         #: Jobs currently holding GPUs — the only jobs whose state can
         #: drift between events, so the advance loop visits just these.
@@ -468,7 +468,7 @@ class ClusterSimulator:
         self._process_tuners(now)
         with profiler.phase("metrics"):
             self._sample_contention(now)
-        pool = self.leases.pool_for_auction(now, self.cluster.gpus)
+        pool = self.leases.pool_for_auction(now)
         pool = [gpu for gpu in pool if gpu.gpu_id not in self._down_gpu_ids]
         for gpu in pool:
             self._release_orphaned_lease(gpu)
@@ -591,13 +591,9 @@ class ClusterSimulator:
         and zero GPUs); the series records the nearest-rank p99 across
         currently-waiting apps.  Both are O(free GPUs + active jobs).
         """
-        down = self._down_gpu_ids
         free_by_machine: dict[int, int] = {}
-        for gpu in self.leases.free_gpus(self.cluster.gpus):
-            if gpu.gpu_id not in down:
-                free_by_machine[gpu.machine_id] = (
-                    free_by_machine.get(gpu.machine_id, 0) + 1
-                )
+        for gpu in self._free_in_service():
+            free_by_machine[gpu.machine_id] = free_by_machine.get(gpu.machine_id, 0) + 1
         counts = [free_by_machine[m] for m in sorted(free_by_machine)]
         self._frag_series.append((now, fragmentation_index(counts)))
 
@@ -696,21 +692,6 @@ class ClusterSimulator:
 
     def _install_app_allocation(self, now: float, app: App, granted: Allocation) -> None:
         """Distribute an app-level grant to jobs and refresh leases/events."""
-        if granted == app.allocation():
-            # Pure lease renewal: the grant is exactly what the app's
-            # jobs already hold.  When every job is within its cap the
-            # distributor would keep all bindings and have nothing left
-            # to hand out, so skip it and just renew the leases.  (A job
-            # over its cap — a tuner lowered the limit mid-lease — falls
-            # through to the full redistribution.)
-            jobs = app.active_jobs()
-            if all(job.allocation.size <= job.max_parallelism for job in jobs):
-                for job in jobs:
-                    if job.allocation:
-                        self._refresh_leases(now, app, job, job.allocation)
-                if self.config.record_timeline:
-                    self.timeline.append((now, app.app_id, app.allocation().size))
-                return
         job_allocs = app.distribute(granted)
         used_ids: set[int] = set()
         for job in app.active_jobs():
@@ -863,19 +844,16 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Speed-aware migration (ROADMAP heterogeneity follow-on)
     # ------------------------------------------------------------------
-    def _free_gpus(self) -> dict[int, Gpu]:
-        """In-service GPUs carrying no lease at all, keyed by gpu_id.
+    def _free_in_service(self) -> Iterator[Gpu]:
+        """In-service GPUs carrying no lease at all, in no fixed order.
 
+        The one free view of the round metrics and of migration.
         Expired-but-leased GPUs are *not* free: their incumbents keep
         running until a round reassigns them, and migration must not
         yank a GPU another job is still using.
         """
         down = self._down_gpu_ids
-        return {
-            gpu.gpu_id: gpu
-            for gpu in self.leases.free_gpus(self.cluster.gpus)
-            if gpu.gpu_id not in down
-        }
+        return (gpu for gpu in self.leases.free_gpus() if gpu.gpu_id not in down)
 
     def _best_free_gang(self, job: Job, free: Mapping[int, Gpu]):
         """Best whole-gang replacement drawable from the free pool.
@@ -936,7 +914,7 @@ class ClusterSimulator:
         answer is memoised per ``(model, cap)`` until a migration
         changes the pool.
         """
-        free = self._free_gpus()
+        free = {gpu.gpu_id: gpu for gpu in self._free_in_service()}
         if not free:
             return
         overhead = self.config.restart_overhead_minutes

@@ -500,8 +500,8 @@ def audit_freshness(sim) -> list[float]:
         where = f"round {sim.num_rounds} t={now:.3f}"
         leases = sim.leases
         rescan = sorted(ids(leases.unleased_gpus(gpus)) + ids(leases.expired_gpus(now)))
-        assert ids(leases.pool_for_auction(now, gpus)) == rescan, f"{where}: pool"
-        assert sorted(ids(leases.free_gpus(gpus))) == ids(
+        assert ids(leases.pool_for_auction(now)) == rescan, f"{where}: pool"
+        assert sorted(ids(leases.free_gpus())) == ids(
             leases.unleased_gpus(gpus)
         ), f"{where}: free_gpus"
         holding = {

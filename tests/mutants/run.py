@@ -45,8 +45,6 @@ MUTANTS = [
      "step, machine_id, app_id)\n            if best"),
     ("auction-rescue-tiebreak-free", "core/auction.py",
      "step,\n                    -free *", "step,\n                    free *"),
-    ("auction-rescue-memo-tiebreak-free", "core/auction.py",
-     "1,\n                -free *", "1,\n                free *"),
     ("auction-rescue-largest-value", "core/auction.py",
      "0,\n                    -new_value,", "0,\n                    new_value,"),
     ("auction-gain-steps", "core/auction.py", "(1,) if chunk <= 1 else (1, chunk)", "(1,)"),
@@ -59,8 +57,8 @@ MUTANTS = [
      "position,\n                    rack_index", "0,\n                    rack_index"),
     ("auction-class-rescue-free", "core/auction.py", "if rescue or free < cap", "if free < cap"),
     ("auction-memo-chunk", "core/auction.py",
-     "current_key,\n                min(self.chunk_size, free,",
-     "current_key,\n                min(self.chunk_size,"),
+     "current_key,\n                    min(self.chunk_size, free,",
+     "current_key,\n                    min(self.chunk_size,"),
     ("auction-noisy-rows-grouped", "core/auction.py", " or bid.noise_theta > 0.0:", ":"),
     ("auction-successor-skips-touched", "core/auction.py",
      "if machine_moved_at[members[successor]] <= built_at:", "if True:"),
@@ -89,8 +87,18 @@ MUTANTS = [
     ("fairness-held-app-reuse", "core/fairness.py", "if not self.base_counts:", "if True:"),
     ("fairness-first-winner-min", "core/fairness.py",
      "if per_job < delta:", "if per_job > delta:"),
-    # README M11: the FIRST_WINNER delta cache survives a rebuild.
-    ("M11-delta-cache-kept", "core/fairness.py", "if self._delta_cache:", "if False:"),
+    # new holdings keep the base shape; another family set's machine reads
+    ("fairness-base-shape-kept", "core/fairness.py",
+     "            )\n            self._base_shape = None\n        self._refresh_remaining",
+     "            )\n        self._refresh_remaining"),
+    ("fairness-machine-reads-any-families", "core/fairness.py",
+     "reads = self._reads_by_families.get(families)",
+     "reads = next(iter(self._reads_by_families.values()), None)"),
+    # a reorder keeps Gandiva's packing / the FIRST_WINNER pair kernels
+    ("fairness-packing-cache-kept", "core/fairness.py",
+     "            self._packing_cache = {}\n", ""),
+    ("fairness-fw-pair-cache-kept", "core/fairness.py",
+     "            self._fw_pair_cache = {}\n", ""),
     # core/arbiter.py: the 1 - f filter and the leftovers
     ("arbiter-filter-count", "core/arbiter.py", "max(1, math.ceil(", "max(1, math.floor("),
     ("arbiter-filter-order", "core/arbiter.py", "(-rhos[a], a)", "(rhos[a], a)"),
@@ -100,14 +108,14 @@ MUTANTS = [
      "not in participant_set", "in participant_set"),
     ("arbiter-leftover-fastest-first", "core/arbiter.py",
      "(-self._speed_of.get(m, 1.0), m)", "(self._speed_of.get(m, 1.0), m)"),
-    # README M8: the round's refresh token is never bumped.
-    ("M8-refresh-token-frozen", "core/arbiter.py", "self._refresh_token += 1", "pass"),
     # core/bids.py: the key merge, the offer check and the noise
     ("bids-merge-sum", "core/bids.py", "count_a + count_b", "count_a"),
     ("bids-merge-order", "core/bids.py", "machine_a < machine_b", "machine_a > machine_b"),
     ("bids-offer-check", "core/bids.py",
      "self.offered_counts.get(machine_id, 0):", "self.offered_counts.get(machine_id, 0) + 1:"),
     ("bids-noise-range", "core/bids.py", "(2.0 * fraction - 1.0)", "fraction"),
+    ("bids-rho-cache-coarse-key", "core/bids.py",
+     "cached = self._rho_cache.get(key)", "cached = self._rho_cache.get(key[:1])"),
     # core/leases.py; README M4: a release does not refill the free dict.
     ("M4-release-keeps-free", "core/leases.py",
      "None:\n            self._free[gpu.gpu_id] = gpu", "None:\n            pass"),
@@ -128,8 +136,6 @@ MUTANTS = [
     # README's dirty-tracking mutants outside core/
     ("M1-tuner-step-without-invalidate", "simulation/simulator.py",
      "app.invalidate()\n            for job in victims:", "for job in victims:"),
-    ("M2-renewal-ignores-lowered-cap", "simulation/simulator.py",
-     "if all(job.allocation.size <= job.max_parallelism for job in jobs):", "if True:"),
     ("M3-failure-path-untracked", "simulation/simulator.py",
      "overhead=0.0)\n                self._track_held_job(job)", "overhead=0.0)"),
     ("M5-allocation-ignores-epoch", "workload/app.py",

@@ -147,8 +147,8 @@ def test_unchanged_apps_pay_no_base_carve_in_the_next_round(
 
 
 def test_each_round_refreshes_what_changed_since_the_last(small_cluster, estimator):
-    """The round token is per round: a repeat refresh is free within a
-    round, but the next round sees the holdings that moved in between."""
+    """Each round refreshes every AGENT's state: the next round sees the
+    holdings that moved in between."""
     arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=1.0))
     agents = agents_for(estimator, [("a", 2, 0.0), ("b", 1, 0.0)])
     held = Allocation(small_cluster.machines[0].gpus[:2])

@@ -291,23 +291,8 @@ def test_starved_app_pays_one_carve_across_rounds():
     assert estimator.carve_count == carves
 
 
-def test_refresh_token_skips_the_walk_only_within_one_round():
-    cluster = small_cluster()
-    estimator = FairnessEstimator(cluster)
-    app = make_app("a0", num_jobs=1)
-    job = app.jobs[0]
-    job.set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
-    state = AppValuationState(app, estimator)
-    first = state.refresh(1)
-    job.remaining_work -= 7.0
-    # Same round: jobs cannot have advanced, so the snapshot is served
-    # without looking; the next round's token sees the drain.
-    assert state.refresh(1) is first
-    assert state.refresh(2).total_remaining == job.remaining_work
-
-
 def test_first_winner_delta_cache_dropped_on_rebuild():
-    """A FIRST_WINNER delta embeds remaining work: it dies with the snapshot."""
+    """A FIRST_WINNER delta divides by remaining work: it follows a rebuild."""
     from repro.workload.app import CompletionSemantics
 
     cluster = small_cluster()
@@ -534,6 +519,9 @@ def test_baseline_reads_equal_the_uncached_oracles_every_round(seed, fleet, sema
         else:
             seen = []
         signature = state.rate_signature
+        # The shape labels: what an estimator with no memo reads.
+        fresh = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
+        assert state.machine_reads == fresh.machine_reads(state.snapshot.job_tuples)
         # The strawman's read.
         assert state.current_rho(now) == oracle.rho_current(app, now)
         # Gandiva's reads: the holdings alone and merged with a bundle.

@@ -6,7 +6,7 @@ from repro.core.leases import LeaseManager
 
 
 def test_grant_and_holder(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     gpu = small_cluster.gpu(0)
     lease = manager.grant(gpu, "app-a", "job-1", now=0.0, duration=20.0)
     assert manager.holder(gpu) == "app-a"
@@ -18,13 +18,13 @@ def test_grant_and_holder(small_cluster):
 
 
 def test_grant_zero_duration_raises(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     with pytest.raises(ValueError):
         manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 0.0)
 
 
 def test_release(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     gpu = small_cluster.gpu(0)
     manager.grant(gpu, "a", "j", 0.0, 10.0)
     released = manager.release(gpu)
@@ -34,7 +34,7 @@ def test_release(small_cluster):
 
 
 def test_regrant_transfers_ownership(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     gpu = small_cluster.gpu(0)
     manager.grant(gpu, "a", "j1", 0.0, 10.0)
     manager.grant(gpu, "b", "j2", 5.0, 10.0)
@@ -43,7 +43,7 @@ def test_regrant_transfers_ownership(small_cluster):
 
 
 def test_expired_gpus(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)
     manager.grant(small_cluster.gpu(1), "a", "j", 0.0, 30.0)
     expired = manager.expired_gpus(now=15.0)
@@ -51,10 +51,10 @@ def test_expired_gpus(small_cluster):
 
 
 def test_pool_for_auction_combines_free_and_expired(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)  # expires
     manager.grant(small_cluster.gpu(1), "a", "j", 0.0, 30.0)  # active
-    pool = manager.pool_for_auction(now=15.0, all_gpus=small_cluster.gpus)
+    pool = manager.pool_for_auction(now=15.0)
     ids = {gpu.gpu_id for gpu in pool}
     assert 0 in ids  # expired lease
     assert 1 not in ids  # live lease
@@ -62,7 +62,7 @@ def test_pool_for_auction_combines_free_and_expired(small_cluster):
 
 
 def test_leases_of_app(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)
     manager.grant(small_cluster.gpu(3), "a", "j", 0.0, 10.0)
     manager.grant(small_cluster.gpu(1), "b", "j", 0.0, 10.0)
@@ -71,7 +71,7 @@ def test_leases_of_app(small_cluster):
 
 
 def test_next_expiry(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     assert manager.next_expiry(0.0) is None
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)
     manager.grant(small_cluster.gpu(1), "a", "j", 0.0, 25.0)
@@ -82,7 +82,7 @@ def test_next_expiry(small_cluster):
 
 
 def test_utilisation(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     assert manager.utilisation(12) == 0.0
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)
     assert manager.utilisation(12) == pytest.approx(1 / 12)
@@ -91,7 +91,7 @@ def test_utilisation(small_cluster):
 
 
 def test_release_all(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     gpus = small_cluster.gpus[:3]
     for gpu in gpus:
         manager.grant(gpu, "a", "j", 0.0, 10.0)
@@ -102,38 +102,38 @@ def test_release_all(small_cluster):
 @pytest.mark.parametrize("query_first", (False, True))
 def test_free_dict_pool_matches_the_rescan(small_cluster, query_first):
     """The maintained free dict and a full rescan give the same pool,
-    whether the cluster was first seen before or after the mutations."""
+    whether the pool was first queried before or after the mutations."""
     gpus = small_cluster.gpus
-    manager = LeaseManager()
+    manager = LeaseManager(gpus)
     if query_first:
-        assert len(manager.pool_for_auction(0.0, gpus)) == len(gpus)
+        assert len(manager.pool_for_auction(0.0)) == len(gpus)
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)   # will expire
     manager.grant(small_cluster.gpu(1), "a", "j", 0.0, 30.0)   # stays live
     manager.grant(small_cluster.gpu(2), "b", "k", 0.0, 30.0)
     manager.release(small_cluster.gpu(2))                       # back to free
     manager.release(small_cluster.gpu(3))                       # no-op: unleased
     for now in (0.0, 15.0, 40.0):
-        pool = [g.gpu_id for g in manager.pool_for_auction(now, gpus)]
+        pool = [g.gpu_id for g in manager.pool_for_auction(now)]
         rescan = manager.unleased_gpus(gpus) + manager.expired_gpus(now)
         assert pool == sorted(g.gpu_id for g in rescan)
-        assert sorted(g.gpu_id for g in manager.free_gpus(gpus)) == [
+        assert sorted(g.gpu_id for g in manager.free_gpus()) == [
             g.gpu_id for g in manager.unleased_gpus(gpus)
         ]
 
 
 def test_pool_after_regrant_transfer(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)
     manager.grant(small_cluster.gpu(0), "b", "k", 5.0, 10.0)  # ownership transfer
-    pool = manager.pool_for_auction(now=5.0, all_gpus=small_cluster.gpus)
+    pool = manager.pool_for_auction(now=5.0)
     assert 0 not in {gpu.gpu_id for gpu in pool}
     manager.release(small_cluster.gpu(0))
-    pool = manager.pool_for_auction(now=5.0, all_gpus=small_cluster.gpus)
+    pool = manager.pool_for_auction(now=5.0)
     assert 0 in {gpu.gpu_id for gpu in pool}
 
 
 def test_revoke_counts_by_reason(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     gpu = small_cluster.gpu(0)
     manager.grant(gpu, "a", "j", 0.0, 10.0)
     revoked = manager.revoke(gpu, reason="failure")
@@ -149,6 +149,6 @@ def test_revoke_counts_by_reason(small_cluster):
 
 
 def test_revoke_unleased_is_noop(small_cluster):
-    manager = LeaseManager()
+    manager = LeaseManager(small_cluster.gpus)
     assert manager.revoke(small_cluster.gpu(0), reason="failure") is None
     assert manager.revocations == {}  # no-op revocations are not counted

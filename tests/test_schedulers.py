@@ -117,7 +117,7 @@ def test_strawman_single_winner():
     sim = bound_scheduler("strawman")
     scheduler = sim.scheduler
     sim.engine.run(until=5.0)  # both apps arrived, cluster contended
-    pool = sim.leases.pool_for_auction(sim.engine.now, sim.cluster.gpus)
+    pool = sim.leases.pool_for_auction(sim.engine.now)
     if pool:
         grants = scheduler.assign(sim.engine.now, pool)
         assert len(grants) <= 1
