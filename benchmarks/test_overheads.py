@@ -15,6 +15,7 @@ from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
 from repro.core.auction import PartialAllocationAuction
 from repro.core.fairness import FairnessEstimator
+from repro.core.leases import LeaseManager
 from repro.workload.generator import GeneratorConfig, generate_trace
 
 _CLUSTER = themis_sim_cluster()
@@ -29,11 +30,9 @@ def _market(num_apps: int, elapsed: float = 45.0):
     agents = {
         app.app_id: Agent(app, estimator) for app in trace.instantiate()
     }
-    # Half the cluster's GPUs are up for auction.
-    pool = list(_CLUSTER.gpus[: _CLUSTER.num_gpus // 2])
-    offered = {}
-    for gpu in pool:
-        offered[gpu.machine_id] = offered.get(gpu.machine_id, 0) + 1
+    # Half the cluster's GPUs are up for auction, grouped by machine.
+    pool = LeaseManager(_CLUSTER.gpus[: _CLUSTER.num_gpus // 2]).pool_for_auction(0.0)
+    offered = {machine_id: len(gpus) for machine_id, gpus in pool.items()}
     return estimator, agents, pool, offered, elapsed
 
 
@@ -66,9 +65,9 @@ def test_arbiter_partial_allocation_latency(benchmark):
 def test_arbiter_full_round_latency(benchmark):
     """ARBITER: a complete OFFERRESOURCES round (probe, filter, auction,
     leftovers, concretise) over 16 active apps."""
-    _, agents, pool, _, elapsed = _market(num_apps=16)
+    _, agents, pool, offered, elapsed = _market(num_apps=16)
     arbiter = Arbiter(_CLUSTER, ArbiterConfig(fairness_knob=0.8))
 
     grants = benchmark(lambda: arbiter.offer_resources(elapsed, pool, agents))
     granted = sum(len(g) for g in grants.values())
-    assert 0 < granted <= len(pool)
+    assert 0 < granted <= sum(offered.values())

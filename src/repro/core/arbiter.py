@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cluster.topology import Cluster, Gpu
 from repro.core.agent import Agent
-from repro.core.assignment import check_chunk_size, concretise, group_pool
+from repro.core.assignment import check_chunk_size, concretise
 from repro.core.auction import AuctionOutcome, PartialAllocationAuction
 from repro.obs import NULL_PROFILER, NULL_TRACER
 
@@ -72,6 +72,7 @@ class RoundStats:
     """
 
     now: float
+    #: GPUs in the round's pool.
     pool_size: int
     num_active: int
     num_participants: int
@@ -100,7 +101,13 @@ class Arbiter:
         self.cluster = cluster
         self.config = config or ArbiterConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._speed_of = cluster.machine_speeds()
+        speed_of = cluster.machine_speeds()
+        #: Machine id -> its place in the leftover drain order (fastest
+        #: GPU generation first, lower id on ties).
+        self._drain_rank = {
+            m: rank
+            for rank, m in enumerate(sorted(speed_of, key=lambda m: (-speed_of[m], m)))
+        }
         self.auction = PartialAllocationAuction(chunk_size=self.config.chunk_size)
         self.rounds = 0
         self.last_outcome: Optional[AuctionOutcome] = None
@@ -133,21 +140,21 @@ class Arbiter:
     def offer_resources(
         self,
         now: float,
-        pool: Sequence[Gpu],
+        pool: Mapping[int, Sequence[Gpu]],
         agents: Mapping[str, Agent],
     ) -> dict[str, list[Gpu]]:
         """Run one auction round; returns app_id -> concrete GPUs won.
 
-        ``pool`` is the set of available GPUs (unleased + expired
-        leases).  GPUs the round leaves unassigned (no demand anywhere)
-        are simply absent from the result.
+        ``pool`` holds the available GPUs (unleased + expired leases)
+        grouped by machine, slot-sorted within each: its counts are the
+        offer vector R.  GPUs the round leaves unassigned (no demand
+        anywhere) are simply absent from the result.
         """
         self.rounds += 1
         salt = self.rounds
         if not pool:
             return {}
-        pool_by_machine = group_pool(pool)
-        pool_counts = {m: len(gpus) for m, gpus in pool_by_machine.items()}
+        pool_counts = {m: len(gpus) for m, gpus in pool.items()}
 
         # Step 1: probe all apps for rho; only apps that still want GPUs
         # are eligible bidders.
@@ -217,7 +224,7 @@ class Arbiter:
         self.history.append(
             RoundStats(
                 now=now,
-                pool_size=len(pool),
+                pool_size=sum(pool_counts.values()),
                 num_active=len(agents),
                 num_participants=len(participants),
                 leftover_after_payments=outcome.total_leftover,
@@ -233,7 +240,7 @@ class Arbiter:
                 rescore_skipped=solve_stats.rescore_skipped,
             )
         )
-        return concretise(assignments, pool_by_machine)
+        return concretise(assignments, pool)
 
     # ------------------------------------------------------------------
     # Leftover allocation (Section 5.1, stage 3)
@@ -264,32 +271,26 @@ class Arbiter:
             app_id: set(agent.app.allocation().per_machine_counts())
             for app_id, agent in agents.items()
         }
-        unassigned = 0
-        # One sort for the whole round; the per-GPU loops only filter.
-        # Non-participants are a round constant, so hoist that check
-        # out of the per-GPU candidate scans too.  Total headroom gates
-        # the whole scan: once nobody wants another GPU, every further
-        # leftover is unassigned by definition (the fallback candidate
-        # list is exactly "apps with headroom"), so idle rounds on a
-        # mostly-free cluster cost O(machines), not O(GPUs x apps).
-        # The rng stream is untouched by the early exit — draws only
-        # ever happened when some app still had headroom.
+        # The drain order is ranked once per arbiter; the per-GPU loops
+        # only filter.  Non-participants are a round constant, so hoist
+        # that check out of the per-GPU candidate scans too.  Total
+        # headroom gates the whole scan: once nobody wants another GPU,
+        # every further leftover is unassigned by definition (the
+        # fallback candidate list is exactly "apps with headroom"), so
+        # the scan stops there.  The rng stream is untouched by the
+        # early exit — draws only ever happened when some app still had
+        # headroom.
         total_headroom = sum(headroom.values())
+        granted = 0
         ordered_apps = sorted(agents)
         ordered_non_participants = [
             app_id for app_id in ordered_apps if app_id not in participant_set
         ]
-        machine_order = sorted(
-            leftover, key=lambda m: (-self._speed_of.get(m, 1.0), m)
-        )
-        for machine_id in machine_order:
-            count = leftover[machine_id]
+        for machine_id in sorted(leftover, key=self._drain_rank.__getitem__):
             if total_headroom <= 0:
-                unassigned += count
-                continue
-            for seen in range(count):
+                break
+            for _ in range(leftover[machine_id]):
                 if total_headroom <= 0:
-                    unassigned += count - seen
                     break
                 candidates = [
                     app_id
@@ -305,6 +306,7 @@ class Arbiter:
                 bundle[machine_id] = bundle.get(machine_id, 0) + 1
                 headroom[choice] -= 1
                 total_headroom -= 1
+                granted += 1
                 machines_of[choice].add(machine_id)
-        return unassigned
+        return sum(leftover.values()) - granted
 

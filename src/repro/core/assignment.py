@@ -1,12 +1,15 @@
-"""Shared assignment helpers: pool grouping, counts -> GPUs, greedy fill.
+"""Shared assignment helpers: counts -> GPUs, greedy fill, pool draining.
 
 Both the Themis ARBITER and the emulated baseline schedulers (Gandiva,
 Tiresias, SLAQ — Section 8's comparison points are all modelled "to fit
 into an auction-based fair market scheme") work with per-machine GPU
-counts and need the same two conversions:
+counts.  The pool a round offers arrives already grouped by machine,
+slot-sorted within each (``LeaseManager.pool_for_auction``), so its
+counts are one ``len`` per machine; what the policies share is
 
-* grouping a concrete GPU pool by machine, slot-sorted, and
-* concretising per-machine count assignments back into GPU grants.
+* concretising per-machine count assignments back into GPU grants, and
+* :func:`drainable`, the mutable copy that :func:`take_packed` and
+  ``take_scattered`` drain, since the round's pool is read-only.
 
 :func:`greedy_utility_assign` is the additive-utility counterpart of
 the auction's Nash-welfare solver, used by baselines that maximise a
@@ -29,20 +32,15 @@ from typing import Callable, Mapping, Optional, Sequence
 from repro.cluster.topology import Gpu
 
 
-def group_pool(pool: Sequence[Gpu]) -> dict[int, list[Gpu]]:
-    """Group pooled GPUs by machine, slot-sorted within each machine."""
-    grouped: dict[int, list[Gpu]] = {}
-    for gpu in sorted(pool, key=lambda g: (g.machine_id, g.slot_id, g.gpu_id)):
-        grouped.setdefault(gpu.machine_id, []).append(gpu)
-    return grouped
+def drainable(pool: Mapping[int, Sequence[Gpu]]) -> dict[int, list[Gpu]]:
+    """A copy of a grouped pool that :func:`take_packed` and
+    ``take_scattered`` may drain.
 
-
-def pool_counts(pool: Sequence[Gpu]) -> dict[int, int]:
-    """Per-machine free GPU counts — the paper's offer vector R."""
-    counts: dict[int, int] = {}
-    for gpu in pool:
-        counts[gpu.machine_id] = counts.get(gpu.machine_id, 0) + 1
-    return counts
+    The pool ``assign`` receives shares its per-machine tuples with the
+    lease manager's free index, and the simulator reads it again once
+    ``assign`` returns, so a policy never mutates it.
+    """
+    return {machine_id: list(gpus) for machine_id, gpus in pool.items()}
 
 
 def concretise(
@@ -57,7 +55,7 @@ def concretise(
     Raises when assignments exceed the pooled supply.
     """
     result: dict[str, list[Gpu]] = {}
-    cursors: dict[int, int] = {machine_id: 0 for machine_id in pool_by_machine}
+    cursors: dict[int, int] = {}
     per_machine_orders: dict[int, list[tuple[str, int]]] = {}
     for app_id, bundle in assignments.items():
         for machine_id, count in bundle.items():
@@ -66,7 +64,7 @@ def concretise(
             if count > 0:
                 per_machine_orders.setdefault(machine_id, []).append((app_id, count))
     for machine_id, orders in per_machine_orders.items():
-        gpus = list(pool_by_machine.get(machine_id, ()))
+        gpus = pool_by_machine.get(machine_id, ())
         orders.sort(key=lambda item: (-item[1], item[0]))
         for app_id, count in orders:
             start = cursors.get(machine_id, 0)

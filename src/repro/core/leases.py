@@ -13,15 +13,34 @@ actual ownership change forces a checkpoint/restore cycle.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from repro.cluster.topology import Gpu
 
 
+def _expiry_key(lease: "Lease") -> tuple[float, int]:
+    """The lease's place in the expiry order: the instant from which
+    :meth:`Lease.is_expired` holds (the same float it compares), then
+    its gpu_id, which is unique among leases."""
+    return lease.expiry - 1e-9, lease.gpu.gpu_id
+
+
+#: Sort key within one machine's GPUs: NVLink slot, then id.
+_slot_order = attrgetter("slot_id", "gpu_id")
+
+
 @dataclass
 class Lease:
-    """Ownership of one GPU by one app (and the job using it)."""
+    """Ownership of one GPU by one app (and the job using it).
+
+    ``expiry`` is fixed once granted — the manager's expiry order is
+    keyed on it; a renewal is a new grant.
+    """
 
     gpu: Gpu
     app_id: str
@@ -41,18 +60,36 @@ class Lease:
 class LeaseManager:
     """Tracks the lease on every GPU of one cluster.
 
-    The manager is built over the cluster's GPUs.  Their *complement*
-    — the unleased GPUs — is maintained alongside the leases, so
-    :meth:`pool_for_auction` and :meth:`free_gpus` read the free dict
-    instead of rescanning every GPU in the cluster each round;
-    :meth:`unleased_gpus` and :meth:`expired_gpus` remain the full
-    rescans tests audit it with.
+    Besides the leases themselves the manager keeps two indexes, both
+    updated by every grant and release:
+
+    * the **free index** — for every machine of the cluster, in
+      ascending machine id, the tuple of its unleased GPUs sorted by
+      ``(slot_id, gpu_id)``: the per-machine offer vector R of Themis
+      section 5, with the GPUs behind each count;
+    * the **expiry order** — every lease keyed by the instant
+      :meth:`Lease.is_expired` turns true and its gpu_id, sorted, so
+      the expired leases are a prefix found by one bisection.
+
+    A round therefore costs one pass over the machines plus the expired
+    leases (:meth:`pool_for_auction`), not a pass over every free GPU or
+    every lease.  :meth:`unleased_gpus` and :meth:`expired_gpus` remain
+    the full rescans the tests audit both indexes with.
     """
 
     def __init__(self, gpus: Iterable[Gpu]) -> None:
         self._leases: dict[int, Lease] = {}
-        #: Unleased GPUs, kept in step by every grant and release.
-        self._free: dict[int, Gpu] = {gpu.gpu_id: gpu for gpu in gpus}
+        grouped: dict[int, list[Gpu]] = {}
+        for gpu in sorted(gpus, key=attrgetter("machine_id", "slot_id", "gpu_id")):
+            grouped.setdefault(gpu.machine_id, []).append(gpu)
+        #: machine id -> its unleased GPUs in slot order; every machine
+        #: keeps its key (possibly with an empty tuple), so the dict
+        #: stays in ascending machine id.
+        self._free: dict[int, tuple[Gpu, ...]] = {m: tuple(g) for m, g in grouped.items()}
+        #: Read-only view of :attr:`_free` handed to callers.
+        self.free_by_machine: Mapping[int, tuple[Gpu, ...]] = MappingProxyType(self._free)
+        #: ``_expiry_key(lease)`` of every lease, ascending.
+        self._by_expiry: list[tuple[float, int]] = []
         #: Forced-revocation tally by reason ("failure", "preemption",
         #: ...) — ordinary releases/renewals do not count.
         self.revocations: dict[str, int] = {}
@@ -69,16 +106,30 @@ class LeaseManager:
         if duration <= 0:
             raise ValueError(f"lease duration must be > 0, got {duration}")
         lease = Lease(gpu=gpu, app_id=app_id, job_id=job_id, start=now, expiry=now + duration)
+        old = self._leases.get(gpu.gpu_id)
+        if old is None:
+            free = self._free[gpu.machine_id]
+            at = free.index(gpu)
+            self._free[gpu.machine_id] = free[:at] + free[at + 1 :]
+        else:
+            self._drop_expiry(old)
         self._leases[gpu.gpu_id] = lease
-        self._free.pop(gpu.gpu_id, None)
+        insort(self._by_expiry, _expiry_key(lease))
         return lease
 
     def release(self, gpu: Gpu) -> Optional[Lease]:
         """Drop the lease on ``gpu`` (no-op when unleased)."""
         lease = self._leases.pop(gpu.gpu_id, None)
         if lease is not None:
-            self._free[gpu.gpu_id] = gpu
+            self._drop_expiry(lease)
+            free = self._free[gpu.machine_id]
+            at = bisect_left(free, _slot_order(gpu), key=_slot_order)
+            self._free[gpu.machine_id] = free[:at] + (gpu,) + free[at:]
         return lease
+
+    def _drop_expiry(self, lease: Lease) -> None:
+        """Remove ``lease`` from the expiry order (its key is unique)."""
+        del self._by_expiry[bisect_left(self._by_expiry, _expiry_key(lease))]
 
     def release_all(self, gpus: Iterable[Gpu]) -> None:
         """Drop leases on several GPUs."""
@@ -135,31 +186,41 @@ class LeaseManager:
         """GPUs from ``all_gpus`` that carry no lease at all (a rescan)."""
         return [gpu for gpu in all_gpus if gpu.gpu_id not in self._leases]
 
-    def free_gpus(self) -> Iterable[Gpu]:
-        """Unleased GPUs, served from the free dict.
-
-        Same set as :meth:`unleased_gpus`, but O(free) instead of
-        O(cluster) — the per-round metrics sampler's hot path.
-        Iteration order is unspecified; callers needing determinism
-        must aggregate order-independently (or sort).
-        """
-        return self._free.values()
-
     def next_expiry(self, now: float) -> Optional[float]:
         """Earliest future lease expiry strictly after ``now`` (None when idle)."""
         future = [lease.expiry for lease in self._leases.values() if lease.expiry > now + 1e-9]
         return min(future) if future else None
 
-    def pool_for_auction(self, now: float) -> list[Gpu]:
-        """The auction pool: unleased GPUs plus GPUs with expired leases.
+    def expired_leases(self, now: float) -> list[Lease]:
+        """Leases that have run out by ``now``, in gpu_id order.
 
-        Assembled from the free dict and the leases, sorted by gpu_id.
+        The expiry order's prefix up to ``now``, found by one bisection,
+        so the cost is in the expired leases, not in every lease.
         """
-        pool = list(self._free.values())
-        pool.extend(
-            lease.gpu for lease in self._leases.values() if lease.is_expired(now)
-        )
-        return sorted(pool, key=lambda gpu: gpu.gpu_id)
+        cut = bisect_right(self._by_expiry, (now, math.inf))
+        leases = self._leases
+        return [leases[gpu_id] for gpu_id in sorted(key[1] for key in self._by_expiry[:cut])]
+
+    def pool_for_auction(self, now: float) -> dict[int, tuple[Gpu, ...]]:
+        """The auction pool grouped by machine: unleased plus expired GPUs.
+
+        Machine id -> that machine's pooled GPUs sorted by
+        ``(slot_id, gpu_id)``, in ascending machine id, machines with
+        nothing pooled left out.  The free index's tuples are shared,
+        not copied: callers that drain the pool copy what they mutate.
+        """
+        expired: dict[int, list[Gpu]] = {}
+        for lease in self.expired_leases(now):
+            expired.setdefault(lease.gpu.machine_id, []).append(lease.gpu)
+        return {
+            machine_id: (
+                tuple(sorted(free + tuple(expired[machine_id]), key=_slot_order))
+                if machine_id in expired
+                else free
+            )
+            for machine_id, free in self._free.items()
+            if free or machine_id in expired
+        }
 
     @property
     def active_lease_count(self) -> int:

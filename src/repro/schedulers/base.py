@@ -51,8 +51,16 @@ class InterAppScheduler(abc.ABC):
     # The policy decision
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
+    def assign(
+        self, now: float, pool: Mapping[int, Sequence[Gpu]]
+    ) -> dict[str, list[Gpu]]:
         """Decide ownership of the pooled GPUs.
+
+        ``pool`` is grouped by machine: machine id -> its pooled GPUs
+        sorted by ``(slot_id, gpu_id)``, in ascending machine id
+        (:meth:`~repro.core.leases.LeaseManager.pool_for_auction`).  It
+        is read-only: a policy that drains it works on
+        :func:`~repro.core.assignment.drainable`'s copy.
 
         Returns a mapping app_id -> GPUs drawn from ``pool``.  GPUs left
         out of the mapping stay with their incumbent holder (lease

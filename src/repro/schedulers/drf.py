@@ -13,10 +13,10 @@ them directly.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
-from repro.core.assignment import group_pool, take_packed
+from repro.core.assignment import drainable, take_packed
 from repro.schedulers.base import InterAppScheduler
 from repro.workload.perf import app_effective_compute
 
@@ -33,8 +33,8 @@ class DrfScheduler(InterAppScheduler):
 
     name = "drf"
 
-    def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
-        pool_by_machine = group_pool(pool)
+    def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
+        pool_by_machine = drainable(pool)
         apps = self.apps_with_demand()
         if not apps:
             return {}

@@ -7,10 +7,10 @@ by tests and as an ablation anchor: arrival order, placement-aware fill
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
-from repro.core.assignment import group_pool, take_packed
+from repro.core.assignment import drainable, take_packed
 from repro.schedulers.base import InterAppScheduler
 
 
@@ -19,8 +19,8 @@ class FifoScheduler(InterAppScheduler):
 
     name = "fifo"
 
-    def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
-        pool_by_machine = group_pool(pool)
+    def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
+        pool_by_machine = drainable(pool)
         result: dict[str, list[Gpu]] = {}
         ranked = sorted(
             self.apps_with_demand(), key=lambda app: (app.arrival_time, app.app_id)

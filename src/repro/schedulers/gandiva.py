@@ -13,14 +13,13 @@ ideal on max finish-time fairness (Figure 5a).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
 from repro.core.assignment import (
     check_chunk_size,
     concretise,
     greedy_utility_assign,
-    group_pool,
 )
 from repro.core.fairness import AppValuationState
 from repro.schedulers.base import CarvingScheduler
@@ -53,12 +52,11 @@ class GandivaScheduler(CarvingScheduler):
         super().__init__()
         self.chunk_size = check_chunk_size(chunk_size)
 
-    def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
+    def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
         apps = self.apps_with_demand()
         if not apps:
             return {}
-        pool_by_machine = group_pool(pool)
-        counts = {m: len(g) for m, g in pool_by_machine.items()}
+        counts = {m: len(g) for m, g in pool.items()}
         utilities = {}
         for app in apps:
             state = self.states[app.app_id]
@@ -68,4 +66,4 @@ class GandivaScheduler(CarvingScheduler):
         assignment = greedy_utility_assign(
             counts, utilities, caps, chunk_size=self.chunk_size
         )
-        return concretise(assignment, pool_by_machine)
+        return concretise(assignment, pool)

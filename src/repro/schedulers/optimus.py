@@ -15,7 +15,7 @@ ablation benchmarks exercise it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
 from repro.core.assignment import check_chunk_size
@@ -77,7 +77,7 @@ class OptimusScheduler(InterAppScheduler):
         improved = self._estimated_completion(snapshot, held + extra)
         return max(0.0, base - improved)
 
-    def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
+    def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
         def time_reduction(app: App) -> EffectiveUtility:
             snapshot = self._job_snapshot(app)
             return lambda held, extra: self._time_reduction(snapshot, held, extra)

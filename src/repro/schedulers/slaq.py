@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from repro.cluster.topology import Gpu, ordered_sum
-from repro.core.assignment import check_chunk_size, greedy_utility_assign, group_pool
+from repro.core.assignment import check_chunk_size, drainable, greedy_utility_assign
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.tiresias import take_scattered
 from repro.workload.app import App
@@ -31,7 +31,7 @@ EffectiveUtility = Callable[[float, float], float]
 
 def assign_by_effective_utility(
     scheduler: InterAppScheduler,
-    pool: Sequence[Gpu],
+    pool: Mapping[int, Sequence[Gpu]],
     utility_of: Callable[[App], EffectiveUtility],
     chunk_size: int,
 ) -> dict[str, list[Gpu]]:
@@ -54,8 +54,7 @@ def assign_by_effective_utility(
     apps = scheduler.apps_with_demand()
     if not apps:
         return {}
-    pool_by_machine = group_pool(pool)
-    counts = {m: len(g) for m, g in pool_by_machine.items()}
+    counts = {m: len(g) for m, g in pool.items()}
     model = scheduler.perf_model()
     cluster = scheduler.sim.cluster
     utilities = {}
@@ -73,6 +72,7 @@ def assign_by_effective_utility(
     assignment = greedy_utility_assign(counts, utilities, caps, chunk_size=chunk_size)
     # Placement-blind concretisation: neither policy reasons about
     # which machines the GPUs came from.
+    pool_by_machine = drainable(pool)
     result: dict[str, list[Gpu]] = {}
     for app_id in sorted(assignment, key=lambda a: (-sum(assignment[a].values()), a)):
         want = sum(assignment[app_id].values())
@@ -162,7 +162,7 @@ class SlaqScheduler(InterAppScheduler):
             reduction += loss_now - loss_then
         return reduction
 
-    def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
+    def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
         def loss_reduction(app: App) -> EffectiveUtility:
             snapshot = self._job_snapshot(app)
             window = self.sim.config.lease_minutes

@@ -12,10 +12,10 @@ quantify that argument.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
-from repro.core.assignment import group_pool, take_packed
+from repro.core.assignment import drainable, take_packed
 from repro.schedulers.base import CarvingScheduler
 
 
@@ -24,11 +24,11 @@ class StrawmanScheduler(CarvingScheduler):
 
     name = "strawman"
 
-    def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
+    def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
         apps = self.apps_with_demand()
         if not apps:
             return {}
-        pool_by_machine = group_pool(pool)
+        pool_by_machine = drainable(pool)
         # The strawman reallocates to *the* app with the worst rho —
         # exactly one winner per round; whatever it cannot absorb stays
         # where it is until the next round.

@@ -9,7 +9,7 @@ auctions.  All policy lives in those core modules.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class ThemisScheduler(InterAppScheduler):
     def on_app_finish(self, now: float, app: App) -> None:
         self.agents.pop(app.app_id, None)
 
-    def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
+    def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
         assert self.arbiter is not None
         live_agents = {
             app_id: agent
@@ -92,4 +92,4 @@ class ThemisScheduler(InterAppScheduler):
         }
         if not live_agents:
             return {}
-        return self.arbiter.offer_resources(now, list(pool), live_agents)
+        return self.arbiter.offer_resources(now, pool, live_agents)

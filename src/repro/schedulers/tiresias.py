@@ -21,10 +21,10 @@ baseline that ignores rate inversions entirely.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
-from repro.core.assignment import group_pool
+from repro.core.assignment import drainable
 from repro.schedulers.base import InterAppScheduler
 
 
@@ -52,8 +52,8 @@ class TiresiasScheduler(InterAppScheduler):
 
     name = "tiresias"
 
-    def assign(self, now: float, pool: Sequence[Gpu]) -> dict[str, list[Gpu]]:
-        pool_by_machine = group_pool(pool)
+    def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
+        pool_by_machine = drainable(pool)
         result: dict[str, list[Gpu]] = {}
         ranked = sorted(
             self.apps_with_demand(),

@@ -18,7 +18,9 @@ simulator (Section 8.1).  The mechanics mirror the Themis runtime:
 
 The scheduler interface is duck-typed: anything with ``assign(now,
 pool) -> dict[app_id, list[Gpu]]`` plus optional arrival/finish hooks
-works; see :mod:`repro.schedulers.base`.
+works, ``pool`` being the round's GPUs grouped by machine
+(:meth:`~repro.core.leases.LeaseManager.pool_for_auction`); see
+:mod:`repro.schedulers.base`.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from repro.cluster.allocation import EMPTY_ALLOCATION, Allocation
 from repro.cluster.topology import Cluster, Gpu, ordered_sum
-from repro.core.leases import LeaseManager
+from repro.core.leases import Lease, LeaseManager
 from repro.obs import Observability, ObsConfig
 from repro.obs.metrics import fragmentation_index, percentile_nearest_rank
 from repro.obs.reservoir import ReservoirSeries
@@ -43,6 +45,11 @@ from repro.workload.trace import Trace
 
 #: Work below this threshold counts as finished (floating-point dust).
 _WORK_EPSILON = 1e-6
+
+
+def _gpu_ids(pool: Mapping[int, Sequence[Gpu]]) -> set[int]:
+    """The GPU ids of a pool grouped by machine."""
+    return {gpu.gpu_id for gpus in pool.values() for gpu in gpus}
 
 
 @dataclass(frozen=True)
@@ -355,7 +362,8 @@ class ClusterSimulator:
         self._job_events: dict[str, Event] = {}
         self._job_owner: dict[str, App] = {}
         self._auction_pending = False
-        self._last_round: tuple[float, frozenset[int]] | None = None
+        #: ``(now, pool)`` of the last round run, for the same-instant guard.
+        self._last_round: tuple[float, Mapping[int, Sequence[Gpu]]] | None = None
         self._down_gpu_ids: set[int] = set()
         #: Expiry timestamps with a pending LEASE_EXPIRY event; K leases
         #: expiring at one instant schedule one event, not K.
@@ -468,16 +476,22 @@ class ClusterSimulator:
         self._process_tuners(now)
         with profiler.phase("metrics"):
             self._sample_contention(now)
-        pool = self.leases.pool_for_auction(now)
-        pool = [gpu for gpu in pool if gpu.gpu_id not in self._down_gpu_ids]
-        for gpu in pool:
-            self._release_orphaned_lease(gpu)
+        leases = self.leases
+        pool = leases.pool_for_auction(now)
+        if self._down_gpu_ids:
+            pool = self._in_service(pool)
+        renewable: list[Lease] = []
+        for lease in leases.expired_leases(now):
+            if lease.app_id in self.active_apps:
+                renewable.append(lease)
+            else:
+                self._release_orphaned_lease(lease)
         if not pool:
             return
-        round_key = (now, frozenset(gpu.gpu_id for gpu in pool))
-        if self._last_round == round_key:
+        last = self._last_round
+        if last is not None and last[0] == now and _gpu_ids(last[1]) == _gpu_ids(pool):
             return  # identical round at the same instant; avoid livelock
-        self._last_round = round_key
+        self._last_round = (now, pool)
         self.num_rounds += 1
         tracer = self.tracer
         if tracer.enabled:
@@ -486,39 +500,49 @@ class ClusterSimulator:
                 "round_start",
                 now,
                 round=self.num_rounds,
-                pool_gpus=len(pool),
+                pool_gpus=sum(map(len, pool.values())),
                 active_apps=len(self.active_apps),
             )
-            lease_of = self.leases.lease_of
-            for gpu in pool:
-                lease = lease_of(gpu)
-                if lease is not None and lease.is_expired(now):
-                    tracer.emit(
-                        "lease_expire", now, gpu=gpu.gpu_id, app=lease.app_id
-                    )
+            for lease in renewable:
+                tracer.emit("lease_expire", now, gpu=lease.gpu.gpu_id, app=lease.app_id)
         with profiler.phase("assign"):
             assignment = self.scheduler.assign(now, pool)
         with profiler.phase("placement"):
-            self._apply_assignment(now, pool, assignment)
+            self._apply_assignment(now, pool, renewable, assignment)
         if self.config.migration:
             with profiler.phase("migration"):
                 self._migration_pass(now)
         with profiler.phase("metrics"):
             self._record_round_metrics(now)
 
-    def _release_orphaned_lease(self, gpu: Gpu) -> None:
-        """Free a pooled GPU whose lease holder vanished mid-round.
+    def _release_orphaned_lease(self, lease: Lease) -> None:
+        """Free an expired lease whose holder vanished mid-round.
 
         A finished app's leases should already have been released; this
-        is a belt-and-braces sweep (every pooled GPU stays reclaimable
-        either way, so there is nothing to filter on).
+        is a belt-and-braces sweep over the round's expired leases (an
+        unleased GPU has no holder, and an unexpired lease is not in the
+        pool).  The GPU stays pooled either way, now with no incumbent.
         """
-        lease = self.leases.lease_of(gpu)
-        if lease is not None and lease.app_id not in self.active_apps:
-            self.leases.release(gpu)
-            self._emit_lease_revokes(
-                self.engine.now, lease.app_id, (gpu,), "orphaned"
-            )
+        self.leases.release(lease.gpu)
+        self._emit_lease_revokes(self.engine.now, lease.app_id, (lease.gpu,), "orphaned")
+
+    def _in_service(self, grouped: Mapping[int, Sequence[Gpu]]) -> dict[int, Sequence[Gpu]]:
+        """``grouped`` (machine id -> GPUs) without down GPUs or empty machines.
+
+        Order is kept; only the machines holding a down GPU are filtered.
+        """
+        kept: dict[int, Sequence[Gpu]] = {m: gpus for m, gpus in grouped.items() if gpus}
+        down = self._down_gpu_ids
+        for machine_id in {self.cluster.gpu(gpu_id).machine_id for gpu_id in down}:
+            gpus = kept.get(machine_id)
+            if gpus is None:
+                continue
+            up = [gpu for gpu in gpus if gpu.gpu_id not in down]
+            if up:
+                kept[machine_id] = up
+            else:
+                del kept[machine_id]
+        return kept
 
     def _advance_active_jobs(self, now: float) -> None:
         # Only jobs holding GPUs accrue anything between events;
@@ -584,18 +608,12 @@ class ClusterSimulator:
         """Per-round fragmentation and starvation samples (every scheduler).
 
         Fragmentation: :func:`~repro.obs.metrics.fragmentation_index`
-        of the free in-service GPUs per machine, in machine-id order so
-        the float result does not depend on the free dict's iteration
-        order.  Starvation: each active app's
+        of :meth:`_free_counts`.  Starvation: each active app's
         rounds-since-last-allocation (counted while it has unmet demand
         and zero GPUs); the series records the nearest-rank p99 across
-        currently-waiting apps.  Both are O(free GPUs + active jobs).
+        currently-waiting apps.  Both are O(machines + active apps).
         """
-        free_by_machine: dict[int, int] = {}
-        for gpu in self._free_in_service():
-            free_by_machine[gpu.machine_id] = free_by_machine.get(gpu.machine_id, 0) + 1
-        counts = [free_by_machine[m] for m in sorted(free_by_machine)]
-        self._frag_series.append((now, fragmentation_index(counts)))
+        self._frag_series.append((now, fragmentation_index(self._free_counts())))
 
         waiting: list[int] = []
         since = self._rounds_since_alloc
@@ -613,33 +631,46 @@ class ClusterSimulator:
             (now, float(percentile_nearest_rank(waiting, 0.99)))
         )
 
+    def _free_counts(self) -> list[int]:
+        """Free in-service GPUs per machine, in machine-id order.
+
+        Read off the lease manager's free index (a machine with none
+        free counts 0, which leaves the fragmentation sum unchanged);
+        expired-but-leased GPUs are not free, their incumbents still run.
+        """
+        free: Mapping[int, Sequence[Gpu]] = self.leases.free_by_machine
+        if self._down_gpu_ids:
+            free = self._in_service(free)
+        return list(map(len, free.values()))
+
     def _apply_assignment(
         self,
         now: float,
-        pool: Sequence[Gpu],
+        pool: Mapping[int, Sequence[Gpu]],
+        renewable: Sequence[Lease],
         assignment: dict[str, list[Gpu]],
     ) -> None:
-        # One pass over the pool resolves each GPU's incumbent lease;
-        # everything below works off this list instead of re-querying
-        # the lease table per check.
-        incumbent: list[Optional[str]] = []
-        pool_ids: set[int] = set()
-        affected: set[str] = set()
-        lease_of = self.leases.lease_of
-        for gpu in pool:
-            pool_ids.add(gpu.gpu_id)
-            lease = lease_of(gpu)
-            holder = lease.app_id if lease is not None else None
-            incumbent.append(holder)
-            if holder is not None:
-                affected.add(holder)
+        """Validate one round's grants and install them.
 
+        Only the pool's expired leases have an incumbent (``renewable``,
+        every holder active): a pooled GPU the scheduler left out goes
+        back to that incumbent, one without a lease stays free.  Each
+        affected app's GPUs are rebuilt as an :class:`Allocation`, which
+        orders them by gpu_id, so grants install in gpu_id order in
+        whatever order ``assign`` returned them.
+        """
+
+        def pooled(gpu: Gpu) -> bool:
+            return gpu in pool.get(gpu.machine_id, ())
+
+        affected = {lease.app_id for lease in renewable}
         new_owner: dict[int, str] = {}
+        granted_by_app: dict[str, list[Gpu]] = {}
         for app_id, gpus in assignment.items():
             if app_id not in self.active_apps:
                 raise SimulationError(f"scheduler assigned GPUs to unknown app {app_id!r}")
             for gpu in gpus:
-                if gpu.gpu_id not in pool_ids:
+                if not pooled(gpu):
                     raise SimulationError(
                         f"scheduler assigned GPU {gpu.gpu_id} outside the pool"
                     )
@@ -648,6 +679,7 @@ class ClusterSimulator:
                         f"scheduler assigned GPU {gpu.gpu_id} to two apps"
                     )
                 new_owner[gpu.gpu_id] = app_id
+                granted_by_app.setdefault(app_id, []).append(gpu)
                 affected.add(app_id)
 
         tracer = self.tracer
@@ -664,29 +696,17 @@ class ClusterSimulator:
                         gpu_ids=sorted(gpu.gpu_id for gpu in gpus),
                     )
 
-        # Unassigned pooled GPUs stay with their incumbent (lease renewal)
-        # when the incumbent is still active — work conservation.
-        active_apps = self.active_apps
-        for gpu, holder in zip(pool, incumbent):
-            if gpu.gpu_id not in new_owner and holder is not None and holder in active_apps:
-                new_owner[gpu.gpu_id] = holder
+        # Unassigned expired GPUs stay with their incumbent (lease
+        # renewal) — work conservation.
+        for lease in renewable:
+            if lease.gpu.gpu_id not in new_owner:
+                granted_by_app.setdefault(lease.app_id, []).append(lease.gpu)
 
-        # Rebuild each affected app's allocation.  One pass groups the
-        # pool's grants per app (in pool order, matching what a per-app
-        # pool scan would collect) instead of rescanning the pool for
-        # every affected app.
-        granted_by_app: dict[str, list[Gpu]] = {}
-        for gpu in pool:
-            owner = new_owner.get(gpu.gpu_id)
-            if owner is not None:
-                granted_by_app.setdefault(owner, []).append(gpu)
         for app_id in sorted(affected):
             app = self.active_apps.get(app_id)
             if app is None:
                 continue
-            retained = [
-                gpu for gpu in app.allocation().gpus if gpu.gpu_id not in pool_ids
-            ]
+            retained = [gpu for gpu in app.allocation().gpus if not pooled(gpu)]
             granted = granted_by_app.get(app_id, [])
             self._install_app_allocation(now, app, Allocation(retained + granted))
 
@@ -844,43 +864,28 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Speed-aware migration (ROADMAP heterogeneity follow-on)
     # ------------------------------------------------------------------
-    def _free_in_service(self) -> Iterator[Gpu]:
-        """In-service GPUs carrying no lease at all, in no fixed order.
-
-        The one free view of the round metrics and of migration.
-        Expired-but-leased GPUs are *not* free: their incumbents keep
-        running until a round reassigns them, and migration must not
-        yank a GPU another job is still using.
-        """
-        down = self._down_gpu_ids
-        return (gpu for gpu in self.leases.free_gpus() if gpu.gpu_id not in down)
-
-    def _best_free_gang(self, job: Job, free: Mapping[int, Gpu]):
+    def _best_free_gang(self, job: Job, free: Mapping[int, Sequence[Gpu]]):
         """Best whole-gang replacement drawable from the free pool.
 
-        Machines are drained fastest-for-this-family first (count x
-        family speedup, lower machine id on ties); after each machine's
-        GPUs join the candidate, the prefix is scored with the job's own
-        rate kernel — so a slow or cross-rack machine that would *drag*
-        the gang is naturally excluded by taking the best prefix.
-        Returns ``(gpus, rate)``; ``(None, 0.0)`` when the pool is empty.
+        ``free`` maps machine id -> its free in-service GPUs (no empty
+        machines).  Machines are drained fastest-for-this-family first
+        (count x family speedup, lower machine id on ties); after each
+        machine's GPUs join the candidate, the prefix is scored with the
+        job's own rate kernel — so a slow or cross-rack machine that
+        would *drag* the gang is naturally excluded by taking the best
+        prefix.  Returns ``(gpus, rate)``; ``(None, 0.0)`` when the pool
+        is empty.
         """
         if not free:
             return None, 0.0
-        by_machine: dict[int, list[Gpu]] = {}
-        for gpu in free.values():
-            by_machine.setdefault(gpu.machine_id, []).append(gpu)
         speed_of = self.perf_model.machine_speeds_for(self.cluster, job.family)
-        order = sorted(
-            by_machine,
-            key=lambda m: (-len(by_machine[m]) * speed_of.get(m, 1.0), m),
-        )
+        order = sorted(free, key=lambda m: (-len(free[m]) * speed_of.get(m, 1.0), m))
         cap = job.max_parallelism
         taken: list[Gpu] = []
         best_gpus: Optional[list[Gpu]] = None
         best_rate = 0.0
         for machine_id in order:
-            for gpu in sorted(by_machine[machine_id], key=lambda g: g.gpu_id):
+            for gpu in sorted(free[machine_id], key=lambda g: g.gpu_id):
                 if len(taken) >= cap:
                     break
                 taken.append(gpu)
@@ -914,7 +919,9 @@ class ClusterSimulator:
         answer is memoised per ``(model, cap)`` until a migration
         changes the pool.
         """
-        free = {gpu.gpu_id: gpu for gpu in self._free_in_service()}
+        # Expired-but-leased GPUs are not free: their incumbents keep
+        # running until a round reassigns them.
+        free = self._in_service(self.leases.free_by_machine)
         if not free:
             return
         overhead = self.config.restart_overhead_minutes
@@ -964,10 +971,7 @@ class ClusterSimulator:
                 self._emit_job_state(now, app, job, "running")
             self._refresh_leases(now, app, job, target)
             self._reschedule_job_finish(job)
-            for gpu in candidate:
-                del free[gpu.gpu_id]
-            for gpu in released:
-                free[gpu.gpu_id] = gpu
+            free = self._in_service(self.leases.free_by_machine)
             gangs.clear()
             self.num_migrations += 1
             migrated = True

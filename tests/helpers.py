@@ -15,13 +15,13 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from hypothesis import event
 from hypothesis import strategies as st
 
 from repro.cluster.allocation import Allocation
-from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
+from repro.cluster.topology import GPU_TYPES, ClusterSpec, Gpu, MachineSpec, build_cluster
 from repro.core.auction import PartialAllocationAuction, rescan_fair_allocation
 from repro.core.bids import Bid, build_bid
 from repro.core.fairness import AppValuationState, FairnessEstimator, _job_tuples
@@ -460,6 +460,28 @@ def assert_golden_counts(cell: str, counts: dict) -> None:
 
 
 # ----------------------------------------------------------------------
+# Grouped pools rebuilt from scratch
+# ----------------------------------------------------------------------
+def group_pool(gpus: Iterable[Gpu]) -> dict[int, list[Gpu]]:
+    """Machine id -> GPUs sorted by ``(slot_id, gpu_id)``, machines ascending.
+
+    The grouping ``LeaseManager.pool_for_auction`` maintains, rebuilt
+    by one sort: the audits' reference and the way unit tests hand a
+    policy a pool.
+    """
+    grouped: dict[int, list[Gpu]] = {}
+    for gpu in sorted(gpus, key=lambda g: (g.machine_id, g.slot_id, g.gpu_id)):
+        grouped.setdefault(gpu.machine_id, []).append(gpu)
+    return grouped
+
+
+def grouped_ids(grouped: Mapping[int, Sequence[Gpu]]) -> list[tuple[int, list[int]]]:
+    """``[(machine id, [gpu ids])]`` in the mapping's own order, empty machines
+    dropped: equal for two grouped pools only if machine and slot order agree."""
+    return [(m, [gpu.gpu_id for gpu in gpus]) for m, gpus in grouped.items() if gpus]
+
+
+# ----------------------------------------------------------------------
 # Per-round freshness audit
 # ----------------------------------------------------------------------
 def audit_freshness(sim) -> list[float]:
@@ -468,9 +490,13 @@ def audit_freshness(sim) -> list[float]:
     Wraps the bound scheduler's ``assign`` (the one call every round
     makes after jobs advanced and tuners stepped) and asserts that
 
-    * the lease manager's tracked pool equals the rescan
-      (``unleased_gpus`` + ``expired_gpus``), and ``free_gpus`` the
-      unleased set;
+    * the pool ``assign`` receives, and the lease manager's
+      ``pool_for_auction``, equal the rescan (``unleased_gpus`` +
+      ``expired_gpus``, down GPUs dropped) regrouped from scratch, in
+      machine order and slot order; the free index equals the unleased
+      set grouped the same way;
+    * the per-machine free counts the fragmentation sample reads equal
+      a recount of the unleased in-service GPUs, in machine order;
     * ``_held_jobs`` is exactly the active jobs holding GPUs;
     * each active app's epoch-memoised aggregates equal those of a
       shadow ``App`` built from copies of its jobs (no cache survives
@@ -493,17 +519,26 @@ def audit_freshness(sim) -> list[float]:
     )
     audited: list[float] = []
 
-    def ids(pool) -> list[int]:
-        return [gpu.gpu_id for gpu in pool]
-
     def assign(now, pool):
         where = f"round {sim.num_rounds} t={now:.3f}"
         leases = sim.leases
-        rescan = sorted(ids(leases.unleased_gpus(gpus)) + ids(leases.expired_gpus(now)))
-        assert ids(leases.pool_for_auction(now)) == rescan, f"{where}: pool"
-        assert sorted(ids(leases.free_gpus())) == ids(
-            leases.unleased_gpus(gpus)
-        ), f"{where}: free_gpus"
+        down = sim._down_gpu_ids
+        rescan = leases.unleased_gpus(gpus) + leases.expired_gpus(now)
+        expected = grouped_ids(group_pool(g for g in rescan if g.gpu_id not in down))
+        assert grouped_ids(pool) == expected, f"{where}: pool"
+        in_service = [
+            (m, [gpu_id for gpu_id in ids if gpu_id not in down])
+            for m, ids in grouped_ids(leases.pool_for_auction(now))
+        ]
+        assert [row for row in in_service if row[1]] == expected, f"{where}: pool_for_auction"
+        unleased = leases.unleased_gpus(gpus)
+        assert grouped_ids(leases.free_by_machine) == grouped_ids(
+            group_pool(unleased)
+        ), f"{where}: free index"
+        recount = group_pool(gpu for gpu in unleased if gpu.gpu_id not in down)
+        assert [count for count in sim._free_counts() if count] == [
+            len(free) for free in recount.values()
+        ], f"{where}: fragmentation counts"
         holding = {
             job.job_id
             for app in sim.apps

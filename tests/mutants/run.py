@@ -107,7 +107,7 @@ MUTANTS = [
     ("arbiter-leftover-non-participants", "core/arbiter.py",
      "not in participant_set", "in participant_set"),
     ("arbiter-leftover-fastest-first", "core/arbiter.py",
-     "(-self._speed_of.get(m, 1.0), m)", "(self._speed_of.get(m, 1.0), m)"),
+     "(-speed_of[m], m)", "(speed_of[m], m)"),
     # core/bids.py: the key merge, the offer check and the noise
     ("bids-merge-sum", "core/bids.py", "count_a + count_b", "count_a"),
     ("bids-merge-order", "core/bids.py", "machine_a < machine_b", "machine_a > machine_b"),
@@ -116,10 +116,17 @@ MUTANTS = [
     ("bids-noise-range", "core/bids.py", "(2.0 * fraction - 1.0)", "fraction"),
     ("bids-rho-cache-coarse-key", "core/bids.py",
      "cached = self._rho_cache.get(key)", "cached = self._rho_cache.get(key[:1])"),
-    # core/leases.py; README M4: a release does not refill the free dict.
+    # core/leases.py; README M4: a release does not refill the free index.
     ("M4-release-keeps-free", "core/leases.py",
-     "None:\n            self._free[gpu.gpu_id] = gpu", "None:\n            pass"),
-    ("leases-grant-keeps-free", "core/leases.py", "self._free.pop(gpu.gpu_id, None)", "pass"),
+     "self._free[gpu.machine_id] = free[:at] + (gpu,) + free[at:]", "pass"),
+    ("leases-grant-keeps-free", "core/leases.py",
+     "self._free[gpu.machine_id] = free[:at] + free[at + 1 :]", "pass"),
+    ("leases-release-out-of-slot-order", "core/leases.py",
+     "free[:at] + (gpu,) + free[at:]", "free + (gpu,)"),
+    ("leases-expired-dropped-on-full-machine", "core/leases.py",
+     "if free or machine_id in expired", "if free"),
+    ("leases-renewal-keeps-old-expiry", "core/leases.py",
+     "        else:\n            self._drop_expiry(old)\n", ""),
     ("leases-expiry-edge", "core/leases.py", "now >= self.expiry - 1e-9", "now > self.expiry"),
     ("leases-revocation-tally", "core/leases.py", "get(reason, 0) + 1", "get(reason, 0) or 1"),
     ("leases-next-expiry", "core/leases.py", "expiry > now + 1e-9", "expiry > now - 1e-9"),
@@ -155,6 +162,8 @@ MUTANTS = [
      "len(self._items) > self.cap", "len(self._items) >= self.cap"),
     ("metrics-fragmentation-square", "obs/metrics.py", "acc += share * share", "acc += share"),
     ("metrics-percentile-rank", "obs/metrics.py", "math.ceil(q", "math.floor(q"),
+    ("simulator-guard-ignores-pool", "simulation/simulator.py",
+     "last[0] == now and _gpu_ids(last[1]) == _gpu_ids(pool)", "last[0] == now"),
     ("simulator-starvation-count", "simulation/simulator.py",
      "rounds = since.get(app_id, 0) + 1", "rounds = since.get(app_id, 0)"),
 ]

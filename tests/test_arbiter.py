@@ -10,7 +10,7 @@ from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
 from repro.core.fairness import FairnessEstimator
 
-from helpers import make_app
+from helpers import group_pool, make_app
 
 
 @pytest.fixture
@@ -64,7 +64,7 @@ def test_select_participants_f_zero_includes_all(small_cluster):
 def test_offer_resources_assigns_pool(small_cluster, estimator):
     arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=0.0))
     agents = agents_for(estimator, [("a", 2, 0.0), ("b", 2, 0.0)])
-    grants = arbiter.offer_resources(10.0, list(small_cluster.gpus), agents)
+    grants = arbiter.offer_resources(10.0, group_pool(small_cluster.gpus), agents)
     granted_ids = [gpu.gpu_id for gpus in grants.values() for gpu in gpus]
     assert len(granted_ids) == len(set(granted_ids))  # disjoint
     total_demand = sum(agent.app.unmet_demand() for agent in agents.values())
@@ -76,7 +76,7 @@ def test_offer_resources_assigns_pool(small_cluster, estimator):
 def test_offer_resources_empty_pool(small_cluster, estimator):
     arbiter = Arbiter(small_cluster)
     agents = agents_for(estimator, [("a", 1, 0.0)])
-    assert arbiter.offer_resources(0.0, [], agents) == {}
+    assert arbiter.offer_resources(0.0, {}, agents) == {}
 
 
 def test_offer_resources_no_demand(small_cluster, estimator):
@@ -85,7 +85,7 @@ def test_offer_resources_no_demand(small_cluster, estimator):
     app.jobs[0].set_allocation(0.0, Allocation(small_cluster.gpus[:2]))
     agents = {"full": Agent(app, estimator)}
     grants = arbiter.offer_resources(
-        0.0, list(small_cluster.gpus[4:]), agents
+        0.0, group_pool(small_cluster.gpus[4:]), agents
     )
     assert grants == {}
 
@@ -99,7 +99,7 @@ def test_leftovers_go_to_non_participants(small_cluster, estimator):
         rng=np.random.default_rng(0),
     )
     agents = agents_for(estimator, [("a", 3, 50.0), ("b", 3, 40.0), ("c", 3, 30.0)])
-    grants = arbiter.offer_resources(60.0, list(small_cluster.gpus), agents)
+    grants = arbiter.offer_resources(60.0, group_pool(small_cluster.gpus), agents)
     # Only one app participates, but the whole 12-GPU pool is drained
     # (demand is 3 apps x 6 = 18 > 12).
     granted_total = sum(len(gpus) for gpus in grants.values())
@@ -113,7 +113,7 @@ def test_leftover_allocation_disabled(small_cluster, estimator):
         ArbiterConfig(fairness_knob=1.0, leftover_allocation=False),
     )
     agents = agents_for(estimator, [("a", 1, 50.0), ("b", 1, 40.0)])
-    grants = arbiter.offer_resources(60.0, list(small_cluster.gpus), agents)
+    grants = arbiter.offer_resources(60.0, group_pool(small_cluster.gpus), agents)
     # Only the participant can win anything.
     assert set(grants) <= {"a"}
 
@@ -129,7 +129,7 @@ def test_unchanged_apps_pay_no_base_carve_in_the_next_round(
     for agent, gpus in zip(agents.values(), held):
         agent.app.jobs[0].set_allocation(0.0, Allocation(gpus))
     taken = {gpu.gpu_id for gpus in held for gpu in gpus}
-    pool = [gpu for gpu in small_cluster.gpus if gpu.gpu_id not in taken]
+    pool = group_pool(gpu for gpu in small_cluster.gpus if gpu.gpu_id not in taken)
     probe_carves = []
     report_rho = Agent.report_rho
 
@@ -153,7 +153,7 @@ def test_each_round_refreshes_what_changed_since_the_last(small_cluster, estimat
     agents = agents_for(estimator, [("a", 2, 0.0), ("b", 1, 0.0)])
     held = Allocation(small_cluster.machines[0].gpus[:2])
     agents["b"].app.jobs[0].set_allocation(0.0, held)
-    pool = list(small_cluster.machines[1].gpus)
+    pool = group_pool(small_cluster.machines[1].gpus)
     arbiter.offer_resources(10.0, pool, agents)
     assert arbiter.last_outcome.participants == ("a",)  # starved: rho = inf
     agents["b"].app.jobs[0].set_allocation(0.0, Allocation())
@@ -165,7 +165,7 @@ def test_each_round_refreshes_what_changed_since_the_last(small_cluster, estimat
 def test_round_stats_recorded(small_cluster, estimator):
     arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=0.5))
     agents = agents_for(estimator, [("a", 2, 10.0), ("b", 2, 5.0)])
-    arbiter.offer_resources(20.0, list(small_cluster.gpus), agents)
+    arbiter.offer_resources(20.0, group_pool(small_cluster.gpus), agents)
     assert arbiter.rounds == 1
     assert len(arbiter.history) == 1
     stats = arbiter.history[0]
@@ -176,7 +176,7 @@ def test_round_stats_recorded(small_cluster, estimator):
 def test_agents_track_wins(small_cluster, estimator):
     arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=0.0))
     agents = agents_for(estimator, [("a", 2, 10.0)])
-    arbiter.offer_resources(20.0, list(small_cluster.gpus), agents)
+    arbiter.offer_resources(20.0, group_pool(small_cluster.gpus), agents)
     assert agents["a"].auctions_won == 1
     assert agents["a"].bids_prepared == 1
 

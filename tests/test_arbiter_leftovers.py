@@ -9,7 +9,7 @@ from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
 from repro.core.fairness import FairnessEstimator
 
-from helpers import make_app
+from helpers import group_pool, make_app
 
 
 @pytest.fixture
@@ -45,9 +45,9 @@ def test_leftovers_prefer_machines_already_held(small_cluster, estimator):
         "holder2": Agent(holder2, estimator),
     }
     # Pool: machine 0's second pair plus machine 2's remaining GPU.
-    pool = list(small_cluster.gpus_on_machine(0)[2:]) + [
-        small_cluster.gpus_on_machine(2)[1]
-    ]
+    pool = group_pool(
+        list(small_cluster.gpus_on_machine(0)[2:]) + [small_cluster.gpus_on_machine(2)[1]]
+    )
     grants = arbiter.offer_resources(90.0, pool, agents)
     # The starving participant wins its demand.
     assert len(grants.get("starving", [])) == 2
@@ -68,7 +68,7 @@ def test_leftovers_fall_back_to_any_demand(small_cluster, estimator):
     a = make_app("a", num_jobs=3, arrival=0.0, max_parallelism=2)
     b = make_app("b", num_jobs=3, arrival=10.0, max_parallelism=2)
     agents = {"a": Agent(a, estimator), "b": Agent(b, estimator)}
-    pool = list(small_cluster.gpus)
+    pool = group_pool(small_cluster.gpus)
     grants = arbiter.offer_resources(60.0, pool, agents)
     granted = sum(len(g) for g in grants.values())
     # Demand (12) >= pool (12): everything must be used.
@@ -80,7 +80,7 @@ def test_unwanted_leftovers_stay_free(small_cluster, estimator):
     arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=0.5))
     a = make_app("a", num_jobs=1, arrival=0.0, max_parallelism=2)  # demand 2
     agents = {"a": Agent(a, estimator)}
-    grants = arbiter.offer_resources(30.0, list(small_cluster.gpus), agents)
+    grants = arbiter.offer_resources(30.0, group_pool(small_cluster.gpus), agents)
     granted = sum(len(g) for g in grants.values())
     assert granted == 2
 

@@ -6,26 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import rescan_utility_assign
+from helpers import group_pool, rescan_utility_assign
 from repro.core.assignment import (
     concretise,
+    drainable,
     greedy_utility_assign,
-    group_pool,
-    pool_counts,
     take_packed,
 )
-
-
-def test_group_pool_sorted_by_slot(small_cluster):
-    grouped = group_pool(list(reversed(small_cluster.gpus)))
-    assert sorted(grouped) == [0, 1, 2, 3]
-    slots = [gpu.slot_id for gpu in grouped[0]]
-    assert slots == sorted(slots)
-
-
-def test_pool_counts(small_cluster):
-    counts = pool_counts(small_cluster.gpus)
-    assert counts == {0: 4, 1: 4, 2: 2, 3: 2}
 
 
 def test_concretise_grants_match_counts(small_cluster):
@@ -254,6 +241,14 @@ def test_take_packed_mutates_pool(small_cluster):
     assert 0 not in pool
     remaining = sum(len(gpus) for gpus in pool.values())
     assert remaining == small_cluster.num_gpus - 4
+
+
+def test_drainable_copy_leaves_the_pool_alone(small_cluster):
+    pool = {m: tuple(gpus) for m, gpus in group_pool(small_cluster.gpus).items()}
+    copy = drainable(pool)
+    take_packed(copy, 6)
+    assert sum(len(gpus) for gpus in pool.values()) == small_cluster.num_gpus
+    assert {m: list(gpus) for m, gpus in pool.items()} == group_pool(small_cluster.gpus)
 
 
 def test_take_packed_partial_when_pool_small(small_cluster):

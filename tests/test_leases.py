@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import group_pool, grouped_ids
 from repro.core.leases import LeaseManager
 
 
@@ -55,7 +56,7 @@ def test_pool_for_auction_combines_free_and_expired(small_cluster):
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)  # expires
     manager.grant(small_cluster.gpu(1), "a", "j", 0.0, 30.0)  # active
     pool = manager.pool_for_auction(now=15.0)
-    ids = {gpu.gpu_id for gpu in pool}
+    ids = {gpu.gpu_id for gpus in pool.values() for gpu in gpus}
     assert 0 in ids  # expired lease
     assert 1 not in ids  # live lease
     assert len(ids) == small_cluster.num_gpus - 1
@@ -101,24 +102,23 @@ def test_release_all(small_cluster):
 
 @pytest.mark.parametrize("query_first", (False, True))
 def test_free_dict_pool_matches_the_rescan(small_cluster, query_first):
-    """The maintained free dict and a full rescan give the same pool,
-    whether the pool was first queried before or after the mutations."""
+    """The maintained free index and a full rescan give the same grouped
+    pool, whether the pool was first queried before or after the mutations."""
     gpus = small_cluster.gpus
     manager = LeaseManager(gpus)
     if query_first:
-        assert len(manager.pool_for_auction(0.0)) == len(gpus)
+        assert grouped_ids(manager.pool_for_auction(0.0)) == grouped_ids(group_pool(gpus))
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)   # will expire
     manager.grant(small_cluster.gpu(1), "a", "j", 0.0, 30.0)   # stays live
     manager.grant(small_cluster.gpu(2), "b", "k", 0.0, 30.0)
     manager.release(small_cluster.gpu(2))                       # back to free
     manager.release(small_cluster.gpu(3))                       # no-op: unleased
     for now in (0.0, 15.0, 40.0):
-        pool = [g.gpu_id for g in manager.pool_for_auction(now)]
         rescan = manager.unleased_gpus(gpus) + manager.expired_gpus(now)
-        assert pool == sorted(g.gpu_id for g in rescan)
-        assert sorted(g.gpu_id for g in manager.free_gpus()) == [
-            g.gpu_id for g in manager.unleased_gpus(gpus)
-        ]
+        assert grouped_ids(manager.pool_for_auction(now)) == grouped_ids(group_pool(rescan))
+        assert grouped_ids(manager.free_by_machine) == grouped_ids(
+            group_pool(manager.unleased_gpus(gpus))
+        )
 
 
 def test_pool_after_regrant_transfer(small_cluster):
@@ -126,10 +126,10 @@ def test_pool_after_regrant_transfer(small_cluster):
     manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)
     manager.grant(small_cluster.gpu(0), "b", "k", 5.0, 10.0)  # ownership transfer
     pool = manager.pool_for_auction(now=5.0)
-    assert 0 not in {gpu.gpu_id for gpu in pool}
+    assert 0 not in {gpu.gpu_id for gpu in pool[0]}
     manager.release(small_cluster.gpu(0))
     pool = manager.pool_for_auction(now=5.0)
-    assert 0 in {gpu.gpu_id for gpu in pool}
+    assert 0 in {gpu.gpu_id for gpu in pool[0]}
 
 
 def test_revoke_counts_by_reason(small_cluster):
@@ -152,3 +152,28 @@ def test_revoke_unleased_is_noop(small_cluster):
     manager = LeaseManager(small_cluster.gpus)
     assert manager.revoke(small_cluster.gpu(0), reason="failure") is None
     assert manager.revocations == {}  # no-op revocations are not counted
+
+
+def test_pool_is_grouped_by_machine_in_slot_order(small_cluster):
+    """Whatever order the manager is built from, the pool lists machines
+    in ascending id and each machine's GPUs by (slot_id, gpu_id); an
+    expired lease on an otherwise full machine still lands in its slot."""
+    manager = LeaseManager(list(reversed(small_cluster.gpus)))
+    assert grouped_ids(manager.pool_for_auction(0.0)) == grouped_ids(
+        group_pool(small_cluster.gpus)
+    )
+    machine0 = small_cluster.gpus_on_machine(0)
+    for gpu in machine0:
+        manager.grant(gpu, "a", "j", 0.0, 10.0 if gpu is machine0[1] else 30.0)
+    pool = manager.pool_for_auction(15.0)
+    assert list(pool) == [0, 1, 2, 3]
+    assert [gpu.gpu_id for gpu in pool[0]] == [machine0[1].gpu_id]
+    assert [lease.gpu for lease in manager.expired_leases(15.0)] == [machine0[1]]
+    manager.release(machine0[2])
+    manager.release(machine0[0])
+    assert [gpu.gpu_id for gpu in manager.free_by_machine[0]] == [
+        machine0[0].gpu_id, machine0[2].gpu_id
+    ]
+    assert [gpu.gpu_id for gpu in manager.pool_for_auction(15.0)[0]] == [
+        gpu.gpu_id for gpu in machine0[:3]
+    ]

@@ -6,9 +6,10 @@ from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster, orde
 from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
 from repro.schedulers.slaq import _bundle_utility
 from repro.schedulers.tiresias import take_scattered
-from repro.core.assignment import group_pool
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 from repro.workload.trace import Trace, TraceApp, TraceJob
+
+from helpers import group_pool
 
 
 def two_app_trace(model="resnet50"):

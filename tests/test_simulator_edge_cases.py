@@ -4,6 +4,8 @@ import pytest
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
+from repro.experiments.config import tiny_scenario
+from repro.obs import Observability, RingTracer
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import SimulationError
@@ -52,8 +54,9 @@ class _RogueScheduler(InterAppScheduler):
         super().__init__()
         self.mode = mode
 
-    def assign(self, now, pool):
+    def assign(self, now, grouped):
         apps = list(self.active_apps())
+        pool = [gpu for gpus in grouped.values() for gpu in gpus]
         if not apps or not pool:
             return {}
         if self.mode == "outside-pool":
@@ -63,7 +66,7 @@ class _RogueScheduler(InterAppScheduler):
                 return {apps[0]: [outside[0]]}
             # First round: lease part of the pool so a later round sees
             # GPUs outside its (smaller) pool and tries to steal one.
-            return {apps[0]: list(pool)[:4]}
+            return {apps[0]: pool[:4]}
         if self.mode == "double-assign":
             if len(apps) >= 2:
                 return {apps[0]: [pool[0]], apps[1]: [pool[0]]}
@@ -247,3 +250,82 @@ def test_lowered_cap_is_applied_at_lease_renewal():
     assert sizes[0] == (0.0, 4)
     assert (10.0, 2) in sizes
     assert all(size <= 2 for time, size in sizes if time >= 10.0)
+
+
+class _CountingScheduler(InterAppScheduler):
+    """Grants nothing; records the pool of every round it is asked about."""
+
+    name = "counting"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pools: list[list[int]] = []
+
+    def assign(self, now, pool):
+        self.pools.append([gpu.gpu_id for gpus in pool.values() for gpu in gpus])
+        return {}
+
+
+def test_same_instant_guard_skips_only_an_identical_pool():
+    """A round that repeats the last one's instant *and* pool is skipped
+    (the livelock guard); a changed pool, or a later instant, runs."""
+    scheduler = _CountingScheduler()
+    sim = ClusterSimulator(
+        cluster=pair_cluster(),
+        workload=trace_of(app_spec("late", 100.0, 30.0)),
+        scheduler=scheduler,
+        config=SimulationConfig(),
+    )
+    sim._run_round(0.0)
+    sim._run_round(0.0)
+    assert sim.num_rounds == 1 and len(scheduler.pools) == 1
+    sim.leases.grant(sim.cluster.gpu(0), "late", "late-j0", 0.0, 10.0)
+    sim._run_round(0.0)
+    assert sim.num_rounds == 2 and scheduler.pools[-1] == list(range(1, 8))
+    sim._run_round(0.0)
+    assert sim.num_rounds == 2
+    sim._run_round(1.0)
+    assert sim.num_rounds == 3 and scheduler.pools[-1] == list(range(1, 8))
+
+
+class _ScrambledFifo(InterAppScheduler):
+    """FIFO's grants, each app's GPUs handed back in reverse order."""
+
+    name = "fifo"  # the same policy: results carry the name, so keep it
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.inner = make_scheduler("fifo")
+
+    def on_bind(self) -> None:
+        self.inner.bind(self.sim)
+
+    def assign(self, now, pool):
+        return {app: gpus[::-1] for app, gpus in self.inner.assign(now, pool).items()}
+
+
+def test_grants_install_in_gpu_id_order_whatever_assign_returns():
+    """The same grants returned scrambled install identically: same
+    result, same trace, and each job's lease grants in gpu_id order."""
+    scenario = tiny_scenario(num_apps=3, seed=9)
+
+    def traced(scheduler):
+        tracer = RingTracer(capacity=1 << 20)
+        result = ClusterSimulator(
+            cluster=scenario.build_cluster(),
+            workload=scenario.build_trace(),
+            scheduler=scheduler,
+            config=scenario.build_sim_config(),
+            obs=Observability(tracer=tracer),
+        ).run()
+        return result, tracer.events
+
+    plain, plain_events = traced(make_scheduler("fifo"))
+    scrambled, scrambled_events = traced(_ScrambledFifo())
+    assert scrambled.digest() == plain.digest()
+    assert scrambled_events == plain_events
+    grants: dict = {}
+    for event in plain_events:
+        if event["kind"] == "lease_grant":
+            grants.setdefault((event["t"], event["job"]), []).append(event["gpu"])
+    assert grants and all(ids == sorted(ids) for ids in grants.values())

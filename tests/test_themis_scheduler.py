@@ -82,7 +82,7 @@ def test_invalid_knob_rejected():
 def test_assign_before_arrivals_is_empty():
     sim, scheduler = build()
     # No apps have arrived yet: nothing to assign.
-    assert scheduler.assign(0.0, list(sim.cluster.gpus)) == {}
+    assert scheduler.assign(0.0, sim.leases.pool_for_auction(0.0)) == {}
 
 
 def test_deterministic_given_seed():
