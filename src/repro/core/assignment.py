@@ -19,15 +19,18 @@ invalidation: a move by app a* on machine m* changes a*'s bundle,
 current utility and headroom (its row) and m*'s free count (its
 column) and nothing else, so only those pairs are re-scored and every
 other pair's key is, bit for bit, what a rescan of the whole apps x
-machines x {1, chunk} table would recompute.  The argument needs the
-``utilities`` to be pure while a call runs; all three callers pass
-closures over frozen per-round snapshots.  The rescan itself lives on
-as the tests' reference (``tests/helpers.py::rescan_utility_assign``).
+machines x {1, chunk} table would recompute.  And like the auction's
+row pass it scores one machine per *class* (:class:`ClassedUtility`):
+SLAQ and Optimus class machines by effective compute, Gandiva by the
+auction's shape class.  The argument needs the ``utilities`` to be pure
+while a call runs; all three callers pass utilities over frozen
+per-round snapshots.  The rescan itself lives on as the tests'
+reference (``tests/helpers.py::rescan_utility_assign``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Mapping, Optional, Protocol, Sequence
 
 from repro.cluster.topology import Gpu
 
@@ -90,6 +93,35 @@ def check_chunk_size(chunk_size: int) -> int:
     return chunk_size
 
 
+#: What one row pass of a classed utility returns: the remaining
+#: machines that are each their own class, every other remaining machine
+#: grouped under its class (members in ascending id), and
+#: ``probe(machine_id, machine_class, step)``, the utility of the row's
+#: bundle plus ``step`` GPUs on a classed machine.
+RowClasses = tuple[
+    Sequence[int], Mapping[Hashable, Sequence[int]], Callable[[int, Hashable, int], float]
+]
+
+
+class ClassedUtility(Protocol):
+    """A utility that declares machine classes to :func:`greedy_utility_assign`.
+
+    ``row(bundle, remaining, cap)`` classes every machine of
+    ``remaining`` (machine -> free GPUs, ascending ids) against the
+    app's ``bundle``, a step on it being bounded by ``min(free, cap)``.
+    Two machines of one class must value identically, bundle plus any
+    step up to that bound, and a machine in ``bundle`` must be its own
+    class.  A plain callable declares no classes: every machine is its
+    own class.
+    """
+
+    def __call__(self, bundle: Mapping[int, int]) -> float: ...
+
+    def row(
+        self, bundle: Mapping[int, int], remaining: Mapping[int, int], cap: int
+    ) -> RowClasses: ...
+
+
 def greedy_utility_assign(
     pool: Mapping[int, int],
     utilities: Mapping[str, Callable[[Mapping[int, int]], float]],
@@ -113,13 +145,26 @@ def greedy_utility_assign(
     step set are what they were, so its key is the float a full rescan
     would recompute and the minimum over the same keys is the same move.
     That needs ``utilities`` to be pure for the duration of the call —
-    the callers pass closures over per-round snapshots.  A bundle is
-    evaluated at most once: a pair remembers the values it has seen by
-    its count on the machine, and forgets them only when the app grows
-    on a *different* machine (which changes every such bundle).
+    the callers pass utilities over per-round snapshots.  A bundle is
+    evaluated at most once per machine: a pair remembers the values it
+    has seen by its count on the machine, and forgets them only when the
+    app grows on a *different* machine (which changes every such bundle).
+
+    A row pass scores one machine per *class*.  A :class:`ClassedUtility`
+    classes the remaining machines against the app's bundle; the first
+    machine of each class is scored (through the row's ``probe``) and
+    every later member gets the same entry under its own ``machine_id``.
+    Exact: members value identically at every step up to their shared
+    bound, which fixes the step set, so a member's own scoring would
+    compute the same ``(-gain, step, value)`` — the entries differ only
+    in ``machine_id``, as the rescan's would, and the move sequence is
+    the same.  Members keep no ``seen`` values; a column event re-scores
+    one through the utility itself.  A utility that declares no classes
+    gets one class per machine through the same loop.
     """
     check_chunk_size(chunk_size)
-    remaining = {m: c for m, c in pool.items() if c > 0}
+    # Ascending ids: the order a classed row pass walks.
+    remaining = {m: c for m, c in sorted(pool.items()) if c > 0}
     assignment: dict[str, dict[int, int]] = {a: {} for a in utilities}
     headroom = {a: caps.get(a, 0) for a in utilities}
     current: dict[str, float] = {}
@@ -130,7 +175,12 @@ def greedy_utility_assign(
     # app -> machine -> {count on that machine: utility of the bundle}.
     seen: dict[str, dict[int, dict[int, float]]] = {}
 
-    def score(app_id: str, machine_id: int) -> None:
+    def score(
+        app_id: str,
+        machine_id: int,
+        probe: Optional[Callable[[int, Hashable, int], float]] = None,
+        machine_class: Hashable = None,
+    ) -> Optional[tuple]:
         held = assignment[app_id]
         values = seen[app_id].setdefault(machine_id, {})
         base = current[app_id]
@@ -140,9 +190,13 @@ def greedy_utility_assign(
         for step in (1, chunk) if chunk > 1 else (1,):
             value = values.get(count + step)
             if value is None:
-                bundle = dict(held)
-                bundle[machine_id] = count + step
-                value = values[count + step] = utilities[app_id](bundle)
+                if probe is None:
+                    bundle = dict(held)
+                    bundle[machine_id] = count + step
+                    value = utilities[app_id](bundle)
+                else:
+                    value = probe(machine_id, machine_class, step)
+                values[count + step] = value
             gain = (value - base) / step
             if gain > 1e-12 and (best is None or -gain < best[0]):
                 best = (-gain, step, app_id, machine_id, value)
@@ -150,13 +204,32 @@ def greedy_utility_assign(
             rows[app_id].pop(machine_id, None)
         else:
             rows[app_id][machine_id] = best
+        return best
+
+    def score_row(app_id: str) -> None:
+        """Score ``app_id`` against every remaining machine, once per class."""
+        row = getattr(utilities[app_id], "row", None)
+        if row is None:
+            own, classes, probe = remaining, {}, None
+        else:
+            cap = min(chunk_size, headroom[app_id])
+            own, classes, probe = row(assignment[app_id], remaining, cap)
+        for machine_id in own:
+            score(app_id, machine_id)
+        entries = rows[app_id]
+        for machine_class, members in classes.items():
+            best = score(app_id, members[0], probe, machine_class)
+            for member in members[1:]:
+                if best is None:
+                    entries.pop(member, None)
+                else:
+                    entries[member] = (best[0], best[1], app_id, member, best[4])
 
     for app_id in utilities:
         if headroom[app_id] > 0 and remaining:
             current[app_id] = utilities[app_id]({})
             rows[app_id], seen[app_id] = {}, {}
-            for machine_id in remaining:
-                score(app_id, machine_id)
+            score_row(app_id)
     while True:
         move = min((e for row in rows.values() for e in row.values()), default=None)
         if move is None:
@@ -175,10 +248,9 @@ def greedy_utility_assign(
             del rows[app_id], seen[app_id]
         else:
             # Row: every bundle of the app changed, except in its count
-            # on the machine it just grew on.
-            seen[app_id] = {machine_id: seen[app_id][machine_id]}
-            for other in remaining:
-                score(app_id, other)
+            # on the machine it just grew on (a class member kept none).
+            seen[app_id] = {machine_id: seen[app_id].get(machine_id, {})}
+            score_row(app_id)
         if machine_id in remaining:
             # Column: a pair changes only if the machine can no longer
             # fill the chunk step it offered (its step-1 probe is the same).

@@ -86,7 +86,9 @@ a bundle only through its *shape* — per machine, in id order: rack
 label by first appearance, speeds, count — so within one row two
 machines that extend the app's total key (holdings + bundle so far) to
 equal shapes score identically up to the ``machine_id`` in the last key
-slot.  The class of a machine is therefore:
+slot.  The class of a machine is therefore
+(:func:`repro.core.fairness.shape_classes`, which Gandiva's greedy row
+pass uses too):
 
 * a machine already in the total key — its own class (the step lands on
   an existing entry);
@@ -149,13 +151,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from repro.cluster.topology import ordered_sum
 from repro.core.bids import Bid
-from repro.core.fairness import shape_of_entries
+from repro.core.fairness import shape_classes, shape_of_entries
 from repro.obs.profiler import NULL_PROFILER
 
 #: Floor used when taking logs of zero valuations in payment ratios.
@@ -348,10 +349,11 @@ class PartialAllocationAuction:
         every time; their valuations are still served by the bid's and
         the app state's caches.
 
-        With ``machine_class`` and ``context = bid.row_context(
-        current_key)`` the row pass scores a class representative: the
-        class replaces the machine in the memo key, a hit scored on
-        another member is restamped, and a miss probes by *shape*.
+        With ``machine_class`` (:func:`~repro.core.fairness.shape_classes`)
+        and ``context = bid.state.row_context(current_key)`` the row pass
+        scores a class representative: the class replaces the machine in
+        the memo key, a hit scored on another member is restamped, and a
+        miss probes by *shape*.
         ``rescore=True`` marks a post-move re-score call (counter
         attribution only).
         """
@@ -535,37 +537,13 @@ class PartialAllocationAuction:
                 return
             current_key = bundle_keys[app_id]
             current_value = values[app_id]
-            rescue = current_value <= 0.0
-            reads = bid.state.machine_reads
-            context = bid.row_context(current_key)
-            held = [machine for machine, _count in context[0]]
-            rack_index: dict[int, int] = {}
-            for rack_id, _speeds, _count in context[1]:
-                rack_index.setdefault(rack_id, len(rack_index))
-            # Ascending ids: the position among the held ids only advances.
-            cap = min(self.chunk_size, headroom)
-            classes: dict[tuple, list[int]] = {}
-            position = 0
-            next_held = held[0] if held else math.inf
-            for machine_id, free in remaining.items():
-                if machine_id >= next_held:
-                    position = bisect_right(held, machine_id, position)
-                    next_held = held[position] if position < len(held) else math.inf
-                    if held[position - 1] == machine_id:
-                        push_pair(app_id, machine_id, rescore)
-                        continue
-                rack_id, speeds = reads[machine_id]
-                machine_class = (
-                    position,
-                    rack_index.get(rack_id, -1),
-                    speeds,
-                    free if rescue or free < cap else cap,
-                )
-                members = classes.get(machine_class)
-                if members is None:
-                    classes[machine_class] = [machine_id]
-                else:
-                    members.append(machine_id)
+            state = bid.state
+            context = state.row_context(current_key)
+            # A rescue's tie-break term reads the raw free count.
+            cap = math.inf if current_value <= 0.0 else min(self.chunk_size, headroom)
+            own, classes = shape_classes(*context, state.machine_reads, remaining, cap)
+            for machine_id in own:
+                push_pair(app_id, machine_id, rescore)
             built_at = len(moves)
             for machine_class, members in classes.items():
                 if stats is not None:

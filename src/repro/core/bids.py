@@ -27,46 +27,18 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.fairness import AppValuationState, FairnessEstimator, value_from_rho
+from repro.core.fairness import (
+    AppValuationState,
+    FairnessEstimator,
+    merge_keys,
+    value_from_rho,
+)
 from repro.workload.app import App
 
 
 def _bundle_key(extra_counts: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
     """Canonical hashable form of a per-machine count bundle."""
     return tuple(sorted((m, c) for m, c in extra_counts.items() if c > 0))
-
-
-def _merge_keys(
-    base: tuple[tuple[int, int], ...], extra: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int], ...]:
-    """Merge two canonical count keys, summing counts per machine.
-
-    Both inputs are sorted by machine id, so the canonical total is a
-    linear merge — no dict build, no re-sort on the valuation hot path.
-    """
-    if not base:
-        return extra
-    if not extra:
-        return base
-    out: list[tuple[int, int]] = []
-    i = j = 0
-    len_a, len_b = len(base), len(extra)
-    while i < len_a and j < len_b:
-        machine_a, count_a = base[i]
-        machine_b, count_b = extra[j]
-        if machine_a == machine_b:
-            out.append((machine_a, count_a + count_b))
-            i += 1
-            j += 1
-        elif machine_a < machine_b:
-            out.append(base[i])
-            i += 1
-        else:
-            out.append(extra[j])
-            j += 1
-    out.extend(base[i:])
-    out.extend(extra[j:])
-    return tuple(out)
 
 
 def _noise_factor(salt: int, app_id: str, key: tuple, theta: float) -> float:
@@ -157,20 +129,6 @@ class Bid:
         """The cross-round valuation state backing this bid."""
         return self._state
 
-    def row_context(
-        self, key: tuple[tuple[int, int], ...]
-    ) -> tuple[tuple[tuple[int, int], ...], list[tuple[int, object, int]]]:
-        """What every probe of ``key`` plus one more machine shares.
-
-        The canonical total key (holdings plus ``key``) and its
-        ``(rack_id, speeds, count)`` entries: the auction's row pass
-        places each free machine among the held ids and splices its
-        entry in to get the probed bundle's shape.
-        """
-        reads = self._state.machine_reads
-        total_key = _merge_keys(self._state.base_key, key)
-        return total_key, [(*reads[machine], count) for machine, count in total_key]
-
     # ------------------------------------------------------------------
     # Valuation queries
     # ------------------------------------------------------------------
@@ -205,7 +163,7 @@ class Bid:
         # For a starved app (the common case at high contention) the
         # bundle *is* the total allocation; otherwise the two canonical
         # keys merge linearly — no dict build on the hot path.
-        total_key = _merge_keys(self._state.base_key, key)
+        total_key = merge_keys(self._state.base_key, key)
         state = self._state
         misses_before = state.estimator.carve_count
         rho = state.rho_at(self.now, total_key)
@@ -241,9 +199,9 @@ class Bid:
         """Noise-free valuation of ``total_key`` (holdings included) by shape.
 
         The lazy solver's class probe: it builds the shape from
-        :meth:`row_context` and skips the bundle key, which only the
-        noise hash and the offer check read — noisy bids are probed
-        through :meth:`value_from_key`.
+        :meth:`AppValuationState.row_context` and skips the bundle key,
+        which only the noise hash and the offer check read — noisy bids
+        are probed through :meth:`value_from_key`.
         """
         self.rho_lookups += 1
         state = self._state

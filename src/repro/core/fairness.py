@@ -39,7 +39,7 @@ packing utility, the strawman's rho ranking — carves through
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
@@ -381,6 +381,97 @@ def shape_of_entries(
             for rack_id, speeds, count in entries
         ]
     )
+
+
+def shape_classes(
+    total_key: tuple[tuple[int, int], ...],
+    entries: Sequence[tuple[int, object, int]],
+    reads: _MachineReads,
+    remaining: Mapping[int, int],
+    cap: float,
+) -> tuple[list[int], dict[tuple, list[int]]]:
+    """The machines of ``remaining`` grouped by shape class against a row.
+
+    ``(total_key, entries)`` is :meth:`AppValuationState.row_context` of
+    the app's bundle so far; ``remaining`` maps machine -> free GPUs in
+    ascending id order; a step on a machine is bounded by
+    ``min(free, cap)``.  Returns the machines already in ``total_key``,
+    each its own class (a step there lands on an existing entry), and
+    every other machine under its class, members in ascending id:
+    ``(insertion position among the total key's ids, index of its rack
+    among the total key's racks or -1, speeds, min(free, cap))``.
+
+    Two machines of one class extend ``total_key`` by the same step to
+    equal shapes: the spliced entry sits at the same position, and its
+    rack label by first appearance is the same existing label or a new
+    one at that position.  So by the lemma of :func:`bundle_shape` they
+    value identically at every step up to the shared bound.  The
+    position is needed: a free machine of the holdings' rack and speed
+    sorts before or after them, and the carve's id tie-break can drain a
+    different rack first (tests/test_shape_symmetry.py pins 4.0 vs 5.2).
+    """
+    held = [machine for machine, _count in total_key]
+    rack_index: dict[int, int] = {}
+    for rack_id, _speeds, _count in entries:
+        rack_index.setdefault(rack_id, len(rack_index))
+    own: list[int] = []
+    classes: dict[tuple, list[int]] = {}
+    # Ascending ids: the position among the held ids only advances.
+    position = 0
+    next_held = held[0] if held else math.inf
+    for machine_id, free in remaining.items():
+        if machine_id >= next_held:
+            position = bisect_right(held, machine_id, position)
+            next_held = held[position] if position < len(held) else math.inf
+            if held[position - 1] == machine_id:
+                own.append(machine_id)
+                continue
+        rack_id, speeds = reads[machine_id]
+        machine_class = (
+            position,
+            rack_index.get(rack_id, -1),
+            speeds,
+            free if free < cap else cap,
+        )
+        members = classes.get(machine_class)
+        if members is None:
+            classes[machine_class] = [machine_id]
+        else:
+            members.append(machine_id)
+    return own, classes
+
+
+def merge_keys(
+    base: tuple[tuple[int, int], ...], extra: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    """Merge two canonical count keys, summing counts per machine.
+
+    Both inputs are sorted by machine id, so the canonical total is a
+    linear merge — no dict build, no re-sort on the valuation hot path.
+    """
+    if not base:
+        return extra
+    if not extra:
+        return base
+    out: list[tuple[int, int]] = []
+    i = j = 0
+    len_a, len_b = len(base), len(extra)
+    while i < len_a and j < len_b:
+        machine_a, count_a = base[i]
+        machine_b, count_b = extra[j]
+        if machine_a == machine_b:
+            out.append((machine_a, count_a + count_b))
+            i += 1
+            j += 1
+        elif machine_a < machine_b:
+            out.append(base[i])
+            i += 1
+        else:
+            out.append(extra[j])
+            j += 1
+    out.extend(base[i:])
+    out.extend(extra[j:])
+    return tuple(out)
 
 
 def _job_tuples(jobs: Sequence[Job]) -> list[_JobTuple]:
@@ -1036,15 +1127,34 @@ class AppValuationState:
             return math.inf
         return snap.total_remaining / rate
 
-    def packing_of(self, total_key: tuple[tuple[int, int], ...]) -> float:
+    def row_context(
+        self, key: tuple[tuple[int, int], ...]
+    ) -> tuple[tuple[tuple[int, int], ...], list[tuple[int, object, int]]]:
+        """What every probe of ``key`` plus one more machine shares.
+
+        The canonical total key (holdings plus ``key``) and its
+        ``(rack_id, speeds, count)`` entries: a row pass classes each
+        free machine against them (:func:`shape_classes`) and splices
+        its entry in at its position to get the probed bundle's shape
+        (:func:`shape_of_entries`) without building and sorting its key.
+        """
+        reads = self.machine_reads
+        total_key = merge_keys(self.base_key, key)
+        return total_key, [(*reads[machine], count) for machine, count in total_key]
+
+    def packing_of(
+        self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
+    ) -> float:
         """Gandiva's packing utility of a canonical total-counts bundle, memoised.
 
         Bit for bit :func:`packing_utility` over the app's sorted jobs:
         a carve reads the job order, never the remaining work, so the
         value is cached by :func:`bundle_shape` across rounds until the
-        rate signature changes.
+        rate signature changes.  ``shape``, when given, is that shape,
+        built by a caller that spliced it (as for :meth:`delta_of`).
         """
-        shape = bundle_shape(total_key, self.machine_reads)
+        if shape is None:
+            shape = bundle_shape(total_key, self.machine_reads)
         packing = self._packing_cache.get(shape)
         if packing is None:
             snap = self.snapshot

@@ -17,30 +17,65 @@ from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
 from repro.core.assignment import (
+    RowClasses,
     check_chunk_size,
     concretise,
     greedy_utility_assign,
 )
-from repro.core.fairness import AppValuationState
+from repro.core.fairness import (
+    AppValuationState,
+    merge_keys,
+    shape_classes,
+    shape_of_entries,
+)
 from repro.schedulers.base import CarvingScheduler
 
 
-def _packing_utility(state: AppValuationState):
+class _PackingUtility:
     """The app's placement-score utility of a bundle on top of its holdings.
 
     Pure while the round runs (the state is refreshed before the greedy
     starts), as :func:`greedy_utility_assign` needs; each value comes
-    from the state's cross-round packing cache.
+    from the state's cross-round packing cache, keyed by shape.
+
+    Machine classes (:class:`~repro.core.assignment.ClassedUtility`) are
+    the auction's (:func:`~repro.core.fairness.shape_classes`): a row is
+    classed against the total key (holdings plus bundle), so a machine
+    the app holds from an earlier round is its own class too.  The row's
+    probe splices the machine's entry into the row's entries at the
+    class's position and reads the cache by their shape, as the
+    auction's class probe does, instead of merging, sorting and shaping
+    a key per machine.
     """
-    base_key = state.base_key
 
-    def utility(bundle: dict[int, int]) -> float:
-        merged = dict(base_key)
-        for machine_id, count in bundle.items():
-            merged[machine_id] = merged.get(machine_id, 0) + count
-        return state.packing_of(tuple(sorted(merged.items())))
+    __slots__ = ("state",)
 
-    return utility
+    def __init__(self, state: AppValuationState) -> None:
+        self.state = state
+
+    def __call__(self, bundle: Mapping[int, int]) -> float:
+        state = self.state
+        return state.packing_of(merge_keys(state.base_key, tuple(sorted(bundle.items()))))
+
+    def row(
+        self, bundle: Mapping[int, int], remaining: Mapping[int, int], cap: int
+    ) -> RowClasses:
+        state = self.state
+        reads = state.machine_reads
+        total_key, entries = state.row_context(tuple(sorted(bundle.items())))
+
+        def probe(machine_id: int, machine_class: tuple, step: int) -> float:
+            position = machine_class[0]
+            rack_id, speeds = reads[machine_id]
+            return state.packing_of(
+                total_key[:position] + ((machine_id, step),) + total_key[position:],
+                shape_of_entries(
+                    entries[:position] + [(rack_id, speeds, step)] + entries[position:]
+                ),
+            )
+
+        own, classes = shape_classes(total_key, entries, reads, remaining, cap)
+        return own, classes, probe
 
 
 class GandivaScheduler(CarvingScheduler):
@@ -61,7 +96,7 @@ class GandivaScheduler(CarvingScheduler):
         for app in apps:
             state = self.states[app.app_id]
             state.refresh()
-            utilities[app.app_id] = _packing_utility(state)
+            utilities[app.app_id] = _PackingUtility(state)
         caps = {app.app_id: app.unmet_demand() for app in apps}
         assignment = greedy_utility_assign(
             counts, utilities, caps, chunk_size=self.chunk_size

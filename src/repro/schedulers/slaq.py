@@ -17,7 +17,12 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from repro.cluster.topology import Gpu, ordered_sum
-from repro.core.assignment import check_chunk_size, drainable, greedy_utility_assign
+from repro.core.assignment import (
+    RowClasses,
+    check_chunk_size,
+    drainable,
+    greedy_utility_assign,
+)
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.tiresias import take_scattered
 from repro.workload.app import App
@@ -40,9 +45,9 @@ def assign_by_effective_utility(
     The allocation SLAQ and Optimus share: both price a bundle by the
     throughput it adds and never by where its GPUs sit, so each policy
     supplies only ``utility_of(app)`` — its utility of the app's held
-    compute plus a bundle's, evaluated once per distinct compute per
-    round (:func:`_bundle_utility`) — and the bundles are concretised
-    round-robin, largest grant first.
+    compute plus a bundle's, with the greedy scoring one machine per
+    speed and step bound (:class:`_BundleUtility`) — and the bundles are
+    concretised round-robin, largest grant first.
 
     Compute is measured in family-relative *effective* units: under a
     throughput matrix each app prices an offered machine by its own
@@ -65,7 +70,7 @@ def assign_by_effective_utility(
             if family is not None
             else app.allocation().effective_size
         )
-        utilities[app.app_id] = _bundle_utility(
+        utilities[app.app_id] = _BundleUtility(
             utility_of(app), held, model.machine_speeds_for(cluster, family)
         )
     caps = {app.app_id: app.unmet_demand() for app in apps}
@@ -82,27 +87,60 @@ def assign_by_effective_utility(
     return result
 
 
-def _bundle_utility(
-    utility: EffectiveUtility, held: float, speed_of: Mapping[int, float]
-) -> Callable[[Mapping[int, int]], float]:
+class _BundleUtility:
     """``utility`` of a per-machine count bundle on top of ``held``.
 
-    Neither policy looks past a bundle's effective compute, so the
-    value is memoised on the very float ``extra`` the utility would be
-    called with — exact on any fleet; on a homogeneous one every
-    machine of a row asks the same one or two questions.  One closure
-    per app per round: ``utility`` must be pure over its lifetime.
+    Neither policy looks past a bundle's effective compute, ``extra =
+    ordered_sum(count * speed)`` in the bundle's order: the value is
+    ``utility(held, extra)``.  One instance per app per round:
+    ``utility`` must be pure over its lifetime.
+
+    Machine classes (:class:`~repro.core.assignment.ClassedUtility`): a
+    machine the bundle lacks is summed *last*, so the bundle plus
+    ``step`` GPUs there computes ``extra(bundle) + step * speed`` — the
+    same float for every machine of one speed.  Its class is ``(speed,
+    min(free, cap))``, the bound fixing the greedy's step set, and the
+    row's probe adds the one term to the bundle's sum.  A machine in
+    the bundle is its own class: a step there changes its term in place.
     """
-    values: dict[float, float] = {}
 
-    def of_bundle(bundle: Mapping[int, int]) -> float:
+    __slots__ = ("utility", "held", "speed_of")
+
+    def __init__(
+        self, utility: EffectiveUtility, held: float, speed_of: Mapping[int, float]
+    ) -> None:
+        self.utility = utility
+        self.held = held
+        self.speed_of = speed_of
+
+    def __call__(self, bundle: Mapping[int, int]) -> float:
+        speed_of = self.speed_of
+        return self.utility(
+            self.held, ordered_sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
+        )
+
+    def row(
+        self, bundle: Mapping[int, int], remaining: Mapping[int, int], cap: int
+    ) -> RowClasses:
+        speed_of = self.speed_of
         extra = ordered_sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
-        value = values.get(extra)
-        if value is None:
-            value = values[extra] = utility(held, extra)
-        return value
 
-    return of_bundle
+        def probe(machine_id: int, machine_class: tuple, step: int) -> float:
+            return self.utility(self.held, extra + step * machine_class[0])
+
+        own: list[int] = []
+        classes: dict[tuple, list[int]] = {}
+        for machine_id, free in remaining.items():
+            if machine_id in bundle:
+                own.append(machine_id)
+                continue
+            machine_class = (speed_of.get(machine_id, 1.0), free if free < cap else cap)
+            members = classes.get(machine_class)
+            if members is None:
+                classes[machine_class] = [machine_id]
+            else:
+                members.append(machine_id)
+        return own, classes, probe
 
 
 class SlaqScheduler(InterAppScheduler):

@@ -53,9 +53,8 @@ MUTANTS = [
     ("auction-payment-keep-floor", "core/auction.py", "math.floor(fraction", "math.ceil(fraction"),
     ("auction-shrink-order", "core/auction.py", "(shrunk[m], m)", "(-shrunk[m], m)"),
     ("auction-warm-prefix", "core/auction.py", "[:first_win]", "[:first_win + 1]"),
-    ("auction-class-position", "core/auction.py",
-     "position,\n                    rack_index", "0,\n                    rack_index"),
-    ("auction-class-rescue-free", "core/auction.py", "if rescue or free < cap", "if free < cap"),
+    ("auction-class-rescue-free", "core/auction.py",
+     "cap = math.inf if current_value <= 0.0 else min(", "cap = min("),
     ("auction-memo-chunk", "core/auction.py",
      "current_key,\n                    min(self.chunk_size, free,",
      "current_key,\n                    min(self.chunk_size,"),
@@ -99,6 +98,14 @@ MUTANTS = [
      "            self._packing_cache = {}\n", ""),
     ("fairness-fw-pair-cache-kept", "core/fairness.py",
      "            self._fw_pair_cache = {}\n", ""),
+    # the machine shape class both the auction and Gandiva's greedy use
+    ("shape-class-position", "core/fairness.py",
+     "            position,\n            rack_index", "            0,\n            rack_index"),
+    ("shape-class-step-cap", "core/fairness.py",
+     "            speeds,\n            free if free < cap else cap,\n", "            speeds,\n"),
+    # the canonical key merge under every total-key probe
+    ("fairness-merge-sum", "core/fairness.py", "count_a + count_b", "count_a"),
+    ("fairness-merge-order", "core/fairness.py", "machine_a < machine_b", "machine_a > machine_b"),
     # core/arbiter.py: the 1 - f filter and the leftovers
     ("arbiter-filter-count", "core/arbiter.py", "max(1, math.ceil(", "max(1, math.floor("),
     ("arbiter-filter-order", "core/arbiter.py", "(-rhos[a], a)", "(rhos[a], a)"),
@@ -108,9 +115,7 @@ MUTANTS = [
      "not in participant_set", "in participant_set"),
     ("arbiter-leftover-fastest-first", "core/arbiter.py",
      "(-speed_of[m], m)", "(speed_of[m], m)"),
-    # core/bids.py: the key merge, the offer check and the noise
-    ("bids-merge-sum", "core/bids.py", "count_a + count_b", "count_a"),
-    ("bids-merge-order", "core/bids.py", "machine_a < machine_b", "machine_a > machine_b"),
+    # core/bids.py: the offer check and the noise
     ("bids-offer-check", "core/bids.py",
      "self.offered_counts.get(machine_id, 0):", "self.offered_counts.get(machine_id, 0) + 1:"),
     ("bids-noise-range", "core/bids.py", "(2.0 * fraction - 1.0)", "fraction"),
@@ -136,10 +141,18 @@ MUTANTS = [
     ("assignment-greedy-column", "core/assignment.py",
      "free < min(chunk_size, headroom[other])", "free > min(chunk_size, headroom[other])"),
     ("assignment-greedy-forgets", "core/assignment.py",
-     "{machine_id: seen[app_id][machine_id]}", "seen[app_id]"),
+     "{machine_id: seen[app_id].get(machine_id, {})}", "seen[app_id]"),
+    ("assignment-greedy-class-member-kept", "core/assignment.py",
+     "if best is None:\n                    entries.pop(member, None)",
+     "if best is None:\n                    pass"),
     ("assignment-greedy-steps", "core/assignment.py", "(1, chunk) if chunk > 1 else", ""),
     ("assignment-packed-preferred-first", "core/assignment.py",
      "preferred + rest:", "rest + preferred:"),
+    # schedulers/slaq.py: the effective-compute class of SLAQ and Optimus
+    ("slaq-class-step-cap", "schedulers/slaq.py",
+     "(speed_of.get(machine_id, 1.0), free if free < cap else cap)",
+     "(speed_of.get(machine_id, 1.0),)"),
+    ("slaq-class-held-as-new", "schedulers/slaq.py", "if machine_id in bundle:", "if False:"),
     # README's dirty-tracking mutants outside core/
     ("M1-tuner-step-without-invalidate", "simulation/simulator.py",
      "app.invalidate()\n            for job in victims:", "for job in victims:"),

@@ -6,13 +6,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import group_pool, rescan_utility_assign
+from helpers import MODELS, group_pool, make_job, rescan_utility_assign
+from repro.cluster.topology import (
+    GPU_TYPES,
+    Cluster,
+    ClusterSpec,
+    Gpu,
+    Machine,
+    MachineSpec,
+    build_cluster,
+)
 from repro.core.assignment import (
     concretise,
     drainable,
     greedy_utility_assign,
     take_packed,
 )
+from repro.core.fairness import AppValuationState, FairnessEstimator
+from repro.schedulers.gandiva import _PackingUtility
+from repro.schedulers.slaq import _BundleUtility
+from repro.workload.app import App
 
 
 def test_concretise_grants_match_counts(small_cluster):
@@ -108,6 +121,107 @@ _weights = st.lists(
     st.integers(min_value=0, max_value=12).map(lambda n: n / 4), min_size=2, max_size=3
 )
 
+# Utilities that declare machine classes, so the greedy scores one
+# machine per class.  Speeds are not dyadic: a held machine's term
+# grown in place and a new machine's term summed last round apart.
+_SPEEDS = (0.1, 0.3, 0.7, 1.0, 1.3)
+_CURVES = (
+    lambda held, extra: math.sqrt(held + extra),
+    lambda held, extra: min(3.0, held + extra),
+    lambda held, extra: 2.0 * (held + extra) - 0.2 * (held + extra) ** 2,
+    # Convex: a chunk gains more per GPU than one GPU does.
+    lambda held, extra: (held + extra) ** 2,
+)
+
+
+@st.composite
+def _effective_compute(draw):
+    """SLAQ's and Optimus' utility over a random speed map."""
+    speed_of = draw(st.dictionaries(st.integers(0, 7), st.sampled_from(_SPEEDS)))
+    held = draw(st.sampled_from((0.0, 0.7, 2.0)))
+    return _BundleUtility(draw(st.sampled_from(_CURVES)), held, speed_of)
+
+
+def _packing(cluster, jobs, held):
+    """Gandiva's utility of an app whose job ``i`` holds ``held[i]``
+    ``(machine, gpus)`` (or nothing), through its valuation state."""
+    app = App(app_id="a", arrival_time=0.0, jobs=jobs)
+    for job, (machine_id, gpus) in zip(jobs, held):
+        take = cluster.machines[machine_id].gpus[:gpus]
+        job.set_allocation(0.0, job.allocation.union(take), overhead=0.0)
+    state = AppValuationState(app, FairnessEstimator(cluster))
+    state.refresh()
+    return _PackingUtility(state)
+
+
+@st.composite
+def _rack_packing(draw):
+    """Gandiva's utility on 8 machines of random racks and GPU types."""
+    racks = draw(st.lists(st.integers(0, 2), min_size=8, max_size=8))
+    kinds = draw(st.lists(st.sampled_from(("v100", "k80")), min_size=8, max_size=8))
+    cluster = Cluster(
+        Machine(
+            machine_id=m,
+            rack_id=rack,
+            gpus=[
+                Gpu(
+                    gpu_id=8 * m + i,
+                    machine_id=m,
+                    rack_id=rack,
+                    slot_id=i // 2,
+                    gpu_type=GPU_TYPES[kind],
+                )
+                for i in range(8)
+            ],
+        )
+        for m, (rack, kind) in enumerate(zip(racks, kinds))
+    )
+    jobs = [
+        make_job(
+            f"j{i}",
+            model=draw(st.sampled_from(MODELS)),
+            serial_work=draw(st.sampled_from((50.0, 100.0, 400.0))),
+            max_parallelism=draw(st.integers(1, 6)),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    machines = draw(st.lists(st.integers(0, 7), unique=True, max_size=len(jobs)))
+    held = [(m, draw(st.integers(1, 2))) for m in machines]
+    return _packing(cluster, jobs, held)
+
+
+_UTILITIES = st.one_of(
+    *[st.builds(family, _weights) for family in _FAMILIES],
+    _effective_compute(),
+    _rack_packing(),
+)
+
+
+def _order_market():
+    """tests/test_shape_symmetry.py's 4.0-vs-5.2 rack market, for Gandiva.
+
+    Racks are ``machine_id % 2``; the app holds 2 GPUs on machines 3
+    (rack 1) and 4 (rack 0) and wants 2 more, for a third job.  Machines
+    0, 2 and 6 are all rack 0 with 2 free, but 0 and 2 sort below the
+    holdings and 6 above: only 6 leaves every job's GPUs packed well
+    enough to gain, and a class without the position scores 6 as 0.
+    """
+    cluster = build_cluster(
+        ClusterSpec(
+            machine_specs=(MachineSpec(count=8, gpus_per_machine=4),),
+            num_racks=2,
+            name="order",
+        )
+    )
+    jobs = [
+        make_job("a-j0", model="transformer", serial_work=50.0, max_parallelism=2),
+        make_job("a-j1", model="transformer", serial_work=100.0, max_parallelism=3),
+        make_job("a-j2", model="transformer", serial_work=200.0, max_parallelism=2),
+    ]
+    utility = _packing(cluster, jobs, [(3, 2), (4, 2)])
+    pool = {0: 2, 1: 2, 2: 2, 5: 2, 6: 2, 7: 2}
+    return pool, {"a": utility}, {"a": 2}, 4
+
 
 @st.composite
 def markets(draw):
@@ -118,9 +232,7 @@ def markets(draw):
         )
     )
     app_ids = draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=6))
-    utilities = {
-        a: draw(st.sampled_from(_FAMILIES))(draw(_weights)) for a in app_ids
-    }
+    utilities = {a: draw(_UTILITIES) for a in app_ids}
     # Caps of 0, missing, and beyond the whole supply.
     caps = {
         a: draw(st.integers(min_value=0, max_value=sum(pool.values()) + 2))
@@ -142,11 +254,58 @@ def _ordered(assignment):
 @example(
     ({0: 5}, {"a": _non_monotone([0.0]), "b": _non_monotone([1.0])}, {"a": 3, "b": 3}, 3)
 )
+# Position in the shape class: machine 6 packs better than 0 and 2.
+@example(_order_market())
+# The step bound in the class: machine 1's chunk of 4 beats machine 0's
+# one free GPU, at the same speed.
+@example(({0: 1, 1: 4}, {"a": _BundleUtility(_CURVES[3], 0.0, {})}, {"a": 4}, 4))
+# A class whose first member stops gaining drops the others' entries:
+# at 3 GPUs on machine 0 the capped curve is flat, and machine 2 must
+# not keep the gain it had in the row before.
+@example(({0: 4, 1: 4, 2: 4}, {"a": _BundleUtility(_CURVES[1], 0.0, {})}, {"a": 8}, 4))
+# A held machine is its own class: with 3 GPUs on machine 1, a fourth
+# there sums 4 * 0.3 in place, one on machine 0 (also 0.3) adds 0.3
+# last, and the two totals round apart.
+@example(
+    (
+        {0: 2, 1: 4, 2: 1, 3: 2},
+        {"a": _BundleUtility(_CURVES[3], 2.0, {0: 0.3, 1: 0.3, 2: 0.7, 3: 1.3})},
+        {"a": 7},
+        3,
+    )
+)
 def test_incremental_greedy_matches_rescan(market):
     pool, utilities, caps, chunk_size = market
     assert _ordered(greedy_utility_assign(pool, utilities, caps, chunk_size)) == _ordered(
         rescan_utility_assign(pool, utilities, caps, chunk_size)
     )
+
+
+def test_position_splits_the_shape_class():
+    """The order market's answer: the rack-0 machine above the holdings."""
+    pool, utilities, caps, chunk_size = _order_market()
+    assert greedy_utility_assign(pool, utilities, caps, chunk_size) == {"a": {6: 2}}
+
+
+def test_classed_row_scores_one_machine_per_class():
+    """Eight equal machines: a row pass probes one of them, per step.
+
+    The app takes one GPU (gain 1 beats sqrt(2) / 2 for the pair), then
+    its row re-scores the machine it holds on its own, from what that
+    pair remembers, and the seven others as one class.  Per-pair rows
+    would ask for 24 effective computes.
+    """
+    extras = []
+
+    def curve(held, extra):
+        extras.append(extra)
+        return math.sqrt(held + extra)
+
+    utility = _BundleUtility(curve, 0.0, {})
+    result = greedy_utility_assign({m: 4 for m in range(8)}, {"a": utility}, {"a": 2}, 2)
+    assert result == {"a": {0: 2}}
+    # {}, the class at steps 1 and 2, then the class at step 1.
+    assert extras == [0, 1.0, 2.0, 2.0]
 
 
 def _logged(calls, app_id, utility):

@@ -359,7 +359,7 @@ def test_spliced_shape_probe_is_bit_equal_to_the_id_key_probe(case):
         return build_bid(app, estimator, now=40.0, offered_counts=pool)
 
     by_shape, by_key = fresh_bid(), fresh_bid()
-    total_key, entries = by_shape.row_context(current_key)
+    total_key, entries = by_shape.state.row_context(current_key)
     position = sum(1 for machine, _count in total_key if machine < machine_id)
     reads = by_shape.state.machine_reads
     spliced_key = (
