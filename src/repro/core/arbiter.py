@@ -257,10 +257,12 @@ class Arbiter:
         Machines are drained fastest GPU generation first, so the most
         valuable leftovers reach non-participants before the stragglers.
         Preference order per GPU: a non-participating app that already
-        occupies the GPU's machine (the paper's placement-sensitive
+        occupies the GPU's machine — by its holdings, or by a leftover
+        this pass granted it there — (the paper's placement-sensitive
         rule, random among candidates), then any app with unmet demand
         (work conservation), else the GPU stays unassigned.  Returns
-        the number of GPUs nobody wanted.
+        the number of GPUs nobody wanted; an empty leftover draws
+        nothing from the rng.
         """
         participant_set = set(participants)
         headroom: dict[str, int] = {}

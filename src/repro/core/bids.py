@@ -117,7 +117,8 @@ class Bid:
         # row for speed-class tie-breaks; mixed-family apps fall back to
         # the scalar generation speeds.  The family is memoised on the
         # snapshot — a starved app's snapshot survives many rounds of
-        # bids — and the map it sees on the perf model.
+        # bids, a held app's every round its drain keeps the job order —
+        # and the map it sees on the perf model.
         self._speed_of = estimator.perf_model.machine_speeds_for(
             estimator.cluster, snap.family
         )

@@ -17,8 +17,9 @@ built for that hot path:
   representation — never on concrete GPU sets; machines are internally
   homogeneous, so a count on a machine implies a GPU generation and the
   carve scores it in speed-weighted *effective compute*,
-* :class:`AppSnapshot` freezes an app's job list (sorted once) for the
-  duration of an auction,
+* :class:`AppSnapshot` holds an app's job list, sorted once and kept
+  across rounds until a discrete change or a drain reorders it; only
+  its ``total_remaining`` is rewritten as held jobs drain,
 * the carve loop stops as soon as the count pool drains, so the cost is
   bounded by the GPUs offered, not the (much larger) job count,
 * there is one carve kernel, :func:`_carve_fast`: machine speeds come
@@ -573,12 +574,16 @@ def packing_utility(
     return _packing_score(carved)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AppSnapshot:
-    """An app's state frozen for the duration of one auction.
+    """An app's sorted job list, built once and probed many times.
 
     Sorting the job list and summing remaining work happen once here
-    instead of once per valuation probe.
+    instead of once per valuation probe.  ``total_remaining`` is the one
+    field that moves after construction: a held app's jobs drain between
+    rounds, and :meth:`AppValuationState._refresh_drift` writes the
+    re-summed total in place while the job order holds (so the
+    :attr:`family` memo survives the drift too).
     """
 
     app_id: str
@@ -593,7 +598,8 @@ class AppSnapshot:
 
         Selects the app's throughput-matrix row for speed-class
         tie-breaks; computed once per snapshot rather than once per bid
-        (a starved app's snapshot survives many rounds).
+        (a starved app's snapshot survives many rounds, a held app's as
+        long as its drain keeps the job order).
         """
         families = {job_tuple[4] for job_tuple in self.job_tuples}
         return next(iter(families)) if len(families) == 1 else None
@@ -869,23 +875,23 @@ _KERNEL_CACHE_LIMIT = 131072
 class AppValuationState:
     """Cross-round valuation cache for one app.
 
-    Holds the app's frozen :class:`AppSnapshot`, its base per-machine
+    Holds the app's :class:`AppSnapshot`, its base per-machine
     counts, and the caches of elapsed-independent valuation kernels,
     keyed by bundle *shape* (:func:`bundle_shape` — a bundle is carved
     once per shape, not once per machine-id key; any noise is applied
     above this layer, in ``Bid.rho_from_key``).  :meth:`refresh` applies
     the dirty-tracking contract at two levels:
 
-    * **snapshot reuse** — while the app's epoch is unchanged *and* it
-      holds no GPUs (a fully starved app), nothing about it can drift
-      between rounds, so snapshot, base counts and every cache survive
-      verbatim;
-    * **rate-cache reuse** — an app that *does* hold GPUs drains work
-      continuously, so its snapshot rebuilds each round; but the
+    * **snapshot reuse** — while the app's epoch is unchanged, the
+      snapshot survives: verbatim if the app holds no GPUs (a fully
+      starved app cannot drift), and with its ``total_remaining``
+      re-summed in place (:meth:`_refresh_drift`) if it holds GPUs and
+      the drain has kept the job order;
+    * **rate-cache reuse** — when the snapshot does rebuild, the
       carve's per-job GPU split depends only on the job *order
       signature* (parallelism caps, sensitivity profiles, families,
-      ids — not the remaining-work magnitudes), so as long as the drain
-      has not reordered the jobs the cached kernels stay valid: under
+      ids — not the remaining-work magnitudes), so as long as the
+      order signature is unchanged the cached kernels stay valid: under
       ``ALL_JOBS`` each bundle's aggregate carve rate (delta is one
       division), under ``FIRST_WINNER`` each bundle's per-job
       ``(job_id, rate)`` pairs (delta is a min over one division per
@@ -988,38 +994,35 @@ class AppValuationState:
         """Drift-only snapshot update for a clean-epoch held app.
 
         Walks the jobs in snapshot order re-reading remaining work: if
-        the sequence is still sorted (the usual case — proportional
-        drains rarely reorder), the snapshot is reused with a freshly
-        summed ``total_remaining`` — summed along the *current* sorted
-        order, so the float matches a full rebuild bit-for-bit.  The
-        per-job magnitudes inside ``job_tuples`` are left stale: under
-        ``ALL_JOBS`` semantics no consumer reads them (the carve uses
-        caps, profiles and families; the delta divides the fresh total
-        by the cached aggregate rate).  ``t_ideal`` is epoch-memoised on
-        the app, so it cannot have moved.  Returns ``None`` when a
+        the sequence is still sorted by ``(remaining work, job id)``
+        (the usual case — proportional drains rarely reorder; an id is
+        read only when two works tie), the snapshot is kept and its
+        ``total_remaining`` rewritten in place — summed along the
+        *current* sorted order, so the float matches a full rebuild
+        bit-for-bit — and its :attr:`AppSnapshot.family` memo survives
+        with it.  The per-job magnitudes inside ``job_tuples`` are left
+        stale: under ``ALL_JOBS`` semantics no consumer reads them (the
+        carve uses caps, profiles and families; the delta divides the
+        fresh total by the cached aggregate rate).  ``t_ideal`` reads only the job
+        caps and run constants, and a cap changes only with an epoch
+        bump, so it cannot have moved.  Returns ``None`` when a
         reorder forces the full rebuild.
         """
         snap = self.snapshot
         assert snap is not None and self._sorted_jobs is not None
         total = 0.0
         prev_work = -math.inf
-        prev_id = ""
+        prev_job = None
         for job in self._sorted_jobs:
             work = job.remaining_work
-            if work < prev_work or (work == prev_work and job.job_id < prev_id):
+            if work <= prev_work and (
+                work < prev_work or job.job_id < prev_job.job_id
+            ):
                 return None
             total += work
             prev_work = work
-            prev_id = job.job_id
-        if total != snap.total_remaining:
-            snap = AppSnapshot(
-                app_id=snap.app_id,
-                arrival_time=snap.arrival_time,
-                job_tuples=snap.job_tuples,
-                total_remaining=total,
-                t_ideal=snap.t_ideal,
-            )
-            self.snapshot = snap
+            prev_job = job
+        snap.total_remaining = total
         return snap
 
     def _refresh_remaining(self, snap: AppSnapshot) -> None:

@@ -82,7 +82,7 @@ class App:
         self._alloc_cache: Optional[tuple[int, Allocation]] = None
         self._active_cache: Optional[tuple[int, tuple[Job, ...]]] = None
         self._demand_cache: Optional[tuple[int, int, int]] = None
-        self._ideal_epoch = -1
+        self._ideal_caps: tuple[int, ...] = ()
         self._ideal_cache: dict = {}
         for job in self.jobs:
             job.on_mutate = self.invalidate
@@ -238,10 +238,16 @@ class App:
         across the app's families (a mixed-family app alone would give
         each family the GPUs it runs fastest on), hence the max of the
         two lower bounds.
+
+        Memoised per capacity on the tuple of job caps, the one input
+        that can move between calls (work and families are run
+        constants): an allocation install bumps the epoch but keeps the
+        cached value.
         """
-        if self._ideal_epoch != self._epoch:
+        caps = tuple([job.max_parallelism for job in self.jobs])
+        if caps != self._ideal_caps:
             self._ideal_cache.clear()
-            self._ideal_epoch = self._epoch
+            self._ideal_caps = caps
         cached = self._ideal_cache.get(capacity)
         if cached is not None:
             return cached

@@ -80,9 +80,8 @@ MUTANTS = [
      "return VALUE_CEILING\n    return", "return 0.0\n    return"),
     ("fairness-rate-signature", "core/fairness.py",
      "if signature != self.rate_signature:", "if self.rate_signature is None:"),
-    ("fairness-drift-tie", "core/fairness.py",
-     " or (work == prev_work and job.job_id < prev_id)", ""),
-    ("fairness-drift-total", "core/fairness.py", "if total != snap.total_remaining:", "if False:"),
+    ("fairness-drift-tie", "core/fairness.py", " or job.job_id < prev_job.job_id", ""),
+    ("fairness-drift-total", "core/fairness.py", "snap.total_remaining = total", "pass"),
     ("fairness-held-app-reuse", "core/fairness.py", "if not self.base_counts:", "if True:"),
     ("fairness-first-winner-min", "core/fairness.py",
      "if per_job < delta:", "if per_job > delta:"),
@@ -111,6 +110,8 @@ MUTANTS = [
     ("arbiter-filter-order", "core/arbiter.py", "(-rhos[a], a)", "(rhos[a], a)"),
     ("arbiter-leftover-colocated", "core/arbiter.py",
      "machine_id in machines_of", "machine_id not in machines_of"),
+    ("arbiter-leftover-forgets-grants", "core/arbiter.py",
+     "machines_of[choice].add(machine_id)", "pass"),
     ("arbiter-leftover-non-participants", "core/arbiter.py",
      "not in participant_set", "in participant_set"),
     ("arbiter-leftover-fastest-first", "core/arbiter.py",
@@ -169,6 +170,8 @@ MUTANTS = [
     ("M9-install-untracked", "simulation/simulator.py",
      "self._track_held_job(job)\n            self._emit_job_state", "self._emit_job_state"),
     ("M10-ideal-cache-kept", "workload/app.py", "self._ideal_cache.clear()", "pass"),
+    ("ideal-key-ignores-caps", "workload/app.py",
+     "[job.max_parallelism for job", "[job.spec.max_parallelism for job"),
     # obs/: the bounded series and the two per-round metrics
     ("reservoir-thin-keeps-odd", "obs/reservoir.py", "self._items[::2]", "self._items[1::2]"),
     ("reservoir-cap-check", "obs/reservoir.py",

@@ -154,12 +154,32 @@ def test_ideal_time_invalid_cluster():
 
 
 def test_ideal_running_time_follows_a_cap_change():
-    """T_id is memoised per epoch: a lowered cap plus ``invalidate()`` moves it."""
+    """T_id is memoised on the job caps: a lowered cap moves it."""
     app = make_app(num_jobs=1, serial_work=100.0, max_parallelism=4)
     assert app.ideal_running_time(8) == pytest.approx(25.0)
     app.jobs[0].parallelism_limit = 2
     app.invalidate()
     assert app.ideal_running_time(8) == pytest.approx(50.0)
+
+
+def test_ideal_running_time_survives_an_allocation_only_epoch_bump(
+    one_machine_cluster, monkeypatch
+):
+    """An install bumps the epoch but moves no cap: T_id is not recomputed."""
+    import repro.workload.app as app_module
+
+    computed = []
+    real = app_module.as_capacity
+    monkeypatch.setattr(
+        app_module, "as_capacity", lambda capacity: computed.append(capacity) or real(capacity)
+    )
+    app = make_app(num_jobs=2, max_parallelism=4)
+    t_id = app.ideal_running_time(8)
+    epoch = app.epoch
+    app.jobs[0].set_allocation(0.0, Allocation(one_machine_cluster.machines[0].gpus[:2]))
+    assert app.epoch > epoch
+    assert app.ideal_running_time(8) == t_id
+    assert computed == [8]
 
 
 def _ids(jobs):

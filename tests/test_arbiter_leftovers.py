@@ -60,6 +60,32 @@ def test_leftovers_prefer_machines_already_held(small_cluster, estimator):
     assert machine2_receivers <= {"holder2", "starving"}
 
 
+def test_empty_leftover_returns_zero_without_drawing(small_cluster, estimator):
+    arbiter = Arbiter(small_cluster, rng=np.random.default_rng(3))
+    app = make_app("a", num_jobs=2, max_parallelism=2)
+    agents = {"a": Agent(app, estimator)}
+    before = arbiter.rng.bit_generator.state
+    assignments: dict = {}
+    assert arbiter._assign_leftovers({}, [], agents, assignments) == 0
+    assert assignments == {}
+    assert arbiter.rng.bit_generator.state == before
+
+
+def test_a_leftover_grant_makes_its_receiver_co_located(small_cluster, estimator):
+    """Nobody holds machine 1, so its first GPU goes to a random app
+    with headroom; that non-participant now occupies the machine, so it
+    is the only co-located candidate for the machine's next GPU."""
+    for seed in range(12):
+        arbiter = Arbiter(small_cluster, rng=np.random.default_rng(seed))
+        agents = {
+            app_id: Agent(make_app(app_id, num_jobs=2, max_parallelism=2), estimator)
+            for app_id in ("a", "b", "c")
+        }
+        assignments: dict = {}
+        assert arbiter._assign_leftovers({1: 2}, [], agents, assignments) == 0
+        assert list(assignments.values()) == [{1: 2}]
+
+
 def test_leftovers_fall_back_to_any_demand(small_cluster, estimator):
     """With no affine non-participant, leftovers still get used."""
     arbiter = Arbiter(

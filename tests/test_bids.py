@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.cluster.allocation import Allocation
-from repro.core.bids import BidEntry, build_bid
+from repro.core.agent import Agent
+from repro.core.bids import BidEntry, _noise_factor, build_bid
 from repro.core.fairness import FairnessEstimator
 
 from helpers import make_app
@@ -119,6 +120,28 @@ def test_bundles_on_held_machines_add_to_the_holdings(small_cluster, estimator):
     bid = build_bid(app, estimator, now=5.0, offered_counts={0: 3, 2: 2})
     for bundle in ({0: 2}, {0: 3, 2: 1}):
         assert bid.rho_of(bundle) == estimator.rho(app, 5.0, bundle)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.2])
+def test_bid_after_a_probe_prices_the_empty_bundle_as_a_fresh_state(
+    small_cluster, estimator, theta
+):
+    """The round probes an agent, then asks it for a bid at the same
+    instant: the bid refreshes the state the probe just drifted, and its
+    empty-bundle rho equals a fresh state's, under the bid's own noise."""
+    app = make_app(num_jobs=2, max_parallelism=4)
+    app.jobs[0].set_allocation(0.0, Allocation(small_cluster.machines[0].gpus[:2]))
+    agent = Agent(app, estimator, noise_theta=theta)
+    offer = {1: 4, 2: 2}
+    for salt, now in enumerate((5.0, 10.0, 15.0), start=1):
+        app.jobs[0].remaining_work -= 3.0  # a drain between rounds
+        agent.report_rho(now, salt)
+        bid = agent.prepare_bid(now, offer, salt)
+        fresh = build_bid(app, estimator, now, offer, noise_theta=theta, noise_salt=salt)
+        assert bid.current_rho == fresh.current_rho == bid.rho_of({})
+        noise = _noise_factor(salt, app.app_id, (), theta)
+        assert bid.current_rho == estimator.rho(app, now, {}) * noise
+    assert agent.state.rebuilds == 1  # every round took the drift path
 
 
 def test_noise_deterministic_within_auction(estimator):

@@ -191,9 +191,32 @@ def test_state_drift_path_skips_rebuild_while_holding_gpus():
     assert state.rebuilds == 1
     job.remaining_work -= 7.0
     drifted = state.refresh()
-    assert drifted is not first  # total re-summed into a fresh snapshot
-    assert drifted.total_remaining == job.remaining_work
-    assert state.rebuilds == 1  # ...but no full rebuild
+    assert state.rebuilds == 1  # no full rebuild...
+    assert drifted.total_remaining == job.remaining_work  # ...the total re-summed
+
+
+@pytest.mark.parametrize(
+    "ids, rebuilds", [(("j0", "j1"), 1), (("j1", "j0"), 2)], ids=["in-order", "out-of-order"]
+)
+def test_state_drift_path_reads_ids_only_to_break_work_ties(ids, rebuilds):
+    """Two held jobs drained to equal remaining work: still sorted by
+    ``(work, id)`` when the lower id comes first, so the drift path keeps
+    the snapshot; out of id order, it rebuilds."""
+    cluster = small_cluster()
+    estimator = FairnessEstimator(cluster)
+    jobs = [
+        make_job(ids[0], serial_work=100.0, max_parallelism=2),
+        make_job(ids[1], serial_work=200.0, max_parallelism=2),
+    ]
+    app = App("a0", 0.0, jobs)
+    jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
+    state = AppValuationState(app, estimator)
+    state.refresh()
+    jobs[1].remaining_work = jobs[0].remaining_work = 60.0
+    snap = state.refresh()
+    assert state.rebuilds == rebuilds
+    assert snap.total_remaining == 120.0
+    assert [job[3] for job in snap.job_tuples] == ["j0", "j1"]
 
 
 def test_state_drift_path_rebuilds_when_a_work_tie_reorders_the_jobs():
