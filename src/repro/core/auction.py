@@ -103,9 +103,10 @@ pass uses too):
 
 **One heap entry per class.**  The row pass walks the remaining machines
 in ascending id, scores the *lowest* member of each class through
-:meth:`_score_pair` — by shape: the machine's ``(rack, speeds, step)``
-entry spliced into the app's held entries, id counts materialised only
-if that shape was never carved — and pushes that one entry with the
+:meth:`_score_pair` — off the row's table, ``(position, rack label,
+speeds, step) -> kernel`` per row shape
+(:class:`~repro.core.fairness.RowProbe`), the splice into the row's
+shape only on a table miss — and pushes that one entry with the
 class's sorted member list.  Held machines and columns (every app
 against the moved machine) stay per pair.  An entry built after ``n``
 applied moves is *live* while neither its app nor its machine has moved
@@ -156,7 +157,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.cluster.topology import ordered_sum
 from repro.core.bids import Bid
-from repro.core.fairness import shape_classes, shape_of_entries
+from repro.core.fairness import RowProbe, shape_classes
 from repro.obs.profiler import NULL_PROFILER
 
 #: Floor used when taking logs of zero valuations in payment ratios.
@@ -335,7 +336,7 @@ class PartialAllocationAuction:
         stats: Optional[AuctionSolveStats] = None,
         rescore: bool = False,
         machine_class: Optional[tuple] = None,
-        context: Optional[tuple] = None,
+        row: Optional[RowProbe] = None,
     ) -> Optional[tuple[tuple, _Move]]:
         """Best (key, move) for one (app, machine) pair, or ``None``.
 
@@ -350,10 +351,11 @@ class PartialAllocationAuction:
         the app state's caches.
 
         With ``machine_class`` (:func:`~repro.core.fairness.shape_classes`)
-        and ``context = bid.state.row_context(current_key)`` the row pass
-        scores a class representative: the class replaces the machine in
-        the memo key, a hit scored on another member is restamped, and a
-        miss probes by *shape*.
+        and ``row = RowProbe(bid.state, current_key)`` the row pass scores a
+        class representative: the class replaces the machine in the memo
+        key, a hit scored on another member is restamped, and a miss
+        reads each step's kernel off the row's table
+        (:meth:`~repro.core.bids.Bid.value_of_class`).
         ``rescore=True`` marks a post-move re-score call (counter
         attribution only).
         """
@@ -391,10 +393,6 @@ class PartialAllocationAuction:
         else:
             chunk = min(self.chunk_size, free, headroom)
             step_sizes = (1,) if chunk <= 1 else (1, chunk)
-        if machine_class is not None:
-            total_key, entries = context  # type: ignore[misc]
-            position = machine_class[0]
-            rack_id, speeds = bid.state.machine_reads[machine_id]
         best: Optional[tuple[tuple, _Move]] = None
         for step in step_sizes:
             if machine_class is None:
@@ -402,15 +400,8 @@ class PartialAllocationAuction:
                     _merged_key(current_key, machine_id, step)
                 )
             else:
-                new_value = bid.value_from_shape(
-                    shape_of_entries(
-                        entries[:position]
-                        + [(rack_id, speeds, step)]
-                        + entries[position:]
-                    ),
-                    total_key[:position]
-                    + ((machine_id, step),)
-                    + total_key[position:],
+                new_value = bid.value_of_class(
+                    row, machine_id, machine_class, step  # type: ignore[arg-type]
                 )
             if new_value <= current_value:
                 continue
@@ -537,11 +528,10 @@ class PartialAllocationAuction:
                 return
             current_key = bundle_keys[app_id]
             current_value = values[app_id]
-            state = bid.state
-            context = state.row_context(current_key)
+            row = RowProbe(bid.state, current_key)
             # A rescue's tie-break term reads the raw free count.
             cap = math.inf if current_value <= 0.0 else min(self.chunk_size, headroom)
-            own, classes = shape_classes(*context, state.machine_reads, remaining, cap)
+            own, classes = shape_classes(row, remaining, cap)
             for machine_id in own:
                 push_pair(app_id, machine_id, rescore)
             built_at = len(moves)
@@ -559,7 +549,7 @@ class PartialAllocationAuction:
                     stats,
                     rescore,
                     machine_class,
-                    context,
+                    row,
                 )
                 if scored is not None:
                     push(scored, members, 0, built_at)

@@ -30,6 +30,7 @@ from typing import Mapping
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
+    RowProbe,
     merge_keys,
     value_from_rho,
 )
@@ -192,22 +193,18 @@ class Bid:
         """``value_of`` for a pre-canonicalised bundle key (hot path)."""
         return value_from_rho(self.rho_from_key(key))
 
-    def value_from_shape(
-        self,
-        shape: tuple[tuple[int, object, int], ...],
-        total_key: tuple[tuple[int, int], ...],
+    def value_of_class(
+        self, row: RowProbe, machine_id: int, machine_class: tuple, step: int
     ) -> float:
-        """Noise-free valuation of ``total_key`` (holdings included) by shape.
-
-        The lazy solver's class probe: it builds the shape from
-        :meth:`AppValuationState.row_context` and skips the bundle key,
-        which only the noise hash and the offer check read — noisy bids
-        are probed through :meth:`value_from_key`.
-        """
+        """The lazy solver's class probe: noise-free ``value_from_key`` of
+        ``row``'s bundle plus ``step`` GPUs on ``machine_id`` of
+        ``machine_class``, the kernel read off the row's table.  No key
+        is built: only the noise hash and the offer check read it, and
+        noisy bids are probed through :meth:`value_from_key`."""
         self.rho_lookups += 1
         state = self._state
         misses_before = state.estimator.carve_count
-        rho = state.rho_at(self.now, total_key, shape)
+        rho = state.class_rho(self.now, row, machine_id, machine_class, step)
         if state.estimator.carve_count != misses_before:
             self.rho_probes += 1
         return value_from_rho(rho)

@@ -368,9 +368,9 @@ def shape_of_entries(
 ) -> tuple[tuple[int, object, int], ...]:
     """:func:`bundle_shape` over pre-read ``(rack_id, speeds, count)`` entries.
 
-    One entry per machine in ascending machine-id order.  The auction
-    splices a candidate machine's entry into an app's held entries and
-    gets the probed bundle's shape without building its id key.
+    One entry per machine in ascending machine-id order: the shape of a
+    row (:class:`RowProbe`) and, on a miss of the row's kernel table, of
+    the row with one machine's entry spliced in.
     """
     if len(entries) == 1:
         ((_rack_id, speeds, count),) = entries
@@ -385,18 +385,13 @@ def shape_of_entries(
 
 
 def shape_classes(
-    total_key: tuple[tuple[int, int], ...],
-    entries: Sequence[tuple[int, object, int]],
-    reads: _MachineReads,
-    remaining: Mapping[int, int],
-    cap: float,
+    row: "RowProbe", remaining: Mapping[int, int], cap: float
 ) -> tuple[list[int], dict[tuple, list[int]]]:
-    """The machines of ``remaining`` grouped by shape class against a row.
+    """The machines of ``remaining`` grouped by shape class against ``row``.
 
-    ``(total_key, entries)`` is :meth:`AppValuationState.row_context` of
-    the app's bundle so far; ``remaining`` maps machine -> free GPUs in
-    ascending id order; a step on a machine is bounded by
-    ``min(free, cap)``.  Returns the machines already in ``total_key``,
+    ``remaining`` maps machine -> free GPUs in ascending id order; a
+    step on a machine is bounded by ``min(free, cap)``.  Returns the
+    machines already in the row's ``total_key``,
     each its own class (a step there lands on an existing entry), and
     every other machine under its class, members in ascending id:
     ``(insertion position among the total key's ids, index of its rack
@@ -411,7 +406,8 @@ def shape_classes(
     sorts before or after them, and the carve's id tie-break can drain a
     different rack first (tests/test_shape_symmetry.py pins 4.0 vs 5.2).
     """
-    held = [machine for machine, _count in total_key]
+    entries, reads = row.entries, row.state.machine_reads
+    held = [machine for machine, _count in row.total_key]
     rack_index: dict[int, int] = {}
     for rack_id, _speeds, _count in entries:
         rack_index.setdefault(rack_id, len(rack_index))
@@ -866,8 +862,8 @@ class FairnessEstimator:
         return value_from_rho(self.rho(app, now, extra_counts))
 
 
-#: Entries kept in one of an app's cross-round kernel caches before it
-#: is dropped wholesale.  Purely a memory bound: cache contents never
+#: Entries (row tables: rows) kept in one of an app's cross-round
+#: kernel caches before it is dropped wholesale.  Purely a memory bound: cache contents never
 #: change computed values, so the clear is invisible to results.
 _KERNEL_CACHE_LIMIT = 131072
 
@@ -887,7 +883,7 @@ class AppValuationState:
       starved app cannot drift), and with its ``total_remaining``
       re-summed in place (:meth:`_refresh_drift`) if it holds GPUs and
       the drain has kept the job order;
-    * **rate-cache reuse** — when the snapshot does rebuild, the
+    * **kernel-cache reuse** — when the snapshot does rebuild, the
       carve's per-job GPU split depends only on the job *order
       signature* (parallelism caps, sensitivity profiles, families,
       ids — not the remaining-work magnitudes), so as long as the
@@ -898,9 +894,15 @@ class AppValuationState:
       served job against the *current* remaining work), and for Gandiva
       each bundle's packing utility (:meth:`packing_of`).
 
+    The row tables (:class:`RowProbe`) hold the same kernels one level
+    up, per row shape and one-machine extension, so a rate-signature
+    change drops them too; they are dropped wholesale at
+    :data:`_KERNEL_CACHE_LIMIT` rows.
+
     Any discrete change (allocation install, job finish/kill, tuner
-    step, failure revocation) bumps the app epoch and invalidates both
-    levels.  Reuse never changes a value: the caches store pure
+    step, failure revocation) bumps the app epoch and invalidates the
+    snapshot, and the kernels with it only when the order signature
+    moved.  Reuse never changes a value: the caches store pure
     functions of (snapshot, counts), so a state answers exactly what a
     freshly constructed one would.
     """
@@ -908,6 +910,7 @@ class AppValuationState:
     __slots__ = (
         "app",
         "estimator",
+        "first_winner",
         "epoch",
         "snapshot",
         "base_counts",
@@ -916,9 +919,9 @@ class AppValuationState:
         "rebuilds",
         "rate_signature",
         "machine_reads",
-        "_rate_cache",
-        "_fw_pair_cache",
+        "_kernel_cache",
         "_packing_cache",
+        "_row_tables",
         "_remaining_by_id",
         "_base_alloc",
         "_sorted_jobs",
@@ -927,6 +930,7 @@ class AppValuationState:
     def __init__(self, app: App, estimator: FairnessEstimator) -> None:
         self.app = app
         self.estimator = estimator
+        self.first_winner = estimator.semantics is CompletionSemantics.FIRST_WINNER
         self.epoch = -1
         self.snapshot: Optional[AppSnapshot] = None
         self.base_counts: dict[int, int] = {}
@@ -939,13 +943,14 @@ class AppValuationState:
         #: ``estimator.machine_reads`` of the current snapshot's jobs;
         #: rebuilt with the kernel caches (it depends on their families).
         self.machine_reads: _MachineReads = {}
-        self._rate_cache: dict[tuple, float] = {}
-        #: FIRST_WINNER kernel cache: shape -> ((job_id, rate), ...)
-        #: pairs, valid while the rate signature is (like _rate_cache).
-        self._fw_pair_cache: dict[tuple, tuple[tuple[str, float], ...]] = {}
-        #: Gandiva's kernel cache: shape -> packing utility, valid while
-        #: the rate signature is (like _rate_cache).
+        #: shape -> valuation kernel (:meth:`kernel_of`), valid while
+        #: the rate signature is; the next two likewise.
+        self._kernel_cache: dict[tuple, object] = {}
+        #: The same for Gandiva's packing utility.
         self._packing_cache: dict[tuple, float] = {}
+        #: ``(row shape, packing)`` -> {(position, rack label, speeds,
+        #: step) -> kernel}: :class:`RowProbe`'s tables.
+        self._row_tables: dict[tuple, dict[tuple, object]] = {}
         #: job_id -> remaining work of the current snapshot (FIRST_WINNER
         #: deltas divide cached rates by *current* work).
         self._remaining_by_id: dict[str, float] = {}
@@ -965,10 +970,7 @@ class AppValuationState:
             # has not reordered the jobs, the snapshot survives with a
             # re-summed total — the carve kernels and the ALL_JOBS delta
             # never read the per-job remaining-work magnitudes.
-            if (
-                self._sorted_jobs is not None
-                and self.estimator.semantics is CompletionSemantics.ALL_JOBS
-            ):
+            if self._sorted_jobs is not None and not self.first_winner:
                 drifted = self._refresh_drift()
                 if drifted is not None:
                     return drifted
@@ -1027,7 +1029,7 @@ class AppValuationState:
 
     def _refresh_remaining(self, snap: AppSnapshot) -> None:
         """Rebuild the job_id -> remaining-work view (FIRST_WINNER only)."""
-        if self.estimator.semantics is CompletionSemantics.FIRST_WINNER:
+        if self.first_winner:
             self._remaining_by_id = {job[3]: job[0] for job in snap.job_tuples}
 
     def _rebuild_snapshot(self, app: App) -> AppSnapshot:
@@ -1059,7 +1061,7 @@ class AppValuationState:
         # work in snapshot order without rebuilding these tuples.
         self._sorted_jobs = [item[1] for item in decorated]
         # The carve hands machines out in *sorted* job order, so the
-        # rate/pair caches are keyed to that sequence — including each
+        # kernel caches are keyed to that sequence — including each
         # job's family (its matrix row): a drain-induced reorder (not
         # just an epoch bump) must invalidate them.
         signature = tuple(item[1:] for item in tuples)
@@ -1067,9 +1069,9 @@ class AppValuationState:
             self.rate_signature = signature
             self.machine_reads = self.estimator.machine_reads(tuples)
             self._base_shape = None
-            self._rate_cache = {}
-            self._fw_pair_cache = {}
+            self._kernel_cache = {}
             self._packing_cache = {}
+            self._row_tables = {}
         return AppSnapshot(
             app_id=app.app_id,
             arrival_time=app.arrival_time,
@@ -1078,105 +1080,86 @@ class AppValuationState:
             t_ideal=app.ideal_running_time(self.estimator.capacity),
         )
 
-    def delta_of(
-        self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
-    ) -> float:
-        """Shared-time delta for a canonical total-counts bundle, memoised.
+    def kernel_of(
+        self,
+        total_key: tuple[tuple[int, int], ...],
+        shape: Optional[tuple] = None,
+        packing: bool = False,
+    ) -> object:
+        """The kernel of a canonical total-counts bundle, memoised.
 
-        ``total_key`` is the canonical sorted ``(machine, count)`` tuple
-        and ``shape`` its :func:`bundle_shape`, for a caller that built
-        the shape without the key's help (the auction's class probe);
-        the counts mapping is only materialised on a cache miss.
-        Mirrors :meth:`FairnessEstimator.shared_delta_from_snapshot`
-        exactly, with the carve kernel served from the cross-round
-        caches under the bundle's shape (exact by the lemma of
-        :func:`bundle_shape`): the aggregate rate under ``ALL_JOBS``,
-        the per-job ``(job_id, rate)`` pairs under ``FIRST_WINNER``
-        (both survive work drains; only a reorder or epoch bump
-        rebuilds them).
+        The aggregate carve rate under ``ALL_JOBS``, the per-job
+        ``(job_id, rate)`` pairs under ``FIRST_WINNER``, or with
+        ``packing`` Gandiva's packing utility (bit for bit
+        :func:`packing_utility`): what a carve computes.  A carve reads
+        the job order, never the remaining work, so the kernel is cached
+        across rounds under the bundle's shape (exact by the lemma of
+        :func:`bundle_shape`) until the rate signature changes.
+        ``shape``, when given, is ``total_key``'s, spliced by
+        :class:`RowProbe`; the counts mapping is built only on a miss.
         """
         if shape is None:
             shape = bundle_shape(total_key, self.machine_reads)
-        snap = self.snapshot
-        assert snap is not None, "refresh() before delta_of()"
         estimator = self.estimator
-        if estimator.semantics is CompletionSemantics.FIRST_WINNER:
-            if not snap.job_tuples:
-                return 0.0
+        cache = self._kernel_cache
+        if packing:
+            cache, carve = self._packing_cache, estimator.packing_from_snapshot
+        elif self.first_winner:
             if not shape:
-                return math.inf
-            pairs = self._fw_pair_cache.get(shape)
-            if pairs is None:
-                pairs = estimator.carve_pairs_from_snapshot(snap, dict(total_key))
-                if len(self._fw_pair_cache) >= _KERNEL_CACHE_LIMIT:
-                    self._fw_pair_cache.clear()
-                self._fw_pair_cache[shape] = pairs
+                return ()
+            carve = estimator.carve_pairs_from_snapshot
+        else:
+            carve = estimator.aggregate_rate_from_snapshot
+        kernel = cache.get(shape)
+        if kernel is None:
+            kernel = carve(self.snapshot, dict(total_key))
+            if len(cache) >= _KERNEL_CACHE_LIMIT:
+                cache.clear()
+            cache[shape] = kernel
+        return kernel
+
+    def _delta(self, kernel_of: Callable[..., object], *args: object) -> float:
+        """The shared-time delta of the bundle whose kernel is
+        ``kernel_of(*args)``: kernel, then divide.
+
+        0 with no active job, or under ``ALL_JOBS`` with no work left
+        (no kernel read then); else under ``FIRST_WINNER`` the min over
+        the served jobs of *current* remaining work over rate, under
+        ``ALL_JOBS`` the total remaining work over the aggregate rate;
+        ``inf`` when nothing progresses.
+        """
+        snap = self.snapshot
+        assert snap is not None, "refresh() before probing"
+        if not snap.job_tuples or (snap.total_remaining <= 0 and not self.first_winner):
+            return 0.0
+        kernel = kernel_of(*args)
+        if self.first_winner:
             remaining = self._remaining_by_id
             delta = math.inf
-            for job_id, rate in pairs:
+            for job_id, rate in kernel:  # type: ignore[attr-defined]
                 per_job = remaining[job_id] / rate
                 if per_job < delta:
                     delta = per_job
             return delta
-        if not snap.job_tuples or snap.total_remaining <= 0:
-            return 0.0
-        rate = self._rate_cache.get(shape)
-        if rate is None:
-            rate = estimator.aggregate_rate_from_snapshot(snap, dict(total_key))
-            if len(self._rate_cache) >= _KERNEL_CACHE_LIMIT:
-                self._rate_cache.clear()
-            self._rate_cache[shape] = rate
-        if rate <= 0:
+        if kernel <= 0:  # type: ignore[operator]
             return math.inf
-        return snap.total_remaining / rate
+        return snap.total_remaining / kernel  # type: ignore[operator]
 
-    def row_context(
-        self, key: tuple[tuple[int, int], ...]
-    ) -> tuple[tuple[tuple[int, int], ...], list[tuple[int, object, int]]]:
-        """What every probe of ``key`` plus one more machine shares.
-
-        The canonical total key (holdings plus ``key``) and its
-        ``(rack_id, speeds, count)`` entries: a row pass classes each
-        free machine against them (:func:`shape_classes`) and splices
-        its entry in at its position to get the probed bundle's shape
-        (:func:`shape_of_entries`) without building and sorting its key.
-        """
-        reads = self.machine_reads
-        total_key = merge_keys(self.base_key, key)
-        return total_key, [(*reads[machine], count) for machine, count in total_key]
-
-    def packing_of(
+    def delta_of(
         self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
     ) -> float:
-        """Gandiva's packing utility of a canonical total-counts bundle, memoised.
+        """Shared-time delta for a canonical total-counts bundle; bit for
+        bit :meth:`FairnessEstimator.shared_delta_from_snapshot`."""
+        return self._delta(self.kernel_of, total_key, shape)
 
-        Bit for bit :func:`packing_utility` over the app's sorted jobs:
-        a carve reads the job order, never the remaining work, so the
-        value is cached by :func:`bundle_shape` across rounds until the
-        rate signature changes.  ``shape``, when given, is that shape,
-        built by a caller that spliced it (as for :meth:`delta_of`).
-        """
-        if shape is None:
-            shape = bundle_shape(total_key, self.machine_reads)
-        packing = self._packing_cache.get(shape)
-        if packing is None:
-            snap = self.snapshot
-            assert snap is not None, "refresh() before packing_of()"
-            packing = self.estimator.packing_from_snapshot(snap, dict(total_key))
-            if len(self._packing_cache) >= _KERNEL_CACHE_LIMIT:
-                self._packing_cache.clear()
-            self._packing_cache[shape] = packing
-        return packing
+    def packing_of(self, total_key: tuple[tuple[int, int], ...]) -> float:
+        """Gandiva's packing utility of a canonical total-counts bundle."""
+        return self.kernel_of(total_key, packing=True)  # type: ignore[return-value]
 
-    def rho_at(
-        self,
-        now: float,
-        total_key: tuple[tuple[int, int], ...],
-        shape: Optional[tuple] = None,
-    ) -> float:
-        """Noise-free rho for a canonical total-counts bundle at ``now``."""
+    def _rho(self, now: float, delta: float) -> float:
+        """Noise-free rho at ``now`` of a bundle whose delta is ``delta``."""
         snap = self.snapshot
-        assert snap is not None, "refresh() before rho_at()"
+        assert snap is not None, "refresh() before probing"
         if snap.t_ideal <= 0:
             raise ValueError(
                 f"app {snap.app_id} has non-positive ideal time {snap.t_ideal}"
@@ -1184,7 +1167,20 @@ class AppValuationState:
         elapsed = now - snap.arrival_time
         if elapsed < 0.0:
             elapsed = 0.0
-        return (elapsed + self.delta_of(total_key, shape)) / snap.t_ideal
+        return (elapsed + delta) / snap.t_ideal
+
+    def rho_at(
+        self, now: float, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
+    ) -> float:
+        """Noise-free rho for a canonical total-counts bundle at ``now``."""
+        return self._rho(now, self._delta(self.kernel_of, total_key, shape))
+
+    def class_rho(
+        self, now: float, row: "RowProbe", machine_id: int, machine_class: tuple, step: int
+    ) -> float:
+        """:meth:`rho_at` of ``row``'s bundle plus ``step`` GPUs on
+        ``machine_id``, with the kernel read off the row's table."""
+        return self._rho(now, self._delta(row.kernel, machine_id, machine_class, step))
 
     def current_rho(self, now: float) -> float:
         """rho with the allocation the app holds right now (cheap when clean)."""
@@ -1193,3 +1189,69 @@ class AppValuationState:
         if shape is None:
             shape = self._base_shape = bundle_shape(self.base_key, self.machine_reads)
         return self.rho_at(now, self.base_key, shape)
+
+
+class RowProbe:
+    """One row pass: an app's bundle so far against one more machine.
+
+    ``total_key`` (holdings plus the bundle) and its ``(rack_id, speeds,
+    count)`` ``entries`` are what a row pass classes free machines
+    against (:func:`shape_classes`).  A machine of class ``(position,
+    rack label, speeds, bound)`` plus a step extends the row to a shape
+    fixed by the row's shape and the slot ``(position, rack label,
+    speeds, step)``: the entry lands at ``position`` and the labels by
+    first appearance follow from the rack label, also when the machine
+    sorts before its rack's first held machine (racks ``[A, B, A]`` and
+    a ``B`` machine at position 0 relabel ``B`` to 0, ``A`` to 1).  So
+    by the lemma of :func:`bundle_shape` the kernel is a function of
+    ``(row shape, slot)``, and :meth:`kernel` reads it off the state's
+    table for the row's shape, fetched on the first call (a row the
+    auction's pair memo serves never hashes its shape).  Only a table
+    miss splices the machine in; a carve runs only if the shape-keyed
+    kernel cache misses too.  ``packing`` makes the kernel Gandiva's
+    packing utility.
+    """
+
+    __slots__ = ("state", "total_key", "entries", "packing", "_table")
+
+    def __init__(
+        self,
+        state: AppValuationState,
+        key: tuple[tuple[int, int], ...],
+        packing: bool = False,
+    ) -> None:
+        reads = state.machine_reads
+        self.state = state
+        self.total_key = total_key = merge_keys(state.base_key, key)
+        self.entries = [(*reads[machine], count) for machine, count in total_key]
+        self.packing = packing
+        self._table: Optional[dict[tuple, object]] = None
+
+    def kernel(self, machine_id: int, machine_class: tuple, step: int) -> object:
+        """The kernel of the row's bundle plus ``step`` GPUs on
+        ``machine_id``, a machine of ``machine_class`` (so not in the
+        total key)."""
+        position, label, speeds, _bound = machine_class
+        slot = (position, label, speeds, step)
+        table = self._table
+        if table is None:
+            state = self.state
+            tables = state._row_tables
+            row_shape = (shape_of_entries(self.entries), self.packing)
+            table = tables.get(row_shape)
+            if table is None:
+                if len(tables) >= _KERNEL_CACHE_LIMIT:
+                    tables.clear()
+                table = tables[row_shape] = {}
+            self._table = table
+        kernel = table.get(slot)
+        if kernel is None:
+            state = self.state
+            total_key, entries = self.total_key, self.entries
+            rack_id = state.machine_reads[machine_id][0]
+            spliced = total_key[:position] + ((machine_id, step),) + total_key[position:]
+            shape = shape_of_entries(
+                entries[:position] + [(rack_id, speeds, step)] + entries[position:]
+            )
+            kernel = table[slot] = state.kernel_of(spliced, shape, self.packing)
+        return kernel

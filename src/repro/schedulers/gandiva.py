@@ -22,12 +22,7 @@ from repro.core.assignment import (
     concretise,
     greedy_utility_assign,
 )
-from repro.core.fairness import (
-    AppValuationState,
-    merge_keys,
-    shape_classes,
-    shape_of_entries,
-)
+from repro.core.fairness import AppValuationState, RowProbe, merge_keys, shape_classes
 from repro.schedulers.base import CarvingScheduler
 
 
@@ -42,10 +37,10 @@ class _PackingUtility:
     the auction's (:func:`~repro.core.fairness.shape_classes`): a row is
     classed against the total key (holdings plus bundle), so a machine
     the app holds from an earlier round is its own class too.  The row's
-    probe splices the machine's entry into the row's entries at the
-    class's position and reads the cache by their shape, as the
-    auction's class probe does, instead of merging, sorting and shaping
-    a key per machine.
+    probe reads the packing utility off the state's table for the row's
+    shape by ``(position, rack label, speeds, step)``, as the auction's
+    class probe reads its kernel (:class:`~repro.core.fairness.RowProbe`):
+    one splice, on a table miss, serves both.
     """
 
     __slots__ = ("state",)
@@ -60,22 +55,9 @@ class _PackingUtility:
     def row(
         self, bundle: Mapping[int, int], remaining: Mapping[int, int], cap: int
     ) -> RowClasses:
-        state = self.state
-        reads = state.machine_reads
-        total_key, entries = state.row_context(tuple(sorted(bundle.items())))
-
-        def probe(machine_id: int, machine_class: tuple, step: int) -> float:
-            position = machine_class[0]
-            rack_id, speeds = reads[machine_id]
-            return state.packing_of(
-                total_key[:position] + ((machine_id, step),) + total_key[position:],
-                shape_of_entries(
-                    entries[:position] + [(rack_id, speeds, step)] + entries[position:]
-                ),
-            )
-
-        own, classes = shape_classes(total_key, entries, reads, remaining, cap)
-        return own, classes, probe
+        row = RowProbe(self.state, tuple(sorted(bundle.items())), packing=True)
+        own, classes = shape_classes(row, remaining, cap)
+        return own, classes, row.kernel  # type: ignore[return-value]
 
 
 class GandivaScheduler(CarvingScheduler):

@@ -92,11 +92,18 @@ MUTANTS = [
     ("fairness-machine-reads-any-families", "core/fairness.py",
      "reads = self._reads_by_families.get(families)",
      "reads = next(iter(self._reads_by_families.values()), None)"),
-    # a reorder keeps Gandiva's packing / the FIRST_WINNER pair kernels
+    # a reorder keeps Gandiva's packing / the rate and pair kernels
     ("fairness-packing-cache-kept", "core/fairness.py",
      "            self._packing_cache = {}\n", ""),
-    ("fairness-fw-pair-cache-kept", "core/fairness.py",
-     "            self._fw_pair_cache = {}\n", ""),
+    ("fairness-kernel-cache-kept", "core/fairness.py",
+     "            self._kernel_cache = {}\n", ""),
+    # the row tables: slot key and lifetime
+    ("row-table-key-drops-position", "core/fairness.py",
+     "slot = (position, label, speeds, step)", "slot = (label, speeds, step)"),
+    ("row-table-key-drops-rack-label", "core/fairness.py",
+     "slot = (position, label, speeds, step)", "slot = (position, speeds, step)"),
+    ("row-table-survives-signature", "core/fairness.py",
+     "            self._row_tables = {}\n", ""),
     # the machine shape class both the auction and Gandiva's greedy use
     ("shape-class-position", "core/fairness.py",
      "            position,\n            rack_index", "            0,\n            rack_index"),

@@ -14,9 +14,10 @@ Three layers, matching where the symmetry is used:
 * **class-native rows** — a class owns *one* heap entry: pinned markets
   where a competitor consumes the representative (a successor must be
   materialised) and where a member touched by a column event must be
-  skipped, and bit-equality of the spliced-shape probe with the id-key
-  probe.  Whole outcomes on wide markets against the rescan reference
-  are the market property of tests/test_auction_equivalence.py.
+  skipped, bit-equality of the row table's class probes with the id-key
+  probe, and a job reorder dropping the row tables.  Whole outcomes on
+  wide markets against the rescan reference are the market property of
+  tests/test_auction_equivalence.py.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.auction as auction_module
+from repro.cluster.allocation import Allocation
 from repro.cluster.placement import SensitivityProfile
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
 from repro.core.auction import PartialAllocationAuction, rescan_fair_allocation
@@ -35,10 +37,12 @@ from repro.core.bids import build_bid
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
+    RowProbe,
     _carve_fast,
     _carve_reference,
     bundle_shape,
-    shape_of_entries,
+    merge_keys,
+    shape_classes,
 )
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
@@ -315,61 +319,126 @@ def test_member_touched_by_a_column_event_is_skipped_by_the_walk(monkeypatch):
 
 
 @st.composite
-def spliced_probes(draw):
-    """An app with holdings, a bundle so far, and one more machine."""
+def row_probes(draw):
+    """An app and its bundle so far against a pool of free machines.
+
+    Plain data, so an ``@example`` can pin a case: ``(perf_matrix,
+    hetero, semantics, model, held, bundle, free, cap, seed)``.  Machine
+    ids are drawn from :func:`wide_cluster`'s 36 machines, whose rack is
+    ``id % 3``, so any rack pattern can come up; ``held`` may be empty
+    (a starved app).
+    """
     perf_matrix = draw(st.booleans())
+    hetero = perf_matrix or draw(st.booleans())
     semantics = draw(st.sampled_from(list(CompletionSemantics)))
-    seed = draw(st.integers(0, 1 << 20))
-    rng = random.Random(seed)
-    cluster = wide_cluster(hetero=perf_matrix or rng.random() < 0.5)
+    machines = st.sampled_from(range(36))
+    held = draw(st.lists(machines, max_size=2, unique=True))
+    bundle = draw(
+        st.lists(st.tuples(machines, st.integers(1, 3)), max_size=4, unique_by=lambda x: x[0])
+    )
+    free = draw(st.lists(machines, min_size=1, max_size=10, unique=True))
+    return (
+        perf_matrix,
+        hetero,
+        semantics,
+        draw(st.integers(0, len(MODELS) - 1)),
+        held,
+        sorted(bundle),
+        free,
+        draw(st.integers(1, 4)),
+        draw(st.integers(0, 1 << 20)),
+    )
+
+
+def probe_bid(cluster, perf_model, semantics, model, held, pool):
+    """A bid of one three-job app holding a GPU on each ``held`` machine;
+    its own estimator, so two of them share nothing."""
+    estimator = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
+    app = make_app(
+        "a", num_jobs=3, model=MODELS[model], max_parallelism=4, semantics=semantics
+    )
+    for job, machine in zip(app.jobs * 2, held):
+        take = cluster.machines[machine].gpus[:1]
+        job.set_allocation(0.0, job.allocation.union(take), overhead=0.0)
+    return build_bid(app, estimator, now=40.0, offered_counts=pool)
+
+
+# Racks [A, B, A] held as the row, and a free B machine (1) that sorts
+# first: the splice relabels B to 0 and A to 1.  Machine 0 (rack A) has
+# the same position and machine 7 (rack B) the same rack label.
+@example((False, False, CompletionSemantics.ALL_JOBS, 0, [],
+          [(3, 2), (4, 2), (6, 2)], [1, 0, 7, 9], 2, 0))
+@example((True, True, CompletionSemantics.FIRST_WINNER, 2, [4],
+          [(3, 1), (6, 2)], [1, 0, 7, 9], 3, 1))
+@settings(max_examples=150, deadline=None)
+@given(row_probes())
+def test_row_table_values_are_bit_equal_to_the_spliced_key_probe(case):
+    """Every class probe, through the row's table, against the id key.
+
+    Members of a class and the steps up to its bound are probed in a
+    shuffled order, so most answers are served by a table slot another
+    member filled; the id-key side builds each bundle's key and values
+    it through its own estimator.  Both carve once per shape.
+    """
+    perf_matrix, hetero, semantics, model, held, bundle, free, cap, seed = case
+    cluster = wide_cluster(hetero=hetero)
     perf_model = (
         ThroughputMatrixModel(PERF_MATRIX_PRESETS["rate-inversion"])
         if perf_matrix
         else None
     )
-    machines = [m.machine_id for m in cluster.machines]
-    ids = draw(st.lists(st.sampled_from(machines), min_size=1, max_size=6, unique=True))
-    return cluster, perf_model, semantics, seed, ids, draw(st.integers(1, 3))
-
-
-@settings(max_examples=150, deadline=None)
-@given(spliced_probes())
-def test_spliced_shape_probe_is_bit_equal_to_the_id_key_probe(case):
-    cluster, perf_model, semantics, seed, ids, step = case
-    rng = random.Random(seed)
-    *others, machine_id = ids
-    rng.shuffle(others)
-    held, bundle = others[: len(others) // 2], others[len(others) // 2 :]
-    pool = {m: 4 for m in [machine_id, *bundle]}
-    current_key = tuple(sorted((m, rng.randint(1, 3)) for m in bundle))
-
-    def fresh_bid():
-        """Own estimator and state, so nothing is shared between doors."""
-        estimator = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
-        app = make_app(
-            "a",
-            num_jobs=3,
-            model=MODELS[seed % len(MODELS)],
-            max_parallelism=4,
-            semantics=semantics,
-        )
-        for job, machine in zip(app.jobs * 2, held):
-            take = cluster.machines[machine].gpus[:1]
-            job.set_allocation(0.0, job.allocation.union(take), overhead=0.0)
-        return build_bid(app, estimator, now=40.0, offered_counts=pool)
-
-    by_shape, by_key = fresh_bid(), fresh_bid()
-    total_key, entries = by_shape.state.row_context(current_key)
-    position = sum(1 for machine, _count in total_key if machine < machine_id)
-    reads = by_shape.state.machine_reads
-    spliced_key = (
-        total_key[:position] + ((machine_id, step),) + total_key[position:]
+    current_key = tuple(bundle)
+    remaining = {m: 4 for m in sorted(free)}
+    pool = {**remaining, **dict(current_key)}
+    by_table, by_key = (
+        probe_bid(cluster, perf_model, semantics, model, held, pool) for _ in range(2)
     )
-    shape = shape_of_entries(
-        entries[:position] + [(*reads[machine_id], step)] + entries[position:]
-    )
-    assert shape == bundle_shape(spliced_key, reads)
-    assert by_shape.state.delta_of(spliced_key, shape) == by_key.state.delta_of(spliced_key)
-    bundle_key = tuple(sorted(current_key + ((machine_id, step),)))
-    assert by_shape.value_from_shape(shape, spliced_key) == by_key.value_from_key(bundle_key)
-    assert by_shape.rho_probes == by_key.rho_probes
+    state = by_table.state
+    row = RowProbe(state, current_key)
+    _own, classes = shape_classes(row, remaining, cap)
+    probes = [
+        (member, machine_class, step)
+        for machine_class, members in classes.items()
+        for member in members
+        for step in range(1, machine_class[3] + 1)
+    ]
+    random.Random(seed).shuffle(probes)
+    for member, machine_class, step in probes:
+        key = merge_keys(current_key, ((member, step),))
+        assert by_table.value_of_class(
+            row, member, machine_class, step
+        ) == by_key.value_from_key(key)
+    assert by_table.rho_probes == by_key.rho_probes
+
+
+def test_a_job_reorder_drops_the_row_tables():
+    """A rate-signature change (the carve's job order flips) must drop
+    the row tables with the kernel caches: a slot filled under the old
+    order would serve the old order's rate for the same row shape."""
+    cluster = one_rack_cluster(4)
+    estimator = FairnessEstimator(cluster)
+    jobs = [
+        make_job("j0", serial_work=100.0, max_parallelism=1),
+        make_job("j1", serial_work=300.0, max_parallelism=4),
+    ]
+    app = App("a0", 0.0, jobs)
+    jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:1]), overhead=0.0)
+    state = AppValuationState(app, estimator)
+    state.refresh()
+    remaining = {m.machine_id: 4 for m in cluster.machines[1:]}
+
+    def first_class_kernel():
+        row = RowProbe(state, ())
+        _own, classes = shape_classes(row, remaining, 4)
+        ((machine_class, members),) = classes.items()
+        return row.kernel(members[0], machine_class, 3), ((0, 1), (members[0], 3))
+
+    before, key = first_class_kernel()
+    # The held app drains: j1 drops below j0, the epoch stays.
+    jobs[1].remaining_work = jobs[0].remaining_work - 50.0
+    state.refresh()
+    after, _ = first_class_kernel()
+    fresh = AppValuationState(app, FairnessEstimator(cluster))
+    fresh.refresh()
+    assert after == fresh.kernel_of(key)
+    assert after != before
