@@ -14,7 +14,7 @@ from repro.cluster.topology import themis_sim_cluster
 from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
 from repro.core.auction import PartialAllocationAuction
-from repro.core.fairness import FairnessEstimator
+from repro.core.fairness import AppValuationState, FairnessEstimator
 from repro.core.leases import LeaseManager
 from repro.workload.generator import GeneratorConfig, generate_trace
 
@@ -28,7 +28,7 @@ def _market(num_apps: int, elapsed: float = 45.0):
         GeneratorConfig(num_apps=num_apps, seed=11, duration_scale=0.4)
     )
     agents = {
-        app.app_id: Agent(app, estimator) for app in trace.instantiate()
+        app.app_id: Agent(AppValuationState(app, estimator)) for app in trace.instantiate()
     }
     # Half the cluster's GPUs are up for auction, grouped by machine.
     pool = LeaseManager(_CLUSTER.gpus[: _CLUSTER.num_gpus // 2]).pool_for_auction(0.0)

@@ -148,15 +148,6 @@ class Allocation:
         """Allocation extended with additional GPUs."""
         return Allocation(self._gpus + tuple(gpus))
 
-    def without(self, gpus: Iterable[Gpu]) -> "Allocation":
-        """Allocation with the given GPUs removed (missing ones ignored)."""
-        drop = {gpu.gpu_id for gpu in gpus}
-        return Allocation(gpu for gpu in self._gpus if gpu.gpu_id not in drop)
-
-    def intersects(self, other: "Allocation") -> bool:
-        """True when the two allocations share at least one GPU."""
-        return bool(self._key & other._key)
-
     # ------------------------------------------------------------------
     # Topology aggregates
     # ------------------------------------------------------------------
@@ -164,11 +155,6 @@ class Allocation:
     def machine_ids(self) -> tuple[int, ...]:
         """Distinct machines spanned, sorted."""
         return tuple(sorted({gpu.machine_id for gpu in self._gpus}))
-
-    @property
-    def rack_ids(self) -> tuple[int, ...]:
-        """Distinct racks spanned, sorted."""
-        return tuple(sorted({gpu.rack_id for gpu in self._gpus}))
 
     def per_machine_counts(self) -> dict[int, int]:
         """Map machine_id -> number of member GPUs on that machine.
@@ -181,10 +167,6 @@ class Allocation:
         if self._machine_counts is None:
             self._machine_counts = dict(Counter(gpu.machine_id for gpu in self._gpus))
         return dict(self._machine_counts)
-
-    def on_machine(self, machine_id: int) -> tuple[Gpu, ...]:
-        """Member GPUs hosted on one machine."""
-        return tuple(gpu for gpu in self._gpus if gpu.machine_id == machine_id)
 
     def level(self) -> LocalityLevel:
         """Worst networking boundary spanned (see :func:`placement_level`)."""

@@ -27,7 +27,7 @@ freely between scheduler instances under comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -120,19 +120,22 @@ class Gpu:
         return f"Gpu({self.gpu_id}@m{self.machine_id}/r{self.rack_id}/s{self.slot_id}{suffix})"
 
 
+#: GPUs per NVLink island (one slot): a 4-GPU machine has two NVLink
+#: pairs bridged over PCIe, the common PCIe-server configuration the
+#: paper's slot-vs-machine locality distinction implies.  The one value
+#: both :func:`build_cluster`'s slot ids and the carve's SLOT bound
+#: (:mod:`repro.core.fairness`) read, so a gang the cluster keeps in one
+#: slot is the gang every valuation prices as slot-local.
+NVLINK_GROUP_SIZE = 2
+
+
 @dataclass(frozen=True)
 class MachineSpec:
-    """How many machines of a given shape to build.
-
-    ``nvlink_group_size`` controls how many GPUs share one NVLink island;
-    a 4-GPU machine with group size 2 has two NVLink pairs bridged over
-    PCIe, which is the common PCIe-server configuration the paper's
-    slot-vs-machine locality distinction implies.
-    """
+    """How many machines of a given shape to build (slots of
+    :data:`NVLINK_GROUP_SIZE` GPUs)."""
 
     count: int
     gpus_per_machine: int
-    nvlink_group_size: int = 2
     gpu_type: GpuType = DEFAULT_GPU_TYPE
 
     def __post_init__(self) -> None:
@@ -140,8 +143,6 @@ class MachineSpec:
             raise ValueError(f"machine count must be >= 0, got {self.count}")
         if self.gpus_per_machine <= 0:
             raise ValueError(f"gpus_per_machine must be > 0, got {self.gpus_per_machine}")
-        if self.nvlink_group_size <= 0:
-            raise ValueError(f"nvlink_group_size must be > 0, got {self.nvlink_group_size}")
 
 
 @dataclass(frozen=True)
@@ -167,11 +168,6 @@ class ClusterSpec:
     def total_gpus(self) -> int:
         """Total number of GPUs the spec describes."""
         return sum(spec.count * spec.gpus_per_machine for spec in self.machine_specs)
-
-    @property
-    def total_machines(self) -> int:
-        """Total number of machines the spec describes."""
-        return sum(spec.count for spec in self.machine_specs)
 
 
 class Machine:
@@ -210,15 +206,6 @@ class Machine:
     def speed(self) -> float:
         """Relative speed factor of this machine's GPUs."""
         return self.gpus[0].gpu_type.speed
-
-    @property
-    def slot_ids(self) -> tuple[int, ...]:
-        """Distinct NVLink slot ids present in this machine."""
-        return tuple(sorted({gpu.slot_id for gpu in self.gpus}))
-
-    def gpus_in_slot(self, slot_id: int) -> tuple[Gpu, ...]:
-        """GPUs belonging to one NVLink island."""
-        return tuple(gpu for gpu in self.gpus if gpu.slot_id == slot_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Machine(m{self.machine_id}, rack={self.rack_id}, gpus={self.num_gpus})"
@@ -349,11 +336,6 @@ class Cluster:
         """All GPUs, ordered by gpu_id construction order."""
         return self._gpus
 
-    @property
-    def rack_ids(self) -> tuple[int, ...]:
-        """Sorted rack identifiers."""
-        return tuple(sorted(self._racks))
-
     # ------------------------------------------------------------------
     # Heterogeneity queries
     # ------------------------------------------------------------------
@@ -361,11 +343,6 @@ class Cluster:
     def capacity(self) -> ClusterCapacity:
         """Speed-sorted compute capacity (shared, immutable)."""
         return self._capacity
-
-    @property
-    def total_speed(self) -> float:
-        """Aggregate speed-weighted compute of every GPU."""
-        return self._capacity.total
 
     @property
     def gpu_types(self) -> tuple[GpuType, ...]:
@@ -397,17 +374,9 @@ class Cluster:
         """Look a machine up by id.  Raises ``KeyError`` for unknown ids."""
         return self._machines_by_id[machine_id]
 
-    def machines_in_rack(self, rack_id: int) -> tuple[Machine, ...]:
-        """All machines in one rack."""
-        return tuple(self._racks[rack_id])
-
     def gpus_on_machine(self, machine_id: int) -> tuple[Gpu, ...]:
         """All GPUs installed in one machine."""
         return self._machines_by_id[machine_id].gpus
-
-    def iter_gpus(self) -> Iterator[Gpu]:
-        """Iterate all GPUs in deterministic order."""
-        return iter(self._gpus)
 
     def __contains__(self, gpu_id: int) -> bool:
         return gpu_id in self._gpus_by_id
@@ -434,7 +403,7 @@ def build_cluster(spec: ClusterSpec) -> Cluster:
             rack_id = machine_id % spec.num_racks
             gpus = []
             for index in range(machine_spec.gpus_per_machine):
-                slot_id = index // machine_spec.nvlink_group_size
+                slot_id = index // NVLINK_GROUP_SIZE
                 gpus.append(
                     Gpu(
                         gpu_id=gpu_id,

@@ -20,7 +20,7 @@ from repro.core.auction import (
     PartialAllocationAuction,
     exhaustive_nash_allocation,
 )
-from repro.core.bids import Bid, BidEntry, build_bid
+from repro.core.bids import Bid, BidEntry
 from repro.core.fairness import FairnessEstimator, JobAllotment, carve_allotments
 from repro.core.leases import Lease, LeaseManager
 from repro.core.policy import OfflineSolution, solve_offline_max_min
@@ -39,7 +39,6 @@ __all__ = [
     "OfflineSolution",
     "PartialAllocationAuction",
     "solve_offline_max_min",
-    "build_bid",
     "carve_allotments",
     "exhaustive_nash_allocation",
 ]

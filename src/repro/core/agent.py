@@ -21,33 +21,28 @@ from __future__ import annotations
 import math
 
 from repro.core.bids import Bid, _noise_factor
-from repro.core.fairness import AppValuationState, FairnessEstimator
-from repro.workload.app import App
+from repro.core.fairness import AppValuationState
 
 
 class Agent:
     """Intermediary between one app's scheduler and the ARBITER.
 
-    The AGENT owns its app's cross-round
-    :class:`~repro.core.fairness.AppValuationState`: as long as the app
-    is dirty-free (epoch unchanged, nothing allocated) the snapshot
-    and the rho kernel caches survive verbatim between scheduling
-    rounds, so the many starved apps at high contention answer rho
-    probes and rebuild bid tables without recomputing a single carve.
+    The AGENT wraps its app's cross-round
+    :class:`~repro.core.fairness.AppValuationState`, which the
+    scheduler owns (``ThemisScheduler.states``, as every policy keeps
+    its states): as long as the app is dirty-free (epoch unchanged,
+    nothing allocated) the snapshot and the rho kernel caches survive
+    verbatim between scheduling rounds, so the many starved apps at
+    high contention answer rho probes and rebuild bid tables without
+    recomputing a single carve.
     """
 
-    def __init__(
-        self,
-        app: App,
-        estimator: FairnessEstimator,
-        noise_theta: float = 0.0,
-    ) -> None:
+    def __init__(self, state: AppValuationState, noise_theta: float = 0.0) -> None:
         if not 0.0 <= noise_theta < 1.0:
             raise ValueError(f"noise_theta must be in [0, 1), got {noise_theta}")
-        self.app = app
-        self.estimator = estimator
+        self.app = state.app
+        self.state = state
         self.noise_theta = noise_theta
-        self.state = AppValuationState(app, estimator)
         self.bids_prepared = 0
         self.auctions_won = 0
 
@@ -77,7 +72,7 @@ class Agent:
         self.bids_prepared += 1
         return Bid(
             app=self.app,
-            estimator=self.estimator,
+            estimator=self.state.estimator,
             now=now,
             offered_counts=offered_counts,
             noise_theta=self.noise_theta,

@@ -214,10 +214,6 @@ class AuctionOutcome:
     participants: tuple[str, ...]
     nash_log_welfare: float = 0.0
 
-    def won_gpus(self, app_id: str) -> int:
-        """Total GPUs app ``app_id`` won after payments."""
-        return _bundle_total(self.winners.get(app_id, {}))
-
     @property
     def total_allocated(self) -> int:
         """GPUs handed to auction winners (excluding leftovers)."""
@@ -303,26 +299,6 @@ class PartialAllocationAuction:
         #: Shared FairnessEstimator for carve accounting; the scheduler
         #: binds it, ad-hoc callers leave it and it is read off a bid.
         self.estimator = None
-
-    # ------------------------------------------------------------------
-    # Stage 1: proportional-fair (max Nash welfare) assignment
-    # ------------------------------------------------------------------
-    def proportional_fair_allocation(
-        self,
-        pool: Mapping[int, int],
-        bids: Mapping[str, Bid],
-        exclude: Optional[str] = None,
-    ) -> dict[str, dict[int, int]]:
-        """Greedy max-Nash-welfare assignment of the pool to bidders.
-
-        Each step applies the move with the best marginal log-valuation
-        among every app grabbing 1 or ``chunk_size`` GPUs on any machine
-        with free GPUs.  Rescue moves (taking an app from zero to
-        positive value) always dominate, largest new value first, which
-        is the lexicographic max-Nash-welfare rule.
-        """
-        assignment, _ = self._solve(pool, bids, exclude=exclude)
-        return assignment
 
     def _score_pair(
         self,
@@ -436,9 +412,16 @@ class PartialAllocationAuction:
         prefix: Sequence[_Move] = (),
         stats: Optional[AuctionSolveStats] = None,
     ) -> tuple[dict[str, dict[int, int]], list[_Move]]:
-        """Lazy-greedy solver (see module docstring for the invariant).
+        """Stage 1: the greedy max-Nash-welfare (proportional-fair)
+        assignment of the pool to bidders, by the lazy heap (see module
+        docstring for the invariant).
 
-        Returns ``(assignment, moves)``.
+        Each step applies the move with the best marginal log-valuation
+        among every app grabbing 1 or ``chunk_size`` GPUs on any machine
+        with free GPUs.  Rescue moves (taking an app from zero to
+        positive value) always dominate, largest new value first, which
+        is the lexicographic max-Nash-welfare rule.  Returns
+        ``(assignment, moves)``.
         """
         if stats is not None:
             stats.solves += 1

@@ -59,11 +59,6 @@ class BidEntry:
     rho: float
     value: float
 
-    @property
-    def gpu_count(self) -> int:
-        """Total GPUs in this bundle."""
-        return sum(count for _, count in self.bundle)
-
 
 class Bid:
     """An app's complete response to one resource offer."""
@@ -271,23 +266,3 @@ class Bid:
             f"demand={self.demand}, offered={sum(self.offered_counts.values())})"
         )
 
-
-def build_bid(
-    app: App,
-    estimator: FairnessEstimator,
-    now: float,
-    offered_counts: Mapping[int, int],
-    noise_theta: float = 0.0,
-    noise_salt: int = 0,
-    state: AppValuationState | None = None,
-) -> Bid:
-    """Convenience constructor mirroring the AGENT's PREPAREBIDS call."""
-    return Bid(
-        app=app,
-        estimator=estimator,
-        now=now,
-        offered_counts=offered_counts,
-        noise_theta=noise_theta,
-        noise_salt=noise_salt,
-        state=state,
-    )

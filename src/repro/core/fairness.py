@@ -25,7 +25,7 @@ built for that hot path:
 * there is one carve kernel, :func:`_carve_fast`: machine speeds come
   from the cluster's scalar map, or — under a per-family throughput
   matrix — from the current job's family row; which it is, is decided
-  by :class:`~repro.workload.perf.PerfModel` and reaches the kernel as
+  by :class:`~repro.workload.perf.ThroughputMatrixModel` and reaches the kernel as
   ``family_speed_of is None`` or not.  :func:`_carve_reference` (a
   from-scratch dict scan per grab) is the oracle the equivalence
   suites hold the kernel to; nothing in ``src/`` calls it.
@@ -34,7 +34,8 @@ built for that hot path:
 tests.  Every policy that carves — Themis' valuations, Gandiva's
 packing utility, the strawman's rho ranking — carves through
 :meth:`FairnessEstimator._carved` behind one
-:class:`AppValuationState` per app, so ``carve_count`` counts them all.
+:class:`AppValuationState` per app, held in its scheduler's ``states``,
+so ``carve_count`` counts them all.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.cluster.placement import PLACEMENT_SCORES, LocalityLevel, SensitivityProfile
-from repro.cluster.topology import Cluster, ordered_sum
+from repro.cluster.topology import NVLINK_GROUP_SIZE, Cluster, ordered_sum
 from repro.obs.profiler import NULL_PROFILER
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.job import Job
-from repro.workload.perf import DEFAULT_PERF_MODEL, PerfModel
+from repro.workload.perf import DEFAULT_PERF_MODEL, ThroughputMatrixModel
 
 #: Internal job descriptor:
 #: (remaining_work, parallelism_cap, profile, job_id, family).
@@ -104,13 +105,11 @@ class JobAllotment:
     effective: float = 0.0
 
 
-def _classify_taken(
-    taken: dict[int, int], rack_of: Mapping[int, int], nvlink_group_size: int
-) -> LocalityLevel:
+def _classify_taken(taken: dict[int, int], rack_of: Mapping[int, int]) -> LocalityLevel:
     """Locality level of a per-machine count vector (non-empty)."""
     if len(taken) == 1:
         ((machine_id, count),) = taken.items()
-        if count <= nvlink_group_size:
+        if count <= NVLINK_GROUP_SIZE:
             return LocalityLevel.SLOT
         return LocalityLevel.MACHINE
     racks = {rack_of[m] for m in taken}
@@ -127,7 +126,6 @@ def _carve_fast(
     job_tuples: Sequence[_JobTuple],
     machine_counts: Mapping[int, int],
     rack_of: Mapping[int, int],
-    nvlink_group_size: int,
     speed_of: Optional[Mapping[int, float]] = None,
     family_speed_of: FamilySpeedFn = None,
 ) -> tuple[list[_Carved], int]:
@@ -233,7 +231,7 @@ def _carve_fast(
         if taken_machines == 1:
             level = (
                 LocalityLevel.SLOT
-                if first_count <= nvlink_group_size
+                if first_count <= NVLINK_GROUP_SIZE
                 else LocalityLevel.MACHINE
             )
         elif len(used_racks) == 1:
@@ -249,7 +247,6 @@ def _carve_reference(
     job_tuples: Sequence[_JobTuple],
     machine_counts: Mapping[int, int],
     rack_of: Mapping[int, int],
-    nvlink_group_size: int,
     speed_of: Optional[Mapping[int, float]] = None,
     family_speed_of: FamilySpeedFn = None,
 ) -> tuple[list[_Carved], int]:
@@ -304,7 +301,7 @@ def _carve_reference(
         total = job[1] - need
         if total <= 0:
             return out, index
-        level = _classify_taken(taken, rack_of, nvlink_group_size)
+        level = _classify_taken(taken, rack_of)
         factor = 1.0 if total <= 1 else job[2].at(level)
         out.append((job, total, level, effective * factor, effective))
     return out, index + 1
@@ -471,30 +468,34 @@ def merge_keys(
     return tuple(out)
 
 
-def _job_tuples(jobs: Sequence[Job]) -> list[_JobTuple]:
-    """Sorted job descriptors for active jobs (shortest remaining first)."""
-    tuples = []
+def _job_tuples(jobs: Sequence[Job]) -> tuple[list[_JobTuple], list[Job]]:
+    """Descriptors of the active jobs, shortest remaining first (ties by
+    id), and the jobs themselves in that order: the one job-tuple
+    builder of every snapshot and carve."""
+    decorated = []
     for job in jobs:
         if job.is_active:
             profile = job.model_profile
-            tuples.append(
+            decorated.append(
                 (
-                    job.remaining_work,
-                    job.max_parallelism,
-                    profile.sensitivity,
-                    job.job_id,
-                    profile.family,
+                    (
+                        job.remaining_work,
+                        job.max_parallelism,
+                        profile.sensitivity,
+                        job.job_id,
+                        profile.family,
+                    ),
+                    job,
                 )
             )
-    tuples.sort(key=lambda item: (item[0], item[3]))
-    return tuples
+    decorated.sort(key=lambda item: (item[0][0], item[0][3]))
+    return [item[0] for item in decorated], [item[1] for item in decorated]
 
 
 def carve_allotments(
     jobs: Sequence[Job],
     machine_counts: Mapping[int, int],
     rack_of: Mapping[int, int],
-    nvlink_group_size: int = 2,
     speed_of: Optional[Mapping[int, float]] = None,
     family_speed_of: FamilySpeedFn = None,
 ) -> list[JobAllotment]:
@@ -507,9 +508,9 @@ def carve_allotments(
     one allotment per *active* job, including zero-GPU allotments once
     the pool is drained.
     """
-    tuples = _job_tuples(jobs)
+    tuples, _jobs = _job_tuples(jobs)
     carved, next_index = _carve_fast(
-        tuples, machine_counts, rack_of, nvlink_group_size, speed_of, family_speed_of
+        tuples, machine_counts, rack_of, speed_of, family_speed_of
     )
     allotments = [
         JobAllotment(
@@ -539,35 +540,15 @@ def carve_allotments(
 
 
 def _packing_score(carved: Sequence[_Carved]) -> float:
-    """Effective compute of a carve weighted by each job's placement score."""
+    """Gandiva's social objective over a carve: each allocated job's
+    effective compute — family-relative under a throughput matrix —
+    times the 4-level placement score of its spread, the quantity
+    Gandiva's introspective migration maximises (``gpus * score`` on a
+    homogeneous cluster)."""
     return ordered_sum(
         effective * PLACEMENT_SCORES[level]
         for _job, _gpus, level, _rate, effective in carved
     )
-
-
-def packing_utility(
-    job_tuples: Sequence[_JobTuple],
-    machine_counts: Mapping[int, int],
-    rack_of: Mapping[int, int],
-    nvlink_group_size: int = 2,
-    speed_of: Optional[Mapping[int, float]] = None,
-    family_speed_of: FamilySpeedFn = None,
-) -> float:
-    """Gandiva's social objective: effective compute times placement score.
-
-    Carves the counts across the jobs exactly like the valuation path
-    and scores each allocated job by the 4-level placement score of its
-    spread, weighted by the speed of the GPUs packed — family-relative
-    under a throughput matrix — the quantity Gandiva's introspective
-    migration maximises (``gpus * score`` on a homogeneous cluster).
-    Gandiva itself reads it through :meth:`AppValuationState.packing_of`;
-    this uncached form is the oracle the tests hold that cache to.
-    """
-    carved, _ = _carve_fast(
-        job_tuples, machine_counts, rack_of, nvlink_group_size, speed_of, family_speed_of
-    )
-    return _packing_score(carved)
 
 
 @dataclass
@@ -587,6 +568,17 @@ class AppSnapshot:
     job_tuples: tuple[_JobTuple, ...]
     total_remaining: float
     t_ideal: float
+
+    @classmethod
+    def of(cls, app: App, tuples: Sequence[_JobTuple], capacity: object) -> "AppSnapshot":
+        """The snapshot of ``app`` over its :func:`_job_tuples`."""
+        return cls(
+            app_id=app.app_id,
+            arrival_time=app.arrival_time,
+            job_tuples=tuple(tuples),
+            total_remaining=ordered_sum(item[0] for item in tuples),
+            t_ideal=app.ideal_running_time(capacity),
+        )
 
     @cached_property
     def family(self) -> Optional[str]:
@@ -614,12 +606,10 @@ class FairnessEstimator:
         self,
         cluster: Cluster,
         semantics: CompletionSemantics = CompletionSemantics.ALL_JOBS,
-        nvlink_group_size: int = 2,
-        perf_model: Optional[PerfModel] = None,
+        perf_model: Optional[ThroughputMatrixModel] = None,
     ) -> None:
         self.cluster = cluster
         self.semantics = semantics
-        self.nvlink_group_size = nvlink_group_size
         self.perf_model = perf_model if perf_model is not None else DEFAULT_PERF_MODEL
         self._rack_of = {
             machine.machine_id: machine.rack_id for machine in cluster.machines
@@ -642,11 +632,6 @@ class FairnessEstimator:
         #: :meth:`_carved` enters its ``carve`` phase unconditionally: a
         #: disabled profiler's ``phase`` is one shared no-op.
         self.profiler = NULL_PROFILER
-
-    @property
-    def rack_map(self) -> dict[int, int]:
-        """Cached machine id -> rack id mapping for carve calls."""
-        return self._rack_of
 
     def machine_reads(self, job_tuples: Sequence[_JobTuple]) -> _MachineReads:
         """``machine_id -> (rack_id, speeds)`` for an app with these jobs.
@@ -678,14 +663,7 @@ class FairnessEstimator:
     # ------------------------------------------------------------------
     def snapshot(self, app: App) -> AppSnapshot:
         """Freeze the app's active-job state for repeated valuation probes."""
-        tuples = _job_tuples(app.jobs)
-        return AppSnapshot(
-            app_id=app.app_id,
-            arrival_time=app.arrival_time,
-            job_tuples=tuple(tuples),
-            total_remaining=ordered_sum(item[0] for item in tuples),
-            t_ideal=app.ideal_running_time(self.capacity),
-        )
+        return AppSnapshot.of(app, _job_tuples(app.jobs)[0], self.capacity)
 
     def aggregate_rate_from_snapshot(
         self, snap: AppSnapshot, machine_counts: Mapping[int, int]
@@ -707,7 +685,7 @@ class FairnessEstimator:
     def packing_from_snapshot(
         self, snap: AppSnapshot, machine_counts: Mapping[int, int]
     ) -> float:
-        """Gandiva's kernel: :func:`packing_utility` of the carved counts.
+        """Gandiva's kernel: :func:`_packing_score` of the carved counts.
 
         Like the aggregate rate it reads the job order, never the
         remaining-work magnitudes, so :class:`AppValuationState` caches
@@ -728,7 +706,6 @@ class FairnessEstimator:
                 snap.job_tuples,
                 machine_counts,
                 self._rack_of,
-                self.nvlink_group_size,
                 self._speed_of,
                 self._family_speed_fn,
             )
@@ -746,6 +723,8 @@ class FairnessEstimator:
         :class:`AppValuationState` caches these pairs across rounds and
         re-divides by the current remaining work in O(pairs).
         """
+        if not machine_counts:
+            return ()
         carved = self._carved(snap, machine_counts)
         return tuple(
             (job[3], rate)
@@ -843,10 +822,6 @@ class FairnessEstimator:
                 counts[machine_id] = counts.get(machine_id, 0) + count
         return self.rho_from_snapshot(self.snapshot(app), now, counts)
 
-    def rho_current(self, app: App, now: float) -> float:
-        """rho with the allocation the app holds right now."""
-        return self.rho(app, now, extra_counts=None)
-
     def value(
         self,
         app: App,
@@ -869,14 +844,21 @@ _KERNEL_CACHE_LIMIT = 131072
 
 
 class AppValuationState:
-    """Cross-round valuation cache for one app.
+    """Cross-round valuation cache for one app, over one kernel.
+
+    The kernel is fixed when the state is built: the aggregate carve
+    rate (``ALL_JOBS``) or the per-job ``(job_id, rate)`` pairs
+    (``FIRST_WINNER``), whichever the estimator's semantics name — the
+    rho a Themis AGENT bids and the strawman ranks by — or, with
+    ``packing``, Gandiva's placement-score utility.  Each scheduler
+    holds one state per active app in its ``states``.
 
     Holds the app's :class:`AppSnapshot`, its base per-machine
-    counts, and the caches of elapsed-independent valuation kernels,
-    keyed by bundle *shape* (:func:`bundle_shape` — a bundle is carved
-    once per shape, not once per machine-id key; any noise is applied
-    above this layer, in ``Bid.rho_from_key``).  :meth:`refresh` applies
-    the dirty-tracking contract at two levels:
+    counts, and the cache of the kernel, keyed by bundle *shape*
+    (:func:`bundle_shape` — a bundle is carved once per shape, not once
+    per machine-id key; any noise is applied above this layer, in
+    ``Bid.rho_from_key``).  :meth:`refresh` applies the dirty-tracking
+    contract at two levels:
 
     * **snapshot reuse** — while the app's epoch is unchanged, the
       snapshot survives: verbatim if the app holds no GPUs (a fully
@@ -888,13 +870,11 @@ class AppValuationState:
       signature* (parallelism caps, sensitivity profiles, families,
       ids — not the remaining-work magnitudes), so as long as the
       order signature is unchanged the cached kernels stay valid: under
-      ``ALL_JOBS`` each bundle's aggregate carve rate (delta is one
-      division), under ``FIRST_WINNER`` each bundle's per-job
-      ``(job_id, rate)`` pairs (delta is a min over one division per
-      served job against the *current* remaining work), and for Gandiva
-      each bundle's packing utility (:meth:`packing_of`).
+      ``ALL_JOBS`` delta is one division of the current total remaining
+      work, under ``FIRST_WINNER`` a min over one division per served
+      job against the *current* remaining work.
 
-    The row tables (:class:`RowProbe`) hold the same kernels one level
+    The row tables (:class:`RowProbe`) hold the same kernel one level
     up, per row shape and one-machine extension, so a rate-signature
     change drops them too; they are dropped wholesale at
     :data:`_KERNEL_CACHE_LIMIT` rows.
@@ -904,13 +884,16 @@ class AppValuationState:
     snapshot, and the kernels with it only when the order signature
     moved.  Reuse never changes a value: the caches store pure
     functions of (snapshot, counts), so a state answers exactly what a
-    freshly constructed one would.
+    freshly constructed one would.  The rho reads (:meth:`rho_at`,
+    :meth:`current_rho`) are those of a rate or pairs kernel.
     """
 
     __slots__ = (
         "app",
         "estimator",
+        "packing",
         "first_winner",
+        "_carve",
         "epoch",
         "snapshot",
         "base_counts",
@@ -920,17 +903,29 @@ class AppValuationState:
         "rate_signature",
         "machine_reads",
         "_kernel_cache",
-        "_packing_cache",
         "_row_tables",
         "_remaining_by_id",
         "_base_alloc",
         "_sorted_jobs",
     )
 
-    def __init__(self, app: App, estimator: FairnessEstimator) -> None:
+    def __init__(
+        self, app: App, estimator: FairnessEstimator, packing: bool = False
+    ) -> None:
         self.app = app
         self.estimator = estimator
-        self.first_winner = estimator.semantics is CompletionSemantics.FIRST_WINNER
+        self.packing = packing
+        self.first_winner = (
+            not packing and estimator.semantics is CompletionSemantics.FIRST_WINNER
+        )
+        #: The state's kernel: what one carve of a bundle computes.
+        self._carve: Callable[[AppSnapshot, Mapping[int, int]], object] = (
+            estimator.packing_from_snapshot
+            if packing
+            else estimator.carve_pairs_from_snapshot
+            if self.first_winner
+            else estimator.aggregate_rate_from_snapshot
+        )
         self.epoch = -1
         self.snapshot: Optional[AppSnapshot] = None
         self.base_counts: dict[int, int] = {}
@@ -943,13 +938,11 @@ class AppValuationState:
         #: ``estimator.machine_reads`` of the current snapshot's jobs;
         #: rebuilt with the kernel caches (it depends on their families).
         self.machine_reads: _MachineReads = {}
-        #: shape -> valuation kernel (:meth:`kernel_of`), valid while
-        #: the rate signature is; the next two likewise.
+        #: shape -> kernel (:meth:`kernel_of`), valid while the rate
+        #: signature is; the row tables likewise.
         self._kernel_cache: dict[tuple, object] = {}
-        #: The same for Gandiva's packing utility.
-        self._packing_cache: dict[tuple, float] = {}
-        #: ``(row shape, packing)`` -> {(position, rack label, speeds,
-        #: step) -> kernel}: :class:`RowProbe`'s tables.
+        #: row shape -> {(position, rack label, speeds, step) -> kernel}:
+        #: :class:`RowProbe`'s tables.
         self._row_tables: dict[tuple, dict[tuple, object]] = {}
         #: job_id -> remaining work of the current snapshot (FIRST_WINNER
         #: deltas divide cached rates by *current* work).
@@ -1035,31 +1028,14 @@ class AppValuationState:
     def _rebuild_snapshot(self, app: App) -> AppSnapshot:
         """Snapshot rebuild that invalidates the kernel caches on a reorder.
 
-        The sort key and the total-remaining summation order match
-        :meth:`FairnessEstimator.snapshot` exactly, so the snapshots
+        Built by :func:`_job_tuples` and :meth:`AppSnapshot.of`, as
+        :meth:`FairnessEstimator.snapshot` builds one, so the snapshots
         are byte-identical to ones built from scratch.
         """
-        decorated = []
-        for job in app.jobs:
-            if job.is_active:
-                profile = job.model_profile
-                decorated.append(
-                    (
-                        (
-                            job.remaining_work,
-                            job.max_parallelism,
-                            profile.sensitivity,
-                            job.job_id,
-                            profile.family,
-                        ),
-                        job,
-                    )
-                )
-        decorated.sort(key=lambda item: (item[0][0], item[0][3]))
-        tuples = [item[0] for item in decorated]
+        tuples, jobs = _job_tuples(app.jobs)
         # Aligned Job objects let the drift fast path re-read remaining
         # work in snapshot order without rebuilding these tuples.
-        self._sorted_jobs = [item[1] for item in decorated]
+        self._sorted_jobs = jobs
         # The carve hands machines out in *sorted* job order, so the
         # kernel caches are keyed to that sequence — including each
         # job's family (its matrix row): a drain-induced reorder (not
@@ -1070,49 +1046,28 @@ class AppValuationState:
             self.machine_reads = self.estimator.machine_reads(tuples)
             self._base_shape = None
             self._kernel_cache = {}
-            self._packing_cache = {}
             self._row_tables = {}
-        return AppSnapshot(
-            app_id=app.app_id,
-            arrival_time=app.arrival_time,
-            job_tuples=tuple(tuples),
-            total_remaining=ordered_sum(item[0] for item in tuples),
-            t_ideal=app.ideal_running_time(self.estimator.capacity),
-        )
+        return AppSnapshot.of(app, tuples, self.estimator.capacity)
 
     def kernel_of(
-        self,
-        total_key: tuple[tuple[int, int], ...],
-        shape: Optional[tuple] = None,
-        packing: bool = False,
+        self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
     ) -> object:
-        """The kernel of a canonical total-counts bundle, memoised.
+        """The state's kernel of a canonical total-counts bundle, memoised.
 
-        The aggregate carve rate under ``ALL_JOBS``, the per-job
-        ``(job_id, rate)`` pairs under ``FIRST_WINNER``, or with
-        ``packing`` Gandiva's packing utility (bit for bit
-        :func:`packing_utility`): what a carve computes.  A carve reads
-        the job order, never the remaining work, so the kernel is cached
-        across rounds under the bundle's shape (exact by the lemma of
-        :func:`bundle_shape`) until the rate signature changes.
+        What a carve computes: the aggregate carve rate, the per-job
+        ``(job_id, rate)`` pairs, or Gandiva's packing utility.  A carve
+        reads the job order, never the remaining work, so the kernel is
+        cached across rounds under the bundle's shape (exact by the
+        lemma of :func:`bundle_shape`) until the rate signature changes.
         ``shape``, when given, is ``total_key``'s, spliced by
         :class:`RowProbe`; the counts mapping is built only on a miss.
         """
         if shape is None:
             shape = bundle_shape(total_key, self.machine_reads)
-        estimator = self.estimator
         cache = self._kernel_cache
-        if packing:
-            cache, carve = self._packing_cache, estimator.packing_from_snapshot
-        elif self.first_winner:
-            if not shape:
-                return ()
-            carve = estimator.carve_pairs_from_snapshot
-        else:
-            carve = estimator.aggregate_rate_from_snapshot
         kernel = cache.get(shape)
         if kernel is None:
-            kernel = carve(self.snapshot, dict(total_key))
+            kernel = self._carve(self.snapshot, dict(total_key))
             if len(cache) >= _KERNEL_CACHE_LIMIT:
                 cache.clear()
             cache[shape] = kernel
@@ -1120,7 +1075,8 @@ class AppValuationState:
 
     def _delta(self, kernel_of: Callable[..., object], *args: object) -> float:
         """The shared-time delta of the bundle whose kernel is
-        ``kernel_of(*args)``: kernel, then divide.
+        ``kernel_of(*args)``: kernel, then divide; bit for bit
+        :meth:`FairnessEstimator.shared_delta_from_snapshot`.
 
         0 with no active job, or under ``ALL_JOBS`` with no work left
         (no kernel read then); else under ``FIRST_WINNER`` the min over
@@ -1144,17 +1100,6 @@ class AppValuationState:
         if kernel <= 0:  # type: ignore[operator]
             return math.inf
         return snap.total_remaining / kernel  # type: ignore[operator]
-
-    def delta_of(
-        self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
-    ) -> float:
-        """Shared-time delta for a canonical total-counts bundle; bit for
-        bit :meth:`FairnessEstimator.shared_delta_from_snapshot`."""
-        return self._delta(self.kernel_of, total_key, shape)
-
-    def packing_of(self, total_key: tuple[tuple[int, int], ...]) -> float:
-        """Gandiva's packing utility of a canonical total-counts bundle."""
-        return self.kernel_of(total_key, packing=True)  # type: ignore[return-value]
 
     def _rho(self, now: float, delta: float) -> float:
         """Noise-free rho at ``now`` of a bundle whose delta is ``delta``."""
@@ -1203,28 +1148,21 @@ class RowProbe:
     first appearance follow from the rack label, also when the machine
     sorts before its rack's first held machine (racks ``[A, B, A]`` and
     a ``B`` machine at position 0 relabel ``B`` to 0, ``A`` to 1).  So
-    by the lemma of :func:`bundle_shape` the kernel is a function of
-    ``(row shape, slot)``, and :meth:`kernel` reads it off the state's
-    table for the row's shape, fetched on the first call (a row the
-    auction's pair memo serves never hashes its shape).  Only a table
-    miss splices the machine in; a carve runs only if the shape-keyed
-    kernel cache misses too.  ``packing`` makes the kernel Gandiva's
-    packing utility.
+    by the lemma of :func:`bundle_shape` the state's kernel is a
+    function of ``(row shape, slot)``, and :meth:`kernel` reads it off
+    the state's table for the row's shape, fetched on the first call (a
+    row the auction's pair memo serves never hashes its shape).  Only a
+    table miss splices the machine in; a carve runs only if the
+    shape-keyed kernel cache misses too.
     """
 
-    __slots__ = ("state", "total_key", "entries", "packing", "_table")
+    __slots__ = ("state", "total_key", "entries", "_table")
 
-    def __init__(
-        self,
-        state: AppValuationState,
-        key: tuple[tuple[int, int], ...],
-        packing: bool = False,
-    ) -> None:
+    def __init__(self, state: AppValuationState, key: tuple[tuple[int, int], ...]) -> None:
         reads = state.machine_reads
         self.state = state
         self.total_key = total_key = merge_keys(state.base_key, key)
         self.entries = [(*reads[machine], count) for machine, count in total_key]
-        self.packing = packing
         self._table: Optional[dict[tuple, object]] = None
 
     def kernel(self, machine_id: int, machine_class: tuple, step: int) -> object:
@@ -1237,7 +1175,7 @@ class RowProbe:
         if table is None:
             state = self.state
             tables = state._row_tables
-            row_shape = (shape_of_entries(self.entries), self.packing)
+            row_shape = shape_of_entries(self.entries)
             table = tables.get(row_shape)
             if table is None:
                 if len(tables) >= _KERNEL_CACHE_LIMIT:
@@ -1253,5 +1191,5 @@ class RowProbe:
             shape = shape_of_entries(
                 entries[:position] + [(rack_id, speeds, step)] + entries[position:]
             )
-            kernel = table[slot] = state.kernel_of(spliced, shape, self.packing)
+            kernel = table[slot] = state.kernel_of(spliced, shape)
         return kernel

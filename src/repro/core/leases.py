@@ -162,18 +162,6 @@ class LeaseManager:
         lease = self._leases.get(gpu.gpu_id)
         return lease.app_id if lease else None
 
-    def is_leased(self, gpu: Gpu) -> bool:
-        """True when ``gpu`` currently has a lease (expired or not)."""
-        return gpu.gpu_id in self._leases
-
-    def leases_of_app(self, app_id: str) -> list[Lease]:
-        """All leases held by one app, in gpu_id order."""
-        return [
-            self._leases[gpu_id]
-            for gpu_id in sorted(self._leases)
-            if self._leases[gpu_id].app_id == app_id
-        ]
-
     def expired_gpus(self, now: float) -> list[Gpu]:
         """GPUs whose lease has expired by ``now``, in gpu_id order."""
         return [
@@ -185,11 +173,6 @@ class LeaseManager:
     def unleased_gpus(self, all_gpus: Iterable[Gpu]) -> list[Gpu]:
         """GPUs from ``all_gpus`` that carry no lease at all (a rescan)."""
         return [gpu for gpu in all_gpus if gpu.gpu_id not in self._leases]
-
-    def next_expiry(self, now: float) -> Optional[float]:
-        """Earliest future lease expiry strictly after ``now`` (None when idle)."""
-        future = [lease.expiry for lease in self._leases.values() if lease.expiry > now + 1e-9]
-        return min(future) if future else None
 
     def expired_leases(self, now: float) -> list[Lease]:
         """Leases that have run out by ``now``, in gpu_id order.
@@ -221,11 +204,6 @@ class LeaseManager:
             for machine_id, free in self._free.items()
             if free or machine_id in expired
         }
-
-    @property
-    def active_lease_count(self) -> int:
-        """Number of GPUs currently under lease."""
-        return len(self._leases)
 
     def utilisation(self, total_gpus: int) -> float:
         """Fraction of the cluster under lease."""

@@ -37,11 +37,6 @@ class OfflineSolution:
     rhos: dict[str, float]
     max_rho: float
 
-    @property
-    def eps_max(self) -> float:
-        """Deviation of the worst app from the N-app ideal."""
-        return self.max_rho - len(self.rhos)
-
 
 def solve_offline_max_min(
     apps: Sequence[App],

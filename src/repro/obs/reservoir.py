@@ -54,16 +54,6 @@ class ReservoirSeries:
         for item in items:
             self.append(item)
 
-    @property
-    def total_appends(self) -> int:
-        """How many items were ever appended (retained or thinned)."""
-        return self._appends
-
-    @property
-    def stride(self) -> int:
-        """Current thinning stride (doubles as the series fills)."""
-        return self._stride
-
     def __len__(self) -> int:
         return len(self._items)
 

@@ -160,11 +160,6 @@ class RingTracer(Tracer):
         """The retained events, oldest first."""
         return list(self._ring)
 
-    @property
-    def dropped(self) -> int:
-        """Events evicted by the ring bound."""
-        return self.events_written - len(self._ring)
-
 
 class JsonlTracer(Tracer):
     """Streams events to ``path`` as JSONL, one schema header line first.

@@ -98,7 +98,7 @@ class InterAppScheduler(abc.ABC):
         scalar speed map; under a throughput matrix each app sees its
         own family's row, so baseline fills drain the machines that are
         fast *for that app* first.  The returned mapping is the perf
-        model's shared one (:meth:`PerfModel.machine_speeds_for`) — it
+        model's shared one (:meth:`ThroughputMatrixModel.machine_speeds_for`) — it
         is called once per app per round on baseline hot paths, so
         callers must treat it as read-only.
         """
@@ -120,15 +120,19 @@ class InterAppScheduler(abc.ABC):
 
 
 class CarvingScheduler(InterAppScheduler):
-    """A baseline that prices bundles by carving them across an app's jobs.
+    """A policy that prices bundles by carving them across an app's jobs.
 
     Keeps one cross-round :class:`~repro.core.fairness.AppValuationState`
-    per active app — created on arrival, dropped on finish, the way
-    Themis' AGENTs hold theirs — over one estimator wired to the run's
-    profiler, so a bundle is carved once per (job order, shape) and
-    every carve shows in ``estimator.carve_count`` and the ``carve``
-    phase.
+    per active app in :attr:`states` — created on arrival, dropped on
+    finish — over one estimator wired to the run's profiler, so a
+    bundle is carved once per (job order, shape) and every carve shows
+    in ``estimator.carve_count`` and the ``carve`` phase.  Themis' AGENTs
+    wrap these states; :attr:`packing` fixes their kernel (Gandiva's
+    packing utility instead of the rho kernels).
     """
+
+    #: Build the states with Gandiva's packing-utility kernel.
+    packing = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -147,7 +151,9 @@ class CarvingScheduler(InterAppScheduler):
 
     def on_app_arrival(self, now: float, app: App) -> None:
         assert self.estimator is not None
-        self.states[app.app_id] = AppValuationState(app, self.estimator)
+        self.states[app.app_id] = AppValuationState(
+            app, self.estimator, packing=self.packing
+        )
 
     def on_app_finish(self, now: float, app: App) -> None:
         self.states.pop(app.app_id, None)

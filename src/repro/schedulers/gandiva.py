@@ -30,8 +30,8 @@ class _PackingUtility:
     """The app's placement-score utility of a bundle on top of its holdings.
 
     Pure while the round runs (the state is refreshed before the greedy
-    starts), as :func:`greedy_utility_assign` needs; each value comes
-    from the state's cross-round packing cache, keyed by shape.
+    starts), as :func:`greedy_utility_assign` needs; each value is the
+    kernel of the app's packing state, cached across rounds by shape.
 
     Machine classes (:class:`~repro.core.assignment.ClassedUtility`) are
     the auction's (:func:`~repro.core.fairness.shape_classes`): a row is
@@ -39,8 +39,7 @@ class _PackingUtility:
     the app holds from an earlier round is its own class too.  The row's
     probe reads the packing utility off the state's table for the row's
     shape by ``(position, rack label, speeds, step)``, as the auction's
-    class probe reads its kernel (:class:`~repro.core.fairness.RowProbe`):
-    one splice, on a table miss, serves both.
+    class probe reads its kernel (:class:`~repro.core.fairness.RowProbe`).
     """
 
     __slots__ = ("state",)
@@ -50,12 +49,12 @@ class _PackingUtility:
 
     def __call__(self, bundle: Mapping[int, int]) -> float:
         state = self.state
-        return state.packing_of(merge_keys(state.base_key, tuple(sorted(bundle.items()))))
+        return state.kernel_of(merge_keys(state.base_key, tuple(sorted(bundle.items()))))
 
     def row(
         self, bundle: Mapping[int, int], remaining: Mapping[int, int], cap: int
     ) -> RowClasses:
-        row = RowProbe(self.state, tuple(sorted(bundle.items())), packing=True)
+        row = RowProbe(self.state, tuple(sorted(bundle.items())))
         own, classes = shape_classes(row, remaining, cap)
         return own, classes, row.kernel  # type: ignore[return-value]
 
@@ -64,6 +63,7 @@ class GandivaScheduler(CarvingScheduler):
     """Greedy aggregate placement-score maximisation."""
 
     name = "gandiva"
+    packing = True
 
     def __init__(self, chunk_size: int = 4) -> None:
         super().__init__()

@@ -1,10 +1,11 @@
 """Themis: the full two-level semi-optimistic scheduler (Sections 3-5).
 
-This class only wires the pieces together: a
-:class:`~repro.core.fairness.FairnessEstimator` shared by all AGENTs,
-one :class:`~repro.core.agent.Agent` per active app, and the central
-:class:`~repro.core.arbiter.Arbiter` that runs the partial-allocation
-auctions.  All policy lives in those core modules.
+This class only wires the pieces together: the carving schedulers'
+:class:`~repro.core.fairness.FairnessEstimator` and per-app valuation
+states, one :class:`~repro.core.agent.Agent` per active app wrapping
+its state, and the central :class:`~repro.core.arbiter.Arbiter` that
+runs the partial-allocation auctions.  All policy lives in those core
+modules.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import numpy as np
 from repro.cluster.topology import Gpu
 from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
-from repro.core.fairness import FairnessEstimator
-from repro.schedulers.base import InterAppScheduler
+from repro.schedulers.base import CarvingScheduler
 from repro.workload.app import App
 
 
-class ThemisScheduler(InterAppScheduler):
+class ThemisScheduler(CarvingScheduler):
     """Finish-time-fair auctions with the fairness knob ``f``.
 
     Defaults follow the paper's operating point: ``f = 0.8`` and hidden
@@ -49,38 +49,30 @@ class ThemisScheduler(InterAppScheduler):
             leftover_allocation=leftover_allocation,
         )
         self.seed = seed
-        self.estimator: FairnessEstimator | None = None
         self.arbiter: Arbiter | None = None
         self.agents: dict[str, Agent] = {}
 
     def on_bind(self) -> None:
+        super().on_bind()
         assert self.sim is not None
-        self.estimator = FairnessEstimator(
-            self.sim.cluster,
-            semantics=self.sim.config.semantics,
-            perf_model=self.sim.perf_model,
-        )
         self.arbiter = Arbiter(
             self.sim.cluster,
             config=self.config,
             rng=np.random.default_rng(self.seed),
         )
         self.arbiter.auction.estimator = self.estimator
-        obs = getattr(self.sim, "obs", None)
-        if obs is not None:
-            self.arbiter.tracer = obs.tracer
-            self.arbiter.profiler = obs.profiler
-            self.arbiter.auction.profiler = obs.profiler
-            self.estimator.profiler = obs.profiler
+        self.arbiter.tracer = self.sim.tracer
+        self.arbiter.profiler = self.arbiter.auction.profiler = self.sim.profiler
         self.agents = {}
 
     def on_app_arrival(self, now: float, app: App) -> None:
-        assert self.estimator is not None
+        super().on_app_arrival(now, app)
         self.agents[app.app_id] = Agent(
-            app, self.estimator, noise_theta=self.config.noise_theta
+            self.states[app.app_id], noise_theta=self.config.noise_theta
         )
 
     def on_app_finish(self, now: float, app: App) -> None:
+        super().on_app_finish(now, app)
         self.agents.pop(app.app_id, None)
 
     def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:

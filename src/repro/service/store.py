@@ -313,10 +313,6 @@ class DurableStore:
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
-    @property
-    def records_since_snapshot(self) -> int:
-        """WAL records not yet folded into a snapshot."""
-        return self._since_snapshot
 
     @property
     def sealed_bytes(self) -> int:

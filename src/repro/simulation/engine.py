@@ -92,7 +92,6 @@ class SimulationEngine:
         self._heap: list[_HeapEntry] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        self._events_cancelled = 0
         self._running = False
         self._stopped = False
 
@@ -108,11 +107,6 @@ class SimulationEngine:
     def events_processed(self) -> int:
         """Number of callbacks actually executed so far."""
         return self._events_processed
-
-    @property
-    def events_cancelled(self) -> int:
-        """Number of events cancelled before firing (lazy invalidation)."""
-        return self._events_cancelled
 
     @property
     def pending(self) -> int:
@@ -153,24 +147,11 @@ class SimulationEngine:
         heapq.heappush(self._heap, entry)
         return event
 
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[["SimulationEngine", Event], None],
-        kind: EventKind = EventKind.GENERIC,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``callback`` ``delay`` minutes after the current instant."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule(self._now + delay, callback, kind=kind, label=label)
-
     def cancel(self, event: Event) -> bool:
         """Cancel a pending event.  Returns ``False`` if already fired/cancelled."""
         if event.cancelled:
             return False
         event.cancelled = True
-        self._events_cancelled += 1
         return True
 
     # ------------------------------------------------------------------

@@ -22,10 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.simulation.rng import RandomStreams
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.topology import Cluster
     from repro.simulation.simulator import ClusterSimulator
 
 
@@ -102,93 +99,3 @@ class FailureInjector:
 
         return _repair
 
-
-# ----------------------------------------------------------------------
-# Stochastic failure generation (MTBF/MTTR + correlated rack outages)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FailureModel:
-    """Seeded stochastic outage process over a cluster.
-
-    Per-machine outages arrive as a Poisson process with mean time
-    between failures ``mtbf_minutes``; each outage lasts an
-    exponentially distributed ``mttr_minutes`` repair time.  On top of
-    the independent process, whole-rack outages (the shared failure
-    domain Section 6 worries about — ToR switch, PDU) arrive with mean
-    spacing ``rack_mtbf_minutes`` and take *every* machine of one rack
-    down at the same instant.  ``rack_mtbf_minutes=None`` (the default)
-    disables correlated failures.
-
-    Sampling is driven by named :class:`RandomStreams` children, so a
-    model is reproducible per seed and adding racks or machines never
-    perturbs the draws of the others.
-    """
-
-    mtbf_minutes: float = 24 * 60.0
-    mttr_minutes: float = 30.0
-    horizon_minutes: float = 24 * 60.0
-    seed: int = 0
-    rack_mtbf_minutes: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.mtbf_minutes <= 0 or self.mttr_minutes <= 0:
-            raise ValueError("mtbf/mttr must be > 0 minutes")
-        if self.horizon_minutes <= 0:
-            raise ValueError(
-                f"horizon must be > 0 minutes, got {self.horizon_minutes}"
-            )
-        if self.rack_mtbf_minutes is not None and self.rack_mtbf_minutes <= 0:
-            raise ValueError("rack_mtbf_minutes must be > 0 when set")
-
-
-def _sample_outages(rng, mtbf: float, mttr: float, horizon: float):
-    """Yield ``(at, duration)`` outage windows of one Poisson process."""
-    t = float(rng.exponential(mtbf))
-    while t < horizon:
-        duration = max(float(rng.exponential(mttr)), 1e-6)
-        yield t, duration
-        # The next failure clock starts after the repair completes: a
-        # machine cannot fail while it is already down.
-        t += duration + float(rng.exponential(mtbf))
-
-
-def sample_failures(
-    cluster: "Cluster", model: FailureModel
-) -> tuple[MachineFailure, ...]:
-    """Draw a reproducible failure schedule for ``cluster``.
-
-    Returns :class:`MachineFailure` records sorted by ``(at,
-    machine_id)``, ready for :class:`FailureInjector`.  Correlated rack
-    outages appear as one failure per machine of the rack, all with the
-    same ``at``/``duration`` — the injector needs no new concepts.
-    """
-    streams = RandomStreams(model.seed)
-    failures: list[MachineFailure] = []
-    for machine in cluster.machines:
-        rng = streams.get(f"failures:machine:{machine.machine_id}")
-        for at, duration in _sample_outages(
-            rng, model.mtbf_minutes, model.mttr_minutes, model.horizon_minutes
-        ):
-            failures.append(
-                MachineFailure(
-                    machine_id=machine.machine_id, at=at, duration=duration
-                )
-            )
-    if model.rack_mtbf_minutes is not None:
-        for rack_id in cluster.rack_ids:
-            rng = streams.get(f"failures:rack:{rack_id}")
-            for at, duration in _sample_outages(
-                rng,
-                model.rack_mtbf_minutes,
-                model.mttr_minutes,
-                model.horizon_minutes,
-            ):
-                for machine in cluster.machines_in_rack(rack_id):
-                    failures.append(
-                        MachineFailure(
-                            machine_id=machine.machine_id,
-                            at=at,
-                            duration=duration,
-                        )
-                    )
-    return tuple(sorted(failures, key=lambda f: (f.at, f.machine_id)))

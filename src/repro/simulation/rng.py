@@ -57,9 +57,5 @@ class RandomStreams:
         """Create an independent child registry (e.g. one per app)."""
         return RandomStreams(derive_seed(self._seed, f"spawn:{name}"))
 
-    def reset(self) -> None:
-        """Drop all streams; subsequent draws restart from the seed."""
-        self._streams.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(seed={self._seed}, streams={sorted(self._streams)})"

@@ -40,7 +40,7 @@ from repro.obs.reservoir import ReservoirSeries
 from repro.simulation.engine import Event, EventKind, SimulationEngine, SimulationError
 from repro.workload.app import App, AppState, CompletionSemantics
 from repro.workload.job import Job
-from repro.workload.perf import DEFAULT_PERF_MODEL, PerfModel
+from repro.workload.perf import DEFAULT_PERF_MODEL, ThroughputMatrixModel
 from repro.workload.trace import Trace
 
 #: Work below this threshold counts as finished (floating-point dust).
@@ -312,7 +312,7 @@ class ClusterSimulator:
         workload: Union[Trace, Sequence[App]],
         scheduler,
         config: Optional[SimulationConfig] = None,
-        perf_model: Optional[PerfModel] = None,
+        perf_model: Optional[ThroughputMatrixModel] = None,
         obs: Union[Observability, ObsConfig, None] = None,
     ) -> None:
         self.cluster = cluster
@@ -333,7 +333,7 @@ class ClusterSimulator:
             perf_model = getattr(workload, "perf_model", None)
             if callable(perf_model):
                 perf_model = perf_model()
-        self.perf_model: PerfModel = (
+        self.perf_model: ThroughputMatrixModel = (
             perf_model if perf_model is not None else DEFAULT_PERF_MODEL
         )
         #: Per-family (or shared scalar) fastest-N capacity views —
@@ -855,11 +855,6 @@ class ClusterSimulator:
         """Return repaired GPUs to service and trigger a round."""
         self._down_gpu_ids.difference_update(gpu.gpu_id for gpu in gpus)
         self._request_round()
-
-    @property
-    def down_gpu_count(self) -> int:
-        """Number of GPUs currently out of service."""
-        return len(self._down_gpu_ids)
 
     # ------------------------------------------------------------------
     # Speed-aware migration (ROADMAP heterogeneity follow-on)

@@ -186,10 +186,6 @@ class ResultCache:
         found.sort(key=lambda entry: (entry.modified, entry.key))
         return found
 
-    def total_bytes(self) -> int:
-        """Aggregate on-disk size of all entries."""
-        return sum(entry.size_bytes for entry in self.entries())
-
     def prune(
         self,
         max_age_seconds: Optional[float] = None,

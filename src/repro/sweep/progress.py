@@ -111,11 +111,6 @@ class SweepReport:
         return sum(1 for r in self.records if r.status == STATUS_FAILED)
 
     @property
-    def num_executed(self) -> int:
-        """Cells that actually ran a simulation (ok + failed, not cached)."""
-        return self.num_ok + self.num_failed
-
-    @property
     def num_retried(self) -> int:
         """Cells that needed more than one execution attempt."""
         return sum(1 for r in self.records if r.attempts > 1)

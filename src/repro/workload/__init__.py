@@ -20,8 +20,6 @@ from repro.workload.models import (
 )
 from repro.workload.perf import (
     PERF_MATRIX_PRESETS,
-    PerfModel,
-    ScalarSpeedModel,
     ThroughputMatrixModel,
 )
 from repro.workload.trace import Trace, TraceApp, TraceJob
@@ -36,8 +34,6 @@ __all__ = [
     "MODEL_ZOO",
     "ModelProfile",
     "PERF_MATRIX_PRESETS",
-    "PerfModel",
-    "ScalarSpeedModel",
     "ThroughputMatrixModel",
     "Trace",
     "TraceApp",

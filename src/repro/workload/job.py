@@ -358,15 +358,6 @@ class Job:
             raise ValueError(f"job {self.job_id} has no loss curve attached")
         return curve.loss_at(self.iterations_done)
 
-    def loss_after_work(self, extra_work: float) -> float:
-        """Loss the job would reach after ``extra_work`` more serial GPU-minutes."""
-        curve = self.spec.loss_curve
-        if curve is None:
-            raise ValueError(f"job {self.job_id} has no loss curve attached")
-        done = min(self.spec.serial_work, self.work_done + max(0.0, extra_work))
-        fraction = done / self.spec.serial_work
-        return curve.loss_at(self.spec.total_iterations * fraction)
-
     def mean_placement_score(self) -> float:
         """Time-weighted average placement score while holding GPUs (Figure 7)."""
         if self.allocated_time <= 0.0:

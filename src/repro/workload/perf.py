@@ -7,19 +7,17 @@ very differently across generations — an attention-heavy model may see
 heterogeneity-aware schedulers (Gavel, OEF) model that with measured
 per-workload per-device throughput matrices.  This module is the seam:
 
-* :class:`PerfModel` — the abstraction that owns the mapping from a
-  (model family, GPU generation) pair to a per-GPU throughput factor.
-  Everything downstream (job progress rates, carve scoring, ideal-time
-  capacity, baseline fills, the migration policy) asks the model
-  instead of reading ``gpu.speed`` directly.
-* :class:`ScalarSpeedModel` — the default: ``speedup == gpu_type.speed``
-  for every family, reproducing the PR 3 scalar behaviour *exactly*
-  (every scalar fast path stays byte-identical; ``is_scalar`` lets hot
-  paths keep their single shared speed map).
-* :class:`ThroughputMatrixModel` — an explicit ``family x generation``
-  matrix.  Missing rows/cells fall back to the generation's scalar
-  speed, so a partial matrix degrades gracefully and an *all-scalar*
-  matrix is provably byte-identical to :class:`ScalarSpeedModel`
+* :class:`ThroughputMatrixModel` — the one model: it owns the mapping
+  from a (model family, GPU generation) pair to a per-GPU throughput
+  factor, an explicit ``family x generation`` matrix.  Everything
+  downstream (job progress rates, carve scoring, ideal-time capacity,
+  baseline fills, the migration policy) asks the model instead of
+  reading ``gpu.speed`` directly.  Missing rows/cells fall back to the
+  generation's scalar speed, so a partial matrix degrades gracefully,
+  and the empty matrix — :data:`DEFAULT_PERF_MODEL` — is the PR 3
+  scalar behaviour exactly: ``is_scalar`` is true when no family has a
+  row, and lets hot paths keep their single shared speed map.  An
+  *all-scalar* matrix is provably byte-identical to the empty one
   (``tests/test_hetero_equivalence.py`` pins this for every scheduler).
 * :class:`PerfCapacity` — per-family "fastest N GPUs" capacity views,
   the heterogeneous generalisation of
@@ -34,7 +32,6 @@ preset name, a JSON file, or an inline spec).
 
 from __future__ import annotations
 
-import abc
 import math
 from functools import partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -159,30 +156,52 @@ def validate_matrix_names(
                 )
 
 
-class PerfModel(abc.ABC):
+class ThroughputMatrixModel:
     """Maps (model family, GPU generation) to a per-GPU throughput factor.
 
     A job's progress rate is ``sum_g speedup(family, g.gpu_type)`` over
     its held GPUs (capped at its parallelism, fastest first) times the
-    placement slowdown — :meth:`effective_gpus` is that sum.  Subclasses
-    only implement :meth:`speedup`; everything else derives.
+    placement slowdown — :meth:`effective_gpus` is that sum.
+
+    ``matrix`` maps a model family to per-generation speedups.  Lookups
+    for a family or generation the matrix does not mention fall back to
+    the generation's scalar ``speed`` — a partial matrix refines only
+    what it measures, and the empty matrix is the scalar model.  This is
+    what makes *rate inversions* expressible: family A can prefer
+    generation X while family B prefers Y, which no single scalar
+    ordering can encode.
     """
 
-    name: str = "base"
+    def __init__(self, matrix: MatrixLike = ()) -> None:
+        self._matrix: MatrixTuple = canonical_matrix(matrix)
+        self._rows: dict[str, dict[str, float]] = {
+            family: dict(cells) for family, cells in self._matrix
+        }
 
-    @abc.abstractmethod
-    def speedup(self, family: str, gpu_type: GpuType) -> float:
-        """Per-GPU throughput factor of one generation for one family."""
+    @property
+    def matrix(self) -> MatrixTuple:
+        """The canonical matrix tuple (hashable, sorted)."""
+        return self._matrix
 
     @property
     def is_scalar(self) -> bool:
-        """True when ``speedup == gpu_type.speed`` for every family.
+        """True when no family has a row: ``speedup == gpu_type.speed``.
 
         Hot paths branch on this: a scalar model keeps the single shared
         machine-speed map (and every PR 4 fast path) exactly as before;
         only genuinely family-dependent models pay for per-family views.
         """
-        return False
+        return not self._rows
+
+    def speedup(self, family: str, gpu_type: GpuType) -> float:
+        """Per-GPU throughput factor of one generation for one family."""
+        row = self._rows.get(family)
+        if row is None:
+            return gpu_type.speed
+        value = row.get(gpu_type.name)
+        if value is None:
+            return gpu_type.speed
+        return value
 
     def gpu_speedup(self, family: str, gpu: Gpu) -> float:
         """Per-GPU throughput factor for a concrete GPU."""
@@ -295,67 +314,10 @@ class PerfModel(abc.ABC):
 
     def to_json(self) -> dict:
         """JSON-safe description (see :func:`perf_model_from_json`)."""
-        return {"kind": self.name}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
-
-
-class ScalarSpeedModel(PerfModel):
-    """The default model: every family sees the generation's scalar speed.
-
-    This *is* the PR 3 behaviour — the model exists so the rate path has
-    one seam, not so scalar clusters change.  Every scalar fast path
-    (shared machine-speed map, ``Allocation.effective_size`` memos, the
-    scalar carve setup) runs unchanged under it.
-    """
-
-    name = "scalar"
-
-    def speedup(self, family: str, gpu_type: GpuType) -> float:
-        return gpu_type.speed
-
-    @property
-    def is_scalar(self) -> bool:
-        return True
-
-
-class ThroughputMatrixModel(PerfModel):
-    """Per-family x per-generation measured throughput factors.
-
-    ``matrix`` maps a model family to per-generation speedups.  Lookups
-    for a family or generation the matrix does not mention fall back to
-    the generation's scalar ``speed`` — a partial matrix refines only
-    what it measures.  This is what makes *rate inversions* expressible:
-    family A can prefer generation X while family B prefers Y, which no
-    single scalar ordering can encode.
-    """
-
-    name = "matrix"
-
-    def __init__(self, matrix: MatrixLike) -> None:
-        self._matrix: MatrixTuple = canonical_matrix(matrix)
-        self._rows: dict[str, dict[str, float]] = {
-            family: dict(cells) for family, cells in self._matrix
-        }
-
-    @property
-    def matrix(self) -> MatrixTuple:
-        """The canonical matrix tuple (hashable, sorted)."""
-        return self._matrix
-
-    def speedup(self, family: str, gpu_type: GpuType) -> float:
-        row = self._rows.get(family)
-        if row is None:
-            return gpu_type.speed
-        value = row.get(gpu_type.name)
-        if value is None:
-            return gpu_type.speed
-        return value
-
-    def to_json(self) -> dict:
+        if self.is_scalar:
+            return {"kind": "scalar"}
         return {
-            "kind": self.name,
+            "kind": "matrix",
             "matrix": {family: dict(cells) for family, cells in self._matrix},
         }
 
@@ -363,26 +325,25 @@ class ThroughputMatrixModel(PerfModel):
         return f"ThroughputMatrixModel(families={[f for f, _ in self._matrix]})"
 
 
-#: The shared default: scalar speeds, byte-identical to pre-matrix builds.
-DEFAULT_PERF_MODEL = ScalarSpeedModel()
+#: The shared default: the empty matrix, scalar speeds, byte-identical
+#: to pre-matrix builds.
+DEFAULT_PERF_MODEL = ThroughputMatrixModel()
 
 
-def perf_model_from_json(data: Optional[Mapping]) -> PerfModel:
-    """Rebuild a model from :meth:`PerfModel.to_json` output.
+def perf_model_from_json(data: Optional[Mapping]) -> ThroughputMatrixModel:
+    """Rebuild a model from :meth:`ThroughputMatrixModel.to_json` output.
 
-    ``None`` / missing / unknown kinds fall back to the scalar default,
-    mirroring the forward-compatible ``from_json`` discipline of the
-    result cache: payloads written by newer builds must still load.
+    ``None`` / missing / ``"scalar"`` / unknown kinds fall back to the
+    scalar default, mirroring the forward-compatible ``from_json``
+    discipline of the result cache: payloads written by newer builds
+    must still load.
     """
-    if not data:
+    if not data or data.get("kind") != "matrix":
         return DEFAULT_PERF_MODEL
-    kind = data.get("kind")
-    if kind == ThroughputMatrixModel.name:
-        return ThroughputMatrixModel(data.get("matrix", {}))
-    return DEFAULT_PERF_MODEL
+    return resolve_perf_model(data.get("matrix", {}))
 
 
-def resolve_perf_model(matrix: Optional[MatrixLike]) -> PerfModel:
+def resolve_perf_model(matrix: Optional[MatrixLike]) -> ThroughputMatrixModel:
     """``None``/empty -> the scalar default; else a matrix model."""
     if not matrix:
         return DEFAULT_PERF_MODEL
@@ -403,7 +364,7 @@ class PerfCapacity:
 
     __slots__ = ("_types", "_model", "_views", "_best_totals")
 
-    def __init__(self, gpu_types: Sequence[GpuType], model: PerfModel) -> None:
+    def __init__(self, gpu_types: Sequence[GpuType], model: ThroughputMatrixModel) -> None:
         if not gpu_types:
             raise ValueError("capacity needs at least one GPU")
         self._types: tuple[GpuType, ...] = tuple(gpu_types)
@@ -459,7 +420,7 @@ class PerfCapacity:
         return got
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PerfCapacity(gpus={self.num_gpus}, model={self._model.name})"
+        return f"PerfCapacity(gpus={self.num_gpus}, model={self._model!r})"
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +495,7 @@ def app_family(app) -> Optional[str]:
     return None
 
 
-def app_effective_compute(app, model: PerfModel) -> float:
+def app_effective_compute(app, model: ThroughputMatrixModel) -> float:
     """Speed-weighted compute an app currently holds, under ``model``.
 
     Scalar models read the memoised

@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from repro.cluster.topology import ordered_sum
 from repro.hyperparam.curves import LossCurve
@@ -314,56 +314,3 @@ class Trace:
             metadata=metadata,
             perf_matrix=perf_matrix,
         )
-
-
-def merge_traces(traces: Iterable[Trace], name: str = "merged") -> Trace:
-    """Concatenate several traces into one workload.
-
-    App ids — and job ids, which must be unique across the whole
-    workload — are prefixed with the source trace name when collisions
-    would otherwise occur.
-    """
-    traces = list(traces)
-    # A perf matrix is measured workload+hardware data travelling with
-    # its trace: merging may never silently rebind apps to a different
-    # rate model, so *all* inputs must agree — including agreeing that
-    # there is no matrix at all (scalar speeds).
-    matrices = {trace.perf_matrix for trace in traces}
-    if len(matrices) > 1:
-        raise ValueError(
-            "cannot merge traces with differing perf matrices (including "
-            "matrix-less scalar traces mixed with matrix-carrying ones); "
-            "rebase them onto one measured matrix first"
-        )
-    seen_apps: set[str] = set()
-    seen_jobs: set[str] = set()
-
-    def unique(ident: str, seen: set[str], source: str, what: str) -> str:
-        if ident in seen:
-            ident = f"{source}:{ident}"
-        if ident in seen:
-            raise ValueError(f"cannot disambiguate duplicate {what} id {ident!r}")
-        seen.add(ident)
-        return ident
-
-    apps: list[TraceApp] = []
-    for trace in traces:
-        for app in trace.apps:
-            apps.append(
-                TraceApp(
-                    app_id=unique(app.app_id, seen_apps, trace.name, "app"),
-                    arrival_minutes=app.arrival_minutes,
-                    jobs=tuple(
-                        replace(
-                            job,
-                            job_id=unique(job.job_id, seen_jobs, trace.name, "job"),
-                        )
-                        for job in app.jobs
-                    ),
-                )
-            )
-    return Trace(
-        apps=tuple(apps),
-        name=name,
-        perf_matrix=next(iter(matrices)) if traces else (),
-    )

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.cluster.allocation import Allocation
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, Gpu, MachineSpec, build_cluster
 from repro.core.auction import PartialAllocationAuction, rescan_fair_allocation
-from repro.core.bids import Bid, build_bid
+from repro.core.bids import Bid
 from repro.core.fairness import AppValuationState, FairnessEstimator, _job_tuples
 from repro.hyperparam.curves import LossCurve
 from repro.workload.app import App, CompletionSemantics
@@ -121,7 +121,7 @@ class Market:
         """Fresh bids of every app with unmet demand, so two solvers
         under comparison never share warmed valuation caches."""
         return {
-            app.app_id: build_bid(
+            app.app_id: Bid(
                 app, self.estimator, self.now, self.pool,
                 noise_theta=self.noise_theta, noise_salt=self.salt,
             )
@@ -226,7 +226,6 @@ class CarveInstance:
     jobs: list[Job]
     counts: dict[int, int]
     rack_of: dict[int, int]
-    nvlink: int
     #: The scalar speed map; ``None`` is the homogeneous model.
     speed_of: Optional[dict[int, float]]
     #: family -> machine -> speed: a throughput matrix's rows.
@@ -236,7 +235,7 @@ class CarveInstance:
         """``_carve_fast`` / ``_carve_reference`` arguments for one setup:
         ``scalar``, ``family`` (the matrix rows), or ``degenerate`` (a
         matrix whose every row is the scalar map)."""
-        head = (_job_tuples(self.jobs), self.counts, self.rack_of, self.nvlink)
+        head = (_job_tuples(self.jobs)[0], self.counts, self.rack_of)
         if setup == "scalar":
             return (*head, self.speed_of)
         if setup == "family":
@@ -275,9 +274,7 @@ def carve_instances(draw):
         family: {m: rng.choice((0.2, 0.5, 0.8, 1.0)) for m in range(num_machines)}
         for family in MODEL_FAMILIES
     }
-    return CarveInstance(
-        jobs, counts, rack_of, rng.choice((1, 2, 4)), speed_of, family_rows
-    )
+    return CarveInstance(jobs, counts, rack_of, speed_of, family_rows)
 
 
 def rescan_utility_assign(pool, utilities, caps, chunk_size=4):
@@ -484,6 +481,15 @@ def grouped_ids(grouped: Mapping[int, Sequence[Gpu]]) -> list[tuple[int, list[in
 # ----------------------------------------------------------------------
 # Per-round freshness audit
 # ----------------------------------------------------------------------
+def holdings_value(state: AppValuationState, now: float) -> float:
+    """What ``state``'s kernel makes of the app's holdings at ``now``,
+    refreshed first: Gandiva's packing utility, else the rho."""
+    if state.packing:
+        state.refresh()
+        return state.kernel_of(state.base_key)
+    return state.current_rho(now)
+
+
 def audit_freshness(sim) -> list[float]:
     """Check every dirty-tracked cache of ``sim`` against a recompute, each round.
 
@@ -501,12 +507,12 @@ def audit_freshness(sim) -> list[float]:
     * each active app's epoch-memoised aggregates equal those of a
       shadow ``App`` built from copies of its jobs (no cache survives
       the copy);
-    * after the round's auction, each AGENT's persistent valuation
-      state reports the rho a fresh ``AppValuationState`` over the
-      shadow app and a fresh estimator reports;
-    * a carving baseline (Gandiva, the strawman) holds a state for
-      exactly the active apps, and each one, refreshed, reports the
-      rho and base packing utility a fresh state reports.
+    * after the round's policy ran, the scheduler holds a valuation
+      state (which a Themis AGENT wraps) for exactly the active apps,
+      and each one, refreshed, reports the value of the app's holdings
+      — its rho, or Gandiva's packing utility — that a fresh
+      ``AppValuationState`` of the same kernel over the shadow app and
+      a fresh estimator reports.
 
     A failure names the round, the app and the stale cache.  Returns
     the list the audited round times are appended to.
@@ -563,26 +569,16 @@ def audit_freshness(sim) -> list[float]:
                 sim.capacity
             ), f"{where}: {app_id}.ideal_running_time() is stale"
         assignment = inner(now, pool)
-        for app_id, agent in getattr(scheduler, "agents", {}).items():
-            if app_id not in shadows:
-                continue
-            reported = agent.state.rho_at(now, agent.state.base_key)
-            fresh = AppValuationState(shadows[app_id], estimator).current_rho(now)
-            assert reported == fresh, (
-                f"{where}: {app_id} valuation state reports rho {reported}, "
-                f"a fresh one {fresh}"
-            )
         states = getattr(scheduler, "states", None)
         if states is not None:
             assert set(states) == set(shadows), f"{where}: states {sorted(states)}"
             for app_id, state in states.items():
-                fresh = AppValuationState(shadows[app_id], estimator)
-                assert state.current_rho(now) == fresh.current_rho(now), (
-                    f"{where}: {app_id} state's rho is stale"
+                fresh = AppValuationState(shadows[app_id], estimator, state.packing)
+                reported, expected = holdings_value(state, now), holdings_value(fresh, now)
+                assert reported == expected, (
+                    f"{where}: {app_id} valuation state reports {reported}, "
+                    f"a fresh one {expected}"
                 )
-                assert state.packing_of(state.base_key) == fresh.packing_of(
-                    fresh.base_key
-                ), f"{where}: {app_id} state's packing utility is stale"
         audited.append(now)
         return assignment
 

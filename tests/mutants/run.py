@@ -70,7 +70,7 @@ MUTANTS = [
     ("fairness-carve-insort-start", "core/fairness.py",
      "                    pick,\n", "                    pick + 1,\n"),
     ("fairness-carve-slot-level", "core/fairness.py",
-     "first_count <= nvlink", "first_count < nvlink"),
+     "first_count <= NVLINK_GROUP_SIZE", "first_count < NVLINK_GROUP_SIZE"),
     ("fairness-carve-rack-level", "core/fairness.py",
      "elif len(used_racks) == 1:", "elif len(used_racks) == 2:"),
     ("fairness-carve-single-gpu-factor", "core/fairness.py",
@@ -92,9 +92,7 @@ MUTANTS = [
     ("fairness-machine-reads-any-families", "core/fairness.py",
      "reads = self._reads_by_families.get(families)",
      "reads = next(iter(self._reads_by_families.values()), None)"),
-    # a reorder keeps Gandiva's packing / the rate and pair kernels
-    ("fairness-packing-cache-kept", "core/fairness.py",
-     "            self._packing_cache = {}\n", ""),
+    # a reorder keeps the state's kernel cache (rate, pairs or packing)
     ("fairness-kernel-cache-kept", "core/fairness.py",
      "            self._kernel_cache = {}\n", ""),
     # the row tables: slot key and lifetime
@@ -142,7 +140,6 @@ MUTANTS = [
      "        else:\n            self._drop_expiry(old)\n", ""),
     ("leases-expiry-edge", "core/leases.py", "now >= self.expiry - 1e-9", "now > self.expiry"),
     ("leases-revocation-tally", "core/leases.py", "get(reason, 0) + 1", "get(reason, 0) or 1"),
-    ("leases-next-expiry", "core/leases.py", "expiry > now + 1e-9", "expiry > now - 1e-9"),
     # core/assignment.py: concretise, the greedy fill, take_packed
     ("assignment-concretise-largest-first", "core/assignment.py",
      "(-item[1], item[0])", "(item[1], item[0])"),
@@ -156,6 +153,11 @@ MUTANTS = [
     ("assignment-greedy-steps", "core/assignment.py", "(1, chunk) if chunk > 1 else", ""),
     ("assignment-packed-preferred-first", "core/assignment.py",
      "preferred + rest:", "rest + preferred:"),
+    # schedulers/: each policy's states, built with its kernel, dropped on finish
+    ("gandiva-states-rate-kernel", "schedulers/gandiva.py",
+     "    packing = True\n", "    packing = False\n"),
+    ("themis-keeps-finished-state", "schedulers/themis.py",
+     "        super().on_app_finish(now, app)\n", ""),
     # schedulers/slaq.py: the effective-compute class of SLAQ and Optimus
     ("slaq-class-step-cap", "schedulers/slaq.py",
      "(speed_of.get(machine_id, 1.0), free if free < cap else cap)",
@@ -195,7 +197,7 @@ MUTANTS = [
 EQUIVALENT = {
     "fairness-carve-single-gpu-factor": (
         "a one-GPU allotment sits on one machine inside one NVLink group "
-        "(group size >= 1), whose SLOT factor is 1.0 for every profile"
+        "(NVLINK_GROUP_SIZE >= 1), whose SLOT factor is 1.0 for every profile"
     ),
 }
 

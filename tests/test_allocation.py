@@ -50,16 +50,8 @@ def test_union_method_and_without(small_cluster):
     alloc = Allocation(gpus_of(small_cluster, 0))
     extended = alloc.union(gpus_of(small_cluster, 1, 2))
     assert extended.size == 3
-    shrunk = extended.without(gpus_of(small_cluster, 1))
+    shrunk = extended - Allocation(gpus_of(small_cluster, 1))
     assert shrunk.gpu_ids == frozenset({0, 2})
-
-
-def test_intersects(small_cluster):
-    a = Allocation(gpus_of(small_cluster, 0, 1))
-    b = Allocation(gpus_of(small_cluster, 1))
-    c = Allocation(gpus_of(small_cluster, 2))
-    assert a.intersects(b)
-    assert not a.intersects(c)
 
 
 def test_per_machine_counts(small_cluster):
@@ -71,14 +63,6 @@ def test_per_machine_counts(small_cluster):
 def test_machine_and_rack_ids(small_cluster):
     alloc = Allocation(gpus_of(small_cluster, 0, 4))
     assert alloc.machine_ids == (0, 1)
-    assert alloc.rack_ids == (0, 1)
-
-
-def test_on_machine(small_cluster):
-    alloc = Allocation(gpus_of(small_cluster, 0, 1, 4))
-    assert len(alloc.on_machine(0)) == 2
-    assert len(alloc.on_machine(1)) == 1
-    assert alloc.on_machine(2) == ()
 
 
 def test_level_slot_for_nvlink_pair(small_cluster):

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster.allocation import Allocation
 from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
-from repro.core.fairness import FairnessEstimator
+from repro.core.fairness import AppValuationState, FairnessEstimator
 
 from helpers import group_pool, make_app
 
@@ -23,7 +23,7 @@ def agents_for(estimator, specs):
     agents = {}
     for app_id, num_jobs, arrival in specs:
         app = make_app(app_id=app_id, num_jobs=num_jobs, arrival=arrival, max_parallelism=2)
-        agents[app_id] = Agent(app, estimator)
+        agents[app_id] = Agent(AppValuationState(app, estimator))
     return agents
 
 
@@ -83,7 +83,7 @@ def test_offer_resources_no_demand(small_cluster, estimator):
     arbiter = Arbiter(small_cluster)
     app = make_app("full", num_jobs=1, max_parallelism=2)
     app.jobs[0].set_allocation(0.0, Allocation(small_cluster.gpus[:2]))
-    agents = {"full": Agent(app, estimator)}
+    agents = {"full": Agent(AppValuationState(app, estimator))}
     grants = arbiter.offer_resources(
         0.0, group_pool(small_cluster.gpus[4:]), agents
     )
@@ -185,12 +185,12 @@ def test_agent_report_rho_noise_bounds(small_cluster, estimator):
     app = make_app("a", num_jobs=1, max_parallelism=2)
     app.jobs[0].set_allocation(0.0, Allocation(small_cluster.gpus[:2]))
     app.jobs[0].advance_to(10.0)
-    exact = Agent(app, estimator, noise_theta=0.0).report_rho(10.0, salt=3)
-    noisy = Agent(app, estimator, noise_theta=0.2).report_rho(10.0, salt=3)
+    exact = Agent(AppValuationState(app, estimator), noise_theta=0.0).report_rho(10.0, salt=3)
+    noisy = Agent(AppValuationState(app, estimator), noise_theta=0.2).report_rho(10.0, salt=3)
     assert abs(noisy - exact) / exact <= 0.2 + 1e-9
 
 
 def test_agent_noise_validation(small_cluster, estimator):
     app = make_app()
     with pytest.raises(ValueError):
-        Agent(app, estimator, noise_theta=1.0)
+        Agent(AppValuationState(app, estimator), noise_theta=1.0)

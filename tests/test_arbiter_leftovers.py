@@ -7,7 +7,7 @@ from repro.cluster.allocation import Allocation
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
 from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
-from repro.core.fairness import FairnessEstimator
+from repro.core.fairness import AppValuationState, FairnessEstimator
 
 from helpers import group_pool, make_app
 
@@ -40,9 +40,9 @@ def test_leftovers_prefer_machines_already_held(small_cluster, estimator):
         0.0, Allocation(small_cluster.gpus_on_machine(2)[:1])
     )
     agents = {
-        "starving": Agent(starving, estimator),
-        "holder0": Agent(holder0, estimator),
-        "holder2": Agent(holder2, estimator),
+        "starving": Agent(AppValuationState(starving, estimator)),
+        "holder0": Agent(AppValuationState(holder0, estimator)),
+        "holder2": Agent(AppValuationState(holder2, estimator)),
     }
     # Pool: machine 0's second pair plus machine 2's remaining GPU.
     pool = group_pool(
@@ -63,7 +63,7 @@ def test_leftovers_prefer_machines_already_held(small_cluster, estimator):
 def test_empty_leftover_returns_zero_without_drawing(small_cluster, estimator):
     arbiter = Arbiter(small_cluster, rng=np.random.default_rng(3))
     app = make_app("a", num_jobs=2, max_parallelism=2)
-    agents = {"a": Agent(app, estimator)}
+    agents = {"a": Agent(AppValuationState(app, estimator))}
     before = arbiter.rng.bit_generator.state
     assignments: dict = {}
     assert arbiter._assign_leftovers({}, [], agents, assignments) == 0
@@ -78,7 +78,7 @@ def test_a_leftover_grant_makes_its_receiver_co_located(small_cluster, estimator
     for seed in range(12):
         arbiter = Arbiter(small_cluster, rng=np.random.default_rng(seed))
         agents = {
-            app_id: Agent(make_app(app_id, num_jobs=2, max_parallelism=2), estimator)
+            app_id: Agent(AppValuationState(make_app(app_id, num_jobs=2, max_parallelism=2), estimator))
             for app_id in ("a", "b", "c")
         }
         assignments: dict = {}
@@ -93,7 +93,7 @@ def test_leftovers_fall_back_to_any_demand(small_cluster, estimator):
     )
     a = make_app("a", num_jobs=3, arrival=0.0, max_parallelism=2)
     b = make_app("b", num_jobs=3, arrival=10.0, max_parallelism=2)
-    agents = {"a": Agent(a, estimator), "b": Agent(b, estimator)}
+    agents = {"a": Agent(AppValuationState(a, estimator)), "b": Agent(AppValuationState(b, estimator))}
     pool = group_pool(small_cluster.gpus)
     grants = arbiter.offer_resources(60.0, pool, agents)
     granted = sum(len(g) for g in grants.values())
@@ -105,7 +105,7 @@ def test_unwanted_leftovers_stay_free(small_cluster, estimator):
     """When total demand < pool, surplus GPUs remain unassigned."""
     arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=0.5))
     a = make_app("a", num_jobs=1, arrival=0.0, max_parallelism=2)  # demand 2
-    agents = {"a": Agent(a, estimator)}
+    agents = {"a": Agent(AppValuationState(a, estimator))}
     grants = arbiter.offer_resources(30.0, group_pool(small_cluster.gpus), agents)
     granted = sum(len(g) for g in grants.values())
     assert granted == 2
@@ -126,7 +126,7 @@ def test_leftovers_drain_the_fastest_generation_first():
     )
     arbiter = Arbiter(cluster, ArbiterConfig(fairness_knob=1.0))
     app = make_app("wants-one", num_jobs=1, max_parallelism=1)
-    agents = {"wants-one": Agent(app, FairnessEstimator(cluster))}
+    agents = {"wants-one": Agent(AppValuationState(app, FairnessEstimator(cluster)))}
     assignments: dict = {}
     assert arbiter._assign_leftovers({0: 1, 1: 1}, [], agents, assignments) == 1
     assert assignments == {"wants-one": {1: 1}}

@@ -22,8 +22,14 @@ from repro.core.assignment import (
     greedy_utility_assign,
     take_packed,
 )
-from repro.core.fairness import AppValuationState, FairnessEstimator
-from repro.schedulers.gandiva import _PackingUtility
+from repro.core.fairness import (
+    AppValuationState,
+    FairnessEstimator,
+    _carve_reference,
+    _packing_score,
+    merge_keys,
+)
+from repro.schedulers.gandiva import GandivaScheduler, _PackingUtility
 from repro.schedulers.slaq import _BundleUtility
 from repro.workload.app import App
 
@@ -144,12 +150,15 @@ def _effective_compute(draw):
 
 def _packing(cluster, jobs, held):
     """Gandiva's utility of an app whose job ``i`` holds ``held[i]``
-    ``(machine, gpus)`` (or nothing), through its valuation state."""
+    ``(machine, gpus)`` (or nothing), through a valuation state built as
+    Gandiva builds its states."""
     app = App(app_id="a", arrival_time=0.0, jobs=jobs)
     for job, (machine_id, gpus) in zip(jobs, held):
         take = cluster.machines[machine_id].gpus[:gpus]
         job.set_allocation(0.0, job.allocation.union(take), overhead=0.0)
-    state = AppValuationState(app, FairnessEstimator(cluster))
+    state = AppValuationState(
+        app, FairnessEstimator(cluster), packing=GandivaScheduler.packing
+    )
     state.refresh()
     return _PackingUtility(state)
 
@@ -285,6 +294,32 @@ def test_position_splits_the_shape_class():
     """The order market's answer: the rack-0 machine above the holdings."""
     pool, utilities, caps, chunk_size = _order_market()
     assert greedy_utility_assign(pool, utilities, caps, chunk_size) == {"a": {6: 2}}
+
+
+def test_gandiva_values_a_bundle_by_its_packing_score():
+    """Gandiva's states carry the packing kernel: the utility of the
+    holdings plus a bundle is the placement-weighted effective compute
+    of the reference carve, not the aggregate rate."""
+    cluster = build_cluster(
+        ClusterSpec(
+            machine_specs=(MachineSpec(count=6, gpus_per_machine=4),),
+            num_racks=2,
+            name="pack",
+        )
+    )
+    jobs = [
+        make_job("a-j0", model="vgg16", serial_work=50.0, max_parallelism=4),
+        make_job("a-j1", model="resnet50", serial_work=80.0, max_parallelism=6),
+    ]
+    utility = _packing(cluster, jobs, [(0, 1)])
+    state = utility.state
+    rack_of = {machine.machine_id: machine.rack_id for machine in cluster.machines}
+    for bundle in ({1: 3}, {0: 2, 2: 3}, {1: 2, 3: 2, 4: 2}):
+        key = merge_keys(state.base_key, tuple(sorted(bundle.items())))
+        carved, _ = _carve_reference(
+            state.snapshot.job_tuples, dict(key), rack_of, cluster.machine_speeds()
+        )
+        assert utility(bundle) == _packing_score(carved)
 
 
 def test_classed_row_scores_one_machine_per_class():

@@ -8,7 +8,7 @@ from repro.core.auction import (
     PartialAllocationAuction,
     exhaustive_nash_allocation,
 )
-from repro.core.bids import build_bid
+from repro.core.bids import Bid
 from repro.core.fairness import FairnessEstimator
 
 from helpers import make_app
@@ -24,7 +24,7 @@ def bids_for(estimator, offered, specs):
     out = {}
     for app_id, num_jobs, elapsed in specs:
         app = make_app(app_id=app_id, num_jobs=num_jobs, max_parallelism=2)
-        out[app_id] = build_bid(app, estimator, now=elapsed, offered_counts=offered)
+        out[app_id] = Bid(app, estimator, now=elapsed, offered_counts=offered)
     return out
 
 
@@ -50,7 +50,7 @@ def test_single_bidder_keeps_whole_allocation(estimator):
     outcome = PartialAllocationAuction().run(pool, bids)
     # No competitors: c = 1, no hidden payment.
     assert outcome.payments["a"] == pytest.approx(1.0)
-    assert outcome.won_gpus("a") == 4
+    assert sum(outcome.winners["a"].values()) == 4
     assert outcome.total_leftover == 0
 
 
@@ -109,7 +109,7 @@ def test_starved_apps_win_first(estimator):
     # "fresh" just arrived.  Max-Nash-welfare rescues the starved app.
     pool = {0: 2}
     bids = bids_for(estimator, pool, [("starving", 1, 100.0), ("fresh", 1, 0.1)])
-    pf = PartialAllocationAuction().proportional_fair_allocation(pool, bids)
+    pf = PartialAllocationAuction().run(pool, bids, apply_hidden_payments=False).proportional_fair
     assert sum(pf.get("starving", {}).values()) >= 1
 
 
@@ -117,15 +117,13 @@ def test_demand_caps_respected(estimator):
     pool = {0: 4, 1: 2, 2: 4, 3: 2}
     bids = bids_for(estimator, pool, [("a", 1, 10.0)])  # demand = 2
     outcome = PartialAllocationAuction().run(pool, bids)
-    assert outcome.won_gpus("a") <= 2
+    assert sum(outcome.winners["a"].values()) <= 2
 
 
 def test_greedy_matches_exhaustive_on_small_instance(estimator):
     pool = {0: 2, 2: 2}
     bids = bids_for(estimator, pool, [("a", 1, 20.0), ("b", 1, 20.0)])
-    greedy = PartialAllocationAuction(chunk_size=2).proportional_fair_allocation(
-        pool, bids
-    )
+    greedy = PartialAllocationAuction(chunk_size=2).run(pool, bids, apply_hidden_payments=False).proportional_fair
     exact = exhaustive_nash_allocation(pool, bids)
 
     def welfare(assignment):

@@ -36,7 +36,7 @@ from repro.core.auction import (
     PartialAllocationAuction,
     exhaustive_nash_allocation,
 )
-from repro.core.bids import build_bid
+from repro.core.bids import Bid
 from repro.core.fairness import FairnessEstimator
 from repro.workload.app import CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
@@ -160,7 +160,7 @@ def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
         job.set_allocation(0.0, job.allocation.union((gpu,)))
     machine_id = cluster.machines[0].machine_id
     pool = {machine_id: 4}
-    bid = build_bid(app, estimator, now=50.0, offered_counts=pool)
+    bid = Bid(app, estimator, now=50.0, offered_counts=pool)
     auction = PartialAllocationAuction(chunk_size=4)
     current_value = bid.value_from_key(())
     assert current_value > 0.0
@@ -243,7 +243,7 @@ def tiny_market(rng: random.Random):
         num_jobs, parallelism = rng.randint(1, 4), rng.randint(1, 4)
         now, work = rng.uniform(0.0, 120.0), rng.uniform(10.0, 300.0)
         app = make_app(f"a{i}", num_jobs=num_jobs, max_parallelism=parallelism, serial_work=work)
-        bids[app.app_id] = build_bid(app, estimator, now=now, offered_counts=pool)
+        bids[app.app_id] = Bid(app, estimator, now=now, offered_counts=pool)
     return pool, bids
 
 
@@ -260,7 +260,7 @@ def test_lazy_matches_exhaustive_on_small_instances():
             exact = exhaustive_nash_allocation(pool, bids, max_states=50_000)
         except ValueError:
             continue
-        greedy = PartialAllocationAuction(chunk_size=2).proportional_fair_allocation(pool, bids)
+        greedy = PartialAllocationAuction(chunk_size=2).run(pool, bids, apply_hidden_payments=False).proportional_fair
         g_pos, g_log = _welfare_key(bids, greedy)
         e_pos, e_log = _welfare_key(bids, exact)
         assert g_pos == e_pos

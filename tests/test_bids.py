@@ -6,8 +6,8 @@ import pytest
 
 from repro.cluster.allocation import Allocation
 from repro.core.agent import Agent
-from repro.core.bids import BidEntry, _noise_factor, build_bid
-from repro.core.fairness import FairnessEstimator
+from repro.core.bids import Bid, _noise_factor
+from repro.core.fairness import AppValuationState, FairnessEstimator
 
 from helpers import make_app
 
@@ -19,20 +19,20 @@ def estimator(small_cluster):
 
 def test_bid_current_rho_inf_when_starved(estimator):
     app = make_app()
-    bid = build_bid(app, estimator, now=10.0, offered_counts={0: 4})
+    bid = Bid(app, estimator, now=10.0, offered_counts={0: 4})
     assert math.isinf(bid.current_rho)
     assert bid.value_of({}) == 0.0
 
 
 def test_bid_value_improves_with_gpus(estimator):
     app = make_app(num_jobs=2, max_parallelism=2)
-    bid = build_bid(app, estimator, now=0.0, offered_counts={0: 4})
+    bid = Bid(app, estimator, now=0.0, offered_counts={0: 4})
     assert bid.value_of({0: 4}) > bid.value_of({0: 2}) > bid.value_of({})
 
 
 def test_bid_rejects_overdraw(estimator):
     app = make_app()
-    bid = build_bid(app, estimator, now=0.0, offered_counts={0: 2})
+    bid = Bid(app, estimator, now=0.0, offered_counts={0: 2})
     with pytest.raises(ValueError):
         bid.rho_of({0: 3})
     with pytest.raises(ValueError):
@@ -41,20 +41,20 @@ def test_bid_rejects_overdraw(estimator):
 
 def test_bid_demand_is_unmet_demand(estimator):
     app = make_app(num_jobs=3, max_parallelism=4)
-    bid = build_bid(app, estimator, now=0.0, offered_counts={0: 4})
+    bid = Bid(app, estimator, now=0.0, offered_counts={0: 4})
     assert bid.demand == 12
 
 
 def test_bid_caches_rho(estimator):
     app = make_app()
-    bid = build_bid(app, estimator, now=0.0, offered_counts={0: 4})
+    bid = Bid(app, estimator, now=0.0, offered_counts={0: 4})
     first = bid.rho_of({0: 2})
     assert bid.rho_of({0: 2}) == first  # cached, deterministic
 
 
 def test_table_contains_empty_and_per_machine_rows(estimator):
     app = make_app(num_jobs=2, max_parallelism=2)
-    bid = build_bid(app, estimator, now=0.0, offered_counts={0: 2, 2: 2})
+    bid = Bid(app, estimator, now=0.0, offered_counts={0: 2, 2: 2})
     table = bid.table()
     bundles = {entry.bundle for entry in table}
     assert () in bundles  # the "no new allocation" row of Figure 3(b)
@@ -65,7 +65,7 @@ def test_table_contains_empty_and_per_machine_rows(estimator):
 
 def test_table_respects_max_entries(estimator):
     app = make_app(num_jobs=4, max_parallelism=4)
-    bid = build_bid(
+    bid = Bid(
         app, estimator, now=0.0, offered_counts={0: 4, 1: 2, 2: 4, 3: 2}
     )
     table = bid.table(max_entries=5)
@@ -74,7 +74,7 @@ def test_table_respects_max_entries(estimator):
 
 def test_table_entries_have_consistent_values(estimator):
     app = make_app(num_jobs=2, max_parallelism=2)
-    bid = build_bid(app, estimator, now=0.0, offered_counts={0: 4})
+    bid = Bid(app, estimator, now=0.0, offered_counts={0: 4})
     for entry in bid.table():
         if math.isinf(entry.rho):
             assert entry.value == 0.0
@@ -82,15 +82,10 @@ def test_table_entries_have_consistent_values(estimator):
             assert entry.value == pytest.approx(1.0 / entry.rho)
 
 
-def test_entry_gpu_count():
-    entry = BidEntry(bundle=((0, 2), (1, 3)), rho=1.0, value=1.0)
-    assert entry.gpu_count == 5
-
-
 def test_noise_zero_means_exact(estimator):
     app = make_app(num_jobs=2, max_parallelism=2)
-    exact = build_bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.0)
-    noisy = build_bid(
+    exact = Bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.0)
+    noisy = Bid(
         app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.2, noise_salt=1
     )
     rho_exact = exact.rho_of({0: 2})
@@ -102,8 +97,8 @@ def test_noise_zero_means_exact(estimator):
 def test_noise_errs_both_ways_within_theta(estimator):
     app = make_app(num_jobs=2, max_parallelism=4)
     offer = {0: 4, 1: 4, 2: 2, 3: 2}
-    exact = build_bid(app, estimator, now=5.0, offered_counts=offer)
-    noisy = build_bid(
+    exact = Bid(app, estimator, now=5.0, offered_counts=offer)
+    noisy = Bid(
         app, estimator, now=5.0, offered_counts=offer, noise_theta=0.2, noise_salt=3
     )
     bundles = [{m: c} for m, free in offer.items() for c in range(1, free + 1)]
@@ -117,7 +112,7 @@ def test_bundles_on_held_machines_add_to_the_holdings(small_cluster, estimator):
     as the estimator's own merge does."""
     app = make_app(num_jobs=2, max_parallelism=4)
     app.jobs[0].set_allocation(0.0, Allocation(small_cluster.machines[0].gpus[:1]))
-    bid = build_bid(app, estimator, now=5.0, offered_counts={0: 3, 2: 2})
+    bid = Bid(app, estimator, now=5.0, offered_counts={0: 3, 2: 2})
     for bundle in ({0: 2}, {0: 3, 2: 1}):
         assert bid.rho_of(bundle) == estimator.rho(app, 5.0, bundle)
 
@@ -131,13 +126,13 @@ def test_bid_after_a_probe_prices_the_empty_bundle_as_a_fresh_state(
     empty-bundle rho equals a fresh state's, under the bid's own noise."""
     app = make_app(num_jobs=2, max_parallelism=4)
     app.jobs[0].set_allocation(0.0, Allocation(small_cluster.machines[0].gpus[:2]))
-    agent = Agent(app, estimator, noise_theta=theta)
+    agent = Agent(AppValuationState(app, estimator), noise_theta=theta)
     offer = {1: 4, 2: 2}
     for salt, now in enumerate((5.0, 10.0, 15.0), start=1):
         app.jobs[0].remaining_work -= 3.0  # a drain between rounds
         agent.report_rho(now, salt)
         bid = agent.prepare_bid(now, offer, salt)
-        fresh = build_bid(app, estimator, now, offer, noise_theta=theta, noise_salt=salt)
+        fresh = Bid(app, estimator, now, offer, noise_theta=theta, noise_salt=salt)
         assert bid.current_rho == fresh.current_rho == bid.rho_of({})
         noise = _noise_factor(salt, app.app_id, (), theta)
         assert bid.current_rho == estimator.rho(app, now, {}) * noise
@@ -146,21 +141,21 @@ def test_bid_after_a_probe_prices_the_empty_bundle_as_a_fresh_state(
 
 def test_noise_deterministic_within_auction(estimator):
     app = make_app(num_jobs=2, max_parallelism=2)
-    a = build_bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.1, noise_salt=7)
-    b = build_bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.1, noise_salt=7)
+    a = Bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.1, noise_salt=7)
+    b = Bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.1, noise_salt=7)
     assert a.rho_of({0: 2}) == b.rho_of({0: 2})
 
 
 def test_noise_varies_across_salts(estimator):
     app = make_app(num_jobs=2, max_parallelism=2)
-    a = build_bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.1, noise_salt=1)
-    b = build_bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.1, noise_salt=2)
+    a = Bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.1, noise_salt=1)
+    b = Bid(app, estimator, now=0.0, offered_counts={0: 4}, noise_theta=0.1, noise_salt=2)
     assert a.rho_of({0: 2}) != b.rho_of({0: 2})
 
 
 def test_starved_rho_not_noised(estimator):
     app = make_app()
-    bid = build_bid(app, estimator, now=5.0, offered_counts={0: 4}, noise_theta=0.2)
+    bid = Bid(app, estimator, now=5.0, offered_counts={0: 4}, noise_theta=0.2)
     assert math.isinf(bid.rho_of({}))
 
 
@@ -172,7 +167,7 @@ def test_zero_rho_value_clamped_to_finite_ceiling(estimator):
     app = make_app(num_jobs=2)
     for job in app.jobs:
         job.kill(0.0)
-    bid = build_bid(app, estimator, now=0.0, offered_counts={0: 4})
+    bid = Bid(app, estimator, now=0.0, offered_counts={0: 4})
     assert bid.rho_of({}) == 0.0
     value = bid.value_of({})
     assert value == VALUE_CEILING
@@ -187,7 +182,7 @@ def test_table_values_come_from_the_one_conversion(estimator):
 
     app = make_app(num_jobs=1)
     app.jobs[0].kill(0.0)
-    bid = build_bid(app, estimator, now=0.0, offered_counts={0: 4})
+    bid = Bid(app, estimator, now=0.0, offered_counts={0: 4})
     table = bid.table()
     assert [entry.rho for entry in table] == [0.0, 0.0]
     assert [entry.value for entry in table] == [VALUE_CEILING, VALUE_CEILING]
@@ -199,7 +194,7 @@ def test_injected_zero_rho_bundle_clamped(estimator):
     from repro.core.fairness import VALUE_CEILING
 
     app = make_app(num_jobs=2, max_parallelism=2)
-    bid = build_bid(app, estimator, now=10.0, offered_counts={0: 4})
+    bid = Bid(app, estimator, now=10.0, offered_counts={0: 4})
     bid._rho_cache[((0, 2),)] = 0.0
     assert bid.value_of({0: 2}) == VALUE_CEILING
     # The clamped value must be cached and stable.
@@ -208,7 +203,7 @@ def test_injected_zero_rho_bundle_clamped(estimator):
 
 def test_value_cache_shared_across_probes(estimator):
     app = make_app(num_jobs=2, max_parallelism=2)
-    bid = build_bid(app, estimator, now=10.0, offered_counts={0: 4})
+    bid = Bid(app, estimator, now=10.0, offered_counts={0: 4})
     before = bid.rho_probes
     first = bid.value_of({0: 2})
     probes_after_first = bid.rho_probes

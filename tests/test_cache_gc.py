@@ -66,10 +66,13 @@ def test_prune_by_entry_count_evicts_oldest(tmp_path, result):
 def test_prune_by_size(tmp_path, result):
     cache = ResultCache(tmp_path)
     fill(cache, result, 3)
-    per_entry = cache.total_bytes() // 3
+    def total_bytes():
+        return sum(entry.size_bytes for entry in cache.entries())
+
+    per_entry = total_bytes() // 3
     stats = cache.prune(max_total_bytes=per_entry * 2)
     assert stats.removed == 1
-    assert cache.total_bytes() <= per_entry * 2
+    assert total_bytes() <= per_entry * 2
 
 
 def test_prune_sweeps_orphaned_tmp_files(tmp_path, result):

@@ -90,7 +90,7 @@ def test_transient_failure_under_every_scheduler(scheduler):
     )
     assert result.completed, scheduler
     assert injector.events_applied == 2
-    assert sim.down_gpu_count == 0
+    assert len(sim._down_gpu_ids) == 0
     for stats in result.app_stats:
         assert stats.finished_at is not None
 
@@ -104,7 +104,7 @@ def test_permanent_failure_under_every_scheduler(scheduler):
         [MachineFailure(machine_id=1, at=5.0)],
     )
     assert result.completed, scheduler
-    assert sim.down_gpu_count == 4
+    assert len(sim._down_gpu_ids) == 4
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)

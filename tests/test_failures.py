@@ -91,7 +91,7 @@ def test_permanent_failure_shrinks_capacity():
     sim, _ = build_sim(solo_trace(), [MachineFailure(machine_id=0, at=5.0)])
     result = sim.run()
     assert result.completed
-    assert sim.down_gpu_count == 4
+    assert len(sim._down_gpu_ids) == 4
 
 
 def test_repair_restores_capacity():
@@ -102,7 +102,7 @@ def test_repair_restores_capacity():
     result = sim.run()
     assert result.completed
     assert injector.events_applied == 2
-    assert sim.down_gpu_count == 0
+    assert len(sim._down_gpu_ids) == 0
     assert not injector.down_machines
 
 

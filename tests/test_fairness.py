@@ -6,11 +6,13 @@ import pytest
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.placement import LocalityLevel
+from repro.cluster.topology import NVLINK_GROUP_SIZE
+from repro.core.assignment import concretise
 from repro.core.fairness import (
     VALUE_CEILING,
+    AppValuationState,
     FairnessEstimator,
     carve_allotments,
-    packing_utility,
     value_from_rho,
 )
 from repro.workload.app import CompletionSemantics
@@ -79,7 +81,7 @@ def test_carve_skips_inactive_jobs(small_cluster):
 def test_estimator_rho_inf_when_starved(small_cluster):
     estimator = FairnessEstimator(small_cluster)
     app = make_app(num_jobs=2)
-    assert math.isinf(estimator.rho_current(app, 10.0))
+    assert math.isinf(estimator.rho(app, 10.0))
     assert estimator.value(app, 10.0) == 0.0
 
 
@@ -103,7 +105,7 @@ def test_estimator_counts_existing_allocation(small_cluster):
     estimator = FairnessEstimator(small_cluster)
     app = make_app(num_jobs=1, max_parallelism=4)
     app.jobs[0].set_allocation(0.0, Allocation(small_cluster.gpus[:2]))
-    rho_with_held = estimator.rho_current(app, 0.0)
+    rho_with_held = estimator.rho(app, 0.0)
     assert not math.isinf(rho_with_held)
 
 
@@ -158,11 +160,31 @@ def test_rho_negative_extra_counts_raise(small_cluster):
 
 def test_packing_utility_prefers_packed(small_cluster):
     app = make_app(num_jobs=1, max_parallelism=4)
-    tuples = FairnessEstimator(small_cluster).snapshot(app).job_tuples
-    racks = rack_map(small_cluster)
-    packed = packing_utility(tuples, {0: 4}, racks)
-    spread = packing_utility(tuples, {0: 1, 1: 1, 2: 1, 3: 1}, racks)
+    state = AppValuationState(app, FairnessEstimator(small_cluster), packing=True)
+    state.refresh()
+    packed = state.kernel_of(((0, 4),))
+    spread = state.kernel_of(((0, 1), (1, 1), (2, 1), (3, 1)))
     assert packed > spread
+
+
+def test_a_slot_sized_gang_carves_to_the_level_its_granted_gpus_have(small_cluster):
+    """One NVLink group size: a gang of that many GPUs on one machine is
+    priced SLOT-local, and the GPUs ``concretise`` grants for it share a
+    slot; one GPU more is MACHINE-level on both sides."""
+    machine = small_cluster.machines[0]
+    assert machine.num_gpus > NVLINK_GROUP_SIZE
+    pool = {machine.machine_id: machine.gpus}
+    for gang, level in (
+        (NVLINK_GROUP_SIZE, LocalityLevel.SLOT),
+        (NVLINK_GROUP_SIZE + 1, LocalityLevel.MACHINE),
+    ):
+        job = make_job("gang", max_parallelism=gang)
+        (allotment,) = carve_allotments(
+            [job], {machine.machine_id: gang}, rack_map(small_cluster)
+        )
+        granted = concretise({"a": {machine.machine_id: gang}}, pool)["a"]
+        assert (allotment.gpus, allotment.level) == (gang, level)
+        assert Allocation(granted).level() is level
 
 
 def test_value_is_inverse_rho(small_cluster):

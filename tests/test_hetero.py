@@ -101,7 +101,7 @@ def test_mixed_sim_cluster_matches_paper_shape():
     # Every machine is internally homogeneous by construction.
     for machine in cluster.machines:
         assert len({g.gpu_type for g in machine.gpus}) == 1
-    assert cluster.total_speed < cluster.num_gpus  # slower generations present
+    assert cluster.capacity.total < cluster.num_gpus  # slower generations present
 
 
 def test_cluster_capacity_prefix_sums():
@@ -166,7 +166,7 @@ def test_ideal_running_time_on_fastest_n():
     app = make_app(num_jobs=1, serial_work=100.0, max_parallelism=4)
     # Fastest 4 GPUs are the v100s: ideal rate 4.0, not 4 * avg speed.
     assert app.ideal_running_time(cluster.capacity) == pytest.approx(
-        max(100.0 / 4.0, 100.0 / cluster.total_speed)
+        max(100.0 / 4.0, 100.0 / cluster.capacity.total)
     )
     # Legacy int capacity still accepted.
     assert app.ideal_running_time(4) == pytest.approx(25.0)

@@ -12,12 +12,12 @@ Two layers of guarantees:
   and unallocated, rate-cache retention across drains that preserve the
   carve order, invalidation on every discrete state change — and always
   returns exactly what a freshly constructed state returns;
-* the two baselines that read valuations through the state — Gandiva's
-  :meth:`~repro.core.fairness.AppValuationState.packing_of` and the
-  strawman's ``current_rho`` — answer, round after round, bit for bit
-  what the uncached :func:`~repro.core.fairness.packing_utility` and
-  :meth:`~repro.core.fairness.FairnessEstimator.rho_current` answer,
-  and a baseline holds a state only while its app is active.
+* the two baselines that read valuations through a state — Gandiva's
+  packing kernel (:meth:`~repro.core.fairness.AppValuationState.kernel_of`
+  of a ``packing`` state) and the strawman's ``current_rho`` — answer,
+  round after round, bit for bit what the packing score of the
+  reference carve and :meth:`~repro.core.fairness.FairnessEstimator.rho`
+  answer, and a baseline holds a state only while its app is active.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from repro.core.fairness import (
     _carve_fast,
     _carve_reference,
     _job_tuples,
+    _packing_score,
     bundle_shape,
     carve_allotments,
-    packing_utility,
 )
 from repro.experiments.config import tiny_scenario
 from repro.schedulers.registry import make_scheduler
@@ -79,9 +79,7 @@ def test_carve_fast_matches_reference_on_random_instances(case):
     # Conservation: one allotment per job, each within its cap, and the
     # carve hands out min(sum of caps, pool) GPUs, so adding GPUs never
     # hands out fewer.  Speeds are <= 1, so rate <= effective <= gpus.
-    allotments = carve_allotments(
-        case.jobs, case.counts, case.rack_of, case.nvlink, case.speed_of
-    )
+    allotments = carve_allotments(case.jobs, case.counts, case.rack_of, case.speed_of)
     caps = {job.job_id: job.max_parallelism for job in case.jobs}
     assert sorted(a.job_id for a in allotments) == sorted(caps)
     assert sum(a.gpus for a in allotments) == min(
@@ -104,7 +102,7 @@ def test_family_change_rekeys_from_the_live_counts():
         (20.0, 2, profile, "j1", "gan"),
         (30.0, 4, profile, "j2", "vgg"),
     ]
-    args = (tuples, {0: 4, 1: 4}, {0: 0, 1: 0}, 2, None, rows.__getitem__)
+    args = (tuples, {0: 4, 1: 4}, {0: 0, 1: 0}, None, rows.__getitem__)
     carved, next_index = _carve_fast(*args)
     assert (carved, next_index) == _carve_reference(*args)
     assert [(gpus, effective) for _job, gpus, _level, _rate, effective in carved] == [
@@ -118,9 +116,9 @@ def test_carve_fast_matches_reference_multi_rack_spill():
     # Deterministic case exercising the racks-already-used preference.
     rack_of = {0: 0, 1: 0, 2: 1, 3: 1}
     counts = {0: 2, 1: 1, 2: 3, 3: 1}
-    tuples = _job_tuples([make_job("a", max_parallelism=5), make_job("b", max_parallelism=4)])
-    fast = _carve_fast(tuples, counts, rack_of, 2)
-    reference = _carve_reference(tuples, counts, rack_of, 2)
+    tuples = _job_tuples([make_job("a", max_parallelism=5), make_job("b", max_parallelism=4)])[0]
+    fast = _carve_fast(tuples, counts, rack_of)
+    reference = _carve_reference(tuples, counts, rack_of)
     assert fast == reference
 
 
@@ -137,8 +135,8 @@ def test_carve_falls_back_to_global_head_when_used_racks_drain():
     profile = make_job().model_profile.sensitivity
     tuples = [(10.0, 7, profile, "a", "resnet"), (20.0, 3, profile, "b", "resnet")]
     for args in (
-        (tuples, counts, rack_of, 2, speed_of),
-        (tuples, counts, rack_of, 2, None, lambda family: speed_of),
+        (tuples, counts, rack_of, speed_of),
+        (tuples, counts, rack_of, None, lambda family: speed_of),
     ):
         carved, next_index = _carve_fast(*args)
         assert (carved, next_index) == _carve_reference(*args)
@@ -324,12 +322,15 @@ def test_first_winner_delta_cache_dropped_on_rebuild():
     state = AppValuationState(app, estimator)
     state.refresh()
     bundle = ((1, 2),)
-    before = state.delta_of(bundle)
+    before = state.rho_at(10.0, bundle)
     for job in app.jobs:
         job.remaining_work /= 2.0
     app.invalidate()
     state.refresh()
-    assert state.delta_of(bundle) == before / 2.0
+    oracle = FairnessEstimator(cluster, semantics=CompletionSemantics.FIRST_WINNER)
+    after = state.rho_at(10.0, bundle)
+    assert after == oracle.rho_from_snapshot(oracle.snapshot(app), 10.0, dict(bundle))
+    assert after != before
 
 
 # ----------------------------------------------------------------------
@@ -519,6 +520,7 @@ def test_baseline_reads_equal_the_uncached_oracles_every_round(seed, fleet, sema
     estimator = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
     oracle = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
     state = AppValuationState(app, estimator)
+    packing = AppValuationState(app, estimator, packing=True)
     rack_of = {machine.machine_id: machine.rack_id for machine in cluster.machines}
     speed_of = cluster.machine_speeds()
     family_fn = perf_model.machine_speed_index(cluster)
@@ -532,35 +534,37 @@ def test_baseline_reads_equal_the_uncached_oracles_every_round(seed, fleet, sema
         if not app.active_jobs():
             break
         state.refresh()
+        packing.refresh()
         carves = estimator.carve_count
-        if state.rate_signature == signature:
+        if packing.rate_signature == signature:
             # Job order unchanged since the last round: no seen bundle
             # is carved again, whatever drained or moved in between.
             for key in seen:
-                state.packing_of(key)
+                packing.kernel_of(key)
             assert estimator.carve_count == carves
         else:
             seen = []
-        signature = state.rate_signature
+        signature = packing.rate_signature
         # The shape labels: what an estimator with no memo reads.
         fresh = FairnessEstimator(cluster, semantics=semantics, perf_model=perf_model)
         assert state.machine_reads == fresh.machine_reads(state.snapshot.job_tuples)
         # The strawman's read.
-        assert state.current_rho(now) == oracle.rho_current(app, now)
+        assert state.current_rho(now) == oracle.rho(app, now)
         # Gandiva's reads: the holdings alone and merged with a bundle.
-        tuples = _job_tuples(app.jobs)
-        keys = [state.base_key] + [random_key(rng, machines) for _ in range(4)]
+        tuples = _job_tuples(app.jobs)[0]
+
+        def packing_oracle(key):
+            carved, _ = _carve_reference(tuples, dict(key), rack_of, speed_of, family_fn)
+            return _packing_score(carved)
+
+        keys = [packing.base_key] + [random_key(rng, machines) for _ in range(4)]
         for key in keys:
-            expected = packing_utility(
-                tuples, dict(key), rack_of, speed_of=speed_of, family_speed_of=family_fn
-            )
-            assert state.packing_of(key) == expected
-            twin = equal_shape_twin(key, state.machine_reads, len(machines))
+            expected = packing_oracle(key)
+            assert packing.kernel_of(key) == expected
+            twin = equal_shape_twin(key, packing.machine_reads, len(machines))
             if twin is not None:
                 carves = estimator.carve_count
-                assert state.packing_of(twin) == packing_utility(
-                    tuples, dict(twin), rack_of, speed_of=speed_of, family_speed_of=family_fn
-                ) == expected
+                assert packing.kernel_of(twin) == packing_oracle(twin) == expected
                 assert estimator.carve_count == carves  # served by shape
         seen += keys
 

@@ -135,13 +135,6 @@ def test_iterations_and_loss_track_work(one_machine_cluster):
     assert job.current_loss() < loss_start
 
 
-def test_loss_after_work_is_monotone():
-    job = make_job()
-    assert job.loss_after_work(50.0) < job.loss_after_work(10.0)
-    # Clamped at the job's total work.
-    assert job.loss_after_work(1e9) == pytest.approx(job.loss_after_work(100.0))
-
-
 def test_loss_without_curve_raises():
     job = make_job(with_curve=False)
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ def test_grant_and_holder(small_cluster):
     gpu = small_cluster.gpu(0)
     lease = manager.grant(gpu, "app-a", "job-1", now=0.0, duration=20.0)
     assert manager.holder(gpu) == "app-a"
-    assert manager.is_leased(gpu)
+    assert manager.lease_of(gpu) is lease
     assert lease.expiry == 20.0
     assert not lease.is_expired(10.0)
     assert lease.is_expired(20.0)
@@ -62,26 +62,6 @@ def test_pool_for_auction_combines_free_and_expired(small_cluster):
     assert len(ids) == small_cluster.num_gpus - 1
 
 
-def test_leases_of_app(small_cluster):
-    manager = LeaseManager(small_cluster.gpus)
-    manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)
-    manager.grant(small_cluster.gpu(3), "a", "j", 0.0, 10.0)
-    manager.grant(small_cluster.gpu(1), "b", "j", 0.0, 10.0)
-    leases = manager.leases_of_app("a")
-    assert [l.gpu.gpu_id for l in leases] == [0, 3]
-
-
-def test_next_expiry(small_cluster):
-    manager = LeaseManager(small_cluster.gpus)
-    assert manager.next_expiry(0.0) is None
-    manager.grant(small_cluster.gpu(0), "a", "j", 0.0, 10.0)
-    manager.grant(small_cluster.gpu(1), "a", "j", 0.0, 25.0)
-    assert manager.next_expiry(0.0) == 10.0
-    assert manager.next_expiry(10.0) == 25.0  # strictly after now
-    assert manager.next_expiry(12.0) == 25.0
-    assert manager.next_expiry(30.0) is None
-
-
 def test_utilisation(small_cluster):
     manager = LeaseManager(small_cluster.gpus)
     assert manager.utilisation(12) == 0.0
@@ -97,7 +77,7 @@ def test_release_all(small_cluster):
     for gpu in gpus:
         manager.grant(gpu, "a", "j", 0.0, 10.0)
     manager.release_all(gpus)
-    assert manager.active_lease_count == 0
+    assert manager.utilisation(12) == 0.0
 
 
 @pytest.mark.parametrize("query_first", (False, True))
@@ -138,7 +118,7 @@ def test_revoke_counts_by_reason(small_cluster):
     manager.grant(gpu, "a", "j", 0.0, 10.0)
     revoked = manager.revoke(gpu, reason="failure")
     assert revoked is not None and revoked.app_id == "a"
-    assert not manager.is_leased(gpu)
+    assert manager.lease_of(gpu) is None
     assert manager.revocations == {"failure": 1}
     manager.grant(gpu, "b", "k", 0.0, 10.0)
     manager.revoke(gpu)  # default reason

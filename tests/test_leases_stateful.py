@@ -58,7 +58,7 @@ class LeaseManagerMachine(RuleBasedStateMachine):
         self.now = 0.0
 
     def leased(self) -> list[Gpu]:
-        return [gpu for gpu in GPUS if self.leases.is_leased(gpu)]
+        return [gpu for gpu in GPUS if self.leases.lease_of(gpu) is not None]
 
     # -- the mutations -------------------------------------------------
     @rule(
@@ -96,7 +96,7 @@ class LeaseManagerMachine(RuleBasedStateMachine):
     def revoke(self, pick, reason):
         before = Counter(self.leases.revocations)
         gpu = GPUS[pick % len(GPUS)]
-        was_leased = self.leases.is_leased(gpu)
+        was_leased = self.leases.lease_of(gpu) is not None
         self.leases.revoke(gpu, reason)
         before[reason] += was_leased
         assert +before == Counter(self.leases.revocations)
@@ -133,7 +133,7 @@ class LeaseManagerMachine(RuleBasedStateMachine):
         leased = {gpu.gpu_id for gpu in self.leased()}
         assert not free & leased
         assert free | leased == {gpu.gpu_id for gpu in GPUS}
-        assert self.leases.active_lease_count == len(leased)
+        assert self.leases.utilisation(len(GPUS)) == len(leased) / len(GPUS)
 
 
 LeaseManagerMachine.TestCase.settings = settings(

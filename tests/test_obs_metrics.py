@@ -61,8 +61,8 @@ def test_retention_matches_the_seed_implementation(cap, n):
         expected, stride = seed._items, seed._stride
         assert len(new) <= cap
     assert list(new) == expected
-    assert new.stride == stride
-    assert new.total_appends == n
+    assert new._stride == stride
+    assert new._appends == n
 
 
 def test_rejects_degenerate_cap():
@@ -114,8 +114,8 @@ def test_stride_grows_under_failure_injection():
     result = simulator.run()
     frag = simulator._frag_series
     assert isinstance(frag, ReservoirSeries)
-    assert frag.stride > 1
-    assert frag.total_appends == result.num_rounds
+    assert frag._stride > 1
+    assert frag._appends == result.num_rounds
     assert len(result.fragmentation_samples) <= 4
     assert len(result.starvation_samples) <= 4
 

@@ -54,7 +54,6 @@ def test_ring_tracer_keeps_the_last_n_events():
     for event in _expires(10):
         tracer.emit(event["kind"], event["t"], gpu=event["gpu"], app=event["app"])
     assert tracer.events_written == 10
-    assert tracer.dropped == 6
     assert [e["t"] for e in tracer.events] == [6.0, 7.0, 8.0, 9.0]
 
 
@@ -203,7 +202,7 @@ def test_tracing_does_not_change_simulation_results():
     tracer = RingTracer(capacity=1 << 20)
     traced = _run(obs=Observability(tracer=tracer))
 
-    assert tracer.events_written > 0 and tracer.dropped == 0
+    assert 0 < tracer.events_written == len(tracer.events)
     assert validate_events(tracer.events, tracer.header) == []
     assert json.dumps(untraced.to_json(), sort_keys=True) == json.dumps(
         traced.to_json(), sort_keys=True

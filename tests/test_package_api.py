@@ -109,3 +109,97 @@ def test_no_production_code_runs_a_reference():
                     if called in REFERENCES:
                         offenders.append(f"{path.name}:{node.lineno} {called}")
     assert offenders == []
+
+
+#: Names only tests call that still earn their place in ``src/``: the
+#: oracles above, the estimator's from-scratch rho chain, the offline
+#: max-min solver the online auction is held to, the tiny scenario, the
+#: perf-model payload loader (saved ``{"kind": "scalar"}`` payloads must
+#: load), and the service plane's chaos harness, a module of its own.
+TEST_ONLY = REFERENCES | {
+    "shared_time", "solve_offline_max_min", "tiny_scenario", "perf_model_from_json",
+}
+TEST_ONLY_MODULES = {"service/chaos.py"}
+
+
+def _tracked(tree):
+    """Top-level functions and classes, and the public methods of classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield sub
+
+
+def _mentions(tree, owners_of, into):
+    """``into[name]`` gains, per mention of ``name`` (a name, an attribute,
+    an import or a string: ``getattr`` hooks, ``__all__``), the tracked
+    definitions the mention sits in."""
+
+    def walk(node, owners):
+        if node in owners_of:
+            owners = owners | {node}
+        if isinstance(node, ast.Name):
+            into.setdefault(node.id, []).append(owners)
+        elif isinstance(node, ast.Attribute):
+            into.setdefault(node.attr, []).append(owners)
+        elif isinstance(node, ast.alias):
+            into.setdefault((node.asname or node.name).split(".")[-1], []).append(owners)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            into.setdefault(node.value, []).append(owners)
+        for child in ast.iter_child_nodes(node):
+            walk(child, owners)
+
+    walk(tree, frozenset())
+
+
+def test_no_src_name_is_called_only_from_tests():
+    """No function, class or public method under ``src/`` is named only
+    from ``tests/`` (read as AST): each is mentioned from ``src/``,
+    ``examples/`` or ``benchmarks/`` outside its own body and outside
+    every other test-only body, or it is in :data:`TEST_ONLY`.  Names
+    are matched by spelling, so a shared spelling keeps a name alive."""
+    root = Path(repro.__file__).resolve().parents[2]
+    package = root / "src" / "repro"
+    trees = {
+        path: ast.parse(path.read_text())
+        for top in ("src", "examples", "benchmarks", "tests")
+        for path in sorted((root / top).rglob("*.py"))
+    }
+    defs = [
+        (path, node)
+        for path, tree in trees.items()
+        if path.is_relative_to(package)
+        and path.relative_to(package).as_posix() not in TEST_ONLY_MODULES
+        for node in _tracked(tree)
+        if node.name not in TEST_ONLY
+    ]
+    owners_of = {node for _path, node in defs}
+    production: dict[str, list] = {}
+    from_tests: dict[str, list] = {}
+    for path, tree in trees.items():
+        tested = path.is_relative_to(root / "tests")
+        _mentions(tree, owners_of, from_tests if tested else production)
+    # A body only tests reach keeps nothing alive: iterate to the fixpoint.
+    only: set = set()
+    while True:
+        found = {
+            node
+            for _path, node in defs
+            if node.name in from_tests
+            and not any(
+                node not in owners and not owners & only
+                for owners in production.get(node.name, ())
+            )
+        }
+        if found == only:
+            break
+        only = found
+    offenders = [
+        f"{path.relative_to(package)}:{node.lineno} {node.name}"
+        for path, node in defs
+        if node in only
+    ]
+    assert not offenders, "only tests call:\n" + "\n".join(offenders)

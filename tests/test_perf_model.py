@@ -18,7 +18,6 @@ from repro.workload.perf import (
     PERF_MATRIX_PRESETS,
     PerfCapacity,
     PerfModelError,
-    ScalarSpeedModel,
     ThroughputMatrixModel,
     app_effective_compute,
     app_family,
@@ -104,7 +103,7 @@ def test_presets_are_valid():
 # Speedup semantics
 # ----------------------------------------------------------------------
 def test_scalar_model_reads_generation_speed():
-    model = ScalarSpeedModel()
+    model = ThroughputMatrixModel()
     assert model.is_scalar
     assert model.speedup("vgg", P100) == 0.6
     assert model.speedup("anything", V100) == 1.0
@@ -145,6 +144,9 @@ def test_json_round_trip():
     assert restored.matrix == model.matrix
     assert perf_model_from_json(None) is DEFAULT_PERF_MODEL
     assert perf_model_from_json({"kind": "unknown-future-kind"}) is DEFAULT_PERF_MODEL
+    # The empty matrix is the scalar model, and writes what it wrote.
+    assert DEFAULT_PERF_MODEL.to_json() == {"kind": "scalar"}
+    assert perf_model_from_json({"kind": "scalar"}) is DEFAULT_PERF_MODEL
 
 
 def test_resolve_perf_model():
@@ -159,7 +161,7 @@ def test_resolve_perf_model():
 # ----------------------------------------------------------------------
 def test_scalar_capacity_is_the_shared_cluster_object():
     cluster = mixed_cluster()
-    assert ScalarSpeedModel().capacity_for(cluster) is cluster.capacity
+    assert ThroughputMatrixModel().capacity_for(cluster) is cluster.capacity
 
 
 def test_perf_capacity_views_are_family_relative():
@@ -235,7 +237,7 @@ def test_degenerate_matrix_capacity_matches_scalar():
 
 def test_machine_speed_index_none_for_scalar():
     cluster = mixed_cluster()
-    assert ScalarSpeedModel().machine_speed_index(cluster) is None
+    assert ThroughputMatrixModel().machine_speed_index(cluster) is None
     fn = ThroughputMatrixModel({"vgg": {"v100": 1.0, "p100": 0.25}}).machine_speed_index(
         cluster
     )
@@ -284,7 +286,7 @@ def test_app_effective_compute_weights_by_holder_family():
     app.jobs[0].set_allocation(0.0, Allocation(p100s[:2]))
     model = ThroughputMatrixModel({"vgg": {"v100": 1.0, "p100": 0.25}})
     assert app_effective_compute(app, model) == pytest.approx(0.5)
-    assert app_effective_compute(app, ScalarSpeedModel()) == pytest.approx(1.2)
+    assert app_effective_compute(app, ThroughputMatrixModel()) == pytest.approx(1.2)
 
 
 # ----------------------------------------------------------------------
@@ -322,27 +324,6 @@ def test_generator_rejects_bad_matrix_spec():
         GeneratorConfig(num_apps=2, perf_matrix="typo-preset")
     with pytest.raises(PerfModelError):
         GeneratorConfig(num_apps=2, perf_matrix={"vgg": {"h100": 2.0}})
-
-
-def test_merge_traces_refuses_matrix_mismatch():
-    from repro.workload.trace import merge_traces
-
-    plain = generate_trace(GeneratorConfig(num_apps=2, seed=1))
-    matrixed = generate_trace(
-        GeneratorConfig(num_apps=2, seed=2, perf_matrix="rate-inversion")
-    )
-    other = generate_trace(
-        GeneratorConfig(num_apps=2, seed=3, perf_matrix="gavel-like")
-    )
-    # Same matrix (or uniformly none): fine, and the matrix is carried.
-    merged = merge_traces([matrixed, matrixed.scaled(0.5)])
-    assert merged.perf_matrix == matrixed.perf_matrix
-    assert merge_traces([plain, plain.scaled(0.5)]).perf_matrix == ()
-    # Differing matrices — including scalar-vs-matrix — must refuse.
-    with pytest.raises(ValueError, match="perf matrices"):
-        merge_traces([matrixed, other])
-    with pytest.raises(ValueError, match="perf matrices"):
-        merge_traces([plain, matrixed])
 
 
 def test_matrix_traces_are_byte_identical_apart_from_header():

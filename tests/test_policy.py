@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.auction import PartialAllocationAuction
-from repro.core.bids import build_bid
+from repro.core.bids import Bid
 from repro.core.fairness import FairnessEstimator
 from repro.core.policy import solve_offline_max_min
 
@@ -55,7 +55,7 @@ def test_online_auction_close_to_offline_optimum(estimator):
     pool = {0: 2, 2: 2}
     offline = solve_offline_max_min(apps, pool, estimator, now=50.0)
     bids = {
-        app.app_id: build_bid(app, estimator, now=50.0, offered_counts=pool)
+        app.app_id: Bid(app, estimator, now=50.0, offered_counts=pool)
         for app in apps
     }
     outcome = PartialAllocationAuction().run(pool, bids, apply_hidden_payments=False)
@@ -64,12 +64,6 @@ def test_online_auction_close_to_offline_optimum(estimator):
         bundle = outcome.winners.get(app.app_id, {})
         online_rhos.append(estimator.rho(app, 50.0, bundle))
     assert max(online_rhos) <= offline.max_rho * 1.3
-
-
-def test_eps_max_property(estimator):
-    apps = [make_app(f"a{i}", num_jobs=1, max_parallelism=2) for i in range(2)]
-    solution = solve_offline_max_min(apps, {0: 4}, estimator, now=10.0)
-    assert solution.eps_max == pytest.approx(solution.max_rho - 2)
 
 
 def test_state_explosion_guard(estimator):

@@ -50,7 +50,7 @@ def test_allocation_difference_disjoint(ids_a, ids_b):
     a = Allocation(CLUSTER.gpu(i) for i in ids_a)
     b = Allocation(CLUSTER.gpu(i) for i in ids_b)
     diff = a - b
-    assert not diff.intersects(b)
+    assert not diff.gpu_ids & b.gpu_ids
     assert (diff | (a - diff)) == a
 
 

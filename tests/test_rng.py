@@ -30,14 +30,6 @@ def test_get_returns_same_generator_instance():
     assert streams.get("s") is streams.get("s")
 
 
-def test_reset_restarts_sequences():
-    streams = RandomStreams(seed=5)
-    first = streams.get("x").random(4).tolist()
-    streams.reset()
-    again = streams.get("x").random(4).tolist()
-    assert first == again
-
-
 def test_spawn_is_deterministic_and_distinct():
     parent = RandomStreams(seed=9)
     child1 = parent.spawn("app-1").get("x").random(3).tolist()

@@ -334,7 +334,7 @@ def test_disk_full_mid_snapshot_leaves_no_tmp_and_recovers(tmp_path, monkeypatch
     assert plane.degraded and not stats.compacted
     assert not store.snapshot_path.with_suffix(".json.tmp").exists()
     assert store.snapshot_path.read_bytes() == old_snapshot
-    assert store.records_since_snapshot >= store.compact_every
+    assert store._since_snapshot >= store.compact_every
 
     def recovered_table():
         shutil.rmtree(tmp_path / "copy", ignore_errors=True)
@@ -357,7 +357,7 @@ def test_disk_full_mid_snapshot_leaves_no_tmp_and_recovers(tmp_path, monkeypatch
 
     stats = plane.tick()
     assert stats.compacted and not plane.degraded
-    assert store.records_since_snapshot == 0
+    assert store._since_snapshot == 0
     assert plane.status("late")["state"] == "finished"
     assert recovered_table() == plane.job_list()
     plane.close()

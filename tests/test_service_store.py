@@ -77,7 +77,7 @@ def test_maybe_compact_respects_threshold(tmp_path):
     store = open_store(tmp_path, compact_every=10)
     store.append("submit")
     assert not store.maybe_compact(dict)
-    assert store.records_since_snapshot == 1
+    assert store._since_snapshot == 1
     store.close()
 
 

@@ -33,7 +33,7 @@ from repro.cluster.allocation import Allocation
 from repro.cluster.placement import SensitivityProfile
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
 from repro.core.auction import PartialAllocationAuction, rescan_fair_allocation
-from repro.core.bids import build_bid
+from repro.core.bids import Bid
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
@@ -71,7 +71,6 @@ def relabelled_carves(draw):
         case.jobs,
         move(case.counts),
         {new_id[m]: new_rack[r] for m, r in case.rack_of.items()},
-        case.nvlink,
         None if case.speed_of is None else move(case.speed_of),
         {family: move(row) for family, row in case.family_rows.items()},
     )
@@ -122,7 +121,7 @@ def test_same_rack_same_free_machines_differ_by_id_order():
     high = ((4, 2), (6, 2), (9, 2))
     for kernel in (_carve_fast, _carve_reference):
         rates = [
-            sum(rate for *_rest, rate, _eff in kernel(tuples, dict(key), rack_of, 2)[0])
+            sum(rate for *_rest, rate, _eff in kernel(tuples, dict(key), rack_of)[0])
             for key in (low, high)
         ]
         assert rates == [4.0, 5.2]
@@ -160,14 +159,14 @@ def test_solver_separates_machines_that_differ_only_by_id_order():
 
     def bids():
         return {
-            x.app_id: build_bid(x, estimator, now=30.0, offered_counts=pool)
+            x.app_id: Bid(x, estimator, now=30.0, offered_counts=pool)
             for x in (app, rival)
         }
 
     bid = bids()["a"]
     value = {m: bid.value_from_key(((m, 2),)) for m in pool}
     assert value[0] == value[2] < value[6]
-    assignment = PartialAllocationAuction().proportional_fair_allocation(pool, bids())
+    assignment = PartialAllocationAuction().run(pool, bids(), apply_hidden_payments=False).proportional_fair
     assert assignment == rescan_fair_allocation(pool, bids())
     assert assignment["a"] == {6: 2}
 
@@ -198,20 +197,20 @@ def test_state_carves_once_per_shape(semantics):
     before = estimator.carve_count
     for machine_id in machines:
         key = ((machine_id, 3),)
-        assert state.delta_of(key) == reference.shared_delta_from_snapshot(
-            state.snapshot, dict(key)
+        assert state.rho_at(10.0, key) == reference.rho_from_snapshot(
+            state.snapshot, 10.0, dict(key)
         )
     assert estimator.carve_count == before + 1
     # Two-machine bundles: same rack vs different racks are two shapes.
-    rack_of = estimator.rack_map
+    rack_of = {m.machine_id: m.rack_id for m in cluster.machines}
     before = estimator.carve_count
     shapes = set()
     low = machines[0]
     for high in machines[1:]:
         key = ((low, 2), (high, 2))
         shapes.add(rack_of[low] == rack_of[high])
-        assert state.delta_of(key) == reference.shared_delta_from_snapshot(
-            state.snapshot, dict(key)
+        assert state.rho_at(10.0, key) == reference.rho_from_snapshot(
+            state.snapshot, 10.0, dict(key)
         )
     assert estimator.carve_count == before + len(shapes) == before + 2
 
@@ -247,7 +246,7 @@ def solve_spying_on_successors(pool, bids, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(auction_module, "_stamped", spy)
-        assignment = PartialAllocationAuction().proportional_fair_allocation(pool, bids)
+        assignment = PartialAllocationAuction().run(pool, bids, apply_hidden_payments=False).proportional_fair
     return assignment, stamps
 
 
@@ -273,7 +272,7 @@ def test_successor_stands_in_when_a_competitor_takes_the_representative(monkeypa
             held = (cluster.machines[5].gpus[gpu],)
             job.set_allocation(0.0, job.allocation.union(held), overhead=0.0)
         return {
-            x.app_id: build_bid(x, estimator, now=30.0, offered_counts=pool)
+            x.app_id: Bid(x, estimator, now=30.0, offered_counts=pool)
             for x in (a, b)
         }
 
@@ -306,7 +305,7 @@ def test_member_touched_by_a_column_event_is_skipped_by_the_walk(monkeypatch):
             held = cluster.machines[machine].gpus[:count]
             job.set_allocation(0.0, job.allocation.union(held), overhead=0.0)
         return {
-            x.app_id: build_bid(x, estimator, now=30.0, offered_counts=pool)
+            x.app_id: Bid(x, estimator, now=30.0, offered_counts=pool)
             for x in (a, b)
         }
 
@@ -360,7 +359,7 @@ def probe_bid(cluster, perf_model, semantics, model, held, pool):
     for job, machine in zip(app.jobs * 2, held):
         take = cluster.machines[machine].gpus[:1]
         job.set_allocation(0.0, job.allocation.union(take), overhead=0.0)
-    return build_bid(app, estimator, now=40.0, offered_counts=pool)
+    return Bid(app, estimator, now=40.0, offered_counts=pool)
 
 
 # Racks [A, B, A] held as the row, and a free B machine (1) that sorts

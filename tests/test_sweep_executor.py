@@ -52,12 +52,12 @@ def test_cache_hit_skips_recompute(tmp_path):
     tasks = _matrix_tasks(seeds=(5,))
     cache = ResultCache(tmp_path)
     cold = run_sweep(tasks, workers=1, cache=cache)
-    assert cold.num_executed == len(tasks)
+    assert cold.num_ok + cold.num_failed == len(tasks)
     assert cache.writes == len(tasks)
 
     warm_cache = ResultCache(tmp_path)
     warm = run_sweep(tasks, workers=1, cache=warm_cache)
-    assert warm.num_executed == 0
+    assert warm.num_ok + warm.num_failed == 0
     assert warm.num_cached == len(tasks)
     assert warm_cache.hits == len(tasks)
     assert warm_cache.writes == 0  # nothing recomputed => nothing rewritten
@@ -81,7 +81,7 @@ def test_changed_cell_recomputes_only_itself(tmp_path):
     ]
     report = run_sweep(changed, workers=1, cache=tmp_path)
     assert report.num_cached == len(tasks)
-    assert report.num_executed == 1
+    assert report.num_ok + report.num_failed == 1
 
 
 def test_worker_exception_becomes_failure_record():

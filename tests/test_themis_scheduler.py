@@ -52,8 +52,10 @@ def test_agents_created_and_removed_with_apps():
     sim, scheduler = build()
     result = sim.run()
     assert result.completed
-    # Every app got an agent on arrival and lost it on completion.
+    # Every app got an agent and a valuation state on arrival and lost
+    # both on completion.
     assert scheduler.agents == {}
+    assert scheduler.states == {}
 
 
 def test_agents_win_auctions():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.workload.app import App, CompletionSemantics
-from repro.workload.trace import Trace, TraceApp, TraceJob, merge_traces
+from repro.workload.trace import Trace, TraceApp, TraceJob
 
 
 def make_trace_job(job_id="j0", minutes=30.0, parallelism=4):
@@ -107,17 +107,6 @@ def test_scaled_trace():
     ]
     with pytest.raises(ValueError):
         trace.scaled(0)
-
-
-def test_merge_traces_disambiguates():
-    t1 = make_trace(name="x")
-    t2 = make_trace(name="x")  # identical ids
-    merged = merge_traces([t1, t2], name="both")
-    assert merged.num_apps == 4
-    assert len({a.app_id for a in merged.apps}) == 4
-    # Job ids are simulator-wide keys: the renamed copies get their own.
-    job_ids = [job.job_id for app in merged.apps for job in app.jobs]
-    assert len(set(job_ids)) == len(job_ids) == 8
 
 
 # ----------------------------------------------------------------------
