@@ -2,10 +2,12 @@
 
 :class:`ControlPlane` is the long-lived service object.  Its contract:
 
-* **Durability** — every state change is one WAL append *before* the
-  in-memory state moves on.  ``kill -9`` at any record boundary yields
-  a restart that replays the WAL and converges to the same terminal
-  job states as an uninterrupted run (proven by the chaos suite).
+* **Durability** — every state change is one WAL append.  A transition
+  record carries the job, its new state and time, and only the fields
+  that move set; replay applies them over the prior record.  ``kill -9``
+  at any record boundary yields a restart that replays the WAL and
+  converges to the same terminal job states as an uninterrupted run
+  (proven by the chaos suite).
 * **Dispatch tokens** — workers start jobs only via :meth:`start` with
   the token :meth:`tick` issued.  Tokens are epoch-stamped; the epoch
   increments at every service start, so pre-crash dispatches replayed
@@ -40,7 +42,7 @@ import logging
 import threading
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -67,7 +69,7 @@ from repro.service.state import (
     force_state,
     transition,
 )
-from repro.service.store import DurableStore, StoreUnavailable
+from repro.service.store import DurableStore, StoreCorruption, StoreUnavailable
 from repro.service.tokens import DispatchToken, TokenIssuer
 from repro.service.workers import (
     DEFAULT_WORKER_TTL,
@@ -219,14 +221,6 @@ class TickStats:
     deadlined: int = 0  # RUNNING jobs failed past their max_runtime_s
 
 
-@dataclass
-class _Pending:
-    """A WAL record buffered while the store is unavailable."""
-
-    kind: str
-    fields: dict = field(default_factory=dict)
-
-
 class ControlPlane:
     """The durable job service: submit/cancel/status plus the tick loop."""
 
@@ -270,7 +264,8 @@ class ControlPlane:
         #: but never make progress, which the lease alone cannot.
         self.dispatch_timeout = float(dispatch_timeout)
         self.degraded = False
-        self._pending: deque[_Pending] = deque()
+        #: WAL records ``(kind, fields)`` buffered while the store is down.
+        self._pending: deque[tuple[str, dict]] = deque()
         self._order = 0
         #: Serialises every public entry point: HTTP handler threads
         #: (heartbeats, claims, reports) interleave with the tick loop.
@@ -302,45 +297,54 @@ class ControlPlane:
         """Replay archive + snapshot + WAL; returns the highest epoch seen."""
         image = self.store.recover()
         epoch = 0
-        for payload in image.sealed:
-            record = JobRecord.from_json(payload)
-            self.jobs[record.job_id] = record
-        archived = set(self.jobs)
-        if image.snapshot:
-            epoch = int(image.snapshot.get("epoch", 0))
-            for payload in image.snapshot.get("jobs", ()):
+        # A record that parses but cannot be rebuilt corrupts its file.
+        source = self.store.sealed_path
+        try:
+            for payload in image.sealed:
                 record = JobRecord.from_json(payload)
                 self.jobs[record.job_id] = record
-            for payload in image.snapshot.get("workers", ()):
-                self.workers.restore(payload)
-        for record in image.records:
-            kind = record.get("kind")
-            if kind == "epoch":
-                epoch = max(epoch, int(record.get("epoch", 0)))
-            elif kind == "submit":
-                job = JobRecord.from_json(record["job"])
-                self.jobs[job.job_id] = job
-            elif kind == "transition":
-                self._replay_transition(record)
-            elif kind == "worker_register":
-                self.workers.restore(
-                    {
-                        "worker_id": record.get("worker", ""),
-                        "name": record.get("name", ""),
-                        "capacity": record.get("capacity", 1),
-                        "epoch": record.get("epoch", 0),
-                        "registered_at": record.get("at", 0.0),
-                        "last_heartbeat": record.get("at", 0.0),
-                    }
-                )
-            elif kind == "worker_lost":
-                self.workers.restore_lost(
-                    str(record.get("worker", "")),
-                    at=float(record.get("at", 0.0)),
-                    reason=str(record.get("reason", "")),
-                )
-            # Unknown kinds are skipped: forward compatibility with
-            # newer writers, same policy as the trace reader.
+            archived = set(self.jobs)
+            source = self.store.snapshot_path
+            if image.snapshot:
+                epoch = int(image.snapshot.get("epoch", 0))
+                for payload in image.snapshot.get("jobs", ()):
+                    record = JobRecord.from_json(payload)
+                    self.jobs[record.job_id] = record
+                for payload in image.snapshot.get("workers", ()):
+                    self.workers.restore(payload)
+            source = self.store.wal_path
+            for record in image.records:
+                kind = record.get("kind")
+                if kind == "epoch":
+                    epoch = max(epoch, int(record.get("epoch", 0)))
+                elif kind == "submit":
+                    job = JobRecord.from_json(record["job"])
+                    self.jobs[job.job_id] = job
+                elif kind == "transition":
+                    self._replay_transition(record)
+                elif kind == "worker_register":
+                    self.workers.restore(
+                        {
+                            "worker_id": record.get("worker", ""),
+                            "name": record.get("name", ""),
+                            "capacity": record.get("capacity", 1),
+                            "epoch": record.get("epoch", 0),
+                            "registered_at": record.get("at", 0.0),
+                            "last_heartbeat": record.get("at", 0.0),
+                        }
+                    )
+                elif kind == "worker_lost":
+                    self.workers.restore_lost(
+                        str(record.get("worker", "")),
+                        at=float(record.get("at", 0.0)),
+                        reason=str(record.get("reason", "")),
+                    )
+                # Unknown kinds are skipped: forward compatibility with
+                # newer writers, same policy as the trace reader.
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise StoreCorruption(
+                f"{source}: a record cannot be rebuilt: {error!r}"
+            ) from error
         if image.dropped_tail:
             logger.warning(
                 "recovered %s: dropped %d torn WAL tail line(s)",
@@ -366,6 +370,9 @@ class ControlPlane:
         return epoch
 
     def _replay_transition(self, payload: Mapping) -> None:
+        """Apply one transition over the job's prior record: the state
+        and time, then whichever fields the record carries (all of them
+        from an older writer, the ones its move set from this one)."""
         job = self.jobs.get(str(payload.get("job")))
         if job is None:
             logger.warning("WAL transition for unknown job %r", payload.get("job"))
@@ -373,14 +380,10 @@ class ControlPlane:
         force_state(job, payload["state"], float(payload.get("at", 0.0)))
         for key in (
             "attempts", "dispatches", "not_before", "detail",
-            "worker", "started_at",
+            "token", "result", "worker", "started_at",
         ):
             if key in payload:
                 setattr(job, key, payload[key])
-        if "token" in payload:
-            job.token = payload["token"]
-        if "result" in payload:
-            job.result = payload["result"]
 
     def _orphan_sweep(self, now: float) -> None:
         """Re-queue work that was in flight when the last epoch died.
@@ -410,16 +413,11 @@ class ControlPlane:
         is the fence — the lost worker's late ``start``/``report`` can
         no longer match the job's recorded dispatch."""
         delay = self.retry.delay(1, key=f"{job.job_id}:lost")
-        job.not_before = now + delay
-        job.token = None
-        self._detach_worker(job)
-        self._move(job, JobState.RETRYING, now, detail=detail)
+        self._move(
+            job, JobState.RETRYING, now, detail=detail,
+            token=None, worker=None, not_before=now + delay,
+        )
         self.counters["requeued_lost"] += 1
-
-    def _detach_worker(self, job: JobRecord) -> None:
-        if job.worker is not None:
-            self.workers.release(job.worker, job.job_id)
-            job.worker = None
 
     def _lose_worker(
         self, worker: WorkerRecord, now: float, reason: str
@@ -440,40 +438,41 @@ class ControlPlane:
     # ------------------------------------------------------------------
     def _append(self, kind: str, **fields) -> None:
         if self.degraded:
-            self._pending.append(_Pending(kind, fields))
+            self._pending.append((kind, fields))
             return
         try:
             self.store.append(kind, **fields)
         except StoreUnavailable as error:
             logger.error("store unavailable, buffering records: %s", error)
             self.degraded = True
-            self._pending.append(_Pending(kind, fields))
+            self._pending.append((kind, fields))
 
     def _move(
-        self, job: JobRecord, target: JobState, now: float, detail: str = ""
+        self, job: JobRecord, target: JobState, now: float, detail: str = "",
+        **changes,
     ) -> None:
-        """The one way a job changes state after recovery: the checked
-        transition, the live index (a job that turns terminal leaves it
-        for the tally and the next sealing batch) and the WAL record, in
-        that order."""
+        """The one way a job's fields and worker binding change after
+        recovery: the checked transition (an illegal move changes
+        nothing), ``changes`` (moving ``worker`` releases the old claim
+        and binds the new), the live index (a job that turns terminal
+        leaves it for the tally and the next sealing batch) and the WAL
+        record of the job, state, time and only the fields set here."""
         transition(job, target, now, detail=detail)
+        if "worker" in changes:
+            if job.worker is not None:
+                self.workers.release(job.worker, job.job_id)
+            if changes["worker"] is not None:
+                self.workers.get(changes["worker"]).jobs.add(job.job_id)
+        job.__dict__.update(changes)
         if job.is_terminal:
             del self._live[job.job_id]
             self._terminal_counts[job.state.value] += 1
             self._unsealed.append(job)
+        if detail:
+            changes["detail"] = detail
         self._append(
-            "transition",
-            job=job.job_id,
-            state=job.state.value,
-            at=now,
-            attempts=job.attempts,
-            dispatches=job.dispatches,
-            not_before=job.not_before,
-            detail=job.detail,
-            token=job.token,
-            result=job.result,
-            worker=job.worker,
-            started_at=job.started_at,
+            "transition", job=job.job_id, state=job.state.value, at=now,
+            **changes,
         )
 
     def _flush_pending(self) -> int:
@@ -483,9 +482,9 @@ class ControlPlane:
             return 0
         flushed = 0
         while self._pending:
-            entry = self._pending[0]
+            kind, fields = self._pending[0]
             try:
-                self.store.append(entry.kind, **entry.fields)
+                self.store.append(kind, **fields)
             except StoreUnavailable:
                 return flushed
             self._pending.popleft()
@@ -565,7 +564,7 @@ class ControlPlane:
                 f"job id {job_id!r} already exists", reason="duplicate_job"
             )
         now = self.clock()
-        record = JobRecord(
+        arguments = dict(
             job_id=job_id,
             tenant=tenant,
             spec=dict(spec or {}),
@@ -579,12 +578,13 @@ class ControlPlane:
                 float(max_runtime_s) if max_runtime_s is not None else None
             ),
         )
-        # Durability before visibility: the submit record hits the WAL
-        # before the job becomes claimable by a tick.  A store that
-        # fails right here sheds this submission (nothing buffered —
-        # the caller was told the job was not accepted).
+        record = JobRecord(**arguments)
+        # Durability before visibility: the constructor's arguments hit
+        # the WAL before the job becomes claimable by a tick.  A store
+        # that fails right here sheds this submission (nothing buffered
+        # — the caller was told the job was not accepted).
         try:
-            self.store.append("submit", job=record.to_json())
+            self.store.append("submit", job=arguments)
         except StoreUnavailable as error:
             self.degraded = True
             raise ServiceUnavailable(
@@ -602,10 +602,11 @@ class ControlPlane:
             job = self._job(job_id)
             if job.is_terminal:
                 return job.state
-            now = self.clock()
-            job.token = None  # fences any in-flight worker's late report
-            self._detach_worker(job)
-            self._move(job, JobState.CANCELLED, now, detail="cancelled by user")
+            # Clearing the token fences any in-flight worker's late report.
+            self._move(
+                job, JobState.CANCELLED, self.clock(),
+                detail="cancelled by user", token=None, worker=None,
+            )
             return job.state
 
     def status(self, job_id: str) -> dict:
@@ -779,7 +780,6 @@ class ControlPlane:
                     "state": job.state.value if job is not None else None,
                 }
             self.counters["reports"] += 1
-            self._detach_worker(job)
             self._complete(now, job, outcome, TickStats())
             return {
                 "accepted": True,
@@ -829,8 +829,7 @@ class ControlPlane:
                 raise
             self.counters["starts"] += 1
             self._emit_token(now, token, accepted=True, reason="ok")
-            job.started_at = now
-            self._move(job, JobState.RUNNING, now)
+            self._move(job, JobState.RUNNING, now, started_at=now)
             return job
 
     def _emit_token(
@@ -923,13 +922,11 @@ class ControlPlane:
         itself.
         """
         token = self.issuer.issue(job.job_id)
-        job.token = token.to_json()
-        job.dispatches += 1
-        job.started_at = 0.0
-        if worker is not None:
-            job.worker = worker.worker_id
-            worker.jobs.add(job.job_id)
-        self._move(job, JobState.DISPATCHED, now)
+        self._move(
+            job, JobState.DISPATCHED, now, token=token.to_json(),
+            dispatches=job.dispatches + 1, started_at=0.0,
+            worker=worker.worker_id if worker is not None else None,
+        )
         return token
 
     def _self_execute(self, now: float, stats: TickStats) -> None:
@@ -988,11 +985,10 @@ class ControlPlane:
                 and job.worker is not None
                 and now - job.updated_at > self.dispatch_timeout
             ):
-                stalled_worker = job.worker
                 self._requeue_lost(
                     job, now,
                     detail=(
-                        f"dispatch to {stalled_worker} stalled past "
+                        f"dispatch to {job.worker} stalled past "
                         f"{self.dispatch_timeout:g}s; claim revoked"
                     ),
                 )
@@ -1016,7 +1012,6 @@ class ControlPlane:
             # time for records replayed from WALs without started_at.
             started = job.started_at if job.started_at else job.updated_at
             if now - started > job.max_runtime_s:
-                self._detach_worker(job)
                 self.counters["deadline_failures"] += 1
                 stats.deadlined += 1
                 self._complete(
@@ -1051,20 +1046,24 @@ class ControlPlane:
     def _complete(
         self, now: float, job: JobRecord, outcome: JobOutcome, stats: TickStats
     ) -> None:
-        job.token = None
+        """Land one execution's outcome.  Every move out clears the token
+        (fencing the dispatch) and releases the worker."""
         if outcome.ok:
-            job.result = outcome.result
-            self._move(job, JobState.FINISHED, now)
+            self._move(
+                job, JobState.FINISHED, now,
+                token=None, result=outcome.result, worker=None,
+            )
             stats.finished += 1
             return
-        job.attempts += 1
+        attempts = job.attempts + 1
         kind = outcome.failure_kind or FailureKind.FATAL
-        if self.retry.should_retry(kind, job.attempts):
-            delay = self.retry.delay(job.attempts, key=job.job_id)
-            job.not_before = now + delay
+        if self.retry.should_retry(kind, attempts):
+            delay = self.retry.delay(attempts, key=job.job_id)
             self._move(
                 job, JobState.RETRYING, now,
                 detail=outcome.detail or f"{kind.value} failure",
+                token=None, worker=None, attempts=attempts,
+                not_before=now + delay,
             )
             stats.retried += 1
             if self.tracer.enabled:
@@ -1081,6 +1080,7 @@ class ControlPlane:
             job, JobState.FAILED, now,
             detail=outcome.detail
             or f"{kind.value} failure, attempts exhausted",
+            token=None, worker=None, attempts=attempts,
         )
         stats.failed += 1
 

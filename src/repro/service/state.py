@@ -19,7 +19,7 @@ daemon, the chaos harness and the tests all go through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -130,19 +130,15 @@ class JobRecord:
         return self.state in TERMINAL_STATES
 
     def to_json(self) -> dict:
-        """JSON-safe snapshot of this record (WAL / snapshot / API)."""
-        payload = {}
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            payload[spec_field.name] = (
-                value.value if isinstance(value, JobState) else value
-            )
+        """JSON-safe snapshot of this record (snapshot / archive / API)."""
+        payload = self.__dict__.copy()
+        payload["state"] = self.state.value
         return payload
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "JobRecord":
         """Rebuild a record, ignoring unknown keys (forward compatible)."""
-        known = {spec_field.name for spec_field in fields(cls)}
+        known = cls.__dataclass_fields__
         kwargs = {key: value for key, value in payload.items() if key in known}
         deadline = kwargs.get("max_runtime_s")
         if isinstance(deadline, float) and not deadline < math.inf:

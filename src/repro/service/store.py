@@ -6,7 +6,9 @@ Stdlib-only crash safety over three files:
 * every state change is one JSON line appended to ``wal.jsonl`` (an
   optional ``fsync`` per append for real durability; tests exercise
   crash points at record granularity, so buffered writes keep the same
-  semantics),
+  semantics).  A record holds what changed, not the whole object: a job
+  transition carries the fields that move set, and replay applies them
+  over the prior record,
 * every ``compact_every`` records, :meth:`DurableStore.compact` first
   appends the records that can never change again (the plane's jobs
   that turned terminal since the last compaction) to ``sealed.jsonl``,
@@ -55,6 +57,10 @@ READABLE_SCHEMAS = frozenset({1, STORE_SCHEMA_VERSION})
 
 #: ``kind`` of the header record opening every WAL file.
 WAL_HEADER_KIND = "wal_header"
+
+#: Every record's encoder: ``json.dumps(..., sort_keys=True)`` builds a
+#: new one per call, this one is built once and writes the same bytes.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class StoreError(ServiceError):
@@ -267,7 +273,7 @@ class DurableStore:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(self._header_line())
             for record in image.records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.write(_encode(record) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.wal_path)
@@ -276,10 +282,7 @@ class DurableStore:
     # Appending
     # ------------------------------------------------------------------
     def _header_line(self) -> str:
-        return (
-            json.dumps({"kind": WAL_HEADER_KIND, "schema": STORE_SCHEMA_VERSION})
-            + "\n"
-        )
+        return _encode({"kind": WAL_HEADER_KIND, "schema": STORE_SCHEMA_VERSION}) + "\n"
 
     def _open_append(self, write_header: bool) -> None:
         try:
@@ -297,7 +300,7 @@ class DurableStore:
         record = {"seq": self._seq + 1, "kind": kind}
         record.update(fields)
         try:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._fh.write(_encode(record) + "\n")
             self._fh.flush()
             if self.fsync:
                 os.fsync(self._fh.fileno())
@@ -342,9 +345,9 @@ class DurableStore:
             }
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    # dumps, not dump: the same bytes, from the C encoder
+                    # encode, not dump: the same bytes, from the C encoder
                     # (dump streams through the pure-Python iterencode).
-                    fh.write(json.dumps(payload, sort_keys=True))
+                    fh.write(_encode(payload))
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.snapshot_path)
@@ -378,9 +381,7 @@ class DurableStore:
         Bytes past the committed length (a compaction that failed before
         its rename) are truncated first, so a retried batch lands once.
         """
-        data = "".join(
-            json.dumps(record, sort_keys=True) + "\n" for record in sealed
-        ).encode("utf-8")
+        data = "".join(_encode(record) + "\n" for record in sealed).encode("utf-8")
         if not data:
             return self._sealed_bytes
         with open(self.sealed_path, "ab") as fh:

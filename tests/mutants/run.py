@@ -191,6 +191,13 @@ MUTANTS = [
      "last[0] == now and _gpu_ids(last[1]) == _gpu_ids(pool)", "last[0] == now"),
     ("simulator-starvation-count", "simulation/simulator.py",
      "rounds = since.get(app_id, 0) + 1", "rounds = since.get(app_id, 0)"),
+    # service/daemon.py: transition records carry only what their move set
+    ("daemon-finish-keeps-worker", "service/daemon.py",
+     "token=None, result=outcome.result, worker=None,", "token=None, result=outcome.result,"),
+    ("daemon-replay-skips-token", "service/daemon.py",
+     '"token", "result", "worker", "started_at",', '"result", "worker", "started_at",'),
+    ("daemon-record-without-changes", "service/daemon.py",
+     "at=now,\n            **changes,\n", "at=now,\n"),
 ]
 
 #: Mutants that cannot change any observable behaviour, with the reason.

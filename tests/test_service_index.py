@@ -10,8 +10,8 @@ Count-based, so nothing here can flake on a slow box:
   compaction only appends to the archive;
 * the index is an optimisation, not a behaviour: a scripted 300-job run
   (both execution planes, retries, fatal failures, cancels, a killed
-  worker, a deadline, a restart mid-flight) appends the record sequence
-  frozen from the commit before the index existed, and its
+  worker, a deadline, a restart mid-flight) appends a frozen record
+  sequence that replays to the same jobs as before the index, and its
   ``snapshot.json`` and ``sealed.jsonl`` hold the bytes
   ``json.dumps(..., sort_keys=True)`` gives for what a recovery reads
   back.
@@ -33,8 +33,12 @@ from repro.service.store import STORE_SCHEMA_VERSION, DurableStore
 
 NO_JITTER = RetryPolicy(base_delay=0.5, jitter=0.0)
 
-#: sha256 over the scripted run's appended records, frozen at e5e3387
-#: (every entry point still scanned ``jobs``) — the behaviour oracle.
+#: sha256 over the scripted run's appended records — the behaviour
+#: oracle, first frozen at e5e3387 (every entry point still scanned
+#: ``jobs``).  Re-frozen when transition records started carrying only
+#: the fields their move set and submit records the constructor's
+#: arguments: replayed record by record, each job matches the full-record
+#: log at every seq, and the snapshot and archive digests did not move.
 #: The final ``snapshot.json`` / ``sealed.jsonl`` digests are from the
 #: store's schema 2: the snapshot holds the one job still live at the
 #: last compaction, byte-equal to its entry in the schema-1 snapshot,
@@ -42,7 +46,7 @@ NO_JITTER = RetryPolicy(base_delay=0.5, jitter=0.0)
 #: Re-derive with ``PYTHONPATH=src python tests/test_service_index.py``.
 SCRIPTED_APPENDS = 1714
 SCRIPTED_WAL_SHA256 = (
-    "99a047387d8c4d3dd9e8c78aacd20084b126920c06db3ece56fd680c84f4e8f5"
+    "bc8d06300b3f72b0d1a45fb8d4ed83a392cab87592caf4f9c88b1085380f83c1"
 )
 SCRIPTED_SNAPSHOT_SHA256 = (
     "2550b16cba13e12684f42539b6acc7ff14d4a70527aa3d17eccc3d77c7f79934"
@@ -109,8 +113,8 @@ def test_entry_points_visit_no_terminal_record(tmp_path, monkeypatch):
     assert not stats.compacted
     assert encoded == []  # compaction not due: nothing encoded at all
 
-    job_id = plane.submit({"kind": "noop"}, tenant="t0")
-    assert encoded == [job_id]  # the submit record, nothing else
+    plane.submit({"kind": "noop"}, tenant="t0")
+    assert encoded == []  # the submit record holds the constructor's arguments
     assert len(plane.claim(worker.worker_id, max_jobs=2)) == 2
     assert plane.stats()["jobs"] == {
         "admitted": 5, "dispatched": 3, "finished": 2000, "running": 1,

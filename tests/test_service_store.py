@@ -6,8 +6,10 @@ import os
 import pytest
 
 from repro.service import store as store_module
-from repro.service.chaos import FakeClock
-from repro.service.daemon import ControlPlane, NoopExecutor
+from repro.service.chaos import FakeClock, ScriptedExecutor, SimWorker, drain_fleet
+from repro.service.daemon import ControlPlane, JobOutcome, NoopExecutor
+from repro.service.retry import FailureKind
+from repro.service.state import JobRecord, JobState, transition
 from repro.service.store import (
     STORE_SCHEMA_VERSION,
     DurableStore,
@@ -397,4 +399,191 @@ def test_schema_1_store_recovers_and_its_first_compaction_seals_once(tmp_path):
 
     recovered = ControlPlane(DurableStore(root), executor=NoopExecutor(), clock=clock)
     assert recovered.job_list() == table
+    recovered.close()
+
+
+# ----------------------------------------------------------------------
+# What the plane writes and reads back
+# ----------------------------------------------------------------------
+def _store_with_every_file(root):
+    """A closed store whose archive holds two FINISHED jobs, whose
+    snapshot holds one ADMITTED job and whose WAL cancels it."""
+    plane = ControlPlane(
+        DurableStore(root, compact_every=1), executor=NoopExecutor(),
+        clock=FakeClock(),
+    )
+    plane.submit({"kind": "noop"})
+    plane.submit({"kind": "noop"})
+    assert plane.tick().compacted  # runs both inline, then seals them
+    plane.register_worker(name="w")  # a live worker: no inline run
+    job_id = plane.submit({"kind": "noop"})
+    assert plane.tick().compacted
+    plane.cancel(job_id)
+    plane.close()
+
+
+def _rename_state(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) >= 1 and len(old) == len(new)
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def _drop_snapshot_job_id(path):
+    snapshot = json.loads(path.read_text(encoding="utf-8"))
+    [job] = snapshot["state"]["jobs"]
+    del job["job_id"]
+    path.write_text(json.dumps(snapshot, sort_keys=True), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("sealed.jsonl", lambda p: _rename_state(p, '"finished"', '"finishex"')),
+    ("snapshot.json", _drop_snapshot_job_id),
+    ("wal.jsonl", lambda p: _rename_state(p, '"cancelled"', '"cancellex"')),
+], ids=["archive-unknown-state", "snapshot-no-job-id", "wal-unknown-state"])
+def test_a_record_that_parses_but_cannot_be_rebuilt_is_corruption(
+    tmp_path, name, corrupt
+):
+    """Garbage that is valid JSON (an unknown state, a job without an id)
+    is :class:`StoreCorruption` naming its file, not a bare error."""
+    root = tmp_path / "store"
+    _store_with_every_file(root)
+    ControlPlane(DurableStore(root), executor=NoopExecutor()).close()  # intact
+    corrupt(root / name)
+    with pytest.raises(StoreCorruption, match=name):
+        ControlPlane(DurableStore(root), executor=NoopExecutor())
+
+
+#: The fields every transition record carried before records held only
+#: what their move set.
+_FULL_TRANSITION_FIELDS = (
+    "attempts", "dispatches", "not_before", "detail",
+    "token", "result", "worker", "started_at",
+)
+
+
+def _full_record_wal(root):
+    """A WAL as the full-record writer left it: each submit holds the
+    whole record and each transition every field.  One job per
+    transition kind; job-00006 is still RUNNING.  Returns the jobs."""
+    wal = [
+        {"kind": "wal_header", "schema": STORE_SCHEMA_VERSION},
+        {"seq": 1, "kind": "epoch", "epoch": 1, "at": 0.0},
+        {"seq": 2, "kind": "worker_register", "worker": "w1-001",
+         "name": "old", "capacity": 4, "epoch": 1, "at": 0.0},
+    ]
+    jobs = {}
+
+    def move(job_id, state, at, detail="", **changes):
+        job = jobs[job_id]
+        transition(job, state, at, detail=detail)
+        for key, value in changes.items():
+            setattr(job, key, value)
+        wal.append({
+            "seq": len(wal), "kind": "transition", "job": job_id,
+            "state": state.value, "at": at,
+            **{key: getattr(job, key) for key in _FULL_TRANSITION_FIELDS},
+        })
+
+    def run(job_id, at):
+        """ADMITTED -> DISPATCHED (to w1-001) -> RUNNING."""
+        move(job_id, JobState.ADMITTED, at)
+        move(job_id, JobState.DISPATCHED, at,
+             token={"job_id": job_id, "epoch": 1, "seq": len(wal)},
+             dispatches=jobs[job_id].dispatches + 1, worker="w1-001")
+        move(job_id, JobState.RUNNING, at + 0.5, started_at=at + 0.5)
+
+    for number in range(1, 7):
+        job = JobRecord(f"job-{number:05d}", spec={"kind": "noop"},
+                        order=number, submitted_at=1.0, updated_at=1.0)
+        jobs[job.job_id] = job
+        wal.append({"seq": len(wal), "kind": "submit", "job": job.to_json()})
+    fenced = {"token": None, "worker": None}
+    run("job-00001", 2.0)
+    move("job-00001", JobState.FINISHED, 3.0, result={"n": 1}, **fenced)
+    run("job-00002", 2.0)
+    move("job-00002", JobState.RETRYING, 3.0, detail="hiccup",
+         attempts=1, not_before=3.5, **fenced)
+    run("job-00003", 2.0)
+    move("job-00003", JobState.FAILED, 3.0, detail="bad job", attempts=1, **fenced)
+    move("job-00004", JobState.CANCELLED, 2.0, detail="cancelled by user", **fenced)
+    move("job-00005", JobState.ADMITTED, 2.0)
+    move("job-00005", JobState.DISPATCHED, 2.0,
+         token={"job_id": "job-00005", "epoch": 1, "seq": len(wal)},
+         dispatches=1, worker="w1-001")
+    move("job-00005", JobState.RETRYING, 9.0,
+         detail="dispatch to w1-001 stalled past 5s; claim revoked",
+         not_before=9.5, **fenced)
+    run("job-00006", 9.0)
+    root.mkdir()
+    (root / "wal.jsonl").write_text(
+        "".join(json.dumps(record, sort_keys=True) + "\n" for record in wal),
+        encoding="utf-8",
+    )
+    return jobs
+
+
+def test_full_and_delta_transition_records_replay_alike(tmp_path):
+    """A WAL holding full transition records, then the plane's own
+    records of only the fields each move set, recovers every job field
+    for field as the plane that wrote it holds it."""
+    root = tmp_path / "store"
+    written = _full_record_wal(root)
+    clock = FakeClock(now=10.0)
+    plane = ControlPlane(
+        DurableStore(root, compact_every=10**9), executor=NoopExecutor(),
+        clock=clock,
+    )
+    for job_id in ("job-00001", "job-00003", "job-00004"):
+        assert plane.status(job_id) == written[job_id].to_json()
+    assert plane.status("job-00006")["state"] == "retrying"  # orphan sweep
+
+    worker = SimWorker(plane, ScriptedExecutor(script={
+        "job-00002": [JobOutcome.success({"n": 2})],
+        "job-00007": [JobOutcome.failure(FailureKind.TRANSIENT, "again"),
+                      JobOutcome.success()],
+    }), capacity=2)
+    plane.submit({"kind": "noop"})
+    plane.cancel(plane.submit({"kind": "noop"}))
+    drain_fleet(plane, clock, [worker])
+    plane.close()
+
+    lines = [json.loads(line) for line in root.joinpath("wal.jsonl").open()]
+    widths = {
+        len(set(record) & set(_FULL_TRANSITION_FIELDS))
+        for record in lines if record.get("kind") == "transition"
+    }
+    assert 0 in widths and len(_FULL_TRANSITION_FIELDS) in widths
+
+    recovered = ControlPlane(DurableStore(root), executor=NoopExecutor(), clock=clock)
+    assert recovered.job_list() == plane.job_list()
+    assert [job["state"] for job in recovered.job_list()] == [
+        "finished", "finished", "failed", "cancelled", "finished",
+        "finished", "finished", "cancelled",
+    ]
+    recovered.close()
+
+
+def test_a_transition_record_applies_over_the_snapshot(tmp_path):
+    """A job compacted while dispatched (the snapshot holds its token and
+    worker) and finished after: replay clears both, as the plane did."""
+    root = tmp_path / "store"
+    clock = FakeClock()
+    plane = ControlPlane(
+        DurableStore(root, compact_every=1), executor=NoopExecutor(), clock=clock,
+    )
+    worker = SimWorker(plane, NoopExecutor())
+    job_id = plane.submit({"kind": "noop"})
+    plane.tick()
+    assert worker.claim() == 1 and plane.tick().compacted
+    snapshot = json.loads((root / "snapshot.json").read_text(encoding="utf-8"))
+    [held] = snapshot["state"]["jobs"]
+    assert held["state"] == "dispatched" and held["token"] and held["worker"]
+    worker.start_all()
+    worker.execute_all()
+    worker.report_all()
+    plane.close()
+
+    recovered = ControlPlane(DurableStore(root), executor=NoopExecutor(), clock=clock)
+    assert recovered.status(job_id) == plane.status(job_id)
+    assert recovered.status(job_id)["token"] is None
     recovered.close()
