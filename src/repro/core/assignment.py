@@ -1,4 +1,4 @@
-"""Shared assignment helpers: counts -> GPUs, greedy fill, pool draining.
+"""Shared assignment helpers: counts -> GPUs, the additive market, pool draining.
 
 Both the Themis ARBITER and the emulated baseline schedulers (Gandiva,
 Tiresias, SLAQ — Section 8's comparison points are all modelled "to fit
@@ -7,30 +7,37 @@ counts.  The pool a round offers arrives already grouped by machine,
 slot-sorted within each (``LeaseManager.pool_for_auction``), so its
 counts are one ``len`` per machine; what the policies share is
 
-* concretising per-machine count assignments back into GPU grants, and
+* concretising per-machine count assignments back into GPU grants,
 * :func:`drainable`, the mutable copy that :func:`take_packed` and
-  ``take_scattered`` drain, since the round's pool is read-only.
+  ``take_scattered`` drain, since the round's pool is read-only, and
+* the baselines' side of the one greedy market solver.
 
-:func:`greedy_utility_assign` is the additive-utility counterpart of
-the auction's Nash-welfare solver, used by baselines that maximise a
-sum (placement score for Gandiva, loss reduction for SLAQ, completion
-time for Optimus).  Like that solver it is incremental by row/column
-invalidation: a move by app a* on machine m* changes a*'s bundle,
-current utility and headroom (its row) and m*'s free count (its
-column) and nothing else, so only those pairs are re-scored and every
-other pair's key is, bit for bit, what a rescan of the whole apps x
-machines x {1, chunk} table would recompute.  And like the auction's
-row pass it scores one machine per *class* (:class:`ClassedUtility`):
-SLAQ and Optimus class machines by effective compute, Gandiva by the
-auction's shape class.  The argument needs the ``utilities`` to be pure
-while a call runs; all three callers pass utilities over frozen
-per-round snapshots.  The rescan itself lives on as the tests'
-reference (``tests/helpers.py::rescan_utility_assign``).
+**One greedy solver, two objectives.**  Every market here is solved by
+one lazy-heap greedy, :func:`repro.core.auction.greedy_solve`: Themis'
+auction, and the Gandiva, SLAQ and Optimus baselines that Section 8
+models as bidders in the same market.  It applies the best ``(app,
+machine, step)`` move until none improves, re-scoring only the moved
+app's row and the moved machine's column, one heap entry per machine
+class, through a per-bidder pair memo.  Only the objective's key
+differs.  :class:`~repro.core.auction.NashWelfare` (Themis) ranks moves
+by marginal log value per GPU and rescues zero-value bidders first; a
+rescue key reads the raw free count, so rescue scores are neither
+memoised nor classed by the step bound.  :class:`AdditiveWelfare` (the
+baselines) ranks by marginal utility per GPU, ``(-gain, step, app,
+machine)``, counting a gain only above ``1e-12``.  A bidder supplies
+its demand, its value of a bundle, its row classes and its pair memo: a
+:class:`~repro.core.bids.Bid`, or a :class:`UtilityBid` wrapping a
+baseline's utility (placement score for Gandiva, loss reduction for
+SLAQ, completion time for Optimus).  The rescan the baselines' greedy
+once was lives on as the tests' reference
+(``tests/helpers.py::rescan_utility_assign``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping, Optional, Protocol, Sequence
+import math
+import operator
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.cluster.topology import Gpu
 
@@ -83,182 +90,93 @@ def concretise(
 
 
 def check_chunk_size(chunk_size: int) -> int:
-    """``chunk_size`` if it can bound a greedy step, else ``ValueError``.
+    """``chunk_size`` as an ``int`` if it can bound a greedy step (any
+    integer type, numpy's too, but no float), else ``ValueError``.
 
     Every scheduler that takes a ``chunk_size`` calls this where the
     value enters, so a bad one fails the constructor and not round 1.
     """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
-    return chunk_size
+    try:
+        size = operator.index(chunk_size)
+    except TypeError:
+        raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}") from None
+    if size <= 0:
+        raise ValueError(f"chunk_size must be > 0, got {chunk_size!r}")
+    return size
 
 
-#: What one row pass of a classed utility returns: the remaining
-#: machines that are each their own class, every other remaining machine
-#: grouped under its class (members in ascending id), and
-#: ``probe(machine_id, machine_class, step)``, the utility of the row's
-#: bundle plus ``step`` GPUs on a classed machine.
-RowClasses = tuple[
-    Sequence[int], Mapping[Hashable, Sequence[int]], Callable[[int, Hashable, int], float]
-]
+class AdditiveWelfare:
+    """The baselines' objective, a *sum* of utilities: a move's key is
+    ``(-gain, step, app_id, machine_id)``, ``gain`` being the marginal
+    utility per GPU (utilities are of the app's whole bundle), and only a
+    gain above ``1e-12`` is a move."""
+
+    #: Nobody is rescued.
+    rescue_at = -math.inf
+
+    @staticmethod
+    def key(bid: Any, app_id: str, machine_id: int, free: int, step: int, value: float,
+            current: float) -> Optional[tuple]:
+        gain = (value - current) / step
+        return (-gain, step, app_id, machine_id) if gain > 1e-12 else None
 
 
-class ClassedUtility(Protocol):
-    """A utility that declares machine classes to :func:`greedy_utility_assign`.
+class UtilityBid:
+    """A baseline app as a bidder of the greedy market: ``utility`` of a
+    per-machine bundle, up to ``demand`` GPUs, for one solve: ``utility``
+    is asked each value once, class probes' too, and must be pure while
+    the solve runs.  Values are kept under the bundle split at the machine
+    the step lands on, ``(rest of the bundle, machine, count there)``:
+    an app's bundles only grow within a solve, so every probe of one
+    bundle splits it alike.  ``utility`` sees the bundle in *move order*
+    (machines in the order the app first grew on them): SLAQ and Optimus
+    sum effective compute in that order, and the float depends on it.
 
-    ``row(bundle, remaining, cap)`` classes every machine of
-    ``remaining`` (machine -> free GPUs, ascending ids) against the
-    app's ``bundle``, a step on it being bounded by ``min(free, cap)``.
-    Two machines of one class must value identically, bundle plus any
-    step up to that bound, and a machine in ``bundle`` must be its own
-    class.  A plain callable declares no classes: every machine is its
-    own class.
+    A ``utility`` with ``row(bundle, remaining, cap)`` declares machine
+    classes: it returns the machines of ``remaining`` (machine -> free
+    GPUs, ascending ids) that are each their own class, every other one
+    under its class (members ascending), and ``probe(machine_id,
+    machine_class, step)``, the utility of the bundle plus ``step`` GPUs
+    on a classed machine.  Two machines of one class must value
+    identically, bundle plus any step up to ``min(free, cap)``, and a
+    machine in the bundle is its own class.  Without ``row``, every
+    machine is.
     """
 
-    def __call__(self, bundle: Mapping[int, int]) -> float: ...
+    __slots__ = ("utility", "value_of", "demand", "_row", "_values", "_pair_memo")
 
-    def row(
-        self, bundle: Mapping[int, int], remaining: Mapping[int, int], cap: int
-    ) -> RowClasses: ...
+    def __init__(self, utility: Callable[[Mapping[int, int]], float], demand: int) -> None:
+        self.utility = self.value_of = utility
+        self._row = getattr(utility, "row", None)
+        self.demand = demand
+        self._values: dict[tuple, float] = {}
+        self._pair_memo: dict[tuple, object] = {}
 
-
-def greedy_utility_assign(
-    pool: Mapping[int, int],
-    utilities: Mapping[str, Callable[[Mapping[int, int]], float]],
-    caps: Mapping[str, int],
-    chunk_size: int = 4,
-) -> dict[str, dict[int, int]]:
-    """Greedy maximisation of an *additive* social objective.
-
-    Repeatedly applies the single (app, machine, step) move with the
-    largest marginal utility per GPU until no move improves, ``step``
-    being 1 or ``min(chunk_size, free on the machine, app's headroom)``.
-    Utilities are absolute (utility of the app's cumulative bundle);
-    marginal gain is the difference.  Moves are ordered by the key
-    ``(-gain, step, app_id, machine_id)``, a strict total order, so the
-    result does not depend on iteration order.
-
-    Incremental, and exact: each (app, machine) pair keeps its best key,
-    and the move (a*, m*, step) re-scores row a* (its bundle, current
-    utility and headroom changed) and column m* (its free count changed,
-    or it left the pool).  Every other pair's bundle, current utility and
-    step set are what they were, so its key is the float a full rescan
-    would recompute and the minimum over the same keys is the same move.
-    That needs ``utilities`` to be pure for the duration of the call —
-    the callers pass utilities over per-round snapshots.  A bundle is
-    evaluated at most once per machine: a pair remembers the values it
-    has seen by its count on the machine, and forgets them only when the
-    app grows on a *different* machine (which changes every such bundle).
-
-    A row pass scores one machine per *class*.  A :class:`ClassedUtility`
-    classes the remaining machines against the app's bundle; the first
-    machine of each class is scored (through the row's ``probe``) and
-    every later member gets the same entry under its own ``machine_id``.
-    Exact: members value identically at every step up to their shared
-    bound, which fixes the step set, so a member's own scoring would
-    compute the same ``(-gain, step, value)`` — the entries differ only
-    in ``machine_id``, as the rescan's would, and the move sequence is
-    the same.  Members keep no ``seen`` values; a column event re-scores
-    one through the utility itself.  A utility that declares no classes
-    gets one class per machine through the same loop.
-    """
-    check_chunk_size(chunk_size)
-    # Ascending ids: the order a classed row pass walks.
-    remaining = {m: c for m, c in sorted(pool.items()) if c > 0}
-    assignment: dict[str, dict[int, int]] = {a: {} for a in utilities}
-    headroom = {a: caps.get(a, 0) for a in utilities}
-    current: dict[str, float] = {}
-    # app -> machine -> (-gain, step, app, machine, value): the pair's
-    # best move (absent when none improves).  (step, app, machine) is
-    # unique, so comparing entries never reaches the value.
-    rows: dict[str, dict[int, tuple]] = {}
-    # app -> machine -> {count on that machine: utility of the bundle}.
-    seen: dict[str, dict[int, dict[int, float]]] = {}
-
-    def score(
-        app_id: str,
-        machine_id: int,
-        probe: Optional[Callable[[int, Hashable, int], float]] = None,
-        machine_class: Hashable = None,
-    ) -> Optional[tuple]:
-        held = assignment[app_id]
-        values = seen[app_id].setdefault(machine_id, {})
-        base = current[app_id]
+    def value_after(self, held: Mapping[int, int], key: tuple, machine_id: int, step: int) -> float:
         count = held.get(machine_id, 0)
-        chunk = min(chunk_size, remaining[machine_id], headroom[app_id])
-        best = None
-        for step in (1, chunk) if chunk > 1 else (1,):
-            value = values.get(count + step)
-            if value is None:
-                if probe is None:
-                    bundle = dict(held)
-                    bundle[machine_id] = count + step
-                    value = utilities[app_id](bundle)
-                else:
-                    value = probe(machine_id, machine_class, step)
-                values[count + step] = value
-            gain = (value - base) / step
-            if gain > 1e-12 and (best is None or -gain < best[0]):
-                best = (-gain, step, app_id, machine_id, value)
-        if best is None:
-            rows[app_id].pop(machine_id, None)
-        else:
-            rows[app_id][machine_id] = best
-        return best
+        if count:
+            key = tuple([entry for entry in key if entry[0] != machine_id])
+        slot = (key, machine_id, count + step)
+        value = self._values.get(slot)
+        if value is None:
+            bundle = dict(held)
+            bundle[machine_id] = count + step
+            value = self._values[slot] = self.utility(bundle)
+        return value
 
-    def score_row(app_id: str) -> None:
-        """Score ``app_id`` against every remaining machine, once per class."""
-        row = getattr(utilities[app_id], "row", None)
-        if row is None:
-            own, classes, probe = remaining, {}, None
-        else:
-            cap = min(chunk_size, headroom[app_id])
-            own, classes, probe = row(assignment[app_id], remaining, cap)
-        for machine_id in own:
-            score(app_id, machine_id)
-        entries = rows[app_id]
-        for machine_class, members in classes.items():
-            best = score(app_id, members[0], probe, machine_class)
-            for member in members[1:]:
-                if best is None:
-                    entries.pop(member, None)
-                else:
-                    entries[member] = (best[0], best[1], app_id, member, best[4])
+    def row(self, held: Mapping[int, int], key: tuple, remaining: Mapping[int, int], cap: float):
+        if self._row is None:
+            return None
+        own, classes, probe = self._row(held, remaining, cap)
+        values = self._values
 
-    for app_id in utilities:
-        if headroom[app_id] > 0 and remaining:
-            current[app_id] = utilities[app_id]({})
-            rows[app_id], seen[app_id] = {}, {}
-            score_row(app_id)
-    while True:
-        move = min((e for row in rows.values() for e in row.values()), default=None)
-        if move is None:
-            break
-        _, step, app_id, machine_id, value = move
-        held = assignment[app_id]
-        held[machine_id] = held.get(machine_id, 0) + step
-        current[app_id] = value
-        headroom[app_id] -= step
-        remaining[machine_id] -= step
-        if remaining[machine_id] <= 0:
-            del remaining[machine_id]
-            for row in rows.values():
-                row.pop(machine_id, None)
-        if headroom[app_id] <= 0:
-            del rows[app_id], seen[app_id]
-        else:
-            # Row: every bundle of the app changed, except in its count
-            # on the machine it just grew on (a class member kept none).
-            seen[app_id] = {machine_id: seen[app_id].get(machine_id, {})}
-            score_row(app_id)
-        if machine_id in remaining:
-            # Column: a pair changes only if the machine can no longer
-            # fill the chunk step it offered (its step-1 probe is the same).
-            free = remaining[machine_id]
-            for other in rows:
-                if other != app_id and free < min(chunk_size, headroom[other]):
-                    score(other, machine_id)
-    return {a: b for a, b in assignment.items() if b}
+        def cached(machine_id: int, machine_class: tuple, step: int) -> float:
+            # A classed machine is not in the bundle, and a row is built
+            # once per bundle, so no probe has asked for this one yet.
+            value = values[key, machine_id, step] = probe(machine_id, machine_class, step)
+            return value
+
+        return own, classes, cached
 
 
 def take_packed(

@@ -22,20 +22,34 @@ Three stages:
    placement-sensitive, work-conserving way (Section 5.1, "Leftover
    Allocation").
 
-Solver complexity and the lazy heap
------------------------------------
+One solver, two objectives
+--------------------------
 
-The original winner determination was a full rescan: every greedy step
-re-scored every ``(app, machine, step)`` move, i.e. ``O(A x M)``
-valuation probes per applied move and ``O(G/chunk x A x M)`` per solve
-(``A`` apps, ``M`` machines with free GPUs, ``G`` pool GPUs).  With
-hidden payments on, the market is re-solved once per winner, so one
-auction round cost ``O(A)`` solves — ``O(G/chunk x A^2 x M)`` probes.
+Every market here is solved by one lazy-heap greedy, :func:`greedy_solve`:
+Themis' auction, and the Gandiva, SLAQ and Optimus baselines that
+Section 8 models as bidders in the same market.  It applies the best
+``(app, machine, step)`` move until none improves, re-scoring only the
+moved app's row and the moved machine's column, one heap entry per
+machine class, through a per-bidder pair memo.  Only the objective's key
+differs.  :class:`NashWelfare` (Themis) ranks moves by marginal log value
+per GPU and rescues zero-value bidders first; a rescue key reads the raw
+free count, so rescue scores are neither memoised nor classed by the
+step bound.  :class:`~repro.core.assignment.AdditiveWelfare` (the
+baselines) ranks by marginal utility per GPU, ``(-gain, step, app,
+machine)``, counting a gain only above ``1e-12``.  A bidder supplies its
+demand, its value of a bundle, its row classes and its pair memo: a
+:class:`~repro.core.bids.Bid`, or a
+:class:`~repro.core.assignment.UtilityBid` wrapping a baseline's utility.
 
-The solver (:meth:`PartialAllocationAuction._solve`) is a
-CELF-style lazy-greedy over a max-heap of candidate moves.  Each heap
-entry caches the score of the best move for one ``(app, machine)``
-pair.  The **staleness invariant** that makes the heap exact is:
+The lazy heap
+-------------
+
+A full rescan re-scores every ``(app, machine, step)`` move per applied
+move: ``O(A x M)`` valuation probes per move (``A`` apps, ``M`` machines
+with free GPUs), and hidden payments re-solve the market once per
+winner.  :func:`greedy_solve` is a CELF-style lazy greedy over a heap of
+move keys, one entry per ``(app, machine)`` pair.  The **staleness
+invariant** that makes it exact:
 
     a cached score for pair ``(a, m)`` depends *only* on app ``a``'s
     current bundle (and therefore its current value and headroom) and
@@ -43,77 +57,67 @@ pair.  The **staleness invariant** that makes the heap exact is:
     on machine ``Q`` therefore invalidates exactly the entries of row
     ``A`` and column ``Q``; every other cached score is still exact.
 
-After each applied move only the ``O(A + M)`` invalidated pairs are
-re-scored (each entry records how many moves had been applied when it
-was built; one whose app or machine moved later is stale, and stale
-entries are discarded lazily on pop), so the heap minimum is
-always a freshly scored, exact argmin — the solver replays the full
-rescan's choice sequence *byte-identically*, including tie-breaks,
-without relying on submodularity of the marginal gains.  Per-solve cost
-drops to ``O(A x M)`` initial scores plus ``O(G/chunk x (A + M))``
-maintenance.
+After each move only the ``O(A + M)`` invalidated pairs are re-scored
+(an entry records how many moves had been applied when it was built;
+one whose app or machine moved later is stale and discarded on pop), so
+the heap minimum is always a freshly scored, exact argmin: the solver
+replays the rescan's choice sequence *byte-identically*, tie-breaks
+included, without relying on submodularity of the gains.  That needs
+each bidder's values to be pure while a solve runs; bids and the
+baselines' utilities price frozen per-round snapshots.
 
 Bound-gated, symmetry-reduced re-scoring
 ----------------------------------------
 
-The ``O(A + M)`` post-move re-scores are *precise* valuation probes
-over trajectory-dependent compound bundles — unprimeable by any
-cross-round cache, and the dominant cost on wide pools.  Plain lazy-CELF stale-heap
-re-validation is NOT exact here: Themis marginal gains are non-monotone
-(a shrinking machine can *raise* a pair's normalized gain — see
-tests/test_auction_equivalence.py for a pinned counterexample), so the
-lazy solver instead applies two *provably exact* reductions.
+The post-move re-scores probe trajectory-dependent bundles no
+cross-round cache can prime, and dominate on wide pools.  Plain
+lazy-CELF re-validation is NOT exact here: Themis marginal gains are
+non-monotone (a shrinking machine can *raise* a pair's normalized gain —
+tests/test_auction_equivalence.py pins a counterexample), so the solver
+applies two *provably exact* reductions instead.
 
-**Skip rule (the invalidation algebra).**  On the gain path
-(``current_value > 0``) :meth:`_score_pair`'s result is a pure function
-of a key narrower than its argument list: the probed bundles are
-``current_key + {machine: step}`` for ``step in {1, chunk}`` with
-``chunk = min(chunk_size, free, headroom)``; ``current_value`` is
-itself ``bid.value_from_key(current_key)`` and the heap key
-``(1, -gain, step, app_id, machine_id)`` never reads ``free`` — so the
-score is pure in ``(machine_id, current_key, chunk)``.  A column shrink
-that leaves ``min(chunk_size, free, headroom)`` unchanged therefore
-*cannot* have changed the score and is served from the per-bid memo.
-Rescue scores (``current_value <= 0``) read the live ``free`` in their
-tie-break term and are not memoised: the ablation table in README
-measured no loss without that memo.
+**Skip rule (the invalidation algebra).**  Off the rescue path
+:func:`_score_pair` probes ``current_key + {machine: step}`` for ``step
+in {1, chunk}``, ``chunk = min(chunk_size, free, headroom)``;
+``current_value`` is the bidder's value of ``current_key``, and neither
+objective's non-rescue key reads ``free`` — so the score is pure in
+``(machine_id, current_key, chunk)``.  A column shrink that leaves
+``chunk`` unchanged *cannot* have changed it and is served from the
+bidder's memo.  Rescue scores read the live ``free`` in their tie-break
+and are not memoised: the ablation table in README measured no loss
+without that memo.
 
-**Shape symmetry (one score per machine class).**  A row is one app
-against every remaining machine, and on a wide pool most of those
-machines are indistinguishable to it.  By the shape lemma
+**Shape symmetry (one score per machine class).**  On a wide pool most
+machines of a row are indistinguishable to its app, and a bidder's
+``row`` says which.  For a :class:`~repro.core.bids.Bid` (and Gandiva's
+packing utility), by the shape lemma
 (:func:`repro.core.fairness.bundle_shape`) a noise-free valuation reads
-a bundle only through its *shape* — per machine, in id order: rack
-label by first appearance, speeds, count — so within one row two
-machines that extend the app's total key (holdings + bundle so far) to
-equal shapes score identically up to the ``machine_id`` in the last key
-slot.  The class of a machine is therefore
-(:func:`repro.core.fairness.shape_classes`, which Gandiva's greedy row
-pass uses too):
-
-* a machine already in the total key — its own class (the step lands on
-  an existing entry);
-* otherwise ``(insertion position among the total key's ids, index of
-  its rack among the total key's racks or "new", speeds, chunk)`` with
-  ``chunk = min(chunk_size, free, headroom)`` — or raw ``free`` on the
-  rescue path, whose tie-break term reads it.  The *position* is part
-  of the class because the carve breaks effective-compute ties toward
-  lower ids: a free machine of the same rack and speed sorts before or
-  after the holdings and can change which rack a job drains first
-  (tests/test_shape_symmetry.py pins a 4.0-vs-5.2 counterexample).
+a bundle only through its *shape* — per machine, in id order: rack label
+by first appearance, speeds, count — so two machines that extend the
+app's total key (holdings + bundle so far) to equal shapes score
+identically up to the ``machine_id`` in the last key slot.  The class of
+a machine (:func:`repro.core.fairness.shape_classes`) is its own for a
+machine already in the total key (the step lands on an existing entry),
+else ``(insertion position among the total key's ids, index of its rack
+among the total key's racks or "new", speeds, chunk)`` — raw ``free``
+instead of ``chunk`` on the rescue path.  The *position* is part of the
+class because the carve breaks effective-compute ties toward lower ids:
+a free machine of the same rack and speed sorts before or after the
+holdings and can change which rack a job drains first
+(tests/test_shape_symmetry.py pins a 4.0-vs-5.2 counterexample).  SLAQ's
+and Optimus' utilities read only effective compute; their class is
+``(speed, chunk)``.
 
 **One heap entry per class.**  The row pass walks the remaining machines
-in ascending id, scores the *lowest* member of each class through
-:meth:`_score_pair` — off the row's table, ``(position, rack label,
-speeds, step) -> kernel`` per row shape
-(:class:`~repro.core.fairness.RowProbe`), the splice into the row's
-shape only on a table miss — and pushes that one entry with the
-class's sorted member list.  Held machines and columns (every app
-against the moved machine) stay per pair.  An entry built after ``n``
-applied moves is *live* while neither its app nor its machine has moved
-since.  Popped with the app moved, it is discarded (the row was
-rebuilt); with only the machine moved (a competitor took from the
-representative), the next member untouched since the build is pushed
-with the same score under its own ``machine_id`` first.  Exact because:
+in ascending id, scores the *lowest* member of each class through the
+row's probe (a bid's reads its kernel off the row's table,
+:class:`~repro.core.fairness.RowProbe`) and pushes one entry with the
+class's sorted member list.  Held machines and columns stay per pair.
+An entry built after ``n`` moves is *live* while neither its app nor its
+machine has moved since.  Popped with the app moved, it is discarded
+(the row was rebuilt); with only the machine moved (a competitor took
+from the representative), the next member untouched since the build is
+pushed with the same score under its own ``machine_id``.  Exact because:
 
 * every heap entry is still an exact per-pair entry under that test;
 * a pair without its own entry shares its key up to the final
@@ -125,11 +129,11 @@ with the same score under its own ``machine_id`` first.  Exact because:
 * a member touched since the build got its own exact entry from the
   column pass, and the walk skips it.
 
-With ``bid.noise_theta > 0`` the noise hash reads the id key, the class
-degenerates to the machine, and the row is scored per machine; pools
-under :data:`_CLASS_MIN_POOL` machines take that path too (nothing to
-group).  The reductions change *how often* a float is computed or an
-entry pushed, never *which* float or which move.
+A noisy bid (its noise hash reads the id key), a pool under
+:data:`repro.core.bids._CLASS_MIN_POOL` machines (nothing to group) and
+a baseline utility without classes are scored per machine.  The
+reductions change *how often* a float is computed or an entry pushed,
+never *which* float or which move.
 
 Payment re-solves are warm-started: the greedy state of the
 ``without_i`` market evolves identically to the full market until the
@@ -153,11 +157,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.cluster.topology import ordered_sum
+from repro.core.assignment import check_chunk_size
 from repro.core.bids import Bid
-from repro.core.fairness import RowProbe, shape_classes
+from repro.core.fairness import extend_key
 from repro.obs.profiler import NULL_PROFILER
 
 #: Floor used when taking logs of zero valuations in payment ratios.
@@ -177,30 +182,6 @@ def _bundle_total(bundle: Mapping[int, int]) -> int:
 
 #: Canonical bundle key: sorted ((machine, count), ...) tuple.
 _BundleKey = tuple[tuple[int, int], ...]
-
-
-def _merged_key(base: _BundleKey, machine_id: int, extra: int) -> _BundleKey:
-    """``base`` with ``extra`` more GPUs on ``machine_id``, staying sorted.
-
-    The lazy solver's probe path: extending an already-canonical key is
-    O(len(bundle)) with no dict build or re-sort (bundles are tiny —
-    a handful of machines per app).
-    """
-    out: list[tuple[int, int]] = []
-    inserted = False
-    for machine, count in base:
-        if machine == machine_id:
-            out.append((machine, count + extra))
-            inserted = True
-        elif not inserted and machine > machine_id:
-            out.append((machine_id, extra))
-            out.append((machine, count))
-            inserted = True
-        else:
-            out.append((machine, count))
-    if not inserted:
-        out.append((machine_id, extra))
-    return tuple(out)
 
 
 @dataclass
@@ -271,11 +252,254 @@ def _stamped(key: tuple, move: _Move, machine_id: int) -> tuple[tuple, _Move]:
 #: Sentinel distinguishing "memoised as None" from "not memoised".
 _MEMO_MISS = object()
 
-#: Narrowest pool whose rows are scored per machine class; below it
-#: (the median round is a 1-2 machine renewal pool) there is nothing to
-#: group and the per-machine path skips the row context.  Purely a perf
-#: knob — both paths apply identical moves.
-_CLASS_MIN_POOL = 4
+
+class NashWelfare:
+    """Themis' objective, the greedy step of max Nash welfare.
+
+    A move's key is ``(1, -gain, step, app_id, machine_id)``, ``gain``
+    being the marginal log value per GPU, and only a rise in value is a
+    move.  A zero-value bidder is *rescued* first (one GPU makes its
+    value positive, and lexicographic max-Nash-welfare maximises the
+    number of positive-value apps before the product) under ``(0,
+    -value, step, -free * speed, app_id, machine_id)``: highest new
+    value, then the machine with the most *effective* free compute
+    (count x the bidder's speed class, so the rescued app can grow
+    co-located on fast GPUs), then ids.
+    """
+
+    #: A bidder valued at most this is rescued.
+    rescue_at = 0.0
+
+    @staticmethod
+    def key(bid: Bid, app_id: str, machine_id: int, free: int, step: int, value: float,
+            current: float) -> Optional[tuple]:
+        if value <= current:
+            return None
+        if current <= 0.0:
+            return (0, -value, step, -free * bid.machine_speed(machine_id), app_id, machine_id)
+        gain = (math.log(value) - math.log(current)) / step
+        return (1, -gain, step, app_id, machine_id)
+
+
+def _score_pair(
+    objective: Any, chunk_size: int, bid: Any, app_id: str, machine_id: int, free: int,
+    held: Mapping[int, int], current_key: _BundleKey, current_value: float, headroom: int,
+    stats: Optional[AuctionSolveStats] = None, rescore: bool = False,
+    machine_class: Optional[tuple] = None, probe: Any = None,
+) -> Optional[tuple[tuple, _Move]]:
+    """Best (key, move) for one (app, machine) pair under ``objective``,
+    or ``None``; keys are unique per entry, embedding (step, app_id,
+    machine_id).  A rescue tries one GPU; any other score tries 1 and
+    ``min(chunk_size, free, headroom)`` and is memoised per bidder under
+    its *exact purity key* ``(machine_id, current_key, chunk)`` (module
+    docstring, "Skip rule").  With ``machine_class`` and the ``probe`` of
+    the bidder's row it scores a class representative: the class replaces
+    the machine in the memo key, a hit scored on another member is
+    restamped, and a miss asks ``probe(machine_id, machine_class, step)``
+    for each step's value.  ``rescore=True`` marks a post-move re-score
+    (counter attribution only).
+    """
+    rescue = current_value <= objective.rescue_at
+    chunk = min(chunk_size, free, headroom)
+    memo = bid._pair_memo
+    if not rescue:
+        if machine_class is not None:
+            memo_key: tuple = (current_key, *machine_class)
+        else:
+            memo_key = (machine_id, current_key, chunk)
+        cached = memo.get(memo_key, _MEMO_MISS)
+        if cached is not _MEMO_MISS:
+            if stats is not None:
+                stats.warm_hits += 1
+                if rescore:
+                    stats.rescore_skipped += 1
+            if cached is None:
+                return None
+            key, move = cached  # type: ignore[misc]
+            if move[1] != machine_id:
+                return _stamped(key, move, machine_id)
+            return cached  # type: ignore[return-value]
+    if stats is not None:
+        stats.warm_misses += 1
+    if rescue:
+        step_sizes: tuple[int, ...] = (1,)
+    else:
+        step_sizes = (1,) if chunk <= 1 else (1, chunk)
+    key_of = objective.key
+    best: Optional[tuple[tuple, _Move]] = None
+    for step in step_sizes:
+        if machine_class is None:
+            new_value = bid.value_after(held, current_key, machine_id, step)
+        else:
+            new_value = probe(machine_id, machine_class, step)
+        key = key_of(bid, app_id, machine_id, free, step, new_value, current_value)
+        if key is not None and (best is None or key < best[0]):
+            best = (key, (app_id, machine_id, step, new_value))
+    if not rescue:
+        memo[memo_key] = best
+    return best
+
+
+def greedy_solve(
+    pool: Mapping[int, int], bids: Mapping[str, Any], objective: Any, chunk_size: int,
+    exclude: Optional[str] = None, prefix: Sequence[_Move] = (),
+    stats: Optional[AuctionSolveStats] = None, profiler: Any = NULL_PROFILER,
+    estimator: Any = None,
+) -> tuple[dict[str, dict[int, int]], list[_Move]]:
+    """The greedy assignment of ``pool`` (machine -> free GPUs) to
+    ``bids`` under ``objective``, by the lazy heap (module docstring).
+
+    Each step applies the move with the smallest ``objective.key(bid,
+    app_id, machine_id, free, step, value, current)`` (``None``: no
+    move) among every bidder grabbing 1 or ``min(chunk_size, free,
+    headroom)`` GPUs on a machine; bidders valued at most
+    ``objective.rescue_at`` are rescued.  A bidder supplies ``demand``,
+    ``value_of({})``, ``value_after(held, key, machine_id, step)`` (its
+    bundle ``held``, canonical ``key``, plus ``step`` GPUs on
+    ``machine_id``), ``row(held, key, remaining, cap)`` (machine classes,
+    or ``None``: per machine) and ``_pair_memo``.  ``exclude`` and
+    ``prefix`` serve the payment re-solves, ``estimator`` and
+    ``profiler`` only ``stats``.  Returns ``(assignment, moves)``, every
+    bidder in id order, bundles in move order.
+    """
+    if stats is not None:
+        stats.solves += 1
+    # Ascending machine id: the order the row pass groups classes in.
+    remaining = {m: c for m, c in sorted(pool.items()) if c > 0}
+    apps = [a for a in sorted(bids) if a != exclude]
+    assignment: dict[str, dict[int, int]] = {a: {} for a in apps}
+    bundle_keys: dict[str, _BundleKey] = {a: () for a in apps}
+    values: dict[str, float] = {}
+    granted = {a: 0 for a in apps}
+    moves: list[_Move] = list(prefix)
+
+    def apply(app_id: str, machine_id: int, step: int, new_value: float) -> None:
+        assignment[app_id] = _merge(assignment[app_id], machine_id, step)
+        bundle_keys[app_id] = extend_key(bundle_keys[app_id], machine_id, step)
+        values[app_id] = new_value
+        granted[app_id] += step
+        remaining[machine_id] -= step
+        if remaining[machine_id] <= 0:
+            del remaining[machine_id]
+
+    # Warm start: replay an already-validated move sequence without
+    # re-scoring anything (see PartialAllocationAuction._payment_fraction).
+    for move in prefix:
+        apply(*move)
+    if stats is not None:
+        stats.replayed_moves += len(prefix)
+
+    # An entry built after ``len(moves)`` applied moves is live while
+    # neither its app nor its machine has moved since.
+    app_moved_at = {a: 0 for a in apps}
+    machine_moved_at = {m: 0 for m in remaining}
+    heap: list[tuple] = []
+
+    def push(scored, members: Sequence[int], index: int, built_at: int) -> None:
+        """Heap entry for ``members[index]``, standing for the rest."""
+        if stats is not None:
+            stats.heap_pushes += 1
+        heapq.heappush(heap, (*scored, built_at, members, index))
+
+    def push_pair(app_id: str, machine_id: int, rescore: bool = False) -> None:
+        free = remaining.get(machine_id, 0)
+        bid = bids[app_id]
+        headroom = bid.demand - granted[app_id]
+        if free <= 0 or headroom <= 0:
+            return
+        if stats is not None:
+            stats.pair_scores += 1
+        scored = _score_pair(
+            objective, chunk_size, bid, app_id, machine_id, free, assignment[app_id],
+            bundle_keys[app_id], values[app_id], headroom, stats, rescore,
+        )
+        if scored is not None:
+            push(scored, [machine_id], 0, len(moves))
+
+    def push_row(app_id: str, rescore: bool = False) -> None:
+        """Score ``app_id`` against every remaining machine: one entry per
+        class of the bidder's ``row`` (module docstring, "Shape symmetry"),
+        scored on its lowest member; per machine for the held ones, or
+        without classes."""
+        bid = bids[app_id]
+        headroom = bid.demand - granted[app_id]
+        if headroom <= 0:
+            return
+        held, current_key, current_value = assignment[app_id], bundle_keys[app_id], values[app_id]
+        # A rescue's tie-break term reads the raw free count.
+        cap = math.inf if current_value <= objective.rescue_at else min(chunk_size, headroom)
+        row = bid.row(held, current_key, remaining, cap)
+        if row is None:
+            for machine_id in remaining:
+                push_pair(app_id, machine_id, rescore)
+            return
+        own, classes, probe = row
+        for machine_id in own:
+            push_pair(app_id, machine_id, rescore)
+        built_at = len(moves)
+        for machine_class, members in classes.items():
+            if stats is not None:
+                stats.pair_scores += 1
+            scored = _score_pair(
+                objective, chunk_size, bid, app_id, members[0], remaining[members[0]], held,
+                current_key, current_value, headroom, stats, rescore, machine_class, probe,
+            )
+            if scored is not None:
+                push(scored, members, 0, built_at)
+
+    def rescore_after_move(app_id: str, machine_id: int) -> None:
+        """Re-score column ``machine_id`` and row ``app_id``."""
+        carves_before = (
+            estimator.carve_count
+            if stats is not None and estimator is not None
+            else 0
+        )
+        if machine_id in remaining:
+            for other_app in apps:
+                if other_app != app_id:
+                    push_pair(other_app, machine_id, True)
+        push_row(app_id, True)
+        if stats is not None and estimator is not None:
+            stats.rescore_carves += estimator.carve_count - carves_before
+
+    if remaining:
+        for app_id in apps:
+            bid = bids[app_id]
+            if bid.demand > granted[app_id]:
+                if app_id not in values:
+                    values[app_id] = bid.value_of({})
+                push_row(app_id)
+
+    # Once the pool is placed no entry can be live: stop, don't drain.
+    while heap and remaining:
+        key, move, built_at, members, index = heapq.heappop(heap)
+        app_id, machine_id = move[0], move[1]
+        if app_moved_at[app_id] > built_at:
+            continue  # stale: the app's row was rebuilt since
+        if machine_moved_at[machine_id] > built_at:
+            # A competitor took from the representative (its own
+            # exact entry came from the column pass): the next
+            # untouched member of the class now stands for it.
+            for successor in range(index + 1, len(members)):
+                if machine_moved_at[members[successor]] <= built_at:
+                    scored = _stamped(key, move, members[successor])
+                    push(scored, members, successor, built_at)
+                    break
+            continue
+        apply(*move)
+        moves.append(move)
+        if stats is not None:
+            stats.moves += 1
+        # Precise invalidation: only row app_id and column machine_id
+        # scores changed; re-score them now so every live heap entry
+        # stays exact.
+        app_moved_at[app_id] = machine_moved_at[machine_id] = len(moves)
+        if profiler.enabled:
+            with profiler.phase("rescore"):
+                rescore_after_move(app_id, machine_id)
+        else:
+            rescore_after_move(app_id, machine_id)
+    return assignment, moves
 
 
 class PartialAllocationAuction:
@@ -284,125 +508,18 @@ class PartialAllocationAuction:
     ``chunk_size`` bounds how many co-located GPUs a single greedy step
     may hand to one app (defaults to 4 — one typical gang of the
     trace); smaller steps trade solve time for solution quality.
-
-    Winner determination is the CELF-style lazy heap solver of the
-    module docstring (:meth:`_solve`).
+    Winner determination is :func:`greedy_solve` under
+    :class:`NashWelfare`.
     """
 
     def __init__(self, chunk_size: int = 4) -> None:
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
-        self.chunk_size = chunk_size
+        self.chunk_size = check_chunk_size(chunk_size)
         self.last_stats = AuctionSolveStats()
         # Observability hook; the simulator rewires this at bind time.
         self.profiler = NULL_PROFILER
         #: Shared FairnessEstimator for carve accounting; the scheduler
         #: binds it, ad-hoc callers leave it and it is read off a bid.
         self.estimator = None
-
-    def _score_pair(
-        self,
-        bid: Bid,
-        app_id: str,
-        machine_id: int,
-        free: int,
-        current_key: _BundleKey,
-        current_value: float,
-        headroom: int,
-        stats: Optional[AuctionSolveStats] = None,
-        rescore: bool = False,
-        machine_class: Optional[tuple] = None,
-        row: Optional[RowProbe] = None,
-    ) -> Optional[tuple[tuple, _Move]]:
-        """Best (key, move) for one (app, machine) pair, or ``None``.
-
-        Keys order rescues before gains (leading 0/1) and reproduce the
-        rescan solver's tie-breaks exactly; they are unique per entry
-        because they embed (step, app_id, machine_id).
-
-        Gain-path results are memoised per bid under the *exact purity
-        key* of the score (module docstring, "Skip rule"):
-        ``(machine_id, current_key, chunk)``.  Rescue scores are probed
-        every time; their valuations are still served by the bid's and
-        the app state's caches.
-
-        With ``machine_class`` (:func:`~repro.core.fairness.shape_classes`)
-        and ``row = RowProbe(bid.state, current_key)`` the row pass scores a
-        class representative: the class replaces the machine in the memo
-        key, a hit scored on another member is restamped, and a miss
-        reads each step's kernel off the row's table
-        (:meth:`~repro.core.bids.Bid.value_of_class`).
-        ``rescore=True`` marks a post-move re-score call (counter
-        attribution only).
-        """
-        rescue = current_value <= 0.0
-        memo = bid._pair_memo
-        if not rescue:
-            if machine_class is not None:
-                memo_key: tuple = (current_key, *machine_class)
-            else:
-                memo_key = (
-                    machine_id,
-                    current_key,
-                    min(self.chunk_size, free, headroom),
-                )
-            cached = memo.get(memo_key, _MEMO_MISS)
-            if cached is not _MEMO_MISS:
-                if stats is not None:
-                    stats.warm_hits += 1
-                    if rescore:
-                        stats.rescore_skipped += 1
-                if cached is None:
-                    return None
-                key, move = cached  # type: ignore[misc]
-                if move[1] != machine_id:
-                    return _stamped(key, move, machine_id)
-                return cached  # type: ignore[return-value]
-        if stats is not None:
-            stats.warm_misses += 1
-        if rescue:
-            # Rescue with the smallest possible grab: one GPU already
-            # makes the app's value positive, and lexicographic
-            # max-Nash-welfare maximises the number of positive-value
-            # apps before the product.
-            step_sizes: tuple[int, ...] = (1,)
-        else:
-            chunk = min(self.chunk_size, free, headroom)
-            step_sizes = (1,) if chunk <= 1 else (1, chunk)
-        best: Optional[tuple[tuple, _Move]] = None
-        for step in step_sizes:
-            if machine_class is None:
-                new_value = bid.value_from_key(
-                    _merged_key(current_key, machine_id, step)
-                )
-            else:
-                new_value = bid.value_of_class(
-                    row, machine_id, machine_class, step  # type: ignore[arg-type]
-                )
-            if new_value <= current_value:
-                continue
-            move = (app_id, machine_id, step, new_value)
-            if rescue:
-                # Rescue: infinite log gain; prefer highest new value,
-                # then machines with the most *effective* free compute
-                # (count x speed class — so the rescued app can grow
-                # co-located on fast GPUs), deterministic ties.
-                key = (
-                    0,
-                    -new_value,
-                    step,
-                    -free * bid.machine_speed(machine_id),
-                    app_id,
-                    machine_id,
-                )
-            else:
-                gain = (math.log(new_value) - math.log(current_value)) / step
-                key = (1, -gain, step, app_id, machine_id)
-            if best is None or key < best[0]:
-                best = (key, move)
-        if not rescue:
-            memo[memo_key] = best
-        return best
 
     def _solve(
         self,
@@ -412,186 +529,17 @@ class PartialAllocationAuction:
         prefix: Sequence[_Move] = (),
         stats: Optional[AuctionSolveStats] = None,
     ) -> tuple[dict[str, dict[int, int]], list[_Move]]:
-        """Stage 1: the greedy max-Nash-welfare (proportional-fair)
-        assignment of the pool to bidders, by the lazy heap (see module
-        docstring for the invariant).
-
-        Each step applies the move with the best marginal log-valuation
-        among every app grabbing 1 or ``chunk_size`` GPUs on any machine
-        with free GPUs.  Rescue moves (taking an app from zero to
-        positive value) always dominate, largest new value first, which
-        is the lexicographic max-Nash-welfare rule.  Returns
-        ``(assignment, moves)``.
-        """
-        if stats is not None:
-            stats.solves += 1
-        # Ascending machine id: the order the row pass groups classes in.
-        remaining = {m: c for m, c in sorted(pool.items()) if c > 0}
-        apps = [a for a in sorted(bids) if a != exclude]
-        assignment: dict[str, dict[int, int]] = {a: {} for a in apps}
-        bundle_keys: dict[str, _BundleKey] = {a: () for a in apps}
-        values = {a: bids[a].value_of({}) for a in apps}
-        granted = {a: 0 for a in apps}
-        moves: list[_Move] = list(prefix)
-
-        # Warm start: replay an already-validated move sequence without
-        # re-scoring anything (see _payment_fraction).
-        for app_id, machine_id, step, new_value in prefix:
-            assignment[app_id] = _merge(assignment[app_id], machine_id, step)
-            bundle_keys[app_id] = _merged_key(bundle_keys[app_id], machine_id, step)
-            values[app_id] = new_value
-            granted[app_id] += step
-            remaining[machine_id] -= step
-            if remaining[machine_id] <= 0:
-                del remaining[machine_id]
-        if stats is not None:
-            stats.replayed_moves += len(prefix)
-
-        # An entry built after ``len(moves)`` applied moves is live while
-        # neither its app nor its machine has moved since.
-        app_moved_at = {a: 0 for a in apps}
-        machine_moved_at = {m: 0 for m in remaining}
-        heap: list[tuple] = []
-        # Carve accounting needs the shared estimator; the scheduler
-        # binds it on the auction, ad-hoc callers reach it through any
-        # bid (all of an auction's bids share one).  Instrumentation
-        # only — never values.
+        """Stage 1, the proportional-fair assignment: ``(assignment,
+        moves)`` of :func:`greedy_solve` (the seam
+        ``tests/helpers.py::rescan_auction`` overrides)."""
+        # All of an auction's bids share one estimator.
         estimator = self.estimator
         if estimator is None and bids:
             estimator = next(iter(bids.values()))._estimator
-
-        def push(scored, members: Sequence[int], index: int, built_at: int) -> None:
-            """Heap entry for ``members[index]``, standing for the rest."""
-            if stats is not None:
-                stats.heap_pushes += 1
-            heapq.heappush(heap, (*scored, built_at, members, index))
-
-        def push_pair(app_id: str, machine_id: int, rescore: bool = False) -> None:
-            free = remaining.get(machine_id, 0)
-            if free <= 0:
-                return
-            bid = bids[app_id]
-            headroom = bid.demand - granted[app_id]
-            if headroom <= 0:
-                return
-            if stats is not None:
-                stats.pair_scores += 1
-            scored = self._score_pair(
-                bid,
-                app_id,
-                machine_id,
-                free,
-                bundle_keys[app_id],
-                values[app_id],
-                headroom,
-                stats,
-                rescore,
-            )
-            if scored is not None:
-                push(scored, [machine_id], 0, len(moves))
-
-        def push_row(app_id: str, rescore: bool = False) -> None:
-            """Score ``app_id`` against every remaining machine.
-
-            One :meth:`_score_pair` and one heap entry per machine
-            *class* (module docstring, "Shape symmetry"): the lowest
-            member is scored and pushed, carrying the sorted member
-            list for the pop loop to materialise successors from.
-            Machines the app already holds are their own class.
-            Assumes the arbiter's contract that each bid was offered
-            the pool being solved.
-            """
-            bid = bids[app_id]
-            headroom = bid.demand - granted[app_id]
-            if headroom <= 0:
-                return
-            if len(remaining) < _CLASS_MIN_POOL or bid.noise_theta > 0.0:
-                for machine_id in remaining:
-                    push_pair(app_id, machine_id, rescore)
-                return
-            current_key = bundle_keys[app_id]
-            current_value = values[app_id]
-            row = RowProbe(bid.state, current_key)
-            # A rescue's tie-break term reads the raw free count.
-            cap = math.inf if current_value <= 0.0 else min(self.chunk_size, headroom)
-            own, classes = shape_classes(row, remaining, cap)
-            for machine_id in own:
-                push_pair(app_id, machine_id, rescore)
-            built_at = len(moves)
-            for machine_class, members in classes.items():
-                if stats is not None:
-                    stats.pair_scores += 1
-                scored = self._score_pair(
-                    bid,
-                    app_id,
-                    members[0],
-                    remaining[members[0]],
-                    current_key,
-                    current_value,
-                    headroom,
-                    stats,
-                    rescore,
-                    machine_class,
-                    row,
-                )
-                if scored is not None:
-                    push(scored, members, 0, built_at)
-
-        def rescore_after_move(app_id: str, machine_id: int) -> None:
-            """Re-score column ``machine_id`` and row ``app_id``."""
-            carves_before = (
-                estimator.carve_count
-                if stats is not None and estimator is not None
-                else 0
-            )
-            if machine_id in remaining:
-                for other_app in apps:
-                    if other_app != app_id:
-                        push_pair(other_app, machine_id, True)
-            push_row(app_id, True)
-            if stats is not None and estimator is not None:
-                stats.rescore_carves += estimator.carve_count - carves_before
-
-        for app_id in apps:
-            push_row(app_id)
-
-        profiler = self.profiler
-        # Once the pool is placed no entry can be live: stop, don't drain.
-        while heap and remaining:
-            key, move, built_at, members, index = heapq.heappop(heap)
-            app_id, machine_id, step, new_value = move
-            if app_moved_at[app_id] > built_at:
-                continue  # stale: the app's row was rebuilt since
-            if machine_moved_at[machine_id] > built_at:
-                # A competitor took from the representative (its own
-                # exact entry came from the column pass): the next
-                # untouched member of the class now stands for it.
-                for successor in range(index + 1, len(members)):
-                    if machine_moved_at[members[successor]] <= built_at:
-                        scored = _stamped(key, move, members[successor])
-                        push(scored, members, successor, built_at)
-                        break
-                continue
-            assignment[app_id] = _merge(assignment[app_id], machine_id, step)
-            bundle_keys[app_id] = _merged_key(bundle_keys[app_id], machine_id, step)
-            values[app_id] = new_value
-            granted[app_id] += step
-            remaining[machine_id] -= step
-            if remaining[machine_id] <= 0:
-                del remaining[machine_id]
-            moves.append(move)
-            if stats is not None:
-                stats.moves += 1
-            # Precise invalidation: only row app_id and column machine_id
-            # scores changed; re-score them now so every live heap entry
-            # stays exact.
-            app_moved_at[app_id] = machine_moved_at[machine_id] = len(moves)
-            if profiler.enabled:
-                with profiler.phase("rescore"):
-                    rescore_after_move(app_id, machine_id)
-            else:
-                rescore_after_move(app_id, machine_id)
-        return assignment, moves
+        return greedy_solve(
+            pool, bids, NashWelfare, self.chunk_size, exclude, prefix, stats,
+            self.profiler, estimator,
+        )
 
     # ------------------------------------------------------------------
     # Stage 2: hidden payments

@@ -25,16 +25,25 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
     RowProbe,
+    extend_key,
     merge_keys,
+    shape_classes,
     value_from_rho,
 )
 from repro.workload.app import App
+
+#: Narrowest pool whose rows are scored per machine class; below it
+#: (the median round is a 1-2 machine renewal pool) there is nothing to
+#: group and the per-machine path skips the row context.  Purely a perf
+#: knob — both paths apply identical moves.
+_CLASS_MIN_POOL = 4
 
 
 def _bundle_key(extra_counts: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
@@ -89,7 +98,7 @@ class Bid:
         # harness reports both.
         self._rho_cache: dict[tuple, float] = {}
         # The solver's gain-path pair-score memo, keyed on the *exact
-        # purity key* of a score (PartialAllocationAuction._score_pair):
+        # purity key* of a score (repro.core.auction._score_pair):
         # a pair's ``(machine, current_key, step bound)`` or, for a row's
         # class representative, ``(current_key, *class)`` — so a column
         # shrink that leaves the step bound unchanged, or a re-solve
@@ -187,6 +196,23 @@ class Bid:
     def value_from_key(self, key: tuple[tuple[int, int], ...]) -> float:
         """``value_of`` for a pre-canonicalised bundle key (hot path)."""
         return value_from_rho(self.rho_from_key(key))
+
+    def value_after(self, held: Mapping[int, int], key: tuple, machine_id: int, step: int) -> float:
+        """The greedy solver's per-machine probe: ``value_from_key`` of the
+        bundle ``key`` plus ``step`` GPUs on ``machine_id`` (``held``, the
+        same bundle in move order, is unread)."""
+        return self.value_from_key(extend_key(key, machine_id, step))
+
+    def row(self, held: Mapping[int, int], key: tuple, remaining: Mapping[int, int], cap: float):
+        """The greedy solver's row classes against the bundle ``key``:
+        :func:`~repro.core.fairness.shape_classes` and
+        :meth:`value_of_class` on the row, or ``None`` (per machine) for a
+        noisy bid, whose hash reads the machine ids, or a pool under
+        :data:`_CLASS_MIN_POOL`."""
+        if len(remaining) < _CLASS_MIN_POOL or self.noise_theta > 0.0:
+            return None
+        row = RowProbe(self._state, key)
+        return (*shape_classes(row, remaining, cap), partial(self.value_of_class, row))
 
     def value_of_class(
         self, row: RowProbe, machine_id: int, machine_class: tuple, step: int

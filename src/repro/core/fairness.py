@@ -468,6 +468,29 @@ def merge_keys(
     return tuple(out)
 
 
+def extend_key(
+    base: tuple[tuple[int, int], ...], machine_id: int, extra: int
+) -> tuple[tuple[int, int], ...]:
+    """``base`` with ``extra`` more GPUs on ``machine_id``, staying sorted:
+    the greedy solver's probe path, O(len(bundle)) with no dict build or
+    re-sort (bundles are a handful of machines)."""
+    out: list[tuple[int, int]] = []
+    inserted = False
+    for machine, count in base:
+        if machine == machine_id:
+            out.append((machine, count + extra))
+            inserted = True
+        elif not inserted and machine > machine_id:
+            out.append((machine_id, extra))
+            out.append((machine, count))
+            inserted = True
+        else:
+            out.append((machine, count))
+    if not inserted:
+        out.append((machine_id, extra))
+    return tuple(out)
+
+
 def _job_tuples(jobs: Sequence[Job]) -> tuple[list[_JobTuple], list[Job]]:
     """Descriptors of the active jobs, shortest remaining first (ties by
     id), and the jobs themselves in that order: the one job-tuple

@@ -6,7 +6,8 @@ the end of each lease to maximize the placement scores for all apps."
 
 The social objective is the *sum* of per-app packing quality — each
 job's GPUs weighted by the 4-level placement score of their spread —
-maximised with the shared greedy utility allocator.  No fairness terms
+maximised by the auction's greedy solver under the additive objective
+(:class:`~repro.core.assignment.AdditiveWelfare`).  No fairness terms
 at all, which is why Gandiva places well (Figure 7) but lands far from
 ideal on max finish-time fairness (Figure 5a).
 """
@@ -16,12 +17,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
-from repro.core.assignment import (
-    RowClasses,
-    check_chunk_size,
-    concretise,
-    greedy_utility_assign,
-)
+from repro.core.assignment import AdditiveWelfare, UtilityBid, check_chunk_size, concretise
+from repro.core.auction import greedy_solve
 from repro.core.fairness import AppValuationState, RowProbe, merge_keys, shape_classes
 from repro.schedulers.base import CarvingScheduler
 
@@ -30,11 +27,11 @@ class _PackingUtility:
     """The app's placement-score utility of a bundle on top of its holdings.
 
     Pure while the round runs (the state is refreshed before the greedy
-    starts), as :func:`greedy_utility_assign` needs; each value is the
-    kernel of the app's packing state, cached across rounds by shape.
+    starts), as the greedy solver needs; each value is the kernel of the
+    app's packing state, cached across rounds by shape.
 
-    Machine classes (:class:`~repro.core.assignment.ClassedUtility`) are
-    the auction's (:func:`~repro.core.fairness.shape_classes`): a row is
+    Machine classes (its ``row``, :class:`~repro.core.assignment.UtilityBid`)
+    are the auction's (:func:`~repro.core.fairness.shape_classes`): a row is
     classed against the total key (holdings plus bundle), so a machine
     the app holds from an earlier round is its own class too.  The row's
     probe reads the packing utility off the state's table for the row's
@@ -51,12 +48,10 @@ class _PackingUtility:
         state = self.state
         return state.kernel_of(merge_keys(state.base_key, tuple(sorted(bundle.items()))))
 
-    def row(
-        self, bundle: Mapping[int, int], remaining: Mapping[int, int], cap: int
-    ) -> RowClasses:
+    def row(self, bundle: Mapping[int, int], remaining: Mapping[int, int], cap: float):
         row = RowProbe(self.state, tuple(sorted(bundle.items())))
         own, classes = shape_classes(row, remaining, cap)
-        return own, classes, row.kernel  # type: ignore[return-value]
+        return own, classes, row.kernel
 
 
 class GandivaScheduler(CarvingScheduler):
@@ -74,13 +69,10 @@ class GandivaScheduler(CarvingScheduler):
         if not apps:
             return {}
         counts = {m: len(g) for m, g in pool.items()}
-        utilities = {}
+        bids = {}
         for app in apps:
             state = self.states[app.app_id]
             state.refresh()
-            utilities[app.app_id] = _PackingUtility(state)
-        caps = {app.app_id: app.unmet_demand() for app in apps}
-        assignment = greedy_utility_assign(
-            counts, utilities, caps, chunk_size=self.chunk_size
-        )
+            bids[app.app_id] = UtilityBid(_PackingUtility(state), app.unmet_demand())
+        assignment, _ = greedy_solve(counts, bids, AdditiveWelfare, self.chunk_size)
         return concretise(assignment, pool)

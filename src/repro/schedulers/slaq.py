@@ -17,12 +17,8 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from repro.cluster.topology import Gpu, ordered_sum
-from repro.core.assignment import (
-    RowClasses,
-    check_chunk_size,
-    drainable,
-    greedy_utility_assign,
-)
+from repro.core.assignment import AdditiveWelfare, UtilityBid, check_chunk_size, drainable
+from repro.core.auction import greedy_solve
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.tiresias import take_scattered
 from repro.workload.app import App
@@ -62,7 +58,7 @@ def assign_by_effective_utility(
     counts = {m: len(g) for m, g in pool.items()}
     model = scheduler.perf_model()
     cluster = scheduler.sim.cluster
-    utilities = {}
+    bids = {}
     for app in apps:
         family = scheduler.family_of(app)
         held = (
@@ -70,11 +66,9 @@ def assign_by_effective_utility(
             if family is not None
             else app.allocation().effective_size
         )
-        utilities[app.app_id] = _BundleUtility(
-            utility_of(app), held, model.machine_speeds_for(cluster, family)
-        )
-    caps = {app.app_id: app.unmet_demand() for app in apps}
-    assignment = greedy_utility_assign(counts, utilities, caps, chunk_size=chunk_size)
+        utility = _BundleUtility(utility_of(app), held, model.machine_speeds_for(cluster, family))
+        bids[app.app_id] = UtilityBid(utility, app.unmet_demand())
+    assignment, _ = greedy_solve(counts, bids, AdditiveWelfare, chunk_size)
     # Placement-blind concretisation: neither policy reasons about
     # which machines the GPUs came from.
     pool_by_machine = drainable(pool)
@@ -95,7 +89,7 @@ class _BundleUtility:
     ``utility(held, extra)``.  One instance per app per round:
     ``utility`` must be pure over its lifetime.
 
-    Machine classes (:class:`~repro.core.assignment.ClassedUtility`): a
+    Machine classes (its ``row``, :class:`~repro.core.assignment.UtilityBid`): a
     machine the bundle lacks is summed *last*, so the bundle plus
     ``step`` GPUs there computes ``extra(bundle) + step * speed`` — the
     same float for every machine of one speed.  Its class is ``(speed,
@@ -119,9 +113,7 @@ class _BundleUtility:
             self.held, ordered_sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
         )
 
-    def row(
-        self, bundle: Mapping[int, int], remaining: Mapping[int, int], cap: int
-    ) -> RowClasses:
+    def row(self, bundle: Mapping[int, int], remaining: Mapping[int, int], cap: float):
         speed_of = self.speed_of
         extra = ordered_sum(c * speed_of.get(m, 1.0) for m, c in bundle.items())
 

@@ -99,7 +99,7 @@ def rescan_auction(chunk_size: int = 4) -> PartialAllocationAuction:
 #: profiles and matrix rows differ between jobs.
 MODELS = ("resnet50", "vgg16", "transformer", "inceptionv3", "lstm-lm")
 FLEETS = ("homogeneous", "hetero", "rate-inversion")
-#: Machines offered, by pool width: below the auction's
+#: Machines offered, by pool width: below the bids'
 #: ``_CLASS_MIN_POOL`` (rows scored per machine), just above it, and a
 #: wide pool of many interchangeable machines (rows scored per class).
 POOL_WIDTHS = {"narrow": (1, 3), "mid": (4, 12), "wide": (32, 36)}
@@ -278,12 +278,12 @@ def carve_instances(draw):
 
 
 def rescan_utility_assign(pool, utilities, caps, chunk_size=4):
-    """``greedy_utility_assign`` as a full rescan after every move.
+    """The baselines' greedy as a full rescan after every move.
 
     The loop ``core/assignment.py`` ran until it went incremental,
-    verbatim: what tests/test_assignment.py compares the production
-    solver against, and whose per-call memo sets the evaluation count
-    the production solver must not exceed.
+    verbatim: what tests/test_assignment.py compares the one greedy
+    solver under the additive objective against, and whose per-call
+    memo sets the evaluation count that solver must not exceed.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be > 0, got {chunk_size}")

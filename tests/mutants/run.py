@@ -38,15 +38,13 @@ ROOT = Path(__file__).resolve().parents[2]
 #: ``(id, path under src/repro, old, new)``; production lines only,
 #: never a reference implementation the tests compare against.
 MUTANTS = [
-    # core/auction.py: the lazy solver's keys, rows and memo; the payments
-    ("auction-gain-tiebreak-step", "core/auction.py", "= (1, -gain, step,", "= (1, -gain, -step,"),
+    # core/auction.py: the one greedy solver, the Nash objective's keys; the payments
+    ("auction-gain-tiebreak-step", "core/auction.py", "return (1, -gain, step,", "return (1, -gain, -step,"),
     ("auction-gain-tiebreak-ids", "core/auction.py",
-     "step, app_id, machine_id)\n            if best",
-     "step, machine_id, app_id)\n            if best"),
+     "return (1, -gain, step, app_id, machine_id)", "return (1, -gain, step, machine_id, app_id)"),
     ("auction-rescue-tiebreak-free", "core/auction.py",
-     "step,\n                    -free *", "step,\n                    free *"),
-    ("auction-rescue-largest-value", "core/auction.py",
-     "0,\n                    -new_value,", "0,\n                    new_value,"),
+     "step, -free * bid.machine_speed", "step, free * bid.machine_speed"),
+    ("auction-rescue-largest-value", "core/auction.py", "return (0, -value, step,", "return (0, value, step,"),
     ("auction-gain-steps", "core/auction.py", "(1,) if chunk <= 1 else (1, chunk)", "(1,)"),
     ("auction-payment-ratio", "core/auction.py",
      "math.log(v_with) - math.log(v_without)", "math.log(v_without) - math.log(v_with)"),
@@ -54,16 +52,15 @@ MUTANTS = [
     ("auction-shrink-order", "core/auction.py", "(shrunk[m], m)", "(-shrunk[m], m)"),
     ("auction-warm-prefix", "core/auction.py", "[:first_win]", "[:first_win + 1]"),
     ("auction-class-rescue-free", "core/auction.py",
-     "cap = math.inf if current_value <= 0.0 else min(", "cap = min("),
+     "cap = math.inf if current_value <= objective.rescue_at else min(", "cap = min("),
     ("auction-memo-chunk", "core/auction.py",
-     "current_key,\n                    min(self.chunk_size, free,",
-     "current_key,\n                    min(self.chunk_size,"),
-    ("auction-noisy-rows-grouped", "core/auction.py", " or bid.noise_theta > 0.0:", ":"),
+     "memo_key = (machine_id, current_key, chunk)",
+     "memo_key = (machine_id, current_key, min(chunk_size, headroom))"),
     ("auction-successor-skips-touched", "core/auction.py",
      "if machine_moved_at[members[successor]] <= built_at:", "if True:"),
     ("auction-stale-row", "core/auction.py",
      "app_moved_at[app_id] > built_at", "app_moved_at[app_id] >= built_at"),
-    ("auction-merged-key-order", "core/auction.py", "machine > machine_id", "machine < machine_id"),
+    ("auction-merged-key-order", "core/fairness.py", "machine > machine_id", "machine < machine_id"),
     # core/fairness.py: the carve kernel and the valuation cache
     ("fairness-carve-rack-preference", "core/fairness.py",
      "if entry[4] in used_racks:", "if entry[4] not in used_racks:"),
@@ -102,7 +99,7 @@ MUTANTS = [
      "slot = (position, label, speeds, step)", "slot = (position, speeds, step)"),
     ("row-table-survives-signature", "core/fairness.py",
      "            self._row_tables = {}\n", ""),
-    # the machine shape class both the auction and Gandiva's greedy use
+    # the machine shape class both Themis' and Gandiva's bidders use
     ("shape-class-position", "core/fairness.py",
      "            position,\n            rack_index", "            0,\n            rack_index"),
     ("shape-class-step-cap", "core/fairness.py",
@@ -127,6 +124,7 @@ MUTANTS = [
     ("bids-noise-range", "core/bids.py", "(2.0 * fraction - 1.0)", "fraction"),
     ("bids-rho-cache-coarse-key", "core/bids.py",
      "cached = self._rho_cache.get(key)", "cached = self._rho_cache.get(key[:1])"),
+    ("auction-noisy-rows-grouped", "core/bids.py", " or self.noise_theta > 0.0:", ":"),
     # core/leases.py; README M4: a release does not refill the free index.
     ("M4-release-keeps-free", "core/leases.py",
      "self._free[gpu.machine_id] = free[:at] + (gpu,) + free[at:]", "pass"),
@@ -140,17 +138,18 @@ MUTANTS = [
      "        else:\n            self._drop_expiry(old)\n", ""),
     ("leases-expiry-edge", "core/leases.py", "now >= self.expiry - 1e-9", "now > self.expiry"),
     ("leases-revocation-tally", "core/leases.py", "get(reason, 0) + 1", "get(reason, 0) or 1"),
-    # core/assignment.py: concretise, the greedy fill, take_packed
+    # core/assignment.py: concretise, the additive objective and its bidder, take_packed
     ("assignment-concretise-largest-first", "core/assignment.py",
      "(-item[1], item[0])", "(item[1], item[0])"),
-    ("assignment-greedy-column", "core/assignment.py",
-     "free < min(chunk_size, headroom[other])", "free > min(chunk_size, headroom[other])"),
-    ("assignment-greedy-forgets", "core/assignment.py",
-     "{machine_id: seen[app_id].get(machine_id, {})}", "seen[app_id]"),
-    ("assignment-greedy-class-member-kept", "core/assignment.py",
-     "if best is None:\n                    entries.pop(member, None)",
-     "if best is None:\n                    pass"),
-    ("assignment-greedy-steps", "core/assignment.py", "(1, chunk) if chunk > 1 else", ""),
+    ("assignment-additive-threshold", "core/assignment.py", "if gain > 1e-12 else", "if gain > 0.0 else"),
+    ("assignment-additive-step-tiebreak", "core/assignment.py",
+     "return (-gain, step, app_id", "return (-gain, -step, app_id"),
+    ("assignment-bundle-sorted-order", "core/assignment.py",
+     "            bundle = dict(held)\n", "            bundle = dict(key)\n"),
+    ("assignment-class-probe-uncached", "core/assignment.py",
+     "value = values[key, machine_id, step] = probe(", "value = probe("),
+    ("assignment-chunk-size-float", "core/assignment.py",
+     "size = operator.index(chunk_size)", "size = chunk_size"),
     ("assignment-packed-preferred-first", "core/assignment.py",
      "preferred + rest:", "rest + preferred:"),
     # schedulers/: each policy's states, built with its kernel, dropped on finish

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,11 +18,15 @@ from repro.cluster.topology import (
     build_cluster,
 )
 from repro.core.assignment import (
+    AdditiveWelfare,
+    UtilityBid,
+    check_chunk_size,
     concretise,
     drainable,
-    greedy_utility_assign,
     take_packed,
 )
+from repro.core.arbiter import ArbiterConfig
+from repro.core.auction import PartialAllocationAuction, greedy_solve
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
@@ -30,8 +35,19 @@ from repro.core.fairness import (
     merge_keys,
 )
 from repro.schedulers.gandiva import GandivaScheduler, _PackingUtility
-from repro.schedulers.slaq import _BundleUtility
+from repro.schedulers.optimus import OptimusScheduler
+from repro.schedulers.slaq import SlaqScheduler, _BundleUtility
 from repro.workload.app import App
+
+
+def utility_assign(pool, utilities, caps, chunk_size=4):
+    """The baselines' market on the one greedy solver: each utility a
+    :class:`UtilityBid` capped at ``caps`` (0 when missing), the result
+    in ``utilities`` order without empty bundles, as
+    ``rescan_utility_assign`` returns it."""
+    bids = {a: UtilityBid(u, caps.get(a, 0)) for a, u in utilities.items()}
+    assignment, _ = greedy_solve(pool, bids, AdditiveWelfare, check_chunk_size(chunk_size))
+    return {a: assignment[a] for a in utilities if assignment[a]}
 
 
 def test_concretise_grants_match_counts(small_cluster):
@@ -66,7 +82,7 @@ def test_concretise_negative_raises(small_cluster):
 def test_greedy_utility_respects_caps():
     pool = {0: 4}
     utilities = {"a": lambda b: float(sum(b.values()))}
-    result = greedy_utility_assign(pool, utilities, caps={"a": 2})
+    result = utility_assign(pool, utilities, caps={"a": 2})
     assert sum(result["a"].values()) == 2
 
 
@@ -76,7 +92,7 @@ def test_greedy_utility_prefers_higher_marginal():
         "low": lambda b: 1.0 * sum(b.values()),
         "high": lambda b: 5.0 * sum(b.values()),
     }
-    result = greedy_utility_assign(pool, utilities, caps={"low": 2, "high": 2})
+    result = utility_assign(pool, utilities, caps={"low": 2, "high": 2})
     assert sum(result.get("high", {}).values()) == 2
     assert "low" not in result
 
@@ -84,13 +100,59 @@ def test_greedy_utility_prefers_higher_marginal():
 def test_greedy_utility_stops_at_zero_marginal():
     pool = {0: 4}
     utilities = {"a": lambda b: min(2.0, float(sum(b.values())))}
-    result = greedy_utility_assign(pool, utilities, caps={"a": 4})
+    result = utility_assign(pool, utilities, caps={"a": 4})
     assert sum(result["a"].values()) == 2  # marginal drops to zero after 2
 
 
 def test_greedy_utility_chunk_validation():
     with pytest.raises(ValueError):
-        greedy_utility_assign({0: 1}, {}, {}, chunk_size=0)
+        utility_assign({0: 1}, {}, {}, chunk_size=0)
+
+
+def test_chunk_size_must_be_a_positive_integer():
+    """A bad ``chunk_size`` fails where it enters, with its value named;
+    any integer type passes, as an ``int``."""
+    constructors = (
+        GandivaScheduler,
+        SlaqScheduler,
+        OptimusScheduler,
+        lambda chunk_size: ArbiterConfig(chunk_size=chunk_size),
+        PartialAllocationAuction,
+    )
+    for construct in constructors:
+        for bad in (2.5, 1.5, 2.0, "2", 0, -1):
+            with pytest.raises(ValueError, match="chunk_size must be") as failure:
+                construct(chunk_size=bad)
+            assert repr(bad) in str(failure.value)
+        construct(chunk_size=np.int64(3))
+    for construct in (GandivaScheduler, SlaqScheduler, OptimusScheduler, PartialAllocationAuction):
+        chunk_size = construct(chunk_size=np.int64(3)).chunk_size
+        assert chunk_size == 3 and type(chunk_size) is int
+
+
+def test_utility_bid_hands_the_utility_its_bundle_in_move_order():
+    """SLAQ and Optimus sum effective compute in the bundle's order, so
+    the adapter passes the app's bundle in move order: a machine new to
+    it last, a held one grown in place."""
+    seen = []
+
+    def utility(bundle):
+        seen.append(list(bundle.items()))
+        return float(len(seen))
+
+    bid = UtilityBid(utility, 8)
+    held, key = {3: 1, 0: 2}, ((0, 2), (3, 1))  # grew on machine 3 first
+    for machine_id, step in ((5, 1), (0, 1), (1, 2), (5, 1)):
+        bid.value_after(held, key, machine_id, step)
+    assert seen == [[(3, 1), (0, 2), (5, 1)], [(3, 1), (0, 3)], [(3, 1), (0, 2), (1, 2)]]
+
+
+def test_a_gain_below_the_threshold_is_no_gain():
+    """A utility growing by 1e-13 a GPU gains nothing: the additive
+    key counts a gain only above 1e-12."""
+    utilities = {"a": lambda b: 1e-13 * sum(b.values()), "b": lambda b: 1e-11 * sum(b.values())}
+    assert utility_assign({0: 4}, utilities, {"a": 4, "b": 2}) == {"b": {0: 2}}
+    assert rescan_utility_assign({0: 4}, utilities, {"a": 4, "b": 2}) == {"b": {0: 2}}
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +347,7 @@ def _ordered(assignment):
 )
 def test_incremental_greedy_matches_rescan(market):
     pool, utilities, caps, chunk_size = market
-    assert _ordered(greedy_utility_assign(pool, utilities, caps, chunk_size)) == _ordered(
+    assert _ordered(utility_assign(pool, utilities, caps, chunk_size)) == _ordered(
         rescan_utility_assign(pool, utilities, caps, chunk_size)
     )
 
@@ -293,7 +355,7 @@ def test_incremental_greedy_matches_rescan(market):
 def test_position_splits_the_shape_class():
     """The order market's answer: the rack-0 machine above the holdings."""
     pool, utilities, caps, chunk_size = _order_market()
-    assert greedy_utility_assign(pool, utilities, caps, chunk_size) == {"a": {6: 2}}
+    assert utility_assign(pool, utilities, caps, chunk_size) == {"a": {6: 2}}
 
 
 def test_gandiva_values_a_bundle_by_its_packing_score():
@@ -337,7 +399,7 @@ def test_classed_row_scores_one_machine_per_class():
         return math.sqrt(held + extra)
 
     utility = _BundleUtility(curve, 0.0, {})
-    result = greedy_utility_assign({m: 4 for m in range(8)}, {"a": utility}, {"a": 2}, 2)
+    result = utility_assign({m: 4 for m in range(8)}, {"a": utility}, {"a": 2}, 2)
     assert result == {"a": {0: 2}}
     # {}, the class at steps 1 and 2, then the class at step 1.
     assert extras == [0, 1.0, 2.0, 2.0]
@@ -358,7 +420,7 @@ def test_incremental_greedy_evaluates_no_bundle_twice(market):
     pool, utilities, caps, chunk_size = market
     calls, reference_calls = [], []
     for log, solve in (
-        (calls, greedy_utility_assign),
+        (calls, utility_assign),
         (reference_calls, rescan_utility_assign),
     ):
         solve(pool, {a: _logged(log, a, u) for a, u in utilities.items()}, caps, chunk_size)
@@ -378,7 +440,7 @@ def test_incremental_greedy_evaluation_count_is_pinned():
         "b": _logged(calls, "b", _additive([1.0, 0.75])),
         "c": _logged(calls, "c", _non_monotone([2.0])),
     }
-    result = greedy_utility_assign(
+    result = utility_assign(
         {0: 4, 1: 2, 2: 3, 3: 1}, utilities, {"a": 6, "b": 0, "c": 4}, chunk_size=3
     )
     assert result == {"a": {0: 1, 1: 2, 2: 3}, "c": {0: 3}}
@@ -396,7 +458,7 @@ def test_incremental_greedy_leaves_untouched_pairs_alone():
         "a": _logged(calls, "a", lambda b: 5.0 * sum(b.values())),
         "b": _logged(calls, "b", lambda b: 1.0 * sum(b.values())),
     }
-    result = greedy_utility_assign({0: 4, 1: 3}, utilities, {"a": 2, "b": 4}, chunk_size=2)
+    result = utility_assign({0: 4, 1: 3}, utilities, {"a": 2, "b": 4}, chunk_size=2)
     assert result == {"a": {0: 2}, "b": {0: 2, 1: 2}}
     first_scan = [
         (app_id, bundle)

@@ -9,7 +9,7 @@ from repro.core.auction import (
     exhaustive_nash_allocation,
 )
 from repro.core.bids import Bid
-from repro.core.fairness import FairnessEstimator
+from repro.core.fairness import FairnessEstimator, extend_key
 
 from helpers import make_app
 
@@ -184,6 +184,12 @@ class TableBid:
 
     def value_from_key(self, key):
         return self.values[key]
+
+    def value_after(self, held, key, machine_id, step):
+        return self.values[extend_key(key, machine_id, step)]
+
+    def row(self, held, key, remaining, cap):
+        return None  # every machine its own class
 
     def value_of(self, bundle):
         return self.values[tuple(sorted(bundle.items()))]

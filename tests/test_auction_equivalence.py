@@ -28,12 +28,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.auction as auction_module
+import repro.core.bids as bids_module
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
 from repro.core.auction import (
     _MEMO_MISS,
     AuctionSolveStats,
+    NashWelfare,
     PartialAllocationAuction,
+    _score_pair,
     exhaustive_nash_allocation,
 )
 from repro.core.bids import Bid
@@ -120,7 +122,7 @@ def test_reductions_engage_on_a_wide_market(fleet, semantics):
         assert lazy.last_stats.rescore_skipped > 0
     for market in (exact, wide_market(fleet, semantics, 0.2)):
         moves, grouped = solve(market)
-        with mock.patch.object(auction_module, "_CLASS_MIN_POOL", len(market.pool) + 1):
+        with mock.patch.object(bids_module, "_CLASS_MIN_POOL", len(market.pool) + 1):
             per_machine_moves, per_machine = solve(market)
         assert moves == per_machine_moves
         if market.noise_theta > 0.0:
@@ -167,9 +169,9 @@ def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
     stats = AuctionSolveStats()
 
     def score_at(free: int):
-        return auction._score_pair(
-            bid, app.app_id, machine_id, free, (), current_value,
-            headroom=bid.demand, stats=stats, rescore=True,
+        return _score_pair(
+            NashWelfare, auction.chunk_size, bid, app.app_id, machine_id, free, {}, (),
+            current_value, headroom=bid.demand, stats=stats, rescore=True,
         )
 
     wide = score_at(4)
