@@ -9,11 +9,13 @@
   durations scaled down 5x relative to the simulation runs, exactly as
   footnote 3 of Section 8.3 describes.
 
-Both return a :class:`ScenarioConfig`, a declarative bundle of trace
-generator + cluster + simulator knobs.  The figure registry
-(:mod:`repro.experiments.figures`) holds the paper-scale instance each
-figure replays; ``run_figure`` accepts any other scenario in its place,
-which is how tests shrink a figure.
+Both, and :func:`hetero_scenario`, return a :class:`ScenarioConfig`,
+a declarative bundle of trace generator + cluster + simulator knobs;
+:func:`preset_scenario` picks the preset by cluster kind and applies
+the knobs given, for the CLI and the service's ``sim`` jobs alike.
+The figure registry (:mod:`repro.experiments.figures`) holds the
+paper-scale instance each figure replays; ``run_figure`` accepts any
+other scenario in its place, which is how tests shrink a figure.
 """
 
 from __future__ import annotations
@@ -187,6 +189,38 @@ def hetero_scenario(
         gpu_mix=mix,
         **kwargs,
     )
+
+
+#: Cluster kind -> its preset; :func:`preset_scenario` is the one dispatch.
+PRESETS = {"sim": sim_scenario, "testbed": testbed_scenario, "hetero": hetero_scenario}
+
+
+def preset_scenario(
+    cluster: Optional[str] = None, base: Optional[ScenarioConfig] = None, **knobs
+) -> ScenarioConfig:
+    """The ``cluster`` kind's preset with the ``knobs`` given (not ``None``):
+    the presets' keywords and :class:`ScenarioConfig` fields.
+
+    A knob not given takes the preset's own default or, over a ``base``
+    scenario, the base's value; the base's duration scale and GPU mix
+    carry over only while the cluster kind stays (``cluster=None``
+    keeps the base's).  ``gpu_mix`` reaches the hetero preset only.
+    An unknown kind raises :class:`ValueError` naming the known ones.
+    """
+    kind = base.cluster_kind if cluster is None else cluster
+    if kind not in PRESETS:
+        raise ValueError(f"unknown cluster kind {kind!r}; known: {sorted(PRESETS)}")
+    applied = {}
+    if base is not None:
+        applied = dict(num_apps=base.generator.num_apps, seed=base.generator.seed,
+                       lease_minutes=base.lease_minutes, perf_matrix=base.perf_matrix,
+                       migration=base.migration)
+        if kind == base.cluster_kind:
+            applied.update(duration_scale=base.generator.duration_scale, gpu_mix=base.gpu_mix)
+    applied.update((name, value) for name, value in knobs.items() if value is not None)
+    if kind != "hetero":
+        applied.pop("gpu_mix", None)
+    return PRESETS[kind](**applied)
 
 
 def tiny_scenario(num_apps: int = 4, seed: int = 0) -> ScenarioConfig:

@@ -151,8 +151,8 @@ class SpecExecutor(Executor):
       (chaos / demo knob),
     * ``sim`` — run one simulation through the same
       :func:`~repro.experiments.runner.run_scenario` the CLI uses:
-      ``{"scheduler", "apps", "seed", "duration_scale", "cluster"}``;
-      the job result carries the run's headline metrics.
+      ``{"scheduler", "apps", "seed", "duration_scale", "cluster"}`` (a
+      bad spec fails FATAL); the job result carries the run's headline metrics.
     """
 
     def execute(self, record: JobRecord) -> JobOutcome:
@@ -177,20 +177,20 @@ class SpecExecutor(Executor):
         )
 
     def _run_simulation(self, record: JobRecord) -> JobOutcome:
-        from repro.experiments.config import sim_scenario, testbed_scenario
+        from repro.experiments.config import preset_scenario
         from repro.experiments.runner import run_scenario
         from repro.metrics.summary import metric_values
 
         spec = record.spec
-        builder = (
-            sim_scenario if spec.get("cluster", "testbed") == "sim"
-            else testbed_scenario
-        )
-        scenario = builder(
-            num_apps=int(spec.get("apps", 4)),
-            seed=int(spec.get("seed", 0)),
-            duration_scale=float(spec.get("duration_scale", 0.05)),
-        )
+        try:
+            scenario = preset_scenario(
+                str(spec.get("cluster", "testbed")),
+                num_apps=int(spec.get("apps", 4)),
+                seed=int(spec.get("seed", 0)),
+                duration_scale=float(spec.get("duration_scale", 0.05)),
+            )
+        except ValueError as error:
+            return JobOutcome.failure(FailureKind.FATAL, detail=str(error))
         result = run_scenario(scenario, str(spec.get("scheduler", "themis")))
         return JobOutcome.success(
             result={

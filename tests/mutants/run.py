@@ -197,6 +197,20 @@ MUTANTS = [
      '"token", "result", "worker", "started_at",', '"result", "worker", "started_at",'),
     ("daemon-record-without-changes", "service/daemon.py",
      "at=now,\n            **changes,\n", "at=now,\n"),
+    # experiments/config.py: the one preset dispatch; cli/: bound types, the service wrapper
+    ("preset-hetero-to-sim", "experiments/config.py",
+     '"hetero": hetero_scenario}', '"hetero": sim_scenario}'),
+    ("preset-base-beats-given-knob", "experiments/config.py",
+     "knobs.items() if value is not None)",
+     "knobs.items() if value is not None and name not in applied)"),
+    ("preset-scale-across-kinds", "experiments/config.py",
+     "if kind == base.cluster_kind:", "if True:"),
+    ("cli-positive-int-accepts-0", "cli/args.py",
+     "lambda value: value >= 1,", "lambda value: value >= 0,"),
+    ("cli-positive-float-accepts-0", "cli/args.py",
+     "math.isfinite(value) and value > 0", "math.isfinite(value) and value >= 0"),
+    ("cli-service-error-exits-0", "cli/service.py",
+     "file=sys.stderr)\n            return 1", "file=sys.stderr)\n            return 0"),
 ]
 
 #: Mutants that cannot change any observable behaviour, with the reason.

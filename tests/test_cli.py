@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import _figure_scenario, build_parser, main
+from repro.cli import build_parser, main
+from repro.cli.sim import _figure_scenario
 from repro.experiments.config import sim_scenario
 from repro.experiments.config import testbed_scenario as _testbed_scenario
 from repro.experiments.figures import FIGURES
@@ -192,6 +193,29 @@ def parse_error(*argv):
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(list(argv))
     return excinfo.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--apps", "0"),
+        ("run", "--lease", "-5"),
+        ("run", "--lease", "0"),
+        ("compare", "--duration-scale", "-1"),
+        ("figure", "fig09", "--duration-scale", "nan"),
+        ("sweep", "--retries", "-2"),
+        ("run", "--fairness-knob", "1.5"),
+        ("run", "--fairness-knob", "-0.1"),
+        ("trace", "--apps", "0"),
+    ],
+)
+def test_numeric_flags_are_validated_at_parse_time(capsys, argv):
+    """The bound types of ``repro.cli.args``: a usage error and exit 2,
+    not a traceback from inside the simulator."""
+    assert parse_error(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro")
+    assert f"argument {argv[-2]}: must be" in err
 
 
 def test_gpu_mix_rejects_unknown_generation(capsys):

@@ -69,6 +69,18 @@ def test_submit_rejects_bad_spec(tmp_path, capsys):
     assert "bad --spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("submit",), ("status",), ("status", "job-1"), ("cancel", "job-1"), ("worker",)],
+)
+def test_client_verbs_report_a_service_error_and_exit_1(tmp_path, capsys, argv):
+    """``repro.cli.service``'s one wrapper: no daemon behind ``--dir``."""
+    assert main([argv[0], "--dir", str(tmp_path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{argv[0]} failed (no_endpoint): ")
+    assert captured.out == ""
+
+
 def test_client_without_endpoint_file(tmp_path):
     with pytest.raises(ServiceUnavailable) as excinfo:
         ServiceClient.from_dir(tmp_path)

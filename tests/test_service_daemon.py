@@ -80,6 +80,35 @@ def test_sim_job_result_carries_the_metric_table_values(tmp_path):
     plane.close()
 
 
+def test_sim_job_cluster_picks_the_preset_by_kind(tmp_path, monkeypatch):
+    """``cluster`` goes through ``preset_scenario``: ``hetero`` runs the
+    mixed-generation fleet, and a kind no preset has fails FATAL."""
+    from repro.experiments import runner
+    from repro.experiments.config import hetero_scenario, tiny_scenario
+
+    ran = []
+    real_run = runner.run_scenario
+
+    def spy(scenario, scheduler, *args, **kwargs):
+        ran.append(scenario)
+        return real_run(tiny_scenario(), scheduler)
+
+    monkeypatch.setattr(runner, "run_scenario", spy)
+    plane, clock = make_plane(tmp_path)
+    hetero = plane.submit(
+        {"kind": "sim", "cluster": "hetero", "scheduler": "fifo", "apps": 2, "seed": 3}
+    )
+    bogus = plane.submit({"kind": "sim", "cluster": "bogus"})
+    drain(plane, clock)
+    assert ran == [hetero_scenario(num_apps=2, seed=3, duration_scale=0.05)]
+    assert plane.status(hetero)["state"] == "finished"
+    record = plane.status(bogus)
+    assert (record["state"], record["attempts"]) == ("failed", 1)
+    assert "'bogus'" in record["detail"]
+    assert "['hetero', 'sim', 'testbed']" in record["detail"]
+    plane.close()
+
+
 def test_transient_failure_retries_then_succeeds(tmp_path):
     script = {
         "j": [
