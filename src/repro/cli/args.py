@@ -45,7 +45,8 @@ unit_float = _number(float, lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
 
 
 def _list_of(kind, noun: str):
-    """An argument type: a comma-separated list of ``kind``, as a tuple."""
+    """An argument type: a comma-separated list of ``kind``, as a tuple
+    (``kind`` may be one of the bound types above)."""
 
     def parse(text: str) -> tuple:
         try:
@@ -58,6 +59,8 @@ def _list_of(kind, noun: str):
 
 float_list = _list_of(float, "numbers")
 int_list = _list_of(int, "integers")
+positive_float_list = _list_of(positive_float, "numbers")
+unit_float_list = _list_of(unit_float, "numbers")
 
 
 def gpu_mix(text: str) -> tuple[tuple[str, float], ...]:

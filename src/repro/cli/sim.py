@@ -27,9 +27,11 @@ from repro.cli.args import (
     obs_from_args,
     perf_matrix,
     positive_float,
+    positive_float_list,
     positive_int,
     scenario_knobs,
     unit_float,
+    unit_float_list,
 )
 from repro.experiments.config import ScenarioConfig, preset_scenario
 from repro.experiments.figures import FIGURES, compare_schedulers, run_figure
@@ -195,9 +197,9 @@ def _add_sweep(sub) -> None:
                         help="comma-separated scheduler names (one matrix axis)")
     parser.add_argument("--seeds", type=int_list, default=None,
                         help="comma-separated workload seeds axis")
-    parser.add_argument("--knobs", type=float_list, default=None,
+    parser.add_argument("--knobs", type=unit_float_list, default=None,
                         help="comma-separated fairness-knob axis (themis-only kwarg)")
-    parser.add_argument("--leases", type=float_list, default=None,
+    parser.add_argument("--leases", type=positive_float_list, default=None,
                         help="comma-separated lease-minutes axis")
     parser.add_argument("--contention", type=float_list, default=None,
                         help="comma-separated contention-factor axis")

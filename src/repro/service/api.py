@@ -34,6 +34,7 @@ shared capped-backoff :class:`~repro.service.retry.RetryPolicy`.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
@@ -219,7 +220,8 @@ class ServiceClient:
             if error.code == 503:
                 raise ServiceUnavailable(message, reason=reason)
             raise ServiceError(message, reason=reason)
-        except urllib.error.URLError as error:
+        except (urllib.error.URLError, ConnectionError, http.client.HTTPException) as error:
+            # Past the connect, a dropped connection is a reset or a cut response.
             unavailable = ServiceUnavailable(
                 f"cannot reach service at {self.url}: {error}",
                 reason="unreachable",

@@ -79,8 +79,7 @@ class CrashingStore(DurableStore):
         if self.crash_after is not None and self.appends >= self.crash_after:
             if self.torn_tail and self._fh is not None:
                 # A torn write: half a record, no newline.
-                self._fh.write('{"seq": 99999, "kind": "torn')
-                self._fh.flush()
+                self._fh.write(b'{"seq": 99999, "kind": "torn')
             self.close()
             raise SimulatedCrash(
                 f"simulated kill -9 before append #{self.appends + 1}"

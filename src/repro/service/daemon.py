@@ -69,7 +69,7 @@ from repro.service.state import (
     force_state,
     transition,
 )
-from repro.service.store import DurableStore, StoreCorruption, StoreUnavailable
+from repro.service.store import DurableStore, StoreCorruption, StoreUnavailable, encode
 from repro.service.tokens import DispatchToken, TokenIssuer
 from repro.service.workers import (
     DEFAULT_WORKER_TTL,
@@ -519,9 +519,10 @@ class ControlPlane:
         max_runtime_s: Optional[float] = None,
     ) -> str:
         """Accept one job; returns its id.  Raises
-        :class:`~repro.service.errors.AdmissionError` over policy and
+        :class:`~repro.service.errors.AdmissionError` over policy,
         :class:`~repro.service.errors.ServiceUnavailable` while the
-        store is down (shedding, not queueing in RAM)."""
+        store is down (shedding, not queueing in RAM) and the encoder's
+        ``ValueError`` / ``TypeError`` for a spec the WAL cannot hold."""
         with self._lock:
             return self._submit_locked(
                 spec, tenant=tenant, gpus=gpus, pool=pool,
@@ -1037,6 +1038,8 @@ class ControlPlane:
             return
         try:
             outcome = self.executor.execute(job)
+            if outcome.result is not None:
+                encode(outcome.result)  # one the WAL cannot hold fails the job
         except Exception as error:  # noqa: BLE001 - seam boundary
             outcome = JobOutcome.failure(
                 classify_exception(error), detail=f"{type(error).__name__}: {error}"

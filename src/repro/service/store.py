@@ -14,9 +14,10 @@ Stdlib-only crash safety over three files:
   that turned terminal since the last compaction) to ``sealed.jsonl``,
   one line each, then fsyncs it; next it writes a *snapshot*
   (``snapshot.json``) of everything else atomically (tmp +
-  ``os.replace``) and resets the WAL.  So recovery cost is O(recent
-  records) and *compaction* is O(live state + records sealed since the
-  last one), not O(history): a finished job is encoded once, ever,
+  ``os.replace``) and cuts the WAL in place back to its header.  So
+  recovery cost is O(recent records) and *compaction* is O(live state
+  + records sealed since the last one), not O(history): a finished job
+  is encoded once, ever,
 * the snapshot carries ``sealed_bytes``, the archive's committed
   length.  Bytes past it belong to a compaction that died before its
   snapshot rename; recovery truncates them (the old snapshot + WAL
@@ -33,14 +34,17 @@ reader that only knows schema 1 refuses a schema-2 store instead of
 silently dropping its archive.
 
 Recovery tolerates a *torn tail*: a partial or garbled final line
-(the classic ``kill -9`` mid-write artifact) is dropped and the file
-is repaired before appends resume.  Garbage in the middle of the WAL
-— valid records after an invalid line — is real corruption and
-raises :class:`StoreCorruption` instead of silently skipping history.
+(the classic ``kill -9`` mid-write artifact) is dropped and cut off in
+place before appends resume, as a failed append cuts its own partial
+bytes.  Garbage in the middle of the WAL — valid records after an
+invalid line — is real corruption and raises :class:`StoreCorruption`
+instead of silently skipping history.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import os
 from dataclasses import dataclass, field
@@ -60,7 +64,9 @@ WAL_HEADER_KIND = "wal_header"
 
 #: Every record's encoder: ``json.dumps(..., sort_keys=True)`` builds a
 #: new one per call, this one is built once and writes the same bytes.
-_encode = json.JSONEncoder(sort_keys=True).encode
+encode = json.JSONEncoder(sort_keys=True).encode
+
+_HEADER = (encode({"kind": WAL_HEADER_KIND, "schema": STORE_SCHEMA_VERSION}) + "\n").encode()
 
 
 class StoreError(ServiceError):
@@ -103,7 +109,7 @@ class DurableStore:
         root: Union[str, Path],
         *,
         fsync: bool = False,
-        compact_every: int = 256,
+        compact_every: int = 1024,
     ) -> None:
         if compact_every < 1:
             raise ValueError(f"compact_every must be >= 1, got {compact_every}")
@@ -114,7 +120,8 @@ class DurableStore:
         self.sealed_path = self.root / "sealed.jsonl"
         self.fsync = bool(fsync)
         self.compact_every = int(compact_every)
-        self._fh: Optional[IO[str]] = None
+        self._fh: Optional[IO[bytes]] = None  # unbuffered: one write per record
+        self._wal_bytes = 0  # the WAL's length up to its last whole record
         self._seq = 0
         self._since_snapshot = 0
         self._sealed_bytes = 0  # the archive's committed length
@@ -124,18 +131,17 @@ class DurableStore:
     # Recovery
     # ------------------------------------------------------------------
     def recover(self) -> StoreImage:
-        """Load archive + snapshot + WAL, repair a torn tail and an
+        """Load archive + snapshot + WAL, cut a torn tail and an
         uncommitted archive tail, open for append."""
-        image = self._load()
-        if image.dropped_tail:
-            self._rewrite_valid_prefix(image)
+        image, valid_bytes = self._load()
         self._truncate_uncommitted_seal()
         self._seq = image.last_seq
         self._since_snapshot = len(image.records)
-        self._open_append(write_header=not self.wal_path.exists())
+        self._cut(valid_bytes)
         return image
 
-    def _load(self) -> StoreImage:
+    def _load(self) -> tuple[StoreImage, int]:
+        """The image, and the byte length of the WAL's valid prefix."""
         image = StoreImage()
         self._sealed_bytes = 0
         if self.snapshot_path.exists():
@@ -162,24 +168,21 @@ class DurableStore:
                 image.sealed = self._load_sealed(sealed_bytes)
             self._sealed_bytes = sealed_bytes
         if not self.wal_path.exists():
-            return image
-        # errors="replace": a torn tail can contain arbitrary bytes; the
-        # mangled line fails JSON parsing and is handled as torn, rather
-        # than the whole recovery dying on a decode error.
-        lines = self.wal_path.read_text(
-            encoding="utf-8", errors="replace"
-        ).splitlines()
+            return image, 0
+        # surrogateescape: torn garbage decodes, fails to parse like any bad
+        # line, and encodes back to its bytes, so the valid prefix's length
+        # is exact.  What follows the last newline is never a whole record.
+        data = self.wal_path.read_bytes()
+        lines = data.decode("utf-8", "surrogateescape").split("\n")
         parsed: list[Optional[dict]] = []
-        for line in lines:
-            if not line.strip():
-                parsed.append(None)
-                continue
+        for line in lines[:-1]:
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
-                parsed.append(None)
-                continue
+            except ValueError:
+                record = None
             parsed.append(record if isinstance(record, dict) else None)
+        if lines[-1]:
+            parsed.append(None)
         # A torn tail is a (possibly empty) run of bad lines at the very
         # end; a bad line with any valid record after it is corruption.
         last_valid = -1
@@ -193,6 +196,8 @@ class DurableStore:
                     "by valid records — WAL middle is corrupt"
                 )
         image.dropped_tail = len(parsed) - (last_valid + 1)
+        torn = "\n".join(lines[last_valid + 1 :]).encode("utf-8", "surrogateescape")
+        valid_bytes = len(data) - len(torn)
         for record in parsed[: last_valid + 1]:
             if record.get("kind") == WAL_HEADER_KIND:
                 if record.get("schema") not in READABLE_SCHEMAS:
@@ -206,7 +211,7 @@ class DurableStore:
                 continue  # already folded into the snapshot
             image.records.append(record)
             image.last_seq = max(image.last_seq, seq)
-        return image
+        return image, valid_bytes
 
     def _load_sealed(self, committed: int) -> list:
         """The archive's first ``committed`` bytes, one record per line.
@@ -267,47 +272,48 @@ class DurableStore:
                 f"cannot truncate archive {self.sealed_path}: {error}"
             )
 
-    def _rewrite_valid_prefix(self, image: StoreImage) -> None:
-        """Atomically rewrite the WAL without its torn tail."""
-        tmp = self.wal_path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(self._header_line())
-            for record in image.records:
-                fh.write(_encode(record) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.wal_path)
-
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
-    def _header_line(self) -> str:
-        return _encode({"kind": WAL_HEADER_KIND, "schema": STORE_SCHEMA_VERSION}) + "\n"
-
-    def _open_append(self, write_header: bool) -> None:
+    def _cut(self, length: int) -> None:
+        """Truncate the WAL in place to its first ``length`` bytes (opening
+        it for append if closed); cut to nothing, it starts again with its
+        header.  Recovery cuts a torn tail, compaction every record and a
+        failed append its own partial bytes.  A failed cut closes the WAL,
+        so appends shed until a compaction cuts it again."""
         try:
-            self._fh = open(self.wal_path, "a", encoding="utf-8")
-            if write_header or self.wal_path.stat().st_size == 0:
-                self._fh.write(self._header_line())
-                self._fh.flush()
-        except OSError as error:
-            raise StoreUnavailable(f"cannot open WAL {self.wal_path}: {error}")
+            if self._fh is None:
+                self._fh = open(self.wal_path, "ab", buffering=0)
+            self._fh.truncate(length)
+            if not length and self._fh.write(_HEADER) != len(_HEADER):
+                raise OSError(errno.ENOSPC, "short write of the WAL header")
+        except (OSError, ValueError) as error:
+            self.close()
+            raise StoreUnavailable(f"cannot cut WAL {self.wal_path}: {error}")
+        self._wal_bytes = length or len(_HEADER)
 
     def append(self, kind: str, **fields) -> int:
-        """Durably append one record; returns its ``seq``."""
+        """Durably append one record; returns its ``seq``.  A record the
+        encoder rejects raises its ``ValueError`` / ``TypeError``, not a
+        store outage, and writes nothing."""
         if self._fh is None:
             raise StoreUnavailable(f"store at {self.root} is not open")
         record = {"seq": self._seq + 1, "kind": kind}
         record.update(fields)
+        line = (encode(record) + "\n").encode()
         try:
-            self._fh.write(_encode(record) + "\n")
-            self._fh.flush()
+            if self._fh.write(line) != len(line):
+                raise OSError(errno.ENOSPC, "short write")
             if self.fsync:
                 os.fsync(self._fh.fileno())
         except (OSError, ValueError) as error:
             # ValueError covers a handle something closed under us
             # ("I/O operation on closed file") — same shedding contract.
+            # The partial record goes, or a re-append would land mid-line.
+            with contextlib.suppress(StoreUnavailable):
+                self._cut(self._wal_bytes)
             raise StoreUnavailable(f"WAL append failed: {error}")
+        self._wal_bytes += len(line)
         self._seq += 1
         self._since_snapshot += 1
         self.appends += 1
@@ -324,15 +330,16 @@ class DurableStore:
 
     def compact(self, state: dict, sealed: Iterable[dict] = ()) -> None:
         """Seal ``sealed`` into the archive, write an atomic snapshot of
-        ``state`` and reset the WAL.
+        ``state`` and cut the WAL back to its header.
 
         Crash-safe ordering: the archive is appended and fsynced first,
         but it only counts once the snapshot naming its new length lands
-        via ``os.replace``; only then is the WAL truncated.  A crash
-        before the rename leaves the old snapshot + WAL in charge and an
-        uncommitted archive tail that recovery truncates.  A crash after
-        it leaves old records in the WAL, but their ``seq`` values are
-        at or below the snapshot's ``last_seq`` and recovery skips them.
+        via ``os.replace``; only then is the WAL cut.  A crash before the
+        rename leaves the old snapshot + WAL in charge and an uncommitted
+        archive tail that recovery truncates.  A crash after it leaves
+        old records in the WAL (or an empty WAL), but their ``seq``
+        values are at or below the snapshot's ``last_seq`` and recovery
+        skips them.
         """
         tmp = self.snapshot_path.with_suffix(".json.tmp")
         try:
@@ -347,7 +354,7 @@ class DurableStore:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     # encode, not dump: the same bytes, from the C encoder
                     # (dump streams through the pure-Python iterencode).
-                    fh.write(_encode(payload))
+                    fh.write(encode(payload))
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.snapshot_path)
@@ -357,21 +364,9 @@ class DurableStore:
                 tmp.unlink(missing_ok=True)
                 raise
             self._sealed_bytes = sealed_bytes
-            if self._fh is not None:
-                # Null the handle before the WAL rewrite: if the rewrite
-                # fails we must not keep a closed file object around
-                # (later appends would die on ValueError, not shed).
-                self._fh.close()
-                self._fh = None
-            wal_tmp = self.wal_path.with_suffix(".jsonl.tmp")
-            with open(wal_tmp, "w", encoding="utf-8") as fh:
-                fh.write(self._header_line())
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(wal_tmp, self.wal_path)
-            self._fh = open(self.wal_path, "a", encoding="utf-8")
         except OSError as error:
             raise StoreUnavailable(f"compaction failed: {error}")
+        self._cut(0)
         self._since_snapshot = 0
 
     def _append_sealed(self, sealed: Iterable[dict]) -> int:
@@ -381,7 +376,7 @@ class DurableStore:
         Bytes past the committed length (a compaction that failed before
         its rename) are truncated first, so a retried batch lands once.
         """
-        data = "".join(_encode(record) + "\n" for record in sealed).encode("utf-8")
+        data = "".join(encode(record) + "\n" for record in sealed).encode("utf-8")
         if not data:
             return self._sealed_bytes
         with open(self.sealed_path, "ab") as fh:
@@ -408,7 +403,7 @@ class DurableStore:
         return True
 
     def close(self) -> None:
-        """Flush and release the WAL handle (idempotent)."""
+        """Release the WAL handle (idempotent)."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None

@@ -10,6 +10,7 @@ suite failed to import.  A plain module has an unambiguous name.
 from __future__ import annotations
 
 import copy
+import errno
 import hashlib
 import json
 import random
@@ -584,3 +585,32 @@ def audit_freshness(sim) -> list[float]:
 
     scheduler.assign = assign
     return audited
+
+
+class FaultyWal:
+    """A shim over a ``DurableStore``'s WAL handle (``store._fh``) for
+    full-disk drills: each of the next ``failed_writes`` writes lands half
+    its bytes and then fails with ENOSPC, and each of the next
+    ``failed_truncates`` truncates fails with ENOSPC and cuts nothing.
+    Everything else goes to the real handle."""
+
+    def __init__(self, fh, *, failed_writes: int = 0, failed_truncates: int = 0) -> None:
+        self._fh = fh
+        self.failed_writes = failed_writes
+        self.failed_truncates = failed_truncates
+
+    def write(self, data: bytes) -> int:
+        if self.failed_writes:
+            self.failed_writes -= 1
+            self._fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def truncate(self, size: int) -> int:
+        if self.failed_truncates:
+            self.failed_truncates -= 1
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.truncate(size)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)

@@ -197,6 +197,11 @@ MUTANTS = [
      '"token", "result", "worker", "started_at",', '"result", "worker", "started_at",'),
     ("daemon-record-without-changes", "service/daemon.py",
      "at=now,\n            **changes,\n", "at=now,\n"),
+    # service/store.py: the WAL is cut in place, at compaction and after a failed append
+    ("store-reset-skips-header", "service/store.py",
+     "if not length and self._fh.write(_HEADER)", "if False and self._fh.write(_HEADER)"),
+    ("store-append-no-rollback", "service/store.py",
+     "self._cut(self._wal_bytes)\n            raise", "pass\n            raise"),
     # experiments/config.py: the one preset dispatch; cli/: bound types, the service wrapper
     ("preset-hetero-to-sim", "experiments/config.py",
      '"hetero": hetero_scenario}', '"hetero": sim_scenario}'),

@@ -207,6 +207,10 @@ def parse_error(*argv):
         ("run", "--fairness-knob", "1.5"),
         ("run", "--fairness-knob", "-0.1"),
         ("trace", "--apps", "0"),
+        ("sweep", "--leases", "-5"),
+        ("sweep", "--leases", "30,0"),
+        ("sweep", "--knobs", "1.5"),
+        ("sweep", "--knobs", "0.5,-0.1"),
     ],
 )
 def test_numeric_flags_are_validated_at_parse_time(capsys, argv):

@@ -1,6 +1,8 @@
 """Tests for the service CLI verbs and the HTTP API layer."""
 
 import json
+import socket
+import threading
 
 import pytest
 
@@ -79,6 +81,37 @@ def test_client_verbs_report_a_service_error_and_exit_1(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"{argv[0]} failed (no_endpoint): ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b"", b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"job_id": "jo'],
+    ids=["no-reply", "truncated-body"],
+)
+def test_a_dropped_connection_is_unreachable_not_a_traceback(tmp_path, capsys, reply):
+    """A daemon that reads the request and closes the socket mid-response
+    (say, as its ``--idle-exit`` shuts it down) is ``unreachable``."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def answer_then_hang_up():
+        connection, _ = listener.accept()
+        with connection:
+            connection.recv(65536)
+            connection.sendall(reply)
+
+    thread = threading.Thread(target=answer_then_hang_up, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()
+    (tmp_path / ENDPOINT_FILE).write_text(json.dumps({"host": host, "port": port}))
+    try:
+        assert main(["submit", "--dir", str(tmp_path)]) == 1
+    finally:
+        thread.join(timeout=5)
+        listener.close()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("submit failed (unreachable): ")
 
 
 def test_client_without_endpoint_file(tmp_path):

@@ -176,6 +176,40 @@ def test_executor_exception_is_classified(tmp_path):
     plane.close()
 
 
+def test_a_result_the_store_cannot_encode_fails_the_job(tmp_path):
+    """A circular result ends its job FATAL; the plane neither degrades
+    nor buffers a record it could never write."""
+    circular = {}
+    circular["self"] = circular
+
+    class Circular(ScriptedExecutor):
+        def execute(self, record):
+            return JobOutcome.success(circular)
+
+    plane, clock = make_plane(tmp_path, executor=Circular())
+    plane.submit({}, job_id="j")
+    plane.tick()
+    record = plane.status("j")
+    assert record["state"] == "failed" and record["attempts"] == 1
+    assert "Circular reference" in record["detail"]
+    assert not plane.degraded and plane.stats()["buffered_records"] == 0
+    plane.submit({}, job_id="k")  # not shed
+    plane.close()
+
+
+def test_a_spec_the_store_cannot_encode_is_the_callers_error(tmp_path):
+    """Not a store outage: the submit raises the encoder's ValueError,
+    nothing is admitted and the next submission lands."""
+    circular = {}
+    circular["self"] = circular
+    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+    with pytest.raises(ValueError, match="Circular reference"):
+        plane.submit(circular)
+    assert not plane.degraded and plane.job_list() == []
+    assert plane.submit({}) == "job-00001"
+    plane.close()
+
+
 def test_cancel_before_dispatch_and_idempotent_after_terminal(tmp_path):
     plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
     plane.submit({}, job_id="j")

@@ -19,11 +19,11 @@ Count-based, so nothing here can flake on a slow box:
 
 import hashlib
 import json
-import os
 from collections import Counter
 
 import pytest
 
+from helpers import FaultyWal
 from repro.service import store as store_module
 from repro.service.chaos import FakeClock, ScriptedExecutor, SimWorker
 from repro.service.daemon import ControlPlane, JobOutcome, NoopExecutor
@@ -212,15 +212,14 @@ def test_failed_compaction_seals_its_batch_once(tmp_path, monkeypatch, fail_on):
     for _ in range(3):
         plane.submit({"kind": "noop"})
 
-    real_replace = os.replace
-
-    def flaky_replace(src, dst, *args, **kwargs):
-        if str(dst).endswith(fail_on):
-            raise OSError("disk full")
-        return real_replace(src, dst, *args, **kwargs)
+    def disk_full(*args, **kwargs):
+        raise OSError("disk full")
 
     with monkeypatch.context() as patch:
-        patch.setattr(store_module.os, "replace", flaky_replace)
+        if fail_on == "snapshot.json":  # the store's one rename
+            patch.setattr(store_module.os, "replace", disk_full)
+        else:  # the WAL is cut in place after the rename
+            plane.store._fh = FaultyWal(plane.store._fh, failed_truncates=1)
         stats = plane.tick()
     assert plane.degraded and not stats.compacted
     assert plane.tick().compacted and not plane.degraded  # the retry

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from helpers import FaultyWal
 from repro.service import store as store_module
 from repro.service.chaos import FakeClock, ScriptedExecutor, SimWorker, drain_fleet
 from repro.service.daemon import ControlPlane, JobOutcome, NoopExecutor
@@ -83,24 +84,13 @@ def test_maybe_compact_respects_threshold(tmp_path):
     store.close()
 
 
-def test_compaction_failure_mid_rewrite_sheds_cleanly(tmp_path, monkeypatch):
-    """A compaction dying after the WAL handle closed (mid-rewrite)
+def test_compaction_failure_mid_rewrite_sheds_cleanly(tmp_path):
+    """A compaction dying in the WAL reset, after its snapshot rename,
     leaves the store shedding: later appends raise StoreUnavailable,
     never a bare ValueError from a closed file object."""
-    import os
-
-    from repro.service import store as store_module
-
     store = open_store(tmp_path)
     store.append("submit", job={"job_id": "a"})
-    real_replace = os.replace
-
-    def flaky_replace(src, dst, *args, **kwargs):
-        if str(dst).endswith("wal.jsonl"):
-            raise OSError("disk full")
-        return real_replace(src, dst, *args, **kwargs)
-
-    monkeypatch.setattr(store_module.os, "replace", flaky_replace)
+    store._fh = FaultyWal(store._fh, failed_truncates=1)
     with pytest.raises(StoreUnavailable):
         store.compact({"jobs": ["a"]})
     with pytest.raises(StoreUnavailable):
@@ -157,6 +147,138 @@ def test_multi_line_torn_tail(tmp_path):
     assert image.dropped_tail == 3
     assert [r["kind"] for r in image.records] == ["submit"]
     reopened.close()
+
+
+def test_a_record_whose_newline_did_not_land_is_torn(tmp_path):
+    """Bytes after the last newline are never a whole record, even when
+    they parse: the next append would otherwise extend that line."""
+    store = open_store(tmp_path)
+    store.append("submit", job={"job_id": "a"})
+    store.append("transition", job="a", state="admitted")
+    store.close()
+    store.wal_path.write_bytes(store.wal_path.read_bytes()[:-1])
+
+    reopened = DurableStore(tmp_path / "store")
+    image = reopened.recover()
+    assert image.dropped_tail == 1
+    assert [r["kind"] for r in image.records] == ["submit"]
+    assert reopened.append("transition", job="a", state="admitted") == 2
+    reopened.close()
+    final = DurableStore(tmp_path / "store")
+    assert [r["kind"] for r in final.recover().records] == ["submit", "transition"]
+    final.close()
+
+
+def _header():
+    return (
+        json.dumps({"kind": "wal_header", "schema": STORE_SCHEMA_VERSION}, sort_keys=True)
+        + "\n"
+    ).encode()
+
+
+@pytest.mark.parametrize("wal", [b"", b'{"kind": "wal_hea'], ids=["empty", "torn-header"])
+def test_a_wal_without_its_header_gets_it_back(tmp_path, wal):
+    """A crash inside the compaction reset leaves a 0-byte WAL or a torn
+    header: recovery reads no record, and writes the header before the
+    first append."""
+    store = open_store(tmp_path)
+    store.append("submit", job={"job_id": "a"})
+    store.compact({"jobs": ["a"]})
+    store.close()
+    store.wal_path.write_bytes(wal)
+
+    reopened = DurableStore(tmp_path / "store")
+    image = reopened.recover()
+    assert image.snapshot == {"jobs": ["a"]} and image.records == []
+    assert image.dropped_tail == (1 if wal else 0)
+    assert reopened.wal_path.read_bytes() == _header()
+    assert reopened.append("transition", job="a", state="admitted") == 2
+    reopened.close()
+    final = DurableStore(tmp_path / "store")
+    assert [r["seq"] for r in final.recover().records] == [2]
+    final.close()
+
+
+def test_compaction_cuts_the_wal_back_to_its_header(tmp_path):
+    store = open_store(tmp_path)
+    for _ in range(3):
+        store.append("submit")
+    store.compact({"jobs": []})
+    assert store.wal_path.read_bytes() == _header()
+    store.append("submit")
+    store.close()
+    assert store.wal_path.read_bytes().startswith(_header())
+
+
+def test_a_full_wal_recovers_every_record(tmp_path):
+    """The longest WAL the default interval leaves: 1,023 records since
+    the last snapshot, compaction due on the next append."""
+    store = open_store(tmp_path)
+    store.compact({"jobs": []})
+    for n in range(1, 1024):
+        store.append("submit", job={"job_id": f"job-{n:05d}"})
+    assert not store.maybe_compact(dict)
+    store.close()
+
+    reopened = DurableStore(tmp_path / "store")
+    image = reopened.recover()
+    assert [r["seq"] for r in image.records] == list(range(1, 1024))
+    assert image.dropped_tail == 0 and image.last_seq == 1023
+    reopened.append("submit")
+    assert reopened.maybe_compact(lambda: ({"jobs": []}, ()))
+    reopened.close()
+
+
+def test_a_failed_append_cuts_its_partial_record(tmp_path):
+    """ENOSPC after half a record landed: the store cuts the half off,
+    so the record the plane buffers and re-appends once space returns
+    starts a clean line, and a restart replays the live plane's table."""
+    root = tmp_path / "store"
+    plane = ControlPlane(DurableStore(root), executor=NoopExecutor(), clock=FakeClock())
+    plane.submit({"kind": "noop"})
+    plane.submit({"kind": "noop"})
+    plane.store._fh = FaultyWal(plane.store._fh, failed_writes=1)
+    plane.tick()  # the first transition hits the full disk
+    assert plane.degraded
+    plane.tick()  # space is back: the buffered records land
+    assert not plane.degraded
+    table = plane.job_list()
+    assert {job["state"] for job in table} == {"finished"}
+    plane.close()
+
+    recovered = ControlPlane(DurableStore(root), executor=NoopExecutor(), clock=FakeClock())
+    assert recovered.job_list() == table
+    recovered.close()
+
+
+def test_an_append_that_cannot_cut_its_partial_record_closes_the_wal(tmp_path):
+    store = open_store(tmp_path)
+    store.append("submit", job={"job_id": "a"})
+    store._fh = FaultyWal(store._fh, failed_writes=1, failed_truncates=1)
+    with pytest.raises(StoreUnavailable):
+        store.append("transition", job="a", state="admitted")
+    with pytest.raises(StoreUnavailable):  # shed, not written after the half
+        store.append("transition", job="a", state="admitted")
+
+    reopened = DurableStore(tmp_path / "store")
+    image = reopened.recover()  # the half record is a torn tail
+    assert image.dropped_tail == 1
+    assert [r["kind"] for r in image.records] == ["submit"]
+    reopened.close()
+
+
+def test_an_unencodable_record_writes_nothing_and_leaves_the_store_open(tmp_path):
+    store = open_store(tmp_path)
+    circular = {}
+    circular["self"] = circular
+    size = store.wal_path.stat().st_size
+    with pytest.raises(ValueError):
+        store.append("submit", job=circular)
+    with pytest.raises(TypeError):
+        store.append("submit", job={1: "a", "b": 2})  # keys sort_keys cannot order
+    assert store.wal_path.stat().st_size == size
+    assert store.append("submit", job={"job_id": "a"}) == 1
+    store.close()
 
 
 def test_mid_wal_corruption_raises(tmp_path):
