@@ -42,7 +42,7 @@ from repro.metrics.summary import metric_values
 from repro.obs import TraceError, filter_events, read_trace, summarize_events, validate_events
 from repro.schedulers.registry import SCHEDULER_NAMES
 from repro.sweep import SweepMatrix, run_sweep
-from repro.workload.generator import GeneratorConfig, generate_trace
+from repro.workload.generator import generate_trace
 
 logger = logging.getLogger("repro.cli")
 
@@ -66,6 +66,21 @@ def _print_profile(profile: dict) -> None:
     ]
     print("\nphase profile:")
     print(format_table(["phase", "seconds", "self", "calls", "share"], rows))
+
+
+def _print_placement(round_stats: dict) -> None:
+    """The install path's counters (``round_stats["placement"]``): GPUs
+    new to their app, those a job took, and installs that took none."""
+    counts = round_stats.get("placement")
+    if not counts:
+        return
+    granted, installed = counts["gpus_granted"], counts["gpus_installed"]
+    share = f"{100.0 * installed / granted:.1f}%" if granted else "-"
+    print("\nplacement:")
+    print(format_table(
+        ["gpus_granted", "gpus_installed", "share", "installs_fully_declined"],
+        [[granted, installed, share, counts["installs_fully_declined"]]],
+    ))
 
 
 def _parse_schedulers(text: str) -> Optional[list[str]]:
@@ -133,6 +148,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         logger.warning("run hit max_minutes before all apps finished")
     if args.profile:
         _print_profile(result.profile)
+        _print_placement(result.round_stats)
     if args.trace:
         print(f"wrote trace to {args.trace}")
     return 0
@@ -446,14 +462,12 @@ def _add_trace(sub) -> None:
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.file is not None:
         return _cmd_trace_inspect(args)
-    # --cluster only picks the duration scale's default: its preset's.
+    # The --cluster preset's generator (duration scale, app widths), so
+    # the file is the trace that preset's scenario replays.
     preset = preset_scenario(args.cluster, duration_scale=args.duration_scale)
     trace = generate_trace(
-        GeneratorConfig(
-            num_apps=args.apps,
-            seed=args.seed,
-            duration_scale=preset.generator.duration_scale,
-            perf_matrix=args.perf_matrix or (),
+        preset.generator.replace(
+            num_apps=args.apps, seed=args.seed, perf_matrix=args.perf_matrix or ()
         )
     )
     trace.to_jsonl(args.out)

@@ -181,7 +181,3 @@ class Allocation:
         if self._score is None:
             self._score = placement_score(self._gpus)
         return self._score
-
-
-#: The empty allocation, shared to avoid churn in hot paths.
-EMPTY_ALLOCATION = Allocation()

@@ -861,6 +861,13 @@ class ControlPlane:
         with self._lock:
             now = self.clock() if now is None else now
             stats = TickStats()
+            if self.degraded:
+                # A failed cut closed the WAL, and compaction (the other
+                # cut) waits for the buffer to drain: reopen it here.
+                try:
+                    self.store.reopen()
+                except StoreUnavailable as error:
+                    logger.error("store still unavailable: %s", error)
             stats.flushed = self._flush_pending()
             self._reap_workers(now, stats)
             self._reap_stalled_dispatches(now, stats)

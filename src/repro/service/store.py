@@ -280,7 +280,8 @@ class DurableStore:
         it for append if closed); cut to nothing, it starts again with its
         header.  Recovery cuts a torn tail, compaction every record and a
         failed append its own partial bytes.  A failed cut closes the WAL,
-        so appends shed until a compaction cuts it again."""
+        so appends shed until a compaction or :meth:`reopen` cuts it
+        again."""
         try:
             if self._fh is None:
                 self._fh = open(self.wal_path, "ab", buffering=0)
@@ -291,6 +292,14 @@ class DurableStore:
             self.close()
             raise StoreUnavailable(f"cannot cut WAL {self.wal_path}: {error}")
         self._wal_bytes = length or len(_HEADER)
+
+    def reopen(self) -> None:
+        """Reopen a WAL a failed cut closed, cut back to its last whole
+        record; a no-op while it is open.  Raises
+        :class:`StoreUnavailable`, leaving it closed, while the disk
+        still fails."""
+        if self._fh is None:
+            self._cut(self._wal_bytes)
 
     def append(self, kind: str, **fields) -> int:
         """Durably append one record; returns its ``seq``.  A record the

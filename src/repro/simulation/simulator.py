@@ -31,7 +31,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.cluster.allocation import EMPTY_ALLOCATION, Allocation
+from repro.cluster.allocation import Allocation
 from repro.cluster.topology import Cluster, Gpu, ordered_sum
 from repro.core.leases import Lease, LeaseManager
 from repro.obs import Observability, ObsConfig
@@ -183,11 +183,12 @@ class SimulationResult:
     #: breakdown (payloads older than the self-time column lack that
     #: key); empty unless the run was profiled (``--profile``).
     profile: dict = field(default_factory=dict)
-    #: Serialised ARBITER ``RoundStats`` instrumentation (solver moves,
-    #: pair scores, replayed warm-start moves, valuation probes):
-    #: ``{"rounds", "multi_bidder_rounds", "totals", "per_round"}``;
-    #: empty for schedulers without an arbiter.  Only ``per_round`` is
-    #: downsample-thinned.
+    #: Instrumentation: ``placement`` (the install path's granted vs.
+    #: installed counters, every scheduler) and, for schedulers with an
+    #: arbiter, the serialised ``RoundStats`` (solver moves, pair
+    #: scores, replayed warm-start moves, valuation probes):
+    #: ``"rounds", "multi_bidder_rounds", "totals", "per_round"``.
+    #: Only ``per_round`` is downsample-thinned.
     round_stats: dict = field(default_factory=dict)
 
     def stats_by_app(self) -> dict[str, AppStats]:
@@ -353,17 +354,22 @@ class ClusterSimulator:
         self.engine = SimulationEngine()
         self.leases = LeaseManager(self.cluster.gpus)
         self.active_apps: dict[str, App] = {}
-        #: Jobs currently holding GPUs — the only jobs whose state can
-        #: drift between events, so the advance loop visits just these.
-        #: (A zero-GPU job integrates to a no-op: progress, GPU-time and
-        #: overhead consumption are all linear in held time, so
-        #: deferring its ``advance_to`` is exact.)
+        #: Active jobs currently holding GPUs — the only jobs whose state
+        #: can drift between events, so the advance loop visits just
+        #: these.  (A zero-GPU job integrates to a no-op: progress,
+        #: GPU-time and overhead consumption are all linear in held
+        #: time, so deferring its ``advance_to`` is exact.)  Every path
+        #: that changes an allocation calls :meth:`_track_held_job` and
+        #: every finish or kill pops the job, so no entry is inactive;
+        #: the per-round audit (``tests/helpers.py::audit_freshness``)
+        #: checks it.
         self._held_jobs: dict[str, Job] = {}
         self._job_events: dict[str, Event] = {}
         self._job_owner: dict[str, App] = {}
         self._auction_pending = False
-        #: ``(now, pool)`` of the last round run, for the same-instant guard.
-        self._last_round: tuple[float, Mapping[int, Sequence[Gpu]]] | None = None
+        #: ``(now, pool GPU ids)`` of the last round run, for the
+        #: same-instant guard.
+        self._last_round: tuple[float, set[int]] | None = None
         self._down_gpu_ids: set[int] = set()
         #: Expiry timestamps with a pending LEASE_EXPIRY event; K leases
         #: expiring at one instant schedule one event, not K.
@@ -380,6 +386,19 @@ class ClusterSimulator:
         #: one; pruned on app completion, so O(active apps) memory.
         self._rounds_since_alloc: dict[str, int] = {}
         self._starved_rounds_max: dict[str, int] = {}
+        #: Per active app, ``(epoch, granted gpu ids, declined GPUs)`` of
+        #: its last install that changed no job (see
+        #: :meth:`_install_app_allocation`); pruned on app completion.
+        self._noop_installs: dict[str, tuple[int, frozenset, list[Gpu]]] = {}
+        #: What the install path did with the GPUs the scheduler handed
+        #: out (``round_stats["placement"]``): GPUs new to their app,
+        #: those of them a job took, and installs that were offered new
+        #: GPUs and took none.
+        self.placement_counts = {
+            "gpus_granted": 0,
+            "gpus_installed": 0,
+            "installs_fully_declined": 0,
+        }
         for app in self.apps:
             for job in app.jobs:
                 # Events, the held-jobs index and this map are keyed by
@@ -474,8 +493,6 @@ class ClusterSimulator:
         with profiler.phase("advance"):
             self._advance_active_jobs(now)
         self._process_tuners(now)
-        with profiler.phase("metrics"):
-            self._sample_contention(now)
         leases = self.leases
         pool = leases.pool_for_auction(now)
         if self._down_gpu_ids:
@@ -486,12 +503,16 @@ class ClusterSimulator:
                 renewable.append(lease)
             else:
                 self._release_orphaned_lease(lease)
-        if not pool:
-            return
+        pool_ids = _gpu_ids(pool)
         last = self._last_round
-        if last is not None and last[0] == now and _gpu_ids(last[1]) == _gpu_ids(pool):
-            return  # identical round at the same instant; avoid livelock
-        self._last_round = (now, pool)
+        # Nothing to offer, or the identical round at the same instant
+        # (a livelock guard): no round runs, but contention is sampled.
+        if not pool or (last is not None and last[0] == now and last[1] == pool_ids):
+            with profiler.phase("metrics"):
+                demand = sum(app.demand() for app in self.active_apps.values())
+                self._sample_contention(now, demand)
+            return
+        self._last_round = (now, pool_ids)
         self.num_rounds += 1
         tracer = self.tracer
         if tracer.enabled:
@@ -508,7 +529,7 @@ class ClusterSimulator:
         with profiler.phase("assign"):
             assignment = self.scheduler.assign(now, pool)
         with profiler.phase("placement"):
-            self._apply_assignment(now, pool, renewable, assignment)
+            self._apply_assignment(now, pool_ids, renewable, assignment)
         if self.config.migration:
             with profiler.phase("migration"):
                 self._migration_pass(now)
@@ -548,14 +569,8 @@ class ClusterSimulator:
         # Only jobs holding GPUs accrue anything between events;
         # zero-GPU jobs are advanced lazily right before their next
         # state change, which integrates to the identical result.
-        stale: list[str] = []
-        for job_id, job in self._held_jobs.items():
-            if job.is_active:
-                job.advance_to(now)
-            else:
-                stale.append(job_id)
-        for job_id in stale:
-            del self._held_jobs[job_id]
+        for job in self._held_jobs.values():
+            job.advance_to(now)
 
     def _track_held_job(self, job: Job) -> None:
         """Keep :attr:`_held_jobs` in sync after an allocation change."""
@@ -590,10 +605,8 @@ class ClusterSimulator:
             if app.is_complete():
                 self._complete_app(now, app)
 
-    def _sample_contention(self, now: float) -> None:
-        demand = 0
-        for app in self.active_apps.values():
-            demand += app.demand()
+    def _sample_contention(self, now: float, demand: int) -> None:
+        """Record the round's demand over the GPUs in service."""
         # Honest contention during failure injection: demand is served
         # by the GPUs actually in service, not the nameplate cluster.
         in_service = self.cluster.num_gpus - len(self._down_gpu_ids)
@@ -605,21 +618,25 @@ class ClusterSimulator:
         self.contention_samples.append((now, ratio))
 
     def _record_round_metrics(self, now: float) -> None:
-        """Per-round fragmentation and starvation samples (every scheduler).
+        """Per-round contention, fragmentation and starvation samples.
 
-        Fragmentation: :func:`~repro.obs.metrics.fragmentation_index`
-        of :meth:`_free_counts`.  Starvation: each active app's
+        Recorded for every scheduler, in one pass over the active apps.
+        Contention: total demand over the GPUs in service (installs move
+        no job cap, so the demand is the round's).  Fragmentation:
+        :func:`~repro.obs.metrics.fragmentation_index` of
+        :meth:`_free_counts`.  Starvation: each active app's
         rounds-since-last-allocation (counted while it has unmet demand
         and zero GPUs); the series records the nearest-rank p99 across
-        currently-waiting apps.  Both are O(machines + active apps).
+        currently-waiting apps.  All are O(machines + active apps).
         """
-        self._frag_series.append((now, fragmentation_index(self._free_counts())))
-
+        demand = 0
         waiting: list[int] = []
         since = self._rounds_since_alloc
         worst = self._starved_rounds_max
         for app_id, app in self.active_apps.items():
-            if app.allocation().size > 0 or app.unmet_demand() <= 0:
+            wanted, held = app.demand_pair()
+            demand += wanted
+            if held or not wanted:
                 since[app_id] = 0
                 continue
             rounds = since.get(app_id, 0) + 1
@@ -627,6 +644,8 @@ class ClusterSimulator:
             if rounds > worst.get(app_id, 0):
                 worst[app_id] = rounds
             waiting.append(rounds)
+        self._sample_contention(now, demand)
+        self._frag_series.append((now, fragmentation_index(self._free_counts())))
         self._starv_series.append(
             (now, float(percentile_nearest_rank(waiting, 0.99)))
         )
@@ -646,7 +665,7 @@ class ClusterSimulator:
     def _apply_assignment(
         self,
         now: float,
-        pool: Mapping[int, Sequence[Gpu]],
+        pool_ids: set[int],
         renewable: Sequence[Lease],
         assignment: dict[str, list[Gpu]],
     ) -> None:
@@ -659,28 +678,25 @@ class ClusterSimulator:
         orders them by gpu_id, so grants install in gpu_id order in
         whatever order ``assign`` returned them.
         """
-
-        def pooled(gpu: Gpu) -> bool:
-            return gpu in pool.get(gpu.machine_id, ())
-
         affected = {lease.app_id for lease in renewable}
         new_owner: dict[int, str] = {}
         granted_by_app: dict[str, list[Gpu]] = {}
         for app_id, gpus in assignment.items():
             if app_id not in self.active_apps:
                 raise SimulationError(f"scheduler assigned GPUs to unknown app {app_id!r}")
+            if not gpus:
+                continue
             for gpu in gpus:
-                if not pooled(gpu):
+                gpu_id = gpu.gpu_id
+                if gpu_id not in pool_ids:
                     raise SimulationError(
-                        f"scheduler assigned GPU {gpu.gpu_id} outside the pool"
+                        f"scheduler assigned GPU {gpu_id} outside the pool"
                     )
-                if gpu.gpu_id in new_owner:
-                    raise SimulationError(
-                        f"scheduler assigned GPU {gpu.gpu_id} to two apps"
-                    )
-                new_owner[gpu.gpu_id] = app_id
-                granted_by_app.setdefault(app_id, []).append(gpu)
-                affected.add(app_id)
+                if gpu_id in new_owner:
+                    raise SimulationError(f"scheduler assigned GPU {gpu_id} to two apps")
+                new_owner[gpu_id] = app_id
+            granted_by_app[app_id] = list(gpus)
+            affected.add(app_id)
 
         tracer = self.tracer
         if tracer.enabled:
@@ -697,28 +713,73 @@ class ClusterSimulator:
                     )
 
         # Unassigned expired GPUs stay with their incumbent (lease
-        # renewal) — work conservation.
+        # renewal) — work conservation.  Those and the ones it re-won
+        # are the incumbent's renewals.
+        renewing: dict[str, list[Lease]] = {}
         for lease in renewable:
-            if lease.gpu.gpu_id not in new_owner:
+            owner = new_owner.get(lease.gpu.gpu_id)
+            if owner is None:
                 granted_by_app.setdefault(lease.app_id, []).append(lease.gpu)
+            elif owner != lease.app_id:
+                continue
+            renewing.setdefault(lease.app_id, []).append(lease)
 
         for app_id in sorted(affected):
             app = self.active_apps.get(app_id)
             if app is None:
                 continue
-            retained = [gpu for gpu in app.allocation().gpus if not pooled(gpu)]
+            retained = [gpu for gpu in app.allocation().gpus if gpu.gpu_id not in pool_ids]
             granted = granted_by_app.get(app_id, [])
-            self._install_app_allocation(now, app, Allocation(retained + granted))
+            self._install_app_allocation(
+                now, app, Allocation(retained + granted), renewing.get(app_id, ())
+            )
 
-    def _install_app_allocation(self, now: float, app: App, granted: Allocation) -> None:
-        """Distribute an app-level grant to jobs and refresh leases/events."""
-        job_allocs = app.distribute(granted)
-        used_ids: set[int] = set()
-        for job in app.active_jobs():
-            target = job_allocs.get(job.job_id, EMPTY_ALLOCATION)
-            used_ids.update(target.gpu_ids)
-            if target == job.allocation:
-                self._refresh_leases(now, app, job, target)
+    def _install_app_allocation(
+        self, now: float, app: App, granted: Allocation, renewing: Sequence[Lease]
+    ) -> None:
+        """Install what an app holds after a round, touching only what changed.
+
+        ``granted`` is every GPU the app may hold from now on (its
+        unpooled GPUs plus the round's grants and renewals), and
+        ``renewing`` the round's expired leases of this app whose GPU is
+        in it.  :meth:`App.distribute` reports the jobs whose allocation
+        changes and the GPUs no job takes.  Each changed job is advanced,
+        re-allocated (repaying the restart overhead when it gets GPUs),
+        leased on every GPU it now holds and re-timed.  A job that keeps
+        its GPUs renews just its leases in ``renewing``; its others are
+        unexpired.  Jobs are visited in submission order, so leases,
+        events and trace records come out as a pass over every job would
+        make them.  Declined GPUs go back to the free pool.
+
+        An install that left the app's epoch unchanged (no job changed)
+        is remembered with its ``(epoch, granted ids)``: the same offer
+        at the same epoch skips ``distribute`` — nothing changes, and the
+        declined GPUs are ``granted - held`` again.
+        """
+        app_id = app.app_id
+        epoch = app.epoch
+        granted_ids = granted.gpu_ids
+        held_ids = app.allocation().gpu_ids
+        noop = self._noop_installs.get(app_id)
+        if noop is not None and noop[0] == epoch and noop[1] == granted_ids:
+            changes: dict[str, Allocation] = {}
+            declined = noop[2]
+        else:
+            changes, declined = app.distribute(granted)
+        renewals: dict[str, list[Gpu]] = {}
+        for lease in renewing:
+            if lease.job_id not in changes:
+                renewals.setdefault(lease.job_id, []).append(lease.gpu)
+        visit = [*changes, *renewals]
+        if renewals and len(visit) > 1:
+            wanted = set(visit)
+            visit = [job.job_id for job in app.active_jobs() if job.job_id in wanted]
+        for job_id in visit:
+            job = app.job(job_id)
+            target = changes.get(job_id)
+            if target is None:
+                for gpu in renewals[job_id]:
+                    self._grant_lease(now, app_id, job_id, gpu)
                 continue
             overhead = (
                 self.config.restart_overhead_minutes if target.size > 0 else 0.0
@@ -730,11 +791,20 @@ class ClusterSimulator:
             self._refresh_leases(now, app, job, target)
             self._reschedule_job_finish(job)
         # GPUs the app cannot use (beyond demand) go back to the free pool.
-        for gpu in granted:
-            if gpu.gpu_id not in used_ids:
-                self.leases.release(gpu)
+        for gpu in declined:
+            self.leases.release(gpu)
+        if app.epoch == epoch:
+            self._noop_installs[app_id] = (epoch, granted_ids, declined)
+        fresh = len(granted_ids - held_ids)
+        if fresh:
+            installed = fresh - sum(1 for gpu in declined if gpu.gpu_id not in held_ids)
+            counts = self.placement_counts
+            counts["gpus_granted"] += fresh
+            counts["gpus_installed"] += installed
+            if not installed:
+                counts["installs_fully_declined"] += 1
         if self.config.record_timeline:
-            self.timeline.append((now, app.app_id, app.allocation().size))
+            self.timeline.append((now, app_id, app.allocation().size))
 
     def _emit_job_state(self, now: float, app: App, job: Job, state: str) -> None:
         """Trace one job allocation/state change (no-op untraced).
@@ -769,31 +839,33 @@ class ClusterSimulator:
         for gpu in target:
             lease = self.leases.lease_of(gpu)
             if lease is None or lease.app_id != app.app_id or lease.is_expired(now):
-                new_lease = self.leases.grant(
-                    gpu, app.app_id, job.job_id, now, self.config.lease_minutes
-                )
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "lease_grant",
-                        now,
-                        app=app.app_id,
-                        job=job.job_id,
-                        gpu=gpu.gpu_id,
-                        expiry=new_lease.expiry,
-                    )
-                # One expiry event per distinct timestamp: a round that
-                # grants K leases (same ``now``, same duration) used to
-                # schedule K identical wake-ups.
-                if new_lease.expiry not in self._expiry_times_scheduled:
-                    self._expiry_times_scheduled.add(new_lease.expiry)
-                    self.engine.schedule(
-                        new_lease.expiry,
-                        self._lease_expiry_callback,
-                        kind=EventKind.LEASE_EXPIRY,
-                        label=f"lease:{new_lease.expiry:.3f}",
-                    )
+                self._grant_lease(now, app.app_id, job.job_id, gpu)
             else:
                 lease.job_id = job.job_id
+
+    def _grant_lease(self, now: float, app_id: str, job_id: str, gpu: Gpu) -> None:
+        """Lease ``gpu`` to the job for one lease term from ``now``."""
+        new_lease = self.leases.grant(gpu, app_id, job_id, now, self.config.lease_minutes)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "lease_grant",
+                now,
+                app=app_id,
+                job=job_id,
+                gpu=gpu.gpu_id,
+                expiry=new_lease.expiry,
+            )
+        # One expiry event per distinct timestamp: a round that grants K
+        # leases (same ``now``, same duration) used to schedule K
+        # identical wake-ups.
+        if new_lease.expiry not in self._expiry_times_scheduled:
+            self._expiry_times_scheduled.add(new_lease.expiry)
+            self.engine.schedule(
+                new_lease.expiry,
+                self._lease_expiry_callback,
+                kind=EventKind.LEASE_EXPIRY,
+                label=f"lease:{new_lease.expiry:.3f}",
+            )
 
     def _reschedule_job_finish(self, job: Job) -> None:
         old = self._job_events.pop(job.job_id, None)
@@ -1009,6 +1081,7 @@ class ClusterSimulator:
         app.finished_at = now
         self.active_apps.pop(app.app_id, None)
         self._rounds_since_alloc.pop(app.app_id, None)
+        self._noop_installs.pop(app.app_id, None)
         if self.config.record_timeline:
             self.timeline.append((now, app.app_id, 0))
         hook = getattr(self.scheduler, "on_app_finish", None)
@@ -1076,19 +1149,22 @@ class ClusterSimulator:
         )
 
     def _round_stats_payload(self) -> dict:
-        """Serialise the arbiter's per-round solver instrumentation.
+        """Serialise the install counters and the arbiter's solver instrumentation.
 
-        Schedulers without an arbiter (every baseline except themis)
-        yield ``{}``.  ``totals`` sums every ``RoundStats`` counter (the
-        fields that default to 0) and ``multi_bidder_rounds`` counts the
-        rounds with >= 2 participants, both over the whole history.
-        ``per_round`` rows go through the same reservoir policy as the
-        other series so a week-long trace cannot bloat the result JSON.
+        Every scheduler gets ``placement`` (:attr:`placement_counts`).
+        Schedulers with an arbiter (themis) also get ``rounds``,
+        ``multi_bidder_rounds``, ``totals`` and ``per_round``: ``totals``
+        sums every ``RoundStats`` counter (the fields that default to 0)
+        and ``multi_bidder_rounds`` counts the rounds with >= 2
+        participants, both over the whole history.  ``per_round`` rows
+        go through the same reservoir policy as the other series so a
+        week-long trace cannot bloat the result JSON.
         """
+        payload: dict = {"placement": dict(self.placement_counts)}
         arbiter = getattr(self.scheduler, "arbiter", None)
         history = getattr(arbiter, "history", None)
         if not history:
-            return {}
+            return payload
         totals = {f.name: 0 for f in fields(history[0]) if f.default == 0}
         for rs in history:
             for key in totals:
@@ -1097,11 +1173,10 @@ class ClusterSimulator:
         # rows by append index, so the result is the same either way.
         kept = ReservoirSeries(self.config.downsample)
         kept.extend(history)
-        return {
-            "rounds": len(history),
-            "multi_bidder_rounds": sum(
-                1 for rs in history if rs.num_participants >= 2
-            ),
-            "totals": totals,
-            "per_round": [asdict(rs) for rs in kept],
-        }
+        payload.update(
+            rounds=len(history),
+            multi_bidder_rounds=sum(1 for rs in history if rs.num_participants >= 2),
+            totals=totals,
+            per_round=[asdict(rs) for rs in kept],
+        )
+        return payload

@@ -153,15 +153,19 @@ class App:
 
     def demand(self) -> int:
         """Total GPUs the app could use right now (sum of job caps)."""
-        return self._demand_pair()[0]
+        return self.demand_pair()[0]
 
     def unmet_demand(self) -> int:
         """GPUs the app wants beyond what it currently holds."""
-        pair = self._demand_pair()
+        pair = self.demand_pair()
         return max(0, pair[0] - pair[1])
 
-    def _demand_pair(self) -> tuple[int, int]:
-        """(total demand, held-toward-demand) memoised on the epoch."""
+    def demand_pair(self) -> tuple[int, int]:
+        """(total demand, held-toward-demand) memoised on the epoch.
+
+        Held counts each active job's GPUs up to its cap, so it is 0
+        exactly when the app holds no GPU.
+        """
         cached = self._demand_cache
         if cached is not None and cached[0] == self._epoch:
             return cached[1], cached[2]
@@ -281,7 +285,9 @@ class App:
     # ------------------------------------------------------------------
     # Intra-app GPU distribution (Section 5.2, step 4)
     # ------------------------------------------------------------------
-    def distribute(self, granted: Allocation) -> dict[str, Allocation]:
+    def distribute(
+        self, granted: Allocation
+    ) -> tuple[dict[str, Allocation], list[Gpu]]:
         """Split an app-level allocation among active jobs, stably.
 
         The distribution keeps existing job->GPU bindings whenever the
@@ -293,9 +299,19 @@ class App:
         pair of a placement-sensitive model) is declined — a rational
         app scheduler never accepts an allocation that hurts it, which
         is precisely the placement sensitivity the paper's bids express.
-        Declined GPUs are absent from the returned mapping and should
-        be released by the caller.  A job kept whole that gained
-        nothing gets its own ``Allocation`` back.
+
+        Returns the delta ``(changes, declined)``: ``changes`` maps each
+        active job whose allocation changes to its new one, in
+        submission order (every other job keeps ``job.allocation``);
+        ``declined`` lists, in gpu_id order, the granted GPUs no job
+        takes, which the caller releases.
+
+        Jobs that kept GPUs are probed for every pool GPU.  A GPU-less
+        job's fill state is built only when it is probed: the GPU-less
+        jobs are scanned in job-id order, and the scan stops at the
+        first claim without a type mismatch — every GPU-less claim is
+        ``(mismatch, 2, 0, job_id)``, so each later one loses that tie
+        on job id.
         """
         granted_ids = granted.gpu_ids
         kept_by_job: list[tuple[Job, list[Gpu], bool]] = []
@@ -316,28 +332,65 @@ class App:
         for gpu in granted:
             if gpu.gpu_id not in taken:
                 by_machine.setdefault(gpu.machine_id, []).append(gpu)
+        if by_machine and headroom:
+            self._fill(by_machine, headroom, taken)
+        changes = {
+            job.job_id: Allocation(gpus)
+            for job, gpus, whole in kept_by_job
+            if not whole or len(gpus) != len(job.allocation)
+        }
+        declined = [gpu for gpu in granted if gpu.gpu_id not in taken] if by_machine else []
+        return changes, declined
+
+    @staticmethod
+    def _fill(
+        by_machine: dict[int, list[Gpu]],
+        headroom: list[tuple[Job, list[Gpu], int]],
+        taken: set[int],
+    ) -> None:
+        """Hand the pool's GPUs to the jobs with headroom (see :meth:`distribute`).
+
+        Appends each taken GPU to its job's list in ``headroom`` and its
+        id to ``taken``.
+        """
         machine_order = sorted(
             by_machine,
             key=lambda m: (-len(by_machine[m]) * by_machine[m][0].speed, m),
         )
-        # Only jobs with headroom can take a GPU, and only if there is one.
-        fills = [_JobFill(*entry) for entry in headroom] if by_machine else []
+        fills = [_JobFill(*entry) for entry in headroom if entry[1]]
+        # GPU-less jobs in job-id order; each entry becomes its
+        # ``_JobFill`` the first time it is probed.
+        idle: list = sorted(
+            (entry for entry in headroom if not entry[1]), key=lambda e: e[0].job_id
+        )
         for machine_id in machine_order:
             for gpu in by_machine[machine_id]:
-                if not fills:
-                    break
+                if not fills and not idle:
+                    return
                 best_key = best = None
                 for fill in fills:
                     key = fill.probe(gpu)
                     if key is not None and (best_key is None or key < best_key):
                         best_key, best = key, fill
-                if best is not None and best.absorb(gpu):
+                for index, fill in enumerate(idle):
+                    if type(fill) is tuple:
+                        fill = idle[index] = _JobFill(*fill)
+                    key = fill.probe(gpu)
+                    if key is None:
+                        continue
+                    if best_key is None or key < best_key:
+                        best_key, best = key, fill
+                    if not key[0]:
+                        break
+                if best is None:
+                    continue
+                taken.add(gpu.gpu_id)
+                if not best.gpus:
+                    idle.remove(best)
+                    if not best.absorb(gpu):
+                        fills.append(best)
+                elif best.absorb(gpu):
                     fills.remove(best)
-        return {
-            job.job_id: job.allocation if whole and len(gpus) == len(job.allocation)
-            else Allocation(gpus)
-            for job, gpus, whole in kept_by_job
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

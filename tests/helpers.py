@@ -398,6 +398,49 @@ def rescan_distribute(app, granted):
     return {job_id: Allocation(gpus) for job_id, gpus in assigned.items()}
 
 
+def split(app, granted):
+    """``App.distribute``'s delta spelled out: every active job's allocation.
+
+    Jobs absent from the reported changes keep ``job.allocation``, in
+    submission order — the full mapping ``rescan_distribute`` returns.
+    """
+    changes, _declined = app.distribute(granted)
+    return {job.job_id: changes.get(job.job_id, job.allocation) for job in app.active_jobs()}
+
+
+def full_install(sim, now, app, granted):
+    """``ClusterSimulator._install_app_allocation`` as a pass over every job.
+
+    The install the simulator ran until it installed deltas, verbatim
+    but for the split, which comes from :func:`rescan_distribute`: every
+    active job, changed or not, re-leases whichever of its GPUs lack an
+    unexpired lease of its app, and every granted GPU no job took is
+    released.  No memo, no renewal set, no counters.  What
+    tests/test_install_equivalence.py compares the production install
+    against.
+    """
+    job_allocs = rescan_distribute(app, granted)
+    used_ids: set[int] = set()
+    for job in app.active_jobs():
+        target = job_allocs[job.job_id]
+        used_ids.update(target.gpu_ids)
+        if target == job.allocation:
+            sim._refresh_leases(now, app, job, target)
+            continue
+        overhead = sim.config.restart_overhead_minutes if target.size > 0 else 0.0
+        job.advance_to(now)
+        job.set_allocation(now, target, overhead=overhead)
+        sim._track_held_job(job)
+        sim._emit_job_state(now, app, job, "running")
+        sim._refresh_leases(now, app, job, target)
+        sim._reschedule_job_finish(job)
+    for gpu in granted:
+        if gpu.gpu_id not in used_ids:
+            sim.leases.release(gpu)
+    if sim.config.record_timeline:
+        sim.timeline.append((now, app.app_id, app.allocation().size))
+
+
 # ----------------------------------------------------------------------
 # Frozen replays: the one committed contract for deterministic gates
 # ----------------------------------------------------------------------
@@ -505,6 +548,8 @@ def audit_freshness(sim) -> list[float]:
     * the per-machine free counts the fragmentation sample reads equal
       a recount of the unleased in-service GPUs, in machine order;
     * ``_held_jobs`` is exactly the active jobs holding GPUs;
+    * every lease names a job of an active app that holds the GPU (the
+      install renews an unchanged job's expired leases by that name);
     * each active app's epoch-memoised aggregates equal those of a
       shadow ``App`` built from copies of its jobs (no cache survives
       the copy);
@@ -553,6 +598,11 @@ def audit_freshness(sim) -> list[float]:
             if job.is_active and job.allocation.size > 0
         }
         assert set(sim._held_jobs) == holding, f"{where}: _held_jobs"
+        for gpu in gpus:
+            lease = leases.lease_of(gpu)
+            if lease is not None:
+                holder = sim.active_apps[lease.app_id].job(lease.job_id)
+                assert gpu in holder.allocation, f"{where}: lease on GPU {gpu.gpu_id}"
         shadows = {}
         for app_id, app in sim.active_apps.items():
             shadow = App(

@@ -187,7 +187,16 @@ MUTANTS = [
     ("metrics-fragmentation-square", "obs/metrics.py", "acc += share * share", "acc += share"),
     ("metrics-percentile-rank", "obs/metrics.py", "math.ceil(q", "math.floor(q"),
     ("simulator-guard-ignores-pool", "simulation/simulator.py",
-     "last[0] == now and _gpu_ids(last[1]) == _gpu_ids(pool)", "last[0] == now"),
+     "last[0] == now and last[1] == pool_ids", "last[0] == now"),
+    # simulation/simulator.py + workload/app.py: the delta install
+    ("install-memo-ignores-epoch", "simulation/simulator.py",
+     "noop[0] == epoch and noop[1] == granted_ids", "noop[1] == granted_ids"),
+    ("install-skips-expired-renewal", "simulation/simulator.py",
+     "                for gpu in renewals[job_id]:\n"
+     "                    self._grant_lease(now, app_id, job_id, gpu)\n", ""),
+    ("distribute-empty-scan-ignores-mismatch", "workload/app.py",
+     "                    if not key[0]:\n                        break",
+     "                    break"),
     ("simulator-starvation-count", "simulation/simulator.py",
      "rounds = since.get(app_id, 0) + 1", "rounds = since.get(app_id, 0)"),
     # service/daemon.py: transition records carry only what their move set

@@ -6,7 +6,7 @@ from repro.cluster.allocation import Allocation
 from repro.workload.app import App, AppState, CompletionSemantics
 from repro.workload.job import JobState
 
-from helpers import make_app, make_job
+from helpers import make_app, make_job, split
 
 
 def test_app_requires_jobs():
@@ -95,7 +95,7 @@ def test_finish_time_fairness_for_finished_app():
 
 def test_distribute_caps_at_max_parallelism(small_cluster):
     app = make_app(num_jobs=1, max_parallelism=2)
-    result = app.distribute(Allocation(small_cluster.gpus[:4]))
+    result = split(app, Allocation(small_cluster.gpus[:4]))
     assert result[app.jobs[0].job_id].size == 2
 
 
@@ -104,7 +104,7 @@ def test_distribute_is_stable(small_cluster):
     first = Allocation(small_cluster.gpus[:2])
     app.jobs[0].set_allocation(0.0, first)
     # Re-grant the same GPUs plus two more: job 0 keeps its pair.
-    result = app.distribute(Allocation(small_cluster.gpus[:4]))
+    result = split(app, Allocation(small_cluster.gpus[:4]))
     assert result[app.jobs[0].job_id] == first
 
 
@@ -115,7 +115,7 @@ def test_distribute_prefers_colocation(small_cluster):
     granted = Allocation(
         list(small_cluster.gpus_on_machine(0)) + list(small_cluster.gpus_on_machine(1))
     )
-    result = app.distribute(granted)
+    result = split(app, granted)
     for alloc in result.values():
         assert len(alloc.machine_ids) == 1
 
@@ -123,7 +123,7 @@ def test_distribute_prefers_colocation(small_cluster):
 def test_distribute_drops_excess(small_cluster):
     app = make_app(num_jobs=1, max_parallelism=2)
     granted = Allocation(small_cluster.gpus[:4])
-    result = app.distribute(granted)
+    result = split(app, granted)
     used = sum(alloc.size for alloc in result.values())
     assert used == 2
 
@@ -131,7 +131,7 @@ def test_distribute_drops_excess(small_cluster):
 def test_distribute_skips_inactive_jobs(small_cluster):
     app = make_app(num_jobs=2, max_parallelism=2)
     app.jobs[0].kill(0.0)
-    result = app.distribute(Allocation(small_cluster.gpus[:2]))
+    result = split(app, Allocation(small_cluster.gpus[:2]))
     assert app.jobs[0].job_id not in result
     assert result[app.jobs[1].job_id].size == 2
 
@@ -216,8 +216,9 @@ def test_distribute_returns_unchanged_jobs_their_own_allocation(small_cluster):
     kept, shrunk, idle = app.jobs
     kept.set_allocation(0.0, Allocation(small_cluster.gpus[:2]))
     shrunk.set_allocation(0.0, Allocation(small_cluster.gpus[2:4]))
-    result = app.distribute(Allocation(small_cluster.gpus[:3]))
-    assert result[kept.job_id] is kept.allocation
-    assert result[shrunk.job_id] == Allocation(small_cluster.gpus[2:3])
-    assert result[idle.job_id] is idle.allocation
-    assert not result[idle.job_id]
+    # Only the changed job is reported: the caller leaves the others on
+    # their own allocation objects, untouched.
+    changes, declined = app.distribute(Allocation(small_cluster.gpus[:3]))
+    assert changes == {shrunk.job_id: Allocation(small_cluster.gpus[2:3])}
+    assert declined == []
+    assert split(app, Allocation(small_cluster.gpus[:3]))[kept.job_id] is kept.allocation

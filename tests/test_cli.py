@@ -114,6 +114,23 @@ def test_trace_command(tmp_path, capsys):
     assert trace.num_apps == 3
 
 
+@pytest.mark.parametrize("cluster", ["testbed", "sim"])
+def test_trace_writes_the_cluster_presets_trace(tmp_path, capsys, cluster):
+    """``repro trace --cluster K`` writes the trace K's scenario replays
+    (the testbed's narrower apps: 64 jobs at 5 apps / seed 1, not 213)."""
+    out_path = tmp_path / "t.jsonl"
+    code, _, _ = run_cli(
+        capsys, "trace", "--cluster", cluster, "--apps", "5", "--seed", "1",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    from repro.experiments.config import preset_scenario
+    from repro.workload.trace import Trace
+
+    expected = preset_scenario(cluster, num_apps=5, seed=1).build_trace()
+    assert Trace.from_jsonl(out_path).num_jobs == expected.num_jobs
+
+
 def test_figure_fig08(capsys):
     code, out, _ = run_cli(capsys, "figure", "fig08")
     assert code == 0

@@ -1,11 +1,11 @@
 """``App.distribute`` splits a grant exactly as the full-rescan reference does.
 
 The production distributor keeps a running fill state per job with
-headroom (effective sum, rate, spanned racks / machines / slots) and
-hands jobs that neither lost nor gained GPUs their own ``Allocation``
-back; ``helpers.rescan_distribute`` re-rates every job from scratch for
-every pool GPU.  The inputs exercise every term of the probe: two racks
-and more, 4-GPU machines of two NVLink pairs, mixed generations, the
+headroom (effective sum, rate, spanned racks / machines / slots), builds
+a GPU-less job's only when it is probed, and reports just the jobs that
+change plus the declined GPUs; ``helpers.rescan_distribute`` re-rates
+every job from scratch for every pool GPU and returns every job's
+split.  The inputs exercise every term of the probe: two racks and more, 4-GPU machines of two NVLink pairs, mixed generations, the
 ``rate-inversion`` throughput matrix, GPU-type affinities, jobs pushed
 over their runtime cap by ``parallelism_limit``, inactive jobs, and
 grants that drop some held GPUs while adding others.
@@ -130,13 +130,26 @@ def _seed_app(perf_model, shapes, granted_ids):
 # A resnet50 job fills machine 0's first NVLink slot, then declines the
 # rack-local slow GPU: 2.05 x S(rack) is below 2.0 x S(slot) = 2.0.
 @example(_seed_app(None, [("resnet50", 4, None, None, [])], [0, 1, 27]))
+# Two GPU-less jobs: the lower id prefers k80s, so on a v100 the scan
+# must pass its mismatched claim and reach j1's matching one.
+@example(
+    _seed_app(
+        None,
+        [("resnet50", 2, None, "k80", []), ("resnet50", 2, None, None, [])],
+        [0, 1],
+    )
+)
 def test_distribute_matches_rescan(scenario):
     app, granted = scenario
     expected = rescan_distribute(app, granted)
-    got = app.distribute(granted)
-    assert list(got) == list(expected)
-    assert got == expected
-    for job in app.active_jobs():
-        if got[job.job_id] == job.allocation:
-            # Neither lost nor gained: the job's own object comes back.
-            assert got[job.job_id] is job.allocation
+    changes, declined = app.distribute(granted)
+    # The delta names exactly the jobs whose allocation moves, in
+    # submission order; every other job keeps its own object.
+    assert changes == {
+        job_id: target
+        for job_id, target in expected.items()
+        if target != app.job(job_id).allocation
+    }
+    assert list(changes) == [job_id for job_id in expected if job_id in changes]
+    used = {gpu_id for target in expected.values() for gpu_id in target.gpu_ids}
+    assert declined == [gpu for gpu in granted if gpu.gpu_id not in used]

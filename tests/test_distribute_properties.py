@@ -8,6 +8,8 @@ from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
 from repro.workload.app import App
 from repro.workload.job import Job, JobSpec
 
+from helpers import split
+
 CLUSTER = build_cluster(
     ClusterSpec(
         machine_specs=(
@@ -54,7 +56,7 @@ def build_app(shapes):
 def test_distribute_invariants(shapes, ids):
     app = build_app(shapes)
     granted = Allocation(CLUSTER.gpu(i) for i in ids)
-    result = app.distribute(granted)
+    result = split(app, granted)
 
     # 1. Every active job appears in the mapping.
     assert set(result) == {job.job_id for job in app.active_jobs()}
@@ -80,7 +82,7 @@ def test_distribute_never_hurts_a_job(shapes, ids):
 
     app = build_app(shapes)
     granted = Allocation(CLUSTER.gpu(i) for i in ids)
-    result = app.distribute(granted)
+    result = split(app, granted)
     for job in app.active_jobs():
         alloc = result[job.job_id]
         if not alloc:
@@ -97,8 +99,9 @@ def test_distribute_idempotent_on_stable_grant(shapes, ids):
     """Re-distributing the same grant after applying it changes nothing."""
     app = build_app(shapes)
     granted = Allocation(CLUSTER.gpu(i) for i in ids)
-    first = app.distribute(granted)
+    first = split(app, granted)
     for job in app.active_jobs():
         job.set_allocation(0.0, first[job.job_id])
-    second = app.distribute(granted)
-    assert first == second
+    changes, declined = app.distribute(granted)
+    assert changes == {}
+    assert declined == list(granted - app.allocation())

@@ -28,7 +28,7 @@ from repro.workload.generator import GeneratorConfig, generate_trace
 from repro.workload.models import effective_gpus, get_model, throughput
 from repro.workload.trace import Trace, TraceApp, TraceJob
 
-from helpers import make_app, make_job
+from helpers import make_app, make_job, split
 
 V100 = GpuType("v100", 1.0)
 K80 = GpuType("k80", 0.35)
@@ -239,10 +239,10 @@ def test_distribute_honours_gpu_type_affinity():
     )
     app = TraceApp("aff", 0.0, trace_jobs).to_app()
     granted = Allocation(cluster.gpus)
-    split = app.distribute(granted)
-    slow_types = {g.gpu_type.name for g in split["slowpref"]}
+    jobs = split(app, granted)
+    slow_types = {g.gpu_type.name for g in jobs["slowpref"]}
     assert slow_types == {"k80"}
-    assert {g.gpu_type.name for g in split["any"]} == {"v100"}
+    assert {g.gpu_type.name for g in jobs["any"]} == {"v100"}
 
 
 # ----------------------------------------------------------------------

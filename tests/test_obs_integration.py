@@ -102,11 +102,14 @@ def test_auction_events_only_for_the_arbiter():
     assert 0 < result.round_stats["rounds"] <= result.num_rounds
     assert result.round_stats["totals"]["solver_moves"] >= 0
 
-    # ...but baselines have no arbiter, hence no round_stats and no bid
-    # chatter.  ``auction_win`` still appears: the simulator emits it
-    # for every per-round assignment decision, whoever made it.
+    # ...but baselines have no arbiter, hence only the install path's
+    # placement counters and no bid chatter.  ``auction_win`` still
+    # appears: the simulator emits it for every per-round assignment
+    # decision, whoever made it.
     fifo_result, fifo_tracer = _traced_run("fifo")
-    assert fifo_result.round_stats == {}
+    assert list(fifo_result.round_stats) == ["placement"]
+    placement = fifo_result.round_stats["placement"]
+    assert 0 < placement["gpus_installed"] <= placement["gpus_granted"]
     fifo_kinds = {e["kind"] for e in fifo_tracer.events}
     assert "bid_submitted" not in fifo_kinds and "apps_filtered" not in fifo_kinds
     assert {"auction_win", "lease_grant"} <= fifo_kinds
@@ -150,6 +153,7 @@ def test_cli_run_trace_profile_then_inspect(tmp_path, capsys):
     )
     assert code == 0
     assert "phase profile" in out
+    assert "installs_fully_declined" in out.split("phase profile")[1]
     assert f"wrote trace to {trace_path}" in out
 
     code, out, _ = run_cli(capsys, "trace", str(trace_path), "--validate")

@@ -236,6 +236,34 @@ def test_failed_compaction_seals_its_batch_once(tmp_path, monkeypatch, fail_on):
     recovered.close()
 
 
+def test_a_degraded_plane_reopens_its_wal_and_flushes(tmp_path):
+    """A compaction whose WAL cut fails leaves the WAL closed.  A record
+    buffered while degraded (here a worker registration) kept every
+    later tick from flushing, and so from compacting, which was the one
+    thing that reopened the WAL: the plane shed every submit until a
+    restart.  The next tick now reopens the WAL and flushes."""
+    plane = ControlPlane(
+        DurableStore(tmp_path / "store", compact_every=4),
+        executor=NoopExecutor(), retry=NO_JITTER, clock=FakeClock(),
+    )
+    for _ in range(3):
+        plane.submit({"kind": "noop"})
+    plane.store._fh = FaultyWal(plane.store._fh, failed_truncates=1)
+    assert not plane.tick().compacted and plane.degraded
+    plane.register_worker("w")
+    assert len(plane._pending) == 1
+    assert plane.tick().flushed == 1 and not plane.degraded
+    plane.submit({"kind": "noop"})
+    plane.close()
+    recovered = ControlPlane(
+        DurableStore(tmp_path / "store"), executor=NoopExecutor(),
+        retry=NO_JITTER, clock=FakeClock(),
+    )
+    assert recovered.job_list() == plane.job_list()
+    assert len(recovered.job_list()) == 4
+    recovered.close()
+
+
 # ----------------------------------------------------------------------
 # Same records, same snapshot as before the index
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.simulation.engine import SimulationError
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 from repro.workload.trace import Trace, TraceApp, TraceJob
 
-from helpers import make_app
+from helpers import make_app, split
 
 
 def pair_cluster():
@@ -151,7 +151,7 @@ def test_distribute_declines_harmful_spread():
     granted = Allocation(
         list(cluster.gpus_on_machine(0)[:2]) + [cluster.gpus_on_machine(1)[0]]
     )
-    result = app.distribute(granted)
+    result = split(app, granted)
     assert result[app.jobs[0].job_id].size == 2  # straggler declined
 
 
@@ -163,7 +163,7 @@ def test_distribute_accepts_helpful_spread_for_insensitive_model():
     granted = Allocation(
         list(cluster.gpus_on_machine(0)[:2]) + [cluster.gpus_on_machine(1)[0]]
     )
-    result = app.distribute(granted)
+    result = split(app, granted)
     assert result[app.jobs[0].job_id].size == 3
 
 
