@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cluster.topology import Cluster, Gpu
 from repro.core.agent import Agent
-from repro.core.assignment import check_chunk_size, concretise
+from repro.core.assignment import concretise
 from repro.core.auction import AuctionOutcome, PartialAllocationAuction
 from repro.obs import NULL_PROFILER, NULL_TRACER
 
@@ -42,7 +42,6 @@ class ArbiterConfig:
     """
 
     fairness_knob: float = 0.8
-    chunk_size: int = 4
     noise_theta: float = 0.0
     hidden_payments: bool = True
     leftover_allocation: bool = True
@@ -52,7 +51,6 @@ class ArbiterConfig:
             raise ValueError(f"fairness_knob must be in [0, 1], got {self.fairness_knob}")
         if not 0.0 <= self.noise_theta < 1.0:
             raise ValueError(f"noise_theta must be in [0, 1), got {self.noise_theta}")
-        check_chunk_size(self.chunk_size)
 
 
 @dataclass
@@ -108,7 +106,7 @@ class Arbiter:
             m: rank
             for rank, m in enumerate(sorted(speed_of, key=lambda m: (-speed_of[m], m)))
         }
-        self.auction = PartialAllocationAuction(chunk_size=self.config.chunk_size)
+        self.auction = PartialAllocationAuction()
         self.rounds = 0
         self.last_outcome: Optional[AuctionOutcome] = None
         self.history: list[RoundStats] = []

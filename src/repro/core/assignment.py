@@ -36,7 +36,6 @@ once was lives on as the tests' reference
 from __future__ import annotations
 
 import math
-import operator
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.cluster.topology import Gpu
@@ -89,20 +88,10 @@ def concretise(
     return result
 
 
-def check_chunk_size(chunk_size: int) -> int:
-    """``chunk_size`` as an ``int`` if it can bound a greedy step (any
-    integer type, numpy's too, but no float), else ``ValueError``.
-
-    Every scheduler that takes a ``chunk_size`` calls this where the
-    value enters, so a bad one fails the constructor and not round 1.
-    """
-    try:
-        size = operator.index(chunk_size)
-    except TypeError:
-        raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}") from None
-    if size <= 0:
-        raise ValueError(f"chunk_size must be > 0, got {chunk_size!r}")
-    return size
+#: The greedy step bound of every market: a move hands one app 1 or
+#: ``min(CHUNK_SIZE, free, headroom)`` co-located GPUs (4, one typical
+#: gang of the trace).
+CHUNK_SIZE = 4
 
 
 class AdditiveWelfare:

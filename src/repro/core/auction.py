@@ -78,7 +78,7 @@ applies two *provably exact* reductions instead.
 
 **Skip rule (the invalidation algebra).**  Off the rescue path
 :func:`_score_pair` probes ``current_key + {machine: step}`` for ``step
-in {1, chunk}``, ``chunk = min(chunk_size, free, headroom)``;
+in {1, chunk}``, ``chunk = min(CHUNK_SIZE, free, headroom)``;
 ``current_value`` is the bidder's value of ``current_key``, and neither
 objective's non-rescue key reads ``free`` — so the score is pure in
 ``(machine_id, current_key, chunk)``.  A column shrink that leaves
@@ -146,7 +146,7 @@ hits.  The pre-refactor full-rescan solver is kept as
 :func:`rescan_fair_allocation` — the reference implementation the
 equivalence tests compare against.  Nothing in ``src/`` calls it and
 the auction has no solver option: one property test runs the whole
-mechanism on it through ``tests/helpers.py::rescan_auction``, a
+mechanism on it through ``tests/helpers.py::RescanAuction``, a
 subclass whose ``_solve`` is the reference, over the markets of
 ``tests/helpers.py::markets``.
 """
@@ -160,7 +160,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.cluster.topology import ordered_sum
-from repro.core.assignment import check_chunk_size
+from repro.core.assignment import CHUNK_SIZE
 from repro.core.bids import Bid
 from repro.core.fairness import extend_key
 from repro.obs.profiler import NULL_PROFILER
@@ -282,7 +282,7 @@ class NashWelfare:
 
 
 def _score_pair(
-    objective: Any, chunk_size: int, bid: Any, app_id: str, machine_id: int, free: int,
+    objective: Any, bid: Any, app_id: str, machine_id: int, free: int,
     held: Mapping[int, int], current_key: _BundleKey, current_value: float, headroom: int,
     stats: Optional[AuctionSolveStats] = None, rescore: bool = False,
     machine_class: Optional[tuple] = None, probe: Any = None,
@@ -290,7 +290,7 @@ def _score_pair(
     """Best (key, move) for one (app, machine) pair under ``objective``,
     or ``None``; keys are unique per entry, embedding (step, app_id,
     machine_id).  A rescue tries one GPU; any other score tries 1 and
-    ``min(chunk_size, free, headroom)`` and is memoised per bidder under
+    ``min(CHUNK_SIZE, free, headroom)`` and is memoised per bidder under
     its *exact purity key* ``(machine_id, current_key, chunk)`` (module
     docstring, "Skip rule").  With ``machine_class`` and the ``probe`` of
     the bidder's row it scores a class representative: the class replaces
@@ -300,7 +300,7 @@ def _score_pair(
     (counter attribution only).
     """
     rescue = current_value <= objective.rescue_at
-    chunk = min(chunk_size, free, headroom)
+    chunk = min(CHUNK_SIZE, free, headroom)
     memo = bid._pair_memo
     if not rescue:
         if machine_class is not None:
@@ -341,7 +341,7 @@ def _score_pair(
 
 
 def greedy_solve(
-    pool: Mapping[int, int], bids: Mapping[str, Any], objective: Any, chunk_size: int,
+    pool: Mapping[int, int], bids: Mapping[str, Any], objective: Any,
     exclude: Optional[str] = None, prefix: Sequence[_Move] = (),
     stats: Optional[AuctionSolveStats] = None, profiler: Any = NULL_PROFILER,
     estimator: Any = None,
@@ -351,7 +351,7 @@ def greedy_solve(
 
     Each step applies the move with the smallest ``objective.key(bid,
     app_id, machine_id, free, step, value, current)`` (``None``: no
-    move) among every bidder grabbing 1 or ``min(chunk_size, free,
+    move) among every bidder grabbing 1 or ``min(CHUNK_SIZE, free,
     headroom)`` GPUs on a machine; bidders valued at most
     ``objective.rescue_at`` are rescued.  A bidder supplies ``demand``,
     ``value_of({})``, ``value_after(held, key, machine_id, step)`` (its
@@ -410,7 +410,7 @@ def greedy_solve(
         if stats is not None:
             stats.pair_scores += 1
         scored = _score_pair(
-            objective, chunk_size, bid, app_id, machine_id, free, assignment[app_id],
+            objective, bid, app_id, machine_id, free, assignment[app_id],
             bundle_keys[app_id], values[app_id], headroom, stats, rescore,
         )
         if scored is not None:
@@ -427,7 +427,7 @@ def greedy_solve(
             return
         held, current_key, current_value = assignment[app_id], bundle_keys[app_id], values[app_id]
         # A rescue's tie-break term reads the raw free count.
-        cap = math.inf if current_value <= objective.rescue_at else min(chunk_size, headroom)
+        cap = math.inf if current_value <= objective.rescue_at else min(CHUNK_SIZE, headroom)
         row = bid.row(held, current_key, remaining, cap)
         if row is None:
             for machine_id in remaining:
@@ -441,7 +441,7 @@ def greedy_solve(
             if stats is not None:
                 stats.pair_scores += 1
             scored = _score_pair(
-                objective, chunk_size, bid, app_id, members[0], remaining[members[0]], held,
+                objective, bid, app_id, members[0], remaining[members[0]], held,
                 current_key, current_value, headroom, stats, rescore, machine_class, probe,
             )
             if scored is not None:
@@ -505,15 +505,12 @@ def greedy_solve(
 class PartialAllocationAuction:
     """Greedy-Nash-welfare implementation of the PA mechanism.
 
-    ``chunk_size`` bounds how many co-located GPUs a single greedy step
-    may hand to one app (defaults to 4 — one typical gang of the
-    trace); smaller steps trade solve time for solution quality.
     Winner determination is :func:`greedy_solve` under
-    :class:`NashWelfare`.
+    :class:`NashWelfare`, whose steps :data:`~repro.core.assignment.CHUNK_SIZE`
+    bounds.
     """
 
-    def __init__(self, chunk_size: int = 4) -> None:
-        self.chunk_size = check_chunk_size(chunk_size)
+    def __init__(self) -> None:
         self.last_stats = AuctionSolveStats()
         # Observability hook; the simulator rewires this at bind time.
         self.profiler = NULL_PROFILER
@@ -531,13 +528,13 @@ class PartialAllocationAuction:
     ) -> tuple[dict[str, dict[int, int]], list[_Move]]:
         """Stage 1, the proportional-fair assignment: ``(assignment,
         moves)`` of :func:`greedy_solve` (the seam
-        ``tests/helpers.py::rescan_auction`` overrides)."""
+        ``tests/helpers.py::RescanAuction`` overrides)."""
         # All of an auction's bids share one estimator.
         estimator = self.estimator
         if estimator is None and bids:
             estimator = next(iter(bids.values()))._estimator
         return greedy_solve(
-            pool, bids, NashWelfare, self.chunk_size, exclude, prefix, stats,
+            pool, bids, NashWelfare, exclude, prefix, stats,
             self.profiler, estimator,
         )
 
@@ -698,7 +695,6 @@ class PartialAllocationAuction:
 def rescan_fair_allocation(
     pool: Mapping[int, int],
     bids: Mapping[str, Bid],
-    chunk_size: int = 4,
     exclude: Optional[str] = None,
 ) -> dict[str, dict[int, int]]:
     """Pre-refactor full-rescan greedy solver (reference implementation).
@@ -728,7 +724,7 @@ def rescan_fair_allocation(
                 if current_value <= 0.0:
                     step_sizes = {1}
                 else:
-                    step_sizes = {1, min(chunk_size, free, headroom)}
+                    step_sizes = {1, min(CHUNK_SIZE, free, headroom)}
                 for step in sorted(step_sizes):
                     if step <= 0:
                         continue

@@ -75,11 +75,14 @@ VALUE_CEILING = 1e12
 
 
 def value_from_rho(rho: float) -> float:
-    """Auction valuation ``V = 1/rho``, clamped to finite range.
+    """Auction valuation ``V = 1/rho``, clamped to finite range (higher
+    is better, 0 = starved).
 
     ``inf`` rho (fully starved) maps to 0; a degenerate ``rho <= 0``
-    maps to :data:`VALUE_CEILING`.  The single conversion point shared
-    by :class:`FairnessEstimator` and :class:`~repro.core.bids.Bid`.
+    maps to :data:`VALUE_CEILING`.  ``1/rho`` is homogeneous of degree
+    one under the paper's linear scaling assumption, which the PA
+    mechanism's truthfulness argument requires (Section 5.1).  Every
+    value a :class:`~repro.core.bids.Bid` reports goes through it.
     """
     if math.isinf(rho):
         return 0.0
@@ -815,10 +818,6 @@ class FairnessEstimator:
     # ------------------------------------------------------------------
     # Convenience (non-hot) API
     # ------------------------------------------------------------------
-    def ideal_time(self, app: App) -> float:
-        """T_id — running time alone on the whole cluster (Section 5.2 step 5)."""
-        return app.ideal_running_time(self.capacity)
-
     def shared_time(
         self, app: App, now: float, machine_counts: Mapping[int, int]
     ) -> float:
@@ -844,20 +843,6 @@ class FairnessEstimator:
                     raise ValueError(f"negative GPU count for machine {machine_id}")
                 counts[machine_id] = counts.get(machine_id, 0) + count
         return self.rho_from_snapshot(self.snapshot(app), now, counts)
-
-    def value(
-        self,
-        app: App,
-        now: float,
-        extra_counts: Optional[Mapping[int, int]] = None,
-    ) -> float:
-        """Auction valuation ``V = 1 / rho`` (higher is better, 0 = starved).
-
-        ``1/rho`` is homogeneous of degree one under the paper's linear
-        scaling assumption, which the PA mechanism's truthfulness
-        argument requires (Section 5.1).
-        """
-        return value_from_rho(self.rho(app, now, extra_counts))
 
 
 #: Entries (row tables: rows) kept in one of an app's cross-round

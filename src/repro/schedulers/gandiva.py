@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
-from repro.core.assignment import AdditiveWelfare, UtilityBid, check_chunk_size, concretise
+from repro.core.assignment import AdditiveWelfare, UtilityBid, concretise
 from repro.core.auction import greedy_solve
 from repro.core.fairness import AppValuationState, RowProbe, merge_keys, shape_classes
 from repro.schedulers.base import CarvingScheduler
@@ -60,10 +60,6 @@ class GandivaScheduler(CarvingScheduler):
     name = "gandiva"
     packing = True
 
-    def __init__(self, chunk_size: int = 4) -> None:
-        super().__init__()
-        self.chunk_size = check_chunk_size(chunk_size)
-
     def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
         apps = self.apps_with_demand()
         if not apps:
@@ -74,5 +70,5 @@ class GandivaScheduler(CarvingScheduler):
             state = self.states[app.app_id]
             state.refresh()
             bids[app.app_id] = UtilityBid(_PackingUtility(state), app.unmet_demand())
-        assignment, _ = greedy_solve(counts, bids, AdditiveWelfare, self.chunk_size)
+        assignment, _ = greedy_solve(counts, bids, AdditiveWelfare)
         return concretise(assignment, pool)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
-from repro.core.assignment import check_chunk_size
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.slaq import EffectiveUtility, assign_by_effective_utility
 from repro.workload.app import App
@@ -28,10 +27,6 @@ class OptimusScheduler(InterAppScheduler):
     """Greedy marginal completion-time-reduction allocation."""
 
     name = "optimus"
-
-    def __init__(self, chunk_size: int = 4) -> None:
-        super().__init__()
-        self.chunk_size = check_chunk_size(chunk_size)
 
     @staticmethod
     def _job_snapshot(app: App) -> list[tuple[float, int]]:
@@ -82,4 +77,4 @@ class OptimusScheduler(InterAppScheduler):
             snapshot = self._job_snapshot(app)
             return lambda held, extra: self._time_reduction(snapshot, held, extra)
 
-        return assign_by_effective_utility(self, pool, time_reduction, self.chunk_size)
+        return assign_by_effective_utility(self, pool, time_reduction)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from repro.cluster.topology import Gpu, ordered_sum
-from repro.core.assignment import AdditiveWelfare, UtilityBid, check_chunk_size, drainable
+from repro.core.assignment import AdditiveWelfare, UtilityBid, drainable
 from repro.core.auction import greedy_solve
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.tiresias import take_scattered
@@ -34,7 +34,6 @@ def assign_by_effective_utility(
     scheduler: InterAppScheduler,
     pool: Mapping[int, Sequence[Gpu]],
     utility_of: Callable[[App], EffectiveUtility],
-    chunk_size: int,
 ) -> dict[str, list[Gpu]]:
     """Greedy marginal-utility split of the pool, drawn placement-blind.
 
@@ -68,7 +67,7 @@ def assign_by_effective_utility(
         )
         utility = _BundleUtility(utility_of(app), held, model.machine_speeds_for(cluster, family))
         bids[app.app_id] = UtilityBid(utility, app.unmet_demand())
-    assignment, _ = greedy_solve(counts, bids, AdditiveWelfare, chunk_size)
+    assignment, _ = greedy_solve(counts, bids, AdditiveWelfare)
     # Placement-blind concretisation: neither policy reasons about
     # which machines the GPUs came from.
     pool_by_machine = drainable(pool)
@@ -140,10 +139,6 @@ class SlaqScheduler(InterAppScheduler):
 
     name = "slaq"
 
-    def __init__(self, chunk_size: int = 4) -> None:
-        super().__init__()
-        self.chunk_size = check_chunk_size(chunk_size)
-
     @staticmethod
     def _job_snapshot(app: App) -> list[tuple]:
         """Frozen per-job facts needed to predict loss reduction.
@@ -200,4 +195,4 @@ class SlaqScheduler(InterAppScheduler):
                 snapshot, held, window, extra
             )
 
-        return assign_by_effective_utility(self, pool, loss_reduction, self.chunk_size)
+        return assign_by_effective_utility(self, pool, loss_reduction)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.cluster.topology import Gpu
 from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
@@ -34,32 +32,24 @@ class ThemisScheduler(CarvingScheduler):
     def __init__(
         self,
         fairness_knob: float = 0.8,
-        chunk_size: int = 4,
         noise_theta: float = 0.0,
         hidden_payments: bool = True,
         leftover_allocation: bool = True,
-        seed: int = 0,
     ) -> None:
         super().__init__()
         self.config = ArbiterConfig(
             fairness_knob=fairness_knob,
-            chunk_size=chunk_size,
             noise_theta=noise_theta,
             hidden_payments=hidden_payments,
             leftover_allocation=leftover_allocation,
         )
-        self.seed = seed
         self.arbiter: Arbiter | None = None
         self.agents: dict[str, Agent] = {}
 
     def on_bind(self) -> None:
         super().on_bind()
         assert self.sim is not None
-        self.arbiter = Arbiter(
-            self.sim.cluster,
-            config=self.config,
-            rng=np.random.default_rng(self.seed),
-        )
+        self.arbiter = Arbiter(self.sim.cluster, config=self.config)
         self.arbiter.auction.estimator = self.estimator
         self.arbiter.tracer = self.sim.tracer
         self.arbiter.profiler = self.arbiter.auction.profiler = self.sim.profiler
@@ -77,11 +67,7 @@ class ThemisScheduler(CarvingScheduler):
 
     def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
         assert self.arbiter is not None
-        live_agents = {
-            app_id: agent
-            for app_id, agent in self.agents.items()
-            if app_id in self.active_apps()
-        }
-        if not live_agents:
+        # Arrival and finish keep the agents to the active apps, in order.
+        if not self.agents:
             return {}
-        return self.arbiter.offer_resources(now, pool, live_agents)
+        return self.arbiter.offer_resources(now, pool, self.agents)

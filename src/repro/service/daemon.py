@@ -1045,8 +1045,6 @@ class ControlPlane:
             return
         try:
             outcome = self.executor.execute(job)
-            if outcome.result is not None:
-                encode(outcome.result)  # one the WAL cannot hold fails the job
         except Exception as error:  # noqa: BLE001 - seam boundary
             outcome = JobOutcome.failure(
                 classify_exception(error), detail=f"{type(error).__name__}: {error}"
@@ -1056,8 +1054,17 @@ class ControlPlane:
     def _complete(
         self, now: float, job: JobRecord, outcome: JobOutcome, stats: TickStats
     ) -> None:
-        """Land one execution's outcome.  Every move out clears the token
-        (fencing the dispatch) and releases the worker."""
+        """Land one execution's outcome, from the in-process worker or a
+        report.  A result the WAL cannot encode fails the job FATAL.  Every
+        move out clears the token (fencing the dispatch) and releases the
+        worker."""
+        if outcome.ok and outcome.result is not None:
+            try:
+                encode(outcome.result)
+            except (TypeError, ValueError, RecursionError) as error:
+                outcome = JobOutcome.failure(
+                    FailureKind.FATAL, detail=f"{type(error).__name__}: {error}"
+                )
         if outcome.ok:
             self._move(
                 job, JobState.FINISHED, now,

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, Gpu, MachineSpec, build_cluster
+from repro.core.assignment import CHUNK_SIZE
 from repro.core.auction import PartialAllocationAuction, rescan_fair_allocation
 from repro.core.bids import Bid
 from repro.core.fairness import AppValuationState, FairnessEstimator, _job_tuples
@@ -71,26 +72,18 @@ def make_app(
     return App(app_id=app_id, arrival_time=arrival, jobs=jobs, semantics=semantics)
 
 
-class _RescanAuction(PartialAllocationAuction):
-    """The whole PA mechanism with winner determination on the reference."""
-
-    def _solve(self, pool, bids, exclude=None, prefix=(), stats=None):
-        if stats is not None:
-            stats.solves += 1
-        assignment = rescan_fair_allocation(
-            pool, bids, chunk_size=self.chunk_size, exclude=exclude
-        )
-        return assignment, []
-
-
-def rescan_auction(chunk_size: int = 4) -> PartialAllocationAuction:
+class RescanAuction(PartialAllocationAuction):
     """An auction whose every solve is ``rescan_fair_allocation``.
 
     What the equivalence suites compare the production (lazy) solver
     against — payments, leftovers and stats included.  The reference
     records no move sequence, so payment re-solves start cold.
     """
-    return _RescanAuction(chunk_size=chunk_size)
+
+    def _solve(self, pool, bids, exclude=None, prefix=(), stats=None):
+        if stats is not None:
+            stats.solves += 1
+        return rescan_fair_allocation(pool, bids, exclude=exclude), []
 
 
 # ----------------------------------------------------------------------
@@ -142,9 +135,8 @@ def markets(draw):
     partly held by the apps (holdings that stay in the pool interleave
     with free machines in id order), some wholly held and not offered;
     a machine not offered may still be listed with a count of 0.
-    Semantics, valuation noise and hidden payments vary too; the chunk
-    size is the test's to choose.  Each drawn dimension is recorded as
-    a test event.
+    Semantics, valuation noise and hidden payments vary too.  Each drawn
+    dimension is recorded as a test event.
 
     The market is built from one drawn ``Random``: a wide one is
     hundreds of draws, which would cost Hypothesis more than the solve.
@@ -278,7 +270,7 @@ def carve_instances(draw):
     return CarveInstance(jobs, counts, rack_of, speed_of, family_rows)
 
 
-def rescan_utility_assign(pool, utilities, caps, chunk_size=4):
+def rescan_utility_assign(pool, utilities, caps):
     """The baselines' greedy as a full rescan after every move.
 
     The loop ``core/assignment.py`` ran until it went incremental,
@@ -286,8 +278,6 @@ def rescan_utility_assign(pool, utilities, caps, chunk_size=4):
     solver under the additive objective against, and whose per-call
     memo sets the evaluation count that solver must not exceed.
     """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
     remaining = {m: c for m, c in pool.items() if c > 0}
     assignment: dict[str, dict[int, int]] = {a: {} for a in utilities}
     granted = {a: 0 for a in utilities}
@@ -311,7 +301,7 @@ def rescan_utility_assign(pool, utilities, caps, chunk_size=4):
                 continue
             for machine_id in sorted(remaining):
                 free = remaining[machine_id]
-                for step in sorted({1, min(chunk_size, free, headroom)}):
+                for step in sorted({1, min(CHUNK_SIZE, free, headroom)}):
                     if step <= 0:
                         continue
                     bundle = dict(assignment[app_id])
@@ -553,6 +543,8 @@ def audit_freshness(sim) -> list[float]:
     * each active app's epoch-memoised aggregates equal those of a
       shadow ``App`` built from copies of its jobs (no cache survives
       the copy);
+    * a Themis scheduler's AGENTs are keyed by exactly the active apps,
+      in their order (its ``assign`` offers them unfiltered);
     * after the round's policy ran, the scheduler holds a valuation
       state (which a Themis AGENT wraps) for exactly the active apps,
       and each one, refreshed, reports the value of the app's holdings
@@ -619,6 +611,9 @@ def audit_freshness(sim) -> list[float]:
             assert app.ideal_running_time(sim.capacity) == shadow.ideal_running_time(
                 sim.capacity
             ), f"{where}: {app_id}.ideal_running_time() is stale"
+        agents = getattr(scheduler, "agents", None)
+        if agents is not None:
+            assert list(agents) == list(sim.active_apps), f"{where}: agents {sorted(agents)}"
         assignment = inner(now, pool)
         states = getattr(scheduler, "states", None)
         if states is not None:

@@ -55,7 +55,7 @@ MUTANTS = [
      "cap = math.inf if current_value <= objective.rescue_at else min(", "cap = min("),
     ("auction-memo-chunk", "core/auction.py",
      "memo_key = (machine_id, current_key, chunk)",
-     "memo_key = (machine_id, current_key, min(chunk_size, headroom))"),
+     "memo_key = (machine_id, current_key, min(CHUNK_SIZE, headroom))"),
     ("auction-successor-skips-touched", "core/auction.py",
      "if machine_moved_at[members[successor]] <= built_at:", "if True:"),
     ("auction-stale-row", "core/auction.py",
@@ -148,8 +148,6 @@ MUTANTS = [
      "            bundle = dict(held)\n", "            bundle = dict(key)\n"),
     ("assignment-class-probe-uncached", "core/assignment.py",
      "value = values[key, machine_id, step] = probe(", "value = probe("),
-    ("assignment-chunk-size-float", "core/assignment.py",
-     "size = operator.index(chunk_size)", "size = chunk_size"),
     ("assignment-packed-preferred-first", "core/assignment.py",
      "preferred + rest:", "rest + preferred:"),
     # schedulers/: each policy's states, built with its kernel, dropped on finish
@@ -199,7 +197,18 @@ MUTANTS = [
      "                    break"),
     ("simulator-starvation-count", "simulation/simulator.py",
      "rounds = since.get(app_id, 0) + 1", "rounds = since.get(app_id, 0)"),
-    # service/daemon.py: transition records carry only what their move set
+    # service/daemon.py: transition records carry only what their move set;
+    # the report's token fence, the admission gate, the result encode check
+    ("daemon-report-ignores-token", "service/daemon.py",
+     "elif job.token is None or job.token != token.to_json():", "elif job.token is None:"),
+    ("daemon-claim-ignores-admission", "service/daemon.py",
+     "if not self.admission.may_admit(job, usage):\n                    continue",
+     "if False:\n                    continue"),
+    ("daemon-self-execute-ignores-admission", "service/daemon.py",
+     "if not self.admission.may_admit(job, usage):\n                continue",
+     "if False:\n                continue"),
+    ("daemon-complete-skips-encode", "service/daemon.py",
+     "if outcome.ok and outcome.result is not None:", "if False:"),
     ("daemon-finish-keeps-worker", "service/daemon.py",
      "token=None, result=outcome.result, worker=None,", "token=None, result=outcome.result,"),
     ("daemon-replay-skips-token", "service/daemon.py",

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,13 +19,11 @@ from repro.cluster.topology import (
 from repro.core.assignment import (
     AdditiveWelfare,
     UtilityBid,
-    check_chunk_size,
     concretise,
     drainable,
     take_packed,
 )
-from repro.core.arbiter import ArbiterConfig
-from repro.core.auction import PartialAllocationAuction, greedy_solve
+from repro.core.auction import greedy_solve
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
@@ -35,18 +32,17 @@ from repro.core.fairness import (
     merge_keys,
 )
 from repro.schedulers.gandiva import GandivaScheduler, _PackingUtility
-from repro.schedulers.optimus import OptimusScheduler
-from repro.schedulers.slaq import SlaqScheduler, _BundleUtility
+from repro.schedulers.slaq import _BundleUtility
 from repro.workload.app import App
 
 
-def utility_assign(pool, utilities, caps, chunk_size=4):
+def utility_assign(pool, utilities, caps):
     """The baselines' market on the one greedy solver: each utility a
     :class:`UtilityBid` capped at ``caps`` (0 when missing), the result
     in ``utilities`` order without empty bundles, as
     ``rescan_utility_assign`` returns it."""
     bids = {a: UtilityBid(u, caps.get(a, 0)) for a, u in utilities.items()}
-    assignment, _ = greedy_solve(pool, bids, AdditiveWelfare, check_chunk_size(chunk_size))
+    assignment, _ = greedy_solve(pool, bids, AdditiveWelfare)
     return {a: assignment[a] for a in utilities if assignment[a]}
 
 
@@ -102,32 +98,6 @@ def test_greedy_utility_stops_at_zero_marginal():
     utilities = {"a": lambda b: min(2.0, float(sum(b.values())))}
     result = utility_assign(pool, utilities, caps={"a": 4})
     assert sum(result["a"].values()) == 2  # marginal drops to zero after 2
-
-
-def test_greedy_utility_chunk_validation():
-    with pytest.raises(ValueError):
-        utility_assign({0: 1}, {}, {}, chunk_size=0)
-
-
-def test_chunk_size_must_be_a_positive_integer():
-    """A bad ``chunk_size`` fails where it enters, with its value named;
-    any integer type passes, as an ``int``."""
-    constructors = (
-        GandivaScheduler,
-        SlaqScheduler,
-        OptimusScheduler,
-        lambda chunk_size: ArbiterConfig(chunk_size=chunk_size),
-        PartialAllocationAuction,
-    )
-    for construct in constructors:
-        for bad in (2.5, 1.5, 2.0, "2", 0, -1):
-            with pytest.raises(ValueError, match="chunk_size must be") as failure:
-                construct(chunk_size=bad)
-            assert repr(bad) in str(failure.value)
-        construct(chunk_size=np.int64(3))
-    for construct in (GandivaScheduler, SlaqScheduler, OptimusScheduler, PartialAllocationAuction):
-        chunk_size = construct(chunk_size=np.int64(3)).chunk_size
-        assert chunk_size == 3 and type(chunk_size) is int
 
 
 def test_utility_bid_hands_the_utility_its_bundle_in_move_order():
@@ -291,7 +261,7 @@ def _order_market():
     ]
     utility = _packing(cluster, jobs, [(3, 2), (4, 2)])
     pool = {0: 2, 1: 2, 2: 2, 5: 2, 6: 2, 7: 2}
-    return pool, {"a": utility}, {"a": 2}, 4
+    return pool, {"a": utility}, {"a": 2}
 
 
 @st.composite
@@ -310,7 +280,7 @@ def markets(draw):
         for a in app_ids
         if draw(st.integers(min_value=0, max_value=5))
     }
-    return pool, utilities, caps, draw(st.integers(min_value=1, max_value=4))
+    return pool, utilities, caps
 
 
 def _ordered(assignment):
@@ -323,39 +293,33 @@ def _ordered(assignment):
 # The column re-score on its own: "a" takes 3 of machine 0's 5 GPUs, so
 # "b"'s chunk there shrinks from 3 to 2 — a stale entry overdraws the pool.
 @example(
-    ({0: 5}, {"a": _non_monotone([0.0]), "b": _non_monotone([1.0])}, {"a": 3, "b": 3}, 3)
+    ({0: 5}, {"a": _non_monotone([0.0]), "b": _non_monotone([1.0])}, {"a": 3, "b": 3})
 )
 # Position in the shape class: machine 6 packs better than 0 and 2.
 @example(_order_market())
 # The step bound in the class: machine 1's chunk of 4 beats machine 0's
 # one free GPU, at the same speed.
-@example(({0: 1, 1: 4}, {"a": _BundleUtility(_CURVES[3], 0.0, {})}, {"a": 4}, 4))
+@example(({0: 1, 1: 4}, {"a": _BundleUtility(_CURVES[3], 0.0, {})}, {"a": 4}))
 # A class whose first member stops gaining drops the others' entries:
 # at 3 GPUs on machine 0 the capped curve is flat, and machine 2 must
 # not keep the gain it had in the row before.
-@example(({0: 4, 1: 4, 2: 4}, {"a": _BundleUtility(_CURVES[1], 0.0, {})}, {"a": 8}, 4))
-# A held machine is its own class: with 3 GPUs on machine 1, a fourth
-# there sums 4 * 0.3 in place, one on machine 0 (also 0.3) adds 0.3
-# last, and the two totals round apart.
+@example(({0: 4, 1: 4, 2: 4}, {"a": _BundleUtility(_CURVES[1], 0.0, {})}, {"a": 8}))
+# A held machine is its own class: holding machine 0's GPU and one of
+# machine 1's, a second there sums 1.0 + 2 * 0.1 in place, one on
+# machine 2 (also 0.1) adds 0.1 last, and the two totals round apart.
 @example(
-    (
-        {0: 2, 1: 4, 2: 1, 3: 2},
-        {"a": _BundleUtility(_CURVES[3], 2.0, {0: 0.3, 1: 0.3, 2: 0.7, 3: 1.3})},
-        {"a": 7},
-        3,
-    )
+    ({0: 1, 1: 3, 2: 2}, {"a": _BundleUtility(_CURVES[0], 0.0, {0: 1.0, 1: 0.1, 2: 0.1})}, {"a": 3})
 )
 def test_incremental_greedy_matches_rescan(market):
-    pool, utilities, caps, chunk_size = market
-    assert _ordered(utility_assign(pool, utilities, caps, chunk_size)) == _ordered(
-        rescan_utility_assign(pool, utilities, caps, chunk_size)
+    pool, utilities, caps = market
+    assert _ordered(utility_assign(pool, utilities, caps)) == _ordered(
+        rescan_utility_assign(pool, utilities, caps)
     )
 
 
 def test_position_splits_the_shape_class():
     """The order market's answer: the rack-0 machine above the holdings."""
-    pool, utilities, caps, chunk_size = _order_market()
-    assert utility_assign(pool, utilities, caps, chunk_size) == {"a": {6: 2}}
+    assert utility_assign(*_order_market()) == {"a": {6: 2}}
 
 
 def test_gandiva_values_a_bundle_by_its_packing_score():
@@ -399,7 +363,7 @@ def test_classed_row_scores_one_machine_per_class():
         return math.sqrt(held + extra)
 
     utility = _BundleUtility(curve, 0.0, {})
-    result = utility_assign({m: 4 for m in range(8)}, {"a": utility}, {"a": 2}, 2)
+    result = utility_assign({m: 4 for m in range(8)}, {"a": utility}, {"a": 2})
     assert result == {"a": {0: 2}}
     # {}, the class at steps 1 and 2, then the class at step 1.
     assert extras == [0, 1.0, 2.0, 2.0]
@@ -417,13 +381,13 @@ def _logged(calls, app_id, utility):
 @given(markets())
 def test_incremental_greedy_evaluates_no_bundle_twice(market):
     """Nor any bundle the rescan (whose memo spans the call) would not."""
-    pool, utilities, caps, chunk_size = market
+    pool, utilities, caps = market
     calls, reference_calls = [], []
     for log, solve in (
         (calls, utility_assign),
         (reference_calls, rescan_utility_assign),
     ):
-        solve(pool, {a: _logged(log, a, u) for a, u in utilities.items()}, caps, chunk_size)
+        solve(pool, {a: _logged(log, a, u) for a, u in utilities.items()}, caps)
     assert len(calls) == len(set(calls))
     assert set(calls) <= set(reference_calls)
 
@@ -440,9 +404,7 @@ def test_incremental_greedy_evaluation_count_is_pinned():
         "b": _logged(calls, "b", _additive([1.0, 0.75])),
         "c": _logged(calls, "c", _non_monotone([2.0])),
     }
-    result = utility_assign(
-        {0: 4, 1: 2, 2: 3, 3: 1}, utilities, {"a": 6, "b": 0, "c": 4}, chunk_size=3
-    )
+    result = utility_assign({0: 4, 1: 2, 2: 3, 3: 1}, utilities, {"a": 6, "b": 0, "c": 4})
     assert result == {"a": {0: 1, 1: 2, 2: 3}, "c": {0: 3}}
     assert len(calls) == len(set(calls)) == 32
 
@@ -458,24 +420,26 @@ def test_incremental_greedy_leaves_untouched_pairs_alone():
         "a": _logged(calls, "a", lambda b: 5.0 * sum(b.values())),
         "b": _logged(calls, "b", lambda b: 1.0 * sum(b.values())),
     }
-    result = utility_assign({0: 4, 1: 3}, utilities, {"a": 2, "b": 4}, chunk_size=2)
-    assert result == {"a": {0: 2}, "b": {0: 2, 1: 2}}
+    result = utility_assign({0: 6, 1: 3}, utilities, {"a": 2, "b": 4})
+    assert result == {"a": {0: 2}, "b": {0: 4}}
     first_scan = [
-        (app_id, bundle)
-        for app_id in "ab"
-        for bundle in ((), ((0, 1),), ((0, 2),), ((1, 1),), ((1, 2),))
+        ("a", ()), ("a", ((0, 1),)), ("a", ((0, 2),)), ("a", ((1, 1),)), ("a", ((1, 2),)),
+        ("b", ()), ("b", ((0, 1),)), ("b", ((0, 4),)), ("b", ((1, 1),)), ("b", ((1, 3),)),
     ]
     assert calls[:10] == first_scan
     assert sorted(calls[10:]) == [
         # a's row after its first GPU: {0: 2} is remembered from the scan.
         # b is not asked again while a moves: its bundle is unchanged and
-        # machine 0 still has its chunk of 2 free.
+        # machine 0 keeps its chunk of 4 free.
         ("a", ((0, 1), (1, 1))),
-        # b's own moves, {0: 2} remembered likewise.
+        # b's own moves, {0: 4} remembered likewise.
         ("b", ((0, 1), (1, 1))),
-        ("b", ((0, 1), (1, 2))),
+        ("b", ((0, 1), (1, 3))),
+        ("b", ((0, 2),)),
         ("b", ((0, 2), (1, 1))),
         ("b", ((0, 2), (1, 2))),
+        ("b", ((0, 3),)),
+        ("b", ((0, 3), (1, 1))),
     ]
 
 

@@ -123,7 +123,7 @@ def test_demand_caps_respected(estimator):
 def test_greedy_matches_exhaustive_on_small_instance(estimator):
     pool = {0: 2, 2: 2}
     bids = bids_for(estimator, pool, [("a", 1, 20.0), ("b", 1, 20.0)])
-    greedy = PartialAllocationAuction(chunk_size=2).run(pool, bids, apply_hidden_payments=False).proportional_fair
+    greedy = PartialAllocationAuction().run(pool, bids, apply_hidden_payments=False).proportional_fair
     exact = exhaustive_nash_allocation(pool, bids)
 
     def welfare(assignment):
@@ -165,11 +165,6 @@ def test_shrink_bundle_noop_when_keep_covers():
     assert auction._shrink_bundle(bundle, keep=5) == {0: 3}
 
 
-def test_chunk_size_validation():
-    with pytest.raises(ValueError):
-        PartialAllocationAuction(chunk_size=0)
-
-
 class TableBid:
     """A bid priced from a table: values no carve produces, to pin the
     solver's tie-breaks on exact ties."""
@@ -201,5 +196,5 @@ def test_an_exact_gain_tie_goes_to_the_smaller_step():
     solver's key, the lazy solver's takes the smaller step."""
     assert (math.log(4.0) - math.log(1.0)) / 2 == math.log(2.0) - math.log(1.0)
     bids = {"a": TableBid(2, {(): 1.0, ((0, 1),): 2.0, ((0, 2),): 4.0})}
-    _, moves = PartialAllocationAuction(chunk_size=2)._solve({0: 2}, bids)
+    _, moves = PartialAllocationAuction()._solve({0: 2}, bids)
     assert moves == [("a", 0, 1, 2.0), ("a", 0, 1, 4.0)]

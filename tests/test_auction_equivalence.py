@@ -4,11 +4,11 @@ The lazy heap's staleness invariant, the bound-gated pair memo and the
 class-grouped rows (:mod:`repro.core.auction`'s module docstring) each
 change *how often* a score is computed, never which move is applied:
 the production solver must replay the full-rescan reference
-(``helpers.rescan_auction``) byte for byte — assignments, payments
+(``helpers.RescanAuction``) byte for byte — assignments, payments
 (warm-started ``without_i`` re-solves included), leftovers, welfare.
 One property holds the whole ``run()`` outcome to it over
-``helpers.markets`` (every fleet, pool width, semantics, noise level,
-chunk size and payment mode) together with the §5.1 invariants.
+``helpers.markets`` (every fleet, pool width, semantics, noise level
+and payment mode) together with the §5.1 invariants.
 
 Pinned beside it: that the reductions engage on a wide market (scalar
 and ``rate-inversion``, both semantics), the non-monotone-gain
@@ -26,7 +26,6 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.core.bids as bids_module
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
@@ -43,19 +42,18 @@ from repro.core.fairness import FairnessEstimator
 from repro.workload.app import CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
 
-from helpers import Market, make_app, markets, rescan_auction
+from helpers import Market, RescanAuction, make_app, markets
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 4])
 @settings(max_examples=150, deadline=None)
 @given(market=markets())
-def test_lazy_matches_rescan_on_many_instances(chunk, market):
+def test_lazy_matches_rescan_on_many_instances(market):
     pool, payments = market.pool, market.hidden_payments
     bids = market.bids()
-    outcome = PartialAllocationAuction(chunk_size=chunk).run(pool, bids, payments)
+    outcome = PartialAllocationAuction().run(pool, bids, payments)
     # AuctionOutcome equality: proportional_fair, payments, winners,
     # leftover, participants and nash_log_welfare, floats included.
-    assert outcome == rescan_auction(chunk).run(pool, market.bids(), payments)
+    assert outcome == RescanAuction().run(pool, market.bids(), payments)
     # §5.1: winners keep part of their proportional-fair bundle, within
     # their demand; winners and leftovers partition the pool.
     used: dict[int, int] = {}
@@ -109,13 +107,13 @@ def test_reductions_engage_on_a_wide_market(fleet, semantics):
     machine ids, so every class is one machine."""
 
     def solve(market):
-        auction = PartialAllocationAuction(chunk_size=2)
+        auction = PartialAllocationAuction()
         _, moves = auction._solve(market.pool, market.bids(), stats=auction.last_stats)
         return moves, auction.last_stats
 
     exact = wide_market(fleet, semantics, 0.0)
-    lazy = PartialAllocationAuction(chunk_size=2)
-    assert lazy.run(exact.pool, exact.bids()) == rescan_auction(2).run(
+    lazy = PartialAllocationAuction()
+    assert lazy.run(exact.pool, exact.bids()) == RescanAuction().run(
         exact.pool, exact.bids()
     )
     if lazy.last_stats.moves > 10:
@@ -144,7 +142,7 @@ def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
     2-GPU grab concentrates the jump over a smaller step — a strictly
     better (smaller) heap key.  Lazy-CELF would trust the stale
     ``free=4`` score and pop a wrong argmin; the bound-gated memo
-    instead keys on ``min(chunk, free, headroom)``, which *changed*
+    instead keys on ``min(CHUNK_SIZE, free, headroom)``, which *changed*
     (3 -> 2), so the pair is re-scored precisely.
     """
     cluster = build_cluster(
@@ -163,14 +161,13 @@ def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
     machine_id = cluster.machines[0].machine_id
     pool = {machine_id: 4}
     bid = Bid(app, estimator, now=50.0, offered_counts=pool)
-    auction = PartialAllocationAuction(chunk_size=4)
     current_value = bid.value_from_key(())
     assert current_value > 0.0
     stats = AuctionSolveStats()
 
     def score_at(free: int):
         return _score_pair(
-            NashWelfare, auction.chunk_size, bid, app.app_id, machine_id, free, {}, (),
+            NashWelfare, bid, app.app_id, machine_id, free, {}, (),
             current_value, headroom=bid.demand, stats=stats, rescore=True,
         )
 
@@ -189,7 +186,7 @@ def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
     assert memo.get((machine_id, (), 3), _MEMO_MISS) is not _MEMO_MISS
     assert memo.get((machine_id, (), 2), _MEMO_MISS) is not _MEMO_MISS
     assert (stats.warm_misses, stats.rescore_skipped) == (2, 0)
-    # A column shrink that leaves min(chunk, free, headroom) unchanged
+    # A column shrink that leaves min(CHUNK_SIZE, free, headroom) unchanged
     # (headroom is 3, so free 4 -> 3 keeps the bound at 3) cannot have
     # changed the score: it is served from the memo, no probe at all.
     probes = bid.rho_lookups
@@ -199,10 +196,10 @@ def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
 
 
 @settings(max_examples=40, deadline=None)
-@given(markets(), st.integers(1, 4))
-def test_warm_start_prefix_is_validated_against_cold_resolve(market, chunk):
+@given(markets())
+def test_warm_start_prefix_is_validated_against_cold_resolve(market):
     """Payment fractions from warm-started re-solves equal cold ones."""
-    auction = PartialAllocationAuction(chunk_size=chunk)
+    auction = PartialAllocationAuction()
     bids = market.bids()
     pf, full_moves = auction._solve(market.pool, bids)
     for app_id in sorted(bids):
@@ -262,7 +259,7 @@ def test_lazy_matches_exhaustive_on_small_instances():
             exact = exhaustive_nash_allocation(pool, bids, max_states=50_000)
         except ValueError:
             continue
-        greedy = PartialAllocationAuction(chunk_size=2).run(pool, bids, apply_hidden_payments=False).proportional_fair
+        greedy = PartialAllocationAuction().run(pool, bids, apply_hidden_payments=False).proportional_fair
         g_pos, g_log = _welfare_key(bids, greedy)
         e_pos, e_log = _welfare_key(bids, exact)
         assert g_pos == e_pos
@@ -296,7 +293,7 @@ def test_sim_level_lazy_matches_rescan():
         assert scheduler.arbiter is not None
         if rescan:
             bound = scheduler.arbiter.auction
-            scheduler.arbiter.auction = rescan_auction(bound.chunk_size)
+            scheduler.arbiter.auction = RescanAuction()
             scheduler.arbiter.auction.estimator = bound.estimator
         return simulator.run().digest()
 

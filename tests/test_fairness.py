@@ -82,7 +82,7 @@ def test_estimator_rho_inf_when_starved(small_cluster):
     estimator = FairnessEstimator(small_cluster)
     app = make_app(num_jobs=2)
     assert math.isinf(estimator.rho(app, 10.0))
-    assert estimator.value(app, 10.0) == 0.0
+    assert value_from_rho(estimator.rho(app, 10.0)) == 0.0
 
 
 def test_estimator_rho_improves_with_more_gpus(small_cluster):
@@ -191,7 +191,7 @@ def test_value_is_inverse_rho(small_cluster):
     estimator = FairnessEstimator(small_cluster)
     app = make_app(num_jobs=1, max_parallelism=4)
     rho = estimator.rho(app, 0.0, {0: 4})
-    assert estimator.value(app, 0.0, {0: 4}) == pytest.approx(1.0 / rho)
+    assert value_from_rho(estimator.rho(app, 0.0, {0: 4})) == pytest.approx(1.0 / rho)
 
 
 def test_value_from_rho_clamps_degenerate_rho():

@@ -134,14 +134,6 @@ def test_drf_waterfills_equally():
     assert stats["late"].gpu_time > 0
 
 
-@pytest.mark.parametrize("name", ["gandiva", "slaq", "optimus", "themis"])
-@pytest.mark.parametrize("chunk_size", [0, -1])
-def test_bad_chunk_size_fails_the_constructor(name, chunk_size):
-    """Not round 1 of the replay, after the trace has been generated."""
-    with pytest.raises(ValueError, match="chunk_size must be > 0"):
-        make_scheduler(name, chunk_size=chunk_size)
-
-
 def test_bundle_utility_is_the_utility_of_the_effective_compute():
     """Two-speed fleet: machines 0-1 run at 1.0, machines 2-3 at 0.5."""
 

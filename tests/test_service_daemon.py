@@ -177,8 +177,10 @@ def test_executor_exception_is_classified(tmp_path):
 
 
 def test_a_result_the_store_cannot_encode_fails_the_job(tmp_path):
-    """A circular result ends its job FATAL; the plane neither degrades
-    nor buffers a record it could never write."""
+    """A circular result ends its job FATAL, run in-process or reported
+    by a worker; the plane neither degrades nor buffers a record it
+    could never write, keeps compacting, and a restart reads both
+    failures back."""
     circular = {}
     circular["self"] = circular
 
@@ -186,15 +188,26 @@ def test_a_result_the_store_cannot_encode_fails_the_job(tmp_path):
         def execute(self, record):
             return JobOutcome.success(circular)
 
-    plane, clock = make_plane(tmp_path, executor=Circular())
+    store = DurableStore(tmp_path / "store", compact_every=1)
+    plane, clock = make_plane(tmp_path, store=store, executor=Circular())
     plane.submit({}, job_id="j")
     plane.tick()
-    record = plane.status("j")
-    assert record["state"] == "failed" and record["attempts"] == 1
-    assert "Circular reference" in record["detail"]
+    worker_id = plane.register_worker("w")["worker_id"]
+    plane.submit({}, job_id="r")
+    ((_, token),) = plane.claim(worker_id)
+    plane.start(token)
+    assert plane.report(token, JobOutcome.success(circular))["state"] == "failed"
+    for n in range(3):
+        plane.submit({}, job_id=f"k{n}")  # not shed
+        assert plane.tick().compacted
     assert not plane.degraded and plane.stats()["buffered_records"] == 0
-    plane.submit({}, job_id="k")  # not shed
     plane.close()
+    restarted, _ = make_plane(tmp_path, store=DurableStore(tmp_path / "store"))
+    for job_id in ("j", "r"):
+        record = restarted.status(job_id)
+        assert record["state"] == "failed" and record["attempts"] == 1
+        assert "Circular reference" in record["detail"]
+    restarted.close()
 
 
 def test_a_spec_the_store_cannot_encode_is_the_callers_error(tmp_path):

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.service.admission import AdmissionController, TenantPolicy
 from repro.service.api import ServiceClient
 from repro.service.chaos import (
     FakeClock,
@@ -93,6 +94,21 @@ def test_register_claim_report_happy_path(tmp_path):
     assert plane.jobs["j"].worker is None
     assert worker.fenced == []
     assert plane.counters["reports"] == 1
+    plane.close()
+
+
+def test_claim_respects_the_pool_cap(tmp_path):
+    """A claim grants only what the tenant's pool cap admits: the second
+    4-GPU job waits ADMITTED until the first one's GPUs come back."""
+    clock = FakeClock()
+    admission = AdmissionController(default=TenantPolicy(max_concurrent_gpus=4))
+    plane = make_plane(tmp_path / "s", clock, admission=admission)
+    worker = SimWorker(plane, ScriptedExecutor(), capacity=2)
+    plane.submit({}, job_id="first", gpus=4)
+    plane.submit({}, job_id="second", gpus=4)
+    worker.step()  # claims, runs and reports "first" alone
+    assert plane.jobs["second"].state is JobState.ADMITTED
+    assert worker.claim() == 1
     plane.close()
 
 
@@ -178,7 +194,9 @@ def test_worker_death_sweep_converges(tmp_path, phase):
 
 def test_zombie_double_report_is_fenced(tmp_path):
     """A worker that executed a job, went silent past its lease, then
-    fired the held report must be rejected — the job completed exactly
+    fired the held report must be rejected — both while the re-queued
+    job runs on the replacement worker (the token fences it, not the
+    job's state) and after it finished there: the job completed exactly
     once, on the replacement worker."""
     clock = FakeClock()
     plane = make_plane(tmp_path / "s", clock)
@@ -190,17 +208,26 @@ def test_zombie_double_report_is_fenced(tmp_path):
     zombie.start_all()
     zombie.execute_all()  # outcome in hand, report withheld
     zombie.alive = False  # silent, but (unlike kill) keeps its state
+    held = zombie.unreported
 
+    clock.advance(plane.workers.ttl + 1.0)
     healthy = SimWorker(plane, ScriptedExecutor(), name="healthy")
+    plane.tick()  # reaps the zombie: z waits out its retry delay
+    clock.advance(1.0)
+    healthy.claim()
+    healthy.start_all()
+    zombie.report_all()  # lands while z runs on the replacement
+    assert plane.jobs["z"].state is JobState.RUNNING
     drain_fleet(plane, clock, [healthy])
     assert plane.jobs["z"].state is JobState.FINISHED
     assert plane.jobs["z"].attempts == 0
 
+    zombie.unreported = held
     zombie.report_all()  # the late double-report
-    assert zombie.fenced == [("z", "token_mismatch")]
+    assert zombie.fenced == [("z", "token_mismatch")] * 2
     assert [r for r in report.accepted_reports if r[2] == "z"] != []
     assert_no_double_report(report)
-    assert plane.counters["report_rejections"] == 1
+    assert plane.counters["report_rejections"] == 2
     plane.close()
 
 

@@ -47,7 +47,7 @@ from repro.core.fairness import (
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
 
-from helpers import MODELS, CarveInstance, carve_instances, make_app, make_job, rescan_auction
+from helpers import MODELS, CarveInstance, RescanAuction, carve_instances, make_app, make_job
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_successor_stands_in_when_a_competitor_takes_the_representative(monkeypa
     assert assignment == {"a": {0: 1, 2: 1, 3: 1}, "b": {1: 1, 4: 1}}
     assert stamps[:2] == [("b", 0, 1), ("a", 1, 2)]
     outcome = PartialAllocationAuction().run(pool, bids())
-    assert outcome == rescan_auction().run(pool, bids())
+    assert outcome == RescanAuction().run(pool, bids())
 
 
 def test_member_touched_by_a_column_event_is_skipped_by_the_walk(monkeypatch):
@@ -314,7 +314,7 @@ def test_member_touched_by_a_column_event_is_skipped_by_the_walk(monkeypatch):
     assert ("b", 0, 2) in stamps
     assert all(to_machine != 1 for _app, _from, to_machine in stamps)
     outcome = PartialAllocationAuction().run(pool, bids())
-    assert outcome == rescan_auction().run(pool, bids())
+    assert outcome == RescanAuction().run(pool, bids())
 
 
 @st.composite

@@ -67,13 +67,12 @@ def test_agents_win_auctions():
 def test_config_forwarding():
     _, scheduler = build(
         fairness_knob=0.6, noise_theta=0.05, hidden_payments=False,
-        leftover_allocation=False, chunk_size=2,
+        leftover_allocation=False,
     )
     assert scheduler.config.fairness_knob == 0.6
     assert scheduler.config.noise_theta == 0.05
     assert not scheduler.config.hidden_payments
     assert not scheduler.config.leftover_allocation
-    assert scheduler.arbiter.auction.chunk_size == 2
 
 
 def test_invalid_knob_rejected():
@@ -88,8 +87,8 @@ def test_assign_before_arrivals_is_empty():
 
 
 def test_deterministic_given_seed():
-    sim_a, _ = build(seed=5)
-    sim_b, _ = build(seed=5)
+    sim_a, _ = build()
+    sim_b, _ = build()
     result_a = sim_a.run()
     result_b = sim_b.run()
     assert result_a.rhos() == result_b.rhos()
