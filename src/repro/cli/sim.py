@@ -83,6 +83,23 @@ def _print_placement(round_stats: dict) -> None:
     ))
 
 
+def _print_auctions(round_stats: dict) -> None:
+    """Eligible apps and participants per auction, mean and max, over the
+    arbiter's ``per_round`` rows (every auction unless the run downsampled)."""
+    rows = round_stats.get("per_round")
+    if not rows:
+        return
+    cells = [len(rows)]
+    for key in ("num_eligible", "num_participants"):
+        values = [row[key] for row in rows]
+        cells += [round(sum(values) / len(values), 2), max(values)]
+    print("\nauctions:")
+    print(format_table(
+        ["auctions", "eligible_mean", "eligible_max", "participants_mean", "participants_max"],
+        [cells],
+    ))
+
+
 def _parse_schedulers(text: str) -> Optional[list[str]]:
     """Split/validate a scheduler list; None (plus stderr) on unknown names.
 
@@ -149,6 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.profile:
         _print_profile(result.profile)
         _print_placement(result.round_stats)
+        _print_auctions(result.round_stats)
     if args.trace:
         print(f"wrote trace to {args.trace}")
     return 0

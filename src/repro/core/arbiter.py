@@ -2,9 +2,10 @@
 
 One scheduling round, triggered whenever GPUs are available:
 
-1. probe every active app's AGENT for its current rho,
-2. sort apps by rho (worst first; starved apps with unbounded rho lead)
-   and keep the top ``1 - f`` fraction — the fairness knob,
+1. keep the apps with unmet demand (the only ones that can bid) and
+   probe just their AGENTs for their current rho,
+2. sort those apps by rho (worst first; starved apps with unbounded rho
+   lead) and keep the top ``1 - f`` fraction — the fairness knob,
 3. offer the pooled GPUs to those apps and collect bids,
 4. run the partial-allocation auction to pick winning bundles,
 5. hand hidden-payment leftovers to *non-participating* apps in a
@@ -85,6 +86,8 @@ class RoundStats:
     heap_warm_misses: int = 0
     rescore_carves: int = 0
     rescore_skipped: int = 0
+    #: Apps with unmet demand: the ones probed for rho and filtered.
+    num_eligible: int = 0
 
 
 class Arbiter:
@@ -100,12 +103,9 @@ class Arbiter:
         self.config = config or ArbiterConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         speed_of = cluster.machine_speeds()
-        #: Machine id -> its place in the leftover drain order (fastest
-        #: GPU generation first, lower id on ties).
-        self._drain_rank = {
-            m: rank
-            for rank, m in enumerate(sorted(speed_of, key=lambda m: (-speed_of[m], m)))
-        }
+        #: Every machine id in the leftover drain order: fastest GPU
+        #: generation first, lower id on ties.
+        self._drain_order = sorted(speed_of, key=lambda m: (-speed_of[m], m))
         self.auction = PartialAllocationAuction()
         self.rounds = 0
         self.last_outcome: Optional[AuctionOutcome] = None
@@ -152,19 +152,17 @@ class Arbiter:
         salt = self.rounds
         if not pool:
             return {}
-        pool_counts = {m: len(gpus) for m, gpus in pool.items()}
 
-        # Step 1: probe all apps for rho; only apps that still want GPUs
-        # are eligible bidders.
-        with self.profiler.phase("valuation"):
-            rhos = {
-                app_id: agent.report_rho(now, salt) for app_id, agent in agents.items()
-            }
+        # Step 1: only apps that still want GPUs are eligible bidders, and
+        # rho only ranks bidders, so only they are probed.
         eligible = [
             app_id for app_id, agent in agents.items() if agent.app.unmet_demand() > 0
         ]
         if not eligible:
             return {}
+        with self.profiler.phase("valuation"):
+            rhos = {app_id: agents[app_id].report_rho(now, salt) for app_id in eligible}
+        pool_counts = {m: len(gpus) for m, gpus in pool.items()}
 
         # Step 2: fairness knob — visibility limited to worst 1-f apps.
         participants = self.select_participants(rhos, eligible)
@@ -225,6 +223,7 @@ class Arbiter:
                 pool_size=sum(pool_counts.values()),
                 num_active=len(agents),
                 num_participants=len(participants),
+                num_eligible=len(eligible),
                 leftover_after_payments=outcome.total_leftover,
                 leftover_unassigned=leftover_unassigned,
                 solver_moves=solve_stats.moves,
@@ -259,54 +258,54 @@ class Arbiter:
         this pass granted it there — (the paper's placement-sensitive
         rule, random among candidates), then any app with unmet demand
         (work conservation), else the GPU stays unassigned.  Returns
-        the number of GPUs nobody wanted; an empty leftover draws
-        nothing from the rng.
+        the number of GPUs nobody wanted.
+
+        Only apps with headroom (unmet demand beyond what they won) can
+        receive a GPU, so only they are looked at.  The pass walks the
+        drain order ranked once per arbiter and stops as soon as the
+        leftover is handed out or nobody wants another GPU: every
+        further GPU would stay unassigned, and no rng draw is skipped,
+        since a draw only ever happens while some app has headroom.  An
+        empty leftover, or one nobody wants, draws nothing from the rng.
         """
-        participant_set = set(participants)
+        unassigned = sum(leftover.values())
+        if not unassigned:
+            return 0
+        # App id order: the candidate lists below keep it, and an app
+        # leaves ``headroom`` once it is full.
         headroom: dict[str, int] = {}
-        for app_id, agent in agents.items():
-            won = sum(assignments.get(app_id, {}).values())
-            headroom[app_id] = max(0, agent.app.unmet_demand() - won)
+        for app_id in sorted(agents):
+            want = agents[app_id].app.unmet_demand() - sum(
+                assignments.get(app_id, {}).values()
+            )
+            if want > 0:
+                headroom[app_id] = want
+        if not headroom:
+            return unassigned
+        participant_set = set(participants)
         machines_of: dict[str, set[int]] = {
-            app_id: set(agent.app.allocation().per_machine_counts())
-            for app_id, agent in agents.items()
+            app_id: set(agents[app_id].app.allocation().per_machine_counts())
+            for app_id in headroom
         }
-        # The drain order is ranked once per arbiter; the per-GPU loops
-        # only filter.  Non-participants are a round constant, so hoist
-        # that check out of the per-GPU candidate scans too.  Total
-        # headroom gates the whole scan: once nobody wants another GPU,
-        # every further leftover is unassigned by definition (the
-        # fallback candidate list is exactly "apps with headroom"), so
-        # the scan stops there.  The rng stream is untouched by the
-        # early exit — draws only ever happened when some app still had
-        # headroom.
-        total_headroom = sum(headroom.values())
-        granted = 0
-        ordered_apps = sorted(agents)
-        ordered_non_participants = [
-            app_id for app_id in ordered_apps if app_id not in participant_set
-        ]
-        for machine_id in sorted(leftover, key=self._drain_rank.__getitem__):
-            if total_headroom <= 0:
-                break
-            for _ in range(leftover[machine_id]):
-                if total_headroom <= 0:
-                    break
+        for machine_id in self._drain_order:
+            for _ in range(leftover.get(machine_id, 0)):
                 candidates = [
                     app_id
-                    for app_id in ordered_non_participants
-                    if headroom[app_id] > 0 and machine_id in machines_of[app_id]
+                    for app_id in headroom
+                    if app_id not in participant_set and machine_id in machines_of[app_id]
                 ]
                 if not candidates:
-                    candidates = [
-                        app_id for app_id in ordered_apps if headroom[app_id] > 0
-                    ]
+                    candidates = list(headroom)
                 choice = candidates[int(self.rng.integers(len(candidates)))]
                 bundle = assignments.setdefault(choice, {})
                 bundle[machine_id] = bundle.get(machine_id, 0) + 1
-                headroom[choice] -= 1
-                total_headroom -= 1
-                granted += 1
                 machines_of[choice].add(machine_id)
-        return sum(leftover.values()) - granted
-
+                unassigned -= 1
+                headroom[choice] -= 1
+                if not headroom[choice]:
+                    del headroom[choice]
+                    if not headroom:
+                        return unassigned
+            if not unassigned:
+                break
+        return unassigned

@@ -676,9 +676,9 @@ class PartialAllocationAuction:
         for bundle in winners.values():
             for machine_id, count in bundle.items():
                 leftover[machine_id] = leftover.get(machine_id, 0) - count
-        leftover = {m: c for m, c in leftover.items() if c > 0}
         if any(c < 0 for c in leftover.values()):
             raise RuntimeError("auction over-allocated a machine; invariant violated")
+        leftover = {m: c for m, c in leftover.items() if c > 0}
         welfare = ordered_sum(
             self._log_value(bids[a].value_of(winners.get(a, {}))) for a in participants
         )

@@ -65,16 +65,24 @@ class OptimusScheduler(InterAppScheduler):
                 total += 2.0 * remaining
         return total
 
-    def _time_reduction(
-        self, snapshot: Sequence[tuple[float, int]], held: float, extra: float
-    ) -> float:
-        base = self._estimated_completion(snapshot, held)
-        improved = self._estimated_completion(snapshot, held + extra)
-        return max(0.0, base - improved)
+    @classmethod
+    def _time_reduction(cls, snapshot: Sequence[tuple[float, int]]) -> EffectiveUtility:
+        """Completion-time reduction of ``extra`` compute on top of ``held``.
+
+        A round probes one app with one ``held`` many times, so the
+        estimate at ``held`` is computed once per value, not per probe.
+        """
+        bases: dict[float, float] = {}
+
+        def reduction(held: float, extra: float) -> float:
+            base = bases.get(held)
+            if base is None:
+                base = bases[held] = cls._estimated_completion(snapshot, held)
+            return max(0.0, base - cls._estimated_completion(snapshot, held + extra))
+
+        return reduction
 
     def assign(self, now: float, pool: Mapping[int, Sequence[Gpu]]) -> dict[str, list[Gpu]]:
-        def time_reduction(app: App) -> EffectiveUtility:
-            snapshot = self._job_snapshot(app)
-            return lambda held, extra: self._time_reduction(snapshot, held, extra)
-
-        return assign_by_effective_utility(self, pool, time_reduction)
+        return assign_by_effective_utility(
+            self, pool, lambda app: self._time_reduction(self._job_snapshot(app))
+        )

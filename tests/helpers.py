@@ -86,6 +86,50 @@ class RescanAuction(PartialAllocationAuction):
         return rescan_fair_allocation(pool, bids, exclude=exclude), []
 
 
+def reference_leftovers(arbiter, leftover, participants, agents, assignments) -> int:
+    """The arbiter's leftover pass as it was before it looked only at apps
+    with headroom (reference implementation).
+
+    Headroom and held machines of every agent, the leftover's machines
+    sorted into the drain order (fastest generation first, lower id on
+    ties) on every call, candidates filtered per GPU.  Draws from and
+    grants into the same ``arbiter.rng`` / ``assignments`` as
+    ``Arbiter._assign_leftovers``; returns the GPUs nobody wanted.
+    """
+    speed_of = arbiter.cluster.machine_speeds()
+    participant_set = set(participants)
+    headroom = {
+        app_id: max(0, agent.app.unmet_demand() - sum(assignments.get(app_id, {}).values()))
+        for app_id, agent in agents.items()
+    }
+    machines_of = {
+        app_id: set(agent.app.allocation().per_machine_counts())
+        for app_id, agent in agents.items()
+    }
+    total_headroom = sum(headroom.values())
+    granted = 0
+    ordered_apps = sorted(agents)
+    ordered_non_participants = [a for a in ordered_apps if a not in participant_set]
+    for machine_id in sorted(leftover, key=lambda m: (-speed_of[m], m)):
+        for _ in range(leftover[machine_id]):
+            if total_headroom <= 0:
+                break
+            candidates = [
+                a for a in ordered_non_participants
+                if headroom[a] > 0 and machine_id in machines_of[a]
+            ]
+            if not candidates:
+                candidates = [a for a in ordered_apps if headroom[a] > 0]
+            choice = candidates[int(arbiter.rng.integers(len(candidates)))]
+            bundle = assignments.setdefault(choice, {})
+            bundle[machine_id] = bundle.get(machine_id, 0) + 1
+            headroom[choice] -= 1
+            total_headroom -= 1
+            granted += 1
+            machines_of[choice].add(machine_id)
+    return sum(leftover.values()) - granted
+
+
 # ----------------------------------------------------------------------
 # The two kernels' random inputs: one generator each
 # ----------------------------------------------------------------------

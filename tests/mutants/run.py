@@ -60,6 +60,8 @@ MUTANTS = [
      "if machine_moved_at[members[successor]] <= built_at:", "if True:"),
     ("auction-stale-row", "core/auction.py",
      "app_moved_at[app_id] > built_at", "app_moved_at[app_id] >= built_at"),
+    ("auction-overallocation-unchecked", "core/auction.py",
+     "if any(c < 0 for c in leftover.values()):", "if False:"),
     ("auction-merged-key-order", "core/fairness.py", "machine > machine_id", "machine < machine_id"),
     # core/fairness.py: the carve kernel and the valuation cache
     ("fairness-carve-rack-preference", "core/fairness.py",
@@ -110,14 +112,19 @@ MUTANTS = [
     # core/arbiter.py: the 1 - f filter and the leftovers
     ("arbiter-filter-count", "core/arbiter.py", "max(1, math.ceil(", "max(1, math.floor("),
     ("arbiter-filter-order", "core/arbiter.py", "(-rhos[a], a)", "(rhos[a], a)"),
+    ("arbiter-probes-every-agent", "core/arbiter.py",
+     "for app_id in eligible}", "for app_id in agents}"),
     ("arbiter-leftover-colocated", "core/arbiter.py",
-     "machine_id in machines_of", "machine_id not in machines_of"),
+     "and machine_id in machines_of[app_id]", "and machine_id not in machines_of[app_id]"),
     ("arbiter-leftover-forgets-grants", "core/arbiter.py",
      "machines_of[choice].add(machine_id)", "pass"),
     ("arbiter-leftover-non-participants", "core/arbiter.py",
-     "not in participant_set", "in participant_set"),
+     "if app_id not in participant_set and", "if app_id in participant_set and"),
     ("arbiter-leftover-fastest-first", "core/arbiter.py",
-     "(-speed_of[m], m)", "(speed_of[m], m)"),
+     "self._drain_order = sorted(speed_of, key=lambda m: (-speed_of[m], m))",
+     "self._drain_order = sorted(speed_of, key=lambda m: (speed_of[m], m))"),
+    ("arbiter-leftover-no-early-stop", "core/arbiter.py",
+     "                    if not headroom:\n                        return unassigned\n", ""),
     # core/bids.py: the offer check and the noise
     ("bids-offer-check", "core/bids.py",
      "self.offered_counts.get(machine_id, 0):", "self.offered_counts.get(machine_id, 0) + 1:"),
@@ -160,6 +167,8 @@ MUTANTS = [
      "(speed_of.get(machine_id, 1.0), free if free < cap else cap)",
      "(speed_of.get(machine_id, 1.0),)"),
     ("slaq-class-held-as-new", "schedulers/slaq.py", "if machine_id in bundle:", "if False:"),
+    ("optimus-base-ignores-held", "schedulers/optimus.py",
+     "base = bases.get(held)", "base = next(iter(bases.values()), None)"),
     # README's dirty-tracking mutants outside core/
     ("M1-tuner-step-without-invalidate", "simulation/simulator.py",
      "app.invalidate()\n            for job in victims:", "for job in victims:"),

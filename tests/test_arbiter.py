@@ -1,5 +1,6 @@
 """Unit tests for the ARBITER's scheduling rounds."""
 
+import copy
 import math
 
 import numpy as np
@@ -9,6 +10,10 @@ from repro.cluster.allocation import Allocation
 from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
 from repro.core.fairness import AppValuationState, FairnessEstimator
+from repro.experiments.config import sim_scenario
+from repro.schedulers.registry import make_scheduler
+from repro.simulation.simulator import ClusterSimulator
+from repro.workload.app import App
 
 from helpers import group_pool, make_app
 
@@ -16,6 +21,20 @@ from helpers import group_pool, make_app
 @pytest.fixture
 def estimator(small_cluster):
     return FairnessEstimator(small_cluster)
+
+
+@pytest.fixture
+def probed(monkeypatch):
+    """App ids in the order their AGENTs answered a rho probe."""
+    seen: list[str] = []
+    report_rho = Agent.report_rho
+
+    def recorded(agent, *args):
+        seen.append(agent.app_id)
+        return report_rho(agent, *args)
+
+    monkeypatch.setattr(Agent, "report_rho", recorded)
+    return seen
 
 
 def agents_for(estimator, specs):
@@ -79,7 +98,8 @@ def test_offer_resources_empty_pool(small_cluster, estimator):
     assert arbiter.offer_resources(0.0, {}, agents) == {}
 
 
-def test_offer_resources_no_demand(small_cluster, estimator):
+def test_offer_resources_no_demand(small_cluster, estimator, probed):
+    """No app is eligible: nobody is probed, nobody bids, no auction runs."""
     arbiter = Arbiter(small_cluster)
     app = make_app("full", num_jobs=1, max_parallelism=2)
     app.jobs[0].set_allocation(0.0, Allocation(small_cluster.gpus[:2]))
@@ -88,6 +108,83 @@ def test_offer_resources_no_demand(small_cluster, estimator):
         0.0, group_pool(small_cluster.gpus[4:]), agents
     )
     assert grants == {}
+    assert probed == []
+    assert agents["full"].bids_prepared == 0
+    assert arbiter.history == []
+
+
+def test_a_satisfied_app_is_never_probed(small_cluster, estimator, probed):
+    """rho only ranks the apps that can bid: an app whose jobs all run
+    at their caps answers no probe, round after round."""
+    arbiter = Arbiter(small_cluster, ArbiterConfig(fairness_knob=0.0))
+    full = make_app("full", num_jobs=1, max_parallelism=2)
+    full.jobs[0].set_allocation(0.0, Allocation(small_cluster.gpus[:2]))
+    hungry = make_app("hungry", num_jobs=2, max_parallelism=2)
+    agents = {
+        "full": Agent(AppValuationState(full, estimator)),
+        "hungry": Agent(AppValuationState(hungry, estimator)),
+    }
+    pool = group_pool(small_cluster.gpus[2:])
+    for now in (10.0, 20.0):
+        grants = arbiter.offer_resources(now, pool, agents)
+        assert set(grants) == {"hungry"}
+    assert probed == ["hungry", "hungry"]
+    assert [(rs.num_active, rs.num_eligible) for rs in arbiter.history] == [(2, 1), (2, 1)]
+
+
+def test_every_round_offers_the_worst_off_eligible_apps():
+    """On a contended replay, each auction's participants are exactly the
+    worst ``ceil((1 - f) * E)`` of its ``E`` eligible apps by a rho
+    recomputed from scratch (a copy of the app, a fresh estimator)."""
+    scenario = (
+        sim_scenario(num_apps=10, seed=11, duration_scale=0.15)
+        .replace(cluster_scale=16 / 256.0)
+        .with_generator(
+            mean_interarrival_minutes=3.0, jobs_per_app_median=3.0, jobs_per_app_max=6
+        )
+    )
+    sim = ClusterSimulator(
+        cluster=scenario.build_cluster(),
+        workload=scenario.build_trace(),
+        scheduler=make_scheduler("themis"),
+        config=scenario.build_sim_config(),
+        perf_model=scenario.build_perf_model(),
+    )
+    scheduler = sim.scheduler
+    arbiter = scheduler.arbiter
+    estimator = FairnessEstimator(
+        sim.cluster, semantics=sim.config.semantics, perf_model=sim.perf_model
+    )
+    inner = scheduler.assign
+    sizes = []
+
+    def assign(now, pool):
+        eligible = [
+            app_id for app_id, agent in scheduler.agents.items()
+            if agent.app.unmet_demand() > 0
+        ]
+        fresh = {}
+        for app_id in eligible:
+            app = scheduler.agents[app_id].app
+            shadow = App(app_id, app.arrival_time, [copy.copy(j) for j in app.jobs], app.semantics)
+            fresh[app_id] = AppValuationState(shadow, estimator).current_rho(now)
+        rounds = len(arbiter.history)
+        grants = inner(now, pool)
+        if len(arbiter.history) == rounds:  # no auction: nothing to offer or nobody to bid
+            assert not pool or not eligible
+            return grants
+        count = math.ceil((1.0 - scheduler.config.fairness_knob) * len(eligible))
+        worst = sorted(eligible, key=lambda app_id: (-fresh[app_id], app_id))[:count]
+        assert arbiter.last_outcome.participants == tuple(sorted(worst)), f"t={now:.3f}"
+        assert arbiter.history[-1].num_eligible == len(eligible)
+        sizes.append((len(eligible), count))
+        return grants
+
+    scheduler.assign = assign
+    sim.run()
+    # The filter is exercised: wide rounds, and rounds with several bidders.
+    assert max(eligible for eligible, _ in sizes) >= 6
+    assert max(count for _, count in sizes) >= 2
 
 
 def test_leftovers_go_to_non_participants(small_cluster, estimator):

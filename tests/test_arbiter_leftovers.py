@@ -1,7 +1,11 @@
 """Focused tests for the leftover-allocation stage of the ARBITER."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
@@ -9,7 +13,7 @@ from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
 from repro.core.fairness import AppValuationState, FairnessEstimator
 
-from helpers import group_pool, make_app
+from helpers import group_pool, make_app, reference_leftovers
 
 
 @pytest.fixture
@@ -130,3 +134,72 @@ def test_leftovers_drain_the_fastest_generation_first():
     assignments: dict = {}
     assert arbiter._assign_leftovers({0: 1, 1: 1}, [], agents, assignments) == 1
     assert assignments == {"wants-one": {1: 1}}
+
+
+#: Three generations, the fastest neither first nor last by machine id,
+#: and two machines of each speed so ties break on the id.
+MIXED = build_cluster(
+    ClusterSpec(
+        machine_specs=tuple(
+            MachineSpec(count=2, gpus_per_machine=gpus, gpu_type=GPU_TYPES[kind])
+            for kind, gpus in (("k80", 4), ("v100", 2), ("p100", 4))
+        ),
+        num_racks=2,
+        name="mixed-3",
+    )
+)
+MIXED_ESTIMATOR = FairnessEstimator(MIXED)
+
+
+@st.composite
+def leftover_rounds(draw):
+    """``(leftover, participants, agents, assignments, seed)``: apps whose
+    jobs hold disjoint GPUs up to their caps, winner bundles for some
+    participants (sometimes past their demand), and a leftover that
+    overlaps the held machines."""
+    free = list(MIXED.gpus)
+    draw(st.randoms(use_true_random=False)).shuffle(free)
+    agents = {}
+    for i in range(draw(st.integers(1, 5))):
+        app = make_app(
+            f"app{i}",
+            num_jobs=draw(st.integers(1, 3)),
+            max_parallelism=draw(st.integers(1, 4)),
+        )
+        for job in app.jobs:
+            held = draw(st.integers(0, min(job.max_parallelism, len(free))))
+            if held:
+                job.set_allocation(0.0, Allocation(free[:held]))
+                del free[:held]
+        agents[app.app_id] = Agent(AppValuationState(app, MIXED_ESTIMATOR))
+    participants = draw(st.lists(st.sampled_from(sorted(agents)), unique=True))
+    machine_ids = [machine.machine_id for machine in MIXED.machines]
+    assignments = {
+        app_id: draw(st.dictionaries(st.sampled_from(machine_ids), st.integers(1, 3), max_size=2))
+        for app_id in participants
+        if draw(st.booleans())
+    }
+    leftover = draw(st.dictionaries(st.sampled_from(machine_ids), st.integers(1, 4)))
+    return leftover, participants, agents, assignments, draw(st.integers(0, 2**32 - 1))
+
+
+def _ordered(assignments):
+    return [(app_id, list(bundle.items())) for app_id, bundle in assignments.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(leftover_rounds())
+def test_the_leftover_pass_matches_the_reference(case):
+    """Looking only at apps with headroom and walking the ranked drain
+    order grants what the all-apps pass granted, in the same order, and
+    leaves the rng exactly where it left it."""
+    leftover, participants, agents, assignments, seed = case
+    fast = Arbiter(MIXED, rng=np.random.default_rng(seed))
+    slow = Arbiter(MIXED, rng=np.random.default_rng(seed))
+    fast_assignments, slow_assignments = copy.deepcopy(assignments), copy.deepcopy(assignments)
+    unassigned = fast._assign_leftovers(leftover, participants, agents, fast_assignments)
+    assert unassigned == reference_leftovers(
+        slow, leftover, participants, agents, slow_assignments
+    )
+    assert _ordered(fast_assignments) == _ordered(slow_assignments)
+    assert fast.rng.bit_generator.state == slow.rng.bit_generator.state

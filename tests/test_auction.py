@@ -54,6 +54,21 @@ def test_single_bidder_keeps_whole_allocation(estimator):
     assert outcome.total_leftover == 0
 
 
+def test_a_winner_bundle_larger_than_the_pool_raises(estimator):
+    """The over-allocation guard fires: a solver that hands out more
+    GPUs on a machine than the pool holds is an invariant violation."""
+
+    class OverAllocating(PartialAllocationAuction):
+        def _solve(self, pool, bids, exclude=None, prefix=(), stats=None):
+            return {app_id: {0: pool[0] + 1} for app_id in bids if app_id != exclude}, []
+
+    # The bid was offered more than the pool holds, so it can price
+    # the oversized bundle.
+    bids = bids_for(estimator, {0: 4}, [("a", 2, 10.0)])
+    with pytest.raises(RuntimeError, match="over-allocated"):
+        OverAllocating().run({0: 2}, bids)
+
+
 def test_allocations_are_disjoint_and_within_pool(estimator):
     pool = {0: 4, 1: 2, 2: 4}
     bids = bids_for(

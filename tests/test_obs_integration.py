@@ -154,6 +154,12 @@ def test_cli_run_trace_profile_then_inspect(tmp_path, capsys):
     assert code == 0
     assert "phase profile" in out
     assert "installs_fully_declined" in out.split("phase profile")[1]
+    _, header, _, row, *_ = out.split("auctions:")[1].splitlines()
+    assert header.split() == [
+        "auctions", "eligible_mean", "eligible_max", "participants_mean", "participants_max"
+    ]
+    auctions, _, eligible_max, _, participants_max = row.split()
+    assert int(auctions) > 0 and 1 <= int(participants_max) <= int(eligible_max)
     assert f"wrote trace to {trace_path}" in out
 
     code, out, _ = run_cli(capsys, "trace", str(trace_path), "--validate")

@@ -41,11 +41,12 @@ def test_estimated_completion_splits_gpus():
 
 
 def test_marginal_reduction_diminishes():
-    scheduler = OptimusScheduler()
-    snapshot = [(40.0, 4)]
-    first = scheduler._time_reduction(snapshot, 0, 1)
-    second = scheduler._time_reduction(snapshot, 1, 1)
+    reduction = OptimusScheduler._time_reduction([(40.0, 4)])
+    first = reduction(0, 1)
+    second = reduction(1, 1)
     assert first > second > 0
+    # The held estimate is kept per held value.
+    assert reduction(0, 1) == first == 40.0
 
 
 def test_completes_trace_and_is_registered():

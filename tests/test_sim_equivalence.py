@@ -122,8 +122,9 @@ def test_first_winner_reuses_pair_kernels():
     FIRST_WINNER apps are short-lived (the first finishing job ends the
     app, killing the rest), so cross-round reuse windows are narrower
     than under ALL_JOBS — the carve saving is small but must be real
-    (193 carves on this cell; rebuilding every round took 203); the
-    per-bundle reuse properties themselves are pinned in
+    (192 carves on this cell; when every active app was probed, reuse
+    took 193 and rebuilding every round 203); the per-bundle reuse
+    properties themselves are pinned in
     tests/test_incremental_valuation.py.
     """
     simulator = _simulator(_first_winner(7, num_apps=10), "themis")
@@ -134,7 +135,8 @@ def test_first_winner_reuses_pair_kernels():
 
 
 def test_valuation_state_is_reused_across_rounds():
-    """305 carves where rebuilding every round took 322, same answers."""
+    """291 carves, same answers (when every active app was probed, reuse
+    took 305 and rebuilding every round 322)."""
     simulator = _simulator(_tiny(7), "themis")
     assert_golden("homo/themis/seed7", simulator.run())
     assert_golden_carves("homo/themis/seed7", simulator.scheduler.estimator.carve_count)
@@ -142,7 +144,8 @@ def test_valuation_state_is_reused_across_rounds():
 
 def test_pair_memo_and_probe_accounting_on_a_contended_replay():
     """Several bidders per auction: the pair memo engages, probes add up
-    (130 carves; rebuilding every round took 346)."""
+    (128 carves; when every active app was probed, reuse took 130 and
+    rebuilding every round 346)."""
     simulator = _simulator(CONTENDED_XS, "themis")
     result = simulator.run()
     assert_golden("contended-xs/themis", result)
