@@ -100,6 +100,23 @@ def _print_auctions(round_stats: dict) -> None:
     ))
 
 
+def _print_payments(result) -> None:
+    """The hidden payments' ledger over every auction of the run:
+    proportional-fair winners, the ones that paid, and the
+    ``paid_share`` and ``gpus_withheld`` columns of METRICS."""
+    totals = result.round_stats.get("totals")
+    if not totals or "num_pf_winners" not in totals:
+        return
+    ledger = metric_values(result, ("paid_share", "gpus_withheld"))
+    share = ledger["paid_share"]
+    print("\npayments:")
+    print(format_table(
+        ["pf_winners", "paid", "paid_share", "gpus_withheld"],
+        [[totals["num_pf_winners"], totals["num_paid"],
+          "-" if share is None else round(share, 3), ledger["gpus_withheld"]]],
+    ))
+
+
 def _parse_schedulers(text: str) -> Optional[list[str]]:
     """Split/validate a scheduler list; None (plus stderr) on unknown names.
 
@@ -167,6 +184,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _print_profile(result.profile)
         _print_placement(result.round_stats)
         _print_auctions(result.round_stats)
+        _print_payments(result)
     if args.trace:
         print(f"wrote trace to {args.trace}")
     return 0

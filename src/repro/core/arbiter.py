@@ -60,14 +60,18 @@ class RoundStats:
 
     The ``solver_*`` fields expose the auction's winner-determination
     cost: greedy moves applied across all solves, candidate pairs
-    scored by the lazy heap, warm-start moves the payment re-solves
-    replayed for free, heap entries pushed, and the number of distinct
-    rho computations (valuation-cache misses) the round's bids performed.
+    scored by the lazy heap, the moves the payment re-solves skipped by
+    resuming the full solve's checkpoint (``solver_replayed_moves``:
+    each re-solve's moves before its app's first win, none of them
+    scored again), heap entries pushed, and the number of distinct rho
+    computations (valuation-cache misses) the round's bids performed.
 
     The ``rescore_*`` pair breaks down the post-move re-scoring wall
     (see :class:`~repro.core.auction.AuctionSolveStats`): kernel carves
     the re-scores performed and pair scores the bound-gated memo
-    skipped whole.
+    skipped whole.  The last three fields are the hidden payments'
+    ledger: winners of the proportional-fair solve, the ones that paid,
+    and the GPUs withheld from them.
     """
 
     now: float
@@ -88,6 +92,12 @@ class RoundStats:
     rescore_skipped: int = 0
     #: Apps with unmet demand: the ones probed for rho and filtered.
     num_eligible: int = 0
+    #: Participants with a non-empty proportional-fair bundle.
+    num_pf_winners: int = 0
+    #: Of those, the ones that paid: kept fewer GPUs than the bundle.
+    num_paid: int = 0
+    #: GPUs the hidden payments took off the proportional-fair bundles.
+    gpus_withheld: int = 0
 
 
 class Arbiter:
@@ -162,7 +172,7 @@ class Arbiter:
             return {}
         with self.profiler.phase("valuation"):
             rhos = {app_id: agents[app_id].report_rho(now, salt) for app_id in eligible}
-        pool_counts = {m: len(gpus) for m, gpus in pool.items()}
+        pool_counts = dict(zip(pool, map(len, pool.values())))
 
         # Step 2: fairness knob — visibility limited to worst 1-f apps.
         participants = self.select_participants(rhos, eligible)
@@ -177,8 +187,8 @@ class Arbiter:
 
         # Step 3: offers out, bids back.
         with self.profiler.phase("valuation"):
-            # ``Bid.__init__`` copies (and >0-filters) the offer counts,
-            # so the shared dict can be passed as-is.
+            # Every bid keeps the shared offer-count dict (a pool machine
+            # offers at least one GPU): it is read-only for the round.
             bids = {
                 app_id: agents[app_id].prepare_bid(now, pool_counts, salt)
                 for app_id in participants
@@ -235,6 +245,9 @@ class Arbiter:
                 heap_warm_misses=solve_stats.warm_misses,
                 rescore_carves=solve_stats.rescore_carves,
                 rescore_skipped=solve_stats.rescore_skipped,
+                num_pf_winners=len(outcome.proportional_fair),
+                num_paid=outcome.num_paid,
+                gpus_withheld=outcome.gpus_withheld,
             )
         )
         return concretise(assignments, pool)

@@ -135,19 +135,28 @@ a baseline utility without classes are scored per machine.  The
 reductions change *how often* a float is computed or an entry pushed,
 never *which* float or which move.
 
-Payment re-solves are warm-started: the greedy state of the
-``without_i`` market evolves identically to the full market until the
-first move the full solve awarded to ``i`` (removing ``i``'s candidate
-entries cannot change any earlier argmin), so that move prefix is
-replayed without any probing and only the suffix is solved.  All
-solves share each :class:`~repro.core.bids.Bid`'s pair memo and
-valuation caches, so suffix scores the full solve already computed are
-hits.  The pre-refactor full-rescan solver is kept as
+Payment re-solves resume the full solve's heap.  The greedy state of
+the ``without_i`` market evolves identically to the full market's until
+the full solve pops the first live move of ``i``: removing ``i``'s
+candidate entries cannot change any earlier argmin, and a pop of one of
+them (stale, or a placeholder pushing its successor) touches no other
+bidder's entry.  At that pop every live ``(app, machine)`` pair of the
+other bidders is represented exactly in the heap, so the market without
+``i`` *is* that state minus ``i``.  When hidden payments will re-solve
+(two or more bidders) the full solve keeps a :class:`_Checkpoint` of its
+state at each such pop, and ``i``'s re-solve starts from it: ``i``'s
+entries are dropped, the rest re-heapified, and only the suffix is
+solved, no other bidder's row rebuilt.  All solves share each
+:class:`~repro.core.bids.Bid`'s pair memo and valuation caches, so
+suffix scores the full solve already computed are hits.
+
+The pre-refactor full-rescan solver is kept as
 :func:`rescan_fair_allocation` — the reference implementation the
 equivalence tests compare against.  Nothing in ``src/`` calls it and
 the auction has no solver option: one property test runs the whole
 mechanism on it through ``tests/helpers.py::RescanAuction``, a
-subclass whose ``_solve`` is the reference, over the markets of
+subclass whose ``_solve`` is the reference (it keeps no checkpoints,
+so its re-solves start cold), over the markets of
 ``tests/helpers.py::markets``.
 """
 
@@ -157,7 +166,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from repro.cluster.topology import ordered_sum
 from repro.core.assignment import CHUNK_SIZE
@@ -202,8 +211,26 @@ class AuctionOutcome:
 
     @property
     def total_leftover(self) -> int:
-        """GPUs withheld by hidden payments (to be given to non-participants)."""
+        """GPUs no winner keeps (to be given to non-participants): the
+        ones hidden payments withheld and the ones no bidder took."""
         return _bundle_total(self.leftover)
+
+    @property
+    def num_paid(self) -> int:
+        """Proportional-fair winners that kept fewer GPUs than their bundle."""
+        winners = self.winners
+        return sum(
+            1 for app_id, bundle in self.proportional_fair.items()
+            if _bundle_total(winners.get(app_id, {})) < _bundle_total(bundle)
+        )
+
+    @property
+    def gpus_withheld(self) -> int:
+        """GPUs the hidden payments took off the proportional-fair bundles."""
+        return (
+            sum(_bundle_total(bundle) for bundle in self.proportional_fair.values())
+            - self.total_allocated
+        )
 
 
 @dataclass
@@ -212,8 +239,9 @@ class AuctionSolveStats:
 
     ``pair_scores`` counts candidate (app, machine) scorings — each is
     at most two valuation probes — and is the quantity the lazy heap
-    exists to minimise; ``replayed_moves`` counts warm-start moves the
-    payment re-solves applied without any scoring at all.
+    exists to minimise; ``replayed_moves`` counts the moves the payment
+    re-solves skip by resuming the full solve's checkpoint (the moves
+    before the excluded app's first win), none of them scored again.
 
     ``warm_hits`` counts pair scores served from the per-bid
     pair-score memo, which holds gain-path scores only (module
@@ -241,6 +269,23 @@ class AuctionSolveStats:
 
 #: One applied greedy move: (app_id, machine_id, step, value after move).
 _Move = tuple[str, int, int, float]
+
+
+class _Checkpoint(NamedTuple):
+    """The full solve's state as it popped the first live move of one
+    app, the move not yet applied: where that app's payment re-solve
+    resumes (module docstring, "Payment re-solves").  Every field is a
+    copy; a resume copies again, so a checkpoint can be resumed twice."""
+
+    heap: list
+    remaining: dict[int, int]
+    assignment: dict[str, dict[int, int]]
+    bundle_keys: dict[str, _BundleKey]
+    values: dict[str, float]
+    granted: dict[str, int]
+    app_moved_at: dict[str, int]
+    machine_moved_at: dict[int, int]
+    moves: tuple[_Move, ...]
 
 
 def _stamped(key: tuple, move: _Move, machine_id: int) -> tuple[tuple, _Move]:
@@ -342,7 +387,8 @@ def _score_pair(
 
 def greedy_solve(
     pool: Mapping[int, int], bids: Mapping[str, Any], objective: Any,
-    exclude: Optional[str] = None, prefix: Sequence[_Move] = (),
+    exclude: Optional[str] = None, resume: Optional[_Checkpoint] = None,
+    checkpoints: Optional[dict[str, _Checkpoint]] = None,
     stats: Optional[AuctionSolveStats] = None, profiler: Any = NULL_PROFILER,
     estimator: Any = None,
 ) -> tuple[dict[str, dict[int, int]], list[_Move]]:
@@ -357,21 +403,50 @@ def greedy_solve(
     ``value_of({})``, ``value_after(held, key, machine_id, step)`` (its
     bundle ``held``, canonical ``key``, plus ``step`` GPUs on
     ``machine_id``), ``row(held, key, remaining, cap)`` (machine classes,
-    or ``None``: per machine) and ``_pair_memo``.  ``exclude`` and
-    ``prefix`` serve the payment re-solves, ``estimator`` and
-    ``profiler`` only ``stats``.  Returns ``(assignment, moves)``, every
-    bidder in id order, bundles in move order.
+    or ``None``: per machine) and ``_pair_memo``.
+
+    The payment re-solves: ``exclude`` drops one bidder, and ``resume``,
+    the checkpoint a solve of the same ``pool`` and ``bids`` kept for
+    ``exclude``, starts from that state instead of from scratch.  A
+    ``checkpoints`` dict is filled with one checkpoint per app, taken
+    as the solve pops the app's first live move.  ``estimator`` and
+    ``profiler`` serve only ``stats``.  Returns ``(assignment, moves)``,
+    every bidder in id order, bundles in move order, the moves before a
+    resumed checkpoint included.
     """
     if stats is not None:
         stats.solves += 1
-    # Ascending machine id: the order the row pass groups classes in.
-    remaining = {m: c for m, c in sorted(pool.items()) if c > 0}
     apps = [a for a in sorted(bids) if a != exclude]
-    assignment: dict[str, dict[int, int]] = {a: {} for a in apps}
-    bundle_keys: dict[str, _BundleKey] = {a: () for a in apps}
-    values: dict[str, float] = {}
-    granted = {a: 0 for a in apps}
-    moves: list[_Move] = list(prefix)
+    if resume is None:
+        # Ascending machine id: the order the row pass groups classes in.
+        remaining = dict(sorted(pool.items()))
+        if remaining and min(remaining.values()) <= 0:
+            remaining = {m: c for m, c in remaining.items() if c > 0}
+        assignment: dict[str, dict[int, int]] = {a: {} for a in apps}
+        bundle_keys: dict[str, _BundleKey] = dict.fromkeys(apps, ())
+        values: dict[str, float] = {}
+        granted = dict.fromkeys(apps, 0)
+        moves: list[_Move] = []
+        # An entry built after ``len(moves)`` applied moves is live while
+        # neither its app nor its machine has moved since.
+        app_moved_at = dict.fromkeys(apps, 0)
+        machine_moved_at = dict.fromkeys(remaining, 0)
+        heap: list[tuple] = []
+    else:
+        # The market without ``exclude`` is the checkpointed state minus
+        # its entries: every other bidder's live pair is in the heap.
+        heap = [entry for entry in resume.heap if entry[1][0] != exclude]
+        heapq.heapify(heap)
+        remaining = dict(resume.remaining)
+        assignment = {a: resume.assignment[a] for a in apps}
+        bundle_keys = dict(resume.bundle_keys)
+        values = dict(resume.values)
+        granted = dict(resume.granted)
+        moves = list(resume.moves)
+        app_moved_at = dict(resume.app_moved_at)
+        machine_moved_at = dict(resume.machine_moved_at)
+        if stats is not None:
+            stats.replayed_moves += len(moves)
 
     def apply(app_id: str, machine_id: int, step: int, new_value: float) -> None:
         assignment[app_id] = _merge(assignment[app_id], machine_id, step)
@@ -381,19 +456,6 @@ def greedy_solve(
         remaining[machine_id] -= step
         if remaining[machine_id] <= 0:
             del remaining[machine_id]
-
-    # Warm start: replay an already-validated move sequence without
-    # re-scoring anything (see PartialAllocationAuction._payment_fraction).
-    for move in prefix:
-        apply(*move)
-    if stats is not None:
-        stats.replayed_moves += len(prefix)
-
-    # An entry built after ``len(moves)`` applied moves is live while
-    # neither its app nor its machine has moved since.
-    app_moved_at = {a: 0 for a in apps}
-    machine_moved_at = {m: 0 for m in remaining}
-    heap: list[tuple] = []
 
     def push(scored, members: Sequence[int], index: int, built_at: int) -> None:
         """Heap entry for ``members[index]``, standing for the rest."""
@@ -462,12 +524,11 @@ def greedy_solve(
         if stats is not None and estimator is not None:
             stats.rescore_carves += estimator.carve_count - carves_before
 
-    if remaining:
+    if resume is None and remaining:
         for app_id in apps:
             bid = bids[app_id]
-            if bid.demand > granted[app_id]:
-                if app_id not in values:
-                    values[app_id] = bid.value_of({})
+            if bid.demand > 0:
+                values[app_id] = bid.value_of({})
                 push_row(app_id)
 
     # Once the pool is placed no entry can be live: stop, don't drain.
@@ -486,6 +547,12 @@ def greedy_solve(
                     push(scored, members, successor, built_at)
                     break
             continue
+        if checkpoints is not None and app_id not in checkpoints:
+            checkpoints[app_id] = _Checkpoint(
+                heap[:], dict(remaining), dict(assignment), dict(bundle_keys),
+                dict(values), dict(granted), dict(app_moved_at),
+                dict(machine_moved_at), tuple(moves),
+            )
         apply(*move)
         moves.append(move)
         if stats is not None:
@@ -523,18 +590,19 @@ class PartialAllocationAuction:
         pool: Mapping[int, int],
         bids: Mapping[str, Bid],
         exclude: Optional[str] = None,
-        prefix: Sequence[_Move] = (),
+        resume: Optional[_Checkpoint] = None,
+        checkpoints: Optional[dict[str, _Checkpoint]] = None,
         stats: Optional[AuctionSolveStats] = None,
     ) -> tuple[dict[str, dict[int, int]], list[_Move]]:
-        """Stage 1, the proportional-fair assignment: ``(assignment,
-        moves)`` of :func:`greedy_solve` (the seam
-        ``tests/helpers.py::RescanAuction`` overrides)."""
+        """Stage 1, the proportional-fair assignment, and the payment
+        re-solves: ``(assignment, moves)`` of :func:`greedy_solve` (the
+        seam ``tests/helpers.py::RescanAuction`` overrides)."""
         # All of an auction's bids share one estimator.
         estimator = self.estimator
         if estimator is None and bids:
             estimator = next(iter(bids.values()))._estimator
         return greedy_solve(
-            pool, bids, NashWelfare, exclude, prefix, stats,
+            pool, bids, NashWelfare, exclude, resume, checkpoints, stats,
             self.profiler, estimator,
         )
 
@@ -550,7 +618,7 @@ class PartialAllocationAuction:
         pool: Mapping[int, int],
         bids: Mapping[str, Bid],
         pf_allocation: Mapping[str, Mapping[int, int]],
-        full_moves: Sequence[_Move] = (),
+        resume: Optional[_Checkpoint] = None,
         stats: Optional[AuctionSolveStats] = None,
         pf_values: Optional[Mapping[str, float]] = None,
     ) -> float:
@@ -566,24 +634,15 @@ class PartialAllocationAuction:
         *both* markets — for everyone else the externality is already
         expressed through the allocation itself.
 
-        ``full_moves`` (the full market's greedy move sequence) lets the
-        ``without_i`` re-solve replay every move before ``i``'s first
-        win for free: up to that point the two markets' greedy states
-        are identical, and dropping ``i``'s candidate moves cannot
-        change an argmin ``i`` did not win.
+        ``resume``, the full solve's checkpoint for ``i``, starts the
+        ``without_i`` re-solve where the two markets part (module
+        docstring, "Payment re-solves"); without it the re-solve is cold.
         """
         others = [a for a in bids if a != app_id]
         if not others:
             return 1.0
-        prefix: Sequence[_Move] = ()
-        if full_moves:
-            first_win = next(
-                (i for i, move in enumerate(full_moves) if move[0] == app_id),
-                len(full_moves),
-            )
-            prefix = full_moves[:first_win]
         without_i, _ = self._solve(
-            pool, bids, exclude=app_id, prefix=prefix, stats=stats
+            pool, bids, exclude=app_id, resume=resume, stats=stats
         )
         log_ratio = 0.0
         for other in others:
@@ -632,7 +691,8 @@ class PartialAllocationAuction:
         proportional fairness) — used by the ablation benchmark that
         quantifies what truthfulness protection costs.
         """
-        pool = {m: c for m, c in pool.items() if c > 0}
+        if pool and min(pool.values()) <= 0:
+            pool = {m: c for m, c in pool.items() if c > 0}
         participants = tuple(sorted(bids))
         stats = AuctionSolveStats()
         self.last_stats = stats
@@ -644,8 +704,14 @@ class PartialAllocationAuction:
                 leftover=dict(pool),
                 participants=participants,
             )
+        # Only a market of two or more bidders re-solves for payments.
+        checkpoints: Optional[dict[str, _Checkpoint]] = (
+            {} if apply_hidden_payments and len(participants) > 1 else None
+        )
         with self.profiler.phase("auction_solve"):
-            pf_allocation, full_moves = self._solve(pool, bids, stats=stats)
+            pf_allocation, _ = self._solve(
+                pool, bids, checkpoints=checkpoints, stats=stats
+            )
         payments: dict[str, float] = {}
         winners: dict[str, dict[int, int]] = {}
         with self.profiler.phase("payment_resolves"):
@@ -662,7 +728,8 @@ class PartialAllocationAuction:
                     continue
                 if apply_hidden_payments:
                     fraction = self._payment_fraction(
-                        app_id, pool, bids, pf_allocation, full_moves, stats,
+                        app_id, pool, bids, pf_allocation,
+                        checkpoints.get(app_id) if checkpoints else None, stats,
                         pf_values,
                     )
                 else:
@@ -672,13 +739,17 @@ class PartialAllocationAuction:
                 shrunk = self._shrink_bundle(bundle, keep)
                 if shrunk:
                     winners[app_id] = shrunk
+        # The winners' machines are the only ones whose count moves.
         leftover = dict(pool)
         for bundle in winners.values():
             for machine_id, count in bundle.items():
-                leftover[machine_id] = leftover.get(machine_id, 0) - count
-        if any(c < 0 for c in leftover.values()):
-            raise RuntimeError("auction over-allocated a machine; invariant violated")
-        leftover = {m: c for m, c in leftover.items() if c > 0}
+                left = leftover.get(machine_id, 0) - count
+                if left < 0:
+                    raise RuntimeError("auction over-allocated a machine; invariant violated")
+                if left:
+                    leftover[machine_id] = left
+                else:
+                    del leftover[machine_id]
         welfare = ordered_sum(
             self._log_value(bids[a].value_of(winners.get(a, {}))) for a in participants
         )

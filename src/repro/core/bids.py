@@ -25,12 +25,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping
 
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
+    VALUE_CEILING,
     RowProbe,
     extend_key,
     merge_keys,
@@ -85,7 +85,11 @@ class Bid:
         self.app = app
         self.app_id = app.app_id
         self.now = now
-        self.offered_counts = {m: c for m, c in offered_counts.items() if c > 0}
+        # The offer is read-only for the round: kept as given unless
+        # some machine offers nothing.
+        if offered_counts and min(offered_counts.values()) <= 0:
+            offered_counts = {m: c for m, c in offered_counts.items() if c > 0}
+        self.offered_counts = offered_counts
         self.noise_theta = noise_theta
         self.noise_salt = noise_salt
         self._estimator = estimator
@@ -205,30 +209,70 @@ class Bid:
 
     def row(self, held: Mapping[int, int], key: tuple, remaining: Mapping[int, int], cap: float):
         """The greedy solver's row classes against the bundle ``key``:
-        :func:`~repro.core.fairness.shape_classes` and
-        :meth:`value_of_class` on the row, or ``None`` (per machine) for a
-        noisy bid, whose hash reads the machine ids, or a pool under
-        :data:`_CLASS_MIN_POOL`."""
+        :func:`~repro.core.fairness.shape_classes` and the row's class
+        probe, or ``None`` (per machine) for a noisy bid, whose hash reads
+        the machine ids, or a pool under :data:`_CLASS_MIN_POOL`.
+
+        The probe ``(machine_id, machine_class, step)`` is the noise-free
+        ``value_from_key`` of ``key`` plus ``step`` GPUs on
+        ``machine_id`` of ``machine_class``, the kernel read off the row's
+        table (:class:`~repro.core.fairness.RowProbe`).  It turns the
+        kernel into a value with the arithmetic of
+        :meth:`~repro.core.fairness.AppValuationState.rho_at` and
+        :func:`~repro.core.fairness.value_from_rho`, bit for bit, reading
+        the snapshot's elapsed time, remaining work and ideal time once
+        per row.  No key is built: only the noise hash and the offer
+        check read it."""
         if len(remaining) < _CLASS_MIN_POOL or self.noise_theta > 0.0:
             return None
-        row = RowProbe(self._state, key)
-        return (*shape_classes(row, remaining, cap), partial(self.value_of_class, row))
-
-    def value_of_class(
-        self, row: RowProbe, machine_id: int, machine_class: tuple, step: int
-    ) -> float:
-        """The lazy solver's class probe: noise-free ``value_from_key`` of
-        ``row``'s bundle plus ``step`` GPUs on ``machine_id`` of
-        ``machine_class``, the kernel read off the row's table.  No key
-        is built: only the noise hash and the offer check read it, and
-        noisy bids are probed through :meth:`value_from_key`."""
-        self.rho_lookups += 1
         state = self._state
-        misses_before = state.estimator.carve_count
-        rho = state.class_rho(self.now, row, machine_id, machine_class, step)
-        if state.estimator.carve_count != misses_before:
-            self.rho_probes += 1
-        return value_from_rho(rho)
+        row = RowProbe(state, key)
+        estimator = state.estimator
+        kernel_of = row.kernel
+        snap = state.snapshot
+        # A non-positive ideal time raised in this bid's own current-rho
+        # probe, so the row divides by a positive one.
+        t_ideal = snap.t_ideal
+        elapsed = self.now - snap.arrival_time
+        if elapsed < 0.0:
+            elapsed = 0.0
+        total = snap.total_remaining
+        # FIRST_WINNER: the min over the served jobs of their current
+        # remaining work over their rate; ALL_JOBS: the total over the
+        # aggregate rate.  No active job, or no work left under ALL_JOBS,
+        # reads no kernel: delta is 0.
+        by_id = state._remaining_by_id if state.first_winner else None
+        idle = not snap.job_tuples or (total <= 0 and by_id is None)
+        isinf = math.isinf
+
+        def probe(machine_id: int, machine_class: tuple, step: int) -> float:
+            self.rho_lookups += 1
+            if idle:
+                delta = 0.0
+            else:
+                carves_before = estimator.carve_count
+                kernel = kernel_of(machine_id, machine_class, step)
+                if estimator.carve_count != carves_before:
+                    self.rho_probes += 1
+                if by_id is not None:
+                    delta = math.inf
+                    for job_id, rate in kernel:
+                        per_job = by_id[job_id] / rate
+                        if per_job < delta:
+                            delta = per_job
+                elif kernel <= 0:
+                    delta = math.inf
+                else:
+                    delta = total / kernel
+            rho = (elapsed + delta) / t_ideal
+            if isinf(rho):
+                return 0.0
+            if rho <= 0:
+                return VALUE_CEILING
+            value = 1.0 / rho
+            return VALUE_CEILING if VALUE_CEILING < value else value
+
+        return (*shape_classes(row, remaining, cap), probe)
 
     def machine_speed(self, machine_id: int) -> float:
         """Speed class of one offered machine's GPUs, for *this* app.

@@ -1081,22 +1081,25 @@ class AppValuationState:
             cache[shape] = kernel
         return kernel
 
-    def _delta(self, kernel_of: Callable[..., object], *args: object) -> float:
-        """The shared-time delta of the bundle whose kernel is
-        ``kernel_of(*args)``: kernel, then divide; bit for bit
+    def _delta(
+        self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple]
+    ) -> float:
+        """The shared-time delta of a total-counts bundle: kernel, then
+        divide; bit for bit
         :meth:`FairnessEstimator.shared_delta_from_snapshot`.
 
         0 with no active job, or under ``ALL_JOBS`` with no work left
         (no kernel read then); else under ``FIRST_WINNER`` the min over
         the served jobs of *current* remaining work over rate, under
         ``ALL_JOBS`` the total remaining work over the aggregate rate;
-        ``inf`` when nothing progresses.
+        ``inf`` when nothing progresses.  ``Bid.row``'s class probe
+        repeats this arithmetic on a kernel read off a row table.
         """
         snap = self.snapshot
         assert snap is not None, "refresh() before probing"
         if not snap.job_tuples or (snap.total_remaining <= 0 and not self.first_winner):
             return 0.0
-        kernel = kernel_of(*args)
+        kernel = self.kernel_of(total_key, shape)
         if self.first_winner:
             remaining = self._remaining_by_id
             delta = math.inf
@@ -1126,14 +1129,7 @@ class AppValuationState:
         self, now: float, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
     ) -> float:
         """Noise-free rho for a canonical total-counts bundle at ``now``."""
-        return self._rho(now, self._delta(self.kernel_of, total_key, shape))
-
-    def class_rho(
-        self, now: float, row: "RowProbe", machine_id: int, machine_class: tuple, step: int
-    ) -> float:
-        """:meth:`rho_at` of ``row``'s bundle plus ``step`` GPUs on
-        ``machine_id``, with the kernel read off the row's table."""
-        return self._rho(now, self._delta(row.kernel, machine_id, machine_class, step))
+        return self._rho(now, self._delta(total_key, shape))
 
     def current_rho(self, now: float) -> float:
         """rho with the allocation the app holds right now (cheap when clean)."""

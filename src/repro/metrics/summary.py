@@ -38,7 +38,28 @@ METRICS: dict[str, Callable[[SimulationResult], float]] = {
     "utilization": utilization,
     "peak_contention": lambda r: r.peak_contention,
     "rounds": lambda r: r.num_rounds,
+    # The hidden payments' ledger: the share of proportional-fair winners
+    # that kept fewer GPUs than their bundle, and the GPUs withheld.
+    "paid_share": lambda r: _paid_share(r),
+    "gpus_withheld": lambda r: _auction_total(r, "gpus_withheld"),
 }
+
+
+def _auction_total(result: SimulationResult, key: str) -> int:
+    """One ``RoundStats`` counter summed over every auction of the run;
+    ``ValueError`` (no sample) for a scheduler without an arbiter or a
+    payload cached before the counter was kept."""
+    totals = result.round_stats.get("totals", {})
+    if key not in totals:
+        raise ValueError(f"no auction counter {key!r} in this result")
+    return totals[key]
+
+
+def _paid_share(result: SimulationResult) -> float:
+    winners = _auction_total(result, "num_pf_winners")
+    if not winners:
+        raise ValueError("no auction had a winner")
+    return _auction_total(result, "num_paid") / winners
 
 
 def metric_values(

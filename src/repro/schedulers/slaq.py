@@ -144,20 +144,25 @@ class SlaqScheduler(InterAppScheduler):
         """Frozen per-job facts needed to predict loss reduction.
 
         Shortest-remaining-work jobs first, mirroring the intra-app
-        split: (remaining, cap, curve, iterations_done, iters_per_work).
+        split: (remaining, cap, curve, iterations_done, iters_per_work,
+        job_id, loss now).  The loss now is the same for every probe of
+        the round, so it is read off the curve once here.
         """
         rows = []
         for job in app.active_jobs():
-            if job.spec.loss_curve is None:
+            curve = job.spec.loss_curve
+            if curve is None:
                 continue
+            iters_done = job.iterations_done
             rows.append(
                 (
                     job.remaining_work,
                     job.max_parallelism,
-                    job.spec.loss_curve,
-                    job.iterations_done,
+                    curve,
+                    iters_done,
                     job.spec.total_iterations / job.spec.serial_work,
                     job.job_id,
+                    curve.loss_at(iters_done),
                 )
             )
         rows.sort(key=lambda row: (row[0], row[5]))
@@ -176,13 +181,12 @@ class SlaqScheduler(InterAppScheduler):
         """
         total_gpus = held_gpus + extra_gpus
         reduction = 0.0
-        for remaining, cap, curve, iters_done, iters_per_work, _job_id in snapshot:
+        for remaining, cap, curve, iters_done, iters_per_work, _job_id, loss_now in snapshot:
             if total_gpus <= 0:
                 break
             take = min(cap, total_gpus)
             total_gpus -= take
             extra_work = min(remaining, take * window)
-            loss_now = curve.loss_at(iters_done)
             loss_then = curve.loss_at(iters_done + extra_work * iters_per_work)
             reduction += loss_now - loss_then
         return reduction

@@ -186,7 +186,8 @@ class SimulationResult:
     #: Instrumentation: ``placement`` (the install path's granted vs.
     #: installed counters, every scheduler) and, for schedulers with an
     #: arbiter, the serialised ``RoundStats`` (solver moves, pair
-    #: scores, replayed warm-start moves, valuation probes):
+    #: scores, moves the payment re-solves resumed past, valuation
+    #: probes, the payments' ledger):
     #: ``"rounds", "multi_bidder_rounds", "totals", "per_round"``.
     #: Only ``per_round`` is downsample-thinned.
     round_stats: dict = field(default_factory=dict)

@@ -77,10 +77,10 @@ class RescanAuction(PartialAllocationAuction):
 
     What the equivalence suites compare the production (lazy) solver
     against — payments, leftovers and stats included.  The reference
-    records no move sequence, so payment re-solves start cold.
+    keeps no checkpoints, so payment re-solves start cold.
     """
 
-    def _solve(self, pool, bids, exclude=None, prefix=(), stats=None):
+    def _solve(self, pool, bids, exclude=None, resume=None, checkpoints=None, stats=None):
         if stats is not None:
             stats.solves += 1
         return rescan_fair_allocation(pool, bids, exclude=exclude), []

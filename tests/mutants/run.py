@@ -35,6 +35,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 
+#: The full solve's checkpoint, taken as an app's first move is popped.
+_CHECKPOINT = (
+    "        if checkpoints is not None and app_id not in checkpoints:\n"
+    "            checkpoints[app_id] = _Checkpoint(\n"
+    "                heap[:], dict(remaining), dict(assignment), dict(bundle_keys),\n"
+    "                dict(values), dict(granted), dict(app_moved_at),\n"
+    "                dict(machine_moved_at), tuple(moves),\n"
+    "            )\n"
+)
+
 #: ``(id, path under src/repro, old, new)``; production lines only,
 #: never a reference implementation the tests compare against.
 MUTANTS = [
@@ -50,7 +60,15 @@ MUTANTS = [
      "math.log(v_with) - math.log(v_without)", "math.log(v_without) - math.log(v_with)"),
     ("auction-payment-keep-floor", "core/auction.py", "math.floor(fraction", "math.ceil(fraction"),
     ("auction-shrink-order", "core/auction.py", "(shrunk[m], m)", "(-shrunk[m], m)"),
-    ("auction-warm-prefix", "core/auction.py", "[:first_win]", "[:first_win + 1]"),
+    # the payment re-solves' resume: checkpoint at the first win, before
+    # the move, and the excluded app's entries dropped
+    ("auction-resume-first-win", "core/auction.py",
+     "if checkpoints is not None and app_id not in checkpoints:", "if checkpoints is not None:"),
+    ("auction-checkpoint-after-move", "core/auction.py",
+     _CHECKPOINT + "        apply(*move)\n", "        apply(*move)\n" + _CHECKPOINT),
+    ("auction-resume-keeps-excluded", "core/auction.py",
+     "heap = [entry for entry in resume.heap if entry[1][0] != exclude]",
+     "heap = list(resume.heap)"),
     ("auction-class-rescue-free", "core/auction.py",
      "cap = math.inf if current_value <= objective.rescue_at else min(", "cap = min("),
     ("auction-memo-chunk", "core/auction.py",
@@ -61,7 +79,7 @@ MUTANTS = [
     ("auction-stale-row", "core/auction.py",
      "app_moved_at[app_id] > built_at", "app_moved_at[app_id] >= built_at"),
     ("auction-overallocation-unchecked", "core/auction.py",
-     "if any(c < 0 for c in leftover.values()):", "if False:"),
+     "if left < 0:", "if False:"),
     ("auction-merged-key-order", "core/fairness.py", "machine > machine_id", "machine < machine_id"),
     # core/fairness.py: the carve kernel and the valuation cache
     ("fairness-carve-rack-preference", "core/fairness.py",
@@ -132,6 +150,8 @@ MUTANTS = [
     ("bids-rho-cache-coarse-key", "core/bids.py",
      "cached = self._rho_cache.get(key)", "cached = self._rho_cache.get(key[:1])"),
     ("auction-noisy-rows-grouped", "core/bids.py", " or self.noise_theta > 0.0:", ":"),
+    ("bids-class-probe-zero-kernel", "core/bids.py",
+     "                elif kernel <= 0:\n                    delta = math.inf\n", ""),
     # core/leases.py; README M4: a release does not refill the free index.
     ("M4-release-keeps-free", "core/leases.py",
      "self._free[gpu.machine_id] = free[:at] + (gpu,) + free[at:]", "pass"),

@@ -59,7 +59,7 @@ def test_a_winner_bundle_larger_than_the_pool_raises(estimator):
     GPUs on a machine than the pool holds is an invariant violation."""
 
     class OverAllocating(PartialAllocationAuction):
-        def _solve(self, pool, bids, exclude=None, prefix=(), stats=None):
+        def _solve(self, pool, bids, exclude=None, resume=None, checkpoints=None, stats=None):
             return {app_id: {0: pool[0] + 1} for app_id in bids if app_id != exclude}, []
 
     # The bid was offered more than the pool holds, so it can price

@@ -5,15 +5,15 @@ class-grouped rows (:mod:`repro.core.auction`'s module docstring) each
 change *how often* a score is computed, never which move is applied:
 the production solver must replay the full-rescan reference
 (``helpers.RescanAuction``) byte for byte — assignments, payments
-(warm-started ``without_i`` re-solves included), leftovers, welfare.
-One property holds the whole ``run()`` outcome to it over
-``helpers.markets`` (every fleet, pool width, semantics, noise level
-and payment mode) together with the §5.1 invariants.
+(``without_i`` re-solves resumed from the full solve's heap included),
+leftovers, welfare.  One property holds the whole ``run()`` outcome to
+it over ``helpers.markets`` (every fleet, pool width, semantics, noise
+level and payment mode) together with the §5.1 invariants.
 
 Pinned beside it: that the reductions engage on a wide market (scalar
 and ``rate-inversion``, both semantics), the non-monotone-gain
 counterexample that rules out plain lazy-CELF stale-heap
-re-validation, warm-started payment fractions against cold ones, the
+re-validation, resumed payment re-solves against cold ones, the
 greedy against the exhaustive max-Nash-welfare optimum on tiny
 markets, and a whole replay on the reference.
 """
@@ -36,6 +36,7 @@ from repro.core.auction import (
     PartialAllocationAuction,
     _score_pair,
     exhaustive_nash_allocation,
+    greedy_solve,
 )
 from repro.core.bids import Bid
 from repro.core.fairness import FairnessEstimator
@@ -195,18 +196,31 @@ def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
     assert bid.rho_lookups == probes
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(markets())
-def test_warm_start_prefix_is_validated_against_cold_resolve(market):
-    """Payment fractions from warm-started re-solves equal cold ones."""
+def test_resumed_payment_resolves_equal_cold_ones(market):
+    """Every winner's re-solve, resumed from the full solve's checkpoint,
+    applies the moves of a cold ``greedy_solve(..., exclude=i)`` and
+    pays the same fraction; the whole mechanism still equals the rescan
+    reference."""
     auction = PartialAllocationAuction()
     bids = market.bids()
-    pf, full_moves = auction._solve(market.pool, bids)
-    for app_id in sorted(bids):
-        if pf.get(app_id):
-            warm = auction._payment_fraction(app_id, market.pool, bids, pf, full_moves)
-            cold = auction._payment_fraction(app_id, market.pool, bids, pf, ())
-            assert warm == cold
+    checkpoints = {}
+    pf, full_moves = auction._solve(market.pool, bids, checkpoints=checkpoints)
+    winners = [app_id for app_id in sorted(bids) if pf[app_id]]
+    # One checkpoint per winner, at its first move.
+    assert sorted(checkpoints) == winners
+    for app_id in winners:
+        resume = checkpoints[app_id]
+        first_win = next(i for i, move in enumerate(full_moves) if move[0] == app_id)
+        assert resume.moves == tuple(full_moves[:first_win])
+        resumed = greedy_solve(market.pool, bids, NashWelfare, app_id, resume)
+        cold = greedy_solve(market.pool, market.bids(), NashWelfare, app_id)
+        assert resumed == cold
+        assert auction._payment_fraction(
+            app_id, market.pool, bids, pf, resume
+        ) == auction._payment_fraction(app_id, market.pool, market.bids(), pf)
+    assert auction.run(market.pool, bids) == RescanAuction().run(market.pool, market.bids())
 
 
 def _welfare_key(bids, assignment):

@@ -160,6 +160,12 @@ def test_cli_run_trace_profile_then_inspect(tmp_path, capsys):
     ]
     auctions, _, eligible_max, _, participants_max = row.split()
     assert int(auctions) > 0 and 1 <= int(participants_max) <= int(eligible_max)
+    _, header, _, row, *_ = out.split("payments:")[1].splitlines()
+    assert header.split() == ["pf_winners", "paid", "paid_share", "gpus_withheld"]
+    pf_winners, paid, paid_share, withheld = row.split()
+    assert 0 <= int(paid) <= int(pf_winners) and int(pf_winners) > 0
+    assert float(paid_share) == round(int(paid) / int(pf_winners), 3)
+    assert int(withheld) >= int(paid)
     assert f"wrote trace to {trace_path}" in out
 
     code, out, _ = run_cli(capsys, "trace", str(trace_path), "--validate")

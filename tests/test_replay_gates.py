@@ -10,7 +10,8 @@ trace, so any move is a reviewed one-line diff of that file):
 * the whole replay's precise carves (``estimator.carve_count`` — rho
   probes, bid preparation and solver re-scores alike, so work re-filed
   under another category cannot hide), applied solver moves and solver
-  heap pushes (one per machine *class* per row, not per machine);
+  heap pushes (one per machine *class* per row, not per machine; a
+  payment re-solve pushes only after the full solve's checkpoint);
 * the traced replay's emitted-event count — the deterministic stand-in
   for a tracing-overhead ratio: an emit site landing in an inner loop
   moves it exactly.  It does *not* catch a slower emit; per-layer time
@@ -97,6 +98,9 @@ def test_replay_gate(name):
     assert traced.digest() == result.digest(), "tracing changed the replay"
     assert tracer.events_written == len(tracer.events)
     totals = result.round_stats["totals"]
+    # The pair memo engages: gain-path scores are served whole, and a
+    # post-move skip is always a memo hit.
+    assert 0 < totals["rescore_skipped"] <= totals["heap_warm_hits"]
     assert_golden_counts(
         name,
         {

@@ -23,12 +23,14 @@ Three layers, matching where the symmetry is used:
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.auction as auction_module
+import repro.core.bids as bids_module
 from repro.cluster.allocation import Allocation
 from repro.cluster.placement import SensitivityProfile
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
@@ -392,9 +394,11 @@ def test_row_table_values_are_bit_equal_to_the_spliced_key_probe(case):
     by_table, by_key = (
         probe_bid(cluster, perf_model, semantics, model, held, pool) for _ in range(2)
     )
-    state = by_table.state
-    row = RowProbe(state, current_key)
-    _own, classes = shape_classes(row, remaining, cap)
+    # Every pool width is grouped, so the bid hands out its class probe.
+    with mock.patch.object(bids_module, "_CLASS_MIN_POOL", 1):
+        _own, classes, class_probe = by_table.row(
+            dict(current_key), current_key, remaining, cap
+        )
     probes = [
         (member, machine_class, step)
         for machine_class, members in classes.items()
@@ -404,10 +408,21 @@ def test_row_table_values_are_bit_equal_to_the_spliced_key_probe(case):
     random.Random(seed).shuffle(probes)
     for member, machine_class, step in probes:
         key = merge_keys(current_key, ((member, step),))
-        assert by_table.value_of_class(
-            row, member, machine_class, step
-        ) == by_key.value_from_key(key)
+        assert class_probe(member, machine_class, step) == by_key.value_from_key(key)
     assert by_table.rho_probes == by_key.rho_probes
+
+
+def test_a_zero_rate_kernel_values_zero_through_the_class_probe():
+    """A bundle nothing progresses on (aggregate rate 0) has unbounded
+    rho: the row's class probe values it 0, as the id-key probe does,
+    instead of dividing by the rate."""
+    pool = {m: 4 for m in range(8)}
+    bid = probe_bid(wide_cluster(hetero=False), None, CompletionSemantics.ALL_JOBS, 0, [], pool)
+    bid.state._carve = lambda snapshot, counts: 0.0
+    _own, classes, class_probe = bid.row({}, (), pool, 4)
+    for machine_class, members in classes.items():
+        assert class_probe(members[0], machine_class, 1) == 0.0
+        assert bid.value_from_key(((members[0], 1),)) == 0.0
 
 
 def test_a_job_reorder_drops_the_row_tables():

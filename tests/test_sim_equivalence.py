@@ -29,6 +29,7 @@ from repro.experiments.config import hetero_scenario, sim_scenario, tiny_scenari
 from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
 from repro.hyperparam.hyperband import HyperBand
 from repro.hyperparam.hyperdrive import HyperDrive
+from repro.metrics import METRICS
 from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
 from repro.simulation.failures import FailureInjector, MachineFailure
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
@@ -40,7 +41,7 @@ from helpers import assert_golden, assert_golden_carves, audit_freshness
 SEEDS = (0, 1, 2)
 
 #: Contended enough that auctions see several bidders (the hidden-
-#: payment re-solves then rebuild their heaps from each bid's memo).
+#: payment re-solves then resume the full solve's heap).
 CONTENDED_XS = (
     sim_scenario(num_apps=10, seed=11, duration_scale=0.15)
     .replace(cluster_scale=16 / 256.0, downsample=64)
@@ -142,10 +143,13 @@ def test_valuation_state_is_reused_across_rounds():
     assert_golden_carves("homo/themis/seed7", simulator.scheduler.estimator.carve_count)
 
 
-def test_pair_memo_and_probe_accounting_on_a_contended_replay():
-    """Several bidders per auction: the pair memo engages, probes add up
-    (128 carves; when every active app was probed, reuse took 130 and
-    rebuilding every round 346)."""
+def test_probe_and_payment_accounting_on_a_contended_replay():
+    """Several bidders per auction: probes and payments add up (128
+    carves; when every active app was probed, reuse took 130 and
+    rebuilding every round 346).  The pair memo's hits here all came
+    from payment re-solves rebuilding every row after a replayed move
+    prefix; they resume the full solve's heap now, so the memo is held
+    to engaging on the wider replays of tests/test_replay_gates.py."""
     simulator = _simulator(CONTENDED_XS, "themis")
     result = simulator.run()
     assert_golden("contended-xs/themis", result)
@@ -155,17 +159,22 @@ def test_pair_memo_and_probe_accounting_on_a_contended_replay():
     totals = stats["totals"]
     assert stats["rounds"] > 0
     counters = ("heap_warm_hits", "heap_warm_misses", "rescore_carves",
-                "rescore_skipped", "solver_heap_pushes")
+                "rescore_skipped", "solver_heap_pushes", "solver_replayed_moves",
+                "num_pf_winners", "num_paid", "gpus_withheld")
     assert all(key in row for row in stats["per_round"] for key in counters)
-    assert totals["heap_warm_hits"] > 0
-    # Only gain-path scores are memoised, and on these narrow pools the
-    # post-move re-scores are rescues: a skip is always a warm hit.
-    assert totals["rescore_skipped"] <= totals["heap_warm_hits"]
     # Every applied move was popped off the heap, so pushed first.
     assert totals["solver_heap_pushes"] >= totals["solver_moves"] > 0
+    # Payment re-solves resumed past the moves before their app's win.
+    assert totals["solver_replayed_moves"] > 0
     # Probe accounting stays honest: every carve the bids observed is a
     # real kernel cache miss of the shared estimator.
     assert 0 < totals["valuation_probes"] <= carves
+    # Some winners paid, each withholding at least one GPU; the ledger's
+    # METRICS columns read these totals.
+    assert 0 < totals["num_paid"] <= totals["num_pf_winners"]
+    assert totals["gpus_withheld"] >= totals["num_paid"]
+    assert METRICS["paid_share"](result) == totals["num_paid"] / totals["num_pf_winners"]
+    assert METRICS["gpus_withheld"](result) == totals["gpus_withheld"]
 
 
 def test_canonical_json_strips_only_instrumentation():
