@@ -27,7 +27,7 @@ import numpy as np
 from repro.cluster.topology import Cluster, Gpu
 from repro.core.agent import Agent
 from repro.core.assignment import concretise
-from repro.core.auction import AuctionOutcome, PartialAllocationAuction
+from repro.core.auction import AuctionOutcome, OfferCounts, PartialAllocationAuction
 from repro.obs import NULL_PROFILER, NULL_TRACER
 
 
@@ -116,6 +116,8 @@ class Arbiter:
         #: Every machine id in the leftover drain order: fastest GPU
         #: generation first, lower id on ties.
         self._drain_order = sorted(speed_of, key=lambda m: (-speed_of[m], m))
+        #: Machine id -> its place in :attr:`_drain_order`.
+        self._drain_rank = {m: rank for rank, m in enumerate(self._drain_order)}
         self.auction = PartialAllocationAuction()
         self.rounds = 0
         self.last_outcome: Optional[AuctionOutcome] = None
@@ -172,7 +174,7 @@ class Arbiter:
             return {}
         with self.profiler.phase("valuation"):
             rhos = {app_id: agents[app_id].report_rho(now, salt) for app_id in eligible}
-        pool_counts = dict(zip(pool, map(len, pool.values())))
+        pool_counts = OfferCounts.of_pool(pool)
 
         # Step 2: fairness knob — visibility limited to worst 1-f apps.
         participants = self.select_participants(rhos, eligible)
@@ -187,8 +189,8 @@ class Arbiter:
 
         # Step 3: offers out, bids back.
         with self.profiler.phase("valuation"):
-            # Every bid keeps the shared offer-count dict (a pool machine
-            # offers at least one GPU): it is read-only for the round.
+            # Every bid keeps the shared offer vector: it is read-only
+            # for the round.
             bids = {
                 app_id: agents[app_id].prepare_bid(now, pool_counts, salt)
                 for app_id in participants
@@ -221,7 +223,7 @@ class Arbiter:
         if self.config.leftover_allocation:
             with self.profiler.phase("leftovers"):
                 leftover_unassigned = self._assign_leftovers(
-                    outcome.leftover, participants, agents, assignments
+                    outcome.leftover, eligible, participants, agents, assignments
                 )
         else:
             leftover_unassigned = sum(outcome.leftover.values())
@@ -258,6 +260,7 @@ class Arbiter:
     def _assign_leftovers(
         self,
         leftover: Mapping[int, int],
+        eligible: Sequence[str],
         participants: Sequence[str],
         agents: Mapping[str, Agent],
         assignments: dict[str, dict[int, int]],
@@ -274,9 +277,10 @@ class Arbiter:
         the number of GPUs nobody wanted.
 
         Only apps with headroom (unmet demand beyond what they won) can
-        receive a GPU, so only they are looked at.  The pass walks the
-        drain order ranked once per arbiter and stops as soon as the
-        leftover is handed out or nobody wants another GPU: every
+        receive a GPU, so only the round's ``eligible`` apps are looked
+        at: every other app has no unmet demand.  The pass walks the
+        leftover's machines in drain order (their rank, fixed per
+        arbiter) and stops as soon as nobody wants another GPU: every
         further GPU would stay unassigned, and no rng draw is skipped,
         since a draw only ever happens while some app has headroom.  An
         empty leftover, or one nobody wants, draws nothing from the rng.
@@ -287,7 +291,7 @@ class Arbiter:
         # App id order: the candidate lists below keep it, and an app
         # leaves ``headroom`` once it is full.
         headroom: dict[str, int] = {}
-        for app_id in sorted(agents):
+        for app_id in sorted(eligible):
             want = agents[app_id].app.unmet_demand() - sum(
                 assignments.get(app_id, {}).values()
             )
@@ -300,8 +304,8 @@ class Arbiter:
             app_id: set(agents[app_id].app.allocation().per_machine_counts())
             for app_id in headroom
         }
-        for machine_id in self._drain_order:
-            for _ in range(leftover.get(machine_id, 0)):
+        for machine_id in sorted(leftover, key=self._drain_rank.__getitem__):
+            for _ in range(leftover[machine_id]):
                 candidates = [
                     app_id
                     for app_id in headroom
@@ -319,6 +323,4 @@ class Arbiter:
                     del headroom[choice]
                     if not headroom:
                         return unassigned
-            if not unassigned:
-                break
         return unassigned

@@ -22,6 +22,19 @@ Three stages:
    placement-sensitive, work-conserving way (Section 5.1, "Leftover
    Allocation").
 
+The offer vector
+----------------
+
+Every market here is offered one vector R: machine id -> free GPUs, in
+ascending machine id, every count at least 1.  :class:`OfferCounts` is
+that vector, and :func:`offer_counts` is the one canonicaliser: it
+returns an :class:`OfferCounts` as it is, and sorts and filters anything
+else.  The auction, a :class:`~repro.core.bids.Bid` and
+:func:`greedy_solve` each pass their pool through it, so a round that
+builds R once from the lease pool (:meth:`OfferCounts.of_pool`, the
+ARBITER and the Gandiva, SLAQ and Optimus baselines) re-sorts and
+re-filters nothing.  An :class:`OfferCounts` is read-only once built.
+
 One solver, two objectives
 --------------------------
 
@@ -166,13 +179,15 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional, Sequence
 
 from repro.cluster.topology import ordered_sum
 from repro.core.assignment import CHUNK_SIZE
-from repro.core.bids import Bid
 from repro.core.fairness import extend_key
 from repro.obs.profiler import NULL_PROFILER
+
+if TYPE_CHECKING:
+    from repro.core.bids import Bid
 
 #: Floor used when taking logs of zero valuations in payment ratios.
 _VALUE_EPSILON = 1e-12
@@ -191,6 +206,31 @@ def _bundle_total(bundle: Mapping[int, int]) -> int:
 
 #: Canonical bundle key: sorted ((machine, count), ...) tuple.
 _BundleKey = tuple[tuple[int, int], ...]
+
+
+class OfferCounts(dict):
+    """The offer vector R (module docstring, "The offer vector"):
+    machine id -> free GPUs, ascending machine id, every count >= 1.
+    Build one with :func:`offer_counts` or :meth:`of_pool`; it is
+    read-only once built."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of_pool(cls, pool: Mapping[int, Sequence[Any]]) -> "OfferCounts":
+        """R of a pool grouped by machine as a round hands it out
+        (``LeaseManager.pool_for_auction``: ascending machine id, no
+        empty machine): one ``len`` per machine, nothing sorted."""
+        return cls(zip(pool, map(len, pool.values())))
+
+
+def offer_counts(pool: Mapping[int, int]) -> OfferCounts:
+    """``pool`` (machine id -> free GPUs) as the canonical offer vector:
+    ``pool`` itself when it is an :class:`OfferCounts`, else its
+    machines with a positive count in ascending id."""
+    if type(pool) is OfferCounts:
+        return pool
+    return OfferCounts(sorted((m, c) for m, c in pool.items() if c > 0))
 
 
 @dataclass
@@ -419,18 +459,17 @@ def greedy_solve(
     apps = [a for a in sorted(bids) if a != exclude]
     if resume is None:
         # Ascending machine id: the order the row pass groups classes in.
-        remaining = dict(sorted(pool.items()))
-        if remaining and min(remaining.values()) <= 0:
-            remaining = {m: c for m, c in remaining.items() if c > 0}
+        remaining = dict(offer_counts(pool))
         assignment: dict[str, dict[int, int]] = {a: {} for a in apps}
         bundle_keys: dict[str, _BundleKey] = dict.fromkeys(apps, ())
         values: dict[str, float] = {}
         granted = dict.fromkeys(apps, 0)
         moves: list[_Move] = []
         # An entry built after ``len(moves)`` applied moves is live while
-        # neither its app nor its machine has moved since.
+        # neither its app nor its machine has moved since; a machine
+        # that never moved has no clock (it reads 0).
         app_moved_at = dict.fromkeys(apps, 0)
-        machine_moved_at = dict.fromkeys(remaining, 0)
+        machine_moved_at: dict[int, int] = {}
         heap: list[tuple] = []
     else:
         # The market without ``exclude`` is the checkpointed state minus
@@ -537,12 +576,12 @@ def greedy_solve(
         app_id, machine_id = move[0], move[1]
         if app_moved_at[app_id] > built_at:
             continue  # stale: the app's row was rebuilt since
-        if machine_moved_at[machine_id] > built_at:
+        if machine_moved_at.get(machine_id, 0) > built_at:
             # A competitor took from the representative (its own
             # exact entry came from the column pass): the next
             # untouched member of the class now stands for it.
             for successor in range(index + 1, len(members)):
-                if machine_moved_at[members[successor]] <= built_at:
+                if machine_moved_at.get(members[successor], 0) <= built_at:
                     scored = _stamped(key, move, members[successor])
                     push(scored, members, successor, built_at)
                     break
@@ -691,8 +730,7 @@ class PartialAllocationAuction:
         proportional fairness) — used by the ablation benchmark that
         quantifies what truthfulness protection costs.
         """
-        if pool and min(pool.values()) <= 0:
-            pool = {m: c for m, c in pool.items() if c > 0}
+        pool = offer_counts(pool)
         participants = tuple(sorted(bids))
         stats = AuctionSolveStats()
         self.last_stats = stats

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.core.auction import offer_counts
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
@@ -85,11 +86,9 @@ class Bid:
         self.app = app
         self.app_id = app.app_id
         self.now = now
-        # The offer is read-only for the round: kept as given unless
-        # some machine offers nothing.
-        if offered_counts and min(offered_counts.values()) <= 0:
-            offered_counts = {m: c for m, c in offered_counts.items() if c > 0}
-        self.offered_counts = offered_counts
+        # The offer is read-only for the round; the arbiter's canonical
+        # vector is kept as given.
+        self.offered_counts = offer_counts(offered_counts)
         self.noise_theta = noise_theta
         self.noise_salt = noise_salt
         self._estimator = estimator

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from repro.cluster.topology import Gpu
 from repro.core.assignment import AdditiveWelfare, UtilityBid, concretise
-from repro.core.auction import greedy_solve
+from repro.core.auction import OfferCounts, greedy_solve
 from repro.core.fairness import AppValuationState, RowProbe, merge_keys, shape_classes
 from repro.schedulers.base import CarvingScheduler
 
@@ -64,7 +64,7 @@ class GandivaScheduler(CarvingScheduler):
         apps = self.apps_with_demand()
         if not apps:
             return {}
-        counts = {m: len(g) for m, g in pool.items()}
+        counts = OfferCounts.of_pool(pool)
         bids = {}
         for app in apps:
             state = self.states[app.app_id]

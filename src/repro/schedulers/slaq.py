@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.cluster.topology import Gpu, ordered_sum
 from repro.core.assignment import AdditiveWelfare, UtilityBid, drainable
-from repro.core.auction import greedy_solve
+from repro.core.auction import OfferCounts, greedy_solve
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.tiresias import take_scattered
 from repro.workload.app import App
@@ -54,7 +54,7 @@ def assign_by_effective_utility(
     apps = scheduler.apps_with_demand()
     if not apps:
         return {}
-    counts = {m: len(g) for m, g in pool.items()}
+    counts = OfferCounts.of_pool(pool)
     model = scheduler.perf_model()
     cluster = scheduler.sim.cluster
     bids = {}

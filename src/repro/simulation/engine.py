@@ -7,7 +7,8 @@ points matter for the Themis reproduction:
   sequence)``.  The sequence number is a monotonically increasing integer,
   so two events scheduled for the same instant always fire in the order
   they were scheduled.  Experiments are therefore bit-reproducible for a
-  given seed.
+  given seed.  The heap holds plain ``(time, kind, seq, event)`` tuples:
+  ``seq`` is unique, so a comparison never reaches the event.
 
 * **Lazy cancellation.**  Job-completion events are invalidated whenever a
   job's GPU allocation changes.  Rather than rebuilding the heap, cancelled
@@ -70,12 +71,6 @@ class Event:
         return f"Event(t={self.time:.3f}, kind={self.kind.name}, label={self.label!r}, {state})"
 
 
-@dataclass(order=True)
-class _HeapEntry:
-    sort_key: tuple
-    event: Event = field(compare=False)
-
-
 class SimulationEngine:
     """Minimal deterministic discrete-event loop.
 
@@ -89,7 +84,7 @@ class SimulationEngine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[_HeapEntry] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -111,15 +106,15 @@ class SimulationEngine:
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events in the heap."""
-        return sum(1 for entry in self._heap if not entry.event.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the next live event, or ``None`` if idle."""
-        while self._heap and self._heap[0].event.cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0].event.time
+        return self._heap[0][0]
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -143,8 +138,7 @@ class SimulationEngine:
             )
         event = Event(time=max(time, self._now), kind=kind, callback=callback, label=label)
         event.seq = next(self._seq)
-        entry = _HeapEntry(sort_key=(event.time, int(kind), event.seq), event=event)
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (event.time, int(kind), event.seq, event))
         return event
 
     def cancel(self, event: Event) -> bool:
@@ -164,8 +158,7 @@ class SimulationEngine:
     def step(self) -> bool:
         """Execute the single next live event.  Returns ``False`` when idle."""
         while self._heap:
-            entry = heapq.heappop(self._heap)
-            event = entry.event
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             if event.time < self._now - 1e-9:

@@ -47,9 +47,11 @@ from repro.workload.trace import Trace
 _WORK_EPSILON = 1e-6
 
 
-def _gpu_ids(pool: Mapping[int, Sequence[Gpu]]) -> set[int]:
-    """The GPU ids of a pool grouped by machine."""
-    return {gpu.gpu_id for gpus in pool.values() for gpu in gpus}
+def _same_gpus(a: Mapping[int, Sequence[Gpu]], b: Mapping[int, Sequence[Gpu]]) -> bool:
+    """Whether two pools grouped by machine hold the same GPUs."""
+    return {gpu.gpu_id for gpus in a.values() for gpu in gpus} == {
+        gpu.gpu_id for gpus in b.values() for gpu in gpus
+    }
 
 
 @dataclass(frozen=True)
@@ -368,9 +370,9 @@ class ClusterSimulator:
         self._job_events: dict[str, Event] = {}
         self._job_owner: dict[str, App] = {}
         self._auction_pending = False
-        #: ``(now, pool GPU ids)`` of the last round run, for the
-        #: same-instant guard.
-        self._last_round: tuple[float, set[int]] | None = None
+        #: ``(now, pool)`` of the last round run, for the same-instant
+        #: guard.
+        self._last_round: tuple[float, Mapping[int, Sequence[Gpu]]] | None = None
         self._down_gpu_ids: set[int] = set()
         #: Expiry timestamps with a pending LEASE_EXPIRY event; K leases
         #: expiring at one instant schedule one event, not K.
@@ -504,16 +506,15 @@ class ClusterSimulator:
                 renewable.append(lease)
             else:
                 self._release_orphaned_lease(lease)
-        pool_ids = _gpu_ids(pool)
         last = self._last_round
         # Nothing to offer, or the identical round at the same instant
         # (a livelock guard): no round runs, but contention is sampled.
-        if not pool or (last is not None and last[0] == now and last[1] == pool_ids):
+        if not pool or (last is not None and last[0] == now and _same_gpus(last[1], pool)):
             with profiler.phase("metrics"):
                 demand = sum(app.demand() for app in self.active_apps.values())
                 self._sample_contention(now, demand)
             return
-        self._last_round = (now, pool_ids)
+        self._last_round = (now, pool)
         self.num_rounds += 1
         tracer = self.tracer
         if tracer.enabled:
@@ -530,7 +531,7 @@ class ClusterSimulator:
         with profiler.phase("assign"):
             assignment = self.scheduler.assign(now, pool)
         with profiler.phase("placement"):
-            self._apply_assignment(now, pool_ids, renewable, assignment)
+            self._apply_assignment(now, pool, renewable, assignment)
         if self.config.migration:
             with profiler.phase("migration"):
                 self._migration_pass(now)
@@ -666,7 +667,7 @@ class ClusterSimulator:
     def _apply_assignment(
         self,
         now: float,
-        pool_ids: set[int],
+        pool: Mapping[int, Sequence[Gpu]],
         renewable: Sequence[Lease],
         assignment: dict[str, list[Gpu]],
     ) -> None:
@@ -678,8 +679,17 @@ class ClusterSimulator:
         affected app's GPUs are rebuilt as an :class:`Allocation`, which
         orders them by gpu_id, so grants install in gpu_id order in
         whatever order ``assign`` returned them.
+
+        A grant must be one of the GPUs pooled on its machine.  An app
+        keeps what it holds minus its GPUs in ``renewable``: a held GPU
+        carries its app's lease (:meth:`mark_gpus_down` revokes the
+        holding with the lease), so it is pooled exactly when that
+        lease has expired.
         """
-        affected = {lease.app_id for lease in renewable}
+        expired_of: dict[str, set[int]] = {}
+        for lease in renewable:
+            expired_of.setdefault(lease.app_id, set()).add(lease.gpu.gpu_id)
+        affected = set(expired_of)
         new_owner: dict[int, str] = {}
         granted_by_app: dict[str, list[Gpu]] = {}
         for app_id, gpus in assignment.items():
@@ -689,7 +699,10 @@ class ClusterSimulator:
                 continue
             for gpu in gpus:
                 gpu_id = gpu.gpu_id
-                if gpu_id not in pool_ids:
+                for pooled in pool.get(gpu.machine_id, ()):
+                    if pooled.gpu_id == gpu_id:
+                        break
+                else:
                     raise SimulationError(
                         f"scheduler assigned GPU {gpu_id} outside the pool"
                     )
@@ -729,7 +742,11 @@ class ClusterSimulator:
             app = self.active_apps.get(app_id)
             if app is None:
                 continue
-            retained = [gpu for gpu in app.allocation().gpus if gpu.gpu_id not in pool_ids]
+            held = app.allocation().gpus
+            expired = expired_of.get(app_id)
+            retained = (
+                [gpu for gpu in held if gpu.gpu_id not in expired] if expired else list(held)
+            )
             granted = granted_by_app.get(app_id, [])
             self._install_app_allocation(
                 now, app, Allocation(retained + granted), renewing.get(app_id, ())

@@ -75,11 +75,17 @@ MUTANTS = [
      "memo_key = (machine_id, current_key, chunk)",
      "memo_key = (machine_id, current_key, min(CHUNK_SIZE, headroom))"),
     ("auction-successor-skips-touched", "core/auction.py",
-     "if machine_moved_at[members[successor]] <= built_at:", "if True:"),
+     "if machine_moved_at.get(members[successor], 0) <= built_at:", "if True:"),
     ("auction-stale-row", "core/auction.py",
      "app_moved_at[app_id] > built_at", "app_moved_at[app_id] >= built_at"),
     ("auction-overallocation-unchecked", "core/auction.py",
      "if left < 0:", "if False:"),
+    # the one offer vector and the sparse machine clock
+    ("auction-offer-identity-any-dict", "core/auction.py",
+     "if type(pool) is OfferCounts:", "if isinstance(pool, dict):"),
+    ("auction-sparse-clock-default", "core/auction.py",
+     "if machine_moved_at.get(machine_id, 0) > built_at:",
+     "if machine_moved_at.get(machine_id, 1) > built_at:"),
     ("auction-merged-key-order", "core/fairness.py", "machine > machine_id", "machine < machine_id"),
     # core/fairness.py: the carve kernel and the valuation cache
     ("fairness-carve-rack-preference", "core/fairness.py",
@@ -141,6 +147,9 @@ MUTANTS = [
     ("arbiter-leftover-fastest-first", "core/arbiter.py",
      "self._drain_order = sorted(speed_of, key=lambda m: (-speed_of[m], m))",
      "self._drain_order = sorted(speed_of, key=lambda m: (speed_of[m], m))"),
+    ("arbiter-leftover-rank-walk", "core/arbiter.py",
+     "for machine_id in sorted(leftover, key=self._drain_rank.__getitem__):",
+     "for machine_id in leftover:"),
     ("arbiter-leftover-no-early-stop", "core/arbiter.py",
      "                    if not headroom:\n                        return unassigned\n", ""),
     # core/bids.py: the offer check and the noise
@@ -214,7 +223,10 @@ MUTANTS = [
     ("metrics-fragmentation-square", "obs/metrics.py", "acc += share * share", "acc += share"),
     ("metrics-percentile-rank", "obs/metrics.py", "math.ceil(q", "math.floor(q"),
     ("simulator-guard-ignores-pool", "simulation/simulator.py",
-     "last[0] == now and last[1] == pool_ids", "last[0] == now"),
+     "last[0] == now and _same_gpus(last[1], pool)", "last[0] == now"),
+    ("simulator-retained-keeps-expired", "simulation/simulator.py",
+     "[gpu for gpu in held if gpu.gpu_id not in expired] if expired else list(held)",
+     "list(held)"),
     # simulation/simulator.py + workload/app.py: the delta install
     ("install-memo-ignores-epoch", "simulation/simulator.py",
      "noop[0] == epoch and noop[1] == granted_ids", "noop[1] == granted_ids"),

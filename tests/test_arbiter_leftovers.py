@@ -64,13 +64,18 @@ def test_leftovers_prefer_machines_already_held(small_cluster, estimator):
     assert machine2_receivers <= {"holder2", "starving"}
 
 
+def eligible(agents):
+    """The round's eligible apps: those with unmet demand, in agent order."""
+    return [app_id for app_id, agent in agents.items() if agent.app.unmet_demand() > 0]
+
+
 def test_empty_leftover_returns_zero_without_drawing(small_cluster, estimator):
     arbiter = Arbiter(small_cluster, rng=np.random.default_rng(3))
     app = make_app("a", num_jobs=2, max_parallelism=2)
     agents = {"a": Agent(AppValuationState(app, estimator))}
     before = arbiter.rng.bit_generator.state
     assignments: dict = {}
-    assert arbiter._assign_leftovers({}, [], agents, assignments) == 0
+    assert arbiter._assign_leftovers({}, eligible(agents), [], agents, assignments) == 0
     assert assignments == {}
     assert arbiter.rng.bit_generator.state == before
 
@@ -86,7 +91,7 @@ def test_a_leftover_grant_makes_its_receiver_co_located(small_cluster, estimator
             for app_id in ("a", "b", "c")
         }
         assignments: dict = {}
-        assert arbiter._assign_leftovers({1: 2}, [], agents, assignments) == 0
+        assert arbiter._assign_leftovers({1: 2}, eligible(agents), [], agents, assignments) == 0
         assert list(assignments.values()) == [{1: 2}]
 
 
@@ -132,7 +137,7 @@ def test_leftovers_drain_the_fastest_generation_first():
     app = make_app("wants-one", num_jobs=1, max_parallelism=1)
     agents = {"wants-one": Agent(AppValuationState(app, FairnessEstimator(cluster)))}
     assignments: dict = {}
-    assert arbiter._assign_leftovers({0: 1, 1: 1}, [], agents, assignments) == 1
+    assert arbiter._assign_leftovers({0: 1, 1: 1}, eligible(agents), [], agents, assignments) == 1
     assert assignments == {"wants-one": {1: 1}}
 
 
@@ -190,14 +195,17 @@ def _ordered(assignments):
 @settings(max_examples=200, deadline=None)
 @given(leftover_rounds())
 def test_the_leftover_pass_matches_the_reference(case):
-    """Looking only at apps with headroom and walking the ranked drain
-    order grants what the all-apps pass granted, in the same order, and
-    leaves the rng exactly where it left it."""
+    """Looking only at the eligible apps with headroom and walking the
+    leftover's machines in ranked drain order grants what the all-apps,
+    all-machines pass granted, in the same order, and leaves the rng
+    exactly where it left it."""
     leftover, participants, agents, assignments, seed = case
     fast = Arbiter(MIXED, rng=np.random.default_rng(seed))
     slow = Arbiter(MIXED, rng=np.random.default_rng(seed))
     fast_assignments, slow_assignments = copy.deepcopy(assignments), copy.deepcopy(assignments)
-    unassigned = fast._assign_leftovers(leftover, participants, agents, fast_assignments)
+    unassigned = fast._assign_leftovers(
+        leftover, eligible(agents), participants, agents, fast_assignments
+    )
     assert unassigned == reference_leftovers(
         slow, leftover, participants, agents, slow_assignments
     )

@@ -20,12 +20,14 @@ markets, and a whole replay on the reference.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.bids as bids_module
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
@@ -33,10 +35,12 @@ from repro.core.auction import (
     _MEMO_MISS,
     AuctionSolveStats,
     NashWelfare,
+    OfferCounts,
     PartialAllocationAuction,
     _score_pair,
     exhaustive_nash_allocation,
     greedy_solve,
+    offer_counts,
 )
 from repro.core.bids import Bid
 from repro.core.fairness import FairnessEstimator
@@ -66,6 +70,34 @@ def test_lazy_matches_rescan_on_many_instances(market):
     assert all(count <= pool[machine_id] for machine_id, count in used.items())
     assert outcome.total_allocated + outcome.total_leftover == sum(pool.values())
     assert all(0.0 <= fraction <= 1.0 for fraction in outcome.payments.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(markets(), st.randoms(use_true_random=False))
+def test_any_pool_order_solves_as_the_canonical_offer(market, rng):
+    """The offer vector has one canonical form: a copy of the pool in
+    shuffled machine order, padded with a zero count for every machine
+    of the cluster it leaves out, runs the mechanism and the greedy
+    exactly as the canonical vector does, and ``offer_counts`` hands a
+    canonical vector back as it is."""
+    canonical = offer_counts(market.pool)
+    assert type(canonical) is OfferCounts
+    assert list(canonical.items()) == sorted(
+        (m, c) for m, c in market.pool.items() if c > 0
+    )
+    assert offer_counts(canonical) is canonical
+    padded = {m.machine_id: 0 for m in market.estimator.cluster.machines}
+    padded.update(market.pool)
+    items = list(padded.items())
+    rng.shuffle(items)
+    shuffled = dataclasses.replace(market, pool=dict(items))
+    assert offer_counts(shuffled.pool) == canonical
+    auction = PartialAllocationAuction()
+    outcome = auction.run(canonical, market.bids(), market.hidden_payments)
+    assert auction.run(shuffled.pool, shuffled.bids(), market.hidden_payments) == outcome
+    assert list(outcome.leftover) == sorted(outcome.leftover)
+    solved = greedy_solve(canonical, market.bids(), NashWelfare)
+    assert greedy_solve(shuffled.pool, shuffled.bids(), NashWelfare) == solved
 
 
 def wide_market(fleet: str, semantics, noise_theta: float) -> Market:

@@ -86,26 +86,40 @@ def start_round(sim, now, limits=()):
 
 
 def offer(sim, now, ids):
-    """The pool's GPUs among ``ids`` go to the app; the rest of its
-    expired leases fall back to it, as ``_apply_assignment`` rules."""
+    """The round's pool, as ``_run_round`` builds it, and its GPUs among
+    ``ids``, which go to the app; the rest of its expired leases fall
+    back to it, as ``_apply_assignment`` rules."""
     pool = sim.leases.pool_for_auction(now)
+    if sim._down_gpu_ids:
+        pool = sim._in_service(pool)
     pool_ids = {gpu.gpu_id for gpus in pool.values() for gpu in gpus}
     assigned = [CLUSTER.gpu(i) for i in sorted(pool_ids & set(ids))]
-    return pool_ids, assigned
+    return pool, assigned
+
+
+def retained(sim, now):
+    """What the app keeps of its holdings, by the rule ``_apply_assignment``
+    applies (held minus its expired leases) and by the rule it replaced
+    (held minus every GPU id of the round's pool)."""
+    pool, _ = offer(sim, now, ())
+    pool_ids = {gpu.gpu_id for gpus in pool.values() for gpu in gpus}
+    expired = {lease.gpu.gpu_id for lease in sim.leases.expired_leases(now)}
+    held = sim.active_apps["a"].allocation().gpu_ids
+    return sorted(held - expired), sorted(held - pool_ids)
 
 
 def install(sim, now, ids):
     """One round's grant through the production path."""
-    pool_ids, assigned = offer(sim, now, ids)
+    pool, assigned = offer(sim, now, ids)
     renewable = sim.leases.expired_leases(now)
-    sim._apply_assignment(now, pool_ids, renewable, {"a": assigned} if assigned else {})
+    sim._apply_assignment(now, pool, renewable, {"a": assigned} if assigned else {})
 
 
 def install_reference(sim, now, ids):
     """The same grant through ``helpers.full_install``.  One app holds
     every lease, so its grant is what it holds plus what it won; it is
     installed when it won a GPU or holds an expired lease."""
-    _pool_ids, assigned = offer(sim, now, ids)
+    _pool, assigned = offer(sim, now, ids)
     if assigned or sim.leases.expired_leases(now):
         app = sim.active_apps["a"]
         full_install(sim, now, app, Allocation(list(app.allocation()) + assigned))
@@ -124,9 +138,9 @@ def state(sim):
         if lease is not None
     ]
     events = sorted(
-        (entry.sort_key, entry.event.label)
+        (entry[:3], entry[3].label)
         for entry in sim.engine._heap
-        if not entry.event.cancelled
+        if not entry[3].cancelled
     )
     traced = [event for event in sim.tracer.events if event["kind"] in TRACED]
     return {
@@ -176,7 +190,9 @@ def replay(jobs, rounds):
             start_round(sim, now, limits)
         before = set(fast.active_apps["a"].allocation().gpu_ids)
         counts = dict(fast.placement_counts)
-        _pool_ids, assigned = offer(fast, now, ids)
+        by_renewals, by_pool_ids = retained(fast, now)
+        assert by_renewals == by_pool_ids, f"t={now}"
+        _pool, assigned = offer(fast, now, ids)
         install(fast, now, ids)
         install_reference(reference, now, ids)
         assert state(fast) == state(reference), f"t={now}"
@@ -208,6 +224,25 @@ def replay(jobs, rounds):
 ))
 def test_install_matches_full_pass(scenario):
     replay(*scenario)
+
+
+def test_retained_set_matches_the_pool_rule_after_an_outage():
+    """Machine 1 goes down under j1 and j0's leases expire: the app keeps
+    its held GPUs minus its expired leases, which are its held GPUs
+    outside the round's pool, and both installs agree on the round."""
+    jobs = [("resnet50", 2, None, [0, 1], 2.0), ("vgg16", 4, None, [4, 5, 12], 8.0)]
+    fast, app = build(jobs)
+    reference, _ = build(jobs)
+    for sim in (fast, reference):
+        start_round(sim, 1.0)
+        sim.mark_gpus_down(CLUSTER.gpus_on_machine(1))
+        start_round(sim, 2.0)
+    assert sorted(app.jobs[1].allocation.gpu_ids) == [12]
+    assert retained(fast, 2.0) == ([12], [12])
+    install(fast, 2.0, [0, 6, 13])
+    install_reference(reference, 2.0, [0, 6, 13])
+    assert state(fast) == state(reference)
+    assert 6 not in app.allocation().gpu_ids
 
 
 #: j0 at its cap on machine 0's first pair, j1 (vgg16, cap 4) on its

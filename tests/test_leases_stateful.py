@@ -11,13 +11,17 @@ After every step:
 * ``pool_for_auction`` equals the rescan (``unleased_gpus`` +
   ``expired_gpus``) regrouped the same way, and ``expired_leases`` are
   the expired rescan's leases in gpu_id order;
-* no GPU is both leased and free, and every GPU is one of the two.
+* no GPU is both leased and free, and every GPU is one of the two;
+* ``pool_for_auction``, and the simulator's ``_in_service`` view of it
+  with some GPUs down, list machines in ascending id and no empty
+  machine, so the offer vector built from either is canonical.
 
 ``derandomize=True``: the same programs on every run, so a failure here
 is a regression, never a flake.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -25,7 +29,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from helpers import group_pool, grouped_ids
 from repro.cluster.topology import Cluster, Gpu, Machine
+from repro.core.auction import OfferCounts, offer_counts
 from repro.core.leases import LeaseManager
+from repro.simulation.simulator import ClusterSimulator
 
 
 def _machine(machine_id: int, rack_id: int, layout) -> Machine:
@@ -56,6 +62,8 @@ class LeaseManagerMachine(RuleBasedStateMachine):
         super().__init__()
         self.leases = LeaseManager(GPUS)
         self.now = 0.0
+        #: GPU ids out of service, as the simulator's ``_down_gpu_ids``.
+        self.down: set[int] = set()
 
     def leased(self) -> list[Gpu]:
         return [gpu for gpu in GPUS if self.leases.lease_of(gpu) is not None]
@@ -101,6 +109,10 @@ class LeaseManagerMachine(RuleBasedStateMachine):
         before[reason] += was_leased
         assert +before == Counter(self.leases.revocations)
 
+    @rule(down=st.sets(st.sampled_from([gpu.gpu_id for gpu in GPUS]), max_size=5))
+    def take_down(self, down):
+        self.down = down
+
     @rule(minutes=st.sampled_from((0.0, 0.5, 1.0, 2.0, 5.0)))
     def advance(self, minutes):
         self.now += minutes
@@ -126,6 +138,20 @@ class LeaseManagerMachine(RuleBasedStateMachine):
             group_pool(rescan)
         )
         assert leases.expired_leases(self.now) == [leases.lease_of(gpu) for gpu in expired]
+
+    @invariant()
+    def pools_offer_canonical_vectors(self):
+        pool = self.leases.pool_for_auction(self.now)
+        sim = SimpleNamespace(_down_gpu_ids=self.down, cluster=CLUSTER)
+        in_service = ClusterSimulator._in_service(sim, pool)
+        assert {gpu.gpu_id for gpus in in_service.values() for gpu in gpus} == {
+            gpu.gpu_id for gpus in pool.values() for gpu in gpus
+        } - self.down
+        for grouped in (pool, in_service):
+            assert list(grouped) == sorted(grouped)
+            assert all(grouped.values())
+            counts = OfferCounts.of_pool(grouped)
+            assert list(counts.items()) == list(offer_counts(dict(counts)).items())
 
     @invariant()
     def no_gpu_is_leased_and_free(self):
