@@ -100,6 +100,23 @@ def _print_auctions(round_stats: dict) -> None:
     ))
 
 
+def _print_valuation(round_stats: dict) -> None:
+    """The valuation work of every auction of the run: carves made
+    (wherever they were made, the rho probes' included), the ones the
+    bids made, and the values asked of bids, in total and per auction."""
+    totals = round_stats.get("totals")
+    if not totals or "carves" not in totals:
+        return
+    rounds = round_stats["rounds"]
+    carves, lookups = totals["carves"], totals["valuation_lookups"]
+    print("\nvaluation:")
+    print(format_table(
+        ["carves", "bid_carves", "carves_per_auction", "lookups", "lookups_per_auction"],
+        [[carves, totals["valuation_probes"], round(carves / rounds, 2),
+          lookups, round(lookups / rounds, 2)]],
+    ))
+
+
 def _print_payments(result) -> None:
     """The hidden payments' ledger over every auction of the run:
     proportional-fair winners, the ones that paid, and the
@@ -184,6 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _print_profile(result.profile)
         _print_placement(result.round_stats)
         _print_auctions(result.round_stats)
+        _print_valuation(result.round_stats)
         _print_payments(result)
     if args.trace:
         print(f"wrote trace to {args.trace}")

@@ -164,9 +164,16 @@ class Allocation:
         Memoised (allocations are immutable); a fresh copy is returned
         so callers can extend it into hypothetical bundles.
         """
+        return dict(self._counts())
+
+    def count_on(self, machine_id: int) -> int:
+        """GPUs of the allocation on ``machine_id`` (no copy made)."""
+        return self._counts().get(machine_id, 0)
+
+    def _counts(self) -> dict[int, int]:
         if self._machine_counts is None:
             self._machine_counts = dict(Counter(gpu.machine_id for gpu in self._gpus))
-        return dict(self._machine_counts)
+        return self._machine_counts
 
     def level(self) -> LocalityLevel:
         """Worst networking boundary spanned (see :func:`placement_level`)."""

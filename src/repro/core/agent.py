@@ -56,9 +56,11 @@ class Agent:
 
         Starved apps report ``inf`` — the unbounded metric that keeps
         them in every subsequent auction until they win (Section 5.1).
+        The state keeps the noise-free probe, and a bid prepared at the
+        same instant starts from it (``AppValuationState.held_rho``).
         """
         rho = self.state.current_rho(now)
-        if math.isinf(rho):
+        if not self.noise_theta or math.isinf(rho):
             return rho
         return rho * _noise_factor(salt, self.app_id, ("probe",), self.noise_theta)
 

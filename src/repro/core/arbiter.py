@@ -3,10 +3,13 @@
 One scheduling round, triggered whenever GPUs are available:
 
 1. keep the apps with unmet demand (the only ones that can bid) and
-   probe just their AGENTs for their current rho,
+   probe just their AGENTs for their current rho, each exactly once per
+   round,
 2. sort those apps by rho (worst first; starved apps with unbounded rho
    lead) and keep the top ``1 - f`` fraction — the fairness knob,
-3. offer the pooled GPUs to those apps and collect bids,
+3. offer the pooled GPUs to those apps and collect bids; a bid starts
+   from its app's step-1 probe (noise-free, taken at the same instant
+   on the same snapshot) instead of refreshing and probing again,
 4. run the partial-allocation auction to pick winning bundles,
 5. hand hidden-payment leftovers to *non-participating* apps in a
    placement-sensitive, work-conserving way,
@@ -19,6 +22,7 @@ bookkeeping belong to the simulator driving it.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -65,6 +69,9 @@ class RoundStats:
     each re-solve's moves before its app's first win, none of them
     scored again), heap entries pushed, and the number of distinct rho
     computations (valuation-cache misses) the round's bids performed.
+    ``carves`` counts every carve of the round, wherever it was made
+    (the rho probes' included), and ``valuation_lookups`` the values
+    the round's bids were asked, cached or not.
 
     The ``rescore_*`` pair breaks down the post-move re-scoring wall
     (see :class:`~repro.core.auction.AuctionSolveStats`): kernel carves
@@ -86,6 +93,10 @@ class RoundStats:
     solver_replayed_moves: int = 0
     solver_heap_pushes: int = 0
     valuation_probes: int = 0
+    #: The shared estimator's carves over the whole round.
+    carves: int = 0
+    #: Values asked of the round's bids (``Bid.rho_lookups``).
+    valuation_lookups: int = 0
     heap_warm_hits: int = 0
     heap_warm_misses: int = 0
     rescore_carves: int = 0
@@ -172,6 +183,9 @@ class Arbiter:
         ]
         if not eligible:
             return {}
+        # Every agent's state shares the one estimator.
+        estimator = agents[eligible[0]].state.estimator
+        carves_before = estimator.carve_count
         with self.profiler.phase("valuation"):
             rhos = {app_id: agents[app_id].report_rho(now, salt) for app_id in eligible}
         pool_counts = OfferCounts.of_pool(pool)
@@ -243,6 +257,8 @@ class Arbiter:
                 solver_replayed_moves=solve_stats.replayed_moves,
                 solver_heap_pushes=solve_stats.heap_pushes,
                 valuation_probes=sum(bid.rho_probes for bid in bids.values()),
+                carves=estimator.carve_count - carves_before,
+                valuation_lookups=sum(bid.rho_lookups for bid in bids.values()),
                 heap_warm_hits=solve_stats.warm_hits,
                 heap_warm_misses=solve_stats.warm_misses,
                 rescore_carves=solve_stats.rescore_carves,
@@ -292,31 +308,34 @@ class Arbiter:
         # leaves ``headroom`` once it is full.
         headroom: dict[str, int] = {}
         for app_id in sorted(eligible):
-            want = agents[app_id].app.unmet_demand() - sum(
-                assignments.get(app_id, {}).values()
-            )
+            want = agents[app_id].app.unmet_demand()
+            won = assignments.get(app_id)
+            if won:
+                want -= sum(won.values())
             if want > 0:
                 headroom[app_id] = want
         if not headroom:
             return unassigned
         participant_set = set(participants)
-        machines_of: dict[str, set[int]] = {
-            app_id: set(agents[app_id].app.allocation().per_machine_counts())
+        outsiders = [
+            (app_id, agents[app_id].app.allocation())
             for app_id in headroom
-        }
+            if app_id not in participant_set
+        ]
         for machine_id in sorted(leftover, key=self._drain_rank.__getitem__):
+            # The non-participants on the machine, in app id order: by
+            # their holdings, and by the GPUs this pass grants them here
+            # (each machine is walked once, so no earlier grant is on it).
+            local = [app_id for app_id, held in outsiders if held.count_on(machine_id)]
             for _ in range(leftover[machine_id]):
-                candidates = [
-                    app_id
-                    for app_id in headroom
-                    if app_id not in participant_set and machine_id in machines_of[app_id]
-                ]
+                candidates = [app_id for app_id in local if app_id in headroom]
                 if not candidates:
                     candidates = list(headroom)
                 choice = candidates[int(self.rng.integers(len(candidates)))]
                 bundle = assignments.setdefault(choice, {})
                 bundle[machine_id] = bundle.get(machine_id, 0) + 1
-                machines_of[choice].add(machine_id)
+                if choice not in participant_set and choice not in local:
+                    insort(local, choice)
                 unassigned -= 1
                 headroom[choice] -= 1
                 if not headroom[choice]:

@@ -163,6 +163,15 @@ solved, no other bidder's row rebuilt.  All solves share each
 :class:`~repro.core.bids.Bid`'s pair memo and valuation caches, so
 suffix scores the full solve already computed are hits.
 
+Values come from the solves.  Every solve hands back each bidder's value
+of its final bundle, the value its last move was scored at (or of the
+empty bundle, with no move), so the mechanism asks a bid for no value
+of a solved bundle again: the proportional-fair numerators, the
+``without_i`` denominators and the welfare of an unshrunk winner are
+read off the solves, and only a bundle a payment shrank is valued anew.
+A bidder's values are pure within the auction, so these are the floats
+``value_of`` would return, bit for bit.
+
 The pre-refactor full-rescan solver is kept as
 :func:`rescan_fair_allocation` — the reference implementation the
 equivalence tests compare against.  Nothing in ``src/`` calls it and
@@ -431,7 +440,7 @@ def greedy_solve(
     checkpoints: Optional[dict[str, _Checkpoint]] = None,
     stats: Optional[AuctionSolveStats] = None, profiler: Any = NULL_PROFILER,
     estimator: Any = None,
-) -> tuple[dict[str, dict[int, int]], list[_Move]]:
+) -> tuple[dict[str, dict[int, int]], list[_Move], dict[str, float]]:
     """The greedy assignment of ``pool`` (machine -> free GPUs) to
     ``bids`` under ``objective``, by the lazy heap (module docstring).
 
@@ -450,9 +459,10 @@ def greedy_solve(
     ``exclude``, starts from that state instead of from scratch.  A
     ``checkpoints`` dict is filled with one checkpoint per app, taken
     as the solve pops the app's first live move.  ``estimator`` and
-    ``profiler`` serve only ``stats``.  Returns ``(assignment, moves)``,
-    every bidder in id order, bundles in move order, the moves before a
-    resumed checkpoint included.
+    ``profiler`` serve only ``stats``.  Returns ``(assignment, moves,
+    values)``: every bidder in id order, bundles in move order, the moves
+    before a resumed checkpoint included, and every bidder with demand's
+    value of its final bundle (its last move's, else ``value_of({})``).
     """
     if stats is not None:
         stats.solves += 1
@@ -480,6 +490,7 @@ def greedy_solve(
         assignment = {a: resume.assignment[a] for a in apps}
         bundle_keys = dict(resume.bundle_keys)
         values = dict(resume.values)
+        del values[exclude]
         granted = dict(resume.granted)
         moves = list(resume.moves)
         app_moved_at = dict(resume.app_moved_at)
@@ -605,7 +616,7 @@ def greedy_solve(
                 rescore_after_move(app_id, machine_id)
         else:
             rescore_after_move(app_id, machine_id)
-    return assignment, moves
+    return assignment, moves, values
 
 
 class PartialAllocationAuction:
@@ -632,10 +643,12 @@ class PartialAllocationAuction:
         resume: Optional[_Checkpoint] = None,
         checkpoints: Optional[dict[str, _Checkpoint]] = None,
         stats: Optional[AuctionSolveStats] = None,
-    ) -> tuple[dict[str, dict[int, int]], list[_Move]]:
+    ) -> tuple[dict[str, dict[int, int]], list[_Move], dict[str, float]]:
         """Stage 1, the proportional-fair assignment, and the payment
-        re-solves: ``(assignment, moves)`` of :func:`greedy_solve` (the
-        seam ``tests/helpers.py::RescanAuction`` overrides)."""
+        re-solves: ``(assignment, moves, values)`` of :func:`greedy_solve`
+        (the seam ``tests/helpers.py::RescanAuction`` overrides).  The
+        mechanism reads the value of every solved bundle off ``values``
+        (:meth:`_values`)."""
         # All of an auction's bids share one estimator.
         estimator = self.estimator
         if estimator is None and bids:
@@ -651,15 +664,26 @@ class PartialAllocationAuction:
     def _log_value(self, value: float) -> float:
         return math.log(max(value, _VALUE_EPSILON))
 
+    @staticmethod
+    def _values(
+        values: dict[str, float], bids: Mapping[str, Bid], apps: Sequence[str]
+    ) -> dict[str, float]:
+        """A solve's ``values`` completed over ``apps``: a bidder it holds
+        no value for had no demand, so took nothing, and is asked
+        ``value_of({})``."""
+        for app_id in apps:
+            if app_id not in values:
+                values[app_id] = bids[app_id].value_of({})
+        return values
+
     def _payment_fraction(
         self,
         app_id: str,
         pool: Mapping[int, int],
         bids: Mapping[str, Bid],
-        pf_allocation: Mapping[str, Mapping[int, int]],
+        pf_values: Mapping[str, float],
         resume: Optional[_Checkpoint] = None,
         stats: Optional[AuctionSolveStats] = None,
-        pf_values: Optional[Mapping[str, float]] = None,
     ) -> float:
         """``c_i`` of Pseudocode 2: the externality app ``i`` imposes.
 
@@ -673,23 +697,22 @@ class PartialAllocationAuction:
         *both* markets — for everyone else the externality is already
         expressed through the allocation itself.
 
-        ``resume``, the full solve's checkpoint for ``i``, starts the
-        ``without_i`` re-solve where the two markets part (module
+        ``pf_values`` holds every bidder's value of its proportional-fair
+        bundle.  ``resume``, the full solve's checkpoint for ``i``, starts
+        the ``without_i`` re-solve where the two markets part (module
         docstring, "Payment re-solves"); without it the re-solve is cold.
         """
         others = [a for a in bids if a != app_id]
         if not others:
             return 1.0
-        without_i, _ = self._solve(
+        _, _, without_values = self._solve(
             pool, bids, exclude=app_id, resume=resume, stats=stats
         )
+        without_values = self._values(without_values, bids, others)
         log_ratio = 0.0
         for other in others:
-            if pf_values is not None:
-                v_with = pf_values[other]
-            else:
-                v_with = bids[other].value_of(pf_allocation.get(other, {}))
-            v_without = bids[other].value_of(without_i.get(other, {}))
+            v_with = pf_values[other]
+            v_without = without_values[other]
             if v_with > 0.0 and v_without > 0.0:
                 log_ratio += math.log(v_with) - math.log(v_without)
         fraction = math.exp(log_ratio)
@@ -747,18 +770,18 @@ class PartialAllocationAuction:
             {} if apply_hidden_payments and len(participants) > 1 else None
         )
         with self.profiler.phase("auction_solve"):
-            pf_allocation, _ = self._solve(
+            pf_allocation, _, pf_values = self._solve(
                 pool, bids, checkpoints=checkpoints, stats=stats
             )
+        # The proportional-fair values are fixed for the round; every
+        # ``without_i`` ratio reads the same numerators.
+        pf_values = self._values(pf_values, bids, participants)
+        # Each participant's value of what it keeps: its proportional-fair
+        # value unless a payment shrank its bundle.
+        kept_values = dict(pf_values)
         payments: dict[str, float] = {}
         winners: dict[str, dict[int, int]] = {}
         with self.profiler.phase("payment_resolves"):
-            # The proportional-fair values are fixed for the round; every
-            # ``without_i`` ratio reads the same numerators.
-            pf_values = {
-                app_id: bids[app_id].value_of(pf_allocation.get(app_id, {}))
-                for app_id in participants
-            }
             for app_id in participants:
                 bundle = pf_allocation.get(app_id, {})
                 if not bundle:
@@ -766,15 +789,17 @@ class PartialAllocationAuction:
                     continue
                 if apply_hidden_payments:
                     fraction = self._payment_fraction(
-                        app_id, pool, bids, pf_allocation,
+                        app_id, pool, bids, pf_values,
                         checkpoints.get(app_id) if checkpoints else None, stats,
-                        pf_values,
                     )
                 else:
                     fraction = 1.0
                 payments[app_id] = fraction
-                keep = math.floor(fraction * _bundle_total(bundle) + 1e-9)
+                total = _bundle_total(bundle)
+                keep = math.floor(fraction * total + 1e-9)
                 shrunk = self._shrink_bundle(bundle, keep)
+                if keep < total:
+                    kept_values[app_id] = bids[app_id].value_of(shrunk)
                 if shrunk:
                     winners[app_id] = shrunk
         # The winners' machines are the only ones whose count moves.
@@ -788,9 +813,7 @@ class PartialAllocationAuction:
                     leftover[machine_id] = left
                 else:
                     del leftover[machine_id]
-        welfare = ordered_sum(
-            self._log_value(bids[a].value_of(winners.get(a, {}))) for a in participants
-        )
+        welfare = ordered_sum(self._log_value(kept_values[a]) for a in participants)
         return AuctionOutcome(
             winners=winners,
             proportional_fair={a: dict(b) for a, b in pf_allocation.items() if b},

@@ -115,12 +115,17 @@ class Bid:
         # of the auction.  The cross-round :class:`AppValuationState`
         # carries the frozen snapshot plus the elapsed-independent
         # kernel caches; an AGENT passes its persistent instance in (so a
-        # starved app's bid table survives verbatim between rounds),
+        # starved app's bid table survives verbatim between rounds, and
+        # the round's rho probe of the app is this bid's current rho),
         # while ad-hoc callers get a fresh single-auction state.
         if state is None:
             state = AppValuationState(app, estimator)
-        snap = state.refresh()
         self._state = state
+        carves_before = state.estimator.carve_count
+        rho = state.held_rho(now)
+        if state.estimator.carve_count != carves_before:
+            self.rho_probes += 1
+        snap = state.snapshot
         # The app's (single) model family selects its throughput-matrix
         # row for speed-class tie-breaks; mixed-family apps fall back to
         # the scalar generation speeds.  The family is memoised on the
@@ -131,7 +136,12 @@ class Bid:
             estimator.cluster, snap.family
         )
         self.demand = app.unmet_demand()
-        self.current_rho = self.rho_of({})
+        # The empty bundle's row, as ``rho_of({})`` would fill it.
+        self.rho_lookups += 1
+        if noise_theta > 0.0 and not math.isinf(rho):
+            rho *= _noise_factor(noise_salt, self.app_id, (), noise_theta)
+        self._rho_cache[()] = rho
+        self.current_rho = rho
 
     @property
     def state(self) -> AppValuationState:
@@ -178,7 +188,7 @@ class Bid:
         rho = state.rho_at(self.now, total_key)
         if state.estimator.carve_count != misses_before:
             self.rho_probes += 1
-        if not math.isinf(rho):
+        if self.noise_theta > 0.0 and not math.isinf(rho):
             rho *= _noise_factor(self.noise_salt, self.app_id, key, self.noise_theta)
         self._rho_cache[key] = rho
         return rho

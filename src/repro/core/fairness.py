@@ -906,7 +906,8 @@ class AppValuationState:
         "snapshot",
         "base_counts",
         "base_key",
-        "_base_shape",
+        "_base_kernel",
+        "_probe",
         "rebuilds",
         "rate_signature",
         "machine_reads",
@@ -938,9 +939,14 @@ class AppValuationState:
         self.snapshot: Optional[AppSnapshot] = None
         self.base_counts: dict[int, int] = {}
         self.base_key: tuple[tuple[int, int], ...] = ()
-        #: ``bundle_shape(base_key, machine_reads)``, built on first use
-        #: and dropped whenever either operand is replaced.
-        self._base_shape: Optional[tuple] = None
+        #: The kernel of ``base_key``, read on the first probe that needs
+        #: it and dropped whenever the base key, the rate signature or the
+        #: kernel cache is replaced.
+        self._base_kernel: object = None
+        #: ``(now, rho)`` of the last :meth:`current_rho`, which
+        #: :meth:`held_rho` reuses at the same instant; every
+        #: :meth:`refresh` drops it.
+        self._probe: Optional[tuple[float, float]] = None
         self.rebuilds = 0
         self.rate_signature: Optional[tuple] = None
         #: ``estimator.machine_reads`` of the current snapshot's jobs;
@@ -961,7 +967,11 @@ class AppValuationState:
         self._sorted_jobs: Optional[list[Job]] = None
 
     def refresh(self) -> AppSnapshot:
-        """Rebuild the snapshot and caches when dirty; no-op when clean."""
+        """Rebuild the snapshot and caches when dirty; no-op when clean.
+
+        Drops the probe :meth:`held_rho` would reuse: the snapshot may
+        move under it."""
+        self._probe = None
         app = self.app
         if self.snapshot is not None and self.epoch == app.epoch:
             if not self.base_counts:
@@ -989,7 +999,7 @@ class AppValuationState:
             self.base_key = tuple(
                 sorted((m, c) for m, c in self.base_counts.items() if c > 0)
             )
-            self._base_shape = None
+            self._base_kernel = None
         self._refresh_remaining(snap)
         return snap
 
@@ -1052,7 +1062,7 @@ class AppValuationState:
         if signature != self.rate_signature:
             self.rate_signature = signature
             self.machine_reads = self.estimator.machine_reads(tuples)
-            self._base_shape = None
+            self._base_kernel = None
             self._kernel_cache = {}
             self._row_tables = {}
         return AppSnapshot.of(app, tuples, self.estimator.capacity)
@@ -1078,11 +1088,12 @@ class AppValuationState:
             kernel = self._carve(self.snapshot, dict(total_key))
             if len(cache) >= _KERNEL_CACHE_LIMIT:
                 cache.clear()
+                self._base_kernel = None
             cache[shape] = kernel
         return kernel
 
     def _delta(
-        self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple]
+        self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
     ) -> float:
         """The shared-time delta of a total-counts bundle: kernel, then
         divide; bit for bit
@@ -1093,13 +1104,20 @@ class AppValuationState:
         the served jobs of *current* remaining work over rate, under
         ``ALL_JOBS`` the total remaining work over the aggregate rate;
         ``inf`` when nothing progresses.  ``Bid.row``'s class probe
-        repeats this arithmetic on a kernel read off a row table.
+        repeats this arithmetic on a kernel read off a row table.  The
+        holdings' own kernel (``total_key`` *is* ``base_key``) is kept
+        with the state, so the round's probe hashes no shape.
         """
         snap = self.snapshot
         assert snap is not None, "refresh() before probing"
         if not snap.job_tuples or (snap.total_remaining <= 0 and not self.first_winner):
             return 0.0
-        kernel = self.kernel_of(total_key, shape)
+        if total_key is self.base_key:
+            kernel = self._base_kernel
+            if kernel is None:
+                kernel = self._base_kernel = self.kernel_of(total_key, shape)
+        else:
+            kernel = self.kernel_of(total_key, shape)
         if self.first_winner:
             remaining = self._remaining_by_id
             delta = math.inf
@@ -1132,12 +1150,29 @@ class AppValuationState:
         return self._rho(now, self._delta(total_key, shape))
 
     def current_rho(self, now: float) -> float:
-        """rho with the allocation the app holds right now (cheap when clean)."""
+        """rho with the allocation the app holds right now: one exact probe.
+
+        :meth:`refresh` (its clean-epoch drift walk), then the holdings'
+        kernel kept with the state (no shape is hashed) and the
+        arithmetic of :meth:`rho_at`.  The answer is kept as the probe
+        that :meth:`held_rho` reuses at the same instant.
+        """
         self.refresh()
-        shape = self._base_shape
-        if shape is None:
-            shape = self._base_shape = bundle_shape(self.base_key, self.machine_reads)
-        return self.rho_at(now, self.base_key, shape)
+        rho = self._rho(now, self._delta(self.base_key))
+        self._probe = (now, rho)
+        return rho
+
+    def held_rho(self, now: float) -> float:
+        """:meth:`current_rho`, reusing this instant's probe.
+
+        The probe is reused while the app's epoch is the snapshot's and
+        no :meth:`refresh` has run since (one drops it): the snapshot is
+        then as fresh as the probe left it.  Otherwise this probes again.
+        """
+        probe = self._probe
+        if probe is not None and probe[0] == now and self.epoch == self.app.epoch:
+            return probe[1]
+        return self.current_rho(now)
 
 
 class RowProbe:

@@ -70,5 +70,5 @@ class GandivaScheduler(CarvingScheduler):
             state = self.states[app.app_id]
             state.refresh()
             bids[app.app_id] = UtilityBid(_PackingUtility(state), app.unmet_demand())
-        assignment, _ = greedy_solve(counts, bids, AdditiveWelfare)
+        assignment, _, _ = greedy_solve(counts, bids, AdditiveWelfare)
         return concretise(assignment, pool)

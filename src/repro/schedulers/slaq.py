@@ -67,7 +67,7 @@ def assign_by_effective_utility(
         )
         utility = _BundleUtility(utility_of(app), held, model.machine_speeds_for(cluster, family))
         bids[app.app_id] = UtilityBid(utility, app.unmet_demand())
-    assignment, _ = greedy_solve(counts, bids, AdditiveWelfare)
+    assignment, _, _ = greedy_solve(counts, bids, AdditiveWelfare)
     # Placement-blind concretisation: neither policy reasons about
     # which machines the GPUs came from.
     pool_by_machine = drainable(pool)

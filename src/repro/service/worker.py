@@ -21,12 +21,15 @@ from __future__ import annotations
 import inspect
 import json
 import logging
+import os
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 from typing import Callable, Optional
 
+import repro
 from repro.service.daemon import Executor, JobOutcome, SpecExecutor
 from repro.service.errors import (
     ServiceError,
@@ -37,6 +40,12 @@ from repro.service.retry import FailureKind, classify_exception
 from repro.service.state import JobRecord
 
 logger = logging.getLogger("repro.service.worker")
+
+#: The directory holding the imported ``repro`` package.  A child gets it
+#: on its ``PYTHONPATH``: the parent may have found ``repro`` through
+#: ``sys.path`` alone (a test runner's path setting, an uninstalled
+#: checkout), which a child does not inherit.
+_PACKAGE_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
 
 class SubprocessExecutor(Executor):
@@ -49,7 +58,9 @@ class SubprocessExecutor(Executor):
     dies without a well-formed outcome (crash, ``kill -9``) reports as
     a transient failure.  ``should_abort`` is polled while the child
     runs; when it fires the child is killed — the daemon revoked the
-    claim, so the outcome would be fenced anyway.
+    claim, so the outcome would be fenced anyway.  The child imports the
+    same ``repro`` as the parent: the package's directory leads its
+    ``PYTHONPATH``.
     """
 
     #: Seconds between child liveness / abort polls.
@@ -60,12 +71,14 @@ class SubprocessExecutor(Executor):
         record: JobRecord,
         should_abort: Optional[Callable[[], bool]] = None,
     ) -> JobOutcome:
+        path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
         child = subprocess.Popen(
             [sys.executable, "-m", "repro.service.worker"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         try:
             child.stdin.write(json.dumps({"job": record.to_json()}))

@@ -83,7 +83,9 @@ class RescanAuction(PartialAllocationAuction):
     def _solve(self, pool, bids, exclude=None, resume=None, checkpoints=None, stats=None):
         if stats is not None:
             stats.solves += 1
-        return rescan_fair_allocation(pool, bids, exclude=exclude), []
+        assignment = rescan_fair_allocation(pool, bids, exclude=exclude)
+        # No solver values: every bundle is asked again.
+        return assignment, [], {a: bids[a].value_of(b) for a, b in assignment.items()}
 
 
 def reference_leftovers(arbiter, leftover, participants, agents, assignments) -> int:

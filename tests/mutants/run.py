@@ -86,6 +86,13 @@ MUTANTS = [
     ("auction-sparse-clock-default", "core/auction.py",
      "if machine_moved_at.get(machine_id, 0) > built_at:",
      "if machine_moved_at.get(machine_id, 1) > built_at:"),
+    # the values the solves hand back: each bidder's last move, and a
+    # shrunk winner's kept bundle asked again
+    ("auction-values-first-move", "core/auction.py",
+     "    return assignment, moves, values\n",
+     "    return assignment, moves, {**values, **{m[0]: m[3] for m in reversed(moves)}}\n"),
+    ("auction-kept-value-unshrunk", "core/auction.py",
+     "kept_values[app_id] = bids[app_id].value_of(shrunk)", "pass"),
     ("auction-merged-key-order", "core/fairness.py", "machine > machine_id", "machine < machine_id"),
     # core/fairness.py: the carve kernel and the valuation cache
     ("fairness-carve-rack-preference", "core/fairness.py",
@@ -109,8 +116,8 @@ MUTANTS = [
     ("fairness-first-winner-min", "core/fairness.py",
      "if per_job < delta:", "if per_job > delta:"),
     # new holdings keep the base shape; another family set's machine reads
-    ("fairness-base-shape-kept", "core/fairness.py",
-     "            )\n            self._base_shape = None\n        self._refresh_remaining",
+    ("fairness-base-kernel-kept", "core/fairness.py",
+     "            )\n            self._base_kernel = None\n        self._refresh_remaining",
      "            )\n        self._refresh_remaining"),
     ("fairness-machine-reads-any-families", "core/fairness.py",
      "reads = self._reads_by_families.get(families)",
@@ -118,6 +125,11 @@ MUTANTS = [
     # a reorder keeps the state's kernel cache (rate, pairs or packing)
     ("fairness-kernel-cache-kept", "core/fairness.py",
      "            self._kernel_cache = {}\n", ""),
+    # the round's probe: reused by the bid only until a refresh
+    ("fairness-probe-kept-on-refresh", "core/fairness.py",
+     "        self._probe = None\n        app = self.app\n", "        app = self.app\n"),
+    ("fairness-probe-reuse-ignores-epoch", "core/fairness.py",
+     "probe[0] == now and self.epoch == self.app.epoch", "probe[0] == now"),
     # the row tables: slot key and lifetime
     ("row-table-key-drops-position", "core/fairness.py",
      "slot = (position, label, speeds, step)", "slot = (label, speeds, step)"),
@@ -139,11 +151,10 @@ MUTANTS = [
     ("arbiter-probes-every-agent", "core/arbiter.py",
      "for app_id in eligible}", "for app_id in agents}"),
     ("arbiter-leftover-colocated", "core/arbiter.py",
-     "and machine_id in machines_of[app_id]", "and machine_id not in machines_of[app_id]"),
-    ("arbiter-leftover-forgets-grants", "core/arbiter.py",
-     "machines_of[choice].add(machine_id)", "pass"),
+     "if held.count_on(machine_id)]", "if not held.count_on(machine_id)]"),
+    ("arbiter-leftover-forgets-grants", "core/arbiter.py", "insort(local, choice)", "pass"),
     ("arbiter-leftover-non-participants", "core/arbiter.py",
-     "if app_id not in participant_set and", "if app_id in participant_set and"),
+     "if app_id not in participant_set\n", "if app_id in participant_set\n"),
     ("arbiter-leftover-fastest-first", "core/arbiter.py",
      "self._drain_order = sorted(speed_of, key=lambda m: (-speed_of[m], m))",
      "self._drain_order = sorted(speed_of, key=lambda m: (speed_of[m], m))"),
@@ -256,6 +267,34 @@ MUTANTS = [
      '"token", "result", "worker", "started_at",', '"result", "worker", "started_at",'),
     ("daemon-record-without-changes", "service/daemon.py",
      "at=now,\n            **changes,\n", "at=now,\n"),
+    # service/daemon.py: the tick's reapers (stalled claims, deadlines) and
+    # the flush of records buffered while the store was down
+    ("daemon-stalled-dispatch-ignores-age", "service/daemon.py",
+     "                and job.worker is not None\n"
+     "                and now - job.updated_at > self.dispatch_timeout\n",
+     "                and job.worker is not None\n"),
+    ("daemon-stalled-dispatch-edge", "service/daemon.py",
+     "now - job.updated_at > self.dispatch_timeout", "now - job.updated_at >= self.dispatch_timeout"),
+    ("daemon-stalled-dispatch-reaps-running", "service/daemon.py",
+     "                job.state is JobState.DISPATCHED\n                and job.worker is not None\n",
+     "                job.state in (JobState.DISPATCHED, JobState.RUNNING)\n"
+     "                and job.worker is not None\n"),
+    ("daemon-deadline-edge", "service/daemon.py",
+     "if now - started > job.max_runtime_s:", "if now - started >= job.max_runtime_s:"),
+    ("daemon-deadline-any-state", "service/daemon.py",
+     "if job.state is not JobState.RUNNING or job.max_runtime_s is None:",
+     "if job.max_runtime_s is None:"),
+    ("daemon-deadline-fatal", "service/daemon.py",
+     "                        FailureKind.TRANSIENT,\n                        detail=(\n"
+     "                            \"deadline exceeded",
+     "                        FailureKind.FATAL,\n                        detail=(\n"
+     "                            \"deadline exceeded"),
+    ("daemon-flush-stays-degraded", "service/daemon.py",
+     "        self.degraded = False\n        logger.info(", "        logger.info("),
+    ("daemon-flush-drops-failed-record", "service/daemon.py",
+     "            kind, fields = self._pending[0]\n", "            kind, fields = self._pending.popleft()\n"),
+    ("daemon-flush-newest-first", "service/daemon.py",
+     "kind, fields = self._pending[0]", "kind, fields = self._pending[-1]"),
     # service/store.py: the WAL is cut in place, at compaction and after a failed append
     ("store-reset-skips-header", "service/store.py",
      "if not length and self._fh.write(_HEADER)", "if False and self._fh.write(_HEADER)"),

@@ -42,7 +42,7 @@ def utility_assign(pool, utilities, caps):
     in ``utilities`` order without empty bundles, as
     ``rescan_utility_assign`` returns it."""
     bids = {a: UtilityBid(u, caps.get(a, 0)) for a, u in utilities.items()}
-    assignment, _ = greedy_solve(pool, bids, AdditiveWelfare)
+    assignment, _, _ = greedy_solve(pool, bids, AdditiveWelfare)
     return {a: assignment[a] for a in utilities if assignment[a]}
 
 

@@ -60,7 +60,8 @@ def test_a_winner_bundle_larger_than_the_pool_raises(estimator):
 
     class OverAllocating(PartialAllocationAuction):
         def _solve(self, pool, bids, exclude=None, resume=None, checkpoints=None, stats=None):
-            return {app_id: {0: pool[0] + 1} for app_id in bids if app_id != exclude}, []
+            assignment = {app_id: {0: pool[0] + 1} for app_id in bids if app_id != exclude}
+            return assignment, [], {app_id: 1.0 for app_id in assignment}
 
     # The bid was offered more than the pool holds, so it can price
     # the oversized bundle.
@@ -211,5 +212,5 @@ def test_an_exact_gain_tie_goes_to_the_smaller_step():
     solver's key, the lazy solver's takes the smaller step."""
     assert (math.log(4.0) - math.log(1.0)) / 2 == math.log(2.0) - math.log(1.0)
     bids = {"a": TableBid(2, {(): 1.0, ((0, 1),): 2.0, ((0, 2),): 4.0})}
-    _, moves = PartialAllocationAuction()._solve({0: 2}, bids)
+    _, moves, _ = PartialAllocationAuction()._solve({0: 2}, bids)
     assert moves == [("a", 0, 1, 2.0), ("a", 0, 1, 4.0)]

@@ -26,11 +26,11 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.bids as bids_module
-from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
+from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster, ordered_sum
 from repro.core.auction import (
     _MEMO_MISS,
     AuctionSolveStats,
@@ -70,6 +70,48 @@ def test_lazy_matches_rescan_on_many_instances(market):
     assert all(count <= pool[machine_id] for machine_id, count in used.items())
     assert outcome.total_allocated + outcome.total_leftover == sum(pool.values())
     assert all(0.0 <= fraction <= 1.0 for fraction in outcome.payments.values())
+
+
+class ValueAskingAuction(PartialAllocationAuction):
+    """The lazy solver, with every solved bundle's value asked of its bid
+    again instead of handed back by the solve."""
+
+    def _solve(self, pool, bids, exclude=None, resume=None, checkpoints=None, stats=None):
+        assignment, moves, _ = super()._solve(pool, bids, exclude, resume, checkpoints, stats)
+        return assignment, moves, {a: bids[a].value_of(b) for a, b in assignment.items()}
+
+
+def _float_bits(outcome):
+    """The outcome's floats as bit patterns (``==`` equates 0.0 and -0.0)."""
+    return outcome.nash_log_welfare.hex(), sorted(
+        (app_id, fraction.hex()) for app_id, fraction in outcome.payments.items()
+    )
+
+
+@pytest.mark.parametrize("noise_theta", [0.0, 0.2])
+@pytest.mark.parametrize("classed", [False, True], ids=["per-machine-pool", "class-pool"])
+@settings(max_examples=40, deadline=None)
+@given(market=markets())
+def test_the_solves_values_are_the_bids_values(market, noise_theta, classed):
+    """The values the solves hand back (proportional-fair, without-i and
+    kept) give the outcome a run asking every bundle's value again gives,
+    and the rescan reference's, ``nash_log_welfare`` bits included: with
+    and without noise, on pools below and at :data:`_CLASS_MIN_POOL`
+    machines (per-machine rows, class rows)."""
+    assume((len(offer_counts(market.pool)) >= bids_module._CLASS_MIN_POOL) == classed)
+    market = dataclasses.replace(market, noise_theta=noise_theta)
+    pool, payments = market.pool, market.hidden_payments
+    outcome = PartialAllocationAuction().run(pool, market.bids(), payments)
+    for reference in (ValueAskingAuction(), RescanAuction()):
+        again = reference.run(pool, market.bids(), payments)
+        assert again == outcome
+        assert _float_bits(again) == _float_bits(outcome)
+    # The welfare is of what each participant keeps, a shrunk bundle
+    # valued anew.
+    bids = market.bids()
+    kept = [bids[a].value_of(outcome.winners.get(a, {})) for a in outcome.participants]
+    welfare = float(ordered_sum(math.log(max(value, 1e-12)) for value in kept))
+    assert outcome.nash_log_welfare.hex() == welfare.hex()
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,7 +183,7 @@ def test_reductions_engage_on_a_wide_market(fleet, semantics):
 
     def solve(market):
         auction = PartialAllocationAuction()
-        _, moves = auction._solve(market.pool, market.bids(), stats=auction.last_stats)
+        _, moves, _ = auction._solve(market.pool, market.bids(), stats=auction.last_stats)
         return moves, auction.last_stats
 
     exact = wide_market(fleet, semantics, 0.0)
@@ -238,7 +280,8 @@ def test_resumed_payment_resolves_equal_cold_ones(market):
     auction = PartialAllocationAuction()
     bids = market.bids()
     checkpoints = {}
-    pf, full_moves = auction._solve(market.pool, bids, checkpoints=checkpoints)
+    pf, full_moves, pf_values = auction._solve(market.pool, bids, checkpoints=checkpoints)
+    pf_values = auction._values(pf_values, bids, sorted(bids))
     winners = [app_id for app_id in sorted(bids) if pf[app_id]]
     # One checkpoint per winner, at its first move.
     assert sorted(checkpoints) == winners
@@ -250,8 +293,8 @@ def test_resumed_payment_resolves_equal_cold_ones(market):
         cold = greedy_solve(market.pool, market.bids(), NashWelfare, app_id)
         assert resumed == cold
         assert auction._payment_fraction(
-            app_id, market.pool, bids, pf, resume
-        ) == auction._payment_fraction(app_id, market.pool, market.bids(), pf)
+            app_id, market.pool, bids, pf_values, resume
+        ) == auction._payment_fraction(app_id, market.pool, market.bids(), pf_values)
     assert auction.run(market.pool, bids) == RescanAuction().run(market.pool, market.bids())
 
 

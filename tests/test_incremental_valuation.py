@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro.cluster.allocation import Allocation
 from repro.cluster.placement import LocalityLevel
 from repro.cluster.topology import GPU_TYPES, ClusterSpec, MachineSpec, build_cluster
+from repro.core.bids import Bid
 from repro.core.fairness import (
     AppValuationState,
     FairnessEstimator,
@@ -425,6 +426,86 @@ def test_first_winner_state_matches_a_fresh_state_everywhere():
             )
         if round_index % 11 == 6:
             app.invalidate()
+
+
+# ----------------------------------------------------------------------
+# The round's probe, reused by the bid at the same instant
+# ----------------------------------------------------------------------
+def held_world():
+    """A state over two held jobs of different work (the drift walk runs)
+    and one job waiting, on two machines."""
+    cluster = small_cluster(machines=2, racks=2)
+    estimator = FairnessEstimator(cluster)
+    jobs = [
+        make_job("j0", serial_work=100.0, max_parallelism=2),
+        make_job("j1", serial_work=200.0, max_parallelism=2),
+        make_job("j2", serial_work=300.0, max_parallelism=2),
+    ]
+    app = App("a0", 0.0, jobs)
+    jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
+    jobs[1].set_allocation(0.0, Allocation(cluster.machines[1].gpus[:1]))
+    return cluster, app, AppValuationState(app, estimator)
+
+
+def assert_probe_is_fresh(state, now):
+    """The rho a bid at ``now`` starts from is a fresh state's probe."""
+    fresh = AppValuationState(state.app, state.estimator).current_rho(now)
+    assert state.held_rho(now) == fresh
+    bid = Bid(state.app, state.estimator, now, {0: 1}, state=state)
+    assert bid.current_rho == fresh
+
+
+def _drift(app, work):
+    app.jobs[0].remaining_work -= work
+
+
+def _reorder(app, _work):
+    app.jobs[1].remaining_work = app.jobs[0].remaining_work - 1.0
+
+
+def _bump(app, _work):
+    app.invalidate()
+
+
+def _release(app, _work):
+    job = app.jobs[1]
+    job.set_allocation(job.last_update, Allocation())
+
+
+CHANGES = {"drift": _drift, "reorder": _reorder, "epoch-bump": _bump, "new-holdings": _release}
+
+
+@pytest.mark.parametrize(
+    "change, when",
+    [(name, when) for name in CHANGES for when in ("next-instant", "external-refresh")]
+    + [("epoch-bump", "same-instant"), ("new-holdings", "same-instant")],
+)
+def test_the_round_probe_is_reused_only_while_it_is_fresh(change, when):
+    """A probe is reused at its own instant only: a drift, a reorder that
+    rebuilds the snapshot, an epoch bump and new holdings each answer
+    what a fresh state answers, whether the change falls between two
+    instants, before an external ``refresh()`` at the probe's instant
+    (after which the epochs match again: the epoch alone is not enough),
+    or, for a change that bumps the epoch, just after the probe."""
+    _cluster, app, state = held_world()
+    now = 10.0
+    state.current_rho(5.0 if when == "next-instant" else now)
+    CHANGES[change](app, 7.0)
+    if when == "external-refresh":
+        state.refresh()
+    assert_probe_is_fresh(state, now)
+
+
+def test_a_bid_at_the_probes_instant_reads_no_job_again(monkeypatch):
+    """After the round's probe, the bid neither refreshes the state nor
+    asks the estimator again: its current rho is the probe's."""
+    _cluster, app, state = held_world()
+    rho = state.current_rho(10.0)
+    calls = []
+    monkeypatch.setattr(AppValuationState, "refresh", lambda self: calls.append(self))
+    bid = Bid(app, state.estimator, 10.0, {0: 2}, state=state)
+    assert bid.current_rho == rho and calls == []
+    assert (bid.rho_lookups, bid.rho_probes) == (1, 0)
 
 
 # ----------------------------------------------------------------------

@@ -258,6 +258,52 @@ def test_stalled_heartbeating_worker_loses_claim(tmp_path):
     plane.close()
 
 
+def test_a_claim_is_revoked_only_past_the_dispatch_timeout(tmp_path):
+    """A claim exactly ``dispatch_timeout`` old still holds; the first
+    tick past it revokes the claim."""
+    clock = FakeClock()
+    plane = make_plane(tmp_path / "s", clock, dispatch_timeout=3.0)
+    plane.submit({}, job_id="s")
+    worker = SimWorker(plane, ScriptedExecutor(), name="slow")
+    plane.tick()
+    worker.claim()
+    clock.advance(3.0)
+    worker.heartbeat()
+    plane.tick()
+    assert plane.jobs["s"].state is JobState.DISPATCHED
+    assert plane.counters["stalled_requeued"] == 0
+    clock.advance(0.5)
+    worker.heartbeat()
+    plane.tick()
+    assert plane.jobs["s"].state is JobState.RETRYING
+    assert plane.counters["stalled_requeued"] == 1
+    plane.close()
+
+
+def test_a_started_job_outlives_the_dispatch_timeout(tmp_path):
+    """The dispatch timeout fences claims that never start: a started
+    job may run far longer on a live worker, and finishes at its first try."""
+    clock = FakeClock()
+    plane = make_plane(tmp_path / "s", clock, dispatch_timeout=3.0)
+    plane.submit({}, job_id="long")
+    worker = SimWorker(plane, ScriptedExecutor(), name="busy")
+    plane.tick()
+    worker.claim()
+    worker.start_all()
+    for _ in range(10):
+        clock.advance(1.0)
+        worker.heartbeat()
+        plane.tick()
+        assert plane.jobs["long"].state is JobState.RUNNING
+    worker.execute_all()
+    worker.report_all()
+    assert worker.fenced == []
+    assert plane.jobs["long"].state is JobState.FINISHED
+    assert plane.jobs["long"].attempts == 0
+    assert plane.counters["stalled_requeued"] == 0
+    plane.close()
+
+
 def test_fleet_matches_synchronous_tick(tmp_path):
     """Acceptance: a 3-worker fleet drains the batch the synchronous
     single-worker tick serializes, with identical terminal states."""
@@ -526,6 +572,18 @@ def test_subprocess_executor_runs_spec_in_child():
         JobRecord(job_id="child-ok", spec={"kind": "noop"})
     )
     assert outcome.ok
+
+
+def test_subprocess_executor_child_imports_the_parents_package(monkeypatch, tmp_path):
+    """With no ``PYTHONPATH`` and a working directory away from the
+    checkout, the child still finds the ``repro`` this process imported
+    (through ``sys.path`` only, as under pytest's ``pythonpath``)."""
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.chdir(tmp_path)
+    outcome = SubprocessExecutor().execute(
+        JobRecord(job_id="child-path", spec={"kind": "noop"})
+    )
+    assert outcome.ok, outcome.detail
 
 
 def test_subprocess_executor_reports_child_failure():

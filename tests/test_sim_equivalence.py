@@ -166,9 +166,12 @@ def test_probe_and_payment_accounting_on_a_contended_replay():
     assert totals["solver_heap_pushes"] >= totals["solver_moves"] > 0
     # Payment re-solves resumed past the moves before their app's win.
     assert totals["solver_replayed_moves"] > 0
-    # Probe accounting stays honest: every carve the bids observed is a
-    # real kernel cache miss of the shared estimator.
+    # Probe accounting stays honest: every carve of the replay happens
+    # inside a round (the rho probes' included), and the bids' are a
+    # share of them; the bids were asked more values than they carved.
+    assert totals["carves"] == carves
     assert 0 < totals["valuation_probes"] <= carves
+    assert totals["valuation_lookups"] > totals["valuation_probes"]
     # Some winners paid, each withholding at least one GPU; the ledger's
     # METRICS columns read these totals.
     assert 0 < totals["num_paid"] <= totals["num_pf_winners"]
