@@ -32,6 +32,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from repro.cluster.topology import Cluster, ClusterSpec, MachineSpec, build_cluster
 from repro.experiments.config import ScenarioConfig, sim_scenario, testbed_scenario
+from repro.metrics.fairness import distance_from_ideal
 from repro.metrics.jct import cdf, percentile
 from repro.metrics.summary import metric_values, multi_bidder_auctions
 from repro.metrics.timeline import allocation_series
@@ -321,11 +322,18 @@ def _fig08_timeline(_scenario, _values) -> tuple:
 # Last steps of the two sweep figures that plot more than metric columns
 # ----------------------------------------------------------------------
 def _macrobenchmark_extras(figure: FigureResult, cells: Sequence[tuple]) -> None:
-    """Figures 6 and 7 are CDFs: attach them per scheduler as series."""
+    """Figures 6 and 7 are CDFs: attach them per scheduler as series.
+
+    Every scheduler's distance from ideal is measured against the one
+    peak contention the notes print (the maximum over the cells), not
+    its own cell's: the columns then share one "ideal".
+    """
     for name, result in cells:
         figure.series[f"jct_cdf:{name}"] = cdf(result.completion_times())
         figure.series[f"placement_cdf:{name}"] = cdf(result.placement_scores())
     peak = max(result.peak_contention for _name, result in cells)
+    for row, (_name, result) in zip(figure.rows, cells):
+        row["dist_from_ideal"] = distance_from_ideal(result.rhos(), peak)
     figure.notes = f"peak contention {peak:.2f}x"
 
 

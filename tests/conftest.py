@@ -16,6 +16,7 @@ from repro.service.api import ServiceServer
 
 import helpers
 from helpers import make_app, make_job  # noqa: F401 — re-exported for tests
+from helpers import uniform_cluster
 
 __all__ = ["make_app", "make_job"]
 
@@ -48,13 +49,7 @@ def small_cluster():
 @pytest.fixture
 def one_machine_cluster():
     """A single 4-GPU machine."""
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=1, gpus_per_machine=4),),
-            num_racks=1,
-            name="one-machine",
-        )
-    )
+    return uniform_cluster(1, name="one-machine")
 
 
 @pytest.fixture

@@ -22,16 +22,28 @@ from hypothesis import event
 from hypothesis import strategies as st
 
 from repro.cluster.allocation import Allocation
-from repro.cluster.topology import GPU_TYPES, ClusterSpec, Gpu, MachineSpec, build_cluster
+from repro.cluster.topology import (
+    GPU_TYPES,
+    ClusterSpec,
+    Gpu,
+    GpuType,
+    MachineSpec,
+    build_cluster,
+)
 from repro.core.assignment import CHUNK_SIZE
 from repro.core.auction import PartialAllocationAuction, rescan_fair_allocation
 from repro.core.bids import Bid
 from repro.core.fairness import AppValuationState, FairnessEstimator, _job_tuples
+from repro.experiments.config import ScenarioConfig
 from repro.hyperparam.curves import LossCurve
+from repro.schedulers.registry import make_scheduler
+from repro.simulation.failures import FailureInjector, MachineFailure
+from repro.simulation.simulator import ClusterSimulator
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.job import Job, JobSpec
 from repro.workload.models import MODEL_FAMILIES
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
+from repro.workload.trace import Trace, TraceApp, TraceJob
 
 
 def make_job(
@@ -70,6 +82,62 @@ def make_app(
         for i in range(num_jobs)
     ]
     return App(app_id=app_id, arrival_time=arrival, jobs=jobs, semantics=semantics)
+
+
+def trace_app(app_id, arrival, minutes, parallelism=4, model="resnet50", jobs=1) -> TraceApp:
+    """An app of ``jobs`` identical jobs ``{app_id}-j0``, ``-j1``, ..."""
+    return TraceApp(
+        app_id,
+        arrival,
+        tuple(
+            TraceJob(
+                job_id=f"{app_id}-j{i}",
+                model=model,
+                duration_minutes=minutes,
+                max_parallelism=parallelism,
+            )
+            for i in range(jobs)
+        ),
+    )
+
+
+def trace_of(*apps: TraceApp) -> Trace:
+    return Trace(apps=tuple(apps))
+
+
+def uniform_cluster(machines: int, gpus_per_machine: int = 4, racks: int = 1, name: str = "custom"):
+    """``machines`` identical machines of ``gpus_per_machine`` GPUs over ``racks`` racks."""
+    return build_cluster(
+        ClusterSpec(
+            machine_specs=(MachineSpec(count=machines, gpus_per_machine=gpus_per_machine),),
+            num_racks=racks,
+            name=name,
+        )
+    )
+
+
+def machine_per_type(*gpu_types: GpuType, racks: int = 1, name: str = "custom"):
+    """One 4-GPU machine of each type, machine ``i`` of ``gpu_types[i]``."""
+    specs = tuple(MachineSpec(count=1, gpus_per_machine=4, gpu_type=t) for t in gpu_types)
+    return build_cluster(ClusterSpec(machine_specs=specs, num_racks=racks, name=name))
+
+
+def simulator(scenario: ScenarioConfig, scheduler="themis", *, failures=(), obs=None):
+    """``scheduler`` (a registry name or an instance) over ``scenario``,
+    built as ``run_scenario`` builds it, with ``(machine, at, duration)``
+    outages installed: for tests that reach into the simulator (a result
+    alone comes from ``run_scenario``)."""
+    sim = ClusterSimulator(
+        cluster=scenario.build_cluster(),
+        workload=scenario.build_trace(),
+        scheduler=make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler,
+        config=scenario.build_sim_config(),
+        perf_model=scenario.build_perf_model(),
+        obs=obs,
+    )
+    if failures:
+        FailureInjector([MachineFailure(m, at, d) for m, at, d in failures]).install(sim)
+    return sim
 
 
 class RescanAuction(PartialAllocationAuction):

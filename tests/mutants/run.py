@@ -11,8 +11,9 @@ A mutant is ``(id, path, old, new)``: ``path`` is relative to
 mutant is applied to a temporary copy of ``src/`` and ``tests/`` — never
 to the working tree — and then ``pytest -x`` runs over the test files
 that import the mutated module (those naming it as ``repro.core.auction``
-and so on), with a fixed Hypothesis seed so a kill table is
-reproducible.  A failing, erroring or timed-out run kills the mutant.
+and so on, and those importing ``tests/helpers.py`` when it does), with
+a fixed Hypothesis seed so a kill table is reproducible.  A failing,
+erroring or timed-out run kills the mutant.
 
 The run prints one row per mutant (the first test that failed on it)
 and the score per module.  ``--check`` exits 1 when any mutant
@@ -300,6 +301,10 @@ MUTANTS = [
      "if not length and self._fh.write(_HEADER)", "if False and self._fh.write(_HEADER)"),
     ("store-append-no-rollback", "service/store.py",
      "self._cut(self._wal_bytes)\n            raise", "pass\n            raise"),
+    # experiments/figures.py: fig05-07's one "ideal" for every scheduler
+    ("figure-ideal-per-cell", "experiments/figures.py",
+     "distance_from_ideal(result.rhos(), peak)",
+     "distance_from_ideal(result.rhos(), result.peak_contention)"),
     # experiments/config.py: the one preset dispatch; cli/: bound types, the service wrapper
     ("preset-hetero-to-sim", "experiments/config.py",
      '"hetero": hetero_scenario}', '"hetero": sim_scenario}'),
@@ -328,13 +333,21 @@ EQUIVALENT = {
 DEFAULT_TIMEOUT = 600
 
 
-def importers(path: str, tests: Path) -> list[str]:
-    """Test files naming the module (``core/auction.py`` -> ``repro.core.auction``),
-    the ones named after it first."""
+def importers(path: str, tests: Path) -> list[list[str]]:
+    """Test files to run, in rounds: the files naming the module
+    (``core/auction.py`` -> ``repro.core.auction``), the ones named after
+    it first; then, if ``helpers.py`` names it, the other test files that
+    import ``helpers``.  Empty rounds are dropped."""
     module = "repro." + path[: -len(".py")].replace("/", ".")
     pattern = re.compile(rf"\b{re.escape(module)}\b")
-    found = [f.name for f in sorted(tests.glob("test_*.py")) if pattern.search(f.read_text())]
-    return sorted(found, key=lambda name: Path(path).stem not in name)
+    sources = {f.name: f.read_text() for f in sorted(tests.glob("test_*.py"))}
+    direct = [name for name, text in sources.items() if pattern.search(text)]
+    direct.sort(key=lambda name: Path(path).stem not in name)
+    via_helpers = []
+    if pattern.search((tests / "helpers.py").read_text()):
+        uses = re.compile(r"^(?:from helpers |import helpers)", re.MULTILINE)
+        via_helpers = [n for n, text in sources.items() if n not in direct and uses.search(text)]
+    return [files for files in (direct, via_helpers) if files]
 
 
 def check_mutants(src: Path) -> None:
@@ -349,11 +362,14 @@ def check_mutants(src: Path) -> None:
 
 
 def make_workdir() -> Path:
-    """A scratch copy of ``src/``, ``tests/`` and ``pyproject.toml``."""
+    """A scratch copy of ``src/``, ``tests/``, ``pyproject.toml`` and the
+    sources some tests read besides (``examples/``, ``benchmarks/``)."""
     workdir = Path(tempfile.mkdtemp(prefix="repro-mutant-"))
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.pyc")
-    shutil.copytree(ROOT / "src", workdir / "src", ignore=ignore)
-    shutil.copytree(ROOT / "tests", workdir / "tests", ignore=ignore)
+    ignore = shutil.ignore_patterns(
+        "__pycache__", ".hypothesis", "*.pyc", "results", ".work", "traces", "out"
+    )
+    for top in ("src", "tests", "examples", "benchmarks"):
+        shutil.copytree(ROOT / top, workdir / top, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", workdir / "pyproject.toml")
     return workdir
 
@@ -364,31 +380,34 @@ def run_mutant(mutant, workdir: Path, timeout: float) -> dict:
     row: dict = {"module": path}
     if mutant_id in EQUIVALENT:
         return {**row, "status": "equivalent", "reason": EQUIVALENT[mutant_id]}
-    files = importers(path, workdir / "tests")
-    if not files:
+    rounds = importers(path, workdir / "tests")
+    if not rounds:
         return {**row, "status": "survived", "by": "no test file imports the module"}
     target = workdir / "src" / "repro" / path
     original = target.read_text()
     target.write_text(original.replace(old, new, 1))
-    command = [
-        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-        "--hypothesis-seed=0", *[f"tests/{name}" for name in files],
-    ]
     # No bytecode: a mutant and its restore can land in one second with
     # one size, which a timestamp-checked .pyc would not notice.
     env = {**os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        done = subprocess.run(
-            command, cwd=workdir, env=env, capture_output=True, text=True, timeout=timeout
-        )
+        # A later round runs only for a mutant the earlier ones left alive.
+        for files in rounds:
+            command = [
+                sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                "--hypothesis-seed=0", *[f"tests/{name}" for name in files],
+            ]
+            done = subprocess.run(
+                command, cwd=workdir, env=env, capture_output=True, text=True, timeout=timeout
+            )
+            if done.returncode != 0:
+                failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+                by = failed.group(1) if failed else done.stdout[-200:]
+                return {**row, "status": "killed", "by": by}
     except subprocess.TimeoutExpired:
         return {**row, "status": "killed", "by": f"timeout after {timeout:g} s"}
     finally:
         target.write_text(original)
-    if done.returncode == 0:
-        return {**row, "status": "survived", "by": None}
-    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
-    return {**row, "status": "killed", "by": failed.group(1) if failed else done.stdout[-200:]}
+    return {**row, "status": "survived", "by": None}
 
 
 def run_all(mutants, jobs: int, timeout: float) -> dict[str, dict]:

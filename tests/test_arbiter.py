@@ -11,11 +11,9 @@ from repro.core.agent import Agent
 from repro.core.arbiter import Arbiter, ArbiterConfig
 from repro.core.fairness import AppValuationState, FairnessEstimator
 from repro.experiments.config import sim_scenario
-from repro.schedulers.registry import make_scheduler
-from repro.simulation.simulator import ClusterSimulator
 from repro.workload.app import App
 
-from helpers import group_pool, make_app
+from helpers import group_pool, make_app, simulator
 
 
 @pytest.fixture
@@ -143,13 +141,7 @@ def test_every_round_offers_the_worst_off_eligible_apps():
             mean_interarrival_minutes=3.0, jobs_per_app_median=3.0, jobs_per_app_max=6
         )
     )
-    sim = ClusterSimulator(
-        cluster=scenario.build_cluster(),
-        workload=scenario.build_trace(),
-        scheduler=make_scheduler("themis"),
-        config=scenario.build_sim_config(),
-        perf_model=scenario.build_perf_model(),
-    )
+    sim = simulator(scenario)
     scheduler = sim.scheduler
     arbiter = scheduler.arbiter
     estimator = FairnessEstimator(

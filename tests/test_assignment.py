@@ -6,16 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import MODELS, group_pool, make_job, rescan_utility_assign
-from repro.cluster.topology import (
-    GPU_TYPES,
-    Cluster,
-    ClusterSpec,
-    Gpu,
-    Machine,
-    MachineSpec,
-    build_cluster,
-)
+from helpers import MODELS, group_pool, make_job, rescan_utility_assign, uniform_cluster
+from repro.cluster.topology import GPU_TYPES, Cluster, Gpu, Machine
 from repro.core.assignment import (
     AdditiveWelfare,
     UtilityBid,
@@ -247,13 +239,7 @@ def _order_market():
     holdings and 6 above: only 6 leaves every job's GPUs packed well
     enough to gain, and a class without the position scores 6 as 0.
     """
-    cluster = build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=8, gpus_per_machine=4),),
-            num_racks=2,
-            name="order",
-        )
-    )
+    cluster = uniform_cluster(8, racks=2, name="order")
     jobs = [
         make_job("a-j0", model="transformer", serial_work=50.0, max_parallelism=2),
         make_job("a-j1", model="transformer", serial_work=100.0, max_parallelism=3),
@@ -326,13 +312,7 @@ def test_gandiva_values_a_bundle_by_its_packing_score():
     """Gandiva's states carry the packing kernel: the utility of the
     holdings plus a bundle is the placement-weighted effective compute
     of the reference carve, not the aggregate rate."""
-    cluster = build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=6, gpus_per_machine=4),),
-            num_racks=2,
-            name="pack",
-        )
-    )
+    cluster = uniform_cluster(6, racks=2, name="pack")
     jobs = [
         make_job("a-j0", model="vgg16", serial_work=50.0, max_parallelism=4),
         make_job("a-j1", model="resnet50", serial_work=80.0, max_parallelism=6),

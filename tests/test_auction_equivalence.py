@@ -47,7 +47,7 @@ from repro.core.fairness import FairnessEstimator
 from repro.workload.app import CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
 
-from helpers import Market, RescanAuction, make_app, markets
+from helpers import Market, RescanAuction, make_app, markets, simulator, uniform_cluster
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,13 +220,7 @@ def test_shrinking_machine_raises_gain_yet_memo_stays_exact():
     instead keys on ``min(CHUNK_SIZE, free, headroom)``, which *changed*
     (3 -> 2), so the pair is re-scored precisely.
     """
-    cluster = build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=2, gpus_per_machine=4),),
-            num_racks=1,
-            name="nonmono",
-        )
-    )
+    cluster = uniform_cluster(2, name="nonmono")
     estimator = FairnessEstimator(cluster)
     app = make_app(app_id="capped", num_jobs=3, model="vgg16", max_parallelism=2)
     # Each job holds one GPU elsewhere: value positive (gain path).
@@ -359,8 +353,6 @@ def test_lazy_matches_exhaustive_on_small_instances():
 def test_sim_level_lazy_matches_rescan():
     """Whole trace replay with the solver flipped to the rescan reference."""
     from repro.experiments.config import sim_scenario
-    from repro.schedulers.registry import make_scheduler
-    from repro.simulation.simulator import ClusterSimulator
 
     scenario = (
         sim_scenario(num_apps=8, seed=11, duration_scale=0.12)
@@ -371,19 +363,13 @@ def test_sim_level_lazy_matches_rescan():
     )
 
     def run(rescan: bool) -> str:
-        scheduler = make_scheduler("themis")
-        simulator = ClusterSimulator(
-            cluster=scenario.build_cluster(),
-            workload=scenario.build_trace(),
-            scheduler=scheduler,
-            config=scenario.build_sim_config(),
-            perf_model=scenario.build_perf_model(),
-        )
+        sim = simulator(scenario)
+        scheduler = sim.scheduler
         assert scheduler.arbiter is not None
         if rescan:
             bound = scheduler.arbiter.auction
             scheduler.arbiter.auction = RescanAuction()
             scheduler.arbiter.auction.estimator = bound.estimator
-        return simulator.run().digest()
+        return sim.run().digest()
 
     assert run(rescan=False) == run(rescan=True)

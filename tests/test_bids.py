@@ -45,13 +45,6 @@ def test_bid_demand_is_unmet_demand(estimator):
     assert bid.demand == 12
 
 
-def test_bid_caches_rho(estimator):
-    app = make_app()
-    bid = Bid(app, estimator, now=0.0, offered_counts={0: 4})
-    first = bid.rho_of({0: 2})
-    assert bid.rho_of({0: 2}) == first  # cached, deterministic
-
-
 def test_table_contains_empty_and_per_machine_rows(estimator):
     app = make_app(num_jobs=2, max_parallelism=2)
     bid = Bid(app, estimator, now=0.0, offered_counts={0: 2, 2: 2})

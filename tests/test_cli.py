@@ -197,19 +197,19 @@ def test_compare_with_workers_and_cache(tmp_path, capsys):
 
 def test_bench_verb_is_gone(capsys):
     """Replay counts are gated by tests/golden_sim.json, time by benchmarks/e2e."""
-    assert parse_error("bench") == 2
-    assert parse_error("bench", "sim") == 2
-    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    usage_error(capsys, "bench", "sim")
+    assert "invalid choice: 'bench'" in usage_error(capsys, "bench")
 
 
 # ----------------------------------------------------------------------
 # --gpu-mix / --perf-matrix validation (parse-time, actionable errors)
 # ----------------------------------------------------------------------
-def parse_error(*argv):
-    """Run the parser expecting an argparse validation exit (code 2)."""
+def usage_error(capsys, *argv) -> str:
+    """The parser's stderr for ``argv``, which must be a validation exit (code 2)."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(list(argv))
-    return excinfo.value.code
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -233,60 +233,47 @@ def parse_error(*argv):
 def test_numeric_flags_are_validated_at_parse_time(capsys, argv):
     """The bound types of ``repro.cli.args``: a usage error and exit 2,
     not a traceback from inside the simulator."""
-    assert parse_error(*argv) == 2
-    err = capsys.readouterr().err
+    err = usage_error(capsys, *argv)
     assert err.startswith("usage: repro")
     assert f"argument {argv[-2]}: must be" in err
 
 
 def test_gpu_mix_rejects_unknown_generation(capsys):
-    code = parse_error("run", "--cluster", "hetero", "--gpu-mix", "h100:0.5,k80:0.5")
-    assert code == 2
-    err = capsys.readouterr().err
+    err = usage_error(capsys, "run", "--cluster", "hetero", "--gpu-mix", "h100:0.5,k80:0.5")
     assert "h100" in err and "k80" in err  # names the typo + alternatives
 
 
 def test_gpu_mix_rejects_malformed_entry(capsys):
-    code = parse_error("run", "--cluster", "hetero", "--gpu-mix", "v100=0.5")
-    assert code == 2
-    assert "name:fraction" in capsys.readouterr().err
+    err = usage_error(capsys, "run", "--cluster", "hetero", "--gpu-mix", "v100=0.5")
+    assert "name:fraction" in err
 
 
 def test_gpu_mix_rejects_non_numeric_fraction(capsys):
-    code = parse_error("run", "--cluster", "hetero", "--gpu-mix", "v100:lots")
-    assert code == 2
-    assert "must be a number" in capsys.readouterr().err
+    err = usage_error(capsys, "run", "--cluster", "hetero", "--gpu-mix", "v100:lots")
+    assert "must be a number" in err
 
 
 def test_gpu_mix_rejects_all_zero(capsys):
-    code = parse_error("run", "--cluster", "hetero", "--gpu-mix", "v100:0,k80:0")
-    assert code == 2
-    assert "positive fraction" in capsys.readouterr().err
+    err = usage_error(capsys, "run", "--cluster", "hetero", "--gpu-mix", "v100:0,k80:0")
+    assert "positive fraction" in err
 
 
 @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
 def test_gpu_mix_rejects_non_finite_fractions(capsys, value):
-    code = parse_error("run", "--cluster", "hetero", "--gpu-mix", f"v100:{value}")
-    assert code == 2
-    assert "finite" in capsys.readouterr().err
+    err = usage_error(capsys, "run", "--cluster", "hetero", "--gpu-mix", f"v100:{value}")
+    assert "finite" in err
 
 
 @pytest.mark.parametrize("value", ("nan", "inf"))
 def test_perf_matrix_rejects_non_finite_speedups(capsys, value):
-    code = parse_error("run", "--perf-matrix", f"vgg:v100={value}")
-    assert code == 2
-    assert "finite" in capsys.readouterr().err
+    assert "finite" in usage_error(capsys, "run", "--perf-matrix", f"vgg:v100={value}")
 
 
 def test_perf_matrix_rejects_duplicate_rows_and_cells(capsys):
-    code = parse_error(
-        "run", "--perf-matrix", "vgg:v100=1.0;vgg:p100=0.9"
-    )
-    assert code == 2
-    assert "duplicate perf-matrix row" in capsys.readouterr().err
-    code = parse_error("run", "--perf-matrix", "vgg:v100=1.0,v100=0.9")
-    assert code == 2
-    assert "duplicate perf-matrix cell" in capsys.readouterr().err
+    err = usage_error(capsys, "run", "--perf-matrix", "vgg:v100=1.0;vgg:p100=0.9")
+    assert "duplicate perf-matrix row" in err
+    err = usage_error(capsys, "run", "--perf-matrix", "vgg:v100=1.0,v100=0.9")
+    assert "duplicate perf-matrix cell" in err
 
 
 def test_perf_matrix_on_single_generation_cluster_warns(capsys):
@@ -336,32 +323,22 @@ def test_perf_matrix_accepts_preset_and_inline():
 
 
 def test_perf_matrix_rejects_unknown_generation(capsys):
-    code = parse_error("run", "--perf-matrix", "vgg:h100=2.0")
-    assert code == 2
-    err = capsys.readouterr().err
+    err = usage_error(capsys, "run", "--perf-matrix", "vgg:h100=2.0")
     assert "h100" in err and "known generations" in err
 
 
 def test_perf_matrix_rejects_unknown_family(capsys):
-    code = parse_error("run", "--perf-matrix", "diffusion:v100=1.0")
-    assert code == 2
-    err = capsys.readouterr().err
+    err = usage_error(capsys, "run", "--perf-matrix", "diffusion:v100=1.0")
     assert "diffusion" in err and "known families" in err
 
 
 def test_perf_matrix_rejects_malformed_cells(capsys):
-    code = parse_error("run", "--perf-matrix", "vgg=v100:1.0")
-    assert code == 2
-    assert "gen=speedup" in capsys.readouterr().err
-    code = parse_error("run", "--perf-matrix", "vgg")
-    assert code == 2
-    assert "family:gen=speedup" in capsys.readouterr().err
+    assert "gen=speedup" in usage_error(capsys, "run", "--perf-matrix", "vgg=v100:1.0")
+    assert "family:gen=speedup" in usage_error(capsys, "run", "--perf-matrix", "vgg")
 
 
 def test_perf_matrix_rejects_missing_file(capsys):
-    code = parse_error("run", "--perf-matrix", "no-such-file.json")
-    assert code == 2
-    assert "cannot read" in capsys.readouterr().err
+    assert "cannot read" in usage_error(capsys, "run", "--perf-matrix", "no-such-file.json")
 
 
 def test_perf_matrix_from_json_file(tmp_path):

@@ -179,6 +179,18 @@ def test_themis_figures_report_how_many_auctions_had_bidders():
     assert run_figure("ablation-drf", CONTENDED_TINY, schedulers=("fifo",)).notes == ""
 
 
+def test_macrobenchmark_measures_every_scheduler_against_one_ideal():
+    """The distance from ideal of every row divides by the peak contention
+    the notes print, not its own cell's: here the two cells peak apart."""
+    figure = run_figure("fig05-07", CONTENDED_TINY, schedulers=("themis", "fifo"))
+    peaks = [run_scenario(CONTENDED_TINY, name).peak_contention for name in ("themis", "fifo")]
+    assert peaks[0] != peaks[1]
+    peak = max(peaks)
+    assert figure.notes.startswith(f"peak contention {peak:.2f}x;")
+    for row in figure.rows:
+        assert row["dist_from_ideal"] == (row["max_fairness"] - peak) / peak
+
+
 def test_macrobenchmark_attaches_the_cdfs_of_figures_6_and_7():
     figure = run_figure("fig05-07", tiny_scenario(), schedulers=("themis", "fifo"))
     assert list(figure.series) == [

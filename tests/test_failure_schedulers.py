@@ -10,61 +10,28 @@ cluster mid-run, forcing every job onto old silicon and back.
 
 import pytest
 
-from repro.cluster.topology import (
-    ClusterSpec,
-    GpuType,
-    MachineSpec,
-    build_cluster,
-)
+from repro.cluster.topology import GpuType
 from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
 from repro.simulation.failures import FailureInjector, MachineFailure
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
-from repro.workload.trace import Trace, TraceApp, TraceJob
+
+from helpers import machine_per_type, trace_app, trace_of, uniform_cluster
 
 V100 = GpuType("v100", 1.0)
 K80 = GpuType("k80", 0.35)
 
 
 def homogeneous_cluster():
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=2, gpus_per_machine=4),),
-            num_racks=2,
-            name="fail-pair",
-        )
-    )
+    return uniform_cluster(2, racks=2, name="fail-pair")
 
 
 def mixed_cluster():
     """Machine 0: fast v100s; machine 1: slow k80s."""
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(
-                MachineSpec(count=1, gpus_per_machine=4, gpu_type=V100),
-                MachineSpec(count=1, gpus_per_machine=4, gpu_type=K80),
-            ),
-            num_racks=2,
-            name="fail-mixed",
-        )
-    )
+    return machine_per_type(V100, K80, racks=2, name="fail-mixed")
 
 
 def two_app_trace(minutes=40.0):
-    def app(app_id):
-        return TraceApp(
-            app_id,
-            0.0,
-            (
-                TraceJob(
-                    job_id=f"{app_id}-j0",
-                    model="resnet50",
-                    duration_minutes=minutes,
-                    max_parallelism=4,
-                ),
-            ),
-        )
-
-    return Trace(apps=(app("a"), app("b")))
+    return trace_of(trace_app("a", 0.0, minutes), trace_app("b", 0.0, minutes))
 
 
 def run_with_failures(cluster, scheduler_name, failures, **config_kwargs):

@@ -4,40 +4,19 @@ import math
 
 import pytest
 
-from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.failures import FailureInjector, MachineFailure
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
-from repro.workload.trace import Trace, TraceApp, TraceJob
+
+from helpers import trace_app, trace_of, uniform_cluster
 
 
 def pair_cluster():
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=2, gpus_per_machine=4),),
-            num_racks=2,
-            name="pair",
-        )
-    )
+    return uniform_cluster(2, racks=2, name="pair")
 
 
 def solo_trace(minutes=60.0):
-    return Trace(
-        apps=(
-            TraceApp(
-                "solo",
-                0.0,
-                (
-                    TraceJob(
-                        job_id="solo-j0",
-                        model="resnet50",
-                        duration_minutes=minutes,
-                        max_parallelism=4,
-                    ),
-                ),
-            ),
-        )
-    )
+    return trace_of(trace_app("solo", 0.0, minutes))
 
 
 def build_sim(trace, failures, **config_kwargs):
@@ -129,25 +108,9 @@ def _assert_no_leases_on_machine(sim, machine_id):
 
 def test_failure_displaces_and_fairness_recovers():
     """Two apps; one loses its machine; it must still finish (no starvation)."""
-    trace = Trace(
-        apps=(
-            TraceApp(
-                "victim",
-                0.0,
-                (
-                    TraceJob(job_id="victim-j0", model="vgg16",
-                             duration_minutes=50.0, max_parallelism=4),
-                ),
-            ),
-            TraceApp(
-                "other",
-                0.0,
-                (
-                    TraceJob(job_id="other-j0", model="vgg16",
-                             duration_minutes=50.0, max_parallelism=4),
-                ),
-            ),
-        )
+    trace = trace_of(
+        trace_app("victim", 0.0, 50.0, model="vgg16"),
+        trace_app("other", 0.0, 50.0, model="vgg16"),
     )
     sim, _ = build_sim(
         trace,

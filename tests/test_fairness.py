@@ -24,20 +24,6 @@ def rack_map(cluster):
     return {m.machine_id: m.rack_id for m in cluster.machines}
 
 
-def test_carve_respects_parallelism_caps(small_cluster):
-    jobs = [make_job("a", max_parallelism=2), make_job("b", max_parallelism=2)]
-    allotments = carve_allotments(jobs, {0: 4}, rack_map(small_cluster))
-    assert sum(item.gpus for item in allotments) == 4
-    assert all(item.gpus == 2 for item in allotments)
-
-
-def test_carve_conserves_pool(small_cluster):
-    jobs = [make_job(f"j{i}") for i in range(5)]
-    counts = {0: 4, 1: 4, 2: 2}
-    allotments = carve_allotments(jobs, counts, rack_map(small_cluster))
-    assert sum(item.gpus for item in allotments) <= sum(counts.values())
-
-
 def test_carve_prefers_colocated_machines(small_cluster):
     # One job, cap 4: one whole 4-GPU machine beats 2+2.
     jobs = [make_job("a", max_parallelism=4)]

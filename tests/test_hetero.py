@@ -28,7 +28,7 @@ from repro.workload.generator import GeneratorConfig, generate_trace
 from repro.workload.models import effective_gpus, get_model, throughput
 from repro.workload.trace import Trace, TraceApp, TraceJob
 
-from helpers import make_app, make_job, split
+from helpers import machine_per_type, make_app, make_job, split, trace_app, trace_of
 
 V100 = GpuType("v100", 1.0)
 K80 = GpuType("k80", 0.35)
@@ -36,16 +36,7 @@ K80 = GpuType("k80", 0.35)
 
 def two_speed_cluster():
     """Machine 0: 4x v100; machine 1: 4x k80 (one rack each)."""
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(
-                MachineSpec(count=1, gpus_per_machine=4, gpu_type=V100),
-                MachineSpec(count=1, gpus_per_machine=4, gpu_type=K80),
-            ),
-            num_racks=2,
-            name="two-speed",
-        )
-    )
+    return machine_per_type(V100, K80, racks=2, name="two-speed")
 
 
 # ----------------------------------------------------------------------
@@ -252,16 +243,7 @@ def test_per_type_rows_sum_to_totals():
     from repro.schedulers.registry import make_scheduler
     from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 
-    trace = Trace(
-        apps=(
-            TraceApp(
-                "solo",
-                0.0,
-                (TraceJob(job_id="solo-j0", model="resnet50",
-                          duration_minutes=20.0, max_parallelism=4),),
-            ),
-        )
-    )
+    trace = trace_of(trace_app("solo", 0.0, 20.0))
     sim = ClusterSimulator(
         cluster=two_speed_cluster(),
         workload=trace,

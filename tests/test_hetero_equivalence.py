@@ -21,12 +21,7 @@ import json
 
 import pytest
 
-from repro.cluster.topology import (
-    ClusterSpec,
-    GpuType,
-    MachineSpec,
-    build_cluster,
-)
+from repro.cluster.topology import ClusterSpec, GpuType, MachineSpec, build_cluster
 from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 from repro.workload.generator import GeneratorConfig, generate_trace
@@ -34,48 +29,37 @@ from repro.workload.perf import ThroughputMatrixModel, known_families
 
 from helpers import assert_golden
 
-#: Machine shapes of the 50-GPU testbed, reused for both builds.
-_SHAPES = ((4, 4), (3, 2), (3, 1))  # (count, gpus_per_machine)
+#: Machine shapes of the 50-GPU testbed: (count, gpus_per_machine).
+_SHAPES = ((4, 4), (3, 2), (3, 1))
+_NAMES = ("v100", "p100", "k80")
+MIXED = (1.0, 0.6, 0.35)
 
 SEEDS = (7, 11, 23)
 
 
-def _cluster(speed_labels: bool, speeds: tuple[float, float, float] = (1.0, 1.0, 1.0)):
-    """Testbed-shaped cluster; optionally with per-shape GPU-type labels."""
-    names = ("v100", "p100", "k80")
-    specs = []
-    for (count, gpus_per_machine), name, speed in zip(_SHAPES, names, speeds):
-        kwargs = {}
-        if speed_labels:
-            kwargs["gpu_type"] = GpuType(name, speed)
-        specs.append(
-            MachineSpec(count=count, gpus_per_machine=gpus_per_machine, **kwargs)
+def _run(seed: int, scheduler: str, speeds=None, perf_model=None):
+    """A 3-app trace on the testbed-shaped cluster: unlabelled GPUs when
+    ``speeds`` is None, else one generation per shape at those speeds."""
+    specs = tuple(
+        MachineSpec(
+            count=count,
+            gpus_per_machine=per_machine,
+            **({} if speeds is None else {"gpu_type": GpuType(name, speed)}),
         )
-    return build_cluster(
-        ClusterSpec(machine_specs=tuple(specs), num_racks=2, name="equiv")
+        for (count, per_machine), name, speed in zip(_SHAPES, _NAMES, speeds or (1.0,) * 3)
     )
-
-
-def _trace(seed: int):
-    return generate_trace(
+    trace = generate_trace(
         GeneratorConfig(
-            num_apps=3,
-            seed=seed,
-            duration_scale=0.1,
-            jobs_per_app_median=3.0,
-            jobs_per_app_max=6,
+            num_apps=3, seed=seed, duration_scale=0.1, jobs_per_app_median=3.0, jobs_per_app_max=6
         )
     )
-
-
-def _run(cluster, seed: int, scheduler: str):
-    sim = ClusterSimulator(
-        cluster=cluster,
-        workload=_trace(seed),
+    return ClusterSimulator(
+        cluster=build_cluster(ClusterSpec(machine_specs=specs, num_racks=2, name="equiv")),
+        workload=trace,
         scheduler=make_scheduler(scheduler),
         config=SimulationConfig(lease_minutes=10.0),
-    )
-    return sim.run()
+        perf_model=perf_model,
+    ).run()
 
 
 def _canonical(result) -> str:
@@ -89,12 +73,16 @@ def _canonical(result) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _full(result) -> str:
+    return json.dumps(result.to_json(), sort_keys=True)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_speed_one_labels_are_byte_identical(scheduler, seed):
     """Labelled-but-speed-1.0 GPUs change nothing, for every scheduler."""
-    baseline = _run(_cluster(speed_labels=False), seed, scheduler)
-    labelled = _run(_cluster(speed_labels=True), seed, scheduler)
+    baseline = _run(seed, scheduler)
+    labelled = _run(seed, scheduler, speeds=(1.0, 1.0, 1.0))
     assert _canonical(labelled) == _canonical(baseline)
     # The by-type split is the only difference, and it is conservative:
     # per-type device minutes sum to the same totals on both sides.
@@ -103,39 +91,18 @@ def test_speed_one_labels_are_byte_identical(scheduler, seed):
     )
     assert sum(labelled.cluster_gpus_by_type.values()) == baseline.cluster_gpus
     assert set(baseline.gpu_time_by_type) <= {"default"}
-    assert set(labelled.gpu_time_by_type) <= {"v100", "p100", "k80"}
+    assert set(labelled.gpu_time_by_type) <= set(_NAMES)
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_slow_generations_actually_change_results(scheduler):
     """Sanity inverse: speeds below 1.0 must not be a silent no-op."""
-    seed = SEEDS[0]
-    baseline = _run(_cluster(speed_labels=False), seed, scheduler)
-    mixed = _run(
-        _cluster(speed_labels=True, speeds=(1.0, 0.6, 0.35)), seed, scheduler
-    )
+    baseline = _run(SEEDS[0], scheduler)
+    mixed = _run(SEEDS[0], scheduler, speeds=MIXED)
     assert mixed.completed
     # Slower silicon means strictly less effective compute: the same
     # workload cannot finish faster than on the all-fast cluster.
     assert mixed.makespan >= baseline.makespan
-
-
-def _degenerate_matrix(speeds: dict[str, float]) -> ThroughputMatrixModel:
-    """A matrix whose every family row repeats the scalar speeds."""
-    return ThroughputMatrixModel(
-        {family: dict(speeds) for family in known_families()}
-    )
-
-
-def _run_with_model(cluster, seed: int, scheduler: str, perf_model):
-    sim = ClusterSimulator(
-        cluster=cluster,
-        workload=_trace(seed),
-        scheduler=make_scheduler(scheduler),
-        config=SimulationConfig(lease_minutes=10.0),
-        perf_model=perf_model,
-    )
-    return sim.run()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -150,29 +117,20 @@ def test_all_scalar_matrix_is_byte_identical_to_scalar_model(scheduler, seed):
     every scheduler, on homogeneous and mixed-speed fleets; the scalar
     run's digest is frozen besides (tests/golden_sim.json).
     """
-    fleets = {
-        "homo": {"v100": 1.0, "p100": 1.0, "k80": 1.0},
-        "hetero": {"v100": 1.0, "p100": 0.6, "k80": 0.35},
-    }
-    for fleet, speeds in fleets.items():
-        cluster = _cluster(
-            speed_labels=True,
-            speeds=(speeds["v100"], speeds["p100"], speeds["k80"]),
+    for fleet, speeds in {"homo": (1.0, 1.0, 1.0), "hetero": MIXED}.items():
+        scalar = _run(seed, scheduler, speeds)
+        degenerate = ThroughputMatrixModel(
+            {family: dict(zip(_NAMES, speeds)) for family in known_families()}
         )
-        scalar = _run_with_model(cluster, seed, scheduler, None)
-        degenerate = _run_with_model(
-            cluster, seed, scheduler, _degenerate_matrix(speeds)
+        assert _full(scalar) == _full(_run(seed, scheduler, speeds, degenerate)), (
+            f"{scheduler}/seed={seed}/{speeds}"
         )
-        assert json.dumps(scalar.to_json(), sort_keys=True) == json.dumps(
-            degenerate.to_json(), sort_keys=True
-        ), f"{scheduler}/seed={seed}/{speeds}"
         assert_golden(f"scalar-matrix/{fleet}/{scheduler}/seed{seed}", scalar)
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_rate_inversion_matrix_changes_results(scheduler):
     """Sanity inverse: a genuinely family-dependent matrix must matter."""
-    cluster = _cluster(speed_labels=True, speeds=(1.0, 0.6, 0.35))
     inversion = ThroughputMatrixModel(
         {
             "vgg": {"v100": 1.0, "p100": 0.25, "k80": 0.1},
@@ -182,23 +140,15 @@ def test_rate_inversion_matrix_changes_results(scheduler):
             "gan": {"v100": 0.6, "p100": 1.0, "k80": 0.55},
         }
     )
-    seed = SEEDS[2]
-    scalar = _run_with_model(cluster, seed, scheduler, None)
-    matrix = _run_with_model(cluster, seed, scheduler, inversion)
+    matrix = _run(SEEDS[2], scheduler, MIXED, inversion)
     assert matrix.completed
-    assert json.dumps(scalar.to_json(), sort_keys=True) != json.dumps(
-        matrix.to_json(), sort_keys=True
-    )
+    assert _full(_run(SEEDS[2], scheduler, MIXED)) != _full(matrix)
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_mixed_cluster_runs_end_to_end(scheduler):
     """Every registered scheduler completes a mixed-generation trace."""
-    result = _run(
-        _cluster(speed_labels=True, speeds=(1.0, 0.6, 0.35)), SEEDS[1], scheduler
-    )
+    result = _run(SEEDS[1], scheduler, MIXED)
     assert result.completed
-    assert set(result.cluster_gpus_by_type) == {"v100", "p100", "k80"}
-    assert sum(result.gpu_time_by_type.values()) == pytest.approx(
-        result.total_gpu_time
-    )
+    assert set(result.cluster_gpus_by_type) == set(_NAMES)
+    assert sum(result.gpu_time_by_type.values()) == pytest.approx(result.total_gpu_time)

@@ -10,7 +10,9 @@ from repro.workload.app import App, CompletionSemantics
 from repro.workload.job import Job, JobSpec
 
 
-def build_app(alphas):
+def build_app(curves):
+    """A FIRST_WINNER app of one resnet50 job per loss curve; a bare
+    float is the ``alpha`` of a curve from 5.0 down to a floor of 0."""
     jobs = [
         Job(
             spec=JobSpec(
@@ -19,10 +21,12 @@ def build_app(alphas):
                 serial_work=100.0,
                 max_parallelism=4,
                 total_iterations=1000,
-                loss_curve=LossCurve(initial=5.0, floor=0.0, alpha=alpha),
+                loss_curve=curve
+                if isinstance(curve, LossCurve)
+                else LossCurve(initial=5.0, floor=0.0, alpha=curve),
             )
         )
-        for i, alpha in enumerate(alphas)
+        for i, curve in enumerate(curves)
     ]
     return App("hd", 0.0, jobs, semantics=CompletionSemantics.FIRST_WINNER)
 
@@ -84,20 +88,7 @@ def test_promising_jobs_get_reduced_parallelism(one_machine_cluster):
 def test_no_kills_when_all_projections_unbounded(one_machine_cluster):
     # Loss floor above the target: every projection is inf -> no finite
     # best to compare against -> HyperDrive cannot classify, kills nobody.
-    jobs = [
-        Job(
-            spec=JobSpec(
-                job_id=f"j{i}",
-                model="resnet50",
-                serial_work=100.0,
-                max_parallelism=4,
-                total_iterations=1000,
-                loss_curve=LossCurve(initial=5.0, floor=1.0, alpha=alpha),
-            )
-        )
-        for i, alpha in enumerate([0.3, 0.32])
-    ]
-    app = App("hd2", 0.0, jobs, semantics=CompletionSemantics.FIRST_WINNER)
+    app = build_app([LossCurve(initial=5.0, floor=1.0, alpha=alpha) for alpha in (0.3, 0.32)])
     tuner = HyperDrive(app, target_loss=0.5, warmup_iterations=50.0)
     drive(app, one_machine_cluster, tuner, [60, 120])
     assert len(app.active_jobs()) == 2
@@ -106,24 +97,10 @@ def test_no_kills_when_all_projections_unbounded(one_machine_cluster):
 def test_at_least_one_job_survives_classification(one_machine_cluster):
     # One reachable job among unreachable ones: the unreachable jobs are
     # poor (killed), the finite-projection job always survives.
-    curves = [
+    app = build_app([
         LossCurve(initial=5.0, floor=1.0, alpha=0.5),  # floor above target
-        LossCurve(initial=5.0, floor=0.0, alpha=1.0),  # reaches target
-    ]
-    jobs = [
-        Job(
-            spec=JobSpec(
-                job_id=f"j{i}",
-                model="resnet50",
-                serial_work=100.0,
-                max_parallelism=4,
-                total_iterations=1000,
-                loss_curve=curve,
-            )
-        )
-        for i, curve in enumerate(curves)
-    ]
-    app = App("hd3", 0.0, jobs, semantics=CompletionSemantics.FIRST_WINNER)
+        1.0,  # reaches target
+    ])
     tuner = HyperDrive(app, target_loss=0.5, warmup_iterations=50.0)
     drive(app, one_machine_cluster, tuner, [60, 120, 200])
     alive = app.active_jobs()

@@ -44,8 +44,6 @@ from repro.core.fairness import (
     carve_allotments,
 )
 from repro.experiments.config import tiny_scenario
-from repro.schedulers.registry import make_scheduler
-from repro.simulation.simulator import ClusterSimulator
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.perf import (
     DEFAULT_PERF_MODEL,
@@ -53,17 +51,11 @@ from repro.workload.perf import (
     ThroughputMatrixModel,
 )
 
-from helpers import MODELS, carve_instances, make_app, make_job
+from helpers import MODELS, carve_instances, make_app, make_job, simulator, uniform_cluster
 
 
 def small_cluster(machines=3, gpus=4, racks=1):
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=machines, gpus_per_machine=gpus),),
-            num_racks=racks,
-            name="inc",
-        )
-    )
+    return uniform_cluster(machines, gpus, racks=racks, name="inc")
 
 
 # ----------------------------------------------------------------------
@@ -236,13 +228,15 @@ def test_state_drift_path_rebuilds_when_a_work_tie_reorders_the_jobs():
     assert state.current_rho(10.0) == AppValuationState(app, estimator).current_rho(10.0)
 
 
-def test_state_matches_a_fresh_state_everywhere():
+def assert_matches_a_fresh_state_everywhere(app, seed, drain, bump):
+    """30 rounds: a warm state answers every probe as a state with nothing
+    to reuse does, while job 0 drains ``drain = (every, at, work)`` and
+    the epoch bumps at ``bump = (every, at)``."""
     cluster = small_cluster(machines=4, racks=2)
-    estimator = FairnessEstimator(cluster)
-    app = make_app("a0", num_jobs=3, max_parallelism=3)
+    estimator = FairnessEstimator(cluster, semantics=app.semantics)
     app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
     warm = AppValuationState(app, estimator)
-    rng = random.Random(7)
+    rng = random.Random(seed)
     for round_index in range(30):
         now = 5.0 * round_index
         warm.refresh()
@@ -255,46 +249,64 @@ def test_state_matches_a_fresh_state_everywhere():
             )
         )
         assert warm.rho_at(now, bundle) == cold.rho_at(now, bundle)
-        if round_index % 7 == 3:
+        if round_index % drain[0] == drain[1]:
             # Drain some work (simulates progress between rounds).
-            app.jobs[0].remaining_work = max(0.5, app.jobs[0].remaining_work - 11.0)
-        if round_index % 11 == 5:
+            app.jobs[0].remaining_work = max(0.5, app.jobs[0].remaining_work - drain[2])
+        if round_index % bump[0] == bump[1]:
             app.invalidate()
 
 
-def test_state_rate_cache_survives_order_preserving_drain():
+def test_state_matches_a_fresh_state_everywhere():
+    app = make_app("a0", num_jobs=3, max_parallelism=3)
+    assert_matches_a_fresh_state_everywhere(app, 7, drain=(7, 3, 11.0), bump=(11, 5))
+
+
+def test_first_winner_state_matches_a_fresh_state_everywhere():
+    app = first_winner_app(serial_works=(60.0, 90.0, 150.0))
+    assert_matches_a_fresh_state_everywhere(app, 13, drain=(5, 2, 9.0), bump=(11, 6))
+
+
+def cached_bundle_value(app):
+    """A state over ``app``, its first job holding one GPU, that has valued
+    one bundle: ``(state, bundle, value)``; the estimator counts carves."""
     cluster = small_cluster()
-    estimator = FairnessEstimator(cluster)
-    app = make_app("a0", num_jobs=2)
+    estimator = FairnessEstimator(cluster, semantics=app.semantics)
     app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:1]))
     state = AppValuationState(app, estimator)
     state.refresh()
     bundle = ((1, 2),)
-    state.rho_at(10.0, bundle)
-    carves = estimator.carve_count
-    # Same order, less work: the cached aggregate rate must be reused.
-    app.jobs[0].remaining_work -= 1.0
+    return state, bundle, state.rho_at(10.0, bundle)
+
+
+def assert_cache_survives_order_preserving_drain(app):
+    """Same job order, less work: the cached rate (ALL_JOBS) or ``(job_id,
+    rate)`` pairs (FIRST_WINNER) are reused, and the value is re-derived
+    from the *current* remaining work."""
+    state, bundle, first = cached_bundle_value(app)
+    carves = state.estimator.carve_count
+    app.jobs[0].remaining_work -= 5.0
+    state.refresh()
+    assert state.rho_at(20.0, bundle) != first
+    assert state.estimator.carve_count == carves
+
+
+def assert_cache_invalidated_on_reorder(app):
+    """The longer job drops below the shorter one: the cache no longer
+    describes the carve, so the bundle is carved again."""
+    state, bundle, _ = cached_bundle_value(app)
+    carves = state.estimator.carve_count
+    app.jobs[1].remaining_work = app.jobs[0].remaining_work - 30.0
     state.refresh()
     state.rho_at(20.0, bundle)
-    assert estimator.carve_count == carves
+    assert state.estimator.carve_count == carves + 1
+
+
+def test_state_rate_cache_survives_order_preserving_drain():
+    assert_cache_survives_order_preserving_drain(make_app("a0", num_jobs=2))
 
 
 def test_state_rate_cache_invalidated_when_job_order_flips():
-    cluster = small_cluster()
-    estimator = FairnessEstimator(cluster)
-    app = make_app("a0", num_jobs=2)
-    jobs = sorted(app.jobs, key=lambda j: j.job_id)
-    jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:1]))
-    state = AppValuationState(app, estimator)
-    state.refresh()
-    bundle = ((1, 2),)
-    state.rho_at(10.0, bundle)
-    carves = estimator.carve_count
-    # Flip the shortest-remaining-first order: j1 drops below j0.
-    jobs[1].remaining_work = jobs[0].remaining_work - 50.0
-    state.refresh()
-    state.rho_at(20.0, bundle)
-    assert estimator.carve_count == carves + 1  # cache was dropped
+    assert_cache_invalidated_on_reorder(make_app("a0", num_jobs=2))
 
 
 def test_starved_app_pays_one_carve_across_rounds():
@@ -315,8 +327,6 @@ def test_starved_app_pays_one_carve_across_rounds():
 
 def test_first_winner_delta_cache_dropped_on_rebuild():
     """A FIRST_WINNER delta divides by remaining work: it follows a rebuild."""
-    from repro.workload.app import CompletionSemantics
-
     cluster = small_cluster()
     estimator = FairnessEstimator(cluster, semantics=CompletionSemantics.FIRST_WINNER)
     app = first_winner_app()
@@ -338,8 +348,6 @@ def test_first_winner_delta_cache_dropped_on_rebuild():
 # FIRST_WINNER rate-signature cache (per-job pair kernels)
 # ----------------------------------------------------------------------
 def first_winner_app(serial_works=(40.0, 120.0)):
-    from repro.workload.app import App, CompletionSemantics
-
     jobs = [
         make_job(f"fw-j{i}", serial_work=work, max_parallelism=3)
         for i, work in enumerate(serial_works)
@@ -353,79 +361,11 @@ def first_winner_app(serial_works=(40.0, 120.0)):
 
 
 def test_first_winner_pair_cache_survives_order_preserving_drain():
-    from repro.workload.app import CompletionSemantics
-
-    cluster = small_cluster()
-    estimator = FairnessEstimator(
-        cluster, semantics=CompletionSemantics.FIRST_WINNER
-    )
-    app = first_winner_app()
-    app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:1]))
-    state = AppValuationState(app, estimator)
-    state.refresh()
-    bundle = ((1, 2),)
-    first = state.rho_at(10.0, bundle)
-    carves = estimator.carve_count
-    # Same order, less work: the cached (job_id, rate) pairs are reused
-    # and the delta is re-derived from the *current* remaining work.
-    app.jobs[0].remaining_work -= 5.0
-    state.refresh()
-    second = state.rho_at(20.0, bundle)
-    assert estimator.carve_count == carves
-    assert second != first  # the delta moved with the drain
+    assert_cache_survives_order_preserving_drain(first_winner_app())
 
 
 def test_first_winner_pair_cache_invalidated_on_reorder():
-    from repro.workload.app import CompletionSemantics
-
-    cluster = small_cluster()
-    estimator = FairnessEstimator(
-        cluster, semantics=CompletionSemantics.FIRST_WINNER
-    )
-    app = first_winner_app()
-    app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:1]))
-    state = AppValuationState(app, estimator)
-    state.refresh()
-    bundle = ((1, 2),)
-    state.rho_at(10.0, bundle)
-    carves = estimator.carve_count
-    # Flip shortest-remaining-first: the longer job drops below the
-    # shorter one, so the cached pairs no longer describe the carve.
-    app.jobs[1].remaining_work = app.jobs[0].remaining_work - 30.0
-    state.refresh()
-    state.rho_at(20.0, bundle)
-    assert estimator.carve_count == carves + 1
-
-
-def test_first_winner_state_matches_a_fresh_state_everywhere():
-    from repro.workload.app import CompletionSemantics
-
-    cluster = small_cluster(machines=4, racks=2)
-    estimator = FairnessEstimator(
-        cluster, semantics=CompletionSemantics.FIRST_WINNER
-    )
-    app = first_winner_app(serial_works=(60.0, 90.0, 150.0))
-    app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
-    warm = AppValuationState(app, estimator)
-    rng = random.Random(13)
-    for round_index in range(30):
-        now = 5.0 * round_index
-        warm.refresh()
-        cold = AppValuationState(app, estimator)  # nothing to reuse
-        assert warm.current_rho(now) == cold.current_rho(now)
-        bundle = tuple(
-            sorted(
-                (m, rng.randint(1, 4))
-                for m in rng.sample(range(4), rng.randint(1, 3))
-            )
-        )
-        assert warm.rho_at(now, bundle) == cold.rho_at(now, bundle)
-        if round_index % 5 == 2:
-            app.jobs[0].remaining_work = max(
-                0.5, app.jobs[0].remaining_work - 9.0
-            )
-        if round_index % 11 == 6:
-            app.invalidate()
+    assert_cache_invalidated_on_reorder(first_winner_app())
 
 
 # ----------------------------------------------------------------------
@@ -654,11 +594,6 @@ def test_baseline_reads_equal_the_uncached_oracles_every_round(seed, fleet, sema
 def test_carving_baseline_drops_a_finished_apps_state(name):
     """A state lives while its app is active (``audit_freshness`` checks
     that every round); after the last finish there is none left."""
-    scenario = tiny_scenario(num_apps=3, seed=4)
-    simulator = ClusterSimulator(
-        cluster=scenario.build_cluster(),
-        workload=scenario.build_trace(),
-        scheduler=make_scheduler(name),
-    )
-    assert simulator.run().completed
-    assert simulator.scheduler.states == {}
+    sim = simulator(tiny_scenario(num_apps=3, seed=4), name)
+    assert sim.run().completed
+    assert sim.scheduler.states == {}

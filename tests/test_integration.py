@@ -6,9 +6,9 @@ from repro.experiments.runner import run_scenario
 from repro.metrics.fairness import jain_index, max_fairness
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
-from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
 from repro.workload.generator import GeneratorConfig, generate_trace
-from repro.workload.trace import Trace, TraceApp, TraceJob
+
+from helpers import trace_app, trace_of, uniform_cluster
 
 
 def contended_scenario(seed=11):
@@ -50,15 +50,6 @@ def test_every_app_finishes_under_every_scheduler():
         assert result.completed, f"{name} left apps unfinished"
 
 
-def test_deterministic_replay():
-    scenario = contended_scenario()
-    a = run_scenario(scenario, "themis")
-    b = run_scenario(scenario, "themis")
-    assert a.makespan == b.makespan
-    assert a.rhos() == b.rhos()
-    assert a.total_gpu_time == b.total_gpu_time
-
-
 def test_fairness_knob_trades_fairness_for_efficiency():
     """Figure 4's qualitative trade-off on a small contended workload."""
     scenario = contended_scenario(seed=3)
@@ -79,25 +70,11 @@ def test_bid_noise_does_not_collapse_fairness():
 
 def test_short_app_favoured_but_long_app_unharmed():
     """Section 6's 'Favoring Short Apps' discussion, end to end."""
-    cluster = build_cluster(
-        ClusterSpec(machine_specs=(MachineSpec(count=2, gpus_per_machine=4),), num_racks=1)
+    cluster = uniform_cluster(2)
+
+    trace = trace_of(
+        trace_app("short", 0.0, 20.0), trace_app("long", 0.0, 60.0), trace_app("mid", 0.0, 40.0)
     )
-
-    def app(app_id, minutes):
-        return TraceApp(
-            app_id,
-            0.0,
-            (
-                TraceJob(
-                    job_id=f"{app_id}-j0",
-                    model="resnet50",
-                    duration_minutes=minutes,
-                    max_parallelism=4,
-                ),
-            ),
-        )
-
-    trace = Trace(apps=(app("short", 20.0), app("long", 60.0), app("mid", 40.0)))
     result = ClusterSimulator(
         cluster=cluster,
         workload=trace,

@@ -11,8 +11,8 @@ from repro.metrics.timeline import allocation_series, sample_series
 from repro.metrics.utilization import gpu_time_total, utilization
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
-from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
-from repro.workload.trace import Trace, TraceApp, TraceJob
+
+from helpers import trace_app, trace_of, uniform_cluster
 
 
 def test_max_fairness():
@@ -92,18 +92,8 @@ def test_placement_cdf_is_cdf():
 
 
 def _timeline_result():
-    cluster = build_cluster(
-        ClusterSpec(machine_specs=(MachineSpec(count=1, gpus_per_machine=4),), num_racks=1)
-    )
-    trace = Trace(
-        apps=(
-            TraceApp(
-                "a",
-                0.0,
-                (TraceJob(job_id="a-j0", model="resnet50", duration_minutes=20.0, max_parallelism=4),),
-            ),
-        )
-    )
+    cluster = uniform_cluster(1)
+    trace = trace_of(trace_app("a", 0.0, 20.0))
     return ClusterSimulator(
         cluster=cluster,
         workload=trace,

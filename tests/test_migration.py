@@ -28,7 +28,7 @@ from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 from repro.workload.app import App, AppState
 from repro.workload.perf import ThroughputMatrixModel
 
-from helpers import assert_golden, audit_freshness, make_job
+from helpers import assert_golden, audit_freshness, machine_per_type, make_job
 
 #: Rate inversion: vgg wants v100 (4x faster than p100), gan wants p100.
 INVERSION = ThroughputMatrixModel(
@@ -41,16 +41,7 @@ INVERSION = ThroughputMatrixModel(
 
 def two_generation_cluster():
     """One 4xV100 machine (m0) + one 4xP100 machine (m1), one rack."""
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(
-                MachineSpec(count=1, gpus_per_machine=4, gpu_type=GpuType("v100", 1.0)),
-                MachineSpec(count=1, gpus_per_machine=4, gpu_type=GpuType("p100", 0.6)),
-            ),
-            num_racks=1,
-            name="two-gen",
-        )
-    )
+    return machine_per_type(GpuType("v100", 1.0), GpuType("p100", 0.6), name="two-gen")
 
 
 def scenario_apps():

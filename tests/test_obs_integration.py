@@ -15,21 +15,14 @@ import pytest
 from repro.cli import main
 from repro.experiments.config import tiny_scenario
 from repro.obs import ObsConfig, Observability, RingTracer, validate_events
-from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
-from repro.simulation.simulator import ClusterSimulator
+from repro.schedulers.registry import SCHEDULER_NAMES
+from repro.experiments.runner import run_scenario
 
 
 def _traced_run(scheduler_name, seed=9):
-    scenario = tiny_scenario(num_apps=3, seed=seed)
     tracer = RingTracer(capacity=1 << 20)
-    simulator = ClusterSimulator(
-        cluster=scenario.build_cluster(),
-        workload=scenario.build_trace(),
-        scheduler=make_scheduler(scheduler_name),
-        config=scenario.build_sim_config(),
-        obs=Observability(tracer=tracer),
-    )
-    return simulator.run(), tracer
+    scenario = tiny_scenario(num_apps=3, seed=seed)
+    return run_scenario(scenario, scheduler_name, obs=Observability(tracer=tracer)), tracer
 
 
 def _integrate_gpu_time(events):
@@ -117,16 +110,8 @@ def test_auction_events_only_for_the_arbiter():
 
 def test_obs_config_round_trips_through_the_simulator(tmp_path):
     path = tmp_path / "cfg.jsonl"
-    scenario = tiny_scenario(num_apps=2, seed=4)
-    simulator = ClusterSimulator(
-        cluster=scenario.build_cluster(),
-        workload=scenario.build_trace(),
-        scheduler=make_scheduler("themis"),
-        config=scenario.build_sim_config(),
-        obs=ObsConfig(trace_path=str(path), trace_events=("lease_grant",), profile=True),
-    )
-    result = simulator.run()
-    simulator.obs.close()
+    obs = ObsConfig(trace_path=str(path), trace_events=("lease_grant",), profile=True)
+    result = run_scenario(tiny_scenario(num_apps=2, seed=4), obs=obs)
     assert result.profile  # profiler was live
     from repro.obs import read_trace
 

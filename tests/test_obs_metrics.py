@@ -8,16 +8,14 @@ must equal the seed thinning of the full-resolution run.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro.experiments.config import tiny_scenario
 from repro.obs.metrics import fragmentation_index, percentile_nearest_rank
 from repro.obs.reservoir import ReservoirSeries
-from repro.schedulers.registry import make_scheduler
-from repro.simulation.failures import FailureInjector, MachineFailure
-from repro.simulation.simulator import ClusterSimulator
+
+from helpers import simulator
 
 
 class _SeedSeries:
@@ -71,18 +69,10 @@ def test_rejects_degenerate_cap():
 
 
 def _sim(downsample, failures=()):
-    scenario = tiny_scenario(num_apps=3, seed=3).replace(record_timeline=True)
-    simulator = ClusterSimulator(
-        cluster=scenario.build_cluster(),
-        workload=scenario.build_trace(),
-        scheduler=make_scheduler("themis"),
-        config=replace(scenario.build_sim_config(), downsample=downsample),
+    scenario = tiny_scenario(num_apps=3, seed=3).replace(
+        record_timeline=True, downsample=downsample
     )
-    if failures:
-        FailureInjector(
-            [MachineFailure(machine_id=m, at=at, duration=d) for m, at, d in failures]
-        ).install(simulator)
-    return simulator
+    return simulator(scenario, failures=failures)
 
 
 def test_downsampled_run_equals_seed_thinning_of_full_run():
@@ -110,9 +100,9 @@ def test_downsampled_run_equals_seed_thinning_of_full_run():
 def test_stride_grows_under_failure_injection():
     """Failures lengthen the run (extra rounds, machines flapping); the
     reservoir must keep thinning instead of growing."""
-    simulator = _sim(downsample=4, failures=((0, 20.0, 30.0), (3, 45.0, 60.0)))
-    result = simulator.run()
-    frag = simulator._frag_series
+    sim = _sim(downsample=4, failures=((0, 20.0, 30.0), (3, 45.0, 60.0)))
+    result = sim.run()
+    frag = sim._frag_series
     assert isinstance(frag, ReservoirSeries)
     assert frag._stride > 1
     assert frag._appends == result.num_rounds

@@ -6,8 +6,8 @@ import pytest
 
 from repro.experiments.config import tiny_scenario
 from repro.obs import NULL_PROFILER, NullProfiler, Observability, PhaseProfiler
-from repro.schedulers.registry import make_scheduler
-from repro.simulation.simulator import ClusterSimulator, SimulationResult
+from repro.experiments.runner import run_scenario
+from repro.simulation.simulator import SimulationResult
 
 
 def test_profiler_accumulates_seconds_and_calls():
@@ -93,15 +93,7 @@ def test_null_profiler_is_a_shared_no_op():
 
 
 def _run(obs=None):
-    scenario = tiny_scenario(num_apps=3, seed=5)
-    simulator = ClusterSimulator(
-        cluster=scenario.build_cluster(),
-        workload=scenario.build_trace(),
-        scheduler=make_scheduler("themis"),
-        config=scenario.build_sim_config(),
-        obs=obs,
-    )
-    return simulator.run()
+    return run_scenario(tiny_scenario(num_apps=3, seed=5), obs=obs)
 
 
 def test_profile_lands_in_simulation_result():

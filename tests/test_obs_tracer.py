@@ -22,8 +22,7 @@ from repro.obs import (
     summarize_events,
     validate_events,
 )
-from repro.schedulers.registry import make_scheduler
-from repro.simulation.simulator import ClusterSimulator
+from repro.experiments.runner import run_scenario
 
 
 def _expires(n, start=0.0):
@@ -35,15 +34,7 @@ def _expires(n, start=0.0):
 
 
 def _run(obs=None):
-    scenario = tiny_scenario(num_apps=3, seed=11)
-    simulator = ClusterSimulator(
-        cluster=scenario.build_cluster(),
-        workload=scenario.build_trace(),
-        scheduler=make_scheduler("themis"),
-        config=scenario.build_sim_config(),
-        obs=obs,
-    )
-    return simulator.run()
+    return run_scenario(tiny_scenario(num_apps=3, seed=11), obs=obs)
 
 
 # ----------------------------------------------------------------------

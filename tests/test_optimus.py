@@ -5,29 +5,16 @@ import pytest
 from repro.schedulers.optimus import OptimusScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
-from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
-from repro.workload.trace import Trace, TraceApp, TraceJob
+
+from helpers import trace_app, trace_of, uniform_cluster
 
 
 def cluster():
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=2, gpus_per_machine=4),),
-            num_racks=2,
-        )
-    )
+    return uniform_cluster(2, racks=2)
 
 
 def trace():
-    def app(app_id, arrival, minutes):
-        return TraceApp(
-            app_id,
-            arrival,
-            (TraceJob(job_id=f"{app_id}-j0", model="resnet50",
-                      duration_minutes=minutes, max_parallelism=4),),
-        )
-
-    return Trace(apps=(app("big", 0.0, 100.0), app("small", 0.0, 10.0)))
+    return trace_of(trace_app("big", 0.0, 100.0), trace_app("small", 0.0, 10.0))
 
 
 def test_estimated_completion_splits_gpus():
@@ -49,27 +36,20 @@ def test_marginal_reduction_diminishes():
     assert reduction(0, 1) == first == 40.0
 
 
+def run_optimus():
+    return ClusterSimulator(
+        cluster(), trace(), make_scheduler("optimus"), SimulationConfig(lease_minutes=10.0)
+    ).run()
+
+
 def test_completes_trace_and_is_registered():
-    sim = ClusterSimulator(
-        cluster=cluster(),
-        workload=trace(),
-        scheduler=make_scheduler("optimus"),
-        config=SimulationConfig(lease_minutes=10.0),
-    )
-    result = sim.run()
+    result = run_optimus()
     assert result.completed
     assert result.scheduler_name == "optimus"
 
 
 def test_prefers_high_marginal_gain_job():
     """Optimus favours the app whose completion estimate drops most."""
-    sim = ClusterSimulator(
-        cluster=cluster(),
-        workload=trace(),
-        scheduler=make_scheduler("optimus"),
-        config=SimulationConfig(lease_minutes=10.0),
-    )
-    result = sim.run()
-    stats = result.stats_by_app()
+    stats = run_optimus().stats_by_app()
     # The small job has the steepest marginal gain and finishes first.
     assert stats["small"].finished_at < stats["big"].finished_at

@@ -6,12 +6,7 @@ import json
 
 import pytest
 
-from repro.cluster.topology import (
-    ClusterSpec,
-    GpuType,
-    MachineSpec,
-    build_cluster,
-)
+from repro.cluster.topology import GpuType
 from repro.workload.generator import GeneratorConfig, generate_trace
 from repro.workload.perf import (
     DEFAULT_PERF_MODEL,
@@ -29,23 +24,14 @@ from repro.workload.perf import (
 )
 from repro.workload.trace import Trace
 
-from helpers import make_app
+from helpers import machine_per_type, make_app
 
 V100 = GpuType("v100", 1.0)
 P100 = GpuType("p100", 0.6)
 
 
 def mixed_cluster():
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(
-                MachineSpec(count=1, gpus_per_machine=4, gpu_type=V100),
-                MachineSpec(count=1, gpus_per_machine=4, gpu_type=P100),
-            ),
-            num_racks=1,
-            name="perf-test",
-        )
-    )
+    return machine_per_type(V100, P100, name="perf-test")
 
 
 # ----------------------------------------------------------------------

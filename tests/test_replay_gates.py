@@ -33,10 +33,8 @@ import pytest
 
 from repro.experiments.config import hetero_scenario, sim_scenario
 from repro.obs import Observability, PhaseProfiler, RingTracer
-from repro.schedulers.registry import make_scheduler
-from repro.simulation.simulator import ClusterSimulator
 
-from helpers import assert_golden, assert_golden_carves, assert_golden_counts
+from helpers import assert_golden, assert_golden_carves, assert_golden_counts, simulator
 
 
 def _scenario(builder, gpus, num_apps, duration_scale, interarrival, jobs=(8.0, 24), **overrides):
@@ -74,22 +72,15 @@ PROFILES = {
 
 
 def _replay(scenario, obs=None, scheduler="themis"):
-    simulator = ClusterSimulator(
-        cluster=scenario.build_cluster(),
-        workload=scenario.build_trace(),
-        scheduler=make_scheduler(scheduler),
-        config=scenario.build_sim_config(),
-        perf_model=scenario.build_perf_model(),
-        obs=obs,
-    )
-    return simulator, simulator.run()
+    sim = simulator(scenario, scheduler, obs=obs)
+    return sim, sim.run()
 
 
 @pytest.mark.parametrize("name", PROFILES)
 def test_replay_gate(name):
-    simulator, result = _replay(PROFILES[name])
+    sim, result = _replay(PROFILES[name])
     assert_golden(name, result)
-    assert_golden_carves(name, simulator.scheduler.estimator.carve_count)
+    assert_golden_carves(name, sim.scheduler.estimator.carve_count)
 
     tracer = RingTracer(capacity=1 << 20)
     _, traced = _replay(
@@ -114,6 +105,6 @@ def test_replay_gate(name):
 @pytest.mark.parametrize("scheduler", ["gandiva", "strawman"])
 def test_carving_baseline_gate(scheduler):
     cell = f"sim-small/{scheduler}"
-    simulator, result = _replay(PROFILES["sim-small"], scheduler=scheduler)
+    sim, result = _replay(PROFILES["sim-small"], scheduler=scheduler)
     assert_golden(cell, result)
-    assert_golden_carves(cell, simulator.scheduler.estimator.carve_count)
+    assert_golden_carves(cell, sim.scheduler.estimator.carve_count)

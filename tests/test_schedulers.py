@@ -2,42 +2,23 @@
 
 import pytest
 
-from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster, ordered_sum
+from repro.cluster.topology import ordered_sum
 from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
 from repro.schedulers.slaq import _BundleUtility
 from repro.schedulers.tiresias import take_scattered
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
-from repro.workload.trace import Trace, TraceApp, TraceJob
 
-from helpers import group_pool
+from helpers import group_pool, trace_app, trace_of, uniform_cluster
 
 
 def two_app_trace(model="resnet50"):
-    def app(app_id, arrival, minutes):
-        return TraceApp(
-            app_id,
-            arrival,
-            (
-                TraceJob(
-                    job_id=f"{app_id}-j0",
-                    model=model,
-                    duration_minutes=minutes,
-                    max_parallelism=4,
-                ),
-            ),
-        )
-
-    return Trace(apps=(app("early", 0.0, 30.0), app("late", 5.0, 30.0)))
+    return trace_of(
+        trace_app("early", 0.0, 30.0, model=model), trace_app("late", 5.0, 30.0, model=model)
+    )
 
 
 def small_cluster():
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=2, gpus_per_machine=4),),
-            num_racks=2,
-            name="pair",
-        )
-    )
+    return uniform_cluster(2, racks=2, name="pair")
 
 
 def bound_scheduler(name, trace=None, **kwargs):

@@ -26,6 +26,16 @@ def make_plane(root, **kwargs):
     return ControlPlane(store, **kwargs)
 
 
+def drained(plane, ticks=10):
+    """``plane`` after ticking, a second apart, until no job is active."""
+    for _ in range(ticks):
+        plane.tick()
+        if plane.active_jobs == 0:
+            break
+        plane.clock.advance(1.0)
+    return plane
+
+
 def test_stale_epoch_token_rejected_after_restart(tmp_path):
     """The duplicate-dispatch scenario: a pre-crash token replayed
     against the restarted service must not start the job again."""
@@ -49,13 +59,7 @@ def test_stale_epoch_token_rejected_after_restart(tmp_path):
         restarted.start(stale)
     assert excinfo.value.reason in ("stale_epoch", "not_dispatched")
     # Drain: the job still completes exactly once, in the new epoch.
-    clock = restarted.clock
-    for _ in range(10):
-        restarted.tick()
-        if restarted.active_jobs == 0:
-            break
-        clock.advance(1.0)
-    assert restarted.status("j")["state"] == "finished"
+    assert drained(restarted).status("j")["state"] == "finished"
     restarted.close()
 
 
@@ -124,13 +128,7 @@ def test_garbled_wal_tail_recovers_prefix(tmp_path):
     restarted = make_plane(root)
     # The final transition (finished) was the torn line; the orphan
     # sweep re-queues the job and it converges to finished again.
-    clock = restarted.clock
-    for _ in range(10):
-        restarted.tick()
-        if restarted.active_jobs == 0:
-            break
-        clock.advance(1.0)
-    assert restarted.status("j")["state"] == "finished"
+    assert drained(restarted).status("j")["state"] == "finished"
     restarted.close()
 
 

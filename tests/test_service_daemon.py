@@ -26,12 +26,22 @@ from repro.service.tokens import DispatchToken
 NO_JITTER = RetryPolicy(base_delay=1.0, jitter=0.0)
 
 
-def make_plane(tmp_path, **kwargs):
-    clock = kwargs.pop("clock", FakeClock())
-    kwargs.setdefault("retry", NO_JITTER)
-    store = kwargs.pop("store", None) or DurableStore(tmp_path / "store")
-    plane = ControlPlane(store, clock=clock, **kwargs)
-    return plane, clock
+@pytest.fixture
+def make_plane(tmp_path):
+    """``make_plane(**kwargs)`` -> ``(plane, clock)`` over ``tmp_path / "store"``;
+    every plane made is closed at teardown (closing is idempotent)."""
+    planes = []
+
+    def make(**kwargs):
+        clock = kwargs.pop("clock", FakeClock())
+        kwargs.setdefault("retry", NO_JITTER)
+        store = kwargs.pop("store", None) or DurableStore(tmp_path / "store")
+        planes.append(ControlPlane(store, clock=clock, **kwargs))
+        return planes[-1], clock
+
+    yield make
+    for plane in planes:
+        plane.close()
 
 
 def drain(plane, clock, max_ticks=50, step=1.0):
@@ -43,8 +53,8 @@ def drain(plane, clock, max_ticks=50, step=1.0):
     raise AssertionError("did not drain")
 
 
-def test_submit_tick_finish(tmp_path):
-    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+def test_submit_tick_finish(make_plane):
+    plane, clock = make_plane(executor=ScriptedExecutor())
     job_id = plane.submit({"kind": "noop"}, tenant="acme", gpus=2)
     assert plane.status(job_id)["state"] == "queued"
     stats = plane.tick()
@@ -55,15 +65,14 @@ def test_submit_tick_finish(tmp_path):
     assert record["state"] == "finished"
     assert record["dispatches"] == 1
     assert record["attempts"] == 0
-    plane.close()
 
 
-def test_sim_job_result_carries_the_metric_table_values(tmp_path):
+def test_sim_job_result_carries_the_metric_table_values(make_plane):
     from repro.experiments.config import testbed_scenario
     from repro.experiments.runner import run_scenario
     from repro.metrics import METRICS
 
-    plane, clock = make_plane(tmp_path)  # the default SpecExecutor
+    plane, clock = make_plane()  # the default SpecExecutor
     spec = {"kind": "sim", "scheduler": "fifo", "apps": 2, "seed": 3, "duration_scale": 0.05}
     job_id = plane.submit(spec)
     drain(plane, clock)
@@ -77,10 +86,9 @@ def test_sim_job_result_carries_the_metric_table_values(tmp_path):
         "avg_jct": METRICS["avg_jct"](direct),
         "total_gpu_time": direct.total_gpu_time,
     }
-    plane.close()
 
 
-def test_sim_job_cluster_picks_the_preset_by_kind(tmp_path, monkeypatch):
+def test_sim_job_cluster_picks_the_preset_by_kind(make_plane, monkeypatch):
     """``cluster`` goes through ``preset_scenario``: ``hetero`` runs the
     mixed-generation fleet, and a kind no preset has fails FATAL."""
     from repro.experiments import runner
@@ -94,7 +102,7 @@ def test_sim_job_cluster_picks_the_preset_by_kind(tmp_path, monkeypatch):
         return real_run(tiny_scenario(), scheduler)
 
     monkeypatch.setattr(runner, "run_scenario", spy)
-    plane, clock = make_plane(tmp_path)
+    plane, clock = make_plane()
     hetero = plane.submit(
         {"kind": "sim", "cluster": "hetero", "scheduler": "fifo", "apps": 2, "seed": 3}
     )
@@ -106,10 +114,9 @@ def test_sim_job_cluster_picks_the_preset_by_kind(tmp_path, monkeypatch):
     assert (record["state"], record["attempts"]) == ("failed", 1)
     assert "'bogus'" in record["detail"]
     assert "['hetero', 'sim', 'testbed']" in record["detail"]
-    plane.close()
 
 
-def test_transient_failure_retries_then_succeeds(tmp_path):
+def test_transient_failure_retries_then_succeeds(make_plane):
     script = {
         "j": [
             JobOutcome.failure(FailureKind.TRANSIENT, "flaky"),
@@ -117,7 +124,7 @@ def test_transient_failure_retries_then_succeeds(tmp_path):
         ]
     }
     executor = ScriptedExecutor(script=script)
-    plane, clock = make_plane(tmp_path, executor=executor)
+    plane, clock = make_plane(executor=executor)
     plane.submit({}, job_id="j")
     plane.tick()
     assert plane.status("j")["state"] == "retrying"
@@ -131,29 +138,27 @@ def test_transient_failure_retries_then_succeeds(tmp_path):
     assert record["state"] == "finished"
     assert record["result"] == {"answer": 42}
     assert executor.executions == [("j", 0), ("j", 1)]
-    plane.close()
 
 
-def test_fatal_failure_does_not_retry(tmp_path):
+def test_fatal_failure_does_not_retry(make_plane):
     executor = ScriptedExecutor(
         script={"j": [JobOutcome.failure(FailureKind.FATAL, "bug")]}
     )
-    plane, clock = make_plane(tmp_path, executor=executor)
+    plane, clock = make_plane(executor=executor)
     plane.submit({}, job_id="j")
     plane.tick()
     record = plane.status("j")
     assert record["state"] == "failed"
     assert record["attempts"] == 1
     assert "bug" in record["detail"]
-    plane.close()
 
 
-def test_retries_exhaust_to_failed(tmp_path):
+def test_retries_exhaust_to_failed(make_plane):
     always_fail = ScriptedExecutor(
         default=JobOutcome.failure(FailureKind.TRANSIENT, "still flaky")
     )
     plane, clock = make_plane(
-        tmp_path, executor=always_fail,
+        executor=always_fail,
         retry=RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.0),
     )
     plane.submit({}, job_id="j")
@@ -161,22 +166,20 @@ def test_retries_exhaust_to_failed(tmp_path):
     record = plane.status("j")
     assert record["state"] == "failed"
     assert record["attempts"] == 3
-    plane.close()
 
 
-def test_executor_exception_is_classified(tmp_path):
+def test_executor_exception_is_classified(make_plane):
     class Exploding(ScriptedExecutor):
         def execute(self, record):
             raise ValueError("deterministic bug")
 
-    plane, clock = make_plane(tmp_path, executor=Exploding())
+    plane, clock = make_plane(executor=Exploding())
     plane.submit({}, job_id="j")
     plane.tick()
     assert plane.status("j")["state"] == "failed"  # ValueError -> fatal
-    plane.close()
 
 
-def test_a_result_the_store_cannot_encode_fails_the_job(tmp_path):
+def test_a_result_the_store_cannot_encode_fails_the_job(tmp_path, make_plane):
     """A circular result ends its job FATAL, run in-process or reported
     by a worker; the plane neither degrades nor buffers a record it
     could never write, keeps compacting, and a restart reads both
@@ -189,7 +192,7 @@ def test_a_result_the_store_cannot_encode_fails_the_job(tmp_path):
             return JobOutcome.success(circular)
 
     store = DurableStore(tmp_path / "store", compact_every=1)
-    plane, clock = make_plane(tmp_path, store=store, executor=Circular())
+    plane, clock = make_plane(store=store, executor=Circular())
     plane.submit({}, job_id="j")
     plane.tick()
     worker_id = plane.register_worker("w")["worker_id"]
@@ -202,7 +205,7 @@ def test_a_result_the_store_cannot_encode_fails_the_job(tmp_path):
         assert plane.tick().compacted
     assert not plane.degraded and plane.stats()["buffered_records"] == 0
     plane.close()
-    restarted, _ = make_plane(tmp_path, store=DurableStore(tmp_path / "store"))
+    restarted, _ = make_plane(store=DurableStore(tmp_path / "store"))
     for job_id in ("j", "r"):
         record = restarted.status(job_id)
         assert record["state"] == "failed" and record["attempts"] == 1
@@ -210,21 +213,20 @@ def test_a_result_the_store_cannot_encode_fails_the_job(tmp_path):
     restarted.close()
 
 
-def test_a_spec_the_store_cannot_encode_is_the_callers_error(tmp_path):
+def test_a_spec_the_store_cannot_encode_is_the_callers_error(make_plane):
     """Not a store outage: the submit raises the encoder's ValueError,
     nothing is admitted and the next submission lands."""
     circular = {}
     circular["self"] = circular
-    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+    plane, clock = make_plane(executor=ScriptedExecutor())
     with pytest.raises(ValueError, match="Circular reference"):
         plane.submit(circular)
     assert not plane.degraded and plane.job_list() == []
     assert plane.submit({}) == "job-00001"
-    plane.close()
 
 
-def test_cancel_before_dispatch_and_idempotent_after_terminal(tmp_path):
-    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+def test_cancel_before_dispatch_and_idempotent_after_terminal(make_plane):
+    plane, clock = make_plane(executor=ScriptedExecutor())
     plane.submit({}, job_id="j")
     assert plane.cancel("j") is JobState.CANCELLED
     assert plane.cancel("j") is JobState.CANCELLED  # idempotent
@@ -232,31 +234,28 @@ def test_cancel_before_dispatch_and_idempotent_after_terminal(tmp_path):
     assert plane.status("j")["state"] == "cancelled"  # tick skips it
     with pytest.raises(UnknownJobError):
         plane.cancel("nope")
-    plane.close()
 
 
-def test_duplicate_job_id_rejected(tmp_path):
-    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+def test_duplicate_job_id_rejected(make_plane):
+    plane, clock = make_plane(executor=ScriptedExecutor())
     plane.submit({}, job_id="j")
     with pytest.raises(ServiceError) as excinfo:
         plane.submit({}, job_id="j")
     assert excinfo.value.reason == "duplicate_job"
-    plane.close()
 
 
-def test_priority_orders_dispatch(tmp_path):
+def test_priority_orders_dispatch(make_plane):
     executor = ScriptedExecutor()
     admission = AdmissionController()
     admission.set_policy(TenantPolicy(tenant="gold", priority_boost=10))
-    plane, clock = make_plane(tmp_path, executor=executor, admission=admission)
+    plane, clock = make_plane(executor=executor, admission=admission)
     plane.submit({}, job_id="low", tenant="plain")
     plane.submit({}, job_id="high", tenant="gold")
     plane.tick()
     assert [job_id for job_id, _ in executor.executions] == ["high", "low"]
-    plane.close()
 
 
-def test_pool_concurrency_gates_dispatch_until_capacity_frees(tmp_path):
+def test_pool_concurrency_gates_dispatch_until_capacity_frees(make_plane):
     """A tenant over its pool cap keeps jobs ADMITTED, not dispatched."""
     blocker = ScriptedExecutor(
         script={"wide": [JobOutcome.failure(FailureKind.TRANSIENT, "hold")]},
@@ -265,7 +264,7 @@ def test_pool_concurrency_gates_dispatch_until_capacity_frees(tmp_path):
         default=TenantPolicy(max_concurrent_gpus=4)
     )
     plane, clock = make_plane(
-        tmp_path, executor=blocker, admission=admission,
+        executor=blocker, admission=admission,
         retry=RetryPolicy(max_attempts=2, base_delay=100.0, jitter=0.0),
     )
     plane.submit({}, job_id="wide", gpus=4)
@@ -278,13 +277,12 @@ def test_pool_concurrency_gates_dispatch_until_capacity_frees(tmp_path):
     plane.tick()
     # Capacity freed ("wide" is RETRYING): "blocked" dispatches now.
     assert plane.status("blocked")["state"] == "finished"
-    plane.close()
 
 
-def test_queue_depth_gate_sheds_submissions(tmp_path):
+def test_queue_depth_gate_sheds_submissions(make_plane):
     admission = AdmissionController(default=TenantPolicy(max_queued_jobs=2))
     plane, clock = make_plane(
-        tmp_path, executor=ScriptedExecutor(), admission=admission
+        executor=ScriptedExecutor(), admission=admission
     )
     plane.submit({}, job_id="a")
     plane.submit({}, job_id="b")
@@ -292,29 +290,26 @@ def test_queue_depth_gate_sheds_submissions(tmp_path):
         plane.submit({}, job_id="c")
     plane.tick()  # a and b finish -> queue depth back to 0
     plane.submit({}, job_id="c")
-    plane.close()
 
 
-def test_start_requires_issued_token(tmp_path):
-    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+def test_start_requires_issued_token(make_plane):
+    plane, clock = make_plane(executor=ScriptedExecutor())
     with pytest.raises(TokenError) as excinfo:
         plane.start(DispatchToken(job_id="ghost", epoch=plane.epoch, seq=1))
     assert excinfo.value.reason == "unknown_job"
-    plane.close()
 
 
-def test_start_rejects_double_redemption(tmp_path):
-    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+def test_start_rejects_double_redemption(make_plane):
+    plane, clock = make_plane(executor=ScriptedExecutor())
     plane.submit({}, job_id="j")
     plane.tick()  # dispatch + run + finish
     token = plane.issuer.issue("j")  # a fresh seq, but job is terminal
     with pytest.raises(TokenError) as excinfo:
         plane.start(token)
     assert excinfo.value.reason == "not_dispatched"
-    plane.close()
 
 
-def test_degraded_mode_sheds_submissions_but_drains_work(tmp_path):
+def test_degraded_mode_sheds_submissions_but_drains_work(tmp_path, make_plane):
     flaky = FlakyStore(tmp_path / "store")
     script = {
         "j": [
@@ -323,7 +318,7 @@ def test_degraded_mode_sheds_submissions_but_drains_work(tmp_path):
         ]
     }
     plane, clock = make_plane(
-        tmp_path, store=flaky, executor=ScriptedExecutor(script=script)
+        store=flaky, executor=ScriptedExecutor(script=script)
     )
     plane.submit({}, job_id="j")
     flaky.available = False
@@ -356,7 +351,7 @@ def test_degraded_mode_sheds_submissions_but_drains_work(tmp_path):
     replayed.close()
 
 
-def test_compaction_failure_degrades_instead_of_crashing(tmp_path):
+def test_compaction_failure_degrades_instead_of_crashing(tmp_path, make_plane):
     """StoreUnavailable out of maybe_compact must not kill the tick
     loop: the service marks itself degraded and keeps draining."""
 
@@ -365,7 +360,6 @@ def test_compaction_failure_degrades_instead_of_crashing(tmp_path):
             raise StoreUnavailable("compaction refused")
 
     plane, clock = make_plane(
-        tmp_path,
         store=CompactionBomb(tmp_path / "store"),
         executor=ScriptedExecutor(),
     )
@@ -379,10 +373,9 @@ def test_compaction_failure_degrades_instead_of_crashing(tmp_path):
     plane.tick()
     assert plane.status("k")["state"] == "finished"
     assert plane.degraded
-    plane.close()
 
 
-def test_disk_full_mid_snapshot_leaves_no_tmp_and_recovers(tmp_path, monkeypatch):
+def test_disk_full_mid_snapshot_leaves_no_tmp_and_recovers(tmp_path, make_plane, monkeypatch):
     """ENOSPC while the snapshot is being written: the half-written
     ``snapshot.json.tmp`` is removed, the old snapshot + WAL still
     recover to the live table, the WAL handle keeps appending, the plane
@@ -393,7 +386,7 @@ def test_disk_full_mid_snapshot_leaves_no_tmp_and_recovers(tmp_path, monkeypatch
     from repro.service import store as store_module
 
     store = DurableStore(tmp_path / "store", compact_every=8)
-    plane, clock = make_plane(tmp_path, store=store, executor=ScriptedExecutor())
+    plane, clock = make_plane(store=store, executor=ScriptedExecutor())
     for index in range(3):
         plane.submit({}, job_id=f"old-{index}")
     assert plane.tick().compacted  # the snapshot a failed rewrite must not harm
@@ -436,18 +429,16 @@ def test_disk_full_mid_snapshot_leaves_no_tmp_and_recovers(tmp_path, monkeypatch
     assert store._since_snapshot == 0
     assert plane.status("late")["state"] == "finished"
     assert recovered_table() == plane.job_list()
-    plane.close()
 
 
-def test_duplicate_job_id_does_not_leak_order(tmp_path):
+def test_duplicate_job_id_does_not_leak_order(make_plane):
     """A rejected duplicate submission leaves no gap in generated ids."""
-    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+    plane, clock = make_plane(executor=ScriptedExecutor())
     plane.submit({}, job_id="explicit")
     with pytest.raises(ServiceError) as excinfo:
         plane.submit({}, job_id="explicit")
     assert excinfo.value.reason == "duplicate_job"
     assert plane.submit({}) == "job-00002"
-    plane.close()
 
 
 @pytest.mark.parametrize(
@@ -461,9 +452,9 @@ def test_duplicate_job_id_does_not_leak_order(tmp_path):
     ],
     ids=["gpus-0", "negative-deadline", "nan-deadline", "bad-spec", "unhashable-id"],
 )
-def test_rejected_submission_leaves_no_id_gap(tmp_path, spec, kwargs):
+def test_rejected_submission_leaves_no_id_gap(make_plane, spec, kwargs):
     """The record is built and validated before the id counter moves."""
-    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+    plane, clock = make_plane(executor=ScriptedExecutor())
     assert plane.submit({}) == "job-00001"
     appends = plane.store.appends
     for _ in range(4):
@@ -471,10 +462,9 @@ def test_rejected_submission_leaves_no_id_gap(tmp_path, spec, kwargs):
             plane.submit(spec, **kwargs)
     assert plane.store.appends == appends
     assert plane.submit({}) == "job-00002"
-    plane.close()
 
 
-def test_tracer_events_for_retry_and_token(tmp_path):
+def test_tracer_events_for_retry_and_token(make_plane):
     tracer = RingTracer()
     script = {
         "j": [
@@ -483,7 +473,7 @@ def test_tracer_events_for_retry_and_token(tmp_path):
         ]
     }
     plane, clock = make_plane(
-        tmp_path, executor=ScriptedExecutor(script=script), tracer=tracer
+        executor=ScriptedExecutor(script=script), tracer=tracer
     )
     plane.submit({}, job_id="j")
     drain(plane, clock, step=2.0)
@@ -497,11 +487,10 @@ def test_tracer_events_for_retry_and_token(tmp_path):
     token_events = [e for e in tracer.events if e["kind"] == "dispatch_token"]
     assert all(e["accepted"] for e in token_events)
     assert all(e["epoch"] == plane.epoch for e in token_events)
-    plane.close()
 
 
-def test_stats_and_job_list_filters(tmp_path):
-    plane, clock = make_plane(tmp_path, executor=ScriptedExecutor())
+def test_stats_and_job_list_filters(make_plane):
+    plane, clock = make_plane(executor=ScriptedExecutor())
     plane.submit({}, job_id="a", tenant="x")
     plane.submit({}, job_id="b", tenant="y")
     plane.tick()
@@ -511,12 +500,11 @@ def test_stats_and_job_list_filters(tmp_path):
     stats = plane.stats()
     assert stats["jobs"] == {"finished": 2, "queued": 1}
     assert stats["epoch"] == 1
-    plane.close()
 
 
-def test_compaction_through_the_daemon(tmp_path):
+def test_compaction_through_the_daemon(tmp_path, make_plane):
     store = DurableStore(tmp_path / "store", compact_every=5)
-    plane, clock = make_plane(tmp_path, store=store,
+    plane, clock = make_plane(store=store,
                               executor=ScriptedExecutor())
     for index in range(4):
         plane.submit({}, job_id=f"j{index}")
@@ -539,8 +527,8 @@ def test_compaction_through_the_daemon(tmp_path):
 # HTTP request bodies are bounded before they are read
 # ----------------------------------------------------------------------
 @pytest.fixture
-def http_endpoint(tmp_path, serve):
-    plane, _clock = make_plane(tmp_path, executor=ScriptedExecutor())
+def http_endpoint(make_plane, serve):
+    plane, _clock = make_plane(executor=ScriptedExecutor())
     return serve(plane).endpoint
 
 

@@ -66,18 +66,29 @@ def make_executor() -> ScriptedExecutor:
     )
 
 
-def make_plane(root, clock, **kwargs):
-    kwargs.setdefault("executor", ScriptedExecutor())
-    kwargs.setdefault("retry", NO_JITTER)
-    kwargs.setdefault("worker_ttl", 3.0)
-    kwargs.setdefault("dispatch_timeout", 5.0)
-    return ControlPlane(DurableStore(root), clock=clock, **kwargs)
+@pytest.fixture
+def make_plane():
+    """``make_plane(root, clock, **kwargs)`` -> a plane over ``root``;
+    every plane made is closed at teardown (closing is idempotent)."""
+    planes = []
+
+    def make(root, clock, **kwargs):
+        kwargs.setdefault("executor", ScriptedExecutor())
+        kwargs.setdefault("retry", NO_JITTER)
+        kwargs.setdefault("worker_ttl", 3.0)
+        kwargs.setdefault("dispatch_timeout", 5.0)
+        planes.append(ControlPlane(DurableStore(root), clock=clock, **kwargs))
+        return planes[-1]
+
+    yield make
+    for plane in planes:
+        plane.close()
 
 
 # ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
-def test_register_claim_report_happy_path(tmp_path):
+def test_register_claim_report_happy_path(tmp_path, make_plane):
     clock = FakeClock()
     plane = make_plane(tmp_path / "s", clock)
     plane.submit({}, job_id="j")
@@ -94,10 +105,9 @@ def test_register_claim_report_happy_path(tmp_path):
     assert plane.jobs["j"].worker is None
     assert worker.fenced == []
     assert plane.counters["reports"] == 1
-    plane.close()
 
 
-def test_claim_respects_the_pool_cap(tmp_path):
+def test_claim_respects_the_pool_cap(tmp_path, make_plane):
     """A claim grants only what the tenant's pool cap admits: the second
     4-GPU job waits ADMITTED until the first one's GPUs come back."""
     clock = FakeClock()
@@ -109,10 +119,9 @@ def test_claim_respects_the_pool_cap(tmp_path):
     worker.step()  # claims, runs and reports "first" alone
     assert plane.jobs["second"].state is JobState.ADMITTED
     assert worker.claim() == 1
-    plane.close()
 
 
-def test_tick_defers_to_live_workers(tmp_path):
+def test_tick_defers_to_live_workers(tmp_path, make_plane):
     """With a live lease the daemon stops self-executing: admitted jobs
     wait to be claimed instead of running inside the tick."""
     clock = FakeClock()
@@ -121,10 +130,9 @@ def test_tick_defers_to_live_workers(tmp_path):
     plane.submit({}, job_id="j")
     plane.tick()
     assert plane.jobs["j"].state is JobState.ADMITTED
-    plane.close()
 
 
-def test_epoch_scoped_worker_ids_never_collide(tmp_path):
+def test_epoch_scoped_worker_ids_never_collide(tmp_path, make_plane):
     clock = FakeClock()
     plane = make_plane(tmp_path / "s", clock)
     first = plane.register_worker(name="a")["worker_id"]
@@ -136,7 +144,7 @@ def test_epoch_scoped_worker_ids_never_collide(tmp_path):
     restarted.close()
 
 
-def test_worker_roster_survives_recovery_as_lost(tmp_path):
+def test_worker_roster_survives_recovery_as_lost(tmp_path, make_plane):
     """Registrations replay from the WAL; the orphan sweep then marks
     every recovered worker lost — its lease died with the epoch."""
     clock = FakeClock()
@@ -154,7 +162,7 @@ def test_worker_roster_survives_recovery_as_lost(tmp_path):
 # Worker kill -9 swept over every dispatched-job phase
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("phase", ["claimed", "started", "executed"])
-def test_worker_death_sweep_converges(tmp_path, phase):
+def test_worker_death_sweep_converges(tmp_path, phase, make_plane):
     """A worker killed with its jobs claimed (DISPATCHED), started
     (RUNNING) or executed-but-unreported must leave terminal states
     identical to the uninterrupted run, with no double effects and no
@@ -189,10 +197,9 @@ def test_worker_death_sweep_converges(tmp_path, phase):
     assert_no_double_report(report)
     assert plane.counters["workers_lost"] == 1
     assert plane.counters["requeued_lost"] == 3
-    plane.close()
 
 
-def test_zombie_double_report_is_fenced(tmp_path):
+def test_zombie_double_report_is_fenced(tmp_path, make_plane):
     """A worker that executed a job, went silent past its lease, then
     fired the held report must be rejected — both while the re-queued
     job runs on the replacement worker (the token fences it, not the
@@ -228,10 +235,9 @@ def test_zombie_double_report_is_fenced(tmp_path):
     assert [r for r in report.accepted_reports if r[2] == "z"] != []
     assert_no_double_report(report)
     assert plane.counters["report_rejections"] == 2
-    plane.close()
 
 
-def test_stalled_heartbeating_worker_loses_claim(tmp_path):
+def test_stalled_heartbeating_worker_loses_claim(tmp_path, make_plane):
     """A worker that heartbeats but never starts its claim cannot hold
     the job forever: the dispatch timeout revokes it (no attempt
     consumed) and the stalled worker's late start is fenced."""
@@ -255,10 +261,9 @@ def test_stalled_heartbeating_worker_loses_claim(tmp_path):
     stalled.start_all()  # the fenced late start
     assert len(stalled.fenced) == 1
     assert stalled.fenced[0][1] in ("not_dispatched", "token_mismatch")
-    plane.close()
 
 
-def test_a_claim_is_revoked_only_past_the_dispatch_timeout(tmp_path):
+def test_a_claim_is_revoked_only_past_the_dispatch_timeout(tmp_path, make_plane):
     """A claim exactly ``dispatch_timeout`` old still holds; the first
     tick past it revokes the claim."""
     clock = FakeClock()
@@ -277,10 +282,9 @@ def test_a_claim_is_revoked_only_past_the_dispatch_timeout(tmp_path):
     plane.tick()
     assert plane.jobs["s"].state is JobState.RETRYING
     assert plane.counters["stalled_requeued"] == 1
-    plane.close()
 
 
-def test_a_started_job_outlives_the_dispatch_timeout(tmp_path):
+def test_a_started_job_outlives_the_dispatch_timeout(tmp_path, make_plane):
     """The dispatch timeout fences claims that never start: a started
     job may run far longer on a live worker, and finishes at its first try."""
     clock = FakeClock()
@@ -301,10 +305,9 @@ def test_a_started_job_outlives_the_dispatch_timeout(tmp_path):
     assert plane.jobs["long"].state is JobState.FINISHED
     assert plane.jobs["long"].attempts == 0
     assert plane.counters["stalled_requeued"] == 0
-    plane.close()
 
 
-def test_fleet_matches_synchronous_tick(tmp_path):
+def test_fleet_matches_synchronous_tick(tmp_path, make_plane):
     """Acceptance: a 3-worker fleet drains the batch the synchronous
     single-worker tick serializes, with identical terminal states."""
     submissions = SUBMISSIONS + [
@@ -336,7 +339,7 @@ def test_fleet_matches_synchronous_tick(tmp_path):
 # ----------------------------------------------------------------------
 # Deadlines (max_runtime_s)
 # ----------------------------------------------------------------------
-def test_deadline_fails_running_job_transiently(tmp_path):
+def test_deadline_fails_running_job_transiently(tmp_path, make_plane):
     """A RUNNING job past max_runtime_s becomes a transient failure —
     consuming an attempt — and the hung worker's late report is
     fenced; the retry then completes normally."""
@@ -362,10 +365,9 @@ def test_deadline_fails_running_job_transiently(tmp_path):
     drain_fleet(plane, clock, [worker])
     assert plane.jobs["d"].state is JobState.FINISHED
     assert plane.jobs["d"].attempts == 1
-    plane.close()
 
 
-def test_max_runtime_validation(tmp_path):
+def test_max_runtime_validation(tmp_path, make_plane):
     clock = FakeClock()
     plane = make_plane(tmp_path / "s", clock)
     with pytest.raises(ValueError):
@@ -378,7 +380,7 @@ def test_max_runtime_validation(tmp_path):
 # ----------------------------------------------------------------------
 # TokenIssuer race windows
 # ----------------------------------------------------------------------
-def test_concurrent_redeem_exactly_one_winner(tmp_path):
+def test_concurrent_redeem_exactly_one_winner(tmp_path, make_plane):
     """Two workers racing to redeem the same token: one start wins,
     the other is rejected — never two RUNNING transitions."""
     clock = FakeClock()
@@ -409,10 +411,9 @@ def test_concurrent_redeem_exactly_one_winner(tmp_path):
     assert plane.jobs["race"].state is JobState.RUNNING
     assert plane.counters["starts"] == 1
     assert plane.counters["start_rejections"] == 1
-    plane.close()
 
 
-def test_stale_epoch_redeem_after_recovery_requeue(tmp_path):
+def test_stale_epoch_redeem_after_recovery_requeue(tmp_path, make_plane):
     """A token claimed before a daemon crash must be rejected as
     stale_epoch after recovery re-queued the job — for start AND for
     report — while the job completes exactly once in the new epoch."""

@@ -33,6 +33,15 @@ from repro.service.store import STORE_SCHEMA_VERSION, DurableStore
 
 NO_JITTER = RetryPolicy(base_delay=0.5, jitter=0.0)
 
+
+def noop_plane(tmp_path, clock=None, **store_kwargs):
+    """A plane over ``tmp_path / "store"`` that runs every job as a no-op."""
+    return ControlPlane(
+        DurableStore(tmp_path / "store", **store_kwargs),
+        executor=NoopExecutor(), retry=NO_JITTER, clock=clock or FakeClock(),
+    )
+
+
 #: sha256 over the scripted run's appended records — the behaviour
 #: oracle, first frozen at e5e3387 (every entry point still scanned
 #: ``jobs``).  Re-frozen when transition records started carrying only
@@ -73,10 +82,7 @@ def _plane_behind_history(tmp_path, finished=2000, live=8):
     """``finished`` FINISHED jobs (tripwired) and ``live`` jobs spread over
     QUEUED / ADMITTED / DISPATCHED / RUNNING, one worker holding a lease."""
     clock = FakeClock()
-    plane = ControlPlane(
-        DurableStore(tmp_path / "store", compact_every=10**9),
-        executor=NoopExecutor(), retry=NO_JITTER, clock=clock,
-    )
+    plane = noop_plane(tmp_path, clock, compact_every=10**9)
     for start in range(0, finished, 50):
         for index in range(start, min(start + 50, finished)):
             plane.submit({"kind": "noop"}, tenant=f"t{index % 4}")
@@ -186,10 +192,7 @@ def test_each_terminal_job_is_sealed_once(tmp_path, monkeypatch):
     assert set(terminal_encodes.values()) == {1}
 
     plane.close()
-    recovered = ControlPlane(
-        DurableStore(tmp_path / "store"), executor=NoopExecutor(),
-        retry=NO_JITTER, clock=clock,
-    )
+    recovered = noop_plane(tmp_path, clock)
     assert recovered.job_list() == [
         real_to_json(job) for job in plane.jobs.values()
     ]
@@ -202,10 +205,7 @@ def test_failed_compaction_seals_its_batch_once(tmp_path, monkeypatch, fail_on):
     (the store truncates the partial append and the retry re-seals it);
     one that dies after the rename, resetting the WAL, has committed the
     batch, and the plane does not seal it again."""
-    plane = ControlPlane(
-        DurableStore(tmp_path / "store", compact_every=4),
-        executor=NoopExecutor(), retry=NO_JITTER, clock=FakeClock(),
-    )
+    plane = noop_plane(tmp_path, compact_every=4)
     for _ in range(3):
         plane.submit({"kind": "noop"})
     assert plane.tick().compacted
@@ -228,10 +228,7 @@ def test_failed_compaction_seals_its_batch_once(tmp_path, monkeypatch, fail_on):
 
     assert _archived_ids(plane.store) == [f"job-{n:05d}" for n in range(1, 8)]
     plane.close()
-    recovered = ControlPlane(
-        DurableStore(tmp_path / "store"), executor=NoopExecutor(),
-        retry=NO_JITTER, clock=FakeClock(),
-    )
+    recovered = noop_plane(tmp_path)
     assert recovered.job_list() == plane.job_list()
     recovered.close()
 
@@ -242,10 +239,7 @@ def test_a_degraded_plane_reopens_its_wal_and_flushes(tmp_path):
     later tick from flushing, and so from compacting, which was the one
     thing that reopened the WAL: the plane shed every submit until a
     restart.  The next tick now reopens the WAL and flushes."""
-    plane = ControlPlane(
-        DurableStore(tmp_path / "store", compact_every=4),
-        executor=NoopExecutor(), retry=NO_JITTER, clock=FakeClock(),
-    )
+    plane = noop_plane(tmp_path, compact_every=4)
     for _ in range(3):
         plane.submit({"kind": "noop"})
     plane.store._fh = FaultyWal(plane.store._fh, failed_truncates=1)
@@ -255,10 +249,7 @@ def test_a_degraded_plane_reopens_its_wal_and_flushes(tmp_path):
     assert plane.tick().flushed == 1 and not plane.degraded
     plane.submit({"kind": "noop"})
     plane.close()
-    recovered = ControlPlane(
-        DurableStore(tmp_path / "store"), executor=NoopExecutor(),
-        retry=NO_JITTER, clock=FakeClock(),
-    )
+    recovered = noop_plane(tmp_path)
     assert recovered.job_list() == plane.job_list()
     assert len(recovered.job_list()) == 4
     recovered.close()

@@ -49,7 +49,15 @@ from repro.core.fairness import (
 from repro.workload.app import App, CompletionSemantics
 from repro.workload.perf import PERF_MATRIX_PRESETS, ThroughputMatrixModel
 
-from helpers import MODELS, CarveInstance, RescanAuction, carve_instances, make_app, make_job
+from helpers import (
+    MODELS,
+    CarveInstance,
+    RescanAuction,
+    carve_instances,
+    make_app,
+    make_job,
+    uniform_cluster,
+)
 
 
 # ----------------------------------------------------------------------
@@ -140,13 +148,7 @@ def test_solver_separates_machines_that_differ_only_by_id_order():
     all rack 0 with 2 free — but 0 and 2 sort below the holdings and 6
     above, and only 6 keeps the second job inside one rack.
     """
-    cluster = build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=8, gpus_per_machine=4),),
-            num_racks=2,
-            name="order",
-        )
-    )
+    cluster = uniform_cluster(8, racks=2, name="order")
     estimator = FairnessEstimator(cluster)
     jobs = [
         make_job("a-j0", model="transformer", serial_work=50.0, max_parallelism=2),
@@ -221,13 +223,7 @@ def test_state_carves_once_per_shape(semantics):
 # (c) class-native rows: one heap entry per class, successors on demand
 # ----------------------------------------------------------------------
 def one_rack_cluster(machines: int):
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=machines, gpus_per_machine=4),),
-            num_racks=1,
-            name="class-rows",
-        )
-    )
+    return uniform_cluster(machines, name="class-rows")
 
 
 def solve_spying_on_successors(pool, bids, monkeypatch):

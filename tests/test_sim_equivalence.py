@@ -26,17 +26,16 @@ import json
 import pytest
 
 from repro.experiments.config import hetero_scenario, sim_scenario, tiny_scenario
-from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
+from repro.experiments.runner import run_scenario
 from repro.hyperparam.hyperband import HyperBand
 from repro.hyperparam.hyperdrive import HyperDrive
 from repro.metrics import METRICS
 from repro.schedulers.registry import SCHEDULER_NAMES, make_scheduler
-from repro.simulation.failures import FailureInjector, MachineFailure
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
 from repro.workload.app import CompletionSemantics
 from repro.workload.trace import Trace, TraceApp, TraceJob
 
-from helpers import assert_golden, assert_golden_carves, audit_freshness
+from helpers import assert_golden, assert_golden_carves, audit_freshness, simulator, uniform_cluster
 
 SEEDS = (0, 1, 2)
 
@@ -50,68 +49,63 @@ CONTENDED_XS = (
     )
 )
 
+#: ``(machine, at, duration)`` outages of the ``failures/*`` cells.
+FAILURES = ((0, 20.0, 30.0), (3, 45.0, 60.0))
 
-def _simulator(scenario, scheduler_name, failures=()):
-    simulator = ClusterSimulator(
-        cluster=scenario.build_cluster(),
-        workload=scenario.build_trace(),
-        scheduler=make_scheduler(scheduler_name),
-        config=scenario.build_sim_config(),
-        perf_model=scenario.build_perf_model(),
-    )
-    if failures:
-        FailureInjector(
-            [MachineFailure(machine_id=m, at=at, duration=d) for m, at, d in failures]
-        ).install(simulator)
-    return simulator
-
-
-def _tiny(seed):
-    return tiny_scenario(num_apps=3, seed=seed)
-
-
-def _tiny_hetero(seed):
-    return hetero_scenario(
-        num_apps=3, seed=seed, duration_scale=0.05
-    ).replace(cluster_scale=0.25, lease_minutes=10.0)
-
-
-def _first_winner(seed, num_apps=3):
-    return tiny_scenario(num_apps=num_apps, seed=seed).replace(
+#: The golden table: a cell family's scenario, by seed and app count.
+FAMILIES = {
+    "homo": lambda seed, apps: tiny_scenario(num_apps=apps, seed=seed),
+    "failures": lambda seed, apps: tiny_scenario(num_apps=apps, seed=seed),
+    "hetero": lambda seed, apps: hetero_scenario(
+        num_apps=apps, seed=seed, duration_scale=0.05
+    ).replace(cluster_scale=0.25, lease_minutes=10.0),
+    "first-winner": lambda seed, apps: tiny_scenario(num_apps=apps, seed=seed).replace(
         semantics=CompletionSemantics.FIRST_WINNER
-    )
+    ),
+}
+
+
+def cell(name: str) -> ClusterSimulator:
+    """The simulator of the golden cell ``family/scheduler/seedN`` (3 apps;
+    ``seedNxA``: A apps), or of ``contended-xs/themis``."""
+    if name == "contended-xs/themis":
+        return simulator(CONTENDED_XS)
+    family, scheduler, tag = name.split("/")
+    seed, _, apps = tag.removeprefix("seed").partition("x")
+    failures = FAILURES if family == "failures" else ()
+    return simulator(FAMILIES[family](int(seed), int(apps or 3)), scheduler, failures=failures)
 
 
 # ----------------------------------------------------------------------
 # Frozen digests
 # ----------------------------------------------------------------------
+def assert_cell(name: str) -> ClusterSimulator:
+    """Replay the cell, hold it to its digest, and hand back the simulator."""
+    sim = cell(name)
+    assert_golden(name, sim.run())
+    return sim
+
+
 @pytest.mark.parametrize("scheduler_name", SCHEDULER_NAMES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_golden_homogeneous(scheduler_name, seed):
-    result = _simulator(_tiny(seed), scheduler_name).run()
-    assert_golden(f"homo/{scheduler_name}/seed{seed}", result)
+    assert_cell(f"homo/{scheduler_name}/seed{seed}")
 
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULER_NAMES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_golden_hetero(scheduler_name, seed):
-    result = _simulator(_tiny_hetero(seed), scheduler_name).run()
-    assert_golden(f"hetero/{scheduler_name}/seed{seed}", result)
-
-
-FAILURES = ((0, 20.0, 30.0), (3, 45.0, 60.0))
+    assert_cell(f"hetero/{scheduler_name}/seed{seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_golden_under_failures(seed):
-    result = _simulator(_tiny(seed), "themis", FAILURES).run()
-    assert_golden(f"failures/themis/seed{seed}", result)
+    assert_cell(f"failures/themis/seed{seed}")
 
 
 @pytest.mark.parametrize("seed", (5,) + SEEDS)
 def test_golden_first_winner_semantics(seed):
-    result = _simulator(_first_winner(seed), "themis").run()
-    assert_golden(f"first-winner/themis/seed{seed}", result)
+    assert_cell(f"first-winner/themis/seed{seed}")
 
 
 # ----------------------------------------------------------------------
@@ -128,19 +122,15 @@ def test_first_winner_reuses_pair_kernels():
     properties themselves are pinned in
     tests/test_incremental_valuation.py.
     """
-    simulator = _simulator(_first_winner(7, num_apps=10), "themis")
-    assert_golden("first-winner/themis/seed7x10", simulator.run())
-    assert_golden_carves(
-        "first-winner/themis/seed7x10", simulator.scheduler.estimator.carve_count
-    )
+    sim = assert_cell("first-winner/themis/seed7x10")
+    assert_golden_carves("first-winner/themis/seed7x10", sim.scheduler.estimator.carve_count)
 
 
 def test_valuation_state_is_reused_across_rounds():
     """291 carves, same answers (when every active app was probed, reuse
     took 305 and rebuilding every round 322)."""
-    simulator = _simulator(_tiny(7), "themis")
-    assert_golden("homo/themis/seed7", simulator.run())
-    assert_golden_carves("homo/themis/seed7", simulator.scheduler.estimator.carve_count)
+    sim = assert_cell("homo/themis/seed7")
+    assert_golden_carves("homo/themis/seed7", sim.scheduler.estimator.carve_count)
 
 
 def test_probe_and_payment_accounting_on_a_contended_replay():
@@ -150,10 +140,10 @@ def test_probe_and_payment_accounting_on_a_contended_replay():
     from payment re-solves rebuilding every row after a replayed move
     prefix; they resume the full solve's heap now, so the memo is held
     to engaging on the wider replays of tests/test_replay_gates.py."""
-    simulator = _simulator(CONTENDED_XS, "themis")
-    result = simulator.run()
+    sim = cell("contended-xs/themis")
+    result = sim.run()
     assert_golden("contended-xs/themis", result)
-    carves = simulator.scheduler.estimator.carve_count
+    carves = sim.scheduler.estimator.carve_count
     assert_golden_carves("contended-xs/themis", carves)
     stats = result.round_stats
     totals = stats["totals"]
@@ -181,7 +171,7 @@ def test_probe_and_payment_accounting_on_a_contended_replay():
 
 
 def test_canonical_json_strips_only_instrumentation():
-    result = _simulator(_tiny(3), "themis").run()
+    result = run_scenario(tiny_scenario(num_apps=3, seed=3))
     payload = result.to_json()
     assert payload.pop("round_stats")
     payload.pop("profile")
@@ -199,29 +189,21 @@ def test_canonical_json_strips_only_instrumentation():
 # ----------------------------------------------------------------------
 # Per-round freshness audit
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "cell, build",
-    [
-        ("homo/themis/seed0", lambda: _simulator(_tiny(0), "themis")),
-        ("hetero/themis/seed1", lambda: _simulator(_tiny_hetero(1), "themis")),
-        ("failures/themis/seed0", lambda: _simulator(_tiny(0), "themis", FAILURES)),
-        ("first-winner/themis/seed5", lambda: _simulator(_first_winner(5), "themis")),
-        (
-            "contended-xs/themis",
-            lambda: _simulator(CONTENDED_XS, "themis"),
-        ),
-        ("homo/tiresias/seed2", lambda: _simulator(_tiny(2), "tiresias")),
-        ("hetero/gandiva/seed1", lambda: _simulator(_tiny_hetero(1), "gandiva")),
-        ("homo/strawman/seed2", lambda: _simulator(_tiny(2), "strawman")),
-    ],
+AUDITED = (
+    "homo/themis/seed0", "hetero/themis/seed1", "failures/themis/seed0",
+    "first-winner/themis/seed5", "contended-xs/themis", "homo/tiresias/seed2",
+    "hetero/gandiva/seed1", "homo/strawman/seed2",
 )
-def test_every_cache_is_fresh_every_round(cell, build):
-    simulator = build()
-    audited = audit_freshness(simulator)
-    result = simulator.run()
+
+
+@pytest.mark.parametrize("name, build", [(name, lambda name=name: cell(name)) for name in AUDITED])
+def test_every_cache_is_fresh_every_round(name, build):
+    sim = build()
+    audited = audit_freshness(sim)
+    result = sim.run()
     assert len(audited) == result.num_rounds > 0
     # The audit only reads: the audited replay is the frozen one.
-    assert_golden(cell, result)
+    assert_golden(name, result)
 
 
 def _tuned_sweeps(parallelism, hd0_alphas, hd1_alphas):
@@ -243,13 +225,7 @@ def _tuned_sweeps(parallelism, hd0_alphas, hd1_alphas):
         return TraceApp(app_id=app_id, arrival_minutes=arrival, jobs=jobs)
 
     return ClusterSimulator(
-        cluster=build_cluster(
-            ClusterSpec(
-                machine_specs=(MachineSpec(count=3, gpus_per_machine=4),),
-                num_racks=1,
-                name="sweeps",
-            )
-        ),
+        cluster=uniform_cluster(3, name="sweeps"),
         workload=Trace(
             apps=(sweep("hd0", 0.0, hd0_alphas), sweep("hd1", 12.0, hd1_alphas)),
             name="sweeps",

@@ -10,6 +10,8 @@ from repro.workload.app import CompletionSemantics
 from repro.workload.generator import GeneratorConfig, generate_trace
 from repro.workload.trace import Trace, TraceApp, TraceJob
 
+from helpers import trace_app, trace_of
+
 
 def mini_cluster(machines=2, gpus=4):
     return build_cluster(
@@ -22,33 +24,21 @@ def mini_cluster(machines=2, gpus=4):
 
 
 def single_job_trace(minutes=40.0, parallelism=4, arrival=0.0):
-    return Trace(
-        apps=(
-            TraceApp(
-                "solo",
-                arrival,
-                (
-                    TraceJob(
-                        job_id="solo-j0",
-                        model="resnet50",
-                        duration_minutes=minutes,
-                        max_parallelism=parallelism,
-                    ),
-                ),
-            ),
-        )
+    return trace_of(trace_app("solo", arrival, minutes, parallelism))
+
+
+def mini_sim(workload, scheduler="fifo", machines=2, **config):
+    """``workload`` on :func:`mini_cluster` with ``SimulationConfig(**config)``."""
+    return ClusterSimulator(
+        mini_cluster(machines), workload, make_scheduler(scheduler), SimulationConfig(**config)
     )
 
 
 def test_single_app_runs_at_full_speed():
     """Uncontended app with zero overhead finishes in its ideal time."""
-    sim = ClusterSimulator(
-        cluster=mini_cluster(),
-        workload=single_job_trace(minutes=40.0),
-        scheduler=make_scheduler("fifo"),
-        config=SimulationConfig(lease_minutes=20.0, restart_overhead_minutes=0.0),
-    )
-    result = sim.run()
+    result = mini_sim(
+        single_job_trace(minutes=40.0), lease_minutes=20.0, restart_overhead_minutes=0.0
+    ).run()
     stats = result.stats_by_app()["solo"]
     # 4 GPUs on one machine: the NVLink-pair split costs nothing for
     # resnet50's near-1.0 machine slowdown (0.98): 40 / 0.98.
@@ -57,18 +47,8 @@ def test_single_app_runs_at_full_speed():
 
 
 def test_restart_overhead_delays_completion():
-    fast = ClusterSimulator(
-        cluster=mini_cluster(),
-        workload=single_job_trace(),
-        scheduler=make_scheduler("fifo"),
-        config=SimulationConfig(restart_overhead_minutes=0.0),
-    ).run()
-    slow = ClusterSimulator(
-        cluster=mini_cluster(),
-        workload=single_job_trace(),
-        scheduler=make_scheduler("fifo"),
-        config=SimulationConfig(restart_overhead_minutes=2.0),
-    ).run()
+    fast = mini_sim(single_job_trace(), restart_overhead_minutes=0.0).run()
+    slow = mini_sim(single_job_trace(), restart_overhead_minutes=2.0).run()
     assert slow.stats_by_app()["solo"].completion_time == pytest.approx(
         fast.stats_by_app()["solo"].completion_time + 2.0, rel=1e-6
     )
@@ -76,11 +56,8 @@ def test_restart_overhead_delays_completion():
 
 def test_lease_renewal_without_churn_is_seamless():
     """An uncontended app renewing its own leases pays no extra overhead."""
-    result = ClusterSimulator(
-        cluster=mini_cluster(),
-        workload=single_job_trace(minutes=100.0),
-        scheduler=make_scheduler("fifo"),
-        config=SimulationConfig(lease_minutes=10.0, restart_overhead_minutes=1.0),
+    result = mini_sim(
+        single_job_trace(minutes=100.0), lease_minutes=10.0, restart_overhead_minutes=1.0
     ).run()
     stats = result.stats_by_app()["solo"]
     # One initial placement penalty only, despite ~10 lease renewals.
@@ -88,35 +65,20 @@ def test_lease_renewal_without_churn_is_seamless():
 
 
 def test_gpu_time_accounts_overhead_and_slowdown():
-    result = ClusterSimulator(
-        cluster=mini_cluster(),
-        workload=single_job_trace(minutes=40.0),
-        scheduler=make_scheduler("fifo"),
-        config=SimulationConfig(restart_overhead_minutes=0.0),
-    ).run()
+    result = mini_sim(single_job_trace(minutes=40.0), restart_overhead_minutes=0.0).run()
     stats = result.stats_by_app()["solo"]
     # GPU time = 4 GPUs x wallclock = serial / slowdown.
     assert stats.gpu_time == pytest.approx(160.0 / 0.98, rel=1e-6)
 
 
 def test_max_minutes_stops_early():
-    result = ClusterSimulator(
-        cluster=mini_cluster(),
-        workload=single_job_trace(minutes=500.0),
-        scheduler=make_scheduler("fifo"),
-        config=SimulationConfig(max_minutes=50.0),
-    ).run()
+    result = mini_sim(single_job_trace(minutes=500.0), max_minutes=50.0).run()
     assert not result.completed
     assert result.makespan <= 50.0 + 1e-9
 
 
 def test_timeline_recording():
-    result = ClusterSimulator(
-        cluster=mini_cluster(),
-        workload=single_job_trace(),
-        scheduler=make_scheduler("fifo"),
-        config=SimulationConfig(record_timeline=True),
-    ).run()
+    result = mini_sim(single_job_trace(), record_timeline=True).run()
     assert result.timeline
     assert result.timeline[0][1] == "solo"
     assert result.timeline[-1][2] == 0  # returns to zero on completion
@@ -124,22 +86,14 @@ def test_timeline_recording():
 
 def test_empty_workload_rejected():
     with pytest.raises(ValueError):
-        ClusterSimulator(
-            cluster=mini_cluster(),
-            workload=[],
-            scheduler=make_scheduler("fifo"),
-        )
+        mini_sim([])
 
 
 def test_contention_sampled():
     trace = generate_trace(
         GeneratorConfig(num_apps=3, seed=1, duration_scale=0.1, jobs_per_app_median=3.0)
     )
-    result = ClusterSimulator(
-        cluster=mini_cluster(),
-        workload=trace,
-        scheduler=make_scheduler("fifo"),
-    ).run()
+    result = mini_sim(trace).run()
     assert result.peak_contention > 0
     assert result.contention_samples
 
@@ -157,14 +111,8 @@ def test_first_winner_semantics_kills_losers():
             ),
         )
     )
-    result = ClusterSimulator(
-        cluster=mini_cluster(),
-        workload=trace,
-        scheduler=make_scheduler("fifo"),
-        config=SimulationConfig(
-            semantics=CompletionSemantics.FIRST_WINNER,
-            restart_overhead_minutes=0.0,
-        ),
+    result = mini_sim(
+        trace, semantics=CompletionSemantics.FIRST_WINNER, restart_overhead_minutes=0.0
     ).run()
     assert result.completed
     app = result.apps[0]
@@ -192,14 +140,7 @@ def test_hyperband_tuner_prunes_jobs():
             ),
         )
     )
-    sim = ClusterSimulator(
-        cluster=mini_cluster(),
-        workload=trace,
-        scheduler=make_scheduler("fifo"),
-        config=SimulationConfig(
-            semantics=CompletionSemantics.FIRST_WINNER, lease_minutes=5.0
-        ),
-    )
+    sim = mini_sim(trace, semantics=CompletionSemantics.FIRST_WINNER, lease_minutes=5.0)
     app = sim.apps[0]
     app.tuner = HyperBand(app, min_iterations=100.0)
     result = sim.run()
@@ -213,12 +154,7 @@ def test_all_schedulers_conserve_work_on_generated_trace():
         GeneratorConfig(num_apps=4, seed=2, duration_scale=0.1, jobs_per_app_median=4.0)
     )
     for name in ("themis", "tiresias", "fifo"):
-        result = ClusterSimulator(
-            cluster=mini_cluster(machines=3),
-            workload=trace,
-            scheduler=make_scheduler(name),
-            config=SimulationConfig(lease_minutes=10.0),
-        ).run()
+        result = mini_sim(trace, name, machines=3, lease_minutes=10.0).run()
         assert result.completed, name
         # Every app's work got done: gpu_time >= serial work (S <= 1,
         # overhead >= 0 only inflate it).

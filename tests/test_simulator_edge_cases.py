@@ -3,46 +3,26 @@
 import pytest
 
 from repro.cluster.allocation import Allocation
-from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
 from repro.experiments.config import tiny_scenario
 from repro.obs import Observability, RingTracer
 from repro.schedulers.base import InterAppScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import SimulationError
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
-from repro.workload.trace import Trace, TraceApp, TraceJob
 
-from helpers import make_app, split
+from helpers import make_app, simulator, split, trace_app, trace_of, uniform_cluster
 
 
 def pair_cluster():
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=2, gpus_per_machine=4),),
-            num_racks=2,
-            name="pair",
-        )
-    )
+    return uniform_cluster(2, racks=2, name="pair")
 
 
-def trace_of(*apps):
-    return Trace(apps=tuple(apps))
-
-
-def app_spec(app_id, arrival, minutes, parallelism=4, model="resnet50", jobs=1):
-    return TraceApp(
-        app_id,
-        arrival,
-        tuple(
-            TraceJob(
-                job_id=f"{app_id}-j{i}",
-                model=model,
-                duration_minutes=minutes,
-                max_parallelism=parallelism,
-            )
-            for i in range(jobs)
-        ),
-    )
+def pair_sim(scheduler, *apps, **config):
+    """``apps`` on :func:`pair_cluster` under ``scheduler`` (a registry
+    name or an instance) with ``SimulationConfig(**config)``."""
+    if isinstance(scheduler, str):
+        scheduler = make_scheduler(scheduler)
+    return ClusterSimulator(pair_cluster(), trace_of(*apps), scheduler, SimulationConfig(**config))
 
 
 class _RogueScheduler(InterAppScheduler):
@@ -78,13 +58,7 @@ class _RogueScheduler(InterAppScheduler):
 
 @pytest.mark.parametrize("mode", ["double-assign", "unknown-app"])
 def test_rogue_scheduler_rejected(mode):
-    trace = trace_of(app_spec("a", 0.0, 30.0), app_spec("b", 0.0, 30.0))
-    sim = ClusterSimulator(
-        cluster=pair_cluster(),
-        workload=trace,
-        scheduler=_RogueScheduler(mode),
-        config=SimulationConfig(),
-    )
+    sim = pair_sim(_RogueScheduler(mode), trace_app("a", 0.0, 30.0), trace_app("b", 0.0, 30.0))
     with pytest.raises(SimulationError):
         sim.run()
 
@@ -92,27 +66,22 @@ def test_rogue_scheduler_rejected(mode):
 def test_rogue_outside_pool_rejected():
     # Outside-pool grabbing only fails once some GPUs are leased (the
     # first round offers the whole cluster), so use two rounds.
-    trace = trace_of(app_spec("a", 0.0, 60.0), app_spec("b", 5.0, 60.0))
-    sim = ClusterSimulator(
-        cluster=pair_cluster(),
-        workload=trace,
-        scheduler=_RogueScheduler("outside-pool"),
-        config=SimulationConfig(lease_minutes=100.0),
+    sim = pair_sim(
+        _RogueScheduler("outside-pool"),
+        trace_app("a", 0.0, 60.0),
+        trace_app("b", 5.0, 60.0),
+        lease_minutes=100.0,
     )
     with pytest.raises(SimulationError):
         sim.run()
 
 
 def test_simultaneous_arrivals_share_cluster():
-    trace = trace_of(
-        app_spec("a", 0.0, 30.0, parallelism=4),
-        app_spec("b", 0.0, 30.0, parallelism=4),
-    )
-    result = ClusterSimulator(
-        cluster=pair_cluster(),
-        workload=trace,
-        scheduler=make_scheduler("themis"),
-        config=SimulationConfig(restart_overhead_minutes=0.0),
+    result = pair_sim(
+        "themis",
+        trace_app("a", 0.0, 30.0, parallelism=4),
+        trace_app("b", 0.0, 30.0, parallelism=4),
+        restart_overhead_minutes=0.0,
     ).run()
     assert result.completed
     stats = result.stats_by_app()
@@ -123,15 +92,11 @@ def test_simultaneous_arrivals_share_cluster():
 
 def test_preemption_transfers_gpus_between_apps():
     """A starved newcomer takes GPUs from the incumbent at lease expiry."""
-    trace = trace_of(
-        app_spec("incumbent", 0.0, 200.0, parallelism=4, jobs=2),  # wants all 8
-        app_spec("newcomer", 5.0, 30.0, parallelism=4),
-    )
-    result = ClusterSimulator(
-        cluster=pair_cluster(),
-        workload=trace,
-        scheduler=make_scheduler("themis"),
-        config=SimulationConfig(lease_minutes=10.0),
+    result = pair_sim(
+        "themis",
+        trace_app("incumbent", 0.0, 200.0, parallelism=4, jobs=2),  # wants all 8
+        trace_app("newcomer", 5.0, 30.0, parallelism=4),
+        lease_minutes=10.0,
     ).run()
     assert result.completed
     stats = result.stats_by_app()
@@ -169,26 +134,18 @@ def test_distribute_accepts_helpful_spread_for_insensitive_model():
 
 def test_declined_gpus_return_to_free_pool():
     """GPUs an app declines become schedulable for other apps."""
-    trace = trace_of(
-        app_spec("vgg-app", 0.0, 60.0, parallelism=4, model="vgg16", jobs=2),
-        app_spec("resnet-app", 1.0, 30.0, parallelism=4, model="resnet50"),
-    )
-    result = ClusterSimulator(
-        cluster=pair_cluster(),
-        workload=trace,
-        scheduler=make_scheduler("themis"),
-        config=SimulationConfig(lease_minutes=10.0),
+    result = pair_sim(
+        "themis",
+        trace_app("vgg-app", 0.0, 60.0, parallelism=4, model="vgg16", jobs=2),
+        trace_app("resnet-app", 1.0, 30.0, parallelism=4, model="resnet50"),
+        lease_minutes=10.0,
     ).run()
     assert result.completed
 
 
 def test_zero_overhead_and_tiny_lease():
-    trace = trace_of(app_spec("a", 0.0, 20.0))
-    result = ClusterSimulator(
-        cluster=pair_cluster(),
-        workload=trace,
-        scheduler=make_scheduler("fifo"),
-        config=SimulationConfig(lease_minutes=0.5, restart_overhead_minutes=0.0),
+    result = pair_sim(
+        "fifo", trace_app("a", 0.0, 20.0), lease_minutes=0.5, restart_overhead_minutes=0.0
     ).run()
     assert result.completed
     # Many lease renewals, all seamless.
@@ -198,14 +155,8 @@ def test_zero_overhead_and_tiny_lease():
 
 
 def test_app_arriving_after_everything_finished():
-    trace = trace_of(
-        app_spec("first", 0.0, 10.0),
-        app_spec("straggler", 500.0, 10.0),
-    )
-    result = ClusterSimulator(
-        cluster=pair_cluster(),
-        workload=trace,
-        scheduler=make_scheduler("themis"),
+    result = pair_sim(
+        "themis", trace_app("first", 0.0, 10.0), trace_app("straggler", 500.0, 10.0)
     ).run()
     assert result.completed
     stats = result.stats_by_app()
@@ -232,13 +183,7 @@ def test_lowered_cap_is_applied_at_lease_renewal():
 
     app = make_app("a0", num_jobs=1, serial_work=400.0, max_parallelism=4)
     sim = ClusterSimulator(
-        cluster=build_cluster(
-            ClusterSpec(
-                machine_specs=(MachineSpec(count=1, gpus_per_machine=4),),
-                num_racks=1,
-                name="one",
-            )
-        ),
+        cluster=uniform_cluster(1, name="one"),
         workload=[app],
         scheduler=make_scheduler("fifo"),
         config=SimulationConfig(lease_minutes=10.0, record_timeline=True),
@@ -270,12 +215,7 @@ def test_same_instant_guard_skips_only_an_identical_pool():
     """A round that repeats the last one's instant *and* pool is skipped
     (the livelock guard); a changed pool, or a later instant, runs."""
     scheduler = _CountingScheduler()
-    sim = ClusterSimulator(
-        cluster=pair_cluster(),
-        workload=trace_of(app_spec("late", 100.0, 30.0)),
-        scheduler=scheduler,
-        config=SimulationConfig(),
-    )
+    sim = pair_sim(scheduler, trace_app("late", 100.0, 30.0))
     sim._run_round(0.0)
     sim._run_round(0.0)
     assert sim.num_rounds == 1 and len(scheduler.pools) == 1
@@ -311,14 +251,7 @@ def test_grants_install_in_gpu_id_order_whatever_assign_returns():
 
     def traced(scheduler):
         tracer = RingTracer(capacity=1 << 20)
-        result = ClusterSimulator(
-            cluster=scenario.build_cluster(),
-            workload=scenario.build_trace(),
-            scheduler=scheduler,
-            config=scenario.build_sim_config(),
-            obs=Observability(tracer=tracer),
-        ).run()
-        return result, tracer.events
+        return simulator(scenario, scheduler, obs=Observability(tracer=tracer)).run(), tracer.events
 
     plain, plain_events = traced(make_scheduler("fifo"))
     scrambled, scrambled_events = traced(_ScrambledFifo())

@@ -2,32 +2,18 @@
 
 import pytest
 
-from repro.cluster.topology import ClusterSpec, MachineSpec, build_cluster
 from repro.schedulers.themis import ThemisScheduler
 from repro.simulation.simulator import ClusterSimulator, SimulationConfig
-from repro.workload.trace import Trace, TraceApp, TraceJob
+
+from helpers import trace_app, trace_of, uniform_cluster
 
 
 def cluster():
-    return build_cluster(
-        ClusterSpec(
-            machine_specs=(MachineSpec(count=2, gpus_per_machine=4),),
-            num_racks=2,
-        )
-    )
+    return uniform_cluster(2, racks=2)
 
 
 def trace(num_apps=3):
-    apps = tuple(
-        TraceApp(
-            f"a{i}",
-            float(i),
-            (TraceJob(job_id=f"a{i}-j0", model="resnet50",
-                      duration_minutes=20.0, max_parallelism=4),),
-        )
-        for i in range(num_apps)
-    )
-    return Trace(apps=apps)
+    return trace_of(*(trace_app(f"a{i}", float(i), 20.0) for i in range(num_apps)))
 
 
 def build(scheduler=None, **kwargs):
