@@ -103,7 +103,8 @@ def _print_auctions(round_stats: dict) -> None:
 def _print_valuation(round_stats: dict) -> None:
     """The valuation work of every auction of the run: carves made
     (wherever they were made, the rho probes' included), the ones the
-    bids made, and the values asked of bids, in total and per auction."""
+    bids made, snapshots rebuilt, and the values asked of bids, in total
+    and per auction."""
     totals = round_stats.get("totals")
     if not totals or "carves" not in totals:
         return
@@ -111,9 +112,10 @@ def _print_valuation(round_stats: dict) -> None:
     carves, lookups = totals["carves"], totals["valuation_lookups"]
     print("\nvaluation:")
     print(format_table(
-        ["carves", "bid_carves", "carves_per_auction", "lookups", "lookups_per_auction"],
+        ["carves", "bid_carves", "carves_per_auction", "rebuilds", "lookups",
+         "lookups_per_auction"],
         [[carves, totals["valuation_probes"], round(carves / rounds, 2),
-          lookups, round(lookups / rounds, 2)]],
+          totals["rebuilds"], lookups, round(lookups / rounds, 2)]],
     ))
 
 

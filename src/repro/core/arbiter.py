@@ -70,8 +70,9 @@ class RoundStats:
     scored again), heap entries pushed, and the number of distinct rho
     computations (valuation-cache misses) the round's bids performed.
     ``carves`` counts every carve of the round, wherever it was made
-    (the rho probes' included), and ``valuation_lookups`` the values
-    the round's bids were asked, cached or not.
+    (the rho probes' included), ``rebuilds`` every valuation snapshot
+    the round rebuilt, and ``valuation_lookups`` the values the round's
+    bids were asked, cached or not.
 
     The ``rescore_*`` pair breaks down the post-move re-scoring wall
     (see :class:`~repro.core.auction.AuctionSolveStats`): kernel carves
@@ -95,6 +96,8 @@ class RoundStats:
     valuation_probes: int = 0
     #: The shared estimator's carves over the whole round.
     carves: int = 0
+    #: The shared estimator's snapshot rebuilds over the whole round.
+    rebuilds: int = 0
     #: Values asked of the round's bids (``Bid.rho_lookups``).
     valuation_lookups: int = 0
     heap_warm_hits: int = 0
@@ -186,6 +189,7 @@ class Arbiter:
         # Every agent's state shares the one estimator.
         estimator = agents[eligible[0]].state.estimator
         carves_before = estimator.carve_count
+        rebuilds_before = estimator.rebuild_count
         with self.profiler.phase("valuation"):
             rhos = {app_id: agents[app_id].report_rho(now, salt) for app_id in eligible}
         pool_counts = OfferCounts.of_pool(pool)
@@ -258,6 +262,7 @@ class Arbiter:
                 solver_heap_pushes=solve_stats.heap_pushes,
                 valuation_probes=sum(bid.rho_probes for bid in bids.values()),
                 carves=estimator.carve_count - carves_before,
+                rebuilds=estimator.rebuild_count - rebuilds_before,
                 valuation_lookups=sum(bid.rho_lookups for bid in bids.values()),
                 heap_warm_hits=solve_stats.warm_hits,
                 heap_warm_misses=solve_stats.warm_misses,

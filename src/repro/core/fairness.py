@@ -18,8 +18,9 @@ built for that hot path:
   homogeneous, so a count on a machine implies a GPU generation and the
   carve scores it in speed-weighted *effective compute*,
 * :class:`AppSnapshot` holds an app's job list, sorted once and kept
-  across rounds until a discrete change or a drain reorders it; only
-  its ``total_remaining`` is rewritten as held jobs drain,
+  across rounds until a job leaves, a cap changes or a drain reorders
+  jobs of different shapes; only its ``total_remaining`` (and, on a
+  re-sort, its job order) is rewritten as held jobs drain,
 * the carve loop stops as soon as the count pool drains, so the cost is
   bounded by the GPUs offered, not the (much larger) job count,
 * there is one carve kernel, :func:`_carve_fast`: machine speeds come
@@ -582,11 +583,11 @@ class AppSnapshot:
     """An app's sorted job list, built once and probed many times.
 
     Sorting the job list and summing remaining work happen once here
-    instead of once per valuation probe.  ``total_remaining`` is the one
-    field that moves after construction: a held app's jobs drain between
-    rounds, and :meth:`AppValuationState._refresh_drift` writes the
-    re-summed total in place while the job order holds (so the
-    :attr:`family` memo survives the drift too).
+    instead of once per valuation probe.  A held app's jobs drain
+    between rounds, and :meth:`AppValuationState._walk` writes the
+    re-summed ``total_remaining`` in place — and, when the drain
+    reordered jobs of equal shapes, the re-sorted ``job_tuples`` — so
+    the :attr:`family` memo survives the drift too.
     """
 
     app_id: str
@@ -654,6 +655,9 @@ class FairnessEstimator:
         #: whole-replay total is frozen per cell under ``carves`` in
         #: ``tests/golden_sim.json``.
         self.carve_count = 0
+        #: Snapshots rebuilt by the :class:`AppValuationState`\ s over
+        #: this estimator (a kept or re-sorted snapshot doesn't count).
+        self.rebuild_count = 0
         #: Observability hook; the simulator rewires this at bind time.
         #: :meth:`_carved` enters its ``carve`` phase unconditionally: a
         #: disabled profiler's ``phase`` is one shared no-op.
@@ -696,12 +700,12 @@ class FairnessEstimator:
     ) -> float:
         """Aggregate placement-adjusted rate of the carved counts.
 
-        The ``ALL_JOBS`` valuation kernel: which job gets which GPUs —
-        and therefore every per-job rate — depends on the *order* of the
-        snapshot's job tuples (caps, sensitivity profiles, ids), not on
-        the remaining-work magnitudes, so
-        :class:`AppValuationState` caches this sum across rounds under a
-        rate-signature key even while the app's jobs drain.
+        The ``ALL_JOBS`` valuation kernel: the carve hands GPUs out in
+        the snapshot's job order, reading each job's cap, sensitivity
+        profile and family — never its id or remaining work — so
+        :class:`AppValuationState` caches this sum across rounds under
+        that ``(cap, profile, family)`` sequence even while the app's
+        jobs drain.
         """
         if not machine_counts:
             return 0.0
@@ -713,9 +717,10 @@ class FairnessEstimator:
     ) -> float:
         """Gandiva's kernel: :func:`_packing_score` of the carved counts.
 
-        Like the aggregate rate it reads the job order, never the
-        remaining-work magnitudes, so :class:`AppValuationState` caches
-        it across rounds under the same rate signature.
+        Like the aggregate rate it reads the job shapes in order, never
+        the ids or remaining-work magnitudes, so
+        :class:`AppValuationState` caches it across rounds under the
+        same signature.
         """
         if not machine_counts:
             return 0.0
@@ -744,10 +749,11 @@ class FairnessEstimator:
 
         The ``FIRST_WINNER`` valuation kernel: like the aggregate rate,
         which job receives which GPUs — and hence each job's rate —
-        depends only on the snapshot's job *order signature*, never on
-        the remaining-work magnitudes, so
-        :class:`AppValuationState` caches these pairs across rounds and
-        re-divides by the current remaining work in O(pairs).
+        depends only on the job shapes in order, never on the
+        remaining-work magnitudes; the pairs name the jobs, so
+        :class:`AppValuationState` caches them across rounds under a
+        signature that keeps the ids, and re-divides by the current
+        remaining work in O(pairs).
         """
         if not machine_counts:
             return ()
@@ -865,33 +871,31 @@ class AppValuationState:
     counts, and the cache of the kernel, keyed by bundle *shape*
     (:func:`bundle_shape` — a bundle is carved once per shape, not once
     per machine-id key; any noise is applied above this layer, in
-    ``Bid.rho_from_key``).  :meth:`refresh` applies the dirty-tracking
-    contract at two levels:
+    ``Bid.rho_from_key``).  The row tables (:class:`RowProbe`) hold the
+    same kernel one level up, per row shape and one-machine extension;
+    both are dropped wholesale at :data:`_KERNEL_CACHE_LIMIT` entries.
 
-    * **snapshot reuse** — while the app's epoch is unchanged, the
-      snapshot survives: verbatim if the app holds no GPUs (a fully
-      starved app cannot drift), and with its ``total_remaining``
-      re-summed in place (:meth:`_refresh_drift`) if it holds GPUs and
-      the drain has kept the job order;
-    * **kernel-cache reuse** — when the snapshot does rebuild, the
-      carve's per-job GPU split depends only on the job *order
-      signature* (parallelism caps, sensitivity profiles, families,
-      ids — not the remaining-work magnitudes), so as long as the
-      order signature is unchanged the cached kernels stay valid: under
-      ``ALL_JOBS`` delta is one division of the current total remaining
-      work, under ``FIRST_WINNER`` a min over one division per served
-      job against the *current* remaining work.
+    **One reuse rule.**  A carve reads each job's cap, sensitivity
+    profile and family, in ``(remaining work, job id)`` order — never
+    the work magnitudes, and under ``ALL_JOBS`` and packing not the ids
+    either.  So the snapshot holds while every job it sorted is still
+    active with the same cap and the order holds; :meth:`refresh`
+    checks exactly that (:meth:`_walk`) and rewrites the drained work in
+    place.  Job states only move forward, so no job can join the active
+    set; a cap changes only on a live job (a tuner's write, followed by
+    :meth:`App.invalidate`), so ``t_ideal`` holds too.  A drain that
+    reorders the jobs re-sorts them, and the snapshot stays if the
+    *kernel signature* — the ``(cap, profile, family)`` sequence, plus
+    the ids under ``FIRST_WINNER``, whose pairs name jobs — is
+    unchanged.  Otherwise the snapshot is rebuilt, and the kernel
+    caches are dropped only if the signature moved.  The app's epoch
+    only says when to look: a clean app holding no GPUs cannot drift
+    and is reused verbatim; after a bump the walk also checks
+    activity and caps, and the holdings (``base_counts`` /
+    ``base_key``) are re-read.
 
-    The row tables (:class:`RowProbe`) hold the same kernel one level
-    up, per row shape and one-machine extension, so a rate-signature
-    change drops them too; they are dropped wholesale at
-    :data:`_KERNEL_CACHE_LIMIT` rows.
-
-    Any discrete change (allocation install, job finish/kill, tuner
-    step, failure revocation) bumps the app epoch and invalidates the
-    snapshot, and the kernels with it only when the order signature
-    moved.  Reuse never changes a value: the caches store pure
-    functions of (snapshot, counts), so a state answers exactly what a
+    Reuse never changes a value: the caches store pure functions of
+    (signature, bundle shape), so a state answers exactly what a
     freshly constructed one would.  The rho reads (:meth:`rho_at`,
     :meth:`current_rho`) are those of a rate or pairs kernel.
     """
@@ -908,7 +912,6 @@ class AppValuationState:
         "base_key",
         "_base_kernel",
         "_probe",
-        "rebuilds",
         "rate_signature",
         "machine_reads",
         "_kernel_cache",
@@ -947,7 +950,8 @@ class AppValuationState:
         #: :meth:`held_rho` reuses at the same instant; every
         #: :meth:`refresh` drops it.
         self._probe: Optional[tuple[float, float]] = None
-        self.rebuilds = 0
+        #: The kernel signature of the snapshot's jobs (see the class
+        #: docstring); the kernel caches are valid while it is.
         self.rate_signature: Optional[tuple] = None
         #: ``estimator.machine_reads`` of the current snapshot's jobs;
         #: rebuilt with the kernel caches (it depends on their families).
@@ -958,114 +962,119 @@ class AppValuationState:
         #: row shape -> {(position, rack label, speeds, step) -> kernel}:
         #: :class:`RowProbe`'s tables.
         self._row_tables: dict[tuple, dict[tuple, object]] = {}
-        #: job_id -> remaining work of the current snapshot (FIRST_WINNER
-        #: deltas divide cached rates by *current* work).
+        #: job_id -> current remaining work (FIRST_WINNER deltas divide
+        #: cached rates by it).
         self._remaining_by_id: dict[str, float] = {}
         self._base_alloc = None
-        #: Job objects aligned with ``snapshot.job_tuples`` — the drift
-        #: fast path re-reads each job's remaining work along this order.
-        self._sorted_jobs: Optional[list[Job]] = None
+        #: Job objects aligned with ``snapshot.job_tuples``: what
+        #: :meth:`_walk` re-reads.
+        self._sorted_jobs: list[Job] = []
 
     def refresh(self) -> AppSnapshot:
-        """Rebuild the snapshot and caches when dirty; no-op when clean.
+        """Bring the snapshot and the holdings up to date (the class
+        docstring's rule); no-op for a clean app holding no GPUs.
 
         Drops the probe :meth:`held_rho` would reuse: the snapshot may
         move under it."""
         self._probe = None
         app = self.app
-        if self.snapshot is not None and self.epoch == app.epoch:
-            if not self.base_counts:
-                return self.snapshot
-            # Held app, clean epoch: only remaining work has drained
-            # (every discrete change bumps the epoch).  While the drain
-            # has not reordered the jobs, the snapshot survives with a
-            # re-summed total — the carve kernels and the ALL_JOBS delta
-            # never read the per-job remaining-work magnitudes.
-            if self._sorted_jobs is not None and not self.first_winner:
-                drifted = self._refresh_drift()
-                if drifted is not None:
-                    return drifted
-        self.rebuilds += 1
-        self.epoch = app.epoch
-        snap = self._rebuild_snapshot(app)
-        self.snapshot = snap
-        alloc = app.allocation()
-        if alloc is not self._base_alloc:
-            # The allocation object is epoch-memoised on the app, so a
-            # clean app holding GPUs keeps the identical object between
-            # rounds and the canonical base key survives with it.
-            self._base_alloc = alloc
-            self.base_counts = dict(alloc.per_machine_counts())
-            self.base_key = tuple(
-                sorted((m, c) for m, c in self.base_counts.items() if c > 0)
-            )
-            self._base_kernel = None
-        self._refresh_remaining(snap)
-        return snap
-
-    def _refresh_drift(self) -> Optional[AppSnapshot]:
-        """Drift-only snapshot update for a clean-epoch held app.
-
-        Walks the jobs in snapshot order re-reading remaining work: if
-        the sequence is still sorted by ``(remaining work, job id)``
-        (the usual case — proportional drains rarely reorder; an id is
-        read only when two works tie), the snapshot is kept and its
-        ``total_remaining`` rewritten in place — summed along the
-        *current* sorted order, so the float matches a full rebuild
-        bit-for-bit — and its :attr:`AppSnapshot.family` memo survives
-        with it.  The per-job magnitudes inside ``job_tuples`` are left
-        stale: under ``ALL_JOBS`` semantics no consumer reads them (the
-        carve uses caps, profiles and families; the delta divides the
-        fresh total by the cached aggregate rate).  ``t_ideal`` reads only the job
-        caps and run constants, and a cap changes only with an epoch
-        bump, so it cannot have moved.  Returns ``None`` when a
-        reorder forces the full rebuild.
-        """
         snap = self.snapshot
-        assert snap is not None and self._sorted_jobs is not None
+        bumped = self.epoch != app.epoch
+        if snap is None or (bumped or self.base_counts) and not self._walk(snap, bumped):
+            self._rebuild_snapshot(*_job_tuples(app.jobs))
+        if bumped:
+            self.epoch = app.epoch
+            alloc = app.allocation()
+            if alloc is not self._base_alloc:
+                # The allocation object is epoch-memoised on the app, so
+                # it is the same object until the next bump.
+                self._base_alloc = alloc
+                self.base_counts = dict(alloc.per_machine_counts())
+                self.base_key = tuple(
+                    sorted((m, c) for m, c in self.base_counts.items() if c > 0)
+                )
+                self._base_kernel = None
+        return self.snapshot
+
+    def _walk(self, snap: AppSnapshot, bumped: bool) -> bool:
+        """Bring the state up to date with the jobs ``snap`` sorted;
+        ``False`` when one of them left or changed cap (a rebuild).
+
+        After an epoch bump, every job the snapshot sorted must still be
+        active with the cap it had.  Then the jobs are re-read in
+        snapshot order: while they are still sorted by ``(remaining
+        work, job id)`` (an id is read only when two works tie),
+        ``total_remaining`` is rewritten in place — summed along the
+        current order, so the float matches a rebuild bit for bit — and
+        the :attr:`AppSnapshot.family` memo survives.  Out of order,
+        :meth:`_resort` takes over.  The per-job magnitudes inside
+        ``job_tuples`` are left stale: no kernel reads them, the
+        ``ALL_JOBS`` delta divides the fresh total, and the
+        ``FIRST_WINNER`` one reads ``_remaining_by_id``, re-read here.
+        """
+        jobs = self._sorted_jobs
+        if bumped:
+            for job, job_tuple in zip(jobs, snap.job_tuples):
+                if not job.is_active or job.max_parallelism != job_tuple[1]:
+                    return False
         total = 0.0
         prev_work = -math.inf
         prev_job = None
-        for job in self._sorted_jobs:
+        for job in jobs:
             work = job.remaining_work
-            if work <= prev_work and (
-                work < prev_work or job.job_id < prev_job.job_id
-            ):
-                return None
+            if work <= prev_work and (work < prev_work or job.job_id < prev_job.job_id):
+                self._resort(snap)
+                return True
             total += work
             prev_work = work
             prev_job = job
         snap.total_remaining = total
-        return snap
-
-    def _refresh_remaining(self, snap: AppSnapshot) -> None:
-        """Rebuild the job_id -> remaining-work view (FIRST_WINNER only)."""
         if self.first_winner:
-            self._remaining_by_id = {job[3]: job[0] for job in snap.job_tuples}
+            self._remaining_by_id = {job.job_id: job.remaining_work for job in jobs}
+        return True
 
-    def _rebuild_snapshot(self, app: App) -> AppSnapshot:
-        """Snapshot rebuild that invalidates the kernel caches on a reorder.
+    def _resort(self, snap: AppSnapshot) -> None:
+        """Re-sort the (unchanged) jobs after a reordering drain: keep
+        ``snap`` — its job tuples and total rewritten in place — and the
+        kernel caches while the kernel signature is unchanged (never under
+        ``FIRST_WINNER``: a reorder moves the ids), else rebuild from the
+        re-sorted jobs."""
+        tuples, jobs = _job_tuples(self._sorted_jobs)
+        if self._signature(tuples) != self.rate_signature:
+            self._rebuild_snapshot(tuples, jobs)
+            return
+        self._sorted_jobs = jobs
+        snap.job_tuples = tuple(tuples)
+        snap.total_remaining = ordered_sum(item[0] for item in tuples)
 
-        Built by :func:`_job_tuples` and :meth:`AppSnapshot.of`, as
+    def _signature(self, tuples: Sequence[_JobTuple]) -> tuple:
+        """What the kernel reads of the sorted jobs: ``(cap, profile,
+        family)`` each, and the id too under ``FIRST_WINNER``."""
+        if self.first_winner:
+            return tuple(item[1:] for item in tuples)
+        return tuple((item[1], item[2], item[4]) for item in tuples)
+
+    def _rebuild_snapshot(self, tuples: list[_JobTuple], jobs: list[Job]) -> None:
+        """A new snapshot over the app's active jobs as :func:`_job_tuples`
+        sorts them, counted in ``estimator.rebuild_count``; the kernel
+        caches are dropped only when the signature moved.
+
+        Built by :meth:`AppSnapshot.of`, as
         :meth:`FairnessEstimator.snapshot` builds one, so the snapshots
         are byte-identical to ones built from scratch.
         """
-        tuples, jobs = _job_tuples(app.jobs)
-        # Aligned Job objects let the drift fast path re-read remaining
-        # work in snapshot order without rebuilding these tuples.
+        self.estimator.rebuild_count += 1
         self._sorted_jobs = jobs
-        # The carve hands machines out in *sorted* job order, so the
-        # kernel caches are keyed to that sequence — including each
-        # job's family (its matrix row): a drain-induced reorder (not
-        # just an epoch bump) must invalidate them.
-        signature = tuple(item[1:] for item in tuples)
+        signature = self._signature(tuples)
         if signature != self.rate_signature:
             self.rate_signature = signature
             self.machine_reads = self.estimator.machine_reads(tuples)
             self._base_kernel = None
             self._kernel_cache = {}
             self._row_tables = {}
-        return AppSnapshot.of(app, tuples, self.estimator.capacity)
+        self.snapshot = AppSnapshot.of(self.app, tuples, self.estimator.capacity)
+        if self.first_winner:
+            self._remaining_by_id = {job[3]: job[0] for job in tuples}
 
     def kernel_of(
         self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
@@ -1092,73 +1101,62 @@ class AppValuationState:
             cache[shape] = kernel
         return kernel
 
-    def _delta(
-        self, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
+    def rho_at(
+        self, now: float, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
     ) -> float:
-        """The shared-time delta of a total-counts bundle: kernel, then
-        divide; bit for bit
-        :meth:`FairnessEstimator.shared_delta_from_snapshot`.
+        """Noise-free rho for a canonical total-counts bundle at ``now``:
+        kernel, then divide; bit for bit
+        :meth:`FairnessEstimator.rho_from_snapshot`.
 
-        0 with no active job, or under ``ALL_JOBS`` with no work left
-        (no kernel read then); else under ``FIRST_WINNER`` the min over
-        the served jobs of *current* remaining work over rate, under
-        ``ALL_JOBS`` the total remaining work over the aggregate rate;
-        ``inf`` when nothing progresses.  ``Bid.row``'s class probe
+        The delta is 0 with no active job, or under ``ALL_JOBS`` with no
+        work left (no kernel read then); else under ``FIRST_WINNER`` the
+        min over the served jobs of *current* remaining work over rate,
+        under ``ALL_JOBS`` the total remaining work over the aggregate
+        rate; ``inf`` when nothing progresses.  ``Bid.row``'s class probe
         repeats this arithmetic on a kernel read off a row table.  The
         holdings' own kernel (``total_key`` *is* ``base_key``) is kept
         with the state, so the round's probe hashes no shape.
         """
         snap = self.snapshot
         assert snap is not None, "refresh() before probing"
-        if not snap.job_tuples or (snap.total_remaining <= 0 and not self.first_winner):
-            return 0.0
-        if total_key is self.base_key:
-            kernel = self._base_kernel
-            if kernel is None:
-                kernel = self._base_kernel = self.kernel_of(total_key, shape)
-        else:
-            kernel = self.kernel_of(total_key, shape)
-        if self.first_winner:
-            remaining = self._remaining_by_id
-            delta = math.inf
-            for job_id, rate in kernel:  # type: ignore[attr-defined]
-                per_job = remaining[job_id] / rate
-                if per_job < delta:
-                    delta = per_job
-            return delta
-        if kernel <= 0:  # type: ignore[operator]
-            return math.inf
-        return snap.total_remaining / kernel  # type: ignore[operator]
-
-    def _rho(self, now: float, delta: float) -> float:
-        """Noise-free rho at ``now`` of a bundle whose delta is ``delta``."""
-        snap = self.snapshot
-        assert snap is not None, "refresh() before probing"
         if snap.t_ideal <= 0:
             raise ValueError(
                 f"app {snap.app_id} has non-positive ideal time {snap.t_ideal}"
             )
+        if not snap.job_tuples or (snap.total_remaining <= 0 and not self.first_winner):
+            delta = 0.0
+        else:
+            if total_key is self.base_key:
+                kernel = self._base_kernel
+                if kernel is None:
+                    kernel = self._base_kernel = self.kernel_of(total_key, shape)
+            else:
+                kernel = self.kernel_of(total_key, shape)
+            if self.first_winner:
+                remaining = self._remaining_by_id
+                delta = math.inf
+                for job_id, rate in kernel:  # type: ignore[attr-defined]
+                    per_job = remaining[job_id] / rate
+                    if per_job < delta:
+                        delta = per_job
+            elif kernel <= 0:  # type: ignore[operator]
+                delta = math.inf
+            else:
+                delta = snap.total_remaining / kernel  # type: ignore[operator]
         elapsed = now - snap.arrival_time
         if elapsed < 0.0:
             elapsed = 0.0
         return (elapsed + delta) / snap.t_ideal
 
-    def rho_at(
-        self, now: float, total_key: tuple[tuple[int, int], ...], shape: Optional[tuple] = None
-    ) -> float:
-        """Noise-free rho for a canonical total-counts bundle at ``now``."""
-        return self._rho(now, self._delta(total_key, shape))
-
     def current_rho(self, now: float) -> float:
         """rho with the allocation the app holds right now: one exact probe.
 
-        :meth:`refresh` (its clean-epoch drift walk), then the holdings'
-        kernel kept with the state (no shape is hashed) and the
-        arithmetic of :meth:`rho_at`.  The answer is kept as the probe
+        :meth:`refresh`, then :meth:`rho_at` of the holdings, whose
+        kernel is kept with the state.  The answer is kept as the probe
         that :meth:`held_rho` reuses at the same instant.
         """
         self.refresh()
-        rho = self._rho(now, self._delta(self.base_key))
+        rho = self.rho_at(now, self.base_key)
         self._probe = (now, rho)
         return rho
 

@@ -81,7 +81,7 @@ class App:
         self._epoch = 0
         self._alloc_cache: Optional[tuple[int, Allocation]] = None
         self._active_cache: Optional[tuple[int, tuple[Job, ...]]] = None
-        self._demand_cache: Optional[tuple[int, int, int]] = None
+        self._demand_cache: Optional[tuple[int, int, int, int]] = None
         self._ideal_caps: tuple[int, ...] = ()
         self._ideal_cache: dict = {}
         for job in self.jobs:
@@ -156,9 +156,12 @@ class App:
         return self.demand_pair()[0]
 
     def unmet_demand(self) -> int:
-        """GPUs the app wants beyond what it currently holds."""
-        pair = self.demand_pair()
-        return max(0, pair[0] - pair[1])
+        """GPUs the app wants beyond what it currently holds (the
+        arbiter asks every app, every round: one read of the memo)."""
+        cached = self._demand_cache
+        if cached is None or cached[0] != self._epoch:
+            cached = self._count_demand()
+        return cached[3]
 
     def demand_pair(self) -> tuple[int, int]:
         """(total demand, held-toward-demand) memoised on the epoch.
@@ -167,8 +170,12 @@ class App:
         exactly when the app holds no GPU.
         """
         cached = self._demand_cache
-        if cached is not None and cached[0] == self._epoch:
-            return cached[1], cached[2]
+        if cached is None or cached[0] != self._epoch:
+            cached = self._count_demand()
+        return cached[1], cached[2]
+
+    def _count_demand(self) -> tuple[int, int, int, int]:
+        """Recount and memoise ``(epoch, demand, held, unmet)``."""
         demand = 0
         held = 0
         for job in self.jobs:
@@ -177,8 +184,8 @@ class App:
                 demand += cap
                 size = job.allocation.size
                 held += size if size < cap else cap
-        self._demand_cache = (self._epoch, demand, held)
-        return demand, held
+        self._demand_cache = (self._epoch, demand, held, max(0, demand - held))
+        return self._demand_cache
 
     def total_work(self) -> float:
         """Sum of serial work across all jobs (the paper's W vector, aggregated)."""

@@ -111,9 +111,9 @@ class Job:
     #: finish, kill) so epoch-cached app aggregates and cross-round
     #: valuation snapshots invalidate automatically.  Continuous progress
     #: (:meth:`advance_to`) deliberately does not fire it — a job that can
-    #: progress holds GPUs, and a non-empty allocation already excludes
-    #: its app from snapshot reuse (see ``docs`` in README: the
-    #: dirty-tracking contract).
+    #: progress holds GPUs, and a valuation state re-reads the remaining
+    #: work of an app holding GPUs at every refresh (README: the
+    #: valuation contract).
     on_mutate: Optional[Callable[[], None]] = field(
         default=None, repr=False, compare=False
     )

@@ -12,8 +12,9 @@ mutant is applied to a temporary copy of ``src/`` and ``tests/`` — never
 to the working tree — and then ``pytest -x`` runs over the test files
 that import the mutated module (those naming it as ``repro.core.auction``
 and so on, and those importing ``tests/helpers.py`` when it does), with
-a fixed Hypothesis seed so a kill table is reproducible.  A failing,
-erroring or timed-out run kills the mutant.
+a fixed Hypothesis seed and an empty example database so a kill table
+is reproducible.  A failing, erroring or timed-out run kills the
+mutant.
 
 The run prints one row per mutant (the first test that failed on it)
 and the score per module.  ``--check`` exits 1 when any mutant
@@ -113,13 +114,26 @@ MUTANTS = [
      "if signature != self.rate_signature:", "if self.rate_signature is None:"),
     ("fairness-drift-tie", "core/fairness.py", " or job.job_id < prev_job.job_id", ""),
     ("fairness-drift-total", "core/fairness.py", "snap.total_remaining = total", "pass"),
-    ("fairness-held-app-reuse", "core/fairness.py", "if not self.base_counts:", "if True:"),
+    ("fairness-held-app-reuse", "core/fairness.py",
+     "(bumped or self.base_counts) and not self._walk", "bumped and not self._walk"),
+    # the walk after an epoch bump, and the kernel signature it keeps
+    ("fairness-walk-skips-activity", "core/fairness.py",
+     "if not job.is_active or job.max_parallelism != job_tuple[1]:",
+     "if job.max_parallelism != job_tuple[1]:"),
+    ("fairness-walk-skips-cap", "core/fairness.py",
+     "if not job.is_active or job.max_parallelism != job_tuple[1]:", "if not job.is_active:"),
+    ("fairness-first-winner-signature-id-free", "core/fairness.py",
+     "if self.first_winner:\n            return tuple(item[1:] for item in tuples)",
+     "if False:\n            return tuple(item[1:] for item in tuples)"),
+    ("fairness-resort-keeps-any-shapes", "core/fairness.py",
+     "        if self._signature(tuples) != self.rate_signature:\n"
+     "            self._rebuild_snapshot(tuples, jobs)\n            return\n", ""),
     ("fairness-first-winner-min", "core/fairness.py",
      "if per_job < delta:", "if per_job > delta:"),
     # new holdings keep the base shape; another family set's machine reads
     ("fairness-base-kernel-kept", "core/fairness.py",
-     "            )\n            self._base_kernel = None\n        self._refresh_remaining",
-     "            )\n        self._refresh_remaining"),
+     "                )\n                self._base_kernel = None\n        return self.snapshot",
+     "                )\n        return self.snapshot"),
     ("fairness-machine-reads-any-families", "core/fairness.py",
      "reads = self._reads_by_families.get(families)",
      "reads = next(iter(self._reads_by_families.values()), None)"),
@@ -219,8 +233,8 @@ MUTANTS = [
      "_alloc_cache\n        if cached is not None and cached[0] == self._epoch:",
      "_alloc_cache\n        if cached is not None:"),
     ("M6-demand-ignores-epoch", "workload/app.py",
-     "_demand_cache\n        if cached is not None and cached[0] == self._epoch:",
-     "_demand_cache\n        if cached is not None:"),
+     "cached[0] != self._epoch:\n            cached = self._count_demand()\n        return cached[3]",
+     "False:\n            cached = self._count_demand()\n        return cached[3]"),
     ("M7-kill-without-on-mutate", "workload/job.py",
      "            self.on_mutate()\n\n    # ---", "            pass\n\n    # ---"),
     ("M9-install-untracked", "simulation/simulator.py",
@@ -392,6 +406,10 @@ def run_mutant(mutant, workdir: Path, timeout: float) -> dict:
     try:
         # A later round runs only for a mutant the earlier ones left alive.
         for files in rounds:
+            # From an empty example database: the examples an earlier
+            # mutant's failing run saved would be replayed first, so which
+            # test kills a mutant would depend on the mutants before it.
+            shutil.rmtree(workdir / ".hypothesis", ignore_errors=True)
             command = [
                 sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                 "--hypothesis-seed=0", *[f"tests/{name}" for name in files],
@@ -400,7 +418,9 @@ def run_mutant(mutant, workdir: Path, timeout: float) -> dict:
                 command, cwd=workdir, env=env, capture_output=True, text=True, timeout=timeout
             )
             if done.returncode != 0:
-                failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+                # The summary line names a test; a captured log line
+                # ("ERROR repro.service.daemon: ...") must not.
+                failed = re.search(r"^(?:FAILED|ERROR) (tests/\S+)", done.stdout, re.MULTILINE)
                 by = failed.group(1) if failed else done.stdout[-200:]
                 return {**row, "status": "killed", "by": by}
     except subprocess.TimeoutExpired:

@@ -125,11 +125,14 @@ def test_bid_after_a_probe_prices_the_empty_bundle_as_a_fresh_state(
         app.jobs[0].remaining_work -= 3.0  # a drain between rounds
         agent.report_rho(now, salt)
         bid = agent.prepare_bid(now, offer, salt)
-        fresh = Bid(app, estimator, now, offer, noise_theta=theta, noise_salt=salt)
+        fresh = Bid(
+            app, FairnessEstimator(small_cluster), now, offer, noise_theta=theta,
+            noise_salt=salt,
+        )
         assert bid.current_rho == fresh.current_rho == bid.rho_of({})
         noise = _noise_factor(salt, app.app_id, (), theta)
         assert bid.current_rho == estimator.rho(app, now, {}) * noise
-    assert agent.state.rebuilds == 1  # every round took the drift path
+    assert estimator.rebuild_count == 1  # every round took the drift path
 
 
 def test_noise_deterministic_within_auction(estimator):

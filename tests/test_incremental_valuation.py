@@ -7,11 +7,12 @@ Two layers of guarantees:
   under scalar and per-family speeds, over ``helpers.carve_instances``
   (homogeneous and speed-weighted, narrow and up to 104 machines wide),
   and conserves GPUs;
-* :class:`~repro.core.fairness.AppValuationState` honours the
-  dirty-tracking contract — verbatim reuse only while the app is clean
-  and unallocated, rate-cache retention across drains that preserve the
-  carve order, invalidation on every discrete state change — and always
-  returns exactly what a freshly constructed state returns;
+* :class:`~repro.core.fairness.AppValuationState` honours its reuse
+  rule — verbatim reuse while the app is clean and unallocated; the
+  snapshot kept while every sorted job stays active with its cap and
+  the order (or, re-sorted, the kernel signature) holds; kernel caches
+  kept while the signature does — and always returns exactly what a
+  freshly constructed state returns;
 * the two baselines that read valuations through a state — Gandiva's
   packing kernel (:meth:`~repro.core.fairness.AppValuationState.kernel_of`
   of a ``packing`` state) and the strawman's ``current_rho`` — answer,
@@ -143,27 +144,68 @@ def test_carve_falls_back_to_global_head_when_used_racks_drain():
 # ----------------------------------------------------------------------
 # AppValuationState
 # ----------------------------------------------------------------------
-def test_state_reuses_snapshot_while_clean_and_unallocated():
-    cluster = small_cluster()
-    estimator = FairnessEstimator(cluster)
-    app = make_app("a0", num_jobs=2)
-    state = AppValuationState(app, estimator)
-    first = state.refresh()
-    assert state.rebuilds == 1
-    assert state.refresh() is first  # verbatim reuse
-    assert state.rebuilds == 1
-
-
-def test_state_rebuilds_on_epoch_bump():
-    cluster = small_cluster()
-    estimator = FairnessEstimator(cluster)
-    app = make_app("a0", num_jobs=2)
-    state = AppValuationState(app, estimator)
+def fresh_state(app: App, like: AppValuationState) -> AppValuationState:
+    """A refreshed state over ``app`` with nothing to reuse, on a new
+    estimator of ``like``'s cluster and semantics."""
+    estimator = like.estimator
+    state = AppValuationState(
+        app, FairnessEstimator(estimator.cluster, estimator.semantics, estimator.perf_model)
+    )
     state.refresh()
-    app.invalidate()
-    snap = state.refresh()
-    assert state.rebuilds == 2
-    assert state.refresh() is snap  # clean again afterwards
+    return state
+
+
+def test_state_reuses_snapshot_while_clean_and_unallocated():
+    estimator = FairnessEstimator(small_cluster())
+    state = AppValuationState(make_app("a0", num_jobs=2), estimator)
+    first = state.refresh()
+    assert estimator.rebuild_count == 1
+    assert state.refresh() is first  # verbatim reuse
+    assert estimator.rebuild_count == 1
+
+
+def _move_own_gpus(app):
+    gpus = app.jobs[0].allocation.gpus
+    app.jobs[0].set_allocation(0.0, Allocation())
+    app.jobs[1].set_allocation(0.0, Allocation(gpus))
+
+
+def _finish(app):
+    app.jobs[0].remaining_work = 0.0
+    app.jobs[0].finish(0.0)
+
+
+def _lower_cap(app):
+    app.jobs[1].parallelism_limit = 1
+    app.invalidate()  # the contract for writes behind the mutators
+
+
+#: Epoch bumps, and whether the snapshot must be rebuilt after them.
+BUMPS = {
+    "no-op": (lambda app: app.invalidate(), False),
+    "own-gpus-moved": (_move_own_gpus, False),
+    "finish": (_finish, True),
+    "kill": (lambda app: app.jobs[2].kill(0.0), True),
+    "cap": (_lower_cap, True),
+}
+
+
+def test_state_rebuilds_on_an_epoch_bump_only_when_a_job_left_or_changed_cap():
+    """A bump that leaves every sorted job active with its cap keeps the
+    snapshot — a no-op ``invalidate()``, or an install that only moves
+    the app's GPUs between its own jobs; a finish, a kill or a cap change
+    rebuilds it.  Either way the probe is a fresh state's."""
+    cluster = small_cluster()
+    for name, (bump, rebuilds) in BUMPS.items():
+        estimator = FairnessEstimator(cluster)
+        app = make_app("a0", num_jobs=3)
+        app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
+        state = AppValuationState(app, estimator)
+        snap = state.refresh()
+        bump(app)
+        assert (state.refresh() is not snap) == rebuilds, name
+        assert estimator.rebuild_count == 1 + rebuilds, name
+        assert state.current_rho(10.0) == fresh_state(app, state).current_rho(10.0), name
 
 
 def test_state_drift_path_skips_rebuild_while_holding_gpus():
@@ -179,35 +221,41 @@ def test_state_drift_path_skips_rebuild_while_holding_gpus():
     state = AppValuationState(app, estimator)
     first = state.refresh()
     assert state.refresh() is first  # nothing drained: verbatim reuse
-    assert state.rebuilds == 1
+    assert estimator.rebuild_count == 1
     job.remaining_work -= 7.0
     drifted = state.refresh()
-    assert state.rebuilds == 1  # no full rebuild...
+    assert estimator.rebuild_count == 1  # no full rebuild...
     assert drifted.total_remaining == job.remaining_work  # ...the total re-summed
 
 
 @pytest.mark.parametrize(
-    "ids, rebuilds", [(("j0", "j1"), 1), (("j1", "j0"), 2)], ids=["in-order", "out-of-order"]
+    "ids, caps, rebuilds",
+    [(("j0", "j1"), (2, 2), 1), (("j1", "j0"), (2, 2), 1), (("j1", "j0"), (2, 4), 2)],
+    ids=["in-order", "out-of-order", "out-of-order-reshaped"],
 )
-def test_state_drift_path_reads_ids_only_to_break_work_ties(ids, rebuilds):
-    """Two held jobs drained to equal remaining work: still sorted by
-    ``(work, id)`` when the lower id comes first, so the drift path keeps
-    the snapshot; out of id order, it rebuilds."""
+def test_state_drift_path_reads_ids_only_to_break_work_ties(ids, caps, rebuilds):
+    """Two held jobs drained to equal remaining work sort by ``(work,
+    id)``.  In id order the walk keeps the snapshot as it is; out of id
+    order it re-sorts the jobs, and keeps the snapshot only while the
+    re-sorted caps, profiles and families read as before."""
     cluster = small_cluster()
     estimator = FairnessEstimator(cluster)
     jobs = [
-        make_job(ids[0], serial_work=100.0, max_parallelism=2),
-        make_job(ids[1], serial_work=200.0, max_parallelism=2),
+        make_job(ids[0], serial_work=100.0, max_parallelism=caps[0]),
+        make_job(ids[1], serial_work=200.0, max_parallelism=caps[1]),
     ]
     app = App("a0", 0.0, jobs)
     jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
     state = AppValuationState(app, estimator)
-    state.refresh()
+    first = state.refresh()
     jobs[1].remaining_work = jobs[0].remaining_work = 60.0
     snap = state.refresh()
-    assert state.rebuilds == rebuilds
+    assert estimator.rebuild_count == rebuilds
+    assert (snap is first) == (rebuilds == 1)
     assert snap.total_remaining == 120.0
     assert [job[3] for job in snap.job_tuples] == ["j0", "j1"]
+    bundle = ((1, 3),)
+    assert state.rho_at(10.0, bundle) == fresh_state(app, state).rho_at(10.0, bundle)
 
 
 def test_state_drift_path_rebuilds_when_a_work_tie_reorders_the_jobs():
@@ -228,42 +276,123 @@ def test_state_drift_path_rebuilds_when_a_work_tie_reorders_the_jobs():
     assert state.current_rho(10.0) == AppValuationState(app, estimator).current_rho(10.0)
 
 
-def assert_matches_a_fresh_state_everywhere(app, seed, drain, bump):
-    """30 rounds: a warm state answers every probe as a state with nothing
-    to reuse does, while job 0 drains ``drain = (every, at, work)`` and
-    the epoch bumps at ``bump = (every, at)``."""
-    cluster = small_cluster(machines=4, racks=2)
-    estimator = FairnessEstimator(cluster, semantics=app.semantics)
-    app.jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
-    warm = AppValuationState(app, estimator)
-    rng = random.Random(seed)
-    for round_index in range(30):
-        now = 5.0 * round_index
-        warm.refresh()
-        cold = AppValuationState(app, estimator)  # nothing to reuse
-        assert warm.current_rho(now) == cold.current_rho(now)
-        bundle = tuple(
-            sorted(
-                (m, rng.randint(1, 4))
-                for m in rng.sample(range(4), rng.randint(1, 3))
-            )
+# ----------------------------------------------------------------------
+# A warm state against a cold one, step after step
+# ----------------------------------------------------------------------
+def shaped_world(rng: random.Random, kernel: str):
+    """One app of 2-5 jobs whose caps (2 or 4), models (two families)
+    and work repeat, so jobs often share a shape and tie on work; its
+    first job holds two GPUs.  Half the worlds run a v100/k80 fleet
+    under the rate-inversion matrix, where the family picks the speeds."""
+    if rng.random() < 0.5:
+        cluster, perf_model = small_cluster(machines=4, racks=2), DEFAULT_PERF_MODEL
+    else:
+        specs = tuple(
+            MachineSpec(count=2, gpus_per_machine=4, gpu_type=GPU_TYPES[kind])
+            for kind in ("v100", "k80")
         )
-        assert warm.rho_at(now, bundle) == cold.rho_at(now, bundle)
-        if round_index % drain[0] == drain[1]:
-            # Drain some work (simulates progress between rounds).
-            app.jobs[0].remaining_work = max(0.5, app.jobs[0].remaining_work - drain[2])
-        if round_index % bump[0] == bump[1]:
-            app.invalidate()
+        cluster = build_cluster(ClusterSpec(machine_specs=specs, num_racks=2, name="shaped"))
+        perf_model = ThroughputMatrixModel(PERF_MATRIX_PRESETS["rate-inversion"])
+    semantics = (
+        CompletionSemantics.FIRST_WINNER if kernel == "first-winner" else CompletionSemantics.ALL_JOBS
+    )
+    jobs = [
+        make_job(
+            f"s-j{i}",
+            model=rng.choice(("resnet50", "vgg16")),
+            serial_work=rng.choice((60.0, 90.0, 120.0)),
+            max_parallelism=rng.choice((2, 4)),
+        )
+        for i in range(rng.randint(2, 5))
+    ]
+    jobs[0].set_allocation(0.0, Allocation(cluster.machines[0].gpus[:2]))
+    return cluster, perf_model, App("s", 0.0, jobs, semantics)
 
 
-def test_state_matches_a_fresh_state_everywhere():
-    app = make_app("a0", num_jobs=3, max_parallelism=3)
-    assert_matches_a_fresh_state_everywhere(app, 7, drain=(7, 3, 11.0), bump=(11, 5))
+def shaped_step(rng: random.Random, app: App, cluster) -> None:
+    """A drain of any job (while the app holds GPUs, so that it can
+    drain), a tie of two jobs' work, an install, a finish or kill, a cap
+    change, or a no-op epoch bump."""
+    active = app.active_jobs()
+    job = rng.choice(active)
+    op = rng.choice(("drain", "drain", "tie", "install", "finish", "kill", "cap", "bump"))
+    if op in ("drain", "tie"):
+        if app.allocation().size:
+            if op == "drain":
+                job.remaining_work *= rng.uniform(0.3, 1.0)
+            else:
+                job.remaining_work = rng.choice(active).remaining_work
+    elif op == "install":
+        held = [other for other in active if other.allocation.size]
+        taken = {gpu.gpu_id for other in app.jobs for gpu in other.allocation.gpus}
+        free = [gpu for gpu in cluster.gpus if gpu.gpu_id not in taken]
+        choice = rng.random()
+        if held and choice < 0.4:
+            # The app's own GPUs change jobs: its per-machine counts stay.
+            donor = rng.choice(held)
+            gpus = donor.allocation.gpus
+            donor.set_allocation(0.0, Allocation())
+            job.set_allocation(0.0, job.allocation.union(gpus))
+        elif free and choice < 0.8:
+            job.set_allocation(0.0, Allocation(rng.sample(free, rng.randint(1, min(4, len(free))))))
+        else:
+            job.set_allocation(0.0, Allocation())
+    elif op == "finish":
+        job.remaining_work = 0.0
+        job.finish(0.0)
+    elif op == "kill":
+        job.kill(0.0)
+    elif op == "cap":
+        job.parallelism_limit = rng.choice((1, 2, 4))
+        app.invalidate()  # the contract for writes behind the mutators
+    else:
+        app.invalidate()
 
 
-def test_first_winner_state_matches_a_fresh_state_everywhere():
-    app = first_winner_app(serial_works=(60.0, 90.0, 150.0))
-    assert_matches_a_fresh_state_everywhere(app, 13, drain=(5, 2, 9.0), bump=(11, 6))
+def state_reads(state: AppValuationState, now: float, keys) -> list[float]:
+    """The holdings' rho and each key's, and under the packing kernel
+    also the holdings' and each key's utility, the values Gandiva reads."""
+    reads = [state.current_rho(now)] + [state.rho_at(now, key) for key in keys]
+    if state.packing:
+        reads += [state.kernel_of(state.base_key)] + [state.kernel_of(key) for key in keys]
+    return reads
+
+
+def assert_matches_a_fresh_state_everywhere(seed: int, kernel: str) -> None:
+    """12 rounds of :func:`shaped_step`: after every step a warm state
+    reads, on the holdings, on three keys read every round (so cached
+    kernels are read again) and on a new one, what a state with nothing
+    to reuse reads."""
+    rng = random.Random(seed)
+    cluster, perf_model, app = shaped_world(rng, kernel)
+
+    def state():
+        estimator = FairnessEstimator(cluster, semantics=app.semantics, perf_model=perf_model)
+        return AppValuationState(app, estimator, packing=kernel == "packing")
+
+    warm = state()
+    machines = [machine.machine_id for machine in cluster.machines]
+    keys = [random_key(rng, machines) for _ in range(3)]
+    for round_index in range(12):
+        if round_index:
+            shaped_step(rng, app, cluster)
+        if not app.active_jobs():
+            break
+        now = 5.0 * round_index
+        probe = keys + [random_key(rng, machines)]
+        assert state_reads(warm, now, probe) == state_reads(state(), now, probe), round_index
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 1 << 20), kernel=st.sampled_from(("all-jobs", "packing")))
+def test_state_matches_a_fresh_state_everywhere(seed, kernel):
+    assert_matches_a_fresh_state_everywhere(seed, kernel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 1 << 20))
+def test_first_winner_state_matches_a_fresh_state_everywhere(seed):
+    assert_matches_a_fresh_state_everywhere(seed, "first-winner")
 
 
 def cached_bundle_value(app):
@@ -291,13 +420,14 @@ def assert_cache_survives_order_preserving_drain(app):
 
 
 def assert_cache_invalidated_on_reorder(app):
-    """The longer job drops below the shorter one: the cache no longer
+    """The longer job drops below the shorter one and the signature moves
+    with it (the caps, or the ids of a pairs kernel): the cache no longer
     describes the carve, so the bundle is carved again."""
     state, bundle, _ = cached_bundle_value(app)
     carves = state.estimator.carve_count
     app.jobs[1].remaining_work = app.jobs[0].remaining_work - 30.0
     state.refresh()
-    state.rho_at(20.0, bundle)
+    assert state.rho_at(20.0, bundle) == fresh_state(app, state).rho_at(20.0, bundle)
     assert state.estimator.carve_count == carves + 1
 
 
@@ -306,7 +436,21 @@ def test_state_rate_cache_survives_order_preserving_drain():
 
 
 def test_state_rate_cache_invalidated_when_job_order_flips():
-    assert_cache_invalidated_on_reorder(make_app("a0", num_jobs=2))
+    jobs = [make_job("a0-j0", max_parallelism=1), make_job("a0-j1", max_parallelism=4)]
+    assert_cache_invalidated_on_reorder(App("a0", 0.0, jobs))
+
+
+def test_state_rate_cache_survives_a_reorder_of_equal_shapes():
+    """Jobs of one cap, profile and family swap places: the rate reads
+    no id, so the kernel cache and the snapshot stay, and the bundle's
+    value is a fresh state's."""
+    state, bundle, _ = cached_bundle_value(make_app("a0", num_jobs=2))
+    carves, snap = state.estimator.carve_count, state.snapshot
+    app = state.app
+    app.jobs[1].remaining_work = app.jobs[0].remaining_work - 30.0
+    assert state.refresh() is snap
+    assert state.rho_at(20.0, bundle) == fresh_state(app, state).rho_at(20.0, bundle)
+    assert state.estimator.carve_count == carves
 
 
 def test_starved_app_pays_one_carve_across_rounds():
@@ -326,7 +470,8 @@ def test_starved_app_pays_one_carve_across_rounds():
 
 
 def test_first_winner_delta_cache_dropped_on_rebuild():
-    """A FIRST_WINNER delta divides by remaining work: it follows a rebuild."""
+    """A FIRST_WINNER delta divides by remaining work: it follows the
+    work an epoch bump's walk re-reads."""
     cluster = small_cluster()
     estimator = FairnessEstimator(cluster, semantics=CompletionSemantics.FIRST_WINNER)
     app = first_winner_app()
@@ -422,7 +567,7 @@ CHANGES = {"drift": _drift, "reorder": _reorder, "epoch-bump": _bump, "new-holdi
 )
 def test_the_round_probe_is_reused_only_while_it_is_fresh(change, when):
     """A probe is reused at its own instant only: a drift, a reorder that
-    rebuilds the snapshot, an epoch bump and new holdings each answer
+    re-sorts the snapshot, an epoch bump and new holdings each answer
     what a fresh state answers, whether the change falls between two
     instants, before an external ``refresh()`` at the probe's instant
     (after which the epochs match again: the epoch alone is not enough),

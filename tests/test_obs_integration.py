@@ -147,10 +147,11 @@ def test_cli_run_trace_profile_then_inspect(tmp_path, capsys):
     assert int(auctions) > 0 and 1 <= int(participants_max) <= int(eligible_max)
     _, header, _, row, *_ = out.split("valuation:")[1].splitlines()
     assert header.split() == [
-        "carves", "bid_carves", "carves_per_auction", "lookups", "lookups_per_auction"
+        "carves", "bid_carves", "carves_per_auction", "rebuilds", "lookups",
+        "lookups_per_auction",
     ]
-    carves, bid_carves, per_auction, lookups, _ = row.split()
-    assert 0 < int(bid_carves) <= int(carves) and int(lookups) > 0
+    carves, bid_carves, per_auction, rebuilds, lookups, _ = row.split()
+    assert 0 < int(bid_carves) <= int(carves) and int(lookups) > 0 and int(rebuilds) > 0
     assert float(per_auction) == pytest.approx(int(carves) / int(auctions), rel=1e-2)
     _, header, _, row, *_ = out.split("payments:")[1].splitlines()
     assert header.split() == ["pf_winners", "paid", "paid_share", "gpus_withheld"]

@@ -134,9 +134,10 @@ def test_valuation_state_is_reused_across_rounds():
 
 
 def test_probe_and_payment_accounting_on_a_contended_replay():
-    """Several bidders per auction: probes and payments add up (128
-    carves; when every active app was probed, reuse took 130 and
-    rebuilding every round 346).  The pair memo's hits here all came
+    """Several bidders per auction: probes and payments add up (121
+    carves; 128 while a reorder of equally shaped jobs dropped the
+    kernel caches, 130 when every active app was probed, and 346 when
+    every round rebuilt the caches).  The pair memo's hits here all came
     from payment re-solves rebuilding every row after a replayed move
     prefix; they resume the full solve's heap now, so the memo is held
     to engaging on the wider replays of tests/test_replay_gates.py."""
@@ -160,6 +161,11 @@ def test_probe_and_payment_accounting_on_a_contended_replay():
     # inside a round (the rho probes' included), and the bids' are a
     # share of them; the bids were asked more values than they carved.
     assert totals["carves"] == carves
+    # Snapshot rebuilds, too, happen only inside rounds, and far fewer
+    # than the probes that refresh a state.
+    rebuilds = sim.scheduler.estimator.rebuild_count
+    assert totals["rebuilds"] == rebuilds
+    assert 0 < rebuilds < sum(row["num_eligible"] for row in stats["per_round"])
     assert 0 < totals["valuation_probes"] <= carves
     assert totals["valuation_lookups"] > totals["valuation_probes"]
     # Some winners paid, each withholding at least one GPU; the ledger's
