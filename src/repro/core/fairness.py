@@ -23,13 +23,14 @@ built for that hot path:
   re-sort, its job order) is rewritten as held jobs drain,
 * the carve loop stops as soon as the count pool drains, so the cost is
   bounded by the GPUs offered, not the (much larger) job count,
-* there is one carve kernel, :func:`_carve_fast`: machine speeds come
-  from the cluster's scalar map, or — under a per-family throughput
-  matrix — from the current job's family row; which it is, is decided
-  by :class:`~repro.workload.perf.ThroughputMatrixModel` and reaches the kernel as
-  ``family_speed_of is None`` or not.  :func:`_carve_reference` (a
-  from-scratch dict scan per grab) is the oracle the equivalence
-  suites hold the kernel to; nothing in ``src/`` calls it.
+* there is one carve kernel, :func:`_carve_fast`: each job reads its
+  machine speeds from its family's map of
+  :meth:`~repro.workload.perf.ThroughputMatrixModel.machine_speed_index`
+  — a family without a matrix row reads the cluster's one scalar map,
+  so under the empty matrix every job reads that one map.
+  :func:`_carve_reference` (a from-scratch dict scan per grab) is the
+  oracle the equivalence suites hold the kernel to; nothing in
+  ``src/`` calls it.
 
 :func:`carve_allotments` is the public, fully-annotated version used by
 tests.  Every policy that carves — Themis' valuations, Gandiva's
@@ -56,15 +57,13 @@ from repro.workload.perf import DEFAULT_PERF_MODEL, ThroughputMatrixModel
 
 #: Internal job descriptor:
 #: (remaining_work, parallelism_cap, profile, job_id, family).
-#: ``family`` selects the job's row of a per-family throughput matrix;
-#: scalar runs carry it too (it is inert there) so one tuple shape
-#: serves both paths.
+#: ``family`` selects the job's machine speeds (its ``FamilySpeedFn`` map).
 _JobTuple = tuple[float, int, SensitivityProfile, str, str]
 
 #: Per-family machine speed lookup: family -> {machine_id: speedup}.
-#: ``None`` means the scalar model — the carve reads its single shared
-#: speed map once.
-FamilySpeedFn = Optional[Callable[[str], Mapping[int, float]]]
+#: Families that read equal speeds should get the same map object: the
+#: carve re-keys its machine order only when the map changes.
+FamilySpeedFn = Callable[[str], Mapping[int, float]]
 
 #: Ceiling on valuations when rho is (degenerately) zero or negative.
 #: ``V = 1/rho`` would otherwise be ``inf``, and the auction's greedy
@@ -130,8 +129,7 @@ def _carve_fast(
     job_tuples: Sequence[_JobTuple],
     machine_counts: Mapping[int, int],
     rack_of: Mapping[int, int],
-    speed_of: Optional[Mapping[int, float]] = None,
-    family_speed_of: FamilySpeedFn = None,
+    speeds_of: FamilySpeedFn,
 ) -> tuple[list[_Carved], int]:
     """Core carve loop over pre-sorted job tuples — sorted-order edition.
 
@@ -139,8 +137,8 @@ def _carve_fast(
     ``(job_tuple, gpus, level, rate, effective)`` entry per job that
     received GPUs and ``next_index`` is the index of the first job that
     received nothing (the pool drained).  ``effective`` is the
-    speed-weighted GPU count and ``rate = effective * S(level)``; with
-    no ``speed_of`` both reduce to the homogeneous count model.  Jobs
+    speed-weighted GPU count and ``rate = effective * S(level)``; at
+    speed 1.0 both reduce to the homogeneous count model.  Jobs
     are assumed sorted by remaining work ascending, mirroring the
     intra-app distributor.
 
@@ -159,23 +157,20 @@ def _carve_fast(
     byte-identical to the oracle (property-tested over
     ``helpers.carve_instances`` in tests/test_incremental_valuation.py).
 
-    The setup pass reads the speeds from ``speed_of`` — or, under a
-    throughput matrix (``family_speed_of`` set), from the first job's
-    family row.  Under a matrix "effective" is measured with the
-    *current job's* row — a bundle can be fast for one job and slow for
-    the next, inverting which machines drain first — so ``order`` is
-    re-keyed from the live counts and re-sorted whenever the next job's
-    row is a different map than the one it was last keyed from: once per
-    family change.  Either way every key holds the product ``count *
-    speed``, so a matrix whose rows all equal the scalar speeds presents
-    the same comparison floats as the scalar setup, hence byte-identical
+    The setup pass keys ``order`` on the first job's map,
+    ``speeds_of(family)``.  "Effective" is measured with the *current
+    job's* map — under a throughput matrix a bundle can be fast for one
+    job and slow for the next, inverting which machines drain first —
+    so ``order`` is re-keyed from the live counts and re-sorted whenever
+    the next job's map is a different object than the one it was last
+    keyed from: never when every family reads one shared map (the empty
+    matrix), once per change of map otherwise.  Every key holds the
+    product ``count * speed``, so distinct maps of equal speeds present
+    the same comparison floats as one shared map, hence byte-identical
     carves (pinned by tests/test_hetero_equivalence.py).
     """
     #: The speed map ``order`` was last keyed from.
-    if family_speed_of is not None and job_tuples:
-        row: Mapping[int, float] = family_speed_of(job_tuples[0][4])
-    else:
-        row = speed_of if speed_of is not None else {}
+    row = speeds_of(job_tuples[0][4]) if job_tuples else {}
     order: list[tuple[float, int, int, float, int]] = []
     for machine_id, count in machine_counts.items():
         if count > 0:
@@ -187,16 +182,15 @@ def _carve_fast(
     for index, job in enumerate(job_tuples):
         if not order:
             return out, index
-        if family_speed_of is not None:
-            job_row = family_speed_of(job[4])
-            if job_row is not row:
-                row = job_row
-                rekeyed = []
-                for _key, machine_id, count, _speed, rack_id in order:
-                    speed = row.get(machine_id, 1.0)
-                    rekeyed.append((-(count * speed), machine_id, count, speed, rack_id))
-                rekeyed.sort()
-                order = rekeyed
+        job_row = speeds_of(job[4])
+        if job_row is not row:
+            row = job_row
+            rekeyed = []
+            for _key, machine_id, count, _speed, rack_id in order:
+                speed = row.get(machine_id, 1.0)
+                rekeyed.append((-(count * speed), machine_id, count, speed, rack_id))
+            rekeyed.sort()
+            order = rekeyed
         need = job[1]
         taken_machines = 0
         first_count = 0
@@ -251,15 +245,13 @@ def _carve_reference(
     job_tuples: Sequence[_JobTuple],
     machine_counts: Mapping[int, int],
     rack_of: Mapping[int, int],
-    speed_of: Optional[Mapping[int, float]] = None,
-    family_speed_of: FamilySpeedFn = None,
+    speeds_of: FamilySpeedFn,
 ) -> tuple[list[_Carved], int]:
     """Dict-scan carve, kept as the equivalence oracle.
 
     Identical contract to :func:`_carve_fast`, with nothing kept sorted:
     every grab re-finds the best machine from scratch over the live
-    counts, reading the current job's family row under a matrix and the
-    scalar map otherwise.  The property suite asserts both return
+    counts, reading the current job's map.  The property suite asserts both return
     byte-identical allotments on randomized instances (the same role
     :func:`~repro.core.auction.rescan_fair_allocation` plays for the
     auction solver).
@@ -270,10 +262,7 @@ def _carve_reference(
     for index, job in enumerate(job_tuples):
         if not counts:
             return out, index
-        if family_speed_of is not None:
-            speed_map = family_speed_of(job[4])
-        else:
-            speed_map = speed_of or {}
+        speed_map = speeds_of(job[4])
         need = job[1]
         taken: dict[int, int] = {}
         effective = 0.0
@@ -325,8 +314,8 @@ def bundle_shape(
     of ``(rack label by first appearance, speeds, count)``.
 
     **Lemma (shape symmetry).**  For a fixed job-tuple sequence the
-    allotments of :func:`_carve_fast` (under either speed setup) and
-    :func:`_carve_reference` are a pure function of the bundle's shape;
+    allotments of :func:`_carve_fast` and :func:`_carve_reference`,
+    under any ``speeds_of``, are a pure function of the bundle's shape;
     two bundles with equal shapes carve to bit-identical floats.
 
     *Proof.*  Each kernel touches a machine through four reads only.
@@ -338,9 +327,8 @@ def bundle_shape(
     ``rack_id not in used_racks`` / ``len(racks) == 1``: equality
     tests, invariant under any relabelling that keeps the equality
     pattern — which first-appearance labels capture exactly.  (3) Its
-    *speed* under the scalar map or under the current job's family
-    row, entering ``count * speed`` and ``grab * speed`` — carried
-    verbatim in ``speeds``.  (4) Its *count* — carried verbatim.  No
+    *speed* in the current job's map, entering ``count * speed`` and
+    ``grab * speed`` — carried verbatim in ``speeds``.  (4) Its *count* — carried verbatim.  No
     id, rack id or map key is ever emitted: an allotment is ``(job,
     gpus, level, rate, effective)``.  By induction over grabs, two
     equal-shape bundles present the same comparison operands in the
@@ -523,22 +511,19 @@ def carve_allotments(
     jobs: Sequence[Job],
     machine_counts: Mapping[int, int],
     rack_of: Mapping[int, int],
-    speed_of: Optional[Mapping[int, float]] = None,
-    family_speed_of: FamilySpeedFn = None,
+    speeds_of: FamilySpeedFn,
 ) -> list[JobAllotment]:
     """Greedily split per-machine GPU counts across jobs (Section 5.2, step 4).
 
     Jobs are served shortest-remaining-work first; each takes up to its
     ``max_parallelism`` GPUs, draining the machines with the most
-    effective free compute — family-relative when ``family_speed_of``
-    carries a throughput matrix — before spilling across racks.  Returns
+    effective free compute — each job's in its family's ``speeds_of``
+    map — before spilling across racks.  Returns
     one allotment per *active* job, including zero-GPU allotments once
     the pool is drained.
     """
     tuples, _jobs = _job_tuples(jobs)
-    carved, next_index = _carve_fast(
-        tuples, machine_counts, rack_of, speed_of, family_speed_of
-    )
+    carved, next_index = _carve_fast(tuples, machine_counts, rack_of, speeds_of)
     allotments = [
         JobAllotment(
             job_id=job[3],
@@ -626,7 +611,7 @@ class FairnessEstimator:
     One estimator is shared per simulation.  Besides the cluster
     topology and the app-completion semantics it mirrors, it carries
     two pieces of state: :attr:`carve_count` and the
-    :meth:`machine_reads` memo, one entry per set of model families.
+    :meth:`machine_reads` memo, one entry per set of speed maps read.
     """
 
     def __init__(
@@ -641,15 +626,11 @@ class FairnessEstimator:
         self._rack_of = {
             machine.machine_id: machine.rack_id for machine in cluster.machines
         }
-        self._speed_of = self.perf_model.machine_speeds_for(cluster, None)
-        #: Per-family machine speed lookup, or ``None`` under the scalar
-        #: model (the carve then keeps its single shared speed map).
-        self._family_speed_fn: FamilySpeedFn = self.perf_model.machine_speed_index(
-            cluster
-        )
+        self._speeds_of = self.perf_model.machine_speed_index(cluster)
         #: Shared ClusterCapacity (scalar) or per-family PerfCapacity.
         self.capacity = self.perf_model.capacity_for(cluster)
-        self._reads_by_families: dict[Optional[tuple[str, ...]], _MachineReads] = {}
+        #: Keyed by the ids of the maps read; ``_speeds_of`` keeps them alive.
+        self._reads_by_maps: dict[tuple[int, ...], _MachineReads] = {}
         #: Carve computations performed through this estimator (cache
         #: hits in :class:`AppValuationState` don't increment it); its
         #: whole-replay total is frozen per cell under ``carves`` in
@@ -667,25 +648,23 @@ class FairnessEstimator:
         """``machine_id -> (rack_id, speeds)`` for an app with these jobs.
 
         ``speeds`` is every speed a valuation of the app can read for
-        the machine — the scalar speed, plus (under a throughput
-        matrix) the machine's speed in each of the jobs' family rows —
+        the machine — its speed in the scalar map (a mixed-family bid's
+        tie-break) and in each of the jobs' family maps, one per distinct
+        map object: a single float when they are all the scalar map —
         and nothing else: two machines of differently *named* but
         equally fast GPU types read the same.  :func:`bundle_shape` and
         the auction's machine classes are built from it.
         """
-        families = None
-        if self._family_speed_fn is not None:
-            families = tuple(sorted({job[4] for job in job_tuples}))
-        reads = self._reads_by_families.get(families)
+        families = sorted({job[4] for job in job_tuples})
+        maps = {id(row): row for row in map(self._speeds_of, (None, *families))}
+        key = tuple(maps)
+        reads = self._reads_by_maps.get(key)
         if reads is None:
-            rows = [self._family_speed_fn(family) for family in families or ()]
             reads = {}
             for machine_id, rack_id in self._rack_of.items():
-                speed = self._speed_of.get(machine_id, 1.0)
-                if families is not None:
-                    speed = (speed, *[row.get(machine_id, 1.0) for row in rows])
-                reads[machine_id] = (rack_id, speed)
-            self._reads_by_families[families] = reads
+                speeds = tuple(row.get(machine_id, 1.0) for row in maps.values())
+                reads[machine_id] = (rack_id, speeds if len(speeds) > 1 else speeds[0])
+            self._reads_by_maps[key] = reads
         return reads
 
     # ------------------------------------------------------------------
@@ -734,11 +713,7 @@ class FairnessEstimator:
         self.carve_count += 1
         with self.profiler.phase("carve"):
             carved, _ = _carve_fast(
-                snap.job_tuples,
-                machine_counts,
-                self._rack_of,
-                self._speed_of,
-                self._family_speed_fn,
+                snap.job_tuples, machine_counts, self._rack_of, self._speeds_of
             )
         return carved
 

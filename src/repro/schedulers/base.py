@@ -94,13 +94,13 @@ class InterAppScheduler(abc.ABC):
     def machine_speeds_for(self, app: App) -> Mapping[int, float]:
         """Machine speeds as seen by one app's model family (read-only).
 
-        Under the scalar model (or for mixed-family apps) this is the
-        scalar speed map; under a throughput matrix each app sees its
-        own family's row, so baseline fills drain the machines that are
-        fast *for that app* first.  The returned mapping is the perf
-        model's shared one (:meth:`ThroughputMatrixModel.machine_speeds_for`) — it
-        is called once per app per round on baseline hot paths, so
-        callers must treat it as read-only.
+        Each app sees its family's map, so under a throughput matrix
+        baseline fills drain the machines that are fast *for that app*
+        first; a family without a row and a mixed-family app read the
+        scalar map.  The returned mapping is the perf model's shared one
+        (:meth:`ThroughputMatrixModel.machine_speeds_for`) — it is
+        called once per app per round on baseline hot paths, so callers
+        must treat it as read-only.
         """
         return self.perf_model().machine_speeds_for(
             self.sim.cluster, self.family_of(app)
@@ -109,11 +109,11 @@ class InterAppScheduler(abc.ABC):
     def family_of(self, app: App) -> Optional[str]:
         """The app's model family where the run's perf model reads one.
 
-        ``None`` for mixed-family apps and under a scalar model — which
-        ignores the family, so the walk over the app's jobs that finds
-        it is skipped.
+        ``None`` for mixed-family apps and under the empty matrix — where
+        every family reads the scalar map, so the walk over the app's
+        jobs that finds it is skipped.
         """
-        return None if self.perf_model().is_scalar else app_family(app)
+        return app_family(app) if self.perf_model().matrix else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

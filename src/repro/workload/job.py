@@ -22,14 +22,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.placement import slowdown
 from repro.cluster.topology import Gpu
 from repro.hyperparam.curves import LossCurve
-from repro.workload.models import ModelProfile, effective_gpus, get_model, gpu_speed
+from repro.workload.models import ModelProfile, effective_gpus, get_model
+from repro.workload.perf import DEFAULT_PERF_MODEL
 
 
 class JobState(enum.Enum):
@@ -119,10 +119,10 @@ class Job:
     )
     #: The performance model governing this job's progress rate.  Wired
     #: by the simulator at setup (all jobs of a run share one model);
-    #: ``None`` means the scalar default.  With a scalar model the rate
-    #: path is byte-identical to the pre-matrix build; a
-    #: :class:`~repro.workload.perf.ThroughputMatrixModel` makes the
-    #: rate depend on the job's model *family* x GPU generation.
+    #: ``None`` means the scalar default.  The rate weighs each GPU by
+    #: the job's *family* row of the
+    #: :class:`~repro.workload.perf.ThroughputMatrixModel`, or by the
+    #: generation's scalar speed when the family has no row.
     perf_model: Optional[object] = field(default=None, repr=False, compare=False)
     #: The held allocation's accrual constants, bound once per allocation
     #: object: ``(allocation, held, effective_size, score,
@@ -212,16 +212,12 @@ class Job:
         return memo
 
     def speed_of(self) -> Callable[[Gpu], float]:
-        """The per-GPU throughput factor this job sees, as a lookup.
-
-        ``gpu.speed`` under a scalar model, the job's family row under a
-        matrix: the one spelling :meth:`rate_of` and the intra-app
-        distributor's fill state share.
+        """The per-GPU throughput factor this job sees, as a lookup
+        (:meth:`~repro.workload.perf.ThroughputMatrixModel.gpu_speed_of`):
+        the one spelling :meth:`rate_of` and the intra-app distributor's
+        fill state share.
         """
-        model = self.perf_model
-        if model is None or model.is_scalar:
-            return gpu_speed
-        return partial(model.gpu_speedup, self.family)
+        return (self.perf_model or DEFAULT_PERF_MODEL).gpu_speed_of(self.family)
 
     def rate_of(self, gpus, cap: Optional[int] = None) -> float:
         """Progress rate of a hypothetical GPU set (pure, unmemoised).

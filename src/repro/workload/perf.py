@@ -12,13 +12,14 @@ per-workload per-device throughput matrices.  This module is the seam:
   factor, an explicit ``family x generation`` matrix.  Everything
   downstream (job progress rates, carve scoring, ideal-time capacity,
   baseline fills, the migration policy) asks the model instead of
-  reading ``gpu.speed`` directly.  Missing rows/cells fall back to the
-  generation's scalar speed, so a partial matrix degrades gracefully,
-  and the empty matrix — :data:`DEFAULT_PERF_MODEL` — is the PR 3
-  scalar behaviour exactly: ``is_scalar`` is true when no family has a
-  row, and lets hot paths keep their single shared speed map.  An
-  *all-scalar* matrix is provably byte-identical to the empty one
-  (``tests/test_hetero_equivalence.py`` pins this for every scheduler).
+  reading ``gpu.speed`` directly.  Missing cells fall back to the
+  generation's scalar speed, and a family without a row (or no family,
+  ``None``) reads the cluster's one shared scalar speed map — the same
+  object for all of them — so the empty matrix,
+  :data:`DEFAULT_PERF_MODEL`, is the scalar model with no branch of its
+  own.  An *all-scalar* matrix, and a partial one written out at the
+  scalar speeds, are byte-identical to it
+  (``tests/test_hetero_equivalence.py`` pins both).
 * :class:`PerfCapacity` — per-family "fastest N GPUs" capacity views,
   the heterogeneous generalisation of
   :class:`~repro.cluster.topology.ClusterCapacity`: running alone on a
@@ -44,7 +45,7 @@ from repro.cluster.topology import (
     Gpu,
     GpuType,
 )
-from repro.workload.models import effective_gpus
+from repro.workload.models import effective_gpus, gpu_speed
 
 #: Canonical matrix form: sorted ((family, ((generation, speedup), ...)), ...).
 MatrixTuple = tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
@@ -183,16 +184,6 @@ class ThroughputMatrixModel:
         """The canonical matrix tuple (hashable, sorted)."""
         return self._matrix
 
-    @property
-    def is_scalar(self) -> bool:
-        """True when no family has a row: ``speedup == gpu_type.speed``.
-
-        Hot paths branch on this: a scalar model keeps the single shared
-        machine-speed map (and every PR 4 fast path) exactly as before;
-        only genuinely family-dependent models pay for per-family views.
-        """
-        return not self._rows
-
     def speedup(self, family: str, gpu_type: GpuType) -> float:
         """Per-GPU throughput factor of one generation for one family."""
         row = self._rows.get(family)
@@ -207,6 +198,14 @@ class ThroughputMatrixModel:
         """Per-GPU throughput factor for a concrete GPU."""
         return self.speedup(family, gpu.gpu_type)
 
+    def gpu_speed_of(self, family: str) -> Callable[[Gpu], float]:
+        """The per-GPU throughput factor ``family`` sees, as a lookup:
+        its row, or :func:`~repro.workload.models.gpu_speed` (the
+        generation's scalar speed) for a family without one."""
+        if family in self._rows:
+            return partial(self.gpu_speedup, family)
+        return gpu_speed
+
     def effective_gpus(
         self, family: str, gpus: Iterable[Gpu], cap: Optional[int] = None
     ) -> float:
@@ -217,7 +216,7 @@ class ThroughputMatrixModel:
         the ``cap`` fastest-for-this-family GPUs count (a rational gang
         drops its slowest stragglers first).
         """
-        return effective_gpus(gpus, cap, partial(self.gpu_speedup, family))
+        return effective_gpus(gpus, cap, self.gpu_speed_of(family))
 
     def _per_cluster_memo(self, slot: str, cluster: Cluster, build):
         """Identity-keyed per-cluster memo for derived cluster views.
@@ -247,13 +246,13 @@ class ThroughputMatrixModel:
     def capacity_for(self, cluster: Cluster):
         """The cluster's capacity under this model.
 
-        Scalar models return the cluster's shared
+        The empty matrix returns the cluster's shared
         :class:`~repro.cluster.topology.ClusterCapacity` object
         unchanged (identity matters: it keys per-app ideal-time caches);
-        family-dependent models return one shared :class:`PerfCapacity`
-        per cluster with lazily-built per-family views.
+        a matrix returns one shared :class:`PerfCapacity` per cluster
+        with lazily-built per-family views.
         """
-        if self.is_scalar:
+        if not self._matrix:
             return cluster.capacity
         return self._per_cluster_memo(
             "_capacity_memo",
@@ -263,58 +262,31 @@ class ThroughputMatrixModel:
 
     def machine_speed_index(
         self, cluster: Cluster
-    ) -> Optional[Callable[[str], Mapping[int, float]]]:
-        """Per-family machine-speed maps, or ``None`` for scalar models.
+    ) -> Callable[[Optional[str]], Mapping[int, float]]:
+        """The ``family -> {machine_id: speedup}`` lookup of one cluster.
 
         Machines are internally homogeneous, so a per-machine count
-        implies a generation; the returned callable maps a family to a
-        ``machine_id -> speedup`` dict (cached per family, one shared
-        index per cluster).  Scalar models return ``None`` so callers
-        keep their single shared map — the carve kernel's original fast
-        path.
+        implies a generation.  A family with a row gets its own map,
+        built on first read; ``None`` and every family without a row
+        read the cluster's one scalar map, the same object, so a carve
+        re-keys its machine order only where the speeds can differ.
+        One shared index per (model, cluster); its maps are read-only.
         """
-        if self.is_scalar:
-            return None
-
-        def build() -> Callable[[str], Mapping[int, float]]:
-            types = {m.machine_id: m.gpu_type for m in cluster.machines}
-            cache: dict[str, dict[int, float]] = {}
-
-            def for_family(family: str) -> Mapping[int, float]:
-                got = cache.get(family)
-                if got is None:
-                    got = {
-                        machine_id: self.speedup(family, gpu_type)
-                        for machine_id, gpu_type in types.items()
-                    }
-                    cache[family] = got
-                return got
-
-            return for_family
-
-        return self._per_cluster_memo("_speed_index_memo", cluster, build)
+        return self._per_cluster_memo(
+            "_speed_index_memo", cluster, lambda: _SpeedIndex(self, cluster).__getitem__
+        )
 
     def machine_speeds_for(
         self, cluster: Cluster, family: Optional[str]
     ) -> Mapping[int, float]:
-        """The ``machine_id -> speed`` map one model family sees (read-only).
-
-        The one spelling of the scalar fallback: that family's row of
-        :meth:`machine_speed_index` under a family-dependent model, and
-        the cluster's scalar speed map when the model is scalar or the
-        caller has no single family (``None`` — a mixed-family app).
-        Both are shared per (model, cluster), so callers must not
-        mutate them.
-        """
-        if family is not None and not self.is_scalar:
-            return self.machine_speed_index(cluster)(family)
-        return self._per_cluster_memo(
-            "_scalar_speeds_memo", cluster, cluster.machine_speeds
-        )
+        """The ``machine_id -> speed`` map one model family sees (read-only):
+        ``family``'s entry of :meth:`machine_speed_index` (``None`` for a
+        caller with no single family, e.g. a mixed-family app)."""
+        return self.machine_speed_index(cluster)(family)
 
     def to_json(self) -> dict:
         """JSON-safe description (see :func:`perf_model_from_json`)."""
-        if self.is_scalar:
+        if not self._matrix:
             return {"kind": "scalar"}
         return {
             "kind": "matrix",
@@ -323,6 +295,34 @@ class ThroughputMatrixModel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ThroughputMatrixModel(families={[f for f, _ in self._matrix]})"
+
+
+class _SpeedIndex(dict):
+    """``family -> {machine_id: speedup}`` of one cluster, filled on
+    first read; ``None`` and each family without a matrix row map to
+    the one scalar map (see
+    :meth:`ThroughputMatrixModel.machine_speed_index`).  A dict, so that
+    a read of a known family — one per job in every carve — is its
+    builtin ``__getitem__``."""
+
+    __slots__ = ("_model", "_types")
+
+    def __init__(self, model: ThroughputMatrixModel, cluster: Cluster) -> None:
+        super().__init__({None: cluster.machine_speeds()})
+        self._model = model
+        self._types = {m.machine_id: m.gpu_type for m in cluster.machines}
+
+    def __missing__(self, family: str) -> Mapping[int, float]:
+        model = self._model
+        if family in model._rows:
+            speeds = {
+                machine_id: model.speedup(family, gpu_type)
+                for machine_id, gpu_type in self._types.items()
+            }
+        else:
+            speeds = self[None]
+        self[family] = speeds
+        return speeds
 
 
 #: The shared default: the empty matrix, scalar speeds, byte-identical
@@ -498,17 +498,14 @@ def app_family(app) -> Optional[str]:
 def app_effective_compute(app, model: ThroughputMatrixModel) -> float:
     """Speed-weighted compute an app currently holds, under ``model``.
 
-    Scalar models read the memoised
-    :attr:`~repro.cluster.allocation.Allocation.effective_size` exactly
-    as before; matrix models weight each held GPU by its *holder job's*
-    family row (a K80 held by a K80-tolerant model is worth more than
-    the same K80 under a bandwidth-starved one).  The sum runs in the
-    union allocation's gpu_id order — the same order ``effective_size``
-    uses — so an all-scalar matrix produces bit-identical floats.
+    Each held GPU is weighted by its *holder job's* family row (a K80
+    held by a K80-tolerant model is worth more than the same K80 under
+    a bandwidth-starved one).  The sum runs in the union allocation's
+    gpu_id order — the same order
+    :attr:`~repro.cluster.allocation.Allocation.effective_size` uses —
+    so rows at the scalar speeds produce bit-identical floats.
     """
     union = app.allocation()
-    if model.is_scalar:
-        return union.effective_size
     family_of: dict[int, str] = {}
     for job in app.jobs:
         if job.allocation:

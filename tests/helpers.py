@@ -340,15 +340,17 @@ class CarveInstance:
 
     def args(self, setup: str) -> tuple:
         """``_carve_fast`` / ``_carve_reference`` arguments for one setup:
-        ``scalar``, ``family`` (the matrix rows), or ``degenerate`` (a
-        matrix whose every row is the scalar map)."""
+        ``scalar`` (every family reads the one scalar map), ``family``
+        (the matrix rows), or ``degenerate`` (each family its own copy
+        of the scalar map, so the carve re-keys on equal speeds)."""
         head = (_job_tuples(self.jobs)[0], self.counts, self.rack_of)
         if setup == "scalar":
-            return (*head, self.speed_of)
+            row = self.speed_of or {}
+            return (*head, lambda family: row)
         if setup == "family":
-            return (*head, None, self.family_rows.__getitem__)
+            return (*head, self.family_rows.__getitem__)
         row = self.speed_of or {m: 1.0 for m in self.rack_of}
-        return (*head, None, lambda family: row)
+        return (*head, {family: dict(row) for family in MODEL_FAMILIES}.__getitem__)
 
 
 @st.composite

@@ -135,8 +135,8 @@ MUTANTS = [
      "                )\n                self._base_kernel = None\n        return self.snapshot",
      "                )\n        return self.snapshot"),
     ("fairness-machine-reads-any-families", "core/fairness.py",
-     "reads = self._reads_by_families.get(families)",
-     "reads = next(iter(self._reads_by_families.values()), None)"),
+     "reads = self._reads_by_maps.get(key)",
+     "reads = next(iter(self._reads_by_maps.values()), None)"),
     # a reorder keeps the state's kernel cache (rate, pairs or packing)
     ("fairness-kernel-cache-kept", "core/fairness.py",
      "            self._kernel_cache = {}\n", ""),
@@ -160,6 +160,9 @@ MUTANTS = [
     # the canonical key merge under every total-key probe
     ("fairness-merge-sum", "core/fairness.py", "count_a + count_b", "count_a"),
     ("fairness-merge-order", "core/fairness.py", "machine_a < machine_b", "machine_a > machine_b"),
+    # workload/perf.py: a family without a matrix row reads the scalar map itself
+    ("perf-rowless-family-copy", "workload/perf.py",
+     "            speeds = self[None]\n", "            speeds = dict(self[None])\n"),
     # core/arbiter.py: the 1 - f filter and the leftovers
     ("arbiter-filter-count", "core/arbiter.py", "max(1, math.ceil(", "max(1, math.floor("),
     ("arbiter-filter-order", "core/arbiter.py", "(-rhos[a], a)", "(rhos[a], a)"),

@@ -26,6 +26,7 @@ from repro.core.fairness import (
 from repro.schedulers.gandiva import GandivaScheduler, _PackingUtility
 from repro.schedulers.slaq import _BundleUtility
 from repro.workload.app import App
+from repro.workload.perf import DEFAULT_PERF_MODEL
 
 
 def utility_assign(pool, utilities, caps):
@@ -323,7 +324,10 @@ def test_gandiva_values_a_bundle_by_its_packing_score():
     for bundle in ({1: 3}, {0: 2, 2: 3}, {1: 2, 3: 2, 4: 2}):
         key = merge_keys(state.base_key, tuple(sorted(bundle.items())))
         carved, _ = _carve_reference(
-            state.snapshot.job_tuples, dict(key), rack_of, cluster.machine_speeds()
+            state.snapshot.job_tuples,
+            dict(key),
+            rack_of,
+            DEFAULT_PERF_MODEL.machine_speed_index(cluster),
         )
         assert utility(bundle) == _packing_score(carved)
 

@@ -16,25 +16,28 @@ from repro.core.fairness import (
     value_from_rho,
 )
 from repro.workload.app import CompletionSemantics
+from repro.workload.perf import DEFAULT_PERF_MODEL
 
 from helpers import make_app, make_job
 
 
-def rack_map(cluster):
-    return {m.machine_id: m.rack_id for m in cluster.machines}
+def carve_maps(cluster):
+    """``carve_allotments``' rack and speed arguments for ``cluster``."""
+    rack_of = {m.machine_id: m.rack_id for m in cluster.machines}
+    return rack_of, DEFAULT_PERF_MODEL.machine_speed_index(cluster)
 
 
 def test_carve_prefers_colocated_machines(small_cluster):
     # One job, cap 4: one whole 4-GPU machine beats 2+2.
     jobs = [make_job("a", max_parallelism=4)]
-    allotments = carve_allotments(jobs, {0: 4, 2: 2, 3: 2}, rack_map(small_cluster))
+    allotments = carve_allotments(jobs, {0: 4, 2: 2, 3: 2}, *carve_maps(small_cluster))
     assert allotments[0].gpus == 4
     assert allotments[0].level == LocalityLevel.MACHINE
 
 
 def test_carve_slot_level_for_pairs(small_cluster):
     jobs = [make_job("a", max_parallelism=2)]
-    allotments = carve_allotments(jobs, {0: 2}, rack_map(small_cluster))
+    allotments = carve_allotments(jobs, {0: 2}, *carve_maps(small_cluster))
     assert allotments[0].level == LocalityLevel.SLOT
     assert allotments[0].slowdown == 1.0
 
@@ -42,7 +45,7 @@ def test_carve_slot_level_for_pairs(small_cluster):
 def test_carve_spill_degrades_level(small_cluster):
     # Machines 0 (rack 0) and 1 (rack 1): forced cross-rack spill.
     jobs = [make_job("a", model="vgg16", max_parallelism=4)]
-    allotments = carve_allotments(jobs, {0: 2, 1: 2}, rack_map(small_cluster))
+    allotments = carve_allotments(jobs, {0: 2, 1: 2}, *carve_maps(small_cluster))
     assert allotments[0].gpus == 4
     assert allotments[0].level == LocalityLevel.CLUSTER
     profile = jobs[0].model_profile
@@ -52,7 +55,7 @@ def test_carve_spill_degrades_level(small_cluster):
 def test_carve_shortest_job_first(small_cluster):
     short = make_job("short", serial_work=10.0, max_parallelism=4)
     long = make_job("long", serial_work=100.0, max_parallelism=4)
-    allotments = carve_allotments([long, short], {0: 4}, rack_map(small_cluster))
+    allotments = carve_allotments([long, short], {0: 4}, *carve_maps(small_cluster))
     by_id = {a.job_id: a for a in allotments}
     assert by_id["short"].gpus == 4
     assert by_id["long"].gpus == 0
@@ -61,7 +64,7 @@ def test_carve_shortest_job_first(small_cluster):
 def test_carve_skips_inactive_jobs(small_cluster):
     job = make_job("dead")
     job.kill(0.0)
-    assert carve_allotments([job], {0: 4}, rack_map(small_cluster)) == []
+    assert carve_allotments([job], {0: 4}, *carve_maps(small_cluster)) == []
 
 
 def test_estimator_rho_inf_when_starved(small_cluster):
@@ -166,7 +169,7 @@ def test_a_slot_sized_gang_carves_to_the_level_its_granted_gpus_have(small_clust
     ):
         job = make_job("gang", max_parallelism=gang)
         (allotment,) = carve_allotments(
-            [job], {machine.machine_id: gang}, rack_map(small_cluster)
+            [job], {machine.machine_id: gang}, *carve_maps(small_cluster)
         )
         granted = concretise({"a": {machine.machine_id: gang}}, pool)["a"]
         assert (allotment.gpus, allotment.level) == (gang, level)

@@ -26,6 +26,7 @@ from repro.experiments.config import hetero_scenario
 from repro.metrics.hetero import is_heterogeneous, per_type_rows
 from repro.workload.generator import GeneratorConfig, generate_trace
 from repro.workload.models import effective_gpus, get_model, throughput
+from repro.workload.perf import DEFAULT_PERF_MODEL
 from repro.workload.trace import Trace, TraceApp, TraceJob
 
 from helpers import machine_per_type, make_app, make_job, split, trace_app, trace_of
@@ -169,11 +170,9 @@ def test_ideal_running_time_on_fastest_n():
 def test_carve_prefers_effective_compute():
     cluster = two_speed_cluster()
     rack_of = {m.machine_id: m.rack_id for m in cluster.machines}
-    speed_of = cluster.machine_speeds()
+    speeds_of = DEFAULT_PERF_MODEL.machine_speed_index(cluster)
     job = make_job(model="resnet50", max_parallelism=4)
-    allotments = carve_allotments(
-        [job], {0: 4, 1: 4}, rack_of, speed_of=speed_of
-    )
+    allotments = carve_allotments([job], {0: 4, 1: 4}, rack_of, speeds_of)
     assert len(allotments) == 1
     # The fast machine wins even though both offer 4 free GPUs.
     machine_s = get_model("resnet50").sensitivity.machine
@@ -185,9 +184,9 @@ def test_carve_prefers_effective_compute():
 def test_carve_effective_reflects_slow_gpus():
     cluster = two_speed_cluster()
     rack_of = {m.machine_id: m.rack_id for m in cluster.machines}
-    speed_of = cluster.machine_speeds()
+    speeds_of = DEFAULT_PERF_MODEL.machine_speed_index(cluster)
     job = make_job(model="resnet50", max_parallelism=4)
-    allotments = carve_allotments([job], {1: 4}, rack_of, speed_of=speed_of)
+    allotments = carve_allotments([job], {1: 4}, rack_of, speeds_of)
     assert allotments[0].gpus == 4
     assert allotments[0].effective == pytest.approx(4 * 0.35)
 

@@ -129,6 +129,23 @@ def test_all_scalar_matrix_is_byte_identical_to_scalar_model(scheduler, seed):
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_partial_matrix_is_byte_identical_to_its_written_out_rows(scheduler):
+    """A one-row matrix reads the scalar map for every other family.
+
+    Writing those families' rows out at the scalar speeds gives each of
+    them its own map of equal speeds, which the carve re-keys on and the
+    machine reads carry as extra components; neither may move a result.
+    """
+    vgg = {"vgg": {"v100": 1.0, "p100": 0.25, "k80": 0.1}}
+    written = {family: dict(zip(_NAMES, MIXED)) for family in known_families()}
+    # Seed 2's three apps are vgg, rnn and inception jobs.
+    one_row = _run(2, scheduler, MIXED, ThroughputMatrixModel(vgg))
+    every_row = _run(2, scheduler, MIXED, ThroughputMatrixModel({**written, **vgg}))
+    assert _full(one_row) == _full(every_row)
+    assert _full(one_row) != _full(_run(2, scheduler, MIXED))
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_rate_inversion_matrix_changes_results(scheduler):
     """Sanity inverse: a genuinely family-dependent matrix must matter."""
     inversion = ThroughputMatrixModel(

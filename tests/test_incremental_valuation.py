@@ -68,12 +68,13 @@ def test_carve_fast_matches_reference_on_random_instances(case):
     for setup in ("scalar", "family"):
         args = case.args(setup)
         assert _carve_fast(*args) == _carve_reference(*args)
-    # A matrix whose every row is the scalar map carves like the scalar setup.
+    # Each family its own copy of the scalar map carves like one shared
+    # map: re-keying on equal speeds changes nothing.
     assert _carve_fast(*case.args("degenerate")) == _carve_fast(*case.args("scalar"))
     # Conservation: one allotment per job, each within its cap, and the
     # carve hands out min(sum of caps, pool) GPUs, so adding GPUs never
     # hands out fewer.  Speeds are <= 1, so rate <= effective <= gpus.
-    allotments = carve_allotments(case.jobs, case.counts, case.rack_of, case.speed_of)
+    allotments = carve_allotments(case.jobs, *case.args("scalar")[1:])
     caps = {job.job_id: job.max_parallelism for job in case.jobs}
     assert sorted(a.job_id for a in allotments) == sorted(caps)
     assert sum(a.gpus for a in allotments) == min(
@@ -96,7 +97,7 @@ def test_family_change_rekeys_from_the_live_counts():
         (20.0, 2, profile, "j1", "gan"),
         (30.0, 4, profile, "j2", "vgg"),
     ]
-    args = (tuples, {0: 4, 1: 4}, {0: 0, 1: 0}, None, rows.__getitem__)
+    args = (tuples, {0: 4, 1: 4}, {0: 0, 1: 0}, rows.__getitem__)
     carved, next_index = _carve_fast(*args)
     assert (carved, next_index) == _carve_reference(*args)
     assert [(gpus, effective) for _job, gpus, _level, _rate, effective in carved] == [
@@ -111,8 +112,8 @@ def test_carve_fast_matches_reference_multi_rack_spill():
     rack_of = {0: 0, 1: 0, 2: 1, 3: 1}
     counts = {0: 2, 1: 1, 2: 3, 3: 1}
     tuples = _job_tuples([make_job("a", max_parallelism=5), make_job("b", max_parallelism=4)])[0]
-    fast = _carve_fast(tuples, counts, rack_of)
-    reference = _carve_reference(tuples, counts, rack_of)
+    fast = _carve_fast(tuples, counts, rack_of, lambda family: {})
+    reference = _carve_reference(tuples, counts, rack_of, lambda family: {})
     assert fast == reference
 
 
@@ -128,17 +129,14 @@ def test_carve_falls_back_to_global_head_when_used_racks_drain():
     speed_of = {0: 1.0, 1: 1.0, 2: 1.0, 3: 0.5}
     profile = make_job().model_profile.sensitivity
     tuples = [(10.0, 7, profile, "a", "resnet"), (20.0, 3, profile, "b", "resnet")]
-    for args in (
-        (tuples, counts, rack_of, speed_of),
-        (tuples, counts, rack_of, None, lambda family: speed_of),
-    ):
-        carved, next_index = _carve_fast(*args)
-        assert (carved, next_index) == _carve_reference(*args)
-        assert [(gpus, level, effective) for _job, gpus, level, _rate, effective in carved] == [
-            (7, LocalityLevel.CLUSTER, 4.0 + 1.0 + 2 * 0.5),
-            (3, LocalityLevel.MACHINE, 3.0),
-        ]
-        assert next_index == 2
+    args = (tuples, counts, rack_of, lambda family: speed_of)
+    carved, next_index = _carve_fast(*args)
+    assert (carved, next_index) == _carve_reference(*args)
+    assert [(gpus, level, effective) for _job, gpus, level, _rate, effective in carved] == [
+        (7, LocalityLevel.CLUSTER, 4.0 + 1.0 + 2 * 0.5),
+        (3, LocalityLevel.MACHINE, 3.0),
+    ]
+    assert next_index == 2
 
 
 # ----------------------------------------------------------------------
@@ -688,8 +686,7 @@ def test_baseline_reads_equal_the_uncached_oracles_every_round(seed, fleet, sema
     state = AppValuationState(app, estimator)
     packing = AppValuationState(app, estimator, packing=True)
     rack_of = {machine.machine_id: machine.rack_id for machine in cluster.machines}
-    speed_of = cluster.machine_speeds()
-    family_fn = perf_model.machine_speed_index(cluster)
+    speeds_of = perf_model.machine_speed_index(cluster)
     machines = sorted(rack_of)
     seen: list[tuple] = []
     signature = None
@@ -720,7 +717,7 @@ def test_baseline_reads_equal_the_uncached_oracles_every_round(seed, fleet, sema
         tuples = _job_tuples(app.jobs)[0]
 
         def packing_oracle(key):
-            carved, _ = _carve_reference(tuples, dict(key), rack_of, speed_of, family_fn)
+            carved, _ = _carve_reference(tuples, dict(key), rack_of, speeds_of)
             return _packing_score(carved)
 
         keys = [packing.base_key] + [random_key(rng, machines) for _ in range(4)]

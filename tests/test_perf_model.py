@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from repro.cluster.topology import GpuType
+from repro.cluster.topology import GpuType, mixed_sim_cluster
 from repro.workload.generator import GeneratorConfig, generate_trace
+from repro.workload.models import MODEL_ZOO, gpu_speed
 from repro.workload.perf import (
     DEFAULT_PERF_MODEL,
     PERF_MATRIX_PRESETS,
@@ -17,6 +18,7 @@ from repro.workload.perf import (
     app_effective_compute,
     app_family,
     canonical_matrix,
+    known_families,
     perf_model_from_json,
     resolve_matrix_spec,
     resolve_perf_model,
@@ -24,7 +26,7 @@ from repro.workload.perf import (
 )
 from repro.workload.trace import Trace
 
-from helpers import machine_per_type, make_app
+from helpers import machine_per_type, make_app, make_job
 
 V100 = GpuType("v100", 1.0)
 P100 = GpuType("p100", 0.6)
@@ -90,14 +92,14 @@ def test_presets_are_valid():
 # ----------------------------------------------------------------------
 def test_scalar_model_reads_generation_speed():
     model = ThroughputMatrixModel()
-    assert model.is_scalar
+    assert model.matrix == ()
     assert model.speedup("vgg", P100) == 0.6
     assert model.speedup("anything", V100) == 1.0
 
 
 def test_matrix_model_family_rows_and_fallbacks():
     model = ThroughputMatrixModel({"vgg": {"v100": 1.0, "p100": 0.25}})
-    assert not model.is_scalar
+    assert model.matrix
     assert model.speedup("vgg", P100) == 0.25
     # Family not in the matrix -> generation's scalar speed.
     assert model.speedup("resnet", P100) == 0.6
@@ -221,15 +223,45 @@ def test_degenerate_matrix_capacity_matches_scalar():
         assert capacity.view("gan").fastest(n) == scalar.fastest(n)
 
 
-def test_machine_speed_index_none_for_scalar():
+def test_machine_speed_index_shares_the_scalar_map():
+    """Without a matrix every family reads the one scalar map; a row
+    gets its own map, built once."""
     cluster = mixed_cluster()
-    assert ThroughputMatrixModel().machine_speed_index(cluster) is None
+    index = ThroughputMatrixModel().machine_speed_index(cluster)
+    assert index(None) == cluster.machine_speeds() == {0: 1.0, 1: 0.6}
+    assert all(index(family) is index(None) for family in known_families())
     fn = ThroughputMatrixModel({"vgg": {"v100": 1.0, "p100": 0.25}}).machine_speed_index(
         cluster
     )
     vgg_map = fn("vgg")
     assert vgg_map == {0: 1.0, 1: 0.25}
     assert fn("vgg") is vgg_map  # cached per family
+
+
+def test_partial_matrix_rowless_families_read_the_scalar_map():
+    """A one-row matrix on the hetero fleet: every family without a row
+    reads the scalar map object itself (no per-family copy) and its
+    jobs weigh each GPU by ``gpu.speed``."""
+    cluster = mixed_sim_cluster()
+    model = ThroughputMatrixModel({"vgg": {"v100": 1.0, "p100": 0.25, "k80": 0.1}})
+    index = model.machine_speed_index(cluster)
+    assert index(None) == cluster.machine_speeds()
+    assert index("vgg") is not index(None)
+    for family in known_families():
+        if family == "vgg":
+            continue
+        assert index(family) is index(None), family
+        assert model.machine_speeds_for(cluster, family) is index(None)
+    for name in MODEL_ZOO:
+        job = make_job("j0", model=name)
+        job.perf_model = model
+        speed_of = job.speed_of()
+        weights = [speed_of(gpu) for gpu in cluster.gpus]
+        if job.family == "vgg":
+            assert weights != [gpu.speed for gpu in cluster.gpus]
+            continue
+        assert speed_of is gpu_speed
+        assert weights == [gpu.speed for gpu in cluster.gpus]
 
 
 def test_cluster_views_are_shared_per_model_and_cluster():

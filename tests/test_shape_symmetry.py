@@ -130,10 +130,8 @@ def test_same_rack_same_free_machines_differ_by_id_order():
     low = ((1, 2), (4, 2), (6, 2))
     high = ((4, 2), (6, 2), (9, 2))
     for kernel in (_carve_fast, _carve_reference):
-        rates = [
-            sum(rate for *_rest, rate, _eff in kernel(tuples, dict(key), rack_of)[0])
-            for key in (low, high)
-        ]
+        carves = [kernel(tuples, dict(key), rack_of, lambda family: {})[0] for key in (low, high)]
+        rates = [sum(rate for *_rest, rate, _eff in carved) for carved in carves]
         assert rates == [4.0, 5.2]
     reads = {m: (rack, 1.0) for m, rack in rack_of.items()}
     assert bundle_shape(low, reads) == ((0, 1.0, 2), (1, 1.0, 2), (0, 1.0, 2))
